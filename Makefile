@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-full test-race test-portable fuzz-smoke bench bench-kernels bench-json bench-gate serve-demo load-smoke docs pack-demo release-demo release-verify ci
+.PHONY: all build vet test test-full test-race test-portable fuzz-smoke bench bench-kernels bench-json bench-gate bench-front serve-demo load-smoke docs pack-demo release-demo release-verify ci
 
 all: ci
 
@@ -18,9 +18,12 @@ test:
 test-full:
 	$(GO) test ./...
 
-# test-race runs the concurrent packages under the race detector.
+# test-race runs the concurrent packages under the race detector, then
+# stresses the batching tests: they form batches by holding a gate, not
+# by wall clock, so twenty runs in a row must agree.
 test-race:
 	$(GO) test -short -race ./internal/inference/... ./internal/microserver/... ./internal/cluster/... ./internal/serve/... ./internal/rvbackend/... ./internal/riscv/... ./internal/soc/... ./internal/cfu/...
+	$(GO) test -race -count=20 -run 'Batch|Dispatch|Gate' ./internal/microserver/ ./internal/serve/
 
 # test-portable exercises the pure-Go micro-kernel fallbacks (noasm /
 # purego build tags) and the narrowed runtime dispatch tiers — the same
@@ -66,6 +69,11 @@ bench-json:
 # local runs match CI exactly.
 bench-gate: bench-json
 	$(GO) run ./cmd/bench-gate -baseline bench_baseline.json -dir .
+
+# bench-front runs the measured front-door benchmark (BENCHMARK.json):
+# the same command the pipeline gates on, four served workloads.
+bench-front:
+	$(GO) run ./benchmark -seed 7
 
 # serve-demo smoke-checks the fleet-serving path: the smart-mirror face
 # detector on a 2-device heterogeneous uRECS fleet (CPU + Xavier NX).

@@ -128,19 +128,26 @@ func ClusterStudy() (*Report, error) {
 		r.linef("%s", line)
 	}
 	distinctAccel := map[string]bool{}
-	cpuServed, accelServed := int64(0), int64(0)
-	var fastest cluster.ReplicaStats
+	cpuServed := int64(0)
+	// The router promises that load follows the service estimate: the
+	// replica it rates fastest serves the most, the slowest the fewest.
+	fastest, slowest := st.Replicas[0], st.Replicas[0]
+	mostServed, fewestServed := fastest.Served, fastest.Served
 	for _, rs := range st.Replicas {
 		r.metric("served_"+rs.Backend, "req", float64(rs.Served))
 		if rs.Modeled > 0 {
 			distinctAccel[rs.Backend] = true
-			accelServed += rs.Served
-			if fastest.Backend == "" || rs.Modeled < fastest.Modeled {
-				fastest = rs
-			}
 		} else {
 			cpuServed += rs.Served
 		}
+		if rs.Estimate() < fastest.Estimate() {
+			fastest = rs
+		}
+		if rs.Estimate() > slowest.Estimate() {
+			slowest = rs
+		}
+		mostServed = max(mostServed, rs.Served)
+		fewestServed = min(fewestServed, rs.Served)
 	}
 	r.linef("burst latency: mean %v p50 %v p95 %v | chassis max power %.1f W",
 		sum.Mean.Round(time.Microsecond), sum.P50.Round(time.Microsecond),
@@ -153,8 +160,8 @@ func ClusterStudy() (*Report, error) {
 		cpuServed > 0 && len(distinctAccel) >= 2)
 	r.check("every backend served requests (warm-up probes each replica)",
 		st.Completed == int64(burst) && allServed(st.Replicas))
-	r.check("cost-aware routing favors modeled-fast accelerators",
-		accelServed > cpuServed && fastest.Served > 0)
+	r.check("cost-aware routing: served counts follow the service estimate (fastest most, slowest fewest)",
+		fastest.Served == mostServed && slowest.Served == fewestServed)
 
 	// --- Part 3: artifact deployment and the plan cache ---------------
 	if err := artifactStudy(r, g, want, in); err != nil {

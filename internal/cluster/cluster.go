@@ -512,9 +512,10 @@ func (d *Deployment) SubmitCtx(ctx context.Context, inputs map[string]*tensor.Te
 		return nil, ErrClosed
 	}
 	tk := &Ticket{ctx: ctx, ins: inputs, done: make(chan struct{}), start: time.Now()}
+	// Counted shed or not: Submitted == Completed + Rejected must hold.
+	d.submitted.Add(1)
 	select {
 	case d.queue <- tk:
-		d.submitted.Add(1)
 		return tk, nil
 	default:
 		d.rejected.Add(1)
@@ -733,7 +734,8 @@ func (d *Deployment) Stats() Stats {
 
 // Stats is a deployment's cumulative routing telemetry.
 type Stats struct {
-	Model     string
+	Model string
+	// Submitted counts every admission attempt, shed ones included.
 	Submitted int64
 	Completed int64
 	Rejected  int64

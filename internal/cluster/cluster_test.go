@@ -31,6 +31,25 @@ func urecsFleet(t *testing.T) *microserver.Chassis {
 	return c
 }
 
+// oneReplicaScheduler builds a scheduler over a single host-CPU module
+// whose replica takes one request at a time, so a burst backs up into
+// the admission queue of the given depth.
+func oneReplicaScheduler(t *testing.T, queueDepth int) *Scheduler {
+	t.Helper()
+	c := microserver.NewURECS()
+	m, err := microserver.FindModule("SMARC ARM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Insert(0, m); err != nil {
+		t.Fatal(err)
+	}
+	return NewScheduler(c, Config{
+		QueueDepth: queueDepth,
+		Serve:      microserver.ServeConfig{MaxBatch: 1, QueueDepth: 1},
+	})
+}
+
 func gestureModel() *nn.Graph {
 	return nn.GestureNet(16, 4, nn.BuildOptions{Weights: true, Seed: 77})
 }
@@ -144,18 +163,7 @@ func TestSubmitWaitAsync(t *testing.T) {
 // queue, an open-loop burst must shed some requests with ErrOverloaded
 // while every admitted request still resolves.
 func TestAdmissionShedsWhenSaturated(t *testing.T) {
-	c := microserver.NewURECS()
-	m, err := microserver.FindModule("SMARC ARM")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Insert(0, m); err != nil {
-		t.Fatal(err)
-	}
-	sched := NewScheduler(c, Config{
-		QueueDepth: 1,
-		Serve:      microserver.ServeConfig{MaxBatch: 1, QueueDepth: 1, MaxWait: time.Nanosecond},
-	})
+	sched := oneReplicaScheduler(t, 1)
 	defer sched.Close()
 	g := nn.FaceDetectNet(32, nn.BuildOptions{Weights: true, Seed: 9})
 	if _, err := sched.Deploy(g); err != nil {
@@ -199,6 +207,46 @@ func TestAdmissionShedsWhenSaturated(t *testing.T) {
 	}
 	if stats.Completed != int64(len(tickets)) {
 		t.Errorf("stats recorded %d completed, want %d", stats.Completed, len(tickets))
+	}
+}
+
+// TestStatsInvariantHoldsWhenShedding overfills a depth-1 deployment so
+// most of a burst is shed, then checks the accounting once idle: every
+// admission attempt is in Submitted, and each one ended up in Completed
+// or Rejected.
+func TestStatsInvariantHoldsWhenShedding(t *testing.T) {
+	sched := oneReplicaScheduler(t, 1)
+	defer sched.Close()
+	g := gestureModel()
+	dep, err := sched.Deploy(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins := map[string]*tensor.Tensor{g.Inputs[0]: gestureInput(1)}
+	const burst = 200
+	var admitted []*Ticket
+	for i := 0; i < burst; i++ {
+		tk, err := dep.Submit(ins)
+		switch {
+		case err == nil:
+			admitted = append(admitted, tk)
+		case !errors.Is(err, ErrOverloaded):
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	for _, tk := range admitted {
+		tk.Wait() // idle once every admitted ticket has resolved
+	}
+	st := dep.Stats()
+	if st.Rejected == 0 {
+		t.Fatal("burst shed nothing; the invariant was not exercised under shedding")
+	}
+	if st.Submitted != burst {
+		t.Errorf("submitted %d, want every one of the %d admission attempts", st.Submitted, burst)
+	}
+	if st.Submitted != st.Completed+st.Rejected {
+		t.Errorf("stats invariant broken under shedding: submitted %d != completed %d + rejected %d",
+			st.Submitted, st.Completed, st.Rejected)
 	}
 }
 
@@ -397,18 +445,7 @@ func TestBatchRows(t *testing.T) {
 // ticket resolves with the context error and counts in Stats.Cancelled,
 // and WaitCtx unblocks a caller whose own context expires first.
 func TestSubmitCtxCancelPropagation(t *testing.T) {
-	c := microserver.NewURECS()
-	m, err := microserver.FindModule("SMARC ARM")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Insert(0, m); err != nil {
-		t.Fatal(err)
-	}
-	sched := NewScheduler(c, Config{
-		QueueDepth: 64,
-		Serve:      microserver.ServeConfig{MaxBatch: 1, QueueDepth: 1, MaxWait: time.Nanosecond},
-	})
+	sched := oneReplicaScheduler(t, 64)
 	defer sched.Close()
 	g := gestureModel()
 	dep, err := sched.Deploy(g)

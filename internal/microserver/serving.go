@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"vedliot/internal/inference"
 	"vedliot/internal/nn"
@@ -14,12 +13,9 @@ import (
 // ServeConfig tunes a node's inference server.
 type ServeConfig struct {
 	// MaxBatch is the largest number of queued requests fused into one
-	// engine dispatch (default 8).
+	// engine dispatch (default 8). The dispatcher never waits for a
+	// batch to fill: it fuses what queued up while the engine was busy.
 	MaxBatch int
-	// MaxWait bounds how long the dispatcher waits for the batch to
-	// fill after the first request arrives (default 2ms). Zero keeps
-	// the default; latency-critical nodes can set it to a nanosecond.
-	MaxWait time.Duration
 	// QueueDepth is the request channel capacity (default 4*MaxBatch).
 	QueueDepth int
 	// EngineOptions configure compilation on the serving backend (for
@@ -30,9 +26,6 @@ type ServeConfig struct {
 func (c ServeConfig) withDefaults() ServeConfig {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 8
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = 2 * time.Millisecond
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4 * c.MaxBatch
@@ -65,10 +58,10 @@ func (s ServeStats) MeanBatch() float64 {
 
 // Server is one microserver node's inference service: a single compiled
 // executable shared by all clients, fed through a batching queue.
-// Concurrent Infer/InferMap calls are coalesced into RunBatch
-// dispatches, which amortizes per-call overhead and hands the parallel
-// kernels larger work items — the "serve as fast as the hardware
-// allows" path for a module hosting a DL workload.
+// Calls that queue up while the engine is busy are coalesced into one
+// RunBatch dispatch, which amortizes per-call overhead and hands the
+// parallel kernels larger work items — the "serve as fast as the
+// hardware allows" path for a module hosting a DL workload.
 //
 // The server is backend-generic: it fronts whatever
 // inference.Backend compiled the model — the host CPU engine or any
@@ -296,20 +289,13 @@ func (s *Server) dispatch() {
 			s.drain()
 			return
 		}
+		// Work-conserving: fuse only what is already queued, never wait
+		// for company, so batches form while the engine is busy. This
+		// goroutine is the only receiver; a non-empty queue cannot block.
 		pending := []*request{first}
-		timer := time.NewTimer(s.cfg.MaxWait)
-	collect:
-		for len(pending) < s.cfg.MaxBatch {
-			select {
-			case r := <-s.reqs:
-				pending = append(pending, r)
-			case <-timer.C:
-				break collect
-			case <-s.quit:
-				break collect
-			}
+		for len(pending) < s.cfg.MaxBatch && len(s.reqs) > 0 {
+			pending = append(pending, <-s.reqs)
 		}
-		timer.Stop()
 		s.runBatch(pending)
 	}
 }
@@ -357,6 +343,15 @@ func (s *Server) runBatch(pending []*request) {
 		batches[i] = r.ins
 	}
 	outs, err := s.exe.RunBatch(batches)
+	// Counted before the waiters are released: a caller holding its
+	// result already sees itself in Stats.
+	s.statsMu.Lock()
+	s.stats.Requests += int64(len(pending))
+	s.stats.Batches++
+	if len(pending) > s.stats.MaxBatch {
+		s.stats.MaxBatch = len(pending)
+	}
+	s.statsMu.Unlock()
 	if err != nil {
 		// One malformed input fails a fused dispatch; retry requests
 		// individually so only the offender sees the error.
@@ -375,11 +370,4 @@ func (s *Server) runBatch(pending []*request) {
 			close(r.done)
 		}
 	}
-	s.statsMu.Lock()
-	s.stats.Requests += int64(len(pending))
-	s.stats.Batches++
-	if len(pending) > s.stats.MaxBatch {
-		s.stats.MaxBatch = len(pending)
-	}
-	s.statsMu.Unlock()
 }

@@ -3,9 +3,9 @@ package microserver
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"vedliot/internal/accel"
 	"vedliot/internal/inference"
@@ -15,7 +15,7 @@ import (
 
 func servedModel(t *testing.T, cfg ServeConfig) (*Server, *nn.Graph) {
 	t.Helper()
-	g := nn.GestureNet(16, 4, nn.BuildOptions{Weights: true, Seed: 77})
+	g := gestureGraph()
 	s, err := Serve(g, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -52,51 +52,233 @@ func TestServeMatchesDirectEngine(t *testing.T) {
 	}
 }
 
+// gateExe is the batching tests' inference.Executable double. Every
+// Run/RunBatch records the batch it was handed and then blocks until
+// the test opens the gate. A test holds the dispatcher inside the engine
+// with one request, queues more behind it and opens the gate, so batches
+// form by construction and never by wall clock.
+type gateExe struct {
+	inner   inference.Executable
+	release chan struct{}
+
+	mu   sync.Mutex
+	cond *sync.Cond
+	seen [][]map[string]*tensor.Tensor
+}
+
+func (e *gateExe) enter(batch []map[string]*tensor.Tensor) {
+	e.mu.Lock()
+	e.seen = append(e.seen, batch)
+	e.cond.Broadcast()
+	e.mu.Unlock()
+	<-e.release
+}
+
+func (e *gateExe) Run(in map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
+	e.enter([]map[string]*tensor.Tensor{in})
+	return e.inner.Run(in)
+}
+
+func (e *gateExe) RunBatch(b []map[string]*tensor.Tensor) ([]map[string]*tensor.Tensor, error) {
+	e.enter(b)
+	return e.inner.RunBatch(b)
+}
+
+// open releases the held call and lets every later one through.
+func (e *gateExe) open() { close(e.release) }
+
+// batches returns every batch the gate has seen, in call order.
+func (e *gateExe) batches() [][]map[string]*tensor.Tensor {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return append([][]map[string]*tensor.Tensor(nil), e.seen...)
+}
+
+// wantSizes fails the test unless the gate saw exactly these batch sizes.
+func (e *gateExe) wantSizes(t *testing.T, want ...int) {
+	t.Helper()
+	var got []int
+	for _, b := range e.batches() {
+		got = append(got, len(b))
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("engine saw batch sizes %v, want %v", got, want)
+	}
+}
+
+// saw reports whether the engine was ever handed this input tensor.
+func (e *gateExe) saw(in *tensor.Tensor) bool {
+	for _, b := range e.batches() {
+		for _, ins := range b {
+			for _, t := range ins {
+				if t == in {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// gatedServer serves g from behind a shut gate.
+func gatedServer(t *testing.T, g *nn.Graph, cfg ServeConfig) (*Server, *gateExe) {
+	t.Helper()
+	exe, err := inference.Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := &gateExe{inner: exe, release: make(chan struct{})}
+	gate.cond = sync.NewCond(&gate.mu)
+	s, err := ServeCompiled(g, gate, "gate", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, gate
+}
+
+// hold submits one request to an idle gated server and returns once the
+// dispatcher is inside the engine with it — the gate's first recorded
+// batch. Until gate.open, every SubmitMap that returns has its request
+// sitting in the queue.
+func hold(t *testing.T, s *Server, gate *gateExe, ins map[string]*tensor.Tensor) *Pending {
+	t.Helper()
+	plug, err := s.SubmitMap(ins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate.mu.Lock()
+	for len(gate.seen) == 0 {
+		gate.cond.Wait()
+	}
+	gate.mu.Unlock()
+	return plug
+}
+
+func gestureGraph() *nn.Graph {
+	return nn.GestureNet(16, 4, nn.BuildOptions{Weights: true, Seed: 77})
+}
+
+func gestureIns(g *nn.Graph, seed int) map[string]*tensor.Tensor {
+	return map[string]*tensor.Tensor{g.Inputs[0]: gestureInput(seed)}
+}
+
+// gestureRequests builds n distinct single-sample requests.
+func gestureRequests(g *nn.Graph, n int) []map[string]*tensor.Tensor {
+	ins := make([]map[string]*tensor.Tensor, n)
+	for i := range ins {
+		ins[i] = gestureIns(g, i)
+	}
+	return ins
+}
+
+// submitAll queues one request per input map; with the gate held they
+// all sit in s.reqs when it returns.
+func submitAll(t *testing.T, s *Server, ins []map[string]*tensor.Tensor) []*Pending {
+	t.Helper()
+	pend := make([]*Pending, len(ins))
+	for i := range ins {
+		p, err := s.SubmitMap(ins[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		pend[i] = p
+	}
+	return pend
+}
+
+// TestServeBatchesConcurrentClients queues sixteen clients behind a busy
+// engine: they fuse into full batches and every client still gets the
+// engine-exact result for its own input.
 func TestServeBatchesConcurrentClients(t *testing.T) {
-	s, g := servedModel(t, ServeConfig{MaxBatch: 8, MaxWait: 20 * time.Millisecond})
+	g := gestureGraph()
+	s, gate := gatedServer(t, g, ServeConfig{MaxBatch: 8})
 	defer s.Close()
 	eng, err := inference.Compile(g)
 	if err != nil {
 		t.Fatal(err)
 	}
+	plug := hold(t, s, gate, gestureIns(g, 0))
 	const clients = 16
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			in := gestureInput(c)
-			want, err := eng.RunSingle(in)
-			if err != nil {
-				errs <- err
-				return
-			}
-			got, err := s.Infer(in)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if d, _ := tensor.MaxAbsDiff(want, got); d != 0 {
-				errs <- &shapeErr{d}
-				return
-			}
-		}(c)
+	ins := gestureRequests(g, clients)
+	pend := submitAll(t, s, ins)
+	gate.open()
+	if _, err := plug.Wait(); err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+	for c, p := range pend {
+		outs, err := p.Wait()
+		if err != nil {
+			t.Fatalf("client %d: %v", c, err)
+		}
+		want, err := eng.RunSingle(ins[c][g.Inputs[0]])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d, _ := tensor.MaxAbsDiff(want, outs[g.Outputs[0]]); d != 0 {
+			t.Errorf("client %d: served result diverges by %g", c, d)
+		}
 	}
+	gate.wantSizes(t, 1, 8, 8)
 	st := s.Stats()
-	if st.Requests != clients {
-		t.Errorf("stats recorded %d requests, want %d", st.Requests, clients)
-	}
-	if st.Batches >= clients {
-		t.Errorf("no batching: %d dispatches for %d requests", st.Batches, clients)
+	if st.Requests != clients+1 || st.Batches != 3 {
+		t.Errorf("stats recorded %d requests in %d dispatches, want %d in 3", st.Requests, st.Batches, clients+1)
 	}
 	if st.MeanBatch() <= 1 {
 		t.Errorf("mean batch = %v, want > 1", st.MeanBatch())
+	}
+}
+
+// TestDispatchLoneRequestRunsAtOnce pins the work-conserving rule on an
+// idle server: a lone request reaches the engine while no second request
+// exists — the dispatcher does not wait for company.
+func TestDispatchLoneRequestRunsAtOnce(t *testing.T) {
+	g := gestureGraph()
+	s, gate := gatedServer(t, g, ServeConfig{MaxBatch: 8})
+	defer s.Close()
+	lone := hold(t, s, gate, gestureIns(g, 1))
+	// hold returned, so the engine has the request; nothing else was
+	// ever submitted.
+	gate.wantSizes(t, 1)
+	gate.open()
+	if _, err := lone.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Requests != 1 || st.Batches != 1 {
+		t.Errorf("stats recorded %d requests in %d dispatches, want 1 in 1", st.Requests, st.Batches)
+	}
+}
+
+// TestDispatchFusesQueuedUpToMaxBatch pins how batches form: everything
+// queued during a run fuses into the next RunBatch in arrival order,
+// capped at MaxBatch, and the remainder rides the one after.
+func TestDispatchFusesQueuedUpToMaxBatch(t *testing.T) {
+	g := gestureGraph()
+	s, gate := gatedServer(t, g, ServeConfig{MaxBatch: 8})
+	defer s.Close()
+	plug := hold(t, s, gate, gestureIns(g, 0))
+	const queued = 11
+	ins := gestureRequests(g, queued)
+	pend := submitAll(t, s, ins)
+	gate.open()
+	for _, p := range append(pend, plug) {
+		if _, err := p.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gate.wantSizes(t, 1, 8, 3)
+	var order []*tensor.Tensor
+	for _, b := range gate.batches()[1:] {
+		for _, m := range b {
+			order = append(order, m[g.Inputs[0]])
+		}
+	}
+	for i, in := range order {
+		if in != ins[i][g.Inputs[0]] {
+			t.Fatalf("engine position %d does not carry request %d: batches broke arrival order", i, i)
+		}
+	}
+	if st := s.Stats(); st.MaxBatch != 8 {
+		t.Errorf("largest dispatch %d, want the MaxBatch cap 8", st.MaxBatch)
 	}
 }
 
@@ -104,30 +286,29 @@ type shapeErr struct{ d float64 }
 
 func (e *shapeErr) Error() string { return "served result diverges" }
 
+// TestServeBadRequestFailsAlone fuses a well-formed and a malformed
+// request into one dispatch: only the offender sees the error.
 func TestServeBadRequestFailsAlone(t *testing.T) {
-	s, _ := servedModel(t, ServeConfig{MaxBatch: 4, MaxWait: 20 * time.Millisecond})
+	g := gestureGraph()
+	s, gate := gatedServer(t, g, ServeConfig{MaxBatch: 4})
 	defer s.Close()
-	var wg sync.WaitGroup
-	goodErr := make(chan error, 1)
-	badErr := make(chan error, 1)
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		_, err := s.Infer(gestureInput(1))
-		goodErr <- err
-	}()
-	go func() {
-		defer wg.Done()
-		_, err := s.Infer(tensor.New(tensor.FP32, 1, 3, 16, 16)) // wrong channels
-		badErr <- err
-	}()
-	wg.Wait()
-	if err := <-goodErr; err != nil {
+	plug := hold(t, s, gate, gestureIns(g, 0))
+	pend := submitAll(t, s, []map[string]*tensor.Tensor{
+		gestureIns(g, 1),
+		{g.Inputs[0]: tensor.New(tensor.FP32, 1, 3, 16, 16)}, // wrong channels
+	})
+	gate.open()
+	if _, err := plug.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pend[0].Wait(); err != nil {
 		t.Errorf("well-formed request failed: %v", err)
 	}
-	if err := <-badErr; err == nil {
+	if _, err := pend[1].Wait(); err == nil {
 		t.Error("malformed request succeeded")
 	}
+	// One fused attempt, then the per-request retry.
+	gate.wantSizes(t, 1, 2, 1, 1)
 }
 
 func TestServeClose(t *testing.T) {
@@ -151,10 +332,7 @@ func multiHeadGraph() *nn.Graph {
 
 func TestServeMultiHeadGraph(t *testing.T) {
 	g := multiHeadGraph()
-	s, err := Serve(g, ServeConfig{MaxBatch: 4, MaxWait: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, gate := gatedServer(t, g, ServeConfig{MaxBatch: 4})
 	defer s.Close()
 	eng, err := inference.Compile(g)
 	if err != nil {
@@ -169,36 +347,31 @@ func TestServeMultiHeadGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Concurrent clients so the full maps flow through fused dispatches.
+	// Eight clients queued behind a busy engine, so the full maps flow
+	// through fused dispatches.
+	plug := hold(t, s, gate, ins)
 	const clients = 8
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got, err := s.InferMap(ins)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if len(got) != len(g.Outputs) {
-				errs <- &shapeErr{float64(len(got))}
-				return
-			}
-			for _, name := range g.Outputs {
-				if d, _ := tensor.MaxAbsDiff(want[name], got[name]); d != 0 {
-					errs <- &shapeErr{d}
-					return
-				}
-			}
-		}()
+	all := make([]map[string]*tensor.Tensor, clients)
+	for c := range all {
+		all[c] = ins
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+	pend := submitAll(t, s, all)
+	gate.open()
+	for c, p := range append(pend, plug) {
+		got, err := p.Wait()
+		if err != nil {
+			t.Fatalf("client %d: %v", c, err)
+		}
+		if len(got) != len(g.Outputs) {
+			t.Fatalf("client %d: %d outputs, want %d", c, len(got), len(g.Outputs))
+		}
+		for _, name := range g.Outputs {
+			if d, _ := tensor.MaxAbsDiff(want[name], got[name]); d != 0 {
+				t.Errorf("client %d: output %q diverges by %g", c, name, d)
+			}
+		}
 	}
+	gate.wantSizes(t, 1, 4, 4)
 	// The single-tensor shortcut stays restricted to the 1-in/1-out shape.
 	if _, err := s.Infer(in); err == nil {
 		t.Error("Infer accepted a two-output graph; want InferMap-only")
@@ -240,107 +413,44 @@ func TestServeBackendGeneric(t *testing.T) {
 	}
 }
 
-// gatedBackend wraps a backend so tests can hold a dispatch in flight:
-// every Run/RunBatch blocks until the gate channel yields.
-type gatedBackend struct {
-	inner inference.Backend
-	gate  chan struct{}
-}
-
-func (b gatedBackend) Name() string { return "gated:" + b.inner.Name() }
-
-func (b gatedBackend) Compile(g *nn.Graph, opts ...inference.Option) (inference.Executable, error) {
-	exe, err := b.inner.Compile(g, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return gatedExe{inner: exe, gate: b.gate}, nil
-}
-
-type gatedExe struct {
-	inner inference.Executable
-	gate  chan struct{}
-}
-
-func (e gatedExe) Run(in map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
-	<-e.gate
-	return e.inner.Run(in)
-}
-
-func (e gatedExe) RunBatch(b []map[string]*tensor.Tensor) ([]map[string]*tensor.Tensor, error) {
-	<-e.gate
-	return e.inner.RunBatch(b)
-}
-
 // TestServeDrainFailsQueued pins the shutdown drain path: requests
 // still queued when Close lands are failed, not executed.
 func TestServeDrainFailsQueued(t *testing.T) {
-	g := nn.GestureNet(16, 4, nn.BuildOptions{Weights: true, Seed: 77})
-	gate := make(chan struct{})
-	s, err := ServeBackend(g, gatedBackend{inner: inference.CPUBackend{}, gate: gate}, ServeConfig{
-		MaxBatch: 1, MaxWait: time.Nanosecond, QueueDepth: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	infer := func(res chan error) {
-		_, err := s.Infer(gestureInput(1))
-		res <- err
-	}
-	// First request occupies the dispatcher (blocked on the gate)...
-	resA := make(chan error, 1)
-	go infer(resA)
-	// ...so the next two sit in the queue.
-	resB, resC := make(chan error, 1), make(chan error, 1)
-	waitQueued := func() {
-		for i := 0; len(s.reqs) < 2 && i < 1000; i++ {
-			time.Sleep(time.Millisecond)
-		}
-	}
-	go infer(resB)
-	go infer(resC)
-	waitQueued()
+	g := gestureGraph()
+	s, gate := gatedServer(t, g, ServeConfig{MaxBatch: 1, QueueDepth: 8})
+	// One request is in flight inside the engine, two sit in the queue.
+	inflight := hold(t, s, gate, gestureIns(g, 1))
+	queued := submitAll(t, s, []map[string]*tensor.Tensor{gestureIns(g, 2), gestureIns(g, 3)})
 
 	closed := make(chan struct{})
 	go func() { s.Close(); close(closed) }()
-	// Wait until Close has marked the server closed (it then blocks in
-	// wg.Wait until the gated dispatch finishes).
-	for {
-		s.lifeMu.RLock()
-		c := s.closed
-		s.lifeMu.RUnlock()
-		if c {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	gate <- struct{}{} // release the in-flight dispatch
+	// Close has marked the server closed once quit is closed; it then
+	// blocks in wg.Wait until the held dispatch finishes.
+	<-s.quit
+	gate.open()
 	<-closed
 
-	// Exactly one request was in flight (and must have been served);
-	// the two still queued must have been failed by drain. Which of the
-	// three goroutines won the race to the dispatcher is arbitrary.
-	served, drained := 0, 0
-	for _, res := range []chan error{resA, resB, resC} {
-		if err := <-res; err == nil {
-			served++
-		} else {
-			drained++
+	if _, err := inflight.Wait(); err != nil {
+		t.Errorf("in-flight request failed across Close: %v", err)
+	}
+	for i, p := range queued {
+		if _, err := p.Wait(); err == nil {
+			t.Errorf("queued request %d was served after Close, want a drain failure", i)
 		}
 	}
-	if served != 1 || drained != 2 {
-		t.Errorf("served %d / drained %d requests, want 1 served (in-flight) and 2 drain failures", served, drained)
-	}
+	gate.wantSizes(t, 1)
 	if _, err := s.Infer(gestureInput(1)); err == nil {
 		t.Error("Infer succeeded after Close")
 	}
 }
 
-// TestServeInferRacingClose hammers Infer from many goroutines while
-// Close lands mid-storm: every call must resolve (result or closed
-// error) and the server must shut down cleanly.
+// TestServeInferRacingClose hammers Infer from many goroutines against a
+// busy engine while Close lands mid-storm: every call must resolve
+// (result or closed error) and the server must shut down cleanly.
 func TestServeInferRacingClose(t *testing.T) {
-	s, _ := servedModel(t, ServeConfig{MaxBatch: 4, MaxWait: time.Millisecond})
+	g := gestureGraph()
+	s, gate := gatedServer(t, g, ServeConfig{MaxBatch: 4})
+	plug := hold(t, s, gate, gestureIns(g, 0))
 	const clients = 24
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
@@ -356,8 +466,11 @@ func TestServeInferRacingClose(t *testing.T) {
 			errs <- err
 		}(c)
 	}
-	s.Close()
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	gate.open()
 	wg.Wait()
+	<-closed
 	close(errs)
 	served, refused := 0, 0
 	for err := range errs {
@@ -370,6 +483,9 @@ func TestServeInferRacingClose(t *testing.T) {
 	if served+refused != clients {
 		t.Errorf("%d of %d racing calls unresolved", clients-served-refused, clients)
 	}
+	if _, err := plug.Wait(); err != nil {
+		t.Errorf("request already inside the engine failed across Close: %v", err)
+	}
 }
 
 // TestServeFusedBatchFailureIsolation forces three requests into one
@@ -377,46 +493,45 @@ func TestServeInferRacingClose(t *testing.T) {
 // individual retry isolates the offender, and the well-formed requests
 // still succeed with engine-exact results.
 func TestServeFusedBatchFailureIsolation(t *testing.T) {
-	s, g := servedModel(t, ServeConfig{MaxBatch: 3, MaxWait: 2 * time.Second})
+	g := gestureGraph()
+	s, gate := gatedServer(t, g, ServeConfig{MaxBatch: 3})
 	defer s.Close()
 	eng, err := inference.Compile(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	goodIn := gestureInput(1)
-	want, err := eng.RunSingle(goodIn)
+	good := gestureIns(g, 1)
+	want, err := eng.RunSingle(good[g.Inputs[0]])
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	goodA, goodB, bad := make(chan error, 1), make(chan error, 1), make(chan error, 1)
-	run := func(in *tensor.Tensor, res chan error, check bool) {
-		defer wg.Done()
-		out, err := s.Infer(in)
-		if err == nil && check {
-			if d, _ := tensor.MaxAbsDiff(want, out); d != 0 {
-				err = &shapeErr{d}
-			}
+	plug := hold(t, s, gate, gestureIns(g, 0))
+	pend := submitAll(t, s, []map[string]*tensor.Tensor{
+		good,
+		{g.Inputs[0]: tensor.New(tensor.FP32, 1, 3, 16, 16)}, // wrong channels
+		good,
+	})
+	gate.open()
+	if _, err := plug.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{0, 2} {
+		outs, err := pend[i].Wait()
+		if err != nil {
+			t.Errorf("well-formed request %d failed: %v", i, err)
+			continue
 		}
-		res <- err
+		if d, _ := tensor.MaxAbsDiff(want, outs[g.Outputs[0]]); d != 0 {
+			t.Errorf("well-formed request %d diverges by %g", i, d)
+		}
 	}
-	wg.Add(3)
-	go run(goodIn, goodA, true)
-	go run(tensor.New(tensor.FP32, 1, 3, 16, 16), bad, false) // wrong channels
-	go run(goodIn, goodB, true)
-	wg.Wait()
-	if err := <-goodA; err != nil {
-		t.Errorf("well-formed request A failed: %v", err)
-	}
-	if err := <-goodB; err != nil {
-		t.Errorf("well-formed request B failed: %v", err)
-	}
-	if err := <-bad; err == nil {
+	if _, err := pend[1].Wait(); err == nil {
 		t.Error("malformed request succeeded")
 	}
+	gate.wantSizes(t, 1, 3, 1, 1, 1)
 	st := s.Stats()
-	if st.Batches != 1 {
-		t.Errorf("requests split across %d dispatches, want 1 fused batch", st.Batches)
+	if st.Batches != 2 {
+		t.Errorf("requests split across %d dispatches, want the held one plus 1 fused batch", st.Batches)
 	}
 	if st.MaxBatch != 3 {
 		t.Errorf("fused batch size %d, want 3", st.MaxBatch)
@@ -481,40 +596,92 @@ func TestServeCompiledValidates(t *testing.T) {
 // queued must resolve with the context error without ever reaching the
 // engine, and must not count as a served request.
 func TestSubmitMapCtxCancelledBeforeDispatch(t *testing.T) {
-	s, g := servedModel(t, ServeConfig{MaxBatch: 4, MaxWait: 40 * time.Millisecond})
+	g := gestureGraph()
+	s, gate := gatedServer(t, g, ServeConfig{MaxBatch: 4})
 	defer s.Close()
-	ins := map[string]*tensor.Tensor{g.Inputs[0]: gestureInput(1)}
+	plug := hold(t, s, gate, gestureIns(g, 0))
 
+	// A doomed and a live request queue behind the busy engine and land
+	// in the same dispatch.
 	ctx, cancel := context.WithCancel(context.Background())
-	doomed, err := s.SubmitMapCtx(ctx, ins)
+	doomedIns, liveIns := gestureIns(g, 1), gestureIns(g, 2)
+	doomed, err := s.SubmitMapCtx(ctx, doomedIns)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The dispatcher is now inside its 40ms collect window. Cancel the
-	// first request and add a live one; both land in the same dispatch.
+	live, err := s.SubmitMapCtx(context.Background(), liveIns)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cancel()
-	live, err := s.SubmitMapCtx(context.Background(), ins)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gate.open()
 	if _, err := doomed.Wait(); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled request resolved with %v, want context.Canceled", err)
 	}
 	if _, err := live.Wait(); err != nil {
 		t.Errorf("live request failed: %v", err)
 	}
+	if _, err := plug.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if gate.saw(doomedIns[g.Inputs[0]]) {
+		t.Error("cancelled request reached the engine")
+	}
+	gate.wantSizes(t, 1, 1)
 	st := s.Stats()
 	if st.Cancelled != 1 {
 		t.Errorf("stats recorded %d cancelled, want 1", st.Cancelled)
 	}
-	if st.Requests != 1 {
-		t.Errorf("stats recorded %d dispatched requests, want 1 (cancelled must not count)", st.Requests)
+	if st.Requests != 2 {
+		t.Errorf("stats recorded %d dispatched requests, want 2 (cancelled must not count)", st.Requests)
 	}
 
 	// An already-dead context is refused at submission.
 	dead, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	if _, err := s.SubmitMapCtx(dead, ins); !errors.Is(err, context.Canceled) {
+	if _, err := s.SubmitMapCtx(dead, liveIns); !errors.Is(err, context.Canceled) {
 		t.Errorf("submit on dead context returned %v, want context.Canceled", err)
+	}
+}
+
+// TestDispatchDropsCancelledQueued cancels a whole queued batch: the
+// dispatcher drops it without an engine call, counts every member in
+// Cancelled, and moves on to the live request behind it.
+func TestDispatchDropsCancelledQueued(t *testing.T) {
+	g := gestureGraph()
+	s, gate := gatedServer(t, g, ServeConfig{MaxBatch: 3})
+	defer s.Close()
+	plug := hold(t, s, gate, gestureIns(g, 0))
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var doomed []*Pending
+	for i := 0; i < 3; i++ {
+		p, err := s.SubmitMapCtx(ctx, gestureIns(g, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		doomed = append(doomed, p)
+	}
+	live, err := s.SubmitMap(gestureIns(g, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	gate.open()
+	for i, p := range doomed {
+		if _, err := p.Wait(); !errors.Is(err, context.Canceled) {
+			t.Errorf("cancelled request %d resolved with %v, want context.Canceled", i, err)
+		}
+	}
+	for _, p := range []*Pending{plug, live} {
+		if _, err := p.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The all-cancelled batch of three never became an engine call.
+	gate.wantSizes(t, 1, 1)
+	st := s.Stats()
+	if st.Cancelled != 3 || st.Requests != 2 || st.Batches != 2 {
+		t.Errorf("stats %+v, want 3 cancelled and 2 requests in 2 dispatches", st)
 	}
 }

@@ -17,15 +17,15 @@ import (
 // BatchPolicy shapes socket-boundary coalescing: requests for the same
 // (tenant, model) that arrive within a short adaptive window are stacked
 // into one cluster submission so the engines run full batches instead of
-// singletons. The window tracks the observed arrival gap — it tightens
-// as load rises (batches fill before the timer) and never holds a
-// request longer than MaxDelay.
+// singletons. The window is rate-aware (batcher.window): it opens only
+// while the observed arrival gap expects a second request inside
+// MaxDelay, and tightens as load rises (batches fill before the timer).
 type BatchPolicy struct {
 	// MaxBatch caps the rows coalesced into one submission. 1 disables
 	// coalescing (pure passthrough). Default 32.
 	MaxBatch int
-	// MaxDelay bounds how long the first request of a batch may wait
-	// for company. Default 1ms.
+	// MaxDelay is the longest a request may be held for company, and the
+	// arrival gap at or above which none is expected. Default 1ms.
 	MaxDelay time.Duration
 	// MinDelay floors the adaptive wait so a single fast client cannot
 	// collapse the window to zero between its own back-to-back
@@ -156,24 +156,12 @@ func (b *batcher) add(ctx context.Context, ins map[string]*tensor.Tensor, done f
 	}
 	b.pending = append(b.pending, m)
 	b.rows += rows
-	if b.rows >= b.policy.MaxBatch {
+	// A full batch goes now, and so does the first member of a batch
+	// that expects no company.
+	delay := b.window()
+	if b.rows >= b.policy.MaxBatch || (len(b.pending) == 1 && delay == 0) {
 		b.flushLocked()
-		b.mu.Unlock()
-		return
-	}
-	if len(b.pending) == 1 {
-		// Adaptive window: wait roughly as long as it takes MaxBatch-1
-		// more arrivals to show up at the current rate, clamped to the
-		// policy bounds. Under load the gap EWMA shrinks and batches
-		// fill before the timer; when idle the clamp keeps added
-		// latency bounded by MaxDelay.
-		delay := time.Duration(b.gapNS) * time.Duration(b.policy.MaxBatch-1)
-		if delay < b.policy.MinDelay {
-			delay = b.policy.MinDelay
-		}
-		if delay > b.policy.MaxDelay {
-			delay = b.policy.MaxDelay
-		}
+	} else if len(b.pending) == 1 {
 		gen := b.gen
 		time.AfterFunc(delay, func() {
 			b.mu.Lock()
@@ -186,6 +174,27 @@ func (b *batcher) add(ctx context.Context, ins map[string]*tensor.Tensor, done f
 		})
 	}
 	b.mu.Unlock()
+}
+
+// window is the rate-aware rule: how long the first member of a new
+// batch is held for company. Zero (submit at once, no timer) unless the
+// gap EWMA expects a second request inside MaxDelay, so a sparse or new
+// stream never waits for company that is not coming; otherwise roughly
+// the time MaxBatch-1 more arrivals take at the current rate, clamped
+// to the policy bounds. Callers hold b.mu.
+func (b *batcher) window() time.Duration {
+	gap := time.Duration(b.gapNS)
+	if gap <= 0 || gap >= b.policy.MaxDelay {
+		return 0
+	}
+	delay := gap * time.Duration(b.policy.MaxBatch-1)
+	if delay < b.policy.MinDelay {
+		delay = b.policy.MinDelay
+	}
+	if delay > b.policy.MaxDelay {
+		delay = b.policy.MaxDelay
+	}
+	return delay
 }
 
 // flushLocked hands the waiting batch to a submission goroutine.

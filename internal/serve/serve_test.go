@@ -185,7 +185,7 @@ func TestAPIKeyAuth(t *testing.T) {
 // RetryAfterError with the configured hint.
 func TestOverloadRetryAfter(t *testing.T) {
 	srv, _, g := startServer(t, 1,
-		cluster.Config{QueueDepth: 1, Serve: microserver.ServeConfig{MaxBatch: 1, QueueDepth: 1, MaxWait: time.Nanosecond}},
+		cluster.Config{QueueDepth: 1, Serve: microserver.ServeConfig{MaxBatch: 1, QueueDepth: 1}},
 		Config{Batch: BatchPolicy{MaxBatch: 1}, RetryAfter: 7 * time.Millisecond},
 	)
 	pool, err := DialPool(srv.Addr(), "", 4)
@@ -237,7 +237,7 @@ func TestOverloadRetryAfter(t *testing.T) {
 func TestBurstShedCloseMidBurst(t *testing.T) {
 	sched := cluster.NewScheduler(armFleet(t, 1), cluster.Config{
 		QueueDepth: 2,
-		Serve:      microserver.ServeConfig{MaxBatch: 1, QueueDepth: 1, MaxWait: time.Nanosecond},
+		Serve:      microserver.ServeConfig{MaxBatch: 1, QueueDepth: 1},
 	})
 	g := testModel()
 	if _, err := sched.Deploy(g); err != nil {
@@ -372,6 +372,93 @@ func TestBatcherFlushesIncompatibleShapes(t *testing.T) {
 	}
 }
 
+// TestBatcherRateAwareWindow pins the rate-aware rule on the batcher
+// itself. A sparse stream (gaps >= MaxDelay) is submitted request by
+// request from inside add, with no window and no timer; a dense stream
+// (gaps far below MaxDelay) still coalesces, and no member is held past
+// MaxDelay.
+func TestBatcherRateAwareWindow(t *testing.T) {
+	sched := cluster.NewScheduler(armFleet(t, 1), cluster.Config{QueueDepth: 64})
+	defer sched.Close()
+	g := testModel()
+	dep, err := sched.Deploy(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// stream feeds n single-row requests to a fresh batcher, gap apart,
+	// and returns its stats and each member's add-to-done time. afterAdd
+	// runs under the batcher lock right after each add.
+	stream := func(t *testing.T, policy BatchPolicy, n int, gap time.Duration, afterAdd func(i int, b *batcher)) (*batchStats, []time.Duration) {
+		stats := &batchStats{}
+		b := newBatcher(dep, policy, stats)
+		held := make([]time.Duration, n)
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				time.Sleep(gap)
+			}
+			i, start := i, time.Now()
+			wg.Add(1)
+			b.add(context.Background(), map[string]*tensor.Tensor{g.Inputs[0]: testInput(i)},
+				func(_ map[string]*tensor.Tensor, err error) {
+					defer wg.Done()
+					held[i] = time.Since(start)
+					if err != nil {
+						t.Errorf("request %d: %v", i, err)
+					}
+				})
+			b.mu.Lock()
+			afterAdd(i, b)
+			b.mu.Unlock()
+		}
+		wg.Wait()
+		return stats, held
+	}
+
+	t.Run("sparse", func(t *testing.T) {
+		const n = 6
+		policy := BatchPolicy{MaxBatch: 8, MaxDelay: time.Millisecond}
+		// Sleep never undershoots, so every gap is >= MaxDelay.
+		stats, _ := stream(t, policy, n, policy.MaxDelay, func(i int, b *batcher) {
+			if len(b.pending) != 0 {
+				t.Errorf("request %d left waiting in a window; a sparse stream must be submitted from add", i)
+			}
+			if w := b.window(); w != 0 {
+				t.Errorf("after request %d the window is %v, want 0 (no timer)", i, w)
+			}
+		})
+		if got := stats.batches.Load(); got != n {
+			t.Errorf("%d submissions for %d sparse requests, want one each", got, n)
+		}
+	})
+
+	t.Run("dense", func(t *testing.T) {
+		const n = 64
+		// MaxDelay dwarfs both the back-to-back gaps and any scheduling
+		// stall, so the stream is dense whatever the machine is doing.
+		policy := BatchPolicy{MaxBatch: 8, MaxDelay: time.Second}
+		stats, held := stream(t, policy, n, 0, func(i int, b *batcher) {
+			if w := b.window(); i > 0 && (w <= 0 || w > policy.MaxDelay) {
+				t.Errorf("after request %d the window is %v, want within (0, MaxDelay]", i, w)
+			}
+		})
+		batches, rows := stats.batches.Load(), stats.rows.Load()
+		if rows != n {
+			t.Errorf("%d rows submitted, want %d", rows, n)
+		}
+		if batches >= rows {
+			t.Errorf("dense stream did not coalesce: %d rows in %d submissions", rows, batches)
+		}
+		// The window tracks the microsecond gaps, so even with service
+		// time included nobody comes near MaxDelay.
+		for i, h := range held {
+			if h > policy.MaxDelay {
+				t.Errorf("request %d took %v, held past MaxDelay %v", i, h, policy.MaxDelay)
+			}
+		}
+	})
+}
+
 func TestHTTPAdapter(t *testing.T) {
 	srv, _, g := startServer(t, 1, cluster.Config{QueueDepth: 64},
 		Config{Keys: map[string]string{"sk-h": "web"}})
@@ -499,7 +586,7 @@ func TestRunClosedLoopOverSocket(t *testing.T) {
 // bounded fleet: sheds happen, nothing deadlocks, accounting holds.
 func TestReplayOpenLoopBursts(t *testing.T) {
 	srv, _, g := startServer(t, 1,
-		cluster.Config{QueueDepth: 2, Serve: microserver.ServeConfig{MaxBatch: 1, QueueDepth: 1, MaxWait: time.Nanosecond}},
+		cluster.Config{QueueDepth: 2, Serve: microserver.ServeConfig{MaxBatch: 1, QueueDepth: 1}},
 		Config{Batch: BatchPolicy{MaxBatch: 1}})
 	cl, err := Dial(srv.Addr(), "")
 	if err != nil {
