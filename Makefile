@@ -27,14 +27,16 @@ test-race:
 
 # test-portable exercises the pure-Go micro-kernel fallbacks (noasm /
 # purego build tags) and the narrowed runtime dispatch tiers — the same
-# matrix as the CI portable job.
+# matrix as the CI portable job. The tier rows run with -count=1: the
+# override is read at package init, where the test cache cannot see it,
+# so a cached row would repeat the previous tier's result.
 test-portable:
 	$(GO) test -tags noasm ./internal/tensor/... ./internal/inference/...
 	$(GO) test -tags purego ./internal/tensor/... ./internal/inference/...
-	VEDLIOT_CPU=sse2 $(GO) test ./internal/tensor/... ./internal/inference/...
-	VEDLIOT_CPU=generic $(GO) test ./internal/tensor/... ./internal/inference/...
-	VEDLIOT_CPU=avx2 $(GO) test ./internal/tensor/... ./internal/inference/...
-	VEDLIOT_CPU=avx512 $(GO) test ./internal/tensor/... ./internal/inference/...
+	VEDLIOT_CPU=sse2 $(GO) test -count=1 ./internal/tensor/... ./internal/inference/...
+	VEDLIOT_CPU=generic $(GO) test -count=1 ./internal/tensor/... ./internal/inference/...
+	VEDLIOT_CPU=avx2 $(GO) test -count=1 ./internal/tensor/... ./internal/inference/...
+	VEDLIOT_CPU=avx512 $(GO) test -count=1 ./internal/tensor/... ./internal/inference/...
 	$(GO) test -tags noasm ./internal/rvbackend/... ./internal/riscv/... ./internal/soc/... ./internal/cfu/...
 
 # fuzz-smoke runs every fuzz target briefly — the CI smoke job that
@@ -45,6 +47,12 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzDisassemble -fuzztime 5s ./internal/riscv/
 	$(GO) test -fuzz FuzzVectorMAC -fuzztime 5s ./internal/cfu/
 	$(GO) test -fuzz FuzzSatALU -fuzztime 5s ./internal/cfu/
+	$(GO) test -fuzz FuzzGemmF32Parity -fuzztime 5s ./internal/tensor/
+	$(GO) test -fuzz FuzzGemmI16Parity -fuzztime 5s ./internal/tensor/
+	$(GO) test -fuzz FuzzRequantInt8 -fuzztime 5s ./internal/tensor/
+	$(GO) test -fuzz FuzzF32ToF16Parity -fuzztime 5s ./internal/tensor/
+	$(GO) test -fuzz FuzzConvPlaneF32 -fuzztime 5s ./internal/inference/
+	$(GO) test -fuzz FuzzQConvPlane -fuzztime 5s ./internal/inference/
 
 # bench tracks the inference-runtime perf trajectory.
 bench:
@@ -52,9 +60,13 @@ bench:
 
 # bench-kernels sweeps every compiled-in GEMM micro-kernel tier the
 # host can run (generic / sse2 / avx2 / avx512) — the per-tier view
-# behind the gemm_roofline_attainment_<tier> artifact lines.
+# behind the gemm_roofline_attainment_<tier> artifact lines — then the
+# layers a batch-1 reply waits for (the seven mobilenetedge depthwise
+# shapes and dense 784->300, FP32 and INT8, batch 1 and 8, one worker)
+# and the inline-vs-split ladder the fan-out threshold is read from.
 bench-kernels:
 	$(GO) test -bench BenchmarkGemmTiers -run '^$$' -benchmem ./internal/tensor/
+	$(GO) test -bench 'BenchmarkBatch1Kernels|BenchmarkFanOutCrossover' -run '^$$' -benchmem ./internal/inference/
 
 # bench-json regenerates the gated perf artifacts (BENCH_<id>.json),
 # exactly what the CI bench-gate job runs.

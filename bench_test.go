@@ -11,6 +11,7 @@ import (
 	"vedliot/internal/nn"
 	"vedliot/internal/optimize"
 	"vedliot/internal/tensor"
+	"vedliot/internal/zoo"
 )
 
 // benchExperiment wraps one harness experiment as a testing.B benchmark:
@@ -174,8 +175,9 @@ func BenchmarkClusterSubmit(b *testing.B) {
 // BenchmarkEngine tracks the inference-runtime perf trajectory on a
 // smart-mirror-class convolutional workload: the legacy tree-walking
 // interpreter vs the compiled execution-plan engine at batch 1, 8 and
-// 32, plus the fused RunBatch dispatch path. Compare matching batch
-// sizes across sub-benchmarks, e.g.:
+// 32, plus the fused RunBatch dispatch path and the two served zoo
+// models at batch 1. Compare matching batch sizes across
+// sub-benchmarks, e.g.:
 //
 //	go test -bench BenchmarkEngine -run ^$ .
 func BenchmarkEngine(b *testing.B) {
@@ -224,6 +226,30 @@ func BenchmarkEngine(b *testing.B) {
 			}
 		}
 	})
+	// The two zoo models the front door serves, at batch 1: the shape a
+	// reply waits for, in absolute ns per inference.
+	for _, name := range []string{"mlp", "mobilenetedge"} {
+		entry, err := zoo.Find(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		zg := entry.Build()
+		zeng, err := inference.Compile(zg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		in, err := nn.SyntheticInput(zg, 1, 9)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name+"/batch1", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := zeng.Run(in); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkQuantized tracks the native INT8 engine against the FP32

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"vedliot/internal/inference"
@@ -114,6 +115,10 @@ func EngineStudy() (*Report, error) {
 		r.metric(fmt.Sprintf("engine_speedup_batch%d", batch), "x", sp)
 	}
 
+	if err := servedModelRows(r); err != nil {
+		return nil, err
+	}
+
 	// Fused dispatch: 8 independent single-sample requests.
 	reqs := make([]map[string]*tensor.Tensor, 8)
 	for i := range reqs {
@@ -188,6 +193,77 @@ func EngineStudy() (*Report, error) {
 	r.check("packed gemm attains >= 25% of hot-tile peak", attain >= 0.25)
 	r.check("fp16-compute halves modeled memory traffic (>= 1.5x)", fp16Ratio >= 1.5)
 	return r, nil
+}
+
+// rowTiming is one configuration's wall time per input row: the median
+// over the timed calls and their relative spread, (max-min)/median.
+type rowTiming struct{ us, spread float64 }
+
+// timeRows times reps rounds of the given calls, interleaved so machine
+// noise hits every configuration alike, after one warm-up round. Each
+// call processes rows input rows.
+func timeRows(rows, reps int, calls ...func() error) ([]rowTiming, error) {
+	samples := make([][]float64, len(calls))
+	for round := 0; round <= reps; round++ { // round 0 is warm-up
+		for i, call := range calls {
+			start := time.Now()
+			if err := call(); err != nil {
+				return nil, err
+			}
+			if round > 0 {
+				samples[i] = append(samples[i], float64(time.Since(start).Nanoseconds())/1e3/float64(rows))
+			}
+		}
+	}
+	out := make([]rowTiming, len(calls))
+	for i, s := range samples {
+		sort.Float64s(s)
+		med := s[len(s)/2]
+		out[i] = rowTiming{us: med, spread: (s[len(s)-1] - s[0]) / med}
+	}
+	return out, nil
+}
+
+// record prints one absolute per-row figure and writes it, with its
+// spread, into the artifact.
+func (tm rowTiming) record(r *Report, metric string) {
+	r.metric(metric, "us", tm.us)
+	r.metric(metric+"_spread", "ratio", tm.spread)
+}
+
+// servedModelRows reports the absolute FP32 engine time per row of the
+// two zoo models the front door serves, at batch 1 (the shape a reply
+// waits for) and batch 8, on the default worker pool.
+func servedModelRows(r *Report) error {
+	reps := pick(7, 5)
+	r.linef("%-16s %16s %16s", "served model", "us/row batch 1", "us/row batch 8")
+	for _, name := range []string{"mlp", "mobilenetedge"} {
+		entry, err := zoo.Find(name)
+		if err != nil {
+			return err
+		}
+		g := entry.Build()
+		eng, err := inference.Compile(g)
+		if err != nil {
+			return err
+		}
+		var tms [2]rowTiming
+		for i, batch := range []int{1, 8} {
+			in, err := nn.SyntheticInput(g, batch, 9)
+			if err != nil {
+				return err
+			}
+			tm, err := timeRows(batch, reps, func() error { _, err := eng.Run(in); return err })
+			if err != nil {
+				return err
+			}
+			tms[i] = tm[0]
+			tm[0].record(r, fmt.Sprintf("engine_us_per_row_%s_batch%d", name, batch))
+		}
+		r.linef("%-16s %9.1f (±%2.0f%%) %9.1f (±%2.0f%%)", name,
+			tms[0].us, tms[0].spread*50, tms[1].us, tms[1].spread*50)
+	}
+	return nil
 }
 
 // fp16TrafficStudy compiles the FP16-weight face detector twice — plain

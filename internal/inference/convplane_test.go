@@ -1,0 +1,335 @@
+package inference
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"vedliot/internal/nn"
+	"vedliot/internal/tensor"
+)
+
+// convCase is one direct-convolution geometry of the plane-form tests.
+type convCase struct {
+	inH, inW, kh, kw, sh, sw, ph, pw int
+	groups, icPerG, batch, workers   int
+	seed                             int64
+}
+
+func (c convCase) String() string {
+	return fmt.Sprintf("in%dx%d k%dx%d s%dx%d p%dx%d g%d ic%d b%d w%d seed%d",
+		c.inH, c.inW, c.kh, c.kw, c.sh, c.sw, c.ph, c.pw, c.groups, c.icPerG, c.batch, c.workers, c.seed)
+}
+
+// valid reports whether the case has a non-empty output and stays off
+// the GEMM route, which these tests are not about.
+func (c convCase) valid() bool {
+	if c.inH+2*c.ph < c.kh || c.inW+2*c.pw < c.kw {
+		return false
+	}
+	return !convGemmEligible(convGeom{inC: c.groups * c.icPerG, icPerG: c.icPerG, kh: c.kh, kw: c.kw})
+}
+
+// randomConvCase draws a geometry from the ranges the plane form must
+// cover: planes 1..40 a side, odd kernels to 7, strides to 3 (1 and 2
+// are the specialized copy-ins, 3 the general one), every pad up to
+// k-1, which exceeds the width on narrow planes.
+func randomConvCase(rng *rand.Rand) convCase {
+	ks := []int{1, 3, 5, 7}
+	c := convCase{
+		inH: 1 + rng.Intn(40), inW: 1 + rng.Intn(40),
+		kh: ks[rng.Intn(4)], kw: ks[rng.Intn(4)],
+		sh: 1 + rng.Intn(3), sw: 1 + rng.Intn(3),
+		groups: 2 + rng.Intn(3), icPerG: []int{1, 3}[rng.Intn(2)],
+		batch: []int{1, 3, 8}[rng.Intn(3)], workers: 1 + rng.Intn(2),
+		seed: rng.Int63(),
+	}
+	if rng.Intn(4) > 0 {
+		c.sw = c.sh // square strides are the common case
+	}
+	c.ph, c.pw = rng.Intn(c.kh), rng.Intn(c.kw)
+	return c
+}
+
+// graph builds the single grouped convolution of the case, with a
+// bias, and a matching input whose values include the given specials.
+func (c convCase) graph(specials []float32) (*nn.Graph, map[string]*tensor.Tensor) {
+	rng := rand.New(rand.NewSource(c.seed))
+	inC := c.groups * c.icPerG
+	outC := c.groups * (1 + rng.Intn(2))
+	n := &nn.Node{Name: "conv", Op: nn.OpConv, Inputs: []string{"in"}, Attrs: nn.Attrs{
+		KernelH: c.kh, KernelW: c.kw, StrideH: c.sh, StrideW: c.sw, PadH: c.ph, PadW: c.pw,
+		Groups: c.groups, OutC: outC, Bias: true,
+	}}
+	w := tensor.New(tensor.FP32, outC, c.icPerG, c.kh, c.kw)
+	for i := range w.F32 {
+		w.F32[i] = rng.Float32()*2 - 1
+	}
+	bias := tensor.New(tensor.FP32, outC)
+	for i := range bias.F32 {
+		bias.F32[i] = rng.Float32() - 0.5
+	}
+	n.SetWeight(nn.WeightKey, w)
+	n.SetWeight(nn.BiasKey, bias)
+	g := nn.NewGraph("convplane")
+	g.MustAdd(&nn.Node{Name: "in", Op: nn.OpInput, Attrs: nn.Attrs{Shape: []int{inC, c.inH, c.inW}}})
+	g.MustAdd(n)
+	g.Outputs = []string{"conv"}
+	in := tensor.New(tensor.FP32, c.batch, inC, c.inH, c.inW)
+	for i := range in.F32 {
+		in.F32[i] = rng.Float32()*4 - 2
+		if len(specials) > 0 && rng.Intn(6) == 0 {
+			in.F32[i] = specials[rng.Intn(len(specials))]
+		}
+	}
+	return g, map[string]*tensor.Tensor{"in": in}
+}
+
+// checkConvF32 runs the case through the engine and the interpreter
+// and demands bitwise equal outputs. The zero threshold makes a second
+// worker really split the planes.
+func checkConvF32(t testing.TB, c convCase, g *nn.Graph, in map[string]*tensor.Tensor) {
+	t.Helper()
+	eng, err := Compile(g, WithWorkers(c.workers), WithParallelThreshold(0))
+	if err != nil {
+		t.Fatalf("%v: compile: %v", c, err)
+	}
+	it, err := NewInterpreter(g)
+	if err != nil {
+		t.Fatalf("%v: interpreter: %v", c, err)
+	}
+	want, err := it.Run(in)
+	if err != nil {
+		t.Fatalf("%v: interpreter run: %v", c, err)
+	}
+	got, err := eng.Run(in)
+	if err != nil {
+		t.Fatalf("%v: engine run: %v", c, err)
+	}
+	w, o := want["conv"], got["conv"]
+	if !w.Shape.Equal(o.Shape) {
+		t.Fatalf("%v: shape %v, want %v", c, o.Shape, w.Shape)
+	}
+	for i := range w.F32 {
+		if math.Float32bits(o.F32[i]) != math.Float32bits(w.F32[i]) {
+			t.Fatalf("%v: element %d = %x (%g), want %x (%g)", c, i,
+				math.Float32bits(o.F32[i]), o.F32[i], math.Float32bits(w.F32[i]), w.F32[i])
+		}
+	}
+}
+
+// f32Specials are the input lanes the padded form must carry through
+// unchanged: they only ever meet in-bounds taps. The NaN is the one
+// Inf-Inf produces, so every NaN in play has one bit pattern: which of
+// two NaN operands an add keeps is the compiler's choice of operand
+// order, not something either executor defines.
+var f32Specials = []float32{
+	math.Float32frombits(0xffc00000), float32(math.Inf(1)), float32(math.Inf(-1)),
+	0, float32(math.Copysign(0, -1)), 1e-42, -1e-42, math.MaxFloat32,
+}
+
+// TestConvPlaneFormMatchesInterpreter is the FP32 property test of the
+// padded plane form: random direct-route geometries, ordinary and
+// special-valued inputs, bitwise against the interpreter.
+func TestConvPlaneFormMatchesInterpreter(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	ran := 0
+	for ran < pickCases(400, 80) {
+		c := randomConvCase(rng)
+		if !c.valid() {
+			continue
+		}
+		var specials []float32
+		if ran%3 == 0 {
+			specials = f32Specials
+		}
+		g, in := c.graph(specials)
+		checkConvF32(t, c, g, in)
+		ran++
+	}
+}
+
+// pickCases trims the randomized sweeps under -short.
+func pickCases(full, short int) int {
+	if testing.Short() {
+		return short
+	}
+	return full
+}
+
+// TestConvPlanePredicateSides pins both sides of convPadExact on one
+// padded geometry: ordinary weights bind the padded form (it declares
+// worker scratch), while a -0 bias, an Inf tap or a NaN tap bind the
+// clipped loop (no scratch) — and every variant still matches the
+// interpreter bit for bit, NaN and Inf inputs included.
+func TestConvPlanePredicateSides(t *testing.T) {
+	base := convCase{inH: 9, inW: 7, kh: 3, kw: 5, sh: 2, sw: 2, ph: 1, pw: 2, groups: 3, icPerG: 1, batch: 3, workers: 2, seed: 5}
+	for _, v := range []struct {
+		name   string
+		mutate func(w, bias *tensor.Tensor)
+		padded bool
+	}{
+		{"ordinary", func(w, bias *tensor.Tensor) {}, true},
+		{"zero bias", func(w, bias *tensor.Tensor) { bias.F32[1] = 0 }, true},
+		{"negative-zero bias", func(w, bias *tensor.Tensor) { bias.F32[1] = float32(math.Copysign(0, -1)) }, false},
+		{"inf tap", func(w, bias *tensor.Tensor) { w.F32[4] = float32(math.Inf(-1)) }, false},
+		{"nan tap", func(w, bias *tensor.Tensor) { w.F32[7] = f32Specials[0] }, false},
+	} {
+		t.Run(v.name, func(t *testing.T) {
+			g, in := base.graph(f32Specials)
+			n := g.Node("conv")
+			v.mutate(n.Weight(nn.WeightKey), n.Weight(nn.BiasKey))
+			outH := (base.inH+2*base.ph-base.kh)/base.sh + 1
+			outW := (base.inW+2*base.pw-base.kw)/base.sw + 1
+			_, spec, err := bindConv(n, tensor.Shape{3, base.inH, base.inW}, tensor.Shape{n.Attrs.OutC, outH, outW}, nil, false, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := spec.f32PerWorker > 0; got != v.padded {
+				t.Errorf("padded form bound = %v, want %v", got, v.padded)
+			}
+			checkConvF32(t, base, g, in)
+		})
+	}
+}
+
+// FuzzConvPlaneF32 lets the fuzzer pick the geometry and seed of the
+// FP32 plane-form check.
+func FuzzConvPlaneF32(f *testing.F) {
+	f.Add(uint8(8), uint8(8), uint8(1), uint8(1), uint8(0), uint8(0), uint8(1), uint8(1), uint8(0), int64(1))
+	f.Add(uint8(32), uint8(32), uint8(1), uint8(1), uint8(1), uint8(1), uint8(1), uint8(1), uint8(0), int64(2))
+	f.Add(uint8(1), uint8(2), uint8(3), uint8(3), uint8(2), uint8(2), uint8(6), uint8(6), uint8(5), int64(3))
+	f.Fuzz(func(t *testing.T, inH, inW, kh, kw, sh, sw, ph, pw, misc uint8, seed int64) {
+		c := fuzzConvCase(inH, inW, kh, kw, sh, sw, ph, pw, misc, seed)
+		if !c.valid() {
+			t.Skip()
+		}
+		g, in := c.graph(f32Specials)
+		checkConvF32(t, c, g, in)
+	})
+}
+
+// fuzzConvCase folds fuzzer bytes into the tested ranges.
+func fuzzConvCase(inH, inW, kh, kw, sh, sw, ph, pw, misc uint8, seed int64) convCase {
+	c := convCase{
+		inH: 1 + int(inH)%40, inW: 1 + int(inW)%40,
+		kh: 1 + 2*(int(kh)%4), kw: 1 + 2*(int(kw)%4),
+		sh: 1 + int(sh)%3, sw: 1 + int(sw)%3,
+		groups: 2 + int(misc)%3, icPerG: []int{1, 3}[int(misc>>2)%2],
+		batch: []int{1, 3, 8}[int(misc>>3)%3], workers: 1 + int(misc>>5)%2,
+		seed: seed,
+	}
+	c.ph, c.pw = int(ph)%c.kh, int(pw)%c.kw
+	return c
+}
+
+// qconvRef is the clipped reference of the integer direct convolution:
+// per output pixel, the folded bias plus every in-bounds tap of the
+// zero-point-shifted input, requantized. Out-of-bounds taps are
+// skipped, which in integers is exactly what the zero border adds.
+func qconvRef(dst, xv []int8, p *qconv, batch int) {
+	g := &p.g
+	for b := 0; b < batch; b++ {
+		for oc := 0; oc < g.outC; oc++ {
+			icBase := oc / g.ocPerG * g.icPerG
+			for oy := 0; oy < g.outH; oy++ {
+				for ox := 0; ox < g.outW; ox++ {
+					acc := p.bias32[oc]
+					for ic := 0; ic < g.icPerG; ic++ {
+						for ky := 0; ky < g.kh; ky++ {
+							iy := oy*g.sh - g.ph + ky
+							if iy < 0 || iy >= g.inH {
+								continue
+							}
+							for kx := 0; kx < g.kw; kx++ {
+								ix := ox*g.sw - g.pw + kx
+								if ix < 0 || ix >= g.inW {
+									continue
+								}
+								x := int32(xv[((b*g.inC+icBase+ic)*g.inH+iy)*g.inW+ix]) - p.zpIn
+								acc += int32(p.w16[((oc*g.icPerG+ic)*g.kh+ky)*g.kw+kx]) * x
+							}
+						}
+					}
+					code := tensor.ClampInt8(p.zpOut + p.req[oc].Apply(acc))
+					dst[((b*g.outC+oc)*g.outH+oy)*g.outW+ox] = code
+				}
+			}
+		}
+	}
+}
+
+// checkConvI8 binds the case's convolution as an integer kernel, runs
+// it on random int8 codes with planned scratch, and demands the exact
+// codes of qconvRef.
+func checkConvI8(t testing.TB, c convCase) {
+	t.Helper()
+	g, _ := c.graph(nil)
+	n := g.Node("conv")
+	inC := c.groups * c.icPerG
+	in := tensor.Shape{inC, c.inH, c.inW}
+	out := tensor.Shape{n.Attrs.OutC, (c.inH+2*c.ph-c.kh)/c.sh + 1, (c.inW+2*c.pw-c.kw)/c.sw + 1}
+	rng := rand.New(rand.NewSource(c.seed))
+	inQ := tensor.QuantParams{Scale: 0.02, Zero: int32(rng.Intn(41) - 20)}
+	outQ := tensor.QuantParams{Scale: 0.05, Zero: int32(rng.Intn(41) - 20)}
+	kern, spec, err := bindQuantConv(n, in, out, inQ, outQ, nil)
+	if err != nil {
+		t.Fatalf("%v: bind: %v", c, err)
+	}
+	geom, w, err := convGeometry(n, in, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codes, wScales := quantizeFilter(w, geom.outC)
+	bias32, req := foldBias(n.Weight(nn.BiasKey), wScales, inQ, outQ)
+	ref := &qconv{g: geom, w16: widenCodes(codes), bias32: bias32, req: req, zpIn: inQ.Zero, zpOut: outQ.Zero}
+
+	xv := make([]int8, c.batch*in.NumElements())
+	for i := range xv {
+		xv[i] = int8(rng.Intn(256) - 128)
+	}
+	got := make([]int8, c.batch*out.NumElements())
+	want := make([]int8, len(got))
+	var sb scratchBufs
+	sb.ensure(spec, c.batch, c.workers)
+	rc := runCtx{batch: c.batch, workers: c.workers, spec: spec, scratch: &sb}
+	if err := kern(&rc, got, [][]int8{xv}); err != nil {
+		t.Fatalf("%v: run: %v", c, err)
+	}
+	qconvRef(want, xv, ref, c.batch)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%v: code %d = %d, want %d", c, i, got[i], want[i])
+		}
+	}
+}
+
+// TestQConvPlaneFormMatchesClipped is the INT8 property test of the
+// padded plane form against the clipped reference.
+func TestQConvPlaneFormMatchesClipped(t *testing.T) {
+	rng := rand.New(rand.NewSource(72))
+	for ran := 0; ran < pickCases(400, 80); {
+		c := randomConvCase(rng)
+		if !c.valid() {
+			continue
+		}
+		checkConvI8(t, c)
+		ran++
+	}
+}
+
+// FuzzQConvPlane lets the fuzzer pick the geometry and seed of the
+// INT8 plane-form check.
+func FuzzQConvPlane(f *testing.F) {
+	f.Add(uint8(8), uint8(8), uint8(1), uint8(1), uint8(0), uint8(0), uint8(1), uint8(1), uint8(0), int64(1))
+	f.Add(uint8(16), uint8(16), uint8(2), uint8(2), uint8(1), uint8(1), uint8(2), uint8(2), uint8(9), int64(2))
+	f.Add(uint8(1), uint8(2), uint8(3), uint8(3), uint8(2), uint8(2), uint8(6), uint8(6), uint8(5), int64(3))
+	f.Fuzz(func(t *testing.T, inH, inW, kh, kw, sh, sw, ph, pw, misc uint8, seed int64) {
+		c := fuzzConvCase(inH, inW, kh, kw, sh, sw, ph, pw, misc, seed)
+		if !c.valid() {
+			t.Skip()
+		}
+		checkConvI8(t, c)
+	})
+}

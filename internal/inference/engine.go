@@ -83,9 +83,23 @@ func PrecisionFP16Compute() Option {
 	return func(c *config) { c.fp16 = true }
 }
 
-// defaultParallelThreshold is the op count below which a kernel is not
-// worth splitting across goroutines.
-const defaultParallelThreshold = 1 << 15
+// defaultParallelThreshold is the estimated cost below which a kernel
+// runs inline, in the calibrated units of parallel.go (32 to 48 of them
+// per ns of inline work on the AVX-512 host with 2 vCPUs all of this
+// was measured on), so it stands for about 200 us. Three measurements
+// set it. BenchmarkFanOutCrossover, one vector kernel inline against
+// split over two workers, loses split up to 50-90 us of inline work and
+// wins from 160-175 us: below that a split pays a goroutine spawn and
+// the wake of a parked P for nothing. TestFanOutProfileBatch8 shows the
+// same per step of the zoo models at batch 8: split loses below 1<<22
+// (GEMM convolutions 1.05-1.25x, element-wise and table-driven steps
+// 1.2-2x), comes out even between 1<<22 and 1<<23, and wins above
+// (0.52-0.85x); a dense layer first gains at batch 32, where it states
+// 1<<23. A whole-Run ladder over thresholds 1<<21 to 1<<25 at batch 1
+// to 16, both models and both executors, puts 1<<23 within 4-7% of the
+// best rung at every batch and makes it the best at batch 1, where the
+// largest step states 1<<22.1 and 1<<22 already costs mobilenetedge 7%.
+const defaultParallelThreshold = 1 << 23
 
 // locKind says where a value's buffer lives during Run.
 type locKind uint8
@@ -464,9 +478,9 @@ func resolveBatchedInputs(inputNames []string, per []tensor.Shape, inputs map[st
 		if len(t.Shape) == 0 {
 			return nil, 0, fmt.Errorf("inference: input %q is a scalar, want batched tensor", name)
 		}
-		want := append(tensor.Shape{t.Shape[0]}, per[i]...)
-		if !t.Shape.Equal(want) {
-			return nil, 0, fmt.Errorf("inference: input %q has shape %v, want %v", name, t.Shape, want)
+		if !t.Shape[1:].Equal(per[i]) {
+			return nil, 0, fmt.Errorf("inference: input %q has shape %v, want %v", name, t.Shape,
+				append(tensor.Shape{t.Shape[0]}, per[i]...))
 		}
 		if i == 0 {
 			batch = t.Shape[0]

@@ -63,8 +63,7 @@ func TestFP16ComputePrecisionAssignment(t *testing.T) {
 // declared FP32 output), so an FP16-compute engine differs from the
 // plain FP32 engine only in keeping the binary16 weights packed
 // half-width and widening them on load — which must be bitwise
-// invisible, for both the conv GEMM path and the dense scalar/GEMM
-// paths.
+// invisible, for both the conv GEMM path and the dense GEMM path.
 func TestFP16ComputeSingleLayerBitwise(t *testing.T) {
 	build := map[string]func() *nn.Graph{
 		"conv": func() *nn.Graph {
@@ -90,8 +89,8 @@ func TestFP16ComputeSingleLayerBitwise(t *testing.T) {
 			}
 			ref := mustCompile(t, g)
 			f16 := mustCompile(t, g, PrecisionFP16Compute())
-			// Batch 1 exercises the dense scalar path, batch 8 the GEMM
-			// path; both must match the dequantize-at-bind plan exactly.
+			// A ragged panel and a full one; both must match the
+			// dequantize-at-bind plan exactly.
 			for _, batch := range []int{1, 8} {
 				in := tensor.New(tensor.FP32, append(tensor.Shape{batch}, g.Node(g.Inputs[0]).Attrs.Shape...)...)
 				fillInput(in, batch)

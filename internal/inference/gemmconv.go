@@ -27,10 +27,14 @@ import (
 // product per tap in (ic, ky, kx) order (see tensor/gemm.go). The
 // quantized path accumulates in int32, which is associative, so it is
 // exact regardless of variant.
+//
+// Dense layers use the same micro-kernels the other way round — M =
+// samples, N = out features, the weights as bind-time packed B tiles —
+// so the lanes are full at batch 1 (bindDense, bindQuantDense).
 
 // gemmMinTaps is the K depth below which a convolution stays on the
-// direct kernel-outer path: a too-short reduction cannot amortize the
-// B-tile pack, and the stem/depthwise layers it covers stream the input
+// direct plane form (convPad): a too-short reduction cannot amortize
+// the B-tile pack, and the depthwise layers it covers stream the input
 // exactly once there.
 const gemmMinTaps = 16
 
@@ -406,26 +410,6 @@ func bindConvGemm(g convGeom, w *tensor.Tensor, bias []float32, ep *epilogue, wf
 	return kfn, scratchSpec{f32PerWorker: scratch, f32PerCall: len(apackH)}
 }
 
-// packDenseTileF32 packs an NR-wide tile of the dense B matrix: B is
-// the transposed input batch (K = in features, N = samples), gathered
-// column-by-column from the row-major activation rows.
-func packDenseTileF32(bpack, xv []float32, inF, nr, j0, jw int) {
-	for j := 0; j < jw; j++ {
-		row := xv[(j0+j)*inF : (j0+j+1)*inF]
-		for kk, v := range row {
-			bpack[kk*nr+j] = v
-		}
-	}
-	if jw < nr {
-		for kk := 0; kk < inF; kk++ {
-			out := bpack[kk*nr : kk*nr+nr]
-			for j := jw; j < nr; j++ {
-				out[j] = 0
-			}
-		}
-	}
-}
-
 // fillQConvRow is the quantized analogue of fillConvRowF32: it writes
 // tap kk's zero-point-shifted int16 values for output pixels
 // j0..j0+jw-1 into the even (or odd, per the caller's base offset)
@@ -581,27 +565,27 @@ func bindQuantConvGemm(p *qconv) (qkernelFunc, scratchSpec) {
 	return kfn, scratchSpec{i16PerWorker: i16Need, i32PerWorker: i32Need}
 }
 
-// packQDenseTile packs an NR-wide pair-interleaved tile of the
-// quantized dense B matrix (K = in features, N = samples), fusing the
-// zero-point shift with the transposed gather.
-func packQDenseTile(bpack []int16, xv []int8, inF, nr, j0, jw int, zp int32) {
+// packQDensePanel packs rows i0..i0+mh-1 of the quantized dense input
+// as one pair-interleaved MR-row A panel (K = in features), fusing the
+// zero-point shift; rows past mh and the odd-K tail are zero.
+func packQDensePanel(apanel []int16, xv []int8, inF, mr, i0, mh int, zp int32) {
 	kp := tensor.KPairs(inF)
 	for pair := 0; pair < kp; pair++ {
-		out := bpack[pair*2*nr : (pair+1)*2*nr]
+		out := apanel[pair*2*mr : (pair+1)*2*mr]
 		k0 := 2 * pair
 		k1 := k0 + 1
-		for j := 0; j < jw; j++ {
-			row := xv[(j0+j)*inF:]
-			out[2*j] = int16(int32(row[k0]) - zp)
+		for i := 0; i < mh; i++ {
+			row := xv[(i0+i)*inF:]
+			out[2*i] = int16(int32(row[k0]) - zp)
 			if k1 < inF {
-				out[2*j+1] = int16(int32(row[k1]) - zp)
+				out[2*i+1] = int16(int32(row[k1]) - zp)
 			} else {
-				out[2*j+1] = 0
+				out[2*i+1] = 0
 			}
 		}
-		for j := jw; j < nr; j++ {
-			out[2*j] = 0
-			out[2*j+1] = 0
+		for i := mh; i < mr; i++ {
+			out[2*i] = 0
+			out[2*i+1] = 0
 		}
 	}
 }

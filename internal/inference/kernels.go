@@ -391,6 +391,9 @@ type epilogue struct {
 	// fn is a channel-independent activation tail (possibly several
 	// activations composed); nil when relu or no tail.
 	fn func(float32) float32
+	// vec is fn over a whole span, set when the tail is one activation
+	// with a vector kernel (spanActivation).
+	vec func([]float32)
 	// fnCh is the rare per-channel tail (a second batch-norm somewhere
 	// in the chain); nil otherwise.
 	fnCh []func(float32) float32
@@ -404,6 +407,11 @@ func (ep *epilogue) apply(span []float32, ch int) {
 		switch {
 		case ep.relu:
 			tensor.ScaleShiftReluF32(span, s, sh)
+		case ep.vec != nil:
+			// Two passes over a cache-hot span; the affine's result is
+			// the same float32 the one-pass closure form would feed fn.
+			tensor.ScaleShiftF32(span, s, sh)
+			ep.vec(span)
 		case ep.fn != nil:
 			f := ep.fn
 			for i, v := range span {
@@ -422,6 +430,8 @@ func (ep *epilogue) apply(span []float32, ch int) {
 	switch {
 	case ep.relu:
 		tensor.ReluF32(span)
+	case ep.vec != nil:
+		ep.vec(span)
 	case ep.fn != nil:
 		f := ep.fn
 		for i, v := range span {
@@ -605,7 +615,7 @@ func bindConv(n *nn.Node, in, out tensor.Shape, ep *epilogue, fp16 bool, stats *
 	// Convolutions with a real channel reduction lower onto the packed
 	// GEMM micro-kernels (gemmconv.go): register-blocked tiles with the
 	// im2col gather fused into the per-tile B pack. Shallow reductions
-	// (depthwise, stem layers) keep the direct kernel-outer form, which
+	// (depthwise above all) take the direct plane form below, which
 	// streams the input exactly once.
 	if convGemmEligible(g) {
 		// Under FP16-compute, FP16-stored weights keep their half-width
@@ -621,39 +631,193 @@ func bindConv(n *nn.Node, in, out tensor.Shape, ep *epilogue, fp16 bool, stats *
 	}
 	wv := w.Float32s() // dequantized once, at compile time
 	stats.addWeightBytes(len(wv) * 4)
-	pointwise := g.kh == 1 && g.kw == 1 && g.sh == 1 && g.sw == 1 && g.ph == 0 && g.pw == 0
-	planeCost := int64(g.outH*g.outW) * int64(g.icPerG*g.kh*g.kw) * 2
+	planeCost := convPlaneCost(&g)
 	px := g.outH * g.outW
+	// Three plane forms. A 1x1 stride-1 unpadded conv has no border and
+	// accumulates whole input planes. Otherwise the padded plane form
+	// (convPad) applies when a zero border is bitwise invisible for these
+	// weights; a non-finite tap or a -0 bias keeps the clipped loop.
+	pointwise := g.kh == 1 && g.kw == 1 && g.sh == 1 && g.sw == 1 && g.ph == 0 && g.pw == 0
+	var pd *convPad
+	var spec scratchSpec
+	if !pointwise && convPadExact(wv, bias) {
+		pd = newConvPad(&g)
+		spec.f32PerWorker = pd.inLen + pd.accLen
+	}
 	return func(rc *runCtx, dst []float32, srcs [][]float32) error {
 		xv := srcs[0]
-		rc.parallelFor(rc.batch*g.outC, planeCost, func(lo, hi int) {
+		rc.parallelForWorker(rc.batch*g.outC, planeCost, func(worker, lo, hi int) {
+			var xp, acc []float32
+			if pd != nil {
+				ws := rc.f32Worker(worker, spec.f32PerWorker)
+				xp, acc = ws[:pd.inLen], ws[pd.inLen:]
+				clear(xp) // the border and slack stay zero across this chunk's planes
+			}
 			for p := lo; p < hi; p++ {
 				b, oc := p/g.outC, p%g.outC
-				if pointwise {
+				switch {
+				case pointwise:
 					convPlanePointwise(dst, xv, wv, bias, &g, b, oc)
-				} else {
-					convPlane(dst, xv, wv, bias, &g, b, oc)
+				case pd != nil:
+					convPlanePadded(dst, xv, wv, bias, &g, pd, xp, acc, b, oc)
+				default:
+					convPlaneClipped(dst, xv, wv, bias, &g, b, oc)
 				}
 				if ep != nil {
-					ep.apply(dst[(b*g.outC+oc)*px:(b*g.outC+oc+1)*px], oc)
+					ep.apply(dst[p*px:(p+1)*px], oc)
 				}
 			}
 		})
 		return nil
-	}, scratchSpec{}, nil
+	}, spec, nil
 }
 
-// convPlane computes one (batch, output-channel) plane in kernel-outer
-// form: the plane is initialized with the bias, then every kernel tap
-// (ic, ky, kx) accumulates a scaled, shifted input row into the output
-// rows. Inner loops run over whole output rows — contiguous for
-// stride 1 — so per-tap setup amortizes over outW elements instead of
-// paying slice/bounds overhead per pixel. Each output element still
-// receives its contributions in (ic, ky, kx) order, so results are
-// bitwise identical to the interpreter's per-pixel accumulation.
-func convPlane(dst, xv, wv, bias []float32, g *convGeom, b, oc int) {
-	grp := oc / g.ocPerG
-	icBase := grp * g.icPerG
+// convPad is the bind-time layout of the padded plane form shared by
+// the FP32 and INT8 direct convolutions. The input plane is copied once
+// into scratch with a zero border, split into sh*sw phase planes (phase
+// (py, px) holds the padded rows r = py mod sh and columns c = px mod
+// sw, so a strided conv reads every phase at unit stride), all with row
+// stride sp. The accumulator plane uses the same row stride, which
+// makes tap (ky, kx) one flat axpy of accLen elements: accumulator
+// index a = oy*sp+ox reads phase (ky%sh, kx%sw) at a + tapOff. The
+// sp-outW columns between accumulator rows compute values nobody reads.
+type convPad struct {
+	sp     int   // row stride of phase planes and of the accumulator plane
+	inLen  int   // all sh*sw phase planes, border and read slack included
+	accLen int   // accumulator elements, rounded up to whole vectors
+	tapOff []int // per (ky, kx): offset of the tap's window in the phase planes
+	rowOff []int // per input row: offset of its phase-plane row
+	cols   []convPadCols
+}
+
+// convPadCols places the columns of one column phase: n elements of an
+// input row, every sw-th one from ix0, land off past the row's rowOff.
+type convPadCols struct{ off, ix0, n int }
+
+func newConvPad(g *convGeom) *convPad {
+	sp := (g.inW + 2*g.pw + g.sw - 1) / g.sw
+	rows := (g.inH + 2*g.ph + g.sh - 1) / g.sh
+	accLen := ((g.outH-1)*sp + g.outW + 15) &^ 15
+	// The deepest tap window starts (kh-1)/sh rows and (kw-1)/sw columns
+	// in; the slack keeps its rounded-up tail inside the plane.
+	plane := max(rows*sp, accLen+(g.kh-1)/g.sh*sp+(g.kw-1)/g.sw)
+	pd := &convPad{
+		sp: sp, inLen: g.sh * g.sw * plane, accLen: accLen,
+		tapOff: make([]int, g.kh*g.kw), rowOff: make([]int, g.inH), cols: make([]convPadCols, g.sw),
+	}
+	for ky := 0; ky < g.kh; ky++ {
+		for kx := 0; kx < g.kw; kx++ {
+			pd.tapOff[ky*g.kw+kx] = (ky%g.sh*g.sw+kx%g.sw)*plane + ky/g.sh*sp + kx/g.sw
+		}
+	}
+	for iy := range pd.rowOff {
+		r := iy + g.ph
+		pd.rowOff[iy] = r%g.sh*g.sw*plane + r/g.sh*sp
+	}
+	for px := range pd.cols {
+		ix0 := ((px-g.pw)%g.sw + g.sw) % g.sw
+		// n is 0 when the plane is too narrow to hold a column of this phase.
+		pd.cols[px] = convPadCols{off: px*plane + (g.pw+ix0)/g.sw, ix0: ix0, n: max(g.inW-ix0+g.sw-1, 0) / g.sw}
+	}
+	return pd
+}
+
+// scatterPadRow spreads one input row over the column phases of a
+// strided conv's phase planes: phase c takes every sw-th column from
+// its ix0. xp starts at the row's rowOff. Shared by both executors (the
+// INT8 one widens the row first). Stride 2, the only stride above 1 in
+// the zoo, fills both phases in one pass over the row, which measures
+// 15-25% off a stride-2 depthwise step against the per-phase loop.
+func scatterPadRow[T any](pd *convPad, xp, row []T, sw int) {
+	if sw == 2 {
+		ce, co := pd.cols[0], pd.cols[1] // ce takes the even input columns, co the odd ones
+		if ce.ix0 != 0 {
+			ce, co = co, ce
+		}
+		de, do := xp[ce.off:][:ce.n], xp[co.off:][:co.n]
+		for i := range do {
+			de[i] = row[2*i]
+			do[i] = row[2*i+1]
+		}
+		if len(de) > len(do) {
+			de[len(do)] = row[2*len(do)]
+		}
+		return
+	}
+	for _, c := range pd.cols {
+		d := xp[c.off:][:c.n]
+		ix := c.ix0
+		for i := range d {
+			d[i] = row[ix]
+			ix += sw
+		}
+	}
+}
+
+// convPadExact reports whether a zero border is bitwise invisible for
+// these weights. The interpreter skips an out-of-bounds tap where the
+// padded form adds w*0. That product is ±0 unless w is non-finite, and
+// acc + (±0) is acc bit for bit unless acc is -0, which under
+// round-to-nearest needs a -0 bias (a sum is -0 only when both terms
+// are). Both are facts about the weights alone, so inputs — NaN and Inf
+// included — never matter.
+func convPadExact(wv, bias []float32) bool {
+	for _, w := range wv {
+		if math.IsInf(float64(w), 0) || w != w {
+			return false
+		}
+	}
+	for _, b := range bias {
+		if b == 0 && math.Signbit(float64(b)) {
+			return false
+		}
+	}
+	return true
+}
+
+// convPlanePadded computes one (batch, output-channel) plane in the
+// padded plane form: per input channel, copy the plane into the phase
+// planes of xp (whose border is already zero), then one plane-length
+// AxpyF32 per tap into acc, and finally copy the valid columns out.
+// Every output element receives its taps in (ic, ky, kx) order, the
+// interpreter's order, plus w*0 for the taps the interpreter skips.
+func convPlanePadded(dst, xv, wv, bias []float32, g *convGeom, pd *convPad, xp, acc []float32, b, oc int) {
+	var b0 float32
+	if bias != nil {
+		b0 = bias[oc]
+	}
+	for i := range acc {
+		acc[i] = b0
+	}
+	icBase := oc / g.ocPerG * g.icPerG
+	for ic := 0; ic < g.icPerG; ic++ {
+		xBase := (b*g.inC + icBase + ic) * g.inH * g.inW
+		for iy := 0; iy < g.inH; iy++ {
+			row := xv[xBase+iy*g.inW : xBase+(iy+1)*g.inW]
+			if g.sw == 1 {
+				copy(xp[pd.rowOff[iy]+pd.cols[0].off:], row)
+			} else {
+				scatterPadRow(pd, xp[pd.rowOff[iy]:], row, g.sw)
+			}
+		}
+		wBase := (oc*g.icPerG + ic) * g.kh * g.kw
+		for t, off := range pd.tapOff {
+			tensor.AxpyF32(acc, xp[off:], wv[wBase+t])
+		}
+	}
+	outBase := (b*g.outC + oc) * g.outH * g.outW
+	for oy := 0; oy < g.outH; oy++ {
+		copy(dst[outBase+oy*g.outW:outBase+(oy+1)*g.outW], acc[oy*pd.sp:])
+	}
+}
+
+// convPlaneClipped computes one (batch, output-channel) plane for the
+// convolutions convPadExact refuses: the plane is initialized with the
+// bias, then every kernel tap (ic, ky, kx) accumulates into the output
+// columns and rows whose source stays in bounds, skipping padding like
+// the interpreter does.
+func convPlaneClipped(dst, xv, wv, bias []float32, g *convGeom, b, oc int) {
+	icBase := oc / g.ocPerG * g.icPerG
 	var b0 float32
 	if bias != nil {
 		b0 = bias[oc]
@@ -677,13 +841,7 @@ func convPlane(dst, xv, wv, bias []float32, g *convGeom, b, oc int) {
 				}
 				oxHi := 0
 				if maxIx := g.inW - 1 + g.pw - kx; maxIx >= 0 {
-					oxHi = maxIx/g.sw + 1
-					if oxHi > g.outW {
-						oxHi = g.outW
-					}
-				}
-				if oxLo >= oxHi {
-					continue
+					oxHi = min(maxIx/g.sw+1, g.outW)
 				}
 				for oy := 0; oy < g.outH; oy++ {
 					iy := oy*g.sh - g.ph + ky
@@ -692,21 +850,10 @@ func convPlane(dst, xv, wv, bias []float32, g *convGeom, b, oc int) {
 					}
 					xRow := xv[xBase+iy*g.inW : xBase+(iy+1)*g.inW]
 					oRow := plane[oy*g.outW : (oy+1)*g.outW]
-					switch {
-					case g.sw == 1:
-						o := oRow[oxLo:oxHi]
-						x := xRow[oxLo-g.pw+kx:]
-						tensor.AxpyF32(o, x, w)
-					case g.sw == 2:
-						o := oRow[oxLo:oxHi]
-						x := xRow[oxLo*2-g.pw+kx:]
-						tensor.AxpyStride2F32(o, x, w)
-					default:
-						ix := oxLo*g.sw - g.pw + kx
-						for ox := oxLo; ox < oxHi; ox++ {
-							oRow[ox] += w * xRow[ix]
-							ix += g.sw
-						}
+					ix := oxLo*g.sw - g.pw + kx
+					for ox := oxLo; ox < oxHi; ox++ {
+						oRow[ox] += w * xRow[ix]
+						ix += g.sw
 					}
 				}
 			}
@@ -737,13 +884,6 @@ func convPlanePointwise(dst, xv, wv, bias []float32, g *convGeom, b, oc int) {
 	}
 }
 
-// denseGemmMinBatch is the batch size from which a dense layer runs
-// through the GEMM micro-kernels (N = samples): below it the partially
-// filled tile cannot beat the scalar dot, above it the register-blocked
-// tile reuses each weight panel across the whole batch. Both paths are
-// bitwise identical, so the cutover is invisible.
-const denseGemmMinBatch = 4
-
 func bindDense(n *nn.Node, in, out tensor.Shape, ep *epilogue, fp16 bool, stats *bindStats) (kernelFunc, scratchSpec, error) {
 	if len(in) != 1 {
 		return nil, scratchSpec{}, fmt.Errorf("dense wants [N,features], got per-sample %v", in)
@@ -757,137 +897,132 @@ func bindDense(n *nn.Node, in, out tensor.Shape, ep *epilogue, fp16 bool, stats 
 	if !w.Shape.Equal(want) {
 		return nil, scratchSpec{}, fmt.Errorf("weight shape %v, want %v", w.Shape, want)
 	}
-	// Under FP16-compute, FP16-stored weights stay half-width: the GEMM
-	// path packs the raw halfword codes and widens the panels on load;
-	// the small-batch scalar path converts each element as it is read.
-	// Either way every multiply sees the exact value FloatToFP16 round-
-	// tripped, so both paths stay bitwise identical to a bind-time
-	// dequantized plan.
-	wf16 := fp16 && w.DType == tensor.FP16
-	var wv []float32
-	var wh []uint16
-	if wf16 {
-		wh = w.F16
-		stats.addWeightBytes(len(wh) * 2)
-	} else {
-		wv = w.Float32s()
-		stats.addWeightBytes(len(wv) * 4)
-	}
 	var bias []float32
 	if bt := n.Weight(nn.BiasKey); bt != nil {
 		bias = bt.Float32s()
 		stats.addWeightBytes(len(bias) * 4)
 	}
-	// Fused epilogue, precomposed per output feature: one call per
-	// output scalar next to an inF-long dot is noise.
+	// GEMM lowering with the vector lanes along the output features:
+	// M = samples, N = out features, K = in features. The weights are
+	// the B operand, packed once at bind time into NR-wide tiles; the
+	// activation rows are the A operand, packed into an MR-row panel per
+	// call. Every lane is live at any batch size, batch 1 included, and
+	// C comes out sample-major, which is dst's layout. The kernels seed
+	// a tile from a per-row bias, and here the bias runs along N, so it
+	// enters as one extra leading K step instead: a column of ones in
+	// the A panel against a row of biases in each B tile, on a seed of
+	// -0. That step computes -0 + 1*bias, which is the bias bit for bit
+	// (a +0 seed would turn a -0 bias into +0), and every output then
+	// continues += x*w in k order: the interpreter's chain, through the
+	// plain Run kernel of every tier.
+	kern := tensor.PickGemmF32MaxWidth(max(outF, 16))
+	mr, nr := kern.MR, kern.NR
+	nt := (outF + nr - 1) / nr
+	tile := (inF + 1) * nr
+	// Under FP16-compute, FP16-stored weights stay half-width in the
+	// tiles and widen per call, so every multiply sees the exact value
+	// FloatToFP16 round-tripped; the FP32 biases join after the widening.
+	var bpack []float32
+	var bpackH []uint16
+	if fp16 && w.DType == tensor.FP16 {
+		bpackH = packDenseTiles(w.F16, inF, outF, nr)
+		stats.addWeightBytes(len(w.F16) * 2)
+	} else {
+		wv := w.Float32s()
+		bpack = packDenseTiles(wv, inF, outF, nr)
+		setDenseBias(bpack, bias, tile, nr)
+		stats.addWeightBytes(len(wv) * 4)
+	}
+	seed := make([]float32, mr)
+	for i := range seed {
+		seed[i] = float32(math.Copysign(0, -1))
+	}
+	// An epilogue with a per-feature stage walks the row through scalar
+	// closures; a channel-independent tail (ReLU, h-swish) maps over the
+	// whole row at once.
 	var fs []func(float32) float32
-	if ep != nil {
+	if ep != nil && (ep.scale != nil || ep.fnCh != nil) {
 		fs = make([]func(float32) float32, outF)
 		for o := range fs {
 			fs[o] = ep.scalar(o)
 		}
 	}
-	// GEMM lowering: M = out features, N = samples, K = in features.
-	// The weight matrix packs once at bind time; the per-tile B pack
-	// transposes the activation rows. C comes out sample-major per tile
-	// and is scattered back with the epilogue applied in the same pass.
-	// N is the batch here — small by construction — so cap the tile
-	// width at 16: a 48-wide ZMM tile at batch 8 spends 5/6 of its
-	// lanes on padding and measures ~8x slower than a narrow tile.
-	kern := tensor.PickGemmF32MaxWidth(16)
-	mr, nr := kern.MR, kern.NR
-	panels := (outF + mr - 1) / mr
-	var apack []float32
-	var apackH []uint16
-	if wf16 {
-		apackH = make([]uint16, kern.PackedASize(outF, inF))
-		kern.PackAF16(apackH, wh, inF, outF, inF)
-	} else {
-		apack = make([]float32, kern.PackedASize(outF, inF))
-		kern.PackA(apack, wv, inF, outF, inF)
-	}
-	biasPad := make([]float32, panels*mr)
-	if bias != nil {
-		copy(biasPad, bias[:outF])
-	}
-	scratch := inF*nr + mr*nr
-	perCall := len(apackH)
-	unitCost := int64(inF) * 2
+	scratch := mr*(inF+1) + mr*nr
+	// One live row of one tile. The weight tiles are packed at bind time,
+	// so a dense tile retires its 2 ops per MAC at about twice the rate of
+	// a convolution tile that packs its B operand per call.
+	rowCost := int64(inF) * int64(nr)
 	return func(rc *runCtx, dst []float32, srcs [][]float32) error {
 		xv := srcs[0]
-		if rc.batch >= denseGemmMinBatch {
-			apack := apack
-			if apackH != nil {
-				// Widen the half-width weight panels into call scratch —
-				// the FP16-compute "convert on load" of the A operand.
-				apack = rc.f32Call(len(apackH))
-				tensor.F16ToF32(apack, apackH)
-			}
-			nt := (rc.batch + nr - 1) / nr
-			rc.parallelForWorker(nt, unitCost*int64(nr)*int64(outF), func(worker, lo, hi int) {
-				ws := rc.f32Worker(worker, scratch)
-				bpack := ws[:inF*nr]
-				ctile := ws[inF*nr:]
-				for t := lo; t < hi; t++ {
-					j0 := t * nr
-					jw := rc.batch - j0
-					if jw > nr {
-						jw = nr
-					}
-					packDenseTileF32(bpack, xv, inF, nr, j0, jw)
-					for p := 0; p < panels; p++ {
-						o0 := p * mr
-						mh := outF - o0
-						if mh > mr {
-							mh = mr
-						}
-						kern.Run(apack[p*mr*inF:(p+1)*mr*inF], bpack, nr, inF, biasPad[o0:o0+mr], ctile, nr)
-						for i := 0; i < mh; i++ {
-							o := o0 + i
-							for j := 0; j < jw; j++ {
-								v := ctile[i*nr+j]
-								if fs != nil {
-									v = fs[o](v)
-								}
-								dst[(j0+j)*outF+o] = v
-							}
-						}
-					}
-				}
-			})
-			return nil
+		bpack := bpack
+		if bpackH != nil {
+			// Widen the half-width weight tiles into call scratch — the
+			// FP16-compute "convert on load".
+			bpack = rc.f32Call(len(bpackH))
+			tensor.F16ToF32(bpack, bpackH)
+			setDenseBias(bpack, bias, tile, nr)
 		}
-		// One unit = one output scalar; chunks span (batch, out-feature)
-		// pairs so a single sample still fans out across the pool.
-		rc.parallelFor(rc.batch*outF, unitCost, func(lo, hi int) {
-			for r := lo; r < hi; r++ {
-				b, o := r/outF, r%outF
-				xRow := xv[b*inF : (b+1)*inF]
-				var acc float32
-				if bias != nil {
-					acc = bias[o]
-				}
-				if wh != nil {
-					wRow := wh[o*inF : (o+1)*inF]
-					wRow = wRow[:len(xRow)]
-					for i, xi := range xRow {
-						acc += xi * tensor.FP16ToFloat(wRow[i])
+		panels := (rc.batch + mr - 1) / mr
+		rc.parallelForWorker(panels*nt, rowCost*int64(min(rc.batch, mr)), func(worker, lo, hi int) {
+			ws := rc.f32Worker(worker, scratch)
+			apanel, ctile := ws[:mr*(inF+1)], ws[mr*(inF+1):]
+			packed := -1
+			for u := lo; u < hi; u++ {
+				p, t := u/nt, u%nt
+				i0 := p * mr
+				mh := min(rc.batch-i0, mr)
+				if p != packed {
+					for i := 0; i < mr; i++ {
+						apanel[i] = 1
 					}
-				} else {
-					wRow := wv[o*inF : (o+1)*inF]
-					wRow = wRow[:len(xRow)]
-					for i, xi := range xRow {
-						acc += xi * wRow[i]
+					kern.PackA(apanel[mr:], xv[i0*inF:], inF, mh, inF)
+					packed = p
+				}
+				o0 := t * nr
+				jw := min(outF-o0, nr)
+				kern.Run(apanel, bpack[t*tile:(t+1)*tile], nr, inF+1, seed, ctile, nr)
+				for i := 0; i < mh; i++ {
+					row := dst[(i0+i)*outF+o0:][:jw]
+					copy(row, ctile[i*nr:])
+					switch {
+					case fs != nil:
+						for j, v := range row {
+							row[j] = fs[o0+j](v)
+						}
+					case ep != nil:
+						ep.apply(row, 0)
 					}
 				}
-				if fs != nil {
-					acc = fs[o](acc)
-				}
-				dst[r] = acc
 			}
 		})
 		return nil
-	}, scratchSpec{f32PerWorker: scratch, f32PerCall: perCall}, nil
+	}, scratchSpec{f32PerWorker: scratch, f32PerCall: len(bpackH)}, nil
+}
+
+// packDenseTiles lays a row-major [outF, inF] weight matrix out as the
+// B tiles of the dense GEMM: per tile of nr output features, inF+1 rows
+// of nr columns, k-major. Row 0 is left zero for setDenseBias, row 1+k
+// holds input feature k, and columns past outF stay zero.
+func packDenseTiles[T any](w []T, inF, outF, nr int) []T {
+	tile := (inF + 1) * nr
+	tiles := make([]T, (outF+nr-1)/nr*tile)
+	for o0 := 0; o0 < outF; o0 += nr {
+		rows := tiles[o0/nr*tile+nr:]
+		cols := min(outF-o0, nr)
+		for k := 0; k < inF; k++ {
+			for j := 0; j < cols; j++ {
+				rows[k*nr+j] = w[(o0+j)*inF+k]
+			}
+		}
+	}
+	return tiles
+}
+
+// setDenseBias writes the biases into row 0 of every packed dense tile.
+func setDenseBias(tiles, bias []float32, tile, nr int) {
+	for o, b := range bias {
+		tiles[o/nr*tile+o%nr] = b
+	}
 }
 
 // bnScaleShift resolves a batch-norm node's per-channel affine. The
@@ -938,7 +1073,7 @@ func bindBatchNorm(n *nn.Node, in tensor.Shape, ep *epilogue) (kernelFunc, error
 	hw := in[1] * in[2]
 	return func(rc *runCtx, dst []float32, srcs [][]float32) error {
 		xv := srcs[0]
-		rc.parallelFor(rc.batch*c, int64(hw)*2, func(lo, hi int) {
+		rc.parallelFor(rc.batch*c, int64(hw)*costElem, func(lo, hi int) {
 			for p := lo; p < hi; p++ {
 				base := p * hw
 				s, sh := scale[p%c], shift[p%c]
@@ -971,11 +1106,11 @@ func bindBatchNorm(n *nn.Node, in tensor.Shape, ep *epilogue) (kernelFunc, error
 }
 
 // activationFn resolves an activation node to its scalar function and
-// an approximate per-element op cost, shared by the FP32 binder and the
+// its estimated per-element cost, shared by the FP32 binder and the
 // quantized LUT builder.
 func activationFn(n *nn.Node) (func(float32) float32, int64, error) {
 	var f func(float32) float32
-	var unitCost int64 = 4
+	var unitCost int64 = costElem
 	switch n.Op {
 	case nn.OpReLU:
 		f = func(v float32) float32 {
@@ -998,9 +1133,9 @@ func activationFn(n *nn.Node) (func(float32) float32, int64, error) {
 			return v
 		}
 	case nn.OpSigmoid:
-		f, unitCost = sigmoid, 32
+		f, unitCost = sigmoid, costExp
 	case nn.OpTanh:
-		f, unitCost = func(v float32) float32 { return float32(math.Tanh(float64(v))) }, 32
+		f, unitCost = func(v float32) float32 { return float32(math.Tanh(float64(v))) }, costExp
 	case nn.OpHSwish:
 		f = func(v float32) float32 { return v * relu6(v+3) / 6 }
 	case nn.OpHSigmoid:
@@ -1009,11 +1144,26 @@ func activationFn(n *nn.Node) (func(float32) float32, int64, error) {
 		f, unitCost = func(v float32) float32 {
 			sp := math.Log1p(math.Exp(float64(v))) // softplus
 			return float32(float64(v) * math.Tanh(sp))
-		}, 64
+		}, 2*costExp
 	default:
 		return nil, 0, fmt.Errorf("unsupported activation %s", n.Op)
 	}
 	return f, unitCost, nil
+}
+
+// spanActivation returns the in-place vector kernel of an activation
+// that has one — bitwise the scalar function activationFn returns — or
+// nil.
+func spanActivation(op nn.OpType) func([]float32) {
+	switch op {
+	case nn.OpReLU:
+		return tensor.ReluF32
+	case nn.OpHSwish:
+		return tensor.HSwishF32
+	case nn.OpHSigmoid:
+		return tensor.HSigmoidF32
+	}
+	return nil
 }
 
 func bindActivation(n *nn.Node) (kernelFunc, error) {
@@ -1021,12 +1171,21 @@ func bindActivation(n *nn.Node) (kernelFunc, error) {
 	if err != nil {
 		return nil, err
 	}
+	vec := spanActivation(n.Op)
+	if vec != nil {
+		unitCost = costSpan
+	}
 	return func(rc *runCtx, dst []float32, srcs [][]float32) error {
 		xv := srcs[0]
 		rc.parallelFor(len(dst), unitCost, func(lo, hi int) {
 			x := xv[lo:hi]
 			out := dst[lo:hi]
 			out = out[:len(x)]
+			if vec != nil {
+				copy(out, x)
+				vec(out)
+				return
+			}
 			for i, v := range x {
 				out[i] = f(v)
 			}
@@ -1042,7 +1201,7 @@ func bindPool(n *nn.Node, in, out tensor.Shape, isMax bool) (kernelFunc, error) 
 	a := n.Attrs
 	c, inH, inW := in[0], in[1], in[2]
 	outH, outW := out[1], out[2]
-	planeCost := int64(outH*outW) * int64(a.KernelH*a.KernelW)
+	planeCost := int64(outH*outW) * int64(a.KernelH*a.KernelW) * 2 * costElem
 	return func(rc *runCtx, dst []float32, srcs [][]float32) error {
 		xv := srcs[0]
 		rc.parallelFor(rc.batch*c, planeCost, func(lo, hi int) {
@@ -1109,7 +1268,7 @@ func bindGlobalAvgPool(in tensor.Shape) (kernelFunc, error) {
 	c, hw := in[0], in[1]*in[2]
 	return func(rc *runCtx, dst []float32, srcs [][]float32) error {
 		xv := srcs[0]
-		rc.parallelFor(rc.batch*c, int64(hw), func(lo, hi int) {
+		rc.parallelFor(rc.batch*c, int64(hw)*costElem, func(lo, hi int) {
 			for p := lo; p < hi; p++ {
 				x := xv[p*hw : (p+1)*hw]
 				var sum float64
@@ -1148,7 +1307,7 @@ func bindAccumulate(n *nn.Node, ins []tensor.Shape, out tensor.Shape) (kernelFun
 		for i := 1; i < len(srcs); i++ {
 			yv := srcs[i]
 			if !broadcast[i] {
-				rc.parallelFor(len(dst), 1, func(lo, hi int) {
+				rc.parallelFor(len(dst), costElem/2, func(lo, hi int) {
 					y := yv[lo:hi]
 					out := dst[lo:hi]
 					out = out[:len(y)]
@@ -1164,7 +1323,7 @@ func bindAccumulate(n *nn.Node, ins []tensor.Shape, out tensor.Shape) (kernelFun
 				})
 				continue
 			}
-			rc.parallelFor(rc.batch*c, int64(hw), func(lo, hi int) {
+			rc.parallelFor(rc.batch*c, int64(hw)*costElem/2, func(lo, hi int) {
 				for p := lo; p < hi; p++ {
 					f := yv[p]
 					out := dst[p*hw : (p+1)*hw]
@@ -1222,7 +1381,7 @@ func bindUpsample(n *nn.Node, in, out tensor.Shape) (kernelFunc, error) {
 	oh, ow := out[1], out[2]
 	return func(rc *runCtx, dst []float32, srcs [][]float32) error {
 		xv := srcs[0]
-		rc.parallelFor(rc.batch*c, int64(oh*ow), func(lo, hi int) {
+		rc.parallelFor(rc.batch*c, int64(oh*ow)*4*costElem, func(lo, hi int) {
 			for p := lo; p < hi; p++ {
 				inBase := p * h * w
 				outBase := p * oh * ow
@@ -1247,7 +1406,7 @@ func bindSoftmax(in tensor.Shape) (kernelFunc, error) {
 	f := in[0]
 	return func(rc *runCtx, dst []float32, srcs [][]float32) error {
 		xv := srcs[0]
-		rc.parallelFor(rc.batch, int64(f)*32, func(lo, hi int) {
+		rc.parallelFor(rc.batch, int64(f)*costExp, func(lo, hi int) {
 			for b := lo; b < hi; b++ {
 				row := xv[b*f : (b+1)*f]
 				out := dst[b*f : (b+1)*f]

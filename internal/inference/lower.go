@@ -158,6 +158,9 @@ func buildEpilogue(op *ir.Op, channels int) (*epilogue, error) {
 				fns[i] = st.act
 			}
 			ep.fn = fns[0]
+			if len(rest) == 1 {
+				ep.vec = spanActivation(rest[0].kind)
+			}
 			for _, f := range fns[1:] {
 				prev, next := ep.fn, f
 				ep.fn = func(v float32) float32 { return next(prev(v)) }

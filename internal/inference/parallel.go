@@ -14,22 +14,64 @@ type runCtx struct {
 	threshold int64
 	spec      scratchSpec
 	scratch   *scratchBufs
+	// estOps sums the estimated cost of every range this call has run,
+	// inline or split; the fan-out profile reads it per step.
+	estOps int64
+}
+
+// Unit costs are estimated ops at the rate the packed GEMM tiles retire
+// them, 32 to 48 per ns on the host defaultParallelThreshold was
+// measured on, so that the one threshold is one span of inline time
+// whatever the kernel. A loop that retires fewer ops per ns states a
+// proportionally larger cost per element through these weights, each
+// read off the ops/ns column of TestFanOutProfileBatch8 or off a
+// single-op run of the kernel at batch 8.
+const (
+	costElem = 32            // one element of a scalar loop, about 1 ns
+	costSpan = 12            // one element of a vector element-wise span, about 3 per ns
+	costExp  = 12 * costElem // one element through exp or tanh
+	// A direct-convolution tap is an axpy over one plane: its multiply
+	// and its add each count costTapOp (short rows and the plane copies
+	// hold it to an eighth of the GEMM rate), and every call carries a
+	// fixed costTapCall.
+	costTapOp   = 8
+	costTapCall = 512
+)
+
+// convPlaneCost is the estimated cost of one output plane of a direct
+// convolution, either executor.
+func convPlaneCost(g *convGeom) int64 {
+	return int64(g.icPerG*g.kh*g.kw) * (int64(g.outH*g.outW)*2*costTapOp + costTapCall)
 }
 
 // parallelFor executes fn over the index range [0, n), splitting it into
 // contiguous chunks drained by a bounded pool of goroutines (the calling
-// goroutine is one of the workers). unitCost approximates the elementary
-// ops per index; ranges whose total estimated cost falls below the
-// engine's parallel threshold run inline, so small kernels never pay
-// dispatch overhead. Chunks are handed out through an atomic cursor,
-// which load-balances uneven work (e.g. convolution rows with different
-// padding clips) without per-chunk channel traffic.
+// goroutine is one of the workers). unitCost is the estimated cost of
+// one index in the units above; ranges whose total estimated cost falls
+// below the engine's parallel threshold run inline, so small kernels
+// never pay dispatch overhead. Chunks are handed out through an atomic
+// cursor, which load-balances uneven work (e.g. convolution rows with
+// different padding clips) without per-chunk channel traffic.
 //
 // Each index is processed by exactly one goroutine and fn receives
 // disjoint ranges, so kernels keep their per-element accumulation order
 // and produce bitwise-identical results at any worker count.
 func (rc *runCtx) parallelFor(n int, unitCost int64, fn func(lo, hi int)) {
-	rc.parallelForWorker(n, unitCost, func(_, lo, hi int) { fn(lo, hi) })
+	if rc.inline(n, unitCost) {
+		if n > 0 {
+			fn(0, n)
+		}
+		return
+	}
+	rc.split(n, func(_, lo, hi int) { fn(lo, hi) })
+}
+
+// inline reports whether a range of n units runs on the calling
+// goroutine: one worker, one unit, or an estimated cost below the
+// threshold.
+func (rc *runCtx) inline(n int, unitCost int64) bool {
+	rc.estOps += int64(n) * unitCost
+	return rc.workers <= 1 || n <= 1 || int64(n)*unitCost < rc.threshold
 }
 
 // parallelForWorker is parallelFor with a worker ordinal: fn also
@@ -42,14 +84,16 @@ func (rc *runCtx) parallelForWorker(n int, unitCost int64, fn func(worker, lo, h
 	if n <= 0 {
 		return
 	}
-	w := rc.workers
-	if w > n {
-		w = n
-	}
-	if w <= 1 || int64(n)*unitCost < rc.threshold {
+	if rc.inline(n, unitCost) {
 		fn(0, 0, n)
 		return
 	}
+	rc.split(n, fn)
+}
+
+// split fans the range [0, n), n > 1, out over the worker pool.
+func (rc *runCtx) split(n int, fn func(worker, lo, hi int)) {
+	w := min(rc.workers, n)
 	// More chunks than workers smooths imbalance; chunk count is capped
 	// so tiny units still amortize the cursor increment.
 	chunks := w * 4

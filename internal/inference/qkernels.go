@@ -165,8 +165,8 @@ func foldBias(bias *tensor.Tensor, wScales []float64, inQ, outQ tensor.QuantPara
 // qconv is the bound state of one integer convolution. Weight codes are
 // kept widened to int16: the input side is zero-point-shifted to int16
 // as well (so padding contributes exactly 0), and the multiply-
-// accumulate runs through the SIMD integer kernels (tensor.DotInt16 /
-// tensor.AxpyInt16).
+// accumulate runs through the SIMD integer kernels (tensor.AxpyInt16
+// and the int16 GEMM).
 type qconv struct {
 	g      convGeom
 	w16    []int16
@@ -219,183 +219,98 @@ func bindQuantConv(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantParam
 	codes, wScales := quantizeFilter(w, g.outC)
 	bias32, req := foldBias(n.Weight(nn.BiasKey), wScales, inQ, outQ)
 	p := &qconv{g: g, w16: widenCodes(codes), bias32: bias32, req: req, zpIn: inQ.Zero, zpOut: outQ.Zero, post: post}
-	taps := g.icPerG * g.kh * g.kw
-	planeCost := int64(g.outH*g.outW) * int64(taps) * 2
+	planeCost := convPlaneCost(&g)
 
 	// Routing mirrors the FP32 binder: convolutions with a real channel
 	// reduction (stems and pointwise projections) run the int16 GEMM
 	// micro-kernels with the zero-point shift fused into the per-tile B
 	// pack. Depthwise and other shallow reductions accumulate int32
-	// planes through the SIMD axpy instead — no gather, so the input
-	// streams once per output channel.
+	// planes through plane-length SIMD axpys instead (qconvPlanePadded).
 	if convGemmEligible(g) {
 		kern, spec := bindQuantConvGemm(p)
 		return kern, spec, nil
 	}
-	pointwise := g.kh == 1 && g.kw == 1 && g.sh == 1 && g.sw == 1 && g.ph == 0 && g.pw == 0
-	hwIn := g.inH * g.inW
 	px := g.outH * g.outW
-	spec := scratchSpec{i16PerSample: g.inC * hwIn, i32PerWorker: px}
+	if g.kh == 1 && g.kw == 1 && g.sh == 1 && g.sw == 1 && g.ph == 0 && g.pw == 0 {
+		return func(rc *runCtx, dst []int8, srcs [][]int8) error {
+			xv := srcs[0]
+			// Shift the whole input by the zero point once; every output
+			// channel of a group then reads the same int16 planes.
+			x16 := rc.i16Sample(g.inC * px)
+			zp := int16(p.zpIn)
+			rc.parallelFor(len(x16), costElem/8, func(lo, hi int) {
+				tensor.WidenShiftInt8(x16[lo:hi], xv[lo:hi], zp)
+			})
+			rc.parallelForWorker(rc.batch*g.outC, planeCost, func(worker, lo, hi int) {
+				acc := rc.i32Worker(worker, px)
+				for pi := lo; pi < hi; pi++ {
+					qconvPlanePointwise(dst, x16, p, acc, pi/g.outC, pi%g.outC)
+				}
+			})
+			return nil
+		}, scratchSpec{i16PerSample: g.inC * px, i32PerWorker: px}, nil
+	}
+	pd := newConvPad(&g)
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
 		xv := srcs[0]
-		// Shift the whole input by the zero point once: padded (skipped)
-		// taps then contribute exactly 0 to the linear term, so the
-		// kernel-outer accumulation needs no padding-aware bookkeeping.
-		need := rc.batch * p.g.inC * hwIn
-		x16 := rc.i16Sample(p.g.inC * hwIn)
-		zp := int16(p.zpIn)
-		rc.parallelFor(need, 2, func(lo, hi int) {
-			tensor.WidenShiftInt8(x16[lo:hi], xv[lo:hi], zp)
-		})
-		rc.parallelForWorker(rc.batch*p.g.outC, planeCost, func(worker, lo, hi int) {
-			acc := rc.i32Worker(worker, px)
+		rc.parallelForWorker(rc.batch*g.outC, planeCost, func(worker, lo, hi int) {
+			ws := rc.i16Worker(worker, pd.inLen+g.inW)
+			xp, row16 := ws[:pd.inLen], ws[pd.inLen:] // row16 stages one widened row of a strided conv
+			acc := rc.i32Worker(worker, pd.accLen)
+			clear(xp) // the border and slack stay zero across this chunk's planes
 			for pi := lo; pi < hi; pi++ {
-				if pointwise {
-					qconvPlanePointwise(dst, x16, p, acc, pi/p.g.outC, pi%p.g.outC)
-				} else {
-					qconvPlane(dst, x16, p, acc, pi/p.g.outC, pi%p.g.outC)
-				}
+				qconvPlanePadded(dst, xv, p, pd, xp, row16, acc, pi/g.outC, pi%g.outC)
 			}
 		})
 		return nil
-	}, spec, nil
+	}, scratchSpec{i16PerWorker: pd.inLen + g.inW, i32PerWorker: pd.accLen}, nil
 }
 
-// qconvPlane computes one (batch, output-channel) plane of a shallow
-// reduction in kernel-outer form, mirroring the FP32 convPlane: the
-// int32 accumulator plane is initialized with the folded bias, every
-// kernel tap accumulates a scaled, shifted row of the zero-point-shifted
-// int16 input (clipping hoisted out of the row loops), and the plane is
-// requantized once at the end.
-func qconvPlane(dst []int8, x16 []int16, p *qconv, acc []int32, b, oc int) {
+// qconvPlanePadded computes one (batch, output-channel) plane of a
+// shallow reduction in the padded plane form, mirroring the FP32
+// convPlanePadded (see convPad): per input channel the int8 plane is
+// zero-point-shifted to int16 into the phase planes (a strided conv
+// widens each row into row16 and scatters it), whose zero border is
+// then exactly the padding's contribution; every tap is
+// one plane-length AxpyInt16 into the int32 accumulator plane, which is
+// compacted to its valid columns and requantized once at the end.
+func qconvPlanePadded(dst []int8, xv []int8, p *qconv, pd *convPad, xp, row16 []int16, acc []int32, b, oc int) {
 	g := &p.g
-	grp := oc / g.ocPerG
-	icBase := grp * g.icPerG
 	b0 := p.bias32[oc]
-	px := g.outH * g.outW
-	plane := acc[:px]
-	for i := range plane {
-		plane[i] = b0
+	for i := range acc {
+		acc[i] = b0
 	}
-	samePlane := g.sh == 1 && g.sw == 1 && g.outH == g.inH && g.outW == g.inW
+	icBase := oc / g.ocPerG * g.icPerG
+	zp := int16(p.zpIn)
 	for ic := 0; ic < g.icPerG; ic++ {
 		xBase := (b*g.inC + icBase + ic) * g.inH * g.inW
+		for iy := 0; iy < g.inH; iy++ {
+			row := xv[xBase+iy*g.inW : xBase+(iy+1)*g.inW]
+			if g.sw == 1 {
+				tensor.WidenShiftInt8(xp[pd.rowOff[iy]+pd.cols[0].off:], row, zp)
+			} else {
+				tensor.WidenShiftInt8(row16, row, zp)
+				scatterPadRow(pd, xp[pd.rowOff[iy]:], row16, g.sw)
+			}
+		}
 		wBase := (oc*g.icPerG + ic) * g.kh * g.kw
-		for ky := 0; ky < g.kh; ky++ {
-			for kx := 0; kx < g.kw; kx++ {
-				w := p.w16[wBase+ky*g.kw+kx]
-				if w == 0 {
-					continue // zero taps contribute nothing to the shifted input
-				}
-				if samePlane {
-					qconvTapSame(plane, x16[xBase:xBase+px], g, w, ky, kx)
-					continue
-				}
-				// Output columns whose input column stays in bounds;
-				// clipping hoisted out of the row loops.
-				oxLo := 0
-				if g.pw > kx {
-					oxLo = (g.pw - kx + g.sw - 1) / g.sw
-				}
-				oxHi := 0
-				if maxIx := g.inW - 1 + g.pw - kx; maxIx >= 0 {
-					oxHi = maxIx/g.sw + 1
-					if oxHi > g.outW {
-						oxHi = g.outW
-					}
-				}
-				if oxLo >= oxHi {
-					continue
-				}
-				for oy := 0; oy < g.outH; oy++ {
-					iy := oy*g.sh - g.ph + ky
-					if iy < 0 || iy >= g.inH {
-						continue
-					}
-					xRow := x16[xBase+iy*g.inW : xBase+(iy+1)*g.inW]
-					oRow := plane[oy*g.outW : (oy+1)*g.outW]
-					switch g.sw {
-					case 1:
-						o := oRow[oxLo:oxHi]
-						x := xRow[oxLo-g.pw+kx:]
-						x = x[:len(o)]
-						tensor.AxpyInt16(o, x, w)
-					case 2:
-						tensor.AxpyInt16Stride2(oRow[oxLo:oxHi], xRow[oxLo*2-g.pw+kx:], w)
-					default:
-						wv := int32(w)
-						ix := oxLo*g.sw - g.pw + kx
-						for ox := oxLo; ox < oxHi; ox++ {
-							oRow[ox] += wv * int32(xRow[ix])
-							ix += g.sw
-						}
-					}
-				}
+		for t, off := range pd.tapOff {
+			if w := p.w16[wBase+t]; w != 0 { // a zero tap contributes nothing
+				tensor.AxpyInt16(acc, xp[off:], w)
 			}
 		}
 	}
-	requantRow(dst[(b*g.outC+oc)*px:(b*g.outC+oc+1)*px], plane, p.req[oc], p.zpOut, p.postFor(oc))
-}
-
-// qconvTapSame accumulates one kernel tap into a stride-1, same-size
-// output plane as a single plane-wide SIMD axpy. The flattened source
-// offset dy*inW+dx makes horizontal taps wrap across row ends, wrongly
-// accumulating the neighbouring row's opposite edge where the real
-// source is zero padding; those few edge columns are corrected by a
-// scalar fixup pass afterwards. This turns kh*kw*outH short row calls
-// into kh*kw plane calls, which is what amortizes the SIMD kernel's
-// setup on the small planes of depthwise stacks.
-func qconvTapSame(plane []int32, x []int16, g *convGeom, w int16, ky, kx int) {
-	inW, px := g.inW, g.inH*g.inW
-	d := (ky-g.ph)*inW + (kx - g.pw)
-	// Row clipping: output rows whose source row is in bounds.
-	rLo, rHi := 0, g.outH
-	if g.ph > ky {
-		rLo = g.ph - ky
+	px := g.outH * g.outW
+	for oy := 1; oy < g.outH; oy++ {
+		copy(acc[oy*g.outW:(oy+1)*g.outW], acc[oy*pd.sp:])
 	}
-	if over := ky - g.ph; over > 0 {
-		rHi = g.outH - over
-	}
-	jLo, jHi := rLo*inW, rHi*inW
-	// Clamp to the valid source window; skipped head/tail elements are
-	// edge columns whose true contribution is zero padding.
-	if jLo+d < 0 {
-		jLo = -d
-	}
-	if jHi+d > px {
-		jHi = px - d
-	}
-	if jLo >= jHi {
-		return
-	}
-	tensor.AxpyInt16(plane[jLo:jHi], x[jLo+d:jHi+d], w)
-	// Column fixup: subtract the wrapped contributions at the edge.
-	wv := int32(w)
-	if cl := g.pw - kx; cl > 0 { // left edge columns [0, cl)
-		for r := rLo; r < rHi; r++ {
-			base := r * inW
-			for c := 0; c < cl; c++ {
-				if j := base + c; j >= jLo && j < jHi {
-					plane[j] -= wv * int32(x[j+d])
-				}
-			}
-		}
-	} else if cr := kx - g.pw; cr > 0 { // right edge columns [inW-cr, inW)
-		for r := rLo; r < rHi; r++ {
-			base := r*inW + inW - cr
-			for c := 0; c < cr; c++ {
-				if j := base + c; j >= jLo && j < jHi {
-					plane[j] -= wv * int32(x[j+d])
-				}
-			}
-		}
-	}
+	requantRow(dst[(b*g.outC+oc)*px:(b*g.outC+oc+1)*px], acc[:px], p.req[oc], p.zpOut, p.postFor(oc))
 }
 
 // qconvPlanePointwise is the 1x1/stride-1/no-pad fast path of the
-// shallow form: input and output planes are contiguous, so each input
-// channel accumulates with one whole-plane loop instead of per-row
-// slicing.
+// shallow form: input and output planes are contiguous and need no
+// border, so each input channel accumulates with one whole-plane axpy
+// straight from the zero-point-shifted input.
 func qconvPlanePointwise(dst []int8, x16 []int16, p *qconv, acc []int32, b, oc int) {
 	g := &p.g
 	grp := oc / g.ocPerG
@@ -432,79 +347,65 @@ func bindQuantDense(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantPara
 	}
 	codes, wScales := quantizeFilter(w, outF)
 	bias32, req := foldBias(n.Weight(nn.BiasKey), wScales, inQ, outQ)
-	w16 := widenCodes(codes)
 	zpIn, zpOut := inQ.Zero, outQ.Zero
-	unitCost := int64(inF) * 2
-	// GEMM lowering for batched calls (M = out features, N = samples):
-	// the widened weight codes pack once at bind time, the per-tile B
-	// pack fuses the zero-point shift with the transposed gather, and
-	// each int32 C tile requantizes straight into the sample-major
-	// output. Integer accumulation is associative, so the scalar-dot
-	// path below produces identical codes. N is the batch — small by
-	// construction — so cap the tile width at 16 (see bindDense).
-	kern := tensor.PickGemmI16MaxWidth(16)
+	// Same orientation as the FP32 bindDense: M = samples, N = out
+	// features, so every lane is live at batch 1. The widened weight
+	// codes are the bind-time packed B tiles, each call packs the
+	// activation rows into an MR-row A panel with the zero-point shift
+	// fused, and the int32 C tile requantizes straight into the
+	// sample-major output. Integer accumulation is associative, so the
+	// folded bias joins at requantization instead of seeding the tile.
+	kern := tensor.PickGemmI16MaxWidth(max(outF, 16)) // bindDense's cap: both executors run one tier
 	mr, nr := kern.MR, kern.NR
 	kp := tensor.KPairs(inF)
-	panels := (outF + mr - 1) / mr
-	apack := make([]int16, kern.PackedASize(outF, inF))
-	kern.PackA(apack, w16, inF, outF, inF)
-	biasPad := make([]int32, panels*mr)
-	copy(biasPad, bias32[:outF])
-	spec := scratchSpec{i16PerSample: inF, i16PerWorker: kp * 2 * nr, i32PerWorker: mr * nr}
+	nt := (outF + nr - 1) / nr
+	// B tiles: per tile of nr output features, kp rows of nr adjacent-K
+	// pairs; columns past outF and the odd-K tail stay zero.
+	bpack := make([]int16, nt*nr*2*kp)
+	for o0 := 0; o0 < outF; o0 += nr {
+		rows := bpack[o0/nr*nr*2*kp:]
+		cols := min(outF-o0, nr)
+		for k := 0; k < inF; k++ {
+			for j := 0; j < cols; j++ {
+				rows[(k/2*nr+j)*2+k%2] = int16(codes[(o0+j)*inF+k])
+			}
+		}
+	}
+	zeroBias := make([]int32, mr)
+	// One live row of one tile. The weight tiles are packed at bind time,
+	// so a dense tile retires its 2 ops per MAC at about twice the rate of
+	// a convolution tile that packs its B operand per call.
+	rowCost := int64(inF) * int64(nr)
+	spec := scratchSpec{i16PerWorker: mr * 2 * kp, i32PerWorker: mr * nr}
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
 		xv := srcs[0]
-		if rc.batch >= denseGemmMinBatch {
-			nt := (rc.batch + nr - 1) / nr
-			rc.parallelForWorker(nt, unitCost*int64(nr)*int64(outF), func(worker, lo, hi int) {
-				bpack := rc.i16Worker(worker, kp*2*nr)
-				ctile := rc.i32Worker(worker, mr*nr)
-				for t := lo; t < hi; t++ {
-					j0 := t * nr
-					jw := rc.batch - j0
-					if jw > nr {
-						jw = nr
-					}
-					packQDenseTile(bpack, xv, inF, nr, j0, jw, zpIn)
-					for p := 0; p < panels; p++ {
-						o0 := p * mr
-						mh := outF - o0
-						if mh > mr {
-							mh = mr
+		panels := (rc.batch + mr - 1) / mr
+		rc.parallelForWorker(panels*nt, rowCost*int64(min(rc.batch, mr)), func(worker, lo, hi int) {
+			apanel := rc.i16Worker(worker, mr*2*kp)
+			ctile := rc.i32Worker(worker, mr*nr)
+			packed := -1
+			for u := lo; u < hi; u++ {
+				p, t := u/nt, u%nt
+				i0 := p * mr
+				mh := min(rc.batch-i0, mr)
+				if p != packed {
+					packQDensePanel(apanel, xv, inF, mr, i0, mh, zpIn)
+					packed = p
+				}
+				o0 := t * nr
+				jw := min(outF-o0, nr)
+				kern.Run(apanel, bpack[t*nr*2*kp:(t+1)*nr*2*kp], 2*nr, kp, zeroBias, ctile, nr)
+				for i := 0; i < mh; i++ {
+					row := dst[(i0+i)*outF+o0:][:jw]
+					for j := range row {
+						o := o0 + j
+						code := tensor.ClampInt8(zpOut + req[o].Apply(ctile[i*nr+j]+bias32[o]))
+						if post != nil {
+							code = post[o][int(code)+128]
 						}
-						kern.Run(apack[p*mr*2*kp:(p+1)*mr*2*kp], bpack, 2*nr, kp, biasPad[o0:o0+mr], ctile, nr)
-						for i := 0; i < mh; i++ {
-							o := o0 + i
-							for j := 0; j < jw; j++ {
-								code := tensor.ClampInt8(zpOut + req[o].Apply(ctile[i*nr+j]))
-								if post != nil {
-									code = post[o][int(code)+128]
-								}
-								dst[(j0+j)*outF+o] = code
-							}
-						}
+						row[j] = code
 					}
 				}
-			})
-			return nil
-		}
-		// Zero-point-shift the input rows once so the SIMD dot needs no
-		// correction term.
-		need := rc.batch * inF
-		x16 := rc.i16Sample(inF)
-		rc.parallelFor(need, 2, func(lo, hi int) {
-			tensor.WidenShiftInt8(x16[lo:hi], xv[lo:hi], int16(zpIn))
-		})
-		rc.parallelFor(rc.batch*outF, unitCost, func(lo, hi int) {
-			for r := lo; r < hi; r++ {
-				b, o := r/outF, r%outF
-				xRow := x16[b*inF : (b+1)*inF]
-				wRow := w16[o*inF : (o+1)*inF]
-				lin := tensor.DotInt16(xRow, wRow) + bias32[o]
-				code := tensor.ClampInt8(zpOut + req[o].Apply(lin))
-				if post != nil {
-					code = post[o][int(code)+128]
-				}
-				dst[r] = code
 			}
 		})
 		return nil
@@ -542,7 +443,7 @@ func bindQuantBatchNorm(n *nn.Node, in tensor.Shape, inQ, outQ tensor.QuantParam
 	hw := in[1] * in[2]
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
 		xv := srcs[0]
-		rc.parallelFor(rc.batch*c, int64(hw), func(lo, hi int) {
+		rc.parallelFor(rc.batch*c, int64(hw)*costElem, func(lo, hi int) {
 			for p := lo; p < hi; p++ {
 				lut := luts[p%c]
 				base := p * hw
@@ -582,7 +483,7 @@ func bindQuantRecode(inQ, outQ tensor.QuantParams) qkernelFunc {
 func lutKernel(lut *[256]int8) qkernelFunc {
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
 		xv := srcs[0]
-		rc.parallelFor(len(dst), 2, func(lo, hi int) {
+		rc.parallelFor(len(dst), costElem, func(lo, hi int) {
 			x := xv[lo:hi]
 			out := dst[lo:hi]
 			out = out[:len(x)]
@@ -609,7 +510,7 @@ func bindQuantMaxPool(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantPa
 		recode = buildLUT(inQ, outQ, func(x float32) float32 { return x })
 	}
 	empty := inQ.Quantize(0) // windows with no in-bounds taps read real 0
-	planeCost := int64(outH*outW) * int64(a.KernelH*a.KernelW)
+	planeCost := int64(outH*outW) * int64(a.KernelH*a.KernelW) * 2 * costElem
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
 		xv := srcs[0]
 		rc.parallelFor(rc.batch*c, planeCost, func(lo, hi int) {
@@ -676,7 +577,7 @@ func bindQuantAvgPool(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantPa
 		reqByCount[cnt] = tensor.NewRequant(sIn / (sOut * float64(cnt)))
 	}
 	zpIn, zpOut := inQ.Zero, outQ.Zero
-	planeCost := int64(outH*outW) * int64(maxCount)
+	planeCost := int64(outH*outW) * int64(maxCount) * 2 * costElem
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
 		xv := srcs[0]
 		rc.parallelFor(rc.batch*c, planeCost, func(lo, hi int) {
@@ -732,7 +633,7 @@ func bindQuantGlobalAvgPool(in tensor.Shape, inQ, outQ tensor.QuantParams) (qker
 	zpIn, zpOut := inQ.Zero, outQ.Zero
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
 		xv := srcs[0]
-		rc.parallelFor(rc.batch*c, int64(hw), func(lo, hi int) {
+		rc.parallelFor(rc.batch*c, int64(hw)*2*costElem, func(lo, hi int) {
 			for p := lo; p < hi; p++ {
 				x := xv[p*hw : (p+1)*hw]
 				var sum int32
@@ -787,7 +688,7 @@ func bindQuantAdd(ins []tensor.Shape, out tensor.Shape, inQ []tensor.QuantParams
 		c, hw = out[0], out[1]*out[2]
 	}
 	zpOut := outQ.Zero
-	unit := int64(len(ins)) * 2
+	unit := int64(len(ins)) * 3 * costElem // a table lookup per operand, about 3 ns each
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
 		rc.parallelFor(rc.batch*c, int64(hw)*unit, func(lo, hi int) {
 			for p := lo; p < hi; p++ {
@@ -834,7 +735,7 @@ func bindQuantMul(ins []tensor.Shape, out tensor.Shape, inQ []tensor.QuantParams
 	}
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
 		av, bv := srcs[0], srcs[1]
-		rc.parallelFor(rc.batch*c, int64(hw)*4, func(lo, hi int) {
+		rc.parallelFor(rc.batch*c, int64(hw)*4*costElem, func(lo, hi int) {
 			for p := lo; p < hi; p++ {
 				base := p * hw
 				if broadcast[1] {
@@ -910,7 +811,7 @@ func bindQuantUpsample(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantP
 	oh, ow := out[1], out[2]
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
 		xv := srcs[0]
-		rc.parallelFor(rc.batch*c, int64(oh*ow), func(lo, hi int) {
+		rc.parallelFor(rc.batch*c, int64(oh*ow)*4*costElem, func(lo, hi int) {
 			for p := lo; p < hi; p++ {
 				inBase := p * h * w
 				outBase := p * oh * ow

@@ -276,7 +276,7 @@ func (e *QuantEngine) Run(inputs map[string]*tensor.Tensor) (map[string]*tensor.
 		off += n
 		q := e.qp[v]
 		src := inBufs[i]
-		rc.parallelFor(n, 8, func(lo, hi int) {
+		rc.parallelFor(n, 4*costElem, func(lo, hi int) {
 			tensor.QuantizeSlice(buf[lo:hi], src[lo:hi], q)
 		})
 		qin[i] = buf
@@ -331,7 +331,7 @@ func (e *QuantEngine) Run(inputs map[string]*tensor.Tensor) (map[string]*tensor.
 			t := tensor.New(tensor.FP32, append(tensor.Shape{batch}, e.vals[v].per...)...)
 			codes := outs8[loc.idx]
 			q := e.qp[v]
-			rc.parallelFor(len(codes), 4, func(lo, hi int) {
+			rc.parallelFor(len(codes), costElem, func(lo, hi int) {
 				tensor.DequantizeSlice(t.F32[lo:hi], codes[lo:hi], q)
 			})
 			result[e.outputNames[i]] = t

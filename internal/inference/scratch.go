@@ -19,7 +19,8 @@ import "sync"
 // whole step (the FP16-compute widened weight panels); PerSample
 // fields scale with the call's batch size (whole-input staging);
 // PerWorker fields are private to one pool worker (pack tiles,
-// accumulator tiles) and scale with the worker bound.
+// accumulator tiles, the direct convolutions' padded planes) and scale
+// with the worker bound.
 type scratchSpec struct {
 	f32PerCall   int
 	f32PerSample int

@@ -18,16 +18,6 @@ func AxpyF32(dst, x []float32, a float32) {
 	}
 }
 
-// AxpyStride2F32 accumulates dst[i] += a*x[2*i] — the stride-2 row
-// accumulation of the direct convolution form, where every zoo model
-// downsamples. x must hold at least 2*len(dst)-1 elements.
-func AxpyStride2F32(dst, x []float32, a float32) {
-	n := axpyStride2F32Accel(dst, x, a)
-	for i := n; i < len(dst); i++ {
-		dst[i] += a * x[2*i]
-	}
-}
-
 // GatherStride2F32 copies dst[i] = x[2*i] — the stride-2 im2col row
 // gather. x must hold at least 2*len(dst)-1 elements.
 func GatherStride2F32(dst, x []float32) {
@@ -67,5 +57,37 @@ func ReluF32(span []float32) {
 		if span[i] < 0 {
 			span[i] = 0
 		}
+	}
+}
+
+// relu6 clamps v to [0, 6]; NaN and -0 fall through both branches.
+func relu6(v float32) float32 {
+	if v < 0 {
+		return 0
+	}
+	if v > 6 {
+		return 6
+	}
+	return v
+}
+
+// HSwishF32 rewrites every v in span as v * relu6(v+3) / 6 — add,
+// clamp, multiply, then a true divide by 6, each rounded once, so it is
+// bitwise the scalar hard-swish on every lane, NaN, ±0 and ±Inf
+// included.
+func HSwishF32(span []float32) {
+	n := hswishF32Accel(span)
+	for i := n; i < len(span); i++ {
+		v := span[i]
+		span[i] = v * relu6(v+3) / 6
+	}
+}
+
+// HSigmoidF32 rewrites every v in span as relu6(v+3) / 6, bitwise the
+// scalar hard-sigmoid on every lane.
+func HSigmoidF32(span []float32) {
+	n := hsigmoidF32Accel(span)
+	for i := n; i < len(span); i++ {
+		span[i] = relu6(span[i]+3) / 6
 	}
 }

@@ -27,7 +27,7 @@ func axpyF32Accel(dst, x []float32, a float32) int {
 	return n
 }
 
-// stride2Prefix returns how many outputs the stride-2 kernels may
+// stride2Prefix returns how many outputs the stride-2 gather may
 // produce: a multiple of 8, with every 8-output group backed by a full
 // 16-element read of x (the vector load reads one element past the
 // last 2*i index it uses).
@@ -36,15 +36,6 @@ func stride2Prefix(nd, nx int) int {
 	if m := (nx / 16) * 8; m < n {
 		n = m
 	}
-	return n
-}
-
-func axpyStride2F32Accel(dst, x []float32, a float32) int {
-	n := stride2Prefix(len(dst), len(x))
-	if n == 0 || !ewAVX2 {
-		return 0
-	}
-	axpyStride2F32AVX2(&dst[0], &x[0], n, a)
 	return n
 }
 
@@ -84,17 +75,29 @@ func reluF32Accel(span []float32) int {
 	return n
 }
 
+func hswishF32Accel(span []float32) int {
+	n := len(span) &^ 15
+	if n == 0 || !ewAVX2 {
+		return 0
+	}
+	hswishF32AVX2(&span[0], n)
+	return n
+}
+
+func hsigmoidF32Accel(span []float32) int {
+	n := len(span) &^ 15
+	if n == 0 || !ewAVX2 {
+		return 0
+	}
+	hsigmoidF32AVX2(&span[0], n)
+	return n
+}
+
 // axpyF32AVX2 computes dst[i] += a*x[i] for i < n; n must be a
 // multiple of 16. Separate VMULPS/VADDPS keep scalar rounding.
 //
 //go:noescape
 func axpyF32AVX2(dst, x *float32, n int, a float32)
-
-// axpyStride2F32AVX2 computes dst[i] += a*x[2*i] for i < n; n must be
-// a multiple of 8 and x must hold 2*n elements.
-//
-//go:noescape
-func axpyStride2F32AVX2(dst, x *float32, n int, a float32)
 
 // gatherStride2F32AVX2 copies dst[i] = x[2*i] for i < n; n must be a
 // multiple of 8 and x must hold 2*n elements.
@@ -119,3 +122,16 @@ func scaleShiftReluF32AVX2(p *float32, n int, s, sh float32)
 //
 //go:noescape
 func reluF32AVX2(p *float32, n int)
+
+// hswishF32AVX2 computes p[i] = p[i] * relu6(p[i]+3) / 6 for i < n with
+// the scalar formula's roundings and NaN/-0 behaviour; n must be a
+// multiple of 16.
+//
+//go:noescape
+func hswishF32AVX2(p *float32, n int)
+
+// hsigmoidF32AVX2 computes p[i] = relu6(p[i]+3) / 6 for i < n; n must
+// be a multiple of 16.
+//
+//go:noescape
+func hsigmoidF32AVX2(p *float32, n int)

@@ -12,58 +12,18 @@ package tensor
 // is what makes the quantized engine faster than scalar FP32 on hosts
 // without native INT8 matrix units.
 
-// FastInt8 reports whether the SIMD integer kernels back DotInt16 and
-// AxpyInt16. Perf assertions about the quantized engine beating the
+// FastInt8 reports whether SIMD integer kernels back AxpyInt16 and the
+// int16 GEMM. Perf assertions about the quantized engine beating the
 // FP32 engine only hold where this is true; the portable fallbacks are
 // correct but not faster than scalar float code.
 const FastInt8 = true
 
-// DotInt16 returns the dot product of a and b over min(len(a), len(b))
-// elements with int32 accumulation.
-//
-// Accumulator contract: |a[i]*b[i]| must stay below 2^15 * 2^15 and the
-// reduction below 2^31. The quantized engine's operands are zero-point-
-// shifted activations (|v| <= 255) times int8 weight codes (|w| <= 127),
-// so reductions up to ~10^5 taps are safe.
-//
-//go:noescape
-func DotInt16(a, b []int16) int32
-
 // AxpyInt16 computes dst[i] += int32(w) * int32(x[i]) over
-// min(len(dst), len(x)) elements — the accumulation step of the
-// kernel-outer convolution form.
+// min(len(dst), len(x)) elements — one tap of the plane-form direct
+// convolution.
 //
 //go:noescape
 func AxpyInt16(dst []int32, x []int16, w int16)
-
-// AxpyInt16Stride2 computes dst[i] += int32(w) * int32(x[2*i]) over
-// min(len(dst), ceil(len(x)/2)) elements — the accumulation step of a
-// stride-2 convolution row. PMADDWD against the pair pattern (w, 0)
-// multiplies the even element by w and annihilates its odd partner, so
-// the strided gather costs nothing over the dense form.
-func AxpyInt16Stride2(dst []int32, x []int16, w int16) {
-	n := len(dst)
-	if m := (len(x) + 1) / 2; n > m {
-		n = m
-	}
-	if n == 0 {
-		return
-	}
-	// The vector body loads whole pairs; when the final element's odd
-	// partner is past the end of x, finish that element in Go.
-	if len(x) >= 2*n {
-		axpyInt16Stride2(dst[:n], x, w)
-		return
-	}
-	axpyInt16Stride2(dst[:n-1], x, w)
-	dst[n-1] += int32(w) * int32(x[2*(n-1)])
-}
-
-// axpyInt16Stride2 is the SSE2 body of AxpyInt16Stride2; it requires
-// len(x) >= 2*len(dst).
-//
-//go:noescape
-func axpyInt16Stride2(dst []int32, x []int16, w int16)
 
 // WidenShiftInt8 computes dst[i] = int16(src[i]) - zp over
 // min(len(dst), len(src)) elements — the zero-point shift that turns

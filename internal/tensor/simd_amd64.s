@@ -2,63 +2,6 @@
 
 #include "textflag.h"
 
-// func DotInt16(a, b []int16) int32
-//
-// Integer dot product via PMADDWD: each instruction multiplies eight
-// int16 pairs and sums adjacent products into four int32 lanes. The
-// main loop consumes 16 elements per iteration (two PMADDWD), the tail
-// runs scalar, and the four lanes are reduced at the end.
-TEXT ·DotInt16(SB), NOSPLIT, $0-52
-	MOVQ a_base+0(FP), SI
-	MOVQ a_len+8(FP), CX
-	MOVQ b_base+24(FP), DI
-	MOVQ b_len+32(FP), DX
-	CMPQ DX, CX
-	JGE  lenok
-	MOVQ DX, CX
-lenok:
-	PXOR X0, X0 // vector accumulator (4 x int32)
-	XORL AX, AX // scalar accumulator
-
-loop16:
-	CMPQ CX, $16
-	JLT  tail
-	MOVOU (SI), X1
-	MOVOU (DI), X2
-	PMADDWL X2, X1
-	PADDL X1, X0
-	MOVOU 16(SI), X3
-	MOVOU 16(DI), X4
-	PMADDWL X4, X3
-	PADDL X3, X0
-	ADDQ $32, SI
-	ADDQ $32, DI
-	SUBQ $16, CX
-	JMP  loop16
-
-tail:
-	CMPQ CX, $0
-	JLE  reduce
-	MOVWLSX (SI), BX
-	MOVWLSX (DI), R9
-	IMULL R9, BX
-	ADDL BX, AX
-	ADDQ $2, SI
-	ADDQ $2, DI
-	DECQ CX
-	JMP  tail
-
-reduce:
-	// Horizontal sum of the four int32 lanes.
-	PSHUFD $0xEE, X0, X1
-	PADDL X1, X0
-	PSHUFD $0x55, X0, X1
-	PADDL X1, X0
-	MOVQ X0, BX
-	ADDL BX, AX
-	MOVL AX, ret+48(FP)
-	RET
-
 // func AxpyInt16(dst []int32, x []int16, w int16)
 //
 // dst[i] += w * x[i]: the broadcast weight multiplies eight int16 lanes
@@ -111,49 +54,6 @@ atail:
 	JMP  atail
 
 adone:
-	RET
-
-// func axpyInt16Stride2(dst []int32, x []int16, w int16)
-//
-// dst[i] += w * x[2i], requiring len(x) >= 2*len(dst): PMADDWD against
-// the broadcast pair (w, 0) turns four whole input pairs into the four
-// even-element products directly. The scalar tail loads only the even
-// halfword, so it never touches the unused odd partner.
-TEXT ·axpyInt16Stride2(SB), NOSPLIT, $0-50
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), CX
-	MOVQ x_base+24(FP), SI
-	MOVWLSX w+48(FP), AX
-	MOVL AX, BX
-	ANDL $0xFFFF, BX // pair (w, 0): low word w, high word 0
-	MOVL BX, X7
-	PSHUFD $0, X7, X7 // (w, 0) in all four dwords
-
-sloop4:
-	CMPQ CX, $4
-	JLT  stail
-	MOVOU (SI), X1 // 4 pairs of int16
-	PMADDWL X7, X1 // 4 x int32: w * even element
-	MOVOU (DI), X2
-	PADDL X1, X2
-	MOVOU X2, (DI)
-	ADDQ $16, SI
-	ADDQ $16, DI
-	SUBQ $4, CX
-	JMP  sloop4
-
-stail:
-	CMPQ CX, $0
-	JLE  sdone
-	MOVWLSX (SI), BX
-	IMULL AX, BX
-	ADDL BX, (DI)
-	ADDQ $4, SI
-	ADDQ $4, DI
-	DECQ CX
-	JMP  stail
-
-sdone:
 	RET
 
 // func widenShiftInt8(dst []int16, src []int8, zp int16)

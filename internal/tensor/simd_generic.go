@@ -6,33 +6,10 @@ package tensor
 // independent accumulators break the add dependency chain, which is as
 // fast as scalar Go gets on current compilers.
 
-// FastInt8 reports whether the SIMD integer kernels back DotInt16 and
-// AxpyInt16; the portable fallbacks are correct but not faster than
+// FastInt8 reports whether SIMD integer kernels back AxpyInt16 and the
+// int16 GEMM; the portable fallbacks are correct but not faster than
 // scalar float code.
 const FastInt8 = false
-
-// DotInt16 returns the dot product of a and b over min(len(a), len(b))
-// elements with int32 accumulation.
-func DotInt16(a, b []int16) int32 {
-	if len(b) < len(a) {
-		a = a[:len(b)]
-	} else {
-		b = b[:len(a)]
-	}
-	var a0, a1, a2, a3 int32
-	i := 0
-	for ; i+4 <= len(a) && i+4 <= len(b); i += 4 {
-		a0 += int32(a[i]) * int32(b[i])
-		a1 += int32(a[i+1]) * int32(b[i+1])
-		a2 += int32(a[i+2]) * int32(b[i+2])
-		a3 += int32(a[i+3]) * int32(b[i+3])
-	}
-	acc := a0 + a1 + a2 + a3
-	for ; i < len(a) && i < len(b); i++ {
-		acc += int32(a[i]) * int32(b[i])
-	}
-	return acc
-}
 
 // AxpyInt16 computes dst[i] += int32(w) * int32(x[i]) over
 // min(len(dst), len(x)) elements.
@@ -74,19 +51,5 @@ func PackPairShiftInt8(out []int16, r0, r1 []int8, zp int16) {
 	for i := 0; i < n; i++ {
 		out[2*i] = int16(r0[i]) - zp
 		out[2*i+1] = int16(r1[i]) - zp
-	}
-}
-
-// AxpyInt16Stride2 computes dst[i] += int32(w) * int32(x[2*i]) over
-// min(len(dst), ceil(len(x)/2)) elements — the accumulation step of a
-// stride-2 convolution row.
-func AxpyInt16Stride2(dst []int32, x []int16, w int16) {
-	n := len(dst)
-	if m := (len(x) + 1) / 2; n > m {
-		n = m
-	}
-	wv := int32(w)
-	for i := 0; i < n; i++ {
-		dst[i] += wv * int32(x[2*i])
 	}
 }

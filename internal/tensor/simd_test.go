@@ -5,40 +5,6 @@ import (
 	"testing"
 )
 
-// dotRef is the reference scalar dot the SIMD kernels must match.
-func dotRef(a, b []int16) int32 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	var acc int32
-	for i := 0; i < n; i++ {
-		acc += int32(a[i]) * int32(b[i])
-	}
-	return acc
-}
-
-func TestDotInt16(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{0, 1, 3, 7, 8, 15, 16, 17, 31, 63, 64, 257, 1000} {
-		a := make([]int16, n)
-		b := make([]int16, n)
-		for i := range a {
-			a[i] = int16(rng.Intn(511) - 255) // zero-point-shifted activation range
-			b[i] = int16(rng.Intn(255) - 127) // int8 weight code range
-		}
-		if got, want := DotInt16(a, b), dotRef(a, b); got != want {
-			t.Errorf("n=%d: DotInt16 = %d, want %d", n, got, want)
-		}
-	}
-	// Unequal lengths truncate to the shorter operand.
-	a := []int16{1, 2, 3, 4}
-	b := []int16{5, 6}
-	if got := DotInt16(a, b); got != 17 {
-		t.Errorf("truncated dot = %d, want 17", got)
-	}
-}
-
 func TestAxpyInt16(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{0, 1, 5, 8, 9, 16, 33, 100} {
@@ -79,42 +45,6 @@ func TestAxpyInt16Lengths(t *testing.T) {
 	}
 	AxpyInt16(nil, []int16{1}, 3)
 	AxpyInt16([]int32{1}, nil, 3)
-	if got := DotInt16(nil, nil); got != 0 {
-		t.Errorf("empty dot = %d, want 0", got)
-	}
-}
-
-func TestAxpyInt16Stride2(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, n := range []int{0, 1, 3, 4, 5, 8, 15, 16, 17, 100} {
-		for _, xLen := range []int{2 * n, 2*n - 1, 2 * n, 2*n + 3} {
-			if xLen < 0 {
-				continue
-			}
-			for _, w := range []int16{-127, -1, 0, 2, 89} {
-				x := make([]int16, xLen)
-				for i := range x {
-					x[i] = int16(rng.Intn(511) - 255)
-				}
-				dst := make([]int32, n)
-				want := make([]int32, n)
-				for i := range dst {
-					dst[i] = int32(rng.Intn(1000) - 500)
-					want[i] = dst[i]
-					if 2*i < xLen {
-						want[i] += int32(w) * int32(x[2*i])
-					}
-				}
-				AxpyInt16Stride2(dst, x, w)
-				for i := range dst {
-					if dst[i] != want[i] {
-						t.Fatalf("n=%d xLen=%d w=%d: dst[%d] = %d, want %d",
-							n, xLen, w, i, dst[i], want[i])
-					}
-				}
-			}
-		}
-	}
 }
 
 func TestWidenShiftInt8(t *testing.T) {
@@ -195,21 +125,6 @@ func TestPackPairShiftInt8(t *testing.T) {
 		}
 	}
 	PackPairShiftInt8(nil, nil, nil, 3)
-}
-
-func BenchmarkDotInt16(b *testing.B) {
-	x := make([]int16, 1024)
-	y := make([]int16, 1024)
-	for i := range x {
-		x[i] = int16(i%509 - 254)
-		y[i] = int16(i%251 - 125)
-	}
-	b.SetBytes(2048)
-	var sink int32
-	for i := 0; i < b.N; i++ {
-		sink += DotInt16(x, y)
-	}
-	_ = sink
 }
 
 func BenchmarkAxpyInt16(b *testing.B) {
