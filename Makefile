@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-full test-race test-portable fuzz-smoke bench bench-kernels bench-json bench-gate bench-front serve-demo load-smoke docs pack-demo release-demo release-verify ci
+.PHONY: all build vet loc test test-full test-race test-portable fuzz-smoke bench bench-kernels bench-json bench-gate bench-front serve-demo load-smoke docs pack-demo release-demo release-verify ci
 
 all: ci
 
@@ -9,6 +9,11 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# loc prints non-test Go lines per internal/* package and the repo
+# total: the one command a PR's LoC delta is read from.
+loc:
+	@./scripts/loc.sh
 
 # test runs the suite at reduced experiment fidelity (CI default).
 test:
@@ -19,11 +24,12 @@ test-full:
 	$(GO) test ./...
 
 # test-race runs the concurrent packages under the race detector, then
-# stresses the batching tests: they form batches by holding a gate, not
-# by wall clock, so twenty runs in a row must agree.
+# stresses the batching tests and the cluster's admission, routing and
+# close tests: they form batches and backlogs by holding a gate, not by
+# wall clock, so twenty runs in a row must agree.
 test-race:
 	$(GO) test -short -race ./internal/inference/... ./internal/microserver/... ./internal/cluster/... ./internal/serve/... ./internal/rvbackend/... ./internal/riscv/... ./internal/soc/... ./internal/cfu/...
-	$(GO) test -race -count=20 -run 'Batch|Dispatch|Gate' ./internal/microserver/ ./internal/serve/
+	$(GO) test -race -count=20 -run 'Batch|Dispatch|Gate|Admission|Saturated|CloseResolves' ./internal/microserver/ ./internal/serve/ ./internal/cluster/
 
 # test-portable exercises the pure-Go micro-kernel fallbacks (noasm /
 # purego build tags) and the narrowed runtime dispatch tiers — the same

@@ -61,6 +61,17 @@ import (
 	"vedliot/internal/zoo"
 )
 
+// HTTP adapter timeouts: a client that stalls mid-headers, mid-body or
+// mid-response, or parks an idle keep-alive connection, is cut off
+// instead of holding a connection and its goroutine for good. An infer
+// request is one JSON tensor map in and one out, served in milliseconds.
+const (
+	httpReadHeaderTimeout = 5 * time.Second
+	httpReadTimeout       = 30 * time.Second
+	httpWriteTimeout      = 30 * time.Second
+	httpIdleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	chassisName := flag.String("chassis", "urecs", "chassis: urecs, trecs, recsbox")
 	modules := flag.String("modules", "SMARC ARM,Jetson Xavier NX", "comma-separated module names (slot order)")
@@ -69,7 +80,7 @@ func main() {
 	requests := flag.Int("requests", 120, "trace length")
 	rate := flag.Float64("rate", 400, "open-loop arrival rate (req/s)")
 	seed := flag.Int64("seed", 42, "trace seed")
-	queue := flag.Int("queue", 256, "admission queue depth")
+	queue := flag.Int("queue", 256, "admission bound: requests a model has admitted and not yet answered")
 	emulate := flag.Bool("emulate", true, "stretch accelerator requests to modeled latency")
 	int8Serve := flag.Bool("int8", false, "calibrate the model and serve INT8-capable accelerator replicas on the native quantized engine")
 	socTier := flag.Bool("soc-tier", false, "also mount the RISC-V CFU SoM: a replica serving INT8 firmware on the emulated SoC (requires -int8 or an artifact with an embedded schema)")
@@ -415,7 +426,14 @@ func runListen(sched *cluster.Scheduler, addr, httpAddr string, keys map[string]
 		srv.Addr(), mode, policy.MaxBatch, policy.MaxDelay)
 	var hsrv *http.Server
 	if httpAddr != "" {
-		hsrv = &http.Server{Addr: httpAddr, Handler: srv.Handler()}
+		hsrv = &http.Server{
+			Addr:              httpAddr,
+			Handler:           srv.Handler(),
+			ReadHeaderTimeout: httpReadHeaderTimeout,
+			ReadTimeout:       httpReadTimeout,
+			WriteTimeout:      httpWriteTimeout,
+			IdleTimeout:       httpIdleTimeout,
+		}
 		go func() {
 			if err := hsrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				fmt.Fprintln(os.Stderr, "vedliot-serve: http:", err)

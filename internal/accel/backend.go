@@ -152,15 +152,6 @@ func (p *Program) Device() *Device { return p.device }
 // execution.
 func (p *Program) Executable() inference.Executable { return p.exec }
 
-// HostEngine returns the host FP32 engine backing the program, or nil
-// when the program executes on the native quantized engine. Serving
-// layers use it to reach the shared engine regardless of which backend
-// compiled the model.
-func (p *Program) HostEngine() *inference.Engine {
-	eng, _ := p.exec.(*inference.Engine)
-	return eng
-}
-
 // Quantized reports whether functional execution runs on the native
 // INT8 engine.
 func (p *Program) Quantized() bool { return p.quantized }

@@ -7,13 +7,14 @@
 // inference.Backend/Executable pair, the cluster-level extension of the
 // paper's cross-accelerator methodology.
 //
-// A Scheduler owns one admission queue per deployed model. Requests
-// enter through blocking Infer or asynchronous Submit/Wait, and a
-// router assigns each to the replica with the lowest estimated
-// completion cost: the backend's roofline-predicted latency (or an
-// observed EWMA for backends without a device model) scaled by the
-// replica's current queue depth, with a power-aware tie-break from the
-// chassis module power envelope.
+// A Scheduler owns one admission bound per deployed model. Requests
+// enter through blocking Infer or asynchronous Submit/Wait; Submit
+// routes on the caller's goroutine, handing each request straight to
+// the replica with the lowest estimated completion cost: the backend's
+// roofline-predicted latency (or an observed EWMA for backends without
+// a device model) scaled by the replica's current queue depth, with a
+// power-aware tie-break from the chassis module power envelope. The
+// replica's dispatcher resolves the ticket; no goroutine sits between.
 package cluster
 
 import (
@@ -44,8 +45,8 @@ type latencyModel interface {
 
 // Errors returned by the admission path.
 var (
-	// ErrOverloaded reports a full admission queue: the request was
-	// shed, not queued.
+	// ErrOverloaded reports QueueDepth tickets already admitted and
+	// unresolved: the request was shed, not queued.
 	ErrOverloaded = errors.New("cluster: admission queue full")
 	// ErrClosed reports a scheduler or deployment that has shut down.
 	ErrClosed = errors.New("cluster: scheduler closed")
@@ -53,11 +54,13 @@ var (
 
 // Config tunes the fleet scheduler.
 type Config struct {
-	// QueueDepth is the per-model admission queue capacity (default 64).
-	// Submit sheds load with ErrOverloaded once it is full.
+	// QueueDepth bounds, per model, the tickets admitted and not yet
+	// resolved — queued on a replica or running (default 64). Submit
+	// sheds the next one with ErrOverloaded.
 	QueueDepth int
-	// Serve configures each replica's batching server.
-	Serve microserver.ServeConfig
+	// MaxBatch caps how many queued requests a replica fuses into one
+	// engine dispatch (default: the microserver.ServeConfig default).
+	MaxBatch int
 	// EmulateLatency stretches every accelerator-backed request to its
 	// roofline-predicted latency (functional execution on the host is
 	// usually faster than the model), so trace replays exhibit the
@@ -178,7 +181,11 @@ func (s *Scheduler) DeployArtifactOn(name string, slots ...int) (*Deployment, er
 	if schema == nil {
 		schema = s.cfg.Schema
 	}
-	return s.deploy(m.Graph, schema, reg.Plans(), m.Digest, artifact.SchemaDigest(schema), slots)
+	schemaDigest := artifact.SchemaDigest(schema)
+	return s.deploy(m.Graph, schema, m.Digest, slots, func(b inference.Backend) (inference.Executable, error) {
+		exe, _, err := reg.Plans().Compile(planKey(m.Digest, b, schemaDigest), b, m.Graph)
+		return exe, err
+	})
 }
 
 // poweredSlots lists the chassis slots currently powered on.
@@ -197,14 +204,19 @@ func (s *Scheduler) poweredSlots() []int {
 // Every replica is probed with one warm-up inference, which verifies
 // the backend end to end and seeds the observed-latency estimate.
 func (s *Scheduler) DeployOn(g *nn.Graph, slots ...int) (*Deployment, error) {
-	return s.deploy(g, s.cfg.Schema, nil, "", "", slots)
+	return s.deploy(g, s.cfg.Schema, "", slots, func(b inference.Backend) (inference.Executable, error) {
+		return b.Compile(g)
+	})
 }
 
-// deploy is the shared placement path: one replica server per slot,
-// each compiled for its module's backend — directly for in-process
-// graphs, or through the fleet-wide plan cache when deploying an
-// artifact (plans non-nil, digest set).
-func (s *Scheduler) deploy(g *nn.Graph, schema *nn.QuantSchema, plans *inference.PlanCache, digest, schemaDigest string, slots []int) (*Deployment, error) {
+// compileFunc produces the executable a replica serves on one backend.
+type compileFunc func(inference.Backend) (inference.Executable, error)
+
+// deploy is the shared placement path: one replica server per slot over
+// what compile returns for the slot's backend — a fresh plan for
+// in-process graphs, the fleet-wide cached one for an artifact (digest
+// set).
+func (s *Scheduler) deploy(g *nn.Graph, schema *nn.QuantSchema, digest string, slots []int, compile compileFunc) (*Deployment, error) {
 	if len(slots) == 0 {
 		return nil, fmt.Errorf("cluster: deploy %q: no slots", g.Name)
 	}
@@ -219,90 +231,55 @@ func (s *Scheduler) deploy(g *nn.Graph, schema *nn.QuantSchema, plans *inference
 	}
 	s.mu.Unlock()
 
-	d := &Deployment{
-		model:       g.Name,
-		digest:      digest,
-		inputNames:  append([]string(nil), g.Inputs...),
-		outputNames: append([]string(nil), g.Outputs...),
-		queue:       make(chan *Ticket, s.cfg.QueueDepth),
-		quit:        make(chan struct{}),
-		emulate:     s.cfg.EmulateLatency,
-	}
+	d := newDeployment(g, digest, s.cfg)
 	for _, idx := range slots {
-		if idx < 0 || idx >= len(s.chassis.Slots) {
-			d.closeReplicas()
-			return nil, fmt.Errorf("cluster: %s has no slot %d", s.chassis.Name, idx)
-		}
-		slot := s.chassis.Slots[idx]
-		mod := slot.Module()
-		if mod == nil || !slot.Powered() {
-			d.closeReplicas()
-			return nil, fmt.Errorf("cluster: slot %d has no powered module", idx)
-		}
-		backend, err := BackendForModule(mod, schema)
-		if err != nil {
-			d.closeReplicas()
+		if err := s.place(d, g, schema, idx, compile); err != nil {
+			d.close()
 			return nil, err
 		}
-		var srv *microserver.Server
-		if plans != nil {
-			exe, _, cerr := plans.Compile(planKey(digest, backend, schemaDigest), backend, g, s.cfg.Serve.EngineOptions...)
-			if cerr == nil {
-				srv, err = microserver.ServeCompiled(g, exe, backend.Name(), s.cfg.Serve)
-			} else {
-				err = cerr
-			}
-		} else {
-			srv, err = microserver.ServeBackend(g, backend, s.cfg.Serve)
-		}
-		if err != nil {
-			d.closeReplicas()
-			return nil, fmt.Errorf("cluster: slot %d (%s): %w", idx, mod.Name, err)
-		}
-		r := &Replica{
-			id:     len(d.replicas),
-			slot:   idx,
-			module: mod.Name,
-			server: srv,
-			idleW:  mod.IdleW,
-			maxW:   mod.MaxW,
-		}
-		if digest != "" {
-			// Artifact deployments run inside a modeled enclave whose
-			// measurement binds the replica's identity to the exact plan
-			// it executes: artifact digest, backend, hosting module. The
-			// attestation path (Deployment.Attest) quotes it.
-			r.enclave = tee.NewEnclave(ReplicaImage(digest, backend.Name(), mod.Name), tee.SGXCosts())
-		}
-		// Any executable with a latency model feeds the router's cost
-		// signal: roofline predictions from accel programs, measured
-		// cycles-per-inference from SoC firmware.
-		if p, ok := srv.Executable().(latencyModel); ok {
-			if lat, err := p.PredictLatency(1); err == nil {
-				r.modeled = lat
-			}
-		}
-		d.replicas = append(d.replicas, r)
 	}
 	if err := d.warmup(g); err != nil {
-		d.closeReplicas()
+		d.close()
 		return nil, err
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		d.closeReplicas()
+		d.close()
 		return nil, ErrClosed
 	}
 	if _, dup := s.deployments[g.Name]; dup {
-		d.closeReplicas()
+		d.close()
 		return nil, fmt.Errorf("cluster: model %q already deployed", g.Name)
 	}
 	s.deployments[g.Name] = d
-	d.routerWG.Add(1)
-	go d.route()
 	return d, nil
+}
+
+// place compiles the model for the module in one chassis slot and adds
+// the replica serving it.
+func (s *Scheduler) place(d *Deployment, g *nn.Graph, schema *nn.QuantSchema, idx int, compile compileFunc) error {
+	if idx < 0 || idx >= len(s.chassis.Slots) {
+		return fmt.Errorf("cluster: %s has no slot %d", s.chassis.Name, idx)
+	}
+	slot := s.chassis.Slots[idx]
+	mod := slot.Module()
+	if mod == nil || !slot.Powered() {
+		return fmt.Errorf("cluster: slot %d has no powered module", idx)
+	}
+	backend, err := BackendForModule(mod, schema)
+	if err != nil {
+		return err
+	}
+	exe, err := compile(backend)
+	if err == nil {
+		err = d.addReplica(g, exe, backend.Name(), idx, mod)
+	}
+	if err != nil {
+		return fmt.Errorf("cluster: slot %d (%s): %w", idx, mod.Name, err)
+	}
+	return nil
 }
 
 // Deployment returns the fleet serving the named model. The empty name
@@ -394,8 +371,8 @@ func (s *Scheduler) PowerW() float64 {
 	return s.chassis.PowerW(util)
 }
 
-// Close shuts every deployment down: queued requests are failed,
-// in-flight ones complete, replica servers are released.
+// Close shuts every deployment down: queued requests resolve with
+// ErrClosed, running ones complete, replica servers are released.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -413,8 +390,8 @@ func (s *Scheduler) Close() {
 	}
 }
 
-// Deployment is one model's fleet: its replicas, admission queue and
-// router.
+// Deployment is one model's fleet: its replicas, admission bound and
+// routing rule.
 type Deployment struct {
 	model string
 	// digest is the content digest of the artifact the fleet runs, empty
@@ -425,23 +402,67 @@ type Deployment struct {
 	outputNames []string
 	replicas    []*Replica
 	emulate     bool
+	// serve.QueueDepth is the admission bound and the capacity of every
+	// replica's queue, so an admitted ticket always finds room and the
+	// enqueue in SubmitCtx cannot block.
+	serve microserver.ServeConfig
 
-	queue    chan *Ticket
-	quit     chan struct{}
-	routerWG sync.WaitGroup
-	reqWG    sync.WaitGroup
-
-	// lifeMu serializes shutdown against admissions, mirroring the
-	// microserver.Server pattern: Submit holds a read lock across its
-	// enqueue so close cannot mark the deployment closed while a ticket
-	// is between the closed-check and the queue.
-	lifeMu sync.RWMutex
-	closed bool
+	// closed refuses admissions once close has begun. A Submit that read
+	// it just before still resolves: the replica server it reaches either
+	// queues it ahead of the drain or returns microserver.ErrClosed.
+	closed atomic.Bool
+	// inflight counts tickets admitted and not yet resolved.
+	inflight atomic.Int64
 
 	submitted atomic.Int64
 	completed atomic.Int64
 	rejected  atomic.Int64
 	cancelled atomic.Int64
+}
+
+func newDeployment(g *nn.Graph, digest string, cfg Config) *Deployment {
+	return &Deployment{
+		model:       g.Name,
+		digest:      digest,
+		inputNames:  append([]string(nil), g.Inputs...),
+		outputNames: append([]string(nil), g.Outputs...),
+		emulate:     cfg.EmulateLatency,
+		serve:       microserver.ServeConfig{MaxBatch: cfg.MaxBatch, QueueDepth: cfg.QueueDepth},
+	}
+}
+
+// addReplica starts a replica server over the executable compiled for
+// the module mounted in the given slot.
+func (d *Deployment) addReplica(g *nn.Graph, exe inference.Executable, backendName string, slot int, mod *microserver.Module) error {
+	srv, err := microserver.ServeCompiled(g, exe, backendName, d.serve)
+	if err != nil {
+		return err
+	}
+	r := &Replica{
+		id:     len(d.replicas),
+		slot:   slot,
+		module: mod.Name,
+		server: srv,
+		idleW:  mod.IdleW,
+		maxW:   mod.MaxW,
+	}
+	if d.digest != "" {
+		// Artifact deployments run inside a modeled enclave whose
+		// measurement binds the replica's identity to the exact plan
+		// it executes: artifact digest, backend, hosting module. The
+		// attestation path (Deployment.Attest) quotes it.
+		r.enclave = tee.NewEnclave(ReplicaImage(d.digest, backendName, mod.Name), tee.SGXCosts())
+	}
+	// Any executable with a latency model feeds the router's cost
+	// signal: roofline predictions from accel programs, measured
+	// cycles-per-inference from SoC firmware.
+	if p, ok := exe.(latencyModel); ok {
+		if lat, err := p.PredictLatency(1); err == nil {
+			r.modeled = lat
+		}
+	}
+	d.replicas = append(d.replicas, r)
+	return nil
 }
 
 // Model returns the deployed model's name.
@@ -490,37 +511,75 @@ func (d *Deployment) warmup(g *nn.Graph) error {
 }
 
 // Submit admits one request without blocking for its result; the
-// returned Ticket resolves through Wait. A full admission queue sheds
-// the request with ErrOverloaded.
+// returned Ticket resolves through Wait. With QueueDepth tickets
+// already outstanding it sheds the request with ErrOverloaded.
 func (d *Deployment) Submit(inputs map[string]*tensor.Tensor) (*Ticket, error) {
 	return d.SubmitCtx(context.Background(), inputs)
 }
 
-// SubmitCtx is Submit with the caller's context attached to the ticket:
-// if the context ends while the request is still queued — in the
-// admission queue or a replica's batch queue — the request resolves
-// with the context error without consuming replica time. A request
-// already running on an engine completes normally (dispatches are not
-// preemptible); its result is simply discarded by the caller.
+// SubmitCtx is Submit with the caller's context attached: the request
+// is routed here, on the caller's goroutine, and handed to the chosen
+// replica's queue, which has room for every admitted ticket. If the
+// context ends while the request is still queued there it resolves with
+// the context error without consuming replica time. A request already
+// running on an engine completes normally (dispatches are not
+// preemptible); its result is simply discarded by the caller. The
+// ticket resolves on the replica's dispatcher goroutine.
 func (d *Deployment) SubmitCtx(ctx context.Context, inputs map[string]*tensor.Tensor) (*Ticket, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	d.lifeMu.RLock()
-	defer d.lifeMu.RUnlock()
-	if d.closed {
+	if d.closed.Load() {
 		return nil, ErrClosed
 	}
-	tk := &Ticket{ctx: ctx, ins: inputs, done: make(chan struct{}), start: time.Now()}
 	// Counted shed or not: Submitted == Completed + Rejected must hold.
 	d.submitted.Add(1)
-	select {
-	case d.queue <- tk:
-		return tk, nil
-	default:
+	if d.inflight.Add(1) > int64(d.serve.QueueDepth) {
+		d.inflight.Add(-1)
 		d.rejected.Add(1)
 		return nil, ErrOverloaded
 	}
+	r := d.pick()
+	tk := &Ticket{done: make(chan struct{}), start: time.Now(), replica: r}
+	depth := r.inflight.Add(1)
+	rows := batchRows(inputs, d.inputNames)
+	resolve := func(outs map[string]*tensor.Tensor, err error, wall time.Duration) {
+		if errors.Is(err, microserver.ErrClosed) {
+			err = ErrClosed
+		}
+		r.inflight.Add(-1)
+		// Normalize the observation to per-sample service time: wall
+		// time ≈ depth × service when requests ahead serialize, and a
+		// coalesced ticket carries `rows` samples in one dispatch, so
+		// the EWMA tracks per-sample service rather than congestion or
+		// batch size — congestion is already priced into the routing
+		// cost via the inflight factor, and the front door's adaptive
+		// batching must not read as a slower replica.
+		r.observe(perSampleWall(wall, depth, rows), err)
+		if err != nil && ctx.Err() != nil {
+			d.cancelled.Add(1)
+		}
+		tk.outs, tk.err = outs, err
+		tk.latency = time.Since(tk.start)
+		// The slot is free before the waiter wakes: a caller that
+		// resubmits on completion is never shed by its own ticket.
+		d.inflight.Add(-1)
+		d.completed.Add(1)
+		close(tk.done)
+	}
+	err := r.server.Submit(ctx, inputs, func(outs map[string]*tensor.Tensor, err error) {
+		wall := time.Since(tk.start)
+		if d.emulate && err == nil && r.modeled > wall {
+			time.AfterFunc(r.modeled-wall, func() { resolve(outs, nil, r.modeled) })
+			return
+		}
+		resolve(outs, err, wall)
+	})
+	if err != nil {
+		// The caller vanished or close landed since the checks above.
+		resolve(nil, err, 0)
+	}
+	return tk, nil
 }
 
 // Infer admits one request and blocks until its result is ready.
@@ -554,105 +613,6 @@ func (d *Deployment) InferSingle(in *tensor.Tensor) (*tensor.Tensor, error) {
 	return outs[d.outputNames[0]], nil
 }
 
-// route is the deployment's router: it drains the admission queue and
-// dispatches every ticket to the cheapest replica.
-func (d *Deployment) route() {
-	defer d.routerWG.Done()
-	for {
-		// Once shutdown has begun, fail queued tickets instead of
-		// dispatching them, keeping close prompt and deterministic.
-		select {
-		case <-d.quit:
-			d.drain()
-			return
-		default:
-		}
-		select {
-		case tk := <-d.queue:
-			d.dispatch(tk)
-		case <-d.quit:
-			d.drain()
-			return
-		}
-	}
-}
-
-// drain fails tickets that were still queued when shutdown began. They
-// count as completed (with ErrClosed), preserving the Stats invariant
-// submitted == completed + rejected.
-func (d *Deployment) drain() {
-	for {
-		select {
-		case tk := <-d.queue:
-			tk.err = ErrClosed
-			d.completed.Add(1)
-			close(tk.done)
-		default:
-			return
-		}
-	}
-}
-
-// dispatch routes one ticket: cost-aware replica selection, a hand-off
-// into the replica's batching queue (which blocks while the replica is
-// saturated — node-level backpressure that in turn fills the admission
-// queue and sheds load), then asynchronous completion.
-func (d *Deployment) dispatch(tk *Ticket) {
-	// A caller that vanished while the ticket sat in the admission
-	// queue is dropped here, before it costs a replica anything.
-	if err := tk.ctx.Err(); err != nil {
-		tk.err = err
-		d.cancelled.Add(1)
-		d.completed.Add(1)
-		close(tk.done)
-		return
-	}
-	r := d.pick()
-	depth := r.inflight.Add(1)
-	rows := batchRows(tk.ins, d.inputNames)
-	start := time.Now()
-	pending, err := r.server.SubmitMapCtx(tk.ctx, tk.ins)
-	if err != nil {
-		r.inflight.Add(-1)
-		r.observe(0, err)
-		if tk.ctx.Err() != nil {
-			d.cancelled.Add(1)
-		}
-		tk.err = err
-		tk.replica = r
-		d.completed.Add(1)
-		close(tk.done)
-		return
-	}
-	d.reqWG.Add(1)
-	go func() {
-		defer d.reqWG.Done()
-		outs, err := pending.Wait()
-		wall := time.Since(start)
-		if d.emulate && err == nil && r.modeled > wall {
-			time.Sleep(r.modeled - wall)
-			wall = r.modeled
-		}
-		r.inflight.Add(-1)
-		// Normalize the observation to per-sample service time: wall
-		// time ≈ depth × service when requests ahead serialize, and a
-		// coalesced ticket carries `rows` samples in one dispatch, so
-		// the EWMA tracks per-sample service rather than congestion or
-		// batch size — congestion is already priced into the routing
-		// cost via the inflight factor, and the front door's adaptive
-		// batching must not read as a slower replica.
-		r.observe(perSampleWall(wall, depth, rows), err)
-		if err != nil && tk.ctx.Err() != nil {
-			d.cancelled.Add(1)
-		}
-		tk.outs, tk.err = outs, err
-		tk.replica = r
-		tk.latency = time.Since(tk.start)
-		d.completed.Add(1)
-		close(tk.done)
-	}()
-}
-
 // batchRows reads the number of coalesced samples a request carries:
 // the leading (batch) dimension of its first declared input.
 func batchRows(ins map[string]*tensor.Tensor, inputNames []string) int64 {
@@ -677,41 +637,38 @@ func perSampleWall(wall time.Duration, depth, rows int64) time.Duration {
 }
 
 // pick returns the replica with the lowest estimated completion cost:
-// per-request service estimate scaled by queue depth. Costs within 2%
-// of each other are considered tied and resolved toward the lower
-// worst-case module power — the chassis power model's tie-break.
+// per-request service estimate scaled by queue depth, ties by cheapest.
+// It reads only atomics, so concurrent Submits route without a lock.
 func (d *Deployment) pick() *Replica {
-	var best *Replica
-	var bestCost float64
-	for _, r := range d.replicas {
-		c := float64(r.inflight.Load()+1) * float64(r.ServiceEstimate())
-		switch {
-		case best == nil || c < 0.98*bestCost:
-			best, bestCost = r, c
-		case c <= 1.02*bestCost && r.maxW < best.maxW:
-			best, bestCost = r, c
+	return d.replicas[cheapest(len(d.replicas),
+		func(i int) float64 {
+			r := d.replicas[i]
+			return float64(r.inflight.Load()+1) * float64(r.ServiceEstimate())
+		},
+		func(i int) float64 { return d.replicas[i].maxW })]
+}
+
+// cheapest is the routing rule: the index in [0, n) with the lowest
+// cost, where costs within 2% of the running best are tied and resolve
+// toward the lower worst-case module power — the chassis power model's
+// tie-break. Deployment.pick and SimulateTrace both route through it.
+func cheapest(n int, cost, maxW func(int) float64) int {
+	best, bestCost := 0, cost(0)
+	for i := 1; i < n; i++ {
+		c := cost(i)
+		if c < 0.98*bestCost || (c <= 1.02*bestCost && maxW(i) < maxW(best)) {
+			best, bestCost = i, c
 		}
 	}
 	return best
 }
 
-// close shuts the deployment down: admissions stop, queued tickets
-// fail, in-flight requests complete, replica servers are released.
+// close shuts the deployment down: admissions stop, then each replica
+// server closes — its running batch completes and its queued tickets
+// resolve with ErrClosed. Completions parked on an EmulateLatency timer
+// resolve when it fires.
 func (d *Deployment) close() {
-	d.lifeMu.Lock()
-	if d.closed {
-		d.lifeMu.Unlock()
-		return
-	}
-	d.closed = true
-	close(d.quit)
-	d.lifeMu.Unlock()
-	d.routerWG.Wait()
-	d.reqWG.Wait()
-	d.closeReplicas()
-}
-
-func (d *Deployment) closeReplicas() {
+	d.closed.Store(true)
 	for _, r := range d.replicas {
 		r.server.Close()
 	}
@@ -761,8 +718,6 @@ func (s Stats) ReplicaTable() []string {
 
 // Ticket is one admitted request; Wait blocks for its result.
 type Ticket struct {
-	ctx     context.Context
-	ins     map[string]*tensor.Tensor
 	outs    map[string]*tensor.Tensor
 	err     error
 	done    chan struct{}
@@ -780,7 +735,7 @@ func (t *Ticket) Wait() (map[string]*tensor.Tensor, error) {
 // WaitCtx is Wait that also aborts when the given context ends. An
 // abort does not invalidate the ticket: if the request was submitted
 // with a different (still-live) context it keeps its place in the
-// queue, and a later Wait can still collect the result.
+// replica's queue, and a later Wait can still collect the result.
 func (t *Ticket) WaitCtx(ctx context.Context) (map[string]*tensor.Tensor, error) {
 	select {
 	case <-t.done:
@@ -797,8 +752,8 @@ func (t *Ticket) Latency() time.Duration {
 	return t.latency
 }
 
-// Replica returns the fleet member that served the request; valid after
-// Wait (nil for tickets failed by shutdown).
+// Replica returns the fleet member the request was routed to; valid
+// after Wait.
 func (t *Ticket) Replica() *Replica {
 	<-t.done
 	return t.replica
@@ -868,12 +823,13 @@ func (r *Replica) ServiceEstimate() time.Duration {
 	return time.Millisecond
 }
 
-// isShed reports whether an error is load shedding or caller
+// isShed reports whether an error is load shedding, shutdown or caller
 // disappearance rather than a replica fault: such requests never ran,
 // so they must stay out of both the failure count and the service-time
 // EWMA the router weighs.
 func isShed(err error) bool {
 	return errors.Is(err, ErrOverloaded) ||
+		errors.Is(err, ErrClosed) ||
 		errors.Is(err, context.Canceled) ||
 		errors.Is(err, context.DeadlineExceeded)
 }

@@ -32,8 +32,8 @@ func urecsFleet(t *testing.T) *microserver.Chassis {
 }
 
 // oneReplicaScheduler builds a scheduler over a single host-CPU module
-// whose replica takes one request at a time, so a burst backs up into
-// the admission queue of the given depth.
+// whose replica runs one request at a time, so a burst backs up behind
+// it to the given admission depth.
 func oneReplicaScheduler(t *testing.T, queueDepth int) *Scheduler {
 	t.Helper()
 	c := microserver.NewURECS()
@@ -44,10 +44,7 @@ func oneReplicaScheduler(t *testing.T, queueDepth int) *Scheduler {
 	if err := c.Insert(0, m); err != nil {
 		t.Fatal(err)
 	}
-	return NewScheduler(c, Config{
-		QueueDepth: queueDepth,
-		Serve:      microserver.ServeConfig{MaxBatch: 1, QueueDepth: 1},
-	})
+	return NewScheduler(c, Config{QueueDepth: queueDepth, MaxBatch: 1})
 }
 
 func gestureModel() *nn.Graph {
@@ -159,9 +156,9 @@ func TestSubmitWaitAsync(t *testing.T) {
 }
 
 // TestAdmissionShedsWhenSaturated pins the admission-control path: with
-// a single slow replica, a tiny replica queue and a tiny admission
-// queue, an open-loop burst must shed some requests with ErrOverloaded
-// while every admitted request still resolves.
+// a single slow replica and an admission depth of one, an open-loop
+// burst must shed some requests with ErrOverloaded while every admitted
+// request still resolves.
 func TestAdmissionShedsWhenSaturated(t *testing.T) {
 	sched := oneReplicaScheduler(t, 1)
 	defer sched.Close()
@@ -325,25 +322,62 @@ func TestRoutingPrefersFastestAtLowLoad(t *testing.T) {
 	}
 }
 
-// TestPickPowerTieBreak pins the power-aware tie-break: equal costs
-// resolve toward the lower worst-case module power.
+// TestPickPowerTieBreak drives the one routing rule from one table,
+// directly and through both of its callers: costs within 2% of the
+// running best tie and resolve toward the lower worst-case module
+// power; outside the band the cheaper replica wins whatever it draws.
 func TestPickPowerTieBreak(t *testing.T) {
-	hungry := &Replica{id: 0, module: "hungry", modeled: time.Millisecond, maxW: 40}
-	frugal := &Replica{id: 1, module: "frugal", modeled: time.Millisecond, maxW: 5}
-	d := &Deployment{replicas: []*Replica{hungry, frugal}}
-	if got := d.pick(); got != frugal {
-		t.Errorf("pick chose %s, want frugal module on cost tie", got.module)
+	type member struct {
+		service  time.Duration
+		inflight int64 // requests ahead: cost is (inflight+1) x service
+		maxW     float64
 	}
-	// A clear cost gap overrides the power preference.
-	hungry.modeled = 100 * time.Microsecond
-	if got := d.pick(); got != hungry {
-		t.Errorf("pick chose %s, want the clearly faster replica", got.module)
+	const us = time.Microsecond
+	cases := []struct {
+		name  string
+		fleet []member
+		want  int
+	}{
+		{"equal costs, lower MaxW wins", []member{{1000 * us, 0, 40}, {1000 * us, 0, 5}}, 1},
+		{"equal costs, equal MaxW keeps the first", []member{{1000 * us, 0, 5}, {1000 * us, 0, 5}}, 0},
+		{"clear gap overrides power", []member{{100 * us, 0, 40}, {1000 * us, 0, 5}}, 0},
+		{"queue depth scales the cost", []member{{100 * us, 50, 40}, {1000 * us, 0, 5}}, 1},
+		{"1.9% dearer and frugal: tied, power wins", []member{{100000, 0, 40}, {101900, 0, 5}}, 1},
+		{"2.1% dearer and frugal: outside the band", []member{{100000, 0, 40}, {102100, 0, 5}}, 0},
+		{"1.9% cheaper but hungry: tied, stays", []member{{100000, 0, 5}, {98100, 0, 40}}, 0},
+		{"2.1% cheaper and hungry: cost wins", []member{{100000, 0, 5}, {97900, 0, 40}}, 1},
+		{"ties chain to the lowest MaxW", []member{{100000, 0, 40}, {101000, 0, 5}, {101500, 0, 3}}, 2},
+		{"single replica", []member{{1000 * us, 3, 5}}, 0},
 	}
-	// Queue depth scales the cost: load the fast replica and the tie
-	// logic re-engages against its backlog.
-	hungry.inflight.Store(50)
-	if got := d.pick(); got != frugal {
-		t.Errorf("pick chose %s, want idle replica over deep queue", got.module)
+	for _, c := range cases {
+		cost := func(i int) time.Duration { return time.Duration(c.fleet[i].inflight+1) * c.fleet[i].service }
+		got := cheapest(len(c.fleet),
+			func(i int) float64 { return float64(cost(i)) },
+			func(i int) float64 { return c.fleet[i].maxW })
+		if got != c.want {
+			t.Errorf("%s: cheapest chose %d, want %d", c.name, got, c.want)
+		}
+
+		d := &Deployment{}
+		var sim []SimReplica
+		for i, m := range c.fleet {
+			r := &Replica{id: i, modeled: m.service, maxW: m.maxW}
+			r.inflight.Store(m.inflight)
+			d.replicas = append(d.replicas, r)
+			sim = append(sim, SimReplica{Service: cost(i), MaxW: m.maxW})
+		}
+		if got := d.pick().id; got != c.want {
+			t.Errorf("%s: pick chose replica %d, want %d", c.name, got, c.want)
+		}
+		// One arrival into an idle simulated fleet: completion time is
+		// the service time, so the same costs meet the same rule.
+		res, err := SimulateTrace(sim, Trace{Arrivals: []time.Duration{0}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.PerReplica[c.want].Served; got != 1 {
+			t.Errorf("%s: SimulateTrace served %d of 1 on replica %d: %+v", c.name, got, c.want, res.PerReplica)
+		}
 	}
 }
 

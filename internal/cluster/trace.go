@@ -126,20 +126,13 @@ func SimulateTrace(fleet []SimReplica, tr Trace) (SimResult, error) {
 	lats := make([]time.Duration, 0, len(tr.Arrivals))
 	var makespan time.Duration
 	for _, t := range tr.Arrivals {
-		best, bestComp := -1, time.Duration(0)
-		for j, f := range fleet {
-			start := t
-			if freeAt[j] > start {
-				start = freeAt[j]
-			}
-			comp := start + f.Service
-			switch {
-			case best < 0 || float64(comp) < 0.98*float64(bestComp):
-				best, bestComp = j, comp
-			case float64(comp) <= 1.02*float64(bestComp) && f.MaxW < fleet[best].MaxW:
-				best, bestComp = j, comp
-			}
-		}
+		// Cost is the completion time on each replica: the later of the
+		// arrival and the replica coming free, plus one service time.
+		comp := func(j int) time.Duration { return max(t, freeAt[j]) + fleet[j].Service }
+		best := cheapest(len(fleet),
+			func(j int) float64 { return float64(comp(j)) },
+			func(j int) float64 { return fleet[j].MaxW })
+		bestComp := comp(best)
 		freeAt[best] = bestComp
 		busy[best] += fleet[best].Service
 		served[best]++

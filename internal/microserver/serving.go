@@ -2,6 +2,7 @@ package microserver
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -18,10 +19,11 @@ type ServeConfig struct {
 	MaxBatch int
 	// QueueDepth is the request channel capacity (default 4*MaxBatch).
 	QueueDepth int
-	// EngineOptions configure compilation on the serving backend (for
-	// the CPU backend these are the host-engine options).
-	EngineOptions []inference.Option
 }
+
+// ErrClosed reports a server that has shut down: Submit returns it, and
+// requests still queued when Close landed complete with it.
+var ErrClosed = errors.New("microserver: server closed")
 
 func (c ServeConfig) withDefaults() ServeConfig {
 	if c.MaxBatch <= 0 {
@@ -71,16 +73,13 @@ func (s ServeStats) MeanBatch() float64 {
 type Server struct {
 	exe         inference.Executable
 	backendName string
-	graphName   string
-	inputNames  []string
-	outputNames []string
 	cfg         ServeConfig
 
 	reqs chan *request
 	quit chan struct{}
 	wg   sync.WaitGroup
 
-	// lifeMu serializes shutdown against in-flight submissions: InferMap
+	// lifeMu serializes shutdown against in-flight submissions: Submit
 	// holds a read lock across its enqueue, so Close (write lock) cannot
 	// mark the server closed while a request is between the closed-check
 	// and the queue. Dispatcher goroutines never take lifeMu.
@@ -94,46 +93,16 @@ type Server struct {
 type request struct {
 	ctx  context.Context
 	ins  map[string]*tensor.Tensor
-	outs map[string]*tensor.Tensor
-	err  error
-	done chan struct{}
+	done func(outs map[string]*tensor.Tensor, err error)
 }
 
-// Serve compiles the graph on the host CPU backend and starts the
-// dispatcher — the historical single-node entry point, now a thin
-// wrapper over ServeBackend.
-func Serve(g *nn.Graph, cfg ServeConfig) (*Server, error) {
-	return ServeBackend(g, inference.CPUBackend{}, cfg)
-}
-
-// ServeBackend compiles the graph for the given backend and starts the
-// dispatcher. Graphs with any number of inputs and outputs are served:
-// full input/output maps flow through the batching queue (InferMap);
-// the single-tensor Infer shortcut additionally requires the 1-in/1-out
-// serving shape.
-func ServeBackend(g *nn.Graph, b inference.Backend, cfg ServeConfig) (*Server, error) {
-	if b == nil {
-		return nil, fmt.Errorf("microserver: nil backend")
-	}
-	if len(g.Inputs) == 0 || len(g.Outputs) == 0 {
-		return nil, fmt.Errorf("microserver: graph %q has %d inputs/%d outputs, need at least 1/1",
-			g.Name, len(g.Inputs), len(g.Outputs))
-	}
-	cfg = cfg.withDefaults()
-	exe, err := b.Compile(g, cfg.EngineOptions...)
-	if err != nil {
-		return nil, fmt.Errorf("microserver: compile %q for %s: %w", g.Name, b.Name(), err)
-	}
-	return ServeCompiled(g, exe, b.Name(), cfg)
-}
-
-// ServeCompiled starts the dispatcher over an already-compiled
-// executable — the plan-cache deployment path (inference.PlanCache):
-// when several replicas of one artifact share a backend, the fleet
-// layer compiles once and binds every server to the shared plan, so a
-// replica cold-start skips lowering entirely. The executable must be
-// safe for concurrent Run (both host engines and accel programs are);
-// Close releases only the server, never the shared plan.
+// ServeCompiled starts the dispatcher over a compiled executable. The
+// caller compiles — backend.Compile, or inference.PlanCache when
+// several replicas of one artifact share a backend, so every server
+// binds the one plan and a replica cold-start skips lowering. Graphs
+// with any number of inputs and outputs are served. The executable must
+// be safe for concurrent Run (both host engines and accel programs
+// are); Close releases only the server, never the plan.
 func ServeCompiled(g *nn.Graph, exe inference.Executable, backendName string, cfg ServeConfig) (*Server, error) {
 	if exe == nil {
 		return nil, fmt.Errorf("microserver: nil executable")
@@ -146,9 +115,6 @@ func ServeCompiled(g *nn.Graph, exe inference.Executable, backendName string, cf
 	s := &Server{
 		exe:         exe,
 		backendName: backendName,
-		graphName:   g.Name,
-		inputNames:  append([]string(nil), g.Inputs...),
-		outputNames: append([]string(nil), g.Outputs...),
 		cfg:         cfg,
 		reqs:        make(chan *request, cfg.QueueDepth),
 		quit:        make(chan struct{}),
@@ -165,92 +131,56 @@ func (s *Server) Executable() inference.Executable { return s.exe }
 // Backend returns the name of the backend the model was compiled for.
 func (s *Server) Backend() string { return s.backendName }
 
-// Engine returns the host CPU engine backing this server, or nil when
-// the server fronts a non-CPU executable that does not expose one.
-func (s *Server) Engine() *inference.Engine {
-	switch e := s.exe.(type) {
-	case *inference.Engine:
-		return e
-	case interface{ HostEngine() *inference.Engine }:
-		return e.HostEngine()
-	}
-	return nil
-}
-
-// Infer submits one input and blocks until its result is ready — the
-// single-tensor shortcut for 1-input/1-output graphs. Safe for
-// concurrent use; concurrent callers share dispatches. The input
-// carries a leading batch dimension ([1, ...] for one sample; larger
-// batches are allowed and fused with the queue like any other request).
-func (s *Server) Infer(in *tensor.Tensor) (*tensor.Tensor, error) {
-	if len(s.inputNames) != 1 || len(s.outputNames) != 1 {
-		return nil, fmt.Errorf("microserver: Infer wants 1 input/1 output, graph %q has %d/%d (use InferMap)",
-			s.graphName, len(s.inputNames), len(s.outputNames))
-	}
-	outs, err := s.InferMap(map[string]*tensor.Tensor{s.inputNames[0]: in})
-	if err != nil {
-		return nil, err
-	}
-	return outs[s.outputNames[0]], nil
-}
-
 // InferMap submits a full input map (keyed by input-node name) and
-// blocks until the full output map is ready — the general serving path
-// for multi-head graphs. Safe for concurrent use; concurrent callers
-// share dispatches.
+// blocks until the full output map is ready. Safe for concurrent use;
+// concurrent callers share dispatches.
 func (s *Server) InferMap(inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
-	p, err := s.SubmitMap(inputs)
-	if err != nil {
-		return nil, err
+	var (
+		outs map[string]*tensor.Tensor
+		err  error
+	)
+	ready := make(chan struct{})
+	if serr := s.Submit(context.Background(), inputs, func(o map[string]*tensor.Tensor, e error) {
+		outs, err = o, e
+		close(ready)
+	}); serr != nil {
+		return nil, serr
 	}
-	return p.Wait()
+	<-ready
+	return outs, err
 }
 
-// SubmitMap hands a request to the batching queue without waiting for
-// its result; the returned Pending resolves through Wait. The enqueue
-// blocks while the queue is full, which is the node-level backpressure
-// the fleet router leans on.
-func (s *Server) SubmitMap(inputs map[string]*tensor.Tensor) (*Pending, error) {
-	return s.SubmitMapCtx(context.Background(), inputs)
-}
-
-// SubmitMapCtx is SubmitMap bound to a caller context: the blocking
-// enqueue aborts when the context ends, and a request whose context is
-// cancelled while it is still queued is completed with the context
-// error instead of being dispatched — a disconnected client stops
-// consuming replica time. A request already handed to the engine runs
-// to completion (engine dispatches are not preemptible).
-func (s *Server) SubmitMapCtx(ctx context.Context, inputs map[string]*tensor.Tensor) (*Pending, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+// Submit hands a request to the batching queue and returns; done is
+// called exactly once with the result, on the dispatcher goroutine, so
+// it must not block. A non-nil return (ErrClosed, else the error of a
+// dead context) means the request was not accepted and done will not be
+// called. The enqueue blocks while the queue is full — node-level
+// backpressure for direct callers; the fleet layer sizes the queue so it
+// never does — and aborts when ctx ends. A request whose context is
+// cancelled while it is still queued completes with the context error
+// instead of being dispatched, so a disconnected client stops consuming
+// replica time; one already handed to the engine runs to completion
+// (dispatches are not preemptible).
+func (s *Server) Submit(ctx context.Context, inputs map[string]*tensor.Tensor, done func(outs map[string]*tensor.Tensor, err error)) error {
 	s.lifeMu.RLock()
+	defer s.lifeMu.RUnlock()
 	if s.closed {
-		s.lifeMu.RUnlock()
-		return nil, fmt.Errorf("microserver: server closed")
+		return ErrClosed
 	}
-	r := &request{ctx: ctx, ins: inputs, done: make(chan struct{})}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	select {
-	case s.reqs <- r:
-		s.lifeMu.RUnlock()
-		return &Pending{r: r}, nil
+	case s.reqs <- &request{ctx: ctx, ins: inputs, done: done}:
+		return nil
 	case <-ctx.Done():
-		s.lifeMu.RUnlock()
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
 }
 
-// Pending is a request accepted into the batching queue.
-type Pending struct{ r *request }
-
-// Wait blocks until the request's dispatch resolves.
-func (p *Pending) Wait() (map[string]*tensor.Tensor, error) {
-	<-p.r.done
-	return p.r.outs, p.r.err
-}
-
-// Close drains the dispatcher and releases it. Requests already queued
-// are completed or failed; later Infer calls fail immediately.
+// Close stops the dispatcher and waits for it: the batch inside the
+// engine completes, requests still queued complete with ErrClosed, and
+// later Submit calls return it.
 func (s *Server) Close() {
 	s.lifeMu.Lock()
 	if s.closed {
@@ -300,13 +230,12 @@ func (s *Server) dispatch() {
 	}
 }
 
-// drain fails any requests that were queued after shutdown began.
+// drain fails the requests still queued when shutdown began.
 func (s *Server) drain() {
 	for {
 		select {
 		case r := <-s.reqs:
-			r.err = fmt.Errorf("microserver: server closed")
-			close(r.done)
+			r.done(nil, ErrClosed)
 		default:
 			return
 		}
@@ -319,13 +248,10 @@ func (s *Server) runBatch(pending []*request) {
 	live := pending[:0]
 	cancelled := 0
 	for _, r := range pending {
-		if r.ctx != nil {
-			if err := r.ctx.Err(); err != nil {
-				r.err = err
-				close(r.done)
-				cancelled++
-				continue
-			}
+		if err := r.ctx.Err(); err != nil {
+			r.done(nil, err)
+			cancelled++
+			continue
 		}
 		live = append(live, r)
 	}
@@ -343,8 +269,8 @@ func (s *Server) runBatch(pending []*request) {
 		batches[i] = r.ins
 	}
 	outs, err := s.exe.RunBatch(batches)
-	// Counted before the waiters are released: a caller holding its
-	// result already sees itself in Stats.
+	// Counted before the completions run: a caller holding its result
+	// already sees itself in Stats.
 	s.statsMu.Lock()
 	s.stats.Requests += int64(len(pending))
 	s.stats.Batches++
@@ -356,18 +282,11 @@ func (s *Server) runBatch(pending []*request) {
 		// One malformed input fails a fused dispatch; retry requests
 		// individually so only the offender sees the error.
 		for i, r := range pending {
-			out, rerr := s.exe.Run(batches[i])
-			if rerr != nil {
-				r.err = rerr
-			} else {
-				r.outs = out
-			}
-			close(r.done)
+			r.done(s.exe.Run(batches[i]))
 		}
-	} else {
-		for i, r := range pending {
-			r.outs = outs[i]
-			close(r.done)
-		}
+		return
+	}
+	for i, r := range pending {
+		r.done(outs[i], nil)
 	}
 }

@@ -13,14 +13,52 @@ import (
 	"vedliot/internal/tensor"
 )
 
+// servedModel serves the gesture model from the host CPU engine.
 func servedModel(t *testing.T, cfg ServeConfig) (*Server, *nn.Graph) {
 	t.Helper()
 	g := gestureGraph()
-	s, err := Serve(g, cfg)
+	exe, err := inference.Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := ServeCompiled(g, exe, "cpu-engine", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s, g
+}
+
+// inferSingle is InferMap for a 1-input/1-output graph.
+func inferSingle(s *Server, g *nn.Graph, in *tensor.Tensor) (*tensor.Tensor, error) {
+	outs, err := s.InferMap(map[string]*tensor.Tensor{g.Inputs[0]: in})
+	return outs[g.Outputs[0]], err
+}
+
+// pending is the test's handle on one accepted Submit.
+type pending struct {
+	outs  map[string]*tensor.Tensor
+	err   error
+	ready chan struct{}
+}
+
+// Wait blocks until the request's completion has run.
+func (p *pending) Wait() (map[string]*tensor.Tensor, error) {
+	<-p.ready
+	return p.outs, p.err
+}
+
+// submit queues one request and returns its handle; a refused Submit
+// fails the test.
+func submit(t *testing.T, s *Server, ctx context.Context, ins map[string]*tensor.Tensor) *pending {
+	t.Helper()
+	p := &pending{ready: make(chan struct{})}
+	if err := s.Submit(ctx, ins, func(outs map[string]*tensor.Tensor, err error) {
+		p.outs, p.err = outs, err
+		close(p.ready)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func gestureInput(seed int) *tensor.Tensor {
@@ -43,7 +81,7 @@ func TestServeMatchesDirectEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Infer(in)
+	got, err := inferSingle(s, g, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,14 +176,11 @@ func gatedServer(t *testing.T, g *nn.Graph, cfg ServeConfig) (*Server, *gateExe)
 
 // hold submits one request to an idle gated server and returns once the
 // dispatcher is inside the engine with it — the gate's first recorded
-// batch. Until gate.open, every SubmitMap that returns has its request
+// batch. Until gate.open, every Submit that returns has its request
 // sitting in the queue.
-func hold(t *testing.T, s *Server, gate *gateExe, ins map[string]*tensor.Tensor) *Pending {
+func hold(t *testing.T, s *Server, gate *gateExe, ins map[string]*tensor.Tensor) *pending {
 	t.Helper()
-	plug, err := s.SubmitMap(ins)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plug := submit(t, s, context.Background(), ins)
 	gate.mu.Lock()
 	for len(gate.seen) == 0 {
 		gate.cond.Wait()
@@ -173,15 +208,11 @@ func gestureRequests(g *nn.Graph, n int) []map[string]*tensor.Tensor {
 
 // submitAll queues one request per input map; with the gate held they
 // all sit in s.reqs when it returns.
-func submitAll(t *testing.T, s *Server, ins []map[string]*tensor.Tensor) []*Pending {
+func submitAll(t *testing.T, s *Server, ins []map[string]*tensor.Tensor) []*pending {
 	t.Helper()
-	pend := make([]*Pending, len(ins))
+	pend := make([]*pending, len(ins))
 	for i := range ins {
-		p, err := s.SubmitMap(ins[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		pend[i] = p
+		pend[i] = submit(t, s, context.Background(), ins[i])
 	}
 	return pend
 }
@@ -312,16 +343,15 @@ func TestServeBadRequestFailsAlone(t *testing.T) {
 }
 
 func TestServeClose(t *testing.T) {
-	s, _ := servedModel(t, ServeConfig{})
+	s, g := servedModel(t, ServeConfig{})
 	s.Close()
 	s.Close() // idempotent
-	if _, err := s.Infer(gestureInput(1)); err == nil {
-		t.Error("Infer succeeded after Close")
+	if _, err := s.InferMap(gestureIns(g, 1)); !errors.Is(err, ErrClosed) {
+		t.Errorf("InferMap after Close returned %v, want ErrClosed", err)
 	}
 }
 
-// multiHeadGraph builds a two-output graph (conv features + relu head),
-// the shape Serve historically rejected.
+// multiHeadGraph builds a two-output graph (conv features + relu head).
 func multiHeadGraph() *nn.Graph {
 	b := nn.NewBuilder("t", nn.BuildOptions{Weights: true, Seed: 5})
 	x := b.Input("input", 1, 8, 8)
@@ -372,19 +402,20 @@ func TestServeMultiHeadGraph(t *testing.T) {
 		}
 	}
 	gate.wantSizes(t, 1, 4, 4)
-	// The single-tensor shortcut stays restricted to the 1-in/1-out shape.
-	if _, err := s.Infer(in); err == nil {
-		t.Error("Infer accepted a two-output graph; want InferMap-only")
-	}
 }
 
-func TestServeBackendGeneric(t *testing.T) {
+func TestServeCompiledAccelBackend(t *testing.T) {
 	g := nn.GestureNet(16, 4, nn.BuildOptions{Weights: true, Seed: 77})
 	dev, err := accel.FindDevice("Xavier NX")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := ServeBackend(g, accel.NewBackend(dev), ServeConfig{})
+	b := accel.NewBackend(dev)
+	exe, err := b.Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := ServeCompiled(g, exe, b.Name(), ServeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,8 +423,8 @@ func TestServeBackendGeneric(t *testing.T) {
 	if got, want := s.Backend(), "accel:Xavier NX"; got != want {
 		t.Errorf("Backend() = %q, want %q", got, want)
 	}
-	if s.Engine() == nil {
-		t.Error("accel-backed server exposes no host engine")
+	if s.Executable() != exe {
+		t.Error("server does not front the accelerator program it was given")
 	}
 	eng, err := inference.Compile(g)
 	if err != nil {
@@ -404,7 +435,7 @@ func TestServeBackendGeneric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Infer(in)
+	got, err := inferSingle(s, g, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,17 +465,17 @@ func TestServeDrainFailsQueued(t *testing.T) {
 		t.Errorf("in-flight request failed across Close: %v", err)
 	}
 	for i, p := range queued {
-		if _, err := p.Wait(); err == nil {
-			t.Errorf("queued request %d was served after Close, want a drain failure", i)
+		if _, err := p.Wait(); !errors.Is(err, ErrClosed) {
+			t.Errorf("queued request %d resolved with %v after Close, want ErrClosed", i, err)
 		}
 	}
 	gate.wantSizes(t, 1)
-	if _, err := s.Infer(gestureInput(1)); err == nil {
-		t.Error("Infer succeeded after Close")
+	if _, err := s.InferMap(gestureIns(g, 1)); !errors.Is(err, ErrClosed) {
+		t.Errorf("InferMap after Close returned %v, want ErrClosed", err)
 	}
 }
 
-// TestServeInferRacingClose hammers Infer from many goroutines against a
+// TestServeInferRacingClose hammers InferMap from many goroutines against a
 // busy engine while Close lands mid-storm: every call must resolve
 // (result or closed error) and the server must shut down cleanly.
 func TestServeInferRacingClose(t *testing.T) {
@@ -458,7 +489,7 @@ func TestServeInferRacingClose(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			out, err := s.Infer(gestureInput(c))
+			out, err := s.InferMap(gestureIns(g, c))
 			if err == nil && out == nil {
 				errs <- &shapeErr{0}
 				return
@@ -568,7 +599,7 @@ func TestServeCompiledSharesOnePlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range []*Server{a, b} {
-		got, err := s.Infer(in)
+		got, err := inferSingle(s, g, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -579,7 +610,7 @@ func TestServeCompiledSharesOnePlan(t *testing.T) {
 	// Closing one server must not break the other (the plan is shared,
 	// never owned).
 	a.Close()
-	if _, err := b.Infer(in); err != nil {
+	if _, err := inferSingle(b, g, in); err != nil {
 		t.Fatalf("second server failed after first closed: %v", err)
 	}
 }
@@ -589,13 +620,20 @@ func TestServeCompiledValidates(t *testing.T) {
 	if _, err := ServeCompiled(g, nil, "cpu-engine", ServeConfig{}); err == nil {
 		t.Fatal("nil executable accepted")
 	}
+	exe, err := inference.Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ServeCompiled(&nn.Graph{Name: "empty"}, exe, "cpu-engine", ServeConfig{}); err == nil {
+		t.Fatal("graph without inputs or outputs accepted")
+	}
 }
 
-// TestSubmitMapCtxCancelledBeforeDispatch pins the context path through
+// TestSubmitCancelledBeforeDispatch pins the context path through
 // the batch queue: a request whose context dies while it is still
 // queued must resolve with the context error without ever reaching the
 // engine, and must not count as a served request.
-func TestSubmitMapCtxCancelledBeforeDispatch(t *testing.T) {
+func TestSubmitCancelledBeforeDispatch(t *testing.T) {
 	g := gestureGraph()
 	s, gate := gatedServer(t, g, ServeConfig{MaxBatch: 4})
 	defer s.Close()
@@ -605,14 +643,8 @@ func TestSubmitMapCtxCancelledBeforeDispatch(t *testing.T) {
 	// in the same dispatch.
 	ctx, cancel := context.WithCancel(context.Background())
 	doomedIns, liveIns := gestureIns(g, 1), gestureIns(g, 2)
-	doomed, err := s.SubmitMapCtx(ctx, doomedIns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live, err := s.SubmitMapCtx(context.Background(), liveIns)
-	if err != nil {
-		t.Fatal(err)
-	}
+	doomed := submit(t, s, ctx, doomedIns)
+	live := submit(t, s, context.Background(), liveIns)
 	cancel()
 	gate.open()
 	if _, err := doomed.Wait(); !errors.Is(err, context.Canceled) {
@@ -639,7 +671,10 @@ func TestSubmitMapCtxCancelledBeforeDispatch(t *testing.T) {
 	// An already-dead context is refused at submission.
 	dead, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	if _, err := s.SubmitMapCtx(dead, liveIns); !errors.Is(err, context.Canceled) {
+	err := s.Submit(dead, liveIns, func(map[string]*tensor.Tensor, error) {
+		t.Error("completion ran for a request Submit refused")
+	})
+	if !errors.Is(err, context.Canceled) {
 		t.Errorf("submit on dead context returned %v, want context.Canceled", err)
 	}
 }
@@ -654,18 +689,11 @@ func TestDispatchDropsCancelledQueued(t *testing.T) {
 	plug := hold(t, s, gate, gestureIns(g, 0))
 
 	ctx, cancel := context.WithCancel(context.Background())
-	var doomed []*Pending
+	var doomed []*pending
 	for i := 0; i < 3; i++ {
-		p, err := s.SubmitMapCtx(ctx, gestureIns(g, i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		doomed = append(doomed, p)
+		doomed = append(doomed, submit(t, s, ctx, gestureIns(g, i)))
 	}
-	live, err := s.SubmitMap(gestureIns(g, 9))
-	if err != nil {
-		t.Fatal(err)
-	}
+	live := submit(t, s, context.Background(), gestureIns(g, 9))
 	cancel()
 	gate.open()
 	for i, p := range doomed {
@@ -673,7 +701,7 @@ func TestDispatchDropsCancelledQueued(t *testing.T) {
 			t.Errorf("cancelled request %d resolved with %v, want context.Canceled", i, err)
 		}
 	}
-	for _, p := range []*Pending{plug, live} {
+	for _, p := range []*pending{plug, live} {
 		if _, err := p.Wait(); err != nil {
 			t.Fatal(err)
 		}

@@ -185,7 +185,7 @@ func TestAPIKeyAuth(t *testing.T) {
 // RetryAfterError with the configured hint.
 func TestOverloadRetryAfter(t *testing.T) {
 	srv, _, g := startServer(t, 1,
-		cluster.Config{QueueDepth: 1, Serve: microserver.ServeConfig{MaxBatch: 1, QueueDepth: 1}},
+		cluster.Config{QueueDepth: 1, MaxBatch: 1},
 		Config{Batch: BatchPolicy{MaxBatch: 1}, RetryAfter: 7 * time.Millisecond},
 	)
 	pool, err := DialPool(srv.Addr(), "", 4)
@@ -237,7 +237,7 @@ func TestOverloadRetryAfter(t *testing.T) {
 func TestBurstShedCloseMidBurst(t *testing.T) {
 	sched := cluster.NewScheduler(armFleet(t, 1), cluster.Config{
 		QueueDepth: 2,
-		Serve:      microserver.ServeConfig{MaxBatch: 1, QueueDepth: 1},
+		MaxBatch:   1,
 	})
 	g := testModel()
 	if _, err := sched.Deploy(g); err != nil {
@@ -586,7 +586,7 @@ func TestRunClosedLoopOverSocket(t *testing.T) {
 // bounded fleet: sheds happen, nothing deadlocks, accounting holds.
 func TestReplayOpenLoopBursts(t *testing.T) {
 	srv, _, g := startServer(t, 1,
-		cluster.Config{QueueDepth: 2, Serve: microserver.ServeConfig{MaxBatch: 1, QueueDepth: 1}},
+		cluster.Config{QueueDepth: 2, MaxBatch: 1},
 		Config{Batch: BatchPolicy{MaxBatch: 1}})
 	cl, err := Dial(srv.Addr(), "")
 	if err != nil {
