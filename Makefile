@@ -24,12 +24,13 @@ test-full:
 	$(GO) test ./...
 
 # test-race runs the concurrent packages under the race detector, then
-# stresses the batching tests and the cluster's admission, routing and
-# close tests: they form batches and backlogs by holding a gate, not by
-# wall clock, so twenty runs in a row must agree.
+# stresses the batching tests (the front door's capacity rule included)
+# and the cluster's admission, routing and close tests: they form
+# batches and backlogs by holding a gate, not by wall clock, so twenty
+# runs in a row must agree.
 test-race:
 	$(GO) test -short -race ./internal/inference/... ./internal/microserver/... ./internal/cluster/... ./internal/serve/... ./internal/rvbackend/... ./internal/riscv/... ./internal/soc/... ./internal/cfu/...
-	$(GO) test -race -count=20 -run 'Batch|Dispatch|Gate|Admission|Saturated|CloseResolves' ./internal/microserver/ ./internal/serve/ ./internal/cluster/
+	$(GO) test -race -count=20 -run 'Batch|CapacityRule|Dispatch|Gate|Admission|Saturated|CloseResolves' ./internal/microserver/ ./internal/serve/ ./internal/cluster/
 
 # test-portable exercises the pure-Go micro-kernel fallbacks (noasm /
 # purego build tags) and the narrowed runtime dispatch tiers — the same
@@ -46,7 +47,9 @@ test-portable:
 	$(GO) test -tags noasm ./internal/rvbackend/... ./internal/riscv/... ./internal/soc/... ./internal/cfu/...
 
 # fuzz-smoke runs every fuzz target briefly — the CI smoke job that
-# keeps the targets compiling and the seed corpora passing.
+# keeps the targets compiling and the seed corpora passing. The two GEMM
+# parity targets fuzz a live-row count too, so every tier's row body is
+# checked against its own full tile.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzEncodeExecute -fuzztime 5s ./internal/riscv/
 	$(GO) test -fuzz FuzzLoadStoreRoundTrip -fuzztime 5s ./internal/riscv/
@@ -68,8 +71,9 @@ bench:
 # host can run (generic / sse2 / avx2 / avx512) — the per-tier view
 # behind the gemm_roofline_attainment_<tier> artifact lines — then the
 # layers a batch-1 reply waits for (the seven mobilenetedge depthwise
-# shapes and dense 784->300, FP32 and INT8, batch 1 and 8, one worker)
-# and the inline-vs-split ladder the fan-out threshold is read from.
+# shapes at batch 1 and 8 and dense 784->300 at batch 1, 2, 3, 4 and 8,
+# FP32 and INT8, one worker) and the inline-vs-split ladder the fan-out
+# threshold is read from.
 bench-kernels:
 	$(GO) test -bench BenchmarkGemmTiers -run '^$$' -benchmem ./internal/tensor/
 	$(GO) test -bench 'BenchmarkBatch1Kernels|BenchmarkFanOutCrossover' -run '^$$' -benchmem ./internal/inference/

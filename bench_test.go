@@ -176,8 +176,8 @@ func BenchmarkClusterSubmit(b *testing.B) {
 // smart-mirror-class convolutional workload: the legacy tree-walking
 // interpreter vs the compiled execution-plan engine at batch 1, 8 and
 // 32, plus the fused RunBatch dispatch path and the two served zoo
-// models at batch 1. Compare matching batch sizes across
-// sub-benchmarks, e.g.:
+// models at batch 1 (the mlp at 2 and 4 too). Compare matching batch
+// sizes across sub-benchmarks, e.g.:
 //
 //	go test -bench BenchmarkEngine -run ^$ .
 func BenchmarkEngine(b *testing.B) {
@@ -226,10 +226,14 @@ func BenchmarkEngine(b *testing.B) {
 			}
 		}
 	})
-	// The two zoo models the front door serves, at batch 1: the shape a
-	// reply waits for, in absolute ns per inference.
-	for _, name := range []string{"mlp", "mobilenetedge"} {
-		entry, err := zoo.Find(name)
+	// The two zoo models the front door serves, in absolute ns per
+	// inference at batch 1, the shape a reply waits for, and the mlp at
+	// the short batches a busy replica is handed (the dense row body).
+	for _, m := range []struct {
+		name    string
+		batches []int
+	}{{"mlp", []int{1, 2, 4}}, {"mobilenetedge", []int{1}}} {
+		entry, err := zoo.Find(m.name)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -238,17 +242,19 @@ func BenchmarkEngine(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		in, err := nn.SyntheticInput(zg, 1, 9)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(name+"/batch1", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := zeng.Run(in); err != nil {
-					b.Fatal(err)
-				}
+		for _, batch := range m.batches {
+			in, err := nn.SyntheticInput(zg, batch, 9)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
+			b.Run(fmt.Sprintf("%s/batch%d", m.name, batch), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := zeng.Run(in); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

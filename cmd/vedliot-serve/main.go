@@ -88,7 +88,7 @@ func main() {
 	httpAddr := flag.String("http", "", "with -listen: also serve the HTTP/JSON adapter on this address")
 	keys := flag.String("keys", "", "comma-separated key=tenant API keys for -listen (empty = open mode)")
 	maxBatch := flag.Int("max-batch", 32, "front-door coalescing cap in rows (1 = passthrough)")
-	maxDelay := flag.Duration("max-delay", time.Millisecond, "front-door max coalescing delay")
+	maxDelay := flag.Duration("max-delay", time.Millisecond, "front-door longest hold while every replica is busy")
 	loadAddr := flag.String("load", "", "run as a closed-loop load generator against this front-door address")
 	clients := flag.Int("clients", 1000, "load generator: concurrent closed-loop clients")
 	perClient := flag.Int("requests-per-client", 4, "load generator: requests per client")

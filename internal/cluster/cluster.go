@@ -648,6 +648,12 @@ func (d *Deployment) pick() *Replica {
 		func(i int) float64 { return d.replicas[i].maxW })]
 }
 
+// Idle reports whether the replica the routing rule would pick right
+// now has nothing in flight: the front door submits at once while it
+// does and holds for company only while it does not. Atomics only, like
+// pick.
+func (d *Deployment) Idle() bool { return d.pick().inflight.Load() == 0 }
+
 // cheapest is the routing rule: the index in [0, n) with the lowest
 // cost, where costs within 2% of the running best are tied and resolve
 // toward the lower worst-case module power — the chassis power model's

@@ -564,28 +564,3 @@ func bindQuantConvGemm(p *qconv) (qkernelFunc, scratchSpec) {
 	}
 	return kfn, scratchSpec{i16PerWorker: i16Need, i32PerWorker: i32Need}
 }
-
-// packQDensePanel packs rows i0..i0+mh-1 of the quantized dense input
-// as one pair-interleaved MR-row A panel (K = in features), fusing the
-// zero-point shift; rows past mh and the odd-K tail are zero.
-func packQDensePanel(apanel []int16, xv []int8, inF, mr, i0, mh int, zp int32) {
-	kp := tensor.KPairs(inF)
-	for pair := 0; pair < kp; pair++ {
-		out := apanel[pair*2*mr : (pair+1)*2*mr]
-		k0 := 2 * pair
-		k1 := k0 + 1
-		for i := 0; i < mh; i++ {
-			row := xv[(i0+i)*inF:]
-			out[2*i] = int16(int32(row[k0]) - zp)
-			if k1 < inF {
-				out[2*i+1] = int16(int32(row[k1]) - zp)
-			} else {
-				out[2*i+1] = 0
-			}
-		}
-		for i := mh; i < mr; i++ {
-			out[2*i] = 0
-			out[2*i+1] = 0
-		}
-	}
-}

@@ -905,20 +905,22 @@ func bindDense(n *nn.Node, in, out tensor.Shape, ep *epilogue, fp16 bool, stats 
 	// GEMM lowering with the vector lanes along the output features:
 	// M = samples, N = out features, K = in features. The weights are
 	// the B operand, packed once at bind time into NR-wide tiles; the
-	// activation rows are the A operand, packed into an MR-row panel per
-	// call. Every lane is live at any batch size, batch 1 included, and
-	// C comes out sample-major, which is dst's layout. The kernels seed
-	// a tile from a per-row bias, and here the bias runs along N, so it
-	// enters as one extra leading K step instead: a column of ones in
-	// the A panel against a row of biases in each B tile, on a seed of
-	// -0. That step computes -0 + 1*bias, which is the bias bit for bit
-	// (a +0 seed would turn a -0 bias into +0), and every output then
-	// continues += x*w in k order: the interpreter's chain, through the
-	// plain Run kernel of every tier.
+	// activation rows are the A operand, staged row-major per call and
+	// run through the kernel's row body, which multiplies only the rows a
+	// panel has. Every lane is live at any batch size and a short batch
+	// costs its own rows, batch 1 included, and C comes out sample-major,
+	// which is dst's layout. The kernels seed a tile from a per-row bias,
+	// and here the bias runs along N, so it enters as one extra leading K
+	// step instead: a one ahead of each staged row against a row of
+	// biases in each B tile, on a seed of -0. That step computes
+	// -0 + 1*bias, which is the bias bit for bit (a +0 seed would turn a
+	// -0 bias into +0), and every output then continues += x*w in k
+	// order: the interpreter's chain, on every tier's own kernel.
 	kern := tensor.PickGemmF32MaxWidth(max(outF, 16))
 	mr, nr := kern.MR, kern.NR
 	nt := (outF + nr - 1) / nr
-	tile := (inF + 1) * nr
+	lda := inF + 1
+	tile := lda * nr
 	// Under FP16-compute, FP16-stored weights stay half-width in the
 	// tiles and widen per call, so every multiply sees the exact value
 	// FloatToFP16 round-tripped; the FP32 biases join after the widening.
@@ -947,7 +949,7 @@ func bindDense(n *nn.Node, in, out tensor.Shape, ep *epilogue, fp16 bool, stats 
 			fs[o] = ep.scalar(o)
 		}
 	}
-	scratch := mr*(inF+1) + mr*nr
+	scratch := mr*lda + mr*nr
 	// One live row of one tile. The weight tiles are packed at bind time,
 	// so a dense tile retires its 2 ops per MAC at about twice the rate of
 	// a convolution tile that packs its B operand per call.
@@ -965,22 +967,22 @@ func bindDense(n *nn.Node, in, out tensor.Shape, ep *epilogue, fp16 bool, stats 
 		panels := (rc.batch + mr - 1) / mr
 		rc.parallelForWorker(panels*nt, rowCost*int64(min(rc.batch, mr)), func(worker, lo, hi int) {
 			ws := rc.f32Worker(worker, scratch)
-			apanel, ctile := ws[:mr*(inF+1)], ws[mr*(inF+1):]
-			packed := -1
+			arows, ctile := ws[:mr*lda], ws[mr*lda:]
+			staged := -1
 			for u := lo; u < hi; u++ {
 				p, t := u/nt, u%nt
 				i0 := p * mr
 				mh := min(rc.batch-i0, mr)
-				if p != packed {
-					for i := 0; i < mr; i++ {
-						apanel[i] = 1
+				if p != staged {
+					for i := 0; i < mh; i++ {
+						arows[i*lda] = 1
+						copy(arows[i*lda+1:(i+1)*lda], xv[(i0+i)*inF:])
 					}
-					kern.PackA(apanel[mr:], xv[i0*inF:], inF, mh, inF)
-					packed = p
+					staged = p
 				}
 				o0 := t * nr
 				jw := min(outF-o0, nr)
-				kern.Run(apanel, bpack[t*tile:(t+1)*tile], nr, inF+1, seed, ctile, nr)
+				kern.RunRows(arows, lda, mh, bpack[t*tile:(t+1)*tile], nr, lda, seed, ctile, nr)
 				for i := 0; i < mh; i++ {
 					row := dst[(i0+i)*outF+o0:][:jw]
 					copy(row, ctile[i*nr:])

@@ -9,10 +9,11 @@ import (
 )
 
 // benchFirstStep times the first bound step of g under both executors
-// at batch 1 and 8 on one worker: the kernel closure alone on planned
-// scratch, without Run's input checks, entry quantization or output
-// allocation, so single-layer figures compare like the per-step profile.
-func benchFirstStep(b *testing.B, name string, g *nn.Graph) {
+// at the given batch sizes on one worker: the kernel closure alone on
+// planned scratch, without Run's input checks, entry quantization or
+// output allocation, so single-layer figures compare like the per-step
+// profile.
+func benchFirstStep(b *testing.B, name string, g *nn.Graph, batches ...int) {
 	samples, err := nn.SyntheticCalibration(g, 3)
 	if err != nil {
 		b.Fatal(err)
@@ -29,7 +30,7 @@ func benchFirstStep(b *testing.B, name string, g *nn.Graph) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, batch := range []int{1, 8} {
+	for _, batch := range batches {
 		in, err := nn.SyntheticInput(g, batch, 9)
 		if err != nil {
 			b.Fatal(err)
@@ -64,8 +65,9 @@ func benchFirstStep(b *testing.B, name string, g *nn.Graph) {
 
 // BenchmarkBatch1Kernels sweeps the layers a batch-1 reply waits for:
 // the seven depthwise shapes of mobilenetedge at 64x64 and the first
-// dense layer of the mlp, FP32 and INT8, batch 1 and 8, one worker
-// (`make bench-kernels`).
+// dense layer of the mlp, FP32 and INT8, one worker, the depthwise
+// shapes at batch 1 and 8 and the dense layer at every short batch the
+// row body serves (`make bench-kernels`).
 func BenchmarkBatch1Kernels(b *testing.B) {
 	for _, s := range []struct{ c, hw, k, stride int }{
 		{16, 32, 3, 1}, {64, 32, 3, 2}, {72, 16, 3, 1}, {96, 16, 5, 2},
@@ -74,11 +76,11 @@ func BenchmarkBatch1Kernels(b *testing.B) {
 		nb := nn.NewBuilder("dw", nn.BuildOptions{Weights: true, Seed: 5})
 		x := nb.Input("input", s.c, s.hw, s.hw)
 		g := nb.Graph(nb.DWConv(x, s.c, s.k, s.stride, s.k/2))
-		benchFirstStep(b, fmt.Sprintf("dw%dx%d_s%d_c%d_%dx%d", s.k, s.k, s.stride, s.c, s.hw, s.hw), g)
+		benchFirstStep(b, fmt.Sprintf("dw%dx%d_s%d_c%d_%dx%d", s.k, s.k, s.stride, s.c, s.hw, s.hw), g, 1, 8)
 	}
 	nb := nn.NewBuilder("dense", nn.BuildOptions{Weights: true, Seed: 5})
 	g := nb.Graph(nb.Dense(nb.Input("input", 784), 784, 300))
-	benchFirstStep(b, "dense784x300", g)
+	benchFirstStep(b, "dense784x300", g, 1, 2, 3, 4, 8)
 }
 
 // BenchmarkFanOutCrossover runs one kernel inline and split across two

@@ -350,14 +350,17 @@ func bindQuantDense(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantPara
 	zpIn, zpOut := inQ.Zero, outQ.Zero
 	// Same orientation as the FP32 bindDense: M = samples, N = out
 	// features, so every lane is live at batch 1. The widened weight
-	// codes are the bind-time packed B tiles, each call packs the
-	// activation rows into an MR-row A panel with the zero-point shift
-	// fused, and the int32 C tile requantizes straight into the
-	// sample-major output. Integer accumulation is associative, so the
-	// folded bias joins at requantization instead of seeding the tile.
+	// codes are the bind-time packed B tiles, each call widens the
+	// activation rows row-major with the zero-point shift fused (a row's
+	// adjacent codes are the kernel's K pairs as they lie), the row body
+	// multiplies only the rows a panel has, and the int32 C tile
+	// requantizes straight into the sample-major output. Integer
+	// accumulation is associative, so the folded bias joins at
+	// requantization instead of seeding the tile.
 	kern := tensor.PickGemmI16MaxWidth(max(outF, 16)) // bindDense's cap: both executors run one tier
 	mr, nr := kern.MR, kern.NR
 	kp := tensor.KPairs(inF)
+	lda := 2 * kp
 	nt := (outF + nr - 1) / nr
 	// B tiles: per tile of nr output features, kp rows of nr adjacent-K
 	// pairs; columns past outF and the odd-K tail stay zero.
@@ -376,25 +379,29 @@ func bindQuantDense(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantPara
 	// so a dense tile retires its 2 ops per MAC at about twice the rate of
 	// a convolution tile that packs its B operand per call.
 	rowCost := int64(inF) * int64(nr)
-	spec := scratchSpec{i16PerWorker: mr * 2 * kp, i32PerWorker: mr * nr}
+	spec := scratchSpec{i16PerWorker: mr * lda, i32PerWorker: mr * nr}
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
 		xv := srcs[0]
 		panels := (rc.batch + mr - 1) / mr
 		rc.parallelForWorker(panels*nt, rowCost*int64(min(rc.batch, mr)), func(worker, lo, hi int) {
-			apanel := rc.i16Worker(worker, mr*2*kp)
+			arows := rc.i16Worker(worker, mr*lda)
 			ctile := rc.i32Worker(worker, mr*nr)
-			packed := -1
+			staged := -1
 			for u := lo; u < hi; u++ {
 				p, t := u/nt, u%nt
 				i0 := p * mr
 				mh := min(rc.batch-i0, mr)
-				if p != packed {
-					packQDensePanel(apanel, xv, inF, mr, i0, mh, zpIn)
-					packed = p
+				if p != staged {
+					for i := 0; i < mh; i++ {
+						row := arows[i*lda : (i+1)*lda]
+						tensor.WidenShiftInt8(row[:inF], xv[(i0+i)*inF:], int16(zpIn))
+						clear(row[inF:]) // the odd-K tail
+					}
+					staged = p
 				}
 				o0 := t * nr
 				jw := min(outF-o0, nr)
-				kern.Run(apanel, bpack[t*nr*2*kp:(t+1)*nr*2*kp], 2*nr, kp, zeroBias, ctile, nr)
+				kern.RunRows(arows, lda, mh, bpack[t*nr*2*kp:(t+1)*nr*2*kp], 2*nr, kp, zeroBias, ctile, nr)
 				for i := 0; i < mh; i++ {
 					row := dst[(i0+i)*outF+o0:][:jw]
 					for j := range row {

@@ -14,23 +14,21 @@ import (
 	"vedliot/internal/tensor"
 )
 
-// BatchPolicy shapes socket-boundary coalescing: requests for the same
-// (tenant, model) that arrive within a short adaptive window are stacked
-// into one cluster submission so the engines run full batches instead of
-// singletons. The window is rate-aware (batcher.window): it opens only
-// while the observed arrival gap expects a second request inside
-// MaxDelay, and tightens as load rises (batches fill before the timer).
+// BatchPolicy shapes socket-boundary coalescing. The rule asks the
+// router, not the arrival rate: a request is submitted at once unless
+// the replica the routing rule would pick already has work in flight,
+// and only then is it held so that requests for the same (tenant,
+// model) stack into one cluster submission. A held batch goes when one
+// of this batcher's own submissions completes, when its rows reach
+// MaxBatch, or after MaxDelay, whichever is first; so nothing waits
+// while capacity is free, and busy replicas still run full batches.
 type BatchPolicy struct {
 	// MaxBatch caps the rows coalesced into one submission. 1 disables
 	// coalescing (pure passthrough). Default 32.
 	MaxBatch int
-	// MaxDelay is the longest a request may be held for company, and the
-	// arrival gap at or above which none is expected. Default 1ms.
+	// MaxDelay is the longest a request may be held while every replica
+	// it could go to is busy. Default 1ms.
 	MaxDelay time.Duration
-	// MinDelay floors the adaptive wait so a single fast client cannot
-	// collapse the window to zero between its own back-to-back
-	// requests. Default 20µs.
-	MinDelay time.Duration
 }
 
 func (p BatchPolicy) withDefaults() BatchPolicy {
@@ -39,9 +37,6 @@ func (p BatchPolicy) withDefaults() BatchPolicy {
 	}
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = time.Millisecond
-	}
-	if p.MinDelay <= 0 {
-		p.MinDelay = 20 * time.Microsecond
 	}
 	return p
 }
@@ -60,9 +55,32 @@ type batchStats struct {
 	rows    atomic.Int64
 }
 
+// fleet is what a batcher asks of a deployment: whether the replica the
+// next submission would be routed to is idle, and the submission.
+type fleet interface {
+	Idle() bool
+	SubmitCtx(ctx context.Context, ins map[string]*tensor.Tensor) (ticket, error)
+}
+
+// ticket is an admitted submission; WaitCtx blocks for its result.
+type ticket interface {
+	WaitCtx(ctx context.Context) (map[string]*tensor.Tensor, error)
+}
+
+// deployment adapts *cluster.Deployment to fleet.
+type deployment struct{ *cluster.Deployment }
+
+func (d deployment) SubmitCtx(ctx context.Context, ins map[string]*tensor.Tensor) (ticket, error) {
+	tk, err := d.Deployment.SubmitCtx(ctx, ins)
+	if err != nil {
+		return nil, err
+	}
+	return tk, nil
+}
+
 // batcher coalesces requests for one (tenant, model) pair.
 type batcher struct {
-	dep    *cluster.Deployment
+	dep    fleet
 	policy BatchPolicy
 	stats  *batchStats
 
@@ -70,14 +88,17 @@ type batcher struct {
 	pending []batchMember
 	rows    int
 	sig     string
-	gen     uint64
-	// gapNS is the EWMA of inter-arrival gaps in nanoseconds; it drives
-	// the adaptive flush delay.
-	gapNS int64
-	last  time.Time
+	// timer bounds the held batch's wait at MaxDelay; nil while nothing
+	// is held.
+	timer *time.Timer
+	// submitting counts batches that have left pending and are not yet
+	// through SubmitCtx, where the replica's own in-flight count takes
+	// over: without it two concurrent adds would both see one idle
+	// replica. Raised under mu, lowered without it.
+	submitting atomic.Int32
 }
 
-func newBatcher(dep *cluster.Deployment, policy BatchPolicy, stats *batchStats) *batcher {
+func newBatcher(dep fleet, policy BatchPolicy, stats *batchStats) *batcher {
 	return &batcher{dep: dep, policy: policy.withDefaults(), stats: stats}
 }
 
@@ -125,8 +146,9 @@ func shapeSig(ins map[string]*tensor.Tensor) (string, int, error) {
 	return sb.String(), rows, nil
 }
 
-// add enqueues one request for coalescing. done fires exactly once,
-// from a batcher goroutine, with the request's own output rows.
+// add enqueues one request for coalescing. done fires exactly once with
+// the request's own output rows. When the routed replica is idle the
+// submission happens here, on the caller's goroutine.
 func (b *batcher) add(ctx context.Context, ins map[string]*tensor.Tensor, done func(map[string]*tensor.Tensor, error)) {
 	sig, rows, err := shapeSig(ins)
 	if err != nil {
@@ -136,79 +158,67 @@ func (b *batcher) add(ctx context.Context, ins map[string]*tensor.Tensor, done f
 	m := batchMember{ctx: ctx, ins: ins, rows: rows, done: done}
 
 	b.mu.Lock()
-	now := time.Now()
-	if !b.last.IsZero() {
-		gap := int64(now.Sub(b.last))
-		if b.gapNS == 0 {
-			b.gapNS = gap
-		} else {
-			b.gapNS += (gap - b.gapNS) / 4
-		}
-	}
-	b.last = now
 	// A shape class that cannot stack with the waiting batch flushes it
 	// early rather than delaying either class.
+	var displaced []batchMember
 	if len(b.pending) > 0 && sig != b.sig {
-		b.flushLocked()
+		displaced = b.takeLocked()
 	}
 	if len(b.pending) == 0 {
 		b.sig = sig
 	}
 	b.pending = append(b.pending, m)
 	b.rows += rows
-	// A full batch goes now, and so does the first member of a batch
-	// that expects no company.
-	delay := b.window()
-	if b.rows >= b.policy.MaxBatch || (len(b.pending) == 1 && delay == 0) {
-		b.flushLocked()
-	} else if len(b.pending) == 1 {
-		gen := b.gen
-		time.AfterFunc(delay, func() {
-			b.mu.Lock()
-			// A generation bump means this batch already flushed (full
-			// or displaced); the timer is stale.
-			if b.gen == gen && len(b.pending) > 0 {
-				b.flushLocked()
-			}
-			b.mu.Unlock()
-		})
+	var batch []batchMember
+	switch {
+	case b.rows >= b.policy.MaxBatch, b.submitting.Load() == 0 && b.dep.Idle():
+		batch = b.takeLocked()
+	case b.timer == nil:
+		b.holdLocked()
 	}
 	b.mu.Unlock()
+	b.submit(displaced)
+	b.submit(batch)
 }
 
-// window is the rate-aware rule: how long the first member of a new
-// batch is held for company. Zero (submit at once, no timer) unless the
-// gap EWMA expects a second request inside MaxDelay, so a sparse or new
-// stream never waits for company that is not coming; otherwise roughly
-// the time MaxBatch-1 more arrivals take at the current rate, clamped
-// to the policy bounds. Callers hold b.mu.
-func (b *batcher) window() time.Duration {
-	gap := time.Duration(b.gapNS)
-	if gap <= 0 || gap >= b.policy.MaxDelay {
-		return 0
-	}
-	delay := gap * time.Duration(b.policy.MaxBatch-1)
-	if delay < b.policy.MinDelay {
-		delay = b.policy.MinDelay
-	}
-	if delay > b.policy.MaxDelay {
-		delay = b.policy.MaxDelay
-	}
-	return delay
+// holdLocked bounds the wait of the batch that starts waiting now at
+// MaxDelay. Callers hold b.mu.
+func (b *batcher) holdLocked() {
+	var t *time.Timer
+	t = time.AfterFunc(b.policy.MaxDelay, func() {
+		b.mu.Lock()
+		var batch []batchMember
+		// A timer can fire too late to be stopped; the batch it bounded
+		// has left then and b.timer is nil or a later batch's.
+		if b.timer == t {
+			batch = b.takeLocked()
+		}
+		b.mu.Unlock()
+		b.submit(batch)
+	})
+	b.timer = t
 }
 
-// flushLocked hands the waiting batch to a submission goroutine.
-// Callers hold b.mu.
-func (b *batcher) flushLocked() {
+// takeLocked removes the waiting batch for submission, counting it in
+// flight from here on and stopping its timer. Nil when nothing waits.
+// Callers hold b.mu and pass the result to submit after releasing it.
+func (b *batcher) takeLocked() []batchMember {
+	if len(b.pending) == 0 {
+		return nil
+	}
 	members := b.pending
-	b.pending = nil
-	b.rows = 0
-	b.gen++
-	go b.submit(members)
+	b.pending, b.rows = nil, 0
+	if b.timer != nil {
+		b.timer.Stop()
+		b.timer = nil
+	}
+	b.submitting.Add(1)
+	return members
 }
 
-// submit stacks the members' inputs, routes one cluster submission and
-// splits the output rows back to each member.
+// submit stacks the members' inputs and routes one cluster submission
+// on the calling goroutine; a goroutine per admitted batch then waits
+// for the replica and splits the output rows back to each member.
 func (b *batcher) submit(members []batchMember) {
 	if len(members) == 0 {
 		return
@@ -220,28 +230,41 @@ func (b *batcher) submit(members []batchMember) {
 	}
 	b.stats.rows.Add(int64(totalRows))
 
-	// Single member: passthrough, keeping the member's context so
-	// cancellation still reaches the queue.
-	if len(members) == 1 {
-		m := members[0]
-		outs, err := b.dep.InferCtx(m.ctx, m.ins)
-		m.done(outs, err)
-		return
+	// A single member keeps its own context so cancellation still
+	// reaches the queue; a merged batch runs under a background one, so
+	// one member's disconnect cannot cancel the rest.
+	ctx, ins := members[0].ctx, members[0].ins
+	var err error
+	if len(members) > 1 {
+		ctx = context.Background()
+		ins, err = stackInputs(members, totalRows)
 	}
-
-	ins, err := stackInputs(members, totalRows)
+	var tk ticket
+	if err == nil {
+		tk, err = b.dep.SubmitCtx(ctx, ins)
+	}
+	b.submitting.Add(-1)
 	if err != nil {
 		for _, m := range members {
 			m.done(nil, err)
 		}
 		return
 	}
-	// A merged batch runs under a background context: one member's
-	// disconnect must not cancel the rest of the batch.
-	outs, err := b.dep.InferCtx(context.Background(), ins)
-	if err != nil {
+	go b.deliver(ctx, tk, members, totalRows)
+}
+
+// deliver waits for one submission. Its completion is the capacity
+// signal: the batch held meanwhile goes first, then the replies.
+func (b *batcher) deliver(ctx context.Context, tk ticket, members []batchMember, totalRows int) {
+	outs, err := tk.WaitCtx(ctx)
+	b.mu.Lock()
+	held := b.takeLocked()
+	b.mu.Unlock()
+	b.submit(held)
+
+	if err != nil || len(members) == 1 {
 		for _, m := range members {
-			m.done(nil, err)
+			m.done(outs, err)
 		}
 		return
 	}

@@ -372,89 +372,290 @@ func TestBatcherFlushesIncompatibleShapes(t *testing.T) {
 	}
 }
 
-// TestBatcherRateAwareWindow pins the rate-aware rule on the batcher
-// itself. A sparse stream (gaps >= MaxDelay) is submitted request by
-// request from inside add, with no window and no timer; a dense stream
-// (gaps far below MaxDelay) still coalesces, and no member is held past
-// MaxDelay.
-func TestBatcherRateAwareWindow(t *testing.T) {
-	sched := cluster.NewScheduler(armFleet(t, 1), cluster.Config{QueueDepth: 64})
-	defer sched.Close()
-	g := testModel()
-	dep, err := sched.Deploy(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// stream feeds n single-row requests to a fresh batcher, gap apart,
-	// and returns its stats and each member's add-to-done time. afterAdd
-	// runs under the batcher lock right after each add.
-	stream := func(t *testing.T, policy BatchPolicy, n int, gap time.Duration, afterAdd func(i int, b *batcher)) (*batchStats, []time.Duration) {
-		stats := &batchStats{}
-		b := newBatcher(dep, policy, stats)
-		held := make([]time.Duration, n)
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			if i > 0 {
-				time.Sleep(gap)
-			}
-			i, start := i, time.Now()
-			wg.Add(1)
-			b.add(context.Background(), map[string]*tensor.Tensor{g.Inputs[0]: testInput(i)},
-				func(_ map[string]*tensor.Tensor, err error) {
-					defer wg.Done()
-					held[i] = time.Since(start)
-					if err != nil {
-						t.Errorf("request %d: %v", i, err)
-					}
-				})
-			b.mu.Lock()
-			afterAdd(i, b)
-			b.mu.Unlock()
-		}
-		wg.Wait()
-		return stats, held
-	}
+// gateFleet is a held-shut fleet double, the two calls a batcher makes:
+// every submission is recorded and stays in flight until the test opens
+// its ticket, and Idle reports exactly that, so batches and backlogs are
+// formed by holding a gate, not by wall clock.
+type gateFleet struct {
+	mu       sync.Mutex
+	inflight int
+	// owned marks the replica busy with work that is not this batcher's
+	// (another tenant's), so no completion of its own will ever come.
+	owned bool
+	// enter, when set, blocks each SubmitCtx before the submission
+	// becomes visible to Idle: the window the batcher has to cover.
+	enter chan struct{}
+	// subs receives every submission, in order.
+	subs chan *gateTicket
+}
 
-	t.Run("sparse", func(t *testing.T) {
+func newGateFleet() *gateFleet { return &gateFleet{subs: make(chan *gateTicket, 64)} }
+
+func (f *gateFleet) Idle() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.inflight == 0 && !f.owned
+}
+
+func (f *gateFleet) SubmitCtx(_ context.Context, ins map[string]*tensor.Tensor) (ticket, error) {
+	if f.enter != nil {
+		<-f.enter
+	}
+	f.mu.Lock()
+	f.inflight++
+	f.mu.Unlock()
+	tk := &gateTicket{fleet: f, ins: ins, done: make(chan struct{})}
+	f.subs <- tk
+	return tk, nil
+}
+
+// submissions reports how many submissions are waiting to be read.
+func (f *gateFleet) submissions() int { return len(f.subs) }
+
+// gateTicket echoes its inputs as outputs once opened, so each member's
+// reply identifies the rows it was given.
+type gateTicket struct {
+	fleet *gateFleet
+	ins   map[string]*tensor.Tensor
+	done  chan struct{}
+}
+
+func (t *gateTicket) WaitCtx(ctx context.Context) (map[string]*tensor.Tensor, error) {
+	select {
+	case <-t.done:
+		return t.ins, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// open completes the submission: the replica is free before the waiter
+// wakes, as in cluster.Deployment.
+func (t *gateTicket) open() {
+	t.fleet.mu.Lock()
+	t.fleet.inflight--
+	t.fleet.mu.Unlock()
+	close(t.done)
+}
+
+// marks returns the first element of every row of a submission: the
+// request ids it carries, in stacking order.
+func (t *gateTicket) marks() []int {
+	x := t.ins["x"]
+	ids := make([]int, x.Shape[0])
+	for i := range ids {
+		ids[i] = int(x.F32[i*len(x.F32)/len(ids)])
+	}
+	return ids
+}
+
+// batcherHarness drives one batcher over a gateFleet. Request i is one
+// row of width floats filled with i; replies are checked to be the
+// request's own row.
+type batcherHarness struct {
+	t     *testing.T
+	fleet *gateFleet
+	stats batchStats
+	b     *batcher
+	wg    sync.WaitGroup
+}
+
+func newBatcherHarness(t *testing.T, policy BatchPolicy) *batcherHarness {
+	h := &batcherHarness{t: t, fleet: newGateFleet()}
+	h.b = newBatcher(h.fleet, policy, &h.stats)
+	return h
+}
+
+func (h *batcherHarness) add(id, width int) {
+	in := tensor.New(tensor.FP32, 1, width)
+	for i := range in.F32 {
+		in.F32[i] = float32(id)
+	}
+	h.wg.Add(1)
+	h.b.add(context.Background(), map[string]*tensor.Tensor{"x": in}, func(outs map[string]*tensor.Tensor, err error) {
+		defer h.wg.Done()
+		if err != nil {
+			h.t.Errorf("request %d: %v", id, err)
+			return
+		}
+		if y := outs["x"]; y == nil || !y.Shape.Equal(tensor.Shape{1, width}) || y.F32[0] != float32(id) {
+			h.t.Errorf("request %d got %v, want its own row back", id, y)
+		}
+	})
+}
+
+// held snapshots what waits in the batcher: members, and whether the
+// MaxDelay timer is armed.
+func (h *batcherHarness) held() (members int, armed bool) {
+	h.b.mu.Lock()
+	defer h.b.mu.Unlock()
+	return len(h.b.pending), h.b.timer != nil
+}
+
+// next returns the next submission, which must carry exactly these
+// request ids in this order.
+func (h *batcherHarness) next(want ...int) *gateTicket {
+	h.t.Helper()
+	tk := <-h.fleet.subs
+	if got := tk.marks(); fmt.Sprint(got) != fmt.Sprint(want) {
+		h.t.Fatalf("submission carries requests %v, want %v", got, want)
+	}
+	return tk
+}
+
+// TestBatcherCapacityRule pins the front-door rule on the batcher
+// itself, against a held-shut fleet: a request is submitted from add
+// while the routed replica is idle, and held only while it is busy,
+// until a completion of the batcher's own, MaxBatch rows or MaxDelay.
+func TestBatcherCapacityRule(t *testing.T) {
+	never := BatchPolicy{MaxBatch: 8, MaxDelay: time.Hour}
+
+	// An idle fleet: every request is submitted inside add, one
+	// submission each, and no timer is ever armed.
+	t.Run("idle", func(t *testing.T) {
+		h := newBatcherHarness(t, never)
 		const n = 6
-		policy := BatchPolicy{MaxBatch: 8, MaxDelay: time.Millisecond}
-		// Sleep never undershoots, so every gap is >= MaxDelay.
-		stats, _ := stream(t, policy, n, policy.MaxDelay, func(i int, b *batcher) {
-			if len(b.pending) != 0 {
-				t.Errorf("request %d left waiting in a window; a sparse stream must be submitted from add", i)
+		for i := 0; i < n; i++ {
+			h.add(i, 4)
+			if got := h.fleet.submissions(); got != 1 {
+				t.Fatalf("request %d: %d submissions when add returned, want it submitted from add", i, got)
 			}
-			if w := b.window(); w != 0 {
-				t.Errorf("after request %d the window is %v, want 0 (no timer)", i, w)
+			if members, armed := h.held(); members != 0 || armed {
+				t.Fatalf("request %d: %d members held, timer armed %v; an idle fleet holds nothing", i, members, armed)
 			}
-		})
-		if got := stats.batches.Load(); got != n {
-			t.Errorf("%d submissions for %d sparse requests, want one each", got, n)
+			h.next(i).open()
+			h.wg.Wait()
+		}
+		if got := h.stats.batches.Load(); got != n {
+			t.Errorf("%d submissions for %d requests on an idle fleet, want one each", got, n)
 		}
 	})
 
-	t.Run("dense", func(t *testing.T) {
-		const n = 64
-		// MaxDelay dwarfs both the back-to-back gaps and any scheduling
-		// stall, so the stream is dense whatever the machine is doing.
-		policy := BatchPolicy{MaxBatch: 8, MaxDelay: time.Second}
-		stats, held := stream(t, policy, n, 0, func(i int, b *batcher) {
-			if w := b.window(); i > 0 && (w <= 0 || w > policy.MaxDelay) {
-				t.Errorf("after request %d the window is %v, want within (0, MaxDelay]", i, w)
-			}
-		})
-		batches, rows := stats.batches.Load(), stats.rows.Load()
-		if rows != n {
-			t.Errorf("%d rows submitted, want %d", rows, n)
+	// A replica held shut: later requests accumulate, and opening it
+	// yields exactly one submission with all of them in arrival order.
+	t.Run("busy", func(t *testing.T) {
+		h := newBatcherHarness(t, never)
+		h.add(0, 4)
+		first := h.next(0)
+		for i := 1; i <= 5; i++ {
+			h.add(i, 4)
 		}
-		if batches >= rows {
-			t.Errorf("dense stream did not coalesce: %d rows in %d submissions", rows, batches)
+		if members, armed := h.held(); members != 5 || !armed || h.fleet.submissions() != 0 {
+			t.Fatalf("%d held, armed %v, %d submitted; want 5 held behind the busy replica under a timer",
+				members, armed, h.fleet.submissions())
 		}
-		// The window tracks the microsecond gaps, so even with service
-		// time included nobody comes near MaxDelay.
-		for i, h := range held {
-			if h > policy.MaxDelay {
-				t.Errorf("request %d took %v, held past MaxDelay %v", i, h, policy.MaxDelay)
-			}
+		first.open()
+		second := h.next(1, 2, 3, 4, 5)
+		if members, armed := h.held(); members != 0 || armed {
+			t.Errorf("%d held, armed %v after the held batch left; its timer must be stopped", members, armed)
+		}
+		second.open()
+		h.wg.Wait()
+		if batches, rows := h.stats.batches.Load(), h.stats.rows.Load(); batches != 2 || rows != 6 {
+			t.Errorf("%d rows in %d submissions, want 6 in 2", rows, batches)
+		}
+	})
+
+	// MaxBatch rows while held: the batch goes by count, replica still
+	// shut, and the next request starts a new held batch.
+	t.Run("count", func(t *testing.T) {
+		h := newBatcherHarness(t, BatchPolicy{MaxBatch: 4, MaxDelay: time.Hour})
+		h.add(0, 4)
+		first := h.next(0)
+		for i := 1; i <= 5; i++ {
+			h.add(i, 4)
+		}
+		full := h.next(1, 2, 3, 4)
+		if members, armed := h.held(); members != 1 || !armed {
+			t.Errorf("%d held, armed %v; want request 5 alone under a fresh timer", members, armed)
+		}
+		first.open()
+		last := h.next(5)
+		full.open()
+		last.open()
+		h.wg.Wait()
+	})
+
+	// Held with nothing of its own in flight (another tenant's batcher
+	// owns the replica): no completion will release it, so it goes at
+	// MaxDelay, and not before.
+	t.Run("maxdelay", func(t *testing.T) {
+		const delay = 30 * time.Millisecond
+		h := newBatcherHarness(t, BatchPolicy{MaxBatch: 8, MaxDelay: delay})
+		h.fleet.owned = true
+		start := time.Now()
+		h.add(0, 4)
+		h.add(1, 4)
+		if members, armed := h.held(); members != 2 || !armed || h.fleet.submissions() != 0 {
+			t.Fatalf("%d held, armed %v, %d submitted; want both held under the timer",
+				members, armed, h.fleet.submissions())
+		}
+		tk := h.next(0, 1)
+		if waited := time.Since(start); waited < delay {
+			t.Errorf("held batch left after %v, before MaxDelay %v", waited, delay)
+		}
+		tk.open()
+		h.wg.Wait()
+	})
+
+	// A shape that cannot stack flushes the waiting class at once and
+	// waits in its place.
+	t.Run("shape", func(t *testing.T) {
+		h := newBatcherHarness(t, never)
+		h.add(0, 4)
+		first := h.next(0)
+		h.add(1, 4)
+		h.add(2, 4)
+		h.add(3, 6)
+		displaced := h.next(1, 2)
+		if members, armed := h.held(); members != 1 || !armed {
+			t.Errorf("%d held, armed %v; want the new shape alone under its own timer", members, armed)
+		}
+		first.open()
+		other := h.next(3)
+		displaced.open()
+		other.open()
+		h.wg.Wait()
+	})
+
+	// N concurrent adds against one idle replica, the submission not yet
+	// visible to the router: one batch of 1 in flight, the rest held.
+	t.Run("concurrent", func(t *testing.T) {
+		h := newBatcherHarness(t, BatchPolicy{MaxBatch: 64, MaxDelay: time.Hour})
+		h.fleet.enter = make(chan struct{})
+		const n = 16
+		returned := make(chan struct{}, n)
+		for i := 0; i < n; i++ {
+			go func(i int) {
+				h.add(i, 4)
+				returned <- struct{}{}
+			}(i)
+		}
+		// Every add but the one inside SubmitCtx returns: they held.
+		for i := 0; i < n-1; i++ {
+			<-returned
+		}
+		if members, armed := h.held(); members != n-1 || !armed {
+			t.Fatalf("%d held, armed %v with one submission entering; want %d held", members, armed, n-1)
+		}
+		close(h.fleet.enter)
+		<-returned
+		first := <-h.fleet.subs
+		if got := first.marks(); len(got) != 1 {
+			t.Fatalf("first submission carries %v, want one request", got)
+		}
+		if h.fleet.submissions() != 0 {
+			t.Fatalf("a second submission entered while the replica was busy")
+		}
+		first.open()
+		second := <-h.fleet.subs
+		if got := second.marks(); len(got) != n-1 {
+			t.Errorf("held batch carries %d requests, want %d", len(got), n-1)
+		}
+		second.open()
+		h.wg.Wait()
+		if batches, rows := h.stats.batches.Load(), h.stats.rows.Load(); batches != 2 || rows != n {
+			t.Errorf("%d rows in %d submissions, want %d in 2", rows, batches, n)
 		}
 	})
 }

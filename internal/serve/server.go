@@ -198,7 +198,7 @@ func (s *Server) batcherFor(tenant, model string) (*batcher, error) {
 	if b, ok := s.batchers[key]; ok {
 		return b, nil
 	}
-	b := newBatcher(dep, s.cfg.Batch, &s.batch)
+	b := newBatcher(deployment{dep}, s.cfg.Batch, &s.batch)
 	s.batchers[key] = b
 	return b, nil
 }

@@ -54,6 +54,15 @@ type GemmKernelF32 struct {
 	// bitwise identical. Nil means the variant has no continuation
 	// kernel and the driver must not split K.
 	RunAcc func(apanel []float32, b []float32, ldb, k int, bias []float32, c []float32, ldc int)
+	// RunRows is the row body, for callers whose M is short of a panel
+	// (dense layers, where M is the batch): the first rows (1..MR) rows
+	// of the tile Run computes, with A read row-major at row stride lda
+	// instead of from a packed panel, c[i*ldc+j] = bias[i] + sum_k
+	// a[i*lda+kk] * b[kk*ldb+j] for i < rows. Each element's chain is
+	// Run's, so the live rows are bitwise what Run stores for a panel
+	// whose other rows are zero, at the cost of the live rows only; rows
+	// of c at and past rows are not written. bias still holds MR entries.
+	RunRows func(a []float32, lda, rows int, b []float32, ldb, k int, bias []float32, c []float32, ldc int)
 }
 
 // GemmKernelI16 is one quantized micro-kernel variant. Operands are
@@ -77,6 +86,11 @@ type GemmKernelI16 struct {
 	// field exists so blocked and unblocked drivers share one shape.
 	// Nil means the driver must not split K for this variant.
 	RunAcc func(apanel []int16, b []int16, ldb, kPairs int, bias []int32, c []int32, ldc int)
+	// RunRows is the row body (see GemmKernelF32.RunRows): the first
+	// rows rows of the tile with A read row-major, row i holding its
+	// kPairs adjacent K pairs from a[i*lda] (an odd K zero-padded by the
+	// caller); rows of c at and past rows are not written.
+	RunRows func(a []int16, lda, rows int, b []int16, ldb, kPairs int, bias []int32, c []int32, ldc int)
 }
 
 // kernel variant registries: the generic kernels are always present;

@@ -63,21 +63,43 @@ func gemmI16AVX512(a []int16, b []int16, ldb, kPairs int, bias []int32, c []int3
 //go:noescape
 func gemmI16AVX512Acc(a []int16, b []int16, ldb, kPairs int, bias []int32, c []int32, ldc int)
 
+// The Rows functions are the tiers' row bodies (GemmKernelF32.RunRows,
+// GemmKernelI16.RunRows): the same tile with A read row-major and only
+// the first rows rows multiplied and stored.
+
+//go:noescape
+func gemmF32SSE2Rows(a []float32, lda, rows int, b []float32, ldb, k int, bias []float32, c []float32, ldc int)
+
+//go:noescape
+func gemmF32AVX2Rows(a []float32, lda, rows int, b []float32, ldb, k int, bias []float32, c []float32, ldc int)
+
+//go:noescape
+func gemmF32AVX512Rows(a []float32, lda, rows int, b []float32, ldb, k int, bias []float32, c []float32, ldc int)
+
+//go:noescape
+func gemmI16SSE2Rows(a []int16, lda, rows int, b []int16, ldb, kPairs int, bias []int32, c []int32, ldc int)
+
+//go:noescape
+func gemmI16AVX2Rows(a []int16, lda, rows int, b []int16, ldb, kPairs int, bias []int32, c []int32, ldc int)
+
+//go:noescape
+func gemmI16AVX512Rows(a []int16, lda, rows int, b []int16, ldb, kPairs int, bias []int32, c []int32, ldc int)
+
 func init() {
 	gemmF32Kernels = append(gemmF32Kernels,
-		GemmKernelF32{MR: 6, NR: 8, Tier: cpu.TierSSE2, Run: gemmF32SSE2})
+		GemmKernelF32{MR: 6, NR: 8, Tier: cpu.TierSSE2, Run: gemmF32SSE2, RunRows: gemmF32SSE2Rows})
 	gemmI16Kernels = append(gemmI16Kernels,
-		GemmKernelI16{MR: 4, NR: 8, Tier: cpu.TierSSE2, Run: gemmI16SSE2})
+		GemmKernelI16{MR: 4, NR: 8, Tier: cpu.TierSSE2, Run: gemmI16SSE2, RunRows: gemmI16SSE2Rows})
 	if cpu.Detect().AVX2 {
 		gemmF32Kernels = append(gemmF32Kernels,
-			GemmKernelF32{MR: 6, NR: 16, Tier: cpu.TierAVX2, Run: gemmF32AVX2, RunAcc: gemmF32AVX2Acc})
+			GemmKernelF32{MR: 6, NR: 16, Tier: cpu.TierAVX2, Run: gemmF32AVX2, RunAcc: gemmF32AVX2Acc, RunRows: gemmF32AVX2Rows})
 		gemmI16Kernels = append(gemmI16Kernels,
-			GemmKernelI16{MR: 4, NR: 16, Tier: cpu.TierAVX2, Run: gemmI16AVX2, RunAcc: gemmI16AVX2Acc})
+			GemmKernelI16{MR: 4, NR: 16, Tier: cpu.TierAVX2, Run: gemmI16AVX2, RunAcc: gemmI16AVX2Acc, RunRows: gemmI16AVX2Rows})
 	}
 	if cpu.Detect().AVX512 {
 		gemmF32Kernels = append(gemmF32Kernels,
-			GemmKernelF32{MR: 8, NR: 48, Tier: cpu.TierAVX512, Run: gemmF32AVX512, RunAcc: gemmF32AVX512Acc})
+			GemmKernelF32{MR: 8, NR: 48, Tier: cpu.TierAVX512, Run: gemmF32AVX512, RunAcc: gemmF32AVX512Acc, RunRows: gemmF32AVX512Rows})
 		gemmI16Kernels = append(gemmI16Kernels,
-			GemmKernelI16{MR: 8, NR: 32, Tier: cpu.TierAVX512, Run: gemmI16AVX512, RunAcc: gemmI16AVX512Acc})
+			GemmKernelI16{MR: 8, NR: 32, Tier: cpu.TierAVX512, Run: gemmI16AVX512, RunAcc: gemmI16AVX512Acc, RunRows: gemmI16AVX512Rows})
 	}
 }

@@ -11,8 +11,8 @@ package tensor
 
 import "vedliot/internal/tensor/cpu"
 
-var genericGemmF32 = GemmKernelF32{MR: 6, NR: 16, Tier: cpu.TierGeneric, Run: gemmF32Generic, RunAcc: gemmF32GenericAcc}
-var genericGemmI16 = GemmKernelI16{MR: 4, NR: 16, Tier: cpu.TierGeneric, Run: gemmI16Generic, RunAcc: gemmI16GenericAcc}
+var genericGemmF32 = GemmKernelF32{MR: 6, NR: 16, Tier: cpu.TierGeneric, Run: gemmF32Generic, RunAcc: gemmF32GenericAcc, RunRows: gemmF32GenericRows}
+var genericGemmI16 = GemmKernelI16{MR: 4, NR: 16, Tier: cpu.TierGeneric, Run: gemmI16Generic, RunAcc: gemmI16GenericAcc, RunRows: gemmI16GenericRows}
 
 func gemmF32Generic(a []float32, b []float32, ldb, k int, bias []float32, c []float32, ldc int) {
 	var acc [6][16]float32
@@ -53,6 +53,32 @@ func gemmF32GenericBody(acc *[6][16]float32, a []float32, b []float32, ldb, k in
 	}
 }
 
+// gemmF32GenericRows is the row body: the same chain per element over
+// the first rows tile rows, A read row-major. Its loops are bounded by
+// rows, where the full-tile body keeps constant bounds for the compiler.
+func gemmF32GenericRows(a []float32, lda, rows int, b []float32, ldb, k int, bias []float32, c []float32, ldc int) {
+	var acc [6][16]float32
+	for i := 0; i < rows; i++ {
+		bi := bias[i]
+		for j := 0; j < 16; j++ {
+			acc[i][j] = bi
+		}
+	}
+	for kk := 0; kk < k; kk++ {
+		bp := b[kk*ldb : kk*ldb+16 : kk*ldb+16]
+		for i := 0; i < rows; i++ {
+			av := a[i*lda+kk]
+			ai := &acc[i]
+			for j := 0; j < 16; j++ {
+				ai[j] += av * bp[j]
+			}
+		}
+	}
+	for i := 0; i < rows; i++ {
+		copy(c[i*ldc:i*ldc+16], acc[i][:])
+	}
+}
+
 func gemmI16Generic(a []int16, b []int16, ldb, kPairs int, bias []int32, c []int32, ldc int) {
 	var acc [4][16]int32
 	for i := 0; i < 4; i++ {
@@ -88,6 +114,32 @@ func gemmI16GenericBody(acc *[4][16]int32, a []int16, b []int16, ldb, kPairs int
 		}
 	}
 	for i := 0; i < 4; i++ {
+		copy(c[i*ldc:i*ldc+16], acc[i][:])
+	}
+}
+
+// gemmI16GenericRows is the quantized row body: row i's K pairs lie
+// adjacent from a[i*lda].
+func gemmI16GenericRows(a []int16, lda, rows int, b []int16, ldb, kPairs int, bias []int32, c []int32, ldc int) {
+	var acc [4][16]int32
+	for i := 0; i < rows; i++ {
+		bi := bias[i]
+		for j := 0; j < 16; j++ {
+			acc[i][j] = bi
+		}
+	}
+	for kp := 0; kp < kPairs; kp++ {
+		bp := b[kp*ldb : kp*ldb+32 : kp*ldb+32]
+		for i := 0; i < rows; i++ {
+			a0 := int32(a[i*lda+kp*2])
+			a1 := int32(a[i*lda+kp*2+1])
+			ai := &acc[i]
+			for j := 0; j < 16; j++ {
+				ai[j] += a0*int32(bp[j*2]) + a1*int32(bp[j*2+1])
+			}
+		}
+	}
+	for i := 0; i < rows; i++ {
 		copy(c[i*ldc:i*ldc+16], acc[i][:])
 	}
 }

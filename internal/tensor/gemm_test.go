@@ -97,10 +97,88 @@ func runVariantI16(t *testing.T, g GemmKernelI16, m, n, k int, rng *rand.Rand) {
 	}
 }
 
+// runRowsF32 checks the row body at one live-row count: bitwise what
+// Run stores for a panel whose other rows are zero, read from a
+// row-major A (stride lda > k) and a strided C, with every element of C
+// outside the live rows left as it was.
+func runRowsF32(t *testing.T, g GemmKernelF32, rows, k int, rng *rand.Rand) {
+	t.Helper()
+	mr, nr := g.MR, g.NR
+	lda, ldc := k+3, nr+5
+	a := randF32(rng, mr*lda)
+	b := randF32(rng, k*nr)
+	bias := randF32(rng, mr)
+	apack := make([]float32, g.PackedASize(rows, k))
+	g.PackA(apack, a, lda, rows, k)
+	want := make([]float32, mr*nr)
+	g.Run(apack, b, nr, k, bias, want, nr)
+
+	const sentinel = 0x7fc0beef
+	got := make([]float32, mr*ldc)
+	for i := range got {
+		got[i] = math.Float32frombits(sentinel)
+	}
+	g.RunRows(a, lda, rows, b, nr, k, bias, got, ldc)
+	for i := 0; i < mr; i++ {
+		for j := 0; j < ldc; j++ {
+			w := uint32(sentinel)
+			if i < rows && j < nr {
+				w = math.Float32bits(want[i*nr+j])
+			}
+			if gb := math.Float32bits(got[i*ldc+j]); gb != w {
+				t.Fatalf("tier %v rows=%d k=%d: c[%d][%d] = %x, want %x (bitwise)", g.Tier, rows, k, i, j, gb, w)
+			}
+		}
+	}
+}
+
+// runRowsI16 is the quantized analogue of runRowsF32 (k in elements,
+// odd k zero-padded in the row-major rows as the caller contract asks).
+func runRowsI16(t *testing.T, g GemmKernelI16, rows, k int, rng *rand.Rand) {
+	t.Helper()
+	mr, nr := g.MR, g.NR
+	kp := KPairs(k)
+	lda, ldc := 2*kp+4, nr+5
+	a := randI16(rng, mr*lda, 127)
+	if k%2 == 1 {
+		for i := 0; i < mr; i++ {
+			a[i*lda+k] = 0
+		}
+	}
+	b := randI16(rng, kp*2*nr, 255)
+	bias := make([]int32, mr)
+	for i := range bias {
+		bias[i] = rng.Int31n(20001) - 10000
+	}
+	apack := make([]int16, g.PackedASize(rows, k))
+	g.PackA(apack, a, lda, rows, k)
+	want := make([]int32, mr*nr)
+	g.Run(apack, b, 2*nr, kp, bias, want, nr)
+
+	const sentinel = -0x5eadbeef
+	got := make([]int32, mr*ldc)
+	for i := range got {
+		got[i] = sentinel
+	}
+	g.RunRows(a, lda, rows, b, 2*nr, kp, bias, got, ldc)
+	for i := 0; i < mr; i++ {
+		for j := 0; j < ldc; j++ {
+			w := int32(sentinel)
+			if i < rows && j < nr {
+				w = want[i*nr+j]
+			}
+			if got[i*ldc+j] != w {
+				t.Fatalf("tier %v rows=%d k=%d: c[%d][%d] = %d, want %d", g.Tier, rows, k, i, j, got[i*ldc+j], w)
+			}
+		}
+	}
+}
+
 // TestGemmF32Variants sweeps every compiled-in kernel variant over all
 // tile remainder sizes (m in 1..2*MR+1, n covering 1..NR-1 plus full
 // tiles, k including 0, 1, odd and even) and demands bitwise equality
-// with the scalar reference.
+// with the scalar reference; then the row body at every live-row count
+// 1..MR against Run.
 func TestGemmF32Variants(t *testing.T) {
 	for _, g := range GemmF32Variants() {
 		g := g
@@ -113,12 +191,18 @@ func TestGemmF32Variants(t *testing.T) {
 					}
 				}
 			}
+			for rows := 1; rows <= g.MR; rows++ {
+				for _, k := range []int{0, 1, 3, 9, 16, 37} {
+					runRowsF32(t, g, rows, k, rng)
+				}
+			}
 		})
 	}
 }
 
 // TestGemmI16Variants is the quantized analogue: exact int32
-// accumulator equality across every variant and remainder size.
+// accumulator equality across every variant and remainder size, and
+// the row body at every live-row count.
 func TestGemmI16Variants(t *testing.T) {
 	for _, g := range GemmI16Variants() {
 		g := g
@@ -129,6 +213,11 @@ func TestGemmI16Variants(t *testing.T) {
 					for _, k := range []int{1, 2, 3, 9, 16, 37} {
 						runVariantI16(t, g, m, n, k, rng)
 					}
+				}
+			}
+			for rows := 1; rows <= g.MR; rows++ {
+				for _, k := range []int{1, 2, 3, 9, 16, 37} {
+					runRowsI16(t, g, rows, k, rng)
 				}
 			}
 		})
@@ -390,13 +479,14 @@ func BenchmarkGemmTiers(b *testing.B) {
 	}
 }
 
-// FuzzGemmF32Parity fuzzes shapes and a data seed, checking all
-// variants stay bitwise-equal to the scalar reference.
+// FuzzGemmF32Parity fuzzes shapes, a live-row count and a data seed,
+// checking all variants stay bitwise-equal to the scalar reference and
+// every row body to its own Run.
 func FuzzGemmF32Parity(f *testing.F) {
-	f.Add(int16(5), int16(17), int16(9), int64(1))
-	f.Add(int16(6), int16(16), int16(32), int64(2))
-	f.Add(int16(1), int16(1), int16(1), int64(3))
-	f.Fuzz(func(t *testing.T, m16, n16, k16 int16, seed int64) {
+	f.Add(int16(5), int16(17), int16(9), uint8(0), int64(1))
+	f.Add(int16(6), int16(16), int16(32), uint8(2), int64(2))
+	f.Add(int16(1), int16(1), int16(1), uint8(7), int64(3))
+	f.Fuzz(func(t *testing.T, m16, n16, k16 int16, rows8 uint8, seed int64) {
 		m := int(m16)%32 + 1
 		if m < 1 {
 			m += 32
@@ -412,15 +502,17 @@ func FuzzGemmF32Parity(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		for _, g := range GemmF32Variants() {
 			runVariantF32(t, g, m, n, k, rand.New(rand.NewSource(rng.Int63())))
+			runRowsF32(t, g, int(rows8)%g.MR+1, k, rand.New(rand.NewSource(rng.Int63())))
 		}
 	})
 }
 
 // FuzzGemmI16Parity is the quantized analogue of FuzzGemmF32Parity.
 func FuzzGemmI16Parity(f *testing.F) {
-	f.Add(int16(4), int16(9), int16(7), int64(1))
-	f.Add(int16(4), int16(16), int16(18), int64(2))
-	f.Fuzz(func(t *testing.T, m16, n16, k16 int16, seed int64) {
+	f.Add(int16(4), int16(9), int16(7), uint8(0), int64(1))
+	f.Add(int16(4), int16(16), int16(18), uint8(3), int64(2))
+	f.Add(int16(8), int16(32), int16(37), uint8(6), int64(3))
+	f.Fuzz(func(t *testing.T, m16, n16, k16 int16, rows8 uint8, seed int64) {
 		m := int(m16)%32 + 1
 		if m < 1 {
 			m += 32
@@ -436,6 +528,7 @@ func FuzzGemmI16Parity(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		for _, g := range GemmI16Variants() {
 			runVariantI16(t, g, m, n, k, rand.New(rand.NewSource(rng.Int63())))
+			runRowsI16(t, g, int(rows8)%g.MR+1, k, rand.New(rand.NewSource(rng.Int63())))
 		}
 	})
 }
