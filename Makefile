@@ -49,7 +49,9 @@ test-portable:
 # fuzz-smoke runs every fuzz target briefly — the CI smoke job that
 # keeps the targets compiling and the seed corpora passing. The two GEMM
 # parity targets fuzz a live-row count too, so every tier's row body is
-# checked against its own full tile.
+# checked against its own full tile; the tile epilogue, multi-tap and
+# byte-table targets hold the dispatched INT8 kernels to their scalar
+# definitions.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzEncodeExecute -fuzztime 5s ./internal/riscv/
 	$(GO) test -fuzz FuzzLoadStoreRoundTrip -fuzztime 5s ./internal/riscv/
@@ -59,6 +61,9 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzGemmF32Parity -fuzztime 5s ./internal/tensor/
 	$(GO) test -fuzz FuzzGemmI16Parity -fuzztime 5s ./internal/tensor/
 	$(GO) test -fuzz FuzzRequantInt8 -fuzztime 5s ./internal/tensor/
+	$(GO) test -fuzz FuzzRequantTileInt8 -fuzztime 5s ./internal/tensor/
+	$(GO) test -fuzz FuzzConvTapsInt16 -fuzztime 5s ./internal/tensor/
+	$(GO) test -fuzz FuzzLUT8 -fuzztime 5s ./internal/tensor/
 	$(GO) test -fuzz FuzzF32ToF16Parity -fuzztime 5s ./internal/tensor/
 	$(GO) test -fuzz FuzzConvPlaneF32 -fuzztime 5s ./internal/inference/
 	$(GO) test -fuzz FuzzQConvPlane -fuzztime 5s ./internal/inference/

@@ -178,19 +178,19 @@ func QuantizedStudy() (*Report, error) {
 		dev.Name, p.Quantized(), m.LatencyMS, m.TOPSW())
 	r.metric("edgetpu_predicted_ms_batch8", "ms", m.LatencyMS)
 
-	// What INT8 buys on a host whose FP32 vector units are as wide as its
-	// integer ones is memory, not time: a quarter of the activation bytes
-	// (asserted below) at a comparable time per row. Both engines run the
-	// same packed GEMM micro-kernels and the same plane-form depthwise;
-	// PMADDWD's two MACs per lane are spent again on quantize/requantize
-	// and the table-driven element-wise ops (fp32/int8 measured 0.65-0.93
-	// at batch 8 on the AVX-512 reference host), so the check holds INT8
-	// to within 2x of the FP32 time and does not ask FP32 to stay slow.
-	// Where no SIMD integer kernels exist (non-amd64, purego) the
-	// portable fallbacks are correct but scalar, so only sanity is
-	// asserted there.
+	// On a host whose FP32 vector units are as wide as its integer ones
+	// INT8 buys a quarter of the activation bytes (asserted below) and
+	// PMADDWD's two multiply-accumulates per lane; since everything around
+	// the MACs (depthwise taps, the requantising epilogue, the byte table,
+	// Add, Mul, pooling, the entry quantizer) runs at the tier's width too,
+	// that is also time: fp32/int8 at batch 8 measured 1.91-2.25 in ten of
+	// ten runs on the AVX-512 reference host and 1.17-1.28 under the AVX2
+	// clamp, so the check is that INT8 is no slower than FP32. Where no
+	// SIMD integer kernels exist (non-amd64, purego) the portable bodies
+	// are correct but scalar (0.72-0.83 under the generic clamp), so only
+	// sanity is asserted there.
 	if tensor.FastInt8 {
-		r.check("quantized engine within 2x of the FP32 time at batch 8", speedup8 >= 0.5)
+		r.check("quantized engine no slower than FP32 at batch 8", speedup8 >= 1.0)
 	} else {
 		r.linef("no SIMD integer kernels on this GOARCH: time check relaxed to sanity")
 		r.check("quantized engine not pathologically slower at batch 8", speedup8 >= 0.4)

@@ -410,106 +410,70 @@ func bindConvGemm(g convGeom, w *tensor.Tensor, bias []float32, ep *epilogue, wf
 	return kfn, scratchSpec{f32PerWorker: scratch, f32PerCall: len(apackH)}
 }
 
-// fillQConvRow is the quantized analogue of fillConvRowF32: it writes
-// tap kk's zero-point-shifted int16 values for output pixels
-// j0..j0+jw-1 into the even (or odd, per the caller's base offset)
-// lanes of a pair-interleaved B tile row, stride 2.
-func fillQConvRow(out []int16, xv []int8, g *convGeom, xBase, ky, kx, j0, jw, nr int, zp int32) {
-	j := 0
-	for j < jw {
-		p := j0 + j
-		oy := p / g.outW
-		ox0 := p % g.outW
-		run := g.outW - ox0
-		if run > jw-j {
-			run = jw - j
-		}
-		iy := oy*g.sh - g.ph + ky
-		if iy < 0 || iy >= g.inH {
-			for i := 0; i < run; i++ {
-				out[2*(j+i)] = 0
-			}
-		} else {
-			xRow := xv[xBase+iy*g.inW : xBase+(iy+1)*g.inW]
-			ix := ox0*g.sw - g.pw + kx
-			for i := 0; i < run; i++ {
-				if ix >= 0 && ix < g.inW {
-					out[2*(j+i)] = int16(int32(xRow[ix]) - zp)
-				} else {
-					out[2*(j+i)] = 0
-				}
-				ix += g.sw
-			}
-		}
-		j += run
-	}
-	for ; j < nr; j++ {
-		out[2*j] = 0
-	}
-}
-
 // packQConvTile packs one pair-interleaved int16 B tile for (sample b,
-// group grp), fusing the im2col gather with the zero-point shift.
-// Odd tap counts zero-fill the dangling half of the last pair.
-func packQConvTile(bpack []int16, xv []int8, g *convGeom, nr, b, grp, j0, jw int, zp int32) {
+// group grp). The tile's segment plans (the FP32 pack's, see
+// buildRowPlan) are replayed on int8 codes into stage, one nr-wide row
+// per tap in (ic, ky, kx) order: runs of the input plane move as byte
+// copies and stride-2 byte gathers, and padding is the zero-point code,
+// which the shift turns into exactly 0. One tensor.PackPairShiftInt8
+// then widens, shifts and interleaves the rows pair by pair.
+func packQConvTile(bpack []int16, stage, xv []int8, g *convGeom, nr, b, grp int, plans [][]convSeg, zp int8) {
+	planeSize := g.inH * g.inW
+	ktaps := g.kh * g.kw
 	kk := 0
 	for ic := 0; ic < g.icPerG; ic++ {
-		xBase := (b*g.inC + grp*g.icPerG + ic) * g.inH * g.inW
-		for ky := 0; ky < g.kh; ky++ {
-			for kx := 0; kx < g.kw; kx++ {
-				fillQConvRow(bpack[(kk/2)*2*nr+kk%2:], xv, g, xBase, ky, kx, j0, jw, nr, zp)
-				kk++
+		plane := xv[(b*g.inC+grp*g.icPerG+ic)*planeSize:][:planeSize]
+		for tap := 0; tap < ktaps; tap++ {
+			row := stage[kk*nr : (kk+1)*nr]
+			for _, s := range plans[tap] {
+				switch s.kind {
+				case segZero:
+					z := row[s.dst : s.dst+s.n]
+					for i := range z {
+						z[i] = zp
+					}
+				case segCopy:
+					copy(row[s.dst:s.dst+s.n], plane[s.src:s.src+s.n])
+				default:
+					tensor.GatherStride2Int8(row[s.dst:s.dst+s.n], plane[s.src:])
+				}
 			}
+			kk++
 		}
 	}
-	if kk%2 == 1 {
-		out := bpack[(kk/2)*2*nr+1:]
-		for j := 0; j < nr; j++ {
-			out[2*j] = 0
-		}
-	}
-}
-
-// packQPointwiseTile packs a pair-interleaved B tile for a 1×1 stride-1
-// unpadded convolution, where tap k's values are just the contiguous
-// pixels j0..j0+jw-1 of input plane k: the general gather collapses to a
-// two-stream interleave with the zero-point shift fused, no per-element
-// geometry. base indexes the first plane of the (sample, group) item.
-func packQPointwiseTile(bpack []int16, xv []int8, base, px, taps, nr, j0, jw int, zp int32) {
-	kp := tensor.KPairs(taps)
-	for pair := 0; pair < kp; pair++ {
-		out := bpack[pair*2*nr : (pair+1)*2*nr]
-		k0 := 2 * pair
-		r0 := xv[base+k0*px+j0 : base+k0*px+j0+jw]
-		if k1 := k0 + 1; k1 < taps {
-			r1 := xv[base+k1*px+j0 : base+k1*px+j0+jw]
-			tensor.PackPairShiftInt8(out, r0, r1, int16(zp))
-		} else {
-			for j, v := range r0 {
-				out[2*j] = int16(int32(v) - zp)
-				out[2*j+1] = 0
-			}
-		}
-		for j := jw; j < nr; j++ {
-			out[2*j] = 0
-			out[2*j+1] = 0
-		}
-	}
+	tensor.PackPairShiftInt8(bpack, 2*nr, stage, nr, kk, nr, int16(zp))
 }
 
 // bindQuantConvGemm lowers one integer convolution onto the int16
 // PMADDWD-shaped micro-kernels: widened weight codes pack per group at
 // bind time, B tiles pack per item with the zero-point shift fused, and
-// every tile requantizes straight out of the int32 C tile while it is
-// register/L1-hot.
-func bindQuantConvGemm(p *qconv) (qkernelFunc, scratchSpec) {
+// every C tile requantizes in one tensor.RequantTileInt8 while it is
+// L1-hot. The B pack stages int8 codes and pads with the zero-point
+// code, so it needs the zero point to be an int8 code and a segment plan
+// for the geometry (stride <= 2); ok is false otherwise and the caller
+// keeps the plane form, which has neither limit.
+func bindQuantConvGemm(p *qconv) (kfn qkernelFunc, spec scratchSpec, ok bool) {
 	g := p.g
+	if p.zpIn < -128 || p.zpIn > 127 {
+		return nil, scratchSpec{}, false
+	}
 	taps := g.icPerG * g.kh * g.kw
 	kp := tensor.KPairs(taps)
 	px := g.outH * g.outW
 	// Same narrow-N tile cap as bindConvGemm.
 	kern := tensor.PickGemmI16MaxWidth(px)
 	mr, nr := kern.MR, kern.NR
+	nt := (px + nr - 1) / nr
+	pointwise := g.kh == 1 && g.kw == 1 && g.sh == 1 && g.sw == 1 && g.ph == 0 && g.pw == 0
+	ktaps := g.kh * g.kw
+	var plans [][]convSeg
+	spec = scratchSpec{i16PerWorker: kp * 2 * nr, i32PerWorker: mr * nr}
+	if !pointwise {
+		if plans = buildConvPlans(&g, nr, nt, px); plans == nil {
+			return nil, scratchSpec{}, false
+		}
+		spec.i8PerWorker = taps * nr
+	}
 	groups := g.inC / g.icPerG
 	panels := (g.ocPerG + mr - 1) / mr
 	apg := kern.PackedASize(g.ocPerG, taps)
@@ -520,47 +484,37 @@ func bindQuantConvGemm(p *qconv) (qkernelFunc, scratchSpec) {
 		kern.PackA(apack[grp*apg:(grp+1)*apg], p.w16[grp*g.ocPerG*taps:], taps, g.ocPerG, taps)
 		copy(biasAll[grp*bpg:], p.bias32[grp*g.ocPerG:(grp+1)*g.ocPerG])
 	}
-	pointwise := g.kh == 1 && g.kw == 1 && g.sh == 1 && g.sw == 1 && g.ph == 0 && g.pw == 0
-	nt := (px + nr - 1) / nr
-	i16Need := kp * 2 * nr
-	i32Need := mr * nr
-	itemCost := int64(taps) * int64(nr) * int64(2*g.ocPerG+1)
-	kfn := func(rc *runCtx, dst []int8, srcs [][]int8) error {
+	itemCost := qconvTileCost(taps, mr, nr, panels, !pointwise)
+	kfn = func(rc *runCtx, dst []int8, srcs [][]int8) error {
 		xv := srcs[0]
 		rc.parallelForWorker(rc.batch*groups*nt, itemCost, func(worker, lo, hi int) {
-			bpack := rc.i16Worker(worker, i16Need)
-			ctile := rc.i32Worker(worker, i32Need)
+			bpack := rc.i16Worker(worker, spec.i16PerWorker)
+			ctile := rc.i32Worker(worker, spec.i32PerWorker)
+			stage := rc.i8Worker(worker, spec.i8PerWorker)
 			for it := lo; it < hi; it++ {
 				b := it / (groups * nt)
 				rem := it % (groups * nt)
 				grp := rem / nt
-				j0 := (rem % nt) * nr
-				jw := px - j0
-				if jw > nr {
-					jw = nr
-				}
+				t := rem % nt
+				j0 := t * nr
+				jw := min(px-j0, nr)
 				if pointwise {
-					packQPointwiseTile(bpack, xv, (b*g.inC+grp*g.icPerG)*px, px, taps, nr, j0, jw, p.zpIn)
+					// Tap k's values are the contiguous pixels j0..j0+jw-1 of
+					// input plane k: the planes are the rows to pack as they lie.
+					tensor.PackPairShiftInt8(bpack, 2*nr, xv[(b*g.inC+grp*g.icPerG)*px+j0:], px, taps, jw, int16(p.zpIn))
 				} else {
-					packQConvTile(bpack, xv, &g, nr, b, grp, j0, jw, p.zpIn)
+					packQConvTile(bpack, stage, xv, &g, nr, b, grp, plans[t*ktaps:(t+1)*ktaps], int8(p.zpIn))
 				}
 				for pi := 0; pi < panels; pi++ {
 					oc0 := grp*g.ocPerG + pi*mr
-					mh := g.ocPerG - pi*mr
-					if mh > mr {
-						mh = mr
-					}
+					mh := min(g.ocPerG-pi*mr, mr)
 					kern.Run(apack[grp*apg+pi*mr*2*kp:grp*apg+(pi+1)*mr*2*kp], bpack, 2*nr, kp,
 						biasAll[grp*bpg+pi*mr:grp*bpg+(pi+1)*mr], ctile, nr)
-					for i := 0; i < mh; i++ {
-						oc := oc0 + i
-						off := (b*g.outC+oc)*px + j0
-						requantRow(dst[off:off+jw], ctile[i*nr:i*nr+jw], p.req[oc], p.zpOut, p.postFor(oc))
-					}
+					tensor.RequantTileInt8(dst[(b*g.outC+oc0)*px+j0:], px, ctile, nr, mh, jw, p.req[oc0:], p.zpOut, p.postRows(oc0, mh))
 				}
 			}
 		})
 		return nil
 	}
-	return kfn, scratchSpec{i16PerWorker: i16Need, i32PerWorker: i32Need}
+	return kfn, spec, true
 }

@@ -36,12 +36,54 @@ const (
 	// fixed costTapCall.
 	costTapOp   = 8
 	costTapCall = 512
+	// The integer kernels state their own units, fitted to the inline
+	// column of TestFanOutProfileBatch8 (int8 rows) so that each step's
+	// estimated ops per ns lands in the band above. A direct plane: three
+	// kernel calls and the compaction (about 100 ns); widen, requantize and
+	// recode per output element; the PMADDWD pairs per tap and element.
+	costQPlaneCall = 3200
+	costQPlaneElem = 14
+	costQTapOp     = 2
+	// A GEMM-conv item (one B tile under every A panel): fixed costs per
+	// item and per panel, the pack per B element (a staged pack replays
+	// segment plans first), the tile epilogue per output; a MAC is half an op.
+	costQTileCall    = 2048
+	costQPanelCall   = 3072
+	costQPackElem    = 1
+	costQPackStaged  = 24
+	costQTileOutElem = 8
+	// Element-wise, per element and per plane of calls.
+	costAddOperand = 10 // one table operand's gather and its share of the narrow
+	costMulElem    = 5  // widen, multiply, requantize
+	costMulPlane   = 256
+	costPoolElem   = 1
+	costPoolPlane  = 128
+	costLUTElem    = 2
+	costQuantize   = 20 // the entry quantizer
+	costWidenElem  = 1
 )
 
 // convPlaneCost is the estimated cost of one output plane of a direct
-// convolution, either executor.
+// FP32 convolution.
 func convPlaneCost(g *convGeom) int64 {
 	return int64(g.icPerG*g.kh*g.kw) * (int64(g.outH*g.outW)*2*costTapOp + costTapCall)
+}
+
+// qconvPlaneCost is the same for a direct integer convolution.
+func qconvPlaneCost(g *convGeom) int64 {
+	return costQPlaneCall + int64(g.outH*g.outW)*(costQPlaneElem+int64(g.icPerG*g.kh*g.kw)*costQTapOp)
+}
+
+// qconvTileCost is the estimated cost of one GEMM-conv item of an integer
+// convolution: one nr-wide B tile packed (staged unless pointwise) and
+// multiplied under panels A panels of mr rows.
+func qconvTileCost(taps, mr, nr, panels int, staged bool) int64 {
+	pack := int64(costQPackElem)
+	if staged {
+		pack = costQPackStaged
+	}
+	return costQTileCall + int64(taps*nr)*pack +
+		int64(panels)*(costQPanelCall+int64(mr*nr)*(int64(taps)/2+costQTileOutElem))
 }
 
 // parallelFor executes fn over the index range [0, n), splitting it into

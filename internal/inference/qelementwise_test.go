@@ -1,0 +1,145 @@
+package inference
+
+import (
+	"math/rand"
+	"testing"
+
+	"vedliot/internal/tensor"
+)
+
+// runBoundQ runs one bound quantized kernel on planned scratch, split
+// across two workers at every range so the per-worker regions are in
+// play.
+func runBoundQ(t *testing.T, kern qkernelFunc, spec scratchSpec, batch int, dst []int8, srcs [][]int8) {
+	t.Helper()
+	var sb scratchBufs
+	sb.ensure(spec, batch, 2)
+	rc := runCtx{batch: batch, workers: 2, threshold: 1, spec: spec, scratch: &sb}
+	if err := kern(&rc, dst, srcs); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuantAddMatchesScalar holds the accumulate-pass Add to the scalar
+// definition (the sum of every operand's table entry plus the output
+// zero point, saturated) for two and three operands, with and without a
+// [C,1,1] operand, on planes that are ragged, longer than one scratch
+// chunk, and one-dimensional.
+func TestQuantAddMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	outQ := tensor.QuantParams{Scale: 0.031, Zero: -9}
+	for _, out := range []tensor.Shape{{5, 7, 9}, {3, 70, 70}, {300}} {
+		bc := tensor.Shape{out[0], 1, 1}
+		cases := [][]tensor.Shape{{out, out}, {out, out, out}}
+		if len(out) == 3 {
+			cases = append(cases, []tensor.Shape{out, bc}, []tensor.Shape{out, bc, out}, []tensor.Shape{out, out, bc})
+		}
+		for _, ins := range cases {
+			for _, batch := range []int{1, 3} {
+				inQ := make([]tensor.QuantParams, len(ins))
+				srcs := make([][]int8, len(ins))
+				for i, s := range ins {
+					inQ[i] = tensor.QuantParams{Scale: 0.01 + 0.02*rng.Float32(), Zero: int32(rng.Intn(41) - 20)}
+					srcs[i] = make([]int8, batch*s.NumElements())
+					for j := range srcs[i] {
+						srcs[i][j] = int8(rng.Intn(256) - 128)
+					}
+				}
+				kern, spec, err := bindQuantAdd(ins, out, inQ, outQ)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := out.NumElements()
+				got := make([]int8, batch*n)
+				runBoundQ(t, kern, spec, batch, got, srcs)
+				hw := n / out[0]
+				luts := make([]*[256]int32, len(ins))
+				for i := range luts {
+					luts[i] = buildAddLUT(inQ[i], outQ)
+				}
+				for j := range got {
+					acc := outQ.Zero
+					for i, s := range ins {
+						k := j
+						if !s.Equal(out) {
+							k = j / hw // the [C,1,1] operand holds one code per plane
+						}
+						code := srcs[i][k]
+						acc += luts[i][int(code)+128]
+					}
+					if want := tensor.ClampInt8(acc); got[j] != want {
+						t.Fatalf("%v batch %d: dst[%d] = %d, want %d", ins, batch, j, got[j], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestQuantMulMatchesScalar holds Mul, under a [C,1,1] second operand and
+// element-wise, to the scalar definition: the zero-point-corrected
+// product through the fixed-point multiplier, saturated.
+func TestQuantMulMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(89))
+	for _, out := range []tensor.Shape{{5, 7, 9}, {3, 70, 70}, {300}, {40, 2, 2}} {
+		cases := [][]tensor.Shape{{out, out}}
+		if len(out) == 3 {
+			cases = append(cases, []tensor.Shape{out, {out[0], 1, 1}})
+		}
+		for _, ins := range cases {
+			for _, batch := range []int{1, 3} {
+				inQ := []tensor.QuantParams{{Scale: 0.02, Zero: int32(rng.Intn(256) - 128)}, {Scale: 0.004, Zero: int32(rng.Intn(256) - 128)}}
+				outQ := tensor.QuantParams{Scale: 0.01, Zero: int32(rng.Intn(41) - 20)}
+				srcs := make([][]int8, 2)
+				for i, s := range ins {
+					srcs[i] = make([]int8, batch*s.NumElements())
+					for j := range srcs[i] {
+						srcs[i][j] = int8(rng.Intn(256) - 128)
+					}
+				}
+				kern, spec, err := bindQuantMul(ins, out, inQ, outQ)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := out.NumElements()
+				got := make([]int8, batch*n)
+				runBoundQ(t, kern, spec, batch, got, srcs)
+				req := tensor.NewRequant(float64(inQ[0].Scale) * float64(inQ[1].Scale) / float64(outQ.Scale))
+				hw := n / out[0]
+				for j := range got {
+					k := j
+					if !ins[1].Equal(out) {
+						k = j / hw
+					}
+					prod := (int32(srcs[0][j]) - inQ[0].Zero) * (int32(srcs[1][k]) - inQ[1].Zero)
+					if want := tensor.ClampInt8(outQ.Zero + req.Apply(prod)); got[j] != want {
+						t.Fatalf("%v batch %d: dst[%d] = %d, want %d", ins, batch, j, got[j], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestQuantConvGemmFallsBackWithoutPlan pins the routing guard of
+// bindQuantConvGemm: a GEMM-eligible geometry whose zero point is not an
+// int8 code, or whose stride has no segment plan, binds the plane form
+// (and still computes).
+func TestQuantConvGemmFallsBackWithoutPlan(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		stride int
+		zp     int32
+		gemm   bool
+	}{{"ordinary", 1, 3, true}, {"wide zero point", 1, 300, false}, {"stride 3", 3, 3, false}} {
+		g := convGeom{inC: 8, inH: 9, inW: 9, outC: 8, outH: (9-3)/c.stride + 1, outW: (9-3)/c.stride + 1,
+			kh: 3, kw: 3, sh: c.stride, sw: c.stride, icPerG: 8, ocPerG: 8}
+		if !convGemmEligible(g) {
+			t.Fatalf("%s: geometry should be GEMM-eligible", c.name)
+		}
+		p := &qconv{g: g, w16: make([]int16, 8*8*9), bias32: make([]int32, 8), req: make([]tensor.Requant, 8), zpIn: c.zp}
+		if _, _, ok := bindQuantConvGemm(p); ok != c.gemm {
+			t.Errorf("%s: bindQuantConvGemm ok = %v, want %v", c.name, ok, c.gemm)
+		}
+	}
+}

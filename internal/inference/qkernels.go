@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"vedliot/internal/nn"
 	"vedliot/internal/tensor"
@@ -62,6 +63,10 @@ func bindQuantKernel(n *nn.Node, ins []tensor.Shape, out tensor.Shape, inQ []ten
 		return bindQuantConv(n, ins[0], out, inQ[0], outQ, post)
 	case nn.OpDense:
 		return bindQuantDense(n, ins[0], out, inQ[0], outQ, post)
+	case nn.OpAdd:
+		return bindQuantAdd(ins, out, inQ, outQ)
+	case nn.OpMul:
+		return bindQuantMul(ins, out, inQ, outQ)
 	}
 	var (
 		kern qkernelFunc
@@ -79,10 +84,6 @@ func bindQuantKernel(n *nn.Node, ins []tensor.Shape, out tensor.Shape, inQ []ten
 		kern, err = bindQuantAvgPool(n, ins[0], out, inQ[0], outQ)
 	case nn.OpGlobalAvgPool:
 		kern, err = bindQuantGlobalAvgPool(ins[0], inQ[0], outQ)
-	case nn.OpAdd:
-		kern, err = bindQuantAdd(ins, out, inQ, outQ)
-	case nn.OpMul:
-		kern, err = bindQuantMul(ins, out, inQ, outQ)
 	case nn.OpConcat:
 		kern, err = bindQuantConcat(ins, out, inQ, outQ)
 	case nn.OpUpsample:
@@ -165,8 +166,8 @@ func foldBias(bias *tensor.Tensor, wScales []float64, inQ, outQ tensor.QuantPara
 // qconv is the bound state of one integer convolution. Weight codes are
 // kept widened to int16: the input side is zero-point-shifted to int16
 // as well (so padding contributes exactly 0), and the multiply-
-// accumulate runs through the SIMD integer kernels (tensor.AxpyInt16
-// and the int16 GEMM).
+// accumulate runs through the SIMD integer kernels (the multi-tap plane
+// kernel tensor.ConvTapsInt16 and the int16 GEMM).
 type qconv struct {
 	g      convGeom
 	w16    []int16
@@ -175,15 +176,20 @@ type qconv struct {
 	zpIn   int32
 	zpOut  int32
 	post   []*[256]int8 // per-channel fused-epilogue recode, nil when unfused
+	// Plane forms only: per-tap window offsets and per-input-row
+	// placements in the int32 form the plane kernels take, and the
+	// offsets of the even and (at stride 2) odd column phases in a row.
+	tapOff, rowOff []int32
+	offE, offO     int
 }
 
-// postFor returns the fused-epilogue recode table for output channel
-// oc, or nil when unfused.
-func (p *qconv) postFor(oc int) *[256]int8 {
+// postRows returns the fused-epilogue recode tables of output channels
+// oc..oc+n-1, or nil when unfused.
+func (p *qconv) postRows(oc, n int) []*[256]int8 {
 	if p.post == nil {
 		return nil
 	}
-	return p.post[oc]
+	return p.post[oc : oc+n]
 }
 
 // widenCodes converts int8 weight codes to the int16 operand form of
@@ -196,21 +202,6 @@ func widenCodes(codes []int8) []int16 {
 	return w16
 }
 
-// requantRow requantizes one int32 accumulator row into int8 codes,
-// applying the fused activation recode when present. The requantize +
-// clamp runs through the SIMD-dispatched tensor.RequantInt8; the recode
-// is a separate pass over the produced codes, which composes to the
-// same result as recoding inline.
-func requantRow(out []int8, acc []int32, req tensor.Requant, zpOut int32, post *[256]int8) {
-	out = out[:len(acc)]
-	tensor.RequantInt8(out, acc, req, zpOut)
-	if post != nil {
-		for i, c := range out {
-			out[i] = post[int(c)+128]
-		}
-	}
-}
-
 func bindQuantConv(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantParams, post []*[256]int8) (qkernelFunc, scratchSpec, error) {
 	g, w, err := convGeometry(n, in, out)
 	if err != nil {
@@ -219,26 +210,33 @@ func bindQuantConv(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantParam
 	codes, wScales := quantizeFilter(w, g.outC)
 	bias32, req := foldBias(n.Weight(nn.BiasKey), wScales, inQ, outQ)
 	p := &qconv{g: g, w16: widenCodes(codes), bias32: bias32, req: req, zpIn: inQ.Zero, zpOut: outQ.Zero, post: post}
-	planeCost := convPlaneCost(&g)
+	planeCost := qconvPlaneCost(&g)
 
 	// Routing mirrors the FP32 binder: convolutions with a real channel
 	// reduction (stems and pointwise projections) run the int16 GEMM
 	// micro-kernels with the zero-point shift fused into the per-tile B
 	// pack. Depthwise and other shallow reductions accumulate int32
-	// planes through plane-length SIMD axpys instead (qconvPlanePadded).
+	// planes through the multi-tap plane kernel instead
+	// (qconvPlanePadded), and so does a conv whose B tile has no segment
+	// plan (see bindQuantConvGemm).
 	if convGemmEligible(g) {
-		kern, spec := bindQuantConvGemm(p)
-		return kern, spec, nil
+		if kern, spec, ok := bindQuantConvGemm(p); ok {
+			return kern, spec, nil
+		}
 	}
 	px := g.outH * g.outW
 	if g.kh == 1 && g.kw == 1 && g.sh == 1 && g.sw == 1 && g.ph == 0 && g.pw == 0 {
+		p.tapOff = make([]int32, g.icPerG) // one tap per input channel of the group
+		for ic := range p.tapOff {
+			p.tapOff[ic] = int32(ic * px)
+		}
 		return func(rc *runCtx, dst []int8, srcs [][]int8) error {
 			xv := srcs[0]
 			// Shift the whole input by the zero point once; every output
 			// channel of a group then reads the same int16 planes.
 			x16 := rc.i16Sample(g.inC * px)
 			zp := int16(p.zpIn)
-			rc.parallelFor(len(x16), costElem/8, func(lo, hi int) {
+			rc.parallelFor(len(x16), costWidenElem, func(lo, hi int) {
 				tensor.WidenShiftInt8(x16[lo:hi], xv[lo:hi], zp)
 			})
 			rc.parallelForWorker(rc.batch*g.outC, planeCost, func(worker, lo, hi int) {
@@ -251,11 +249,25 @@ func bindQuantConv(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantParam
 		}, scratchSpec{i16PerSample: g.inC * px, i32PerWorker: px}, nil
 	}
 	pd := newConvPad(&g)
+	p.tapOff = make([]int32, len(pd.tapOff))
+	for t, off := range pd.tapOff {
+		p.tapOff[t] = int32(off)
+	}
+	p.rowOff = make([]int32, g.inH)
+	for iy, off := range pd.rowOff {
+		p.rowOff[iy] = int32(off)
+	}
+	p.offE = pd.cols[0].off // the phase of the even input columns: every column at stride 1
+	if g.sw == 2 {
+		if p.offO = pd.cols[1].off; pd.cols[0].ix0 != 0 {
+			p.offE, p.offO = p.offO, p.offE
+		}
+	}
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
 		xv := srcs[0]
 		rc.parallelForWorker(rc.batch*g.outC, planeCost, func(worker, lo, hi int) {
 			ws := rc.i16Worker(worker, pd.inLen+g.inW)
-			xp, row16 := ws[:pd.inLen], ws[pd.inLen:] // row16 stages one widened row of a strided conv
+			xp, row16 := ws[:pd.inLen], ws[pd.inLen:] // row16 stages one widened row of a stride above 2
 			acc := rc.i32Worker(worker, pd.accLen)
 			clear(xp) // the border and slack stay zero across this chunk's planes
 			for pi := lo; pi < hi; pi++ {
@@ -269,67 +281,53 @@ func bindQuantConv(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantParam
 // qconvPlanePadded computes one (batch, output-channel) plane of a
 // shallow reduction in the padded plane form, mirroring the FP32
 // convPlanePadded (see convPad): per input channel the int8 plane is
-// zero-point-shifted to int16 into the phase planes (a strided conv
-// widens each row into row16 and scatters it), whose zero border is
-// then exactly the padding's contribution; every tap is
-// one plane-length AxpyInt16 into the int32 accumulator plane, which is
-// compacted to its valid columns and requantized once at the end.
+// zero-point-shifted to int16 into the phase planes in one call (a
+// stride-2 conv splits the column phases as it widens; a larger stride
+// widens each row into row16 and scatters it), whose zero border is then
+// exactly the padding's contribution; all taps of the channel are one
+// tensor.ConvTapsInt16 over the int32 accumulator plane, seeded with the
+// folded bias on the first channel and from the plane after it. The
+// plane is compacted to its valid columns and requantized as a one-row
+// tile at the end.
 func qconvPlanePadded(dst []int8, xv []int8, p *qconv, pd *convPad, xp, row16 []int16, acc []int32, b, oc int) {
 	g := &p.g
-	b0 := p.bias32[oc]
-	for i := range acc {
-		acc[i] = b0
-	}
 	icBase := oc / g.ocPerG * g.icPerG
 	zp := int16(p.zpIn)
+	hw, taps := g.inH*g.inW, g.kh*g.kw
 	for ic := 0; ic < g.icPerG; ic++ {
-		xBase := (b*g.inC + icBase + ic) * g.inH * g.inW
-		for iy := 0; iy < g.inH; iy++ {
-			row := xv[xBase+iy*g.inW : xBase+(iy+1)*g.inW]
-			if g.sw == 1 {
-				tensor.WidenShiftInt8(xp[pd.rowOff[iy]+pd.cols[0].off:], row, zp)
-			} else {
-				tensor.WidenShiftInt8(row16, row, zp)
+		plane := xv[(b*g.inC+icBase+ic)*hw:][:hw]
+		switch g.sw {
+		case 1:
+			tensor.WidenShiftRowsInt8(xp[p.offE:], p.rowOff, plane, g.inW, zp)
+		case 2:
+			tensor.WidenShiftSplit2RowsInt8(xp, p.rowOff, p.offE, p.offO, plane, g.inW, zp)
+		default:
+			for iy := 0; iy < g.inH; iy++ {
+				tensor.WidenShiftInt8(row16, plane[iy*g.inW:(iy+1)*g.inW], zp)
 				scatterPadRow(pd, xp[pd.rowOff[iy]:], row16, g.sw)
 			}
 		}
-		wBase := (oc*g.icPerG + ic) * g.kh * g.kw
-		for t, off := range pd.tapOff {
-			if w := p.w16[wBase+t]; w != 0 { // a zero tap contributes nothing
-				tensor.AxpyInt16(acc, xp[off:], w)
-			}
-		}
+		wBase := (oc*g.icPerG + ic) * taps
+		tensor.ConvTapsInt16(acc, xp, p.tapOff, p.w16[wBase:wBase+taps], p.bias32[oc], ic > 0)
 	}
 	px := g.outH * g.outW
 	for oy := 1; oy < g.outH; oy++ {
 		copy(acc[oy*g.outW:(oy+1)*g.outW], acc[oy*pd.sp:])
 	}
-	requantRow(dst[(b*g.outC+oc)*px:(b*g.outC+oc+1)*px], acc[:px], p.req[oc], p.zpOut, p.postFor(oc))
+	tensor.RequantTileInt8(dst[(b*g.outC+oc)*px:], px, acc, px, 1, px, p.req[oc:], p.zpOut, p.postRows(oc, 1))
 }
 
 // qconvPlanePointwise is the 1x1/stride-1/no-pad fast path of the
 // shallow form: input and output planes are contiguous and need no
-// border, so each input channel accumulates with one whole-plane axpy
-// straight from the zero-point-shifted input.
+// border, so the group's input channels are the taps of one
+// tensor.ConvTapsInt16 straight over the zero-point-shifted input.
 func qconvPlanePointwise(dst []int8, x16 []int16, p *qconv, acc []int32, b, oc int) {
 	g := &p.g
-	grp := oc / g.ocPerG
-	icBase := grp * g.icPerG
+	icBase := oc / g.ocPerG * g.icPerG
 	hw := g.inH * g.inW
-	b0 := p.bias32[oc]
-	plane := acc[:hw]
-	for i := range plane {
-		plane[i] = b0
-	}
-	for ic := 0; ic < g.icPerG; ic++ {
-		w := p.w16[oc*g.icPerG+ic]
-		if w == 0 {
-			continue
-		}
-		xPlane := x16[(b*g.inC+icBase+ic)*hw : (b*g.inC+icBase+ic+1)*hw]
-		tensor.AxpyInt16(plane, xPlane, w)
-	}
-	requantRow(dst[(b*g.outC+oc)*hw:(b*g.outC+oc+1)*hw], plane, p.req[oc], p.zpOut, p.postFor(oc))
+	x := x16[(b*g.inC+icBase)*hw:][:g.icPerG*hw]
+	tensor.ConvTapsInt16(acc[:hw], x, p.tapOff, p.w16[oc*g.icPerG:(oc+1)*g.icPerG], p.bias32[oc], false)
+	tensor.RequantTileInt8(dst[(b*g.outC+oc)*hw:], hw, acc, hw, 1, hw, p.req[oc:], p.zpOut, p.postRows(oc, 1))
 }
 
 func bindQuantDense(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantParams, post []*[256]int8) (qkernelFunc, scratchSpec, error) {
@@ -450,16 +448,9 @@ func bindQuantBatchNorm(n *nn.Node, in tensor.Shape, inQ, outQ tensor.QuantParam
 	hw := in[1] * in[2]
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
 		xv := srcs[0]
-		rc.parallelFor(rc.batch*c, int64(hw)*costElem, func(lo, hi int) {
+		rc.parallelFor(rc.batch*c, int64(hw)*costLUTElem, func(lo, hi int) {
 			for p := lo; p < hi; p++ {
-				lut := luts[p%c]
-				base := p * hw
-				x := xv[base : base+hw]
-				out := dst[base : base+hw]
-				out = out[:len(x)]
-				for i, v := range x {
-					out[i] = lut[int(v)+128]
-				}
+				tensor.LUT8(dst[p*hw:(p+1)*hw], xv[p*hw:(p+1)*hw], luts[p%c])
 			}
 		})
 		return nil
@@ -490,13 +481,8 @@ func bindQuantRecode(inQ, outQ tensor.QuantParams) qkernelFunc {
 func lutKernel(lut *[256]int8) qkernelFunc {
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
 		xv := srcs[0]
-		rc.parallelFor(len(dst), costElem, func(lo, hi int) {
-			x := xv[lo:hi]
-			out := dst[lo:hi]
-			out = out[:len(x)]
-			for i, v := range x {
-				out[i] = lut[int(v)+128]
-			}
+		rc.parallelFor(len(dst), costLUTElem, func(lo, hi int) {
+			tensor.LUT8(dst[lo:hi], xv[lo:hi], lut)
 		})
 		return nil
 	}
@@ -640,14 +626,14 @@ func bindQuantGlobalAvgPool(in tensor.Shape, inQ, outQ tensor.QuantParams) (qker
 	zpIn, zpOut := inQ.Zero, outQ.Zero
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
 		xv := srcs[0]
-		rc.parallelFor(rc.batch*c, int64(hw)*2*costElem, func(lo, hi int) {
-			for p := lo; p < hi; p++ {
-				x := xv[p*hw : (p+1)*hw]
-				var sum int32
-				for _, v := range x {
-					sum += int32(v)
+		rc.parallelFor(rc.batch*c, int64(hw)*costPoolElem+costPoolPlane, func(lo, hi int) {
+			var sums [256]int32 // planes summed per kernel call
+			for p0 := lo; p0 < hi; p0 += len(sums) {
+				n := min(len(sums), hi-p0)
+				tensor.SumRowsInt8(sums[:n], xv[p0*hw:], hw)
+				for i, sum := range sums[:n] {
+					dst[p0+i] = tensor.ClampInt8(zpOut + req.Apply(sum-int32(hw)*zpIn))
 				}
-				dst[p] = tensor.ClampInt8(zpOut + req.Apply(sum-int32(hw)*zpIn))
 			}
 		})
 		return nil
@@ -672,93 +658,112 @@ func classifyBroadcast(ins []tensor.Shape, out tensor.Shape) ([]bool, error) {
 	return broadcast, nil
 }
 
+// planeChunk bounds the elements of scratch an element-wise pass holds per
+// worker: longer planes go through in pieces.
+const planeChunk = 4096
+
 // bindQuantAdd lowers element-wise addition: each operand's real
 // contribution, rescaled to the output scale, is a 256-entry int32
-// table of its code, so the sum is table lookups plus one clamp.
-func bindQuantAdd(ins []tensor.Shape, out tensor.Shape, inQ []tensor.QuantParams, outQ tensor.QuantParams) (qkernelFunc, error) {
+// table of its code. A plane is one accumulate pass per full operand
+// (tensor.AccumLUT32; the broadcast operands and the output zero point
+// seed the first) and a saturating narrow, whatever the arity.
+func bindQuantAdd(ins []tensor.Shape, out tensor.Shape, inQ []tensor.QuantParams, outQ tensor.QuantParams) (qkernelFunc, scratchSpec, error) {
 	broadcast, err := classifyBroadcast(ins, out)
 	if err != nil {
-		return nil, err
+		return nil, scratchSpec{}, err
 	}
-	sOut := float64(outQ.Scale)
 	luts := make([]*[256]int32, len(ins))
 	for op := range ins {
-		var lut [256]int32
-		s, zp := float64(inQ[op].Scale), inQ[op].Zero
-		for c := -128; c <= 127; c++ {
-			lut[c+128] = int32(math.Round(s * float64(int32(c)-zp) / sOut))
-		}
-		luts[op] = &lut
+		luts[op] = buildAddLUT(inQ[op], outQ)
 	}
+	// One plane per channel when an operand is a [C,1,1] broadcast, the
+	// whole sample as one plane otherwise.
 	c, hw := 1, out.NumElements()
-	if len(out) == 3 {
+	if slices.Contains(broadcast, true) {
 		c, hw = out[0], out[1]*out[2]
 	}
+	chunk := min(hw, planeChunk)
 	zpOut := outQ.Zero
-	unit := int64(len(ins)) * 3 * costElem // a table lookup per operand, about 3 ns each
+	unit := int64(len(ins)) * costAddOperand
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
-		rc.parallelFor(rc.batch*c, int64(hw)*unit, func(lo, hi int) {
+		rc.parallelForWorker(rc.batch*c, int64(hw)*unit, func(worker, lo, hi int) {
+			acc := rc.i32Worker(worker, chunk)
 			for p := lo; p < hi; p++ {
-				base := p * hw
-				bcast := zpOut
+				seed := zpOut
 				for op := 1; op < len(srcs); op++ {
 					if broadcast[op] {
-						bcast += luts[op][int(srcs[op][p])+128]
+						seed += luts[op][int(srcs[op][p])+128]
 					}
 				}
-				for j := base; j < base+hw; j++ {
-					acc := bcast
-					acc += luts[0][int(srcs[0][j])+128]
-					for op := 1; op < len(srcs); op++ {
+				for j := p * hw; j < (p+1)*hw; j += chunk {
+					n := min(chunk, (p+1)*hw-j)
+					for op, src := range srcs {
 						if !broadcast[op] {
-							acc += luts[op][int(srcs[op][j])+128]
+							tensor.AccumLUT32(acc[:n], src[j:j+n], luts[op], seed, op > 0)
 						}
 					}
-					dst[j] = tensor.ClampInt8(acc)
+					tensor.NarrowSatInt8(dst[j:j+n], acc[:n])
 				}
 			}
 		})
 		return nil
-	}, nil
+	}, scratchSpec{i32PerWorker: chunk}, nil
 }
 
 // bindQuantMul lowers two-operand multiplication (the squeeze-excite
 // channel scale and element-wise gating): the zero-point-corrected
-// product fits int32 and one fixed-point multiplier rescales it.
-// Higher arity falls back to the FP32 island.
-func bindQuantMul(ins []tensor.Shape, out tensor.Shape, inQ []tensor.QuantParams, outQ tensor.QuantParams) (qkernelFunc, error) {
+// product fits int32 and one fixed-point multiplier rescales it. A block
+// of elements is widened (tensor.WidenShiftInt8), multiplied into int32
+// and requantized by the tile epilogue. Under a [C,1,1] second operand a
+// block is a run of whole planes, each scaled by its channel's factor
+// (tensor.ScaleRowsInt16); otherwise the sample is one plane and a block
+// a piece of it. Higher arity falls back to the FP32 island.
+func bindQuantMul(ins []tensor.Shape, out tensor.Shape, inQ []tensor.QuantParams, outQ tensor.QuantParams) (qkernelFunc, scratchSpec, error) {
 	if len(ins) != 2 {
-		return nil, errNoQuantKernel
+		return nil, scratchSpec{}, errNoQuantKernel
 	}
 	broadcast, err := classifyBroadcast(ins, out)
 	if err != nil {
-		return nil, err
+		return nil, scratchSpec{}, err
 	}
 	req := tensor.NewRequant(float64(inQ[0].Scale) * float64(inQ[1].Scale) / float64(outQ.Scale))
-	zpA, zpB, zpOut := inQ[0].Zero, inQ[1].Zero, outQ.Zero
+	zpA, zpB, zpOut := int16(inQ[0].Zero), int16(inQ[1].Zero), outQ.Zero
 	c, hw := 1, out.NumElements()
-	if len(out) == 3 {
+	if broadcast[1] {
 		c, hw = out[0], out[1]*out[2]
+	}
+	chunk := min(hw, planeChunk)      // elements of one plane a block takes
+	perBlock := max(planeChunk/hw, 1) // whole planes per block, 1 once a plane outgrows it
+	reqs := make([]tensor.Requant, perBlock)
+	for i := range reqs {
+		reqs[i] = req
 	}
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
 		av, bv := srcs[0], srcs[1]
-		rc.parallelFor(rc.batch*c, int64(hw)*4*costElem, func(lo, hi int) {
-			for p := lo; p < hi; p++ {
-				base := p * hw
-				if broadcast[1] {
-					f := int32(bv[p]) - zpB
-					for j := base; j < base+hw; j++ {
-						dst[j] = tensor.ClampInt8(zpOut + req.Apply((int32(av[j])-zpA)*f))
+		rc.parallelForWorker(rc.batch*c, int64(hw)*costMulElem+costMulPlane, func(worker, lo, hi int) {
+			ws := rc.i16Worker(worker, 2*perBlock*chunk)
+			a16, b16 := ws[:perBlock*chunk], ws[perBlock*chunk:] // b16: the other operand, or one factor per plane
+			acc := rc.i32Worker(worker, perBlock*chunk)
+			for p := lo; p < hi; p += perBlock {
+				g := min(perBlock, hi-p)
+				for j := 0; j < hw; j += chunk {
+					n, base := min(chunk, hw-j), p*hw+j
+					tensor.WidenShiftInt8(a16[:g*n], av[base:], zpA)
+					if broadcast[1] {
+						tensor.WidenShiftInt8(b16[:g], bv[p:], zpB)
+						tensor.ScaleRowsInt16(acc, a16, b16[:g], n)
+					} else {
+						tensor.WidenShiftInt8(b16[:g*n], bv[base:], zpB)
+						for i, a := range a16[:g*n] {
+							acc[i] = int32(a) * int32(b16[i])
+						}
 					}
-					continue
-				}
-				for j := base; j < base+hw; j++ {
-					dst[j] = tensor.ClampInt8(zpOut + req.Apply((int32(av[j])-zpA)*(int32(bv[j])-zpB)))
+					tensor.RequantTileInt8(dst[base:], n, acc, n, g, n, reqs, zpOut, nil)
 				}
 			}
 		})
 		return nil
-	}, nil
+	}, scratchSpec{i16PerWorker: 2 * perBlock * chunk, i32PerWorker: perBlock * chunk}, nil
 }
 
 func bindQuantConcat(ins []tensor.Shape, out tensor.Shape, inQ []tensor.QuantParams, outQ tensor.QuantParams) (qkernelFunc, error) {
@@ -787,11 +792,7 @@ func bindQuantConcat(ins []tensor.Shape, out tensor.Shape, inQ []tensor.QuantPar
 				sz := sizes[i]
 				part := src[b*sz : (b+1)*sz]
 				if lut := luts[i]; lut != nil {
-					outSeg := dst[off : off+sz]
-					outSeg = outSeg[:len(part)]
-					for j, v := range part {
-						outSeg[j] = lut[int(v)+128]
-					}
+					tensor.LUT8(dst[off:off+sz], part, lut)
 				} else {
 					copy(dst[off:off+sz], part)
 				}

@@ -425,7 +425,7 @@ func describeStep(step *QuantStep, n *nn.Node, inPer []tensor.Shape, outPer tens
 }
 
 // buildAddLUT tabulates one add operand's rescaled int32 contribution,
-// exactly as bindQuantAdd does.
+// the table both bindQuantAdd and the plan's PlanAdd carry.
 func buildAddLUT(inQ, outQ tensor.QuantParams) *[256]int32 {
 	var lut [256]int32
 	s, zp := float64(inQ.Scale), inQ.Zero

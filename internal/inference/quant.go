@@ -276,7 +276,7 @@ func (e *QuantEngine) Run(inputs map[string]*tensor.Tensor) (map[string]*tensor.
 		off += n
 		q := e.qp[v]
 		src := inBufs[i]
-		rc.parallelFor(n, 4*costElem, func(lo, hi int) {
+		rc.parallelFor(n, costQuantize, func(lo, hi int) {
 			tensor.QuantizeSlice(buf[lo:hi], src[lo:hi], q)
 		})
 		qin[i] = buf

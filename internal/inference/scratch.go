@@ -19,12 +19,13 @@ import "sync"
 // whole step (the FP16-compute widened weight panels); PerSample
 // fields scale with the call's batch size (whole-input staging);
 // PerWorker fields are private to one pool worker (pack tiles,
-// accumulator tiles, the direct convolutions' padded planes) and scale
-// with the worker bound.
+// accumulator tiles, the int8 staging rows of a B-tile pack, the direct
+// convolutions' padded planes) and scale with the worker bound.
 type scratchSpec struct {
 	f32PerCall   int
 	f32PerSample int
 	f32PerWorker int
+	i8PerWorker  int
 	i16PerSample int
 	i16PerWorker int
 	i32PerWorker int
@@ -33,24 +34,13 @@ type scratchSpec struct {
 // grow raises s to the element-wise maximum of s and o — the engine's
 // fold over its steps.
 func (s *scratchSpec) grow(o scratchSpec) {
-	if o.f32PerCall > s.f32PerCall {
-		s.f32PerCall = o.f32PerCall
-	}
-	if o.f32PerSample > s.f32PerSample {
-		s.f32PerSample = o.f32PerSample
-	}
-	if o.f32PerWorker > s.f32PerWorker {
-		s.f32PerWorker = o.f32PerWorker
-	}
-	if o.i16PerSample > s.i16PerSample {
-		s.i16PerSample = o.i16PerSample
-	}
-	if o.i16PerWorker > s.i16PerWorker {
-		s.i16PerWorker = o.i16PerWorker
-	}
-	if o.i32PerWorker > s.i32PerWorker {
-		s.i32PerWorker = o.i32PerWorker
-	}
+	s.f32PerCall = max(s.f32PerCall, o.f32PerCall)
+	s.f32PerSample = max(s.f32PerSample, o.f32PerSample)
+	s.f32PerWorker = max(s.f32PerWorker, o.f32PerWorker)
+	s.i8PerWorker = max(s.i8PerWorker, o.i8PerWorker)
+	s.i16PerSample = max(s.i16PerSample, o.i16PerSample)
+	s.i16PerWorker = max(s.i16PerWorker, o.i16PerWorker)
+	s.i32PerWorker = max(s.i32PerWorker, o.i32PerWorker)
 }
 
 // isZero reports an empty spec, letting Run skip scratch setup.
@@ -61,6 +51,7 @@ func (s scratchSpec) isZero() bool {
 // scratchBufs is one pooled allocation of an engine's scratch regions.
 type scratchBufs struct {
 	f32 []float32
+	i8  []int8
 	i16 []int16
 	i32 []int32
 }
@@ -73,6 +64,11 @@ func (b *scratchBufs) ensure(spec scratchSpec, batch, workers int) {
 		b.f32 = make([]float32, n)
 	} else {
 		b.f32 = b.f32[:n]
+	}
+	if n := spec.i8PerWorker * workers; cap(b.i8) < n {
+		b.i8 = make([]int8, n)
+	} else {
+		b.i8 = b.i8[:n]
 	}
 	if n := spec.i16PerSample*batch + spec.i16PerWorker*workers; cap(b.i16) < n {
 		b.i16 = make([]int16, n)
@@ -126,6 +122,12 @@ func (rc *runCtx) f32Sample(n int) []float32 {
 func (rc *runCtx) f32Worker(w, n int) []float32 {
 	off := rc.spec.f32PerCall + rc.spec.f32PerSample*rc.batch + w*rc.spec.f32PerWorker
 	return rc.scratch.f32[off : off+n]
+}
+
+// i8Worker returns worker w's private int8 region of n elements.
+func (rc *runCtx) i8Worker(w, n int) []int8 {
+	off := w * rc.spec.i8PerWorker
+	return rc.scratch.i8[off : off+n]
 }
 
 // i16Sample returns the batch-scaled int16 region, n elements per

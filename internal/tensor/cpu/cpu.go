@@ -88,6 +88,8 @@ func ParseTier(s string) (Tier, error) {
 type Features struct {
 	// SSE2 is true on every amd64 host (architectural baseline).
 	SSE2 bool
+	// SSSE3 reports PSHUFB, the 128-bit byte-table kernel's lookup.
+	SSSE3 bool
 	// SSE41 reports SSE4.1 (PMULLD and friends).
 	SSE41 bool
 	// AVX reports 256-bit float vectors with OS state support.
@@ -114,6 +116,10 @@ type Features struct {
 	// AVX512 reports the full F+BW+VL subset the TierAVX512 kernels
 	// require, with OS ZMM state.
 	AVX512 bool
+	// AVX512VBMI reports VPERMI2B, the 512-bit byte-table kernel's
+	// lookup (with OS ZMM state). It is a detected fact, not a tier: the
+	// AVX-512 tier runs the 256-bit byte table where it is missing.
+	AVX512VBMI bool
 	// NEON reports the arm64 Advanced SIMD baseline.
 	NEON bool
 }
@@ -164,8 +170,8 @@ func Best() Tier {
 }
 
 // Summary renders the detected capability set and the selected tier as
-// one line, e.g. "tier avx512 (sse2 sse4.1 avx avx2 fma f16c avx512f
-// avx512bw avx512vl)" — what vedliot-bench prints so perf artifacts are
+// one line, e.g. "tier avx512 (sse2 ssse3 sse4.1 avx avx2 fma f16c
+// avx512f avx512bw avx512vl avx512vbmi)" — what vedliot-bench prints so perf artifacts are
 // interpretable across machines. The AVX-512 subsets are listed
 // individually so a host that fails the F+BW+VL gate still names what
 // it does have.
@@ -178,6 +184,7 @@ func Summary() string {
 		}
 	}
 	add(f.SSE2, "sse2")
+	add(f.SSSE3, "ssse3")
 	add(f.SSE41, "sse4.1")
 	add(f.AVX, "avx")
 	add(f.AVX2, "avx2")
@@ -186,6 +193,7 @@ func Summary() string {
 	add(f.AVX512F, "avx512f")
 	add(f.AVX512BW, "avx512bw")
 	add(f.AVX512VL, "avx512vl")
+	add(f.AVX512VBMI, "avx512vbmi")
 	add(f.NEON, "neon")
 	if len(caps) == 0 {
 		caps = append(caps, "portable")

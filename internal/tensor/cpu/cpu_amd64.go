@@ -17,6 +17,7 @@ func xgetbv() (eax, edx uint32)
 
 const (
 	// CPUID.1:ECX bits.
+	bitSSSE3   = 1 << 9
 	bitSSE41   = 1 << 19
 	bitOSXSAVE = 1 << 27
 	bitAVX     = 1 << 28
@@ -27,6 +28,8 @@ const (
 	bitAVX512F  = 1 << 16
 	bitAVX512BW = 1 << 30
 	bitAVX512VL = 1 << 31
+	// CPUID.7.0:ECX bits.
+	bitAVX512VBMI = 1 << 1
 	// XCR0 bits: SSE+YMM state for AVX, plus opmask/ZMM hi for AVX-512.
 	xcr0AVX    = 0x6
 	xcr0AVX512 = 0xe6
@@ -40,6 +43,7 @@ func detect() Features {
 		return f
 	}
 	_, _, ecx1, _ := cpuid(1, 0)
+	f.SSSE3 = ecx1&bitSSSE3 != 0
 	f.SSE41 = ecx1&bitSSE41 != 0
 
 	osxsave := ecx1&bitOSXSAVE != 0
@@ -56,12 +60,13 @@ func detect() Features {
 	f.F16C = ecx1&bitF16C != 0 && ymmOK
 
 	if maxLeaf >= 7 {
-		_, ebx7, _, _ := cpuid(7, 0)
+		_, ebx7, ecx7, _ := cpuid(7, 0)
 		f.AVX2 = f.AVX && ebx7&bitAVX2 != 0
 		f.AVX512F = zmmOK && ebx7&bitAVX512F != 0
 		f.AVX512BW = zmmOK && ebx7&bitAVX512BW != 0
 		f.AVX512VL = zmmOK && ebx7&bitAVX512VL != 0
 		f.AVX512 = f.AVX512F && f.AVX512BW && f.AVX512VL
+		f.AVX512VBMI = f.AVX512 && ecx7&bitAVX512VBMI != 0
 	}
 	return f
 }

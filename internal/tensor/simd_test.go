@@ -5,48 +5,6 @@ import (
 	"testing"
 )
 
-func TestAxpyInt16(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{0, 1, 5, 8, 9, 16, 33, 100} {
-		for _, w := range []int16{-127, -3, 0, 1, 89} {
-			x := make([]int16, n)
-			dst := make([]int32, n)
-			want := make([]int32, n)
-			for i := range x {
-				x[i] = int16(rng.Intn(511) - 255)
-				dst[i] = int32(rng.Intn(1000) - 500)
-				want[i] = dst[i] + int32(w)*int32(x[i])
-			}
-			AxpyInt16(dst, x, w)
-			for i := range dst {
-				if dst[i] != want[i] {
-					t.Fatalf("n=%d w=%d: dst[%d] = %d, want %d", n, w, i, dst[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-// TestAxpyInt16Lengths pins the truncation contract: unequal operand
-// lengths accumulate over the shorter one, and empty operands are
-// no-ops.
-func TestAxpyInt16Lengths(t *testing.T) {
-	dst := []int32{10, 20, 30, 40}
-	AxpyInt16(dst, []int16{2, 3}, 5)
-	for i, want := range []int32{20, 35, 30, 40} {
-		if dst[i] != want {
-			t.Errorf("short x: dst[%d] = %d, want %d", i, dst[i], want)
-		}
-	}
-	dst = []int32{7}
-	AxpyInt16(dst, []int16{1, 2, 3}, 4)
-	if dst[0] != 11 {
-		t.Errorf("short dst: dst[0] = %d, want 11", dst[0])
-	}
-	AxpyInt16(nil, []int16{1}, 3)
-	AxpyInt16([]int32{1}, nil, 3)
-}
-
 func TestWidenShiftInt8(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17, 100} {
@@ -84,57 +42,439 @@ func TestWidenShiftInt8(t *testing.T) {
 	WidenShiftInt8(nil, nil, 3)
 }
 
+// TestPackPairShiftInt8 covers even and odd tap counts (an odd one pairs
+// its last row with zeros), every row length from empty past two 32-lane
+// vectors, a row stride wider than the row and an output stride wider
+// than the pairs (the zero-filled columns of a ragged tile).
 func TestPackPairShiftInt8(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	for _, n := range []int{0, 1, 7, 8, 9, 16, 17, 100} {
-		for _, zp := range []int16{0, -128, 127, -9} {
-			r0 := make([]int8, n)
-			r1 := make([]int8, n)
-			for i := range r0 {
-				r0[i] = int8(rng.Intn(256) - 128)
-				r1[i] = int8(rng.Intn(256) - 128)
-			}
-			out := make([]int16, 2*n+4)
-			PackPairShiftInt8(out, r0, r1, zp)
-			for i := 0; i < n; i++ {
-				if want := int16(r0[i]) - zp; out[2*i] != want {
-					t.Fatalf("n=%d zp=%d: out[%d] = %d, want %d", n, zp, 2*i, out[2*i], want)
+	for _, taps := range []int{1, 2, 3, 8, 9} {
+		for n := 0; n <= 70; n++ {
+			for _, zp := range []int16{0, -128, 127, -9} {
+				lds := n + rng.Intn(3)
+				ldo := 2*n + 2*rng.Intn(40)
+				src := randCodes(rng, taps*lds+n)
+				kp := KPairs(taps)
+				got := make([]int16, kp*ldo+4)
+				for i := range got {
+					got[i] = 777
 				}
-				if want := int16(r1[i]) - zp; out[2*i+1] != want {
-					t.Fatalf("n=%d zp=%d: out[%d] = %d, want %d", n, zp, 2*i+1, out[2*i+1], want)
-				}
-			}
-			for i := 2 * n; i < len(out); i++ {
-				if out[i] != 0 {
-					t.Fatalf("n=%d: out[%d] = %d, want untouched 0", n, i, out[i])
-				}
-			}
-			// Unequal row lengths clamp to the shorter row.
-			if n > 1 {
-				out2 := make([]int16, 2*n)
-				PackPairShiftInt8(out2, r0, r1[:n-1], zp)
-				for i := 0; i < n-1; i++ {
-					if want := int16(r0[i]) - zp; out2[2*i] != want {
-						t.Fatalf("clamped n=%d: out[%d] = %d, want %d", n, 2*i, out2[2*i], want)
+				want := append([]int16(nil), got...)
+				PackPairShiftInt8(got, ldo, src, lds, taps, n, zp)
+				for p := 0; p < kp; p++ {
+					clear(want[p*ldo : (p+1)*ldo])
+					for i := 0; i < n; i++ {
+						want[p*ldo+2*i] = int16(src[2*p*lds+i]) - zp
+						if 2*p+1 < taps {
+							want[p*ldo+2*i+1] = int16(src[(2*p+1)*lds+i]) - zp
+						}
 					}
-					if want := int16(r1[i]) - zp; out2[2*i+1] != want {
-						t.Fatalf("clamped n=%d: out[%d] = %d, want %d", n, 2*i+1, out2[2*i+1], want)
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("taps=%d n=%d lds=%d ldo=%d zp=%d: out[%d] = %d, want %d", taps, n, lds, ldo, zp, i, got[i], want[i])
 					}
 				}
 			}
 		}
 	}
-	PackPairShiftInt8(nil, nil, nil, 3)
+	PackPairShiftInt8(nil, 0, nil, 0, 0, 0, 3)
 }
 
-func BenchmarkAxpyInt16(b *testing.B) {
-	x := make([]int16, 1024)
-	dst := make([]int32, 1024)
+// The tests below compare each dispatched integer kernel with its
+// definition written out as a scalar loop. `make test-portable` runs
+// them under every VEDLIOT_CPU clamp and under the noasm/purego tags, so
+// every body of every tier is held to the same bits.
+
+func randCodes(rng *rand.Rand, n int) []int8 {
+	x := make([]int8, n)
 	for i := range x {
-		x[i] = int16(i%509 - 254)
+		x[i] = int8(rng.Intn(256) - 128)
 	}
-	b.SetBytes(2048)
-	for i := 0; i < b.N; i++ {
-		AxpyInt16(dst, x, 77)
+	return x
+}
+
+func refConvTaps(acc []int32, x []int16, offs []int32, w []int16, bias int32, fromAcc bool) {
+	for i := range acc {
+		s := bias
+		if fromAcc {
+			s = acc[i]
+		}
+		for t, off := range offs {
+			s += int32(w[t]) * int32(x[int(off)+i])
+		}
+		acc[i] = s
 	}
+}
+
+func checkConvTaps(t *testing.T, name string, n int, x []int16, offs []int32, w []int16, bias int32) {
+	t.Helper()
+	for _, fromAcc := range []bool{false, true} {
+		got := make([]int32, n+3)
+		for i := range got {
+			got[i] = int32(i*7919 - 1000)
+		}
+		want := append([]int32(nil), got...)
+		ConvTapsInt16(got[:n], x, offs, w, bias, fromAcc)
+		refConvTaps(want[:n], x, offs, w, bias, fromAcc)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s n=%d taps=%d fromAcc=%v: acc[%d] = %d, want %d", name, n, len(offs), fromAcc, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestConvTapsInt16 covers lengths from 0 to three 32-lane vectors with
+// every tail, 1 to 25 taps (odd counts included), zero weights, and all
+// 25 taps at the operand extremes: +-255 x +-127 sums to 25*255*127 =
+// 809 625 in magnitude, far inside int32.
+func TestConvTapsInt16(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	const maxOff = 70
+	for n := 0; n <= 100; n++ {
+		for _, taps := range []int{1, 2, 3, 4, 5, 9, 24, 25} {
+			x := make([]int16, n+maxOff)
+			for i := range x {
+				x[i] = int16(rng.Intn(511) - 255)
+			}
+			offs := make([]int32, taps)
+			w := make([]int16, taps)
+			for k := range offs {
+				offs[k] = int32(rng.Intn(maxOff))
+				w[k] = int16(rng.Intn(255) - 127)
+				if rng.Intn(4) == 0 {
+					w[k] = 0
+				}
+			}
+			checkConvTaps(t, "random", n, x, offs, w, int32(rng.Intn(1<<20)-1<<19))
+		}
+	}
+	for _, xs := range []int16{255, -255} {
+		for _, ws := range []int16{127, -127} {
+			const n, taps = 67, 25
+			x := make([]int16, n+taps)
+			for i := range x {
+				x[i] = xs
+			}
+			offs := make([]int32, taps)
+			w := make([]int16, taps)
+			for k := range offs {
+				offs[k] = int32(k)
+				w[k] = ws
+			}
+			checkConvTaps(t, "extremes", n, x, offs, w, 0)
+		}
+	}
+	ConvTapsInt16(nil, nil, nil, nil, 3, false)
+	acc := []int32{5, 6}
+	ConvTapsInt16(acc, []int16{1, 2}, nil, nil, 9, false) // no taps: the seed alone
+	if acc[0] != 9 || acc[1] != 9 {
+		t.Fatalf("no taps: acc = %v, want [9 9]", acc)
+	}
+}
+
+func TestWidenShiftRowsInt8(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for _, rows := range []int{1, 2, 5} {
+		for cols := 0; cols <= 140; cols++ {
+			for _, zp := range []int16{0, -128, 127, 11} {
+				src := randCodes(rng, rows*cols)
+				stride := cols + 1 + rng.Intn(5)
+				rowOff := make([]int32, rows)
+				for r := range rowOff {
+					rowOff[r] = int32((rows-1-r)*stride + 2) // descending: placement is the table's, not the order's
+				}
+				got := make([]int16, rows*stride+4)
+				for i := range got {
+					got[i] = 777
+				}
+				want := append([]int16(nil), got...)
+				WidenShiftRowsInt8(got, rowOff, src, cols, zp)
+				for r, off := range rowOff {
+					for i := 0; i < cols; i++ {
+						want[int(off)+i] = int16(src[r*cols+i]) - zp
+					}
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("rows=%d cols=%d zp=%d: dst[%d] = %d, want %d", rows, cols, zp, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestWidenShiftSplit2RowsInt8(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for _, rows := range []int{1, 3} {
+		for cols := 0; cols <= 200; cols++ {
+			for _, zp := range []int16{0, -128, 127, -9} {
+				src := randCodes(rng, rows*cols)
+				ne, no := (cols+1)/2, cols/2
+				stride := ne + 3
+				offE, offO := 1, rows*stride+5
+				rowOff := make([]int32, rows)
+				for r := range rowOff {
+					rowOff[r] = int32(r * stride)
+				}
+				got := make([]int16, 2*rows*stride+10)
+				for i := range got {
+					got[i] = 777
+				}
+				want := append([]int16(nil), got...)
+				WidenShiftSplit2RowsInt8(got, rowOff, offE, offO, src, cols, zp)
+				for r, off := range rowOff {
+					for i := 0; i < ne; i++ {
+						want[int(off)+offE+i] = int16(src[r*cols+2*i]) - zp
+					}
+					for i := 0; i < no; i++ {
+						want[int(off)+offO+i] = int16(src[r*cols+2*i+1]) - zp
+					}
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("rows=%d cols=%d zp=%d: dst[%d] = %d, want %d", rows, cols, zp, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestGatherStride2Int8(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for n := 0; n <= 140; n++ {
+		src := randCodes(rng, max(2*n-1, 0))
+		got := make([]int8, n+2)
+		got[n], got[n+1] = 99, 98
+		GatherStride2Int8(got[:n], src)
+		for i := 0; i < n; i++ {
+			if got[i] != src[2*i] {
+				t.Fatalf("n=%d: dst[%d] = %d, want %d", n, i, got[i], src[2*i])
+			}
+		}
+		if got[n] != 99 || got[n+1] != 98 {
+			t.Fatalf("n=%d: wrote past dst", n)
+		}
+	}
+}
+
+func TestSumRowsInt8(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	for _, rows := range []int{1, 2, 7} {
+		for cols := 0; cols <= 300; cols++ {
+			x := randCodes(rng, rows*cols)
+			got := make([]int32, rows+1)
+			got[rows] = 99
+			SumRowsInt8(got[:rows], x, cols)
+			for r := 0; r < rows; r++ {
+				var want int32
+				for _, v := range x[r*cols : (r+1)*cols] {
+					want += int32(v)
+				}
+				if got[r] != want {
+					t.Fatalf("rows=%d cols=%d: sums[%d] = %d, want %d", rows, cols, r, got[r], want)
+				}
+			}
+			if got[rows] != 99 {
+				t.Fatalf("rows=%d cols=%d: wrote past sums", rows, cols)
+			}
+		}
+	}
+	for _, v := range []int8{-128, 127} {
+		x := make([]int8, 4096)
+		for i := range x {
+			x[i] = v
+		}
+		var got [2]int32
+		SumRowsInt8(got[:], x, 2048)
+		if want := int32(v) * 2048; got[0] != want || got[1] != want {
+			t.Fatalf("all %d: sums = %v, want %d", v, got, want)
+		}
+	}
+}
+
+func TestScaleRowsInt16(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	for _, rows := range []int{0, 1, 3} {
+		for cols := 0; cols <= 70; cols++ {
+			x := make([]int16, rows*cols)
+			for i := range x {
+				x[i] = int16(rng.Intn(511) - 255)
+			}
+			f := make([]int16, rows)
+			for r := range f {
+				f[r] = []int16{255, -255, 0, 1, -77}[rng.Intn(5)]
+			}
+			got := make([]int32, rows*cols+1)
+			got[rows*cols] = 99
+			ScaleRowsInt16(got, x, f, cols)
+			for r := range f {
+				for i := 0; i < cols; i++ {
+					if want := int32(f[r]) * int32(x[r*cols+i]); got[r*cols+i] != want {
+						t.Fatalf("rows=%d cols=%d: acc[%d,%d] = %d, want %d", rows, cols, r, i, got[r*cols+i], want)
+					}
+				}
+			}
+			if got[rows*cols] != 99 {
+				t.Fatalf("rows=%d cols=%d: wrote past acc", rows, cols)
+			}
+		}
+	}
+}
+
+// TestLUT8 drives the byte table over every code, lengths 0 to 130 and
+// dst aliasing src.
+func TestLUT8(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	var tab [256]int8
+	for i := range tab {
+		tab[i] = int8(rng.Intn(256) - 128)
+	}
+	all := make([]int8, 256)
+	for i := range all {
+		all[i] = int8(i - 128)
+	}
+	got := make([]int8, 256)
+	LUT8(got, all, &tab)
+	for i := range got {
+		if got[i] != tab[i] {
+			t.Fatalf("code %d: got %d, want %d", i-128, got[i], tab[i])
+		}
+	}
+	for n := 0; n <= 130; n++ {
+		src := randCodes(rng, n)
+		want := make([]int8, n)
+		for i, v := range src {
+			want[i] = tab[int(v)+128]
+		}
+		got := make([]int8, n+1)
+		got[n] = 55
+		LUT8(got[:n], src, &tab)
+		if got[n] != 55 {
+			t.Fatalf("n=%d: wrote past dst", n)
+		}
+		inPlace := append([]int8(nil), src...)
+		LUT8(inPlace, inPlace, &tab)
+		for i := range want {
+			if got[i] != want[i] || inPlace[i] != want[i] {
+				t.Fatalf("n=%d: [%d] = %d (in place %d), want %d", n, i, got[i], inPlace[i], want[i])
+			}
+		}
+	}
+}
+
+func TestAccumLUT32AndNarrow(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	var lut [256]int32
+	for i := range lut {
+		lut[i] = int32(rng.Intn(4001) - 2000)
+	}
+	lut[0], lut[255] = -1<<31, 1<<31-1 // wrap-around is part of the contract
+	for n := 0; n <= 100; n++ {
+		src := randCodes(rng, n)
+		for _, fromAcc := range []bool{false, true} {
+			got := make([]int32, n+1)
+			for i := range got {
+				got[i] = int32(rng.Intn(1<<16) - 1<<15)
+			}
+			want := append([]int32(nil), got...)
+			AccumLUT32(got[:n], src, &lut, -77, fromAcc)
+			for i := 0; i < n; i++ {
+				s := int32(-77)
+				if fromAcc {
+					s = want[i]
+				}
+				want[i] = s + lut[int(src[i])+128]
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d fromAcc=%v: acc[%d] = %d, want %d", n, fromAcc, i, got[i], want[i])
+				}
+			}
+			codes := make([]int8, n+1)
+			codes[n] = 55
+			NarrowSatInt8(codes[:n], got[:n])
+			for i := 0; i < n; i++ {
+				if codes[i] != ClampInt8(got[i]) {
+					t.Fatalf("n=%d: narrow[%d] = %d, want %d", n, i, codes[i], ClampInt8(got[i]))
+				}
+			}
+			if codes[n] != 55 {
+				t.Fatalf("n=%d: narrow wrote past dst", n)
+			}
+		}
+	}
+}
+
+// FuzzConvTapsInt16 cross-checks the dispatched multi-tap kernel with its
+// scalar definition on arbitrary windows, tap counts, weights and seeds.
+func FuzzConvTapsInt16(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20}, uint8(3), uint8(9), int32(7), false)
+	f.Add(make([]byte, 300), uint8(25), uint8(67), int32(-1<<20), true)
+	f.Add([]byte{255, 127, 1, 128, 0, 0, 255, 255}, uint8(1), uint8(2), int32(0), true)
+	f.Fuzz(func(t *testing.T, raw []byte, taps8, n8 uint8, bias int32, fromAcc bool) {
+		taps, n := int(taps8)%26, int(n8)%100
+		if len(raw) < 2*taps+2 {
+			return
+		}
+		// One byte of offset and one of weight per tap, then the window:
+		// int16 operands in the kernels' +-255 range.
+		const maxOff = 40
+		offs := make([]int32, taps)
+		w := make([]int16, taps)
+		for k := range offs {
+			offs[k] = int32(raw[2*k]) % maxOff
+			w[k] = int16(int8(raw[2*k+1]))
+		}
+		x := make([]int16, n+maxOff)
+		for i := range x {
+			b := raw[(2*taps+i)%len(raw)]
+			x[i] = int16(b) - int16(raw[(i+1)%len(raw)])
+		}
+		got := make([]int32, n)
+		for i := range got {
+			got[i] = int32(i)*bias + 3
+		}
+		want := append([]int32(nil), got...)
+		ConvTapsInt16(got, x, offs, w, bias, fromAcc)
+		refConvTaps(want, x, offs, w, bias, fromAcc)
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d taps=%d fromAcc=%v: acc[%d] = %d, want %d", n, taps, fromAcc, i, got[i], want[i])
+			}
+		}
+	})
+}
+
+// FuzzLUT8 cross-checks the dispatched byte table with the scalar lookup
+// on arbitrary tables and code runs, out of place and in place.
+func FuzzLUT8(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17}, uint8(3))
+	f.Add(make([]byte, 130), uint8(0))
+	f.Add([]byte{128, 127, 255, 0}, uint8(200))
+	f.Fuzz(func(t *testing.T, raw []byte, salt uint8) {
+		if len(raw) == 0 {
+			return
+		}
+		var tab [256]int8
+		for i := range tab {
+			tab[i] = int8(raw[i%len(raw)]) ^ int8(uint8(i)*salt)
+		}
+		src := make([]int8, len(raw))
+		for i, b := range raw {
+			src[i] = int8(b)
+		}
+		got := make([]int8, len(src))
+		LUT8(got, src, &tab)
+		inPlace := append([]int8(nil), src...)
+		LUT8(inPlace, inPlace, &tab)
+		for i, v := range src {
+			if want := tab[int(v)+128]; got[i] != want || inPlace[i] != want {
+				t.Fatalf("n=%d: [%d] = %d (in place %d), want %d", len(src), i, got[i], inPlace[i], want)
+			}
+		}
+	})
 }
