@@ -27,10 +27,13 @@ test-full:
 # stresses the batching tests (the front door's capacity rule included)
 # and the cluster's admission, routing and close tests: they form
 # batches and backlogs by holding a gate, not by wall clock, so twenty
-# runs in a row must agree.
+# runs in a row must agree. The plan executor's pooled run state gets
+# the same twenty: concurrent runs at mixed batch sizes, and a kernel
+# error at every step.
 test-race:
 	$(GO) test -short -race ./internal/inference/... ./internal/microserver/... ./internal/cluster/... ./internal/serve/... ./internal/rvbackend/... ./internal/riscv/... ./internal/soc/... ./internal/cfu/...
 	$(GO) test -race -count=20 -run 'Batch|CapacityRule|Dispatch|Gate|Admission|Saturated|CloseResolves' ./internal/microserver/ ./internal/serve/ ./internal/cluster/
+	$(GO) test -race -count=20 -run 'ExecutorConcurrent|ExecutorKernelError' ./internal/inference/
 
 # test-portable exercises the pure-Go micro-kernel fallbacks (noasm /
 # purego build tags) and the narrowed runtime dispatch tiers — the same

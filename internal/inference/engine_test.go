@@ -301,31 +301,6 @@ func TestEngineQuantizedInputs(t *testing.T) {
 	}
 }
 
-func TestRunnerFallsBackToInterpreter(t *testing.T) {
-	g := nn.LeNet(28, 10, nn.BuildOptions{}) // structure only, no weights
-	r, err := NewRunner(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Engine() != nil {
-		t.Error("weightless graph unexpectedly compiled")
-	}
-	if _, err := Compile(g); err == nil {
-		t.Error("Compile accepted a weightless graph")
-	}
-}
-
-func TestRunnerUsesEngine(t *testing.T) {
-	g := nn.LeNet(28, 10, nn.BuildOptions{Weights: true, Seed: 18})
-	r, err := NewRunner(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Engine() == nil {
-		t.Error("weighted graph did not compile to an engine")
-	}
-}
-
 func TestCPUBackendInterface(t *testing.T) {
 	var b Backend = CPUBackend{}
 	if b.Name() == "" {

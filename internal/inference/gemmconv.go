@@ -306,7 +306,7 @@ func packConvTileF32(bpack, xv []float32, g *convGeom, nr, b, grp, j0, jw int) {
 // bindConvGemm lowers one FP32 convolution onto the packed GEMM
 // micro-kernels. Weights and bias are packed per group at bind time;
 // the returned kernel streams B tiles through planned worker scratch.
-func bindConvGemm(g convGeom, w *tensor.Tensor, bias []float32, ep *epilogue, wf16 bool) (kernelFunc, scratchSpec) {
+func bindConvGemm(g convGeom, w *tensor.Tensor, bias []float32, ep *epilogue, wf16 bool) (kernelFunc[float32], scratchSpec) {
 	taps := g.icPerG * g.kh * g.kw
 	px := g.outH * g.outW
 	// N is the per-image pixel count: deep layers shrink to 4x4 = 16
@@ -452,7 +452,7 @@ func packQConvTile(bpack []int16, stage, xv []int8, g *convGeom, nr, b, grp int,
 // code, so it needs the zero point to be an int8 code and a segment plan
 // for the geometry (stride <= 2); ok is false otherwise and the caller
 // keeps the plane form, which has neither limit.
-func bindQuantConvGemm(p *qconv) (kfn qkernelFunc, spec scratchSpec, ok bool) {
+func bindQuantConvGemm(p *qconv) (kfn kernelFunc[int8], spec scratchSpec, ok bool) {
 	g := p.g
 	if p.zpIn < -128 || p.zpIn > 127 {
 		return nil, scratchSpec{}, false

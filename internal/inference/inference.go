@@ -17,15 +17,14 @@
 //     activations live in a liveness-planned arena, and the hot kernels
 //     run on a bounded worker pool. See DESIGN.md.
 //
-// Compile (FP32) and CompileQuantized (native INT8, see quant.go) are
-// thin drivers over one shared lowering pipeline — the typed IR and
-// pass manager of internal/inference/ir (shape inference, constant
-// folding, identity/dead/CSE elimination, epilogue fusion, precision
-// assignment), exposed directly via Lower for -dump-ir style tooling.
-//
-// Runner is the historical entry point and is now a thin facade: it
-// compiles an Engine when the graph is compilable and falls back to the
-// Interpreter otherwise (e.g. structure-only graphs without weights).
+// Compile (FP32, FP16-compute) and CompileQuantized (native INT8, see
+// quant.go) are thin drivers over one shared lowering pipeline — the
+// typed IR and pass manager of internal/inference/ir (shape inference,
+// constant folding, identity/dead/CSE elimination, epilogue fusion,
+// precision assignment), exposed directly via Lower for -dump-ir style
+// tooling — and binders over one plan executor (exec.go): one step
+// loop, one pooled per-run state and one I/O boundary (io.go) run every
+// plan, whatever its element type.
 package inference
 
 import (
@@ -35,75 +34,6 @@ import (
 	"vedliot/internal/nn"
 	"vedliot/internal/tensor"
 )
-
-// Runner executes a validated graph. Since the engine refactor it is a
-// facade over Compile + Engine.Run; graphs that cannot be compiled (for
-// example structure-only graphs without materialized weights) fall back
-// to the tree-walking Interpreter, which reports the precise failure at
-// Run time exactly as the historical Runner did.
-type Runner struct {
-	graph      *nn.Graph
-	engine     *Engine
-	interp     *Interpreter
-	compileErr error
-}
-
-// NewRunner prepares a runner; the graph must validate.
-func NewRunner(g *nn.Graph) (*Runner, error) {
-	it, err := NewInterpreter(g)
-	if err != nil {
-		return nil, err
-	}
-	r := &Runner{graph: g, interp: it}
-	eng, err := Compile(g)
-	if err != nil {
-		// Historical Runner semantics: construction succeeds for any
-		// valid graph (including structure-only ones the engine cannot
-		// compile) and execution reports the precise failure. The
-		// compile error stays inspectable via CompileError so callers
-		// can tell intended fallback from an engine regression.
-		r.compileErr = err
-		return r, nil
-	}
-	r.engine = eng
-	return r, nil
-}
-
-// Engine returns the compiled engine backing this runner, or nil when
-// the graph could not be compiled and the interpreter is used instead.
-func (r *Runner) Engine() *Engine { return r.engine }
-
-// CompileError returns why the graph fell back to the interpreter, or
-// nil when the runner is engine-backed.
-func (r *Runner) CompileError() error { return r.compileErr }
-
-// Run executes the graph on the given inputs (keyed by input-node name)
-// and returns the declared outputs. All tensors are FP32.
-func (r *Runner) Run(inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
-	if r.engine != nil {
-		return r.engine.Run(inputs)
-	}
-	return r.interp.Run(inputs)
-}
-
-// RunAll executes the graph and returns every node's activation, keyed by
-// node name. Quantization calibration (internal/optimize) uses this to
-// observe intermediate dynamic ranges.
-func (r *Runner) RunAll(inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
-	if r.engine != nil {
-		return r.engine.RunAll(inputs)
-	}
-	return r.interp.RunAll(inputs)
-}
-
-// RunSingle is a convenience wrapper for graphs with exactly one input
-// and one output.
-func (r *Runner) RunSingle(in *tensor.Tensor) (*tensor.Tensor, error) {
-	if r.engine != nil {
-		return r.engine.RunSingle(in)
-	}
-	return r.interp.RunSingle(in)
-}
 
 // Interpreter is the tree-walking reference runtime: no compilation, no
 // kernel binding, every activation freshly allocated and every quantized

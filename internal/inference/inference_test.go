@@ -10,7 +10,7 @@ import (
 )
 
 // buildSingle wraps a single hand-weighted node into a runnable graph.
-func buildSingle(t *testing.T, node *nn.Node, inShape []int) *Runner {
+func buildSingle(t *testing.T, node *nn.Node, inShape []int) *Engine {
 	t.Helper()
 	g := nn.NewGraph("t")
 	g.MustAdd(&nn.Node{Name: "in", Op: nn.OpInput, Attrs: nn.Attrs{Shape: inShape}})
@@ -18,7 +18,7 @@ func buildSingle(t *testing.T, node *nn.Node, inShape []int) *Runner {
 	node.Inputs = []string{"in"}
 	g.MustAdd(node)
 	g.Outputs = []string{"out"}
-	r, err := NewRunner(g)
+	r, err := Compile(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestAddMulBroadcast(t *testing.T) {
 	g.MustAdd(&nn.Node{Name: "s", Op: nn.OpInput, Attrs: nn.Attrs{Shape: []int{2, 1, 1}}})
 	g.MustAdd(&nn.Node{Name: "mul", Op: nn.OpMul, Inputs: []string{"x", "s"}})
 	g.Outputs = []string{"mul"}
-	r, err := NewRunner(g)
+	r, err := Compile(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestConcatAndUpsample(t *testing.T) {
 	g.MustAdd(&nn.Node{Name: "cat", Op: nn.OpConcat, Inputs: []string{"a", "b"}})
 	g.MustAdd(&nn.Node{Name: "up", Op: nn.OpUpsample, Inputs: []string{"cat"}, Attrs: nn.Attrs{Scale: 2}})
 	g.Outputs = []string{"up"}
-	r, err := NewRunner(g)
+	r, err := Compile(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestSoftmaxRowsAndFlatten(t *testing.T) {
 	g.MustAdd(&nn.Node{Name: "flat", Op: nn.OpFlatten, Inputs: []string{"in"}})
 	g.MustAdd(&nn.Node{Name: "sm", Op: nn.OpSoftmax, Inputs: []string{"flat"}})
 	g.Outputs = []string{"sm"}
-	r, err := NewRunner(g)
+	r, err := Compile(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestSoftmaxRowsAndFlatten(t *testing.T) {
 
 func TestEndToEndLeNet(t *testing.T) {
 	g := nn.LeNet(28, 10, nn.BuildOptions{Weights: true, Seed: 3})
-	r, err := NewRunner(g)
+	r, err := Compile(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestEndToEndMobileNetBlockShapes(t *testing.T) {
 	if err := g.InferShapes(2); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRunner(g)
+	r, err := Compile(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestRuntimeShapesMatchInference(t *testing.T) {
 		if err := g.InferShapes(1); err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
 		}
-		r, err := NewRunner(g)
+		r, err := Compile(g)
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
 		}
@@ -388,7 +388,7 @@ func TestRuntimeShapesMatchInference(t *testing.T) {
 
 func TestMissingInputError(t *testing.T) {
 	g := nn.LeNet(28, 10, nn.BuildOptions{Weights: true})
-	r, err := NewRunner(g)
+	r, err := Compile(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,10 @@ func TestMissingInputError(t *testing.T) {
 
 func TestWeightlessGraphFails(t *testing.T) {
 	g := nn.LeNet(28, 10, nn.BuildOptions{}) // no weights
-	r, err := NewRunner(g)
+	if _, err := Compile(g); err == nil {
+		t.Error("Compile accepted a weightless graph")
+	}
+	r, err := NewInterpreter(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +432,7 @@ func TestConvLinearityProperty(t *testing.T) {
 	n.Inputs = []string{"in"}
 	g.MustAdd(n)
 	g.Outputs = []string{"conv"}
-	r, err := NewRunner(g)
+	r, err := Compile(g)
 	if err != nil {
 		t.Fatal(err)
 	}

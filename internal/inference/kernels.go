@@ -372,10 +372,6 @@ func softmaxRows(x *tensor.Tensor) (*tensor.Tensor, error) {
 // reference semantics at any worker count.
 // ---------------------------------------------------------------------------
 
-// kernelFunc executes one bound operator for a batch. dst and srcs are
-// batch-major buffers laid out as batch x per-sample elements.
-type kernelFunc func(rc *runCtx, dst []float32, srcs [][]float32) error
-
 // epilogue is a producer's fused element-wise tail: an optional leading
 // per-channel affine (a folded batch-norm) followed by an activation
 // tail. The common conv → batch-norm → ReLU block compiles to the
@@ -494,7 +490,7 @@ func (s *bindStats) addWeightBytes(n int) {
 // selects the FP16-compute binding: conv/dense weights stored FP16
 // stay half-width in their packed panels and widen on load instead of
 // dequantizing at compile time.
-func bindKernel(n *nn.Node, ins []tensor.Shape, out tensor.Shape, ep *epilogue, fp16 bool, stats *bindStats) (kernelFunc, scratchSpec, error) {
+func bindKernel(n *nn.Node, ins []tensor.Shape, out tensor.Shape, ep *epilogue, fp16 bool, stats *bindStats) (kernelFunc[float32], scratchSpec, error) {
 	if ep != nil && !fusesActivation(n.Op) {
 		return nil, scratchSpec{}, fmt.Errorf("op %s cannot absorb a fused epilogue", n.Op)
 	}
@@ -511,7 +507,7 @@ func bindKernel(n *nn.Node, ins []tensor.Shape, out tensor.Shape, ep *epilogue, 
 		stats.addWeightBytes(w.NumElements() * 4)
 	}
 	var (
-		kern kernelFunc
+		kern kernelFunc[float32]
 		err  error
 	)
 	switch n.Op {
@@ -602,7 +598,7 @@ func convGeometry(n *nn.Node, in, out tensor.Shape) (convGeom, *tensor.Tensor, e
 	}, w, nil
 }
 
-func bindConv(n *nn.Node, in, out tensor.Shape, ep *epilogue, fp16 bool, stats *bindStats) (kernelFunc, scratchSpec, error) {
+func bindConv(n *nn.Node, in, out tensor.Shape, ep *epilogue, fp16 bool, stats *bindStats) (kernelFunc[float32], scratchSpec, error) {
 	g, w, err := convGeometry(n, in, out)
 	if err != nil {
 		return nil, scratchSpec{}, err
@@ -884,7 +880,7 @@ func convPlanePointwise(dst, xv, wv, bias []float32, g *convGeom, b, oc int) {
 	}
 }
 
-func bindDense(n *nn.Node, in, out tensor.Shape, ep *epilogue, fp16 bool, stats *bindStats) (kernelFunc, scratchSpec, error) {
+func bindDense(n *nn.Node, in, out tensor.Shape, ep *epilogue, fp16 bool, stats *bindStats) (kernelFunc[float32], scratchSpec, error) {
 	if len(in) != 1 {
 		return nil, scratchSpec{}, fmt.Errorf("dense wants [N,features], got per-sample %v", in)
 	}
@@ -1049,7 +1045,7 @@ func bnScaleShift(n *nn.Node, c int) (scale, shift []float32, err error) {
 	return scale, shift, nil
 }
 
-func bindBatchNorm(n *nn.Node, in tensor.Shape, ep *epilogue) (kernelFunc, error) {
+func bindBatchNorm(n *nn.Node, in tensor.Shape, ep *epilogue) (kernelFunc[float32], error) {
 	if len(in) != 3 {
 		return nil, fmt.Errorf("batchnorm wants NCHW, got per-sample %v", in)
 	}
@@ -1168,7 +1164,7 @@ func spanActivation(op nn.OpType) func([]float32) {
 	return nil
 }
 
-func bindActivation(n *nn.Node) (kernelFunc, error) {
+func bindActivation(n *nn.Node) (kernelFunc[float32], error) {
 	f, unitCost, err := activationFn(n)
 	if err != nil {
 		return nil, err
@@ -1196,7 +1192,7 @@ func bindActivation(n *nn.Node) (kernelFunc, error) {
 	}, nil
 }
 
-func bindPool(n *nn.Node, in, out tensor.Shape, isMax bool) (kernelFunc, error) {
+func bindPool(n *nn.Node, in, out tensor.Shape, isMax bool) (kernelFunc[float32], error) {
 	if len(in) != 3 {
 		return nil, fmt.Errorf("pool wants NCHW, got per-sample %v", in)
 	}
@@ -1263,7 +1259,7 @@ func bindPool(n *nn.Node, in, out tensor.Shape, isMax bool) (kernelFunc, error) 
 	}, nil
 }
 
-func bindGlobalAvgPool(in tensor.Shape) (kernelFunc, error) {
+func bindGlobalAvgPool(in tensor.Shape) (kernelFunc[float32], error) {
 	if len(in) != 3 {
 		return nil, fmt.Errorf("global pool wants NCHW, got per-sample %v", in)
 	}
@@ -1284,7 +1280,7 @@ func bindGlobalAvgPool(in tensor.Shape) (kernelFunc, error) {
 	}, nil
 }
 
-func bindAccumulate(n *nn.Node, ins []tensor.Shape, out tensor.Shape) (kernelFunc, error) {
+func bindAccumulate(n *nn.Node, ins []tensor.Shape, out tensor.Shape) (kernelFunc[float32], error) {
 	mul := n.Op == nn.OpMul
 	// Classify every extra operand at compile time: full elementwise or
 	// the [N,C,1,1] channel broadcast used by squeeze-excite blocks.
@@ -1345,7 +1341,7 @@ func bindAccumulate(n *nn.Node, ins []tensor.Shape, out tensor.Shape) (kernelFun
 	}, nil
 }
 
-func bindConcat(ins []tensor.Shape, out tensor.Shape) (kernelFunc, error) {
+func bindConcat(ins []tensor.Shape, out tensor.Shape) (kernelFunc[float32], error) {
 	if len(out) != 3 {
 		return nil, fmt.Errorf("concat wants NCHW, got per-sample %v", out)
 	}
@@ -1371,7 +1367,7 @@ func bindConcat(ins []tensor.Shape, out tensor.Shape) (kernelFunc, error) {
 	}, nil
 }
 
-func bindUpsample(n *nn.Node, in, out tensor.Shape) (kernelFunc, error) {
+func bindUpsample(n *nn.Node, in, out tensor.Shape) (kernelFunc[float32], error) {
 	if len(in) != 3 {
 		return nil, fmt.Errorf("upsample wants NCHW, got per-sample %v", in)
 	}
@@ -1401,7 +1397,7 @@ func bindUpsample(n *nn.Node, in, out tensor.Shape) (kernelFunc, error) {
 	}, nil
 }
 
-func bindSoftmax(in tensor.Shape) (kernelFunc, error) {
+func bindSoftmax(in tensor.Shape) (kernelFunc[float32], error) {
 	if len(in) != 1 {
 		return nil, fmt.Errorf("softmax wants [N,features], got per-sample %v", in)
 	}
@@ -1437,7 +1433,7 @@ func bindSoftmax(in tensor.Shape) (kernelFunc, error) {
 	}, nil
 }
 
-func bindCopy() kernelFunc {
+func bindCopy() kernelFunc[float32] {
 	return func(rc *runCtx, dst []float32, srcs [][]float32) error {
 		copy(dst, srcs[0])
 		return nil

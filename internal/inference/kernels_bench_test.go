@@ -41,11 +41,13 @@ func benchStep(b *testing.B, name string, g *nn.Graph, si int, batches ...int) {
 				srcs[i][j] = float32((j*31+i*7)%509-254) / 100
 			}
 			srcs8[i] = make([]int8, len(srcs[i]))
-			tensor.QuantizeSlice(srcs8[i], srcs[i], q.qp[qst.ins[i]])
+			tensor.QuantizeSlice(srcs8[i], srcs[i], q.vals[qst.ins[i]].qp)
 		}
 		outElems := fp.vals[fst.out].elems * batch
 		b.Run(fmt.Sprintf("%s/fp32/batch%d", name, batch), func(b *testing.B) {
-			rc := runCtx{batch: batch, workers: 1, spec: fp.scratch, scratch: getScratch(&fp.scratchPool, fp.scratch, batch, 1)}
+			var sb scratchBufs
+			sb.ensure(fp.scratch, batch, 1)
+			rc := runCtx{batch: batch, workers: 1, spec: fp.scratch, scratch: &sb}
 			dst := make([]float32, outElems)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -55,7 +57,9 @@ func benchStep(b *testing.B, name string, g *nn.Graph, si int, batches ...int) {
 			}
 		})
 		b.Run(fmt.Sprintf("%s/int8/batch%d", name, batch), func(b *testing.B) {
-			rc := runCtx{batch: batch, workers: 1, spec: q.scratch, scratch: getScratch(&q.scratchPool, q.scratch, batch, 1)}
+			var sb scratchBufs
+			sb.ensure(q.scratch, batch, 1)
+			rc := runCtx{batch: batch, workers: 1, spec: q.scratch, scratch: &sb}
 			dst := make([]int8, outElems)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

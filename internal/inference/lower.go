@@ -26,28 +26,29 @@ func Lower(g *nn.Graph, schema *nn.QuantSchema, captureDumps bool) (*ir.Module, 
 	return ir.Lower(g, cfg, captureDumps)
 }
 
-// scaffold is the executable-plan skeleton both engines share: the
+// scaffold is the executable-plan skeleton every plan shares: the
 // lowered module's live values mapped onto plan value slots, the
-// declared interface resolved to those slots, and the alias table for
-// debug executions. Everything here is derived deterministically from
-// the module.
+// declared interface resolved to those slots (with its I/O boundary,
+// the embedded signature), and the alias table for debug executions.
+// Everything here is derived deterministically from the module.
 type scaffold struct {
-	vals        []value
-	valOf       []int // module value id -> plan val index, -1 if unused
-	inputNames  []string
-	inputVals   []int
-	outputNames []string
-	outputVals  []int
-	aliases     map[string]int
+	signature
+	name       string
+	vals       []value
+	valOf      []int // module value id -> plan val index, -1 if unused
+	inputVals  []int
+	outputVals []int
+	aliases    map[string]int
 }
 
 // buildScaffold maps a lowered module onto plan values with the
-// location policy both engines use: inputs stay in caller tensors,
+// location policy every plan uses: inputs stay in caller tensors,
 // declared outputs get dedicated buffers (they leave the call), and
 // everything else is left for the arena planner.
 func buildScaffold(m *ir.Module) scaffold {
 	live := m.Live()
 	sc := scaffold{
+		name:    m.Name,
 		valOf:   make([]int, len(m.Values)),
 		aliases: make(map[string]int, len(m.Aliases)),
 	}
@@ -60,21 +61,31 @@ func buildScaffold(m *ir.Module) scaffold {
 		}
 		sc.valOf[v.ID] = len(sc.vals)
 		sc.vals = append(sc.vals, value{name: v.Name, per: v.Shape, elems: v.Elems,
-			fp16: v.Prec == ir.FP16})
+			fp16: v.Prec == ir.FP16, qp: v.QP})
 	}
 	for _, id := range m.Inputs {
 		ev := sc.valOf[id]
 		sc.vals[ev].loc = location{locInput, len(sc.inputVals)}
 		sc.inputNames = append(sc.inputNames, m.Values[id].Name)
+		sc.inPer = append(sc.inPer, sc.vals[ev].per)
 		sc.inputVals = append(sc.inputVals, ev)
 	}
-	for _, o := range m.Outputs {
+	for i, o := range m.Outputs {
 		ev := sc.valOf[o.Value]
-		sc.outputNames = append(sc.outputNames, o.Name)
-		sc.outputVals = append(sc.outputVals, ev)
 		if sc.vals[ev].loc.kind == locUnassigned {
-			sc.vals[ev].loc = location{locOutput, len(sc.outputNames) - 1}
+			sc.vals[ev].loc = location{locOutput, i}
 		}
+		// The value's location names where this output comes from: the
+		// input it is, or the first declared output that carries it.
+		loc, fromInput := sc.vals[ev].loc, -1
+		if loc.kind == locInput {
+			fromInput = loc.idx
+		}
+		sc.outputNames = append(sc.outputNames, o.Name)
+		sc.outPer = append(sc.outPer, sc.vals[ev].per)
+		sc.outputVals = append(sc.outputVals, ev)
+		sc.outInput = append(sc.outInput, fromInput)
+		sc.outOwner = append(sc.outOwner, loc.idx)
 	}
 	for name, id := range m.Aliases {
 		if ev := sc.valOf[id]; ev >= 0 {

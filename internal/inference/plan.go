@@ -1,30 +1,5 @@
 package inference
 
-// planStep is the I/O view of one execution step that the arena planner
-// consumes — shared by the FP32 engine (whose arena holds float32
-// elements) and the quantized engine (int8 elements).
-type planStep struct {
-	out int
-	ins []int
-}
-
-// planMemory assigns every intermediate activation to an arena slab
-// using liveness analysis over the compiled step order. FP16-compute
-// plans run the planner twice over the same step order: FP32 values
-// share the float32 arena, FP16 values share a disjoint halfword arena
-// (locSlotH). Each pass only assigns and recycles its own class, so
-// the two plans never alias.
-func (e *Engine) planMemory() {
-	steps := make([]planStep, len(e.steps))
-	for i, st := range e.steps {
-		steps[i] = planStep{out: st.out, ins: st.ins}
-	}
-	e.slotOff, e.slotSize, e.arenaPerSample = planArena(e.vals, steps, locSlot,
-		func(v *value) bool { return !v.fp16 })
-	e.slotOffH, e.slotSizeH, e.arenaHPerSample = planArena(e.vals, steps, locSlotH,
-		func(v *value) bool { return v.fp16 })
-}
-
 // planArena assigns every unassigned value accepted by mine to an
 // arena slab of the given location kind using liveness analysis over
 // the step order. Values flow through three location kinds: inputs
@@ -37,7 +12,7 @@ func (e *Engine) planMemory() {
 // deployment runtimes. Sizes are in elements; the caller scales by its
 // element width. Only slots of this call's kind are recycled, so
 // repeated passes with disjoint classes build independent arenas.
-func planArena(vals []value, steps []planStep, kind locKind, mine func(v *value) bool) (slotOff, slotSize []int, perSample int) {
+func planArena[T float32 | int8](vals []value, steps []step[T], kind locKind, mine func(v *value) bool) (slotOff []int, perSample int) {
 	// lastUse[v] is the index of the last step consuming value v, or -1.
 	lastUse := make([]int, len(vals))
 	for i := range lastUse {
@@ -112,13 +87,10 @@ func planArena(vals []value, steps []planStep, kind locKind, mine func(v *value)
 		}
 	}
 
-	slotSize = make([]int, len(slots))
 	slotOff = make([]int, len(slots))
-	off := 0
 	for i, s := range slots {
-		slotSize[i] = s.size
-		slotOff[i] = off
-		off += s.size
+		slotOff[i] = perSample
+		perSample += s.size
 	}
-	return slotOff, slotSize, off
+	return slotOff, perSample
 }

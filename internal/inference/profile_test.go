@@ -20,30 +20,21 @@ type stepProfile struct {
 	estOps  []int64
 }
 
-// timeStep wraps one bound kernel of either executor.
-func timeStep[T any](p *stepProfile, name string, kern func(*runCtx, []T, [][]T) error) func(*runCtx, []T, [][]T) error {
-	i := len(p.names)
-	p.names = append(p.names, name)
-	p.samples = append(p.samples, nil)
-	p.estOps = append(p.estOps, 0)
-	return func(rc *runCtx, dst []T, srcs [][]T) error {
-		e0, t0 := rc.estOps, time.Now()
-		err := kern(rc, dst, srcs)
-		p.samples[i] = append(p.samples[i], time.Since(t0))
-		p.estOps[i] = rc.estOps - e0
-		return err
-	}
-}
-
-func (p *stepProfile) wrapF32(steps []step) {
-	for i := range steps {
-		steps[i].kern = timeStep(p, steps[i].op.String()+" "+steps[i].name, steps[i].kern)
-	}
-}
-
-func (p *stepProfile) wrapI8(steps []qstep) {
-	for i := range steps {
-		steps[i].kern = timeStep(p, steps[i].op.String()+" "+steps[i].name, steps[i].kern)
+// wrap times every bound kernel of a plan's steps, whatever its
+// element type.
+func wrap[T float32 | int8](p *stepProfile, steps []step[T]) {
+	for si := range steps {
+		i, kern := len(p.names), steps[si].kern
+		p.names = append(p.names, steps[si].op.String()+" "+steps[si].name)
+		p.samples = append(p.samples, nil)
+		p.estOps = append(p.estOps, 0)
+		steps[si].kern = func(rc *runCtx, dst []T, srcs [][]T) error {
+			e0, t0 := rc.estOps, time.Now()
+			err := kern(rc, dst, srcs)
+			p.samples[i] = append(p.samples[i], time.Since(t0))
+			p.estOps[i] = rc.estOps - e0
+			return err
+		}
 	}
 }
 
@@ -97,8 +88,8 @@ func TestStepProfileBatch1(t *testing.T) {
 			t.Fatal(err)
 		}
 		var pf, pq stepProfile
-		pf.wrapF32(fp.steps)
-		pq.wrapI8(q.steps)
+		wrap(&pf, fp.steps)
+		wrap(&pq, q.steps)
 		for _, c := range []struct {
 			name string
 			run  func(map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error)
@@ -167,8 +158,8 @@ func TestFanOutProfileBatch8(t *testing.T) {
 				t.Fatal(err)
 			}
 			fp[i], q[i] = side{e.Run, &stepProfile{}}, side{qe.Run, &stepProfile{}}
-			fp[i].p.wrapF32(e.steps)
-			q[i].p.wrapI8(qe.steps)
+			wrap(fp[i].p, e.steps)
+			wrap(q[i].p, qe.steps)
 		}
 		for _, c := range []struct {
 			name  string

@@ -10,7 +10,7 @@ import (
 // runBoundQ runs one bound quantized kernel on planned scratch, split
 // across two workers at every range so the per-worker regions are in
 // play.
-func runBoundQ(t *testing.T, kern qkernelFunc, spec scratchSpec, batch int, dst []int8, srcs [][]int8) {
+func runBoundQ(t *testing.T, kern kernelFunc[int8], spec scratchSpec, batch int, dst []int8, srcs [][]int8) {
 	t.Helper()
 	var sb scratchBufs
 	sb.ensure(spec, batch, 2)

@@ -57,7 +57,7 @@ func hasIntLowering(op nn.OpType, arity int) bool {
 // into the per-channel tables (batch-norm) — exactly the table the
 // standalone activation step would apply, so fusion is bitwise
 // invisible.
-func bindQuantKernel(n *nn.Node, ins []tensor.Shape, out tensor.Shape, inQ []tensor.QuantParams, outQ tensor.QuantParams, post []*[256]int8) (qkernelFunc, scratchSpec, error) {
+func bindQuantKernel(n *nn.Node, ins []tensor.Shape, out tensor.Shape, inQ []tensor.QuantParams, outQ tensor.QuantParams, post []*[256]int8) (kernelFunc[int8], scratchSpec, error) {
 	switch n.Op {
 	case nn.OpConv, nn.OpDepthwiseConv:
 		return bindQuantConv(n, ins[0], out, inQ[0], outQ, post)
@@ -69,7 +69,7 @@ func bindQuantKernel(n *nn.Node, ins []tensor.Shape, out tensor.Shape, inQ []ten
 		return bindQuantMul(ins, out, inQ, outQ)
 	}
 	var (
-		kern qkernelFunc
+		kern kernelFunc[int8]
 		err  error
 	)
 	switch n.Op {
@@ -202,7 +202,7 @@ func widenCodes(codes []int8) []int16 {
 	return w16
 }
 
-func bindQuantConv(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantParams, post []*[256]int8) (qkernelFunc, scratchSpec, error) {
+func bindQuantConv(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantParams, post []*[256]int8) (kernelFunc[int8], scratchSpec, error) {
 	g, w, err := convGeometry(n, in, out)
 	if err != nil {
 		return nil, scratchSpec{}, err
@@ -330,7 +330,7 @@ func qconvPlanePointwise(dst []int8, x16 []int16, p *qconv, acc []int32, b, oc i
 	tensor.RequantTileInt8(dst[(b*g.outC+oc)*hw:], hw, acc, hw, 1, hw, p.req[oc:], p.zpOut, p.postRows(oc, 1))
 }
 
-func bindQuantDense(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantParams, post []*[256]int8) (qkernelFunc, scratchSpec, error) {
+func bindQuantDense(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantParams, post []*[256]int8) (kernelFunc[int8], scratchSpec, error) {
 	if len(in) != 1 {
 		return nil, scratchSpec{}, fmt.Errorf("dense wants [N,features], got per-sample %v", in)
 	}
@@ -422,7 +422,7 @@ func bindQuantDense(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantPara
 // the in/out quantization mappings is still a scalar function of the
 // input code. A fused activation's recode table composes into each
 // channel table — one lookup where the unfused plan does two.
-func bindQuantBatchNorm(n *nn.Node, in tensor.Shape, inQ, outQ tensor.QuantParams, post []*[256]int8) (qkernelFunc, error) {
+func bindQuantBatchNorm(n *nn.Node, in tensor.Shape, inQ, outQ tensor.QuantParams, post []*[256]int8) (kernelFunc[int8], error) {
 	if len(in) != 3 {
 		return nil, fmt.Errorf("batchnorm wants NCHW, got per-sample %v", in)
 	}
@@ -457,7 +457,7 @@ func bindQuantBatchNorm(n *nn.Node, in tensor.Shape, inQ, outQ tensor.QuantParam
 	}, nil
 }
 
-func bindQuantActivation(n *nn.Node, inQ, outQ tensor.QuantParams) (qkernelFunc, error) {
+func bindQuantActivation(n *nn.Node, inQ, outQ tensor.QuantParams) (kernelFunc[int8], error) {
 	f, _, err := activationFn(n)
 	if err != nil {
 		return nil, err
@@ -468,7 +468,7 @@ func bindQuantActivation(n *nn.Node, inQ, outQ tensor.QuantParams) (qkernelFunc,
 
 // bindQuantRecode handles pure layout ops (flatten, identity): a copy
 // when the mappings agree, a recode LUT otherwise.
-func bindQuantRecode(inQ, outQ tensor.QuantParams) qkernelFunc {
+func bindQuantRecode(inQ, outQ tensor.QuantParams) kernelFunc[int8] {
 	if sameQuant(inQ, outQ) {
 		return func(rc *runCtx, dst []int8, srcs [][]int8) error {
 			copy(dst, srcs[0])
@@ -478,7 +478,7 @@ func bindQuantRecode(inQ, outQ tensor.QuantParams) qkernelFunc {
 	return lutKernel(buildLUT(inQ, outQ, func(x float32) float32 { return x }))
 }
 
-func lutKernel(lut *[256]int8) qkernelFunc {
+func lutKernel(lut *[256]int8) kernelFunc[int8] {
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
 		xv := srcs[0]
 		rc.parallelFor(len(dst), costLUTElem, func(lo, hi int) {
@@ -488,7 +488,7 @@ func lutKernel(lut *[256]int8) qkernelFunc {
 	}
 }
 
-func bindQuantMaxPool(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantParams) (qkernelFunc, error) {
+func bindQuantMaxPool(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantParams) (kernelFunc[int8], error) {
 	if len(in) != 3 {
 		return nil, fmt.Errorf("pool wants NCHW, got per-sample %v", in)
 	}
@@ -553,7 +553,7 @@ func bindQuantMaxPool(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantPa
 	}, nil
 }
 
-func bindQuantAvgPool(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantParams) (qkernelFunc, error) {
+func bindQuantAvgPool(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantParams) (kernelFunc[int8], error) {
 	if len(in) != 3 {
 		return nil, fmt.Errorf("pool wants NCHW, got per-sample %v", in)
 	}
@@ -617,7 +617,7 @@ func bindQuantAvgPool(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantPa
 	}, nil
 }
 
-func bindQuantGlobalAvgPool(in tensor.Shape, inQ, outQ tensor.QuantParams) (qkernelFunc, error) {
+func bindQuantGlobalAvgPool(in tensor.Shape, inQ, outQ tensor.QuantParams) (kernelFunc[int8], error) {
 	if len(in) != 3 {
 		return nil, fmt.Errorf("global pool wants NCHW, got per-sample %v", in)
 	}
@@ -667,7 +667,7 @@ const planeChunk = 4096
 // table of its code. A plane is one accumulate pass per full operand
 // (tensor.AccumLUT32; the broadcast operands and the output zero point
 // seed the first) and a saturating narrow, whatever the arity.
-func bindQuantAdd(ins []tensor.Shape, out tensor.Shape, inQ []tensor.QuantParams, outQ tensor.QuantParams) (qkernelFunc, scratchSpec, error) {
+func bindQuantAdd(ins []tensor.Shape, out tensor.Shape, inQ []tensor.QuantParams, outQ tensor.QuantParams) (kernelFunc[int8], scratchSpec, error) {
 	broadcast, err := classifyBroadcast(ins, out)
 	if err != nil {
 		return nil, scratchSpec{}, err
@@ -718,7 +718,7 @@ func bindQuantAdd(ins []tensor.Shape, out tensor.Shape, inQ []tensor.QuantParams
 // block is a run of whole planes, each scaled by its channel's factor
 // (tensor.ScaleRowsInt16); otherwise the sample is one plane and a block
 // a piece of it. Higher arity falls back to the FP32 island.
-func bindQuantMul(ins []tensor.Shape, out tensor.Shape, inQ []tensor.QuantParams, outQ tensor.QuantParams) (qkernelFunc, scratchSpec, error) {
+func bindQuantMul(ins []tensor.Shape, out tensor.Shape, inQ []tensor.QuantParams, outQ tensor.QuantParams) (kernelFunc[int8], scratchSpec, error) {
 	if len(ins) != 2 {
 		return nil, scratchSpec{}, errNoQuantKernel
 	}
@@ -766,7 +766,7 @@ func bindQuantMul(ins []tensor.Shape, out tensor.Shape, inQ []tensor.QuantParams
 	}, scratchSpec{i16PerWorker: 2 * perBlock * chunk, i32PerWorker: perBlock * chunk}, nil
 }
 
-func bindQuantConcat(ins []tensor.Shape, out tensor.Shape, inQ []tensor.QuantParams, outQ tensor.QuantParams) (qkernelFunc, error) {
+func bindQuantConcat(ins []tensor.Shape, out tensor.Shape, inQ []tensor.QuantParams, outQ tensor.QuantParams) (kernelFunc[int8], error) {
 	if len(out) != 3 {
 		return nil, fmt.Errorf("concat wants NCHW, got per-sample %v", out)
 	}
@@ -803,7 +803,7 @@ func bindQuantConcat(ins []tensor.Shape, out tensor.Shape, inQ []tensor.QuantPar
 	}, nil
 }
 
-func bindQuantUpsample(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantParams) (qkernelFunc, error) {
+func bindQuantUpsample(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantParams) (kernelFunc[int8], error) {
 	if len(in) != 3 {
 		return nil, fmt.Errorf("upsample wants NCHW, got per-sample %v", in)
 	}
@@ -848,7 +848,7 @@ func bindQuantUpsample(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantP
 // other non-linear reductions). The returned spec declares the island's
 // per-sample staging (inputs plus output); island ops never carry their
 // own FP32 kernel scratch, so the region is exclusively the wrapper's.
-func wrapFP32Fallback(kern kernelFunc, ins []tensor.Shape, out tensor.Shape, inQ []tensor.QuantParams, outQ tensor.QuantParams) (qkernelFunc, scratchSpec) {
+func wrapFP32Fallback(kern kernelFunc[float32], ins []tensor.Shape, out tensor.Shape, inQ []tensor.QuantParams, outQ tensor.QuantParams) (kernelFunc[int8], scratchSpec) {
 	inElems := make([]int, len(ins))
 	total := out.NumElements()
 	outElems := total

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"vedliot/internal/inference/ir"
 	"vedliot/internal/nn"
 	"vedliot/internal/tensor"
 )
@@ -37,14 +36,16 @@ type QuantPlan struct {
 	Values []QuantValue
 	// InputNames/InputVals and OutputNames/OutputVals mirror the
 	// module's declared interface, resolved to value indices. An output
-	// value that is also an input value passes through (the backend
-	// must return the caller's tensor, as QuantEngine.Run does).
+	// value that is also an input value passes through (BindIO returns
+	// the caller's tensor for it, as QuantEngine.Run does).
 	InputNames  []string
 	InputVals   []int
 	OutputNames []string
 	OutputVals  []int
 	// Steps execute in order; each reads Ins and writes Out.
 	Steps []QuantStep
+
+	sig signature // the declared interface's I/O boundary, see BindIO
 }
 
 // QuantValue is one plan activation: per-sample shape and the
@@ -188,14 +189,8 @@ var ErrPlanUnsupported = errors.New("inference: op not describable as a quant pl
 // with the op identity) when the module contains an op the plan cannot
 // describe bit-exactly.
 func BuildQuantPlan(g *nn.Graph, schema *nn.QuantSchema) (*QuantPlan, error) {
-	if schema == nil {
-		return nil, fmt.Errorf("%w: nil quant schema", ErrNotQuantizable)
-	}
-	m, _, err := Lower(g, schema, false)
+	m, err := lowerQuantized(g, schema)
 	if err != nil {
-		if errors.Is(err, ir.ErrSchemaGap) {
-			return nil, fmt.Errorf("%w: %v", ErrNotQuantizable, err)
-		}
 		return nil, err
 	}
 	sc := buildScaffold(m)
@@ -205,77 +200,44 @@ func BuildQuantPlan(g *nn.Graph, schema *nn.QuantSchema) (*QuantPlan, error) {
 		InputVals:   sc.inputVals,
 		OutputNames: sc.outputNames,
 		OutputVals:  sc.outputVals,
-	}
-	qp := make([]tensor.QuantParams, len(sc.vals))
-	for id, ev := range sc.valOf {
-		if ev >= 0 {
-			qp[ev] = m.Values[id].QP
-		}
+		sig:         sc.signature,
 	}
 	p.Values = make([]QuantValue, len(sc.vals))
 	for i, v := range sc.vals {
-		p.Values[i] = QuantValue{Name: v.name, Shape: v.per, Elems: v.elems, QP: qp[i]}
+		p.Values[i] = QuantValue{Name: v.name, Shape: v.per, Elems: v.elems, QP: v.qp}
 	}
-	for _, op := range m.Ops {
-		if op.Kind == nn.OpInput {
-			continue
-		}
-		ins, inPer := opOperands(&sc, op)
-		inQ := make([]tensor.QuantParams, len(ins))
-		for i, in := range ins {
-			inQ[i] = qp[in]
-		}
-		out := sc.valOf[op.Out]
-		outPer := sc.vals[out].per
-		step := QuantStep{Name: op.Name, Op: op.Kind, Out: out, Ins: ins}
-		if op.Island {
-			island, ierr := buildIslandFunc(op, inPer, outPer, inQ, qp[out])
-			if ierr != nil {
-				return nil, compileError(op, true, ierr)
+	stepOf := func(q *quantOp) QuantStep {
+		return QuantStep{Name: q.op.Name, Op: q.op.Kind, Out: q.out, Ins: q.ins}
+	}
+	err = walkQuantOps(m, &sc,
+		func(q *quantOp) error {
+			st := stepOf(q)
+			err := describeStep(&st, q)
+			if err == nil {
+				p.Steps = append(p.Steps, st)
 			}
-			step.Island = island
-			p.Steps = append(p.Steps, step)
-			continue
-		}
-		// The producer requantizes to its own (pre-epilogue) mapping; a
-		// fused chain recodes from there through the composed per-channel
-		// tables — exactly as newQuantEngine binds it.
-		outQ := qp[out]
-		post, perr := buildEpilogueLUTs(m, op, channelCount(outPer))
-		if perr != nil {
-			return nil, compileError(op, true, perr)
-		}
-		if post != nil {
-			outQ = m.Values[op.Fused[0].Pre].QP
-		}
-		n := nodeFromOp(op)
-		if serr := describeStep(&step, n, inPer, outPer, inQ, outQ, qp[out], post); serr != nil {
-			if errors.Is(serr, errNoQuantKernel) {
-				// No integer lowering: run host-side, the same wrapper path
-				// as the native engine. A fused op must never reach this.
-				if len(op.Fused) > 0 {
-					return nil, compileError(op, true, fmt.Errorf("fused op has no integer lowering"))
-				}
-				island, ierr := buildIslandFunc(op, inPer, outPer, inQ, qp[out])
-				if ierr != nil {
-					return nil, compileError(op, true, ierr)
-				}
-				step = QuantStep{Name: op.Name, Op: op.Kind, Out: out, Ins: ins, Island: island}
-			} else {
-				return nil, compileError(op, true, serr)
+			return err
+		},
+		func(q *quantOp) error {
+			island, err := buildIslandFunc(q)
+			if err == nil {
+				st := stepOf(q)
+				st.Island = island
+				p.Steps = append(p.Steps, st)
 			}
-		}
-		p.Steps = append(p.Steps, step)
+			return err
+		})
+	if err != nil {
+		return nil, err
 	}
 	return p, nil
 }
 
 // describeStep fills in the data form of one non-island op, mirroring
-// bindQuantKernel's dispatch. finalQ is the step output's schema
-// mapping (used by table steps); outQ is the producer's requantization
-// target (pre-epilogue when post != nil).
-func describeStep(step *QuantStep, n *nn.Node, inPer []tensor.Shape, outPer tensor.Shape,
-	inQ []tensor.QuantParams, outQ, finalQ tensor.QuantParams, post []*[256]int8) error {
+// bindQuantKernel's dispatch. Table steps map to the step output's
+// schema mapping (finalQ); producers requantize to outQ.
+func describeStep(step *QuantStep, q *quantOp) error {
+	n, inPer, outPer, inQ, outQ, finalQ, post := q.node, q.inPer, q.outPer, q.inQ, q.outQ, q.finalQ, q.post
 	if post != nil {
 		switch n.Op {
 		case nn.OpConv, nn.OpDepthwiseConv, nn.OpDense:
@@ -436,22 +398,16 @@ func buildAddLUT(inQ, outQ tensor.QuantParams) *[256]int32 {
 	return &lut
 }
 
-// buildIslandFunc wraps an op's FP32 kernel in the identical
-// dequantize→FP32→requantize island path the native engine binds, with
-// a private single-worker context so execution is deterministic and
-// independent of any engine instance. Bitwise parity with QuantEngine
-// holds because the engine's kernels are bitwise-identical at any
-// worker count.
-func buildIslandFunc(op *ir.Op, inPer []tensor.Shape, outPer tensor.Shape,
-	inQ []tensor.QuantParams, outQ tensor.QuantParams) (IslandFunc, error) {
-	n := nodeFromOp(op)
-	fk, fkSpec, err := bindKernel(n, inPer, outPer, nil, false, nil)
+// buildIslandFunc wraps an op's FP32 island (the kernel the native
+// engine binds, bindIsland) with a private single-worker context so
+// execution is deterministic and independent of any engine instance.
+// Bitwise parity with QuantEngine holds because the engine's kernels are
+// bitwise-identical at any worker count.
+func buildIslandFunc(q *quantOp) (IslandFunc, error) {
+	qfn, spec, err := bindIsland(q)
 	if err != nil {
 		return nil, err
 	}
-	qfn, wrapSpec := wrapFP32Fallback(fk, inPer, outPer, inQ, outQ)
-	spec := fkSpec
-	spec.grow(wrapSpec)
 	return func(batch int, dst []int8, srcs [][]int8) error {
 		var sb scratchBufs
 		sb.ensure(spec, batch, 1)

@@ -1,7 +1,5 @@
 package inference
 
-import "sync"
-
 // Planned kernel scratch.
 //
 // GEMM pack buffers, zero-point-shifted input copies and FP32-island
@@ -9,10 +7,10 @@ import "sync"
 // footprint from the memory plan and re-grew on every first call. Each
 // binder now declares its transient needs as a scratchSpec; the engine
 // takes the element-wise maximum over all bound steps at compile time
-// and provisions one pooled allocation per Run, sized for the call's
-// batch and the compiled worker bound. Per-worker regions are disjoint
-// per goroutine ordinal (parallelForWorker), so kernels share scratch
-// without synchronization.
+// and the pooled run state (exec.go) carries one allocation, sized for
+// the call's batch and the compiled worker bound. Per-worker regions
+// are disjoint per goroutine ordinal (parallelForWorker), so kernels
+// share scratch without synchronization.
 
 // scratchSpec declares one bound kernel's transient buffer needs in
 // elements. PerCall fields are batch-independent and shared by the
@@ -43,12 +41,7 @@ func (s *scratchSpec) grow(o scratchSpec) {
 	s.i32PerWorker = max(s.i32PerWorker, o.i32PerWorker)
 }
 
-// isZero reports an empty spec, letting Run skip scratch setup.
-func (s scratchSpec) isZero() bool {
-	return s == scratchSpec{}
-}
-
-// scratchBufs is one pooled allocation of an engine's scratch regions.
+// scratchBufs is the scratch regions of one run state.
 type scratchBufs struct {
 	f32 []float32
 	i8  []int8
@@ -60,49 +53,10 @@ type scratchBufs struct {
 // batch and worker bound. Contents are never assumed zero — kernels
 // fully overwrite what they read.
 func (b *scratchBufs) ensure(spec scratchSpec, batch, workers int) {
-	if n := spec.f32PerCall + spec.f32PerSample*batch + spec.f32PerWorker*workers; cap(b.f32) < n {
-		b.f32 = make([]float32, n)
-	} else {
-		b.f32 = b.f32[:n]
-	}
-	if n := spec.i8PerWorker * workers; cap(b.i8) < n {
-		b.i8 = make([]int8, n)
-	} else {
-		b.i8 = b.i8[:n]
-	}
-	if n := spec.i16PerSample*batch + spec.i16PerWorker*workers; cap(b.i16) < n {
-		b.i16 = make([]int16, n)
-	} else {
-		b.i16 = b.i16[:n]
-	}
-	if n := spec.i32PerWorker * workers; cap(b.i32) < n {
-		b.i32 = make([]int32, n)
-	} else {
-		b.i32 = b.i32[:n]
-	}
-}
-
-// getScratch draws a scratch allocation from an engine's pool, grown
-// to the compiled spec at this call's batch and worker bound. A zero
-// spec returns nil: kernels that declared scratch are then never bound,
-// so nothing dereferences it.
-func getScratch(pool *sync.Pool, spec scratchSpec, batch, workers int) *scratchBufs {
-	if spec.isZero() {
-		return nil
-	}
-	sb, _ := pool.Get().(*scratchBufs)
-	if sb == nil {
-		sb = &scratchBufs{}
-	}
-	sb.ensure(spec, batch, workers)
-	return sb
-}
-
-// putScratch returns a getScratch allocation to its pool.
-func putScratch(pool *sync.Pool, sb *scratchBufs) {
-	if sb != nil {
-		pool.Put(sb)
-	}
+	b.f32 = grow(b.f32, spec.f32PerCall+spec.f32PerSample*batch+spec.f32PerWorker*workers)
+	b.i8 = grow(b.i8, spec.i8PerWorker*workers)
+	b.i16 = grow(b.i16, spec.i16PerSample*batch+spec.i16PerWorker*workers)
+	b.i32 = grow(b.i32, spec.i32PerWorker*workers)
 }
 
 // f32Call returns the batch-independent per-call float32 region of n

@@ -318,28 +318,41 @@ type shapeErr struct{ d float64 }
 func (e *shapeErr) Error() string { return "served result diverges" }
 
 // TestServeBadRequestFailsAlone fuses a well-formed and a malformed
-// request into one dispatch: only the offender sees the error.
+// request into one dispatch: only the offender sees the error. A
+// zero-row tensor is malformed too (a wire frame with a zero dim decodes
+// to one): alone it is rejected, so fused it must not come back as an
+// empty success.
 func TestServeBadRequestFailsAlone(t *testing.T) {
-	g := gestureGraph()
-	s, gate := gatedServer(t, g, ServeConfig{MaxBatch: 4})
-	defer s.Close()
-	plug := hold(t, s, gate, gestureIns(g, 0))
-	pend := submitAll(t, s, []map[string]*tensor.Tensor{
-		gestureIns(g, 1),
-		{g.Inputs[0]: tensor.New(tensor.FP32, 1, 3, 16, 16)}, // wrong channels
-	})
-	gate.open()
-	if _, err := plug.Wait(); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name string
+		bad  *tensor.Tensor
+	}{
+		{"wrong channels", tensor.New(tensor.FP32, 1, 3, 16, 16)},
+		{"zero batch", tensor.New(tensor.FP32, 0, 1, 16, 16)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g := gestureGraph()
+			s, gate := gatedServer(t, g, ServeConfig{MaxBatch: 4})
+			defer s.Close()
+			plug := hold(t, s, gate, gestureIns(g, 0))
+			pend := submitAll(t, s, []map[string]*tensor.Tensor{
+				gestureIns(g, 1),
+				{g.Inputs[0]: c.bad},
+			})
+			gate.open()
+			if _, err := plug.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := pend[0].Wait(); err != nil {
+				t.Errorf("well-formed request failed: %v", err)
+			}
+			if _, err := pend[1].Wait(); err == nil {
+				t.Error("malformed request succeeded")
+			}
+			// One fused attempt, then the per-request retry.
+			gate.wantSizes(t, 1, 2, 1, 1)
+		})
 	}
-	if _, err := pend[0].Wait(); err != nil {
-		t.Errorf("well-formed request failed: %v", err)
-	}
-	if _, err := pend[1].Wait(); err == nil {
-		t.Error("malformed request succeeded")
-	}
-	// One fused attempt, then the per-request retry.
-	gate.wantSizes(t, 1, 2, 1, 1)
 }
 
 func TestServeClose(t *testing.T) {

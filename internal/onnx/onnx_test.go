@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"vedliot/internal/inference"
 	"vedliot/internal/nn"
 	"vedliot/internal/tensor"
 )
@@ -136,7 +137,7 @@ func TestRoundTripExecutableEquivalence(t *testing.T) {
 		if err := m.InferShapes(1); err != nil {
 			t.Fatal(err)
 		}
-		r, err := newRunner(m)
+		r, err := inference.Compile(m)
 		if err != nil {
 			t.Fatal(err)
 		}

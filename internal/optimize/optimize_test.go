@@ -12,7 +12,7 @@ import (
 // runLeNet executes the graph on a fixed probe input.
 func runLeNet(t *testing.T, g *nn.Graph) *tensor.Tensor {
 	t.Helper()
-	r, err := inference.NewRunner(g)
+	r, err := inference.Compile(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestFoldBatchNormPreservesFunction(t *testing.T) {
 	}
 
 	run := func(g *nn.Graph) *tensor.Tensor {
-		r, err := inference.NewRunner(g)
+		r, err := inference.Compile(g)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,7 +31,7 @@ func (q QuantGranularity) String() string {
 // QuantConfig controls post-training quantization.
 type QuantConfig struct {
 	Granularity QuantGranularity
-	// CalibrationSamples are inputs (keyed like Runner.Run inputs) used to
+	// CalibrationSamples are inputs (keyed like Engine.Run inputs) used to
 	// observe activation ranges. May be empty when only weights matter.
 	CalibrationSamples []map[string]*tensor.Tensor
 }

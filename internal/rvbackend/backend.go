@@ -125,78 +125,18 @@ type FirmwareInfo struct {
 	UseCFU bool
 }
 
-// resolveInputs validates the input map against per-sample shapes and
-// returns FP32 views plus the batch, mirroring the native engines.
-func (p *Program) resolveInputs(inputs map[string]*tensor.Tensor) ([][]float32, int, error) {
-	if len(p.plan.InputNames) == 0 {
-		return nil, 0, fmt.Errorf("rvbackend: graph declares no inputs")
-	}
-	bufs := make([][]float32, len(p.plan.InputNames))
-	batch := 0
-	for i, name := range p.plan.InputNames {
-		t, ok := inputs[name]
-		if !ok || t == nil {
-			return nil, 0, fmt.Errorf("rvbackend: missing input %q", name)
-		}
-		if len(t.Shape) == 0 {
-			return nil, 0, fmt.Errorf("rvbackend: input %q is a scalar, want batched tensor", name)
-		}
-		per := p.plan.Values[p.plan.InputVals[i]].Shape
-		want := append(tensor.Shape{t.Shape[0]}, per...)
-		if !t.Shape.Equal(want) {
-			return nil, 0, fmt.Errorf("rvbackend: input %q has shape %v, want %v", name, t.Shape, want)
-		}
-		if i == 0 {
-			batch = t.Shape[0]
-		} else if t.Shape[0] != batch {
-			return nil, 0, fmt.Errorf("rvbackend: input %q has batch %d, want %d", name, t.Shape[0], batch)
-		}
-		if t.DType == tensor.FP32 {
-			bufs[i] = t.F32
-		} else {
-			bufs[i] = t.Float32s()
-		}
-	}
-	if batch <= 0 {
-		return nil, 0, fmt.Errorf("rvbackend: batch must be positive")
-	}
-	return bufs, batch, nil
-}
-
 // Run implements inference.Executable: quantize inputs into SoC RAM,
 // drive the firmware segments (host islands in between), read back and
-// dequantize outputs. Output conventions mirror QuantEngine.Run: an
-// output resolving to an input value passes the caller's tensor
-// through, and a name listed twice shares one tensor.
+// dequantize outputs. Input validation and output binding are the host
+// engines' own (QuantPlan.BindIO), so the conventions match
+// QuantEngine.Run by construction: an output resolving to an input
+// value passes the caller's tensor through, and a name listed twice
+// shares one tensor.
 func (p *Program) Run(inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
-	bufs, batch, err := p.resolveInputs(inputs)
+	bufs, batch, outs, result, err := p.plan.BindIO(inputs)
 	if err != nil {
 		return nil, err
 	}
-	inputIdx := make(map[int]int, len(p.plan.InputVals))
-	for i, v := range p.plan.InputVals {
-		inputIdx[v] = i
-	}
-	result := make(map[string]*tensor.Tensor, len(p.plan.OutputNames))
-	type outBinding struct {
-		val int
-		t   *tensor.Tensor
-	}
-	var outs []outBinding
-	for i, name := range p.plan.OutputNames {
-		v := p.plan.OutputVals[i]
-		if j, ok := inputIdx[v]; ok {
-			result[name] = inputs[p.plan.InputNames[j]]
-			continue
-		}
-		if _, done := result[name]; done {
-			continue
-		}
-		t := tensor.New(tensor.FP32, append(tensor.Shape{batch}, p.plan.Values[v].Shape...)...)
-		result[name] = t
-		outs = append(outs, outBinding{val: v, t: t})
-	}
-
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	total := uint64(0)
@@ -207,10 +147,14 @@ func (p *Program) Run(inputs map[string]*tensor.Tensor) (map[string]*tensor.Tens
 		}
 		total += cyc
 		ram := p.m.RAM.Bytes()
-		for _, ob := range outs {
-			val := p.plan.Values[ob.val]
-			codes := readCodes(ram, p.img.bufAddr[ob.val]-soc.RAMBase, val.Elems)
-			tensor.DequantizeSlice(ob.t.F32[s*val.Elems:(s+1)*val.Elems], codes, val.QP)
+		for i, t := range outs {
+			if t == nil {
+				continue
+			}
+			v := p.plan.OutputVals[i]
+			val := p.plan.Values[v]
+			codes := readCodes(ram, p.img.bufAddr[v]-soc.RAMBase, val.Elems)
+			tensor.DequantizeSlice(t.F32[s*val.Elems:(s+1)*val.Elems], codes, val.QP)
 		}
 	}
 	p.cycles = total / uint64(batch)

@@ -16,7 +16,7 @@ import (
 // systematic faults injected at run time (hardware faults, attacks) on
 // the monitored device.
 type RobustnessService struct {
-	reference *inference.Runner
+	reference *inference.Engine
 	// Tolerance is the maximum acceptable max-abs divergence between
 	// submitted and reference outputs.
 	Tolerance float64
@@ -27,7 +27,7 @@ type RobustnessService struct {
 
 // NewRobustnessService wraps a trusted reference copy of the model.
 func NewRobustnessService(reference *nn.Graph, tolerance float64) (*RobustnessService, error) {
-	r, err := inference.NewRunner(reference)
+	r, err := inference.Compile(reference)
 	if err != nil {
 		return nil, err
 	}

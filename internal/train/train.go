@@ -276,7 +276,7 @@ func Accuracy(g *nn.Graph, samples []dataset.Sample) (float64, error) {
 	if len(samples) == 0 {
 		return 0, fmt.Errorf("train: no samples")
 	}
-	r, err := inference.NewRunner(g)
+	r, err := inference.Compile(g)
 	if err != nil {
 		return 0, err
 	}
