@@ -10,8 +10,8 @@ build:
 vet:
 	$(GO) vet ./...
 
-# loc prints non-test Go lines per internal/* package and the repo
-# total: the one command a PR's LoC delta is read from.
+# loc prints non-test Go lines per internal/* package, the repo total
+# and the assembly total: the one command a PR's LoC delta is read from.
 loc:
 	@./scripts/loc.sh
 

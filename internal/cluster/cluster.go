@@ -657,7 +657,8 @@ func (d *Deployment) Idle() bool { return d.pick().inflight.Load() == 0 }
 // cheapest is the routing rule: the index in [0, n) with the lowest
 // cost, where costs within 2% of the running best are tied and resolve
 // toward the lower worst-case module power — the chassis power model's
-// tie-break. Deployment.pick and SimulateTrace both route through it.
+// tie-break. Deployment.pick, SimulateTrace and SimulateClosedLoop all
+// route through it.
 func cheapest(n int, cost, maxW func(int) float64) int {
 	best, bestCost := 0, cost(0)
 	for i := 1; i < n; i++ {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"time"
@@ -366,19 +367,22 @@ func SimulateClosedLoop(fleet []SimReplica, cfg ClosedLoopConfig) (ClosedLoopRes
 		batchItems += len(batch)
 		schedule(now+fleet[j].batchService(len(batch)), -1, j)
 	}
-	// freeReplica picks the cheapest idle replica (power tie-break).
+	// freeReplica routes among the idle replicas by the fleet's one rule
+	// (cheapest): an idle replica costs its service time, a busy one
+	// +Inf. It returns -1 when every replica is busy.
 	freeReplica := func() int {
-		best := -1
-		for j := range fleet {
-			if busy[j] {
-				continue
-			}
-			if best < 0 || fleet[j].Service < fleet[best].Service ||
-				(fleet[j].Service == fleet[best].Service && fleet[j].MaxW < fleet[best].MaxW) {
-				best = j
-			}
+		j := cheapest(len(fleet),
+			func(j int) float64 {
+				if busy[j] {
+					return math.Inf(1)
+				}
+				return float64(fleet[j].Service)
+			},
+			func(j int) float64 { return fleet[j].MaxW })
+		if busy[j] {
+			return -1
 		}
-		return best
+		return j
 	}
 
 	for len(heap) > 0 {

@@ -10,7 +10,8 @@ import (
 	"vedliot/internal/tensor"
 )
 
-// convCase is one direct-convolution geometry of the plane-form tests.
+// convCase is one convolution geometry of the plane-form and GEMM-form
+// tests.
 type convCase struct {
 	inH, inW, kh, kw, sh, sw, ph, pw int
 	groups, icPerG, batch, workers   int
@@ -22,26 +23,29 @@ func (c convCase) String() string {
 		c.inH, c.inW, c.kh, c.kw, c.sh, c.sw, c.ph, c.pw, c.groups, c.icPerG, c.batch, c.workers, c.seed)
 }
 
-// valid reports whether the case has a non-empty output and stays off
-// the GEMM route, which these tests are not about.
+// valid reports whether the case has a non-empty output.
 func (c convCase) valid() bool {
-	if c.inH+2*c.ph < c.kh || c.inW+2*c.pw < c.kw {
-		return false
-	}
-	return !convGemmEligible(convGeom{inC: c.groups * c.icPerG, icPerG: c.icPerG, kh: c.kh, kw: c.kw})
+	return c.inH+2*c.ph >= c.kh && c.inW+2*c.pw >= c.kw
 }
 
-// randomConvCase draws a geometry from the ranges the plane form must
-// cover: planes 1..40 a side, odd kernels to 7, strides to 3 (1 and 2
-// are the specialized copy-ins, 3 the general one), every pad up to
-// k-1, which exceeds the width on narrow planes.
+// gemm reports the side of convGemmEligible the case falls on: the
+// packed GEMM route (true) or the direct plane form.
+func (c convCase) gemm() bool {
+	return convGemmEligible(convGeom{inC: c.groups * c.icPerG, icPerG: c.icPerG, kh: c.kh, kw: c.kw})
+}
+
+// randomConvCase draws a geometry from the ranges both conv routes must
+// cover: planes 1..40 a side, odd kernels to 7, strides to 4 (1 and 2
+// are the specialized copy-ins and gathers, 3 and 4 the general ones),
+// every pad up to k-1, which exceeds the width on narrow planes, and
+// channel reductions from depthwise and single-channel stems to 16 deep.
 func randomConvCase(rng *rand.Rand) convCase {
 	ks := []int{1, 3, 5, 7}
 	c := convCase{
 		inH: 1 + rng.Intn(40), inW: 1 + rng.Intn(40),
 		kh: ks[rng.Intn(4)], kw: ks[rng.Intn(4)],
-		sh: 1 + rng.Intn(3), sw: 1 + rng.Intn(3),
-		groups: 2 + rng.Intn(3), icPerG: []int{1, 3}[rng.Intn(2)],
+		sh: 1 + rng.Intn(4), sw: 1 + rng.Intn(4),
+		groups: 1 + rng.Intn(4), icPerG: []int{1, 3, 8, 16}[rng.Intn(4)],
 		batch: []int{1, 3, 8}[rng.Intn(3)], workers: 1 + rng.Intn(2),
 		seed: rng.Int63(),
 	}
@@ -50,6 +54,28 @@ func randomConvCase(rng *rand.Rand) convCase {
 	}
 	c.ph, c.pw = rng.Intn(c.kh), rng.Intn(c.kw)
 	return c
+}
+
+// sweepConvCases runs check on random valid geometries until each side
+// of convGemmEligible has had its quota, and reports how many took each
+// route.
+func sweepConvCases(t *testing.T, seed int64, check func(i int, c convCase)) {
+	rng := rand.New(rand.NewSource(seed))
+	quota := [2]int{pickCases(400, 80), pickCases(200, 40)} // plane form, GEMM form
+	var ran [2]int
+	for ran != quota {
+		c := randomConvCase(rng)
+		side := 0
+		if c.gemm() {
+			side = 1
+		}
+		if !c.valid() || ran[side] == quota[side] {
+			continue
+		}
+		check(ran[0]+ran[1], c)
+		ran[side]++
+	}
+	t.Logf("%d cases on the plane form, %d on the GEMM form", ran[0], ran[1])
 }
 
 // graph builds the single grouped convolution of the case, with a
@@ -129,25 +155,19 @@ var f32Specials = []float32{
 	0, float32(math.Copysign(0, -1)), 1e-42, -1e-42, math.MaxFloat32,
 }
 
-// TestConvPlaneFormMatchesInterpreter is the FP32 property test of the
-// padded plane form: random direct-route geometries, ordinary and
+// TestConvPlaneFormMatchesInterpreter is the FP32 property test of both
+// conv routes, the padded plane form and the planned GEMM pack: random
+// geometries on either side of convGemmEligible, ordinary and
 // special-valued inputs, bitwise against the interpreter.
 func TestConvPlaneFormMatchesInterpreter(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	ran := 0
-	for ran < pickCases(400, 80) {
-		c := randomConvCase(rng)
-		if !c.valid() {
-			continue
-		}
+	sweepConvCases(t, 71, func(i int, c convCase) {
 		var specials []float32
-		if ran%3 == 0 {
+		if i%3 == 0 {
 			specials = f32Specials
 		}
 		g, in := c.graph(specials)
 		checkConvF32(t, c, g, in)
-		ran++
-	}
+	})
 }
 
 // pickCases trims the randomized sweeps under -short.
@@ -195,11 +215,13 @@ func TestConvPlanePredicateSides(t *testing.T) {
 }
 
 // FuzzConvPlaneF32 lets the fuzzer pick the geometry and seed of the
-// FP32 plane-form check.
+// FP32 check, on either route.
 func FuzzConvPlaneF32(f *testing.F) {
 	f.Add(uint8(8), uint8(8), uint8(1), uint8(1), uint8(0), uint8(0), uint8(1), uint8(1), uint8(0), int64(1))
 	f.Add(uint8(32), uint8(32), uint8(1), uint8(1), uint8(1), uint8(1), uint8(1), uint8(1), uint8(0), int64(2))
 	f.Add(uint8(1), uint8(2), uint8(3), uint8(3), uint8(2), uint8(2), uint8(6), uint8(6), uint8(5), int64(3))
+	f.Add(uint8(19), uint8(16), uint8(1), uint8(1), uint8(2), uint8(2), uint8(1), uint8(1), uint8(9), int64(4))  // GEMM form, 8 deep, stride 3
+	f.Add(uint8(22), uint8(30), uint8(2), uint8(1), uint8(3), uint8(3), uint8(3), uint8(0), uint8(16), int64(5)) // GEMM form, stem, stride 4
 	f.Fuzz(func(t *testing.T, inH, inW, kh, kw, sh, sw, ph, pw, misc uint8, seed int64) {
 		c := fuzzConvCase(inH, inW, kh, kw, sh, sw, ph, pw, misc, seed)
 		if !c.valid() {
@@ -215,9 +237,9 @@ func fuzzConvCase(inH, inW, kh, kw, sh, sw, ph, pw, misc uint8, seed int64) conv
 	c := convCase{
 		inH: 1 + int(inH)%40, inW: 1 + int(inW)%40,
 		kh: 1 + 2*(int(kh)%4), kw: 1 + 2*(int(kw)%4),
-		sh: 1 + int(sh)%3, sw: 1 + int(sw)%3,
-		groups: 2 + int(misc)%3, icPerG: []int{1, 3}[int(misc>>2)%2],
-		batch: []int{1, 3, 8}[int(misc>>3)%3], workers: 1 + int(misc>>5)%2,
+		sh: 1 + int(sh)%4, sw: 1 + int(sw)%4,
+		groups: 1 + int(misc)%4, icPerG: []int{1, 3, 8, 16}[int(misc>>2)%4],
+		batch: []int{1, 3, 8}[int(misc>>4)%3], workers: 1 + int(misc>>6)%2,
 		seed: seed,
 	}
 	c.ph, c.pw = int(ph)%c.kh, int(pw)%c.kw
@@ -262,7 +284,8 @@ func qconvRef(dst, xv []int8, p *qconv, batch int) {
 
 // checkConvI8 binds the case's convolution as an integer kernel, runs
 // it on random int8 codes with planned scratch, and demands the exact
-// codes of qconvRef.
+// codes of qconvRef. A GEMM-eligible case also runs its twin, the plane
+// form of the same geometry, which must produce the same codes.
 func checkConvI8(t testing.TB, c convCase) {
 	t.Helper()
 	g, _ := c.graph(nil)
@@ -273,58 +296,54 @@ func checkConvI8(t testing.TB, c convCase) {
 	rng := rand.New(rand.NewSource(c.seed))
 	inQ := tensor.QuantParams{Scale: 0.02, Zero: int32(rng.Intn(41) - 20)}
 	outQ := tensor.QuantParams{Scale: 0.05, Zero: int32(rng.Intn(41) - 20)}
-	kern, spec, err := bindQuantConv(n, in, out, inQ, outQ, nil)
-	if err != nil {
-		t.Fatalf("%v: bind: %v", c, err)
-	}
-	geom, w, err := convGeometry(n, in, out)
+	st, kern, spec := lowerAndBind(t, n, []tensor.Shape{in}, out, []tensor.QuantParams{inQ}, outQ)
+	geom, _, err := convGeometry(n, in, out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	codes, wScales := quantizeFilter(w, geom.outC)
-	bias32, req := foldBias(n.Weight(nn.BiasKey), wScales, inQ, outQ)
-	ref := &qconv{g: geom, w16: widenCodes(codes), bias32: bias32, req: req, zpIn: inQ.Zero, zpOut: outQ.Zero}
+	ref := &qconv{g: geom, w16: widenCodes(st.Conv.W), bias32: st.Conv.Bias, req: st.Conv.Req, zpIn: inQ.Zero, zpOut: outQ.Zero}
 
 	xv := make([]int8, c.batch*in.NumElements())
 	for i := range xv {
 		xv[i] = int8(rng.Intn(256) - 128)
 	}
-	got := make([]int8, c.batch*out.NumElements())
-	want := make([]int8, len(got))
-	var sb scratchBufs
-	sb.ensure(spec, c.batch, c.workers)
-	rc := runCtx{batch: c.batch, workers: c.workers, spec: spec, scratch: &sb}
-	if err := kern(&rc, got, [][]int8{xv}); err != nil {
-		t.Fatalf("%v: run: %v", c, err)
-	}
+	want := make([]int8, c.batch*out.NumElements())
 	qconvRef(want, xv, ref, c.batch)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%v: code %d = %d, want %d", c, i, got[i], want[i])
+	run := func(form string, kern kernelFunc[int8], spec scratchSpec) {
+		got := make([]int8, len(want))
+		var sb scratchBufs
+		sb.ensure(spec, c.batch, c.workers)
+		rc := runCtx{batch: c.batch, workers: c.workers, spec: spec, scratch: &sb}
+		if err := kern(&rc, got, [][]int8{xv}); err != nil {
+			t.Fatalf("%v: %s run: %v", c, form, err)
 		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%v: %s code %d = %d, want %d", c, form, i, got[i], want[i])
+			}
+		}
+	}
+	run("routed", kern, spec)
+	if c.gemm() {
+		kern, spec = bindQuantConvPlane(ref)
+		run("plane twin", kern, spec)
 	}
 }
 
 // TestQConvPlaneFormMatchesClipped is the INT8 property test of the
-// padded plane form against the clipped reference.
+// padded plane form and the GEMM form against the clipped reference.
 func TestQConvPlaneFormMatchesClipped(t *testing.T) {
-	rng := rand.New(rand.NewSource(72))
-	for ran := 0; ran < pickCases(400, 80); {
-		c := randomConvCase(rng)
-		if !c.valid() {
-			continue
-		}
-		checkConvI8(t, c)
-		ran++
-	}
+	sweepConvCases(t, 72, func(_ int, c convCase) { checkConvI8(t, c) })
 }
 
 // FuzzQConvPlane lets the fuzzer pick the geometry and seed of the
-// INT8 plane-form check.
+// INT8 check, on either route.
 func FuzzQConvPlane(f *testing.F) {
 	f.Add(uint8(8), uint8(8), uint8(1), uint8(1), uint8(0), uint8(0), uint8(1), uint8(1), uint8(0), int64(1))
 	f.Add(uint8(16), uint8(16), uint8(2), uint8(2), uint8(1), uint8(1), uint8(2), uint8(2), uint8(9), int64(2))
 	f.Add(uint8(1), uint8(2), uint8(3), uint8(3), uint8(2), uint8(2), uint8(6), uint8(6), uint8(5), int64(3))
+	f.Add(uint8(19), uint8(16), uint8(1), uint8(1), uint8(2), uint8(2), uint8(1), uint8(1), uint8(9), int64(4))  // GEMM form, 8 deep, stride 3
+	f.Add(uint8(22), uint8(30), uint8(2), uint8(1), uint8(3), uint8(3), uint8(3), uint8(0), uint8(16), int64(5)) // GEMM form, stem, stride 4
 	f.Fuzz(func(t *testing.T, inH, inW, kh, kw, sh, sw, ph, pw, misc uint8, seed int64) {
 		c := fuzzConvCase(inH, inW, kh, kw, sh, sw, ph, pw, misc, seed)
 		if !c.valid() {

@@ -53,252 +53,110 @@ func convGemmEligible(g convGeom) bool {
 	return g.icPerG > 1 && g.icPerG*g.kh*g.kw >= gemmMinTaps
 }
 
-// Segment kinds of a precomputed im2col row plan. Every B-tile row is
-// described once at bind time as zero / contiguous-copy /
-// stride-2-gather segments, so the per-call fill does no index
-// arithmetic at all — the same plan serves every channel, group,
-// sample and call, shifted only by the channel plane base.
-const (
-	segZero = iota
-	segCopy
-	segGather2
-)
-
-// convSeg is one segment of a planned B-tile row: n elements at row
-// offset dst, sourced (for copy/gather) at plane-relative offset src.
+// convSeg is one segment of a precomputed im2col row plan: n elements
+// at row offset dst, element i read from plane-relative offset
+// src + i*step. Step 0 is padding (the segment takes the pad value), 1 a
+// contiguous copy, 2 the vector gather, anything larger a scalar strided
+// copy. Every B-tile row is described once at bind time, so the per-call
+// fill does no index arithmetic at all — the same plan serves every
+// channel, group, sample and call, shifted only by the channel plane
+// base.
 type convSeg struct {
-	dst, src, n int32
-	kind        uint8
+	dst, src, n, step int32
 }
 
 // buildRowPlan returns the segment plan for one (ky, kx) tap row of
 // the B tile covering output pixels j0..j0+jw-1 (nr-wide row, columns
-// past jw zero-padded), or nil when the geometry needs a per-element
-// walk (stride > 2), in which case the caller falls back to
-// fillConvRowF32.
+// past jw padded).
 func buildRowPlan(g *convGeom, ky, kx, j0, jw, nr int) []convSeg {
 	var segs []convSeg
-	emit := func(kind uint8, dst, src, n int) {
+	emit := func(step, dst, src, n int) {
 		if n <= 0 {
 			return
 		}
-		if kind == segZero && len(segs) > 0 {
-			if last := &segs[len(segs)-1]; last.kind == segZero && int(last.dst+last.n) == dst {
+		if step == 0 && len(segs) > 0 {
+			if last := &segs[len(segs)-1]; last.step == 0 && int(last.dst+last.n) == dst {
 				last.n += int32(n)
 				return
 			}
 		}
-		segs = append(segs, convSeg{dst: int32(dst), src: int32(src), n: int32(n), kind: kind})
+		segs = append(segs, convSeg{dst: int32(dst), src: int32(src), n: int32(n), step: int32(step)})
 	}
-	j := 0
-	for j < jw {
+	for j := 0; j < jw; {
 		p := j0 + j
-		oy := p / g.outW
-		ox0 := p % g.outW
-		run := g.outW - ox0
-		if run > jw-j {
-			run = jw - j
-		}
-		iy := oy*g.sh - g.ph + ky
-		switch {
-		case iy < 0 || iy >= g.inH:
-			emit(segZero, j, 0, run)
-		case g.sw == 1:
-			ix0 := ox0 - g.pw + kx
-			lo := 0
+		oy, ox0 := p/g.outW, p%g.outW
+		run := min(g.outW-ox0, jw-j)
+		// Output columns lo..hi-1 of the run have their tap in bounds.
+		lo, hi, src := run, run, 0
+		if iy := oy*g.sh - g.ph + ky; iy >= 0 && iy < g.inH {
+			ix0 := ox0*g.sw - g.pw + kx
+			lo = 0
 			if ix0 < 0 {
-				lo = min(-ix0, run)
+				lo = min((-ix0+g.sw-1)/g.sw, run)
 			}
-			hi := run
-			if over := ix0 + run - g.inW; over > 0 {
-				hi = max(run-over, lo)
-			}
-			emit(segZero, j, 0, lo)
-			emit(segCopy, j+lo, iy*g.inW+ix0+lo, hi-lo)
-			emit(segZero, j+hi, 0, run-hi)
-		case g.sw == 2:
-			ix0 := ox0*2 - g.pw + kx
-			lo := 0
-			if ix0 < 0 {
-				lo = min((-ix0+1)/2, run)
-			}
-			hi := run
 			if ix0 >= g.inW {
 				hi = lo
-			} else if maxI := (g.inW - 1 - ix0) / 2; maxI+1 < hi {
-				hi = max(maxI+1, lo)
+			} else if last := (g.inW - 1 - ix0) / g.sw; last+1 < hi {
+				hi = max(last+1, lo)
 			}
-			emit(segZero, j, 0, lo)
-			emit(segGather2, j+lo, iy*g.inW+ix0+2*lo, hi-lo)
-			emit(segZero, j+hi, 0, run-hi)
-		default:
-			return nil
+			src = iy*g.inW + ix0 + g.sw*lo
 		}
+		emit(0, j, 0, lo)
+		emit(g.sw, j+lo, src, hi-lo)
+		emit(0, j+hi, 0, run-hi)
 		j += run
 	}
-	emit(segZero, jw, 0, nr-jw)
+	emit(0, jw, 0, nr-jw)
 	return segs
 }
 
 // buildConvPlans precomputes the B-tile row plans for every (tile,
-// tap) of a convolution, or returns nil when any row needs the
-// fallback walk.
+// tap) of a convolution.
 func buildConvPlans(g *convGeom, nr, nt, px int) [][]convSeg {
-	plans := make([][]convSeg, nt*g.kh*g.kw)
+	plans := make([][]convSeg, 0, nt*g.kh*g.kw)
 	for t := 0; t < nt; t++ {
 		j0 := t * nr
 		jw := min(px-j0, nr)
 		for ky := 0; ky < g.kh; ky++ {
 			for kx := 0; kx < g.kw; kx++ {
-				plan := buildRowPlan(g, ky, kx, j0, jw, nr)
-				if plan == nil {
-					return nil
-				}
-				plans[(t*g.kh+ky)*g.kw+kx] = plan
+				plans = append(plans, buildRowPlan(g, ky, kx, j0, jw, nr))
 			}
 		}
 	}
 	return plans
 }
 
-// packConvTilePlanned packs one B tile by replaying the tile's segment
-// plans against each input-channel plane of (sample b, group grp).
-// Row order matches packConvTileF32: tap kk = (ic, ky, kx).
-func packConvTilePlanned(bpack, xv []float32, g *convGeom, nr, b, grp int, plans [][]convSeg) {
+// packConvTile fills the rows of one B tile for (sample b, group grp),
+// fusing the im2col gather: the tile's segment plans are replayed against
+// each input-channel plane of the group, one nr-wide row per tap in the
+// interpreter's (ic, ky, kx) order. Padding takes pad (0 for FP32, the
+// zero-point code for INT8) and gather2 is the element type's stride-2
+// vector gather.
+func packConvTile[T float32 | int8](rows, xv []T, g *convGeom, nr, b, grp int, plans [][]convSeg, pad T, gather2 func(dst, src []T)) {
 	planeSize := g.inH * g.inW
-	taps := g.kh * g.kw
 	kk := 0
 	for ic := 0; ic < g.icPerG; ic++ {
-		plane := xv[(b*g.inC+grp*g.icPerG+ic)*planeSize:]
-		plane = plane[:planeSize]
-		for tap := 0; tap < taps; tap++ {
-			row := bpack[kk*nr : (kk+1)*nr]
-			for _, s := range plans[tap] {
-				switch s.kind {
-				case segZero:
-					z := row[s.dst : s.dst+s.n]
-					for i := range z {
-						z[i] = 0
+		plane := xv[(b*g.inC+grp*g.icPerG+ic)*planeSize:][:planeSize]
+		for _, plan := range plans {
+			row := rows[kk*nr : (kk+1)*nr]
+			for _, s := range plan {
+				seg := row[s.dst : s.dst+s.n]
+				switch s.step {
+				case 0:
+					for i := range seg {
+						seg[i] = pad
 					}
-				case segCopy:
-					copy(row[s.dst:s.dst+s.n], plane[s.src:s.src+s.n])
+				case 1:
+					copy(seg, plane[s.src:s.src+s.n])
+				case 2:
+					gather2(seg, plane[s.src:])
 				default:
-					tensor.GatherStride2F32(row[s.dst:s.dst+s.n], plane[s.src:])
+					for i := range seg {
+						seg[i] = plane[s.src+int32(i)*s.step]
+					}
 				}
 			}
 			kk++
-		}
-	}
-}
-
-// fillConvRowF32 writes one K-row of a B tile: the values output pixels
-// j0..j0+jw-1 read from input plane xBase at kernel offset (ky, kx),
-// with out-of-bounds taps as 0 and columns past jw zero-padded. Pixels
-// are walked in output-row runs so the stride-1 interior reduces to
-// copies.
-func fillConvRowF32(row []float32, xv []float32, g *convGeom, xBase, ky, kx, j0, jw int) {
-	j := 0
-	for j < jw {
-		p := j0 + j
-		oy := p / g.outW
-		ox0 := p % g.outW
-		run := g.outW - ox0
-		if run > jw-j {
-			run = jw - j
-		}
-		seg := row[j : j+run]
-		iy := oy*g.sh - g.ph + ky
-		switch {
-		case iy < 0 || iy >= g.inH:
-			for i := range seg {
-				seg[i] = 0
-			}
-		case g.sw == 1:
-			ix0 := ox0 - g.pw + kx
-			lo := 0
-			if ix0 < 0 {
-				lo = -ix0
-				if lo > run {
-					lo = run
-				}
-			}
-			hi := run
-			if over := ix0 + run - g.inW; over > 0 {
-				hi = run - over
-				if hi < lo {
-					hi = lo
-				}
-			}
-			for i := 0; i < lo; i++ {
-				seg[i] = 0
-			}
-			if hi > lo {
-				copy(seg[lo:hi], xv[xBase+iy*g.inW+ix0+lo:xBase+iy*g.inW+ix0+hi])
-			}
-			for i := hi; i < run; i++ {
-				seg[i] = 0
-			}
-		case g.sw == 2:
-			// Clip to the in-bounds index run, then the strided gather
-			// vectorizes as an even-lane deinterleave.
-			xRow := xv[xBase+iy*g.inW : xBase+(iy+1)*g.inW]
-			ix0 := ox0*2 - g.pw + kx
-			lo := 0
-			if ix0 < 0 {
-				lo = (-ix0 + 1) / 2
-				if lo > run {
-					lo = run
-				}
-			}
-			hi := run
-			if ix0 >= g.inW {
-				hi = lo
-			} else if maxI := (g.inW - 1 - ix0) / 2; maxI+1 < hi {
-				hi = maxI + 1
-				if hi < lo {
-					hi = lo
-				}
-			}
-			for i := 0; i < lo; i++ {
-				seg[i] = 0
-			}
-			if hi > lo {
-				tensor.GatherStride2F32(seg[lo:hi], xRow[ix0+2*lo:])
-			}
-			for i := hi; i < run; i++ {
-				seg[i] = 0
-			}
-		default:
-			xRow := xv[xBase+iy*g.inW : xBase+(iy+1)*g.inW]
-			ix := ox0*g.sw - g.pw + kx
-			for i := range seg {
-				if ix >= 0 && ix < g.inW {
-					seg[i] = xRow[ix]
-				} else {
-					seg[i] = 0
-				}
-				ix += g.sw
-			}
-		}
-		j += run
-	}
-	for ; j < len(row); j++ {
-		row[j] = 0
-	}
-}
-
-// packConvTileF32 packs one NR-wide B tile for (sample b, group grp),
-// fusing the im2col gather: row kk holds tap kk of output pixels
-// j0..j0+jw-1 in the interpreter's (ic, ky, kx) tap order.
-func packConvTileF32(bpack, xv []float32, g *convGeom, nr, b, grp, j0, jw int) {
-	kk := 0
-	for ic := 0; ic < g.icPerG; ic++ {
-		xBase := (b*g.inC + grp*g.icPerG + ic) * g.inH * g.inW
-		for ky := 0; ky < g.kh; ky++ {
-			for kx := 0; kx < g.kw; kx++ {
-				fillConvRowF32(bpack[kk*nr:(kk+1)*nr], xv, g, xBase, ky, kx, j0, jw)
-				kk++
-			}
 		}
 	}
 }
@@ -370,14 +228,11 @@ func bindConvGemm(g convGeom, w *tensor.Tensor, bias []float32, ep *epilogue, wf
 					jw = nr
 				}
 				bt, ldb := bpack, nr
-				switch {
-				case pointwise && jw == nr:
+				if pointwise && jw == nr {
 					// The input planes of this group are the B matrix already.
 					bt, ldb = xv[(b*g.inC+grp*g.icPerG)*px+j0:], px
-				case plans != nil:
-					packConvTilePlanned(bpack, xv, &g, nr, b, grp, plans[t*ktaps:(t+1)*ktaps])
-				default:
-					packConvTileF32(bpack, xv, &g, nr, b, grp, j0, jw)
+				} else {
+					packConvTile(bpack, xv, &g, nr, b, grp, plans[t*ktaps:(t+1)*ktaps], 0, tensor.GatherStride2F32)
 				}
 				for p := 0; p < panels; p++ {
 					oc0 := grp*g.ocPerG + p*mr
@@ -410,48 +265,17 @@ func bindConvGemm(g convGeom, w *tensor.Tensor, bias []float32, ep *epilogue, wf
 	return kfn, scratchSpec{f32PerWorker: scratch, f32PerCall: len(apackH)}
 }
 
-// packQConvTile packs one pair-interleaved int16 B tile for (sample b,
-// group grp). The tile's segment plans (the FP32 pack's, see
-// buildRowPlan) are replayed on int8 codes into stage, one nr-wide row
-// per tap in (ic, ky, kx) order: runs of the input plane move as byte
-// copies and stride-2 byte gathers, and padding is the zero-point code,
-// which the shift turns into exactly 0. One tensor.PackPairShiftInt8
-// then widens, shifts and interleaves the rows pair by pair.
-func packQConvTile(bpack []int16, stage, xv []int8, g *convGeom, nr, b, grp int, plans [][]convSeg, zp int8) {
-	planeSize := g.inH * g.inW
-	ktaps := g.kh * g.kw
-	kk := 0
-	for ic := 0; ic < g.icPerG; ic++ {
-		plane := xv[(b*g.inC+grp*g.icPerG+ic)*planeSize:][:planeSize]
-		for tap := 0; tap < ktaps; tap++ {
-			row := stage[kk*nr : (kk+1)*nr]
-			for _, s := range plans[tap] {
-				switch s.kind {
-				case segZero:
-					z := row[s.dst : s.dst+s.n]
-					for i := range z {
-						z[i] = zp
-					}
-				case segCopy:
-					copy(row[s.dst:s.dst+s.n], plane[s.src:s.src+s.n])
-				default:
-					tensor.GatherStride2Int8(row[s.dst:s.dst+s.n], plane[s.src:])
-				}
-			}
-			kk++
-		}
-	}
-	tensor.PackPairShiftInt8(bpack, 2*nr, stage, nr, kk, nr, int16(zp))
-}
-
 // bindQuantConvGemm lowers one integer convolution onto the int16
 // PMADDWD-shaped micro-kernels: widened weight codes pack per group at
 // bind time, B tiles pack per item with the zero-point shift fused, and
 // every C tile requantizes in one tensor.RequantTileInt8 while it is
-// L1-hot. The B pack stages int8 codes and pads with the zero-point
-// code, so it needs the zero point to be an int8 code and a segment plan
-// for the geometry (stride <= 2); ok is false otherwise and the caller
-// keeps the plane form, which has neither limit.
+// L1-hot. The B pack replays the FP32 pack's segment plans on int8 codes
+// into a staging tile (runs of the input plane move as byte copies and
+// stride-2 byte gathers), padding with the zero-point code, which the
+// shift turns into exactly 0; one tensor.PackPairShiftInt8 then widens,
+// shifts and interleaves the rows pair by pair. It therefore needs the
+// zero point to be an int8 code; ok is false otherwise and the caller
+// keeps the plane form, which has no such limit.
 func bindQuantConvGemm(p *qconv) (kfn kernelFunc[int8], spec scratchSpec, ok bool) {
 	g := p.g
 	if p.zpIn < -128 || p.zpIn > 127 {
@@ -469,9 +293,7 @@ func bindQuantConvGemm(p *qconv) (kfn kernelFunc[int8], spec scratchSpec, ok boo
 	var plans [][]convSeg
 	spec = scratchSpec{i16PerWorker: kp * 2 * nr, i32PerWorker: mr * nr}
 	if !pointwise {
-		if plans = buildConvPlans(&g, nr, nt, px); plans == nil {
-			return nil, scratchSpec{}, false
-		}
+		plans = buildConvPlans(&g, nr, nt, px)
 		spec.i8PerWorker = taps * nr
 	}
 	groups := g.inC / g.icPerG
@@ -503,7 +325,8 @@ func bindQuantConvGemm(p *qconv) (kfn kernelFunc[int8], spec scratchSpec, ok boo
 					// input plane k: the planes are the rows to pack as they lie.
 					tensor.PackPairShiftInt8(bpack, 2*nr, xv[(b*g.inC+grp*g.icPerG)*px+j0:], px, taps, jw, int16(p.zpIn))
 				} else {
-					packQConvTile(bpack, stage, xv, &g, nr, b, grp, plans[t*ktaps:(t+1)*ktaps], int8(p.zpIn))
+					packConvTile(stage, xv, &g, nr, b, grp, plans[t*ktaps:(t+1)*ktaps], int8(p.zpIn), tensor.GatherStride2Int8)
+					tensor.PackPairShiftInt8(bpack, 2*nr, stage, nr, taps, nr, int16(p.zpIn))
 				}
 				for pi := 0; pi < panels; pi++ {
 					oc0 := grp*g.ocPerG + pi*mr

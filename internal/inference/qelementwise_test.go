@@ -4,8 +4,21 @@ import (
 	"math/rand"
 	"testing"
 
+	"vedliot/internal/nn"
 	"vedliot/internal/tensor"
 )
+
+// lowerAndBind takes one op through the integer lowering and the host
+// binder, the way newQuantEngine does.
+func lowerAndBind(t testing.TB, n *nn.Node, ins []tensor.Shape, out tensor.Shape, inQ []tensor.QuantParams, outQ tensor.QuantParams) (QuantStep, kernelFunc[int8], scratchSpec) {
+	t.Helper()
+	st := QuantStep{Name: n.Name, Op: n.Op}
+	if err := lowerQuantOp(&st, &quantOp{node: n, inPer: ins, outPer: out, inQ: inQ, outQ: outQ}); err != nil {
+		t.Fatalf("lower %s: %v", n.Op, err)
+	}
+	kern, spec := bindQuantStep(&st, out.NumElements())
+	return st, kern, spec
+}
 
 // runBoundQ runs one bound quantized kernel on planned scratch, split
 // across two workers at every range so the per-worker regions are in
@@ -45,10 +58,7 @@ func TestQuantAddMatchesScalar(t *testing.T) {
 						srcs[i][j] = int8(rng.Intn(256) - 128)
 					}
 				}
-				kern, spec, err := bindQuantAdd(ins, out, inQ, outQ)
-				if err != nil {
-					t.Fatal(err)
-				}
+				_, kern, spec := lowerAndBind(t, &nn.Node{Name: "add", Op: nn.OpAdd}, ins, out, inQ, outQ)
 				n := out.NumElements()
 				got := make([]int8, batch*n)
 				runBoundQ(t, kern, spec, batch, got, srcs)
@@ -123,15 +133,15 @@ func TestQuantMulMatchesScalar(t *testing.T) {
 
 // TestQuantConvGemmFallsBackWithoutPlan pins the routing guard of
 // bindQuantConvGemm: a GEMM-eligible geometry whose zero point is not an
-// int8 code, or whose stride has no segment plan, binds the plane form
-// (and still computes).
+// int8 code binds the plane form (and still computes); every stride has
+// a segment plan and binds the GEMM form.
 func TestQuantConvGemmFallsBackWithoutPlan(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		stride int
 		zp     int32
 		gemm   bool
-	}{{"ordinary", 1, 3, true}, {"wide zero point", 1, 300, false}, {"stride 3", 3, 3, false}} {
+	}{{"ordinary", 1, 3, true}, {"wide zero point", 1, 300, false}, {"stride 3", 3, 3, true}} {
 		g := convGeom{inC: 8, inH: 9, inW: 9, outC: 8, outH: (9-3)/c.stride + 1, outW: (9-3)/c.stride + 1,
 			kh: 3, kw: 3, sh: c.stride, sw: c.stride, icPerG: 8, ocPerG: 8}
 		if !convGemmEligible(g) {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"vedliot/internal/nn"
 	"vedliot/internal/tensor"
@@ -12,13 +11,14 @@ import (
 
 // Quantized-engine kernels.
 //
-// Binders run once at CompileQuantized: they quantize weights to int8
-// (symmetric, per output channel), fold biases into int32 at the
-// accumulator scale, precompute the fixed-point requantization
-// multipliers between layers, and build 256-entry lookup tables for
-// element-wise ops. The returned closures operate on raw int8 code
-// buffers under the calibration schema's affine mappings — no float
-// arithmetic on the conv/dense hot path. Integer accumulation is
+// The integer lowering (lowerQuantOp, qplan.go) runs once at
+// CompileQuantized: it quantizes weights to int8 (symmetric, per output
+// channel), folds biases into int32 at the accumulator scale,
+// precomputes the fixed-point requantization multipliers between layers,
+// and builds 256-entry lookup tables for element-wise ops. The binders
+// here turn a lowered step's data into a closure that operates on raw
+// int8 code buffers under the calibration schema's affine mappings — no
+// float arithmetic on the conv/dense hot path. Integer accumulation is
 // associative, so the same parallelFor split as the FP32 engine yields
 // bitwise-identical results at any worker count.
 //
@@ -31,69 +31,45 @@ import (
 // compiler wraps the FP32 kernel in a dequantize/requantize island.
 // ir's precision-assignment pass predicts this set via hasIntLowering
 // and marks such ops as islands up front; the error remains as the
-// binder-level ground truth.
+// lowering's ground truth.
 var errNoQuantKernel = errors.New("no quantized kernel")
 
-// hasIntLowering reports whether the quantized binder set has a native
-// integer kernel for (op, arity) — the predicate the lowering
-// pipeline's precision-assignment pass uses to mark FP32 islands. It
-// must stay in sync with bindQuantKernel's switch.
+// hasIntLowering reports whether lowerQuantOp has an integer lowering
+// for (op, arity) — the predicate the lowering pipeline's
+// precision-assignment pass uses to mark FP32 islands.
+// TestIntLoweringPredicateMatchesLowering holds the two to each other.
 func hasIntLowering(op nn.OpType, arity int) bool {
 	switch op {
 	case nn.OpSoftmax:
 		return false
 	case nn.OpMul:
-		// Two-operand products fit the int32 accumulator; higher arity
-		// falls back to the FP32 island.
 		return arity == 2
 	}
 	return true
 }
 
-// bindQuantKernel resolves a node to an int8 kernel closure given the
-// per-sample shapes and the schema's quantization params of its inputs
-// and output. post, when non-nil, is a fused activation recode applied
-// inside the producer's requantization loop (conv/dense) or composed
-// into the per-channel tables (batch-norm) — exactly the table the
-// standalone activation step would apply, so fusion is bitwise
-// invisible.
-func bindQuantKernel(n *nn.Node, ins []tensor.Shape, out tensor.Shape, inQ []tensor.QuantParams, outQ tensor.QuantParams, post []*[256]int8) (kernelFunc[int8], scratchSpec, error) {
-	switch n.Op {
-	case nn.OpConv, nn.OpDepthwiseConv:
-		return bindQuantConv(n, ins[0], out, inQ[0], outQ, post)
-	case nn.OpDense:
-		return bindQuantDense(n, ins[0], out, inQ[0], outQ, post)
-	case nn.OpAdd:
-		return bindQuantAdd(ins, out, inQ, outQ)
-	case nn.OpMul:
-		return bindQuantMul(ins, out, inQ, outQ)
+// bindQuantStep binds a lowered step to its host kernel: a closure over
+// the step's data for the kinds the plan states, the kernel the lowering
+// bound for the rest. outElems is the step output's per-sample size.
+func bindQuantStep(st *QuantStep, outElems int) (kernelFunc[int8], scratchSpec) {
+	switch {
+	case st.Conv != nil:
+		return bindQuantConv(st.Conv)
+	case st.Dense != nil:
+		return bindQuantDense(st.Dense)
+	case st.LUT != nil:
+		return bindQuantLUT(st.LUT), scratchSpec{}
+	case st.LUTPerChannel != nil:
+		return bindQuantLUTPerChannel(st.LUTPerChannel), scratchSpec{}
+	case st.MaxPool != nil:
+		return bindQuantMaxPool(st.MaxPool), scratchSpec{}
+	case st.GlobalAvgPool != nil:
+		return bindQuantGlobalAvgPool(st.GlobalAvgPool), scratchSpec{}
+	case st.Add != nil:
+		// No broadcast operand: the whole sample is one plane.
+		return bindQuantAdd(st.Add, make([]bool, len(st.Add.Tables)), 1, outElems)
 	}
-	var (
-		kern kernelFunc[int8]
-		err  error
-	)
-	switch n.Op {
-	case nn.OpBatchNorm:
-		kern, err = bindQuantBatchNorm(n, ins[0], inQ[0], outQ, post)
-	case nn.OpReLU, nn.OpReLU6, nn.OpLeakyReLU, nn.OpSigmoid, nn.OpTanh,
-		nn.OpHSwish, nn.OpHSigmoid, nn.OpMish:
-		kern, err = bindQuantActivation(n, inQ[0], outQ)
-	case nn.OpMaxPool:
-		kern, err = bindQuantMaxPool(n, ins[0], out, inQ[0], outQ)
-	case nn.OpAvgPool:
-		kern, err = bindQuantAvgPool(n, ins[0], out, inQ[0], outQ)
-	case nn.OpGlobalAvgPool:
-		kern, err = bindQuantGlobalAvgPool(ins[0], inQ[0], outQ)
-	case nn.OpConcat:
-		kern, err = bindQuantConcat(ins, out, inQ, outQ)
-	case nn.OpUpsample:
-		kern, err = bindQuantUpsample(n, ins[0], out, inQ[0], outQ)
-	case nn.OpFlatten, nn.OpIdentity:
-		kern = bindQuantRecode(inQ[0], outQ)
-	default:
-		err = errNoQuantKernel
-	}
-	return kern, scratchSpec{}, err
+	return st.host, st.spec
 }
 
 // buildLUT tabulates code → code for a scalar real function under the
@@ -202,28 +178,35 @@ func widenCodes(codes []int8) []int16 {
 	return w16
 }
 
-func bindQuantConv(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantParams, post []*[256]int8) (kernelFunc[int8], scratchSpec, error) {
-	g, w, err := convGeometry(n, in, out)
-	if err != nil {
-		return nil, scratchSpec{}, err
+func bindQuantConv(pc *PlanConv) (kernelFunc[int8], scratchSpec) {
+	pg := pc.Geom
+	g := convGeom{
+		inC: pg.InC, inH: pg.InH, inW: pg.InW,
+		outC: pg.OutC, outH: pg.OutH, outW: pg.OutW,
+		kh: pg.KH, kw: pg.KW, sh: pg.SH, sw: pg.SW, ph: pg.PH, pw: pg.PW,
+		icPerG: pg.ICPerG, ocPerG: pg.OCPerG,
 	}
-	codes, wScales := quantizeFilter(w, g.outC)
-	bias32, req := foldBias(n.Weight(nn.BiasKey), wScales, inQ, outQ)
-	p := &qconv{g: g, w16: widenCodes(codes), bias32: bias32, req: req, zpIn: inQ.Zero, zpOut: outQ.Zero, post: post}
-	planeCost := qconvPlaneCost(&g)
-
+	p := &qconv{g: g, w16: widenCodes(pc.W), bias32: pc.Bias, req: pc.Req, zpIn: pc.ZPIn, zpOut: pc.ZPOut, post: pc.Post}
 	// Routing mirrors the FP32 binder: convolutions with a real channel
 	// reduction (stems and pointwise projections) run the int16 GEMM
 	// micro-kernels with the zero-point shift fused into the per-tile B
 	// pack. Depthwise and other shallow reductions accumulate int32
 	// planes through the multi-tap plane kernel instead
-	// (qconvPlanePadded), and so does a conv whose B tile has no segment
-	// plan (see bindQuantConvGemm).
+	// (qconvPlanePadded), and so does a conv whose zero point the B pack
+	// cannot stage (see bindQuantConvGemm).
 	if convGemmEligible(g) {
 		if kern, spec, ok := bindQuantConvGemm(p); ok {
-			return kern, spec, nil
+			return kern, spec
 		}
 	}
+	return bindQuantConvPlane(p)
+}
+
+// bindQuantConvPlane binds the plane forms of an integer convolution,
+// which cover every geometry and zero point.
+func bindQuantConvPlane(p *qconv) (kernelFunc[int8], scratchSpec) {
+	g := p.g
+	planeCost := qconvPlaneCost(&g)
 	px := g.outH * g.outW
 	if g.kh == 1 && g.kw == 1 && g.sh == 1 && g.sw == 1 && g.ph == 0 && g.pw == 0 {
 		p.tapOff = make([]int32, g.icPerG) // one tap per input channel of the group
@@ -246,7 +229,7 @@ func bindQuantConv(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantParam
 				}
 			})
 			return nil
-		}, scratchSpec{i16PerSample: g.inC * px, i32PerWorker: px}, nil
+		}, scratchSpec{i16PerSample: g.inC * px, i32PerWorker: px}
 	}
 	pd := newConvPad(&g)
 	p.tapOff = make([]int32, len(pd.tapOff))
@@ -275,7 +258,7 @@ func bindQuantConv(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantParam
 			}
 		})
 		return nil
-	}, scratchSpec{i16PerWorker: pd.inLen + g.inW, i32PerWorker: pd.accLen}, nil
+	}, scratchSpec{i16PerWorker: pd.inLen + g.inW, i32PerWorker: pd.accLen}
 }
 
 // qconvPlanePadded computes one (batch, output-channel) plane of a
@@ -330,22 +313,9 @@ func qconvPlanePointwise(dst []int8, x16 []int16, p *qconv, acc []int32, b, oc i
 	tensor.RequantTileInt8(dst[(b*g.outC+oc)*hw:], hw, acc, hw, 1, hw, p.req[oc:], p.zpOut, p.postRows(oc, 1))
 }
 
-func bindQuantDense(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantParams, post []*[256]int8) (kernelFunc[int8], scratchSpec, error) {
-	if len(in) != 1 {
-		return nil, scratchSpec{}, fmt.Errorf("dense wants [N,features], got per-sample %v", in)
-	}
-	w := n.Weight(nn.WeightKey)
-	if w == nil {
-		return nil, scratchSpec{}, fmt.Errorf("dense has no weights")
-	}
-	inF, outF := in[0], out[0]
-	want := tensor.Shape{outF, inF}
-	if !w.Shape.Equal(want) {
-		return nil, scratchSpec{}, fmt.Errorf("weight shape %v, want %v", w.Shape, want)
-	}
-	codes, wScales := quantizeFilter(w, outF)
-	bias32, req := foldBias(n.Weight(nn.BiasKey), wScales, inQ, outQ)
-	zpIn, zpOut := inQ.Zero, outQ.Zero
+func bindQuantDense(d *PlanDense) (kernelFunc[int8], scratchSpec) {
+	inF, outF, codes, bias32, req, post := d.InF, d.OutF, d.W, d.Bias, d.Req, d.Post
+	zpIn, zpOut := d.ZPIn, d.ZPOut
 	// Same orientation as the FP32 bindDense: M = samples, N = out
 	// features, so every lane is live at batch 1. The widened weight
 	// codes are the bind-time packed B tiles, each call widens the
@@ -414,38 +384,13 @@ func bindQuantDense(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantPara
 			}
 		})
 		return nil
-	}, spec, nil
+	}, spec
 }
 
-// bindQuantBatchNorm lowers inference-mode normalization to one lookup
-// table per channel: the per-channel affine y = s*x + sh composed with
-// the in/out quantization mappings is still a scalar function of the
-// input code. A fused activation's recode table composes into each
-// channel table — one lookup where the unfused plan does two.
-func bindQuantBatchNorm(n *nn.Node, in tensor.Shape, inQ, outQ tensor.QuantParams, post []*[256]int8) (kernelFunc[int8], error) {
-	if len(in) != 3 {
-		return nil, fmt.Errorf("batchnorm wants NCHW, got per-sample %v", in)
-	}
-	c := in[0]
-	scale, shift, err := bnScaleShift(n, c)
-	if err != nil {
-		return nil, err
-	}
-	if len(scale) != c {
-		return nil, fmt.Errorf("batchnorm has %d folded channels for %d channels", len(scale), c)
-	}
-	luts := make([]*[256]int8, c)
-	for ch := 0; ch < c; ch++ {
-		s, sh := scale[ch], shift[ch]
-		lut := buildLUT(inQ, outQ, func(x float32) float32 { return x*s + sh })
-		if post != nil {
-			for i, code := range lut {
-				lut[i] = post[ch][int(code)+128]
-			}
-		}
-		luts[ch] = lut
-	}
-	hw := in[1] * in[2]
+// bindQuantLUTPerChannel applies one code table per channel over NCHW
+// planes (the batch-norm lowering).
+func bindQuantLUTPerChannel(pc *PlanLUTPerChannel) kernelFunc[int8] {
+	c, hw, luts := pc.C, pc.HW, pc.Tables
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
 		xv := srcs[0]
 		rc.parallelFor(rc.batch*c, int64(hw)*costLUTElem, func(lo, hi int) {
@@ -454,31 +399,20 @@ func bindQuantBatchNorm(n *nn.Node, in tensor.Shape, inQ, outQ tensor.QuantParam
 			}
 		})
 		return nil
-	}, nil
-}
-
-func bindQuantActivation(n *nn.Node, inQ, outQ tensor.QuantParams) (kernelFunc[int8], error) {
-	f, _, err := activationFn(n)
-	if err != nil {
-		return nil, err
 	}
-	lut := buildLUT(inQ, outQ, f)
-	return lutKernel(lut), nil
 }
 
-// bindQuantRecode handles pure layout ops (flatten, identity): a copy
-// when the mappings agree, a recode LUT otherwise.
-func bindQuantRecode(inQ, outQ tensor.QuantParams) kernelFunc[int8] {
-	if sameQuant(inQ, outQ) {
+// bindQuantLUT applies one element-wise code table (activations and
+// recodes); a nil table is the plain copy of a layout op (flatten,
+// identity) whose mappings agree.
+func bindQuantLUT(l *PlanLUT) kernelFunc[int8] {
+	lut := l.Table
+	if lut == nil {
 		return func(rc *runCtx, dst []int8, srcs [][]int8) error {
 			copy(dst, srcs[0])
 			return nil
 		}
 	}
-	return lutKernel(buildLUT(inQ, outQ, func(x float32) float32 { return x }))
-}
-
-func lutKernel(lut *[256]int8) kernelFunc[int8] {
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
 		xv := srcs[0]
 		rc.parallelFor(len(dst), costLUTElem, func(lo, hi int) {
@@ -488,22 +422,11 @@ func lutKernel(lut *[256]int8) kernelFunc[int8] {
 	}
 }
 
-func bindQuantMaxPool(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantParams) (kernelFunc[int8], error) {
-	if len(in) != 3 {
-		return nil, fmt.Errorf("pool wants NCHW, got per-sample %v", in)
-	}
-	a := n.Attrs
-	c, inH, inW := in[0], in[1], in[2]
-	outH, outW := out[1], out[2]
-	// Max over codes equals max over reals (the affine map is monotone),
-	// so the window max is taken in the code domain and recoded only
-	// when the calibrated output range differs from the input's.
-	var recode *[256]int8
-	if !sameQuant(inQ, outQ) {
-		recode = buildLUT(inQ, outQ, func(x float32) float32 { return x })
-	}
-	empty := inQ.Quantize(0) // windows with no in-bounds taps read real 0
-	planeCost := int64(outH*outW) * int64(a.KernelH*a.KernelW) * 2 * costElem
+func bindQuantMaxPool(pool *PlanMaxPool) kernelFunc[int8] {
+	mp := *pool // the kernel reads the geometry from its own copy
+	c, inH, inW, outH, outW := mp.C, mp.InH, mp.InW, mp.OutH, mp.OutW
+	empty, recode := mp.Empty, mp.Recode
+	planeCost := int64(outH*outW) * int64(mp.KH*mp.KW) * 2 * costElem
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
 		xv := srcs[0]
 		rc.parallelFor(rc.batch*c, planeCost, func(lo, hi int) {
@@ -511,23 +434,23 @@ func bindQuantMaxPool(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantPa
 				base := p * inH * inW
 				outBase := p * outH * outW
 				for oy := 0; oy < outH; oy++ {
-					iy0 := oy*a.StrideH - a.PadH
+					iy0 := oy*mp.SH - mp.PH
 					kyLo := 0
 					if iy0 < 0 {
 						kyLo = -iy0
 					}
-					kyHi := a.KernelH
-					if iy0+a.KernelH > inH {
+					kyHi := mp.KH
+					if iy0+mp.KH > inH {
 						kyHi = inH - iy0
 					}
 					for ox := 0; ox < outW; ox++ {
-						ix0 := ox*a.StrideW - a.PadW
+						ix0 := ox*mp.SW - mp.PW
 						kxLo := 0
 						if ix0 < 0 {
 							kxLo = -ix0
 						}
-						kxHi := a.KernelW
-						if ix0+a.KernelW > inW {
+						kxHi := mp.KW
+						if ix0+mp.KW > inW {
 							kxHi = inW - ix0
 						}
 						acc := empty
@@ -550,7 +473,7 @@ func bindQuantMaxPool(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantPa
 			}
 		})
 		return nil
-	}, nil
+	}
 }
 
 func bindQuantAvgPool(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantParams) (kernelFunc[int8], error) {
@@ -617,13 +540,8 @@ func bindQuantAvgPool(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantPa
 	}, nil
 }
 
-func bindQuantGlobalAvgPool(in tensor.Shape, inQ, outQ tensor.QuantParams) (kernelFunc[int8], error) {
-	if len(in) != 3 {
-		return nil, fmt.Errorf("global pool wants NCHW, got per-sample %v", in)
-	}
-	c, hw := in[0], in[1]*in[2]
-	req := tensor.NewRequant(float64(inQ.Scale) / (float64(outQ.Scale) * float64(hw)))
-	zpIn, zpOut := inQ.Zero, outQ.Zero
+func bindQuantGlobalAvgPool(gp *PlanGlobalAvgPool) kernelFunc[int8] {
+	c, hw, req, zpIn, zpOut := gp.C, gp.HW, gp.Req, gp.ZPIn, gp.ZPOut
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
 		xv := srcs[0]
 		rc.parallelFor(rc.batch*c, int64(hw)*costPoolElem+costPoolPlane, func(lo, hi int) {
@@ -637,7 +555,7 @@ func bindQuantGlobalAvgPool(in tensor.Shape, inQ, outQ tensor.QuantParams) (kern
 			}
 		})
 		return nil
-	}, nil
+	}
 }
 
 // classifyBroadcast mirrors bindAccumulate's compile-time operand
@@ -662,29 +580,17 @@ func classifyBroadcast(ins []tensor.Shape, out tensor.Shape) ([]bool, error) {
 // worker: longer planes go through in pieces.
 const planeChunk = 4096
 
-// bindQuantAdd lowers element-wise addition: each operand's real
-// contribution, rescaled to the output scale, is a 256-entry int32
-// table of its code. A plane is one accumulate pass per full operand
-// (tensor.AccumLUT32; the broadcast operands and the output zero point
-// seed the first) and a saturating narrow, whatever the arity.
-func bindQuantAdd(ins []tensor.Shape, out tensor.Shape, inQ []tensor.QuantParams, outQ tensor.QuantParams) (kernelFunc[int8], scratchSpec, error) {
-	broadcast, err := classifyBroadcast(ins, out)
-	if err != nil {
-		return nil, scratchSpec{}, err
-	}
-	luts := make([]*[256]int32, len(ins))
-	for op := range ins {
-		luts[op] = buildAddLUT(inQ[op], outQ)
-	}
-	// One plane per channel when an operand is a [C,1,1] broadcast, the
-	// whole sample as one plane otherwise.
-	c, hw := 1, out.NumElements()
-	if slices.Contains(broadcast, true) {
-		c, hw = out[0], out[1]*out[2]
-	}
+// bindQuantAdd binds element-wise addition over c planes of hw elements
+// a sample (one plane per channel when an operand is a [C,1,1] broadcast,
+// the whole sample as one plane otherwise). A plane is one accumulate
+// pass per full operand (tensor.AccumLUT32; the broadcast operands and
+// the output zero point seed the first) and a saturating narrow, whatever
+// the arity.
+func bindQuantAdd(add *PlanAdd, broadcast []bool, c, hw int) (kernelFunc[int8], scratchSpec) {
+	luts := add.Tables
 	chunk := min(hw, planeChunk)
-	zpOut := outQ.Zero
-	unit := int64(len(ins)) * costAddOperand
+	zpOut := add.ZPOut
+	unit := int64(len(luts)) * costAddOperand
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
 		rc.parallelForWorker(rc.batch*c, int64(hw)*unit, func(worker, lo, hi int) {
 			acc := rc.i32Worker(worker, chunk)
@@ -707,7 +613,7 @@ func bindQuantAdd(ins []tensor.Shape, out tensor.Shape, inQ []tensor.QuantParams
 			}
 		})
 		return nil
-	}, scratchSpec{i32PerWorker: chunk}, nil
+	}, scratchSpec{i32PerWorker: chunk}
 }
 
 // bindQuantMul lowers two-operand multiplication (the squeeze-excite
@@ -717,11 +623,8 @@ func bindQuantAdd(ins []tensor.Shape, out tensor.Shape, inQ []tensor.QuantParams
 // and requantized by the tile epilogue. Under a [C,1,1] second operand a
 // block is a run of whole planes, each scaled by its channel's factor
 // (tensor.ScaleRowsInt16); otherwise the sample is one plane and a block
-// a piece of it. Higher arity falls back to the FP32 island.
+// a piece of it.
 func bindQuantMul(ins []tensor.Shape, out tensor.Shape, inQ []tensor.QuantParams, outQ tensor.QuantParams) (kernelFunc[int8], scratchSpec, error) {
-	if len(ins) != 2 {
-		return nil, scratchSpec{}, errNoQuantKernel
-	}
 	broadcast, err := classifyBroadcast(ins, out)
 	if err != nil {
 		return nil, scratchSpec{}, err
@@ -766,23 +669,20 @@ func bindQuantMul(ins []tensor.Shape, out tensor.Shape, inQ []tensor.QuantParams
 	}, scratchSpec{i16PerWorker: 2 * perBlock * chunk, i32PerWorker: perBlock * chunk}, nil
 }
 
-func bindQuantConcat(ins []tensor.Shape, out tensor.Shape, inQ []tensor.QuantParams, outQ tensor.QuantParams) (kernelFunc[int8], error) {
+// bindQuantConcat copies each branch into its channel range of the
+// output, through luts[i] where branch i's mapping differs from the
+// output's (nil: a plain copy).
+func bindQuantConcat(ins []tensor.Shape, out tensor.Shape, luts []*[256]int8) (kernelFunc[int8], error) {
 	if len(out) != 3 {
 		return nil, fmt.Errorf("concat wants NCHW, got per-sample %v", out)
 	}
 	hw := out[1] * out[2]
 	sizes := make([]int, len(ins)) // per-sample element counts
-	luts := make([]*[256]int8, len(ins))
 	for i, s := range ins {
 		if len(s) != 3 || s[1] != out[1] || s[2] != out[2] {
 			return nil, fmt.Errorf("%w: concat input %v vs %v", tensor.ErrShape, s, out)
 		}
 		sizes[i] = s[0] * hw
-		// Each branch carries its own calibrated range; recode onto the
-		// shared output mapping unless they already agree.
-		if !sameQuant(inQ[i], outQ) {
-			luts[i] = buildLUT(inQ[i], outQ, func(x float32) float32 { return x })
-		}
 	}
 	totalPer := out.NumElements()
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
@@ -803,17 +703,13 @@ func bindQuantConcat(ins []tensor.Shape, out tensor.Shape, inQ []tensor.QuantPar
 	}, nil
 }
 
-func bindQuantUpsample(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantParams) (kernelFunc[int8], error) {
+func bindQuantUpsample(n *nn.Node, in, out tensor.Shape, recode *[256]int8) (kernelFunc[int8], error) {
 	if len(in) != 3 {
 		return nil, fmt.Errorf("upsample wants NCHW, got per-sample %v", in)
 	}
 	scale := n.Attrs.Scale
 	if scale <= 0 {
 		return nil, fmt.Errorf("upsample scale %d", scale)
-	}
-	var recode *[256]int8
-	if !sameQuant(inQ, outQ) {
-		recode = buildLUT(inQ, outQ, func(x float32) float32 { return x })
 	}
 	c, h, w := in[0], in[1], in[2]
 	oh, ow := out[1], out[2]

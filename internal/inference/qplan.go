@@ -4,19 +4,21 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
+	"vedliot/internal/inference/ir"
 	"vedliot/internal/nn"
 	"vedliot/internal/tensor"
 )
 
 // QuantPlan is the exported description of the native INT8 execution
-// plan — the same lowering newQuantEngine binds to host kernels,
-// re-expressed as data so alternative backends (the RISC-V firmware
-// code generator) can reproduce it instruction for instruction. Every
-// constant here (weight codes, folded biases, requantizers, lookup
-// tables) is computed by the exact binder helpers the native engine
-// uses, so a backend that follows the step semantics below is bit-exact
-// with QuantEngine by construction.
+// plan: the integer lowering (lowerQuantOp) stated as data, so
+// alternative backends (the RISC-V firmware code generator) can
+// reproduce it instruction for instruction. newQuantEngine binds its
+// host kernels from these same steps, so every constant here (weight
+// codes, folded biases, requantizers, lookup tables) has one producer
+// and a backend that follows the step semantics below is bit-exact with
+// QuantEngine by construction.
 //
 // The plan describes the subset of ops whose integer semantics are
 // simple enough to state as data: conv/depthwise-conv, dense, the
@@ -58,7 +60,7 @@ type QuantValue struct {
 }
 
 // QuantStep is one plan operation. Exactly one of the kind fields is
-// non-nil (Island counts as a kind).
+// non-nil (Island counts as a kind) in a step BuildQuantPlan returns.
 type QuantStep struct {
 	// Name is the originating graph node, for diagnostics.
 	Name string
@@ -78,6 +80,12 @@ type QuantStep struct {
 	// Island runs the step host-side through the identical FP32-island
 	// path as the native engine (bit-exact by shared code).
 	Island IslandFunc
+
+	// host and spec are the bound kernel and scratch of a step that only
+	// the host engine runs: an island, or an op the plan does not state as
+	// data (ErrPlanUnsupported to BuildQuantPlan).
+	host kernelFunc[int8]
+	spec scratchSpec
 }
 
 // IslandFunc executes one FP32-island step over batch-major int8 code
@@ -183,11 +191,11 @@ type PlanAdd struct {
 var ErrPlanUnsupported = errors.New("inference: op not describable as a quant plan step")
 
 // BuildQuantPlan lowers a graph under the calibration schema through
-// the shared pipeline (identical to CompileQuantized) and re-expresses
-// the resulting integer plan as data. Returns ErrNotQuantizable when
-// the schema does not cover the graph, and ErrPlanUnsupported (wrapped,
-// with the op identity) when the module contains an op the plan cannot
-// describe bit-exactly.
+// the shared pipeline and the one integer lowering (identical to
+// CompileQuantized) and keeps the steps as data. Returns
+// ErrNotQuantizable when the schema does not cover the graph, and
+// ErrPlanUnsupported (wrapped, with the op identity) when the module
+// contains an op the plan cannot describe bit-exactly.
 func BuildQuantPlan(g *nn.Graph, schema *nn.QuantSchema) (*QuantPlan, error) {
 	m, err := lowerQuantized(g, schema)
 	if err != nil {
@@ -206,49 +214,106 @@ func BuildQuantPlan(g *nn.Graph, schema *nn.QuantSchema) (*QuantPlan, error) {
 	for i, v := range sc.vals {
 		p.Values[i] = QuantValue{Name: v.name, Shape: v.per, Elems: v.elems, QP: v.qp}
 	}
-	stepOf := func(q *quantOp) QuantStep {
-		return QuantStep{Name: q.op.Name, Op: q.op.Kind, Out: q.out, Ins: q.ins}
-	}
-	err = walkQuantOps(m, &sc,
-		func(q *quantOp) error {
-			st := stepOf(q)
-			err := describeStep(&st, q)
-			if err == nil {
-				p.Steps = append(p.Steps, st)
-			}
-			return err
-		},
-		func(q *quantOp) error {
-			island, err := buildIslandFunc(q)
-			if err == nil {
-				st := stepOf(q)
-				st.Island = island
-				p.Steps = append(p.Steps, st)
-			}
-			return err
-		})
-	if err != nil {
+	if p.Steps, err = lowerQuantSteps(m, &sc); err != nil {
 		return nil, err
+	}
+	for i := range p.Steps {
+		if st := &p.Steps[i]; st.host != nil && st.Island == nil {
+			return nil, fmt.Errorf("inference: compile quantized node %q (%s): %w", st.Name, st.Op, ErrPlanUnsupported)
+		}
 	}
 	return p, nil
 }
 
-// describeStep fills in the data form of one non-island op, mirroring
-// bindQuantKernel's dispatch. Table steps map to the step output's
-// schema mapping (finalQ); producers requantize to outQ.
-func describeStep(step *QuantStep, q *quantOp) error {
-	n, inPer, outPer, inQ, outQ, finalQ, post := q.node, q.inPer, q.outPer, q.inQ, q.outQ, q.finalQ, q.post
-	if post != nil {
-		switch n.Op {
-		case nn.OpConv, nn.OpDepthwiseConv, nn.OpDense:
-		default:
-			// The native engine only fuses epilogues into conv/dense/
-			// batch-norm; batch-norm composes post into its own tables
-			// below, anything else with a fused chain is out of scope.
-			if n.Op != nn.OpBatchNorm {
-				return fmt.Errorf("%w: fused %s", ErrPlanUnsupported, n.Op)
-			}
+// quantOp is one op of a lowered INT8 module as the integer lowering
+// reads it: shapes in plan terms, the schema's mappings, and the fused
+// chain composed into per-channel code tables.
+type quantOp struct {
+	node   *nn.Node
+	inPer  []tensor.Shape
+	outPer tensor.Shape
+	inQ    []tensor.QuantParams
+	// outQ is the mapping the op produces: the step output's schema
+	// mapping, or the op's own pre-epilogue mapping when a fused chain
+	// (post) recodes from there.
+	outQ tensor.QuantParams
+	post []*[256]int8
+}
+
+// lowerQuantSteps lowers every op of an INT8 module, in step order, to
+// its QuantStep — once per compile, for the host binder (newQuantEngine)
+// and the data-level plan (BuildQuantPlan) alike. Ops precision
+// assignment marked as FP32 islands, and those lowerQuantOp turns down
+// with errNoQuantKernel, become island steps.
+func lowerQuantSteps(m *ir.Module, sc *scaffold) ([]QuantStep, error) {
+	steps := make([]QuantStep, 0, len(m.Ops))
+	for _, op := range m.Ops {
+		if op.Kind == nn.OpInput {
+			continue
 		}
+		st := QuantStep{Name: op.Name, Op: op.Kind, Out: sc.valOf[op.Out]}
+		q := quantOp{node: nodeFromOp(op), outPer: sc.vals[st.Out].per, outQ: sc.vals[st.Out].qp}
+		st.Ins, q.inPer = opOperands(sc, op)
+		q.inQ = make([]tensor.QuantParams, len(st.Ins))
+		for i, in := range st.Ins {
+			q.inQ[i] = sc.vals[in].qp
+		}
+		err := errNoQuantKernel
+		if !op.Island {
+			// The producer requantizes to its own (pre-epilogue)
+			// mapping; a fused chain recodes from there through the
+			// composed per-channel lookup tables — the same tables the
+			// standalone stages would apply one by one.
+			if q.post, err = buildEpilogueLUTs(m, op, channelCount(q.outPer)); err != nil {
+				return nil, compileError(op, true, err)
+			}
+			if q.post != nil {
+				q.outQ = m.Values[op.Fused[0].Pre].QP
+			}
+			err = lowerQuantOp(&st, &q)
+		}
+		if errors.Is(err, errNoQuantKernel) {
+			// No integer lowering: run the FP32 kernel inside a
+			// dequantize/requantize island. A fused op must never reach
+			// this path — the bare producer would silently skip its
+			// epilogue — so it is a compile error, not a fallback.
+			if len(op.Fused) > 0 {
+				return nil, compileError(op, true, fmt.Errorf("fused op has no integer lowering"))
+			}
+			err = lowerIsland(&st, &q)
+		}
+		if err != nil {
+			return nil, compileError(op, true, err)
+		}
+		steps = append(steps, st)
+	}
+	return steps, nil
+}
+
+// lowerQuantOp is the integer lowering of one op: the only place that
+// derives INT8 constants (weight codes, folded biases, requantizers,
+// code tables) from an operator kind. The ops the plan states as data
+// fill in their kind field, which the host binders (bindQuantStep) and
+// the firmware generator both read; average pooling, mul, concat,
+// upsample and broadcast add, whose kernels are too intricate to state
+// loosely, carry their bound host kernel instead. post is a fused
+// activation recode applied inside the producer's requantization loop
+// (conv/dense) or composed into the per-channel tables (batch-norm) —
+// exactly the table the standalone activation step would apply, so
+// fusion is bitwise invisible. Returns errNoQuantKernel for an op
+// without an integer lowering (hasIntLowering predicts the set).
+func lowerQuantOp(st *QuantStep, q *quantOp) (err error) {
+	n, inPer, outPer, inQ, outQ, post := q.node, q.inPer, q.outPer, q.inQ, q.outQ, q.post
+	if post != nil && !ir.IsFusableProducer(n.Op) {
+		return fmt.Errorf("op %s cannot absorb a fused epilogue", n.Op)
+	}
+	// recode is the table onto the output mapping of an op that moves
+	// codes unchanged in value: nil (a plain copy) when the mappings agree.
+	recode := func(from tensor.QuantParams) *[256]int8 {
+		if sameQuant(from, outQ) {
+			return nil
+		}
+		return buildLUT(from, outQ, func(x float32) float32 { return x })
 	}
 	switch n.Op {
 	case nn.OpConv, nn.OpDepthwiseConv:
@@ -258,7 +323,7 @@ func describeStep(step *QuantStep, q *quantOp) error {
 		}
 		codes, wScales := quantizeFilter(w, g.outC)
 		bias32, req := foldBias(n.Weight(nn.BiasKey), wScales, inQ[0], outQ)
-		step.Conv = &PlanConv{
+		st.Conv = &PlanConv{
 			Geom: ConvGeom{
 				InC: g.inC, InH: g.inH, InW: g.inW,
 				OutC: g.outC, OutH: g.outH, OutW: g.outW,
@@ -268,7 +333,6 @@ func describeStep(step *QuantStep, q *quantOp) error {
 			W: codes, Bias: bias32, Req: req,
 			ZPIn: inQ[0].Zero, ZPOut: outQ.Zero, Post: post,
 		}
-		return nil
 	case nn.OpDense:
 		if len(inPer[0]) != 1 {
 			return fmt.Errorf("dense wants [N,features], got per-sample %v", inPer[0])
@@ -284,12 +348,16 @@ func describeStep(step *QuantStep, q *quantOp) error {
 		}
 		codes, wScales := quantizeFilter(w, outF)
 		bias32, req := foldBias(n.Weight(nn.BiasKey), wScales, inQ[0], outQ)
-		step.Dense = &PlanDense{
+		st.Dense = &PlanDense{
 			InF: inF, OutF: outF, W: codes, Bias: bias32, Req: req,
 			ZPIn: inQ[0].Zero, ZPOut: outQ.Zero, Post: post,
 		}
-		return nil
 	case nn.OpBatchNorm:
+		// Inference-mode normalization is one lookup table per channel:
+		// the per-channel affine y = s*x + sh composed with the in/out
+		// mappings is still a scalar function of the input code. A fused
+		// activation's recode table composes into each channel table — one
+		// lookup where the unfused plan does two.
 		if len(inPer[0]) != 3 {
 			return fmt.Errorf("batchnorm wants NCHW, got per-sample %v", inPer[0])
 		}
@@ -312,82 +380,109 @@ func describeStep(step *QuantStep, q *quantOp) error {
 			}
 			luts[ch] = lut
 		}
-		step.LUTPerChannel = &PlanLUTPerChannel{C: c, HW: inPer[0][1] * inPer[0][2], Tables: luts}
-		return nil
+		st.LUTPerChannel = &PlanLUTPerChannel{C: c, HW: inPer[0][1] * inPer[0][2], Tables: luts}
 	case nn.OpReLU, nn.OpReLU6, nn.OpLeakyReLU, nn.OpSigmoid, nn.OpTanh,
 		nn.OpHSwish, nn.OpHSigmoid, nn.OpMish:
 		f, _, err := activationFn(n)
 		if err != nil {
 			return err
 		}
-		step.LUT = &PlanLUT{Table: buildLUT(inQ[0], finalQ, f)}
-		return nil
+		st.LUT = &PlanLUT{Table: buildLUT(inQ[0], outQ, f)}
 	case nn.OpFlatten, nn.OpIdentity:
-		step.LUT = &PlanLUT{}
-		if !sameQuant(inQ[0], finalQ) {
-			step.LUT.Table = buildLUT(inQ[0], finalQ, func(x float32) float32 { return x })
-		}
-		return nil
+		st.LUT = &PlanLUT{Table: recode(inQ[0])}
 	case nn.OpMaxPool:
 		if len(inPer[0]) != 3 {
 			return fmt.Errorf("pool wants NCHW, got per-sample %v", inPer[0])
 		}
+		// Max over codes equals max over reals (the affine map is
+		// monotone), so the window max is taken in the code domain and
+		// recoded only when the calibrated output range differs from the
+		// input's. Windows with no in-bounds taps read real 0.
 		a := n.Attrs
-		mp := &PlanMaxPool{
+		st.MaxPool = &PlanMaxPool{
 			C: inPer[0][0], InH: inPer[0][1], InW: inPer[0][2],
 			OutH: outPer[1], OutW: outPer[2],
 			KH: a.KernelH, KW: a.KernelW, SH: a.StrideH, SW: a.StrideW,
 			PH: a.PadH, PW: a.PadW,
-			Empty: inQ[0].Quantize(0),
+			Empty: inQ[0].Quantize(0), Recode: recode(inQ[0]),
 		}
-		if !sameQuant(inQ[0], finalQ) {
-			mp.Recode = buildLUT(inQ[0], finalQ, func(x float32) float32 { return x })
-		}
-		step.MaxPool = mp
-		return nil
 	case nn.OpGlobalAvgPool:
 		if len(inPer[0]) != 3 {
 			return fmt.Errorf("global pool wants NCHW, got per-sample %v", inPer[0])
 		}
-		c, hw := inPer[0][0], inPer[0][1]*inPer[0][2]
-		step.GlobalAvgPool = &PlanGlobalAvgPool{
-			C: c, HW: hw,
-			Req:  tensor.NewRequant(float64(inQ[0].Scale) / (float64(finalQ.Scale) * float64(hw))),
-			ZPIn: inQ[0].Zero, ZPOut: finalQ.Zero,
+		hw := inPer[0][1] * inPer[0][2]
+		st.GlobalAvgPool = &PlanGlobalAvgPool{
+			C: inPer[0][0], HW: hw,
+			Req:  tensor.NewRequant(float64(inQ[0].Scale) / (float64(outQ.Scale) * float64(hw))),
+			ZPIn: inQ[0].Zero, ZPOut: outQ.Zero,
 		}
-		return nil
 	case nn.OpAdd:
+		// Each operand's real contribution, rescaled to the output scale,
+		// is a 256-entry int32 table of its code.
 		broadcast, err := classifyBroadcast(inPer, outPer)
 		if err != nil {
 			return err
 		}
-		for _, b := range broadcast {
-			if b {
-				return fmt.Errorf("%w: broadcast add", ErrPlanUnsupported)
-			}
-		}
-		add := &PlanAdd{ZPOut: finalQ.Zero, Tables: make([]*[256]int32, len(inQ))}
+		add := &PlanAdd{ZPOut: outQ.Zero, Tables: make([]*[256]int32, len(inQ))}
 		for op := range inQ {
-			add.Tables[op] = buildAddLUT(inQ[op], finalQ)
+			add.Tables[op] = buildAddLUT(inQ[op], outQ)
 		}
-		step.Add = add
-		return nil
-	case nn.OpSoftmax:
-		return errNoQuantKernel
+		if slices.Contains(broadcast, true) {
+			// One plane per channel under a [C,1,1] operand.
+			st.host, st.spec = bindQuantAdd(add, broadcast, outPer[0], outPer[1]*outPer[2])
+		} else {
+			st.Add = add
+		}
 	case nn.OpMul:
+		// Two-operand products fit the int32 accumulator; higher arity
+		// falls back to the FP32 island.
 		if len(inPer) != 2 {
 			return errNoQuantKernel
 		}
-		return fmt.Errorf("%w: %s", ErrPlanUnsupported, n.Op)
-	case nn.OpAvgPool, nn.OpConcat, nn.OpUpsample:
-		return fmt.Errorf("%w: %s", ErrPlanUnsupported, n.Op)
+		st.host, st.spec, err = bindQuantMul(inPer, outPer, inQ, outQ)
+	case nn.OpAvgPool:
+		st.host, err = bindQuantAvgPool(n, inPer[0], outPer, inQ[0], outQ)
+	case nn.OpConcat:
+		// Each branch carries its own calibrated range; recode onto the
+		// shared output mapping unless they already agree.
+		luts := make([]*[256]int8, len(inQ))
+		for i := range inQ {
+			luts[i] = recode(inQ[i])
+		}
+		st.host, err = bindQuantConcat(inPer, outPer, luts)
+	case nn.OpUpsample:
+		st.host, err = bindQuantUpsample(n, inPer[0], outPer, recode(inQ[0]))
 	default:
-		return errNoQuantKernel
+		err = errNoQuantKernel
 	}
+	return err
 }
 
-// buildAddLUT tabulates one add operand's rescaled int32 contribution,
-// the table both bindQuantAdd and the plan's PlanAdd carry.
+// lowerIsland lowers an op without an integer lowering as an FP32
+// island: its FP32 kernel inside the dequantize/requantize wrapper, for
+// the host engine as the step's kernel and for other backends as an
+// IslandFunc with a private single-worker context, so execution is
+// deterministic and independent of any engine instance. Bitwise parity
+// with QuantEngine holds because the engine's kernels are
+// bitwise-identical at any worker count.
+func lowerIsland(st *QuantStep, q *quantOp) error {
+	fk, spec, err := bindKernel(q.node, q.inPer, q.outPer, nil, false, nil)
+	if err != nil {
+		return err
+	}
+	kern, wrapSpec := wrapFP32Fallback(fk, q.inPer, q.outPer, q.inQ, q.outQ)
+	spec.grow(wrapSpec)
+	st.host, st.spec = kern, spec
+	st.Island = func(batch int, dst []int8, srcs [][]int8) error {
+		var sb scratchBufs
+		sb.ensure(spec, batch, 1)
+		rc := runCtx{batch: batch, workers: 1, threshold: 1 << 62, spec: spec, scratch: &sb}
+		return kern(&rc, dst, srcs)
+	}
+	return nil
+}
+
+// buildAddLUT tabulates one add operand's rescaled int32 contribution.
 func buildAddLUT(inQ, outQ tensor.QuantParams) *[256]int32 {
 	var lut [256]int32
 	s, zp := float64(inQ.Scale), inQ.Zero
@@ -396,22 +491,4 @@ func buildAddLUT(inQ, outQ tensor.QuantParams) *[256]int32 {
 		lut[c+128] = int32(math.Round(s * float64(int32(c)-zp) / sOut))
 	}
 	return &lut
-}
-
-// buildIslandFunc wraps an op's FP32 island (the kernel the native
-// engine binds, bindIsland) with a private single-worker context so
-// execution is deterministic and independent of any engine instance.
-// Bitwise parity with QuantEngine holds because the engine's kernels are
-// bitwise-identical at any worker count.
-func buildIslandFunc(q *quantOp) (IslandFunc, error) {
-	qfn, spec, err := bindIsland(q)
-	if err != nil {
-		return nil, err
-	}
-	return func(batch int, dst []int8, srcs [][]int8) error {
-		var sb scratchBufs
-		sb.ensure(spec, batch, 1)
-		rc := runCtx{batch: batch, workers: 1, threshold: 1 << 62, spec: spec, scratch: &sb}
-		return qfn(&rc, dst, srcs)
-	}, nil
 }

@@ -81,12 +81,13 @@ func (e *QuantEngine) FallbackSteps() int { return e.fallbacks }
 // topo-sort, one shape-inference pass, the same rewrites (constant
 // folding, identity/dead elimination, CSE, activation fusion) plus
 // precision assignment, which stamps every value's INT8 mapping and
-// marks ops without an integer lowering as FP32 islands. Kernel binding
-// then quantizes weights to int8 (per output channel, symmetric), folds
-// biases into int32 and precomputes the fixed-point requantization
-// multipliers between layers; islands run through a dequantize→FP32
-// kernel→requantize wrapper, so coverage is total once the schema
-// covers the lowered module.
+// marks ops without an integer lowering as FP32 islands. The integer
+// lowering (lowerQuantOp) then quantizes weights to int8 (per output
+// channel, symmetric), folds biases into int32 and precomputes the
+// fixed-point requantization multipliers between layers, and the host
+// binders turn each step into a kernel; islands run through a
+// dequantize→FP32 kernel→requantize wrapper, so coverage is total once
+// the schema covers the lowered module.
 //
 // Returns ErrNotQuantizable (wrapped) when the schema is nil or does
 // not cover every lowered value, or when the model has no materialized
@@ -113,112 +114,24 @@ func lowerQuantized(g *nn.Graph, schema *nn.QuantSchema) (*ir.Module, error) {
 	return m, err
 }
 
-// quantOp is one op of a lowered INT8 module the way both integer back
-// ends bind it: operands and shapes in plan terms, the schema's
-// mappings, and the fused chain composed into per-channel code tables.
-type quantOp struct {
-	op     *ir.Op
-	node   *nn.Node
-	out    int
-	ins    []int
-	inPer  []tensor.Shape
-	outPer tensor.Shape
-	inQ    []tensor.QuantParams
-	// finalQ is the step output's schema mapping; outQ is what the
-	// producer requantizes to: its own pre-epilogue mapping when a fused
-	// chain (post) recodes from there, finalQ otherwise.
-	outQ, finalQ tensor.QuantParams
-	post         []*[256]int8
-}
-
-// walkQuantOps visits a lowered INT8 module's ops in step order for the
-// host binder (newQuantEngine) and the data-level plan (BuildQuantPlan)
-// alike, so the two cannot drift: native receives every op with an
-// integer lowering; island receives the ops precision assignment marked
-// as FP32 islands and those native turned down with errNoQuantKernel.
-func walkQuantOps(m *ir.Module, sc *scaffold, native, island func(q *quantOp) error) error {
-	for _, op := range m.Ops {
-		if op.Kind == nn.OpInput {
-			continue
-		}
-		q := quantOp{op: op, node: nodeFromOp(op), out: sc.valOf[op.Out]}
-		q.ins, q.inPer = opOperands(sc, op)
-		q.outPer = sc.vals[q.out].per
-		q.inQ = make([]tensor.QuantParams, len(q.ins))
-		for i, in := range q.ins {
-			q.inQ[i] = sc.vals[in].qp
-		}
-		q.finalQ = sc.vals[q.out].qp
-		q.outQ = q.finalQ
-		err := errNoQuantKernel
-		if !op.Island {
-			// The producer requantizes to its own (pre-epilogue)
-			// mapping; a fused chain recodes from there through the
-			// composed per-channel lookup tables — the same tables the
-			// standalone stages would apply one by one.
-			if q.post, err = buildEpilogueLUTs(m, op, channelCount(q.outPer)); err != nil {
-				return compileError(op, true, err)
-			}
-			if q.post != nil {
-				q.outQ = m.Values[op.Fused[0].Pre].QP
-			}
-			err = native(&q)
-		}
-		if errors.Is(err, errNoQuantKernel) {
-			// No integer lowering: run the FP32 kernel inside a
-			// dequantize/requantize island. A fused op must never reach
-			// this path — the bare producer would silently skip its
-			// epilogue — so it is a compile error, not a fallback.
-			if len(op.Fused) > 0 {
-				return compileError(op, true, fmt.Errorf("fused op has no integer lowering"))
-			}
-			err = island(&q)
-		}
-		if err != nil {
-			return compileError(op, true, err)
-		}
-	}
-	return nil
-}
-
-// bindIsland binds an op without an integer lowering as an FP32 island:
-// its FP32 kernel inside the dequantize/requantize wrapper.
-func bindIsland(q *quantOp) (kernelFunc[int8], scratchSpec, error) {
-	fk, spec, err := bindKernel(q.node, q.inPer, q.outPer, nil, false, nil)
-	if err != nil {
-		return nil, spec, err
-	}
-	kern, wrapSpec := wrapFP32Fallback(fk, q.inPer, q.outPer, q.inQ, q.finalQ)
-	spec.grow(wrapSpec)
-	return kern, spec, nil
-}
-
-// newQuantEngine binds a lowered INT8 module to integer kernels and
-// plans its (one byte per element) arena.
+// newQuantEngine lowers each op of an INT8 module once, binds the
+// steps to integer kernels and plans the (one byte per element) arena.
+// The steps are dropped after binding: the engine keeps the packed
+// operands its kernels made, not the plan's int8 weight codes.
 func newQuantEngine(m *ir.Module, cfg config) (*QuantEngine, error) {
 	e := &QuantEngine{plan: plan[int8]{scaffold: buildScaffold(m), cfg: cfg, enter: quantizeInputs, exit: dequantizeOutputs}}
-	add := func(q *quantOp, kern kernelFunc[int8], spec scratchSpec) {
-		e.scratch.grow(spec)
-		e.steps = append(e.steps, step[int8]{name: q.op.Name, op: q.op.Kind, out: q.out, ins: q.ins, kern: kern})
-	}
-	err := walkQuantOps(m, &e.scaffold,
-		func(q *quantOp) error {
-			kern, spec, err := bindQuantKernel(q.node, q.inPer, q.outPer, q.inQ, q.outQ, q.post)
-			if err == nil {
-				add(q, kern, spec)
-			}
-			return err
-		},
-		func(q *quantOp) error {
-			kern, spec, err := bindIsland(q)
-			if err == nil {
-				add(q, kern, spec)
-				e.fallbacks++
-			}
-			return err
-		})
+	steps, err := lowerQuantSteps(m, &e.scaffold)
 	if err != nil {
 		return nil, err
+	}
+	for i := range steps {
+		st := &steps[i]
+		kern, spec := bindQuantStep(st, e.vals[st.Out].elems)
+		e.scratch.grow(spec)
+		e.steps = append(e.steps, step[int8]{name: st.Name, op: st.Op, out: st.Out, ins: st.Ins, kern: kern})
+		if st.Island != nil {
+			e.fallbacks++
+		}
 	}
 	e.layout()
 	// The entry-quantized inputs and the declared outputs' codes are

@@ -20,9 +20,7 @@ package tensor
 // interact, and the kernels use separate multiply and add instructions
 // (never FMA, which would skip an intermediate rounding), so every
 // variant — generic, SSE2, AVX2, AVX-512 — produces bitwise-identical
-// results. The cache-blocked driver preserves the contract by chaining
-// K blocks through RunAcc kernels that seed accumulators from C,
-// continuing the same left-to-right add chain.
+// results.
 //
 // Parity contract (INT8): operands are int16, accumulation is int32
 // and therefore associative, so all variants agree exactly; K is
@@ -46,14 +44,6 @@ type GemmKernelF32 struct {
 	// to the row stride. bias must hold MR entries and c MR rows of NR
 	// values at stride ldc.
 	Run func(apanel []float32, b []float32, ldb, k int, bias []float32, c []float32, ldc int)
-	// RunAcc is the K-continuation variant used by the cache-blocked
-	// driver: identical to Run except the accumulators are seeded from
-	// the current contents of c instead of bias (bias is ignored).
-	// Seeding from c extends each output element's left-to-right add
-	// chain across K blocks, so blocked and unblocked execution are
-	// bitwise identical. Nil means the variant has no continuation
-	// kernel and the driver must not split K.
-	RunAcc func(apanel []float32, b []float32, ldb, k int, bias []float32, c []float32, ldc int)
 	// RunRows is the row body, for callers whose M is short of a panel
 	// (dense layers, where M is the batch): the first rows (1..MR) rows
 	// of the tile Run computes, with A read row-major at row stride lda
@@ -80,12 +70,6 @@ type GemmKernelI16 struct {
 	// step) and b (kp-major, NR pairs per step, row stride ldb int16
 	// elements; packed tiles use ldb = 2*NR).
 	Run func(apanel []int16, b []int16, ldb, kPairs int, bias []int32, c []int32, ldc int)
-	// RunAcc seeds the accumulators from c instead of bias (bias is
-	// ignored), letting the blocked driver split K across calls. int32
-	// accumulation is associative so this is exact by construction; the
-	// field exists so blocked and unblocked drivers share one shape.
-	// Nil means the driver must not split K for this variant.
-	RunAcc func(apanel []int16, b []int16, ldb, kPairs int, bias []int32, c []int32, ldc int)
 	// RunRows is the row body (see GemmKernelF32.RunRows): the first
 	// rows rows of the tile with A read row-major, row i holding its
 	// kPairs adjacent K pairs from a[i*lda] (an odd K zero-padded by the
@@ -191,72 +175,6 @@ func PickGemmI16MaxWidth(maxNR int) GemmKernelI16 {
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
-// Cache-blocking thresholds for the Kc/Mc panel loops. Splitting K
-// costs real work — every extra block re-reads and re-writes the C
-// tile and re-seeds accumulators — so the blocked driver only engages
-// once a full NR-wide B column (k rows x NR columns x 4 bytes per K
-// step per column, for both element types) overflows a ~1 MiB L2; it
-// then blocks K so each B panel occupies about half that. Both numbers
-// are perf knobs, never correctness ones, because K blocks are chained
-// through RunAcc; measured on the AVX-512 reference host, unblocked
-// execution wins below the engage point and blocked wins above it.
-const (
-	gemmKcEngageBytes = 1 << 20
-	gemmKcBudgetBytes = 128 << 10
-	gemmMcBudgetBytes = 256 << 10
-	gemmKcMin         = 64
-)
-
-// gemmBlockK reports whether a K-depth reduction (in K steps) is deep
-// enough for the blocked driver to pay off at tile width nr.
-func gemmBlockK(nr, k int) bool {
-	return k*nr*4 > gemmKcEngageBytes
-}
-
-// gemmKBlock returns the K panel depth the blocked driver uses for
-// this kernel's tile width, in K steps (elements for FP32, pairs for
-// the quantized kernels, which stream 4 bytes of B per pair per
-// column).
-func gemmKBlock(nr int) int {
-	kc := gemmKcBudgetBytes / (4 * nr)
-	kc &^= 7
-	if kc < gemmKcMin {
-		kc = gemmKcMin
-	}
-	return kc
-}
-
-// gemmMBlock returns the M panel height (a multiple of mr) whose
-// packed-A K block fits the Mc budget.
-func gemmMBlock(mr, kc int) int {
-	mc := gemmMcBudgetBytes / (4 * kc)
-	mc -= mc % mr
-	if mc < mr {
-		mc = mr
-	}
-	return mc
-}
-
-// KBlock returns the K panel depth (in K elements) callers that drive
-// the kernel tile loop themselves should split a k-deep reduction
-// into, or 0 when the reduction is too shallow to benefit or the
-// kernel has no RunAcc continuation and K must not be split.
-func (g GemmKernelF32) KBlock(k int) int {
-	if g.RunAcc == nil || !gemmBlockK(g.NR, k) {
-		return 0
-	}
-	return gemmKBlock(g.NR)
-}
-
-// KBlock returns the K panel depth in pairs for a kPairs-deep
-// reduction, or 0 when K must not be split.
-func (g GemmKernelI16) KBlock(kPairs int) int {
-	if g.RunAcc == nil || !gemmBlockK(g.NR, kPairs) {
-		return 0
-	}
-	return gemmKBlock(g.NR)
-}
-
 // PackedASize returns the length of the packed-A buffer for an m x k
 // weight matrix: rows round up to a multiple of MR, zero-padded.
 func (g GemmKernelF32) PackedASize(m, k int) int {
@@ -357,10 +275,6 @@ func (g GemmKernelF32) Compute(m, n, k int, apack, bias []float32, b []float32, 
 	if ctile == nil {
 		ctile = make([]float32, mr*nr)
 	}
-	if g.RunAcc != nil && gemmBlockK(nr, k) {
-		g.computeBlocked(m, n, k, gemmKBlock(nr), apack, bias, b, ldb, c, ldc, bpack, ctile)
-		return
-	}
 	for j0 := 0; j0 < n; j0 += nr {
 		jw := n - j0
 		var bt []float32
@@ -387,73 +301,6 @@ func (g GemmKernelF32) Compute(m, n, k int, apack, bias []float32, b []float32, 
 			for i := 0; i < ih; i++ {
 				copy(c[(p*mr+i)*ldc+j0:(p*mr+i)*ldc+j0+jw], ctile[i*nr:i*nr+jw])
 			}
-		}
-	}
-}
-
-// computeBlocked is the Kc/Mc-blocked GEMM driver used when K is deep
-// enough that a full B column overflows L2: Mc-high row bands, then NR
-// tiles, then K blocks chained through RunAcc so each strided B panel
-// stays L2-resident for a whole band of A panels. Bitwise identical to
-// the unblocked path — the first K block runs the bias kernel and
-// every later block seeds its accumulators from C, continuing the same
-// per-element add chain. Partial-M panels keep the accumulator tile
-// live in ctile across K blocks and copy out once; the ragged tail
-// column (if n is not a tile multiple) runs unblocked with a single
-// full-K B pack, since re-packing it per K block would cost more than
-// the locality it buys.
-func (g GemmKernelF32) computeBlocked(m, n, k, kc int, apack, bias []float32, b []float32, ldb int, c []float32, ldc int, bpack, ctile []float32) {
-	mr, nr := g.MR, g.NR
-	mc := gemmMBlock(mr, kc)
-	nFull := n - n%nr
-	for i0 := 0; i0 < m; i0 += mc {
-		iend := i0 + mc
-		if iend > m {
-			iend = m
-		}
-		for j0 := 0; j0 < nFull; j0 += nr {
-			for p := i0 / mr; p*mr < iend; p++ {
-				ih := m - p*mr
-				bp := bias[p*mr : (p+1)*mr]
-				for k0 := 0; k0 < k; k0 += kc {
-					kcur := k - k0
-					if kcur > kc {
-						kcur = kc
-					}
-					ap := apack[p*mr*k+k0*mr : p*mr*k+(k0+kcur)*mr]
-					run := g.Run
-					if k0 > 0 {
-						run = g.RunAcc
-					}
-					if ih >= mr {
-						run(ap, b[k0*ldb+j0:], ldb, kcur, bp, c[p*mr*ldc+j0:], ldc)
-					} else {
-						run(ap, b[k0*ldb+j0:], ldb, kcur, bp, ctile, nr)
-					}
-				}
-				if ih < mr {
-					for i := 0; i < ih; i++ {
-						copy(c[(p*mr+i)*ldc+j0:(p*mr+i)*ldc+j0+nr], ctile[i*nr:i*nr+nr])
-					}
-				}
-			}
-		}
-	}
-	if nFull == n {
-		return
-	}
-	j0, jw := nFull, n-nFull
-	g.PackBTile(bpack[:k*nr], b, ldb, k, n, j0)
-	for p := 0; p*mr < m; p++ {
-		ap := apack[p*mr*k : (p+1)*mr*k]
-		bp := bias[p*mr : (p+1)*mr]
-		g.Run(ap, bpack, nr, k, bp, ctile, nr)
-		ih := m - p*mr
-		if ih > mr {
-			ih = mr
-		}
-		for i := 0; i < ih; i++ {
-			copy(c[(p*mr+i)*ldc+j0:(p*mr+i)*ldc+j0+jw], ctile[i*nr:i*nr+jw])
 		}
 	}
 }
@@ -548,10 +395,6 @@ func (g GemmKernelI16) Compute(m, n, k int, apack []int16, bias []int32, b []int
 	if ctile == nil {
 		ctile = make([]int32, mr*nr)
 	}
-	if g.RunAcc != nil && gemmBlockK(nr, kp) {
-		g.computeBlocked(m, n, k, gemmKBlock(nr), apack, bias, b, ldb, c, ldc, bpack, ctile)
-		return
-	}
 	for j0 := 0; j0 < n; j0 += nr {
 		jw := n - j0
 		if jw > nr {
@@ -572,77 +415,6 @@ func (g GemmKernelI16) Compute(m, n, k int, apack []int16, bias []int32, b []int
 			}
 			for i := 0; i < ih; i++ {
 				copy(c[(p*mr+i)*ldc+j0:(p*mr+i)*ldc+j0+jw], ctile[i*nr:i*nr+jw])
-			}
-		}
-	}
-}
-
-// computeBlocked is the quantized Kc/Mc-blocked driver (kcp is the K
-// block in pairs). Exact by construction — int32 accumulation is
-// associative — but it still chains K blocks through RunAcc so both
-// element types share one driver shape. B tiles must always be
-// pair-interleaved, so each (column, K block) tile is packed once and
-// reused across the band's panels by ordering K blocks outside the
-// panel loop; the engage threshold (>=4096 pairs at NR 32) means this
-// path only fires for reductions far beyond the current model zoo.
-func (g GemmKernelI16) computeBlocked(m, n, k, kcp int, apack []int16, bias []int32, b []int16, ldb int, c []int32, ldc int, bpack []int16, ctile []int32) {
-	mr, nr := g.MR, g.NR
-	kp := KPairs(k)
-	mc := gemmMBlock(mr, kcp)
-	// ctile must stay live per panel across K blocks, so K blocks sit
-	// inside the panel loop; to still pack each B block once per column
-	// rather than once per panel, the packed blocks are laid out
-	// side-by-side in bpack (callers size it for all kp pairs).
-	for j0 := 0; j0 < n; j0 += nr {
-		jw := n - j0
-		if jw > nr {
-			jw = nr
-		}
-		for kp0 := 0; kp0 < kp; kp0 += kcp {
-			kpcur := kp - kp0
-			if kpcur > kcp {
-				kpcur = kcp
-			}
-			kelems := k - 2*kp0
-			if kelems > 2*kpcur {
-				kelems = 2 * kpcur
-			}
-			g.PackBTile(bpack[kp0*nr*2:kp0*nr*2+kpcur*nr*2], b[2*kp0*ldb:], ldb, kelems, n, j0)
-		}
-		for i0 := 0; i0 < m; i0 += mc {
-			iend := i0 + mc
-			if iend > m {
-				iend = m
-			}
-			for p := i0 / mr; p*mr < iend; p++ {
-				ih := m - p*mr
-				full := ih >= mr && jw == nr
-				bp := bias[p*mr : (p+1)*mr]
-				for kp0 := 0; kp0 < kp; kp0 += kcp {
-					kpcur := kp - kp0
-					if kpcur > kcp {
-						kpcur = kcp
-					}
-					ap := apack[p*mr*2*kp+kp0*mr*2 : p*mr*2*kp+(kp0+kpcur)*mr*2]
-					run := g.Run
-					if kp0 > 0 {
-						run = g.RunAcc
-					}
-					bt := bpack[kp0*nr*2:]
-					if full {
-						run(ap, bt, 2*nr, kpcur, bp, c[p*mr*ldc+j0:], ldc)
-					} else {
-						run(ap, bt, 2*nr, kpcur, bp, ctile, nr)
-					}
-				}
-				if !full {
-					if ih > mr {
-						ih = mr
-					}
-					for i := 0; i < ih; i++ {
-						copy(c[(p*mr+i)*ldc+j0:(p*mr+i)*ldc+j0+jw], ctile[i*nr:i*nr+jw])
-					}
-				}
 			}
 		}
 	}

@@ -4,10 +4,7 @@ package tensor
 
 // amd64 micro-kernel registration. SSE2 is baseline so its kernels are
 // always available; the AVX2 and AVX-512 kernels register only when
-// the detector confirms both the ISA subsets and OS vector state. The
-// Acc variants are the K-continuation kernels the cache-blocked driver
-// chains K blocks through; SSE2 deliberately has none (the narrow tier
-// exists for parity testing, where the unblocked path suffices).
+// the detector confirms both the ISA subsets and OS vector state.
 
 import "vedliot/internal/tensor/cpu"
 
@@ -21,21 +18,11 @@ func gemmF32SSE2(a []float32, b []float32, ldb, k int, bias []float32, c []float
 //go:noescape
 func gemmF32AVX2(a []float32, b []float32, ldb, k int, bias []float32, c []float32, ldc int)
 
-// gemmF32AVX2Acc is gemmF32AVX2 with accumulators seeded from c.
-//
-//go:noescape
-func gemmF32AVX2Acc(a []float32, b []float32, ldb, k int, bias []float32, c []float32, ldc int)
-
 // gemmF32AVX512 computes an 8x48 FP32 tile on ZMM registers with
 // VMULPS+VADDPS (no FMA).
 //
 //go:noescape
 func gemmF32AVX512(a []float32, b []float32, ldb, k int, bias []float32, c []float32, ldc int)
-
-// gemmF32AVX512Acc is gemmF32AVX512 with accumulators seeded from c.
-//
-//go:noescape
-func gemmF32AVX512Acc(a []float32, b []float32, ldb, k int, bias []float32, c []float32, ldc int)
 
 // gemmI16SSE2 computes a 4x8 quantized tile with PMADDWD.
 //
@@ -47,21 +34,11 @@ func gemmI16SSE2(a []int16, b []int16, ldb, kPairs int, bias []int32, c []int32,
 //go:noescape
 func gemmI16AVX2(a []int16, b []int16, ldb, kPairs int, bias []int32, c []int32, ldc int)
 
-// gemmI16AVX2Acc is gemmI16AVX2 with accumulators seeded from c.
-//
-//go:noescape
-func gemmI16AVX2Acc(a []int16, b []int16, ldb, kPairs int, bias []int32, c []int32, ldc int)
-
 // gemmI16AVX512 computes an 8x32 quantized tile on ZMM registers with
 // VPMADDWD (requires AVX512BW).
 //
 //go:noescape
 func gemmI16AVX512(a []int16, b []int16, ldb, kPairs int, bias []int32, c []int32, ldc int)
-
-// gemmI16AVX512Acc is gemmI16AVX512 with accumulators seeded from c.
-//
-//go:noescape
-func gemmI16AVX512Acc(a []int16, b []int16, ldb, kPairs int, bias []int32, c []int32, ldc int)
 
 // The Rows functions are the tiers' row bodies (GemmKernelF32.RunRows,
 // GemmKernelI16.RunRows): the same tile with A read row-major and only
@@ -92,14 +69,14 @@ func init() {
 		GemmKernelI16{MR: 4, NR: 8, Tier: cpu.TierSSE2, Run: gemmI16SSE2, RunRows: gemmI16SSE2Rows})
 	if cpu.Detect().AVX2 {
 		gemmF32Kernels = append(gemmF32Kernels,
-			GemmKernelF32{MR: 6, NR: 16, Tier: cpu.TierAVX2, Run: gemmF32AVX2, RunAcc: gemmF32AVX2Acc, RunRows: gemmF32AVX2Rows})
+			GemmKernelF32{MR: 6, NR: 16, Tier: cpu.TierAVX2, Run: gemmF32AVX2, RunRows: gemmF32AVX2Rows})
 		gemmI16Kernels = append(gemmI16Kernels,
-			GemmKernelI16{MR: 4, NR: 16, Tier: cpu.TierAVX2, Run: gemmI16AVX2, RunAcc: gemmI16AVX2Acc, RunRows: gemmI16AVX2Rows})
+			GemmKernelI16{MR: 4, NR: 16, Tier: cpu.TierAVX2, Run: gemmI16AVX2, RunRows: gemmI16AVX2Rows})
 	}
 	if cpu.Detect().AVX512 {
 		gemmF32Kernels = append(gemmF32Kernels,
-			GemmKernelF32{MR: 8, NR: 48, Tier: cpu.TierAVX512, Run: gemmF32AVX512, RunAcc: gemmF32AVX512Acc, RunRows: gemmF32AVX512Rows})
+			GemmKernelF32{MR: 8, NR: 48, Tier: cpu.TierAVX512, Run: gemmF32AVX512, RunRows: gemmF32AVX512Rows})
 		gemmI16Kernels = append(gemmI16Kernels,
-			GemmKernelI16{MR: 8, NR: 32, Tier: cpu.TierAVX512, Run: gemmI16AVX512, RunAcc: gemmI16AVX512Acc, RunRows: gemmI16AVX512Rows})
+			GemmKernelI16{MR: 8, NR: 32, Tier: cpu.TierAVX512, Run: gemmI16AVX512, RunRows: gemmI16AVX512Rows})
 	}
 }

@@ -221,112 +221,6 @@ f32avx2_store:
 	VZEROUPPER
 	RET
 
-// func gemmF32AVX2Acc(a []float32, b []float32, ldb, k int, bias []float32, c []float32, ldc int)
-//
-// K-continuation variant of gemmF32AVX2: the accumulators seed from
-// the current C tile instead of bias (bias is ignored), so the
-// cache-blocked driver can split K while preserving each element's
-// left-to-right add chain. The loop and store bodies are copies of
-// gemmF32AVX2 (assembler labels are function-scoped).
-TEXT ·gemmF32AVX2Acc(SB), NOSPLIT, $0-120
-	MOVQ a_base+0(FP), SI
-	MOVQ b_base+24(FP), DI
-	MOVQ ldb+48(FP), R8
-	SHLQ $2, R8
-	MOVQ k+56(FP), CX
-	MOVQ c_base+88(FP), R9
-	MOVQ ldc+112(FP), R10
-	SHLQ $2, R10
-
-	MOVQ    R9, R11
-	VMOVUPS 0(R11), Y0
-	VMOVUPS 32(R11), Y1
-	ADDQ    R10, R11
-	VMOVUPS 0(R11), Y2
-	VMOVUPS 32(R11), Y3
-	ADDQ    R10, R11
-	VMOVUPS 0(R11), Y4
-	VMOVUPS 32(R11), Y5
-	ADDQ    R10, R11
-	VMOVUPS 0(R11), Y6
-	VMOVUPS 32(R11), Y7
-	ADDQ    R10, R11
-	VMOVUPS 0(R11), Y8
-	VMOVUPS 32(R11), Y9
-	ADDQ    R10, R11
-	VMOVUPS 0(R11), Y10
-	VMOVUPS 32(R11), Y11
-
-f32avx2acc_loop:
-	TESTQ CX, CX
-	JZ    f32avx2acc_store
-	VMOVUPS 0(DI), Y12
-	VMOVUPS 32(DI), Y13
-	PREFETCHT0 (DI)(R8*1)
-	PREFETCHT0 256(SI)
-
-	VBROADCASTSS 0(SI), Y14
-	VMULPS       Y12, Y14, Y15
-	VADDPS       Y15, Y0, Y0
-	VMULPS       Y13, Y14, Y15
-	VADDPS       Y15, Y1, Y1
-
-	VBROADCASTSS 4(SI), Y14
-	VMULPS       Y12, Y14, Y15
-	VADDPS       Y15, Y2, Y2
-	VMULPS       Y13, Y14, Y15
-	VADDPS       Y15, Y3, Y3
-
-	VBROADCASTSS 8(SI), Y14
-	VMULPS       Y12, Y14, Y15
-	VADDPS       Y15, Y4, Y4
-	VMULPS       Y13, Y14, Y15
-	VADDPS       Y15, Y5, Y5
-
-	VBROADCASTSS 12(SI), Y14
-	VMULPS       Y12, Y14, Y15
-	VADDPS       Y15, Y6, Y6
-	VMULPS       Y13, Y14, Y15
-	VADDPS       Y15, Y7, Y7
-
-	VBROADCASTSS 16(SI), Y14
-	VMULPS       Y12, Y14, Y15
-	VADDPS       Y15, Y8, Y8
-	VMULPS       Y13, Y14, Y15
-	VADDPS       Y15, Y9, Y9
-
-	VBROADCASTSS 20(SI), Y14
-	VMULPS       Y12, Y14, Y15
-	VADDPS       Y15, Y10, Y10
-	VMULPS       Y13, Y14, Y15
-	VADDPS       Y15, Y11, Y11
-
-	ADDQ $24, SI
-	ADDQ R8, DI
-	DECQ CX
-	JMP  f32avx2acc_loop
-
-f32avx2acc_store:
-	VMOVUPS Y0, 0(R9)
-	VMOVUPS Y1, 32(R9)
-	ADDQ    R10, R9
-	VMOVUPS Y2, 0(R9)
-	VMOVUPS Y3, 32(R9)
-	ADDQ    R10, R9
-	VMOVUPS Y4, 0(R9)
-	VMOVUPS Y5, 32(R9)
-	ADDQ    R10, R9
-	VMOVUPS Y6, 0(R9)
-	VMOVUPS Y7, 32(R9)
-	ADDQ    R10, R9
-	VMOVUPS Y8, 0(R9)
-	VMOVUPS Y9, 32(R9)
-	ADDQ    R10, R9
-	VMOVUPS Y10, 0(R9)
-	VMOVUPS Y11, 32(R9)
-	VZEROUPPER
-	RET
-
 // func gemmI16SSE2(a []int16, b []int16, ldb, kPairs int, bias []int32, c []int32, ldc int)
 //
 // 4x8 quantized tile: X0..X7 hold the 4x8 int32 accumulators, X8/X9
@@ -484,86 +378,6 @@ i16avx2_loop:
 	JMP  i16avx2_loop
 
 i16avx2_store:
-	VMOVDQU Y0, 0(R9)
-	VMOVDQU Y1, 32(R9)
-	ADDQ    R10, R9
-	VMOVDQU Y2, 0(R9)
-	VMOVDQU Y3, 32(R9)
-	ADDQ    R10, R9
-	VMOVDQU Y4, 0(R9)
-	VMOVDQU Y5, 32(R9)
-	ADDQ    R10, R9
-	VMOVDQU Y6, 0(R9)
-	VMOVDQU Y7, 32(R9)
-	VZEROUPPER
-	RET
-
-// func gemmI16AVX2Acc(a []int16, b []int16, ldb, kPairs int, bias []int32, c []int32, ldc int)
-//
-// K-continuation variant of gemmI16AVX2: accumulators seed from the
-// current C tile; bias is ignored. Loop/store bodies are copies of
-// gemmI16AVX2.
-TEXT ·gemmI16AVX2Acc(SB), NOSPLIT, $0-120
-	MOVQ a_base+0(FP), SI
-	MOVQ b_base+24(FP), DI
-	MOVQ ldb+48(FP), R8
-	SHLQ $1, R8
-	MOVQ kPairs+56(FP), CX
-	MOVQ c_base+88(FP), R9
-	MOVQ ldc+112(FP), R10
-	SHLQ $2, R10
-
-	MOVQ    R9, R11
-	VMOVDQU 0(R11), Y0
-	VMOVDQU 32(R11), Y1
-	ADDQ    R10, R11
-	VMOVDQU 0(R11), Y2
-	VMOVDQU 32(R11), Y3
-	ADDQ    R10, R11
-	VMOVDQU 0(R11), Y4
-	VMOVDQU 32(R11), Y5
-	ADDQ    R10, R11
-	VMOVDQU 0(R11), Y6
-	VMOVDQU 32(R11), Y7
-
-i16avx2acc_loop:
-	TESTQ CX, CX
-	JZ    i16avx2acc_store
-	VMOVDQU 0(DI), Y8
-	VMOVDQU 32(DI), Y9
-	PREFETCHT0 (DI)(R8*1)
-	PREFETCHT0 256(SI)
-
-	VPBROADCASTD 0(SI), Y10
-	VPMADDWD     Y8, Y10, Y11
-	VPADDD       Y11, Y0, Y0
-	VPMADDWD     Y9, Y10, Y11
-	VPADDD       Y11, Y1, Y1
-
-	VPBROADCASTD 4(SI), Y10
-	VPMADDWD     Y8, Y10, Y11
-	VPADDD       Y11, Y2, Y2
-	VPMADDWD     Y9, Y10, Y11
-	VPADDD       Y11, Y3, Y3
-
-	VPBROADCASTD 8(SI), Y10
-	VPMADDWD     Y8, Y10, Y11
-	VPADDD       Y11, Y4, Y4
-	VPMADDWD     Y9, Y10, Y11
-	VPADDD       Y11, Y5, Y5
-
-	VPBROADCASTD 12(SI), Y10
-	VPMADDWD     Y8, Y10, Y11
-	VPADDD       Y11, Y6, Y6
-	VPMADDWD     Y9, Y10, Y11
-	VPADDD       Y11, Y7, Y7
-
-	ADDQ $16, SI
-	ADDQ R8, DI
-	DECQ CX
-	JMP  i16avx2acc_loop
-
-i16avx2acc_store:
 	VMOVDQU Y0, 0(R9)
 	VMOVDQU Y1, 32(R9)
 	ADDQ    R10, R9

@@ -10,11 +10,6 @@
 // all-EVEX/VEX and ends with VZEROUPPER, keeping the SSE/VEX
 // transition penalty out of surrounding Go code.
 //
-// The Acc variants are the K-continuation kernels for the cache-
-// blocked driver: identical loops, but the prologue seeds the
-// accumulators from the current C tile instead of broadcasting bias,
-// extending each element's left-to-right add chain across K blocks.
-//
 // PREFETCHT0 hints pull the next B row (strided loads defeat the
 // hardware streamer when ldb is large) and the A panel two tiles
 // ahead; they are dropped silently on cores that ignore hints.
@@ -173,167 +168,6 @@ f32avx512_store:
 	VZEROUPPER
 	RET
 
-// func gemmF32AVX512Acc(a []float32, b []float32, ldb, k int, bias []float32, c []float32, ldc int)
-//
-// K-continuation variant of gemmF32AVX512: accumulators seed from the
-// current C tile; bias is ignored.
-TEXT ·gemmF32AVX512Acc(SB), NOSPLIT, $0-120
-	MOVQ a_base+0(FP), SI
-	MOVQ b_base+24(FP), DI
-	MOVQ ldb+48(FP), R8
-	SHLQ $2, R8
-	MOVQ k+56(FP), CX
-	MOVQ c_base+88(FP), R9
-	MOVQ ldc+112(FP), R10
-	SHLQ $2, R10
-
-	MOVQ    R9, R11
-	VMOVUPS 0(R11), Z0
-	VMOVUPS 64(R11), Z1
-	VMOVUPS 128(R11), Z2
-	ADDQ    R10, R11
-	VMOVUPS 0(R11), Z3
-	VMOVUPS 64(R11), Z4
-	VMOVUPS 128(R11), Z5
-	ADDQ    R10, R11
-	VMOVUPS 0(R11), Z6
-	VMOVUPS 64(R11), Z7
-	VMOVUPS 128(R11), Z8
-	ADDQ    R10, R11
-	VMOVUPS 0(R11), Z9
-	VMOVUPS 64(R11), Z10
-	VMOVUPS 128(R11), Z11
-	ADDQ    R10, R11
-	VMOVUPS 0(R11), Z12
-	VMOVUPS 64(R11), Z13
-	VMOVUPS 128(R11), Z14
-	ADDQ    R10, R11
-	VMOVUPS 0(R11), Z15
-	VMOVUPS 64(R11), Z16
-	VMOVUPS 128(R11), Z17
-	ADDQ    R10, R11
-	VMOVUPS 0(R11), Z18
-	VMOVUPS 64(R11), Z19
-	VMOVUPS 128(R11), Z20
-	ADDQ    R10, R11
-	VMOVUPS 0(R11), Z21
-	VMOVUPS 64(R11), Z22
-	VMOVUPS 128(R11), Z23
-
-f32avx512acc_loop:
-	TESTQ CX, CX
-	JZ    f32avx512acc_store
-	VMOVUPS 0(DI), Z24
-	VMOVUPS 64(DI), Z25
-	VMOVUPS 128(DI), Z26
-	PREFETCHT0 (DI)(R8*1)
-	PREFETCHT0 128(DI)(R8*1)
-	PREFETCHT0 256(SI)
-
-	VBROADCASTSS 0(SI), Z27
-	VMULPS       Z24, Z27, Z28
-	VADDPS       Z28, Z0, Z0
-	VMULPS       Z25, Z27, Z28
-	VADDPS       Z28, Z1, Z1
-	VMULPS       Z26, Z27, Z28
-	VADDPS       Z28, Z2, Z2
-
-	VBROADCASTSS 4(SI), Z27
-	VMULPS       Z24, Z27, Z28
-	VADDPS       Z28, Z3, Z3
-	VMULPS       Z25, Z27, Z28
-	VADDPS       Z28, Z4, Z4
-	VMULPS       Z26, Z27, Z28
-	VADDPS       Z28, Z5, Z5
-
-	VBROADCASTSS 8(SI), Z27
-	VMULPS       Z24, Z27, Z28
-	VADDPS       Z28, Z6, Z6
-	VMULPS       Z25, Z27, Z28
-	VADDPS       Z28, Z7, Z7
-	VMULPS       Z26, Z27, Z28
-	VADDPS       Z28, Z8, Z8
-
-	VBROADCASTSS 12(SI), Z27
-	VMULPS       Z24, Z27, Z28
-	VADDPS       Z28, Z9, Z9
-	VMULPS       Z25, Z27, Z28
-	VADDPS       Z28, Z10, Z10
-	VMULPS       Z26, Z27, Z28
-	VADDPS       Z28, Z11, Z11
-
-	VBROADCASTSS 16(SI), Z27
-	VMULPS       Z24, Z27, Z28
-	VADDPS       Z28, Z12, Z12
-	VMULPS       Z25, Z27, Z28
-	VADDPS       Z28, Z13, Z13
-	VMULPS       Z26, Z27, Z28
-	VADDPS       Z28, Z14, Z14
-
-	VBROADCASTSS 20(SI), Z27
-	VMULPS       Z24, Z27, Z28
-	VADDPS       Z28, Z15, Z15
-	VMULPS       Z25, Z27, Z28
-	VADDPS       Z28, Z16, Z16
-	VMULPS       Z26, Z27, Z28
-	VADDPS       Z28, Z17, Z17
-
-	VBROADCASTSS 24(SI), Z27
-	VMULPS       Z24, Z27, Z28
-	VADDPS       Z28, Z18, Z18
-	VMULPS       Z25, Z27, Z28
-	VADDPS       Z28, Z19, Z19
-	VMULPS       Z26, Z27, Z28
-	VADDPS       Z28, Z20, Z20
-
-	VBROADCASTSS 28(SI), Z27
-	VMULPS       Z24, Z27, Z28
-	VADDPS       Z28, Z21, Z21
-	VMULPS       Z25, Z27, Z28
-	VADDPS       Z28, Z22, Z22
-	VMULPS       Z26, Z27, Z28
-	VADDPS       Z28, Z23, Z23
-
-	ADDQ $32, SI
-	ADDQ R8, DI
-	DECQ CX
-	JMP  f32avx512acc_loop
-
-f32avx512acc_store:
-	VMOVUPS Z0, 0(R9)
-	VMOVUPS Z1, 64(R9)
-	VMOVUPS Z2, 128(R9)
-	ADDQ    R10, R9
-	VMOVUPS Z3, 0(R9)
-	VMOVUPS Z4, 64(R9)
-	VMOVUPS Z5, 128(R9)
-	ADDQ    R10, R9
-	VMOVUPS Z6, 0(R9)
-	VMOVUPS Z7, 64(R9)
-	VMOVUPS Z8, 128(R9)
-	ADDQ    R10, R9
-	VMOVUPS Z9, 0(R9)
-	VMOVUPS Z10, 64(R9)
-	VMOVUPS Z11, 128(R9)
-	ADDQ    R10, R9
-	VMOVUPS Z12, 0(R9)
-	VMOVUPS Z13, 64(R9)
-	VMOVUPS Z14, 128(R9)
-	ADDQ    R10, R9
-	VMOVUPS Z15, 0(R9)
-	VMOVUPS Z16, 64(R9)
-	VMOVUPS Z17, 128(R9)
-	ADDQ    R10, R9
-	VMOVUPS Z18, 0(R9)
-	VMOVUPS Z19, 64(R9)
-	VMOVUPS Z20, 128(R9)
-	ADDQ    R10, R9
-	VMOVUPS Z21, 0(R9)
-	VMOVUPS Z22, 64(R9)
-	VMOVUPS Z23, 128(R9)
-	VZEROUPPER
-	RET
-
 // func gemmI16AVX512(a []int16, b []int16, ldb, kPairs int, bias []int32, c []int32, ldc int)
 //
 // 8x32 quantized tile: Z0..Z15 hold the int32 accumulators (two ZMM
@@ -430,134 +264,6 @@ i16avx512_loop:
 	JMP  i16avx512_loop
 
 i16avx512_store:
-	VMOVDQU32 Z0, 0(R9)
-	VMOVDQU32 Z1, 64(R9)
-	ADDQ      R10, R9
-	VMOVDQU32 Z2, 0(R9)
-	VMOVDQU32 Z3, 64(R9)
-	ADDQ      R10, R9
-	VMOVDQU32 Z4, 0(R9)
-	VMOVDQU32 Z5, 64(R9)
-	ADDQ      R10, R9
-	VMOVDQU32 Z6, 0(R9)
-	VMOVDQU32 Z7, 64(R9)
-	ADDQ      R10, R9
-	VMOVDQU32 Z8, 0(R9)
-	VMOVDQU32 Z9, 64(R9)
-	ADDQ      R10, R9
-	VMOVDQU32 Z10, 0(R9)
-	VMOVDQU32 Z11, 64(R9)
-	ADDQ      R10, R9
-	VMOVDQU32 Z12, 0(R9)
-	VMOVDQU32 Z13, 64(R9)
-	ADDQ      R10, R9
-	VMOVDQU32 Z14, 0(R9)
-	VMOVDQU32 Z15, 64(R9)
-	VZEROUPPER
-	RET
-
-// func gemmI16AVX512Acc(a []int16, b []int16, ldb, kPairs int, bias []int32, c []int32, ldc int)
-//
-// K-continuation variant of gemmI16AVX512: accumulators seed from the
-// current C tile; bias is ignored.
-TEXT ·gemmI16AVX512Acc(SB), NOSPLIT, $0-120
-	MOVQ a_base+0(FP), SI
-	MOVQ b_base+24(FP), DI
-	MOVQ ldb+48(FP), R8
-	SHLQ $1, R8
-	MOVQ kPairs+56(FP), CX
-	MOVQ c_base+88(FP), R9
-	MOVQ ldc+112(FP), R10
-	SHLQ $2, R10
-
-	MOVQ      R9, R11
-	VMOVDQU32 0(R11), Z0
-	VMOVDQU32 64(R11), Z1
-	ADDQ      R10, R11
-	VMOVDQU32 0(R11), Z2
-	VMOVDQU32 64(R11), Z3
-	ADDQ      R10, R11
-	VMOVDQU32 0(R11), Z4
-	VMOVDQU32 64(R11), Z5
-	ADDQ      R10, R11
-	VMOVDQU32 0(R11), Z6
-	VMOVDQU32 64(R11), Z7
-	ADDQ      R10, R11
-	VMOVDQU32 0(R11), Z8
-	VMOVDQU32 64(R11), Z9
-	ADDQ      R10, R11
-	VMOVDQU32 0(R11), Z10
-	VMOVDQU32 64(R11), Z11
-	ADDQ      R10, R11
-	VMOVDQU32 0(R11), Z12
-	VMOVDQU32 64(R11), Z13
-	ADDQ      R10, R11
-	VMOVDQU32 0(R11), Z14
-	VMOVDQU32 64(R11), Z15
-
-i16avx512acc_loop:
-	TESTQ CX, CX
-	JZ    i16avx512acc_store
-	VMOVDQU32 0(DI), Z16
-	VMOVDQU32 64(DI), Z17
-	PREFETCHT0 (DI)(R8*1)
-	PREFETCHT0 64(DI)(R8*1)
-	PREFETCHT0 256(SI)
-
-	VPBROADCASTD 0(SI), Z18
-	VPMADDWD     Z16, Z18, Z19
-	VPADDD       Z19, Z0, Z0
-	VPMADDWD     Z17, Z18, Z19
-	VPADDD       Z19, Z1, Z1
-
-	VPBROADCASTD 4(SI), Z18
-	VPMADDWD     Z16, Z18, Z19
-	VPADDD       Z19, Z2, Z2
-	VPMADDWD     Z17, Z18, Z19
-	VPADDD       Z19, Z3, Z3
-
-	VPBROADCASTD 8(SI), Z18
-	VPMADDWD     Z16, Z18, Z19
-	VPADDD       Z19, Z4, Z4
-	VPMADDWD     Z17, Z18, Z19
-	VPADDD       Z19, Z5, Z5
-
-	VPBROADCASTD 12(SI), Z18
-	VPMADDWD     Z16, Z18, Z19
-	VPADDD       Z19, Z6, Z6
-	VPMADDWD     Z17, Z18, Z19
-	VPADDD       Z19, Z7, Z7
-
-	VPBROADCASTD 16(SI), Z18
-	VPMADDWD     Z16, Z18, Z19
-	VPADDD       Z19, Z8, Z8
-	VPMADDWD     Z17, Z18, Z19
-	VPADDD       Z19, Z9, Z9
-
-	VPBROADCASTD 20(SI), Z18
-	VPMADDWD     Z16, Z18, Z19
-	VPADDD       Z19, Z10, Z10
-	VPMADDWD     Z17, Z18, Z19
-	VPADDD       Z19, Z11, Z11
-
-	VPBROADCASTD 24(SI), Z18
-	VPMADDWD     Z16, Z18, Z19
-	VPADDD       Z19, Z12, Z12
-	VPMADDWD     Z17, Z18, Z19
-	VPADDD       Z19, Z13, Z13
-
-	VPBROADCASTD 28(SI), Z18
-	VPMADDWD     Z16, Z18, Z19
-	VPADDD       Z19, Z14, Z14
-	VPMADDWD     Z17, Z18, Z19
-	VPADDD       Z19, Z15, Z15
-
-	ADDQ $32, SI
-	ADDQ R8, DI
-	DECQ CX
-	JMP  i16avx512acc_loop
-
-i16avx512acc_store:
 	VMOVDQU32 Z0, 0(R9)
 	VMOVDQU32 Z1, 64(R9)
 	ADDQ      R10, R9

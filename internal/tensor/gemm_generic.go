@@ -11,8 +11,8 @@ package tensor
 
 import "vedliot/internal/tensor/cpu"
 
-var genericGemmF32 = GemmKernelF32{MR: 6, NR: 16, Tier: cpu.TierGeneric, Run: gemmF32Generic, RunAcc: gemmF32GenericAcc, RunRows: gemmF32GenericRows}
-var genericGemmI16 = GemmKernelI16{MR: 4, NR: 16, Tier: cpu.TierGeneric, Run: gemmI16Generic, RunAcc: gemmI16GenericAcc, RunRows: gemmI16GenericRows}
+var genericGemmF32 = GemmKernelF32{MR: 6, NR: 16, Tier: cpu.TierGeneric, Run: gemmF32Generic, RunRows: gemmF32GenericRows}
+var genericGemmI16 = GemmKernelI16{MR: 4, NR: 16, Tier: cpu.TierGeneric, Run: gemmI16Generic, RunRows: gemmI16GenericRows}
 
 func gemmF32Generic(a []float32, b []float32, ldb, k int, bias []float32, c []float32, ldc int) {
 	var acc [6][16]float32
@@ -22,21 +22,6 @@ func gemmF32Generic(a []float32, b []float32, ldb, k int, bias []float32, c []fl
 			acc[i][j] = bi
 		}
 	}
-	gemmF32GenericBody(&acc, a, b, ldb, k, c, ldc)
-}
-
-// gemmF32GenericAcc is the K-continuation variant: accumulators seed
-// from the current C tile (bias ignored) so the blocked driver can
-// split K without perturbing the per-element add chain.
-func gemmF32GenericAcc(a []float32, b []float32, ldb, k int, _ []float32, c []float32, ldc int) {
-	var acc [6][16]float32
-	for i := 0; i < 6; i++ {
-		copy(acc[i][:], c[i*ldc:i*ldc+16])
-	}
-	gemmF32GenericBody(&acc, a, b, ldb, k, c, ldc)
-}
-
-func gemmF32GenericBody(acc *[6][16]float32, a []float32, b []float32, ldb, k int, c []float32, ldc int) {
 	for kk := 0; kk < k; kk++ {
 		ap := a[kk*6 : kk*6+6 : kk*6+6]
 		bp := b[kk*ldb : kk*ldb+16 : kk*ldb+16]
@@ -87,20 +72,6 @@ func gemmI16Generic(a []int16, b []int16, ldb, kPairs int, bias []int32, c []int
 			acc[i][j] = bi
 		}
 	}
-	gemmI16GenericBody(&acc, a, b, ldb, kPairs, c, ldc)
-}
-
-// gemmI16GenericAcc seeds accumulators from the current C tile (bias
-// ignored) for K-split continuation.
-func gemmI16GenericAcc(a []int16, b []int16, ldb, kPairs int, _ []int32, c []int32, ldc int) {
-	var acc [4][16]int32
-	for i := 0; i < 4; i++ {
-		copy(acc[i][:], c[i*ldc:i*ldc+16])
-	}
-	gemmI16GenericBody(&acc, a, b, ldb, kPairs, c, ldc)
-}
-
-func gemmI16GenericBody(acc *[4][16]int32, a []int16, b []int16, ldb, kPairs int, c []int32, ldc int) {
 	for kp := 0; kp < kPairs; kp++ {
 		ap := a[kp*8 : kp*8+8 : kp*8+8]
 		bp := b[kp*ldb : kp*ldb+32 : kp*ldb+32]

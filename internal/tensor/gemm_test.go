@@ -261,173 +261,6 @@ func TestGemmF32StridedB(t *testing.T) {
 	}
 }
 
-// TestGemmRunAccChain checks the K-continuation contract on every
-// variant that provides RunAcc: running a K prefix with the bias
-// kernel and the suffix with RunAcc must be bitwise identical to one
-// full-K Run, for FP32 because the accumulator chain is extended
-// rather than re-associated.
-func TestGemmRunAccChain(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for _, g := range GemmF32Variants() {
-		if g.RunAcc == nil {
-			continue
-		}
-		m, n, k := g.MR, g.NR, 40
-		a := randF32(rng, m*k)
-		b := randF32(rng, k*n)
-		bias := randF32(rng, m)
-		apack := make([]float32, g.PackedASize(m, k))
-		g.PackA(apack, a, k, m, k)
-
-		want := make([]float32, m*n)
-		g.Run(apack, b, n, k, bias, want, n)
-		for _, split := range []int{1, 7, 16, 39} {
-			got := make([]float32, m*n)
-			g.Run(apack[:split*m], b, n, split, bias, got, n)
-			g.RunAcc(apack[split*m:], b[split*n:], n, k-split, bias, got, n)
-			for i := range want {
-				if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
-					t.Fatalf("tier %v split=%d: c[%d] = %x, want %x (bitwise)",
-						g.Tier, split, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
-				}
-			}
-		}
-	}
-	for _, g := range GemmI16Variants() {
-		if g.RunAcc == nil {
-			continue
-		}
-		m, n := g.MR, g.NR
-		kp := 20
-		a := randI16(rng, m*2*kp, 127)
-		b := randI16(rng, kp*2*n, 255)
-		bias := make([]int32, m)
-		for i := range bias {
-			bias[i] = rng.Int31n(2001) - 1000
-		}
-		want := make([]int32, m*n)
-		g.Run(a, b, 2*n, kp, bias, want, n)
-		for _, split := range []int{1, 9, 19} {
-			got := make([]int32, m*n)
-			g.Run(a[:split*m*2], b, 2*n, split, bias, got, n)
-			g.RunAcc(a[split*m*2:], b[split*2*n:], 2*n, kp-split, bias, got, n)
-			for i := range want {
-				if want[i] != got[i] {
-					t.Fatalf("tier %v split=%d: c[%d] = %d, want %d", g.Tier, split, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-// TestGemmBlockedParity drives computeBlocked directly with small
-// block depths so the Kc/Mc panel loops and their partial-tile
-// handling run without needing cache-sized problems, and demands
-// bitwise equality with the scalar reference on every variant that
-// supports blocking.
-func TestGemmBlockedParity(t *testing.T) {
-	for _, g := range GemmF32Variants() {
-		if g.RunAcc == nil {
-			continue
-		}
-		g := g
-		t.Run(fmt.Sprintf("f32/tier=%v", g.Tier), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(31))
-			for _, kc := range []int{8, 16} {
-				for _, m := range []int{1, g.MR, 2*g.MR + 3} {
-					for _, n := range []int{1, g.NR - 1, g.NR, 2*g.NR + 5} {
-						for _, k := range []int{kc + 1, 2*kc + 3, 37} {
-							a := randF32(rng, m*k)
-							b := randF32(rng, k*n)
-							bias := randF32(rng, m)
-							want := make([]float32, m*n)
-							refGemmF32(m, n, k, a, k, b, n, bias, want, n)
-							apack := make([]float32, g.PackedASize(m, k))
-							g.PackA(apack, a, k, m, k)
-							got := make([]float32, m*n)
-							g.computeBlocked(m, n, k, kc, apack, g.PackBias(bias, m), b, n, got, n,
-								make([]float32, k*g.NR), make([]float32, g.MR*g.NR))
-							for i := range want {
-								if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
-									t.Fatalf("kc=%d m=%d n=%d k=%d: c[%d] = %x, want %x (bitwise)",
-										kc, m, n, k, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
-								}
-							}
-						}
-					}
-				}
-			}
-		})
-	}
-	for _, g := range GemmI16Variants() {
-		if g.RunAcc == nil {
-			continue
-		}
-		g := g
-		t.Run(fmt.Sprintf("i16/tier=%v", g.Tier), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(37))
-			for _, kcp := range []int{4, 9} {
-				for _, m := range []int{1, g.MR, 2*g.MR + 3} {
-					for _, n := range []int{1, g.NR, 2*g.NR + 5} {
-						for _, k := range []int{2*kcp + 1, 37, 40} {
-							a := randI16(rng, m*k, 127)
-							b := randI16(rng, k*n, 255)
-							bias := make([]int32, m)
-							for i := range bias {
-								bias[i] = rng.Int31n(2001) - 1000
-							}
-							want := make([]int32, m*n)
-							refGemmI16(m, n, k, a, k, b, n, bias, want, n)
-							apack := make([]int16, g.PackedASize(m, k))
-							g.PackA(apack, a, k, m, k)
-							got := make([]int32, m*n)
-							g.computeBlocked(m, n, k, kcp, apack, g.PackBias(bias, m), b, n, got, n,
-								make([]int16, KPairs(k)*g.NR*2), make([]int32, g.MR*g.NR))
-							for i := range want {
-								if want[i] != got[i] {
-									t.Fatalf("kcp=%d m=%d n=%d k=%d: c[%d] = %d, want %d",
-										kcp, m, n, k, i, got[i], want[i])
-								}
-							}
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestGemmComputeBlockedDispatch runs one deep-K problem through the
-// public Compute entry point so the kc threshold actually engages the
-// blocked driver, and checks bitwise parity with the reference.
-func TestGemmComputeBlockedDispatch(t *testing.T) {
-	g := PickGemmF32()
-	if g.RunAcc == nil {
-		t.Skip("selected kernel has no blocked driver")
-	}
-	m, n := 2*g.MR+1, g.NR+3
-	k := gemmKcEngageBytes/(4*g.NR) + gemmKBlock(g.NR)
-	if !gemmBlockK(g.NR, k) {
-		t.Fatalf("k=%d does not engage the blocked driver", k)
-	}
-	rng := rand.New(rand.NewSource(41))
-	a := randF32(rng, m*k)
-	b := randF32(rng, k*n)
-	bias := randF32(rng, m)
-	want := make([]float32, m*n)
-	refGemmF32(m, n, k, a, k, b, n, bias, want, n)
-	apack := make([]float32, g.PackedASize(m, k))
-	g.PackA(apack, a, k, m, k)
-	got := make([]float32, m*n)
-	g.Compute(m, n, k, apack, g.PackBias(bias, m), b, n, got, n, nil, nil)
-	for i := range want {
-		if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
-			t.Fatalf("blocked Compute k=%d: c[%d] = %x, want %x (bitwise)",
-				k, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
-		}
-	}
-}
-
 // TestPickGemmRespectsTier checks the selected kernels never exceed
 // the detector's chosen tier.
 func TestPickGemmRespectsTier(t *testing.T) {

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Non-test Go lines per internal/* package (subpackages included) and
-# for the whole repo — the figure every PR reports its LoC delta from.
+# for the whole repo, then the assembly total — the figures every PR
+# reports its LoC delta from.
 set -eu
 cd "$(dirname "$0")/.."
 count() { find "$@" -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l; }
@@ -8,3 +9,4 @@ for pkg in internal/*/; do
 	printf '%7d  %s\n' "$(count "$pkg")" "${pkg%/}"
 done
 printf '%7d  total (all non-test .go files)\n' "$(count .)"
+printf '%7d  assembly (all .s files)\n' "$(find . -name '*.s' -exec cat {} + | wc -l)"
