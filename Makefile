@@ -24,12 +24,13 @@ test-full:
 	$(GO) test ./...
 
 # test-race runs the concurrent packages under the race detector, then
-# stresses the batching tests (the front door's capacity rule included)
-# and the cluster's admission, routing and close tests: they form
-# batches and backlogs by holding a gate, not by wall clock, so twenty
-# runs in a row must agree. The plan executor's pooled run state gets
-# the same twenty: concurrent runs at mixed batch sizes, and a kernel
-# error at every step.
+# stresses the front door's batching tests (its capacity rule included),
+# the replica worker's dispatch tests (one request per engine run, in
+# arrival order) and the cluster's admission, routing and close tests:
+# they form batches and backlogs by holding a gate, not by wall clock,
+# so twenty runs in a row must agree. The plan executor's pooled run
+# state gets the same twenty: concurrent runs at mixed batch sizes, and
+# a kernel error at every step.
 test-race:
 	$(GO) test -short -race ./internal/inference/... ./internal/microserver/... ./internal/cluster/... ./internal/serve/... ./internal/rvbackend/... ./internal/riscv/... ./internal/soc/... ./internal/cfu/...
 	$(GO) test -race -count=20 -run 'Batch|CapacityRule|Dispatch|Gate|Admission|Saturated|CloseResolves' ./internal/microserver/ ./internal/serve/ ./internal/cluster/

@@ -93,7 +93,7 @@ func main() {
 	clients := flag.Int("clients", 1000, "load generator: concurrent closed-loop clients")
 	perClient := flag.Int("requests-per-client", 4, "load generator: requests per client")
 	think := flag.Duration("think", 10*time.Millisecond, "load generator: mean think time between requests")
-	slo := flag.Duration("slo", 100*time.Millisecond, "load generator: per-request latency objective")
+	slo := flag.Duration("slo", 100*time.Millisecond, "trace replay and load generator: per-request latency objective")
 	conns := flag.Int("conns", 8, "load generator: pooled connections")
 	key := flag.String("key", "", "load generator: API key")
 	loadSmoke := flag.Bool("load-smoke", false, "serve and load the fleet in-process over a localhost socket; exit non-zero unless the run is clean and requests coalesced")
@@ -288,44 +288,17 @@ func main() {
 	trace := cluster.OpenLoopTrace(*requests, *rate, *seed)
 	fmt.Printf("replaying %d requests at %.0f req/s (span %v)...\n",
 		*requests, *rate, trace.Duration().Round(time.Millisecond))
-	input := tensor.New(tensor.FP32, inShape...)
-	for i := range input.F32 {
-		input.F32[i] = float32(i%13)/13 - 0.5
+	ins := fleetInput(g, inShape)
+	res, err := serve.ReplayOpenLoop(serve.SchedulerTransport{Sched: sched}, trace, serve.LoadConfig{
+		Model:  g.Name,
+		SLO:    *slo,
+		Inputs: func(int) map[string]*tensor.Tensor { return ins },
+	})
+	if err != nil {
+		fatal(err)
 	}
-	ins := map[string]*tensor.Tensor{g.Inputs[0]: input}
-	start := time.Now()
-	tickets := make([]*cluster.Ticket, 0, *requests)
-	shed := 0
-	for _, at := range trace.Arrivals {
-		if d := time.Until(start.Add(at)); d > 0 {
-			time.Sleep(d)
-		}
-		tk, err := sched.Submit(g.Name, ins)
-		if err != nil {
-			shed++ // open-loop clients don't retry
-			continue
-		}
-		tickets = append(tickets, tk)
-	}
-	var lats []time.Duration
-	failed := 0
-	for _, tk := range tickets {
-		if _, err := tk.Wait(); err != nil {
-			failed++
-			continue
-		}
-		lats = append(lats, tk.Latency())
-	}
-	wall := time.Since(start)
-
-	// Report.
-	sum := cluster.Summarize(lats)
-	fmt.Printf("\ncompleted %d/%d (shed %d, failed %d) in %v -> %.0f req/s\n",
-		len(lats), *requests, shed, failed, wall.Round(time.Millisecond),
-		float64(len(lats))/wall.Seconds())
-	fmt.Printf("latency: mean %v  p50 %v  p95 %v  max %v\n",
-		sum.Mean.Round(time.Microsecond), sum.P50.Round(time.Microsecond),
-		sum.P95.Round(time.Microsecond), sum.Max.Round(time.Microsecond))
+	fmt.Println()
+	printLoad(res)
 
 	fmt.Printf("\nrouting (cost = service estimate x queue depth, power tie-break):\n")
 	st := dep.Stats()

@@ -140,10 +140,10 @@ func ClusterStudy() (*Report, error) {
 		} else {
 			cpuServed += rs.Served
 		}
-		if rs.Estimate() < fastest.Estimate() {
+		if rs.Estimate < fastest.Estimate {
 			fastest = rs
 		}
-		if rs.Estimate() > slowest.Estimate() {
+		if rs.Estimate > slowest.Estimate {
 			slowest = rs
 		}
 		mostServed = max(mostServed, rs.Served)

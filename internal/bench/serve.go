@@ -131,10 +131,7 @@ func ServeStudy() (*Report, error) {
 				return serve.LoadResult{}, serve.ServerStats{}, 0, err
 			}
 		}
-		// The fleet servers run tickets exactly as handed (no backend
-		// re-coalescing), so the comparison isolates the socket-boundary
-		// batcher: engines see the batches the front door built.
-		sched := cluster.NewScheduler(chassis, cluster.Config{QueueDepth: 512, MaxBatch: 1})
+		sched := cluster.NewScheduler(chassis, cluster.Config{QueueDepth: 512})
 		defer sched.Close()
 		if _, err := sched.Deploy(g); err != nil {
 			return serve.LoadResult{}, serve.ServerStats{}, 0, err

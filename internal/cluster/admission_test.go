@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,8 +14,9 @@ import (
 )
 
 // gateExe is the admission tests' inference.Executable double: every
-// engine call announces itself on entered, then blocks until the test
-// opens the gate, and echoes its inputs. A test holds a replica's
+// engine call records the requests it was handed, announces itself on
+// entered, then blocks until the test opens the gate, and echoes its
+// inputs. A test holds a replica's
 // dispatcher inside the engine and queues tickets behind it, so queue
 // states form by construction and never by wall clock. modeled pins the
 // replica's service estimate (it is the executable's latency model), so
@@ -24,6 +26,9 @@ type gateExe struct {
 	maxW    float64
 	release chan struct{}
 	entered chan struct{}
+
+	mu   sync.Mutex
+	seen [][]map[string]*tensor.Tensor
 }
 
 func newGate(modeled time.Duration, maxW float64) *gateExe {
@@ -32,15 +37,21 @@ func newGate(modeled time.Duration, maxW float64) *gateExe {
 	return &gateExe{modeled: modeled, maxW: maxW, release: make(chan struct{}), entered: make(chan struct{}, 256)}
 }
 
-func (e *gateExe) Run(in map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
+func (e *gateExe) enter(call []map[string]*tensor.Tensor) {
+	e.mu.Lock()
+	e.seen = append(e.seen, call)
+	e.mu.Unlock()
 	e.entered <- struct{}{}
 	<-e.release
+}
+
+func (e *gateExe) Run(in map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
+	e.enter([]map[string]*tensor.Tensor{in})
 	return in, nil
 }
 
 func (e *gateExe) RunBatch(b []map[string]*tensor.Tensor) ([]map[string]*tensor.Tensor, error) {
-	e.entered <- struct{}{}
-	<-e.release
+	e.enter(b)
 	return b, nil
 }
 
@@ -54,7 +65,7 @@ func (e *gateExe) open() { close(e.release) }
 func gatedDeployment(t *testing.T, queueDepth int, gates ...*gateExe) *Deployment {
 	t.Helper()
 	g := gestureModel()
-	d := newDeployment(g, "", Config{QueueDepth: queueDepth, MaxBatch: 1})
+	d := newDeployment(g, "", Config{QueueDepth: queueDepth})
 	t.Cleanup(d.close)
 	for i, gate := range gates {
 		mod := &microserver.Module{Name: fmt.Sprintf("gate%d", i), MaxW: gate.maxW}
@@ -139,6 +150,51 @@ func TestAdmissionSpawnsNoGoroutines(t *testing.T) {
 		if _, err := tk.Wait(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestAdmissionBurstRunsOneTicketPerEngineRun bursts tickets of distinct
+// row counts onto one held replica: every ticket becomes one engine run
+// carrying exactly its own rows, in submission order. That the tickets
+// ahead serialize is what perSampleWall's division by depth assumes.
+func TestAdmissionBurstRunsOneTicketPerEngineRun(t *testing.T) {
+	const n = 12
+	gate := newGate(time.Millisecond, 5)
+	d := gatedDeployment(t, n, gate)
+	ins := make([]*tensor.Tensor, n)
+	tks := make([]*Ticket, n)
+	for i := range tks {
+		ins[i] = tensor.New(tensor.FP32, i+1, 1, 16, 16)
+		tk, err := d.Submit(map[string]*tensor.Tensor{d.inputNames[0]: ins[i]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tks[i] = tk
+	}
+	<-gate.entered // one running, n-1 queued behind it
+	gate.open()
+	for i, tk := range tks {
+		outs, err := tk.Wait()
+		if err != nil {
+			t.Fatalf("ticket %d: %v", i, err)
+		}
+		if outs[d.inputNames[0]] != ins[i] {
+			t.Errorf("ticket %d resolved with another ticket's rows", i)
+		}
+	}
+	gate.mu.Lock()
+	seen := gate.seen
+	gate.mu.Unlock()
+	if len(seen) != n {
+		t.Fatalf("%d tickets became %d engine runs", n, len(seen))
+	}
+	for i, call := range seen {
+		if len(call) != 1 || call[0][d.inputNames[0]] != ins[i] {
+			t.Fatalf("engine run %d does not carry exactly ticket %d's %d rows", i, i, i+1)
+		}
+	}
+	if st := d.Stats(); st.Submitted != n || st.Completed != n || st.Rejected != 0 {
+		t.Errorf("submitted %d completed %d rejected %d, want %d %d 0", st.Submitted, st.Completed, st.Rejected, n, n)
 	}
 }
 

@@ -14,7 +14,9 @@
 // roofline-predicted latency (or an observed EWMA for backends without
 // a device model) scaled by the replica's current queue depth, with a
 // power-aware tie-break from the chassis module power envelope. The
-// replica's dispatcher resolves the ticket; no goroutine sits between.
+// replica runs its tickets one at a time, each as the rows it was
+// submitted with, and its dispatcher resolves them; no goroutine sits
+// between.
 package cluster
 
 import (
@@ -58,9 +60,6 @@ type Config struct {
 	// resolved — queued on a replica or running (default 64). Submit
 	// sheds the next one with ErrOverloaded.
 	QueueDepth int
-	// MaxBatch caps how many queued requests a replica fuses into one
-	// engine dispatch (default: the microserver.ServeConfig default).
-	MaxBatch int
 	// EmulateLatency stretches every accelerator-backed request to its
 	// roofline-predicted latency (functional execution on the host is
 	// usually faster than the model), so trace replays exhibit the
@@ -427,7 +426,7 @@ func newDeployment(g *nn.Graph, digest string, cfg Config) *Deployment {
 		inputNames:  append([]string(nil), g.Inputs...),
 		outputNames: append([]string(nil), g.Outputs...),
 		emulate:     cfg.EmulateLatency,
-		serve:       microserver.ServeConfig{MaxBatch: cfg.MaxBatch, QueueDepth: cfg.QueueDepth},
+		serve:       microserver.ServeConfig{QueueDepth: cfg.QueueDepth},
 	}
 }
 
@@ -549,12 +548,12 @@ func (d *Deployment) SubmitCtx(ctx context.Context, inputs map[string]*tensor.Te
 		}
 		r.inflight.Add(-1)
 		// Normalize the observation to per-sample service time: wall
-		// time ≈ depth × service when requests ahead serialize, and a
-		// coalesced ticket carries `rows` samples in one dispatch, so
-		// the EWMA tracks per-sample service rather than congestion or
-		// batch size — congestion is already priced into the routing
-		// cost via the inflight factor, and the front door's adaptive
-		// batching must not read as a slower replica.
+		// time ≈ depth × service because the tickets ahead run one at a
+		// time, and a coalesced ticket carries `rows` samples in its one
+		// run, so the EWMA tracks per-sample service rather than
+		// congestion or batch size — congestion is already priced into
+		// the routing cost via the inflight factor, and the front door's
+		// adaptive batching must not read as a slower replica.
 		r.observe(perSampleWall(wall, depth, rows), err)
 		if err != nil && ctx.Err() != nil {
 			d.cancelled.Add(1)
@@ -671,7 +670,7 @@ func cheapest(n int, cost, maxW func(int) float64) int {
 }
 
 // close shuts the deployment down: admissions stop, then each replica
-// server closes — its running batch completes and its queued tickets
+// server closes — its running ticket completes and its queued tickets
 // resolve with ErrClosed. Completions parked on an EmulateLatency timer
 // resolve when it fires.
 func (d *Deployment) close() {
@@ -718,7 +717,7 @@ func (s Stats) ReplicaTable() []string {
 		"slot", "module", "backend", "served", "svc est", "maxW")}
 	for _, rs := range s.Replicas {
 		lines = append(lines, fmt.Sprintf("%-6d %-18s %-20s %9d %12v %10.1fW",
-			rs.Slot, rs.Module, rs.Backend, rs.Served, rs.Estimate().Round(time.Microsecond), rs.MaxW))
+			rs.Slot, rs.Module, rs.Backend, rs.Served, rs.Estimate.Round(time.Microsecond), rs.MaxW))
 	}
 	return lines
 }
@@ -806,7 +805,7 @@ func (r *Replica) Module() string { return r.module }
 // Backend names the inference backend the replica serves with.
 func (r *Replica) Backend() string { return r.server.Backend() }
 
-// Server exposes the replica's batching server.
+// Server exposes the replica's node server.
 func (r *Replica) Server() *microserver.Server { return r.server }
 
 // Enclave exposes the replica's modeled trusted execution context, nil
@@ -882,6 +881,7 @@ func (r *Replica) Stats() ReplicaStats {
 		Inflight: r.inflight.Load(),
 		Modeled:  r.modeled,
 		Observed: time.Duration(r.ewmaNS.Load()),
+		Estimate: r.ServiceEstimate(),
 		MaxW:     r.maxW,
 	}
 }
@@ -899,18 +899,10 @@ type ReplicaStats struct {
 	Shed     int64
 	Inflight int64
 	// Modeled is the roofline-predicted batch-1 latency (zero without a
-	// device model); Observed is the measured per-request EWMA.
+	// device model); Observed is the measured per-request EWMA; Estimate
+	// is Replica.ServiceEstimate, the one of the two the router weighs.
 	Modeled  time.Duration
 	Observed time.Duration
+	Estimate time.Duration
 	MaxW     float64
-}
-
-// Estimate mirrors Replica.ServiceEstimate on the snapshot: the
-// roofline prediction when a device model exists, the observed EWMA
-// otherwise.
-func (rs ReplicaStats) Estimate() time.Duration {
-	if rs.Modeled > 0 {
-		return rs.Modeled
-	}
-	return rs.Observed
 }

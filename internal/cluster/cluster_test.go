@@ -44,7 +44,7 @@ func oneReplicaScheduler(t *testing.T, queueDepth int) *Scheduler {
 	if err := c.Insert(0, m); err != nil {
 		t.Fatal(err)
 	}
-	return NewScheduler(c, Config{QueueDepth: queueDepth, MaxBatch: 1})
+	return NewScheduler(c, Config{QueueDepth: queueDepth})
 }
 
 func gestureModel() *nn.Graph {

@@ -29,9 +29,10 @@ func execGraph() *nn.Graph {
 // execPlan is one compiled plan behind the executor, with its element
 // type erased so one table covers all three kinds.
 type execPlan struct {
-	name  string
-	run   func(map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error)
-	steps int
+	name     string
+	run      func(map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error)
+	runBatch func([]map[string]*tensor.Tensor) ([]map[string]*tensor.Tensor, error)
+	steps    int
 	// fail rebinds step si to a kernel that returns err after recording
 	// the run context it was handed; restore puts the bound kernel back.
 	fail func(si int, err error, seen **runCtx) (restore func())
@@ -51,7 +52,7 @@ func erasePlan[T float32 | int8](name string, p *plan[T]) execPlan {
 		}
 		return locUnassigned, 0, 0
 	}
-	return execPlan{name: name, run: p.Run, steps: len(p.steps),
+	return execPlan{name: name, run: p.Run, runBatch: p.RunBatch, steps: len(p.steps),
 		fail: func(si int, err error, seen **runCtx) func() {
 			kern := p.steps[si].kern
 			p.steps[si].kern = func(rc *runCtx, _ []T, _ [][]T) error {
@@ -153,6 +154,24 @@ func TestExecutorOutputBinding(t *testing.T) {
 		}
 		if !nonzero {
 			t.Errorf("%s: twice-declared output %q was never written", p.name, head)
+		}
+	}
+}
+
+// TestExecutorRunBatchRejectsZeroRows: a zero-row member (a wire frame
+// with a zero dim decodes to one) fails the fused dispatch with Run's
+// own error on every plan kind instead of coming back as an empty
+// success.
+func TestExecutorRunBatchRejectsZeroRows(t *testing.T) {
+	g := execGraph()
+	for _, p := range compileExecPlans(t, g) {
+		empty := map[string]*tensor.Tensor{g.Inputs[0]: tensor.New(tensor.FP32, 0, 3, 12, 12)}
+		if _, err := p.run(empty); !errors.Is(err, errBatch) {
+			t.Errorf("%s: Run on zero rows returned %v, want %v", p.name, err, errBatch)
+		}
+		outs, err := p.runBatch([]map[string]*tensor.Tensor{execInput(t, g, 1, 1), empty, execInput(t, g, 2, 2)})
+		if !errors.Is(err, errBatch) {
+			t.Errorf("%s: RunBatch with a zero-row member returned %d results and %v, want %v", p.name, len(outs), err, errBatch)
 		}
 	}
 }

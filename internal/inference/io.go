@@ -120,7 +120,7 @@ func (p *QuantPlan) BindIO(inputs map[string]*tensor.Tensor) (views [][]float32,
 // run executes once, and the outputs are split back per request. A
 // request the single-request path would reject (a missing or misshapen
 // input, a non-positive batch) fails the whole dispatch with the same
-// error, so the caller's per-request retry isolates it.
+// error.
 func (s *signature) runBatch(run func(map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error),
 	batches []map[string]*tensor.Tensor) ([]map[string]*tensor.Tensor, error) {
 

@@ -16,12 +16,12 @@ import (
 // This is the deployment pipeline's view of §II-A at cluster scale —
 // the same load→optimize→compile→deploy→measure chain, but the
 // "target" is a fleet instead of a single runtime. Reported latency is
-// wall time through the scheduler (admission, routing, batching and
+// wall time through the scheduler (admission, routing, queueing and
 // execution), the serving-side quantity a fleet operator measures.
 type ClusterTarget struct {
 	// Chassis is the populated platform to place replicas on.
 	Chassis *microserver.Chassis
-	// Config tunes the scheduler (admission queue, per-replica serving).
+	// Config tunes the scheduler (admission bound, emulation, schema).
 	Config cluster.Config
 
 	sched *cluster.Scheduler

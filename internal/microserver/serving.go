@@ -13,11 +13,7 @@ import (
 
 // ServeConfig tunes a node's inference server.
 type ServeConfig struct {
-	// MaxBatch is the largest number of queued requests fused into one
-	// engine dispatch (default 8). The dispatcher never waits for a
-	// batch to fill: it fuses what queued up while the engine was busy.
-	MaxBatch int
-	// QueueDepth is the request channel capacity (default 4*MaxBatch).
+	// QueueDepth is the request channel capacity (default 32).
 	QueueDepth int
 }
 
@@ -25,23 +21,12 @@ type ServeConfig struct {
 // requests still queued when Close landed complete with it.
 var ErrClosed = errors.New("microserver: server closed")
 
-func (c ServeConfig) withDefaults() ServeConfig {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 8
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4 * c.MaxBatch
-	}
-	return c
-}
-
 // ServeStats is a server's cumulative telemetry, the serving-side
 // counterpart of the chassis Monitoring snapshots.
 type ServeStats struct {
 	Requests int64
-	Batches  int64
-	// MaxBatch is the largest batch actually dispatched.
-	MaxBatch int
+	// Batches counts engine runs, one per served request.
+	Batches int64
 	// Cancelled counts requests whose context was cancelled while they
 	// were still queued: they are completed with the context error
 	// without ever reaching the engine, so a disconnected client stops
@@ -50,20 +35,12 @@ type ServeStats struct {
 	Cancelled int64
 }
 
-// MeanBatch returns the average number of requests fused per dispatch.
-func (s ServeStats) MeanBatch() float64 {
-	if s.Batches == 0 {
-		return 0
-	}
-	return float64(s.Requests) / float64(s.Batches)
-}
-
 // Server is one microserver node's inference service: a single compiled
-// executable shared by all clients, fed through a batching queue.
-// Calls that queue up while the engine is busy are coalesced into one
-// RunBatch dispatch, which amortizes per-call overhead and hands the
-// parallel kernels larger work items — the "serve as fast as the
-// hardware allows" path for a module hosting a DL workload.
+// executable shared by all clients, fed through a queue. The dispatcher
+// is a worker, not a batcher: it runs each request as it was handed in,
+// in arrival order, so an engine run carries exactly the rows its
+// submitter stacked. Coalescing belongs to the layer that knows which
+// replica is busy (the front door's batcher in internal/serve).
 //
 // The server is backend-generic: it fronts whatever
 // inference.Backend compiled the model — the host CPU engine or any
@@ -73,7 +50,6 @@ func (s ServeStats) MeanBatch() float64 {
 type Server struct {
 	exe         inference.Executable
 	backendName string
-	cfg         ServeConfig
 
 	reqs chan *request
 	quit chan struct{}
@@ -111,11 +87,12 @@ func ServeCompiled(g *nn.Graph, exe inference.Executable, backendName string, cf
 		return nil, fmt.Errorf("microserver: graph %q has %d inputs/%d outputs, need at least 1/1",
 			g.Name, len(g.Inputs), len(g.Outputs))
 	}
-	cfg = cfg.withDefaults()
+	if cfg.QueueDepth <= 0 {
+		cfg.QueueDepth = 32
+	}
 	s := &Server{
 		exe:         exe,
 		backendName: backendName,
-		cfg:         cfg,
 		reqs:        make(chan *request, cfg.QueueDepth),
 		quit:        make(chan struct{}),
 	}
@@ -132,8 +109,7 @@ func (s *Server) Executable() inference.Executable { return s.exe }
 func (s *Server) Backend() string { return s.backendName }
 
 // InferMap submits a full input map (keyed by input-node name) and
-// blocks until the full output map is ready. Safe for concurrent use;
-// concurrent callers share dispatches.
+// blocks until the full output map is ready. Safe for concurrent use.
 func (s *Server) InferMap(inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
 	var (
 		outs map[string]*tensor.Tensor
@@ -150,7 +126,7 @@ func (s *Server) InferMap(inputs map[string]*tensor.Tensor) (map[string]*tensor.
 	return outs, err
 }
 
-// Submit hands a request to the batching queue and returns; done is
+// Submit hands a request to the queue and returns; done is
 // called exactly once with the result, on the dispatcher goroutine, so
 // it must not block. A non-nil return (ErrClosed, else the error of a
 // dead context) means the request was not accepted and done will not be
@@ -178,7 +154,7 @@ func (s *Server) Submit(ctx context.Context, inputs map[string]*tensor.Tensor, d
 	}
 }
 
-// Close stops the dispatcher and waits for it: the batch inside the
+// Close stops the dispatcher and waits for it: the request inside the
 // engine completes, requests still queued complete with ErrClosed, and
 // later Submit calls return it.
 func (s *Server) Close() {
@@ -212,21 +188,13 @@ func (s *Server) dispatch() {
 			return
 		default:
 		}
-		var first *request
 		select {
-		case first = <-s.reqs:
+		case r := <-s.reqs:
+			s.run(r)
 		case <-s.quit:
 			s.drain()
 			return
 		}
-		// Work-conserving: fuse only what is already queued, never wait
-		// for company, so batches form while the engine is busy. This
-		// goroutine is the only receiver; a non-empty queue cannot block.
-		pending := []*request{first}
-		for len(pending) < s.cfg.MaxBatch && len(s.reqs) > 0 {
-			pending = append(pending, <-s.reqs)
-		}
-		s.runBatch(pending)
 	}
 }
 
@@ -242,51 +210,24 @@ func (s *Server) drain() {
 	}
 }
 
-func (s *Server) runBatch(pending []*request) {
-	// Drop requests whose caller vanished while they were queued: they
-	// complete with the context error and never reach the engine.
-	live := pending[:0]
-	cancelled := 0
-	for _, r := range pending {
-		if err := r.ctx.Err(); err != nil {
-			r.done(nil, err)
-			cancelled++
-			continue
-		}
-		live = append(live, r)
-	}
-	pending = live
-	if cancelled > 0 {
+// run is the one place the server calls the executable: the request's
+// own input map goes to the engine unchanged, unless its caller vanished
+// while it was queued; then it completes with the context error and
+// never reaches the engine.
+func (s *Server) run(r *request) {
+	if err := r.ctx.Err(); err != nil {
 		s.statsMu.Lock()
-		s.stats.Cancelled += int64(cancelled)
+		s.stats.Cancelled++
 		s.statsMu.Unlock()
-	}
-	if len(pending) == 0 {
+		r.done(nil, err)
 		return
 	}
-	batches := make([]map[string]*tensor.Tensor, len(pending))
-	for i, r := range pending {
-		batches[i] = r.ins
-	}
-	outs, err := s.exe.RunBatch(batches)
-	// Counted before the completions run: a caller holding its result
+	outs, err := s.exe.Run(r.ins)
+	// Counted before the completion runs: a caller holding its result
 	// already sees itself in Stats.
 	s.statsMu.Lock()
-	s.stats.Requests += int64(len(pending))
+	s.stats.Requests++
 	s.stats.Batches++
-	if len(pending) > s.stats.MaxBatch {
-		s.stats.MaxBatch = len(pending)
-	}
 	s.statsMu.Unlock()
-	if err != nil {
-		// One malformed input fails a fused dispatch; retry requests
-		// individually so only the offender sees the error.
-		for i, r := range pending {
-			r.done(s.exe.Run(batches[i]))
-		}
-		return
-	}
-	for i, r := range pending {
-		r.done(outs[i], nil)
-	}
+	r.done(outs, err)
 }

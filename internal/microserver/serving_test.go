@@ -3,6 +3,7 @@ package microserver
 import (
 	"context"
 	"errors"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -90,11 +91,11 @@ func TestServeMatchesDirectEngine(t *testing.T) {
 	}
 }
 
-// gateExe is the batching tests' inference.Executable double. Every
+// gateExe is the queue tests' inference.Executable double. Every
 // Run/RunBatch records the batch it was handed and then blocks until
 // the test opens the gate. A test holds the dispatcher inside the engine
-// with one request, queues more behind it and opens the gate, so batches
-// form by construction and never by wall clock.
+// with one request, queues more behind it and opens the gate, so a
+// backlog forms by construction and never by wall clock.
 type gateExe struct {
 	inner   inference.Executable
 	release chan struct{}
@@ -217,20 +218,22 @@ func submitAll(t *testing.T, s *Server, ins []map[string]*tensor.Tensor) []*pend
 	return pend
 }
 
-// TestServeBatchesConcurrentClients queues sixteen clients behind a busy
-// engine: they fuse into full batches and every client still gets the
+// TestDispatchRunsQueuedOneAtATimeInOrder pins the worker: requests
+// queued behind a busy engine run one per engine call, in arrival order,
+// each reaching the engine as the caller's own map (the layers above
+// find a request again by that identity) and each getting the
 // engine-exact result for its own input.
-func TestServeBatchesConcurrentClients(t *testing.T) {
+func TestDispatchRunsQueuedOneAtATimeInOrder(t *testing.T) {
 	g := gestureGraph()
-	s, gate := gatedServer(t, g, ServeConfig{MaxBatch: 8})
+	s, gate := gatedServer(t, g, ServeConfig{})
 	defer s.Close()
 	eng, err := inference.Compile(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	plug := hold(t, s, gate, gestureIns(g, 0))
-	const clients = 16
-	ins := gestureRequests(g, clients)
+	const queued = 11
+	ins := gestureRequests(g, queued)
 	pend := submitAll(t, s, ins)
 	gate.open()
 	if _, err := plug.Wait(); err != nil {
@@ -249,22 +252,29 @@ func TestServeBatchesConcurrentClients(t *testing.T) {
 			t.Errorf("client %d: served result diverges by %g", c, d)
 		}
 	}
-	gate.wantSizes(t, 1, 8, 8)
-	st := s.Stats()
-	if st.Requests != clients+1 || st.Batches != 3 {
-		t.Errorf("stats recorded %d requests in %d dispatches, want %d in 3", st.Requests, st.Batches, clients+1)
+	runs := gate.batches()
+	if len(runs) != queued+1 {
+		t.Fatalf("engine ran %d times for %d requests", len(runs), queued+1)
 	}
-	if st.MeanBatch() <= 1 {
-		t.Errorf("mean batch = %v, want > 1", st.MeanBatch())
+	for i, run := range runs[1:] {
+		if len(run) != 1 {
+			t.Fatalf("engine run %d carried %d requests, want 1", i+1, len(run))
+		}
+		if reflect.ValueOf(run[0]).Pointer() != reflect.ValueOf(ins[i]).Pointer() {
+			t.Fatalf("engine run %d does not carry request %d's own map: arrival order or identity broken", i+1, i)
+		}
+	}
+	if st := s.Stats(); st.Requests != queued+1 || st.Batches != queued+1 {
+		t.Errorf("stats recorded %d requests in %d engine runs, want %d in %d", st.Requests, st.Batches, queued+1, queued+1)
 	}
 }
 
-// TestDispatchLoneRequestRunsAtOnce pins the work-conserving rule on an
-// idle server: a lone request reaches the engine while no second request
-// exists — the dispatcher does not wait for company.
+// TestDispatchLoneRequestRunsAtOnce pins the idle server: a lone request
+// reaches the engine while no second request exists — the dispatcher
+// does not wait for company.
 func TestDispatchLoneRequestRunsAtOnce(t *testing.T) {
 	g := gestureGraph()
-	s, gate := gatedServer(t, g, ServeConfig{MaxBatch: 8})
+	s, gate := gatedServer(t, g, ServeConfig{})
 	defer s.Close()
 	lone := hold(t, s, gate, gestureIns(g, 1))
 	// hold returned, so the engine has the request; nothing else was
@@ -279,49 +289,14 @@ func TestDispatchLoneRequestRunsAtOnce(t *testing.T) {
 	}
 }
 
-// TestDispatchFusesQueuedUpToMaxBatch pins how batches form: everything
-// queued during a run fuses into the next RunBatch in arrival order,
-// capped at MaxBatch, and the remainder rides the one after.
-func TestDispatchFusesQueuedUpToMaxBatch(t *testing.T) {
-	g := gestureGraph()
-	s, gate := gatedServer(t, g, ServeConfig{MaxBatch: 8})
-	defer s.Close()
-	plug := hold(t, s, gate, gestureIns(g, 0))
-	const queued = 11
-	ins := gestureRequests(g, queued)
-	pend := submitAll(t, s, ins)
-	gate.open()
-	for _, p := range append(pend, plug) {
-		if _, err := p.Wait(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	gate.wantSizes(t, 1, 8, 3)
-	var order []*tensor.Tensor
-	for _, b := range gate.batches()[1:] {
-		for _, m := range b {
-			order = append(order, m[g.Inputs[0]])
-		}
-	}
-	for i, in := range order {
-		if in != ins[i][g.Inputs[0]] {
-			t.Fatalf("engine position %d does not carry request %d: batches broke arrival order", i, i)
-		}
-	}
-	if st := s.Stats(); st.MaxBatch != 8 {
-		t.Errorf("largest dispatch %d, want the MaxBatch cap 8", st.MaxBatch)
-	}
-}
-
 type shapeErr struct{ d float64 }
 
 func (e *shapeErr) Error() string { return "served result diverges" }
 
-// TestServeBadRequestFailsAlone fuses a well-formed and a malformed
-// request into one dispatch: only the offender sees the error. A
+// TestServeBadRequestFailsAlone queues a well-formed and a malformed
+// request behind a busy engine: only the offender sees the error. A
 // zero-row tensor is malformed too (a wire frame with a zero dim decodes
-// to one): alone it is rejected, so fused it must not come back as an
-// empty success.
+// to one): it is rejected, never answered with an empty success.
 func TestServeBadRequestFailsAlone(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -332,7 +307,7 @@ func TestServeBadRequestFailsAlone(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			g := gestureGraph()
-			s, gate := gatedServer(t, g, ServeConfig{MaxBatch: 4})
+			s, gate := gatedServer(t, g, ServeConfig{})
 			defer s.Close()
 			plug := hold(t, s, gate, gestureIns(g, 0))
 			pend := submitAll(t, s, []map[string]*tensor.Tensor{
@@ -349,8 +324,7 @@ func TestServeBadRequestFailsAlone(t *testing.T) {
 			if _, err := pend[1].Wait(); err == nil {
 				t.Error("malformed request succeeded")
 			}
-			// One fused attempt, then the per-request retry.
-			gate.wantSizes(t, 1, 2, 1, 1)
+			gate.wantSizes(t, 1, 1, 1)
 		})
 	}
 }
@@ -375,7 +349,7 @@ func multiHeadGraph() *nn.Graph {
 
 func TestServeMultiHeadGraph(t *testing.T) {
 	g := multiHeadGraph()
-	s, gate := gatedServer(t, g, ServeConfig{MaxBatch: 4})
+	s, gate := gatedServer(t, g, ServeConfig{})
 	defer s.Close()
 	eng, err := inference.Compile(g)
 	if err != nil {
@@ -391,7 +365,7 @@ func TestServeMultiHeadGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Eight clients queued behind a busy engine, so the full maps flow
-	// through fused dispatches.
+	// through the queue.
 	plug := hold(t, s, gate, ins)
 	const clients = 8
 	all := make([]map[string]*tensor.Tensor, clients)
@@ -414,7 +388,7 @@ func TestServeMultiHeadGraph(t *testing.T) {
 			}
 		}
 	}
-	gate.wantSizes(t, 1, 4, 4)
+	gate.wantSizes(t, 1, 1, 1, 1, 1, 1, 1, 1, 1)
 }
 
 func TestServeCompiledAccelBackend(t *testing.T) {
@@ -461,7 +435,7 @@ func TestServeCompiledAccelBackend(t *testing.T) {
 // still queued when Close lands are failed, not executed.
 func TestServeDrainFailsQueued(t *testing.T) {
 	g := gestureGraph()
-	s, gate := gatedServer(t, g, ServeConfig{MaxBatch: 1, QueueDepth: 8})
+	s, gate := gatedServer(t, g, ServeConfig{QueueDepth: 8})
 	// One request is in flight inside the engine, two sit in the queue.
 	inflight := hold(t, s, gate, gestureIns(g, 1))
 	queued := submitAll(t, s, []map[string]*tensor.Tensor{gestureIns(g, 2), gestureIns(g, 3)})
@@ -493,7 +467,7 @@ func TestServeDrainFailsQueued(t *testing.T) {
 // (result or closed error) and the server must shut down cleanly.
 func TestServeInferRacingClose(t *testing.T) {
 	g := gestureGraph()
-	s, gate := gatedServer(t, g, ServeConfig{MaxBatch: 4})
+	s, gate := gatedServer(t, g, ServeConfig{})
 	plug := hold(t, s, gate, gestureIns(g, 0))
 	const clients = 24
 	var wg sync.WaitGroup
@@ -529,56 +503,6 @@ func TestServeInferRacingClose(t *testing.T) {
 	}
 	if _, err := plug.Wait(); err != nil {
 		t.Errorf("request already inside the engine failed across Close: %v", err)
-	}
-}
-
-// TestServeFusedBatchFailureIsolation forces three requests into one
-// fused dispatch with one malformed input: the dispatch fails, the
-// individual retry isolates the offender, and the well-formed requests
-// still succeed with engine-exact results.
-func TestServeFusedBatchFailureIsolation(t *testing.T) {
-	g := gestureGraph()
-	s, gate := gatedServer(t, g, ServeConfig{MaxBatch: 3})
-	defer s.Close()
-	eng, err := inference.Compile(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	good := gestureIns(g, 1)
-	want, err := eng.RunSingle(good[g.Inputs[0]])
-	if err != nil {
-		t.Fatal(err)
-	}
-	plug := hold(t, s, gate, gestureIns(g, 0))
-	pend := submitAll(t, s, []map[string]*tensor.Tensor{
-		good,
-		{g.Inputs[0]: tensor.New(tensor.FP32, 1, 3, 16, 16)}, // wrong channels
-		good,
-	})
-	gate.open()
-	if _, err := plug.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	for _, i := range []int{0, 2} {
-		outs, err := pend[i].Wait()
-		if err != nil {
-			t.Errorf("well-formed request %d failed: %v", i, err)
-			continue
-		}
-		if d, _ := tensor.MaxAbsDiff(want, outs[g.Outputs[0]]); d != 0 {
-			t.Errorf("well-formed request %d diverges by %g", i, d)
-		}
-	}
-	if _, err := pend[1].Wait(); err == nil {
-		t.Error("malformed request succeeded")
-	}
-	gate.wantSizes(t, 1, 3, 1, 1, 1)
-	st := s.Stats()
-	if st.Batches != 2 {
-		t.Errorf("requests split across %d dispatches, want the held one plus 1 fused batch", st.Batches)
-	}
-	if st.MaxBatch != 3 {
-		t.Errorf("fused batch size %d, want 3", st.MaxBatch)
 	}
 }
 
@@ -643,17 +567,16 @@ func TestServeCompiledValidates(t *testing.T) {
 }
 
 // TestSubmitCancelledBeforeDispatch pins the context path through
-// the batch queue: a request whose context dies while it is still
+// the queue: a request whose context dies while it is still
 // queued must resolve with the context error without ever reaching the
 // engine, and must not count as a served request.
 func TestSubmitCancelledBeforeDispatch(t *testing.T) {
 	g := gestureGraph()
-	s, gate := gatedServer(t, g, ServeConfig{MaxBatch: 4})
+	s, gate := gatedServer(t, g, ServeConfig{})
 	defer s.Close()
 	plug := hold(t, s, gate, gestureIns(g, 0))
 
-	// A doomed and a live request queue behind the busy engine and land
-	// in the same dispatch.
+	// A doomed and a live request queue behind the busy engine.
 	ctx, cancel := context.WithCancel(context.Background())
 	doomedIns, liveIns := gestureIns(g, 1), gestureIns(g, 2)
 	doomed := submit(t, s, ctx, doomedIns)
@@ -692,12 +615,12 @@ func TestSubmitCancelledBeforeDispatch(t *testing.T) {
 	}
 }
 
-// TestDispatchDropsCancelledQueued cancels a whole queued batch: the
-// dispatcher drops it without an engine call, counts every member in
-// Cancelled, and moves on to the live request behind it.
+// TestDispatchDropsCancelledQueued cancels three queued requests in a
+// row: the dispatcher drops each without an engine call, counts every
+// one in Cancelled, and moves on to the live request behind them.
 func TestDispatchDropsCancelledQueued(t *testing.T) {
 	g := gestureGraph()
-	s, gate := gatedServer(t, g, ServeConfig{MaxBatch: 3})
+	s, gate := gatedServer(t, g, ServeConfig{})
 	defer s.Close()
 	plug := hold(t, s, gate, gestureIns(g, 0))
 
@@ -719,10 +642,10 @@ func TestDispatchDropsCancelledQueued(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The all-cancelled batch of three never became an engine call.
+	// The three cancelled requests never became an engine call.
 	gate.wantSizes(t, 1, 1)
 	st := s.Stats()
 	if st.Cancelled != 3 || st.Requests != 2 || st.Batches != 2 {
-		t.Errorf("stats %+v, want 3 cancelled and 2 requests in 2 dispatches", st)
+		t.Errorf("stats %+v, want 3 cancelled and 2 requests in 2 engine runs", st)
 	}
 }

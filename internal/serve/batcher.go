@@ -223,12 +223,10 @@ func (b *batcher) submit(members []batchMember) {
 	if len(members) == 0 {
 		return
 	}
-	b.stats.batches.Add(1)
 	totalRows := 0
 	for _, m := range members {
 		totalRows += m.rows
 	}
-	b.stats.rows.Add(int64(totalRows))
 
 	// A single member keeps its own context so cancellation still
 	// reaches the queue; a merged batch runs under a background one, so
@@ -250,6 +248,10 @@ func (b *batcher) submit(members []batchMember) {
 		}
 		return
 	}
+	// Counted once admitted: a submission the scheduler shed never became
+	// a batch, and overload must not read as coalescing.
+	b.stats.batches.Add(1)
+	b.stats.rows.Add(int64(totalRows))
 	go b.deliver(ctx, tk, members, totalRows)
 }
 

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strconv"
 
-	"vedliot/internal/cluster"
 	"vedliot/internal/tensor"
 )
 
@@ -57,10 +56,16 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown api key", http.StatusUnauthorized)
 		return
 	}
+	// The framed path's bound: a body past MaxFrame is refused, not read.
 	var req HTTPInferRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, int64(s.cfg.MaxFrame))).Decode(&req); err != nil {
 		s.badRequest.Add(1)
-		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, fmt.Sprintf("bad request body: %v", err), status)
 		return
 	}
 	ins := make(map[string]*tensor.Tensor, len(req.Inputs))
@@ -85,26 +90,24 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		done <- clientReply{outs: outs, err: err}
 	})
 	rep := <-done
-	switch {
-	case rep.err == nil:
+	switch s.classify(rep.err) {
+	case StatusOK:
 		resp := HTTPInferResponse{Outputs: make(map[string]HTTPTensor, len(rep.outs))}
 		for name, t := range rep.outs {
 			resp.Outputs[name] = HTTPTensor{Shape: t.Shape, Data: t.F32}
 		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(resp)
-	case errors.Is(rep.err, cluster.ErrOverloaded):
-		s.overloaded.Add(1)
+	case StatusOverloaded:
 		secs := int((s.cfg.RetryAfter + 999999999) / 1000000000)
 		if secs < 1 {
 			secs = 1
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
 		http.Error(w, "overloaded", http.StatusTooManyRequests)
-	case errors.Is(rep.err, cluster.ErrClosed):
+	case StatusShuttingDown:
 		http.Error(w, "shutting down", http.StatusServiceUnavailable)
 	default:
-		s.errs.Add(1)
 		http.Error(w, rep.err.Error(), http.StatusInternalServerError)
 	}
 }

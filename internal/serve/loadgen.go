@@ -82,6 +82,47 @@ type LoadResult struct {
 	SLOViolationRate float64
 }
 
+// tally is a LoadResult being counted, with the latencies its summary
+// is taken from: one per closed-loop client, or one shared under a lock
+// by an open-loop replay.
+type tally struct {
+	res  LoadResult
+	lats []time.Duration
+}
+
+// record classifies one finished request: a success (a slow one
+// violates the SLO), a terminal shed or a hard failure.
+func (ta *tally) record(err error, lat, slo time.Duration) {
+	var ra *RetryAfterError
+	switch {
+	case err == nil:
+		ta.res.Completed++
+		ta.lats = append(ta.lats, lat)
+		if slo > 0 && lat > slo {
+			ta.res.SLOViolations++
+		}
+	case errors.As(err, &ra) || errors.Is(err, cluster.ErrOverloaded):
+		ta.res.Shed++
+		ta.res.SLOViolations++
+	default:
+		ta.res.Failed++
+		ta.res.SLOViolations++
+	}
+}
+
+// result summarizes the tally of a run of this many requests.
+func (ta *tally) result(requests int, elapsed time.Duration) LoadResult {
+	res := ta.res
+	res.Requests, res.Elapsed, res.Latency = requests, elapsed, cluster.Summarize(ta.lats)
+	if elapsed > 0 {
+		res.Throughput = float64(res.Completed) / elapsed.Seconds()
+	}
+	if requests > 0 {
+		res.SLOViolationRate = float64(res.SLOViolations) / float64(requests)
+	}
+	return res
+}
+
 // RunClosedLoop drives a closed-loop client population over the
 // transport: each client waits for its response (or terminal shed),
 // thinks, then issues its next request. Real goroutines, real sockets
@@ -102,12 +143,7 @@ func RunClosedLoop(tr Transport, cfg LoadConfig) (LoadResult, error) {
 		maxRetries = 3
 	}
 
-	type clientTally struct {
-		lats                           []time.Duration
-		completed, shed, failed, retry int
-		violations                     int
-	}
-	tallies := make([]clientTally, cfg.Clients)
+	tallies := make([]tally, cfg.Clients)
 	var wg sync.WaitGroup
 	start := time.Now()
 	for i := 0; i < cfg.Clients; i++ {
@@ -129,28 +165,13 @@ func RunClosedLoop(tr Transport, cfg LoadConfig) (LoadResult, error) {
 					_, err = tr.InferCtx(context.Background(), cfg.Model, ins)
 					var ra *RetryAfterError
 					if cfg.Retry && errors.As(err, &ra) && attempt < maxRetries {
-						ta.retry++
+						ta.res.Retries++
 						time.Sleep(ra.After)
 						continue
 					}
 					break
 				}
-				lat := time.Since(t0)
-				var ra *RetryAfterError
-				switch {
-				case err == nil:
-					ta.completed++
-					ta.lats = append(ta.lats, lat)
-					if cfg.SLO > 0 && lat > cfg.SLO {
-						ta.violations++
-					}
-				case errors.As(err, &ra) || errors.Is(err, cluster.ErrOverloaded):
-					ta.shed++
-					ta.violations++
-				default:
-					ta.failed++
-					ta.violations++
-				}
+				ta.record(err, time.Since(t0), cfg.SLO)
 				if cfg.Think > 0 {
 					time.Sleep(time.Duration(rng.ExpFloat64() * float64(cfg.Think)))
 				}
@@ -158,34 +179,25 @@ func RunClosedLoop(tr Transport, cfg LoadConfig) (LoadResult, error) {
 		}(i)
 	}
 	wg.Wait()
+	elapsed := time.Since(start)
 
-	res := LoadResult{Elapsed: time.Since(start)}
-	var lats []time.Duration
+	var total tally
 	for i := range tallies {
 		ta := &tallies[i]
-		res.Completed += ta.completed
-		res.Shed += ta.shed
-		res.Failed += ta.failed
-		res.Retries += ta.retry
-		res.SLOViolations += ta.violations
-		lats = append(lats, ta.lats...)
+		total.res.Completed += ta.res.Completed
+		total.res.Shed += ta.res.Shed
+		total.res.Failed += ta.res.Failed
+		total.res.Retries += ta.res.Retries
+		total.res.SLOViolations += ta.res.SLOViolations
+		total.lats = append(total.lats, ta.lats...)
 	}
-	res.Requests = cfg.Clients * cfg.RequestsPerClient
-	res.Latency = cluster.Summarize(lats)
-	if res.Elapsed > 0 {
-		res.Throughput = float64(res.Completed) / res.Elapsed.Seconds()
-	}
-	if res.Requests > 0 {
-		res.SLOViolationRate = float64(res.SLOViolations) / float64(res.Requests)
-	}
-	return res, nil
+	return total.result(cfg.Clients*cfg.RequestsPerClient, elapsed), nil
 }
 
 // ReplayOpenLoop fires the trace's arrivals at the transport without
 // waiting for completions — the bursty, non-self-throttling regime that
-// exercises shedding. Arrival offsets are compressed by speedup (2 =
-// twice as fast as recorded).
-func ReplayOpenLoop(tr Transport, trace cluster.Trace, cfg LoadConfig, speedup float64) (LoadResult, error) {
+// exercises shedding.
+func ReplayOpenLoop(tr Transport, trace cluster.Trace, cfg LoadConfig) (LoadResult, error) {
 	if tr == nil {
 		return LoadResult{}, errors.New("serve: load: nil transport")
 	}
@@ -195,19 +207,13 @@ func ReplayOpenLoop(tr Transport, trace cluster.Trace, cfg LoadConfig, speedup f
 	if len(trace.Arrivals) == 0 {
 		return LoadResult{}, errors.New("serve: load: empty trace")
 	}
-	if speedup <= 0 {
-		speedup = 1
-	}
 	var (
-		wg         sync.WaitGroup
-		mu         sync.Mutex
-		lats       []time.Duration
-		res        LoadResult
-		violations int
+		wg sync.WaitGroup
+		mu sync.Mutex
+		ta tally
 	)
 	start := time.Now()
 	for i, at := range trace.Arrivals {
-		at = time.Duration(float64(at) / speedup)
 		if wait := at - time.Since(start); wait > 0 {
 			time.Sleep(wait)
 		}
@@ -217,35 +223,11 @@ func ReplayOpenLoop(tr Transport, trace cluster.Trace, cfg LoadConfig, speedup f
 			t0 := time.Now()
 			_, err := tr.InferCtx(context.Background(), cfg.Model, cfg.Inputs(i))
 			lat := time.Since(t0)
-			var ra *RetryAfterError
 			mu.Lock()
 			defer mu.Unlock()
-			switch {
-			case err == nil:
-				res.Completed++
-				lats = append(lats, lat)
-				if cfg.SLO > 0 && lat > cfg.SLO {
-					violations++
-				}
-			case errors.As(err, &ra) || errors.Is(err, cluster.ErrOverloaded):
-				res.Shed++
-				violations++
-			default:
-				res.Failed++
-				violations++
-			}
+			ta.record(err, lat, cfg.SLO)
 		}(i)
 	}
 	wg.Wait()
-	res.Requests = len(trace.Arrivals)
-	res.Elapsed = time.Since(start)
-	res.Latency = cluster.Summarize(lats)
-	res.SLOViolations = violations
-	if res.Elapsed > 0 {
-		res.Throughput = float64(res.Completed) / res.Elapsed.Seconds()
-	}
-	if res.Requests > 0 {
-		res.SLOViolationRate = float64(res.SLOViolations) / float64(res.Requests)
-	}
-	return res, nil
+	return ta.result(len(trace.Arrivals), time.Since(start)), nil
 }

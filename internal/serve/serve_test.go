@@ -182,10 +182,11 @@ func TestAPIKeyAuth(t *testing.T) {
 
 // TestOverloadRetryAfter drives an open-loop burst at a single-replica
 // fleet with depth-1 queues: part of the burst must come back as
-// RetryAfterError with the configured hint.
+// RetryAfterError with the configured hint, and a shed submission must
+// leave the coalescing counters where they were.
 func TestOverloadRetryAfter(t *testing.T) {
 	srv, _, g := startServer(t, 1,
-		cluster.Config{QueueDepth: 1, MaxBatch: 1},
+		cluster.Config{QueueDepth: 1},
 		Config{Batch: BatchPolicy{MaxBatch: 1}, RetryAfter: 7 * time.Millisecond},
 	)
 	pool, err := DialPool(srv.Addr(), "", 4)
@@ -226,8 +227,12 @@ func TestOverloadRetryAfter(t *testing.T) {
 	if ok == 0 {
 		t.Error("saturated burst completed nothing")
 	}
-	if st := srv.Stats(); st.Overloaded != int64(shed) {
+	st := srv.Stats()
+	if st.Overloaded != int64(shed) {
 		t.Errorf("server counted %d overloaded, clients saw %d", st.Overloaded, shed)
+	}
+	if st.Batches != int64(ok) || st.BatchedRows != int64(ok) {
+		t.Errorf("server counted %d rows over %d submissions, the scheduler admitted %d single-row ones", st.BatchedRows, st.Batches, ok)
 	}
 }
 
@@ -235,10 +240,7 @@ func TestOverloadRetryAfter(t *testing.T) {
 // against bounded queues sheds without deadlock even when the server
 // and scheduler close mid-burst, and every request resolves.
 func TestBurstShedCloseMidBurst(t *testing.T) {
-	sched := cluster.NewScheduler(armFleet(t, 1), cluster.Config{
-		QueueDepth: 2,
-		MaxBatch:   1,
-	})
+	sched := cluster.NewScheduler(armFleet(t, 1), cluster.Config{QueueDepth: 2})
 	g := testModel()
 	if _, err := sched.Deploy(g); err != nil {
 		sched.Close()
@@ -661,8 +663,9 @@ func TestBatcherCapacityRule(t *testing.T) {
 }
 
 func TestHTTPAdapter(t *testing.T) {
+	const maxFrame = 1 << 16
 	srv, _, g := startServer(t, 1, cluster.Config{QueueDepth: 64},
-		Config{Keys: map[string]string{"sk-h": "web"}})
+		Config{Keys: map[string]string{"sk-h": "web"}, MaxFrame: maxFrame})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -712,6 +715,26 @@ func TestHTTPAdapter(t *testing.T) {
 	got := tensor.MustFromSlice(ht.Data, ht.Shape...)
 	if d, _ := tensor.MaxAbsDiff(want, got); d != 0 {
 		t.Errorf("HTTP result diverges from engine by %g", d)
+	}
+
+	// A body past MaxFrame: 413, counted as a bad request, never decoded
+	// to the end.
+	big, _ := json.Marshal(HTTPInferRequest{
+		Model:  g.Name,
+		Inputs: map[string]HTTPTensor{g.Inputs[0]: {Shape: []int{1, maxFrame}, Data: make([]float32, maxFrame)}},
+	})
+	bad := srv.Stats().BadRequest
+	req, _ = newJSONRequest(ts.URL+"/v1/infer", big, "sk-h")
+	resp, err = ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("%d-byte body against a %d-byte bound got %d, want 413", len(big), maxFrame, resp.StatusCode)
+	}
+	if got := srv.Stats().BadRequest; got != bad+1 {
+		t.Errorf("oversized body moved BadRequest from %d to %d, want one more", bad, got)
 	}
 
 	// Model list includes the deployment.
@@ -787,7 +810,7 @@ func TestRunClosedLoopOverSocket(t *testing.T) {
 // bounded fleet: sheds happen, nothing deadlocks, accounting holds.
 func TestReplayOpenLoopBursts(t *testing.T) {
 	srv, _, g := startServer(t, 1,
-		cluster.Config{QueueDepth: 2, MaxBatch: 1},
+		cluster.Config{QueueDepth: 2},
 		Config{Batch: BatchPolicy{MaxBatch: 1}})
 	cl, err := Dial(srv.Addr(), "")
 	if err != nil {
@@ -801,7 +824,7 @@ func TestReplayOpenLoopBursts(t *testing.T) {
 		Inputs: func(i int) map[string]*tensor.Tensor {
 			return map[string]*tensor.Tensor{g.Inputs[0]: testInput(i)}
 		},
-	}, 1)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -339,11 +339,31 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// encodeReply turns one completion into a reply frame, classifying the
-// error into the protocol's status codes.
-func (s *Server) encodeReply(id uint64, outs map[string]*tensor.Tensor, err error) []byte {
+// classify maps a completion error to its protocol status and does the
+// counting both adapters share: a shed is Overloaded, an engine-side
+// failure is Errors, and shutdown or a vanished caller is neither.
+func (s *Server) classify(err error) byte {
 	switch {
 	case err == nil:
+		return StatusOK
+	case errors.Is(err, cluster.ErrOverloaded):
+		s.overloaded.Add(1)
+		return StatusOverloaded
+	case errors.Is(err, cluster.ErrClosed):
+		return StatusShuttingDown
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		// The caller vanished; the reply has nowhere to go.
+		return StatusError
+	default:
+		s.errs.Add(1)
+		return StatusError
+	}
+}
+
+// encodeReply turns one completion into a reply frame.
+func (s *Server) encodeReply(id uint64, outs map[string]*tensor.Tensor, err error) []byte {
+	switch s.classify(err) {
+	case StatusOK:
 		b := beginFrame(TypeReply, id, 64)
 		b = append(b, StatusOK)
 		b, encErr := appendTensorMap(b, outs)
@@ -353,8 +373,7 @@ func (s *Server) encodeReply(id uint64, outs map[string]*tensor.Tensor, err erro
 			return errorReply(id, StatusError, encErr.Error())
 		}
 		return finishFrame(b)
-	case errors.Is(err, cluster.ErrOverloaded):
-		s.overloaded.Add(1)
+	case StatusOverloaded:
 		b := beginFrame(TypeReply, id, 5)
 		b = append(b, StatusOverloaded)
 		ms := s.cfg.RetryAfter.Milliseconds()
@@ -363,14 +382,9 @@ func (s *Server) encodeReply(id uint64, outs map[string]*tensor.Tensor, err erro
 		}
 		b = binary.LittleEndian.AppendUint32(b, uint32(ms))
 		return finishFrame(b)
-	case errors.Is(err, cluster.ErrClosed):
+	case StatusShuttingDown:
 		return errorReply(id, StatusShuttingDown, "fleet shutting down")
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		// The caller vanished; the reply has nowhere to go but the
-		// writer will drop it with the dead connection.
-		return errorReply(id, StatusError, err.Error())
 	default:
-		s.errs.Add(1)
 		return errorReply(id, StatusError, err.Error())
 	}
 }
