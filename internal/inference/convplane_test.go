@@ -168,6 +168,35 @@ func TestConvPlaneFormMatchesInterpreter(t *testing.T) {
 		g, in := c.graph(specials)
 		checkConvF32(t, c, g, in)
 	})
+	for _, c := range narrowPlaneCases {
+		if c.gemm() {
+			t.Fatalf("%v: pinned for the plane form, routes to the GEMM form", c)
+		}
+		for _, specials := range [][]float32{nil, f32Specials} {
+			g, in := c.graph(specials)
+			checkConvF32(t, c, g, in)
+		}
+	}
+}
+
+// narrowPlaneCases pins the plane-form geometries where a row is not a
+// whole number of vectors, which the random sweep only meets by chance:
+// stride-2 planes of odd width (the copy-in's column phases differ in
+// length and the last column has no partner), planes whose output rows
+// are narrower than one vector (4x4 and 3x3: the tile epilogue's
+// four-wide and single-value steps), and pointwise planes of 16 and 9
+// pixels. All depthwise or 3 deep, so all on the plane form.
+var narrowPlaneCases = []convCase{
+	{inH: 33, inW: 31, kh: 3, kw: 3, sh: 2, sw: 2, ph: 1, pw: 1, groups: 4, icPerG: 1, batch: 3, workers: 2, seed: 11},
+	{inH: 17, inW: 15, kh: 5, kw: 5, sh: 2, sw: 2, ph: 2, pw: 2, groups: 3, icPerG: 1, batch: 1, workers: 1, seed: 12},
+	{inH: 9, inW: 7, kh: 3, kw: 3, sh: 2, sw: 2, ph: 1, pw: 1, groups: 2, icPerG: 1, batch: 3, workers: 2, seed: 13},
+	{inH: 6, inW: 19, kh: 3, kw: 5, sh: 1, sw: 2, ph: 1, pw: 0, groups: 4, icPerG: 1, batch: 8, workers: 2, seed: 14},
+	{inH: 4, inW: 4, kh: 3, kw: 3, sh: 1, sw: 1, ph: 1, pw: 1, groups: 4, icPerG: 1, batch: 3, workers: 2, seed: 15},
+	{inH: 3, inW: 3, kh: 3, kw: 3, sh: 1, sw: 1, ph: 1, pw: 1, groups: 4, icPerG: 1, batch: 3, workers: 1, seed: 16},
+	{inH: 8, inW: 8, kh: 3, kw: 3, sh: 2, sw: 2, ph: 1, pw: 1, groups: 4, icPerG: 1, batch: 1, workers: 1, seed: 17},
+	{inH: 5, inW: 5, kh: 5, kw: 5, sh: 2, sw: 2, ph: 2, pw: 2, groups: 3, icPerG: 1, batch: 3, workers: 2, seed: 18},
+	{inH: 4, inW: 4, kh: 1, kw: 1, sh: 1, sw: 1, groups: 2, icPerG: 3, batch: 3, workers: 2, seed: 19},
+	{inH: 3, inW: 3, kh: 1, kw: 1, sh: 1, sw: 1, groups: 2, icPerG: 3, batch: 1, workers: 1, seed: 20},
 }
 
 // pickCases trims the randomized sweeps under -short.

@@ -200,7 +200,7 @@ func bindConvGemm(g convGeom, w *tensor.Tensor, bias []float32, ep *epilogue, wf
 			copy(biasAll[grp*bpg:], bias[grp*g.ocPerG:(grp+1)*g.ocPerG])
 		}
 	}
-	pointwise := g.kh == 1 && g.kw == 1 && g.sh == 1 && g.sw == 1 && g.ph == 0 && g.pw == 0
+	pointwise := g.pointwise()
 	nt := (px + nr - 1) / nr
 	ktaps := g.kh * g.kw
 	plans := buildConvPlans(&g, nr, nt, px)
@@ -242,20 +242,17 @@ func bindConvGemm(g convGeom, w *tensor.Tensor, bias []float32, ep *epilogue, wf
 					}
 					ap := apack[grp*apg+p*mr*taps : grp*apg+(p+1)*mr*taps]
 					bp := biasAll[grp*bpg+p*mr : grp*bpg+(p+1)*mr]
+					// A full tile lands in dst and takes its epilogue in
+					// place; a ragged one leaves the C tile through it.
+					out := dst[(b*g.outC+oc0)*px+j0:]
 					if mh == mr && jw == nr {
-						kern.Run(ap, bt, ldb, taps, bp, dst[(b*g.outC+oc0)*px+j0:], px)
+						kern.Run(ap, bt, ldb, taps, bp, out, px)
+						if ep != nil {
+							ep.tile(out, px, out, px, mh, jw, oc0, true)
+						}
 					} else {
 						kern.Run(ap, bt, ldb, taps, bp, ctile, nr)
-						for i := 0; i < mh; i++ {
-							off := (b*g.outC+oc0+i)*px + j0
-							copy(dst[off:off+jw], ctile[i*nr:i*nr+jw])
-						}
-					}
-					if ep != nil {
-						for i := 0; i < mh; i++ {
-							off := (b*g.outC+oc0+i)*px + j0
-							ep.apply(dst[off:off+jw], oc0+i)
-						}
+						ep.tile(out, px, ctile, nr, mh, jw, oc0, true)
 					}
 				}
 			}
@@ -288,7 +285,7 @@ func bindQuantConvGemm(p *qconv) (kfn kernelFunc[int8], spec scratchSpec, ok boo
 	kern := tensor.PickGemmI16MaxWidth(px)
 	mr, nr := kern.MR, kern.NR
 	nt := (px + nr - 1) / nr
-	pointwise := g.kh == 1 && g.kw == 1 && g.sh == 1 && g.sw == 1 && g.ph == 0 && g.pw == 0
+	pointwise := g.pointwise()
 	ktaps := g.kh * g.kw
 	var plans [][]convSeg
 	spec = scratchSpec{i16PerWorker: kp * 2 * nr, i32PerWorker: mr * nr}

@@ -374,88 +374,69 @@ func softmaxRows(x *tensor.Tensor) (*tensor.Tensor, error) {
 
 // epilogue is a producer's fused element-wise tail: an optional leading
 // per-channel affine (a folded batch-norm) followed by an activation
-// tail. The common conv → batch-norm → ReLU block compiles to the
-// branch-free inline loop in apply; exotic chains fall back to composed
-// closures. Applied to the same float32 the unfused steps would read,
-// it yields bitwise-identical results.
+// tail. The affine and a tail of one ReLU, h-swish or h-sigmoid are one
+// pass of tensor.EpilogueTileF32 over the producer's tile; exotic chains
+// follow it with composed closures. Applied to the same float32 the
+// unfused steps would read, it yields bitwise-identical results.
 type epilogue struct {
 	// scale/shift is the leading per-channel affine; nil when the chain
 	// starts with an activation.
 	scale, shift []float32
-	// relu marks a tail of exactly one ReLU (inlined fast path).
-	relu bool
+	// act is a tail of exactly one activation with a vector body.
+	act tensor.Act
 	// fn is a channel-independent activation tail (possibly several
-	// activations composed); nil when relu or no tail.
+	// activations composed), act's scalar form included; nil when there
+	// is no tail or it is per-channel.
 	fn func(float32) float32
-	// vec is fn over a whole span, set when the tail is one activation
-	// with a vector kernel (spanActivation).
-	vec func([]float32)
 	// fnCh is the rare per-channel tail (a second batch-norm somewhere
 	// in the chain); nil otherwise.
 	fnCh []func(float32) float32
 }
 
-// apply maps one channel's epilogue over a just-written output span,
-// while it is still cache-hot from the producing kernel.
-func (ep *epilogue) apply(span []float32, ch int) {
-	if ep.scale != nil {
-		s, sh := ep.scale[ch], ep.shift[ch]
-		switch {
-		case ep.relu:
-			tensor.ScaleShiftReluF32(span, s, sh)
-		case ep.vec != nil:
-			// Two passes over a cache-hot span; the affine's result is
-			// the same float32 the one-pass closure form would feed fn.
-			tensor.ScaleShiftF32(span, s, sh)
-			ep.vec(span)
-		case ep.fn != nil:
-			f := ep.fn
-			for i, v := range span {
-				span[i] = f(v*s + sh)
-			}
-		case ep.fnCh != nil:
-			f := ep.fnCh[ch]
-			for i, v := range span {
-				span[i] = f(v*s + sh)
-			}
-		default:
-			tensor.ScaleShiftF32(span, s, sh)
-		}
+// tile moves a rows x cols tile from src (row stride lds) to dst (row
+// stride ldd) through the epilogue while it is still cache-hot from the
+// producing kernel; dst may be src. Row r is channel ch+r when chRows is
+// set (the rows of a GEMM C tile) and channel ch otherwise (the rows of
+// one plane). A nil epilogue is the plain copy.
+func (ep *epilogue) tile(dst []float32, ldd int, src []float32, lds, rows, cols, ch int, chRows bool) {
+	if ep == nil {
+		tensor.EpilogueTileF32(dst, ldd, src, lds, rows, cols, nil, nil, tensor.ActNone)
 		return
 	}
-	switch {
-	case ep.relu:
-		tensor.ReluF32(span)
-	case ep.vec != nil:
-		ep.vec(span)
-	case ep.fn != nil:
-		f := ep.fn
-		for i, v := range span {
-			span[i] = f(v)
+	var scale, shift []float32
+	if ep.scale != nil {
+		n := 1
+		if chRows {
+			n = rows
 		}
-	case ep.fnCh != nil:
-		f := ep.fnCh[ch]
-		for i, v := range span {
-			span[i] = f(v)
+		scale, shift = ep.scale[ch:ch+n], ep.shift[ch:ch+n]
+	}
+	tensor.EpilogueTileF32(dst, ldd, src, lds, rows, cols, scale, shift, ep.act)
+	if ep.act != tensor.ActNone || (ep.fn == nil && ep.fnCh == nil) {
+		return
+	}
+	// The affine's result is the same float32 a one-pass closure would
+	// feed the tail.
+	for r := 0; r < rows; r++ {
+		f := ep.fn
+		if f == nil {
+			f = ep.fnCh[ch]
+		}
+		if chRows {
+			ch++
+		}
+		row := dst[r*ldd:][:cols]
+		for i, v := range row {
+			row[i] = f(v)
 		}
 	}
 }
 
 // scalar returns the epilogue for channel ch as one composed function
-// (the dense binder precomputes these per output feature).
+// (the dense and batch-norm binders precompute these per channel).
 func (ep *epilogue) scalar(ch int) func(float32) float32 {
-	var tail func(float32) float32
-	switch {
-	case ep.relu:
-		tail = func(v float32) float32 {
-			if v < 0 {
-				return 0
-			}
-			return v
-		}
-	case ep.fn != nil:
-		tail = ep.fn
-	case ep.fnCh != nil:
+	tail := ep.fn
+	if ep.fnCh != nil {
 		tail = ep.fnCh[ch]
 	}
 	if ep.scale == nil {
@@ -629,14 +610,18 @@ func bindConv(n *nn.Node, in, out tensor.Shape, ep *epilogue, fp16 bool, stats *
 	stats.addWeightBytes(len(wv) * 4)
 	planeCost := convPlaneCost(&g)
 	px := g.outH * g.outW
-	// Three plane forms. A 1x1 stride-1 unpadded conv has no border and
-	// accumulates whole input planes. Otherwise the padded plane form
-	// (convPad) applies when a zero border is bitwise invisible for these
-	// weights; a non-finite tap or a -0 bias keeps the clipped loop.
-	pointwise := g.kh == 1 && g.kw == 1 && g.sh == 1 && g.sw == 1 && g.ph == 0 && g.pw == 0
+	// Three plane forms. A 1x1 stride-1 unpadded conv has no border: its
+	// input planes are the tap windows as they lie. Otherwise the padded
+	// plane form (convPad) applies when a zero border is bitwise
+	// invisible for these weights; a non-finite tap or a -0 bias keeps
+	// the clipped loop.
+	pointwise := g.pointwise()
 	var pd *convPad
 	var spec scratchSpec
-	if !pointwise && convPadExact(wv, bias) {
+	switch {
+	case pointwise:
+		pd = pointwiseConvPad(&g)
+	case convPadExact(wv, bias):
 		pd = newConvPad(&g)
 		spec.f32PerWorker = pd.inLen + pd.accLen
 	}
@@ -644,23 +629,29 @@ func bindConv(n *nn.Node, in, out tensor.Shape, ep *epilogue, fp16 bool, stats *
 		xv := srcs[0]
 		rc.parallelForWorker(rc.batch*g.outC, planeCost, func(worker, lo, hi int) {
 			var xp, acc []float32
-			if pd != nil {
+			if spec.f32PerWorker > 0 {
 				ws := rc.f32Worker(worker, spec.f32PerWorker)
 				xp, acc = ws[:pd.inLen], ws[pd.inLen:]
 				clear(xp) // the border and slack stay zero across this chunk's planes
 			}
 			for p := lo; p < hi; p++ {
 				b, oc := p/g.outC, p%g.outC
+				var b0 float32
+				if bias != nil {
+					b0 = bias[oc]
+				}
+				out := dst[p*px : (p+1)*px]
 				switch {
 				case pointwise:
-					convPlanePointwise(dst, xv, wv, bias, &g, b, oc)
+					convPlanePointwise(out, xv, wv, b0, &g, pd, b, oc)
 				case pd != nil:
-					convPlanePadded(dst, xv, wv, bias, &g, pd, xp, acc, b, oc)
+					convPlanePadded(out, xv, wv, b0, ep, &g, pd, xp, acc, b, oc)
+					continue // the plane left its accumulator through the epilogue
 				default:
-					convPlaneClipped(dst, xv, wv, bias, &g, b, oc)
+					convPlaneClipped(out, xv, wv, b0, &g, b, oc)
 				}
 				if ep != nil {
-					ep.apply(dst[p*px:(p+1)*px], oc)
+					ep.tile(out, px, out, px, 1, px, oc, false)
 				}
 			}
 		})
@@ -668,22 +659,33 @@ func bindConv(n *nn.Node, in, out tensor.Shape, ep *epilogue, fp16 bool, stats *
 	}, spec, nil
 }
 
-// convPad is the bind-time layout of the padded plane form shared by
-// the FP32 and INT8 direct convolutions. The input plane is copied once
-// into scratch with a zero border, split into sh*sw phase planes (phase
-// (py, px) holds the padded rows r = py mod sh and columns c = px mod
-// sw, so a strided conv reads every phase at unit stride), all with row
-// stride sp. The accumulator plane uses the same row stride, which
-// makes tap (ky, kx) one flat axpy of accLen elements: accumulator
-// index a = oy*sp+ox reads phase (ky%sh, kx%sw) at a + tapOff. The
-// sp-outW columns between accumulator rows compute values nobody reads.
+// pointwise reports the 1x1/stride-1/no-pad geometry, whose input and
+// output planes are contiguous and need no border.
+func (g *convGeom) pointwise() bool {
+	return g.kh == 1 && g.kw == 1 && g.sh == 1 && g.sw == 1 && g.ph == 0 && g.pw == 0
+}
+
+// convPad is the bind-time layout of the plane forms shared by the FP32
+// and INT8 direct convolutions, in the int32 offsets their kernels
+// take. The input plane is copied once into scratch with a zero border,
+// split into sh*sw phase planes (phase (py, px) holds the padded rows
+// r = py mod sh and columns c = px mod sw, so a strided conv reads every
+// phase at unit stride), all with row stride sp. The accumulator plane
+// uses the same row stride, which makes tap (ky, kx) one flat window of
+// accLen elements: accumulator index a = oy*sp+ox reads phase (ky%sh,
+// kx%sw) at a + tapOff. The sp-outW columns between accumulator rows
+// compute values nobody reads.
 type convPad struct {
-	sp     int   // row stride of phase planes and of the accumulator plane
-	inLen  int   // all sh*sw phase planes, border and read slack included
-	accLen int   // accumulator elements, rounded up to whole vectors
-	tapOff []int // per (ky, kx): offset of the tap's window in the phase planes
-	rowOff []int // per input row: offset of its phase-plane row
-	cols   []convPadCols
+	sp     int     // row stride of phase planes and of the accumulator plane
+	inLen  int     // all sh*sw phase planes, border and read slack included
+	accLen int     // accumulator elements, rounded up to whole vectors
+	tapOff []int32 // per (ky, kx): offset of the tap's window in the phase planes
+	rowOff []int32 // per input row: offset of its phase-plane row
+	// The column phases within a row: offE places the even input columns
+	// (every column at stride 1) and offO, at stride 2, the odd ones;
+	// cols serves the strides above 2.
+	offE, offO int
+	cols       []convPadCols
 }
 
 // convPadCols places the columns of one column phase: n elements of an
@@ -699,47 +701,47 @@ func newConvPad(g *convGeom) *convPad {
 	plane := max(rows*sp, accLen+(g.kh-1)/g.sh*sp+(g.kw-1)/g.sw)
 	pd := &convPad{
 		sp: sp, inLen: g.sh * g.sw * plane, accLen: accLen,
-		tapOff: make([]int, g.kh*g.kw), rowOff: make([]int, g.inH), cols: make([]convPadCols, g.sw),
+		tapOff: make([]int32, g.kh*g.kw), rowOff: make([]int32, g.inH), cols: make([]convPadCols, g.sw),
 	}
 	for ky := 0; ky < g.kh; ky++ {
 		for kx := 0; kx < g.kw; kx++ {
-			pd.tapOff[ky*g.kw+kx] = (ky%g.sh*g.sw+kx%g.sw)*plane + ky/g.sh*sp + kx/g.sw
+			pd.tapOff[ky*g.kw+kx] = int32((ky%g.sh*g.sw+kx%g.sw)*plane + ky/g.sh*sp + kx/g.sw)
 		}
 	}
 	for iy := range pd.rowOff {
 		r := iy + g.ph
-		pd.rowOff[iy] = r%g.sh*g.sw*plane + r/g.sh*sp
+		pd.rowOff[iy] = int32(r%g.sh*g.sw*plane + r/g.sh*sp)
 	}
 	for px := range pd.cols {
 		ix0 := ((px-g.pw)%g.sw + g.sw) % g.sw
 		// n is 0 when the plane is too narrow to hold a column of this phase.
 		pd.cols[px] = convPadCols{off: px*plane + (g.pw+ix0)/g.sw, ix0: ix0, n: max(g.inW-ix0+g.sw-1, 0) / g.sw}
 	}
+	pd.offE = pd.cols[0].off
+	if g.sw == 2 {
+		if pd.offO = pd.cols[1].off; pd.cols[0].ix0 != 0 {
+			pd.offE, pd.offO = pd.offO, pd.offE
+		}
+	}
+	return pd
+}
+
+// pointwiseConvPad is the layout of the pointwise plane form: the
+// group's input planes are the taps, one per input channel, read where
+// they lie.
+func pointwiseConvPad(g *convGeom) *convPad {
+	pd := &convPad{tapOff: make([]int32, g.icPerG)}
+	for ic := range pd.tapOff {
+		pd.tapOff[ic] = int32(ic * g.inH * g.inW)
+	}
 	return pd
 }
 
 // scatterPadRow spreads one input row over the column phases of a
-// strided conv's phase planes: phase c takes every sw-th column from
-// its ix0. xp starts at the row's rowOff. Shared by both executors (the
-// INT8 one widens the row first). Stride 2, the only stride above 1 in
-// the zoo, fills both phases in one pass over the row, which measures
-// 15-25% off a stride-2 depthwise step against the per-phase loop.
+// conv of stride above 2 (1 and 2 have copy-in kernels of their own):
+// phase c takes every sw-th column from its ix0. xp starts at the row's
+// rowOff. Shared by both executors (the INT8 one widens the row first).
 func scatterPadRow[T any](pd *convPad, xp, row []T, sw int) {
-	if sw == 2 {
-		ce, co := pd.cols[0], pd.cols[1] // ce takes the even input columns, co the odd ones
-		if ce.ix0 != 0 {
-			ce, co = co, ce
-		}
-		de, do := xp[ce.off:][:ce.n], xp[co.off:][:co.n]
-		for i := range do {
-			de[i] = row[2*i]
-			do[i] = row[2*i+1]
-		}
-		if len(de) > len(do) {
-			de[len(do)] = row[2*len(do)]
-		}
-		return
-	}
 	for _, c := range pd.cols {
 		d := xp[c.off:][:c.n]
 		ix := c.ix0
@@ -772,39 +774,32 @@ func convPadExact(wv, bias []float32) bool {
 }
 
 // convPlanePadded computes one (batch, output-channel) plane in the
-// padded plane form: per input channel, copy the plane into the phase
-// planes of xp (whose border is already zero), then one plane-length
-// AxpyF32 per tap into acc, and finally copy the valid columns out.
-// Every output element receives its taps in (ic, ky, kx) order, the
-// interpreter's order, plus w*0 for the taps the interpreter skips.
-func convPlanePadded(dst, xv, wv, bias []float32, g *convGeom, pd *convPad, xp, acc []float32, b, oc int) {
-	var b0 float32
-	if bias != nil {
-		b0 = bias[oc]
-	}
-	for i := range acc {
-		acc[i] = b0
-	}
+// padded plane form, three kernel calls as in qconvPlanePadded: per
+// input channel, one copy-in of the plane into the phase planes of xp
+// (whose border is already zero; a stride above 2 scatters row by row)
+// and one tensor.ConvTapsF32 over all its taps into acc, seeded with
+// the bias on the first channel and from the plane after it; then one
+// tile epilogue that compacts the valid columns into out. Every output
+// element receives its taps in (ic, ky, kx) order, the interpreter's
+// order, plus w*0 for the taps the interpreter skips.
+func convPlanePadded(out, xv, wv []float32, b0 float32, ep *epilogue, g *convGeom, pd *convPad, xp, acc []float32, b, oc int) {
 	icBase := oc / g.ocPerG * g.icPerG
+	hw, taps := g.inH*g.inW, g.kh*g.kw
 	for ic := 0; ic < g.icPerG; ic++ {
-		xBase := (b*g.inC + icBase + ic) * g.inH * g.inW
-		for iy := 0; iy < g.inH; iy++ {
-			row := xv[xBase+iy*g.inW : xBase+(iy+1)*g.inW]
-			if g.sw == 1 {
-				copy(xp[pd.rowOff[iy]+pd.cols[0].off:], row)
-			} else {
-				scatterPadRow(pd, xp[pd.rowOff[iy]:], row, g.sw)
+		plane := xv[(b*g.inC+icBase+ic)*hw:][:hw]
+		switch g.sw {
+		case 1:
+			tensor.PadRowsF32(xp[pd.offE:], pd.rowOff, plane, g.inW)
+		case 2:
+			tensor.PadSplit2RowsF32(xp, pd.rowOff, pd.offE, pd.offO, plane, g.inW)
+		default:
+			for iy, off := range pd.rowOff {
+				scatterPadRow(pd, xp[off:], plane[iy*g.inW:(iy+1)*g.inW], g.sw)
 			}
 		}
-		wBase := (oc*g.icPerG + ic) * g.kh * g.kw
-		for t, off := range pd.tapOff {
-			tensor.AxpyF32(acc, xp[off:], wv[wBase+t])
-		}
+		tensor.ConvTapsF32(acc, xp, pd.tapOff, wv[(oc*g.icPerG+ic)*taps:][:taps], b0, ic > 0)
 	}
-	outBase := (b*g.outC + oc) * g.outH * g.outW
-	for oy := 0; oy < g.outH; oy++ {
-		copy(dst[outBase+oy*g.outW:outBase+(oy+1)*g.outW], acc[oy*pd.sp:])
-	}
+	ep.tile(out, g.outW, acc, pd.sp, g.outH, g.outW, oc, false)
 }
 
 // convPlaneClipped computes one (batch, output-channel) plane for the
@@ -812,14 +807,8 @@ func convPlanePadded(dst, xv, wv, bias []float32, g *convGeom, pd *convPad, xp, 
 // bias, then every kernel tap (ic, ky, kx) accumulates into the output
 // columns and rows whose source stays in bounds, skipping padding like
 // the interpreter does.
-func convPlaneClipped(dst, xv, wv, bias []float32, g *convGeom, b, oc int) {
+func convPlaneClipped(plane, xv, wv []float32, b0 float32, g *convGeom, b, oc int) {
 	icBase := oc / g.ocPerG * g.icPerG
-	var b0 float32
-	if bias != nil {
-		b0 = bias[oc]
-	}
-	outBase := (b*g.outC + oc) * g.outH * g.outW
-	plane := dst[outBase : outBase+g.outH*g.outW]
 	for i := range plane {
 		plane[i] = b0
 	}
@@ -857,27 +846,14 @@ func convPlaneClipped(dst, xv, wv, bias []float32, g *convGeom, b, oc int) {
 	}
 }
 
-// convPlanePointwise is the 1x1/stride-1/no-pad fast path: the plane is
-// a bias-initialized accumulation of scaled input planes. Per output
-// element the input channels still accumulate in ascending order, so
-// results are bitwise identical to the general path.
-func convPlanePointwise(dst, xv, wv, bias []float32, g *convGeom, b, oc int) {
-	grp := oc / g.ocPerG
-	icBase := grp * g.icPerG
+// convPlanePointwise is the 1x1/stride-1/no-pad plane: input and
+// output planes are contiguous and need no border, so the group's input
+// channels are the taps of one tensor.ConvTapsF32 straight over the
+// input, in ascending channel order as in the general path.
+func convPlanePointwise(out, xv, wv []float32, b0 float32, g *convGeom, pd *convPad, b, oc int) {
 	hw := g.inH * g.inW
-	var b0 float32
-	if bias != nil {
-		b0 = bias[oc]
-	}
-	out := dst[(b*g.outC+oc)*hw : (b*g.outC+oc+1)*hw]
-	for i := range out {
-		out[i] = b0
-	}
-	for ic := 0; ic < g.icPerG; ic++ {
-		f := wv[oc*g.icPerG+ic]
-		xPlane := xv[(b*g.inC+icBase+ic)*hw : (b*g.inC+icBase+ic+1)*hw]
-		tensor.AxpyF32(out, xPlane, f)
-	}
+	x := xv[(b*g.inC+oc/g.ocPerG*g.icPerG)*hw:][:g.icPerG*hw]
+	tensor.ConvTapsF32(out, x, pd.tapOff, wv[oc*g.icPerG:(oc+1)*g.icPerG], b0, false)
 }
 
 func bindDense(n *nn.Node, in, out tensor.Shape, ep *epilogue, fp16 bool, stats *bindStats) (kernelFunc[float32], scratchSpec, error) {
@@ -937,7 +913,7 @@ func bindDense(n *nn.Node, in, out tensor.Shape, ep *epilogue, fp16 bool, stats 
 	}
 	// An epilogue with a per-feature stage walks the row through scalar
 	// closures; a channel-independent tail (ReLU, h-swish) maps over the
-	// whole row at once.
+	// whole C tile at once.
 	var fs []func(float32) float32
 	if ep != nil && (ep.scale != nil || ep.fnCh != nil) {
 		fs = make([]func(float32) float32, outF)
@@ -979,16 +955,14 @@ func bindDense(n *nn.Node, in, out tensor.Shape, ep *epilogue, fp16 bool, stats 
 				o0 := t * nr
 				jw := min(outF-o0, nr)
 				kern.RunRows(arows, lda, mh, bpack[t*tile:(t+1)*tile], nr, lda, seed, ctile, nr)
+				if fs == nil {
+					ep.tile(dst[i0*outF+o0:], outF, ctile, nr, mh, jw, 0, false)
+					continue
+				}
 				for i := 0; i < mh; i++ {
 					row := dst[(i0+i)*outF+o0:][:jw]
-					copy(row, ctile[i*nr:])
-					switch {
-					case fs != nil:
-						for j, v := range row {
-							row[j] = fs[o0+j](v)
-						}
-					case ep != nil:
-						ep.apply(row, 0)
+					for j, v := range ctile[i*nr:][:jw] {
+						row[j] = fs[o0+j](v)
 					}
 				}
 			}
@@ -1060,7 +1034,7 @@ func bindBatchNorm(n *nn.Node, in tensor.Shape, ep *epilogue) (kernelFunc[float3
 	// The producer's own affine and any fused tail collapse into the
 	// same per-channel fast paths the conv epilogue uses: the common
 	// batch-norm + ReLU pair runs branch-lean and call-free.
-	reluTail := ep != nil && ep.relu && ep.scale == nil
+	reluTail := ep != nil && ep.act == tensor.ActReLU && ep.scale == nil
 	var fs []func(float32) float32
 	if ep != nil && !reluTail {
 		fs = make([]func(float32) float32, c)
@@ -1149,19 +1123,19 @@ func activationFn(n *nn.Node) (func(float32) float32, int64, error) {
 	return f, unitCost, nil
 }
 
-// spanActivation returns the in-place vector kernel of an activation
-// that has one — bitwise the scalar function activationFn returns — or
-// nil.
-func spanActivation(op nn.OpType) func([]float32) {
+// vecAct returns the tensor.Act of an activation whose tile epilogue
+// has a vector body — bitwise the scalar function activationFn returns
+// — or ActNone.
+func vecAct(op nn.OpType) tensor.Act {
 	switch op {
 	case nn.OpReLU:
-		return tensor.ReluF32
+		return tensor.ActReLU
 	case nn.OpHSwish:
-		return tensor.HSwishF32
+		return tensor.ActHSwish
 	case nn.OpHSigmoid:
-		return tensor.HSigmoidF32
+		return tensor.ActHSigmoid
 	}
-	return nil
+	return tensor.ActNone
 }
 
 func bindActivation(n *nn.Node) (kernelFunc[float32], error) {
@@ -1169,8 +1143,8 @@ func bindActivation(n *nn.Node) (kernelFunc[float32], error) {
 	if err != nil {
 		return nil, err
 	}
-	vec := spanActivation(n.Op)
-	if vec != nil {
+	act := vecAct(n.Op)
+	if act != tensor.ActNone {
 		unitCost = costSpan
 	}
 	return func(rc *runCtx, dst []float32, srcs [][]float32) error {
@@ -1179,9 +1153,8 @@ func bindActivation(n *nn.Node) (kernelFunc[float32], error) {
 			x := xv[lo:hi]
 			out := dst[lo:hi]
 			out = out[:len(x)]
-			if vec != nil {
-				copy(out, x)
-				vec(out)
+			if act != tensor.ActNone {
+				tensor.EpilogueTileF32(out, len(x), x, len(x), 1, len(x), nil, nil, act)
 				return
 			}
 			for i, v := range x {

@@ -78,8 +78,9 @@ func benchStep(b *testing.B, name string, g *nn.Graph, si int, batches ...int) {
 // row body serves; then the shapes the INT8 row's profile names beside
 // their FP32 twins — the stride-2 stem, a pointwise expansion, a 1x1 on
 // 4x4 and on 3x3 planes (one 16-column tile, and one narrower than any
-// vector), a residual Add, a squeeze-excite Mul — and the entry
-// quantizer, which has no FP32 twin (`make bench-kernels`).
+// vector), a pointwise expansion with batch-norm and h-swish fused, a
+// residual Add, a squeeze-excite Mul — and the entry quantizer, which
+// has no FP32 twin (`make bench-kernels`).
 func BenchmarkBatch1Kernels(b *testing.B) {
 	for _, s := range []struct{ c, hw, k, stride int }{
 		{16, 32, 3, 1}, {64, 32, 3, 2}, {72, 16, 3, 1}, {96, 16, 5, 2},
@@ -105,6 +106,11 @@ func BenchmarkBatch1Kernels(b *testing.B) {
 		x := nb.Input("input", s.inC, s.hw, s.hw)
 		benchStep(b, s.name, nb.Graph(nb.Conv(x, s.inC, s.outC, s.k, s.s, s.pad)), 0, 1)
 	}
+	// A pointwise expansion with its folded batch-norm and h-swish fused
+	// (one step): the GEMM form's tile epilogue, affine and activation.
+	nb = nn.NewBuilder("pwact", nn.BuildOptions{Weights: true, Seed: 5})
+	x40 := nb.Input("input", 40, 8, 8)
+	benchStep(b, "pw40to120_8x8_bn_hswish", nb.Graph(nb.ConvBNAct(x40, 40, 120, 1, 1, 0, nn.OpHSwish)), 0, 1)
 	// A residual Add of the input and its depthwise image (step 1), and a
 	// squeeze-excite Mul of the input by its pooled channels (step 1).
 	nb = nn.NewBuilder("add", nn.BuildOptions{Weights: true, Seed: 5})
@@ -128,13 +134,14 @@ func BenchmarkBatch1Kernels(b *testing.B) {
 
 // BenchmarkFanOutCrossover runs one kernel inline and split across two
 // workers over a ladder of work sizes: n cache-resident 256-element
-// AxpyF32 calls, the depthwise plane form's inner loop. The inline time
+// one-tap tensor.ConvTapsF32 calls (acc += 0.5*x). The inline time
 // at which split first beats inline is the crossover in time; the
 // per-step profile (TestFanOutProfileBatch8) gives it in estimated cost,
 // and defaultParallelThreshold is chosen from the two.
 func BenchmarkFanOutCrossover(b *testing.B) {
 	const unit = 256
 	bufs := [2][2][]float32{{make([]float32, unit), make([]float32, unit)}, {make([]float32, unit), make([]float32, unit)}}
+	offs, w := []int32{0}, []float32{0.5}
 	for shift := 15; shift <= 24; shift++ {
 		n := (1 << shift) / (2 * unit)
 		for _, c := range []struct {
@@ -146,7 +153,7 @@ func BenchmarkFanOutCrossover(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					rc.parallelForWorker(n, 2*unit, func(worker, lo, hi int) {
 						for u := lo; u < hi; u++ {
-							tensor.AxpyF32(bufs[worker][0], bufs[worker][1], 0.5)
+							tensor.ConvTapsF32(bufs[worker][0], bufs[worker][1], offs, w, 0, true)
 						}
 					})
 				}

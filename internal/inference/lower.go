@@ -109,13 +109,13 @@ func nodeFromFused(f *ir.FusedOp) *nn.Node {
 
 // buildEpilogue compiles an op's fused chain into the structured
 // epilogue the FP32 kernels inline: an optional leading per-channel
-// affine (the folded batch-norm), then an activation tail — a flagged
-// ReLU (branch-lean, call-free), a composed channel-independent
-// function, or per-channel closures for exotic chains with a second
-// batch-norm. Each stage is applied in chain order to the same float32
-// the unfused step would read, so results are bitwise identical to the
-// unfused plan. channels is the producer's output channel count
-// (conv/batch-norm) or feature count (dense).
+// affine (the folded batch-norm), then an activation tail — one
+// activation the tile epilogue has a vector body for, a composed
+// channel-independent function, or per-channel closures for exotic
+// chains with a second batch-norm. Each stage is applied in chain order
+// to the same float32 the unfused step would read, so results are
+// bitwise identical to the unfused plan. channels is the producer's
+// output channel count (conv/batch-norm) or feature count (dense).
 func buildEpilogue(op *ir.Op, channels int) (*epilogue, error) {
 	if len(op.Fused) == 0 {
 		return nil, nil
@@ -151,47 +151,40 @@ func buildEpilogue(op *ir.Op, channels int) (*epilogue, error) {
 		ep.scale, ep.shift = rest[0].scale, rest[0].shift
 		rest = rest[1:]
 	}
-	switch {
-	case len(rest) == 0:
-	case len(rest) == 1 && rest[0].kind == nn.OpReLU:
-		ep.relu = true
-	default:
-		perChannel := false
-		for _, st := range rest {
-			if st.act == nil {
-				perChannel = true
-			}
+	if len(rest) == 0 {
+		return ep, nil
+	}
+	perChannel := false
+	for _, st := range rest {
+		if st.act == nil {
+			perChannel = true
 		}
-		if !perChannel {
-			// Channel-independent activations compose into one function.
-			fns := make([]func(float32) float32, len(rest))
-			for i, st := range rest {
-				fns[i] = st.act
-			}
-			ep.fn = fns[0]
-			if len(rest) == 1 {
-				ep.vec = spanActivation(rest[0].kind)
-			}
-			for _, f := range fns[1:] {
-				prev, next := ep.fn, f
-				ep.fn = func(v float32) float32 { return next(prev(v)) }
-			}
-			break
+	}
+	if !perChannel {
+		// Channel-independent activations compose into one function.
+		ep.fn = rest[0].act
+		if len(rest) == 1 {
+			ep.act = vecAct(rest[0].kind)
 		}
-		tail := rest
-		ep.fnCh = make([]func(float32) float32, channels)
-		for ch := 0; ch < channels; ch++ {
-			c := ch
-			ep.fnCh[ch] = func(v float32) float32 {
-				for _, st := range tail {
-					if st.act != nil {
-						v = st.act(v)
-					} else {
-						v = v*st.scale[c] + st.shift[c]
-					}
+		for _, st := range rest[1:] {
+			prev, next := ep.fn, st.act
+			ep.fn = func(v float32) float32 { return next(prev(v)) }
+		}
+		return ep, nil
+	}
+	tail := rest
+	ep.fnCh = make([]func(float32) float32, channels)
+	for ch := 0; ch < channels; ch++ {
+		c := ch
+		ep.fnCh[ch] = func(v float32) float32 {
+			for _, st := range tail {
+				if st.act != nil {
+					v = st.act(v)
+				} else {
+					v = v*st.scale[c] + st.shift[c]
 				}
-				return v
 			}
+			return v
 		}
 	}
 	return ep, nil

@@ -34,12 +34,19 @@ const (
 	costElem = 32            // one element of a scalar loop, about 1 ns
 	costSpan = 12            // one element of a vector element-wise span, about 3 per ns
 	costExp  = 12 * costElem // one element through exp or tanh
-	// A direct-convolution tap is an axpy over one plane: its multiply
-	// and its add each count costTapOp (short rows and the plane copies
-	// hold it to an eighth of the GEMM rate), and every call carries a
-	// fixed costTapCall.
-	costTapOp   = 8
-	costTapCall = 512
+	// A direct FP32 plane, fitted to the inline column of
+	// TestFanOutProfileBatch8 (fp32 rows): three kernel calls and their
+	// driver (about 75 ns); the copy-in per input element and the tile
+	// epilogue per output element (about 0.3 ns each); a tap's multiply
+	// and its add per output element (the multi-tap kernel retires them
+	// at the GEMM rate). The seven mobilenetedge depthwise steps then
+	// state 2^22.4 to 2^23.5 for 182 to 366 us inline at batch 8, 23 to
+	// 38 estimated ops per ns in a run on the host's slow phase (its
+	// fast one reads 123 to 317 us, 33 to 47), so 1<<23 stays about
+	// 200 us of inline work.
+	costPlaneCall = 3072
+	costPlaneElem = 12
+	costTapOp     = 1
 	// The integer kernels state their own units, fitted to the inline
 	// column of TestFanOutProfileBatch8 (int8 rows) so that each step's
 	// estimated ops per ns lands in the band above. A direct plane: three
@@ -68,9 +75,12 @@ const (
 )
 
 // convPlaneCost is the estimated cost of one output plane of a direct
-// FP32 convolution.
+// FP32 convolution: per input channel one copy-in and the taps, then
+// the epilogue.
 func convPlaneCost(g *convGeom) int64 {
-	return int64(g.icPerG*g.kh*g.kw) * (int64(g.outH*g.outW)*2*costTapOp + costTapCall)
+	px := int64(g.outH * g.outW)
+	perChannel := int64(g.inH*g.inW)*costPlaneElem + px*int64(g.kh*g.kw)*2*costTapOp
+	return costPlaneCall + int64(g.icPerG)*perChannel + px*costPlaneElem
 }
 
 // qconvPlaneCost is the same for a direct integer convolution.

@@ -119,11 +119,27 @@ func islandNet() *nn.Graph {
 	return b.Graph(x)
 }
 
+// exoticChainNet fuses the epilogue tails no example topology has: a
+// second batch-norm behind an activation (the per-channel closures) on
+// a GEMM convolution's C tile and on a pointwise plane, and two
+// activations composed behind the affine on a depthwise plane, none of
+// them a tail the tile epilogue has a vector body for.
+func exoticChainNet() *nn.Graph {
+	b := nn.NewBuilder("exotic-chains", nn.BuildOptions{Weights: true, Seed: 12})
+	x := b.Input("input", 3, 12, 12)
+	x = b.Act(b.BN(x, 3), nn.OpLeakyReLU) // a batch-norm producer with a composed tail
+	x = b.Act(b.BN(b.Act(b.BN(b.Conv(x, 3, 8, 3, 1, 1), 8), nn.OpReLU6), 8), nn.OpTanh)
+	x = b.Act(b.Act(b.BN(b.DWConv(x, 8, 3, 2, 1), 8), nn.OpLeakyReLU), nn.OpSigmoid)
+	x = b.BN(b.Act(b.Conv(x, 8, 4, 1, 1, 0), nn.OpReLU6), 4)
+	x = b.Act(b.Dense(b.Flatten(x), 4*6*6, 6), nn.OpSigmoid)
+	return b.Graph(x)
+}
+
 // TestEngineParityOnExampleGraphs compiles every example topology at
 // FP32, FP16 and INT8 weight precision and checks Engine.Run against
 // the legacy interpreter within parityTol.
 func TestEngineParityOnExampleGraphs(t *testing.T) {
-	for _, base := range append(exampleGraphs(), multiHeadNet(), islandNet()) {
+	for _, base := range append(exampleGraphs(), multiHeadNet(), islandNet(), exoticChainNet()) {
 		for _, dt := range []tensor.DType{tensor.FP32, tensor.FP16, tensor.INT8} {
 			t.Run(fmt.Sprintf("%s/%s", base.Name, dt), func(t *testing.T) {
 				g := withPrecision(base, dt)

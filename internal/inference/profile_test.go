@@ -1,8 +1,10 @@
 package inference
 
 import (
+	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -45,15 +47,29 @@ func (p *stepProfile) median(i int) float64 {
 	return float64(s[len(s)/2].Nanoseconds()) / 1e3
 }
 
-// report logs the median of every step and their sum.
+// report logs the median of every step, their sum, and one roll-up
+// line: us and share of the sum by op kind, largest first.
 func (p *stepProfile) report(t *testing.T) {
 	var sum float64
+	byKind := map[string]float64{}
+	var kinds []string
 	for i := range p.samples {
 		med := p.median(i)
 		sum += med
+		kind, _, _ := strings.Cut(p.names[i], " ")
+		if _, seen := byKind[kind]; !seen {
+			kinds = append(kinds, kind)
+		}
+		byKind[kind] += med
 		t.Logf("  %7.1f us  %s", med, p.names[i])
 	}
 	t.Logf("  %7.1f us  sum of steps", sum)
+	sort.SliceStable(kinds, func(a, b int) bool { return byKind[kinds[a]] > byKind[kinds[b]] })
+	var roll strings.Builder
+	for _, k := range kinds {
+		fmt.Fprintf(&roll, "  %s %.1f us %.1f%%", k, byKind[k], 100*byKind[k]/sum)
+	}
+	t.Logf("  by op kind:%s", roll.String())
 }
 
 // TestStepProfileBatch1 is the per-step profile of the two served zoo

@@ -152,11 +152,6 @@ type qconv struct {
 	zpIn   int32
 	zpOut  int32
 	post   []*[256]int8 // per-channel fused-epilogue recode, nil when unfused
-	// Plane forms only: per-tap window offsets and per-input-row
-	// placements in the int32 form the plane kernels take, and the
-	// offsets of the even and (at stride 2) odd column phases in a row.
-	tapOff, rowOff []int32
-	offE, offO     int
 }
 
 // postRows returns the fused-epilogue recode tables of output channels
@@ -208,11 +203,8 @@ func bindQuantConvPlane(p *qconv) (kernelFunc[int8], scratchSpec) {
 	g := p.g
 	planeCost := qconvPlaneCost(&g)
 	px := g.outH * g.outW
-	if g.kh == 1 && g.kw == 1 && g.sh == 1 && g.sw == 1 && g.ph == 0 && g.pw == 0 {
-		p.tapOff = make([]int32, g.icPerG) // one tap per input channel of the group
-		for ic := range p.tapOff {
-			p.tapOff[ic] = int32(ic * px)
-		}
+	if g.pointwise() {
+		pd := pointwiseConvPad(&g)
 		return func(rc *runCtx, dst []int8, srcs [][]int8) error {
 			xv := srcs[0]
 			// Shift the whole input by the zero point once; every output
@@ -225,27 +217,13 @@ func bindQuantConvPlane(p *qconv) (kernelFunc[int8], scratchSpec) {
 			rc.parallelForWorker(rc.batch*g.outC, planeCost, func(worker, lo, hi int) {
 				acc := rc.i32Worker(worker, px)
 				for pi := lo; pi < hi; pi++ {
-					qconvPlanePointwise(dst, x16, p, acc, pi/g.outC, pi%g.outC)
+					qconvPlanePointwise(dst, x16, p, pd, acc, pi/g.outC, pi%g.outC)
 				}
 			})
 			return nil
 		}, scratchSpec{i16PerSample: g.inC * px, i32PerWorker: px}
 	}
 	pd := newConvPad(&g)
-	p.tapOff = make([]int32, len(pd.tapOff))
-	for t, off := range pd.tapOff {
-		p.tapOff[t] = int32(off)
-	}
-	p.rowOff = make([]int32, g.inH)
-	for iy, off := range pd.rowOff {
-		p.rowOff[iy] = int32(off)
-	}
-	p.offE = pd.cols[0].off // the phase of the even input columns: every column at stride 1
-	if g.sw == 2 {
-		if p.offO = pd.cols[1].off; pd.cols[0].ix0 != 0 {
-			p.offE, p.offO = p.offO, p.offE
-		}
-	}
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
 		xv := srcs[0]
 		rc.parallelForWorker(rc.batch*g.outC, planeCost, func(worker, lo, hi int) {
@@ -281,17 +259,17 @@ func qconvPlanePadded(dst []int8, xv []int8, p *qconv, pd *convPad, xp, row16 []
 		plane := xv[(b*g.inC+icBase+ic)*hw:][:hw]
 		switch g.sw {
 		case 1:
-			tensor.WidenShiftRowsInt8(xp[p.offE:], p.rowOff, plane, g.inW, zp)
+			tensor.WidenShiftRowsInt8(xp[pd.offE:], pd.rowOff, plane, g.inW, zp)
 		case 2:
-			tensor.WidenShiftSplit2RowsInt8(xp, p.rowOff, p.offE, p.offO, plane, g.inW, zp)
+			tensor.WidenShiftSplit2RowsInt8(xp, pd.rowOff, pd.offE, pd.offO, plane, g.inW, zp)
 		default:
-			for iy := 0; iy < g.inH; iy++ {
+			for iy, off := range pd.rowOff {
 				tensor.WidenShiftInt8(row16, plane[iy*g.inW:(iy+1)*g.inW], zp)
-				scatterPadRow(pd, xp[pd.rowOff[iy]:], row16, g.sw)
+				scatterPadRow(pd, xp[off:], row16, g.sw)
 			}
 		}
 		wBase := (oc*g.icPerG + ic) * taps
-		tensor.ConvTapsInt16(acc, xp, p.tapOff, p.w16[wBase:wBase+taps], p.bias32[oc], ic > 0)
+		tensor.ConvTapsInt16(acc, xp, pd.tapOff, p.w16[wBase:wBase+taps], p.bias32[oc], ic > 0)
 	}
 	px := g.outH * g.outW
 	for oy := 1; oy < g.outH; oy++ {
@@ -304,12 +282,12 @@ func qconvPlanePadded(dst []int8, xv []int8, p *qconv, pd *convPad, xp, row16 []
 // shallow form: input and output planes are contiguous and need no
 // border, so the group's input channels are the taps of one
 // tensor.ConvTapsInt16 straight over the zero-point-shifted input.
-func qconvPlanePointwise(dst []int8, x16 []int16, p *qconv, acc []int32, b, oc int) {
+func qconvPlanePointwise(dst []int8, x16 []int16, p *qconv, pd *convPad, acc []int32, b, oc int) {
 	g := &p.g
 	icBase := oc / g.ocPerG * g.icPerG
 	hw := g.inH * g.inW
 	x := x16[(b*g.inC+icBase)*hw:][:g.icPerG*hw]
-	tensor.ConvTapsInt16(acc[:hw], x, p.tapOff, p.w16[oc*g.icPerG:(oc+1)*g.icPerG], p.bias32[oc], false)
+	tensor.ConvTapsInt16(acc[:hw], x, pd.tapOff, p.w16[oc*g.icPerG:(oc+1)*g.icPerG], p.bias32[oc], false)
 	tensor.RequantTileInt8(dst[(b*g.outC+oc)*hw:], hw, acc, hw, 1, hw, p.req[oc:], p.zpOut, p.postRows(oc, 1))
 }
 

@@ -4,27 +4,42 @@ package tensor
 
 import "vedliot/internal/tensor/cpu"
 
-// The accelerated element-wise kernels handle a 16-aligned prefix and
-// return how many elements they covered; the scalar tails in
-// elementwise.go finish the rest. Dispatch honors the VEDLIOT_CPU tier
-// clamp like the GEMM and requantize kernels, but resolves it once:
-// these kernels run on spans as short as one image row, where a
-// per-call sync.Once load is measurable. These loops are load/store
-// bound, so 256-bit vectors already saturate the memory ports; a ZMM
-// variant would not move them.
+// amd64 dispatch of the FP32 kernels in elementwise.go: one AVX2 body
+// each. Dispatch honors the VEDLIOT_CPU tier clamp like the GEMM and
+// integer kernels, but resolves it once: these kernels run on spans as
+// short as one image row, where a per-call sync.Once load is
+// measurable. The flat kernels cover whole vectors and leave the ragged
+// end to the portable loop in their caller; the row and tile kernels
+// finish each row themselves.
 
 // ewAVX2 is pinned at package init: Best() is itself immutable after
 // its first call (VEDLIOT_CPU is read once), so a plain bool is safe
 // and avoids the per-call atomic.
 var ewAVX2 = cpu.Best() >= cpu.TierAVX2
 
-func axpyF32Accel(dst, x []float32, a float32) int {
-	n := len(dst) &^ 15
-	if n == 0 || !ewAVX2 {
+func convTapsF32Accel(acc, x []float32, offs []int32, w []float32, bias float32, fromAcc bool) int {
+	n := len(acc) &^ 7
+	if n == 0 || len(offs) == 0 || !ewAVX2 {
 		return 0
 	}
-	axpyF32AVX2(&dst[0], &x[0], n, a)
+	convTapsF32AVX2(&acc[0], n, &x[0], &offs[0], &w[0], len(offs), bias, fromAcc)
 	return n
+}
+
+func padRowsF32Accel(dst []float32, rowOff []int32, src []float32, cols int) bool {
+	if !ewAVX2 {
+		return false
+	}
+	padRowsF32AVX2(&dst[0], &rowOff[0], len(rowOff), &src[0], cols)
+	return true
+}
+
+func padSplit2RowsF32Accel(dst []float32, rowOff []int32, offE, offO int, src []float32, cols int) bool {
+	if !ewAVX2 {
+		return false
+	}
+	padSplit2RowsF32AVX2(&dst[0], &rowOff[0], len(rowOff), offE, offO, &src[0], cols)
+	return true
 }
 
 // stride2Prefix returns how many outputs the stride-2 gather may
@@ -48,56 +63,37 @@ func gatherStride2F32Accel(dst, x []float32) int {
 	return n
 }
 
-func scaleShiftF32Accel(span []float32, s, sh float32) int {
-	n := len(span) &^ 15
-	if n == 0 || !ewAVX2 {
-		return 0
+func epilogueTileF32Accel(dst []float32, ldd int, src []float32, lds, rows, cols int, scale, shift []float32, step int, act Act) bool {
+	if !ewAVX2 {
+		return false
 	}
-	scaleShiftF32AVX2(&span[0], n, s, sh)
-	return n
+	var sc, sh *float32
+	if scale != nil {
+		sc, sh = &scale[0], &shift[0]
+	}
+	epilogueTileF32AVX2(&dst[0], ldd, &src[0], lds, rows, cols, sc, sh, step, int(act))
+	return true
 }
 
-func scaleShiftReluF32Accel(span []float32, s, sh float32) int {
-	n := len(span) &^ 15
-	if n == 0 || !ewAVX2 {
-		return 0
-	}
-	scaleShiftReluF32AVX2(&span[0], n, s, sh)
-	return n
-}
-
-func reluF32Accel(span []float32) int {
-	n := len(span) &^ 15
-	if n == 0 || !ewAVX2 {
-		return 0
-	}
-	reluF32AVX2(&span[0], n)
-	return n
-}
-
-func hswishF32Accel(span []float32) int {
-	n := len(span) &^ 15
-	if n == 0 || !ewAVX2 {
-		return 0
-	}
-	hswishF32AVX2(&span[0], n)
-	return n
-}
-
-func hsigmoidF32Accel(span []float32) int {
-	n := len(span) &^ 15
-	if n == 0 || !ewAVX2 {
-		return 0
-	}
-	hsigmoidF32AVX2(&span[0], n)
-	return n
-}
-
-// axpyF32AVX2 computes dst[i] += a*x[i] for i < n; n must be a
-// multiple of 16. Separate VMULPS/VADDPS keep scalar rounding.
+// convTapsF32AVX2 computes acc[i] = seed + sum_t w[t]*x[offs[t]+i] for
+// i < n with one VMULPS and one VADDPS per tap, in tap order; n must be
+// a positive multiple of 8 and taps positive.
 //
 //go:noescape
-func axpyF32AVX2(dst, x *float32, n int, a float32)
+func convTapsF32AVX2(acc *float32, n int, x *float32, offs *int32, w *float32, taps int, bias float32, fromAcc bool)
+
+// padRowsF32AVX2 copies row r (cols values) to dst[rowOff[r]:]; rows
+// and cols must be positive.
+//
+//go:noescape
+func padRowsF32AVX2(dst *float32, rowOff *int32, rows int, src *float32, cols int)
+
+// padSplit2RowsF32AVX2 copies row r's even columns to
+// dst[rowOff[r]+offE:] and its odd ones to dst[rowOff[r]+offO:]; rows
+// and cols must be positive.
+//
+//go:noescape
+func padSplit2RowsF32AVX2(dst *float32, rowOff *int32, rows int, offE, offO int, src *float32, cols int)
 
 // gatherStride2F32AVX2 copies dst[i] = x[2*i] for i < n; n must be a
 // multiple of 8 and x must hold 2*n elements.
@@ -105,33 +101,9 @@ func axpyF32AVX2(dst, x *float32, n int, a float32)
 //go:noescape
 func gatherStride2F32AVX2(dst, x *float32, n int)
 
-// scaleShiftF32AVX2 computes p[i] = p[i]*s + sh for i < n; n must be a
-// multiple of 16.
+// epilogueTileF32AVX2 is the whole of EpilogueTileF32: scale is nil for
+// no affine, step is 0 or 1 (the per-row advance of scale and shift),
+// act an Act value; rows and cols must be positive.
 //
 //go:noescape
-func scaleShiftF32AVX2(p *float32, n int, s, sh float32)
-
-// scaleShiftReluF32AVX2 computes p[i] = max(p[i]*s+sh, 0) for i < n
-// with NaN/-0 passing through; n must be a multiple of 16.
-//
-//go:noescape
-func scaleShiftReluF32AVX2(p *float32, n int, s, sh float32)
-
-// reluF32AVX2 clamps negative p[i] to 0 for i < n; n must be a
-// multiple of 16.
-//
-//go:noescape
-func reluF32AVX2(p *float32, n int)
-
-// hswishF32AVX2 computes p[i] = p[i] * relu6(p[i]+3) / 6 for i < n with
-// the scalar formula's roundings and NaN/-0 behaviour; n must be a
-// multiple of 16.
-//
-//go:noescape
-func hswishF32AVX2(p *float32, n int)
-
-// hsigmoidF32AVX2 computes p[i] = relu6(p[i]+3) / 6 for i < n; n must
-// be a multiple of 16.
-//
-//go:noescape
-func hsigmoidF32AVX2(p *float32, n int)
+func epilogueTileF32AVX2(dst *float32, ldd int, src *float32, lds, rows, cols int, scale, shift *float32, step, act int)

@@ -2,13 +2,21 @@
 
 package tensor
 
-// The portable build has no accelerated element-wise kernels; the
-// scalar tails in elementwise.go do all the work.
+// The portable build has no accelerated FP32 element-wise kernels; the
+// Go bodies in elementwise.go do all the work.
 
-func axpyF32Accel(dst, x []float32, a float32) int             { return 0 }
-func gatherStride2F32Accel(dst, x []float32) int               { return 0 }
-func scaleShiftF32Accel(span []float32, s, sh float32) int     { return 0 }
-func scaleShiftReluF32Accel(span []float32, s, sh float32) int { return 0 }
-func reluF32Accel(span []float32) int                          { return 0 }
-func hswishF32Accel(span []float32) int                        { return 0 }
-func hsigmoidF32Accel(span []float32) int                      { return 0 }
+func convTapsF32Accel(acc, x []float32, offs []int32, w []float32, bias float32, fromAcc bool) int {
+	return 0
+}
+
+func padRowsF32Accel(dst []float32, rowOff []int32, src []float32, cols int) bool { return false }
+
+func padSplit2RowsF32Accel(dst []float32, rowOff []int32, offE, offO int, src []float32, cols int) bool {
+	return false
+}
+
+func gatherStride2F32Accel(dst, x []float32) int { return 0 }
+
+func epilogueTileF32Accel(dst []float32, ldd int, src []float32, lds, rows, cols int, scale, shift []float32, step int, act Act) bool {
+	return false
+}
