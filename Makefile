@@ -59,7 +59,11 @@ test-portable:
 # checked against its own full tile; the tile epilogue, multi-tap and
 # byte-table targets hold the dispatched INT8 kernels to their scalar
 # definitions, and the FP32 multi-tap and tile-epilogue targets do the
-# same for the FP32 plane kernels, bit for bit.
+# same for the FP32 plane kernels, bit for bit. FuzzBuildCodeTable holds
+# the INT8 code-table builders to the scalar quantizer, and
+# FuzzArtifactVerify is the first untrusted decoder under fuzz: .vedz
+# bytes, raw and with their section CRCs re-sealed, must never panic or
+# over-allocate Verify, and what it accepts must re-encode to itself.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzEncodeExecute -fuzztime 5s ./internal/riscv/
 	$(GO) test -fuzz FuzzLoadStoreRoundTrip -fuzztime 5s ./internal/riscv/
@@ -77,10 +81,14 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzEpilogueTileF32 -fuzztime 5s ./internal/tensor/
 	$(GO) test -fuzz FuzzConvPlaneF32 -fuzztime 5s ./internal/inference/
 	$(GO) test -fuzz FuzzQConvPlane -fuzztime 5s ./internal/inference/
+	$(GO) test -fuzz FuzzBuildCodeTable -fuzztime 5s ./internal/inference/
+	$(GO) test -fuzz FuzzArtifactVerify -fuzztime 5s ./internal/artifact/
 
-# bench tracks the inference-runtime perf trajectory.
+# bench tracks the inference-runtime perf trajectory, and the cold-start
+# steps of the two served zoo models in absolute terms: Verify (MB/s),
+# Encode, Compile and CompileQuantized.
 bench:
-	$(GO) test -bench 'BenchmarkEngine|BenchmarkQuantized' -run '^$$' -benchmem .
+	$(GO) test -bench 'BenchmarkEngine|BenchmarkQuantized|BenchmarkVerify|BenchmarkEncode|BenchmarkCompile' -run '^$$' -benchmem .
 
 # bench-kernels sweeps every compiled-in GEMM micro-kernel tier the
 # host can run (generic / sse2 / avx2 / avx512) — the per-tier view

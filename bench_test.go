@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"vedliot/internal/artifact"
 	"vedliot/internal/bench"
 	"vedliot/internal/cluster"
 	"vedliot/internal/inference"
@@ -315,6 +316,99 @@ func BenchmarkEngineCompile(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := inference.Compile(g); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// coldStartModel is a zoo model under its zoo name.
+type coldStartModel struct {
+	name string
+	*artifact.Model
+}
+
+// coldStartModels are the two zoo models the front-door benchmark
+// serves, packed as it packs them: the mlp in FP32 and mobilenetedge
+// with an embedded calibration schema. The cold-start benchmarks below
+// time the steps a deploy runs on them in absolute terms.
+func coldStartModels(b *testing.B) []coldStartModel {
+	b.Helper()
+	var models []coldStartModel
+	for _, name := range []string{"mlp", "mobilenetedge"} {
+		entry, err := zoo.Find(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m := &artifact.Model{Graph: entry.Build()}
+		if name == "mobilenetedge" {
+			samples, err := nn.SyntheticCalibration(m.Graph, 4)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if m.Schema, err = optimize.Calibrate(m.Graph, samples); err != nil {
+				b.Fatal(err)
+			}
+		}
+		models = append(models, coldStartModel{name, m})
+	}
+	return models
+}
+
+// BenchmarkVerify measures the integrity check a deploy starts with:
+// MB/s over the artifact's bytes, one SHA-256 and one copy among them.
+func BenchmarkVerify(b *testing.B) {
+	for _, m := range coldStartModels(b) {
+		data, err := m.Encode()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(m.name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			for i := 0; i < b.N; i++ {
+				if _, err := artifact.Verify(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkEncode measures packing a model into its .vedz bytes.
+func BenchmarkEncode(b *testing.B) {
+	for _, m := range coldStartModels(b) {
+		b.Run(m.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				data, err := m.Encode()
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.SetBytes(int64(len(data)))
+			}
+		})
+	}
+}
+
+// BenchmarkCompile measures the FP32 lowering and bind of a served
+// model: what a plan-cache miss costs on a CPU module.
+func BenchmarkCompile(b *testing.B) {
+	for _, m := range coldStartModels(b) {
+		b.Run(m.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := inference.Compile(m.Graph); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCompileQuantized measures the INT8 lowering of mobilenetedge
+// under its schema: filter quantization, the per-channel code tables and
+// the integer bind.
+func BenchmarkCompileQuantized(b *testing.B) {
+	m := coldStartModels(b)[1]
+	for i := 0; i < b.N; i++ {
+		if _, err := inference.CompileQuantized(m.Graph, m.Schema); err != nil {
 			b.Fatal(err)
 		}
 	}

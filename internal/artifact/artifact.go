@@ -18,7 +18,12 @@
 // raw little-endian payloads at 64-byte-aligned offsets, so Load can
 // hand tensor buffers zero-copy views into the file image on
 // little-endian hosts — a replica cold-start reads the file once and
-// binds, it never re-serializes weights.
+// binds; the engines pack FP32 weights straight from those views. The
+// one time weights are written again is Verify's canonical-form check,
+// and that is one copy at memory speed: each payload goes, as the bytes
+// of its backing slice, into a buffer sized for the whole file up
+// front, which is then compared with the input byte for byte. The input
+// is hashed once.
 //
 // Entry points: Save/Load round-trip a Model through a file,
 // Encode/Decode through bytes, Inspect summarizes a file without
@@ -31,6 +36,7 @@ package artifact
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -38,7 +44,6 @@ import (
 	"sort"
 
 	"vedliot/internal/nn"
-	"vedliot/internal/tensor"
 )
 
 // Format constants of the .vedz container.
@@ -113,22 +118,39 @@ func DigestBytes(data []byte) string {
 
 // SchemaDigest computes the content digest of a calibration schema's
 // canonical JSON, or "" for nil — the schema component of plan-cache
-// keys built outside an artifact.
-func SchemaDigest(s *nn.QuantSchema) string {
+// keys built outside an artifact. A schema that does not encode (a NaN
+// or infinite scale) is an error: it must not share a key with "no
+// schema".
+func SchemaDigest(s *nn.QuantSchema) (string, error) {
 	if s == nil {
-		return ""
+		return "", nil
 	}
 	data, err := s.Encode()
 	if err != nil {
-		return ""
+		return "", fmt.Errorf("artifact: schema digest: %w", err)
 	}
-	return DigestBytes(data)
+	return DigestBytes(data), nil
 }
 
 // Encode serializes the model to the deterministic .vedz byte form and
 // returns it together with its content digest. The model's Digest
 // field is updated.
 func (m *Model) Encode() ([]byte, error) {
+	data, err := m.encode(-1)
+	if err != nil {
+		return nil, err
+	}
+	m.Digest = DigestBytes(data)
+	return data, nil
+}
+
+// encode is Encode without the digest: the small sections first, then
+// one buffer of the file's exact size that every weight payload is
+// copied into once. A want >= 0 is the only size the caller will take:
+// any other fails before the buffer exists, so a hostile file whose
+// descriptors all name one payload cannot make Verify allocate their
+// sum.
+func (m *Model) encode(want int) ([]byte, error) {
 	if m.Graph == nil {
 		return nil, fmt.Errorf("artifact: nil graph")
 	}
@@ -142,7 +164,7 @@ func (m *Model) Encode() ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("artifact: encode provenance: %w", err)
 	}
-	graphSec, weightSec, err := encodeGraph(m.Graph)
+	graphSec, weights, weightLen, err := encodeGraph(m.Graph)
 	if err != nil {
 		return nil, err
 	}
@@ -154,29 +176,51 @@ func (m *Model) Encode() ([]byte, error) {
 		}
 		sections = append(sections, section{tag: TagSchema, payload: schema})
 	}
-	sections = append(sections, section{tag: TagWeights, payload: weightSec})
 
-	var out bytes.Buffer
-	out.WriteString(Magic)
-	w := &bw{buf: &out}
-	w.u32(Version)
-	w.u32(uint32(len(sections)))
+	// The weights section comes last, padded so its payload starts on a
+	// WeightAlign boundary of the file.
+	size := fileHeaderLen + sectionHeaderLen*(len(sections)+1)
 	for _, s := range sections {
-		out.WriteString(s.tag)
-		w.u32(crc32.ChecksumIEEE(s.payload))
-		w.u64(uint64(len(s.payload)))
-		pad := 0
-		if s.tag == TagWeights {
-			// +4 for the pad field itself, written next.
-			pad = padTo(out.Len()+4, WeightAlign)
-		}
-		w.u32(uint32(pad))
-		out.Write(make([]byte, pad))
-		out.Write(s.payload)
+		size += len(s.payload)
 	}
-	data := out.Bytes()
-	m.Digest = DigestBytes(data)
-	return data, nil
+	pad := padTo(size, WeightAlign)
+	size += pad + weightLen
+	if want >= 0 && size != want {
+		return nil, fmt.Errorf("artifact: encodes to %d bytes, want %d", size, want)
+	}
+
+	out := make([]byte, 0, size)
+	out = append(out, Magic...)
+	out = binary.LittleEndian.AppendUint32(out, Version)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(sections)+1))
+	for _, s := range sections {
+		out = appendSectionHeader(out, s.tag, crc32.ChecksumIEEE(s.payload), len(s.payload), 0)
+		out = append(out, s.payload...)
+	}
+	hdr := len(out)
+	out = appendSectionHeader(out, TagWeights, 0, weightLen, pad)
+	out = append(out, zeroPad[:pad]...)
+	start := len(out)
+	out = appendWeights(out, weights)
+	// The CRC field follows the 4-byte tag; it is known only now.
+	binary.LittleEndian.PutUint32(out[hdr+4:], crc32.ChecksumIEEE(out[start:]))
+	return out, nil
+}
+
+// Header sizes of the container: magic, version and section count; and
+// per section tag, CRC, payload length and padding count.
+const (
+	fileHeaderLen    = 12
+	sectionHeaderLen = 20
+)
+
+// appendSectionHeader appends one section header; pad zero bytes and the
+// payload follow it.
+func appendSectionHeader(dst []byte, tag string, crc uint32, length, pad int) []byte {
+	dst = append(dst, tag...)
+	dst = binary.LittleEndian.AppendUint32(dst, crc)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(length))
+	return binary.LittleEndian.AppendUint32(dst, uint32(pad))
 }
 
 // Save writes the model to path as a .vedz file and records its
@@ -260,7 +304,9 @@ func decodeSections(secs map[string]section, digest string) (*Model, error) {
 // section CRCs, graph validity, schema coverage of the graph (when a
 // schema section is present) and canonical form — re-encoding the
 // decoded model must reproduce the input bytes exactly, so a verified
-// file is guaranteed byte-stable across load/save cycles.
+// file is guaranteed byte-stable across load/save cycles. The input is
+// hashed once: Digest is its SHA-256, and the re-encoding is compared
+// byte for byte, which a second hash could only repeat.
 func Verify(data []byte) (*Model, error) {
 	m, err := Decode(data)
 	if err != nil {
@@ -271,12 +317,12 @@ func Verify(data []byte) (*Model, error) {
 			return nil, fmt.Errorf("artifact: schema does not cover graph: %w", err)
 		}
 	}
-	reenc, err := m.Encode()
+	reenc, err := m.encode(len(data))
 	if err != nil {
-		return nil, fmt.Errorf("artifact: re-encode: %w", err)
+		return nil, fmt.Errorf("artifact: not in canonical form: re-encode: %w", err)
 	}
 	if !bytes.Equal(reenc, data) {
-		return nil, fmt.Errorf("artifact: not in canonical form (re-encode differs: %d vs %d bytes)", len(reenc), len(data))
+		return nil, fmt.Errorf("artifact: not in canonical form (re-encode differs)")
 	}
 	return m, nil
 }
@@ -293,7 +339,7 @@ type section struct {
 // section CRC, and returns the payload slices by tag (views into data,
 // not copies).
 func parseSections(data []byte) (map[string]section, error) {
-	if len(data) < 12 {
+	if len(data) < fileHeaderLen {
 		return nil, fmt.Errorf("artifact: truncated header (%d bytes)", len(data))
 	}
 	if string(data[:4]) != Magic {
@@ -365,6 +411,3 @@ func sortedWeightKeys(n *nn.Node) []string {
 	sort.Strings(keys)
 	return keys
 }
-
-// weightPayloadLen returns the raw payload size of a tensor in bytes.
-func weightPayloadLen(t *tensor.Tensor) int { return t.SizeBytes() }

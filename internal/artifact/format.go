@@ -1,7 +1,6 @@
 package artifact
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -18,12 +17,14 @@ import (
 // weight bytes: the descriptors are decoded and the payloads are
 // wrapped — zero-copy where the host allows it (see view.go).
 
-// encodeGraph serializes g's structure and packs its weight payloads
-// into the aligned weights blob, returning both section payloads.
-func encodeGraph(g *nn.Graph) (graphSec, weightSec []byte, err error) {
-	var blob bytes.Buffer
-	var buf bytes.Buffer
-	w := &bw{buf: &buf}
+// encodeGraph serializes g's structure and lays its weight payloads out
+// in the aligned weights section: it returns the graph section, the
+// tensors in payload order and the weights section's length, and
+// appendWeights writes that section. Nothing here touches a weight's
+// bytes, so the container's one output buffer can be sized before the
+// payloads move.
+func encodeGraph(g *nn.Graph) (graphSec []byte, weights []*tensor.Tensor, weightLen int, err error) {
+	w := &bw{buf: make([]byte, 0, 64+192*len(g.Nodes))}
 
 	w.str(g.Name)
 	w.u32(uint32(len(g.Nodes)))
@@ -35,7 +36,7 @@ func encodeGraph(g *nn.Graph) (graphSec, weightSec []byte, err error) {
 			w.str(in)
 		}
 		a := n.Attrs
-		for _, v := range []int{
+		for _, v := range [...]int{
 			a.KernelH, a.KernelW, a.StrideH, a.StrideW, a.PadH, a.PadW,
 			a.Groups, a.OutC, a.Scale,
 		} {
@@ -56,6 +57,12 @@ func encodeGraph(g *nn.Graph) (graphSec, weightSec []byte, err error) {
 		w.u32(uint32(len(keys)))
 		for _, k := range keys {
 			t := n.Weights[k]
+			// A hand-built tensor's backing slice may disagree with its
+			// shape; the descriptors below must not.
+			if got := len(payloadView(t)); got != t.SizeBytes() {
+				return nil, nil, 0, fmt.Errorf("artifact: encode graph: node %q weight %q holds %d payload bytes, shape %v wants %d",
+					n.Name, k, got, t.Shape, t.SizeBytes())
+			}
 			w.str(k)
 			w.u32(uint32(t.DType))
 			w.u32(uint32(len(t.Shape)))
@@ -64,10 +71,11 @@ func encodeGraph(g *nn.Graph) (graphSec, weightSec []byte, err error) {
 			}
 			w.f32(t.Quant.Scale)
 			w.i32(t.Quant.Zero)
-			blob.Write(make([]byte, padTo(blob.Len(), WeightAlign)))
-			w.u64(uint64(blob.Len()))
-			w.u64(uint64(weightPayloadLen(t)))
-			writeWeightPayload(&blob, t)
+			weightLen += padTo(weightLen, WeightAlign)
+			w.u64(uint64(weightLen))
+			w.u64(uint64(t.SizeBytes()))
+			weightLen += t.SizeBytes()
+			weights = append(weights, t)
 		}
 	}
 	w.u32(uint32(len(g.Outputs)))
@@ -75,31 +83,53 @@ func encodeGraph(g *nn.Graph) (graphSec, weightSec []byte, err error) {
 		w.str(o)
 	}
 	if w.err != nil {
-		return nil, nil, fmt.Errorf("artifact: encode graph: %w", w.err)
+		return nil, nil, 0, fmt.Errorf("artifact: encode graph: %w", w.err)
 	}
-	return buf.Bytes(), blob.Bytes(), nil
+	return w.buf, weights, weightLen, nil
 }
 
-// writeWeightPayload appends a tensor's raw little-endian payload.
-func writeWeightPayload(blob *bytes.Buffer, t *tensor.Tensor) {
+// zeroPad is the source of alignment padding.
+var zeroPad [WeightAlign]byte
+
+// appendWeights appends the weights section encodeGraph laid out: every
+// payload at its WeightAlign boundary, counted from the section's start.
+func appendWeights(dst []byte, weights []*tensor.Tensor) []byte {
+	start := len(dst)
+	for _, t := range weights {
+		dst = append(dst, zeroPad[:padTo(len(dst)-start, WeightAlign)]...)
+		dst = appendWeightPayload(dst, t)
+	}
+	return dst
+}
+
+// appendWeightPayload appends a tensor's raw little-endian payload: on
+// a little-endian host one copy of the backing slice's bytes (the
+// mirror of view.go's zero-copy read), elsewhere element by element.
+func appendWeightPayload(dst []byte, t *tensor.Tensor) []byte {
+	if !hostLittleEndian {
+		return appendWeightPayloadPortable(dst, t)
+	}
+	return append(dst, payloadView(t)...)
+}
+
+// appendWeightPayloadPortable is the byte-order-independent writer, the
+// definition the bulk copy is held to.
+func appendWeightPayloadPortable(dst []byte, t *tensor.Tensor) []byte {
 	switch t.DType {
 	case tensor.FP32:
-		var b [4]byte
 		for _, v := range t.F32 {
-			binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
-			blob.Write(b[:])
+			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
 		}
 	case tensor.FP16:
-		var b [2]byte
 		for _, v := range t.F16 {
-			binary.LittleEndian.PutUint16(b[:], v)
-			blob.Write(b[:])
+			dst = binary.LittleEndian.AppendUint16(dst, v)
 		}
 	case tensor.INT8:
 		for _, v := range t.I8 {
-			blob.WriteByte(byte(v))
+			dst = append(dst, byte(v))
 		}
 	}
+	return dst
 }
 
 // decodeGraph reconstructs a graph from the structure section, wiring
@@ -245,25 +275,15 @@ func decodeWeight(r *br, blob []byte) (*tensor.Tensor, error) {
 	return t, nil
 }
 
-// bw writes little-endian primitives into a buffer, remembering the
+// bw appends little-endian primitives to a byte slice, remembering the
 // first error.
 type bw struct {
-	buf *bytes.Buffer
+	buf []byte
 	err error
 }
 
-func (w *bw) u32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	w.buf.Write(b[:])
-}
-
-func (w *bw) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	w.buf.Write(b[:])
-}
-
+func (w *bw) u32(v uint32)  { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
+func (w *bw) u64(v uint64)  { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
 func (w *bw) i32(v int32)   { w.u32(uint32(v)) }
 func (w *bw) f32(v float32) { w.u32(math.Float32bits(v)) }
 
@@ -273,7 +293,7 @@ func (w *bw) str(s string) {
 		return
 	}
 	w.u32(uint32(len(s)))
-	w.buf.WriteString(s)
+	w.buf = append(w.buf, s...)
 }
 
 // br reads little-endian primitives from a byte slice, remembering the

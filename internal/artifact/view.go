@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"math"
 	"unsafe"
+
+	"vedliot/internal/tensor"
 )
 
 // Zero-copy weight loading: the weights section stores raw
@@ -62,4 +64,26 @@ func i8View(b []byte) []int8 {
 		return nil
 	}
 	return unsafe.Slice((*int8)(unsafe.Pointer(&b[0])), len(b))
+}
+
+// payloadView is the view the other way: a weight's backing slice as
+// the bytes it occupies in memory, which on a little-endian host are its
+// payload in the file. Its length is the payload's on any host.
+func payloadView(t *tensor.Tensor) []byte {
+	switch t.DType {
+	case tensor.FP32:
+		return sliceBytes(t.F32)
+	case tensor.FP16:
+		return sliceBytes(t.F16)
+	case tensor.INT8:
+		return sliceBytes(t.I8)
+	}
+	return nil
+}
+
+func sliceBytes[T float32 | uint16 | int8](v []T) []byte {
+	if len(v) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&v[0])), len(v)*int(unsafe.Sizeof(v[0])))
 }

@@ -189,7 +189,17 @@ func artifactStudy(r *Report, g *nn.Graph, want, in *tensor.Tensor) error {
 		return err
 	}
 	loadT := time.Since(loadStart)
-	data, _ := os.ReadFile(path)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	// The full integrity check a deploy runs on the bytes: one hash, the
+	// section CRCs, and a canonical re-encode at copy speed.
+	verifyStart := time.Now()
+	if _, err := artifact.Verify(data); err != nil {
+		return err
+	}
+	verifyT := time.Since(verifyStart)
 
 	// Cold start without a cache: every replica lowers the plan.
 	plans := inference.NewPlanCache()
@@ -253,10 +263,11 @@ func artifactStudy(r *Report, g *nn.Graph, want, in *tensor.Tensor) error {
 
 	r.linef("")
 	r.linef("artifact deployment (%s, %d bytes, %s):", g.Name, len(data), m.Digest[:23])
-	r.linef("load %v | plan cold-compile %v | plan cache-hit %v -> %.0fx faster replica cold-start",
-		loadT.Round(time.Microsecond), cold.Round(time.Microsecond), warm, speedup)
+	r.linef("load %v | verify %v | plan cold-compile %v | plan cache-hit %v -> %.0fx faster replica cold-start",
+		loadT.Round(time.Microsecond), verifyT.Round(time.Microsecond), cold.Round(time.Microsecond), warm, speedup)
 	r.linef("2-replica CPU fleet from registry: %d plan compiled, %d cache hit", ps.Misses, ps.Hits)
 	r.metric("artifact_bytes", "B", float64(len(data)))
+	r.metric("artifact_verify_us", "us", float64(verifyT.Microseconds()))
 	r.metric("plan_cache_cold_us", "us", float64(cold.Microseconds()))
 	r.metric("plan_cache_hit_ns", "ns", float64(warm.Nanoseconds()))
 	r.metric("plan_cache_speedup", "x", speedup)

@@ -180,7 +180,10 @@ func (s *Scheduler) DeployArtifactOn(name string, slots ...int) (*Deployment, er
 	if schema == nil {
 		schema = s.cfg.Schema
 	}
-	schemaDigest := artifact.SchemaDigest(schema)
+	schemaDigest, err := artifact.SchemaDigest(schema)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: deploy artifact %q: %w", name, err)
+	}
 	return s.deploy(m.Graph, schema, m.Digest, slots, func(b inference.Backend) (inference.Executable, error) {
 		exe, _, err := reg.Plans().Compile(planKey(m.Digest, b, schemaDigest), b, m.Graph)
 		return exe, err

@@ -188,7 +188,7 @@ func bindConvGemm(g convGeom, w *tensor.Tensor, bias []float32, ep *epilogue, wf
 			kern.PackAF16(apackH[grp*apg:(grp+1)*apg], w.F16[grp*g.ocPerG*taps:], taps, g.ocPerG, taps)
 		}
 	} else {
-		wv := w.Float32s()
+		wv := weightValues(w)
 		apack = make([]float32, groups*apg)
 		for grp := 0; grp < groups; grp++ {
 			kern.PackA(apack[grp*apg:(grp+1)*apg], wv[grp*g.ocPerG*taps:], taps, g.ocPerG, taps)

@@ -902,7 +902,7 @@ func bindDense(n *nn.Node, in, out tensor.Shape, ep *epilogue, fp16 bool, stats 
 		bpackH = packDenseTiles(w.F16, inF, outF, nr)
 		stats.addWeightBytes(len(w.F16) * 2)
 	} else {
-		wv := w.Float32s()
+		wv := weightValues(w)
 		bpack = packDenseTiles(wv, inF, outF, nr)
 		setDenseBias(bpack, bias, tile, nr)
 		stats.addWeightBytes(len(wv) * 4)
@@ -969,6 +969,17 @@ func bindDense(n *nn.Node, in, out tensor.Shape, ep *epilogue, fp16 bool, stats 
 		})
 		return nil
 	}, scratchSpec{f32PerWorker: scratch, f32PerCall: len(bpackH)}, nil
+}
+
+// weightValues is a weight tensor's values for a bind-time reader that
+// packs or quantizes them once and keeps nothing: FP32 storage as it
+// lies (for an artifact's weights, the file image), anything else
+// dequantized.
+func weightValues(w *tensor.Tensor) []float32 {
+	if w.DType == tensor.FP32 && len(w.F32) == w.NumElements() {
+		return w.F32
+	}
+	return w.Float32s()
 }
 
 // packDenseTiles lays a row-major [outF, inF] weight matrix out as the

@@ -195,17 +195,22 @@ func buildEpilogue(op *ir.Op, channels int) (*epilogue, error) {
 // requantizes to its own (first Pre) mapping and the table recodes from
 // there through each stage's exact lookup — the same tables the unfused
 // steps would apply one by one, composed, so results are bitwise
-// identical. Returns nil for an unfused op.
+// identical. A chain of activations alone is one table every channel
+// points at; from the first batch-norm stage on the op holds one slab of
+// per-channel tables and later stages compose into it in place. Returns
+// nil for an unfused op.
 func buildEpilogueLUTs(m *ir.Module, op *ir.Op, channels int) ([]*[256]int8, error) {
 	if len(op.Fused) == 0 {
 		return nil, nil
 	}
-	var luts []*[256]int8
+	// chain is the stages so far, composed: one table while none has
+	// depended on the channel, one per channel after.
+	var chain [][256]int8
 	prevQ := m.Values[op.Fused[0].Pre].QP
 	for i := range op.Fused {
 		f := &op.Fused[i]
 		outQ := m.Values[op.FusedOut(i)].QP
-		var stageTbl func(ch int) *[256]int8
+		var stage [][256]int8
 		if f.Kind == nn.OpBatchNorm {
 			scale, shift, err := bnScaleShift(nodeFromFused(f), channels)
 			if err != nil {
@@ -214,36 +219,35 @@ func buildEpilogueLUTs(m *ir.Module, op *ir.Op, channels int) ([]*[256]int8, err
 			if len(scale) != channels {
 				return nil, fmt.Errorf("fused batchnorm %q has %d channels, want %d", f.Name, len(scale), channels)
 			}
-			perCh := make([]*[256]int8, channels)
-			for ch := 0; ch < channels; ch++ {
-				s, sh := scale[ch], shift[ch]
-				perCh[ch] = buildLUT(prevQ, outQ, func(x float32) float32 { return x*s + sh })
-			}
-			stageTbl = func(ch int) *[256]int8 { return perCh[ch] }
+			stage = buildAffineLUTs(prevQ, outQ, scale, shift)
 		} else {
 			fn, _, err := activationFn(nodeFromFused(f))
 			if err != nil {
 				return nil, err
 			}
-			shared := buildLUT(prevQ, outQ, fn)
-			stageTbl = func(int) *[256]int8 { return shared }
+			stage = [][256]int8{*buildLUT(prevQ, outQ, fn)}
 		}
-		if luts == nil {
-			luts = make([]*[256]int8, channels)
-			for ch := range luts {
-				luts[ch] = stageTbl(ch)
+		switch {
+		case chain == nil:
+			chain = stage
+		case len(stage) > len(chain):
+			// The first per-channel stage: the shared prefix fans out.
+			for ch := range stage {
+				tbl := chain[0]
+				composeLUT(&tbl, &stage[ch])
+				stage[ch] = tbl
 			}
-		} else {
-			for ch := range luts {
-				tbl := stageTbl(ch)
-				var next [256]int8
-				for c := range next {
-					next[c] = tbl[int(luts[ch][c])+128]
-				}
-				luts[ch] = &next
+			chain = stage
+		default:
+			for ch := range chain {
+				composeLUT(&chain[ch], &stage[ch%len(stage)])
 			}
 		}
 		prevQ = outQ
+	}
+	luts := make([]*[256]int8, channels)
+	for ch := range luts {
+		luts[ch] = &chain[ch%len(chain)]
 	}
 	return luts, nil
 }

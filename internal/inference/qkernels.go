@@ -72,15 +72,55 @@ func bindQuantStep(st *QuantStep, outElems int) (kernelFunc[int8], scratchSpec) 
 	return st.host, st.spec
 }
 
+// dequantCodes is the real value of every code under q in table order
+// (code c at index c+128): the input column all tables of one stage
+// share.
+func dequantCodes(q tensor.QuantParams) *[256]float32 {
+	var x [256]float32
+	for i := range x {
+		x[i] = q.Dequantize(int8(i - 128))
+	}
+	return &x
+}
+
 // buildLUT tabulates code → code for a scalar real function under the
 // in/out affine mappings — the universal int8 lowering for element-wise
-// ops (and for pure recodes with f = identity).
+// ops (and for pure recodes with f = identity): entry c is
+// outQ.Quantize(f(inQ.Dequantize(c))), the scalar quantizer's division
+// form.
 func buildLUT(inQ, outQ tensor.QuantParams, f func(float32) float32) *[256]int8 {
-	var lut [256]int8
-	for c := -128; c <= 127; c++ {
-		lut[c+128] = outQ.Quantize(f(inQ.Dequantize(int8(c))))
+	x := dequantCodes(inQ)
+	for i, v := range x {
+		x[i] = f(v)
 	}
+	var lut [256]int8
+	outQ.QuantizeTo(lut[:], x[:])
 	return &lut
+}
+
+// buildAffineLUTs is buildLUT for the per-channel affine
+// y = scale[ch]*x + shift[ch] (an inference-mode batch norm): one table
+// per channel in one slab, the input codes dequantized once for all of
+// them.
+func buildAffineLUTs(inQ, outQ tensor.QuantParams, scale, shift []float32) [][256]int8 {
+	x := dequantCodes(inQ)
+	slab := make([][256]int8, len(scale))
+	var y [256]float32
+	for ch := range slab {
+		s, sh := scale[ch], shift[ch]
+		for i, v := range x {
+			y[i] = v*s + sh
+		}
+		outQ.QuantizeTo(slab[ch][:], y[:])
+	}
+	return slab
+}
+
+// composeLUT rewrites tbl in place to the table of next after tbl.
+func composeLUT(tbl, next *[256]int8) {
+	for i, code := range tbl {
+		tbl[i] = next[int(code)+128]
+	}
 }
 
 // sameQuant reports whether two mappings are identical, making a recode
@@ -104,15 +144,13 @@ func quantizeFilter(w *tensor.Tensor, outC int) ([]int8, []float64) {
 		}
 		return codes, scales
 	}
-	vals := w.Float32s()
+	vals := weightValues(w)
 	codes := make([]int8, n)
 	for oc := 0; oc < outC; oc++ {
 		ch := vals[oc*perOut : (oc+1)*perOut]
 		q := tensor.SymmetricParams(ch)
 		scales[oc] = float64(q.Scale)
-		for i, v := range ch {
-			codes[oc*perOut+i] = q.Quantize(v)
-		}
+		q.QuantizeTo(codes[oc*perOut:], ch)
 	}
 	return codes, scales
 }

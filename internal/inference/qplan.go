@@ -369,16 +369,13 @@ func lowerQuantOp(st *QuantStep, q *quantOp) (err error) {
 		if len(scale) != c {
 			return fmt.Errorf("batchnorm has %d folded channels for %d channels", len(scale), c)
 		}
+		slab := buildAffineLUTs(inQ[0], outQ, scale, shift)
 		luts := make([]*[256]int8, c)
-		for ch := 0; ch < c; ch++ {
-			s, sh := scale[ch], shift[ch]
-			lut := buildLUT(inQ[0], outQ, func(x float32) float32 { return x*s + sh })
+		for ch := range luts {
+			luts[ch] = &slab[ch]
 			if post != nil {
-				for i, code := range lut {
-					lut[i] = post[ch][int(code)+128]
-				}
+				composeLUT(luts[ch], post[ch])
 			}
-			luts[ch] = lut
 		}
 		st.LUTPerChannel = &PlanLUTPerChannel{C: c, HW: inPer[0][1] * inPer[0][2], Tables: luts}
 	case nn.OpReLU, nn.OpReLU6, nn.OpLeakyReLU, nn.OpSigmoid, nn.OpTanh,

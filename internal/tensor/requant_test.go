@@ -261,3 +261,54 @@ func TestQuantizeSliceContract(t *testing.T) {
 		}
 	}
 }
+
+// TestQuantizeToIsQuantize holds the bulk form of the scalar quantizer
+// to the scalar itself on the same hard values as
+// TestQuantizeSliceContract, plus scales whose half-code boundaries the
+// reciprocal form misses (49/65536: dividing reaches the half,
+// multiplying by the rounded reciprocal falls short of it), so that
+// neither the rounding rule nor the division can change unnoticed.
+func TestQuantizeToIsQuantize(t *testing.T) {
+	rng := rand.New(rand.NewSource(74))
+	nan := float32(math.NaN())
+	inf := float32(math.Inf(1))
+	ties, reciprocalDiffers := 0, 0
+	for _, q := range []QuantParams{
+		{Scale: 0.02, Zero: 3}, {Scale: 1, Zero: 0}, {Scale: 0.0078125, Zero: -128},
+		{Scale: 49.0 / 65536, Zero: 2}, {Scale: 3.0 / 256, Zero: 127}, {Scale: 3.7e-3, Zero: 127},
+		{Scale: 1e-38, Zero: 5}, {Scale: 3e38, Zero: -5}, {Scale: 1e-45, Zero: 0}, {Scale: 0, Zero: 7},
+		{Scale: 0, Zero: 300}, {Scale: 0.1, Zero: 5000}, {Scale: 0.1, Zero: -1 << 31}, {Scale: 0.1, Zero: 1<<31 - 1},
+		{Scale: nan, Zero: 9}, {Scale: inf, Zero: 9}, {Scale: -0.5, Zero: 1},
+	} {
+		src := []float32{nan, inf, -inf, 0, float32(math.Copysign(0, -1)), 1e-45, -1e-45, 1e-39,
+			math.MaxFloat32, -math.MaxFloat32, 1e30, -1e30, 0.49999997, -0.49999997}
+		for k := -140; k <= 140; k++ {
+			b := (float32(k) + 0.5) * q.Scale
+			src = append(src, b, math.Nextafter32(b, inf), math.Nextafter32(b, -inf), float32(k)*q.Scale)
+		}
+		for i := 0; i < 200; i++ {
+			src = append(src, float32(rng.NormFloat64())*q.Scale*100)
+		}
+		got := make([]int8, len(src)+1)
+		got[len(src)] = 99
+		q.QuantizeTo(got, src)
+		if got[len(src)] != 99 {
+			t.Fatalf("q=%+v: QuantizeTo wrote past len(src)", q)
+		}
+		for i, v := range src {
+			want := q.Quantize(v)
+			if got[i] != want {
+				t.Fatalf("q=%+v: QuantizeTo(%g) = %d, Quantize says %d", q, v, got[i], want)
+			}
+			if x := float64(v) / float64(q.Scale); x-math.Trunc(x) == 0.5 || x-math.Trunc(x) == -0.5 {
+				ties++
+				if refQuantize(v, q) != want {
+					reciprocalDiffers++
+				}
+			}
+		}
+	}
+	if ties == 0 || reciprocalDiffers == 0 {
+		t.Fatalf("%d half-code boundaries, %d of them telling the division form from the reciprocal form: the test is blunt", ties, reciprocalDiffers)
+	}
+}

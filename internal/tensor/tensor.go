@@ -144,6 +144,46 @@ func (q QuantParams) Quantize(v float32) int8 {
 	return int8(r)
 }
 
+// QuantizeTo is Quantize applied to each element of src, written to dst
+// (equal lengths): the same division form in float64, rounding half away
+// from zero and saturating, bit for bit, in one loop without a call per
+// element. It is what builds code tables and quantizes filters, so it is
+// not QuantizeSlice: that one multiplies by the reciprocal, and the two
+// disagree by one code on half-code boundaries.
+func (q QuantParams) QuantizeTo(dst []int8, src []float32) {
+	dst = dst[:len(src)]
+	if q.Scale == 0 {
+		z := int8(q.Zero)
+		for i := range dst {
+			dst[i] = z
+		}
+		return
+	}
+	// Past +-2^40 the sum with any int32 zero point saturates either way,
+	// so the quotient is clamped there and rounded in integers: n is its
+	// truncation, d the exact fraction in (-1, 1), and the truncation of
+	// 2d is +-1 from the half on and 0 before it. That is math.Round
+	// without a call or a branch on the fraction.
+	const bound = 1 << 40
+	scale, zero := float64(q.Scale), int64(q.Zero)
+	for i, v := range src {
+		x := float64(v) / scale
+		if x != x {
+			dst[i] = int8(x) // what Quantize's conversion makes of a NaN
+			continue
+		}
+		if x > bound {
+			x = bound
+		}
+		if x < -bound {
+			x = -bound
+		}
+		n := int64(x)
+		d := x - float64(n)
+		dst[i] = int8(max(min(n+int64(d+d)+zero, 127), -128))
+	}
+}
+
 // Dequantize maps an INT8 code back to its real value.
 func (q QuantParams) Dequantize(v int8) float32 {
 	return q.Scale * float32(int32(v)-q.Zero)
