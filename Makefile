@@ -30,10 +30,11 @@ test-full:
 # they form batches and backlogs by holding a gate, not by wall clock,
 # so twenty runs in a row must agree. The plan executor's pooled run
 # state gets the same twenty: concurrent runs at mixed batch sizes, and
-# a kernel error at every step.
+# a kernel error at every step. internal/accel rides in the first row for
+# Backend.Compile on a registry-shared graph from two goroutines.
 test-race:
-	$(GO) test -short -race ./internal/inference/... ./internal/microserver/... ./internal/cluster/... ./internal/serve/... ./internal/rvbackend/... ./internal/riscv/... ./internal/soc/... ./internal/cfu/...
-	$(GO) test -race -count=20 -run 'Batch|CapacityRule|Dispatch|Gate|Admission|Saturated|CloseResolves|CancelPropagation' ./internal/microserver/ ./internal/serve/ ./internal/cluster/
+	$(GO) test -short -race ./internal/inference/... ./internal/accel/... ./internal/microserver/... ./internal/cluster/... ./internal/serve/... ./internal/rvbackend/... ./internal/riscv/... ./internal/soc/... ./internal/cfu/...
+	$(GO) test -race -count=20 -run 'Batch|CapacityRule|Dispatch|Gate|Admission|Saturated|BurstFollows|CloseResolves|CancelPropagation' ./internal/microserver/ ./internal/serve/ ./internal/cluster/
 	$(GO) test -race -count=20 -run 'ExecutorConcurrent|ExecutorKernelError' ./internal/inference/
 
 # test-portable exercises the pure-Go micro-kernel fallbacks (noasm /
@@ -64,6 +65,8 @@ test-portable:
 # FuzzArtifactVerify is the first untrusted decoder under fuzz: .vedz
 # bytes, raw and with their section CRCs re-sealed, must never panic or
 # over-allocate Verify, and what it accepts must re-encode to itself.
+# FuzzFrameDecode holds the front door's frame reader and its hello,
+# request and reply body decoders to the same three properties.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzEncodeExecute -fuzztime 5s ./internal/riscv/
 	$(GO) test -fuzz FuzzLoadStoreRoundTrip -fuzztime 5s ./internal/riscv/
@@ -83,6 +86,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzQConvPlane -fuzztime 5s ./internal/inference/
 	$(GO) test -fuzz FuzzBuildCodeTable -fuzztime 5s ./internal/inference/
 	$(GO) test -fuzz FuzzArtifactVerify -fuzztime 5s ./internal/artifact/
+	$(GO) test -fuzz FuzzFrameDecode -fuzztime 5s -fuzzminimizetime 5s ./internal/serve/
 
 # bench tracks the inference-runtime perf trajectory, and the cold-start
 # steps of the two served zoo models in absolute terms: Verify (MB/s),

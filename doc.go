@@ -2,9 +2,9 @@
 // Efficient Deep Learning in IoT" (DATE 2022): the RECS cognitive IoT
 // hardware platform, the DL accelerator evaluation methodology, the
 // ONNX-centric optimizing toolchain, the trusted-execution and
-// attestation stack, the DL safety monitors, the AIoT requirements
-// framework and the three use-case domains — each backed by simulators
-// where the paper used physical hardware.
+// attestation stack, the DL safety monitors and the three use-case
+// domains — each backed by simulators where the paper used physical
+// hardware.
 //
 // The execution stack offers two compiled runtimes behind one
 // Backend/Executable interface pair: the FP32 execution-plan engine and

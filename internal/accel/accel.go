@@ -127,17 +127,22 @@ func WorkloadFromGraph(g *nn.Graph, precision tensor.DType) (Workload, error) {
 	if err != nil {
 		return Workload{}, err
 	}
+	return workloadFromStats(g.Name, stats, precision), nil
+}
+
+// workloadFromStats normalizes graph statistics to one inference.
+func workloadFromStats(name string, stats nn.GraphStats, precision tensor.DType) Workload {
 	batch := int64(stats.Batch)
 	if batch <= 0 {
 		batch = 1
 	}
 	elem := int64(precision.Size())
 	return Workload{
-		Name:            g.Name,
+		Name:            name,
 		OpsPerInference: stats.Ops / batch,
 		WeightBytes:     stats.Params * elem,
 		ActivationBytes: stats.TotalActivationBytes / batch / 4 * elem,
-	}, nil
+	}
 }
 
 // Measurement is one simulated operating point — a dot in Fig. 4.

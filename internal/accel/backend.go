@@ -36,9 +36,6 @@ type Backend struct {
 	// weights dequantized at compile time), preserving bit-exact parity
 	// with the host engine.
 	Schema *nn.QuantSchema
-	// EngineOptions configure the host engine that provides the
-	// functional execution.
-	EngineOptions []inference.Option
 }
 
 // NewBackend wraps a device, running it at its best supported precision.
@@ -58,7 +55,8 @@ func (b *Backend) Name() string { return "accel:" + b.Device.Name }
 // Compile implements inference.Backend: it compiles the graph on the
 // host engine for functional execution and derives the device-model
 // workload once, so every later latency prediction is a closed-form
-// roofline evaluation.
+// roofline evaluation. The graph is only read (on the artifact path it
+// is the registry's, shared by every scheduler compiling it).
 func (b *Backend) Compile(g *nn.Graph, opts ...inference.Option) (inference.Executable, error) {
 	if b.Device == nil {
 		return nil, fmt.Errorf("accel: backend has no device")
@@ -66,11 +64,10 @@ func (b *Backend) Compile(g *nn.Graph, opts ...inference.Option) (inference.Exec
 	if !b.Device.Supports(b.Precision) {
 		return nil, fmt.Errorf("accel: %s does not support %s", b.Device.Name, b.Precision)
 	}
-	engOpts := append(append([]inference.Option(nil), b.EngineOptions...), opts...)
 	var exec inference.Executable
 	quantized := false
 	if b.Precision == tensor.INT8 && b.Schema != nil {
-		q, err := inference.CompileQuantized(g, b.Schema, engOpts...)
+		q, err := inference.CompileQuantized(g, b.Schema, opts...)
 		switch {
 		case err == nil:
 			exec, quantized = q, true
@@ -82,29 +79,17 @@ func (b *Backend) Compile(g *nn.Graph, opts ...inference.Option) (inference.Exec
 		}
 	}
 	if exec == nil {
-		eng, err := inference.Compile(g, engOpts...)
+		eng, err := inference.Compile(g, opts...)
 		if err != nil {
 			return nil, err
 		}
 		exec = eng
 	}
-	// The workload derivation needs batch-1 shapes; snapshot and restore
-	// OutShapes so Compile stays observably side-effect free, matching
-	// inference.Compile.
-	saved := make([]tensor.Shape, len(g.Nodes))
-	for i, n := range g.Nodes {
-		saved[i] = n.OutShape
-	}
-	if err := g.InferShapes(1); err != nil {
-		return nil, err
-	}
-	w, err := WorkloadFromGraph(g, b.Precision)
-	for i, n := range g.Nodes {
-		n.OutShape = saved[i]
-	}
+	stats, err := g.StatsAt(1)
 	if err != nil {
 		return nil, err
 	}
+	w := workloadFromStats(g.Name, stats, b.Precision)
 	return &Program{exec: exec, device: b.Device, workload: w, precision: b.Precision, quantized: quantized}, nil
 }
 

@@ -1,7 +1,9 @@
 package accel
 
 import (
+	"sync"
 	"testing"
+	"time"
 
 	"vedliot/internal/inference"
 	"vedliot/internal/nn"
@@ -80,5 +82,55 @@ func TestBackendRejectsUnsupportedPrecision(t *testing.T) {
 	g := nn.MLP("m", []int{4, 2}, nn.BuildOptions{Weights: true, Seed: 1})
 	if _, err := b.Compile(g); err == nil {
 		t.Error("compile succeeded at a precision the device does not support")
+	}
+}
+
+// TestCompileSharedGraphConcurrently compiles one graph for two device
+// types at once, as two schedulers placing one registry artifact do: the
+// graph is shared and read-only, so Compile must not write to it (the
+// race detector sees the write), and each program's device model must be
+// what a compile on its own derives.
+func TestCompileSharedGraphConcurrently(t *testing.T) {
+	g := nn.FaceDetectNet(32, nn.BuildOptions{Weights: true, Seed: 91})
+	names := []string{"Xavier NX", "EdgeTPU SoM"}
+	alone := make([]time.Duration, len(names))
+	backends := make([]*Backend, len(names))
+	for i, name := range names {
+		dev, err := FindDevice(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		backends[i] = NewBackend(dev)
+		exe, err := backends[i].Compile(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if alone[i], err = exe.(*Program).PredictLatency(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const rounds = 8
+	var wg sync.WaitGroup
+	for i := range backends {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				exe, err := backends[i].Compile(g)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if lat, err := exe.(*Program).PredictLatency(1); err != nil || lat != alone[i] {
+					t.Errorf("%s: concurrent compile predicts %v (%v), alone %v", names[i], lat, err, alone[i])
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	for _, n := range g.Nodes {
+		if n.OutShape != nil {
+			t.Fatalf("Compile left OutShape %v on node %q of a shared graph", n.OutShape, n.Name)
+		}
 	}
 }

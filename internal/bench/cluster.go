@@ -98,6 +98,7 @@ func ClusterStudy() (*Report, error) {
 		return nil, err
 	}
 
+	before := dep.Stats() // the estimates the burst starts on
 	burst := pick(96, 32)
 	tickets := make([]*cluster.Ticket, 0, burst)
 	for i := 0; i < burst; i++ {
@@ -129,25 +130,31 @@ func ClusterStudy() (*Report, error) {
 	}
 	distinctAccel := map[string]bool{}
 	cpuServed := int64(0)
-	// The router promises that load follows the service estimate: the
-	// replica it rates fastest serves the most, the slowest the fewest.
-	fastest, slowest := st.Replicas[0], st.Replicas[0]
-	mostServed, fewestServed := fastest.Served, fastest.Served
-	for _, rs := range st.Replicas {
+	// The router promises that load follows the service estimate. What
+	// can be checked of that on live replicas: one it rated at least twice
+	// as fast as another, both when the burst began and when it ended (the
+	// CPU replica's estimate is seeded by one cold probe and moves as the
+	// burst's own completions arrive), serves at least as many. A closer
+	// rating decides nothing here: completions race the placement in three
+	// runs of four, queues then drain at the host's speed, the same for
+	// every replica whatever its device model says, and the two
+	// accelerators (1.0 against 1.4 ms) level out to within a few
+	// requests either way. cluster.TestBurstFollowsEstimate pins the whole
+	// split on replicas held shut.
+	twiceAsFast := func(s cluster.Stats, i, j int) bool { return 2*s.Replicas[i].Estimate <= s.Replicas[j].Estimate }
+	followsEstimate := true
+	for i, rs := range st.Replicas {
 		r.metric("served_"+rs.Backend, "req", float64(rs.Served))
 		if rs.Modeled > 0 {
 			distinctAccel[rs.Backend] = true
 		} else {
 			cpuServed += rs.Served
 		}
-		if rs.Estimate < fastest.Estimate {
-			fastest = rs
+		for j, other := range st.Replicas {
+			if twiceAsFast(before, i, j) && twiceAsFast(st, i, j) && rs.Served < other.Served {
+				followsEstimate = false
+			}
 		}
-		if rs.Estimate > slowest.Estimate {
-			slowest = rs
-		}
-		mostServed = max(mostServed, rs.Served)
-		fewestServed = min(fewestServed, rs.Served)
 	}
 	r.linef("burst latency: mean %v p50 %v p95 %v | chassis max power %.1f W",
 		sum.Mean.Round(time.Microsecond), sum.P50.Round(time.Microsecond),
@@ -160,8 +167,8 @@ func ClusterStudy() (*Report, error) {
 		cpuServed > 0 && len(distinctAccel) >= 2)
 	r.check("every backend served requests (warm-up probes each replica)",
 		st.Completed == int64(burst) && allServed(st.Replicas))
-	r.check("cost-aware routing: served counts follow the service estimate (fastest most, slowest fewest)",
-		fastest.Served == mostServed && slowest.Served == fewestServed)
+	r.check("cost-aware routing: a replica rated twice as fast before and after the burst serves at least as many",
+		followsEstimate)
 
 	// --- Part 3: artifact deployment and the plan cache ---------------
 	if err := artifactStudy(r, g, want, in); err != nil {

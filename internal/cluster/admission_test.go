@@ -65,7 +65,10 @@ func (e *gateExe) open() { close(e.release) }
 func gatedDeployment(t *testing.T, queueDepth int, gates ...*gateExe) *Deployment {
 	t.Helper()
 	g := gestureModel()
-	d := newDeployment(g, "", Config{QueueDepth: queueDepth})
+	d, err := newDeployment(g, "", Config{QueueDepth: queueDepth})
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Cleanup(d.close)
 	for i, gate := range gates {
 		mod := &microserver.Module{Name: fmt.Sprintf("gate%d", i), MaxW: gate.maxW}
@@ -278,6 +281,47 @@ func TestSaturatedReplicaDoesNotBlockRouting(t *testing.T) {
 		}
 		if b.Replica() != d.replicas[0] {
 			t.Errorf("backlog ticket ran on replica %d, want 0", b.Replica().ID())
+		}
+	}
+}
+
+// TestBurstFollowsEstimate pins the routing property where it is
+// deterministic: with every replica held shut nothing completes, so a
+// burst is placed on the fixed estimates alone and must split exactly as
+// the greedy rule says, each ticket to the lowest (inflight+1) x
+// estimate. The cluster study shows the same on live replicas, where
+// completions race the burst.
+func TestBurstFollowsEstimate(t *testing.T) {
+	ests := []time.Duration{300 * time.Microsecond, 1402 * time.Microsecond, 1011 * time.Microsecond}
+	gates := make([]*gateExe, len(ests))
+	for i, est := range ests {
+		gates[i] = newGate(est, float64(3+i))
+	}
+	const burst = 96
+	d := gatedDeployment(t, burst, gates...)
+	// The expected split: the routing rule replayed over the test's own
+	// counters, one ticket at a time.
+	want := make([]int64, len(ests))
+	for n := 0; n < burst; n++ {
+		want[cheapest(len(ests),
+			func(i int) float64 { return float64(want[i]+1) * float64(ests[i]) },
+			func(i int) float64 { return gates[i].maxW })]++
+	}
+	tks := submitN(t, d, burst)
+	for i, r := range d.replicas {
+		if got := r.inflight.Load(); got != want[i] {
+			t.Errorf("replica %d (estimate %v) holds %d of the burst, want %d", i, ests[i], got, want[i])
+		}
+	}
+	if !(want[0] > want[2] && want[2] > want[1]) {
+		t.Errorf("split %v does not order the replicas by estimate", want)
+	}
+	for _, gate := range gates {
+		gate.open()
+	}
+	for _, tk := range tks {
+		if _, err := tk.Wait(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -233,14 +233,17 @@ func (s *Scheduler) deploy(g *nn.Graph, schema *nn.QuantSchema, digest string, s
 	}
 	s.mu.Unlock()
 
-	d := newDeployment(g, digest, s.cfg)
+	d, err := newDeployment(g, digest, s.cfg)
+	if err != nil {
+		return nil, err
+	}
 	for _, idx := range slots {
 		if err := s.place(d, g, schema, idx, compile); err != nil {
 			d.close()
 			return nil, err
 		}
 	}
-	if err := d.warmup(g); err != nil {
+	if err := d.warmup(); err != nil {
 		d.close()
 		return nil, err
 	}
@@ -399,8 +402,11 @@ type Deployment struct {
 	// digest is the content digest of the artifact the fleet runs, empty
 	// for in-process Deploy graphs. It is the identity replica
 	// attestation binds to the enclave measurement.
-	digest      string
+	digest string
+	// inputNames and inPer are the model's declared inputs and their
+	// per-sample shapes, what inference.CheckInputs judges a request by.
 	inputNames  []string
+	inPer       []tensor.Shape
 	outputNames []string
 	replicas    []*Replica
 	emulate     bool
@@ -422,8 +428,13 @@ type Deployment struct {
 	cancelled atomic.Int64
 }
 
-func newDeployment(g *nn.Graph, digest string, cfg Config) *Deployment {
-	return &Deployment{
+// newDeployment reads the model's declared interface. Input shapes come
+// from the input nodes' declared Attrs.Shape, never via InferShapes,
+// which would write OutShape on every node of a graph that, on the
+// DeployArtifact path, is registry-shared across schedulers (and
+// read-only by the artifact contract).
+func newDeployment(g *nn.Graph, digest string, cfg Config) (*Deployment, error) {
+	d := &Deployment{
 		model:       g.Name,
 		digest:      digest,
 		inputNames:  append([]string(nil), g.Inputs...),
@@ -431,6 +442,17 @@ func newDeployment(g *nn.Graph, digest string, cfg Config) *Deployment {
 		emulate:     cfg.EmulateLatency,
 		serve:       microserver.ServeConfig{QueueDepth: cfg.QueueDepth},
 	}
+	for _, name := range d.inputNames {
+		n := g.Node(name)
+		if n == nil {
+			return nil, fmt.Errorf("cluster: graph %q missing input node %q", g.Name, name)
+		}
+		if len(n.Attrs.Shape) == 0 {
+			return nil, fmt.Errorf("cluster: graph %q input %q declares no shape", g.Name, name)
+		}
+		d.inPer = append(d.inPer, tensor.Shape(n.Attrs.Shape).Clone())
+	}
+	return d, nil
 }
 
 // addReplica starts a replica server over the executable compiled for
@@ -483,24 +505,16 @@ func (d *Deployment) InputNames() []string { return append([]string(nil), d.inpu
 // OutputNames returns the model's output-node names (a copy).
 func (d *Deployment) OutputNames() []string { return append([]string(nil), d.outputNames...) }
 
+// InputShapes returns the per-sample shape of each declared input, in
+// InputNames order (a copy of the list; the shapes are read-only).
+func (d *Deployment) InputShapes() []tensor.Shape { return append([]tensor.Shape(nil), d.inPer...) }
+
 // warmup probes every replica with one zero-input request, verifying
-// the backend end to end and seeding the observed-latency EWMA. Input
-// shapes are read from the input nodes' declared Attrs.Shape — never
-// via InferShapes, which would write OutShape on every node of a graph
-// that, on the DeployArtifact path, is registry-shared across
-// schedulers (and read-only by the artifact contract).
-func (d *Deployment) warmup(g *nn.Graph) error {
+// the backend end to end and seeding the observed-latency EWMA.
+func (d *Deployment) warmup() error {
 	inputs := make(map[string]*tensor.Tensor, len(d.inputNames))
-	for _, name := range d.inputNames {
-		n := g.Node(name)
-		if n == nil {
-			return fmt.Errorf("cluster: graph %q missing input node %q", g.Name, name)
-		}
-		per := n.Attrs.Shape
-		if len(per) == 0 {
-			return fmt.Errorf("cluster: graph %q input %q declares no shape", g.Name, name)
-		}
-		inputs[name] = tensor.New(tensor.FP32, append(tensor.Shape{1}, per...)...)
+	for i, name := range d.inputNames {
+		inputs[name] = tensor.New(tensor.FP32, append(tensor.Shape{1}, d.inPer[i]...)...)
 	}
 	for _, r := range d.replicas {
 		start := time.Now()
@@ -526,13 +540,19 @@ func (d *Deployment) Submit(inputs map[string]*tensor.Tensor) (*Ticket, error) {
 // the context error without consuming replica time. A request already
 // running on an engine completes normally (dispatches are not
 // preemptible); its result is simply discarded by the caller. The
-// ticket resolves on the replica's dispatcher goroutine.
+// ticket resolves on the replica's dispatcher goroutine. An input map
+// the model's signature refuses (inference.CheckInputs) is refused here,
+// before it counts as submitted.
 func (d *Deployment) SubmitCtx(ctx context.Context, inputs map[string]*tensor.Tensor) (*Ticket, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	if d.closed.Load() {
 		return nil, ErrClosed
+	}
+	rows, err := inference.CheckInputs(d.inputNames, d.inPer, inputs)
+	if err != nil {
+		return nil, err
 	}
 	// Counted shed or not: Submitted == Completed + Rejected must hold.
 	d.submitted.Add(1)
@@ -544,7 +564,6 @@ func (d *Deployment) SubmitCtx(ctx context.Context, inputs map[string]*tensor.Te
 	r := d.pick()
 	tk := &Ticket{done: make(chan struct{}), start: time.Now(), replica: r}
 	depth := r.inflight.Add(1)
-	rows := batchRows(inputs, d.inputNames)
 	resolve := func(outs map[string]*tensor.Tensor, err error, wall time.Duration) {
 		if errors.Is(err, microserver.ErrClosed) {
 			err = ErrClosed
@@ -557,7 +576,7 @@ func (d *Deployment) SubmitCtx(ctx context.Context, inputs map[string]*tensor.Te
 		// congestion or batch size — congestion is already priced into
 		// the routing cost via the inflight factor, and the front door's
 		// adaptive batching must not read as a slower replica.
-		r.observe(perSampleWall(wall, depth, rows), err)
+		r.observe(perSampleWall(wall, depth, int64(rows)), err)
 		if err != nil && ctx.Err() != nil {
 			d.cancelled.Add(1)
 		}
@@ -569,7 +588,7 @@ func (d *Deployment) SubmitCtx(ctx context.Context, inputs map[string]*tensor.Te
 		d.completed.Add(1)
 		close(tk.done)
 	}
-	err := r.server.Submit(ctx, inputs, func(outs map[string]*tensor.Tensor, err error) {
+	err = r.server.Submit(ctx, inputs, func(outs map[string]*tensor.Tensor, err error) {
 		wall := time.Since(tk.start)
 		if d.emulate && err == nil && r.modeled > wall {
 			time.AfterFunc(r.modeled-wall, func() { resolve(outs, nil, r.modeled) })
@@ -613,17 +632,6 @@ func (d *Deployment) InferSingle(in *tensor.Tensor) (*tensor.Tensor, error) {
 		return nil, err
 	}
 	return outs[d.outputNames[0]], nil
-}
-
-// batchRows reads the number of coalesced samples a request carries:
-// the leading (batch) dimension of its first declared input.
-func batchRows(ins map[string]*tensor.Tensor, inputNames []string) int64 {
-	if len(inputNames) > 0 {
-		if t := ins[inputNames[0]]; t != nil && len(t.Shape) > 0 && t.Shape[0] > 1 {
-			return int64(t.Shape[0])
-		}
-	}
-	return 1
 }
 
 // perSampleWall normalizes an observed wall time by the replica queue

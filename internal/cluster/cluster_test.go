@@ -458,19 +458,37 @@ func TestPerSampleWall(t *testing.T) {
 	}
 }
 
+// TestBatchRows: a submission's rows are what inference.CheckInputs
+// reads from it. A map the check refuses is refused by SubmitCtx before
+// it counts anywhere; one it passes runs as exactly its rows.
 func TestBatchRows(t *testing.T) {
-	names := []string{"in"}
-	if got := batchRows(map[string]*tensor.Tensor{"in": tensor.New(tensor.FP32, 6, 3)}, names); got != 6 {
-		t.Errorf("batch-6 input read as %d rows", got)
+	gate := newGate(time.Millisecond, 5)
+	gate.open()
+	d := gatedDeployment(t, 4, gate)
+	name := d.inputNames[0]
+	for what, ins := range map[string]map[string]*tensor.Tensor{
+		"no inputs":      nil,
+		"nil tensor":     {name: nil},
+		"wrong trailing": {name: tensor.New(tensor.FP32, 1, 1, 8, 8)},
+		"zero rows":      {name: tensor.New(tensor.FP32, 0, 1, 16, 16)},
+	} {
+		if _, err := d.Submit(ins); !errors.Is(err, inference.ErrBadInput) {
+			t.Errorf("%s: Submit returned %v, want inference.ErrBadInput", what, err)
+		}
 	}
-	if got := batchRows(map[string]*tensor.Tensor{"in": tensor.New(tensor.FP32, 1, 3)}, names); got != 1 {
-		t.Errorf("batch-1 input read as %d rows", got)
+	if st := d.Stats(); st.Submitted != 0 || st.Replicas[0].Failed != 0 {
+		t.Errorf("refused requests counted: submitted %d, replica failed %d, want 0 0", st.Submitted, st.Replicas[0].Failed)
 	}
-	if got := batchRows(map[string]*tensor.Tensor{}, names); got != 1 {
-		t.Errorf("missing input read as %d rows, want 1", got)
+	six := tensor.New(tensor.FP32, 6, 1, 16, 16)
+	outs, err := d.Infer(map[string]*tensor.Tensor{name: six})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := batchRows(nil, nil); got != 1 {
-		t.Errorf("nil inputs read as %d rows, want 1", got)
+	if outs[name] != six {
+		t.Error("a six-row submission did not reach the engine as the caller's own tensor")
+	}
+	if st := d.Stats(); st.Submitted != 1 || st.Completed != 1 {
+		t.Errorf("submitted %d completed %d after one good request, want 1 1", st.Submitted, st.Completed)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"runtime/debug"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"vedliot/internal/nn"
 	"vedliot/internal/tensor"
@@ -341,5 +342,57 @@ func TestRunAllocations(t *testing.T) {
 			t.Errorf("%s: %v allocations per Run, want at most %v", c.name, got, c.want)
 		}
 		t.Logf("%s: %v allocations per Run", c.name, got)
+	}
+}
+
+// follows reports whether b's storage starts where a's ends: two row
+// views cut from one tensor, back to back.
+func follows(a, b []float32) bool {
+	return unsafe.Pointer(unsafe.SliceData(b)) == unsafe.Add(unsafe.Pointer(unsafe.SliceData(a)), 4*len(a))
+}
+
+// TestRowViewsShareStorage: the members of a fused dispatch get row
+// views, not copies. Their outputs lie back to back in the one batched
+// tensor of that call, which is fresh per call (bindOutputs) and so
+// never the pooled run state: later runs leave them as they were. A
+// declared output that is an input passes the stacked input through, so
+// a member's rows of it are a view of the stack, not of the caller's
+// tensor, and hold the caller's values.
+func TestRowViewsShareStorage(t *testing.T) {
+	g := execGraph()
+	head, x := g.Outputs[0], g.Inputs[0]
+	for _, p := range compileExecPlans(t, g) {
+		reqs := []map[string]*tensor.Tensor{execInput(t, g, 1, 1), execInput(t, g, 2, 2), execInput(t, g, 3, 3)}
+		outs, err := p.runBatch(reqs)
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		alone := make([]map[string]*tensor.Tensor, len(reqs))
+		for r, req := range reqs {
+			if alone[r], err = p.run(req); err != nil {
+				t.Fatalf("%s: %v", p.name, err)
+			}
+			if err := sameBits(alone[r], outs[r]); err != nil {
+				t.Errorf("%s: member %d of the fused dispatch against its own Run: %v", p.name, r, err)
+			}
+			if &outs[r][x].F32[0] == &req[x].F32[0] {
+				t.Errorf("%s: member %d's passthrough output is the caller's tensor, want a view of the stacked input", p.name, r)
+			}
+			if r > 0 && !(follows(outs[r-1][head].F32, outs[r][head].F32) && follows(outs[r-1][x].F32, outs[r][x].F32)) {
+				t.Errorf("%s: member %d's rows do not follow member %d's in one batched tensor", p.name, r, r-1)
+			}
+		}
+		// The pooled state is reused by every later call, at other batch
+		// sizes too; the views must not move with it.
+		for i := 0; i < 4; i++ {
+			if _, err := p.runBatch([]map[string]*tensor.Tensor{execInput(t, g, 2, 7+i), execInput(t, g, 4, 9+i)}); err != nil {
+				t.Fatalf("%s: %v", p.name, err)
+			}
+		}
+		for r := range reqs {
+			if err := sameBits(alone[r], outs[r]); err != nil {
+				t.Errorf("%s: member %d's views changed under later runs: %v", p.name, r, err)
+			}
+		}
 	}
 }

@@ -27,48 +27,60 @@ type signature struct {
 	outOwner []int
 }
 
-var errBatch = errors.New("inference: batch must be positive")
+// ErrBadInput marks an input map the model's declared signature
+// refuses: every refusal of CheckInputs wraps it, so a serving layer can
+// tell a request that is wrong from an engine that failed.
+var ErrBadInput = errors.New("inference: bad input")
 
-// resolve validates an input map against the declared per-sample
-// shapes, stores each input's FP32 view in views (one per declared
-// input) and returns the call's batch size.
-func (s *signature) resolve(inputs map[string]*tensor.Tensor, views [][]float32) (int, error) {
-	if len(s.inputNames) == 0 {
+var errBatch = fmt.Errorf("%w: batch must be positive", ErrBadInput)
+
+// CheckInputs is the one judge of an input map against a model's
+// declared inputs (names and per-sample shapes, index for index): every
+// declared name is present as a tensor whose trailing dimensions equal
+// the declared shape, all share one leading dimension of at least one
+// row, and each backs exactly rows x per-sample elements. It returns the
+// rows. Undeclared entries are ignored, and any dtype passes: what runs
+// the request converts to FP32 on entry. The engines, RunBatch, the
+// fleet's admission and the front door's batcher all ask here, so they
+// cannot disagree on what a request carries.
+func CheckInputs(names []string, per []tensor.Shape, inputs map[string]*tensor.Tensor) (rows int, err error) {
+	if len(names) == 0 {
 		return 0, fmt.Errorf("inference: graph declares no inputs")
 	}
-	batch := 0
-	for i, name := range s.inputNames {
-		t, ok := inputs[name]
-		if !ok || t == nil {
-			return 0, fmt.Errorf("inference: missing input %q", name)
+	for i, name := range names {
+		t := inputs[name]
+		switch {
+		case t == nil:
+			return 0, fmt.Errorf("%w: missing input %q", ErrBadInput, name)
+		case len(t.Shape) == 0:
+			return 0, fmt.Errorf("%w: input %q is a scalar, want batched tensor", ErrBadInput, name)
+		case !t.Shape[1:].Equal(per[i]):
+			return 0, fmt.Errorf("%w: input %q has shape %v, want %v per sample", ErrBadInput, name, t.Shape, per[i])
+		case i > 0 && t.Shape[0] != rows:
+			return 0, fmt.Errorf("%w: input %q has batch %d, want %d", ErrBadInput, name, t.Shape[0], rows)
+		case t.Shape[0] <= 0:
+			return 0, errBatch
+		// Rows past the backing length cannot be backed, and below it the
+		// product with the model's own per-sample size cannot overflow.
+		case t.Shape[0] > t.Len() || t.Shape[0]*per[i].NumElements() != t.Len():
+			return 0, fmt.Errorf("%w: input %q has shape %v but backs %d elements", ErrBadInput, name, t.Shape, t.Len())
 		}
-		if len(t.Shape) == 0 {
-			return 0, fmt.Errorf("inference: input %q is a scalar, want batched tensor", name)
-		}
-		if !t.Shape[1:].Equal(s.inPer[i]) {
-			return 0, fmt.Errorf("inference: input %q has shape %v, want %v", name, t.Shape,
-				append(tensor.Shape{t.Shape[0]}, s.inPer[i]...))
-		}
-		if i == 0 {
-			batch = t.Shape[0]
-		} else if t.Shape[0] != batch {
-			return 0, fmt.Errorf("inference: input %q has batch %d, want %d", name, t.Shape[0], batch)
-		}
-		views[i] = f32View(t)
+		rows = t.Shape[0]
 	}
-	if batch <= 0 {
-		return 0, errBatch
-	}
-	return batch, nil
+	return rows, nil
 }
 
-// f32View returns a tensor's elements as FP32: the tensor's own storage
-// when it is FP32 already, a converted copy otherwise.
-func f32View(t *tensor.Tensor) []float32 {
-	if t.DType == tensor.FP32 {
-		return t.F32
+// resolve validates an input map (CheckInputs), stores each declared
+// input's FP32 view in views and returns the call's batch size.
+func (s *signature) resolve(inputs map[string]*tensor.Tensor, views [][]float32) (int, error) {
+	batch, err := CheckInputs(s.inputNames, s.inPer, inputs)
+	if err != nil {
+		return 0, err
 	}
-	return t.Float32s()
+	for i, name := range s.inputNames {
+		views[i] = inputs[name].F32View()
+	}
+	return batch, nil
 }
 
 // bindOutputs builds the result map of one call. Every declared output
@@ -116,11 +128,12 @@ func (p *QuantPlan) BindIO(inputs map[string]*tensor.Tensor) (views [][]float32,
 }
 
 // runBatch implements batch fusion over any run that consumes and
-// produces FP32 tensors: inputs are stacked along the batch dimension,
-// run executes once, and the outputs are split back per request. A
-// request the single-request path would reject (a missing or misshapen
-// input, a non-positive batch) fails the whole dispatch with the same
-// error.
+// produces FP32 tensors: the requests' inputs are stacked along the
+// batch dimension, run executes once, and each request's result is a row
+// view of the batched outputs (fresh per call, see bindOutputs). A
+// request the single-request path would reject fails the whole dispatch
+// with the same error. A lone request goes to run as the caller's own
+// map.
 func (s *signature) runBatch(run func(map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error),
 	batches []map[string]*tensor.Tensor) ([]map[string]*tensor.Tensor, error) {
 
@@ -134,62 +147,22 @@ func (s *signature) runBatch(run func(map[string]*tensor.Tensor) (map[string]*te
 		}
 		return []map[string]*tensor.Tensor{out}, nil
 	}
-	// Per-request batch sizes, from the first declared input.
 	sizes := make([]int, len(batches))
-	total := 0
-	first := s.inputNames[0]
 	for r, req := range batches {
-		t, ok := req[first]
-		if !ok || t == nil || len(t.Shape) == 0 {
-			return nil, fmt.Errorf("inference: request %d: missing input %q", r, first)
+		var err error
+		if sizes[r], err = CheckInputs(s.inputNames, s.inPer, req); err != nil {
+			return nil, fmt.Errorf("inference: request %d: %w", r, err)
 		}
-		if t.Shape[0] <= 0 {
-			return nil, errBatch
-		}
-		sizes[r] = t.Shape[0]
-		total += t.Shape[0]
 	}
-	// Stack every input.
-	stacked := make(map[string]*tensor.Tensor, len(s.inputNames))
-	for i, name := range s.inputNames {
-		perShape := s.inPer[i]
-		perElems := perShape.NumElements()
-		st := newBatched(total, perShape)
-		off := 0
-		for r, req := range batches {
-			t, ok := req[name]
-			if !ok || t == nil {
-				return nil, fmt.Errorf("inference: request %d: missing input %q", r, name)
-			}
-			want := append(tensor.Shape{sizes[r]}, perShape...)
-			if !t.Shape.Equal(want) {
-				return nil, fmt.Errorf("inference: request %d: input %q has shape %v, want %v", r, name, t.Shape, want)
-			}
-			copy(st.F32[off:], f32View(t))
-			off += sizes[r] * perElems
-		}
-		stacked[name] = st
-	}
-	outs, err := run(stacked)
+	outs, err := run(tensor.StackRows(s.inputNames, batches))
 	if err != nil {
 		return nil, err
 	}
-	// Split outputs back per request.
 	results := make([]map[string]*tensor.Tensor, len(batches))
-	for r := range results {
-		results[r] = make(map[string]*tensor.Tensor, len(s.outputNames))
-	}
-	for i, name := range s.outputNames {
-		perShape := s.outPer[i]
-		perElems := perShape.NumElements()
-		src := outs[name].F32
-		off := 0
-		for r := range batches {
-			part := newBatched(sizes[r], perShape)
-			copy(part.F32, src[off:off+sizes[r]*perElems])
-			off += sizes[r] * perElems
-			results[r][name] = part
-		}
+	row := 0
+	for r, n := range sizes {
+		results[r] = tensor.RowViews(outs, row, row+n)
+		row += n
 	}
 	return results, nil
 }

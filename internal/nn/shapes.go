@@ -9,24 +9,38 @@ import (
 // InferShapes computes OutShape for every node given a batch size.
 // Activation layout is NCHW; dense layers produce [N, features].
 func (g *Graph) InferShapes(batch int) error {
-	if batch <= 0 {
-		return fmt.Errorf("nn: batch must be positive, got %d", batch)
-	}
-	order, err := g.TopoSort()
+	order, shapes, err := g.shapesAt(batch)
 	if err != nil {
 		return err
 	}
 	for _, n := range order {
-		shape, err := g.inferNode(n, batch)
-		if err != nil {
-			return fmt.Errorf("nn: node %q (%s): %w", n.Name, n.Op, err)
-		}
-		n.OutShape = shape
+		n.OutShape = shapes[n]
 	}
 	return nil
 }
 
-func (g *Graph) inferNode(n *Node, batch int) (tensor.Shape, error) {
+// shapesAt computes every node's output shape at a batch size without
+// writing to the graph: the topological order and a shape per node.
+func (g *Graph) shapesAt(batch int) ([]*Node, map[*Node]tensor.Shape, error) {
+	if batch <= 0 {
+		return nil, nil, fmt.Errorf("nn: batch must be positive, got %d", batch)
+	}
+	order, err := g.TopoSort()
+	if err != nil {
+		return nil, nil, err
+	}
+	shapes := make(map[*Node]tensor.Shape, len(order))
+	for _, n := range order {
+		shape, err := g.inferNode(n, batch, shapes)
+		if err != nil {
+			return nil, nil, fmt.Errorf("nn: node %q (%s): %w", n.Name, n.Op, err)
+		}
+		shapes[n] = shape
+	}
+	return order, shapes, nil
+}
+
+func (g *Graph) inferNode(n *Node, batch int, shapes map[*Node]tensor.Shape) (tensor.Shape, error) {
 	if n.Op == OpInput {
 		if len(n.Attrs.Shape) == 0 {
 			return nil, fmt.Errorf("input node needs Attrs.Shape")
@@ -43,17 +57,21 @@ func (g *Graph) inferNode(n *Node, batch int) (tensor.Shape, error) {
 		if in == nil {
 			return nil, fmt.Errorf("unknown input %q", name)
 		}
-		if len(in.OutShape) == 0 {
+		if len(shapes[in]) == 0 {
 			return nil, fmt.Errorf("input %q has no inferred shape", in.Name)
 		}
-		ins[i] = in.OutShape
+		ins[i] = shapes[in]
 	}
 	return InferShape(n.Op, n.Attrs, n.Weights, ins)
 }
 
+// shapeFunc reads a node's inferred output shape: Node.OutShape after
+// InferShapes, or a table computed apart from the graph.
+type shapeFunc func(*Node) tensor.Shape
+
 // inShape returns the inferred shape of node input i (stats accounting
-// reads input geometry after InferShapes).
-func (g *Graph) inShape(n *Node, i int) (tensor.Shape, error) {
+// reads input geometry).
+func (g *Graph) inShape(n *Node, i int, shapeOf shapeFunc) (tensor.Shape, error) {
 	if i >= len(n.Inputs) {
 		return nil, fmt.Errorf("missing input %d", i)
 	}
@@ -61,10 +79,10 @@ func (g *Graph) inShape(n *Node, i int) (tensor.Shape, error) {
 	if in == nil {
 		return nil, fmt.Errorf("unknown input %q", n.Inputs[i])
 	}
-	if len(in.OutShape) == 0 {
+	if len(shapeOf(in)) == 0 {
 		return nil, fmt.Errorf("input %q has no inferred shape", in.Name)
 	}
-	return in.OutShape, nil
+	return shapeOf(in), nil
 }
 
 func convOut(in, k, pad, stride int) int {

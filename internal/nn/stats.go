@@ -3,6 +3,8 @@ package nn
 import (
 	"fmt"
 	"strings"
+
+	"vedliot/internal/tensor"
 )
 
 // NodeStats summarizes the compute and memory demand of one node.
@@ -47,15 +49,30 @@ func (g *Graph) Stats() (GraphStats, error) {
 	if err != nil {
 		return GraphStats{}, err
 	}
+	return g.stats(order, func(n *Node) tensor.Shape { return n.OutShape })
+}
+
+// StatsAt is Stats at the given batch size over shapes it infers apart
+// from the graph: it neither needs InferShapes nor writes an OutShape,
+// so it is safe on a graph other goroutines are reading.
+func (g *Graph) StatsAt(batch int) (GraphStats, error) {
+	order, shapes, err := g.shapesAt(batch)
+	if err != nil {
+		return GraphStats{}, err
+	}
+	return g.stats(order, func(n *Node) tensor.Shape { return shapes[n] })
+}
+
+func (g *Graph) stats(order []*Node, shapeOf shapeFunc) (GraphStats, error) {
 	var gs GraphStats
-	if len(order) > 0 && len(order[0].OutShape) > 0 {
-		gs.Batch = order[0].OutShape[0]
+	if len(order) > 0 && len(shapeOf(order[0])) > 0 {
+		gs.Batch = shapeOf(order[0])[0]
 	}
 	for _, n := range order {
-		if len(n.OutShape) == 0 {
+		if len(shapeOf(n)) == 0 {
 			return GraphStats{}, fmt.Errorf("nn: node %q has no inferred shape; call InferShapes first", n.Name)
 		}
-		ns, err := g.nodeStats(n)
+		ns, err := g.nodeStats(n, shapeOf)
 		if err != nil {
 			return GraphStats{}, err
 		}
@@ -72,8 +89,8 @@ func (g *Graph) Stats() (GraphStats, error) {
 	return gs, nil
 }
 
-func (g *Graph) nodeStats(n *Node) (NodeStats, error) {
-	out := n.OutShape
+func (g *Graph) nodeStats(n *Node, shapeOf shapeFunc) (NodeStats, error) {
+	out := shapeOf(n)
 	outEl := int64(out.NumElements())
 	ns := NodeStats{
 		Name:            n.Name,
@@ -88,13 +105,13 @@ func (g *Graph) nodeStats(n *Node) (NodeStats, error) {
 	} else {
 		// Weights not materialized: derive the count from attributes
 		// (FP32 storage assumed).
-		ns.Params = g.phantomParams(n)
+		ns.Params = g.phantomParams(n, shapeOf)
 		ns.WeightBytes = ns.Params * 4
 	}
 	a := n.Attrs
 	switch n.Op {
 	case OpConv, OpDepthwiseConv:
-		in, err := g.inShape(n, 0)
+		in, err := g.inShape(n, 0, shapeOf)
 		if err != nil {
 			return ns, err
 		}
@@ -112,7 +129,7 @@ func (g *Graph) nodeStats(n *Node) (NodeStats, error) {
 			ns.Ops += outEl
 		}
 	case OpDense:
-		in, err := g.inShape(n, 0)
+		in, err := g.inShape(n, 0, shapeOf)
 		if err != nil {
 			return ns, err
 		}
@@ -128,7 +145,7 @@ func (g *Graph) nodeStats(n *Node) (NodeStats, error) {
 	case OpMaxPool, OpAvgPool:
 		ns.Ops = outEl * int64(a.KernelH) * int64(a.KernelW)
 	case OpGlobalAvgPool:
-		in, err := g.inShape(n, 0)
+		in, err := g.inShape(n, 0, shapeOf)
 		if err != nil {
 			return ns, err
 		}
@@ -150,11 +167,11 @@ func (g *Graph) nodeStats(n *Node) (NodeStats, error) {
 
 // phantomParams derives the parameter count of a weight-less node from
 // its attributes, matching what materialization would allocate.
-func (g *Graph) phantomParams(n *Node) int64 {
+func (g *Graph) phantomParams(n *Node, shapeOf shapeFunc) int64 {
 	a := n.Attrs
 	switch n.Op {
 	case OpConv, OpDepthwiseConv:
-		in, err := g.inShape(n, 0)
+		in, err := g.inShape(n, 0, shapeOf)
 		if err != nil {
 			return 0
 		}
@@ -175,7 +192,7 @@ func (g *Graph) phantomParams(n *Node) int64 {
 		}
 		return p
 	case OpDense:
-		in, err := g.inShape(n, 0)
+		in, err := g.inShape(n, 0, shapeOf)
 		if err != nil {
 			return 0
 		}
@@ -185,7 +202,7 @@ func (g *Graph) phantomParams(n *Node) int64 {
 		}
 		return p
 	case OpBatchNorm:
-		in, err := g.inShape(n, 0)
+		in, err := g.inShape(n, 0, shapeOf)
 		if err != nil {
 			return 0
 		}

@@ -2,15 +2,12 @@ package serve
 
 import (
 	"context"
-	"fmt"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"vedliot/internal/cluster"
+	"vedliot/internal/inference"
 	"vedliot/internal/tensor"
 )
 
@@ -78,16 +75,20 @@ func (d deployment) SubmitCtx(ctx context.Context, ins map[string]*tensor.Tensor
 	return tk, nil
 }
 
-// batcher coalesces requests for one (tenant, model) pair.
+// batcher coalesces requests for one (tenant, model) pair. A request
+// joins only after inference.CheckInputs has passed it against the
+// model's declared inputs, so everything pending is one shape class and
+// stacks.
 type batcher struct {
 	dep    fleet
+	names  []string       // the model's declared inputs
+	per    []tensor.Shape // and their per-sample shapes
 	policy BatchPolicy
 	stats  *batchStats
 
 	mu      sync.Mutex
 	pending []batchMember
 	rows    int
-	sig     string
 	// timer bounds the held batch's wait at MaxDelay; nil while nothing
 	// is held.
 	timer *time.Timer
@@ -98,76 +99,23 @@ type batcher struct {
 	submitting atomic.Int32
 }
 
-func newBatcher(dep fleet, policy BatchPolicy, stats *batchStats) *batcher {
-	return &batcher{dep: dep, policy: policy.withDefaults(), stats: stats}
+func newBatcher(dep fleet, names []string, per []tensor.Shape, policy BatchPolicy, stats *batchStats) *batcher {
+	return &batcher{dep: dep, names: names, per: per, policy: policy.withDefaults(), stats: stats}
 }
 
-// shapeSig fingerprints a request's batch-compatibility class: the
-// sorted input names with their non-leading dimensions. Requests with
-// the same signature stack along the leading dimension.
-func shapeSig(ins map[string]*tensor.Tensor) (string, int, error) {
-	names := make([]string, 0, len(ins))
-	for name := range ins {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var sb strings.Builder
-	rows := 0
-	for _, name := range names {
-		t := ins[name]
-		if t == nil || t.DType != tensor.FP32 {
-			return "", 0, fmt.Errorf("serve: input %q is not FP32", name)
-		}
-		r := 1
-		rest := tensor.Shape(nil)
-		if len(t.Shape) > 0 {
-			r = t.Shape[0]
-			rest = t.Shape[1:]
-		}
-		if r < 1 {
-			return "", 0, fmt.Errorf("serve: input %q has empty batch dimension", name)
-		}
-		if rows == 0 {
-			rows = r
-		} else if r != rows {
-			return "", 0, fmt.Errorf("serve: input %q carries %d rows, other inputs %d", name, r, rows)
-		}
-		sb.WriteString(name)
-		sb.WriteByte('[')
-		for _, d := range rest {
-			sb.WriteString(strconv.Itoa(d))
-			sb.WriteByte(',')
-		}
-		sb.WriteByte(']')
-	}
-	if rows == 0 {
-		rows = 1
-	}
-	return sb.String(), rows, nil
-}
-
-// add enqueues one request for coalescing. done fires exactly once with
-// the request's own output rows. When the routed replica is idle the
-// submission happens here, on the caller's goroutine.
+// add enqueues one request for coalescing. done fires exactly once: with
+// the request's own output rows, or at once with an
+// inference.ErrBadInput when the model's signature refuses the inputs,
+// which leaves whatever is held untouched. When the routed replica is
+// idle the submission happens here, on the caller's goroutine.
 func (b *batcher) add(ctx context.Context, ins map[string]*tensor.Tensor, done func(map[string]*tensor.Tensor, error)) {
-	sig, rows, err := shapeSig(ins)
+	rows, err := inference.CheckInputs(b.names, b.per, ins)
 	if err != nil {
 		done(nil, err)
 		return
 	}
-	m := batchMember{ctx: ctx, ins: ins, rows: rows, done: done}
-
 	b.mu.Lock()
-	// A shape class that cannot stack with the waiting batch flushes it
-	// early rather than delaying either class.
-	var displaced []batchMember
-	if len(b.pending) > 0 && sig != b.sig {
-		displaced = b.takeLocked()
-	}
-	if len(b.pending) == 0 {
-		b.sig = sig
-	}
-	b.pending = append(b.pending, m)
+	b.pending = append(b.pending, batchMember{ctx: ctx, ins: ins, rows: rows, done: done})
 	b.rows += rows
 	var batch []batchMember
 	switch {
@@ -177,7 +125,6 @@ func (b *batcher) add(ctx context.Context, ins map[string]*tensor.Tensor, done f
 		b.holdLocked()
 	}
 	b.mu.Unlock()
-	b.submit(displaced)
 	b.submit(batch)
 }
 
@@ -216,31 +163,26 @@ func (b *batcher) takeLocked() []batchMember {
 	return members
 }
 
-// submit stacks the members' inputs and routes one cluster submission
-// on the calling goroutine; a goroutine per admitted batch then waits
-// for the replica and splits the output rows back to each member.
+// submit stacks the members' declared inputs and routes one cluster
+// submission on the calling goroutine; a goroutine per admitted batch
+// then waits for the replica and hands each member its output rows.
 func (b *batcher) submit(members []batchMember) {
 	if len(members) == 0 {
 		return
 	}
-	totalRows := 0
-	for _, m := range members {
-		totalRows += m.rows
-	}
-
 	// A single member keeps its own context so cancellation still
 	// reaches the queue; a merged batch runs under a background one, so
 	// one member's disconnect cannot cancel the rest.
 	ctx, ins := members[0].ctx, members[0].ins
-	var err error
 	if len(members) > 1 {
 		ctx = context.Background()
-		ins, err = stackInputs(members, totalRows)
+		reqs := make([]map[string]*tensor.Tensor, len(members))
+		for i, m := range members {
+			reqs[i] = m.ins
+		}
+		ins = tensor.StackRows(b.names, reqs)
 	}
-	var tk ticket
-	if err == nil {
-		tk, err = b.dep.SubmitCtx(ctx, ins)
-	}
+	tk, err := b.dep.SubmitCtx(ctx, ins)
 	b.submitting.Add(-1)
 	if err != nil {
 		for _, m := range members {
@@ -249,15 +191,18 @@ func (b *batcher) submit(members []batchMember) {
 		return
 	}
 	// Counted once admitted: a submission the scheduler shed never became
-	// a batch, and overload must not read as coalescing.
+	// a batch, and overload must not read as coalescing. The rows are the
+	// submitted map's, which the check holds to the members' sum.
 	b.stats.batches.Add(1)
-	b.stats.rows.Add(int64(totalRows))
-	go b.deliver(ctx, tk, members, totalRows)
+	b.stats.rows.Add(int64(ins[b.names[0]].Shape[0]))
+	go b.deliver(ctx, tk, members)
 }
 
 // deliver waits for one submission. Its completion is the capacity
-// signal: the batch held meanwhile goes first, then the replies.
-func (b *batcher) deliver(ctx context.Context, tk ticket, members []batchMember, totalRows int) {
+// signal: the batch held meanwhile goes first, then the replies. A
+// member of a merged batch gets row views of the batched outputs, which
+// are fresh per submission and only read from here on.
+func (b *batcher) deliver(ctx context.Context, tk ticket, members []batchMember) {
 	outs, err := tk.WaitCtx(ctx)
 	b.mu.Lock()
 	held := b.takeLocked()
@@ -272,52 +217,7 @@ func (b *batcher) deliver(ctx context.Context, tk ticket, members []batchMember,
 	}
 	row := 0
 	for _, m := range members {
-		part, err := sliceRows(outs, row, m.rows, totalRows)
-		m.done(part, err)
+		m.done(tensor.RowViews(outs, row, row+m.rows), nil)
 		row += m.rows
 	}
-}
-
-// stackInputs concatenates each input across members along the leading
-// dimension. Shape compatibility is guaranteed by the batcher's
-// signature check.
-func stackInputs(members []batchMember, totalRows int) (map[string]*tensor.Tensor, error) {
-	stacked := make(map[string]*tensor.Tensor, len(members[0].ins))
-	for name, first := range members[0].ins {
-		rest := tensor.Shape(nil)
-		if len(first.Shape) > 0 {
-			rest = first.Shape[1:]
-		}
-		shape := append(tensor.Shape{totalRows}, rest...)
-		out := tensor.New(tensor.FP32, shape...)
-		off := 0
-		for _, m := range members {
-			t := m.ins[name]
-			if t == nil {
-				return nil, fmt.Errorf("serve: batch member missing input %q", name)
-			}
-			off += copy(out.F32[off:], t.F32)
-		}
-		if off != len(out.F32) {
-			return nil, fmt.Errorf("serve: input %q stacked %d of %d elements", name, off, len(out.F32))
-		}
-		stacked[name] = out
-	}
-	return stacked, nil
-}
-
-// sliceRows extracts one member's rows from each batched output.
-func sliceRows(outs map[string]*tensor.Tensor, row, rows, totalRows int) (map[string]*tensor.Tensor, error) {
-	part := make(map[string]*tensor.Tensor, len(outs))
-	for name, t := range outs {
-		if len(t.Shape) == 0 || t.Shape[0] != totalRows {
-			return nil, fmt.Errorf("serve: output %q shape %v does not carry the %d batched rows", name, t.Shape, totalRows)
-		}
-		rowSize := t.NumElements() / totalRows
-		shape := append(tensor.Shape{rows}, t.Shape[1:]...)
-		slice := tensor.New(tensor.FP32, shape...)
-		copy(slice.F32, t.F32[row*rowSize:(row+rows)*rowSize])
-		part[name] = slice
-	}
-	return part, nil
 }

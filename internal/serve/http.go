@@ -107,6 +107,8 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "overloaded", http.StatusTooManyRequests)
 	case StatusShuttingDown:
 		http.Error(w, "shutting down", http.StatusServiceUnavailable)
+	case StatusBadRequest:
+		http.Error(w, rep.err.Error(), http.StatusBadRequest)
 	default:
 		http.Error(w, rep.err.Error(), http.StatusInternalServerError)
 	}

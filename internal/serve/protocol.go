@@ -107,8 +107,9 @@ func appendString(b []byte, s string) []byte {
 }
 
 // appendTensorMap encodes a named FP32 tensor map: u16 count, then per
-// tensor (sorted by name for a canonical encoding) a u16-length-prefixed
-// name, dtype byte, rank byte, u32 LE dims and the LE float payload.
+// tensor (in ascending name order, the one encoding the decoder accepts)
+// a u16-length-prefixed name, dtype byte, rank byte, u32 LE dims and the
+// LE float payload.
 func appendTensorMap(b []byte, m map[string]*tensor.Tensor) ([]byte, error) {
 	names := make([]string, 0, len(m))
 	for name := range m {
@@ -169,15 +170,6 @@ func (d *decoder) u32() (uint32, error) {
 	return v, nil
 }
 
-func (d *decoder) u64() (uint64, error) {
-	if d.off+8 > len(d.b) {
-		return 0, io.ErrUnexpectedEOF
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v, nil
-}
-
 func (d *decoder) str() (string, error) {
 	n, err := d.u16()
 	if err != nil {
@@ -192,18 +184,29 @@ func (d *decoder) str() (string, error) {
 }
 
 // tensorMap decodes an encoded tensor map into freshly allocated FP32
-// tensors (the frame buffer is recycled, so no aliasing).
+// tensors (the frame buffer is recycled, so no aliasing). The bytes are
+// untrusted: names must ascend strictly, which is the canonical order
+// appendTensorMap writes and leaves a duplicate nowhere to hide, and
+// every count and dimension is bounded by the bytes still unread before
+// anything is sized by it, so a body never allocates more than a small
+// multiple of itself.
 func (d *decoder) tensorMap() (map[string]*tensor.Tensor, error) {
 	count, err := d.u16()
 	if err != nil {
 		return nil, err
 	}
-	m := make(map[string]*tensor.Tensor, count)
+	// A tensor takes at least four bytes: name length, dtype, rank.
+	m := make(map[string]*tensor.Tensor, min(int(count), (len(d.b)-d.off)/4))
+	prev := ""
 	for i := 0; i < int(count); i++ {
 		name, err := d.str()
 		if err != nil {
 			return nil, err
 		}
+		if i > 0 && name <= prev {
+			return nil, fmt.Errorf("serve: tensor %q after %q: names must ascend", name, prev)
+		}
+		prev = name
 		dt, err := d.u8()
 		if err != nil {
 			return nil, err
@@ -215,20 +218,26 @@ func (d *decoder) tensorMap() (map[string]*tensor.Tensor, error) {
 		if err != nil {
 			return nil, err
 		}
-		shape := make([]int, rank)
+		shape := make(tensor.Shape, rank)
 		elems := 1
 		for j := range shape {
 			dim, err := d.u32()
 			if err != nil {
 				return nil, err
 			}
+			// room is the elements the rest of the body could back. A
+			// dimension within it fits an int, and so does the product.
+			room := (len(d.b) - d.off) / 4
+			if uint64(dim) > uint64(room) || (dim != 0 && elems > room/int(dim)) {
+				return nil, io.ErrUnexpectedEOF
+			}
 			shape[j] = int(dim)
 			elems *= int(dim)
 		}
-		if elems < 0 || d.off+4*elems > len(d.b) {
+		if 4*elems > len(d.b)-d.off {
 			return nil, io.ErrUnexpectedEOF
 		}
-		t := tensor.New(tensor.FP32, shape...)
+		t := &tensor.Tensor{Shape: shape, DType: tensor.FP32, F32: make([]float32, elems)}
 		for j := range t.F32 {
 			t.F32[j] = math.Float32frombits(binary.LittleEndian.Uint32(d.b[d.off+4*j:]))
 		}

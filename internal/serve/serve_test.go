@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -345,9 +346,10 @@ func TestBatcherCoalescesWithParity(t *testing.T) {
 	}
 }
 
-// TestBatcherFlushesIncompatibleShapes mixes batch sizes: requests with
-// different leading dims stack, different trailing shapes must not.
-func TestBatcherFlushesIncompatibleShapes(t *testing.T) {
+// TestBatcherRefusesIncompatibleShapes mixes batch sizes: requests with
+// different leading dims stack, a different trailing shape is answered
+// BadRequest at the door and counts there, not as an engine error.
+func TestBatcherRefusesIncompatibleShapes(t *testing.T) {
 	srv, _, g := startServer(t, 1, cluster.Config{QueueDepth: 64},
 		Config{Batch: BatchPolicy{MaxBatch: 8, MaxDelay: 5 * time.Millisecond}})
 	cl, err := Dial(srv.Addr(), "")
@@ -367,10 +369,14 @@ func TestBatcherFlushesIncompatibleShapes(t *testing.T) {
 	if got := outs[g.Outputs[0]].Shape[0]; got != 3 {
 		t.Errorf("batch-3 request returned %d rows", got)
 	}
-	// A wrong trailing shape is rejected, not stacked into others.
+	// A wrong trailing shape is refused, not stacked into others.
 	bad := tensor.New(tensor.FP32, 1, 1, 8, 8)
-	if _, err := cl.InferCtx(context.Background(), g.Name, map[string]*tensor.Tensor{g.Inputs[0]: bad}); err == nil {
-		t.Error("mis-shaped input inferred successfully")
+	_, err = cl.InferCtx(context.Background(), g.Name, map[string]*tensor.Tensor{g.Inputs[0]: bad})
+	if want := fmt.Sprintf("status %d", StatusBadRequest); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("mis-shaped input answered %v, want a reply with %s", err, want)
+	}
+	if st := srv.Stats(); st.BadRequest != 1 || st.Errors != 0 {
+		t.Errorf("mis-shaped input counted as %d bad requests and %d errors, want 1 and 0", st.BadRequest, st.Errors)
 	}
 }
 
@@ -451,6 +457,10 @@ func (t *gateTicket) marks() []int {
 	return ids
 }
 
+// harnessWidth is the per-sample width of input "x", the one input the
+// harness's batcher declares.
+const harnessWidth = 4
+
 // batcherHarness drives one batcher over a gateFleet. Request i is one
 // row of width floats filled with i; replies are checked to be the
 // request's own row.
@@ -464,12 +474,12 @@ type batcherHarness struct {
 
 func newBatcherHarness(t *testing.T, policy BatchPolicy) *batcherHarness {
 	h := &batcherHarness{t: t, fleet: newGateFleet()}
-	h.b = newBatcher(h.fleet, policy, &h.stats)
+	h.b = newBatcher(h.fleet, []string{"x"}, []tensor.Shape{{harnessWidth}}, policy, &h.stats)
 	return h
 }
 
-func (h *batcherHarness) add(id, width int) {
-	in := tensor.New(tensor.FP32, 1, width)
+func (h *batcherHarness) add(id int) {
+	in := tensor.New(tensor.FP32, 1, harnessWidth)
 	for i := range in.F32 {
 		in.F32[i] = float32(id)
 	}
@@ -480,18 +490,25 @@ func (h *batcherHarness) add(id, width int) {
 			h.t.Errorf("request %d: %v", id, err)
 			return
 		}
-		if y := outs["x"]; y == nil || !y.Shape.Equal(tensor.Shape{1, width}) || y.F32[0] != float32(id) {
+		if y := outs["x"]; y == nil || !y.Shape.Equal(tensor.Shape{1, harnessWidth}) || y.F32[0] != float32(id) {
 			h.t.Errorf("request %d got %v, want its own row back", id, y)
 		}
 	})
 }
 
-// held snapshots what waits in the batcher: members, and whether the
-// MaxDelay timer is armed.
-func (h *batcherHarness) held() (members int, armed bool) {
+// heldTimer snapshots what waits in the batcher: members, and the
+// MaxDelay timer (nil while nothing is held).
+func (h *batcherHarness) heldTimer() (members int, timer *time.Timer) {
 	h.b.mu.Lock()
 	defer h.b.mu.Unlock()
-	return len(h.b.pending), h.b.timer != nil
+	return len(h.b.pending), h.b.timer
+}
+
+// held reports the members waiting in the batcher and whether the
+// MaxDelay timer is armed.
+func (h *batcherHarness) held() (members int, armed bool) {
+	members, timer := h.heldTimer()
+	return members, timer != nil
 }
 
 // next returns the next submission, which must carry exactly these
@@ -518,7 +535,7 @@ func TestBatcherCapacityRule(t *testing.T) {
 		h := newBatcherHarness(t, never)
 		const n = 6
 		for i := 0; i < n; i++ {
-			h.add(i, 4)
+			h.add(i)
 			if got := h.fleet.submissions(); got != 1 {
 				t.Fatalf("request %d: %d submissions when add returned, want it submitted from add", i, got)
 			}
@@ -537,10 +554,10 @@ func TestBatcherCapacityRule(t *testing.T) {
 	// yields exactly one submission with all of them in arrival order.
 	t.Run("busy", func(t *testing.T) {
 		h := newBatcherHarness(t, never)
-		h.add(0, 4)
+		h.add(0)
 		first := h.next(0)
 		for i := 1; i <= 5; i++ {
-			h.add(i, 4)
+			h.add(i)
 		}
 		if members, armed := h.held(); members != 5 || !armed || h.fleet.submissions() != 0 {
 			t.Fatalf("%d held, armed %v, %d submitted; want 5 held behind the busy replica under a timer",
@@ -562,10 +579,10 @@ func TestBatcherCapacityRule(t *testing.T) {
 	// shut, and the next request starts a new held batch.
 	t.Run("count", func(t *testing.T) {
 		h := newBatcherHarness(t, BatchPolicy{MaxBatch: 4, MaxDelay: time.Hour})
-		h.add(0, 4)
+		h.add(0)
 		first := h.next(0)
 		for i := 1; i <= 5; i++ {
-			h.add(i, 4)
+			h.add(i)
 		}
 		full := h.next(1, 2, 3, 4)
 		if members, armed := h.held(); members != 1 || !armed {
@@ -586,8 +603,8 @@ func TestBatcherCapacityRule(t *testing.T) {
 		h := newBatcherHarness(t, BatchPolicy{MaxBatch: 8, MaxDelay: delay})
 		h.fleet.owned = true
 		start := time.Now()
-		h.add(0, 4)
-		h.add(1, 4)
+		h.add(0)
+		h.add(1)
 		if members, armed := h.held(); members != 2 || !armed || h.fleet.submissions() != 0 {
 			t.Fatalf("%d held, armed %v, %d submitted; want both held under the timer",
 				members, armed, h.fleet.submissions())
@@ -600,24 +617,31 @@ func TestBatcherCapacityRule(t *testing.T) {
 		h.wg.Wait()
 	})
 
-	// A shape that cannot stack flushes the waiting class at once and
-	// waits in its place.
+	// A request the model's signature refuses is answered inside add and
+	// leaves the held batch and its timer as they were.
 	t.Run("shape", func(t *testing.T) {
 		h := newBatcherHarness(t, never)
-		h.add(0, 4)
+		h.add(0)
 		first := h.next(0)
-		h.add(1, 4)
-		h.add(2, 4)
-		h.add(3, 6)
-		displaced := h.next(1, 2)
-		if members, armed := h.held(); members != 1 || !armed {
-			t.Errorf("%d held, armed %v; want the new shape alone under its own timer", members, armed)
+		h.add(1)
+		h.add(2)
+		_, timer := h.heldTimer()
+		var refusal error
+		h.b.add(context.Background(), map[string]*tensor.Tensor{"x": tensor.New(tensor.FP32, 1, harnessWidth+2)},
+			func(_ map[string]*tensor.Tensor, err error) { refusal = err })
+		if !errors.Is(refusal, inference.ErrBadInput) {
+			t.Errorf("mis-shaped request answered %v inside add, want inference.ErrBadInput", refusal)
+		}
+		if members, now := h.heldTimer(); members != 2 || now != timer || timer == nil || h.fleet.submissions() != 0 {
+			t.Errorf("%d held, timer %p (was %p), %d submitted; a refused request must leave the held batch as it was",
+				members, now, timer, h.fleet.submissions())
 		}
 		first.open()
-		other := h.next(3)
-		displaced.open()
-		other.open()
+		h.next(1, 2).open()
 		h.wg.Wait()
+		if batches, rows := h.stats.batches.Load(), h.stats.rows.Load(); batches != 2 || rows != 3 {
+			t.Errorf("%d rows in %d submissions, want 3 in 2: the refused request counts nowhere", rows, batches)
+		}
 	})
 
 	// N concurrent adds against one idle replica, the submission not yet
@@ -629,7 +653,7 @@ func TestBatcherCapacityRule(t *testing.T) {
 		returned := make(chan struct{}, n)
 		for i := 0; i < n; i++ {
 			go func(i int) {
-				h.add(i, 4)
+				h.add(i)
 				returned <- struct{}{}
 			}(i)
 		}
@@ -715,6 +739,22 @@ func TestHTTPAdapter(t *testing.T) {
 	got := tensor.MustFromSlice(ht.Data, ht.Shape...)
 	if d, _ := tensor.MaxAbsDiff(want, got); d != 0 {
 		t.Errorf("HTTP result diverges from engine by %g", d)
+	}
+
+	// Inputs the model's signature refuses: 400, counted as a bad request.
+	misshaped, _ := json.Marshal(HTTPInferRequest{
+		Model:  g.Name,
+		Inputs: map[string]HTTPTensor{g.Inputs[0]: {Shape: []int{1, 1, 8, 8}, Data: make([]float32, 64)}},
+	})
+	req, _ = newJSONRequest(ts.URL+"/v1/infer", misshaped, "sk-h")
+	resp, err = ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if st := srv.Stats(); resp.StatusCode != http.StatusBadRequest || st.BadRequest != 1 || st.Errors != 0 {
+		t.Errorf("mis-shaped input got %d with %d bad requests and %d errors counted, want 400, 1 and 0",
+			resp.StatusCode, st.BadRequest, st.Errors)
 	}
 
 	// A body past MaxFrame: 413, counted as a bad request, never decoded
@@ -839,36 +879,6 @@ func TestReplayOpenLoopBursts(t *testing.T) {
 	}
 	if res.SLOViolations < res.Shed {
 		t.Errorf("sheds must count as SLO violations: %d < %d", res.SLOViolations, res.Shed)
-	}
-}
-
-func TestShapeSig(t *testing.T) {
-	a := map[string]*tensor.Tensor{"x": tensor.New(tensor.FP32, 1, 3, 4)}
-	b := map[string]*tensor.Tensor{"x": tensor.New(tensor.FP32, 5, 3, 4)}
-	c := map[string]*tensor.Tensor{"x": tensor.New(tensor.FP32, 1, 3, 5)}
-	sigA, rowsA, err := shapeSig(a)
-	if err != nil || rowsA != 1 {
-		t.Fatalf("sig(a): %v rows %d", err, rowsA)
-	}
-	sigB, rowsB, err := shapeSig(b)
-	if err != nil || rowsB != 5 {
-		t.Fatalf("sig(b): %v rows %d", err, rowsB)
-	}
-	if sigA != sigB {
-		t.Error("same trailing shape with different batch dims must share a signature")
-	}
-	sigC, _, err := shapeSig(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sigC == sigA {
-		t.Error("different trailing shapes must not share a signature")
-	}
-	if _, _, err := shapeSig(map[string]*tensor.Tensor{
-		"x": tensor.New(tensor.FP32, 2, 3),
-		"y": tensor.New(tensor.FP32, 3, 3),
-	}); err == nil {
-		t.Error("mismatched row counts across inputs accepted")
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"vedliot/internal/cluster"
+	"vedliot/internal/inference"
 	"vedliot/internal/tensor"
 )
 
@@ -198,7 +199,7 @@ func (s *Server) batcherFor(tenant, model string) (*batcher, error) {
 	if b, ok := s.batchers[key]; ok {
 		return b, nil
 	}
-	b := newBatcher(deployment{dep}, s.cfg.Batch, &s.batch)
+	b := newBatcher(deployment{dep}, dep.InputNames(), dep.InputShapes(), s.cfg.Batch, &s.batch)
 	s.batchers[key] = b
 	return b, nil
 }
@@ -340,12 +341,16 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // classify maps a completion error to its protocol status and does the
-// counting both adapters share: a shed is Overloaded, an engine-side
-// failure is Errors, and shutdown or a vanished caller is neither.
+// counting both adapters share: inputs the model's signature refuses are
+// BadRequest, a shed is Overloaded, an engine-side failure is Errors,
+// and shutdown or a vanished caller is none of them.
 func (s *Server) classify(err error) byte {
 	switch {
 	case err == nil:
 		return StatusOK
+	case errors.Is(err, inference.ErrBadInput):
+		s.badRequest.Add(1)
+		return StatusBadRequest
 	case errors.Is(err, cluster.ErrOverloaded):
 		s.overloaded.Add(1)
 		return StatusOverloaded
@@ -362,7 +367,7 @@ func (s *Server) classify(err error) byte {
 
 // encodeReply turns one completion into a reply frame.
 func (s *Server) encodeReply(id uint64, outs map[string]*tensor.Tensor, err error) []byte {
-	switch s.classify(err) {
+	switch status := s.classify(err); status {
 	case StatusOK:
 		b := beginFrame(TypeReply, id, 64)
 		b = append(b, StatusOK)
@@ -385,7 +390,7 @@ func (s *Server) encodeReply(id uint64, outs map[string]*tensor.Tensor, err erro
 	case StatusShuttingDown:
 		return errorReply(id, StatusShuttingDown, "fleet shutting down")
 	default:
-		return errorReply(id, StatusError, err.Error())
+		return errorReply(id, status, err.Error())
 	}
 }
 

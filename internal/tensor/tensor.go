@@ -261,6 +261,59 @@ func (t *Tensor) Clone() *Tensor {
 	return c
 }
 
+// F32View returns the elements as FP32: the tensor's own storage when
+// it is FP32 already, a converted copy otherwise.
+func (t *Tensor) F32View() []float32 {
+	if t.DType == FP32 {
+		return t.F32
+	}
+	return t.Float32s()
+}
+
+// Len returns the number of elements stored: the length of the one
+// backing slice in use.
+func (t *Tensor) Len() int { return len(t.F32) + len(t.F16) + len(t.I8) }
+
+// StackRows is the one row stacker of the request path: for each name
+// it concatenates the requests' tensors along the leading dimension into
+// one fresh FP32 tensor. Under a name the tensors agree in every
+// dimension but the first and each backs its shape in full, which is
+// what the caller's input check established.
+func StackRows(names []string, reqs []map[string]*Tensor) map[string]*Tensor {
+	stacked := make(map[string]*Tensor, len(names))
+	for _, name := range names {
+		rows, elems := 0, 0
+		for _, req := range reqs {
+			t := req[name]
+			rows += t.Shape[0]
+			elems += t.Len()
+		}
+		shape := reqs[0][name].Shape.Clone()
+		shape[0] = rows
+		data := make([]float32, 0, elems)
+		for _, req := range reqs {
+			data = append(data, req[name].F32View()...)
+		}
+		stacked[name] = &Tensor{Shape: shape, DType: FP32, F32: data}
+	}
+	return stacked
+}
+
+// RowViews is the one row splitter: rows [lo, hi) of every FP32 tensor
+// of a batched result along its leading dimension, as views (a fresh
+// header over the tensor's own storage, no copy). Whoever holds a view
+// sees later writes to the batched tensor and keeps all of it alive.
+func RowViews(batched map[string]*Tensor, lo, hi int) map[string]*Tensor {
+	views := make(map[string]*Tensor, len(batched))
+	for name, t := range batched {
+		shape := t.Shape.Clone()
+		shape[0] = hi - lo
+		per := len(t.F32) / t.Shape[0]
+		views[name] = &Tensor{Shape: shape, DType: FP32, F32: t.F32[lo*per : hi*per : hi*per]}
+	}
+	return views
+}
+
 // At returns the element at the given multi-dimensional index as float64,
 // dequantizing as necessary.
 func (t *Tensor) At(idx ...int) float64 {

@@ -287,3 +287,32 @@ func TestSizeBytes(t *testing.T) {
 		t.Error("wrong SizeBytes")
 	}
 }
+
+// TestStackRowsRowViews: stacking concatenates the named tensors of
+// several requests along the leading dimension, converting storage to
+// FP32 on the way, and the row views of the result alias it, one
+// member's rows each, without room to grow into the next member's.
+func TestStackRowsRowViews(t *testing.T) {
+	a := MustFromSlice([]float32{1, 2, 3, 4}, 2, 2)
+	b := MustFromSlice([]float32{5, 6}, 1, 2).Convert(FP16)
+	stacked := StackRows([]string{"x"}, []map[string]*Tensor{{"x": a, "ignored": a}, {"x": b}})
+	x := stacked["x"]
+	if len(stacked) != 1 || x.DType != FP32 || !x.Shape.Equal(Shape{3, 2}) {
+		t.Fatalf("stacked %v, want one FP32 tensor of shape [3 2]", stacked)
+	}
+	for i, want := range []float32{1, 2, 3, 4, 5, 6} {
+		if x.F32[i] != want {
+			t.Fatalf("stacked data %v", x.F32)
+		}
+	}
+	if &x.F32[0] == &a.F32[0] {
+		t.Error("the stack aliases a member's storage")
+	}
+	first, second := RowViews(stacked, 0, 2)["x"], RowViews(stacked, 2, 3)["x"]
+	if !first.Shape.Equal(Shape{2, 2}) || !second.Shape.Equal(Shape{1, 2}) || &first.F32[0] != &x.F32[0] || &second.F32[0] != &x.F32[4] {
+		t.Errorf("views %v and %v do not alias rows [0,2) and [2,3) of the stack", first, second)
+	}
+	if _ = append(first.F32, 99); x.F32[4] != 5 {
+		t.Error("appending to one member's view wrote into the next member's rows")
+	}
+}
