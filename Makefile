@@ -66,7 +66,9 @@ test-portable:
 # bytes, raw and with their section CRCs re-sealed, must never panic or
 # over-allocate Verify, and what it accepts must re-encode to itself.
 # FuzzFrameDecode holds the front door's frame reader and its hello,
-# request and reply body decoders to the same three properties.
+# request and reply body decoders to the same three properties, and
+# FuzzHTTPInfer the HTTP adapter: no panic, a 200 only for inputs the
+# model's signature passes, every built tensor backing its shape.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzEncodeExecute -fuzztime 5s ./internal/riscv/
 	$(GO) test -fuzz FuzzLoadStoreRoundTrip -fuzztime 5s ./internal/riscv/
@@ -87,6 +89,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzBuildCodeTable -fuzztime 5s ./internal/inference/
 	$(GO) test -fuzz FuzzArtifactVerify -fuzztime 5s ./internal/artifact/
 	$(GO) test -fuzz FuzzFrameDecode -fuzztime 5s -fuzzminimizetime 5s ./internal/serve/
+	$(GO) test -fuzz FuzzHTTPInfer -fuzztime 5s -fuzzminimizetime 5s ./internal/serve/
 
 # bench tracks the inference-runtime perf trajectory, and the cold-start
 # steps of the two served zoo models in absolute terms: Verify (MB/s),

@@ -3,6 +3,8 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"vedliot/internal/tensor"
 )
 
 // TestAllExperimentsPassChecks runs every registered experiment and
@@ -67,5 +69,24 @@ func TestReportRendering(t *testing.T) {
 	}
 	if f := r.Failed(); len(f) != 1 || f[0] != "bad" {
 		t.Errorf("Failed() = %v", f)
+	}
+}
+
+// TestTop1Agreement holds the one top-1 helper to both of its callers'
+// rules: the riscv study asks for the same class (tolerance 0), the
+// quantized study lets a flip inside the reference's own margin agree.
+func TestTop1Agreement(t *testing.T) {
+	want := tensor.MustFromSlice([]float32{0.5, 0.3, 0.2, 0.1, 0.1, 0.8, 0.4, 0.4, 0.2}, 3, 3)
+	got := tensor.MustFromSlice([]float32{0.3, 0.5, 0.2, 0.1, 0.1, 0.8, 0.4, 0.4, 0.2}, 3, 3)
+	for _, c := range []struct {
+		tol   float64
+		agree int
+	}{{0, 2}, {0.1, 2}, {0.25, 3}} {
+		if agree, rows := top1Agreement(want, got, c.tol); agree != c.agree || rows != 3 {
+			t.Errorf("tolerance %g: %d of %d rows agree, want %d of 3", c.tol, agree, rows, c.agree)
+		}
+	}
+	if agree, rows := top1Agreement(want, tensor.MustFromSlice(make([]float32, 6), 2, 3), 1); agree != 0 || rows != 3 {
+		t.Errorf("outputs of different sizes: %d of %d rows agree, want 0 of 3", agree, rows)
 	}
 }

@@ -123,22 +123,9 @@ func QuantizedStudy() (*Report, error) {
 			if d > worst {
 				worst = d
 			}
-			n, f := w.Shape[0], w.Shape[1]
-			for b := 0; b < n; b++ {
-				wBest, oBest := 0, 0
-				for i := 1; i < f; i++ {
-					if w.F32[b*f+i] > w.F32[b*f+wBest] {
-						wBest = i
-					}
-					if o.F32[b*f+i] > o.F32[b*f+oBest] {
-						oBest = i
-					}
-				}
-				probes++
-				if wBest == oBest || float64(w.F32[b*f+wBest]-w.F32[b*f+oBest]) <= tieTol {
-					agree++
-				}
-			}
+			a, n := top1Agreement(w, o, tieTol)
+			agree += a
+			probes += n
 		}
 	}
 	agreement := float64(agree) / float64(probes)

@@ -56,13 +56,13 @@ func RISCVBench() (*Report, error) {
 		p := exe.(*rvbackend.Program)
 		cycles[noCFU] = p.CyclesPerInference()
 		exact := bitExact(want, got)
-		top1 := top1Agreement(want[g.Outputs[0]], got[g.Outputs[0]], batch)
+		agree, rows := top1Agreement(want[g.Outputs[0]], got[g.Outputs[0]], 0)
 		info := p.Image()
 		lat, _ := p.PredictLatency(1)
 		r.linef("%-16s %8d cycles/inference  %6.2fms @100MHz  text %d words  bit-exact %v",
 			b.Name(), cycles[noCFU], float64(lat)/float64(time.Millisecond), info.TextWords, exact)
 		r.check("firmware_bit_exact_"+b.Name(), exact)
-		r.check("top1_parity_"+b.Name(), top1 == 1)
+		r.check("top1_parity_"+b.Name(), agree == rows)
 	}
 
 	speedup := float64(cycles[true]) / float64(cycles[false])
@@ -93,23 +93,24 @@ func bitExact(want, got map[string]*tensor.Tensor) bool {
 	return true
 }
 
-// top1Agreement returns the fraction of samples whose argmax class
-// matches between two batched output tensors.
-func top1Agreement(want, got *tensor.Tensor, batch int) float64 {
-	if want == nil || got == nil || len(want.F32) != len(got.F32) || batch <= 0 {
-		return 0
+// top1Agreement counts the rows of two batched outputs whose top-1
+// class agrees. A flip still agrees when the reference separates the
+// two classes by at most tieTol, a tie it cannot resolve either (0 asks
+// for the same class). Outputs of different sizes agree on no row.
+func top1Agreement(want, got *tensor.Tensor, tieTol float64) (agree, rows int) {
+	rows = want.Shape[0]
+	if got == nil || len(got.F32) != len(want.F32) {
+		return 0, rows
 	}
-	per := len(want.F32) / batch
-	if per == 0 {
-		return 0
-	}
-	agree := 0
-	for s := 0; s < batch; s++ {
-		if argmax(want.F32[s*per:(s+1)*per]) == argmax(got.F32[s*per:(s+1)*per]) {
+	per := len(want.F32) / rows
+	for b := 0; b < rows; b++ {
+		w, o := want.F32[b*per:(b+1)*per], got.F32[b*per:(b+1)*per]
+		wBest, oBest := argmax(w), argmax(o)
+		if wBest == oBest || float64(w[wBest]-w[oBest]) <= tieTol {
 			agree++
 		}
 	}
-	return float64(agree) / float64(batch)
+	return agree, rows
 }
 
 func argmax(v []float32) int {

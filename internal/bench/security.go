@@ -46,7 +46,7 @@ func twineWorkload(db *minisql.DB, enclave *tee.Enclave, n int) (time.Duration, 
 		if err != nil {
 			return 0, 0, err
 		}
-		if len(res.Rows) != 1 || res.Rows[0][0].I != int64(i*3) {
+		if len(res.Rows) != 1 || res.Rows[0][0] != int64(i*3) {
 			return 0, 0, fmt.Errorf("twine: wrong lookup result for key %d", i)
 		}
 	}
@@ -60,7 +60,7 @@ func twineWorkload(db *minisql.DB, enclave *tee.Enclave, n int) (time.Duration, 
 
 // Twine reproduces the §IV-C database-in-enclave study: the same SQL
 // workload on (1) the native store, (2) the WASM-VM store, and (3) the
-// WASM store with every VM entry charged SGX transition costs.
+// WASM store inside an enclave, every statement charged one ecall.
 func Twine() (*Report, error) {
 	r := newReport("§IV-C — minisql native vs WASM vs WASM+enclave (Twine)")
 	const (
@@ -92,7 +92,7 @@ func Twine() (*Report, error) {
 
 	// WASM.
 	var wasmStore *minisql.WasmStore
-	factory := func(table string, schema minisql.Schema) (minisql.RowStore, error) {
+	factory := func(schema minisql.Schema) (minisql.RowStore, error) {
 		s, err := minisql.NewWasmStore(schema)
 		if err != nil {
 			return nil, err
@@ -111,7 +111,7 @@ func Twine() (*Report, error) {
 	// WASM + enclave: the engine is resident in the enclave; each SQL
 	// statement is one ecall. The transition overhead is accounted
 	// deterministically, so only the wall component carries noise.
-	enclave := tee.NewEnclave([]byte("minisql-wasm-v1"), tee.SGXCosts())
+	enclave := tee.NewEnclave([]byte("minisql-wasm-v1"))
 	encWall, _, err := minWall(func() (time.Duration, time.Duration, error) {
 		return twineWorkload(minisql.NewDB(minisql.WasmFactory), enclave, n)
 	})
@@ -150,11 +150,11 @@ func Twine() (*Report, error) {
 func AblationEcallBatching() (*Report, error) {
 	r := newReport("Ablation — enclave transition batching")
 	const ops = 10000
-	perOp := tee.NewEnclave([]byte("x"), tee.SGXCosts())
+	perOp := tee.NewEnclave([]byte("x"))
 	for i := 0; i < ops; i++ {
 		_ = perOp.Ecall(16, func() error { return nil })
 	}
-	batched := tee.NewEnclave([]byte("x"), tee.SGXCosts())
+	batched := tee.NewEnclave([]byte("x"))
 	for i := 0; i < ops; i += 64 {
 		_ = batched.Ecall(16*64, func() error { return nil })
 	}

@@ -475,7 +475,7 @@ func (d *Deployment) addReplica(g *nn.Graph, exe inference.Executable, backendNa
 		// measurement binds the replica's identity to the exact plan
 		// it executes: artifact digest, backend, hosting module. The
 		// attestation path (Deployment.Attest) quotes it.
-		r.enclave = tee.NewEnclave(ReplicaImage(d.digest, backendName, mod.Name), tee.SGXCosts())
+		r.enclave = tee.NewEnclave(ReplicaImage(d.digest, backendName, mod.Name))
 	}
 	// Any executable with a latency model feeds the router's cost
 	// signal: roofline predictions from accel programs, measured

@@ -10,10 +10,10 @@ package kenning
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"vedliot/internal/accel"
+	"vedliot/internal/cluster"
 	"vedliot/internal/dataset"
 	"vedliot/internal/inference"
 	"vedliot/internal/nn"
@@ -208,41 +208,10 @@ func RunPipeline(g *nn.Graph, cfg PipelineConfig) (PipelineReport, error) {
 	return rep, nil
 }
 
-// LatencyStats summarizes per-inference latency.
-type LatencyStats struct {
-	Count          int
-	Mean, P50, P95 time.Duration
-	Min, Max       time.Duration
-}
-
-func latencyStats(ds []time.Duration) LatencyStats {
-	if len(ds) == 0 {
-		return LatencyStats{}
-	}
-	sorted := append([]time.Duration(nil), ds...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var sum time.Duration
-	for _, d := range sorted {
-		sum += d
-	}
-	pick := func(q float64) time.Duration {
-		idx := int(q * float64(len(sorted)-1))
-		return sorted[idx]
-	}
-	return LatencyStats{
-		Count: len(sorted),
-		Mean:  sum / time.Duration(len(sorted)),
-		P50:   pick(0.5),
-		P95:   pick(0.95),
-		Min:   sorted[0],
-		Max:   sorted[len(sorted)-1],
-	}
-}
-
 // Evaluation is the measurement report for one target and dataset.
 type Evaluation struct {
 	Target    string
-	Latency   LatencyStats
+	Latency   cluster.LatencySummary
 	Confusion *ConfusionMatrix
 }
 
@@ -275,7 +244,7 @@ func Evaluate(g *nn.Graph, target Target, samples []dataset.Sample, numClasses i
 			return ev, err
 		}
 	}
-	ev.Latency = latencyStats(lats)
+	ev.Latency = cluster.Summarize(lats)
 	ev.Confusion = cm
 	return ev, nil
 }

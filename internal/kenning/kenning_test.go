@@ -57,7 +57,7 @@ func TestEvaluateOnSimTarget(t *testing.T) {
 	if ev.Confusion.Accuracy() != cpu.Confusion.Accuracy() {
 		t.Error("sim target changed accuracy")
 	}
-	if ev.Latency.Min != ev.Latency.Max {
+	if ev.Latency.P50 != ev.Latency.Max {
 		t.Error("modeled latency should be constant per model")
 	}
 }

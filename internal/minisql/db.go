@@ -1,34 +1,67 @@
+// Package minisql is a small embedded SQL engine — the reproduction's
+// stand-in for SQLite in the Twine experiment (§IV-C, [17]): "SQLite
+// can be fully executed inside an SGX enclave via WebAssembly ... with
+// small performance overheads".
+//
+// It runs the three statement shapes the Twine study issues and refuses
+// every other one by name: CREATE TABLE over INT columns with an
+// optional primary key, multi-row INSERT ... VALUES, and SELECT of
+// columns or * with WHERE <primary key> = <n>. Rows live in a pluggable
+// store: one in-process map, or a hash table whose data plane runs
+// inside the wasm VM (and, composed with internal/tee, inside a
+// simulated enclave). Parsing and planning are identical across stores,
+// so measured differences isolate the runtime, exactly like the paper's
+// native / WASM / WASM+SGX comparison.
 package minisql
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
-// RowStore is the pluggable storage engine behind a table. The native
-// store keeps rows in process memory; the wasm store keeps the data
-// plane inside the VM (see WasmStore).
+// Column describes one INT table column.
+type Column struct {
+	Name       string
+	PrimaryKey bool
+}
+
+// Schema is an ordered column list.
+type Schema []Column
+
+// Index returns the position of a named column or -1.
+func (s Schema) Index(name string) int {
+	for i, c := range s {
+		if c.Name == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// PKIndex returns the primary-key column position or -1.
+func (s Schema) PKIndex() int {
+	for i, c := range s {
+		if c.PrimaryKey {
+			return i
+		}
+	}
+	return -1
+}
+
+// RowStore is the storage engine behind a table: what the three
+// statements need of it, an insert and a primary-key lookup.
 type RowStore interface {
-	// Insert adds a row and returns its rowid.
-	Insert(row []Value) (int64, error)
-	// Scan visits all rows in rowid order until fn returns false.
-	Scan(fn func(rowid int64, row []Value) (bool, error)) error
-	// Update replaces the row with the given rowid.
-	Update(rowid int64, row []Value) error
-	// Delete removes a row by rowid.
-	Delete(rowid int64) error
-	// LookupPK returns the row with the given primary-key value, when
-	// the store maintains a PK index (ok=false when absent).
-	LookupPK(pk int64) (row []Value, rowid int64, ok bool, err error)
+	// Insert adds a row; the caller has checked its arity and key.
+	Insert(row []int64) error
+	// LookupPK returns the row with the given primary-key value (ok=false
+	// when absent).
+	LookupPK(pk int64) (row []int64, ok bool, err error)
 }
 
 // StoreFactory creates a RowStore for a new table.
-type StoreFactory func(table string, schema Schema) (RowStore, error)
+type StoreFactory func(schema Schema) (RowStore, error)
 
 // Result is the outcome of one statement.
 type Result struct {
 	Columns  []string
-	Rows     [][]Value
+	Rows     [][]int64
 	Affected int
 }
 
@@ -39,407 +72,127 @@ type DB struct {
 }
 
 type table struct {
-	name   string
 	schema Schema
 	store  RowStore
 }
 
-// NewDB creates a database using the given store factory (nil = native
-// in-memory store with primary-key indexing).
+// NewDB creates a database using the given store factory (nil = the
+// native in-memory store).
 func NewDB(factory StoreFactory) *DB {
 	if factory == nil {
-		factory = NativeFactory
+		factory = nativeFactory
 	}
 	return &DB{tables: make(map[string]*table), factory: factory}
 }
 
 // Exec parses and executes one statement.
 func (db *DB) Exec(sql string) (*Result, error) {
-	st, err := Parse(sql)
+	st, err := parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	return db.ExecStmt(st)
-}
-
-// ExecStmt executes a pre-parsed statement (the prepared-statement path
-// used by the benchmark loops to exclude parse time).
-func (db *DB) ExecStmt(st Statement) (*Result, error) {
-	switch s := st.(type) {
-	case *CreateStmt:
-		return db.create(s)
-	case *InsertStmt:
-		return db.insert(s)
-	case *SelectStmt:
-		return db.sel(s)
-	case *UpdateStmt:
-		return db.update(s)
-	case *DeleteStmt:
-		return db.del(s)
-	case *DropStmt:
-		return db.drop(s)
+	if st.verb == "create" {
+		return db.create(st)
 	}
-	return nil, fmt.Errorf("minisql: unhandled statement %T", st)
-}
-
-func (db *DB) create(s *CreateStmt) (*Result, error) {
-	if _, dup := db.tables[s.Table]; dup {
-		return nil, fmt.Errorf("minisql: table %q exists", s.Table)
-	}
-	if len(s.Schema) == 0 {
-		return nil, fmt.Errorf("minisql: table %q has no columns", s.Table)
-	}
-	store, err := db.factory(s.Table, s.Schema)
-	if err != nil {
-		return nil, err
-	}
-	db.tables[s.Table] = &table{name: s.Table, schema: s.Schema, store: store}
-	return &Result{}, nil
-}
-
-func (db *DB) drop(s *DropStmt) (*Result, error) {
-	if _, ok := db.tables[s.Table]; !ok {
-		return nil, fmt.Errorf("minisql: no table %q", s.Table)
-	}
-	delete(db.tables, s.Table)
-	return &Result{}, nil
-}
-
-func (db *DB) table(name string) (*table, error) {
-	t, ok := db.tables[name]
+	t, ok := db.tables[st.table]
 	if !ok {
-		return nil, fmt.Errorf("minisql: no table %q", name)
+		return nil, fmt.Errorf("minisql: no table %q", st.table)
 	}
-	return t, nil
+	if st.verb == "insert" {
+		return t.insert(st.rows)
+	}
+	return t.sel(st)
 }
 
-func (db *DB) insert(s *InsertStmt) (*Result, error) {
-	t, err := db.table(s.Table)
+func (db *DB) create(st *statement) (*Result, error) {
+	if _, dup := db.tables[st.table]; dup {
+		return nil, fmt.Errorf("minisql: table %q exists", st.table)
+	}
+	store, err := db.factory(st.schema)
 	if err != nil {
 		return nil, err
 	}
+	db.tables[st.table] = &table{schema: st.schema, store: store}
+	return &Result{}, nil
+}
+
+func (t *table) insert(rows [][]int64) (*Result, error) {
 	pk := t.schema.PKIndex()
-	for _, row := range s.Rows {
-		if err := t.schema.checkRow(row); err != nil {
-			return nil, err
+	for _, row := range rows {
+		if len(row) != len(t.schema) {
+			return nil, fmt.Errorf("minisql: %d values for %d columns", len(row), len(t.schema))
 		}
 		if pk >= 0 {
-			if _, _, exists, err := t.store.LookupPK(row[pk].I); err != nil {
+			if _, exists, err := t.store.LookupPK(row[pk]); err != nil {
 				return nil, err
 			} else if exists {
-				return nil, fmt.Errorf("minisql: duplicate primary key %d", row[pk].I)
+				return nil, fmt.Errorf("minisql: duplicate primary key %d", row[pk])
 			}
 		}
-		if _, err := t.store.Insert(row); err != nil {
+		if err := t.store.Insert(row); err != nil {
 			return nil, err
 		}
 	}
-	return &Result{Affected: len(s.Rows)}, nil
+	return &Result{Affected: len(rows)}, nil
 }
 
-// compileWhere resolves condition columns and returns a row predicate.
-func compileWhere(schema Schema, conds []Cond) (func(row []Value) bool, error) {
-	type cc struct {
-		idx int
-		op  string
-		val Value
+// sel answers a SELECT by one primary-key lookup: there are no scans.
+func (t *table) sel(st *statement) (*Result, error) {
+	if pk := t.schema.PKIndex(); pk < 0 || t.schema[pk].Name != st.key {
+		return nil, fmt.Errorf("minisql: WHERE on %q: only the primary key is looked up (no scans)", st.key)
 	}
-	compiled := make([]cc, len(conds))
-	for i, c := range conds {
-		idx := schema.Index(c.Column)
+	res := &Result{Columns: st.cols}
+	var proj []int
+	if st.cols == nil {
+		for i, c := range t.schema {
+			proj = append(proj, i)
+			res.Columns = append(res.Columns, c.Name)
+		}
+	}
+	for _, name := range st.cols {
+		idx := t.schema.Index(name)
 		if idx < 0 {
-			return nil, fmt.Errorf("minisql: unknown column %q", c.Column)
+			return nil, fmt.Errorf("minisql: unknown column %q", name)
 		}
-		if schema[idx].Kind != c.Val.Kind {
-			return nil, fmt.Errorf("minisql: column %s compared with %s literal", c.Column, c.Val.Kind)
-		}
-		compiled[i] = cc{idx, c.Op, c.Val}
+		proj = append(proj, idx)
 	}
-	return func(row []Value) bool {
-		for _, c := range compiled {
-			v := row[c.idx]
-			var keep bool
-			switch c.op {
-			case "=":
-				keep = v.Equal(c.val)
-			case "!=":
-				keep = !v.Equal(c.val)
-			case "<":
-				keep = v.Less(c.val)
-			case "<=":
-				keep = v.Less(c.val) || v.Equal(c.val)
-			case ">":
-				keep = c.val.Less(v)
-			case ">=":
-				keep = c.val.Less(v) || v.Equal(c.val)
-			}
-			if !keep {
-				return false
-			}
-		}
-		return true
-	}, nil
-}
-
-// pkEquality returns the primary-key value when the WHERE clause is a
-// single equality on the PK (the indexed fast path).
-func pkEquality(schema Schema, conds []Cond) (int64, bool) {
-	if len(conds) != 1 || conds[0].Op != "=" {
-		return 0, false
-	}
-	pk := schema.PKIndex()
-	if pk < 0 || schema[pk].Name != conds[0].Column || conds[0].Val.Kind != IntKind {
-		return 0, false
-	}
-	return conds[0].Val.I, true
-}
-
-func (db *DB) sel(s *SelectStmt) (*Result, error) {
-	t, err := db.table(s.Table)
+	row, found, err := t.store.LookupPK(st.val)
 	if err != nil {
 		return nil, err
 	}
-	// Projection.
-	var proj []int
-	var colNames []string
-	if s.Count {
-		colNames = []string{"count(*)"}
-	} else if s.Columns == nil {
-		for i, c := range t.schema {
-			proj = append(proj, i)
-			colNames = append(colNames, c.Name)
-		}
-	} else {
-		for _, name := range s.Columns {
-			idx := t.schema.Index(name)
-			if idx < 0 {
-				return nil, fmt.Errorf("minisql: unknown column %q", name)
-			}
-			proj = append(proj, idx)
-			colNames = append(colNames, name)
-		}
-	}
-	res := &Result{Columns: colNames}
-
-	emit := func(row []Value) {
-		if s.Count {
-			return
-		}
-		out := make([]Value, len(proj))
+	if found {
+		out := make([]int64, len(proj))
 		for i, idx := range proj {
 			out[i] = row[idx]
 		}
-		res.Rows = append(res.Rows, out)
-	}
-
-	// PK fast path.
-	if pkv, ok := pkEquality(t.schema, s.Where); ok {
-		row, _, found, err := t.store.LookupPK(pkv)
-		if err != nil {
-			return nil, err
-		}
-		count := 0
-		if found {
-			emit(row)
-			count = 1
-		}
-		if s.Count {
-			res.Rows = [][]Value{{IntValue(int64(count))}}
-		}
-		return res, nil
-	}
-
-	pred, err := compileWhere(t.schema, s.Where)
-	if err != nil {
-		return nil, err
-	}
-	count := int64(0)
-	err = t.store.Scan(func(_ int64, row []Value) (bool, error) {
-		if pred(row) {
-			count++
-			emit(row)
-		}
-		return true, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if s.Count {
-		res.Rows = [][]Value{{IntValue(count)}}
+		res.Rows = [][]int64{out}
 	}
 	return res, nil
 }
 
-func (db *DB) update(s *UpdateStmt) (*Result, error) {
-	t, err := db.table(s.Table)
-	if err != nil {
-		return nil, err
-	}
-	// Resolve SET columns.
-	type setc struct {
-		idx int
-		val Value
-	}
-	var sets []setc
-	for col, v := range s.Set {
-		idx := t.schema.Index(col)
-		if idx < 0 {
-			return nil, fmt.Errorf("minisql: unknown column %q", col)
-		}
-		if t.schema[idx].Kind != v.Kind {
-			return nil, fmt.Errorf("minisql: column %s assigned %s", col, v.Kind)
-		}
-		sets = append(sets, setc{idx, v})
-	}
-	sort.Slice(sets, func(i, j int) bool { return sets[i].idx < sets[j].idx })
-	pred, err := compileWhere(t.schema, s.Where)
-	if err != nil {
-		return nil, err
-	}
-	// Collect matching rowids first, then update (stores may not allow
-	// mutation during scan).
-	type hit struct {
-		rowid int64
-		row   []Value
-	}
-	var hits []hit
-	err = t.store.Scan(func(rowid int64, row []Value) (bool, error) {
-		if pred(row) {
-			cp := append([]Value(nil), row...)
-			hits = append(hits, hit{rowid, cp})
-		}
-		return true, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, h := range hits {
-		for _, sc := range sets {
-			h.row[sc.idx] = sc.val
-		}
-		if err := t.store.Update(h.rowid, h.row); err != nil {
-			return nil, err
-		}
-	}
-	return &Result{Affected: len(hits)}, nil
+// nativeStore keeps a table's rows in one map keyed by primary key (by
+// insertion index when the table declares none).
+type nativeStore struct {
+	pk   int
+	rows map[int64][]int64
 }
 
-func (db *DB) del(s *DeleteStmt) (*Result, error) {
-	t, err := db.table(s.Table)
-	if err != nil {
-		return nil, err
-	}
-	pred, err := compileWhere(t.schema, s.Where)
-	if err != nil {
-		return nil, err
-	}
-	var ids []int64
-	err = t.store.Scan(func(rowid int64, row []Value) (bool, error) {
-		if pred(row) {
-			ids = append(ids, rowid)
-		}
-		return true, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, id := range ids {
-		if err := t.store.Delete(id); err != nil {
-			return nil, err
-		}
-	}
-	return &Result{Affected: len(ids)}, nil
-}
-
-// NativeStore is the default in-process row store with a PK index.
-type NativeStore struct {
-	rows   map[int64][]Value
-	order  []int64
-	nextID int64
-	pkIdx  map[int64]int64 // pk value -> rowid
-	pkCol  int
-}
-
-// NewNativeStore creates an empty store. SetPKColumn enables the PK
-// index; the DB layer wires it automatically through the factory when
-// the schema declares a primary key.
-func NewNativeStore() *NativeStore {
-	return &NativeStore{rows: make(map[int64][]Value), nextID: 1, pkCol: -1}
-}
-
-// NativeFactory creates native stores with PK indexing.
-func NativeFactory(_ string, schema Schema) (RowStore, error) {
-	s := NewNativeStore()
-	if pk := schema.PKIndex(); pk >= 0 {
-		s.pkCol = pk
-		s.pkIdx = make(map[int64]int64)
-	}
-	return s, nil
+func nativeFactory(schema Schema) (RowStore, error) {
+	return &nativeStore{pk: schema.PKIndex(), rows: make(map[int64][]int64)}, nil
 }
 
 // Insert implements RowStore.
-func (s *NativeStore) Insert(row []Value) (int64, error) {
-	id := s.nextID
-	s.nextID++
-	cp := append([]Value(nil), row...)
-	s.rows[id] = cp
-	s.order = append(s.order, id)
-	if s.pkCol >= 0 {
-		s.pkIdx[row[s.pkCol].I] = id
+func (s *nativeStore) Insert(row []int64) error {
+	key := int64(len(s.rows))
+	if s.pk >= 0 {
+		key = row[s.pk]
 	}
-	return id, nil
-}
-
-// Scan implements RowStore.
-func (s *NativeStore) Scan(fn func(int64, []Value) (bool, error)) error {
-	for _, id := range s.order {
-		row, ok := s.rows[id]
-		if !ok {
-			continue
-		}
-		cont, err := fn(id, row)
-		if err != nil || !cont {
-			return err
-		}
-	}
-	return nil
-}
-
-// Update implements RowStore.
-func (s *NativeStore) Update(rowid int64, row []Value) error {
-	old, ok := s.rows[rowid]
-	if !ok {
-		return fmt.Errorf("minisql: no rowid %d", rowid)
-	}
-	if s.pkCol >= 0 && old[s.pkCol].I != row[s.pkCol].I {
-		delete(s.pkIdx, old[s.pkCol].I)
-		s.pkIdx[row[s.pkCol].I] = rowid
-	}
-	s.rows[rowid] = append([]Value(nil), row...)
-	return nil
-}
-
-// Delete implements RowStore.
-func (s *NativeStore) Delete(rowid int64) error {
-	row, ok := s.rows[rowid]
-	if !ok {
-		return fmt.Errorf("minisql: no rowid %d", rowid)
-	}
-	if s.pkCol >= 0 {
-		delete(s.pkIdx, row[s.pkCol].I)
-	}
-	delete(s.rows, rowid)
+	s.rows[key] = append([]int64(nil), row...)
 	return nil
 }
 
 // LookupPK implements RowStore.
-func (s *NativeStore) LookupPK(pk int64) ([]Value, int64, bool, error) {
-	if s.pkIdx == nil {
-		return nil, 0, false, nil
-	}
-	id, ok := s.pkIdx[pk]
-	if !ok {
-		return nil, 0, false, nil
-	}
-	return s.rows[id], id, true, nil
+func (s *nativeStore) LookupPK(pk int64) ([]int64, bool, error) {
+	row, ok := s.rows[pk]
+	return row, ok, nil
 }

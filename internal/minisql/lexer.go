@@ -13,7 +13,6 @@ const (
 	tokEOF tokKind = iota
 	tokIdent
 	tokNumber
-	tokString
 	tokSymbol // punctuation and operators
 )
 
@@ -24,7 +23,9 @@ type token struct {
 }
 
 // lex tokenizes a statement. Keywords stay tokIdent; the parser
-// compares case-insensitively.
+// compares case-insensitively. Comparison operators lex whole so the
+// parser can refuse them by name; a quote is refused here, since every
+// value is an INT.
 func lex(src string) ([]token, error) {
 	var toks []token
 	i := 0
@@ -48,41 +49,17 @@ func lex(src string) ([]token, error) {
 			toks = append(toks, token{tokNumber, src[i:j], i})
 			i = j
 		case c == '\'':
-			j := i + 1
-			var sb strings.Builder
-			closed := false
-			for j < len(src) {
-				if src[j] == '\'' {
-					if j+1 < len(src) && src[j+1] == '\'' { // escaped quote
-						sb.WriteByte('\'')
-						j += 2
-						continue
-					}
-					closed = true
-					j++
-					break
-				}
-				sb.WriteByte(src[j])
-				j++
-			}
-			if !closed {
-				return nil, fmt.Errorf("minisql: unterminated string at %d", i)
-			}
-			toks = append(toks, token{tokString, sb.String(), i})
-			i = j
+			return nil, fmt.Errorf("minisql: string literal at %d is not supported: values are INT", i)
 		case strings.ContainsRune("(),*=;", rune(c)):
 			toks = append(toks, token{tokSymbol, string(c), i})
 			i++
 		case c == '<' || c == '>' || c == '!':
-			if i+1 < len(src) && src[i+1] == '=' {
-				toks = append(toks, token{tokSymbol, src[i : i+2], i})
-				i += 2
-			} else if c == '!' {
-				return nil, fmt.Errorf("minisql: stray '!' at %d", i)
-			} else {
-				toks = append(toks, token{tokSymbol, string(c), i})
-				i++
+			j := i + 1
+			if j < len(src) && src[j] == '=' {
+				j++
 			}
+			toks = append(toks, token{tokSymbol, src[i:j], i})
+			i = j
 		default:
 			return nil, fmt.Errorf("minisql: unexpected character %q at %d", c, i)
 		}

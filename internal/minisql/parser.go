@@ -6,74 +6,41 @@ import (
 	"strings"
 )
 
-// Statement is a parsed SQL statement.
-type Statement interface{ stmt() }
-
-// CreateStmt is CREATE TABLE.
-type CreateStmt struct {
-	Table  string
-	Schema Schema
+// statement is one parsed statement of the three shapes minisql runs.
+type statement struct {
+	verb   string // "create", "insert" or "select"
+	table  string
+	schema Schema    // create
+	rows   [][]int64 // insert
+	cols   []string  // select; nil = *
+	key    string    // select: WHERE key = val
+	val    int64
 }
-
-// InsertStmt is INSERT INTO ... VALUES (...), (...).
-type InsertStmt struct {
-	Table string
-	Rows  [][]Value
-}
-
-// Cond is one WHERE conjunct: column <op> literal.
-type Cond struct {
-	Column string
-	Op     string // =, !=, <, <=, >, >=
-	Val    Value
-}
-
-// SelectStmt is SELECT cols|*|COUNT(*) FROM t [WHERE ...].
-type SelectStmt struct {
-	Table   string
-	Columns []string // nil = *
-	Count   bool
-	Where   []Cond
-}
-
-// UpdateStmt is UPDATE t SET c = v [, ...] [WHERE ...].
-type UpdateStmt struct {
-	Table string
-	Set   map[string]Value
-	Where []Cond
-}
-
-// DeleteStmt is DELETE FROM t [WHERE ...].
-type DeleteStmt struct {
-	Table string
-	Where []Cond
-}
-
-// DropStmt is DROP TABLE t.
-type DropStmt struct {
-	Table string
-}
-
-func (*CreateStmt) stmt() {}
-func (*InsertStmt) stmt() {}
-func (*SelectStmt) stmt() {}
-func (*UpdateStmt) stmt() {}
-func (*DeleteStmt) stmt() {}
-func (*DropStmt) stmt()   {}
 
 type parser struct {
 	toks []token
 	pos  int
 }
 
-// Parse parses one SQL statement (a trailing semicolon is allowed).
-func Parse(src string) (Statement, error) {
+// parse parses one SQL statement (a trailing semicolon is allowed).
+func parse(src string) (*statement, error) {
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
 	}
 	p := &parser{toks: toks}
-	st, err := p.statement()
+	st := &statement{}
+	switch {
+	case p.accept("create"):
+		st.verb, err = "create", p.create(st)
+	case p.accept("insert"):
+		st.verb, err = "insert", p.insert(st)
+	case p.accept("select"):
+		st.verb, err = "select", p.sel(st)
+	default:
+		return nil, fmt.Errorf("minisql: %q statements are not supported: only CREATE TABLE, INSERT and SELECT",
+			strings.ToUpper(p.cur().text))
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -85,14 +52,6 @@ func Parse(src string) (Statement, error) {
 }
 
 func (p *parser) cur() token { return p.toks[p.pos] }
-
-func (p *parser) next() token {
-	t := p.toks[p.pos]
-	if t.kind != tokEOF {
-		p.pos++
-	}
-	return t
-}
 
 // accept consumes the token when it matches the keyword or symbol.
 func (p *parser) accept(text string) bool {
@@ -120,275 +79,136 @@ func (p *parser) ident() (string, error) {
 	return strings.ToLower(t.text), nil
 }
 
-func (p *parser) statement() (Statement, error) {
-	switch {
-	case p.accept("create"):
-		return p.create()
-	case p.accept("insert"):
-		return p.insert()
-	case p.accept("select"):
-		return p.sel()
-	case p.accept("update"):
-		return p.update()
-	case p.accept("delete"):
-		return p.del()
-	case p.accept("drop"):
-		return p.drop()
+func (p *parser) number() (int64, error) {
+	t := p.cur()
+	if t.kind != tokNumber {
+		return 0, fmt.Errorf("minisql: expected number at %d, got %q", t.pos, t.text)
 	}
-	return nil, fmt.Errorf("minisql: unknown statement %q", p.cur().text)
+	p.pos++
+	v, err := strconv.ParseInt(t.text, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("minisql: bad number %q", t.text)
+	}
+	return v, nil
 }
 
-func (p *parser) create() (Statement, error) {
-	if err := p.expect("table"); err != nil {
-		return nil, err
-	}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
+// list parses item (, item)* between parentheses.
+func (p *parser) list(item func() error) error {
 	if err := p.expect("("); err != nil {
-		return nil, err
+		return err
 	}
-	var schema Schema
 	for {
+		if err := item(); err != nil {
+			return err
+		}
+		if !p.accept(",") {
+			return p.expect(")")
+		}
+	}
+}
+
+// create parses TABLE name (col INT [PRIMARY KEY], ...).
+func (p *parser) create(st *statement) (err error) {
+	if err := p.expect("table"); err != nil {
+		return err
+	}
+	if st.table, err = p.ident(); err != nil {
+		return err
+	}
+	pks := 0
+	err = p.list(func() error {
 		col, err := p.ident()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		kindTok, err := p.ident()
+		kind, err := p.ident()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		var kind Kind
-		switch kindTok {
-		case "int", "integer":
-			kind = IntKind
-		case "text", "varchar":
-			kind = TextKind
-		default:
-			return nil, fmt.Errorf("minisql: unknown type %q", kindTok)
+		if kind != "int" && kind != "integer" {
+			return fmt.Errorf("minisql: column type %s is not supported: columns are INT", strings.ToUpper(kind))
 		}
-		c := Column{Name: col, Kind: kind}
+		c := Column{Name: col}
 		if p.accept("primary") {
 			if err := p.expect("key"); err != nil {
-				return nil, err
+				return err
 			}
 			c.PrimaryKey = true
+			pks++
 		}
-		schema = append(schema, c)
-		if p.accept(",") {
-			continue
-		}
-		break
+		st.schema = append(st.schema, c)
+		return nil
+	})
+	if err == nil && pks > 1 {
+		err = fmt.Errorf("minisql: multiple primary keys")
 	}
-	if err := p.expect(")"); err != nil {
-		return nil, err
-	}
-	pkCount := 0
-	for _, c := range schema {
-		if c.PrimaryKey {
-			pkCount++
-			if c.Kind != IntKind {
-				return nil, fmt.Errorf("minisql: primary key %s must be INT", c.Name)
-			}
-		}
-	}
-	if pkCount > 1 {
-		return nil, fmt.Errorf("minisql: multiple primary keys")
-	}
-	return &CreateStmt{Table: name, Schema: schema}, nil
+	return err
 }
 
-func (p *parser) literal() (Value, error) {
-	t := p.cur()
-	switch t.kind {
-	case tokNumber:
-		p.pos++
-		v, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
-			return Value{}, fmt.Errorf("minisql: bad number %q", t.text)
-		}
-		return IntValue(v), nil
-	case tokString:
-		p.pos++
-		return TextValue(t.text), nil
-	}
-	return Value{}, fmt.Errorf("minisql: expected literal at %d, got %q", t.pos, t.text)
-}
-
-func (p *parser) insert() (Statement, error) {
+// insert parses INTO name VALUES (n, ...), (n, ...).
+func (p *parser) insert(st *statement) (err error) {
 	if err := p.expect("into"); err != nil {
-		return nil, err
+		return err
 	}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
+	if st.table, err = p.ident(); err != nil {
+		return err
 	}
 	if err := p.expect("values"); err != nil {
-		return nil, err
+		return err
 	}
-	st := &InsertStmt{Table: name}
 	for {
-		if err := p.expect("("); err != nil {
-			return nil, err
-		}
-		var row []Value
-		for {
-			v, err := p.literal()
-			if err != nil {
-				return nil, err
-			}
+		var row []int64
+		if err := p.list(func() error {
+			v, err := p.number()
 			row = append(row, v)
-			if p.accept(",") {
-				continue
-			}
-			break
+			return err
+		}); err != nil {
+			return err
 		}
-		if err := p.expect(")"); err != nil {
-			return nil, err
+		st.rows = append(st.rows, row)
+		if !p.accept(",") {
+			return nil
 		}
-		st.Rows = append(st.Rows, row)
-		if p.accept(",") {
-			continue
-		}
-		break
 	}
-	return st, nil
 }
 
-func (p *parser) where() ([]Cond, error) {
-	if !p.accept("where") {
-		return nil, nil
-	}
-	var conds []Cond
-	for {
-		col, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		opTok := p.cur()
-		if opTok.kind != tokSymbol {
-			return nil, fmt.Errorf("minisql: expected operator at %d", opTok.pos)
-		}
-		op := opTok.text
-		switch op {
-		case "=", "!=", "<", "<=", ">", ">=":
-			p.pos++
-		default:
-			return nil, fmt.Errorf("minisql: unknown operator %q", op)
-		}
-		val, err := p.literal()
-		if err != nil {
-			return nil, err
-		}
-		conds = append(conds, Cond{Column: col, Op: op, Val: val})
-		if p.accept("and") {
-			continue
-		}
-		break
-	}
-	return conds, nil
-}
-
-func (p *parser) sel() (Statement, error) {
-	st := &SelectStmt{}
-	switch {
-	case p.accept("*"):
-	case p.accept("count"):
-		if err := p.expect("("); err != nil {
-			return nil, err
-		}
-		if err := p.expect("*"); err != nil {
-			return nil, err
-		}
-		if err := p.expect(")"); err != nil {
-			return nil, err
-		}
-		st.Count = true
-	default:
+// sel parses cols|* FROM name WHERE key = n.
+func (p *parser) sel(st *statement) (err error) {
+	if !p.accept("*") {
 		for {
 			col, err := p.ident()
 			if err != nil {
-				return nil, err
+				return err
 			}
-			st.Columns = append(st.Columns, col)
-			if p.accept(",") {
-				continue
+			if p.cur().text == "(" {
+				return fmt.Errorf("minisql: %s(...) is not supported: SELECT lists columns or *", strings.ToUpper(col))
 			}
-			break
+			st.cols = append(st.cols, col)
+			if !p.accept(",") {
+				break
+			}
 		}
 	}
 	if err := p.expect("from"); err != nil {
-		return nil, err
+		return err
 	}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
+	if st.table, err = p.ident(); err != nil {
+		return err
 	}
-	st.Table = name
-	st.Where, err = p.where()
-	if err != nil {
-		return nil, err
+	if !p.accept("where") {
+		return fmt.Errorf("minisql: SELECT without WHERE <key> = <n> is not supported (no scans)")
 	}
-	return st, nil
-}
-
-func (p *parser) update() (Statement, error) {
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
+	if st.key, err = p.ident(); err != nil {
+		return err
 	}
-	if err := p.expect("set"); err != nil {
-		return nil, err
+	if op := p.cur(); !p.accept("=") {
+		return fmt.Errorf("minisql: WHERE operator %q is not supported: only <key> = <n>", op.text)
 	}
-	st := &UpdateStmt{Table: name, Set: make(map[string]Value)}
-	for {
-		col, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect("="); err != nil {
-			return nil, err
-		}
-		v, err := p.literal()
-		if err != nil {
-			return nil, err
-		}
-		st.Set[col] = v
-		if p.accept(",") {
-			continue
-		}
-		break
+	if st.val, err = p.number(); err != nil {
+		return err
 	}
-	st.Where, err = p.where()
-	if err != nil {
-		return nil, err
+	if t := p.cur(); t.kind == tokIdent {
+		return fmt.Errorf("minisql: WHERE takes one <key> = <n> condition, not %s", strings.ToUpper(t.text))
 	}
-	return st, nil
-}
-
-func (p *parser) del() (Statement, error) {
-	if err := p.expect("from"); err != nil {
-		return nil, err
-	}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	where, err := p.where()
-	if err != nil {
-		return nil, err
-	}
-	return &DeleteStmt{Table: name, Where: where}, nil
-}
-
-func (p *parser) drop() (Statement, error) {
-	if err := p.expect("table"); err != nil {
-		return nil, err
-	}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	return &DropStmt{Table: name}, nil
+	return nil
 }

@@ -2,26 +2,19 @@ package minisql
 
 import (
 	"fmt"
-	"sort"
 
 	"vedliot/internal/wasm"
 )
 
 // WasmStore keeps a table's data plane inside the wasm VM: the storage
 // engine is an open-addressing hash table hand-assembled for the VM
-// (functions init/put/find/get/del/count over linear memory). It
-// supports the key/value table shape of the Twine benchmark — two INT
-// columns with the first as PRIMARY KEY — mirroring the paper's
-// "database fully executed inside the runtime" setup.
+// (functions init/put/find over linear memory). It holds the key/value
+// table shape of the Twine benchmark — two INT columns with the first
+// as PRIMARY KEY — mirroring the paper's "database fully executed
+// inside the runtime" setup.
 type WasmStore struct {
-	vm     *wasm.VM
-	schema Schema
-
-	// OnCall, when set, is invoked around every VM entry; the enclave
-	// composition (internal/tee) hooks transition costs here.
-	OnCall func()
-
-	fnInit, fnPut, fnFind, fnGet, fnDel, fnCount int
+	vm            *wasm.VM
+	fnPut, fnFind int
 }
 
 // KV hash-table layout inside VM linear memory.
@@ -35,9 +28,8 @@ const (
 // hash constant (Knuth multiplicative, as i32).
 const kvHashMul = -1640531535
 
-// BuildKVModule assembles the hash-table module. Exported for the
-// Twine benchmark, which also measures the raw VM path.
-func BuildKVModule() (*wasm.Module, error) {
+// buildKVModule assembles the hash-table module.
+func buildKVModule() (*wasm.Module, error) {
 	mod := &wasm.Module{MemPages: 4}
 
 	// init(cap): header = {cap, 0}.
@@ -114,35 +106,10 @@ func BuildKVModule() (*wasm.Module, error) {
 	findA.I(wasm.OpEnd) // A
 	findA.Get(4).I(wasm.OpReturn)
 
-	// get(k) -> value or 0. locals: 0=k 1=r
-	getA := &wasm.Asm{}
-	getA.I(wasm.OpBlock)
-	getA.Get(0).Imm(wasm.OpCall, 2 /* find */).Tee(1).I(wasm.OpI32Eqz).Imm(wasm.OpBrIf, 0)
-	getA.Get(1).Imm(wasm.OpI32Load, 8).I(wasm.OpReturn)
-	getA.I(wasm.OpEnd)
-	getA.Const(0).I(wasm.OpReturn)
-
-	// del(k) -> 1 deleted, 0 missing. locals: 0=k 1=r
-	delA := &wasm.Asm{}
-	delA.I(wasm.OpBlock)
-	delA.Get(0).Imm(wasm.OpCall, 2).Tee(1).I(wasm.OpI32Eqz).Imm(wasm.OpBrIf, 0)
-	delA.Get(1).Const(2).Imm(wasm.OpI32Store, 4) // tombstone
-	delA.Const(kvHdrCount).Const(kvHdrCount).I(wasm.OpI32Load).Const(1).I(wasm.OpI32Sub).I(wasm.OpI32Store)
-	delA.Const(1).I(wasm.OpReturn)
-	delA.I(wasm.OpEnd)
-	delA.Const(0).I(wasm.OpReturn)
-
-	// count() -> live entries.
-	countA := &wasm.Asm{}
-	countA.Const(kvHdrCount).I(wasm.OpI32Load).I(wasm.OpReturn)
-
 	mod.Funcs = []*wasm.Func{
 		{Name: "init", NumParams: 1, NumLocals: 0, Body: initA.Body()},
 		{Name: "put", NumParams: 2, NumLocals: 5, Body: putA.Body()},
 		{Name: "find", NumParams: 1, NumLocals: 6, Body: findA.Body()},
-		{Name: "get", NumParams: 1, NumLocals: 1, Body: getA.Body()},
-		{Name: "del", NumParams: 1, NumLocals: 1, Body: delA.Body()},
-		{Name: "count", NumParams: 0, NumLocals: 0, Body: countA.Body()},
 	}
 	if err := mod.Prepare(); err != nil {
 		return nil, err
@@ -156,10 +123,10 @@ const kvCapacity = 16384
 
 // NewWasmStore instantiates the VM-backed store for a KV-shaped schema.
 func NewWasmStore(schema Schema) (*WasmStore, error) {
-	if len(schema) != 2 || schema[0].Kind != IntKind || schema[1].Kind != IntKind || !schema[0].PrimaryKey {
+	if len(schema) != 2 || !schema[0].PrimaryKey {
 		return nil, fmt.Errorf("minisql: wasm store supports (k INT PRIMARY KEY, v INT) tables only")
 	}
-	mod, err := BuildKVModule()
+	mod, err := buildKVModule()
 	if err != nil {
 		return nil, err
 	}
@@ -167,139 +134,54 @@ func NewWasmStore(schema Schema) (*WasmStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &WasmStore{vm: vm, schema: schema}
-	for _, fn := range []struct {
-		name string
-		dst  *int
-	}{
-		{"init", &s.fnInit}, {"put", &s.fnPut}, {"find", &s.fnFind},
-		{"get", &s.fnGet}, {"del", &s.fnDel}, {"count", &s.fnCount},
-	} {
-		idx, err := mod.FuncIndex(fn.name)
-		if err != nil {
-			return nil, err
-		}
-		*fn.dst = idx
+	s := &WasmStore{vm: vm}
+	fnInit, err := mod.FuncIndex("init")
+	if err != nil {
+		return nil, err
 	}
-	if _, err := s.call(s.fnInit, kvCapacity); err != nil {
+	if s.fnPut, err = mod.FuncIndex("put"); err != nil {
+		return nil, err
+	}
+	if s.fnFind, err = mod.FuncIndex("find"); err != nil {
+		return nil, err
+	}
+	if _, err := vm.Call(fnInit, kvCapacity); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
 // WasmFactory is a StoreFactory placing every table in its own VM.
-func WasmFactory(_ string, schema Schema) (RowStore, error) {
+func WasmFactory(schema Schema) (RowStore, error) {
 	return NewWasmStore(schema)
 }
 
 // VM exposes the underlying VM (the Twine bench reads Executed).
 func (s *WasmStore) VM() *wasm.VM { return s.vm }
 
-func (s *WasmStore) call(fn int, args ...int32) (int32, error) {
-	if s.OnCall != nil {
-		s.OnCall()
+// Insert implements RowStore: put(k, v), which replaces the value of a
+// key already present.
+func (s *WasmStore) Insert(row []int64) error {
+	if len(row) != 2 || int64(int32(row[0])) != row[0] || int64(int32(row[1])) != row[1] {
+		return fmt.Errorf("minisql: wasm store holds (k, v) pairs of 32-bit values, got %v", row)
 	}
-	return s.vm.Call(fn, args...)
-}
-
-// Insert implements RowStore; the primary key doubles as rowid.
-func (s *WasmStore) Insert(row []Value) (int64, error) {
-	k, v, err := s.kv(row)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := s.call(s.fnPut, k, v); err != nil {
-		return 0, err
-	}
-	return int64(k), nil
-}
-
-func (s *WasmStore) kv(row []Value) (int32, int32, error) {
-	if err := s.schema.checkRow(row); err != nil {
-		return 0, 0, err
-	}
-	k, v := row[0].I, row[1].I
-	if int64(int32(k)) != k || int64(int32(v)) != v {
-		return 0, 0, fmt.Errorf("minisql: wasm store holds 32-bit values, got (%d, %d)", k, v)
-	}
-	return int32(k), int32(v), nil
-}
-
-// Scan implements RowStore: the host walks the table memory directly
-// (the read-side ocall of the enclave composition), visiting keys in
-// sorted order for determinism.
-func (s *WasmStore) Scan(fn func(int64, []Value) (bool, error)) error {
-	if s.OnCall != nil {
-		s.OnCall()
-	}
-	mem := s.vm.Memory()
-	type kv struct{ k, v int32 }
-	var entries []kv
-	for i := 0; i < kvCapacity; i++ {
-		base := kvSlots + i*kvSlotSize
-		used := leU32(mem[base+4:])
-		if used != 1 {
-			continue
-		}
-		entries = append(entries, kv{int32(leU32(mem[base:])), int32(leU32(mem[base+8:]))})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].k < entries[j].k })
-	for _, e := range entries {
-		cont, err := fn(int64(e.k), []Value{IntValue(int64(e.k)), IntValue(int64(e.v))})
-		if err != nil || !cont {
-			return err
-		}
-	}
-	return nil
-}
-
-func leU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-// Update implements RowStore.
-func (s *WasmStore) Update(rowid int64, row []Value) error {
-	k, v, err := s.kv(row)
-	if err != nil {
-		return err
-	}
-	if int64(k) != rowid {
-		// Primary key changed: delete the old entry first.
-		if _, err := s.call(s.fnDel, int32(rowid)); err != nil {
-			return err
-		}
-	}
-	_, err = s.call(s.fnPut, k, v)
+	_, err := s.vm.Call(s.fnPut, int32(row[0]), int32(row[1]))
 	return err
 }
 
-// Delete implements RowStore.
-func (s *WasmStore) Delete(rowid int64) error {
-	r, err := s.call(s.fnDel, int32(rowid))
-	if err != nil {
-		return err
-	}
-	if r == 0 {
-		return fmt.Errorf("minisql: no rowid %d", rowid)
-	}
-	return nil
-}
-
-// LookupPK implements RowStore.
-func (s *WasmStore) LookupPK(pk int64) ([]Value, int64, bool, error) {
+// LookupPK implements RowStore: find(k), then the value word of the slot
+// it returns.
+func (s *WasmStore) LookupPK(pk int64) ([]int64, bool, error) {
 	if int64(int32(pk)) != pk {
-		return nil, 0, false, nil
+		return nil, false, nil
 	}
-	addr, err := s.call(s.fnFind, int32(pk))
-	if err != nil {
-		return nil, 0, false, err
-	}
-	if addr == 0 {
-		return nil, 0, false, nil
+	addr, err := s.vm.Call(s.fnFind, int32(pk))
+	if err != nil || addr == 0 {
+		return nil, false, err
 	}
 	v, err := s.vm.ReadU32(uint32(addr) + 8)
 	if err != nil {
-		return nil, 0, false, err
+		return nil, false, err
 	}
-	return []Value{IntValue(pk), IntValue(int64(int32(v)))}, pk, true, nil
+	return []int64{pk, int64(int32(v))}, true, nil
 }

@@ -2,9 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"math"
+	"math/bits"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"testing"
 
+	"vedliot/internal/cluster"
+	"vedliot/internal/inference"
 	"vedliot/internal/tensor"
 )
 
@@ -99,6 +105,68 @@ func FuzzFrameDecode(f *testing.F) {
 			if !bytes.Equal(got, a.consumed) {
 				t.Errorf("an accepted body of %d bytes encodes back to %d different bytes", len(a.consumed), len(got))
 			}
+		}
+	})
+}
+
+// backedElems is the product of a shape's dimensions, computed without
+// wrapping: ok is false for a negative dimension or a product past the
+// int range.
+func backedElems(s tensor.Shape) (n int, ok bool) {
+	p := uint64(1)
+	for _, d := range s {
+		hi, lo := bits.Mul64(p, uint64(d))
+		if d < 0 || hi != 0 || lo > math.MaxInt {
+			return 0, false
+		}
+		p = lo
+	}
+	return int(p), true
+}
+
+// FuzzHTTPInfer feeds POST /v1/infer arbitrary bodies against the
+// two-input pair model. The handler must never panic; it may answer 200
+// only when every input the model declares passes inference.CheckInputs;
+// and every tensor the body-to-tensor-map step (decodeInfer) builds backs
+// exactly the overflow-checked product of its shape. The committed corpus (testdata/fuzz) holds the hostile cases: an
+// undeclared input whose dimensions wrap to its four floats, negative
+// dimensions, a scalar, null data, zero rows and bytes after the request.
+func FuzzHTTPInfer(f *testing.F) {
+	sched := cluster.NewScheduler(armFleet(f, 1), cluster.Config{QueueDepth: 64})
+	f.Cleanup(sched.Close)
+	dep, err := sched.Deploy(pairModel())
+	if err != nil {
+		f.Fatal(err)
+	}
+	srv, err := Listen("127.0.0.1:0", sched, Config{Keys: map[string]string{"sk-f": "web"}, MaxFrame: fuzzMaxFrame})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { srv.Close() })
+	h := srv.Handler()
+	f.Add([]byte(`{"inputs":{"a":{"shape":[1,4],"data":[0,0.125,0.25,0.375]},"b":{"shape":[1,4],"data":[1,1,1,1]}}}`))
+	f.Add([]byte(`{"model":"pair","inputs":{"a":{"shape":[2,4],"data":[1,2,3,4,5,6,7,8]},"b":{"shape":[2,4],"data":[0,0,0,0,0,0,0,0]}}}`))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/v1/infer", bytes.NewReader(body))
+		req.Header.Set("X-API-Key", "sk-f")
+		h.ServeHTTP(rec, req)
+
+		_, ins, err := decodeInfer(bytes.NewReader(body))
+		for name, in := range ins {
+			if n, ok := backedElems(in.Shape); !ok || n != len(in.F32) {
+				t.Errorf("input %q: shape %v over %d floats", name, in.Shape, len(in.F32))
+			}
+		}
+		if rec.Code != http.StatusOK {
+			return
+		}
+		if err != nil {
+			t.Fatalf("200 for a body the adapter refuses: %v", err)
+		}
+		if _, err := inference.CheckInputs(dep.InputNames(), dep.InputShapes(), ins); err != nil {
+			t.Errorf("200 for inputs the model's signature refuses: %v", err)
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -57,29 +58,19 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The framed path's bound: a body past MaxFrame is refused, not read.
-	var req HTTPInferRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, int64(s.cfg.MaxFrame))).Decode(&req); err != nil {
+	model, ins, err := decodeInfer(http.MaxBytesReader(w, r.Body, int64(s.cfg.MaxFrame)))
+	if err != nil {
 		s.badRequest.Add(1)
 		status := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			status = http.StatusRequestEntityTooLarge
 		}
-		http.Error(w, fmt.Sprintf("bad request body: %v", err), status)
+		http.Error(w, err.Error(), status)
 		return
 	}
-	ins := make(map[string]*tensor.Tensor, len(req.Inputs))
-	for name, ht := range req.Inputs {
-		t, err := tensor.FromSlice(ht.Data, ht.Shape...)
-		if err != nil {
-			s.badRequest.Add(1)
-			http.Error(w, fmt.Sprintf("input %q: %v", name, err), http.StatusBadRequest)
-			return
-		}
-		ins[name] = t
-	}
 	s.requests.Add(1)
-	b, err := s.batcherFor(tenant, req.Model)
+	b, err := s.batcherFor(tenant, model)
 	if err != nil {
 		s.badRequest.Add(1)
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -112,6 +103,33 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	default:
 		http.Error(w, rep.err.Error(), http.StatusInternalServerError)
 	}
+}
+
+// decodeInfer is the adapter's body-to-tensor-map step: one JSON
+// request and nothing after it, each input wrapped as a tensor whose
+// shape describes exactly its data (tensor.FromSlice). Whether the
+// inputs suit the model is the batcher's question (CheckInputs).
+func decodeInfer(body io.Reader) (model string, ins map[string]*tensor.Tensor, err error) {
+	var req HTTPInferRequest
+	dec := json.NewDecoder(body)
+	if err := dec.Decode(&req); err != nil {
+		return "", nil, fmt.Errorf("bad request body: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("data after the request")
+		}
+		return "", nil, fmt.Errorf("bad request body: %w", err)
+	}
+	ins = make(map[string]*tensor.Tensor, len(req.Inputs))
+	for name, ht := range req.Inputs {
+		t, err := tensor.FromSlice(ht.Data, ht.Shape...)
+		if err != nil {
+			return "", nil, fmt.Errorf("input %q: %w", name, err)
+		}
+		ins[name] = t
+	}
+	return req.Model, ins, nil
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {

@@ -21,7 +21,7 @@ import (
 )
 
 // armFleet builds a chassis with n host-CPU modules.
-func armFleet(t *testing.T, n int) *microserver.Chassis {
+func armFleet(t testing.TB, n int) *microserver.Chassis {
 	t.Helper()
 	c := microserver.NewURECS()
 	for slot := 0; slot < n; slot++ {
@@ -755,6 +755,33 @@ func TestHTTPAdapter(t *testing.T) {
 	if st := srv.Stats(); resp.StatusCode != http.StatusBadRequest || st.BadRequest != 1 || st.Errors != 0 {
 		t.Errorf("mis-shaped input got %d with %d bad requests and %d errors counted, want 400, 1 and 0",
 			resp.StatusCode, st.BadRequest, st.Errors)
+	}
+
+	// An undeclared input whose shape describes no data (a product that
+	// wraps to its four floats, negative dimensions) beside a declared
+	// input that alone would be served, and a served body with a second
+	// request after it: 400, counted as a bad request.
+	var hostile [][]byte
+	for _, shape := range [][]int{{4611686018427387905, 4}, {-2, -2}} {
+		b, _ := json.Marshal(HTTPInferRequest{Model: g.Name, Inputs: map[string]HTTPTensor{
+			g.Inputs[0]: {Shape: in.Shape, Data: in.F32},
+			"extra":     {Shape: shape, Data: []float32{1, 2, 3, 4}},
+		}})
+		hostile = append(hostile, b)
+	}
+	hostile = append(hostile, append(append([]byte(nil), body...), body...))
+	for _, b := range hostile {
+		bad := srv.Stats().BadRequest
+		req, _ = newJSONRequest(ts.URL+"/v1/infer", b, "sk-h")
+		resp, err = ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if got := srv.Stats().BadRequest; resp.StatusCode != http.StatusBadRequest || got != bad+1 {
+			t.Errorf("%.80s... got %d and moved BadRequest %d -> %d, want 400 and one more",
+				b, resp.StatusCode, bad, got)
+		}
 	}
 
 	// A body past MaxFrame: 413, counted as a bad request, never decoded

@@ -1,91 +1,45 @@
-// Package tee models trusted execution environments: SGX-style enclaves
-// (measurement, sealing, ecall/ocall transition and memory-encryption
-// costs) and TrustZone-style secure worlds (world switches, trusted
-// applications). It is the substrate for the paper's §IV-C results: the
-// Twine overhead study (enclave + WASM runtime) and the
-// TrustZone/OP-TEE remote-attestation flow.
+// Package tee models an SGX-style enclave: a measured identity, ecall
+// transition accounting and signed attestation quotes. It is the
+// substrate for the paper's §IV-C results (the Twine overhead study of
+// enclave + WASM runtime, the ecall batching ablation) and for the
+// fleet's replica attestation (internal/cluster), and carries only what
+// those three run.
 //
-// Because no SGX or TrustZone hardware is available, costs are
-// *accounted*, not incurred: every protected entry/exit adds to a
-// simulated-overhead counter calibrated from published SGX transition
-// measurements. Benchmarks report measured wall time plus accounted
-// overhead, which preserves the relative ordering the paper reports.
+// Because no SGX hardware is available, costs are *accounted*, not
+// incurred: every enclave entry adds to a simulated-overhead counter
+// calibrated from published SGX transition measurements. Benchmarks
+// report measured wall time plus accounted overhead, which preserves the
+// relative ordering the paper reports.
 package tee
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
 	"crypto/ed25519"
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sync/atomic"
 )
 
-// CostModel holds the transition-cost parameters.
-type CostModel struct {
-	// EcallNS is the cost of entering the enclave.
-	EcallNS int64
-	// OcallNS is the cost of an outside call from enclave code.
-	OcallNS int64
-	// CryptNSPerKB is the memory-encryption cost per KiB crossing the
-	// enclave boundary.
-	CryptNSPerKB int64
-	// EPCBytes is the protected-memory size; working sets beyond it
-	// page with PagingNSPerKB.
-	EPCBytes      int64
-	PagingNSPerKB int64
-}
-
-// SGXCosts returns a cost model calibrated from published SGX1
-// microbenchmarks (~8k cycles per ecall round trip at ~2.6 GHz).
-func SGXCosts() CostModel {
-	return CostModel{
-		EcallNS:       3200,
-		OcallNS:       3000,
-		CryptNSPerKB:  250,
-		EPCBytes:      96 << 20,
-		PagingNSPerKB: 40000,
-	}
-}
-
-// TrustZoneCosts returns a cost model for a Cortex-A world switch via
-// SMC plus OP-TEE dispatch (tens of microseconds per invocation).
-func TrustZoneCosts() CostModel {
-	return CostModel{
-		EcallNS:      25000,
-		OcallNS:      20000,
-		CryptNSPerKB: 0, // TrustZone memory is partitioned, not encrypted
-	}
-}
+// Transition costs calibrated from published SGX1 microbenchmarks (~8k
+// cycles per ecall round trip at ~2.6 GHz) plus the memory-encryption
+// cost per KiB crossing the boundary.
+const (
+	ecallNS      = 3200
+	cryptNSPerKB = 250
+)
 
 // Enclave is one protected execution context.
 type Enclave struct {
-	cost CostModel
-
 	measurement [32]byte
-	sealKey     [32]byte
 
-	// accounting
 	overheadNS atomic.Int64
 	ecalls     atomic.Int64
-	ocalls     atomic.Int64
-
-	workingSet int64
 }
 
 // NewEnclave creates an enclave whose measurement is the SHA-256 of the
 // initial code/data image, the MRENCLAVE analogue.
-func NewEnclave(image []byte, cost CostModel) *Enclave {
-	e := &Enclave{cost: cost}
-	e.measurement = sha256.Sum256(image)
-	// Sealing key: derived from measurement and a simulated fuse key.
-	h := sha256.New()
-	h.Write([]byte("vedliot-seal-v1"))
-	h.Write(e.measurement[:])
-	copy(e.sealKey[:], h.Sum(nil))
-	return e
+func NewEnclave(image []byte) *Enclave {
+	return &Enclave{measurement: sha256.Sum256(image)}
 }
 
 // Measurement returns the enclave identity hash.
@@ -97,76 +51,12 @@ func (e *Enclave) OverheadNS() int64 { return e.overheadNS.Load() }
 // Ecalls returns the number of enclave entries.
 func (e *Enclave) Ecalls() int64 { return e.ecalls.Load() }
 
-// Ocalls returns the number of outside calls.
-func (e *Enclave) Ocalls() int64 { return e.ocalls.Load() }
-
-// SetWorkingSet declares the enclave's resident data size, enabling the
-// EPC paging cost once it exceeds the protected-memory capacity.
-func (e *Enclave) SetWorkingSet(bytes int64) { e.workingSet = bytes }
-
 // Ecall runs fn inside the enclave, accounting the transition and the
 // boundary traffic of argBytes. The returned error is fn's.
 func (e *Enclave) Ecall(argBytes int64, fn func() error) error {
 	e.ecalls.Add(1)
-	kb := (argBytes + 1023) / 1024
-	over := e.cost.EcallNS + e.cost.CryptNSPerKB*kb
-	if e.cost.EPCBytes > 0 && e.workingSet > e.cost.EPCBytes {
-		// Fraction of accesses hitting paged-out EPC, charged per call.
-		frac := float64(e.workingSet-e.cost.EPCBytes) / float64(e.workingSet)
-		over += int64(frac * float64(e.cost.PagingNSPerKB) * float64(kb))
-	}
-	e.overheadNS.Add(over)
+	e.overheadNS.Add(ecallNS + cryptNSPerKB*((argBytes+1023)/1024))
 	return fn()
-}
-
-// Ocall runs fn outside the enclave on behalf of enclave code.
-func (e *Enclave) Ocall(argBytes int64, fn func() error) error {
-	e.ocalls.Add(1)
-	kb := (argBytes + 1023) / 1024
-	e.overheadNS.Add(e.cost.OcallNS + e.cost.CryptNSPerKB*kb)
-	return fn()
-}
-
-// Seal encrypts data so only the same enclave identity can recover it
-// (AES-256-GCM under the measurement-derived key).
-func (e *Enclave) Seal(plaintext []byte) ([]byte, error) {
-	block, err := aes.NewCipher(e.sealKey[:])
-	if err != nil {
-		return nil, err
-	}
-	gcm, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, err
-	}
-	// Deterministic nonce from a sealing counter would risk reuse
-	// across restarts; derive from content instead (unique per
-	// plaintext under this key for our usage).
-	sum := sha256.Sum256(plaintext)
-	nonce := sum[:gcm.NonceSize()]
-	out := gcm.Seal(nil, nonce, plaintext, e.measurement[:])
-	return append(append([]byte{}, nonce...), out...), nil
-}
-
-// Unseal reverses Seal; it fails for data sealed by a different
-// identity.
-func (e *Enclave) Unseal(sealed []byte) ([]byte, error) {
-	block, err := aes.NewCipher(e.sealKey[:])
-	if err != nil {
-		return nil, err
-	}
-	gcm, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, err
-	}
-	if len(sealed) < gcm.NonceSize() {
-		return nil, errors.New("tee: sealed blob too short")
-	}
-	nonce, ct := sealed[:gcm.NonceSize()], sealed[gcm.NonceSize():]
-	pt, err := gcm.Open(nil, nonce, ct, e.measurement[:])
-	if err != nil {
-		return nil, fmt.Errorf("tee: unseal: %w", err)
-	}
-	return pt, nil
 }
 
 // Quote is a signed attestation statement binding the enclave identity
@@ -216,76 +106,3 @@ func quoteMessage(meas [32]byte, nonce, reportData []byte) []byte {
 	b = append(b, reportData...)
 	return b
 }
-
-// World is a TrustZone world.
-type World int
-
-// TrustZone worlds.
-const (
-	NormalWorld World = iota
-	SecureWorld
-)
-
-// TrustZone models the ARM two-world split with OP-TEE-style trusted
-// applications: context switches cost a world-switch transition, and
-// trusted applications only run in the secure world.
-type TrustZone struct {
-	cost    CostModel
-	current World
-
-	switches   atomic.Int64
-	overheadNS atomic.Int64
-
-	tas map[string]func(args []byte) ([]byte, error)
-}
-
-// NewTrustZone starts in the normal world.
-func NewTrustZone(cost CostModel) *TrustZone {
-	return &TrustZone{cost: cost, tas: make(map[string]func([]byte) ([]byte, error))}
-}
-
-// RegisterTA installs a trusted application under a name. Registration
-// is only possible from the secure world (secure boot installs TAs).
-func (tz *TrustZone) RegisterTA(name string, fn func(args []byte) ([]byte, error)) error {
-	if tz.current != SecureWorld {
-		return fmt.Errorf("tee: TA registration requires the secure world")
-	}
-	tz.tas[name] = fn
-	return nil
-}
-
-// SwitchTo changes worlds, accounting the SMC transition.
-func (tz *TrustZone) SwitchTo(w World) {
-	if w == tz.current {
-		return
-	}
-	tz.current = w
-	tz.switches.Add(1)
-	tz.overheadNS.Add(tz.cost.EcallNS)
-}
-
-// Current returns the active world.
-func (tz *TrustZone) Current() World { return tz.current }
-
-// InvokeTA calls a trusted application from the normal world: it
-// switches to the secure world, runs the TA, and switches back — the
-// "rather complex" context-change operation the paper notes cannot be
-// done at user level.
-func (tz *TrustZone) InvokeTA(name string, args []byte) ([]byte, error) {
-	if tz.current != NormalWorld {
-		return nil, fmt.Errorf("tee: InvokeTA must start from the normal world")
-	}
-	ta, ok := tz.tas[name]
-	if !ok {
-		return nil, fmt.Errorf("tee: no trusted application %q", name)
-	}
-	tz.SwitchTo(SecureWorld)
-	defer tz.SwitchTo(NormalWorld)
-	return ta(args)
-}
-
-// OverheadNS returns accounted world-switch overhead.
-func (tz *TrustZone) OverheadNS() int64 { return tz.overheadNS.Load() }
-
-// Switches returns the world-switch count.
-func (tz *TrustZone) Switches() int64 { return tz.switches.Load() }

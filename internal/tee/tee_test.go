@@ -1,17 +1,15 @@
 package tee
 
 import (
-	"bytes"
 	"crypto/ed25519"
 	"crypto/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestMeasurementDeterministic(t *testing.T) {
-	a := NewEnclave([]byte("image-1"), SGXCosts())
-	b := NewEnclave([]byte("image-1"), SGXCosts())
-	c := NewEnclave([]byte("image-2"), SGXCosts())
+	a := NewEnclave([]byte("image-1"))
+	b := NewEnclave([]byte("image-1"))
+	c := NewEnclave([]byte("image-2"))
 	if a.Measurement() != b.Measurement() {
 		t.Error("same image, different measurement")
 	}
@@ -21,7 +19,7 @@ func TestMeasurementDeterministic(t *testing.T) {
 }
 
 func TestEcallAccounting(t *testing.T) {
-	e := NewEnclave([]byte("x"), SGXCosts())
+	e := NewEnclave([]byte("x"))
 	ran := false
 	if err := e.Ecall(1024, func() error { ran = true; return nil }); err != nil {
 		t.Fatal(err)
@@ -32,74 +30,14 @@ func TestEcallAccounting(t *testing.T) {
 	if e.Ecalls() != 1 {
 		t.Errorf("ecalls = %d", e.Ecalls())
 	}
-	want := SGXCosts().EcallNS + SGXCosts().CryptNSPerKB
+	want := int64(ecallNS + cryptNSPerKB)
 	if e.OverheadNS() != want {
 		t.Errorf("overhead = %d, want %d", e.OverheadNS(), want)
 	}
-	// Ocall adds its own cost.
-	_ = e.Ocall(0, func() error { return nil })
-	if e.Ocalls() != 1 || e.OverheadNS() <= want {
-		t.Error("ocall not accounted")
-	}
-}
-
-func TestEPCPagingKicksIn(t *testing.T) {
-	cost := SGXCosts()
-	small := NewEnclave([]byte("x"), cost)
-	big := NewEnclave([]byte("x"), cost)
-	small.SetWorkingSet(1 << 20)
-	big.SetWorkingSet(cost.EPCBytes * 4)
-	_ = small.Ecall(4096, func() error { return nil })
-	_ = big.Ecall(4096, func() error { return nil })
-	if big.OverheadNS() <= small.OverheadNS() {
-		t.Errorf("EPC paging not charged: big %d <= small %d", big.OverheadNS(), small.OverheadNS())
-	}
-}
-
-func TestSealUnsealRoundTrip(t *testing.T) {
-	e := NewEnclave([]byte("enclave-code"), SGXCosts())
-	secret := []byte("model weights v1")
-	sealed, err := e.Seal(secret)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(sealed, secret) {
-		t.Error("sealed blob leaks plaintext")
-	}
-	back, err := e.Unseal(sealed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(back, secret) {
-		t.Errorf("unsealed %q", back)
-	}
-	// A different enclave identity cannot unseal.
-	other := NewEnclave([]byte("other-code"), SGXCosts())
-	if _, err := other.Unseal(sealed); err == nil {
-		t.Error("foreign enclave unsealed the blob")
-	}
-	// Tampered blob rejected.
-	sealed[len(sealed)-1] ^= 1
-	if _, err := e.Unseal(sealed); err == nil {
-		t.Error("tampered blob unsealed")
-	}
-	if _, err := e.Unseal([]byte{1, 2}); err == nil {
-		t.Error("truncated blob unsealed")
-	}
-}
-
-func TestSealRoundTripProperty(t *testing.T) {
-	e := NewEnclave([]byte("p"), SGXCosts())
-	f := func(data []byte) bool {
-		sealed, err := e.Seal(data)
-		if err != nil {
-			return false
-		}
-		back, err := e.Unseal(sealed)
-		return err == nil && bytes.Equal(back, data)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
+	// The boundary traffic is charged per started KiB.
+	_ = e.Ecall(1025, func() error { return nil })
+	if want += ecallNS + 2*cryptNSPerKB; e.Ecalls() != 2 || e.OverheadNS() != want {
+		t.Errorf("after a 1025-byte ecall: %d ecalls, overhead %d, want 2 and %d", e.Ecalls(), e.OverheadNS(), want)
 	}
 }
 
@@ -108,7 +46,7 @@ func TestQuoteVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEnclave([]byte("app"), SGXCosts())
+	e := NewEnclave([]byte("app"))
 	nonce := []byte("fresh-nonce-123")
 	q := e.GenerateQuote(nonce, []byte("report"), priv)
 	if err := VerifyQuote(q, pub, e.Measurement(), nonce); err != nil {
@@ -130,42 +68,10 @@ func TestQuoteVerify(t *testing.T) {
 	if err := VerifyQuote(q2, pub, e.Measurement(), nonce); err == nil {
 		t.Error("forged signature accepted")
 	}
-}
-
-func TestTrustZoneWorldSwitch(t *testing.T) {
-	tz := NewTrustZone(TrustZoneCosts())
-	if tz.Current() != NormalWorld {
-		t.Fatal("should start in the normal world")
-	}
-	// Registration from the normal world fails.
-	if err := tz.RegisterTA("echo", func(b []byte) ([]byte, error) { return b, nil }); err == nil {
-		t.Error("TA registered from normal world")
-	}
-	// Secure boot installs the TA.
-	tz.SwitchTo(SecureWorld)
-	if err := tz.RegisterTA("echo", func(b []byte) ([]byte, error) { return append([]byte("ta:"), b...), nil }); err != nil {
-		t.Fatal(err)
-	}
-	tz.SwitchTo(NormalWorld)
-	before := tz.Switches()
-
-	out, err := tz.InvokeTA("echo", []byte("hi"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(out) != "ta:hi" {
-		t.Errorf("TA output %q", out)
-	}
-	if tz.Current() != NormalWorld {
-		t.Error("world not restored")
-	}
-	if tz.Switches() != before+2 {
-		t.Errorf("switches = %d, want %d", tz.Switches(), before+2)
-	}
-	if tz.OverheadNS() == 0 {
-		t.Error("no overhead accounted")
-	}
-	if _, err := tz.InvokeTA("ghost", nil); err == nil {
-		t.Error("unknown TA invoked")
+	// Report data is covered by the signature.
+	q3 := q
+	q3.ReportData = []byte("r3port")
+	if err := VerifyQuote(q3, pub, e.Measurement(), nonce); err == nil {
+		t.Error("altered report data accepted")
 	}
 }

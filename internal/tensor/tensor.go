@@ -222,10 +222,19 @@ func New(dt DType, shape ...int) *Tensor {
 }
 
 // FromSlice wraps data in an FP32 tensor of the given shape. The slice
-// is used directly, not copied.
+// is used directly, not copied. A negative dimension, or a product of
+// dimensions past the int range, is refused before the length check, so
+// the shape always describes exactly the data it carries.
 func FromSlice(data []float32, shape ...int) (*Tensor, error) {
 	s := Shape(shape)
-	if s.NumElements() != len(data) {
+	n := 1
+	for _, d := range s {
+		if d < 0 || (d > 0 && n > math.MaxInt/d) {
+			return nil, fmt.Errorf("%w: shape %v has no element count", ErrShape, s)
+		}
+		n *= d
+	}
+	if n != len(data) {
 		return nil, fmt.Errorf("%w: %d elements for shape %v", ErrShape, len(data), s)
 	}
 	return &Tensor{Shape: s.Clone(), DType: FP32, F32: data}, nil

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -101,6 +102,23 @@ func TestFromSlice(t *testing.T) {
 	}
 	if _, err := FromSlice([]float32{1}, 2, 2); err == nil {
 		t.Error("FromSlice accepted wrong element count")
+	}
+	// Shapes whose product the int range cannot hold, or that multiply
+	// negative dimensions, match no data: their products wrap or flip
+	// sign back to the four elements given.
+	four := []float32{1, 2, 3, 4}
+	for _, shape := range [][]int{{1<<62 + 1, 4}, {-2, -2}, {-4}, {2, -2, -1}, {1 << 62, 1 << 62, 0}} {
+		if _, err := FromSlice(four, shape...); !errors.Is(err, ErrShape) {
+			t.Errorf("FromSlice(4 floats, %v) = %v, want ErrShape", shape, err)
+		}
+	}
+	for _, c := range []struct {
+		data  []float32
+		shape []int
+	}{{nil, []int{0, 4}}, {nil, []int{1 << 62, 0}}, {four[:1], nil}} {
+		if _, err := FromSlice(c.data, c.shape...); err != nil {
+			t.Errorf("FromSlice(%d floats, %v): %v", len(c.data), c.shape, err)
+		}
 	}
 }
 

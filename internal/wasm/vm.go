@@ -5,11 +5,7 @@ import (
 	"fmt"
 )
 
-// ErrFuel is returned when execution exceeds the fuel budget.
-var ErrFuel = errors.New("wasm: out of fuel")
-
-// ErrTrap wraps guest-visible traps (unreachable, division by zero,
-// out-of-bounds memory access).
+// ErrTrap wraps guest-visible traps (out-of-bounds memory access).
 var ErrTrap = errors.New("wasm: trap")
 
 // VM is one module instance: linear memory plus execution state.
@@ -17,20 +13,10 @@ type VM struct {
 	mod *Module
 	mem []byte
 
-	// Fuel limits total instructions when positive; Executed counts
-	// instructions retired (the interpreter-overhead metric of the
-	// Twine study).
-	Fuel     int64
+	// Executed counts instructions retired (the interpreter-overhead
+	// metric of the Twine study).
 	Executed int64
-
-	// HostCalls counts calls into the embedder (ocall analogue).
-	HostCalls int64
-
-	depth int
 }
-
-// maxCallDepth bounds recursion.
-const maxCallDepth = 256
 
 // NewVM instantiates a prepared module.
 func NewVM(mod *Module) (*VM, error) {
@@ -44,13 +30,6 @@ func NewVM(mod *Module) (*VM, error) {
 	return &VM{mod: mod, mem: make([]byte, pages*PageSize)}, nil
 }
 
-// Memory exposes linear memory (host functions and embedders use it to
-// marshal data).
-func (vm *VM) Memory() []byte { return vm.mem }
-
-// MemSizePages returns the current memory size in pages.
-func (vm *VM) MemSizePages() int { return len(vm.mem) / PageSize }
-
 // ReadU32 loads a little-endian u32 from linear memory.
 func (vm *VM) ReadU32(addr uint32) (uint32, error) {
 	if int(addr)+4 > len(vm.mem) {
@@ -60,8 +39,7 @@ func (vm *VM) ReadU32(addr uint32) (uint32, error) {
 		uint32(vm.mem[addr+2])<<16 | uint32(vm.mem[addr+3])<<24, nil
 }
 
-// WriteU32 stores a little-endian u32 into linear memory.
-func (vm *VM) WriteU32(addr uint32, v uint32) error {
+func (vm *VM) writeU32(addr uint32, v uint32) error {
 	if int(addr)+4 > len(vm.mem) {
 		return fmt.Errorf("%w: store at %#x", ErrTrap, addr)
 	}
@@ -72,43 +50,17 @@ func (vm *VM) WriteU32(addr uint32, v uint32) error {
 	return nil
 }
 
-// Call invokes a function by call index with the given arguments and
-// returns its result (functions conceptually return one i32; functions
-// that leave nothing on the stack return 0).
+// Call invokes a function by index with the given arguments and returns
+// its result (functions conceptually return one i32; functions that
+// leave nothing on the stack return 0).
 func (vm *VM) Call(index int, args ...int32) (int32, error) {
-	if index < 0 || index >= len(vm.mod.Hosts)+len(vm.mod.Funcs) {
+	if index < 0 || index >= len(vm.mod.Funcs) {
 		return 0, fmt.Errorf("wasm: call index %d out of range", index)
 	}
-	if index < len(vm.mod.Hosts) {
-		h := vm.mod.Hosts[index]
-		if len(args) != h.NumParams {
-			return 0, fmt.Errorf("wasm: host %q wants %d args, got %d", h.Name, h.NumParams, len(args))
-		}
-		vm.HostCalls++
-		return h.Fn(vm, args)
-	}
-	f := vm.mod.Funcs[index-len(vm.mod.Hosts)]
+	f := vm.mod.Funcs[index]
 	if len(args) != f.NumParams {
 		return 0, fmt.Errorf("wasm: func %q wants %d args, got %d", f.Name, f.NumParams, len(args))
 	}
-	return vm.exec(f, args)
-}
-
-// CallNamed invokes a named module function.
-func (vm *VM) CallNamed(name string, args ...int32) (int32, error) {
-	idx, err := vm.mod.FuncIndex(name)
-	if err != nil {
-		return 0, err
-	}
-	return vm.Call(idx, args...)
-}
-
-func (vm *VM) exec(f *Func, args []int32) (int32, error) {
-	if vm.depth >= maxCallDepth {
-		return 0, fmt.Errorf("%w: call depth exceeded", ErrTrap)
-	}
-	vm.depth++
-	defer func() { vm.depth-- }()
 
 	locals := make([]int32, f.NumParams+f.NumLocals)
 	copy(locals, args)
@@ -124,22 +76,17 @@ func (vm *VM) exec(f *Func, args []int32) (int32, error) {
 	ip := 0
 	for ip < len(f.Body) {
 		vm.Executed++
-		if vm.Fuel > 0 && vm.Executed > vm.Fuel {
-			return 0, ErrFuel
-		}
 		ins := f.Body[ip]
+		if len(stack) < pops[ins.Op] {
+			return 0, fmt.Errorf("wasm: func %q: stack underflow at %d", f.Name, ip)
+		}
 		switch ins.Op {
-		case OpUnreachable:
-			return 0, fmt.Errorf("%w: unreachable at %d", ErrTrap, ip)
-		case OpNop, OpBlock, OpLoop, OpEnd:
-			// Structure markers cost one fuel unit but do nothing.
+		case OpBlock, OpLoop, OpEnd:
+			// Structure markers retire as instructions but do nothing.
 		case OpBr:
 			ip = f.brTarget[ip]
 			continue
 		case OpBrIf:
-			if len(stack) < 1 {
-				return 0, stackErr(f, ip)
-			}
 			if pop() != 0 {
 				ip = f.brTarget[ip]
 				continue
@@ -149,114 +96,32 @@ func (vm *VM) exec(f *Func, args []int32) (int32, error) {
 				return 0, nil
 			}
 			return pop(), nil
-		case OpCall:
-			callee := int(ins.Imm)
-			var nParams int
-			if callee < len(vm.mod.Hosts) {
-				nParams = vm.mod.Hosts[callee].NumParams
-			} else {
-				nParams = vm.mod.Funcs[callee-len(vm.mod.Hosts)].NumParams
-			}
-			if len(stack) < nParams {
-				return 0, stackErr(f, ip)
-			}
-			callArgs := make([]int32, nParams)
-			copy(callArgs, stack[len(stack)-nParams:])
-			stack = stack[:len(stack)-nParams]
-			r, err := vm.Call(callee, callArgs...)
-			if err != nil {
-				return 0, err
-			}
-			push(r)
 		case OpDrop:
-			if len(stack) < 1 {
-				return 0, stackErr(f, ip)
-			}
 			pop()
-		case OpSelect:
-			if len(stack) < 3 {
-				return 0, stackErr(f, ip)
-			}
-			cond := pop()
-			b := pop()
-			a := pop()
-			if cond != 0 {
-				push(a)
-			} else {
-				push(b)
-			}
 		case OpLocalGet:
 			push(locals[ins.Imm])
 		case OpLocalSet:
-			if len(stack) < 1 {
-				return 0, stackErr(f, ip)
-			}
 			locals[ins.Imm] = pop()
 		case OpLocalTee:
-			if len(stack) < 1 {
-				return 0, stackErr(f, ip)
-			}
 			locals[ins.Imm] = stack[len(stack)-1]
 		case OpI32Const:
 			push(ins.Imm)
 		case OpI32Load:
-			if len(stack) < 1 {
-				return 0, stackErr(f, ip)
-			}
-			addr := uint32(pop()) + uint32(ins.Imm)
-			v, err := vm.ReadU32(addr)
+			v, err := vm.ReadU32(uint32(pop()) + uint32(ins.Imm))
 			if err != nil {
 				return 0, err
 			}
 			push(int32(v))
 		case OpI32Store:
-			if len(stack) < 2 {
-				return 0, stackErr(f, ip)
-			}
 			v := pop()
-			addr := uint32(pop()) + uint32(ins.Imm)
-			if err := vm.WriteU32(addr, uint32(v)); err != nil {
+			if err := vm.writeU32(uint32(pop())+uint32(ins.Imm), uint32(v)); err != nil {
 				return 0, err
 			}
-		case OpI32Load8U:
-			if len(stack) < 1 {
-				return 0, stackErr(f, ip)
-			}
-			addr := uint32(pop()) + uint32(ins.Imm)
-			if int(addr) >= len(vm.mem) {
-				return 0, fmt.Errorf("%w: load8 at %#x", ErrTrap, addr)
-			}
-			push(int32(vm.mem[addr]))
-		case OpI32Store8:
-			if len(stack) < 2 {
-				return 0, stackErr(f, ip)
-			}
-			v := pop()
-			addr := uint32(pop()) + uint32(ins.Imm)
-			if int(addr) >= len(vm.mem) {
-				return 0, fmt.Errorf("%w: store8 at %#x", ErrTrap, addr)
-			}
-			vm.mem[addr] = byte(v)
-		case OpMemorySize:
-			push(int32(vm.MemSizePages()))
-		case OpMemoryGrow:
-			if len(stack) < 1 {
-				return 0, stackErr(f, ip)
-			}
-			delta := pop()
-			old := vm.MemSizePages()
-			if delta < 0 || old+int(delta) > 1024 {
-				push(-1)
-			} else {
-				vm.mem = append(vm.mem, make([]byte, int(delta)*PageSize)...)
-				push(int32(old))
-			}
+		case OpI32Eqz:
+			push(boolVal(pop() == 0))
 		default:
-			v, err := vm.binaryOrUnary(ins.Op, &stack, f, ip)
-			if err != nil {
-				return 0, err
-			}
-			push(v)
+			b, a := pop(), pop()
+			push(binary(ins.Op, a, b))
 		}
 		ip++
 	}
@@ -266,90 +131,28 @@ func (vm *VM) exec(f *Func, args []int32) (int32, error) {
 	return 0, nil
 }
 
-func stackErr(f *Func, ip int) error {
-	return fmt.Errorf("wasm: func %q: stack underflow at %d", f.Name, ip)
-}
-
-func (vm *VM) binaryOrUnary(op Op, stack *[]int32, f *Func, ip int) (int32, error) {
-	s := *stack
-	if op == OpI32Eqz {
-		if len(s) < 1 {
-			return 0, stackErr(f, ip)
-		}
-		v := s[len(s)-1]
-		*stack = s[:len(s)-1]
-		if v == 0 {
-			return 1, nil
-		}
-		return 0, nil
-	}
-	if len(s) < 2 {
-		return 0, stackErr(f, ip)
-	}
-	b := s[len(s)-1]
-	a := s[len(s)-2]
-	*stack = s[:len(s)-2]
-	boolVal := func(c bool) int32 {
-		if c {
-			return 1
-		}
-		return 0
-	}
+// binary applies a two-operand opcode.
+func binary(op Op, a, b int32) int32 {
 	switch op {
 	case OpI32Add:
-		return a + b, nil
+		return a + b
 	case OpI32Sub:
-		return a - b, nil
+		return a - b
 	case OpI32Mul:
-		return a * b, nil
-	case OpI32DivS:
-		if b == 0 {
-			return 0, fmt.Errorf("%w: division by zero", ErrTrap)
-		}
-		if a == -1<<31 && b == -1 {
-			return 0, fmt.Errorf("%w: signed division overflow", ErrTrap)
-		}
-		return a / b, nil
-	case OpI32DivU:
-		if b == 0 {
-			return 0, fmt.Errorf("%w: division by zero", ErrTrap)
-		}
-		return int32(uint32(a) / uint32(b)), nil
-	case OpI32RemU:
-		if b == 0 {
-			return 0, fmt.Errorf("%w: remainder by zero", ErrTrap)
-		}
-		return int32(uint32(a) % uint32(b)), nil
+		return a * b
 	case OpI32And:
-		return a & b, nil
-	case OpI32Or:
-		return a | b, nil
-	case OpI32Xor:
-		return a ^ b, nil
-	case OpI32Shl:
-		return a << (uint32(b) & 31), nil
-	case OpI32ShrU:
-		return int32(uint32(a) >> (uint32(b) & 31)), nil
-	case OpI32ShrS:
-		return a >> (uint32(b) & 31), nil
-	case OpI32Eq:
-		return boolVal(a == b), nil
+		return a & b
 	case OpI32Ne:
-		return boolVal(a != b), nil
-	case OpI32LtS:
-		return boolVal(a < b), nil
-	case OpI32LtU:
-		return boolVal(uint32(a) < uint32(b)), nil
-	case OpI32GtS:
-		return boolVal(a > b), nil
-	case OpI32GtU:
-		return boolVal(uint32(a) > uint32(b)), nil
-	case OpI32LeU:
-		return boolVal(uint32(a) <= uint32(b)), nil
-	case OpI32GeU:
-		return boolVal(uint32(a) >= uint32(b)), nil
+		return boolVal(a != b)
 	}
-	return 0, fmt.Errorf("wasm: unhandled opcode %d at %d", op, ip)
+	return boolVal(uint32(a) >= uint32(b)) // OpI32GeU
+}
+
+func boolVal(c bool) int32 {
+	if c {
+		return 1
+	}
+	return 0
 }
 
 // Asm builds function bodies fluently.

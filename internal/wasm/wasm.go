@@ -1,14 +1,15 @@
 // Package wasm implements a small WebAssembly-style stack virtual
-// machine: i32 arithmetic, structured control flow, linear memory,
-// module-local functions and imported host functions.
+// machine: the i32 opcodes the minisql KV module runs, structured
+// control flow and bounds-checked linear memory.
 //
 // It is the trusted-runtime substrate of the paper's §IV-C, which
 // builds on "an open-source WebAssembly runtime implementation ... to
 // build a trusted runtime environment without dealing with
 // language-specific APIs" (Twine [17]). Programs for the VM are
 // hand-assembled with the Asm builder (internal/minisql ships a storage
-// engine written this way); execution is interpreted and fuel-metered
-// so enclave overhead studies get real instruction counts.
+// engine written this way); execution is interpreted and every retired
+// instruction counted, so enclave overhead studies get real instruction
+// counts. The opcode set is what that storage engine assembles.
 package wasm
 
 import (
@@ -19,19 +20,15 @@ import (
 // Op is a VM opcode.
 type Op uint8
 
-// Opcodes (a compact i32-only subset of the WebAssembly MVP).
+// Opcodes (an i32-only subset of the WebAssembly MVP).
 const (
-	OpUnreachable Op = iota
-	OpNop
-	OpBlock // label target = matching end
-	OpLoop  // label target = loop start
+	OpBlock Op = iota // label target = matching end
+	OpLoop            // label target = loop start
 	OpEnd
 	OpBr   // Imm = relative label depth
 	OpBrIf // Imm = relative label depth
 	OpReturn
-	OpCall // Imm = function index (host functions first)
 	OpDrop
-	OpSelect
 
 	OpLocalGet // Imm = local index
 	OpLocalSet
@@ -39,38 +36,26 @@ const (
 
 	OpI32Const // Imm = value
 
-	OpI32Load   // Imm = static offset
-	OpI32Store  // Imm = static offset
-	OpI32Load8U // Imm = static offset
-	OpI32Store8 // Imm = static offset
+	OpI32Load  // Imm = static offset
+	OpI32Store // Imm = static offset
 
 	OpI32Add
 	OpI32Sub
 	OpI32Mul
-	OpI32DivS
-	OpI32DivU
-	OpI32RemU
 	OpI32And
-	OpI32Or
-	OpI32Xor
-	OpI32Shl
-	OpI32ShrU
-	OpI32ShrS
 
 	OpI32Eqz
-	OpI32Eq
 	OpI32Ne
-	OpI32LtS
-	OpI32LtU
-	OpI32GtS
-	OpI32GtU
-	OpI32LeU
 	OpI32GeU
-
-	OpMemorySize
-	OpMemoryGrow
 	numOps
 )
+
+// pops is how many operands each opcode takes off the stack (Return
+// takes its result when there is one).
+var pops = [numOps]int{
+	OpBrIf: 1, OpDrop: 1, OpLocalSet: 1, OpLocalTee: 1, OpI32Load: 1, OpI32Store: 2,
+	OpI32Add: 2, OpI32Sub: 2, OpI32Mul: 2, OpI32And: 2, OpI32Eqz: 1, OpI32Ne: 2, OpI32GeU: 2,
+}
 
 // Instr is one instruction.
 type Instr struct {
@@ -89,24 +74,12 @@ type Func struct {
 	Body      []Instr
 
 	// branch targets resolved by Module.Prepare: for each instruction
-	// index holding Br/BrIf, the destination ip; for Block/Loop/End the
-	// matching structure.
+	// index holding Br/BrIf, the destination ip.
 	brTarget []int
 }
 
-// HostFunc is an imported function executing in the embedder.
-type HostFunc struct {
-	Name      string
-	NumParams int
-	// Fn receives the VM (for memory access) and the arguments, and
-	// returns the single result.
-	Fn func(vm *VM, args []int32) (int32, error)
-}
-
-// Module is a compiled unit: host imports, functions and an initial
-// memory size.
+// Module is a compiled unit: functions and a fixed memory size.
 type Module struct {
-	Hosts    []HostFunc
 	Funcs    []*Func
 	MemPages int
 
@@ -114,8 +87,7 @@ type Module struct {
 	byName   map[string]int
 }
 
-// FuncIndex returns the call index of a named module function (host
-// imports occupy indices [0, len(Hosts))).
+// FuncIndex returns the call index of a named module function.
 func (m *Module) FuncIndex(name string) (int, error) {
 	if idx, ok := m.byName[name]; ok {
 		return idx, nil
@@ -132,9 +104,9 @@ func (m *Module) Prepare() error {
 			if _, dup := m.byName[f.Name]; dup {
 				return fmt.Errorf("wasm: duplicate function %q", f.Name)
 			}
-			m.byName[f.Name] = len(m.Hosts) + i
+			m.byName[f.Name] = i
 		}
-		if err := m.prepareFunc(f); err != nil {
+		if err := prepareFunc(f); err != nil {
 			return fmt.Errorf("wasm: func %q: %w", f.Name, err)
 		}
 	}
@@ -148,7 +120,7 @@ type ctrlFrame struct {
 	end    int // resolved index of matching End
 }
 
-func (m *Module) prepareFunc(f *Func) error {
+func prepareFunc(f *Func) error {
 	f.brTarget = make([]int, len(f.Body))
 	var stack []ctrlFrame
 
@@ -196,11 +168,6 @@ func (m *Module) prepareFunc(f *Func) error {
 				f.brTarget[ip] = frame.start + 1 // continue: after the Loop op
 			} else {
 				f.brTarget[ip] = frame.end + 1 // break: after the End
-			}
-		case OpCall:
-			idx := int(ins.Imm)
-			if idx < 0 || idx >= len(m.Hosts)+len(m.Funcs) {
-				return fmt.Errorf("call to unknown function %d at %d", idx, ip)
 			}
 		case OpLocalGet, OpLocalSet, OpLocalTee:
 			if int(ins.Imm) < 0 || int(ins.Imm) >= f.NumParams+f.NumLocals {

@@ -7,9 +7,9 @@ import (
 )
 
 // mustVM builds a single-function module and returns a VM.
-func mustVM(t *testing.T, f *Func, hosts ...HostFunc) *VM {
+func mustVM(t *testing.T, f *Func) *VM {
 	t.Helper()
-	mod := &Module{Funcs: []*Func{f}, Hosts: hosts, MemPages: 1}
+	mod := &Module{Funcs: []*Func{f}, MemPages: 1}
 	if err := mod.Prepare(); err != nil {
 		t.Fatal(err)
 	}
@@ -27,41 +27,18 @@ func TestArithmetic(t *testing.T) {
 	a.I(OpI32Sub) // (a+b) - a*b
 	a.I(OpReturn)
 	vm := mustVM(t, &Func{Name: "f", NumParams: 2, Body: a.Body()})
-	got, err := vm.CallNamed("f", 3, 4)
+	got, err := vm.Call(0, 3, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != 7-12 {
 		t.Errorf("got %d, want -5", got)
 	}
-}
-
-func TestDivTraps(t *testing.T) {
-	a := &Asm{}
-	a.Get(0).Get(1).I(OpI32DivS).I(OpReturn)
-	vm := mustVM(t, &Func{Name: "div", NumParams: 2, Body: a.Body()})
-	if _, err := vm.CallNamed("div", 10, 0); !errors.Is(err, ErrTrap) {
-		t.Errorf("div by zero: %v", err)
+	if _, err := vm.Call(0, 3); err == nil {
+		t.Error("call with one argument for two parameters accepted")
 	}
-	if _, err := vm.CallNamed("div", -1<<31, -1); !errors.Is(err, ErrTrap) {
-		t.Errorf("signed overflow: %v", err)
-	}
-	if v, err := vm.CallNamed("div", 12, 4); err != nil || v != 3 {
-		t.Errorf("12/4 = %d, %v", v, err)
-	}
-}
-
-func TestLocalsAndSelect(t *testing.T) {
-	// max(a, b) via select.
-	a := &Asm{}
-	a.Get(0).Get(1).Get(0).Get(1).I(OpI32GtS).I(OpSelect).I(OpReturn)
-	vm := mustVM(t, &Func{Name: "max", NumParams: 2, Body: a.Body()})
-	cases := [][3]int32{{3, 5, 5}, {9, -2, 9}, {4, 4, 4}}
-	for _, c := range cases {
-		got, err := vm.CallNamed("max", c[0], c[1])
-		if err != nil || got != c[2] {
-			t.Errorf("max(%d,%d) = %d, %v", c[0], c[1], got, err)
-		}
+	if _, err := vm.Call(1, 3, 4); err == nil {
+		t.Error("call to a function past the module accepted")
 	}
 }
 
@@ -71,20 +48,20 @@ func TestLoopSumsRange(t *testing.T) {
 	a.Const(1).Set(1)
 	a.I(OpBlock)
 	a.I(OpLoop)
-	// if i > n break
-	a.Get(1).Get(0).I(OpI32GtS).Imm(OpBrIf, 1)
+	// if i >= n+1 break
+	a.Get(1).Get(0).Const(1).I(OpI32Add).I(OpI32GeU).Imm(OpBrIf, 1)
 	a.Get(2).Get(1).I(OpI32Add).Set(2)
-	a.Get(1).Const(1).I(OpI32Add).Set(1)
+	a.Get(1).Const(1).I(OpI32Add).Tee(1).I(OpDrop)
 	a.Imm(OpBr, 0)
 	a.I(OpEnd)
 	a.I(OpEnd)
 	a.Get(2).I(OpReturn)
 	vm := mustVM(t, &Func{Name: "sum", NumParams: 1, NumLocals: 2, Body: a.Body()})
-	got, err := vm.CallNamed("sum", 10)
+	got, err := vm.Call(0, 10)
 	if err != nil || got != 55 {
 		t.Fatalf("sum(10) = %d, %v", got, err)
 	}
-	got, err = vm.CallNamed("sum", 0)
+	got, err = vm.Call(0, 0)
 	if err != nil || got != 0 {
 		t.Fatalf("sum(0) = %d, %v", got, err)
 	}
@@ -95,93 +72,46 @@ func TestMemoryLoadStore(t *testing.T) {
 	a.Const(64).Get(0).I(OpI32Store)     // mem[64] = arg
 	a.Const(64).I(OpI32Load).I(OpReturn) // return mem[64]
 	vm := mustVM(t, &Func{Name: "rt", NumParams: 1, Body: a.Body()})
-	got, err := vm.CallNamed("rt", -12345)
+	got, err := vm.Call(0, -12345)
 	if err != nil || got != -12345 {
 		t.Fatalf("roundtrip = %d, %v", got, err)
 	}
-	// Out-of-bounds store traps.
+	// The last word is in bounds; one byte further a store or load
+	// traps, the static offset included.
+	last := &Asm{}
+	last.Const(PageSize - 4).Const(7).I(OpI32Store).Const(PageSize - 4).I(OpI32Load).I(OpReturn)
+	if got, err := mustVM(t, &Func{Name: "last", Body: last.Body()}).Call(0); err != nil || got != 7 {
+		t.Errorf("last word = %d, %v", got, err)
+	}
 	b := &Asm{}
-	b.Const(PageSize).Const(1).I(OpI32Store).Const(0).I(OpReturn)
-	vm2 := mustVM(t, &Func{Name: "oob", Body: b.Body()})
-	if _, err := vm2.CallNamed("oob"); !errors.Is(err, ErrTrap) {
+	b.Const(PageSize-4).Const(1).Imm(OpI32Store, 1).Const(0).I(OpReturn)
+	if _, err := mustVM(t, &Func{Name: "oob", Body: b.Body()}).Call(0); !errors.Is(err, ErrTrap) {
 		t.Errorf("oob store: %v", err)
+	}
+	c := &Asm{}
+	c.Const(PageSize-4).Imm(OpI32Load, 1).I(OpReturn)
+	if _, err := mustVM(t, &Func{Name: "oob", Body: c.Body()}).Call(0); !errors.Is(err, ErrTrap) {
+		t.Errorf("oob load: %v", err)
 	}
 }
 
 func TestByteAccess(t *testing.T) {
+	// Linear memory is byte-addressed and little-endian: a word stored
+	// at an odd address and one loaded a byte later overlap in three
+	// bytes, and the host's ReadU32 sees the same bytes.
 	a := &Asm{}
-	a.Const(10).Const(0x1ff).I(OpI32Store8) // truncated to 0xff
-	a.Const(10).I(OpI32Load8U).I(OpReturn)
+	a.Const(1).Const(0x04030201).I(OpI32Store)
+	a.Const(2).I(OpI32Load).I(OpReturn)
 	vm := mustVM(t, &Func{Name: "b", Body: a.Body()})
-	got, err := vm.CallNamed("b")
-	if err != nil || got != 0xff {
-		t.Fatalf("byte = %#x, %v", got, err)
+	got, err := vm.Call(0)
+	if err != nil || got != 0x040302 {
+		t.Fatalf("overlapping load = %#x, %v", got, err)
 	}
-}
-
-func TestHostCall(t *testing.T) {
-	calls := 0
-	host := HostFunc{Name: "add10", NumParams: 1, Fn: func(vm *VM, args []int32) (int32, error) {
-		calls++
-		return args[0] + 10, nil
-	}}
-	a := &Asm{}
-	a.Get(0).Imm(OpCall, 0).I(OpReturn) // host index 0
-	vm := mustVM(t, &Func{Name: "f", NumParams: 1, Body: a.Body()}, host)
-	got, err := vm.CallNamed("f", 5)
-	if err != nil || got != 15 {
-		t.Fatalf("host call = %d, %v", got, err)
+	if v, err := vm.ReadU32(1); err != nil || v != 0x04030201 {
+		t.Errorf("ReadU32(1) = %#x, %v", v, err)
 	}
-	if calls != 1 || vm.HostCalls != 1 {
-		t.Errorf("host calls = %d / %d", calls, vm.HostCalls)
-	}
-}
-
-func TestInterFunctionCall(t *testing.T) {
-	// f(x) = g(x) + 1, g(x) = x*2. Module funcs at indices 0 and 1.
-	g := &Asm{}
-	g.Get(0).Const(2).I(OpI32Mul).I(OpReturn)
-	f := &Asm{}
-	f.Get(0).Imm(OpCall, 0).Const(1).I(OpI32Add).I(OpReturn)
-	mod := &Module{Funcs: []*Func{
-		{Name: "g", NumParams: 1, Body: g.Body()},
-		{Name: "f", NumParams: 1, Body: f.Body()},
-	}, MemPages: 1}
-	if err := mod.Prepare(); err != nil {
-		t.Fatal(err)
-	}
-	vm, err := NewVM(mod)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := vm.CallNamed("f", 21)
-	if err != nil || got != 43 {
-		t.Fatalf("f(21) = %d, %v", got, err)
-	}
-}
-
-func TestFuelExhaustion(t *testing.T) {
-	// Infinite loop must stop at the fuel limit.
-	a := &Asm{}
-	a.I(OpLoop)
-	a.Imm(OpBr, 0)
-	a.I(OpEnd)
-	vm := mustVM(t, &Func{Name: "spin", Body: a.Body()})
-	vm.Fuel = 10000
-	if _, err := vm.CallNamed("spin"); !errors.Is(err, ErrFuel) {
-		t.Errorf("spin = %v, want fuel error", err)
-	}
-	if vm.Executed < 10000 {
-		t.Errorf("executed %d", vm.Executed)
-	}
-}
-
-func TestUnreachableTraps(t *testing.T) {
-	a := &Asm{}
-	a.I(OpUnreachable)
-	vm := mustVM(t, &Func{Name: "u", Body: a.Body()})
-	if _, err := vm.CallNamed("u"); !errors.Is(err, ErrTrap) {
-		t.Errorf("unreachable = %v", err)
+	if _, err := vm.ReadU32(PageSize - 3); !errors.Is(err, ErrTrap) {
+		t.Errorf("ReadU32 past the end: %v", err)
 	}
 }
 
@@ -203,10 +133,10 @@ func TestValidationErrors(t *testing.T) {
 	if err := bad3.Prepare(); err == nil {
 		t.Error("deep branch accepted")
 	}
-	// Unknown call target.
-	bad4 := &Module{Funcs: []*Func{{Name: "x", Body: []Instr{{Op: OpCall, Imm: 9}}}}}
+	// An opcode outside the VM's set.
+	bad4 := &Module{Funcs: []*Func{{Name: "x", Body: []Instr{{Op: numOps}}}}}
 	if err := bad4.Prepare(); err == nil {
-		t.Error("unknown callee accepted")
+		t.Error("invalid opcode accepted")
 	}
 	// Bad local index.
 	bad5 := &Module{Funcs: []*Func{{Name: "x", Body: []Instr{{Op: OpLocalGet, Imm: 3}}}}}
@@ -218,39 +148,35 @@ func TestValidationErrors(t *testing.T) {
 	if err := bad6.Prepare(); err == nil {
 		t.Error("duplicate name accepted")
 	}
+	// Unprepared module.
+	if _, err := NewVM(&Module{}); err == nil {
+		t.Error("unprepared module instantiated")
+	}
 }
 
 func TestStackUnderflowDetected(t *testing.T) {
-	a := &Asm{}
-	a.I(OpI32Add) // empty stack
-	vm := mustVM(t, &Func{Name: "x", Body: a.Body()})
-	if _, err := vm.CallNamed("x"); err == nil {
-		t.Error("stack underflow not detected")
-	}
-}
-
-func TestMemoryGrow(t *testing.T) {
-	a := &Asm{}
-	a.Const(1).I(OpMemoryGrow).I(OpDrop)
-	a.I(OpMemorySize).I(OpReturn)
-	vm := mustVM(t, &Func{Name: "g", Body: a.Body()})
-	got, err := vm.CallNamed("g")
-	if err != nil || got != 2 {
-		t.Fatalf("pages = %d, %v", got, err)
-	}
-}
-
-func TestCallDepthBounded(t *testing.T) {
-	// f calls itself forever.
-	a := &Asm{}
-	a.Imm(OpCall, 0).I(OpReturn)
-	vm := mustVM(t, &Func{Name: "rec", Body: a.Body()})
-	if _, err := vm.CallNamed("rec"); !errors.Is(err, ErrTrap) {
-		t.Errorf("infinite recursion = %v", err)
+	// Each opcode finds one operand fewer than it pops.
+	for _, op := range []Op{OpI32Add, OpI32Store, OpI32Eqz, OpBrIf, OpDrop, OpLocalSet} {
+		a := &Asm{}
+		a.I(OpBlock)
+		for i := 1; i < pops[op]; i++ {
+			a.Const(1)
+		}
+		a.Imm(op, 0).I(OpEnd)
+		vm := mustVM(t, &Func{Name: "x", NumLocals: 1, Body: a.Body()})
+		if _, err := vm.Call(0); err == nil {
+			t.Errorf("stack underflow at op %d not detected", op)
+		}
 	}
 }
 
 func TestArithmeticMatchesGoProperty(t *testing.T) {
+	b2i := func(c bool) int32 {
+		if c {
+			return 1
+		}
+		return 0
+	}
 	ops := []struct {
 		op Op
 		f  func(a, b int32) int32
@@ -259,11 +185,8 @@ func TestArithmeticMatchesGoProperty(t *testing.T) {
 		{OpI32Sub, func(a, b int32) int32 { return a - b }},
 		{OpI32Mul, func(a, b int32) int32 { return a * b }},
 		{OpI32And, func(a, b int32) int32 { return a & b }},
-		{OpI32Or, func(a, b int32) int32 { return a | b }},
-		{OpI32Xor, func(a, b int32) int32 { return a ^ b }},
-		{OpI32Shl, func(a, b int32) int32 { return a << (uint32(b) & 31) }},
-		{OpI32ShrU, func(a, b int32) int32 { return int32(uint32(a) >> (uint32(b) & 31)) }},
-		{OpI32ShrS, func(a, b int32) int32 { return a >> (uint32(b) & 31) }},
+		{OpI32Ne, func(a, b int32) int32 { return b2i(a != b) }},
+		{OpI32GeU, func(a, b int32) int32 { return b2i(uint32(a) >= uint32(b)) }},
 	}
 	for _, o := range ops {
 		a := &Asm{}
@@ -271,11 +194,20 @@ func TestArithmeticMatchesGoProperty(t *testing.T) {
 		vm := mustVM(t, &Func{Name: "f", NumParams: 2, Body: a.Body()})
 		op := o
 		f := func(x, y int32) bool {
-			got, err := vm.CallNamed("f", x, y)
+			got, err := vm.Call(0, x, y)
 			return err == nil && got == op.f(x, y)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 			t.Errorf("op %d: %v", o.op, err)
 		}
+	}
+	eqz := &Asm{}
+	eqz.Get(0).I(OpI32Eqz).I(OpReturn)
+	vm := mustVM(t, &Func{Name: "eqz", NumParams: 1, Body: eqz.Body()})
+	if err := quick.Check(func(x int32) bool {
+		got, err := vm.Call(0, x)
+		return err == nil && got == b2i(x == 0)
+	}, &quick.Config{MaxCount: 200}); err != nil {
+		t.Errorf("eqz: %v", err)
 	}
 }
