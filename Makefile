@@ -69,6 +69,10 @@ test-portable:
 # request and reply body decoders to the same three properties, and
 # FuzzHTTPInfer the HTTP adapter: no panic, a 200 only for inputs the
 # model's signature passes, every built tensor backing its shape.
+# FuzzReleaseBundle runs release bundles through both the full and the
+# witness-only policy, and envelopes through DecodeEnvelope: no panic,
+# an accepted bundle's envelope proven under its checkpoint root, and
+# what decodes re-encodes to itself.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzEncodeExecute -fuzztime 5s ./internal/riscv/
 	$(GO) test -fuzz FuzzLoadStoreRoundTrip -fuzztime 5s ./internal/riscv/
@@ -81,7 +85,6 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzRequantTileInt8 -fuzztime 5s ./internal/tensor/
 	$(GO) test -fuzz FuzzConvTapsInt16 -fuzztime 5s ./internal/tensor/
 	$(GO) test -fuzz FuzzLUT8 -fuzztime 5s ./internal/tensor/
-	$(GO) test -fuzz FuzzF32ToF16Parity -fuzztime 5s ./internal/tensor/
 	$(GO) test -fuzz FuzzConvTapsF32 -fuzztime 5s ./internal/tensor/
 	$(GO) test -fuzz FuzzEpilogueTileF32 -fuzztime 5s ./internal/tensor/
 	$(GO) test -fuzz FuzzConvPlaneF32 -fuzztime 5s ./internal/inference/
@@ -90,6 +93,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzArtifactVerify -fuzztime 5s ./internal/artifact/
 	$(GO) test -fuzz FuzzFrameDecode -fuzztime 5s -fuzzminimizetime 5s ./internal/serve/
 	$(GO) test -fuzz FuzzHTTPInfer -fuzztime 5s -fuzzminimizetime 5s ./internal/serve/
+	$(GO) test -fuzz FuzzReleaseBundle -fuzztime 5s ./internal/release/
 
 # bench tracks the inference-runtime perf trajectory, and the cold-start
 # steps of the two served zoo models in absolute terms: Verify (MB/s),
@@ -185,13 +189,14 @@ release-verify:
 	./scripts/release_verify.sh
 
 # docs gates the documentation front door: formatting, examples build,
-# exported-identifier doc coverage, and the committed golden artifact —
-# exactly what the CI docs job runs.
+# exported-identifier doc coverage, no backticked `pkg.Name` in
+# DESIGN.md or README.md that the checked packages do not declare, and
+# the committed golden artifact — exactly what the CI docs job runs.
 docs:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) build ./examples/...
-	$(GO) run ./cmd/docs-check . ./internal/* ./internal/inference/ir
+	$(GO) run ./cmd/docs-check . ./internal/* ./internal/inference/ir DESIGN.md README.md
 	$(GO) run ./cmd/vedliot-pack verify internal/artifact/testdata/golden.vedz
 
 ci: vet build docs test test-race test-portable fuzz-smoke load-smoke release-verify bench-gate

@@ -175,13 +175,6 @@ func EngineStudy() (*Report, error) {
 			v.Tier, v.MR, v.NR, vp, vc, va*100)
 		r.metric(fmt.Sprintf("gemm_roofline_attainment_%s", v.Tier), "ratio", va)
 	}
-	fp16Ratio, fp16Latency8, err := fp16TrafficStudy(iters)
-	if err != nil {
-		return nil, err
-	}
-	r.linef("fp16-compute: modeled memory traffic fp32/fp16 = %.2fx, batch-8 latency %v (informational)",
-		fp16Ratio, fp16Latency8)
-	r.metric("fp16_mem_traffic_ratio", "x", fp16Ratio)
 	r.linef("output parity |engine - interpreter|: %g", parity)
 
 	r.check("engine output matches interpreter (<= 1e-5)", parity <= 1e-5)
@@ -191,7 +184,6 @@ func EngineStudy() (*Report, error) {
 	r.check("planner reuses activation memory", eng.ArenaFloatsPerSample() < unplannedFloats(g))
 	r.check("lowering fuses the conv epilogues", fusedChains >= 4 && eliminated >= 8)
 	r.check("packed gemm attains >= 25% of hot-tile peak", attain >= 0.25)
-	r.check("fp16-compute halves modeled memory traffic (>= 1.5x)", fp16Ratio >= 1.5)
 	return r, nil
 }
 
@@ -264,43 +256,6 @@ func servedModelRows(r *Report) error {
 			tms[0].us, tms[0].spread*50, tms[1].us, tms[1].spread*50)
 	}
 	return nil
-}
-
-// fp16TrafficStudy compiles the FP16-weight face detector twice — plain
-// FP32 plan and PrecisionFP16Compute plan — and reports the modeled
-// memory-traffic ratio between them (resident weight bytes plus
-// per-step activation bytes at stored width). Weights and interior
-// activations both halve under FP16-compute while the FP32 caller
-// boundary does not, so the ratio lands between 1.5x and the 2x
-// physical bound. The batch-8 latency of the FP16 engine rides along
-// as an informational number; on a bandwidth-rich host the win is
-// footprint, not speed.
-func fp16TrafficStudy(iters int) (ratio float64, latency8 time.Duration, err error) {
-	g := zoo.WeightsToFP16(nn.FaceDetectNet(32, nn.BuildOptions{Weights: true, Seed: 91}))
-	ref, err := inference.Compile(g)
-	if err != nil {
-		return 0, 0, err
-	}
-	f16, err := inference.Compile(g, inference.PrecisionFP16Compute())
-	if err != nil {
-		return 0, 0, err
-	}
-	ratio = float64(ref.ModeledTrafficBytesPerSample()) / float64(f16.ModeledTrafficBytesPerSample())
-	in := tensor.New(tensor.FP32, 8, 1, 32, 32)
-	for i := range in.F32 {
-		in.F32[i] = float32(i%13)/13 - 0.5
-	}
-	req := map[string]*tensor.Tensor{g.Inputs[0]: in}
-	for it := 0; it <= iters; it++ { // iteration 0 is warm-up
-		start := time.Now()
-		if _, err := f16.Run(req); err != nil {
-			return 0, 0, err
-		}
-		if d := time.Since(start); it > 0 && (latency8 == 0 || d < latency8) {
-			latency8 = d
-		}
-	}
-	return ratio, latency8, nil
 }
 
 // gemmRoofline times the selected FP32 micro-kernel at two operating

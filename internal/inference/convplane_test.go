@@ -231,7 +231,7 @@ func TestConvPlanePredicateSides(t *testing.T) {
 			v.mutate(n.Weight(nn.WeightKey), n.Weight(nn.BiasKey))
 			outH := (base.inH+2*base.ph-base.kh)/base.sh + 1
 			outW := (base.inW+2*base.pw-base.kw)/base.sw + 1
-			_, spec, err := bindConv(n, tensor.Shape{3, base.inH, base.inW}, tensor.Shape{n.Attrs.OutC, outH, outW}, nil, false, nil)
+			_, spec, err := bindConv(n, tensor.Shape{3, base.inH, base.inW}, tensor.Shape{n.Attrs.OutC, outH, outW}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

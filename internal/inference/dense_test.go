@@ -13,10 +13,9 @@ import (
 // GEMM with lanes along the output features — bitwise against the
 // interpreter at batch sizes on both sides of every tile height and
 // for feature counts that are not multiples of any tile width, with a
-// fused tail, under FP32 and under FP16-compute (FP16-stored weights,
-// half-width tiles widened per call). Two workers at a zero threshold
-// split the (panel, tile) units. The portable matrix runs it on every
-// kernel tier.
+// fused tail, with FP32- and FP16-stored weights. Two workers at a zero
+// threshold split the (panel, tile) units. The portable matrix runs it
+// on every kernel tier.
 func TestDenseMatchesInterpreterAtEveryBatch(t *testing.T) {
 	const inF = 37
 	for _, outF := range []int{10, 100, 300} {
@@ -33,12 +32,10 @@ func TestDenseMatchesInterpreterAtEveryBatch(t *testing.T) {
 			}
 			for _, fp16 := range []bool{false, true} {
 				g := g
-				opts := []Option{WithWorkers(2), WithParallelThreshold(0)}
 				if fp16 {
 					g = withPrecision(g, tensor.FP16)
-					opts = append(opts, PrecisionFP16Compute())
 				}
-				eng := mustCompile(t, g, opts...)
+				eng := mustCompile(t, g, WithWorkers(2), WithParallelThreshold(0))
 				it := mustInterp(t, g)
 				for _, batch := range []int{1, 2, 3, 4, 5, 8, 9, 33} {
 					in := tensor.New(tensor.FP32, batch, inF)

@@ -51,7 +51,6 @@ type Option func(*config)
 type config struct {
 	workers   int
 	threshold int64
-	fp16      bool
 }
 
 // WithWorkers bounds the kernel worker pool. The default is
@@ -65,20 +64,6 @@ func WithWorkers(n int) Option {
 // avoid dispatch overhead.
 func WithParallelThreshold(ops int64) Option {
 	return func(c *config) { c.threshold = ops }
-}
-
-// PrecisionFP16Compute compiles the FP16-compute plan: intermediate
-// activations are stored as IEEE binary16 halfwords in a second arena,
-// and FP16-stored weights stay half-width in their packed GEMM panels
-// instead of being dequantized to FP32 at compile time. Both widen to
-// FP32 transiently on load (F16C-accelerated on hosts that have it),
-// so the arithmetic itself — and the model's inputs and outputs —
-// remain FP32; what halves is the resident width of the working set,
-// and with it the model's memory traffic. Outputs differ from the
-// plain FP32 engine only by the round-to-nearest-even rounding of each
-// intermediate activation through binary16.
-func PrecisionFP16Compute() Option {
-	return func(c *config) { c.fp16 = true }
 }
 
 // defaultParallelThreshold is the estimated cost below which a kernel
@@ -107,7 +92,6 @@ const (
 	locInput              // caller-provided input tensor
 	locSlot               // arena slab, reused across liveness intervals
 	locOutput             // freshly allocated output tensor
-	locSlotH              // halfword arena slab (FP16-compute plans)
 )
 
 type location struct {
@@ -122,10 +106,6 @@ type value struct {
 	per   tensor.Shape
 	elems int
 	loc   location
-	// fp16 marks a value the lowering pipeline assigned FP16 storage:
-	// the planner parks it in the halfword arena and its steps widen it
-	// to FP32 staging only while they compute with it.
-	fp16 bool
 	// qp is the calibration schema's affine mapping of the value's int8
 	// codes (zero outside the integer plan).
 	qp tensor.QuantParams
@@ -146,14 +126,9 @@ type Engine struct {
 
 	// fullSteps is the unfused expansion of steps: fused producer+
 	// activation pairs run as two steps so every graph value
-	// materializes, and no kernel stages through the halfword arena.
-	// RunAll (calibration, debugging) walks it; Run never does.
+	// materializes. RunAll (calibration, debugging) walks it; Run never
+	// does.
 	fullSteps []step[float32]
-
-	// trafficPerSample is the modeled per-sample memory traffic of one
-	// Run in bytes: every step streams its operands once at their
-	// stored width and its weights once at their resident width.
-	trafficPerSample int
 }
 
 // ArenaFloatsPerSample returns the arena footprint in float32 elements
@@ -171,22 +146,11 @@ func (e *Engine) ArenaFloatsPerSample() int { return e.arenaPerSample }
 // then arena-planned by liveness. The batch dimension stays dynamic:
 // Run accepts any batch size. Compile never mutates the source graph.
 func Compile(g *nn.Graph, opts ...Option) (*Engine, error) {
-	cfg := newConfig(opts)
-	var (
-		m   *ir.Module
-		err error
-	)
-	if cfg.fp16 {
-		// FP16-compute lowering: same pipeline, with the precision pass
-		// stamping intermediate activations FP16.
-		m, _, err = ir.Lower(g, ir.Config{FP16Compute: true}, false)
-	} else {
-		m, _, err = Lower(g, nil, false)
-	}
+	m, _, err := Lower(g, nil, false)
 	if err != nil {
 		return nil, err
 	}
-	return newEngine(m, cfg)
+	return newEngine(m, newConfig(opts))
 }
 
 // newConfig resolves compile options against the defaults.
@@ -207,7 +171,6 @@ func newConfig(opts []Option) config {
 // newEngine binds a lowered FP32 module to kernels and plans its arena.
 func newEngine(m *ir.Module, cfg config) (*Engine, error) {
 	e := &Engine{plan: plan[float32]{scaffold: buildScaffold(m), cfg: cfg, enter: enterF32}}
-	var stats bindStats
 	for _, op := range m.Ops {
 		if op.Kind == nn.OpInput {
 			continue
@@ -219,7 +182,7 @@ func newEngine(m *ir.Module, cfg config) (*Engine, error) {
 		if err != nil {
 			return nil, compileError(op, false, err)
 		}
-		kern, spec, err := bindKernel(n, inPer, e.vals[out].per, ep, cfg.fp16, &stats)
+		kern, spec, err := bindKernel(n, inPer, e.vals[out].per, ep)
 		if err != nil {
 			return nil, compileError(op, false, err)
 		}
@@ -232,10 +195,9 @@ func newEngine(m *ir.Module, cfg config) (*Engine, error) {
 		}
 		// Unfused expansion for RunAll: the producer writes its own
 		// (pre-epilogue) value, then each absorbed stage runs as its own
-		// step — the exact plan the fused step collapses. Stats stay
-		// nil: the weights were already counted by the fused bind.
+		// step — the exact plan the fused step collapses.
 		pre := e.valOf[op.Fused[0].Pre]
-		preKern, preSpec, err := bindKernel(n, inPer, e.vals[pre].per, nil, cfg.fp16, nil)
+		preKern, preSpec, err := bindKernel(n, inPer, e.vals[pre].per, nil)
 		if err != nil {
 			return nil, compileError(op, false, err)
 		}
@@ -244,7 +206,7 @@ func newEngine(m *ir.Module, cfg config) (*Engine, error) {
 		for i := range op.Fused {
 			f := &op.Fused[i]
 			fOut := e.valOf[op.FusedOut(i)]
-			fKern, fSpec, err := bindKernel(nodeFromFused(f), []tensor.Shape{e.vals[pre].per}, e.vals[fOut].per, nil, cfg.fp16, nil)
+			fKern, fSpec, err := bindKernel(nodeFromFused(f), []tensor.Shape{e.vals[pre].per}, e.vals[fOut].per, nil)
 			if err != nil {
 				return nil, compileError(op, false, err)
 			}
@@ -254,8 +216,6 @@ func newEngine(m *ir.Module, cfg config) (*Engine, error) {
 		}
 	}
 	e.layout()
-	e.stageHalfwords()
-	e.trafficPerSample = e.modeledActivationTraffic() + stats.weightBytes
 	return e, nil
 }
 
@@ -273,95 +233,6 @@ func enterF32(p *plan[float32], rs *runState[float32]) {
 	}
 }
 
-// halfSlab locates an FP16-resident value in the halfword arena, in
-// per-sample elements; elems is zero for a value that lives elsewhere.
-type halfSlab struct{ off, elems int }
-
-// stageHalfwords rebinds every step of an FP16-compute plan that
-// touches a halfword-resident value (a no-op for plain FP32 plans) and
-// sizes the staging region to the largest such step. Kernels never
-// compute on halfwords: the wrapper widens each such operand into the
-// run's FP32 staging region on load, lets the kernel write a
-// halfword-resident result there too, and narrows it on store.
-func (e *Engine) stageHalfwords() {
-	half := func(v int) halfSlab {
-		if loc := e.vals[v].loc; loc.kind == locSlotH {
-			return halfSlab{e.slotOffH[loc.idx], e.vals[v].elems}
-		}
-		return halfSlab{}
-	}
-	for si := range e.steps {
-		st := &e.steps[si]
-		ins := make([]halfSlab, len(st.ins))
-		out := half(st.out)
-		need := out.elems
-		for i, in := range st.ins {
-			ins[i] = half(in)
-			need += ins[i].elems
-		}
-		if need > 0 {
-			st.kern = stagedKernel(st.kern, ins, out)
-		}
-		e.stagePerSample = max(e.stagePerSample, need)
-	}
-}
-
-// stagedKernel wraps kern with the widen-on-load, narrow-on-store
-// staging of its halfword-resident operands.
-func stagedKernel(kern kernelFunc[float32], ins []halfSlab, out halfSlab) kernelFunc[float32] {
-	return func(rc *runCtx, dst []float32, srcs [][]float32) error {
-		staged := 0
-		for i, h := range ins {
-			if h.elems == 0 {
-				continue
-			}
-			n := h.elems * rc.batch
-			srcs[i] = rc.stage[staged : staged+n]
-			staged += n
-			tensor.F16ToF32(srcs[i], rc.arenaH[h.off*rc.batch:][:n])
-		}
-		if out.elems == 0 {
-			return kern(rc, dst, srcs)
-		}
-		n := out.elems * rc.batch
-		dst = rc.stage[staged : staged+n]
-		if err := kern(rc, dst, srcs); err != nil {
-			return err
-		}
-		tensor.F32ToF16(rc.arenaH[out.off*rc.batch:][:n], dst)
-		return nil
-	}
-}
-
-// modeledActivationTraffic models the per-sample activation bytes one
-// Run moves: every step reads each input and writes its output once at
-// the value's stored width (2 bytes for FP16-resident values, 4 for
-// FP32). Together with the resident weight bytes the binders report it
-// feeds ModeledTrafficBytesPerSample.
-func (e *Engine) modeledActivationTraffic() int {
-	width := func(v int) int {
-		if e.vals[v].fp16 {
-			return 2
-		}
-		return 4
-	}
-	traffic := 0
-	for _, st := range e.steps {
-		for _, in := range st.ins {
-			traffic += e.vals[in].elems * width(in)
-		}
-		traffic += e.vals[st.out].elems * width(st.out)
-	}
-	return traffic
-}
-
-// ModeledTrafficBytesPerSample returns the modeled per-sample memory
-// traffic of one Run in bytes: activations at their stored width plus
-// weights at their resident width. The FP16-compute plan halves both
-// for FP16-stored models, which is the bench harness's
-// fp16_mem_traffic_ratio numerator/denominator.
-func (e *Engine) ModeledTrafficBytesPerSample() int { return e.trafficPerSample }
-
 // RunAll executes the plan and returns every lowered value's activation
 // keyed by graph node name, bypassing the arena (each activation gets
 // its own tensor so all of them remain valid after the call). It is the
@@ -369,10 +240,7 @@ func (e *Engine) ModeledTrafficBytesPerSample() int { return e.trafficPerSample 
 // pre-activation values materialize too, and values eliminated by
 // lowering rewrites (identity removal, CSE) are reported through their
 // surviving alias. Calibration uses this to observe every dynamic range
-// the quantized compiler needs. RunAll materializes everything in FP32
-// and never narrows through the halfword arena, so on an FP16-compute
-// plan it is the full-precision reference Run's rounded activations
-// compare to.
+// the quantized compiler needs.
 func (e *Engine) RunAll(inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
 	rs := e.acquire()
 	defer e.release(rs)

@@ -10,14 +10,13 @@ import (
 
 // The plan executor.
 //
-// Every host execution — Engine.Run on an FP32 or FP16-compute plan,
-// Engine.RunAll, QuantEngine.Run — is the one step loop in exec over a
-// plan[T]: T is the element type of the activation buffers the bound
-// kernels read and write (float32 values or int8 codes). The engines
-// are compile-time binders that fill a plan in; what differs between
-// them at run time is confined to the enter and exit hooks (where the
-// declared inputs and outputs live, and the quantize-in / dequantize-out
-// conversion of the integer plan).
+// Every host execution — Engine.Run, Engine.RunAll, QuantEngine.Run —
+// is the one step loop in exec over a plan[T]: T is the element type
+// of the activation buffers the bound kernels read and write (float32
+// values or int8 codes). The engines are compile-time binders that
+// fill a plan in; what differs between them at run time is confined to
+// the enter and exit hooks (where the declared inputs and outputs live,
+// and the quantize-in / dequantize-out conversion of the integer plan).
 
 // kernelFunc executes one bound operator for a batch. dst and srcs are
 // batch-major buffers laid out as batch x per-sample elements.
@@ -42,19 +41,14 @@ type plan[T float32 | int8] struct {
 	cfg   config
 
 	// Arena plan, in per-sample elements (a batch-N call scales by N):
-	// the liveness-planned slabs' count and total size, and for an
-	// FP16-compute plan the halfword arena's slab offsets and size and
-	// the FP32 staging region (all zero otherwise).
-	numSlots        int
-	arenaPerSample  int
-	slotOffH        []int
-	arenaHPerSample int
-	stagePerSample  int
+	// the liveness-planned slabs' count and total size.
+	numSlots       int
+	arenaPerSample int
 
 	// off is each value's per-sample element offset in the run state's
 	// slab, or -1 for a value that lives elsewhere (a caller's tensor, an
-	// output tensor, the halfword arena); slabPerSample is the slab's
-	// size: the planned arena plus whatever the binder parks behind it.
+	// output tensor); slabPerSample is the slab's size: the planned arena
+	// plus whatever the binder parks behind it.
 	off           []int
 	slabPerSample int
 
@@ -73,10 +67,9 @@ type plan[T float32 | int8] struct {
 }
 
 // runState is everything one execution owns: the activation slab, the
-// kernels' scratch, the halfword arena and staging region of an
-// FP16-compute plan (inside rc), the boundary's input views and output
-// tensors, and the per-value and per-step buffer tables. It is drawn
-// from the plan's pool once per call and returned on every path.
+// kernels' scratch, the boundary's input views and output tensors, and
+// the per-value and per-step buffer tables. It is drawn from the plan's
+// pool once per call and returned on every path.
 type runState[T float32 | int8] struct {
 	rc    runCtx
 	sb    scratchBufs
@@ -124,8 +117,6 @@ func (p *plan[T]) release(rs *runState[T]) {
 // slab-resident value's buffer at its planned offset.
 func (rs *runState[T]) size(p *plan[T], batch int) {
 	rs.slab = grow(rs.slab, p.slabPerSample*batch)
-	rs.rc.arenaH = grow(rs.rc.arenaH, p.arenaHPerSample*batch)
-	rs.rc.stage = grow(rs.rc.stage, p.stagePerSample*batch)
 	rs.sb.ensure(p.scratch, batch, p.cfg.workers)
 	rs.rc.batch, rs.rc.estOps = batch, 0
 	for v, off := range p.off {
@@ -153,15 +144,10 @@ func (p *plan[T]) exec(rs *runState[T], steps []step[T]) error {
 	return nil
 }
 
-// layout plans the slabs by liveness over the bound steps. FP32 values
-// share the slab, FP16-resident values a disjoint halfword arena: each
-// pass assigns and recycles only its own class, so the two never alias.
+// layout plans the slab by liveness over the bound steps.
 func (p *plan[T]) layout() {
 	var slotOff []int
-	slotOff, p.arenaPerSample = planArena(p.vals, p.steps, locSlot,
-		func(v *value) bool { return !v.fp16 })
-	p.slotOffH, p.arenaHPerSample = planArena(p.vals, p.steps, locSlotH,
-		func(v *value) bool { return v.fp16 })
+	slotOff, p.arenaPerSample = planArena(p.vals, p.steps)
 	p.numSlots = len(slotOff)
 	p.slabPerSample = p.arenaPerSample
 	p.off = make([]int, len(p.vals))

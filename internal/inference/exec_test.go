@@ -28,7 +28,7 @@ func execGraph() *nn.Graph {
 }
 
 // execPlan is one compiled plan behind the executor, with its element
-// type erased so one table covers all three kinds.
+// type erased so one table covers both kinds.
 type execPlan struct {
 	name     string
 	run      func(map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error)
@@ -37,21 +37,19 @@ type execPlan struct {
 	// fail rebinds step si to a kernel that returns err after recording
 	// the run context it was handed; restore puts the bound kernel back.
 	fail func(si int, err error, seen **runCtx) (restore func())
-	// noAlias reports the first step whose destination shares slab or
-	// halfword-arena elements with one of its sources.
+	// noAlias reports the first step whose destination shares slab
+	// elements with one of its sources.
 	noAlias func() error
 }
 
 func erasePlan[T float32 | int8](name string, p *plan[T]) execPlan {
-	// span is a value's per-sample element range in the arena it lives in.
-	span := func(v int) (arena locKind, lo, hi int) {
-		switch loc := p.vals[v].loc; {
-		case p.off[v] >= 0:
-			return locSlot, p.off[v], p.off[v] + p.vals[v].elems
-		case loc.kind == locSlotH:
-			return locSlotH, p.slotOffH[loc.idx], p.slotOffH[loc.idx] + p.vals[v].elems
+	// span is a value's per-sample element range in the slab, empty for
+	// a value that lives elsewhere.
+	span := func(v int) (lo, hi int) {
+		if off := p.off[v]; off >= 0 {
+			return off, off + p.vals[v].elems
 		}
-		return locUnassigned, 0, 0
+		return 0, 0
 	}
 	return execPlan{name: name, run: p.Run, runBatch: p.RunBatch, steps: len(p.steps),
 		fail: func(si int, err error, seen **runCtx) func() {
@@ -64,9 +62,9 @@ func erasePlan[T float32 | int8](name string, p *plan[T]) execPlan {
 		},
 		noAlias: func() error {
 			for _, st := range p.steps {
-				oa, olo, ohi := span(st.out)
+				olo, ohi := span(st.out)
 				for _, in := range st.ins {
-					if ia, ilo, ihi := span(in); oa != locUnassigned && ia == oa && ilo < ohi && olo < ihi {
+					if ilo, ihi := span(in); ilo < ohi && olo < ihi {
 						return fmt.Errorf("step %s: destination %s [%d,%d) overlaps source %s [%d,%d)",
 							st.name, p.vals[st.out].name, olo, ohi, p.vals[in].name, ilo, ihi)
 					}
@@ -87,17 +85,12 @@ func compileExecPlans(t *testing.T, g *nn.Graph, opts ...Option) []execPlan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f16 := mustCompile(t, g, append(opts[:len(opts):len(opts)], PrecisionFP16Compute())...)
-	if f16.arenaHPerSample == 0 || f16.stagePerSample == 0 {
-		t.Fatal("FP16-compute plan stages nothing: the fp16 row would repeat the fp32 one")
-	}
 	q, err := CompileQuantized(g, schema, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return []execPlan{
 		erasePlan("fp32", &mustCompile(t, g, opts...).plan),
-		erasePlan("fp16-compute", &f16.plan),
 		erasePlan("int8", &q.plan),
 	}
 }

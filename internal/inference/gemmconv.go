@@ -164,7 +164,7 @@ func packConvTile[T float32 | int8](rows, xv []T, g *convGeom, nr, b, grp int, p
 // bindConvGemm lowers one FP32 convolution onto the packed GEMM
 // micro-kernels. Weights and bias are packed per group at bind time;
 // the returned kernel streams B tiles through planned worker scratch.
-func bindConvGemm(g convGeom, w *tensor.Tensor, bias []float32, ep *epilogue, wf16 bool) (kernelFunc[float32], scratchSpec) {
+func bindConvGemm(g convGeom, w *tensor.Tensor, bias []float32, ep *epilogue) (kernelFunc[float32], scratchSpec) {
 	taps := g.icPerG * g.kh * g.kw
 	px := g.outH * g.outW
 	// N is the per-image pixel count: deep layers shrink to 4x4 = 16
@@ -175,24 +175,10 @@ func bindConvGemm(g convGeom, w *tensor.Tensor, bias []float32, ep *epilogue, wf
 	panels := (g.ocPerG + mr - 1) / mr
 	apg := kern.PackedASize(g.ocPerG, taps) // packed-A elements per group
 	bpg := panels * mr                      // padded bias entries per group
-	// wf16 keeps the packed weight panels in their stored binary16
-	// form and widens them into call scratch at each dispatch — the
-	// FP16-compute "convert on load" of the A operand. The widened
-	// panel is bitwise identical to packing the dequantized matrix, so
-	// both residencies execute the same arithmetic.
-	var apack []float32
-	var apackH []uint16
-	if wf16 {
-		apackH = make([]uint16, groups*apg)
-		for grp := 0; grp < groups; grp++ {
-			kern.PackAF16(apackH[grp*apg:(grp+1)*apg], w.F16[grp*g.ocPerG*taps:], taps, g.ocPerG, taps)
-		}
-	} else {
-		wv := weightValues(w)
-		apack = make([]float32, groups*apg)
-		for grp := 0; grp < groups; grp++ {
-			kern.PackA(apack[grp*apg:(grp+1)*apg], wv[grp*g.ocPerG*taps:], taps, g.ocPerG, taps)
-		}
+	wv := weightValues(w)
+	apack := make([]float32, groups*apg)
+	for grp := 0; grp < groups; grp++ {
+		kern.PackA(apack[grp*apg:(grp+1)*apg], wv[grp*g.ocPerG*taps:], taps, g.ocPerG, taps)
 	}
 	biasAll := make([]float32, groups*bpg)
 	if bias != nil {
@@ -208,11 +194,6 @@ func bindConvGemm(g convGeom, w *tensor.Tensor, bias []float32, ep *epilogue, wf
 	itemCost := int64(taps) * int64(nr) * int64(2*g.ocPerG+1)
 	kfn := func(rc *runCtx, dst []float32, srcs [][]float32) error {
 		xv := srcs[0]
-		apack := apack
-		if apackH != nil {
-			apack = rc.f32Call(len(apackH))
-			tensor.F16ToF32(apack, apackH)
-		}
 		rc.parallelForWorker(rc.batch*groups*nt, itemCost, func(worker, lo, hi int) {
 			ws := rc.f32Worker(worker, scratch)
 			bpack := ws[:taps*nr]
@@ -259,7 +240,7 @@ func bindConvGemm(g convGeom, w *tensor.Tensor, bias []float32, ep *epilogue, wf
 		})
 		return nil
 	}
-	return kfn, scratchSpec{f32PerWorker: scratch, f32PerCall: len(apackH)}
+	return kfn, scratchSpec{f32PerWorker: scratch}
 }
 
 // bindQuantConvGemm lowers one integer convolution onto the int16

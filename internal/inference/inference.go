@@ -17,7 +17,7 @@
 //     activations live in a liveness-planned arena, and the hot kernels
 //     run on a bounded worker pool. See DESIGN.md.
 //
-// Compile (FP32, FP16-compute) and CompileQuantized (native INT8, see
+// Compile (FP32) and CompileQuantized (native INT8, see
 // quant.go) are thin drivers over one shared lowering pipeline — the
 // typed IR and pass manager of internal/inference/ir (shape inference,
 // constant folding, identity/dead/CSE elimination, epilogue fusion,

@@ -26,20 +26,12 @@ const (
 	FP32 Precision = iota
 	// INT8 stores the value as an int8 code under Value.QP.
 	INT8
-	// FP16 stores the value as an IEEE binary16 halfword. Assigned by
-	// the FP16-compute lowering mode to intermediate activations, which
-	// then live half-width in the engine arena and widen to FP32 only
-	// transiently, inside the compute step.
-	FP16
 )
 
 // String returns the dump spelling of the precision.
 func (p Precision) String() string {
-	switch p {
-	case INT8:
+	if p == INT8 {
 		return "i8"
-	case FP16:
-		return "f16"
 	}
 	return "f32"
 }

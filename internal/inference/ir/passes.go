@@ -42,11 +42,6 @@ type Config struct {
 	// integer kernel for (op, arity); ops without one become FP32
 	// islands. Nil marks no islands.
 	IntLowering func(op nn.OpType, arity int) bool
-	// FP16Compute, with a nil Schema, assigns FP16 storage to every
-	// live intermediate value so the engine keeps activations
-	// half-width in its arena. Module inputs and declared outputs stay
-	// FP32: they are the caller-facing interface.
-	FP16Compute bool
 }
 
 // StandardPasses returns the shared pipeline in its canonical order.
@@ -61,7 +56,7 @@ func StandardPasses(cfg Config) []Pass {
 		CSE{},
 		FoldConstants{},
 		FuseEpilogue{},
-		AssignPrecision{Schema: cfg.Schema, IntLowering: cfg.IntLowering, FP16Compute: cfg.FP16Compute},
+		AssignPrecision{Schema: cfg.Schema, IntLowering: cfg.IntLowering},
 	}
 }
 
@@ -411,14 +406,11 @@ func (FuseEpilogue) Run(m *Module) (bool, error) {
 // every live value (including fused pre-values, whose mapping feeds the
 // fused lookup tables) gets its INT8 affine mapping and ops without a
 // native integer lowering are marked as FP32 islands; a value without a
-// usable mapping aborts lowering with ErrSchemaGap. Without a schema,
-// FP16Compute assigns FP16 storage to intermediate activations (module
-// inputs and declared outputs keep FP32 — they are the caller-facing
-// interface); otherwise the module stays FP32 and the pass is a no-op.
+// usable mapping aborts lowering with ErrSchemaGap. Without a schema
+// the module stays FP32 and the pass is a no-op.
 type AssignPrecision struct {
 	Schema      *nn.QuantSchema
 	IntLowering func(op nn.OpType, arity int) bool
-	FP16Compute bool
 }
 
 // Name implements Pass.
@@ -427,7 +419,7 @@ func (AssignPrecision) Name() string { return "assign-precision" }
 // Run implements Pass.
 func (p AssignPrecision) Run(m *Module) (bool, error) {
 	if p.Schema == nil {
-		return p.runFP16(m)
+		return false, nil
 	}
 	m.Quantized = true
 	live := m.Live()
@@ -459,37 +451,4 @@ func (p AssignPrecision) Run(m *Module) (bool, error) {
 		}
 	}
 	return true, nil
-}
-
-// runFP16 is the schemaless FP16-compute assignment: every live value
-// except the caller-facing boundary (module inputs, declared outputs)
-// becomes FP16 storage. Fused pre-values are included — they never
-// materialize in the fused plan, but the debug expansion reports their
-// planned precision consistently.
-func (p AssignPrecision) runFP16(m *Module) (bool, error) {
-	if !p.FP16Compute {
-		return false, nil
-	}
-	boundary := make(map[int]bool, len(m.Inputs)+len(m.Outputs))
-	for _, id := range m.Inputs {
-		boundary[id] = true
-	}
-	for _, o := range m.Outputs {
-		boundary[o.Value] = true
-	}
-	live := m.Live()
-	ids := make([]int, 0, len(live))
-	for id := range live {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	changed := false
-	for _, id := range ids {
-		if boundary[id] {
-			continue
-		}
-		m.Values[id].Prec = FP16
-		changed = true
-	}
-	return changed, nil
 }

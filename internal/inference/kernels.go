@@ -449,43 +449,21 @@ func (ep *epilogue) scalar(ch int) func(float32) float32 {
 	return func(v float32) float32 { return tail(v*s + sh) }
 }
 
-// bindStats accumulates compile-time facts the engine reports after
-// binding: resident weight bytes feed the modeled-traffic metric. A
-// nil receiver skips accounting (re-binds of already-counted weights,
-// the RunAll expansion).
-type bindStats struct{ weightBytes int }
-
-// addWeightBytes records n resident weight bytes.
-func (s *bindStats) addWeightBytes(n int) {
-	if s != nil {
-		s.weightBytes += n
-	}
-}
-
 // bindKernel resolves a node to an executable kernel closure given the
 // per-sample shapes of its inputs and output, plus the kernel's planned
 // scratch requirement (zero for most ops; the GEMM-lowered conv/dense
 // kernels declare pack and tile buffers). ep, when non-nil, is the
 // fused epilogue the lowering pipeline absorbed into the producer
-// (conv/dense/batch-norm), applied while the output is cache-hot. fp16
-// selects the FP16-compute binding: conv/dense weights stored FP16
-// stay half-width in their packed panels and widen on load instead of
-// dequantizing at compile time.
-func bindKernel(n *nn.Node, ins []tensor.Shape, out tensor.Shape, ep *epilogue, fp16 bool, stats *bindStats) (kernelFunc[float32], scratchSpec, error) {
+// (conv/dense/batch-norm), applied while the output is cache-hot.
+func bindKernel(n *nn.Node, ins []tensor.Shape, out tensor.Shape, ep *epilogue) (kernelFunc[float32], scratchSpec, error) {
 	if ep != nil && !fusesActivation(n.Op) {
 		return nil, scratchSpec{}, fmt.Errorf("op %s cannot absorb a fused epilogue", n.Op)
 	}
 	switch n.Op {
 	case nn.OpConv, nn.OpDepthwiseConv:
-		return bindConv(n, ins[0], out, ep, fp16, stats)
+		return bindConv(n, ins[0], out, ep)
 	case nn.OpDense:
-		return bindDense(n, ins[0], out, ep, fp16, stats)
-	}
-	// Every other op dequantizes its weights to FP32 at bind time (most
-	// have none; batch-norm keeps its folded affine), so they are
-	// FP32-resident regardless of stored precision.
-	for _, w := range n.Weights {
-		stats.addWeightBytes(w.NumElements() * 4)
+		return bindDense(n, ins[0], out, ep)
 	}
 	var (
 		kern kernelFunc[float32]
@@ -579,7 +557,7 @@ func convGeometry(n *nn.Node, in, out tensor.Shape) (convGeom, *tensor.Tensor, e
 	}, w, nil
 }
 
-func bindConv(n *nn.Node, in, out tensor.Shape, ep *epilogue, fp16 bool, stats *bindStats) (kernelFunc[float32], scratchSpec, error) {
+func bindConv(n *nn.Node, in, out tensor.Shape, ep *epilogue) (kernelFunc[float32], scratchSpec, error) {
 	g, w, err := convGeometry(n, in, out)
 	if err != nil {
 		return nil, scratchSpec{}, err
@@ -587,7 +565,6 @@ func bindConv(n *nn.Node, in, out tensor.Shape, ep *epilogue, fp16 bool, stats *
 	var bias []float32
 	if bt := n.Weight(nn.BiasKey); bt != nil {
 		bias = bt.Float32s()
-		stats.addWeightBytes(len(bias) * 4)
 	}
 	// Convolutions with a real channel reduction lower onto the packed
 	// GEMM micro-kernels (gemmconv.go): register-blocked tiles with the
@@ -595,19 +572,10 @@ func bindConv(n *nn.Node, in, out tensor.Shape, ep *epilogue, fp16 bool, stats *
 	// (depthwise above all) take the direct plane form below, which
 	// streams the input exactly once.
 	if convGemmEligible(g) {
-		// Under FP16-compute, FP16-stored weights keep their half-width
-		// panels and widen on load (see bindConvGemm).
-		wf16 := fp16 && w.DType == tensor.FP16
-		if wf16 {
-			stats.addWeightBytes(w.NumElements() * 2)
-		} else {
-			stats.addWeightBytes(w.NumElements() * 4)
-		}
-		kern, spec := bindConvGemm(g, w, bias, ep, wf16)
+		kern, spec := bindConvGemm(g, w, bias, ep)
 		return kern, spec, nil
 	}
 	wv := w.Float32s() // dequantized once, at compile time
-	stats.addWeightBytes(len(wv) * 4)
 	planeCost := convPlaneCost(&g)
 	px := g.outH * g.outW
 	// Three plane forms. A 1x1 stride-1 unpadded conv has no border: its
@@ -856,7 +824,7 @@ func convPlanePointwise(out, xv, wv []float32, b0 float32, g *convGeom, pd *conv
 	tensor.ConvTapsF32(out, x, pd.tapOff, wv[oc*g.icPerG:(oc+1)*g.icPerG], b0, false)
 }
 
-func bindDense(n *nn.Node, in, out tensor.Shape, ep *epilogue, fp16 bool, stats *bindStats) (kernelFunc[float32], scratchSpec, error) {
+func bindDense(n *nn.Node, in, out tensor.Shape, ep *epilogue) (kernelFunc[float32], scratchSpec, error) {
 	if len(in) != 1 {
 		return nil, scratchSpec{}, fmt.Errorf("dense wants [N,features], got per-sample %v", in)
 	}
@@ -872,7 +840,6 @@ func bindDense(n *nn.Node, in, out tensor.Shape, ep *epilogue, fp16 bool, stats 
 	var bias []float32
 	if bt := n.Weight(nn.BiasKey); bt != nil {
 		bias = bt.Float32s()
-		stats.addWeightBytes(len(bias) * 4)
 	}
 	// GEMM lowering with the vector lanes along the output features:
 	// M = samples, N = out features, K = in features. The weights are
@@ -893,20 +860,7 @@ func bindDense(n *nn.Node, in, out tensor.Shape, ep *epilogue, fp16 bool, stats 
 	nt := (outF + nr - 1) / nr
 	lda := inF + 1
 	tile := lda * nr
-	// Under FP16-compute, FP16-stored weights stay half-width in the
-	// tiles and widen per call, so every multiply sees the exact value
-	// FloatToFP16 round-tripped; the FP32 biases join after the widening.
-	var bpack []float32
-	var bpackH []uint16
-	if fp16 && w.DType == tensor.FP16 {
-		bpackH = packDenseTiles(w.F16, inF, outF, nr)
-		stats.addWeightBytes(len(w.F16) * 2)
-	} else {
-		wv := weightValues(w)
-		bpack = packDenseTiles(wv, inF, outF, nr)
-		setDenseBias(bpack, bias, tile, nr)
-		stats.addWeightBytes(len(wv) * 4)
-	}
+	bpack := packDenseTiles(weightValues(w), bias, inF, outF, nr)
 	seed := make([]float32, mr)
 	for i := range seed {
 		seed[i] = float32(math.Copysign(0, -1))
@@ -928,14 +882,6 @@ func bindDense(n *nn.Node, in, out tensor.Shape, ep *epilogue, fp16 bool, stats 
 	rowCost := int64(inF) * int64(nr)
 	return func(rc *runCtx, dst []float32, srcs [][]float32) error {
 		xv := srcs[0]
-		bpack := bpack
-		if bpackH != nil {
-			// Widen the half-width weight tiles into call scratch — the
-			// FP16-compute "convert on load".
-			bpack = rc.f32Call(len(bpackH))
-			tensor.F16ToF32(bpack, bpackH)
-			setDenseBias(bpack, bias, tile, nr)
-		}
 		panels := (rc.batch + mr - 1) / mr
 		rc.parallelForWorker(panels*nt, rowCost*int64(min(rc.batch, mr)), func(worker, lo, hi int) {
 			ws := rc.f32Worker(worker, scratch)
@@ -968,7 +914,7 @@ func bindDense(n *nn.Node, in, out tensor.Shape, ep *epilogue, fp16 bool, stats 
 			}
 		})
 		return nil
-	}, scratchSpec{f32PerWorker: scratch, f32PerCall: len(bpackH)}, nil
+	}, scratchSpec{f32PerWorker: scratch}, nil
 }
 
 // weightValues is a weight tensor's values for a bind-time reader that
@@ -984,11 +930,14 @@ func weightValues(w *tensor.Tensor) []float32 {
 
 // packDenseTiles lays a row-major [outF, inF] weight matrix out as the
 // B tiles of the dense GEMM: per tile of nr output features, inF+1 rows
-// of nr columns, k-major. Row 0 is left zero for setDenseBias, row 1+k
-// holds input feature k, and columns past outF stay zero.
-func packDenseTiles[T any](w []T, inF, outF, nr int) []T {
+// of nr columns, k-major. Row 0 holds the biases (zero without them),
+// row 1+k input feature k, and columns past outF stay zero.
+func packDenseTiles(w, bias []float32, inF, outF, nr int) []float32 {
 	tile := (inF + 1) * nr
-	tiles := make([]T, (outF+nr-1)/nr*tile)
+	tiles := make([]float32, (outF+nr-1)/nr*tile)
+	for o, b := range bias {
+		tiles[o/nr*tile+o%nr] = b
+	}
 	for o0 := 0; o0 < outF; o0 += nr {
 		rows := tiles[o0/nr*tile+nr:]
 		cols := min(outF-o0, nr)
@@ -999,13 +948,6 @@ func packDenseTiles[T any](w []T, inF, outF, nr int) []T {
 		}
 	}
 	return tiles
-}
-
-// setDenseBias writes the biases into row 0 of every packed dense tile.
-func setDenseBias(tiles, bias []float32, tile, nr int) {
-	for o, b := range bias {
-		tiles[o/nr*tile+o%nr] = b
-	}
 }
 
 // bnScaleShift resolves a batch-norm node's per-channel affine. The

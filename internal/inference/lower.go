@@ -60,8 +60,7 @@ func buildScaffold(m *ir.Module) scaffold {
 			continue
 		}
 		sc.valOf[v.ID] = len(sc.vals)
-		sc.vals = append(sc.vals, value{name: v.Name, per: v.Shape, elems: v.Elems,
-			fp16: v.Prec == ir.FP16, qp: v.QP})
+		sc.vals = append(sc.vals, value{name: v.Name, per: v.Shape, elems: v.Elems, qp: v.QP})
 	}
 	for _, id := range m.Inputs {
 		ev := sc.valOf[id]

@@ -6,18 +6,14 @@ import (
 )
 
 // runCtx carries the per-call execution state kernels need: the dynamic
-// batch size, the worker-pool bounds chosen at compile time, the
-// planned scratch allocation for this call (see scratch.go) and, for an
-// FP16-compute plan, the halfword arena and the FP32 staging region its
-// staged kernels widen operands into.
+// batch size, the worker-pool bounds chosen at compile time and the
+// planned scratch allocation for this call (see scratch.go).
 type runCtx struct {
 	batch     int
 	workers   int
 	threshold int64
 	spec      scratchSpec
 	scratch   *scratchBufs
-	arenaH    []uint16
-	stage     []float32
 	// estOps sums the estimated cost of every range this call has run,
 	// inline or split; the fan-out profile reads it per step.
 	estOps int64

@@ -2,6 +2,7 @@ package inference
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"vedliot/internal/nn"
@@ -179,6 +180,53 @@ func TestEngineParityOnExampleGraphs(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestFP16StorageBitwise pins what FP16 storage means to the FP32
+// plan: binary16 weights are dequantized once at bind time, so a graph
+// with FP16-stored weights runs bit for bit like the same graph with
+// those weights dequantized before compile. One layer per weight
+// reader: the conv GEMM form, the depthwise plane form and the dense
+// GEMM, at a ragged panel and a full one.
+func TestFP16StorageBitwise(t *testing.T) {
+	build := map[string]func(b *nn.Builder, x string) string{
+		"conv":      func(b *nn.Builder, x string) string { return b.Conv(x, 8, 12, 3, 1, 1) },
+		"depthwise": func(b *nn.Builder, x string) string { return b.DWConv(x, 8, 3, 2, 1) },
+		"dense":     func(b *nn.Builder, x string) string { return b.Dense(b.Flatten(x), 8*9*9, 24) },
+	}
+	for name, layer := range build {
+		t.Run(name, func(t *testing.T) {
+			b := nn.NewBuilder(name, nn.BuildOptions{Weights: true, Seed: 5})
+			half := withPrecision(b.Graph(layer(b, b.Input("input", 8, 9, 9))), tensor.FP16)
+			wide := half.Clone()
+			for _, n := range wide.Nodes {
+				for key, w := range n.Weights {
+					n.SetWeight(key, w.Convert(tensor.FP32))
+				}
+			}
+			got, want := mustCompile(t, half), mustCompile(t, wide)
+			for _, batch := range []int{1, 8} {
+				in := tensor.New(tensor.FP32, batch, 8, 9, 9)
+				fillInput(in, batch)
+				inputs := map[string]*tensor.Tensor{"input": in}
+				g, err := got.Run(inputs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w, err := want.Run(inputs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for oname, wt := range w {
+					for i, v := range wt.F32 {
+						if gv := g[oname].F32[i]; math.Float32bits(gv) != math.Float32bits(v) {
+							t.Fatalf("batch %d output %s[%d]: fp16-stored %g, pre-dequantized %g", batch, oname, i, gv, v)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -1,18 +1,16 @@
 package inference
 
-// planArena assigns every unassigned value accepted by mine to an
-// arena slab of the given location kind using liveness analysis over
-// the step order. Values flow through three location kinds: inputs
-// stay in the caller's tensors, declared outputs get fresh per-call
-// tensors (they outlive the call), and everything else shares a small
-// set of slots whose per-sample sizes are fixed at compile time. A
-// slot is recycled as soon as its last consumer has executed, so the
-// arena footprint is the peak working set of the graph rather than the
-// sum of all activations — the classic static memory plan of
-// deployment runtimes. Sizes are in elements; the caller scales by its
-// element width. Only slots of this call's kind are recycled, so
-// repeated passes with disjoint classes build independent arenas.
-func planArena[T float32 | int8](vals []value, steps []step[T], kind locKind, mine func(v *value) bool) (slotOff []int, perSample int) {
+// planArena assigns every unassigned value to an arena slab using
+// liveness analysis over the step order. Values flow through three
+// location kinds: inputs stay in the caller's tensors, declared outputs
+// get fresh per-call tensors (they outlive the call), and everything
+// else shares a small set of slots whose per-sample sizes are fixed at
+// compile time. A slot is recycled as soon as its last consumer has
+// executed, so the arena footprint is the peak working set of the graph
+// rather than the sum of all activations — the classic static memory
+// plan of deployment runtimes. Sizes are in elements; the caller scales
+// by its element width.
+func planArena[T float32 | int8](vals []value, steps []step[T]) (slotOff []int, perSample int) {
 	// lastUse[v] is the index of the last step consuming value v, or -1.
 	lastUse := make([]int, len(vals))
 	for i := range lastUse {
@@ -68,12 +66,12 @@ func planArena[T float32 | int8](vals []value, steps []step[T], kind locKind, mi
 		// Assign the destination before releasing dying inputs: kernels
 		// are not in-place safe, so a step's output must never alias one
 		// of its own inputs.
-		if out.loc.kind == locUnassigned && mine(out) {
-			out.loc = location{kind, acquire(out.elems)}
+		if out.loc.kind == locUnassigned {
+			out.loc = location{locSlot, acquire(out.elems)}
 		}
 		for _, in := range st.ins {
 			if lastUse[in] == si {
-				if l := vals[in].loc; l.kind == kind {
+				if l := vals[in].loc; l.kind == locSlot {
 					slots[l.idx].free = true
 				}
 			}
@@ -81,7 +79,7 @@ func planArena[T float32 | int8](vals []value, steps []step[T], kind locKind, mi
 		// A value nothing ever consumes (dead node kept for parity with
 		// the interpreter) releases its slot immediately after executing.
 		if lastUse[st.out] < si {
-			if l := out.loc; l.kind == kind {
+			if l := out.loc; l.kind == locSlot {
 				slots[l.idx].free = true
 			}
 		}

@@ -463,7 +463,7 @@ func lowerQuantOp(st *QuantStep, q *quantOp) (err error) {
 // with QuantEngine holds because the engine's kernels are
 // bitwise-identical at any worker count.
 func lowerIsland(st *QuantStep, q *quantOp) error {
-	fk, spec, err := bindKernel(q.node, q.inPer, q.outPer, nil, false, nil)
+	fk, spec, err := bindKernel(q.node, q.inPer, q.outPer, nil)
 	if err != nil {
 		return err
 	}

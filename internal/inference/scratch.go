@@ -13,14 +13,12 @@ package inference
 // share scratch without synchronization.
 
 // scratchSpec declares one bound kernel's transient buffer needs in
-// elements. PerCall fields are batch-independent and shared by the
-// whole step (the FP16-compute widened weight panels); PerSample
-// fields scale with the call's batch size (whole-input staging);
-// PerWorker fields are private to one pool worker (pack tiles,
-// accumulator tiles, the int8 staging rows of a B-tile pack, the direct
-// convolutions' padded planes) and scale with the worker bound.
+// elements. PerSample fields scale with the call's batch size
+// (whole-input staging); PerWorker fields are private to one pool
+// worker (pack tiles, accumulator tiles, the int8 staging rows of a
+// B-tile pack, the direct convolutions' padded planes) and scale with
+// the worker bound.
 type scratchSpec struct {
-	f32PerCall   int
 	f32PerSample int
 	f32PerWorker int
 	i8PerWorker  int
@@ -32,7 +30,6 @@ type scratchSpec struct {
 // grow raises s to the element-wise maximum of s and o — the engine's
 // fold over its steps.
 func (s *scratchSpec) grow(o scratchSpec) {
-	s.f32PerCall = max(s.f32PerCall, o.f32PerCall)
 	s.f32PerSample = max(s.f32PerSample, o.f32PerSample)
 	s.f32PerWorker = max(s.f32PerWorker, o.f32PerWorker)
 	s.i8PerWorker = max(s.i8PerWorker, o.i8PerWorker)
@@ -53,28 +50,21 @@ type scratchBufs struct {
 // batch and worker bound. Contents are never assumed zero — kernels
 // fully overwrite what they read.
 func (b *scratchBufs) ensure(spec scratchSpec, batch, workers int) {
-	b.f32 = grow(b.f32, spec.f32PerCall+spec.f32PerSample*batch+spec.f32PerWorker*workers)
+	b.f32 = grow(b.f32, spec.f32PerSample*batch+spec.f32PerWorker*workers)
 	b.i8 = grow(b.i8, spec.i8PerWorker*workers)
 	b.i16 = grow(b.i16, spec.i16PerSample*batch+spec.i16PerWorker*workers)
 	b.i32 = grow(b.i32, spec.i32PerWorker*workers)
 }
 
-// f32Call returns the batch-independent per-call float32 region of n
-// elements (n must not exceed the bound spec's f32PerCall).
-func (rc *runCtx) f32Call(n int) []float32 {
-	return rc.scratch.f32[:n]
-}
-
 // f32Sample returns the batch-scaled float32 region, n elements per
 // sample (n must not exceed the bound spec's f32PerSample).
 func (rc *runCtx) f32Sample(n int) []float32 {
-	off := rc.spec.f32PerCall
-	return rc.scratch.f32[off : off+n*rc.batch]
+	return rc.scratch.f32[:n*rc.batch]
 }
 
 // f32Worker returns worker w's private float32 region of n elements.
 func (rc *runCtx) f32Worker(w, n int) []float32 {
-	off := rc.spec.f32PerCall + rc.spec.f32PerSample*rc.batch + w*rc.spec.f32PerWorker
+	off := rc.spec.f32PerSample*rc.batch + w*rc.spec.f32PerWorker
 	return rc.scratch.f32[off : off+n]
 }
 

@@ -112,11 +112,14 @@ func (p *Policy) VerifyArtifact(data []byte, b *Bundle) error {
 //
 //  1. the envelope names exactly this digest,
 //  2. the envelope is signed by one of the policy's signer keys,
-//  3. the envelope is included in the transparency log — a valid
-//     inclusion proof from its leaf to a checkpoint signed by the
-//     policy's log key,
+//  3. the checkpoint is signed by the policy's log key,
 //  4. the checkpoint carries valid countersignatures from at least
 //     MinWitnesses distinct trusted witnesses.
+//
+// Whenever the policy relies on the checkpoint (a log key or a witness
+// quorum), the envelope's leaf must be proven included under the
+// checkpoint's root: a signature on a tree head says nothing about an
+// envelope that tree never held.
 //
 // An empty policy verifies nothing and accepts (even a nil bundle):
 // gating is opt-in.
@@ -142,22 +145,22 @@ func (p *Policy) Verify(artifactDigest string, b *Bundle) error {
 			return fmt.Errorf("release: envelope for %s is not signed by any policy signer", artifactDigest)
 		}
 	}
+	if len(p.LogPub) == 0 && p.MinWitnesses <= 0 {
+		return nil
+	}
+	if b.Checkpoint == nil {
+		return fmt.Errorf("release: %s is signed but not logged (no checkpoint in bundle)", artifactDigest)
+	}
 	if len(p.LogPub) > 0 {
-		if b.Checkpoint == nil {
-			return fmt.Errorf("release: %s is signed but not logged (no checkpoint in bundle)", artifactDigest)
-		}
 		if err := b.Checkpoint.VerifyLogSig(p.LogPub); err != nil {
 			return err
 		}
-		leaf := LeafHash(b.Envelope.Encode())
-		if err := VerifyInclusion(leaf, b.LeafIndex, b.Checkpoint.Size, b.InclusionProof, b.Checkpoint.Root); err != nil {
-			return fmt.Errorf("release: %s not proven in log %q: %w", artifactDigest, b.Checkpoint.Origin, err)
-		}
+	}
+	leaf := LeafHash(b.Envelope.Encode())
+	if err := VerifyInclusion(leaf, b.LeafIndex, b.Checkpoint.Size, b.InclusionProof, b.Checkpoint.Root); err != nil {
+		return fmt.Errorf("release: %s not proven in log %q: %w", artifactDigest, b.Checkpoint.Origin, err)
 	}
 	if p.MinWitnesses > 0 {
-		if b.Checkpoint == nil {
-			return fmt.Errorf("release: %s has no witnessed checkpoint", artifactDigest)
-		}
 		count := 0
 		used := make(map[string]bool)
 		for _, pub := range p.Witnesses {

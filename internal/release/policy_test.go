@@ -163,6 +163,38 @@ func TestPolicyRefusesUnwitnessedCheckpoint(t *testing.T) {
 	}
 }
 
+// TestWitnessOnlyPolicyProvesInclusion: a policy that trusts witnesses
+// but names no log key still relies on the checkpoint, so the envelope
+// must be proven under its root. A signed envelope carried next to a
+// witnessed checkpoint of a log that never held it is refused; the
+// same envelope, logged and witnessed there, is accepted.
+func TestWitnessOnlyPolicyProvesInclusion(t *testing.T) {
+	ch := newTestChannel(t)
+	other := newTestLog(t, "unrelated/log")
+	w, err := GenerateWitness("w1", other.Public())
+	if err != nil {
+		t.Fatal(err)
+	}
+	policy := &Policy{Signers: []ed25519.PublicKey{ch.signer.Public()}, Witnesses: []ed25519.PublicKey{w.Public()}, MinWitnesses: 1}
+	unrelated := &Publisher{Signer: ch.signer, Log: other, Witnesses: []*Witness{w}, Tool: "test"}
+	foreign, err := unrelated.Publish([]byte("some other artifact"), "other")
+	if err != nil {
+		t.Fatal(err)
+	}
+	art := []byte("artifact")
+	crossLog := &Bundle{Envelope: ch.signer.SignBytes(art, "m", "test"), Checkpoint: foreign.Checkpoint}
+	if err := policy.VerifyArtifact(art, crossLog); err == nil {
+		t.Fatal("envelope accepted under a witnessed checkpoint of a log that never held it")
+	}
+	logged, err := unrelated.Publish(art, "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := policy.VerifyArtifact(art, logged); err != nil {
+		t.Fatalf("logged and witnessed bundle refused: %v", err)
+	}
+}
+
 func TestPolicyRefusesWrongArtifact(t *testing.T) {
 	ch := newTestChannel(t)
 	art := []byte("artifact v1")

@@ -2,8 +2,8 @@
 // them to the micro-kernel tiers the tensor package dispatches between.
 //
 // On amd64 the detector executes CPUID (and XGETBV, to confirm the OS
-// actually saves the wider register state) and reports SSE2, AVX2/FMA,
-// F16C and the AVX-512 subsets the kernels require (F, BW, VL); every
+// actually saves the wider register state) and reports SSE2, AVX2/FMA
+// and the AVX-512 subsets the kernels require (F, BW, VL); every
 // other GOARCH — and amd64 built with the purego or noasm tag — takes
 // the portable fallback, which reports no SIMD and pins execution to
 // the generic tier. NEON on arm64 is detected (it is part of the
@@ -102,10 +102,6 @@ type Features struct {
 	// engine's bitwise-parity contract — but it is detected and
 	// reported for roofline modeling.
 	FMA bool
-	// F16C reports the VCVTPH2PS/VCVTPS2PH packed FP16<->FP32
-	// conversions (with OS YMM state), which the FP16-compute path's
-	// pack-time converters use.
-	F16C bool
 	// AVX512F, AVX512BW and AVX512VL report the individual AVX-512
 	// subsets probed, each gated on OS opmask/ZMM state (XGETBV). The
 	// ZMM kernels require all three; the split is reported so Summary
@@ -170,9 +166,9 @@ func Best() Tier {
 }
 
 // Summary renders the detected capability set and the selected tier as
-// one line, e.g. "tier avx512 (sse2 ssse3 sse4.1 avx avx2 fma f16c
-// avx512f avx512bw avx512vl avx512vbmi)" — what vedliot-bench prints so perf artifacts are
-// interpretable across machines. The AVX-512 subsets are listed
+// one line, e.g. "tier avx512 (sse2 ssse3 sse4.1 avx avx2 fma avx512f
+// avx512bw avx512vl avx512vbmi)" — what vedliot-bench prints so perf
+// artifacts are interpretable across machines. The AVX-512 subsets are listed
 // individually so a host that fails the F+BW+VL gate still names what
 // it does have.
 func Summary() string {
@@ -189,7 +185,6 @@ func Summary() string {
 	add(f.AVX, "avx")
 	add(f.AVX2, "avx2")
 	add(f.FMA, "fma")
-	add(f.F16C, "f16c")
 	add(f.AVX512F, "avx512f")
 	add(f.AVX512BW, "avx512bw")
 	add(f.AVX512VL, "avx512vl")

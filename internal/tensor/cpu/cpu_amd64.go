@@ -22,7 +22,6 @@ const (
 	bitOSXSAVE = 1 << 27
 	bitAVX     = 1 << 28
 	bitFMA     = 1 << 12
-	bitF16C    = 1 << 29
 	// CPUID.7.0:EBX bits.
 	bitAVX2     = 1 << 5
 	bitAVX512F  = 1 << 16
@@ -57,7 +56,6 @@ func detect() Features {
 
 	f.AVX = ecx1&bitAVX != 0 && ymmOK
 	f.FMA = ecx1&bitFMA != 0 && ymmOK
-	f.F16C = ecx1&bitF16C != 0 && ymmOK
 
 	if maxLeaf >= 7 {
 		_, ebx7, ecx7, _ := cpuid(7, 0)

@@ -14,8 +14,8 @@ func FloatToFP16(f float32) uint16 {
 	case exp == 128: // Inf or NaN
 		if mant != 0 {
 			// Quiet NaN, payload truncated to the top 10 bits with the
-			// quiet bit forced — exactly what VCVTPS2PH produces, so the
-			// scalar and F16C packed paths stay bitwise identical.
+			// quiet bit forced — what the x86 VCVTPS2PH instruction
+			// produces.
 			return sign | 0x7c00 | 0x200 | uint16(mant>>13)
 		}
 		return sign | 0x7c00
@@ -61,29 +61,6 @@ func roundShift(m, shift uint32) uint16 {
 	return uint16(q)
 }
 
-// F16ToF32 converts a packed FP16 slice to FP32, dst[i] =
-// FP16ToFloat(src[i]) over len(dst) elements. On hosts with F16C the
-// bulk runs through VCVTPH2PS; results are bitwise identical to the
-// scalar converter either way.
-func F16ToF32(dst []float32, src []uint16) {
-	src = src[:len(dst)]
-	n := f16ToF32Accel(dst, src)
-	for i := n; i < len(dst); i++ {
-		dst[i] = FP16ToFloat(src[i])
-	}
-}
-
-// F32ToF16 converts a packed FP32 slice to FP16 with
-// round-to-nearest-even, dst[i] = FloatToFP16(src[i]) over len(dst)
-// elements. On hosts with F16C the bulk runs through VCVTPS2PH.
-func F32ToF16(dst []uint16, src []float32) {
-	src = src[:len(dst)]
-	n := f32ToF16Accel(dst, src)
-	for i := n; i < len(dst); i++ {
-		dst[i] = FloatToFP16(src[i])
-	}
-}
-
 // FP16ToFloat converts an IEEE 754 binary16 value to FP32 exactly.
 func FP16ToFloat(h uint16) float32 {
 	sign := uint32(h&0x8000) << 16
@@ -108,7 +85,7 @@ func FP16ToFloat(h uint16) float32 {
 			return math.Float32frombits(sign | 0x7f800000)
 		}
 		// Quiet NaN with the halfword payload widened in place (quiet
-		// bit forced), matching VCVTPH2PS bit for bit.
+		// bit forced), as the x86 VCVTPH2PS instruction does.
 		return math.Float32frombits(sign | 0x7fc00000 | mant<<13)
 	default:
 		return math.Float32frombits(sign | (exp-15+127)<<23 | mant<<13)

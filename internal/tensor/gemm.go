@@ -201,30 +201,6 @@ func (g GemmKernelF32) PackA(dst []float32, a []float32, lda, m, k int) {
 	}
 }
 
-// PackAF16 packs a row-major FP16 weight matrix (raw binary16 codes)
-// into the exact PackA panel layout, without widening: dst[p*MR*k +
-// kk*MR + i] = a[(p*MR+i)*lda + kk], rows beyond m zero-filled. The
-// FP16-compute engine keeps weights resident in this half-width form
-// and widens panels to FP32 transiently (F16ToF32 into call scratch)
-// on load, so the widened panel is bitwise identical to packing the
-// dequantized matrix with PackA.
-func (g GemmKernelF32) PackAF16(dst []uint16, a []uint16, lda, m, k int) {
-	mr := g.MR
-	for p := 0; p < ceilDiv(m, mr); p++ {
-		panel := dst[p*mr*k:]
-		for kk := 0; kk < k; kk++ {
-			for i := 0; i < mr; i++ {
-				r := p*mr + i
-				if r < m {
-					panel[kk*mr+i] = a[r*lda+kk]
-				} else {
-					panel[kk*mr+i] = 0
-				}
-			}
-		}
-	}
-}
-
 // PackBias returns bias padded with zeros to a multiple of MR, so the
 // kernel can always initialize a full tile of accumulators.
 func (g GemmKernelF32) PackBias(bias []float32, m int) []float32 {

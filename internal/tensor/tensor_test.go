@@ -170,14 +170,15 @@ func TestFP16SpecialValues(t *testing.T) {
 }
 
 func TestFP16RoundTripProperty(t *testing.T) {
-	// Every FP16 value must convert to FP32 and back exactly.
+	// Every FP16 value must convert to FP32 and back exactly; a NaN
+	// comes back quieted with its payload kept.
 	for h := 0; h < 1<<16; h++ {
 		u := uint16(h)
 		f := FP16ToFloat(u)
 		back := FloatToFP16(f)
 		if math.IsNaN(float64(f)) {
-			if back&0x7c00 != 0x7c00 || back&0x3ff == 0 {
-				t.Fatalf("NaN %#x -> %#x not NaN", u, back)
+			if back != u|0x200 {
+				t.Fatalf("NaN %#x -> %#x, want %#x", u, back, u|0x200)
 			}
 			continue
 		}

@@ -35,7 +35,7 @@ func register(e Entry) {
 func init() {
 	register(Entry{"mirror-face", "smart-mirror face detector (Fig. 5 stage 1)",
 		func() *nn.Graph { return nn.FaceDetectNet(32, nn.BuildOptions{Weights: true, Seed: 91}) }})
-	register(Entry{"mirror-face-fp16", "face detector, FP16-stored weights (FP16-compute path)",
+	register(Entry{"mirror-face-fp16", "face detector, FP16 storage of its conv weights",
 		func() *nn.Graph {
 			return WeightsToFP16(nn.FaceDetectNet(32, nn.BuildOptions{Weights: true, Seed: 91}))
 		}})
@@ -90,10 +90,8 @@ func names() []string {
 // WeightsToFP16 converts every node's main weight tensor (conv filters,
 // dense matrices — nn.WeightKey) to FP16 storage in place and returns
 // the graph. Biases and batch-norm statistics stay FP32, the standard
-// mixed-precision split. The plain FP32 engine dequantizes such weights
-// at compile time; compiled with inference.PrecisionFP16Compute they
-// stay half-width in the packed GEMM panels and widen on load, which is
-// what the FP16 zoo entries exist to exercise.
+// mixed-precision split. The artifact keeps them half-width; the FP32
+// engine dequantizes them once at compile time.
 func WeightsToFP16(g *nn.Graph) *nn.Graph {
 	for _, n := range g.Nodes {
 		if w, ok := n.Weights[nn.WeightKey]; ok && w != nil && w.DType == tensor.FP32 {
