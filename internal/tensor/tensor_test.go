@@ -170,20 +170,57 @@ func TestFP16SpecialValues(t *testing.T) {
 }
 
 func TestFP16RoundTripProperty(t *testing.T) {
-	// Every FP16 value must convert to FP32 and back exactly; a NaN
-	// comes back quieted with its payload kept.
+	// Every FP16 value must convert to FP32 and back exactly.
 	for h := 0; h < 1<<16; h++ {
 		u := uint16(h)
 		f := FP16ToFloat(u)
 		back := FloatToFP16(f)
 		if math.IsNaN(float64(f)) {
-			if back != u|0x200 {
-				t.Fatalf("NaN %#x -> %#x, want %#x", u, back, u|0x200)
+			if back&0x7c00 != 0x7c00 || back&0x3ff == 0 {
+				t.Fatalf("NaN %#x -> %#x not NaN", u, back)
 			}
 			continue
 		}
 		if back != u {
 			t.Fatalf("FP16 %#x -> %v -> %#x", u, f, back)
+		}
+	}
+}
+
+// TestFP16RoundTripExact checks every FP16 code bit for bit: widening
+// gives exactly the value the code encodes, and narrowing it back
+// returns the same code, except that a NaN comes back quieted with its
+// payload kept.
+func TestFP16RoundTripExact(t *testing.T) {
+	for i := 0; i < 1<<16; i++ {
+		h := uint16(i)
+		wide := FP16ToFloat(h)
+		exp, mant := int(h>>10&0x1f), float64(h&0x3ff)
+		var want float64
+		switch exp {
+		case 0:
+			want = math.Ldexp(mant, -24)
+		case 31:
+			want = math.Inf(1)
+		default:
+			want = math.Ldexp(1024+mant, exp-25)
+		}
+		if h&0x8000 != 0 {
+			want = -want
+		}
+		if exp == 31 && mant != 0 {
+			if !math.IsNaN(float64(wide)) {
+				t.Fatalf("code %#04x widened to %v, want NaN", h, wide)
+			}
+		} else if float64(wide) != want || math.Signbit(float64(wide)) != math.Signbit(want) {
+			t.Fatalf("code %#04x widened to %v, want %v", h, wide, want)
+		}
+		wantBack := h
+		if exp == 31 && mant != 0 {
+			wantBack = h | 0x200
+		}
+		if back := FloatToFP16(wide); back != wantBack {
+			t.Fatalf("code %#04x round-tripped to %#04x, want %#04x", h, back, wantBack)
 		}
 	}
 }
