@@ -29,8 +29,9 @@ test-full:
 # arrival order) and the cluster's admission, routing and close tests:
 # they form batches and backlogs by holding a gate, not by wall clock,
 # so twenty runs in a row must agree. The plan executor's pooled run
-# state gets the same twenty: concurrent runs at mixed batch sizes, and
-# a kernel error at every step. internal/accel rides in the first row for
+# state gets the same twenty: concurrent runs at mixed batch sizes, a
+# first RunAll binding its expansion beside concurrent runs, and a
+# kernel error at every step. internal/accel rides in the first row for
 # Backend.Compile on a registry-shared graph from two goroutines.
 test-race:
 	$(GO) test -short -race ./internal/inference/... ./internal/accel/... ./internal/microserver/... ./internal/cluster/... ./internal/serve/... ./internal/rvbackend/... ./internal/riscv/... ./internal/soc/... ./internal/cfu/...
@@ -72,7 +73,10 @@ test-portable:
 # FuzzReleaseBundle runs release bundles through both the full and the
 # witness-only policy, and envelopes through DecodeEnvelope: no panic,
 # an accepted bundle's envelope proven under its checkpoint root, and
-# what decodes re-encodes to itself.
+# what decodes re-encodes to itself. FuzzONNXDecode holds the VNNX
+# interchange decoder to no panic, allocation that follows the bytes
+# present (no tensor holds more elements than the input has bytes), and
+# what decodes re-encodes and decodes to the same graph.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzEncodeExecute -fuzztime 5s ./internal/riscv/
 	$(GO) test -fuzz FuzzLoadStoreRoundTrip -fuzztime 5s ./internal/riscv/
@@ -94,10 +98,13 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzFrameDecode -fuzztime 5s -fuzzminimizetime 5s ./internal/serve/
 	$(GO) test -fuzz FuzzHTTPInfer -fuzztime 5s -fuzzminimizetime 5s ./internal/serve/
 	$(GO) test -fuzz FuzzReleaseBundle -fuzztime 5s ./internal/release/
+	$(GO) test -fuzz FuzzONNXDecode -fuzztime 5s -fuzzminimizetime 5s ./internal/onnx/
 
 # bench tracks the inference-runtime perf trajectory, and the cold-start
 # steps of the two served zoo models in absolute terms: Verify (MB/s),
-# Encode, Compile and CompileQuantized.
+# Encode, then BenchmarkCompile and BenchmarkCompileQuantized, the
+# evidence for a cold compile's time and bytes (with -benchmem: each
+# op's weights packed once, the ops spread over the workers).
 bench:
 	$(GO) test -bench 'BenchmarkEngine|BenchmarkQuantized|BenchmarkVerify|BenchmarkEncode|BenchmarkCompile' -run '^$$' -benchmem .
 

@@ -2,6 +2,7 @@ package inference
 
 import (
 	"runtime"
+	"sync"
 
 	"vedliot/internal/inference/ir"
 	"vedliot/internal/nn"
@@ -120,15 +121,22 @@ type value struct {
 // the FP32 binder.
 //
 // The engine snapshots weights at compile time; mutating the source
-// graph afterwards does not affect a compiled engine.
+// graph afterwards does not affect Run. RunAll's expansion is bound on
+// its first call from the lowered module, which references the source
+// graph's weight tensors: calibrate before mutating them in place.
 type Engine struct {
 	plan[float32]
 
-	// fullSteps is the unfused expansion of steps: fused producer+
-	// activation pairs run as two steps so every graph value
-	// materializes. RunAll (calibration, debugging) walks it; Run never
-	// does.
-	fullSteps []step[float32]
+	// m is the lowered module RunAll's unfused expansion is bound from.
+	m *ir.Module
+	// full is the unfused expansion of steps, a plan of its own (steps,
+	// scratch, pool) over the same scaffold: fused producer+activation
+	// pairs run as two steps so every graph value materializes. RunAll
+	// (calibration, debugging) binds it once and walks it; Run never
+	// does, so a cold compile does not pay for it.
+	fullOnce sync.Once
+	full     *plan[float32]
+	fullErr  error
 }
 
 // ArenaFloatsPerSample returns the arena footprint in float32 elements
@@ -168,55 +176,73 @@ func newConfig(opts []Option) config {
 	return cfg
 }
 
-// newEngine binds a lowered FP32 module to kernels and plans its arena.
+// newEngine binds a lowered FP32 module to kernels, the ops spread over
+// the compile's workers, and plans its arena.
 func newEngine(m *ir.Module, cfg config) (*Engine, error) {
-	e := &Engine{plan: plan[float32]{scaffold: buildScaffold(m), cfg: cfg, enter: enterF32}}
-	for _, op := range m.Ops {
-		if op.Kind == nn.OpInput {
-			continue
-		}
+	e := &Engine{plan: plan[float32]{scaffold: buildScaffold(m), cfg: cfg, enter: enterF32}, m: m}
+	ops := stepOps(m)
+	e.steps = make([]step[float32], len(ops))
+	specs := make([]scratchSpec, len(ops))
+	err := cfg.lowerEach(len(ops), func(i int) error {
+		op := ops[i]
 		ins, inPer := opOperands(&e.scaffold, op)
-		n := nodeFromOp(op)
 		out := e.valOf[op.Out]
 		ep, err := buildEpilogue(op, channelCount(e.vals[out].per))
 		if err != nil {
-			return nil, compileError(op, false, err)
+			return compileError(op, false, err)
 		}
-		kern, spec, err := bindKernel(n, inPer, e.vals[out].per, ep)
+		kern, spec, err := bindKernel(nodeFromOp(op), inPer, e.vals[out].per, ep)
 		if err != nil {
-			return nil, compileError(op, false, err)
+			return compileError(op, false, err)
 		}
+		e.steps[i] = step[float32]{name: op.Name, op: op.Kind, out: out, ins: ins, kern: kern}
+		specs[i] = spec
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, spec := range specs {
 		e.scratch.grow(spec)
-		st := step[float32]{name: op.Name, op: op.Kind, out: out, ins: ins, kern: kern}
-		e.steps = append(e.steps, st)
-		if len(op.Fused) == 0 {
-			e.fullSteps = append(e.fullSteps, st)
-			continue
-		}
-		// Unfused expansion for RunAll: the producer writes its own
-		// (pre-epilogue) value, then each absorbed stage runs as its own
-		// step — the exact plan the fused step collapses.
-		pre := e.valOf[op.Fused[0].Pre]
-		preKern, preSpec, err := bindKernel(n, inPer, e.vals[pre].per, nil)
-		if err != nil {
-			return nil, compileError(op, false, err)
-		}
-		e.scratch.grow(preSpec)
-		e.fullSteps = append(e.fullSteps, step[float32]{name: op.Name, op: op.Kind, out: pre, ins: ins, kern: preKern})
-		for i := range op.Fused {
-			f := &op.Fused[i]
-			fOut := e.valOf[op.FusedOut(i)]
-			fKern, fSpec, err := bindKernel(nodeFromFused(f), []tensor.Shape{e.vals[pre].per}, e.vals[fOut].per, nil)
-			if err != nil {
-				return nil, compileError(op, false, err)
-			}
-			e.scratch.grow(fSpec)
-			e.fullSteps = append(e.fullSteps, step[float32]{name: f.Name, op: f.Kind, out: fOut, ins: []int{pre}, kern: fKern})
-			pre = fOut
-		}
 	}
 	e.layout()
 	return e, nil
+}
+
+// expansion binds RunAll's unfused expansion on first use. An unfused
+// op keeps its Run step; a fused producer writes its own (pre-epilogue)
+// value, then each absorbed stage runs as its own step — the exact plan
+// the fused step collapses. Its scratch covers Run's steps and its own.
+func (e *Engine) expansion() (*plan[float32], error) {
+	e.fullOnce.Do(func() {
+		full := &plan[float32]{scaffold: e.scaffold, cfg: e.cfg, scratch: e.scratch}
+		bind := func(n *nn.Node, ins []int, inPer []tensor.Shape, out int) error {
+			kern, spec, err := bindKernel(n, inPer, e.vals[out].per, nil)
+			full.scratch.grow(spec)
+			full.steps = append(full.steps, step[float32]{name: n.Name, op: n.Op, out: out, ins: ins, kern: kern})
+			return err
+		}
+		for i, op := range stepOps(e.m) {
+			if len(op.Fused) == 0 {
+				full.steps = append(full.steps, e.steps[i])
+				continue
+			}
+			_, inPer := opOperands(&e.scaffold, op)
+			pre := e.valOf[op.Fused[0].Pre]
+			err := bind(nodeFromOp(op), e.steps[i].ins, inPer, pre)
+			for j := 0; err == nil && j < len(op.Fused); j++ {
+				out := e.valOf[op.FusedOut(j)]
+				err = bind(nodeFromFused(&op.Fused[j]), []int{pre}, []tensor.Shape{e.vals[pre].per}, out)
+				pre = out
+			}
+			if err != nil {
+				e.fullErr = compileError(op, false, err)
+				return
+			}
+		}
+		e.full = full
+	})
+	return e.full, e.fullErr
 }
 
 // enterF32 is the FP32 plans' entry: declared inputs are read where the
@@ -240,15 +266,19 @@ func enterF32(p *plan[float32], rs *runState[float32]) {
 // pre-activation values materialize too, and values eliminated by
 // lowering rewrites (identity removal, CSE) are reported through their
 // surviving alias. Calibration uses this to observe every dynamic range
-// the quantized compiler needs.
+// the quantized compiler needs. The first call binds the expansion.
 func (e *Engine) RunAll(inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
-	rs := e.acquire()
-	defer e.release(rs)
-	batch, err := e.resolve(inputs, rs.views)
+	full, err := e.expansion()
 	if err != nil {
 		return nil, err
 	}
-	rs.size(&e.plan, batch)
+	rs := full.acquire()
+	defer full.release(rs)
+	batch, err := full.resolve(inputs, rs.views)
+	if err != nil {
+		return nil, err
+	}
+	rs.size(full, batch)
 	result := make(map[string]*tensor.Tensor, len(e.vals)+len(e.aliases))
 	acts := make([]*tensor.Tensor, len(e.vals))
 	for i, v := range e.inputVals {
@@ -256,12 +286,12 @@ func (e *Engine) RunAll(inputs map[string]*tensor.Tensor) (map[string]*tensor.Te
 		rs.bufs[v] = rs.views[i]
 		result[e.inputNames[i]] = acts[v]
 	}
-	for _, st := range e.fullSteps {
+	for _, st := range full.steps {
 		acts[st.out] = newBatched(batch, e.vals[st.out].per)
 		rs.bufs[st.out] = acts[st.out].F32
 		result[st.name] = acts[st.out]
 	}
-	if err := e.exec(rs, e.fullSteps); err != nil {
+	if err := full.exec(rs, full.steps); err != nil {
 		return nil, err
 	}
 	for name, v := range e.aliases {

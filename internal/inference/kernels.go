@@ -931,20 +931,18 @@ func weightValues(w *tensor.Tensor) []float32 {
 // packDenseTiles lays a row-major [outF, inF] weight matrix out as the
 // B tiles of the dense GEMM: per tile of nr output features, inF+1 rows
 // of nr columns, k-major. Row 0 holds the biases (zero without them),
-// row 1+k input feature k, and columns past outF stay zero.
+// row 1+k input feature k, and columns past outF stay zero. Each weight
+// row is read once, in order, into its tile column.
 func packDenseTiles(w, bias []float32, inF, outF, nr int) []float32 {
 	tile := (inF + 1) * nr
 	tiles := make([]float32, (outF+nr-1)/nr*tile)
 	for o, b := range bias {
 		tiles[o/nr*tile+o%nr] = b
 	}
-	for o0 := 0; o0 < outF; o0 += nr {
-		rows := tiles[o0/nr*tile+nr:]
-		cols := min(outF-o0, nr)
-		for k := 0; k < inF; k++ {
-			for j := 0; j < cols; j++ {
-				rows[k*nr+j] = w[(o0+j)*inF+k]
-			}
+	for o := 0; o < outF; o++ {
+		col := tiles[o/nr*tile+nr+o%nr:]
+		for k, v := range w[o*inF : (o+1)*inF] {
+			col[k*nr] = v
 		}
 	}
 	return tiles

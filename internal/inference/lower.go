@@ -251,6 +251,18 @@ func buildEpilogueLUTs(m *ir.Module, op *ir.Op, channels int) ([]*[256]int8, err
 	return luts, nil
 }
 
+// stepOps is the module's ops that become plan steps, in step order:
+// all but the declared inputs.
+func stepOps(m *ir.Module) []*ir.Op {
+	ops := make([]*ir.Op, 0, len(m.Ops))
+	for _, op := range m.Ops {
+		if op.Kind != nn.OpInput {
+			ops = append(ops, op)
+		}
+	}
+	return ops
+}
+
 // opOperands resolves an op's input value ids and per-sample shapes in
 // plan terms.
 func opOperands(sc *scaffold, op *ir.Op) (ins []int, inPer []tensor.Shape) {

@@ -143,6 +143,28 @@ func (rc *runCtx) parallelForWorker(n int, unitCost int64, fn func(worker, lo, h
 	rc.split(n, fn)
 }
 
+// lowerEach runs fn(i) for every op i in [0, n) across the compile's
+// workers, the per-op half of a cold compile (weight packing, filter
+// quantization, code tables). Each call writes only its own slots, and
+// the first error in op order is returned once all have run, so what a
+// compile builds does not depend on the worker count; one worker lowers
+// inline, in order.
+func (c config) lowerEach(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	rc := runCtx{workers: c.workers}
+	rc.parallelFor(n, 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			errs[i] = fn(i)
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // split fans the range [0, n), n > 1, out over the worker pool.
 func (rc *runCtx) split(n int, fn func(worker, lo, hi int)) {
 	w := min(rc.workers, n)

@@ -214,7 +214,7 @@ func BuildQuantPlan(g *nn.Graph, schema *nn.QuantSchema) (*QuantPlan, error) {
 	for i, v := range sc.vals {
 		p.Values[i] = QuantValue{Name: v.name, Shape: v.per, Elems: v.elems, QP: v.qp}
 	}
-	if p.Steps, err = lowerQuantSteps(m, &sc); err != nil {
+	if p.Steps, err = lowerQuantSteps(m, &sc, newConfig(nil)); err != nil {
 		return nil, err
 	}
 	for i := range p.Steps {
@@ -240,54 +240,62 @@ type quantOp struct {
 	post []*[256]int8
 }
 
-// lowerQuantSteps lowers every op of an INT8 module, in step order, to
-// its QuantStep — once per compile, for the host binder (newQuantEngine)
-// and the data-level plan (BuildQuantPlan) alike. Ops precision
-// assignment marked as FP32 islands, and those lowerQuantOp turns down
-// with errNoQuantKernel, become island steps.
-func lowerQuantSteps(m *ir.Module, sc *scaffold) ([]QuantStep, error) {
-	steps := make([]QuantStep, 0, len(m.Ops))
-	for _, op := range m.Ops {
-		if op.Kind == nn.OpInput {
-			continue
-		}
-		st := QuantStep{Name: op.Name, Op: op.Kind, Out: sc.valOf[op.Out]}
-		q := quantOp{node: nodeFromOp(op), outPer: sc.vals[st.Out].per, outQ: sc.vals[st.Out].qp}
-		st.Ins, q.inPer = opOperands(sc, op)
-		q.inQ = make([]tensor.QuantParams, len(st.Ins))
-		for i, in := range st.Ins {
-			q.inQ[i] = sc.vals[in].qp
-		}
-		err := errNoQuantKernel
-		if !op.Island {
-			// The producer requantizes to its own (pre-epilogue)
-			// mapping; a fused chain recodes from there through the
-			// composed per-channel lookup tables — the same tables the
-			// standalone stages would apply one by one.
-			if q.post, err = buildEpilogueLUTs(m, op, channelCount(q.outPer)); err != nil {
-				return nil, compileError(op, true, err)
-			}
-			if q.post != nil {
-				q.outQ = m.Values[op.Fused[0].Pre].QP
-			}
-			err = lowerQuantOp(&st, &q)
-		}
-		if errors.Is(err, errNoQuantKernel) {
-			// No integer lowering: run the FP32 kernel inside a
-			// dequantize/requantize island. A fused op must never reach
-			// this path — the bare producer would silently skip its
-			// epilogue — so it is a compile error, not a fallback.
-			if len(op.Fused) > 0 {
-				return nil, compileError(op, true, fmt.Errorf("fused op has no integer lowering"))
-			}
-			err = lowerIsland(&st, &q)
-		}
-		if err != nil {
-			return nil, compileError(op, true, err)
-		}
-		steps = append(steps, st)
+// lowerQuantSteps lowers every op of an INT8 module to its QuantStep,
+// in step order, with the ops spread over cfg's workers: the
+// data-level plan's steps.
+func lowerQuantSteps(m *ir.Module, sc *scaffold, cfg config) ([]QuantStep, error) {
+	ops := stepOps(m)
+	steps := make([]QuantStep, len(ops))
+	err := cfg.lowerEach(len(ops), func(i int) error {
+		return lowerQuantStep(&steps[i], m, sc, ops[i])
+	})
+	if err != nil {
+		return nil, err
 	}
 	return steps, nil
+}
+
+// lowerQuantStep lowers one op of an INT8 module into st — once per
+// compile, for the host binder (newQuantEngine) and the data-level plan
+// (BuildQuantPlan) alike. Ops precision assignment marked as FP32
+// islands, and those lowerQuantOp turns down with errNoQuantKernel,
+// become island steps.
+func lowerQuantStep(st *QuantStep, m *ir.Module, sc *scaffold, op *ir.Op) error {
+	*st = QuantStep{Name: op.Name, Op: op.Kind, Out: sc.valOf[op.Out]}
+	q := quantOp{node: nodeFromOp(op), outPer: sc.vals[st.Out].per, outQ: sc.vals[st.Out].qp}
+	st.Ins, q.inPer = opOperands(sc, op)
+	q.inQ = make([]tensor.QuantParams, len(st.Ins))
+	for i, in := range st.Ins {
+		q.inQ[i] = sc.vals[in].qp
+	}
+	err := errNoQuantKernel
+	if !op.Island {
+		// The producer requantizes to its own (pre-epilogue)
+		// mapping; a fused chain recodes from there through the
+		// composed per-channel lookup tables — the same tables the
+		// standalone stages would apply one by one.
+		if q.post, err = buildEpilogueLUTs(m, op, channelCount(q.outPer)); err != nil {
+			return compileError(op, true, err)
+		}
+		if q.post != nil {
+			q.outQ = m.Values[op.Fused[0].Pre].QP
+		}
+		err = lowerQuantOp(st, &q)
+	}
+	if errors.Is(err, errNoQuantKernel) {
+		// No integer lowering: run the FP32 kernel inside a
+		// dequantize/requantize island. A fused op must never reach
+		// this path — the bare producer would silently skip its
+		// epilogue — so it is a compile error, not a fallback.
+		if len(op.Fused) > 0 {
+			return compileError(op, true, fmt.Errorf("fused op has no integer lowering"))
+		}
+		err = lowerIsland(st, &q)
+	}
+	if err != nil {
+		return compileError(op, true, err)
+	}
+	return nil
 }
 
 // lowerQuantOp is the integer lowering of one op: the only place that

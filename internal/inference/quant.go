@@ -114,22 +114,33 @@ func lowerQuantized(g *nn.Graph, schema *nn.QuantSchema) (*ir.Module, error) {
 	return m, err
 }
 
-// newQuantEngine lowers each op of an INT8 module once, binds the
-// steps to integer kernels and plans the (one byte per element) arena.
-// The steps are dropped after binding: the engine keeps the packed
-// operands its kernels made, not the plan's int8 weight codes.
+// newQuantEngine lowers each op of an INT8 module once and binds its
+// step to an integer kernel, the ops spread over the compile's workers,
+// then plans the (one byte per element) arena. Each step is dropped
+// after binding: the engine keeps the packed operands its kernels made,
+// not the plan's int8 weight codes.
 func newQuantEngine(m *ir.Module, cfg config) (*QuantEngine, error) {
 	e := &QuantEngine{plan: plan[int8]{scaffold: buildScaffold(m), cfg: cfg, enter: quantizeInputs, exit: dequantizeOutputs}}
-	steps, err := lowerQuantSteps(m, &e.scaffold)
+	ops := stepOps(m)
+	e.steps = make([]step[int8], len(ops))
+	specs := make([]scratchSpec, len(ops))
+	islands := make([]bool, len(ops))
+	err := cfg.lowerEach(len(ops), func(i int) error {
+		var st QuantStep
+		if err := lowerQuantStep(&st, m, &e.scaffold, ops[i]); err != nil {
+			return err
+		}
+		kern, spec := bindQuantStep(&st, e.vals[st.Out].elems)
+		e.steps[i] = step[int8]{name: st.Name, op: st.Op, out: st.Out, ins: st.Ins, kern: kern}
+		specs[i], islands[i] = spec, st.Island != nil
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	for i := range steps {
-		st := &steps[i]
-		kern, spec := bindQuantStep(st, e.vals[st.Out].elems)
-		e.scratch.grow(spec)
-		e.steps = append(e.steps, step[int8]{name: st.Name, op: st.Op, out: st.Out, ins: st.Ins, kern: kern})
-		if st.Island != nil {
+	for i := range ops {
+		e.scratch.grow(specs[i])
+		if islands[i] {
 			e.fallbacks++
 		}
 	}

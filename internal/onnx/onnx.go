@@ -113,48 +113,41 @@ func encodeTensor(bw *writer, t *tensor.Tensor) {
 	bw.i32(t.Quant.Zero)
 	switch t.DType {
 	case tensor.FP32:
-		for _, v := range t.F32 {
-			bw.f32(v)
-		}
+		bw.data(t.F32)
 	case tensor.FP16:
-		for _, v := range t.F16 {
-			bw.u16(v)
-		}
+		bw.data(t.F16)
 	case tensor.INT8:
-		for _, v := range t.I8 {
-			bw.i8(v)
-		}
+		bw.data(t.I8)
 	}
 }
 
 // Decode reads a VNNX stream and reconstructs the graph, verifying the
-// checksum.
+// checksum. What it allocates follows the bytes actually present: a
+// header or tensor shape that claims more than the stream holds is
+// refused before anything of that size is made.
 func Decode(r io.Reader) (*nn.Graph, error) {
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(r, magic); err != nil {
+	var hdr [44]byte // magic, version, body length, SHA-256 of the body
+	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
 		return nil, fmt.Errorf("onnx: reading magic: %w", err)
 	}
-	if string(magic) != Magic {
-		return nil, fmt.Errorf("onnx: bad magic %q", magic)
+	if string(hdr[:4]) != Magic {
+		return nil, fmt.Errorf("onnx: bad magic %q", hdr[:4])
 	}
-	hdr := &reader{r: r}
-	version := hdr.u32()
-	bodyLen := hdr.u32()
-	if hdr.err != nil {
-		return nil, hdr.err
+	if _, err := io.ReadFull(r, hdr[4:]); err != nil {
+		return nil, fmt.Errorf("onnx: reading header: %w", err)
 	}
-	if version != Version {
+	if version := binary.LittleEndian.Uint32(hdr[4:]); version != Version {
 		return nil, fmt.Errorf("onnx: unsupported version %d", version)
 	}
-	var sum [32]byte
-	if _, err := io.ReadFull(r, sum[:]); err != nil {
-		return nil, fmt.Errorf("onnx: reading checksum: %w", err)
+	bodyLen := binary.LittleEndian.Uint32(hdr[8:])
+	body, err := io.ReadAll(io.LimitReader(r, int64(bodyLen)))
+	if err == nil && int64(len(body)) < int64(bodyLen) {
+		err = io.ErrUnexpectedEOF
 	}
-	body := make([]byte, bodyLen)
-	if _, err := io.ReadFull(r, body); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("onnx: reading body: %w", err)
 	}
-	if sha256.Sum256(body) != sum {
+	if sha256.Sum256(body) != [32]byte(hdr[12:]) {
 		return nil, fmt.Errorf("onnx: checksum mismatch (corrupted model)")
 	}
 
@@ -239,28 +232,30 @@ func decodeTensor(br *reader) (*tensor.Tensor, error) {
 		return nil, fmt.Errorf("onnx: implausible tensor rank %d", rank)
 	}
 	shape := make([]int, rank)
+	// Every element is stored in the body, so the element count is
+	// bounded by the bytes still unread; checking each dim against that
+	// bound also keeps the product from overflowing.
+	elems, most := 1, br.r.Len()/dt.Size()
 	for i := range shape {
 		shape[i] = int(br.i32())
 		if shape[i] <= 0 || shape[i] > 1<<28 {
 			return nil, fmt.Errorf("onnx: implausible dim %d", shape[i])
 		}
+		if elems > most/shape[i] {
+			return nil, fmt.Errorf("onnx: tensor shape %v holds more elements than the %d bytes left", shape[:i+1], br.r.Len())
+		}
+		elems *= shape[i]
 	}
 	t := tensor.New(dt, shape...)
 	t.Quant.Scale = br.f32()
 	t.Quant.Zero = br.i32()
 	switch dt {
 	case tensor.FP32:
-		for i := range t.F32 {
-			t.F32[i] = br.f32()
-		}
+		br.data(t.F32)
 	case tensor.FP16:
-		for i := range t.F16 {
-			t.F16[i] = br.u16()
-		}
+		br.data(t.F16)
 	case tensor.INT8:
-		for i := range t.I8 {
-			t.I8[i] = br.i8()
-		}
+		br.data(t.I8)
 	}
 	return t, br.err
 }
@@ -272,21 +267,15 @@ type writer struct {
 	err error
 }
 
-func (w *writer) u32(v uint32) {
-	if w.err != nil {
-		return
-	}
-	w.err = binary.Write(w.w, binary.LittleEndian, v)
-}
-func (w *writer) i32(v int32)   { w.u32(uint32(v)) }
-func (w *writer) u16(v uint16)  { w.u32r(binary.Write(w.w, binary.LittleEndian, v)) }
-func (w *writer) i8(v int8)     { w.u32r(binary.Write(w.w, binary.LittleEndian, v)) }
-func (w *writer) f32(v float32) { w.u32(math.Float32bits(v)) }
-func (w *writer) u32r(err error) {
+// data writes a fixed-size value or a slice of them.
+func (w *writer) data(v any) {
 	if w.err == nil {
-		w.err = err
+		w.err = binary.Write(w.w, binary.LittleEndian, v)
 	}
 }
+func (w *writer) u32(v uint32)  { w.data(v) }
+func (w *writer) i32(v int32)   { w.u32(uint32(v)) }
+func (w *writer) f32(v float32) { w.u32(math.Float32bits(v)) }
 func (w *writer) str(s string) {
 	w.u32(uint32(len(s)))
 	if w.err != nil {
@@ -295,44 +284,27 @@ func (w *writer) str(s string) {
 	_, w.err = io.WriteString(w.w, s)
 }
 
-// reader mirrors writer.
+// reader mirrors writer over a checksummed body.
 type reader struct {
-	r   io.Reader
+	r   *bytes.Reader
 	err error
 }
 
-func (r *reader) u32() uint32 {
-	if r.err != nil {
-		return 0
+// data reads a fixed-size value or fills a slice of them.
+func (r *reader) data(v any) {
+	if r.err == nil {
+		r.err = binary.Read(r.r, binary.LittleEndian, v)
 	}
-	var v uint32
-	r.err = binary.Read(r.r, binary.LittleEndian, &v)
-	return v
 }
-func (r *reader) i32() int32 { return int32(r.u32()) }
-func (r *reader) u16() uint16 {
-	if r.err != nil {
-		return 0
-	}
-	var v uint16
-	r.err = binary.Read(r.r, binary.LittleEndian, &v)
-	return v
-}
-func (r *reader) i8() int8 {
-	if r.err != nil {
-		return 0
-	}
-	var v int8
-	r.err = binary.Read(r.r, binary.LittleEndian, &v)
-	return v
-}
-func (r *reader) f32() float32 { return math.Float32frombits(r.u32()) }
+func (r *reader) u32() (v uint32) { r.data(&v); return v }
+func (r *reader) i32() int32      { return int32(r.u32()) }
+func (r *reader) f32() float32    { return math.Float32frombits(r.u32()) }
 func (r *reader) str() string {
 	n := r.u32()
 	if r.err != nil {
 		return ""
 	}
-	if n > 1<<20 {
+	if n > 1<<20 || int(n) > r.r.Len() {
 		r.err = fmt.Errorf("onnx: implausible string length %d", n)
 		return ""
 	}

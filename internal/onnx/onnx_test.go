@@ -2,12 +2,16 @@ package onnx
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"vedliot/internal/inference"
 	"vedliot/internal/nn"
 	"vedliot/internal/tensor"
+	"vedliot/internal/zoo"
 )
 
 func roundTrip(t *testing.T, g *nn.Graph) *nn.Graph {
@@ -157,4 +161,172 @@ func TestRoundTripExecutableEquivalence(t *testing.T) {
 			t.Fatalf("outputs differ at %d: %v vs %v", i, a[i], b[i])
 		}
 	}
+}
+
+// frame wraps a body in a stream header: magic, version, the claimed
+// body length and the body's true checksum.
+func frame(claimed uint32, body []byte) []byte {
+	var buf bytes.Buffer
+	buf.WriteString(Magic)
+	hdr := &writer{w: &buf}
+	hdr.u32(Version)
+	hdr.u32(claimed)
+	sum := sha256.Sum256(body)
+	buf.Write(sum[:])
+	buf.Write(body)
+	return buf.Bytes()
+}
+
+// tensorBody is the body of a one-node graph whose node carries one
+// FP32 weight tensor of the given dims, followed by pad zero bytes
+// where the tensor's payload would be: the decoder must judge the shape
+// against the bytes that are left.
+func tensorBody(pad int, dims ...int32) []byte {
+	var buf bytes.Buffer
+	bw := &writer{w: &buf}
+	bw.str("g")
+	bw.u32(1)
+	bw.str("n")
+	bw.str(nn.OpInput.String())
+	bw.u32(0)
+	for i := 0; i < 9+2; i++ { // int attributes, alpha, eps
+		bw.u32(0)
+	}
+	bw.u32(0) // bias
+	bw.u32(0) // shape rank
+	bw.u32(1) // one weight
+	bw.str("w")
+	bw.u32(uint32(tensor.FP32))
+	bw.u32(uint32(len(dims)))
+	for _, d := range dims {
+		bw.i32(d)
+	}
+	buf.Write(make([]byte, pad))
+	return buf.Bytes()
+}
+
+type repro struct {
+	name string
+	data []byte
+}
+
+// decodeRepros are streams that made Decode allocate what their headers
+// claim, or panic: a 44-byte header claiming a 256 MiB body, a 160-byte
+// body whose tensor claims 1<<24 x 4 floats (256 MiB), and a 164-byte
+// body whose tensor's element count overflows int.
+func decodeRepros() []repro {
+	return []repro{
+		{"body-claims-256MiB", frame(256<<20, nil)},
+		{"tensor-claims-256MiB", frame(160, tensorBody(56, 1<<24, 4))},
+		{"tensor-count-wraps", frame(164, tensorBody(56, 1<<28, 1<<28, 1<<7))},
+	}
+}
+
+// allocated is the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// decodeSlack is what Decode may allocate on top of a small multiple of
+// its input: the reader, the graph's maps and names.
+const decodeSlack = 64 << 10
+
+// TestDecodeAllocatesWhatIsPresent: a stream is refused without
+// allocating what its header or a tensor's shape claims beyond the
+// bytes actually present, and an element count that overflows is an
+// error, not a panic.
+func TestDecodeAllocatesWhatIsPresent(t *testing.T) {
+	for _, r := range decodeRepros() {
+		var err error
+		got := allocated(func() { _, err = Decode(bytes.NewReader(r.data)) })
+		if err == nil {
+			t.Errorf("%s: decoded", r.name)
+		}
+		if got > decodeSlack {
+			t.Errorf("%s: Decode allocated %d bytes on a %d-byte stream, want at most %d", r.name, got, len(r.data), decodeSlack)
+		}
+	}
+}
+
+// reseal returns a copy of data whose header claims exactly the bytes
+// behind it, under their checksum, so a mutated body gets past the
+// checksum and into the graph decoder.
+func reseal(data []byte) []byte {
+	const hdrLen = 44
+	out := append([]byte(nil), data...)
+	if len(out) < hdrLen {
+		return out
+	}
+	binary.LittleEndian.PutUint32(out[8:], uint32(len(out)-hdrLen))
+	sum := sha256.Sum256(out[hdrLen:])
+	copy(out[12:hdrLen], sum[:])
+	return out
+}
+
+// encode is Encode into a fresh buffer.
+func encode(t testing.TB, g *nn.Graph) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Encode(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzONNXDecode feeds Decode arbitrary bytes (ROADMAP 3a: VNNX is the
+// interchange stream every toolchain stage reads back), as they are and
+// resealed under a header that matches them. It must never panic or
+// allocate more than a small multiple of its input, the tensors it
+// decodes hold no more elements than the input has bytes, and whatever
+// it decodes encodes and decodes again to the same graph. Seeds: the
+// zoo mlp, the decodeRepros, and a small graph truncated in its header,
+// under a bad magic and with a flipped body byte.
+func FuzzONNXDecode(f *testing.F) {
+	mlp, err := zoo.Find("mlp")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(encode(f, mlp.Build()))
+	for _, r := range decodeRepros() {
+		f.Add(r.data)
+	}
+	small := encode(f, nn.MLP("m", []int{4, 3, 2}, nn.BuildOptions{Weights: true}))
+	f.Add(small[:20])
+	f.Add(append([]byte("VNNY"), small[4:]...))
+	flipped := append([]byte(nil), small...)
+	flipped[len(flipped)-3] ^= 0x40
+	f.Add(flipped)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, data := range [][]byte{data, reseal(data)} {
+			var g *nn.Graph
+			var err error
+			if got, limit := allocated(func() { g, err = Decode(bytes.NewReader(data)) }), uint64(16*len(data)+decodeSlack); got > limit {
+				t.Errorf("Decode allocated %d bytes on %d bytes of input, want at most %d", got, len(data), limit)
+			}
+			if err != nil {
+				continue
+			}
+			elems := 0
+			for _, n := range g.Nodes {
+				for _, w := range n.Weights {
+					elems += w.NumElements()
+				}
+			}
+			if elems > len(data) {
+				t.Errorf("decoded tensors hold %d elements, the input has %d bytes", elems, len(data))
+			}
+			enc := encode(t, g)
+			back, err := Decode(bytes.NewReader(enc))
+			if err != nil {
+				t.Fatalf("decoded graph re-encodes to a stream Decode refuses: %v", err)
+			}
+			if again := encode(t, back); !bytes.Equal(again, enc) {
+				t.Errorf("decoded graph re-decodes to a different graph: %d bytes against %d", len(again), len(enc))
+			}
+		}
+	})
 }
