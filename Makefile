@@ -71,9 +71,12 @@ test-portable:
 # FuzzHTTPInfer the HTTP adapter: no panic, a 200 only for inputs the
 # model's signature passes, every built tensor backing its shape.
 # FuzzReleaseBundle runs release bundles through both the full and the
-# witness-only policy, and envelopes through DecodeEnvelope: no panic,
+# witness-only policy, and envelopes through their decoder: no panic,
 # an accepted bundle's envelope proven under its checkpoint root, and
-# what decodes re-encodes to itself. FuzzONNXDecode holds the VNNX
+# what decodes re-encodes to itself. FuzzWitnessState runs witness state
+# files and tree hashes through their decoders: no panic, an accepted
+# hash re-marshals to its own bytes (one spelling), and an accepted state
+# re-saves and reloads to the same heads. FuzzONNXDecode holds the VNNX
 # interchange decoder to no panic, allocation that follows the bytes
 # present (no tensor holds more elements than the input has bytes), and
 # what decodes re-encodes and decodes to the same graph.
@@ -98,6 +101,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzFrameDecode -fuzztime 5s -fuzzminimizetime 5s ./internal/serve/
 	$(GO) test -fuzz FuzzHTTPInfer -fuzztime 5s -fuzzminimizetime 5s ./internal/serve/
 	$(GO) test -fuzz FuzzReleaseBundle -fuzztime 5s ./internal/release/
+	$(GO) test -fuzz FuzzWitnessState -fuzztime 5s ./internal/release/
 	$(GO) test -fuzz FuzzONNXDecode -fuzztime 5s -fuzzminimizetime 5s ./internal/onnx/
 
 # bench tracks the inference-runtime perf trajectory, and the cold-start
@@ -196,14 +200,15 @@ release-verify:
 	./scripts/release_verify.sh
 
 # docs gates the documentation front door: formatting, examples build,
-# exported-identifier doc coverage, no backticked `pkg.Name` in
+# exported-identifier doc coverage, no exported top-level name without a
+# caller outside its own package's tests, no backticked `pkg.Name` in
 # DESIGN.md or README.md that the checked packages do not declare, and
 # the committed golden artifact — exactly what the CI docs job runs.
 docs:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) build ./examples/...
-	$(GO) run ./cmd/docs-check . ./internal/* ./internal/inference/ir DESIGN.md README.md
+	$(GO) run ./cmd/docs-check . ./internal/* ./internal/inference/ir ./internal/rvbackend/difftest ./internal/tensor/cpu DESIGN.md README.md
 	$(GO) run ./cmd/vedliot-pack verify internal/artifact/testdata/golden.vedz
 
 ci: vet build docs test test-race test-portable fuzz-smoke load-smoke release-verify bench-gate

@@ -264,7 +264,7 @@ func BenchmarkEngine(b *testing.B) {
 // core), the headline comparison of the quantized bench experiment.
 func BenchmarkQuantized(b *testing.B) {
 	g := nn.MobileNetEdge(64, 10, nn.BuildOptions{Weights: true, Seed: 3})
-	if _, err := optimize.Pipeline(g, optimize.StandardPasses(), 0); err != nil {
+	if _, err := optimize.Pipeline(g); err != nil {
 		b.Fatal(err)
 	}
 	input := func(batch, seed int) map[string]*tensor.Tensor {

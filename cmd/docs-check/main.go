@@ -2,9 +2,11 @@
 // fails (exit 1) when a package lacks a package comment, when any
 // exported top-level identifier — function, method, type, or a
 // const/var declaration outside a documented block — has no doc
-// comment, or when a Markdown document names an identifier that does
-// not exist. `go doc` is then guaranteed useful for every public entry
-// point of the checked packages, and the prose cannot outlive the code.
+// comment, when an exported top-level name of a checked package has no
+// caller, or when a Markdown document names an identifier that does not
+// exist. `go doc` is then guaranteed useful for every public entry point
+// of the checked packages, every such entry point is used, and the prose
+// cannot outlive the code.
 //
 // Usage:
 //
@@ -15,7 +17,8 @@
 // `pkg.Name` references outside fenced code blocks: one whose package
 // is among the checked directories but that declares no top-level Name
 // is reported. Names are exported identifiers; for `pkg.Type.Method`
-// only the type is resolved.
+// only the type is resolved. Run it from the module root: callers are
+// read from every .go file of the module (see checkCallers).
 package main
 
 import (
@@ -35,7 +38,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: docs-check <package dir | doc.md> [...]")
 		os.Exit(2)
 	}
-	var problems, docs []string
+	var problems, docs, dirs []string
 	decls := make(map[string]map[string]bool) // package name -> declared top-level names
 	for _, arg := range os.Args[1:] {
 		if strings.HasSuffix(arg, ".md") {
@@ -48,7 +51,14 @@ func main() {
 			os.Exit(2)
 		}
 		problems = append(problems, p...)
+		dirs = append(dirs, arg)
 	}
+	p, err := checkCallers(dirs)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "docs-check:", err)
+		os.Exit(2)
+	}
+	problems = append(problems, p...)
 	for _, doc := range docs {
 		p, err := checkDoc(doc, decls)
 		if err != nil {
@@ -65,8 +75,8 @@ func main() {
 		fmt.Printf("docs-check: %d problem(s)\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Printf("docs-check: %d package(s) fully documented, %d doc(s) name only declared identifiers\n",
-		len(os.Args[1:])-len(docs), len(docs))
+	fmt.Printf("docs-check: %d package(s) fully documented and called, %d doc(s) name only declared identifiers\n",
+		len(dirs), len(docs))
 }
 
 // checkDir parses one package directory, records its top-level names

@@ -38,22 +38,13 @@ func main() {
 		chassis.Name, chassis.Tier, len(chassis.Slots), chassis.BaseboardW, chassis.FabricGbps)
 
 	utilMap := map[int]float64{}
-	slot := 0
-	for _, name := range strings.Split(*modules, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		m, err := microserver.FindModule(name)
-		if err != nil {
-			fatal(err)
-		}
-		if err := chassis.Insert(slot, m); err != nil {
-			fatal(err)
-		}
+	mods, err := chassis.Mount(strings.Split(*modules, ",")...)
+	for slot, m := range mods {
 		fmt.Printf("slot %d <- %s (%v, %s, %.1f-%.1f W)\n", slot, m.Name, m.FormFactor, m.Arch, m.IdleW, m.MaxW)
 		utilMap[slot] = *util
-		slot++
+	}
+	if err != nil {
+		fatal(err)
 	}
 
 	snap := chassis.Snapshot(utilMap)

@@ -127,7 +127,7 @@ func dumpToolchainIR() error {
 		return err
 	}
 	g := nn.MobileNetEdge(64, 10, nn.BuildOptions{Weights: true, Seed: 3})
-	if _, err := optimize.Pipeline(g, optimize.StandardPasses(), 0); err != nil {
+	if _, err := optimize.Pipeline(g); err != nil {
 		return err
 	}
 	samples, err := nn.SyntheticCalibration(g, 3)

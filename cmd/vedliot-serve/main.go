@@ -188,26 +188,17 @@ func main() {
 		}
 		names = append(names, "RISC-V CFU SoM")
 	}
-	slot := 0
-	for _, name := range names {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		m, err := microserver.FindModule(name)
-		if err != nil {
-			fatal(err)
-		}
-		if err := chassis.Insert(slot, m); err != nil {
-			fatal(err)
-		}
+	mods, err := chassis.Mount(names...)
+	for slot, m := range mods {
 		backend, err := cluster.BackendForModule(m, schema)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("slot %d <- %-18s (%s, %.1f-%.1f W) backend %s\n",
 			slot, m.Name, m.Arch, m.IdleW, m.MaxW, backend.Name())
-		slot++
+	}
+	if err != nil {
+		fatal(err)
 	}
 
 	// Deploy the fleet: artifacts go through the model registry and
@@ -246,7 +237,6 @@ func main() {
 	sched := cluster.NewScheduler(chassis, ccfg)
 	defer sched.Close()
 	var dep *cluster.Deployment
-	var err error
 	if art != nil {
 		dep, err = sched.DeployArtifact(g.Name)
 	} else {

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net"
@@ -13,7 +14,6 @@ import (
 	"vedliot/internal/accel"
 	"vedliot/internal/attest"
 	"vedliot/internal/core"
-	"vedliot/internal/fabric"
 	"vedliot/internal/nn"
 	"vedliot/internal/tensor"
 )
@@ -39,7 +39,7 @@ func main() {
 		defer l.Close()
 		go attest.Serve(l, station)
 		verifier := attest.NewVerifier(root.Public(), station.Measurement())
-		ev, rtt, err := verifier.Attest(l.Addr().String(), 5*time.Second)
+		ev, rtt, err := verifier.Attest(context.Background(), l.Addr().String(), 5*time.Second)
 		if err != nil {
 			log.Fatalf("edge station failed attestation: %v", err)
 		}
@@ -65,7 +65,7 @@ func main() {
 	for _, speed := range []float64{30, 50, 80, 120} {
 		v := speed / 3.6
 		deadlineMS := 0.10 * (25 / v) * 1000 // 10% of time-to-cover 25 m
-		for _, link := range fabric.MobileProfiles() {
+		for _, link := range core.MobileProfiles() {
 			plan, err := core.PlanOffload(w, onCar, edge, tensor.INT8, link,
 				500_000, 2_000, deadlineMS, 2.5)
 			if err != nil {

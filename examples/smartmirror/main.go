@@ -92,11 +92,7 @@ func main() {
 
 	// Platform check: everything on a Jetson NX inside the uRECS.
 	chassis := microserver.NewURECS()
-	nx, err := microserver.FindModule("Jetson Xavier NX")
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := chassis.Insert(0, nx); err != nil {
+	if _, err := chassis.Mount("Jetson Xavier NX"); err != nil {
 		log.Fatal(err)
 	}
 	power := chassis.PowerW(map[int]float64{0: load / 100})

@@ -99,15 +99,6 @@ func (d *Device) BestPrecision() tensor.DType {
 	return best
 }
 
-// PeakTOPSW returns peak energy efficiency (TOPS/W) at the device's best
-// precision and full load — the quantity Fig. 3 clusters around 1.
-func (d *Device) PeakTOPSW() float64 {
-	if d.MaxW == 0 {
-		return 0
-	}
-	return d.PeakGOPS[d.BestPrecision()] / 1000 / d.MaxW
-}
-
 // Workload summarizes a network's demand for the roofline evaluation.
 type Workload struct {
 	Name string

@@ -268,7 +268,7 @@ func TestReconfigurableSwitching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.ActiveIndex() != 0 {
+	if r.active != 0 {
 		t.Fatal("profile 0 should start active")
 	}
 	d, err := r.Switch(1)

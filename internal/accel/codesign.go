@@ -13,8 +13,9 @@ import (
 //  3. dynamically reconfigurable accelerators, and
 //  4. fully simultaneous hardware/software co-design.
 // This file models classes 2-4 on top of a parameterizable systolic
-// array, and implements the co-design search loop with the "feedback is
-// given to the models" step (channel-count suggestions).
+// array (a class-2 part is one ArrayConfig's Synthesize), and implements
+// the co-design search loop with the "feedback is given to the models"
+// step (channel-count suggestions).
 
 // ArrayConfig parameterizes a synthesizable MAC-array accelerator.
 type ArrayConfig struct {
@@ -71,21 +72,6 @@ func (c ArrayConfig) Synthesize(name string) (*Device, error) {
 	}, nil
 }
 
-// StaticAccelerator is class 2: configured once before deployment.
-type StaticAccelerator struct {
-	Config ArrayConfig
-	Dev    *Device
-}
-
-// NewStaticAccelerator synthesizes a fixed-function accelerator.
-func NewStaticAccelerator(cfg ArrayConfig) (*StaticAccelerator, error) {
-	dev, err := cfg.Synthesize(fmt.Sprintf("static-%dx%d@%.0fMHz", cfg.Rows, cfg.Cols, cfg.ClockGHz*1000))
-	if err != nil {
-		return nil, err
-	}
-	return &StaticAccelerator{Config: cfg, Dev: dev}, nil
-}
-
 // ReconfigurableAccelerator is class 3: it holds several bitstream
 // profiles and can partially reconfigure between them at run time,
 // trading a reconfiguration delay for a better power/performance fit —
@@ -118,9 +104,6 @@ func NewReconfigurable(profiles []ArrayConfig, reconfigMS float64) (*Reconfigura
 
 // Active returns the currently loaded profile's device model.
 func (r *ReconfigurableAccelerator) Active() *Device { return r.devs[r.active] }
-
-// ActiveIndex returns the index of the loaded profile.
-func (r *ReconfigurableAccelerator) ActiveIndex() int { return r.active }
 
 // Switch loads profile i, returning the reconfiguration delay incurred
 // (zero when already active).

@@ -14,6 +14,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"time"
 )
@@ -23,15 +24,31 @@ import (
 // half-dead verifier, a port scanner) would pin a goroutine forever.
 const HandshakeTimeout = 10 * time.Second
 
+// maxLine bounds one protocol message: a challenge is about 60 bytes
+// and the evidence JSON well under 1 KiB.
+const maxLine = 4 << 10
+
+// readLine reads one newline-terminated message of at most maxLine
+// bytes and refuses a longer one, so a peer that streams bytes without
+// a newline costs a bounded buffer, not everything it sends before the
+// deadline.
+func readLine(r io.Reader) ([]byte, error) {
+	line, err := bufio.NewReader(io.LimitReader(r, maxLine)).ReadBytes('\n')
+	if err == io.EOF && len(line) == maxLine {
+		return nil, fmt.Errorf("attest: message longer than %d bytes", maxLine)
+	}
+	return line, err
+}
+
 // BootStage is one measured stage of the boot chain.
 type BootStage struct {
 	Name  string
 	Image []byte
 }
 
-// MeasureChain computes the chained measurement of a secure boot:
+// measureChain computes the chained measurement of a secure boot:
 // m_0 = H(stage_0), m_i = H(m_{i-1} || H(stage_i)).
-func MeasureChain(stages []BootStage) [32]byte {
+func measureChain(stages []BootStage) [32]byte {
 	var m [32]byte
 	for i, s := range stages {
 		img := sha256.Sum256(s.Image)
@@ -65,8 +82,8 @@ func NewRootOfTrust() (*RootOfTrust, error) {
 // Public returns the root verification key (pre-shared with verifiers).
 func (r *RootOfTrust) Public() ed25519.PublicKey { return r.pub }
 
-// Endorse signs a device public key, producing its certificate.
-func (r *RootOfTrust) Endorse(devicePub ed25519.PublicKey) []byte {
+// endorse signs a device public key, producing its certificate.
+func (r *RootOfTrust) endorse(devicePub ed25519.PublicKey) []byte {
 	return ed25519.Sign(r.priv, devicePub)
 }
 
@@ -94,8 +111,8 @@ func NewDevice(name string, root *RootOfTrust, boot []BootStage) (*Device, error
 		Name:        name,
 		pub:         pub,
 		priv:        priv,
-		cert:        root.Endorse(pub),
-		measurement: MeasureChain(boot),
+		cert:        root.endorse(pub),
+		measurement: measureChain(boot),
 	}, nil
 }
 
@@ -194,8 +211,7 @@ func Serve(l net.Listener, d *Device) {
 			defer c.Close()
 			_ = c.SetDeadline(time.Now().Add(HandshakeTimeout))
 			var ch challenge
-			r := bufio.NewReader(c)
-			line, err := r.ReadBytes('\n')
+			line, err := readLine(c)
 			if err != nil {
 				return
 			}
@@ -215,16 +231,11 @@ func Serve(l net.Listener, d *Device) {
 
 // Attest runs the verifier side against addr: it sends a fresh nonce,
 // reads the evidence, verifies it, and returns the round-trip latency.
-func (v *Verifier) Attest(addr string, timeout time.Duration) (Evidence, time.Duration, error) {
-	return v.AttestCtx(context.Background(), addr, timeout)
-}
-
-// AttestCtx is Attest bound to a caller context. The timeout caps the
-// whole exchange (dial included) as a connection deadline, so a device
-// that accepts but never responds fails the attestation instead of
-// hanging a deployment; cancelling the context aborts the exchange
-// immediately by forcing the deadline into the past.
-func (v *Verifier) AttestCtx(ctx context.Context, addr string, timeout time.Duration) (Evidence, time.Duration, error) {
+// The timeout caps the whole exchange (dial included) as a connection
+// deadline, so a device that accepts but never responds fails the
+// attestation instead of hanging a deployment; cancelling the context
+// aborts the exchange immediately by forcing the deadline into the past.
+func (v *Verifier) Attest(ctx context.Context, addr string, timeout time.Duration) (Evidence, time.Duration, error) {
 	if err := ctx.Err(); err != nil {
 		return Evidence{}, 0, err
 	}
@@ -253,7 +264,7 @@ func (v *Verifier) AttestCtx(ctx context.Context, addr string, timeout time.Dura
 	if _, err := conn.Write(out); err != nil {
 		return Evidence{}, 0, ctxOr(ctx, err)
 	}
-	line, err := bufio.NewReader(conn).ReadBytes('\n')
+	line, err := readLine(conn)
 	if err != nil {
 		return Evidence{}, 0, ctxOr(ctx, err)
 	}

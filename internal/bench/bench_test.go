@@ -14,8 +14,8 @@ import (
 // experiment and every check still executes.
 func TestAllExperimentsPassChecks(t *testing.T) {
 	if testing.Short() {
-		SetQuick(true)
-		defer SetQuick(false)
+		quick = true
+		defer func() { quick = false }()
 	}
 	for _, e := range Registry() {
 		e := e

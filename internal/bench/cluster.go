@@ -69,14 +69,8 @@ func ClusterStudy() (*Report, error) {
 
 	// --- Part 2: heterogeneous fleet, real serving path ---------------
 	chassis := microserver.NewURECS()
-	for slot, name := range []string{"SMARC ARM", "Jetson Xavier NX", "Coral SoM"} {
-		m, err := microserver.FindModule(name)
-		if err != nil {
-			return nil, err
-		}
-		if err := chassis.Insert(slot, m); err != nil {
-			return nil, err
-		}
+	if _, err := chassis.Mount("SMARC ARM", "Jetson Xavier NX", "Coral SoM"); err != nil {
+		return nil, err
 	}
 	sched := cluster.NewScheduler(chassis, cluster.Config{QueueDepth: 256})
 	defer sched.Close()
@@ -246,14 +240,8 @@ func artifactStudy(r *Report, g *nn.Graph, want, in *tensor.Tensor) error {
 		return err
 	}
 	chassis2 := microserver.NewURECS()
-	for slot := 0; slot < 2; slot++ {
-		mod, err := microserver.FindModule("SMARC ARM")
-		if err != nil {
-			return err
-		}
-		if err := chassis2.Insert(slot, mod); err != nil {
-			return err
-		}
+	if _, err := chassis2.Mount("SMARC ARM", "SMARC ARM"); err != nil {
+		return err
 	}
 	sched := cluster.NewScheduler(chassis2, cluster.Config{Registry: reg})
 	defer sched.Close()

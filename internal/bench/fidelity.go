@@ -8,11 +8,9 @@ package bench
 // fidelity in both modes so one end-to-end training case is always
 // exercised unreduced.
 
+// quick selects reduced fidelity. Not safe for concurrent use with
+// running experiments; tests set it once up front.
 var quick bool
-
-// SetQuick toggles reduced-fidelity mode. Not safe for concurrent use
-// with running experiments; tests set it once up front.
-func SetQuick(q bool) { quick = q }
 
 // Quick reports whether reduced-fidelity mode is active.
 func Quick() bool { return quick }

@@ -6,7 +6,7 @@ import (
 	"sort"
 
 	"vedliot/internal/accel"
-	"vedliot/internal/fabric"
+	"vedliot/internal/core"
 	"vedliot/internal/microserver"
 	"vedliot/internal/nn"
 	"vedliot/internal/tensor"
@@ -261,17 +261,8 @@ func URECS() (*Report, error) {
 	r.linef("%-45s %10s %10s %s", "module mix", "idle W", "max W", "fits")
 	for _, mix := range mixes {
 		chassis := microserver.NewURECS()
-		fits := true
-		for slot, name := range mix {
-			m, err := microserver.FindModule(name)
-			if err != nil {
-				return nil, err
-			}
-			if err := chassis.Insert(slot, m); err != nil {
-				fits = false
-				break
-			}
-		}
+		_, err := chassis.Mount(mix...)
+		fits := err == nil
 		label := fmt.Sprintf("%v", mix)
 		if fits {
 			idle := chassis.PowerW(nil)
@@ -334,18 +325,10 @@ func Reconfiguration() (*Report, error) {
 	r.check("loose deadline selects the low-power profile", lowPowerChosenForLoose)
 	r.check("tight deadline selects the high-performance profile", highPerfChosenForTight)
 
-	// Fabric re-parameterization.
-	net := fabric.NewNetwork()
-	net.AddNode("node-a")
-	net.AddNode("node-b")
-	if err := net.Connect("node-a", "node-b", fabric.Ethernet1G); err != nil {
-		return nil, err
-	}
-	before, _ := net.TransferMS("node-a", "node-b", 8<<20)
-	if err := net.Reconfigure("node-a", "node-b", fabric.Ethernet10G); err != nil {
-		return nil, err
-	}
-	after, _ := net.TransferMS("node-a", "node-b", 8<<20)
+	// Fabric re-parameterization: the link between two nodes moves from
+	// 1G to 10G Ethernet.
+	before := core.Ethernet1G.TransferMS(8 << 20)
+	after := core.Ethernet10G.TransferMS(8 << 20)
 	r.linef("fabric 8 MiB transfer: 1G %.1f ms -> 10G %.1f ms", before, after)
 	r.check("fabric reconfiguration reduces transfer time", after < before)
 	return r, nil

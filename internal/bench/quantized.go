@@ -23,7 +23,7 @@ func QuantizedStudy() (*Report, error) {
 
 	size := pick(64, 48)
 	g := nn.MobileNetEdge(size, 10, nn.BuildOptions{Weights: true, Seed: 3})
-	if _, err := optimize.Pipeline(g, optimize.StandardPasses(), 0); err != nil {
+	if _, err := optimize.Pipeline(g); err != nil {
 		return nil, err
 	}
 

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"time"
@@ -299,7 +300,7 @@ func Attestation() (*Report, error) {
 	const rounds = 20
 	var total time.Duration
 	for i := 0; i < rounds; i++ {
-		_, rtt, err := v.Attest(l.Addr().String(), 5*time.Second)
+		_, rtt, err := v.Attest(context.Background(), l.Addr().String(), 5*time.Second)
 		if err != nil {
 			return nil, err
 		}

@@ -122,14 +122,8 @@ func ServeStudy() (*Report, error) {
 
 	run := func(policy serve.BatchPolicy) (serve.LoadResult, serve.ServerStats, float64, error) {
 		chassis := microserver.NewURECS()
-		for slot := 0; slot < 2; slot++ {
-			m, err := microserver.FindModule("SMARC ARM")
-			if err != nil {
-				return serve.LoadResult{}, serve.ServerStats{}, 0, err
-			}
-			if err := chassis.Insert(slot, m); err != nil {
-				return serve.LoadResult{}, serve.ServerStats{}, 0, err
-			}
+		if _, err := chassis.Mount("SMARC ARM", "SMARC ARM"); err != nil {
+			return serve.LoadResult{}, serve.ServerStats{}, 0, err
 		}
 		sched := cluster.NewScheduler(chassis, cluster.Config{QueueDepth: 512})
 		defer sched.Close()

@@ -4,7 +4,6 @@ import (
 	"vedliot/internal/accel"
 	"vedliot/internal/core"
 	"vedliot/internal/dataset"
-	"vedliot/internal/fabric"
 	"vedliot/internal/kenning"
 	"vedliot/internal/microserver"
 	"vedliot/internal/nn"
@@ -120,17 +119,17 @@ func PAEB() (*Report, error) {
 		// 25 m at this speed (v in m/s; crude but monotone in speed).
 		v := speed / 3.6
 		deadline := 0.10 * (25 / v) * 1000
-		for _, link := range fabric.MobileProfiles() {
+		for _, link := range core.MobileProfiles() {
 			plan, err := core.PlanOffload(w, onCar, edge, tensor.INT8, link, frameBytes, resultBytes, deadline, radioTxW)
 			if err != nil {
 				return nil, err
 			}
 			r.linef("%-14.0f %-12s %9.0f %9.1f %9.1f %8v %9v",
 				speed, link.Name, deadline, plan.LocalMS, plan.EdgeMS, plan.Offload, plan.MeetsDeadline)
-			if speed == 50 && link.Name == fabric.NR5GmmWave.Name && plan.Offload {
+			if speed == 50 && link.Name == core.NR5GmmWave.Name && plan.Offload {
 				offloadOn5G = true
 			}
-			if speed == 50 && link.Name == fabric.LTE.Name && !plan.Offload {
+			if speed == 50 && link.Name == core.LTE.Name && !plan.Offload {
 				localOnLTE = true
 			}
 		}
@@ -315,11 +314,7 @@ func SmartMirror() (*Report, error) {
 
 	// Power envelope: Jetson NX module in uRECS at the aggregate load.
 	chassis := microserver.NewURECS()
-	nx, err := microserver.FindModule("Jetson Xavier NX")
-	if err != nil {
-		return nil, err
-	}
-	if err := chassis.Insert(0, nx); err != nil {
+	if _, err := chassis.Mount("Jetson Xavier NX"); err != nil {
 		return nil, err
 	}
 	power := chassis.PowerW(map[int]float64{0: totalLoad / 100})

@@ -336,15 +336,6 @@ func (s *Scheduler) InferCtx(ctx context.Context, model string, inputs map[strin
 	return d.InferCtx(ctx, inputs)
 }
 
-// InferSingle is the single-tensor shortcut for 1-in/1-out models.
-func (s *Scheduler) InferSingle(model string, in *tensor.Tensor) (*tensor.Tensor, error) {
-	d, err := s.Deployment(model)
-	if err != nil {
-		return nil, err
-	}
-	return d.InferSingle(in)
-}
-
 // Submit asynchronously admits one request for the named model.
 func (s *Scheduler) Submit(model string, inputs map[string]*tensor.Tensor) (*Ticket, error) {
 	return s.SubmitCtx(context.Background(), model, inputs)
@@ -822,10 +813,6 @@ func (r *Replica) Server() *microserver.Server { return r.server }
 // Enclave exposes the replica's modeled trusted execution context, nil
 // for in-process Deploy graphs (only artifact deployments attest).
 func (r *Replica) Enclave() *tee.Enclave { return r.enclave }
-
-// ModeledLatency returns the roofline-predicted batch-1 latency, zero
-// for backends without a device model.
-func (r *Replica) ModeledLatency() time.Duration { return r.modeled }
 
 // ServiceEstimate is the per-request service time the router weighs:
 // the roofline prediction when the backend has a device model,

@@ -95,7 +95,7 @@ func TestDeployHeterogeneousFleetParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sched.InferSingle("", in)
+		got, err := dep.InferSingle(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,7 +313,7 @@ func TestRoutingPrefersFastestAtLowLoad(t *testing.T) {
 	before := fastest.Stats().Served
 	const serial = 12
 	for i := 0; i < serial; i++ {
-		if _, err := sched.InferSingle("", gestureInput(i)); err != nil {
+		if _, err := dep.InferSingle(gestureInput(i)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -118,30 +118,14 @@ func (r *Registry) Authorize(digest string) error {
 }
 
 // LoadFile loads a .vedz artifact from disk and registers it (ungated
-// registries only; gated ones need LoadReleaseFile).
+// registries only; gated ones take the artifact and its release bundle
+// through AddRelease).
 func (r *Registry) LoadFile(path string) (*artifact.Model, error) {
 	m, err := artifact.Load(path)
 	if err != nil {
 		return nil, err
 	}
 	if err := r.Add(m); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// LoadReleaseFile loads a .vedz artifact and its release bundle from
-// disk and registers them through the policy gate.
-func (r *Registry) LoadReleaseFile(vedzPath, bundlePath string) (*artifact.Model, error) {
-	m, err := artifact.Load(vedzPath)
-	if err != nil {
-		return nil, err
-	}
-	b, err := release.LoadBundle(bundlePath)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.AddRelease(m, b); err != nil {
 		return nil, err
 	}
 	return m, nil

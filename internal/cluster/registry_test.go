@@ -85,7 +85,8 @@ func TestDeployArtifactParity(t *testing.T) {
 	// In-process fleet.
 	inproc := NewScheduler(urecsFleet(t), Config{})
 	defer inproc.Close()
-	if _, err := inproc.Deploy(g); err != nil {
+	inprocDep, err := inproc.Deploy(g)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -102,11 +103,11 @@ func TestDeployArtifactParity(t *testing.T) {
 
 	for seed := 0; seed < 8; seed++ {
 		in := gestureInput(seed)
-		want, err := inproc.InferSingle(g.Name, in)
+		want, err := inprocDep.InferSingle(in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := fromArt.InferSingle(g.Name, in)
+		got, err := dep.InferSingle(in)
 		if err != nil {
 			t.Fatal(err)
 		}

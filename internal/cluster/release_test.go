@@ -189,7 +189,7 @@ func TestGatedDeployAndAttest(t *testing.T) {
 	if dep.ArtifactDigest() != m.Digest {
 		t.Fatalf("deployment digest %s, want %s", dep.ArtifactDigest(), m.Digest)
 	}
-	if _, err := sched.InferSingle(m.Graph.Name, gestureInput(1)); err != nil {
+	if _, err := dep.InferSingle(gestureInput(1)); err != nil {
 		t.Fatal(err)
 	}
 

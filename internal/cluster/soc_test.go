@@ -51,7 +51,7 @@ func TestDeploySoCModule(t *testing.T) {
 	if r.Backend() != "riscv-soc-cfu" {
 		t.Fatalf("replica backend %q, want riscv-soc-cfu", r.Backend())
 	}
-	if r.ModeledLatency() <= 0 {
+	if r.modeled <= 0 {
 		t.Fatal("SoC replica has no measured-cycles latency model")
 	}
 
@@ -65,7 +65,7 @@ func TestDeploySoCModule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sched.InferSingle("", in)
+		got, err := dep.InferSingle(in)
 		if err != nil {
 			t.Fatal(err)
 		}

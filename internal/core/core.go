@@ -5,15 +5,14 @@
 // accelerators with the performance models (§II-C), selects microserver
 // modules and a RECS chassis (§II-A), and — for the automotive use case
 // — plans on-car versus edge offloading over modeled networks (§V-A).
+// Links are modeled by their expected transfer time (LinkProfile).
 package core
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"vedliot/internal/accel"
-	"vedliot/internal/fabric"
 	"vedliot/internal/kenning"
 	"vedliot/internal/microserver"
 	"vedliot/internal/nn"
@@ -199,6 +198,46 @@ func chassisFor(m *microserver.Module, tier string) *microserver.Chassis {
 	return nil
 }
 
+// LinkProfile describes one link technology: the wired RECS fabric or
+// a mobile network of the automotive use case.
+type LinkProfile struct {
+	Name string
+	// BandwidthMbps is the usable payload rate.
+	BandwidthMbps float64
+	// BaseLatencyMS is the one-way propagation plus protocol latency.
+	BaseLatencyMS float64
+	// LossRate is the packet-loss probability per transfer, causing
+	// retransmission delay.
+	LossRate float64
+}
+
+// Standard profiles: the wired RECS fabric speeds and the mobile-network
+// conditions the PAEB study sweeps.
+var (
+	Ethernet1G  = LinkProfile{Name: "1G Ethernet", BandwidthMbps: 940, BaseLatencyMS: 0.2}
+	Ethernet10G = LinkProfile{Name: "10G Ethernet", BandwidthMbps: 9400, BaseLatencyMS: 0.05}
+	LTE         = LinkProfile{Name: "LTE", BandwidthMbps: 50, BaseLatencyMS: 40, LossRate: 0.02}
+	NR5G        = LinkProfile{Name: "5G NR", BandwidthMbps: 500, BaseLatencyMS: 10, LossRate: 0.005}
+	NR5GmmWave  = LinkProfile{Name: "5G mmWave", BandwidthMbps: 2000, BaseLatencyMS: 5, LossRate: 0.01}
+)
+
+// MobileProfiles returns the cellular conditions swept by the PAEB
+// offloading study, ordered from worst to best.
+func MobileProfiles() []LinkProfile {
+	return []LinkProfile{LTE, NR5G, NR5GmmWave}
+}
+
+// TransferMS returns the deterministic expected transfer time for a
+// payload: serialization + base latency + expected retransmission
+// overhead.
+func (p LinkProfile) TransferMS(bytes int64) float64 {
+	ser := float64(bytes) * 8 / (p.BandwidthMbps * 1e6) * 1e3
+	// Expected retransmissions: geometric series; each retransmission
+	// costs one RTT (2x base latency).
+	retrans := p.LossRate / (1 - p.LossRate) * 2 * p.BaseLatencyMS
+	return ser + p.BaseLatencyMS + retrans
+}
+
 // OffloadPlan is the PAEB distribution decision (§V-A): run the
 // detector on-car or ship the frame to an edge station, trading network
 // transfer against compute speed and on-car energy.
@@ -219,7 +258,7 @@ type OffloadPlan struct {
 // radioTxW is the car radio's transmit power; resultBytes the detection
 // payload returned by the edge.
 func PlanOffload(w accel.Workload, onCar, edge *accel.Device, precision tensor.DType,
-	link fabric.LinkProfile, frameBytes, resultBytes int64, deadlineMS, radioTxW float64) (OffloadPlan, error) {
+	link LinkProfile, frameBytes, resultBytes int64, deadlineMS, radioTxW float64) (OffloadPlan, error) {
 
 	var plan OffloadPlan
 	local, err := onCar.Evaluate(w, precision, 1)
@@ -263,24 +302,4 @@ func PlanOffload(w accel.Workload, onCar, edge *accel.Device, precision tensor.D
 		plan.MeetsDeadline = localOK
 	}
 	return plan, nil
-}
-
-// RankDevices orders all candidate devices for a workload by energy per
-// inference at the given precision, reporting only feasible ones.
-func RankDevices(w accel.Workload, precision tensor.DType, deadlineMS, powerW float64) []accel.Measurement {
-	var out []accel.Measurement
-	for _, d := range candidateDevices() {
-		if !d.Supports(precision) || (powerW > 0 && d.MaxW > powerW) {
-			continue
-		}
-		m, err := d.Evaluate(w, precision, 1)
-		if err != nil || (deadlineMS > 0 && m.LatencyMS > deadlineMS) {
-			continue
-		}
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].EnergyPerInferenceMJ() < out[j].EnergyPerInferenceMJ()
-	})
-	return out
 }

@@ -2,9 +2,9 @@ package core
 
 import (
 	"testing"
+	"testing/quick"
 
 	"vedliot/internal/accel"
-	"vedliot/internal/fabric"
 	"vedliot/internal/nn"
 	"vedliot/internal/tensor"
 )
@@ -114,11 +114,11 @@ func TestPlanOffloadCrossover(t *testing.T) {
 		deadlineMS  = 100
 		radioTxW    = 2.5
 	)
-	lte, err := PlanOffload(w, onCar, edge, tensor.INT8, fabric.LTE, frameBytes, resultBytes, deadlineMS, radioTxW)
+	lte, err := PlanOffload(w, onCar, edge, tensor.INT8, LTE, frameBytes, resultBytes, deadlineMS, radioTxW)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mmw, err := PlanOffload(w, onCar, edge, tensor.INT8, fabric.NR5GmmWave, frameBytes, resultBytes, deadlineMS, radioTxW)
+	mmw, err := PlanOffload(w, onCar, edge, tensor.INT8, NR5GmmWave, frameBytes, resultBytes, deadlineMS, radioTxW)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,29 +139,38 @@ func TestPlanOffloadCrossover(t *testing.T) {
 	}
 }
 
-func TestRankDevices(t *testing.T) {
-	g := nn.MobileNetV3(224, nn.BuildOptions{})
-	if err := g.InferShapes(1); err != nil {
-		t.Fatal(err)
+func TestTransferMSComponents(t *testing.T) {
+	// 1 MB over 1G Ethernet: ~8.5 ms serialization + 0.2 ms latency.
+	got := Ethernet1G.TransferMS(1 << 20)
+	if got < 8 || got > 10 {
+		t.Errorf("1MB over 1G = %.2f ms, want ~9", got)
 	}
-	w, err := accel.WorkloadFromGraph(g, tensor.INT8)
-	if err != nil {
-		t.Fatal(err)
+	// Zero-byte transfer costs base latency.
+	if got := LTE.TransferMS(0); got < LTE.BaseLatencyMS {
+		t.Errorf("0B over LTE = %v < base latency", got)
 	}
-	ranked := RankDevices(w, tensor.INT8, 50, 0)
-	if len(ranked) < 3 {
-		t.Fatalf("only %d feasible devices", len(ranked))
+}
+
+func TestFasterLinkIsFaster(t *testing.T) {
+	f := func(kb uint16) bool {
+		bytes := int64(kb)*1024 + 1
+		return Ethernet10G.TransferMS(bytes) < Ethernet1G.TransferMS(bytes) &&
+			NR5G.TransferMS(bytes) < LTE.TransferMS(bytes)
 	}
-	for i := 1; i < len(ranked); i++ {
-		if ranked[i].EnergyPerInferenceMJ() < ranked[i-1].EnergyPerInferenceMJ() {
-			t.Error("ranking not sorted by energy")
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestTransferMonotoneInSize(t *testing.T) {
+	f := func(a, b uint32) bool {
+		x, y := int64(a), int64(b)
+		if x > y {
+			x, y = y, x
 		}
+		return LTE.TransferMS(x) <= LTE.TransferMS(y)+1e-12
 	}
-	// A power cap removes desktop GPUs.
-	capped := RankDevices(w, tensor.INT8, 50, 16)
-	for _, m := range capped {
-		if m.Device == "GTX1660" {
-			t.Error("power cap ignored")
-		}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }

@@ -206,19 +206,6 @@ func ArcCurrent(n int, cfg ArcConfig) []ArcSample {
 	return out
 }
 
-// ToSamples converts arc windows to classifier samples (label 1 = arc).
-func ToSamples(arcs []ArcSample) []Sample {
-	out := make([]Sample, len(arcs))
-	for i, a := range arcs {
-		label := 0
-		if a.Arc {
-			label = 1
-		}
-		out[i] = Sample{X: a.X, Label: label}
-	}
-	return out
-}
-
 // Normalize scales each feature vector in place to zero mean and unit
 // variance (per sample), the pre-processing step of the deployment
 // pipeline.

@@ -195,20 +195,6 @@ func variance(xs []float32) float64 {
 	return s / float64(len(xs))
 }
 
-func TestToSamples(t *testing.T) {
-	arcs := ArcCurrent(20, DefaultArcConfig())
-	samples := ToSamples(arcs)
-	for i := range arcs {
-		want := 0
-		if arcs[i].Arc {
-			want = 1
-		}
-		if samples[i].Label != want {
-			t.Errorf("sample %d label %d, want %d", i, samples[i].Label, want)
-		}
-	}
-}
-
 func TestNormalize(t *testing.T) {
 	s := []Sample{{X: []float32{1, 2, 3, 4}}}
 	Normalize(s)

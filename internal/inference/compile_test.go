@@ -74,7 +74,7 @@ func TestCompileBindsOnce(t *testing.T) {
 func TestExecutorConcurrentFirstRunAll(t *testing.T) {
 	g := execGraph()
 	in := execInput(t, g, 3, 5)
-	fresh := mustCompile(t, g, WithWorkers(2), WithParallelThreshold(1))
+	fresh := mustCompile(t, g, WithWorkers(2), withParallelThreshold(1))
 	wantRun, err := fresh.Run(in)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestExecutorConcurrentFirstRunAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := mustCompile(t, g, WithWorkers(2), WithParallelThreshold(1))
+	eng := mustCompile(t, g, WithWorkers(2), withParallelThreshold(1))
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

@@ -117,7 +117,7 @@ func (c convCase) graph(specials []float32) (*nn.Graph, map[string]*tensor.Tenso
 // worker really split the planes.
 func checkConvF32(t testing.TB, c convCase, g *nn.Graph, in map[string]*tensor.Tensor) {
 	t.Helper()
-	eng, err := Compile(g, WithWorkers(c.workers), WithParallelThreshold(0))
+	eng, err := Compile(g, WithWorkers(c.workers), withParallelThreshold(0))
 	if err != nil {
 		t.Fatalf("%v: compile: %v", c, err)
 	}

@@ -35,7 +35,7 @@ func TestDenseMatchesInterpreterAtEveryBatch(t *testing.T) {
 				if fp16 {
 					g = withPrecision(g, tensor.FP16)
 				}
-				eng := mustCompile(t, g, WithWorkers(2), WithParallelThreshold(0))
+				eng := mustCompile(t, g, WithWorkers(2), withParallelThreshold(0))
 				it := mustInterp(t, g)
 				for _, batch := range []int{1, 2, 3, 4, 5, 8, 9, 33} {
 					in := tensor.New(tensor.FP32, batch, inF)
@@ -80,7 +80,7 @@ func TestQuantDenseBatchInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q, err := CompileQuantized(g, schema, WithWorkers(2), WithParallelThreshold(0))
+		q, err := CompileQuantized(g, schema, WithWorkers(2), withParallelThreshold(0))
 		if err != nil {
 			t.Fatal(err)
 		}

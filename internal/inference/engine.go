@@ -60,10 +60,10 @@ func WithWorkers(n int) Option {
 	return func(c *config) { c.workers = n }
 }
 
-// WithParallelThreshold sets the minimum estimated per-kernel op count
+// withParallelThreshold sets the minimum estimated per-kernel op count
 // before work is split across the pool; smaller kernels run inline to
 // avoid dispatch overhead.
-func WithParallelThreshold(ops int64) Option {
+func withParallelThreshold(ops int64) Option {
 	return func(c *config) { c.threshold = ops }
 }
 

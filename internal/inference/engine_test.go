@@ -81,7 +81,7 @@ func TestEngineMatchesInterpreter(t *testing.T) {
 func TestEngineParallelMatchesSequential(t *testing.T) {
 	for _, g := range zoo() {
 		seq := mustCompile(t, g, WithWorkers(1))
-		par := mustCompile(t, g, WithWorkers(4), WithParallelThreshold(0))
+		par := mustCompile(t, g, WithWorkers(4), withParallelThreshold(0))
 		inNode := g.Node(g.Inputs[0])
 		in := tensor.New(tensor.FP32, append(tensor.Shape{2}, inNode.Attrs.Shape...)...)
 		fillInput(in, 9)

@@ -247,8 +247,8 @@ func TestExecutorRunAllMatchesRun(t *testing.T) {
 // declared outputs outlive the call, pooled memory does not.
 func TestExecutorConcurrentMixedBatches(t *testing.T) {
 	g := execGraph()
-	fresh := compileExecPlans(t, g, WithWorkers(2), WithParallelThreshold(1))
-	for pi, p := range compileExecPlans(t, g, WithWorkers(2), WithParallelThreshold(1)) {
+	fresh := compileExecPlans(t, g, WithWorkers(2), withParallelThreshold(1))
+	for pi, p := range compileExecPlans(t, g, WithWorkers(2), withParallelThreshold(1)) {
 		ins := map[int]map[string]*tensor.Tensor{1: execInput(t, g, 1, 3), 8: execInput(t, g, 8, 5)}
 		want := map[int]map[string]*tensor.Tensor{}
 		for batch, in := range ins {

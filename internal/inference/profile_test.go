@@ -168,8 +168,8 @@ func TestFanOutProfileBatch8(t *testing.T) {
 		}
 		var fp, q [2]side // inline, split
 		for i, threshold := range []int64{1 << 62, 1} {
-			e := mustCompile(t, g, WithWorkers(2), WithParallelThreshold(threshold))
-			qe, err := CompileQuantized(g, schema, WithWorkers(2), WithParallelThreshold(threshold))
+			e := mustCompile(t, g, WithWorkers(2), withParallelThreshold(threshold))
+			qe, err := CompileQuantized(g, schema, WithWorkers(2), withParallelThreshold(threshold))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -60,7 +60,7 @@ func TestQuantEngineParity(t *testing.T) {
 	}
 	for name, g := range models {
 		t.Run(name, func(t *testing.T) {
-			if _, err := optimize.Pipeline(g, optimize.StandardPasses(), 0); err != nil {
+			if _, err := optimize.Pipeline(g); err != nil {
 				t.Fatal(err)
 			}
 			schema := calibrate(t, g)

@@ -139,10 +139,9 @@ func (s *SimTarget) Infer(in *tensor.Tensor) (*tensor.Tensor, time.Duration, err
 	return out, s.latency, err
 }
 
-// PipelineConfig selects optimization steps (§III deployment steps 4-6).
+// PipelineConfig selects optimization steps (§III deployment steps 4-6)
+// beyond the graph surgery of optimize.StandardPasses, which always runs.
 type PipelineConfig struct {
-	// Passes are the graph-surgery passes; nil = StandardPasses.
-	Passes []optimize.Pass
 	// Quantize enables post-training INT8 weight quantization.
 	Quantize    bool
 	Granularity optimize.QuantGranularity
@@ -168,11 +167,7 @@ type PipelineReport struct {
 // RunPipeline optimizes g in place for deployment.
 func RunPipeline(g *nn.Graph, cfg PipelineConfig) (PipelineReport, error) {
 	var rep PipelineReport
-	passes := cfg.Passes
-	if passes == nil {
-		passes = optimize.StandardPasses()
-	}
-	applied, err := optimize.Pipeline(g, passes, 0)
+	applied, err := optimize.Pipeline(g)
 	if err != nil {
 		return rep, err
 	}

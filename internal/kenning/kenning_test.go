@@ -112,9 +112,6 @@ func TestConfusionMatrix(t *testing.T) {
 	if r := cm.Recall(1); math.Abs(r-0.75) > 1e-9 {
 		t.Errorf("recall(1) = %v", r)
 	}
-	if fnr := cm.FalseNegativeRate(1); math.Abs(fnr-0.25) > 1e-9 {
-		t.Errorf("FNR(1) = %v", fnr)
-	}
 	if err := cm.Add(5, 0); err == nil {
 		t.Error("out-of-range label accepted")
 	}

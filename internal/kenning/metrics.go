@@ -74,12 +74,6 @@ func (m *ConfusionMatrix) Recall(class int) float64 {
 	return float64(m.At(class, class)) / float64(actual)
 }
 
-// FalseNegativeRate returns FN / (TP+FN) for a class — the metric the
-// arc-detection use case bounds ("ultra-low false-negative error rate").
-func (m *ConfusionMatrix) FalseNegativeRate(class int) float64 {
-	return 1 - m.Recall(class)
-}
-
 // String renders the matrix with per-class precision/recall.
 func (m *ConfusionMatrix) String() string {
 	var b strings.Builder

@@ -8,7 +8,7 @@ package microserver
 
 import (
 	"fmt"
-	"sort"
+	"strings"
 )
 
 // FormFactor enumerates the COM standards of Fig. 2.
@@ -24,7 +24,7 @@ const (
 	JetsonNX
 	XilinxKria
 	RPiCM4
-	NumFormFactors
+	numFormFactors
 )
 
 // String names the form factor.
@@ -138,15 +138,15 @@ type Slot struct {
 	// (uRECS integrates Kria and RPi CM4 this way).
 	AdapterFor []FormFactor
 
-	module  *Module
-	powered bool
+	module *Module
 }
 
 // Module returns the inserted module or nil.
 func (s *Slot) Module() *Module { return s.module }
 
-// Powered reports whether the slot is power-gated on.
-func (s *Slot) Powered() bool { return s.powered && s.module != nil }
+// Powered reports whether the slot is powered: a slot powers on with
+// the module inserted into it and off when the module is removed.
+func (s *Slot) Powered() bool { return s.module != nil }
 
 func (s *Slot) accepts(f FormFactor) (ok, viaAdapter bool) {
 	for _, a := range s.Accepts {
@@ -252,8 +252,30 @@ func (c *Chassis) Insert(idx int, m *Module) error {
 			m.Name, m.MaxW, c.Name, c.BudgetW, c.modulePowerW())
 	}
 	slot.module = m
-	slot.powered = true
 	return nil
+}
+
+// Mount finds each named catalogue module and inserts them into
+// consecutive slots from slot 0, returning them in slot order. Blank
+// names (as a comma-separated flag splits) are skipped. On an error the
+// modules already mounted are returned with it.
+func (c *Chassis) Mount(names ...string) ([]*Module, error) {
+	var mods []*Module
+	for _, name := range names {
+		name = strings.TrimSpace(name)
+		if name == "" {
+			continue
+		}
+		m, err := FindModule(name)
+		if err != nil {
+			return mods, err
+		}
+		if err := c.Insert(len(mods), m); err != nil {
+			return mods, err
+		}
+		mods = append(mods, m)
+	}
+	return mods, nil
 }
 
 // Remove extracts the module from slot idx (run-time exchange of
@@ -268,21 +290,7 @@ func (c *Chassis) Remove(idx int) (*Module, error) {
 	}
 	m := slot.module
 	slot.module = nil
-	slot.powered = false
 	return m, nil
-}
-
-// SetPower gates an occupied slot on or off (power-aware resource
-// management).
-func (c *Chassis) SetPower(idx int, on bool) error {
-	if idx < 0 || idx >= len(c.Slots) {
-		return fmt.Errorf("microserver: %s has no slot %d", c.Name, idx)
-	}
-	if c.Slots[idx].module == nil {
-		return fmt.Errorf("microserver: slot %d empty", idx)
-	}
-	c.Slots[idx].powered = on
-	return nil
 }
 
 // MaxPowerW returns worst-case chassis power with all powered modules at
@@ -346,11 +354,9 @@ func (c *Chassis) Snapshot(util map[int]float64) Monitoring {
 	m := Monitoring{Chassis: c.Name, TotalW: c.PowerW(util)}
 	for _, s := range c.Slots {
 		r := SlotReading{Slot: s.Index}
-		if s.module != nil {
-			r.Module = s.module.Name
-			r.Powered = s.powered
-		}
 		if s.Powered() {
+			r.Module = s.module.Name
+			r.Powered = true
 			u := util[s.Index]
 			if u < 0 {
 				u = 0
@@ -366,18 +372,6 @@ func (c *Chassis) Snapshot(util map[int]float64) Monitoring {
 		m.PerSlot = append(m.PerSlot, r)
 	}
 	return m
-}
-
-// Modules returns the inserted modules sorted by slot index.
-func (c *Chassis) Modules() []*Module {
-	var out []*Module
-	for _, s := range c.Slots {
-		if s.module != nil {
-			out = append(out, s.module)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // StandardModules returns a catalogue of module definitions matching the

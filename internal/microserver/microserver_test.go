@@ -17,7 +17,7 @@ func TestProfilesCoverAllFormFactors(t *testing.T) {
 			}
 		}
 	}
-	for f := FormFactor(0); f < NumFormFactors; f++ {
+	for f := FormFactor(0); f < numFormFactors; f++ {
 		if !seen[f] {
 			t.Errorf("no profile for %v", f)
 		}
@@ -115,15 +115,18 @@ func TestRECSBoxAndTRECS(t *testing.T) {
 	}
 
 	tr := NewTRECS(3)
-	if err := tr.Insert(0, hpc); err != nil {
+	mods, err := tr.Mount("COM-HPC Server x86", " ", "COM-HPC Xilinx ZU+")
+	if err != nil {
 		t.Fatal(err)
 	}
-	zu, _ := FindModule("COM-HPC Xilinx ZU+")
-	if err := tr.Insert(1, zu); err != nil {
-		t.Fatal(err)
+	if len(mods) != 2 || tr.Slots[1].Module() != mods[1] || tr.Slots[2].Module() != nil {
+		t.Errorf("t.RECS mounted %d modules, slot 1 holds %v", len(mods), tr.Slots[1].Module())
 	}
-	if len(tr.Modules()) != 2 {
-		t.Errorf("t.RECS module count = %d", len(tr.Modules()))
+	if _, err := NewRECSBox(1).Mount("COM Express Xeon-D", "COM Express Xeon-D"); err == nil {
+		t.Error("mounted two modules into a one-slot RECS|Box")
+	}
+	if _, err := NewRECSBox(1).Mount("bogus"); err == nil {
+		t.Error("mounted an unknown module")
 	}
 }
 
@@ -154,21 +157,15 @@ func TestRemoveAndPowerGate(t *testing.T) {
 	if err := u.Insert(0, nx); err != nil {
 		t.Fatal(err)
 	}
-	if err := u.SetPower(0, false); err != nil {
-		t.Fatal(err)
-	}
-	if u.MaxPowerW() != u.BaseboardW {
-		t.Errorf("gated module still drawing: %v", u.MaxPowerW())
-	}
 	m, err := u.Remove(0)
 	if err != nil || m.Name != nx.Name {
 		t.Fatalf("remove = %v, %v", m, err)
 	}
+	if u.MaxPowerW() != u.BaseboardW || u.Slots[0].Powered() {
+		t.Errorf("removed module still drawing: %v", u.MaxPowerW())
+	}
 	if _, err := u.Remove(0); err == nil {
 		t.Error("double remove succeeded")
-	}
-	if err := u.SetPower(0, true); err == nil {
-		t.Error("powered an empty slot")
 	}
 	// Run-time exchange: a different module now fits.
 	smarc, _ := FindModule("SMARC FPGA-SoC")

@@ -190,16 +190,6 @@ func (b *Builder) MaxPool(x string, k, stride, pad int) string {
 	})
 }
 
-// AvgPool appends an average-pooling layer.
-func (b *Builder) AvgPool(x string, k, stride, pad int) string {
-	return b.add(&Node{
-		Name:   b.name("avgpool"),
-		Op:     OpAvgPool,
-		Inputs: []string{x},
-		Attrs:  Attrs{KernelH: k, KernelW: k, StrideH: stride, StrideW: stride, PadH: pad, PadW: pad},
-	})
-}
-
 // GlobalAvgPool appends global average pooling to 1x1 spatial.
 func (b *Builder) GlobalAvgPool(x string) string {
 	return b.add(&Node{Name: b.name("gap"), Op: OpGlobalAvgPool, Inputs: []string{x}})

@@ -224,15 +224,6 @@ func (g *Graph) Remove(names ...string) {
 	g.Inputs = ins
 }
 
-// Rebuild reconstructs the internal name index after external mutation of
-// g.Nodes (used by deserialization and graph transforms).
-func (g *Graph) Rebuild() {
-	g.byName = make(map[string]*Node, len(g.Nodes))
-	for _, n := range g.Nodes {
-		g.byName[n.Name] = n
-	}
-}
-
 // Validate checks structural invariants: unique names, known ops,
 // resolvable inputs, acyclicity and declared outputs.
 func (g *Graph) Validate() error {

@@ -139,11 +139,6 @@ func TestRemoveAndRebuild(t *testing.T) {
 	if g.Node("id") != nil || len(g.Nodes) != 1 {
 		t.Error("Remove left node behind")
 	}
-	g.Nodes = append(g.Nodes, &Node{Name: "x", Op: OpIdentity, Inputs: []string{"in"}})
-	g.Rebuild()
-	if g.Node("x") == nil {
-		t.Error("Rebuild missed appended node")
-	}
 }
 
 func TestShapeInferenceConv(t *testing.T) {
@@ -367,8 +362,6 @@ func TestModelZooKnownCounts(t *testing.T) {
 		{"yolov4@608", YoloV4(608, 80, BuildOptions{}), 60, 68, 62, 67},
 		// Published: ~6.9 BFLOPs = 3.45 GMACs, 6.06M params.
 		{"yolov4tiny@416", YoloV4Tiny(416, 80, BuildOptions{}), 3.2, 3.9, 5.7, 6.5},
-		// Published: ~1.8 GMACs, 11.7M params.
-		{"resnet18", ResNet18(224, BuildOptions{}), 1.6, 2.0, 11, 12.5},
 	}
 	for _, c := range cases {
 		if err := c.g.Validate(); err != nil {

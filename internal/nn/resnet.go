@@ -55,51 +55,3 @@ func bottleneck(b *Builder, x string, inC, width, stride int) (string, int) {
 	sum := b.Add(y, shortcut)
 	return b.Act(sum, OpReLU), outC
 }
-
-// ResNet18 builds the lighter ResNet-18 (basic blocks), used by the
-// robustness-service experiments where a reference model must run on an
-// edge node.
-func ResNet18(inputSize int, opts BuildOptions) *Graph {
-	b := NewBuilder("resnet18", opts)
-	x := b.Input("input", 3, inputSize, inputSize)
-	x = b.ConvBNAct(x, 3, 64, 7, 2, 3, OpReLU)
-	x = b.MaxPool(x, 3, 2, 1)
-
-	cfg := []struct {
-		blocks, width, stride int
-	}{
-		{2, 64, 1},
-		{2, 128, 2},
-		{2, 256, 2},
-		{2, 512, 2},
-	}
-	inC := 64
-	for _, st := range cfg {
-		for i := 0; i < st.blocks; i++ {
-			stride := 1
-			if i == 0 {
-				stride = st.stride
-			}
-			x, inC = basicBlock(b, x, inC, st.width, stride)
-		}
-	}
-	x = b.GlobalAvgPool(x)
-	x = b.Flatten(x)
-	x = b.Dense(x, inC, 1000)
-	x = b.Softmax(x)
-	return b.Graph(x)
-}
-
-func basicBlock(b *Builder, x string, inC, width, stride int) (string, int) {
-	y := b.ConvBNAct(x, inC, width, 3, stride, 1, OpReLU)
-	y = b.ConvNB(y, width, width, 3, 1, 1)
-	y = b.BN(y, width)
-
-	shortcut := x
-	if inC != width || stride != 1 {
-		shortcut = b.ConvNB(x, inC, width, 1, stride, 0)
-		shortcut = b.BN(shortcut, width)
-	}
-	sum := b.Add(y, shortcut)
-	return b.Act(sum, OpReLU), width
-}

@@ -25,16 +25,16 @@ type Pass interface {
 	Apply(g *nn.Graph) (changed bool, err error)
 }
 
-// Pipeline applies passes in order until none reports a change (at most
-// maxIters sweeps), returning the applied-pass log.
-func Pipeline(g *nn.Graph, passes []Pass, maxIters int) ([]string, error) {
-	if maxIters <= 0 {
-		maxIters = 8
-	}
+// maxSweeps bounds Pipeline's sweeps over the passes.
+const maxSweeps = 8
+
+// Pipeline applies StandardPasses in order until none reports a change
+// (at most maxSweeps sweeps), returning the applied-pass log.
+func Pipeline(g *nn.Graph) ([]string, error) {
 	var log []string
-	for iter := 0; iter < maxIters; iter++ {
+	for iter := 0; iter < maxSweeps; iter++ {
 		any := false
-		for _, p := range passes {
+		for _, p := range StandardPasses() {
 			changed, err := p.Apply(g)
 			if err != nil {
 				return log, fmt.Errorf("optimize: pass %s: %w", p.Name(), err)

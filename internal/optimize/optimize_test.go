@@ -147,7 +147,7 @@ func TestRemoveIdentity(t *testing.T) {
 
 func TestPipelineConverges(t *testing.T) {
 	g := nn.LeNet(28, 10, nn.BuildOptions{Weights: true, Seed: 2})
-	log, err := Pipeline(g, StandardPasses(), 0)
+	log, err := Pipeline(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestPipelineConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A second run must be a no-op.
-	log2, err := Pipeline(g, StandardPasses(), 0)
+	log2, err := Pipeline(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,22 +292,6 @@ func TestQuantizePerChannelBeatsPerTensorSNR(t *testing.T) {
 	if snrC <= snrT {
 		t.Errorf("per-channel SNR %.1f dB <= per-tensor %.1f dB", snrC, snrT)
 	}
-}
-
-func TestDequantizeWeights(t *testing.T) {
-	g := nn.LeNet(28, 10, nn.BuildOptions{Weights: true, Seed: 9})
-	if _, err := QuantizeWeights(g, QuantConfig{Granularity: PerTensor}); err != nil {
-		t.Fatal(err)
-	}
-	DequantizeWeights(g)
-	for _, n := range g.Nodes {
-		for _, w := range n.Weights {
-			if w.DType != tensor.FP32 {
-				t.Fatalf("node %s still has %s weights", n.Name, w.DType)
-			}
-		}
-	}
-	runLeNet(t, g)
 }
 
 func TestCalibrationRanges(t *testing.T) {

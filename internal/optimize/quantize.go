@@ -148,18 +148,6 @@ func QuantizeWeights(g *nn.Graph, cfg QuantConfig) (QuantReport, error) {
 	return rep, nil
 }
 
-// DequantizeWeights converts INT8 weights back to FP32 in place (the
-// "de-quantizing edge runtime" path).
-func DequantizeWeights(g *nn.Graph) {
-	for _, n := range g.Nodes {
-		for key, w := range n.Weights {
-			if w.DType == tensor.INT8 {
-				n.SetWeight(key, w.Convert(tensor.FP32))
-			}
-		}
-	}
-}
-
 // QuantizationSNR measures the signal-to-quantization-noise ratio (dB) a
 // weight tensor would suffer at the given granularity, without modifying
 // the graph. Used by the granularity ablation.

@@ -1,7 +1,10 @@
 package optimize
 
 import (
+	"fmt"
 	"testing"
+
+	"vedliot/internal/inference"
 
 	"vedliot/internal/nn"
 	"vedliot/internal/tensor"
@@ -40,7 +43,7 @@ func TestValidatePassesStandardPipeline(t *testing.T) {
 			}
 		}
 	}
-	rewritten, rep, err := ValidatePasses(g, StandardPasses(), probeInputs(g, 4))
+	rewritten, rep, err := validatePasses(g, probeInputs(g, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,12 +65,84 @@ func TestValidatePassesStandardPipeline(t *testing.T) {
 			return
 		}
 	}
-	t.Error("ValidatePasses mutated the input graph")
+	t.Error("validatePasses mutated the input graph")
 }
 
 func TestValidatePassesNeedsProbes(t *testing.T) {
 	g := nn.MLP("m", []int{4, 2}, nn.BuildOptions{Weights: true, Seed: 1})
-	if _, _, err := ValidatePasses(g, StandardPasses(), nil); err == nil {
+	if _, _, err := validatePasses(g, nil); err == nil {
 		t.Error("validation accepted zero probes")
 	}
+}
+
+// validationReport records a pass-preservation check.
+type validationReport struct {
+	// Applied is the pipeline log of passes that changed the graph.
+	Applied []string
+	// Probes is the number of probe inputs compared.
+	Probes int
+	// MaxDiff is the worst output divergence observed across all probes
+	// and declared outputs.
+	MaxDiff float64
+}
+
+// validatePasses checks that the optimization pipeline preserves the
+// network function: it applies Pipeline to a clone of g and compares
+// the rewritten graph against the original on every probe input. Both
+// graphs are compiled exactly once and the engines then run all probes —
+// the compile-once/run-many shape every pass validation should have.
+// It returns the rewritten graph so callers can adopt it once validated.
+//
+// A non-nil error means the pipeline or an execution failed; a MaxDiff
+// above the caller's tolerance means the rewrite changed the function.
+func validatePasses(g *nn.Graph, probes []map[string]*tensor.Tensor) (*nn.Graph, validationReport, error) {
+	var rep validationReport
+	if len(probes) == 0 {
+		return nil, rep, fmt.Errorf("optimize: validation needs at least one probe input")
+	}
+	rewritten := g.Clone()
+	applied, err := Pipeline(rewritten)
+	if err != nil {
+		return nil, rep, err
+	}
+	rep.Applied = applied
+
+	ref, err := inference.Compile(g)
+	if err != nil {
+		return nil, rep, fmt.Errorf("optimize: compile reference: %w", err)
+	}
+	opt, err := inference.Compile(rewritten)
+	if err != nil {
+		return nil, rep, fmt.Errorf("optimize: compile rewritten: %w", err)
+	}
+	if len(g.Outputs) != len(rewritten.Outputs) {
+		return nil, rep, fmt.Errorf("optimize: pipeline changed output count %d -> %d",
+			len(g.Outputs), len(rewritten.Outputs))
+	}
+	for _, probe := range probes {
+		want, err := ref.Run(probe)
+		if err != nil {
+			return nil, rep, fmt.Errorf("optimize: reference run: %w", err)
+		}
+		got, err := opt.Run(probe)
+		if err != nil {
+			return nil, rep, fmt.Errorf("optimize: rewritten run: %w", err)
+		}
+		// Outputs are compared positionally: passes may legally rewire a
+		// declared output to a differently named node (e.g. batch-norm
+		// folding exposes the fused convolution).
+		for i, name := range g.Outputs {
+			w := want[name]
+			o := got[rewritten.Outputs[i]]
+			d, err := tensor.MaxAbsDiff(w, o)
+			if err != nil {
+				return nil, rep, fmt.Errorf("optimize: output %s: %w", name, err)
+			}
+			if d > rep.MaxDiff {
+				rep.MaxDiff = d
+			}
+		}
+		rep.Probes++
+	}
+	return rewritten, rep, nil
 }

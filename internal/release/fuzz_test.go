@@ -3,6 +3,7 @@ package release
 import (
 	"bytes"
 	"crypto/ed25519"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -15,7 +16,7 @@ func fuzzKey(b byte) ed25519.PrivateKey {
 
 // FuzzReleaseBundle feeds arbitrary bytes to the release decoders:
 // DecodeBundle, then Policy.Verify under a full policy and under a
-// witness-only one (no log key), and DecodeEnvelope. Properties: no
+// witness-only one (no log key), and decodeEnvelope. Properties: no
 // panic; a bundle either policy accepts has its envelope proven under
 // its checkpoint root; a decoded bundle re-encodes to bytes that decode
 // to the same bundle and the same verdicts; an accepted envelope is its
@@ -79,7 +80,7 @@ func FuzzReleaseBundle(f *testing.F) {
 	f.Add(valid.Envelope.Encode())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if e, err := DecodeEnvelope(data); err == nil && !bytes.Equal(e.Encode(), data) {
+		if e, err := decodeEnvelope(data); err == nil && !bytes.Equal(e.Encode(), data) {
 			t.Fatalf("accepted envelope re-encodes to %q", e.Encode())
 		}
 		b, err := DecodeBundle(data)
@@ -113,6 +114,63 @@ func FuzzReleaseBundle(f *testing.F) {
 		}
 		if verdicts(back) != got {
 			t.Fatalf("verdicts %v became %v after a round trip", got, verdicts(back))
+		}
+	})
+}
+
+// FuzzWitnessState feeds arbitrary bytes to decodeWitnessState, the
+// parser behind LoadWitnessState, and to Hash.UnmarshalJSON, the
+// decoder of every tree hash in a state file or a bundle. Properties:
+// no panic; an accepted hash re-marshals to the bytes it was read from
+// (one hash, one spelling); an accepted state re-saves and reloads to
+// the same heads.
+func FuzzWitnessState(f *testing.F) {
+	l := NewLog("fuzz/witness", fuzzKey(2))
+	w, err := NewWitness("w0", fuzzKey(3), l.Public())
+	if err != nil {
+		f.Fatal(err)
+	}
+	l.Append([]byte("entry"))
+	cp, err := l.Checkpoint()
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := w.Observe(cp, nil); err != nil {
+		f.Fatal(err)
+	}
+	saved, err := encodeWitnessState(w.seen)
+	if err != nil {
+		f.Fatal(err)
+	}
+	root := cp.Root.String()
+	f.Add(saved)
+	f.Add([]byte(`{"seen":null}`))
+	f.Add([]byte(strings.Replace(string(saved), root, root[:62], 1)))
+	f.Add([]byte(strings.Replace(string(saved), root, "zz"+root[2:], 1)))
+	f.Add([]byte(strings.Replace(string(saved), root, strings.ToUpper(root), 1)))
+	f.Add([]byte(`"` + root + `"`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var h Hash
+		if h.UnmarshalJSON(data) == nil {
+			if out, _ := h.MarshalJSON(); !bytes.Equal(out, data) {
+				t.Fatalf("hash %q re-marshals to %q", data, out)
+			}
+		}
+		seen, err := decodeWitnessState(data)
+		if err != nil {
+			return
+		}
+		enc, err := encodeWitnessState(seen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := decodeWitnessState(enc)
+		if err != nil {
+			t.Fatalf("re-saved state does not reload: %v\n%s", err, enc)
+		}
+		if len(back) != len(seen) || (len(seen) > 0 && !reflect.DeepEqual(back, seen)) {
+			t.Fatalf("heads %v reload as %v", seen, back)
 		}
 	})
 }

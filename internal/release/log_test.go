@@ -207,7 +207,7 @@ func TestEnvelopeDeterministicRoundTrip(t *testing.T) {
 	}
 	e := s.Sign("sha256:00ff", 42, "mirror-face", "test")
 	enc := e.Encode()
-	back, err := DecodeEnvelope(enc)
+	back, err := decodeEnvelope(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,13 +218,13 @@ func TestEnvelopeDeterministicRoundTrip(t *testing.T) {
 		t.Fatal("leaf hash not reproducible from the parsed entry")
 	}
 	// Non-canonical bytes (extra whitespace) are rejected outright.
-	if _, err := DecodeEnvelope(append([]byte(" "), enc...)); err == nil {
+	if _, err := decodeEnvelope(append([]byte(" "), enc...)); err == nil {
 		t.Error("non-canonical envelope accepted")
 	}
 	// Unknown version rejected.
 	bad := s.Sign("sha256:00", 1, "m", "t")
 	bad.Version = 99
-	if _, err := DecodeEnvelope(bad.Encode()); err == nil {
+	if _, err := decodeEnvelope(bad.Encode()); err == nil {
 		t.Error("future envelope version accepted")
 	}
 }

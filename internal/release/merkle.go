@@ -25,32 +25,22 @@ func (h Hash) String() string { return hex.EncodeToString(h[:]) }
 // MarshalJSON encodes the hash as a hex string.
 func (h Hash) MarshalJSON() ([]byte, error) { return json.Marshal(h.String()) }
 
-// UnmarshalJSON decodes a hex string of exactly 32 bytes.
+// UnmarshalJSON decodes the one form MarshalJSON writes: a JSON
+// string of exactly 64 lower-case hex digits, without escapes. Upper
+// case, escapes and any other length are refused, so every hash has one
+// spelling and a decoded bundle or witness state re-encodes to itself.
 func (h *Hash) UnmarshalJSON(data []byte) error {
-	var s string
-	if err := json.Unmarshal(data, &s); err != nil {
-		return err
+	if len(data) != 2+hex.EncodedLen(len(h)) || data[0] != '"' || data[len(data)-1] != '"' {
+		return fmt.Errorf("release: hash is not a string of %d hex digits", hex.EncodedLen(len(h)))
 	}
-	return h.fromHex(s)
-}
-
-func (h *Hash) fromHex(s string) error {
-	b, err := hex.DecodeString(s)
-	if err != nil {
-		return fmt.Errorf("release: bad hash hex: %w", err)
+	digits := data[1 : len(data)-1]
+	for _, c := range digits {
+		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return fmt.Errorf("release: hash digit %q is not lower-case hex", c)
+		}
 	}
-	if len(b) != len(h) {
-		return fmt.Errorf("release: hash is %d bytes, want %d", len(b), len(h))
-	}
-	copy(h[:], b)
-	return nil
-}
-
-// ParseHash parses a lowercase-hex tree hash (the String form).
-func ParseHash(s string) (Hash, error) {
-	var h Hash
-	err := h.fromHex(s)
-	return h, err
+	_, err := hex.Decode(h[:], digits)
+	return err
 }
 
 // LeafHash computes the domain-separated hash of one log entry:

@@ -2,6 +2,7 @@ package release
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -135,10 +136,35 @@ func TestHashJSONRoundTrip(t *testing.T) {
 	if back != h {
 		t.Fatal("hash JSON round trip drifted")
 	}
-	if _, err := ParseHash("zz"); err == nil {
-		t.Error("bad hex accepted")
+	for _, bad := range []string{`"zz"`, `"abcd"`, `null`, `"` + strings.Repeat("z", 64) + `"`} {
+		if err := back.UnmarshalJSON([]byte(bad)); err == nil {
+			t.Errorf("hash %s accepted", bad)
+		}
 	}
-	if _, err := ParseHash("abcd"); err == nil {
-		t.Error("short hash accepted")
+}
+
+// TestHashRefusesSecondSpelling pins the decoder's answer to upper-case
+// hex and escaped digits: refused, not canonicalized, so a hash read
+// from a bundle or a witness state has the one spelling MarshalJSON
+// writes.
+func TestHashRefusesSecondSpelling(t *testing.T) {
+	h := LeafHash([]byte("x"))
+	lower := h.String()
+	var back Hash
+	if err := back.UnmarshalJSON([]byte(`"` + lower + `"`)); err != nil || back != h {
+		t.Fatalf("canonical hash refused: %v", err)
+	}
+	for _, alt := range []string{
+		`"` + strings.ToUpper(lower) + `"`,
+		fmt.Sprintf(`"\u%04x%s"`, lower[0], lower[1:]),
+		` "` + lower + `"`,
+	} {
+		if err := back.UnmarshalJSON([]byte(alt)); err == nil {
+			t.Errorf("second spelling %s accepted", alt)
+		}
+	}
+	state := []byte(`{"seen":{"o":{"size":1,"root":"` + strings.ToUpper(lower) + `"}}}`)
+	if _, err := decodeWitnessState(state); err == nil {
+		t.Error("witness state with an upper-case root accepted")
 	}
 }

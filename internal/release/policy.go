@@ -187,8 +187,8 @@ func (p *Policy) Verify(artifactDigest string, b *Bundle) error {
 // Publisher produces complete releases: it signs an artifact, appends
 // the envelope to the transparency log, collects witness
 // countersignatures on the new checkpoint and assembles the bundle a
-// deploy policy verifies. The toolchain side of the release channel —
-// kenning's ExportTarget and `vedliot-pack sign` both drive one.
+// deploy policy verifies, in one call. `vedliot-pack sign` and
+// `vedliot-pack witness` take the same steps one command at a time.
 type Publisher struct {
 	// Signer signs release envelopes.
 	Signer *Signer

@@ -72,10 +72,10 @@ func (e Envelope) Encode() []byte {
 	return data
 }
 
-// DecodeEnvelope parses a canonically encoded envelope, rejecting
+// decodeEnvelope parses a canonically encoded envelope, rejecting
 // non-canonical bytes: a log entry must re-encode to itself so leaf
 // hashes are reproducible from the parsed form.
-func DecodeEnvelope(data []byte) (Envelope, error) {
+func decodeEnvelope(data []byte) (Envelope, error) {
 	var e Envelope
 	if err := json.Unmarshal(data, &e); err != nil {
 		return Envelope{}, fmt.Errorf("release: decode envelope: %w", err)

@@ -118,29 +118,44 @@ func LoadWitnessState(path string, w *Witness) error {
 	if err != nil {
 		return fmt.Errorf("release: open witness state %s: %w", path, err)
 	}
-	var st witnessState
-	if err := json.Unmarshal(data, &st); err != nil {
+	seen, err := decodeWitnessState(data)
+	if err != nil {
 		return fmt.Errorf("release: parse witness state %s: %w", path, err)
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for origin, th := range st.Seen {
+	for origin, th := range seen {
 		w.seen[origin] = th
 	}
 	return nil
+}
+
+// decodeWitnessState parses a state file's bytes into tree heads per
+// origin.
+func decodeWitnessState(data []byte) (map[string]TreeHead, error) {
+	var st witnessState
+	if err := json.Unmarshal(data, &st); err != nil {
+		return nil, err
+	}
+	return st.Seen, nil
+}
+
+// encodeWitnessState renders tree heads per origin as a state file.
+func encodeWitnessState(seen map[string]TreeHead) ([]byte, error) {
+	data, err := json.MarshalIndent(witnessState{Seen: seen}, "", "  ")
+	return append(data, '\n'), err
 }
 
 // SaveWitnessState writes the witness's remembered tree heads to a
 // state file.
 func SaveWitnessState(path string, w *Witness) error {
 	w.mu.Lock()
-	st := witnessState{Seen: w.seen}
-	data, err := json.MarshalIndent(st, "", "  ")
+	data, err := encodeWitnessState(w.seen)
 	w.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("release: encode witness state: %w", err)
 	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return fmt.Errorf("release: save witness state %s: %w", path, err)
 	}
 	return nil

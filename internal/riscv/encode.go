@@ -5,13 +5,11 @@ package riscv
 // plays in the paper's CI flow). Register arguments follow the ABI
 // numbering (x0..x31).
 
-// Register aliases for readable firmware.
+// Register aliases for readable firmware. x2-x4 (sp, gp, tp) have none:
+// no firmware builder uses them.
 const (
 	Zero = 0
 	RA   = 1
-	SP   = 2
-	GP   = 3
-	TP   = 4
 	T0   = 5
 	T1   = 6
 	T2   = 7
@@ -72,9 +70,6 @@ func NOP() uint32 { return ADDI(0, 0, 0) }
 // LUI rd = imm20 << 12.
 func LUI(rd int, imm20 uint32) uint32 { return imm20<<12 | uint32(rd)<<7 | 0x37 }
 
-// AUIPC rd = pc + (imm20 << 12).
-func AUIPC(rd int, imm20 uint32) uint32 { return imm20<<12 | uint32(rd)<<7 | 0x17 }
-
 // LI expands to LUI+ADDI loading a full 32-bit constant (always two
 // instructions for simple firmware layout).
 func LI(rd int, v uint32) []uint32 {
@@ -108,24 +103,8 @@ func SLLI(rd, rs1 int, shamt uint32) uint32 {
 	return iType(shamt&0x1f, uint32(rs1), 1, uint32(rd), 0x13)
 }
 
-// SRLI rd = rs1 >> shamt (logical).
-func SRLI(rd, rs1 int, shamt uint32) uint32 {
-	return iType(shamt&0x1f, uint32(rs1), 5, uint32(rd), 0x13)
-}
-
-// SRAI rd = rs1 >> shamt (arithmetic).
-func SRAI(rd, rs1 int, shamt uint32) uint32 {
-	return iType(0x400|shamt&0x1f, uint32(rs1), 5, uint32(rd), 0x13)
-}
-
-// AND rd = rs1 & rs2.
-func AND(rd, rs1, rs2 int) uint32 { return rType(0, uint32(rs2), uint32(rs1), 7, uint32(rd), 0x33) }
-
 // OR rd = rs1 | rs2.
 func OR(rd, rs1, rs2 int) uint32 { return rType(0, uint32(rs2), uint32(rs1), 6, uint32(rd), 0x33) }
-
-// XOR rd = rs1 ^ rs2.
-func XOR(rd, rs1, rs2 int) uint32 { return rType(0, uint32(rs2), uint32(rs1), 4, uint32(rd), 0x33) }
 
 // SLTU rd = rs1 < rs2 (unsigned).
 func SLTU(rd, rs1, rs2 int) uint32 { return rType(0, uint32(rs2), uint32(rs1), 3, uint32(rd), 0x33) }
@@ -136,18 +115,6 @@ func MUL(rd, rs1, rs2 int) uint32 { return rType(1, uint32(rs2), uint32(rs1), 0,
 // MULH rd = upper 32 bits of signed product.
 func MULH(rd, rs1, rs2 int) uint32 { return rType(1, uint32(rs2), uint32(rs1), 1, uint32(rd), 0x33) }
 
-// DIV rd = rs1 / rs2 (signed).
-func DIV(rd, rs1, rs2 int) uint32 { return rType(1, uint32(rs2), uint32(rs1), 4, uint32(rd), 0x33) }
-
-// DIVU rd = rs1 / rs2 (unsigned).
-func DIVU(rd, rs1, rs2 int) uint32 { return rType(1, uint32(rs2), uint32(rs1), 5, uint32(rd), 0x33) }
-
-// REM rd = rs1 % rs2 (signed).
-func REM(rd, rs1, rs2 int) uint32 { return rType(1, uint32(rs2), uint32(rs1), 6, uint32(rd), 0x33) }
-
-// REMU rd = rs1 % rs2 (unsigned).
-func REMU(rd, rs1, rs2 int) uint32 { return rType(1, uint32(rs2), uint32(rs1), 7, uint32(rd), 0x33) }
-
 // Memory.
 
 // LW rd = mem32[rs1+imm].
@@ -156,23 +123,11 @@ func LW(rd, rs1 int, imm int32) uint32 { return iType(uint32(imm), uint32(rs1), 
 // LB rd = sign-extended mem8[rs1+imm].
 func LB(rd, rs1 int, imm int32) uint32 { return iType(uint32(imm), uint32(rs1), 0, uint32(rd), 0x03) }
 
-// LBU rd = zero-extended mem8[rs1+imm].
-func LBU(rd, rs1 int, imm int32) uint32 { return iType(uint32(imm), uint32(rs1), 4, uint32(rd), 0x03) }
-
-// LH rd = sign-extended mem16[rs1+imm].
-func LH(rd, rs1 int, imm int32) uint32 { return iType(uint32(imm), uint32(rs1), 1, uint32(rd), 0x03) }
-
-// LHU rd = zero-extended mem16[rs1+imm].
-func LHU(rd, rs1 int, imm int32) uint32 { return iType(uint32(imm), uint32(rs1), 5, uint32(rd), 0x03) }
-
 // SW mem32[rs1+imm] = rs2.
 func SW(rs2, rs1 int, imm int32) uint32 { return sType(uint32(imm), uint32(rs2), uint32(rs1), 2, 0x23) }
 
 // SB mem8[rs1+imm] = rs2.
 func SB(rs2, rs1 int, imm int32) uint32 { return sType(uint32(imm), uint32(rs2), uint32(rs1), 0, 0x23) }
-
-// SH mem16[rs1+imm] = rs2.
-func SH(rs2, rs1 int, imm int32) uint32 { return sType(uint32(imm), uint32(rs2), uint32(rs1), 1, 0x23) }
 
 // Control flow.
 
@@ -202,23 +157,7 @@ func BGE(rs1, rs2 int, offset int32) uint32 {
 	return bType(uint32(offset), uint32(rs2), uint32(rs1), 5, 0x63)
 }
 
-// BLTU branches when rs1 < rs2 (unsigned).
-func BLTU(rs1, rs2 int, offset int32) uint32 {
-	return bType(uint32(offset), uint32(rs2), uint32(rs1), 6, 0x63)
-}
-
-// BGEU branches when rs1 >= rs2 (unsigned).
-func BGEU(rs1, rs2 int, offset int32) uint32 {
-	return bType(uint32(offset), uint32(rs2), uint32(rs1), 7, 0x63)
-}
-
 // System.
-
-// ECALL raises an environment call.
-func ECALL() uint32 { return 0x73 }
-
-// EBREAK raises a breakpoint.
-func EBREAK() uint32 { return 1<<20 | 0x73 }
 
 // MRET returns from machine trap.
 func MRET() uint32 { return 0x302<<20 | 0x73 }
@@ -231,9 +170,6 @@ func CSRRW(rd, rs1 int, csr uint32) uint32 { return iType(csr, uint32(rs1), 1, u
 
 // CSRRS rd = csr; csr |= rs1.
 func CSRRS(rd, rs1 int, csr uint32) uint32 { return iType(csr, uint32(rs1), 2, uint32(rd), 0x73) }
-
-// CSRRC rd = csr; csr &^= rs1.
-func CSRRC(rd, rs1 int, csr uint32) uint32 { return iType(csr, uint32(rs1), 3, uint32(rd), 0x73) }
 
 // CUSTOM0 issues a CFU operation: rd = cfu(funct3, funct7, rs1, rs2).
 func CUSTOM0(rd, rs1, rs2 int, funct3, funct7 uint32) uint32 {

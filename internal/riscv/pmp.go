@@ -93,9 +93,6 @@ func mode(cfg uint8) uint8 { return (cfg >> 3) & 3 }
 // Entry returns entry i's configuration byte and address register.
 func (p *PMP) Entry(i int) (cfg uint8, addr uint32) { return p.cfg[i], p.addr[i] }
 
-// Configured reports whether any pmpcfg write has occurred.
-func (p *PMP) Configured() bool { return p.configured }
-
 // Check tests an access of size bytes at addr for the given privilege.
 func (p *PMP) Check(addr, size uint32, kind AccessKind, priv Priv) bool {
 	p.Checks++

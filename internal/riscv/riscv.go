@@ -42,18 +42,17 @@ type CFU interface {
 	Latency() int
 }
 
-// Exception cause codes (mcause values without the interrupt bit).
+// Exception cause codes (mcause values without the interrupt bit) the
+// core raises; it raises no misaligned-address traps (causes 0, 4 and
+// 6).
 const (
-	ExcInstrAddrMisaligned = 0
-	ExcInstrAccessFault    = 1
-	ExcIllegalInstr        = 2
-	ExcBreakpoint          = 3
-	ExcLoadAddrMisaligned  = 4
-	ExcLoadAccessFault     = 5
-	ExcStoreAddrMisaligned = 6
-	ExcStoreAccessFault    = 7
-	ExcECallU              = 8
-	ExcECallM              = 11
+	ExcInstrAccessFault = 1
+	ExcIllegalInstr     = 2
+	ExcBreakpoint       = 3
+	ExcLoadAccessFault  = 5
+	ExcStoreAccessFault = 7
+	ExcECallU           = 8
+	ExcECallM           = 11
 )
 
 // Core is one RV32IM hart.

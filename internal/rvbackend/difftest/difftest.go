@@ -4,12 +4,13 @@
 // Both execution paths lower the same quantization schema through the
 // shared plan (inference.BuildQuantPlan), so for any graph the plan
 // supports their dequantized FP32 outputs must be bitwise identical —
-// not merely close. Generate builds a seed-pinned random graph from the
+// not merely close. generate builds a seed-pinned random graph from the
 // op vocabulary the firmware lowers (conv, depthwise conv, dense,
 // batch-norm, pointwise activations, max-pool, global average pool,
-// residual add, flatten, softmax islands); Check runs one graph through
+// residual add, flatten, softmax islands); check runs one graph through
 // the native engine and both firmware variants (CFU and scalar) and
-// reports the first divergence.
+// reports the first divergence. The package's tests drive both over a
+// seed-pinned corpus.
 package difftest
 
 import (
@@ -29,11 +30,11 @@ var acts = []nn.OpType{
 	nn.OpTanh, nn.OpHSwish, nn.OpHSigmoid, nn.OpMish,
 }
 
-// Generate builds a small random model graph, deterministic in seed.
+// generate builds a small random model graph, deterministic in seed.
 // Every op it emits has an integer lowering (or a supported island), so
 // the result always compiles on both the native engine and the SoC
 // backend; shapes are kept tiny so cycle-accurate emulation stays fast.
-func Generate(seed int64) *nn.Graph {
+func generate(seed int64) *nn.Graph {
 	r := rand.New(rand.NewSource(seed))
 	b := nn.NewBuilder(fmt.Sprintf("difftest-%d", seed), nn.BuildOptions{Weights: true, Seed: seed})
 
@@ -143,10 +144,10 @@ func perturbBatchNorm(g *nn.Graph, r *rand.Rand) {
 	}
 }
 
-// Check calibrates the graph, runs it through the native INT8 engine
+// check calibrates the graph, runs it through the native INT8 engine
 // and both firmware variants, and returns an error naming the first
 // output element where any pair of paths disagrees bitwise.
-func Check(g *nn.Graph, batch int, inputSeed int) error {
+func check(g *nn.Graph, batch int, inputSeed int) error {
 	samples, err := nn.SyntheticCalibration(g, 2)
 	if err != nil {
 		return fmt.Errorf("calibration samples: %w", err)

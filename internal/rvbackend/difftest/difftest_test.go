@@ -24,8 +24,8 @@ func TestRandomGraphParity(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%03d", seed), func(t *testing.T) {
 			t.Parallel()
-			g := Generate(seed)
-			if err := Check(g, 2, int(seed)+1000); err != nil {
+			g := generate(seed)
+			if err := check(g, 2, int(seed)+1000); err != nil {
 				t.Fatalf("seed %d (%d nodes): %v", seed, len(g.Nodes), err)
 			}
 		})
@@ -35,7 +35,7 @@ func TestRandomGraphParity(t *testing.T) {
 // TestGenerateDeterministic pins the generator contract the corpus
 // relies on: the same seed always yields the same graph.
 func TestGenerateDeterministic(t *testing.T) {
-	a, b := Generate(7), Generate(7)
+	a, b := generate(7), generate(7)
 	if len(a.Nodes) != len(b.Nodes) {
 		t.Fatalf("node counts differ: %d vs %d", len(a.Nodes), len(b.Nodes))
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"time"
 
 	"vedliot/internal/tensor"
 )
@@ -90,11 +91,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(resp)
 	case StatusOverloaded:
-		secs := int((s.cfg.RetryAfter + 999999999) / 1000000000)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		w.Header().Set("Retry-After", strconv.Itoa(int((RetryAfter+time.Second-1)/time.Second)))
 		http.Error(w, "overloaded", http.StatusTooManyRequests)
 	case StatusShuttingDown:
 		http.Error(w, "shutting down", http.StatusServiceUnavailable)

@@ -183,12 +183,12 @@ func TestAPIKeyAuth(t *testing.T) {
 
 // TestOverloadRetryAfter drives an open-loop burst at a single-replica
 // fleet with depth-1 queues: part of the burst must come back as
-// RetryAfterError with the configured hint, and a shed submission must
+// RetryAfterError with the server's hint, and a shed submission must
 // leave the coalescing counters where they were.
 func TestOverloadRetryAfter(t *testing.T) {
 	srv, _, g := startServer(t, 1,
 		cluster.Config{QueueDepth: 1},
-		Config{Batch: BatchPolicy{MaxBatch: 1}, RetryAfter: 7 * time.Millisecond},
+		Config{Batch: BatchPolicy{MaxBatch: 1}},
 	)
 	pool, err := DialPool(srv.Addr(), "", 4)
 	if err != nil {
@@ -215,8 +215,8 @@ func TestOverloadRetryAfter(t *testing.T) {
 			ok++
 		case errors.As(err, &ra):
 			shed++
-			if ra.After != 7*time.Millisecond {
-				t.Errorf("request %d: retry hint %v, want 7ms", i, ra.After)
+			if ra.After != RetryAfter {
+				t.Errorf("request %d: retry hint %v, want %v", i, ra.After, RetryAfter)
 			}
 		default:
 			t.Errorf("request %d: unexpected error %v", i, err)

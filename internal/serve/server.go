@@ -18,9 +18,8 @@ import (
 // DefaultTenant is the tenant name used in open mode (no API keys).
 const DefaultTenant = "default"
 
-// DefaultRetryAfter is the retry hint attached to shed requests when
-// the config does not set one.
-const DefaultRetryAfter = 2 * time.Millisecond
+// RetryAfter is the retry hint attached to shed requests.
+const RetryAfter = 2 * time.Millisecond
 
 // Config shapes a listener.
 type Config struct {
@@ -30,17 +29,12 @@ type Config struct {
 	Keys map[string]string
 	// Batch is the socket-boundary coalescing policy.
 	Batch BatchPolicy
-	// RetryAfter is the hint returned with shed requests. Default 2ms.
-	RetryAfter time.Duration
 	// MaxFrame bounds a frame body in bytes. Default 16MB.
 	MaxFrame int
 }
 
 func (c Config) withDefaults() Config {
 	c.Batch = c.Batch.withDefaults()
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = DefaultRetryAfter
-	}
 	if c.MaxFrame <= 0 {
 		c.MaxFrame = DefaultMaxFrame
 	}
@@ -381,11 +375,7 @@ func (s *Server) encodeReply(id uint64, outs map[string]*tensor.Tensor, err erro
 	case StatusOverloaded:
 		b := beginFrame(TypeReply, id, 5)
 		b = append(b, StatusOverloaded)
-		ms := s.cfg.RetryAfter.Milliseconds()
-		if ms < 1 {
-			ms = 1
-		}
-		b = binary.LittleEndian.AppendUint32(b, uint32(ms))
+		b = binary.LittleEndian.AppendUint32(b, uint32(RetryAfter.Milliseconds()))
 		return finishFrame(b)
 	case StatusShuttingDown:
 		return errorReply(id, StatusShuttingDown, "fleet shutting down")

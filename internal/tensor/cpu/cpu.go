@@ -83,12 +83,12 @@ func ParseTier(s string) (Tier, error) {
 }
 
 // Features is the raw capability set the detector observed. Fields
-// beyond what the current kernel tiers consume (FMA) are reported so
-// benchmarks and bug reports can name the host precisely.
+// beyond what the current kernel tiers consume (FMA, SSSE3) are reported
+// so benchmarks and bug reports can name the host precisely.
 type Features struct {
 	// SSE2 is true on every amd64 host (architectural baseline).
 	SSE2 bool
-	// SSSE3 reports PSHUFB, the 128-bit byte-table kernel's lookup.
+	// SSSE3 reports PSHUFB at 128 bits.
 	SSSE3 bool
 	// SSE41 reports SSE4.1 (PMULLD and friends).
 	SSE41 bool

@@ -93,14 +93,6 @@ func GemmF32Variants() []GemmKernelF32 {
 	return out
 }
 
-// GemmI16Variants returns every quantized micro-kernel variant the
-// host can execute, narrowest first.
-func GemmI16Variants() []GemmKernelI16 {
-	out := make([]GemmKernelI16, len(gemmI16Kernels))
-	copy(out, gemmI16Kernels)
-	return out
-}
-
 // PickGemmF32 returns the widest FP32 micro-kernel at or below the
 // selected CPU tier (cpu.Best, which honors the VEDLIOT_CPU override).
 func PickGemmF32() GemmKernelF32 {

@@ -204,7 +204,7 @@ func TestGemmF32Variants(t *testing.T) {
 // accumulator equality across every variant and remainder size, and
 // the row body at every live-row count.
 func TestGemmI16Variants(t *testing.T) {
-	for _, g := range GemmI16Variants() {
+	for _, g := range gemmI16Kernels {
 		g := g
 		t.Run(fmt.Sprintf("tier=%v", g.Tier), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
@@ -359,7 +359,7 @@ func FuzzGemmI16Parity(f *testing.F) {
 			k += 64
 		}
 		rng := rand.New(rand.NewSource(seed))
-		for _, g := range GemmI16Variants() {
+		for _, g := range gemmI16Kernels {
 			runVariantI16(t, g, m, n, k, rand.New(rand.NewSource(rng.Int63())))
 			runRowsI16(t, g, int(rows8)%g.MR+1, k, rand.New(rand.NewSource(rng.Int63())))
 		}

@@ -5,33 +5,6 @@ import (
 	"math"
 )
 
-// Add returns a + b elementwise in FP32. Shapes must match exactly.
-func Add(a, b *Tensor) (*Tensor, error) {
-	return zipFP32(a, b, func(x, y float32) float32 { return x + y })
-}
-
-// Sub returns a - b elementwise in FP32.
-func Sub(a, b *Tensor) (*Tensor, error) {
-	return zipFP32(a, b, func(x, y float32) float32 { return x - y })
-}
-
-// Mul returns a * b elementwise in FP32.
-func Mul(a, b *Tensor) (*Tensor, error) {
-	return zipFP32(a, b, func(x, y float32) float32 { return x * y })
-}
-
-func zipFP32(a, b *Tensor, f func(x, y float32) float32) (*Tensor, error) {
-	if !a.Shape.Equal(b.Shape) {
-		return nil, fmt.Errorf("%w: %v vs %v", ErrShape, a.Shape, b.Shape)
-	}
-	av, bv := a.Float32s(), b.Float32s()
-	out := New(FP32, a.Shape...)
-	for i := range av {
-		out.F32[i] = f(av[i], bv[i])
-	}
-	return out, nil
-}
-
 // Scale multiplies every element by k, returning a new FP32 tensor.
 func Scale(a *Tensor, k float32) *Tensor {
 	av := a.Float32s()
@@ -40,47 +13,6 @@ func Scale(a *Tensor, k float32) *Tensor {
 		out.F32[i] = v * k
 	}
 	return out
-}
-
-// MatMul multiplies an (m×k) by a (k×n) FP32 matrix.
-func MatMul(a, b *Tensor) (*Tensor, error) {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 {
-		return nil, fmt.Errorf("%w: MatMul wants rank-2, got %v and %v", ErrShape, a.Shape, b.Shape)
-	}
-	m, k := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		return nil, fmt.Errorf("%w: inner dims %d vs %d", ErrShape, k, k2)
-	}
-	av, bv := a.Float32s(), b.Float32s()
-	out := New(FP32, m, n)
-	for i := 0; i < m; i++ {
-		for p := 0; p < k; p++ {
-			x := av[i*k+p]
-			if x == 0 {
-				continue
-			}
-			row := bv[p*n : (p+1)*n]
-			dst := out.F32[i*n : (i+1)*n]
-			for j, y := range row {
-				dst[j] += x * y
-			}
-		}
-	}
-	return out, nil
-}
-
-// Dot returns the inner product of two equal-length rank-1 tensors.
-func Dot(a, b *Tensor) (float32, error) {
-	if len(a.Shape) != 1 || len(b.Shape) != 1 || a.Shape[0] != b.Shape[0] {
-		return 0, fmt.Errorf("%w: Dot wants equal rank-1, got %v and %v", ErrShape, a.Shape, b.Shape)
-	}
-	av, bv := a.Float32s(), b.Float32s()
-	var s float32
-	for i := range av {
-		s += av[i] * bv[i]
-	}
-	return s, nil
 }
 
 // ArgMax returns the index of the largest element in a flattened tensor.
@@ -143,21 +75,4 @@ func MaxAbsDiff(a, b *Tensor) (float64, error) {
 		}
 	}
 	return m, nil
-}
-
-// MeanSquaredError returns the MSE between two same-shaped tensors.
-func MeanSquaredError(a, b *Tensor) (float64, error) {
-	if !a.Shape.Equal(b.Shape) {
-		return 0, fmt.Errorf("%w: %v vs %v", ErrShape, a.Shape, b.Shape)
-	}
-	av, bv := a.Float32s(), b.Float32s()
-	if len(av) == 0 {
-		return 0, nil
-	}
-	var s float64
-	for i := range av {
-		d := float64(av[i] - bv[i])
-		s += d * d
-	}
-	return s / float64(len(av)), nil
 }

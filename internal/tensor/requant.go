@@ -46,10 +46,3 @@ func requantVectorOK(req []Requant) bool {
 	}
 	return true
 }
-
-// RequantInt8 requantizes one int32 accumulator row into int8 codes:
-// out[i] = ClampInt8(zp + r.Apply(acc[i])), a one-row RequantTileInt8.
-func RequantInt8(out []int8, acc []int32, r Requant, zp int32) {
-	req := [1]Requant{r}
-	RequantTileInt8(out, len(acc), acc, len(acc), 1, len(acc), req[:], zp, nil)
-}

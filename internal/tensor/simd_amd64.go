@@ -14,11 +14,14 @@ import "vedliot/internal/tensor/cpu"
 //
 // An AVX-512 body masks its ragged end and covers its whole range. The
 // SSE2 and AVX2 bodies cover whole vectors and the portable loop in the
-// caller finishes the row. The byte table is the one kernel whose body
-// follows a feature bit instead of the tier alone: VPERMI2B where the
-// AVX-512 tier also has VBMI, PSHUFB nibble select on the AVX2 tier (and
-// on an AVX-512 tier without VBMI), the same at 128 bits where the SSE2
-// tier has SSSE3, and the portable loop where it does not.
+// caller finishes the row. A kernel has no body on a tier where its
+// portable loop costs the INT8 row no more than 2% (DESIGN.md, "What
+// each assembly body buys"): the stride-2 gather, row sums and row
+// scaling run assembly on AVX-512 only, the narrowing store on AVX2 and
+// up. The byte table is the one kernel whose body follows a feature bit
+// instead of the tier alone: VPERMI2B where the AVX-512 tier also has
+// VBMI, PSHUFB nibble select on the AVX2 tier (and on an AVX-512 tier
+// without VBMI), and the portable loop below AVX2.
 //
 // What the integer path buys on a host whose FP32 vectors are as wide as
 // its integer ones is a quarter of the activation bytes and PMADDWD's
@@ -32,9 +35,8 @@ import "vedliot/internal/tensor/cpu"
 const FastInt8 = true
 
 var (
-	int8Tier  = cpu.Best()
-	lut8VBMI  = int8Tier >= cpu.TierAVX512 && cpu.Detect().AVX512VBMI
-	lut8SSSE3 = int8Tier >= cpu.TierSSE2 && cpu.Detect().SSSE3
+	int8Tier = cpu.Best()
+	lut8VBMI = int8Tier >= cpu.TierAVX512 && cpu.Detect().AVX512VBMI
 )
 
 func convTapsInt16Accel(acc []int32, x []int16, offs []int32, w []int16, bias int32, fromAcc bool) int {
@@ -110,55 +112,27 @@ func packPairShiftInt8Accel(out []int16, ldo int, src []int8, lds, taps, n int, 
 }
 
 func gatherStride2Int8Accel(dst, src []int8) int {
-	n := len(dst)
-	switch {
-	case int8Tier >= cpu.TierAVX512:
-		gatherStride2Int8AVX512(&dst[0], &src[0], n)
-		return n
-	case int8Tier >= cpu.TierAVX2:
-		// src holds 2n-1 bytes and a step reads 32 for 16 outputs, so the
-		// last output always stays with the caller.
-		if n = (n - 1) &^ 15; n > 0 {
-			gatherStride2Int8AVX2(&dst[0], &src[0], n)
-			return n
-		}
-	case int8Tier >= cpu.TierSSE2:
-		if n = (n - 1) &^ 7; n > 0 {
-			gatherStride2Int8SSE2(&dst[0], &src[0], n)
-			return n
-		}
+	if int8Tier < cpu.TierAVX512 {
+		return 0
 	}
-	return 0
+	gatherStride2Int8AVX512(&dst[0], &src[0], len(dst))
+	return len(dst)
 }
 
 func sumRowsInt8Accel(sums []int32, x []int8, cols int) bool {
-	switch {
-	case int8Tier >= cpu.TierAVX512:
-		sumRowsInt8AVX512(&sums[0], &x[0], len(sums), cols)
-		return true
-	case int8Tier >= cpu.TierAVX2:
-		sumRowsInt8AVX2(&sums[0], &x[0], len(sums), cols)
-		return true
-	case int8Tier >= cpu.TierSSE2:
-		sumRowsInt8SSE2(&sums[0], &x[0], len(sums), cols)
-		return true
+	if int8Tier < cpu.TierAVX512 {
+		return false
 	}
-	return false
+	sumRowsInt8AVX512(&sums[0], &x[0], len(sums), cols)
+	return true
 }
 
 func scaleRowsInt16Accel(acc []int32, x []int16, f []int16, cols int) bool {
-	switch {
-	case int8Tier >= cpu.TierAVX512:
-		scaleRowsInt16AVX512(&acc[0], &x[0], &f[0], len(f), cols)
-		return true
-	case int8Tier >= cpu.TierAVX2:
-		scaleRowsInt16AVX2(&acc[0], &x[0], &f[0], len(f), cols)
-		return true
-	case int8Tier >= cpu.TierSSE2:
-		scaleRowsInt16SSE2(&acc[0], &x[0], &f[0], len(f), cols)
-		return true
+	if int8Tier < cpu.TierAVX512 {
+		return false
 	}
-	return false
+	scaleRowsInt16AVX512(&acc[0], &x[0], &f[0], len(f), cols)
+	return true
 }
 
 func lut8RowsAccel(dst, src []int8, ld, rows, cols int, tabs []*[256]int8) bool {
@@ -168,9 +142,6 @@ func lut8RowsAccel(dst, src []int8, ld, rows, cols int, tabs []*[256]int8) bool 
 		return true
 	case int8Tier >= cpu.TierAVX2:
 		lut8RowsAVX2(&dst[0], &src[0], ld, rows, cols, &tabs[0])
-		return true
-	case lut8SSSE3:
-		lut8RowsSSSE3(&dst[0], &src[0], ld, rows, cols, &tabs[0])
 		return true
 	}
 	return false
@@ -206,11 +177,6 @@ func narrowSatInt8Accel(dst []int8, acc []int32) int {
 	case int8Tier >= cpu.TierAVX2:
 		if n &^= 15; n > 0 {
 			narrowSatInt8AVX2(&dst[0], &acc[0], n)
-			return n
-		}
-	case int8Tier >= cpu.TierSSE2:
-		if n &^= 15; n > 0 {
-			narrowSatInt8SSE2(&dst[0], &acc[0], n)
 			return n
 		}
 	}
@@ -304,15 +270,6 @@ func widenShiftSplit2RowsInt8AVX2(dst *int16, rowOff *int32, rows int, offE, off
 func packPairShiftInt8AVX2(out *int16, ldo int, src *int8, lds int, taps, n int, zp int16)
 
 //go:noescape
-func gatherStride2Int8AVX2(dst, src *int8, n int)
-
-//go:noescape
-func sumRowsInt8AVX2(sums *int32, x *int8, rows, cols int)
-
-//go:noescape
-func scaleRowsInt16AVX2(acc *int32, x *int16, f *int16, rows, cols int)
-
-//go:noescape
 func lut8RowsAVX2(dst, src *int8, ld, rows, cols int, tabs **[256]int8)
 
 //go:noescape
@@ -338,21 +295,6 @@ func widenShiftSplit2RowsInt8SSE2(dst *int16, rowOff *int32, rows int, offE, off
 
 //go:noescape
 func packPairShiftInt8SSE2(out *int16, ldo int, src *int8, lds int, taps, n int, zp int16)
-
-//go:noescape
-func gatherStride2Int8SSE2(dst, src *int8, n int)
-
-//go:noescape
-func sumRowsInt8SSE2(sums *int32, x *int8, rows, cols int)
-
-//go:noescape
-func scaleRowsInt16SSE2(acc *int32, x *int16, f *int16, rows, cols int)
-
-//go:noescape
-func lut8RowsSSSE3(dst, src *int8, ld, rows, cols int, tabs **[256]int8)
-
-//go:noescape
-func narrowSatInt8SSE2(dst *int8, acc *int32, n int)
 
 //go:noescape
 func requantTileInt8SSE2(dst *int8, ldd int, c *int32, ldc int, rows, cols int, req *Requant, zp int32)

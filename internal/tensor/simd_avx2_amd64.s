@@ -336,147 +336,6 @@ pp2done:
 	VZEROUPPER
 	RET
 
-DATA wordLowByte<>+0(SB)/8, $0x00ff00ff00ff00ff
-GLOBL wordLowByte<>(SB), RODATA|NOPTR, $8
-DATA byteSignBit<>+0(SB)/8, $0x8080808080808080
-GLOBL byteSignBit<>(SB), RODATA|NOPTR, $8
-
-// func gatherStride2Int8AVX2(dst, src *int8, n int)
-//
-// dst[i] = src[2i], sixteen per step from thirty-two source bytes: keep
-// each word's low byte and pack. n is a multiple of 16 and src holds 2n
-// bytes.
-TEXT ·gatherStride2Int8AVX2(SB), NOSPLIT, $0-24
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ n+16(FP), CX
-	VPBROADCASTQ wordLowByte<>(SB), Y7
-
-gs2step:
-	CMPQ CX, $16
-	JLT  gs2done
-	VPAND (SI), Y7, Y1
-	VPACKUSWB Y1, Y1, Y1
-	VPERMQ $0xD8, Y1, Y1
-	VMOVDQU X1, (DI)
-	ADDQ $32, SI
-	ADDQ $16, DI
-	SUBQ $16, CX
-	JMP  gs2step
-
-gs2done:
-	VZEROUPPER
-	RET
-
-// func sumRowsInt8AVX2(sums *int32, x *int8, rows, cols int)
-//
-// sums[r] = sum of row r's cols codes: thirty-two per step through the
-// sign-bit flip and VPSADBW (128 per byte comes off after), the row's
-// ragged end by a scalar loop.
-TEXT ·sumRowsInt8AVX2(SB), NOSPLIT, $0-32
-	MOVQ sums+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ rows+16(FP), R10
-	MOVQ cols+24(FP), R11
-	VPBROADCASTQ byteSignBit<>(SB), Y7
-	VPXOR Y6, Y6, Y6
-	MOVQ R11, R9
-	ANDQ $-32, R9
-	SHLQ $7, R9 // 128 per byte the vector steps sum
-
-sr2row:
-	TESTQ R10, R10
-	JLE  sr2done
-	VPXOR Y0, Y0, Y0
-	MOVQ R11, CX
-
-sr2step:
-	CMPQ CX, $32
-	JLT  sr2reduce
-	VPXOR (SI), Y7, Y1
-	VPSADBW Y6, Y1, Y1
-	VPADDQ Y1, Y0, Y0
-	ADDQ $32, SI
-	SUBQ $32, CX
-	JMP  sr2step
-
-sr2reduce:
-	VEXTRACTI128 $1, Y0, X1
-	VPADDQ X1, X0, X0
-	VPSHUFD $0x4e, X0, X1
-	VPADDQ X1, X0, X0
-	VMOVQ X0, AX
-	SUBQ R9, AX
-
-sr2tail:
-	TESTQ CX, CX
-	JLE  sr2next
-	MOVBQSX (SI), BX
-	ADDQ BX, AX
-	INCQ SI
-	DECQ CX
-	JMP  sr2tail
-
-sr2next:
-	MOVL AX, (DI)
-	ADDQ $4, DI
-	DECQ R10
-	JMP  sr2row
-
-sr2done:
-	VZEROUPPER
-	RET
-
-// func scaleRowsInt16AVX2(acc *int32, x *int16, f *int16, rows, cols int)
-//
-// acc[r*cols+i] = int32(f[r]) * int32(x[r*cols+i]), eight per step
-// (VPMOVSXWD, VPMULLD), the row's ragged end by a scalar loop.
-TEXT ·scaleRowsInt16AVX2(SB), NOSPLIT, $0-40
-	MOVQ acc+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ f+16(FP), R8
-	MOVQ rows+24(FP), R10
-	MOVQ cols+32(FP), R11
-
-sc2row:
-	TESTQ R10, R10
-	JLE  sc2done
-	MOVWLSX (R8), R9
-	VMOVD R9, X4
-	VPBROADCASTD X4, Y4
-	MOVQ R11, CX
-
-sc2step:
-	CMPQ CX, $8
-	JLT  sc2tail
-	VPMOVSXWD (SI), Y1
-	VPMULLD Y4, Y1, Y1
-	VMOVDQU Y1, (DI)
-	ADDQ $16, SI
-	ADDQ $32, DI
-	SUBQ $8, CX
-	JMP  sc2step
-
-sc2tail:
-	TESTQ CX, CX
-	JLE  sc2next
-	MOVWLSX (SI), AX
-	IMULL R9, AX
-	MOVL AX, (DI)
-	ADDQ $2, SI
-	ADDQ $4, DI
-	DECQ CX
-	JMP  sc2tail
-
-sc2next:
-	ADDQ $2, R8
-	DECQ R10
-	JMP  sc2row
-
-sc2done:
-	VZEROUPPER
-	RET
-
 DATA lutConsts<>+0(SB)/8, $0x8080808080808080  // sign-bit flip: code -> table index
 DATA lutConsts<>+8(SB)/8, $0x1010101010101010  // one 16-entry sub-table down
 DATA lutConsts<>+16(SB)/8, $0x7070707070707070 // saturating lift: indices past 15 set bit 7

@@ -2,8 +2,9 @@
 
 #include "textflag.h"
 
-// SSE2 bodies of the integer kernels in simd.go (SSSE3 for the byte
-// table), the 128-bit tier every amd64 host has. The flat kernels cover
+// SSE2 bodies of the integer kernels in simd.go, the 128-bit tier every
+// amd64 host has: the tap and copy-in kernels, whose portable loops cost
+// the INT8 row more than 2% (DESIGN.md, "What each assembly body buys"). The flat kernels cover
 // whole vectors and leave the ragged end to the portable loop in their
 // caller; the row kernels finish each row's ragged end with a scalar
 // loop of their own. Sign extension is the self-interleave trick:
@@ -348,259 +349,4 @@ pp1next:
 	JMP  pp1pair
 
 pp1done:
-	RET
-
-DATA sse2Consts<>+0(SB)/8, $0x00ff00ff00ff00ff  // each word's low byte
-DATA sse2Consts<>+8(SB)/8, $0x00ff00ff00ff00ff
-DATA sse2Consts<>+16(SB)/8, $0x8080808080808080 // sign-bit flip: code -> table index
-DATA sse2Consts<>+24(SB)/8, $0x8080808080808080
-DATA sse2Consts<>+32(SB)/8, $0x1010101010101010 // one 16-entry sub-table down
-DATA sse2Consts<>+40(SB)/8, $0x1010101010101010
-DATA sse2Consts<>+48(SB)/8, $0x7070707070707070 // saturating lift: indices past 15 set bit 7
-DATA sse2Consts<>+56(SB)/8, $0x7070707070707070
-GLOBL sse2Consts<>(SB), RODATA|NOPTR, $64
-
-// func gatherStride2Int8SSE2(dst, src *int8, n int)
-//
-// dst[i] = src[2i], eight per step from sixteen source bytes: keep each
-// word's low byte and pack. n is a multiple of 8 and src holds 2n bytes.
-TEXT ·gatherStride2Int8SSE2(SB), NOSPLIT, $0-24
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ n+16(FP), CX
-	MOVOU sse2Consts<>+0(SB), X7
-
-gs1step:
-	CMPQ CX, $8
-	JLT  gs1done
-	MOVOU (SI), X1
-	PAND X7, X1
-	PACKUSWB X1, X1
-	MOVQ X1, (DI)
-	ADDQ $16, SI
-	ADDQ $8, DI
-	SUBQ $8, CX
-	JMP  gs1step
-
-gs1done:
-	RET
-
-// func sumRowsInt8SSE2(sums *int32, x *int8, rows, cols int)
-//
-// sums[r] = sum of row r's cols codes: sixteen per step through the
-// sign-bit flip and PSADBW (128 per byte comes off after), the row's
-// ragged end by a scalar loop.
-TEXT ·sumRowsInt8SSE2(SB), NOSPLIT, $0-32
-	MOVQ sums+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ rows+16(FP), R10
-	MOVQ cols+24(FP), R11
-	MOVOU sse2Consts<>+16(SB), X7
-	PXOR X6, X6
-	MOVQ R11, R9
-	ANDQ $-16, R9
-	SHLQ $7, R9 // 128 per byte the vector steps sum
-
-sr1row:
-	TESTQ R10, R10
-	JLE  sr1done
-	PXOR X0, X0
-	MOVQ R11, CX
-
-sr1step:
-	CMPQ CX, $16
-	JLT  sr1reduce
-	MOVOU (SI), X1
-	PXOR X7, X1
-	PSADBW X6, X1
-	PADDQ X1, X0
-	ADDQ $16, SI
-	SUBQ $16, CX
-	JMP  sr1step
-
-sr1reduce:
-	PSHUFD $0x4e, X0, X1
-	PADDQ X1, X0
-	MOVQ X0, AX
-	SUBQ R9, AX
-
-sr1tail:
-	TESTQ CX, CX
-	JLE  sr1next
-	MOVBQSX (SI), BX
-	ADDQ BX, AX
-	INCQ SI
-	DECQ CX
-	JMP  sr1tail
-
-sr1next:
-	MOVL AX, (DI)
-	ADDQ $4, DI
-	DECQ R10
-	JMP  sr1row
-
-sr1done:
-	RET
-
-// func scaleRowsInt16SSE2(acc *int32, x *int16, f *int16, rows, cols int)
-//
-// acc[r*cols+i] = int32(f[r]) * int32(x[r*cols+i]), eight per step:
-// PMULLW/PMULHW give the low and high halves of the 32-bit products and
-// the unpacks put them together. A scalar loop takes the row's ragged
-// end.
-TEXT ·scaleRowsInt16SSE2(SB), NOSPLIT, $0-40
-	MOVQ acc+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ f+16(FP), R8
-	MOVQ rows+24(FP), R10
-	MOVQ cols+32(FP), R11
-
-sc1row:
-	TESTQ R10, R10
-	JLE  sc1done
-	MOVWLSX (R8), R9
-	MOVL R9, X4
-	PSHUFLW $0, X4, X4
-	PSHUFD $0, X4, X4 // the factor in all eight words
-	MOVQ R11, CX
-
-sc1step:
-	CMPQ CX, $8
-	JLT  sc1tail
-	MOVOU (SI), X1
-	MOVOU X1, X2
-	PMULLW X4, X1 // low 16 bits of the products
-	PMULHW X4, X2 // high 16 bits (signed)
-	MOVOU X1, X3
-	PUNPCKLWL X2, X1 // products 0..3
-	PUNPCKHWL X2, X3 // products 4..7
-	MOVOU X1, (DI)
-	MOVOU X3, 16(DI)
-	ADDQ $16, SI
-	ADDQ $32, DI
-	SUBQ $8, CX
-	JMP  sc1step
-
-sc1tail:
-	TESTQ CX, CX
-	JLE  sc1next
-	MOVWLSX (SI), AX
-	IMULL R9, AX
-	MOVL AX, (DI)
-	ADDQ $2, SI
-	ADDQ $4, DI
-	DECQ CX
-	JMP  sc1tail
-
-sc1next:
-	ADDQ $2, R8
-	DECQ R10
-	JMP  sc1row
-
-sc1done:
-	RET
-
-// func lut8RowsSSSE3(dst, src *int8, ld, rows, cols int, tabs **[256]int8)
-//
-// PSHUFB nibble select, sixteen codes per step and a scalar loop for the
-// row's ragged end. A code's table index (the code with its sign bit
-// flipped) is looked up in each of the table's sixteen 16-byte
-// sub-tables in turn: t = index - 16h is 0..15 exactly when the index
-// lies in sub-table h, a saturating add of 0x70 leaves those values' low
-// nibble alone and sets bit 7 on every other one, which makes PSHUFB
-// return 0 there, and the sixteen results OR together. A nil table skips
-// its row.
-TEXT ·lut8RowsSSSE3(SB), NOSPLIT, $0-48
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), SI
-	MOVQ ld+16(FP), R9
-	MOVQ rows+24(FP), R10
-	MOVQ cols+32(FP), R11
-	MOVQ tabs+40(FP), R8
-	MOVOU sse2Consts<>+16(SB), X13
-	MOVOU sse2Consts<>+32(SB), X14
-	MOVOU sse2Consts<>+48(SB), X15
-
-lu1row:
-	TESTQ R10, R10
-	JLE  lu1done
-	MOVQ (R8), R12 // the row's table
-	TESTQ R12, R12
-	JZ   lu1next
-	MOVQ SI, AX
-	MOVQ DI, DX
-	MOVQ R11, CX
-
-lu1step:
-	CMPQ CX, $16
-	JLT  lu1tail
-	MOVOU (AX), X0
-	PXOR X13, X0 // table indices
-	PXOR X1, X1
-	XORQ R13, R13
-
-lu1sub:
-	MOVOU (R12)(R13*1), X2
-	MOVOU X0, X3
-	PADDUSB X15, X3
-	PSHUFB X3, X2
-	POR X2, X1
-	PSUBB X14, X0
-	ADDQ $16, R13
-	CMPQ R13, $256
-	JLT  lu1sub
-	MOVOU X1, (DX)
-	ADDQ $16, AX
-	ADDQ $16, DX
-	SUBQ $16, CX
-	JMP  lu1step
-
-lu1tail:
-	TESTQ CX, CX
-	JLE  lu1next
-	MOVBLZX (AX), BX
-	XORL $0x80, BX
-	MOVB (R12)(BX*1), BX
-	MOVB BX, (DX)
-	INCQ AX
-	INCQ DX
-	DECQ CX
-	JMP  lu1tail
-
-lu1next:
-	ADDQ R9, SI
-	ADDQ R9, DI
-	ADDQ $8, R8
-	DECQ R10
-	JMP  lu1row
-
-lu1done:
-	RET
-
-// func narrowSatInt8SSE2(dst *int8, acc *int32, n int)
-//
-// dst[i] = sat8(acc[i]), sixteen per step: PACKSSDW, PACKSSWB. n is a
-// multiple of 16.
-TEXT ·narrowSatInt8SSE2(SB), NOSPLIT, $0-24
-	MOVQ dst+0(FP), DI
-	MOVQ acc+8(FP), SI
-	MOVQ n+16(FP), CX
-
-ns1step:
-	CMPQ CX, $16
-	JLT  ns1done
-	MOVOU (SI), X0
-	MOVOU 16(SI), X1
-	MOVOU 32(SI), X2
-	MOVOU 48(SI), X3
-	PACKSSLW X1, X0
-	PACKSSLW X3, X2
-	PACKSSWB X2, X0
-	MOVOU X0, (DI)
-	ADDQ $64, SI
-	ADDQ $16, DI
-	SUBQ $16, CX
-	JMP  ns1step
-
-ns1done:
 	RET

@@ -55,19 +55,6 @@ func (d DType) Size() int {
 	}
 }
 
-// ParseDType converts a precision name ("FP32", "fp16", "INT8") to a DType.
-func ParseDType(s string) (DType, error) {
-	switch strings.ToUpper(strings.TrimSpace(s)) {
-	case "FP32", "FLOAT32", "F32":
-		return FP32, nil
-	case "FP16", "FLOAT16", "F16":
-		return FP16, nil
-	case "INT8", "I8":
-		return INT8, nil
-	}
-	return FP32, fmt.Errorf("tensor: unknown dtype %q", s)
-}
-
 // Shape describes the extent of each tensor dimension. The canonical
 // activation layout used throughout the toolchain is NCHW.
 type Shape []int
@@ -333,16 +320,6 @@ func (t *Tensor) At(idx ...int) float64 {
 	return t.at(off)
 }
 
-// SetAt stores v at the given multi-dimensional index, quantizing as
-// necessary.
-func (t *Tensor) SetAt(v float64, idx ...int) {
-	off, err := t.offset(idx)
-	if err != nil {
-		panic(err)
-	}
-	t.set(off, v)
-}
-
 func (t *Tensor) offset(idx []int) (int, error) {
 	if len(idx) != len(t.Shape) {
 		return 0, fmt.Errorf("%w: %d indices for rank %d", ErrShape, len(idx), len(t.Shape))
@@ -367,17 +344,6 @@ func (t *Tensor) at(off int) float64 {
 		return float64(t.Quant.Dequantize(t.I8[off]))
 	}
 	return 0
-}
-
-func (t *Tensor) set(off int, v float64) {
-	switch t.DType {
-	case FP32:
-		t.F32[off] = float32(v)
-	case FP16:
-		t.F16[off] = FloatToFP16(float32(v))
-	case INT8:
-		t.I8[off] = t.Quant.Quantize(float32(v))
-	}
 }
 
 // Float32s returns the tensor contents as a fresh FP32 slice, converting

@@ -57,24 +57,9 @@ func TestDTypeStringAndSize(t *testing.T) {
 	}
 }
 
-func TestParseDType(t *testing.T) {
-	for _, c := range []struct {
-		in   string
-		want DType
-	}{{"fp32", FP32}, {"FP16", FP16}, {" int8 ", INT8}, {"float32", FP32}} {
-		got, err := ParseDType(c.in)
-		if err != nil || got != c.want {
-			t.Errorf("ParseDType(%q) = %v, %v", c.in, got, err)
-		}
-	}
-	if _, err := ParseDType("int4"); err == nil {
-		t.Error("ParseDType accepted unknown type")
-	}
-}
-
 func TestNewAndIndexing(t *testing.T) {
 	a := New(FP32, 2, 3)
-	a.SetAt(5, 1, 2)
+	a.F32[1*3+2] = 5
 	if got := a.At(1, 2); got != 5 {
 		t.Errorf("At(1,2) = %v, want 5", got)
 	}

@@ -35,11 +35,6 @@ type Config struct {
 	L2 float32
 }
 
-// DefaultConfig is a sensible starting point for the synthetic tasks.
-func DefaultConfig() Config {
-	return Config{Epochs: 10, LR: 0.05, BatchSize: 16, Seed: 1}
-}
-
 // History records per-epoch training loss.
 type History struct {
 	Loss []float64

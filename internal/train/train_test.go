@@ -38,22 +38,22 @@ func TestSGDLearnsBlobs(t *testing.T) {
 
 func TestSGDRejectsNonMLP(t *testing.T) {
 	g := nn.LeNet(28, 10, nn.BuildOptions{Weights: true})
-	if _, err := SGD(g, dataset.Blobs(10, 784, 10, 0.1, 1), DefaultConfig()); err == nil {
+	if _, err := SGD(g, dataset.Blobs(10, 784, 10, 0.1, 1), Config{Epochs: 1, LR: 0.05, BatchSize: 16, Seed: 1}); err == nil {
 		t.Error("SGD accepted a CNN")
 	}
 }
 
 func TestSGDInputValidation(t *testing.T) {
 	g := nn.MLP("clf", []int{8, 4, 2}, nn.BuildOptions{Weights: true})
-	if _, err := SGD(g, nil, DefaultConfig()); err == nil {
+	if _, err := SGD(g, nil, Config{Epochs: 1, LR: 0.05, BatchSize: 16, Seed: 1}); err == nil {
 		t.Error("SGD accepted empty dataset")
 	}
 	bad := []dataset.Sample{{X: []float32{1, 2}, Label: 0}} // wrong dim
-	if _, err := SGD(g, bad, DefaultConfig()); err == nil {
+	if _, err := SGD(g, bad, Config{Epochs: 1, LR: 0.05, BatchSize: 16, Seed: 1}); err == nil {
 		t.Error("SGD accepted wrong feature dim")
 	}
 	badLabel := []dataset.Sample{{X: make([]float32, 8), Label: 9}}
-	if _, err := SGD(g, badLabel, DefaultConfig()); err == nil {
+	if _, err := SGD(g, badLabel, Config{Epochs: 1, LR: 0.05, BatchSize: 16, Seed: 1}); err == nil {
 		t.Error("SGD accepted out-of-range label")
 	}
 }
