@@ -26,17 +26,20 @@ test-full:
 # test-race runs the concurrent packages under the race detector, then
 # stresses the front door's batching tests (its capacity rule included),
 # the replica worker's dispatch tests (one request per engine run, in
-# arrival order) and the cluster's admission, routing and close tests:
-# they form batches and backlogs by holding a gate, not by wall clock,
-# so twenty runs in a row must agree. The plan executor's pooled run
-# state gets the same twenty: concurrent runs at mixed batch sizes, a
-# first RunAll binding its expansion beside concurrent runs, and a
-# kernel error at every step. internal/accel rides in the first row for
-# Backend.Compile on a registry-shared graph from two goroutines.
+# arrival order), the cluster's admission, routing and close tests, the
+# engine-time observation and the recovered engine panics at the
+# replica, the fleet and the socket: they form batches and backlogs by
+# holding a gate, not by wall clock, so twenty runs in a row must agree.
+# The plan executor's pooled run state gets the same twenty: concurrent
+# runs at mixed batch sizes, a first RunAll binding its expansion beside
+# concurrent runs, a kernel error at every step and a fan-out worker's
+# panic. internal/accel rides in the first row for Backend.Compile on a
+# registry-shared graph from two goroutines. The CI race job runs this
+# target.
 test-race:
 	$(GO) test -short -race ./internal/inference/... ./internal/accel/... ./internal/microserver/... ./internal/cluster/... ./internal/serve/... ./internal/rvbackend/... ./internal/riscv/... ./internal/soc/... ./internal/cfu/...
-	$(GO) test -race -count=20 -run 'Batch|CapacityRule|Dispatch|Gate|Admission|Saturated|BurstFollows|CloseResolves|CancelPropagation' ./internal/microserver/ ./internal/serve/ ./internal/cluster/
-	$(GO) test -race -count=20 -run 'ExecutorConcurrent|ExecutorKernelError' ./internal/inference/
+	$(GO) test -race -count=20 -run 'Batch|CapacityRule|Dispatch|Gate|Admission|Saturated|BurstFollows|CloseResolves|CancelPropagation|Recovers|EngineTime' ./internal/microserver/ ./internal/serve/ ./internal/cluster/
+	$(GO) test -race -count=20 -run 'ExecutorConcurrent|ExecutorKernelError|Recovers' ./internal/inference/
 
 # test-portable exercises the pure-Go micro-kernel fallbacks (noasm /
 # purego build tags) and the narrowed runtime dispatch tiers — the same
@@ -201,9 +204,10 @@ release-verify:
 
 # docs gates the documentation front door: formatting, examples build,
 # exported-identifier doc coverage, no exported top-level name without a
-# caller outside its own package's tests, no backticked `pkg.Name` in
-# DESIGN.md or README.md that the checked packages do not declare, and
-# the committed golden artifact — exactly what the CI docs job runs.
+# caller outside its own package's tests, no backticked `pkg.Name`, test
+# name or make target in DESIGN.md or README.md that the tree does not
+# declare, and the committed golden artifact. The CI docs job runs this
+# target.
 docs:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi

@@ -117,9 +117,8 @@ func BenchmarkAblationEcallBatching(b *testing.B) { benchExperiment(b, "ablation
 func BenchmarkClusterServing(b *testing.B) { benchExperiment(b, "cluster") }
 
 // BenchmarkServeFrontDoor regenerates the network front-door study:
-// the million-client closed-loop simulation plus the framed-TCP load
-// run comparing adaptive socket-boundary batching with batch-size-1
-// passthrough.
+// the framed-TCP load run comparing adaptive socket-boundary batching
+// with batch-size-1 passthrough.
 func BenchmarkServeFrontDoor(b *testing.B) { benchExperiment(b, "serve") }
 
 // BenchmarkClusterSubmit measures the real serving path end to end:

@@ -3,10 +3,10 @@
 // exported top-level identifier — function, method, type, or a
 // const/var declaration outside a documented block — has no doc
 // comment, when an exported top-level name of a checked package has no
-// caller, or when a Markdown document names an identifier that does not
-// exist. `go doc` is then guaranteed useful for every public entry point
-// of the checked packages, every such entry point is used, and the prose
-// cannot outlive the code.
+// caller, or when a Markdown document names an identifier, a test or a
+// make target that does not exist. `go doc` is then guaranteed useful
+// for every public entry point of the checked packages, every such entry
+// point is used, and the prose cannot outlive the code.
 //
 // Usage:
 //
@@ -17,8 +17,11 @@
 // `pkg.Name` references outside fenced code blocks: one whose package
 // is among the checked directories but that declares no top-level Name
 // is reported. Names are exported identifiers; for `pkg.Type.Method`
-// only the type is resolved. Run it from the module root: callers are
-// read from every .go file of the module (see checkCallers).
+// only the type is resolved. A backticked `TestX`, `BenchmarkX` or
+// `FuzzX` must be declared in some _test.go file of the module (a
+// `/subtest` suffix is ignored), and a backticked `make target` must be
+// a target of ./Makefile. Run it from the module root: callers and test
+// names are read from every .go file of the module (see parseModule).
 package main
 
 import (
@@ -38,45 +41,56 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: docs-check <package dir | doc.md> [...]")
 		os.Exit(2)
 	}
-	var problems, docs, dirs []string
-	decls := make(map[string]map[string]bool) // package name -> declared top-level names
-	for _, arg := range os.Args[1:] {
-		if strings.HasSuffix(arg, ".md") {
-			docs = append(docs, arg)
-			continue
-		}
-		p, err := checkDir(arg, decls)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "docs-check:", err)
-			os.Exit(2)
-		}
-		problems = append(problems, p...)
-		dirs = append(dirs, arg)
-	}
-	p, err := checkCallers(dirs)
+	problems, err := check(os.Args[1:])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "docs-check:", err)
 		os.Exit(2)
 	}
-	problems = append(problems, p...)
-	for _, doc := range docs {
-		p, err := checkDoc(doc, decls)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "docs-check:", err)
-			os.Exit(2)
-		}
-		problems = append(problems, p...)
-	}
 	if len(problems) > 0 {
-		sort.Strings(problems)
 		for _, p := range problems {
 			fmt.Println(p)
 		}
 		fmt.Printf("docs-check: %d problem(s)\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Printf("docs-check: %d package(s) fully documented and called, %d doc(s) name only declared identifiers\n",
-		len(dirs), len(docs))
+	fmt.Printf("docs-check: %d argument(s): packages documented and called, docs name only what exists\n", len(os.Args)-1)
+}
+
+// check runs every pass over the package directories and Markdown files
+// named in args and returns the problems found, sorted.
+func check(args []string) ([]string, error) {
+	var problems, docs, dirs []string
+	decls := make(map[string]map[string]bool) // package name -> declared top-level names
+	for _, arg := range args {
+		if strings.HasSuffix(arg, ".md") {
+			docs = append(docs, arg)
+			continue
+		}
+		p, err := checkDir(arg, decls)
+		if err != nil {
+			return nil, err
+		}
+		problems = append(problems, p...)
+		dirs = append(dirs, arg)
+	}
+	mod, err := parseModule()
+	if err != nil {
+		return nil, err
+	}
+	problems = append(problems, mod.checkCallers(dirs)...)
+	targets, err := makeTargets("Makefile")
+	if err != nil {
+		return nil, err
+	}
+	for _, doc := range docs {
+		p, err := checkDoc(doc, decls, mod.tests, targets)
+		if err != nil {
+			return nil, err
+		}
+		problems = append(problems, p...)
+	}
+	sort.Strings(problems)
+	return problems, nil
 }
 
 // checkDir parses one package directory, records its top-level names
@@ -194,15 +208,35 @@ func exportedRecv(expr ast.Expr) bool {
 
 // codeSpan is one inline code span of Markdown; docRef is a `pkg.Name`
 // reference inside one: a lower-case package name not preceded by a
-// path or selector, then an exported name.
+// path or selector, then an exported name. testRef is a test, benchmark
+// or fuzz function name, makeRef a make target, and makeRule a rule line
+// of a Makefile.
 var (
 	codeSpan = regexp.MustCompile("`[^`]+`")
 	docRef   = regexp.MustCompile(`(?:^|[^\w./])([a-z][a-z0-9]*)\.([A-Z]\w*)`)
+	testRef  = regexp.MustCompile(`(?:^|[^\w.])((?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*)`)
+	makeRef  = regexp.MustCompile(`(?:^|[^\w-])make ([a-z][\w-]*)`)
+	makeRule = regexp.MustCompile(`(?m)^([A-Za-z0-9][\w.-]*):(?:[^=]|$)`)
 )
 
-// checkDoc reports every backticked pkg.Name in a Markdown file, outside
-// fenced code blocks, whose package is in decls but declares no Name.
-func checkDoc(path string, decls map[string]map[string]bool) ([]string, error) {
+// makeTargets returns the targets a Makefile declares.
+func makeTargets(path string) (map[string]bool, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	targets := make(map[string]bool)
+	for _, m := range makeRule.FindAllStringSubmatch(string(data), -1) {
+		targets[m[1]] = true
+	}
+	return targets, nil
+}
+
+// checkDoc reports every backticked name in a Markdown file, outside
+// fenced code blocks, that resolves to nothing: a pkg.Name whose package
+// is in decls but declares no Name, a test function no test file
+// declares, a make target the Makefile lacks.
+func checkDoc(path string, decls map[string]map[string]bool, tests, targets map[string]bool) ([]string, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -222,10 +256,24 @@ func checkDoc(path string, decls map[string]map[string]bool) ([]string, error) {
 	text := strings.Join(lines, "\n")
 	var problems []string
 	for _, span := range codeSpan.FindAllStringIndex(text, -1) {
-		for _, m := range docRef.FindAllStringSubmatch(text[span[0]+1:span[1]-1], -1) {
+		code := text[span[0]+1 : span[1]-1]
+		report := func(format string, args ...any) {
+			line := strings.Count(text[:span[0]], "\n") + 1
+			problems = append(problems, fmt.Sprintf("%s:%d: ", path, line)+fmt.Sprintf(format, args...))
+		}
+		for _, m := range docRef.FindAllStringSubmatch(code, -1) {
 			if names, ok := decls[m[1]]; ok && !names[m[2]] {
-				line := strings.Count(text[:span[0]], "\n") + 1
-				problems = append(problems, fmt.Sprintf("%s:%d: `%s.%s` names nothing package %s declares", path, line, m[1], m[2], m[1]))
+				report("`%s.%s` names nothing package %s declares", m[1], m[2], m[1])
+			}
+		}
+		for _, m := range testRef.FindAllStringSubmatch(code, -1) {
+			if !tests[m[1]] {
+				report("`%s` names no test function of the module", m[1])
+			}
+		}
+		for _, m := range makeRef.FindAllStringSubmatch(code, -1) {
+			if !targets[m[1]] {
+				report("`make %s` names no Makefile target", m[1])
 			}
 		}
 	}

@@ -158,8 +158,9 @@ func TestAdmissionSpawnsNoGoroutines(t *testing.T) {
 
 // TestAdmissionBurstRunsOneTicketPerEngineRun bursts tickets of distinct
 // row counts onto one held replica: every ticket becomes one engine run
-// carrying exactly its own rows, in submission order. That the tickets
-// ahead serialize is what perSampleWall's division by depth assumes.
+// carrying exactly its own rows, in submission order. That one run
+// carries one ticket is what lets the replica's engine time, divided by
+// the ticket's rows, stand as its per-row service time.
 func TestAdmissionBurstRunsOneTicketPerEngineRun(t *testing.T) {
 	const n = 12
 	gate := newGate(time.Millisecond, 5)

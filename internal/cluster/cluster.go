@@ -11,12 +11,16 @@
 // enter through blocking Infer or asynchronous Submit/Wait; Submit
 // routes on the caller's goroutine, handing each request straight to
 // the replica with the lowest estimated completion cost: the backend's
-// roofline-predicted latency (or an observed EWMA for backends without
-// a device model) scaled by the replica's current queue depth, with a
-// power-aware tie-break from the chassis module power envelope. The
-// replica runs its tickets one at a time, each as the rows it was
-// submitted with, and its dispatcher resolves them; no goroutine sits
-// between.
+// roofline-predicted latency (or, for backends without a device model,
+// an EWMA of the engine time per row the replica itself measured)
+// scaled by the replica's current queue depth, with a power-aware
+// tie-break from the chassis module power envelope. The replica runs
+// its tickets one at a time, each as the rows it was submitted with,
+// and its dispatcher resolves them; no goroutine sits between.
+//
+// SimulateTrace replays an open-loop Trace against an analytic fleet
+// under the same routing rule in virtual time; SimFleet reads that
+// fleet's service times off a live deployment.
 package cluster
 
 import (
@@ -501,18 +505,25 @@ func (d *Deployment) OutputNames() []string { return append([]string(nil), d.out
 func (d *Deployment) InputShapes() []tensor.Shape { return append([]tensor.Shape(nil), d.inPer...) }
 
 // warmup probes every replica with one zero-input request, verifying
-// the backend end to end and seeding the observed-latency EWMA.
+// the backend end to end and seeding the observed-latency EWMA with the
+// engine time the replica reports for it.
 func (d *Deployment) warmup() error {
 	inputs := make(map[string]*tensor.Tensor, len(d.inputNames))
 	for i, name := range d.inputNames {
 		inputs[name] = tensor.New(tensor.FP32, append(tensor.Shape{1}, d.inPer[i]...)...)
 	}
 	for _, r := range d.replicas {
-		start := time.Now()
-		if _, err := r.server.InferMap(inputs); err != nil {
+		probed := make(chan error, 1)
+		err := r.server.Submit(context.Background(), inputs, func(_ map[string]*tensor.Tensor, service time.Duration, err error) {
+			r.observe(service, err)
+			probed <- err
+		})
+		if err == nil {
+			err = <-probed
+		}
+		if err != nil {
 			return fmt.Errorf("cluster: warmup replica %d (%s, %s): %w", r.id, r.module, r.Backend(), err)
 		}
-		r.observe(time.Since(start), nil)
 	}
 	return nil
 }
@@ -554,20 +565,19 @@ func (d *Deployment) SubmitCtx(ctx context.Context, inputs map[string]*tensor.Te
 	}
 	r := d.pick()
 	tk := &Ticket{done: make(chan struct{}), start: time.Now(), replica: r}
-	depth := r.inflight.Add(1)
-	resolve := func(outs map[string]*tensor.Tensor, err error, wall time.Duration) {
+	r.inflight.Add(1)
+	resolve := func(outs map[string]*tensor.Tensor, err error, service time.Duration) {
 		if errors.Is(err, microserver.ErrClosed) {
 			err = ErrClosed
 		}
 		r.inflight.Add(-1)
-		// Normalize the observation to per-sample service time: wall
-		// time ≈ depth × service because the tickets ahead run one at a
-		// time, and a coalesced ticket carries `rows` samples in its one
-		// run, so the EWMA tracks per-sample service rather than
-		// congestion or batch size — congestion is already priced into
-		// the routing cost via the inflight factor, and the front door's
-		// adaptive batching must not read as a slower replica.
-		r.observe(perSampleWall(wall, depth, int64(rows)), err)
+		// The replica timed its engine run, queue wait excluded; a
+		// coalesced ticket carries `rows` samples in that one run, so the
+		// EWMA tracks per-sample service rather than congestion or batch
+		// size — congestion is already priced into the routing cost via
+		// the inflight factor, and the front door's adaptive batching
+		// must not read as a slower replica.
+		r.observe(service/time.Duration(rows), err)
 		if err != nil && ctx.Err() != nil {
 			d.cancelled.Add(1)
 		}
@@ -579,13 +589,12 @@ func (d *Deployment) SubmitCtx(ctx context.Context, inputs map[string]*tensor.Te
 		d.completed.Add(1)
 		close(tk.done)
 	}
-	err = r.server.Submit(ctx, inputs, func(outs map[string]*tensor.Tensor, err error) {
-		wall := time.Since(tk.start)
-		if d.emulate && err == nil && r.modeled > wall {
-			time.AfterFunc(r.modeled-wall, func() { resolve(outs, nil, r.modeled) })
+	err = r.server.Submit(ctx, inputs, func(outs map[string]*tensor.Tensor, service time.Duration, err error) {
+		if wait := r.modeled - time.Since(tk.start); d.emulate && err == nil && wait > 0 {
+			time.AfterFunc(wait, func() { resolve(outs, nil, service) })
 			return
 		}
-		resolve(outs, err, wall)
+		resolve(outs, err, service)
 	})
 	if err != nil {
 		// The caller vanished or close landed since the checks above.
@@ -625,18 +634,6 @@ func (d *Deployment) InferSingle(in *tensor.Tensor) (*tensor.Tensor, error) {
 	return outs[d.outputNames[0]], nil
 }
 
-// perSampleWall normalizes an observed wall time by the replica queue
-// depth at submission and the number of samples the ticket carried.
-func perSampleWall(wall time.Duration, depth, rows int64) time.Duration {
-	if depth < 1 {
-		depth = 1
-	}
-	if rows < 1 {
-		rows = 1
-	}
-	return wall / time.Duration(depth*rows)
-}
-
 // pick returns the replica with the lowest estimated completion cost:
 // per-request service estimate scaled by queue depth, ties by cheapest.
 // It reads only atomics, so concurrent Submits route without a lock.
@@ -658,8 +655,7 @@ func (d *Deployment) Idle() bool { return d.pick().inflight.Load() == 0 }
 // cheapest is the routing rule: the index in [0, n) with the lowest
 // cost, where costs within 2% of the running best are tied and resolve
 // toward the lower worst-case module power — the chassis power model's
-// tie-break. Deployment.pick, SimulateTrace and SimulateClosedLoop all
-// route through it.
+// tie-break. Deployment.pick and SimulateTrace both route through it.
 func cheapest(n int, cost, maxW func(int) float64) int {
 	best, bestCost := 0, cost(0)
 	for i := 1; i < n; i++ {
@@ -788,10 +784,10 @@ type Replica struct {
 	served   atomic.Int64
 	failed   atomic.Int64
 	shed     atomic.Int64
-	// ewmaNS is the observed per-sample service-time EWMA in
-	// nanoseconds. Only genuinely served requests feed it: shed and
-	// cancelled requests carry queueing (not service) time and would
-	// skew routing toward or away from a replica for the wrong reason.
+	// ewmaNS is the EWMA, in nanoseconds, of the engine time per row the
+	// replica's server measured around each run. Only served requests
+	// feed it: shed, cancelled and failed ones never measured a
+	// completed run and would skew routing for the wrong reason.
 	ewmaNS atomic.Int64
 }
 
@@ -816,7 +812,8 @@ func (r *Replica) Enclave() *tee.Enclave { return r.enclave }
 
 // ServiceEstimate is the per-request service time the router weighs:
 // the roofline prediction when the backend has a device model,
-// otherwise the observed EWMA (seeded by the deploy warm-up).
+// otherwise the EWMA of measured engine time per row (seeded by the
+// deploy warm-up), otherwise 1 ms.
 func (r *Replica) ServiceEstimate() time.Duration {
 	if r.modeled > 0 {
 		return r.modeled
@@ -838,12 +835,12 @@ func isShed(err error) bool {
 		errors.Is(err, context.DeadlineExceeded)
 }
 
-// observe folds one completed request into the replica's telemetry.
-// Only served requests update the EWMA: a shed or cancelled request
-// measured queueing time, not service time, and folding it in would
+// observe folds one completed request, and the engine time per row it
+// took, into the replica's telemetry. Only served requests update the
+// EWMA: a shed or cancelled request never ran, and folding it in would
 // skew the routing estimate (the admission-accounting bug this guards
 // against).
-func (r *Replica) observe(wall time.Duration, err error) {
+func (r *Replica) observe(service time.Duration, err error) {
 	switch {
 	case err == nil:
 	case isShed(err):
@@ -856,9 +853,9 @@ func (r *Replica) observe(wall time.Duration, err error) {
 	r.served.Add(1)
 	for {
 		old := r.ewmaNS.Load()
-		next := int64(wall)
+		next := int64(service)
 		if old > 0 {
-			next = old + (int64(wall)-old)/4
+			next = old + (int64(service)-old)/4
 		}
 		if r.ewmaNS.CompareAndSwap(old, next) {
 			return
@@ -897,8 +894,9 @@ type ReplicaStats struct {
 	Shed     int64
 	Inflight int64
 	// Modeled is the roofline-predicted batch-1 latency (zero without a
-	// device model); Observed is the measured per-request EWMA; Estimate
-	// is Replica.ServiceEstimate, the one of the two the router weighs.
+	// device model); Observed is the EWMA of measured engine time per
+	// row; Estimate is Replica.ServiceEstimate, the one of the two the
+	// router weighs.
 	Modeled  time.Duration
 	Observed time.Duration
 	Estimate time.Duration

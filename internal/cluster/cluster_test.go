@@ -436,25 +436,139 @@ func TestObserveShedExcludedFromEWMA(t *testing.T) {
 	}
 }
 
-// TestPerSampleWall pins the EWMA normalization: queue depth and
-// coalesced batch rows divide out of the observed wall time so the
-// routing estimate tracks per-sample service time.
-func TestPerSampleWall(t *testing.T) {
-	cases := []struct {
-		wall        time.Duration
-		depth, rows int64
-		want        time.Duration
-	}{
-		{8 * time.Millisecond, 1, 1, 8 * time.Millisecond},
-		{8 * time.Millisecond, 4, 1, 2 * time.Millisecond},
-		{8 * time.Millisecond, 1, 8, time.Millisecond},
-		{8 * time.Millisecond, 2, 4, time.Millisecond},
-		{8 * time.Millisecond, 0, -3, 8 * time.Millisecond}, // clamped
+// timedExe is an engine double whose run takes as long as its request
+// asks: the first input element in milliseconds. The second element
+// picks the outcome: 0 returns the inputs, 1 an engine error, 2 a panic.
+// Each run announces itself on entered and records how long it took by
+// its own clock in ran.
+type timedExe struct {
+	entered chan struct{}
+	mu      sync.Mutex
+	ran     []time.Duration
+}
+
+func (e *timedExe) Run(in map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
+	start := time.Now()
+	e.entered <- struct{}{}
+	var x []float32
+	for _, t := range in {
+		x = t.F32
 	}
-	for _, c := range cases {
-		if got := perSampleWall(c.wall, c.depth, c.rows); got != c.want {
-			t.Errorf("perSampleWall(%v, %d, %d) = %v, want %v", c.wall, c.depth, c.rows, got, c.want)
-		}
+	time.Sleep(time.Duration(x[0]) * time.Millisecond)
+	e.mu.Lock()
+	e.ran = append(e.ran, time.Since(start))
+	e.mu.Unlock()
+	switch x[1] {
+	case 1:
+		return nil, errors.New("engine fault")
+	case 2:
+		panic("kernel fault")
+	}
+	return in, nil
+}
+
+func (e *timedExe) RunBatch(b []map[string]*tensor.Tensor) ([]map[string]*tensor.Tensor, error) {
+	return nil, errors.New("timedExe: no batch path")
+}
+
+// timedDeployment is a one-replica deployment over a timedExe with no
+// latency model, so the router weighs the observed EWMA alone.
+func timedDeployment(t *testing.T) (*Deployment, *timedExe) {
+	t.Helper()
+	g := gestureModel()
+	d, err := newDeployment(g, "", Config{QueueDepth: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.close)
+	// entered has room for every run a test makes, so a run never waits
+	// on a test that stopped listening.
+	exe := &timedExe{entered: make(chan struct{}, 16)}
+	if err := d.addReplica(g, exe, "timed", 0, &microserver.Module{Name: "timed", MaxW: 5}); err != nil {
+		t.Fatal(err)
+	}
+	return d, exe
+}
+
+// timedInput is a request of the given rows that runs ms milliseconds
+// with the given outcome (see timedExe).
+func timedInput(d *Deployment, rows int, ms, outcome float32) map[string]*tensor.Tensor {
+	in := tensor.New(tensor.FP32, rows, 1, 16, 16)
+	in.F32[0], in.F32[1] = ms, outcome
+	return map[string]*tensor.Tensor{d.inputNames[0]: in}
+}
+
+// TestObservedServiceIsEngineTime: the EWMA is fed the time the replica
+// spent in its engine, per row, and not the ticket's time in the queue.
+// Ticket A fails after 60 ms (a failure leaves the EWMA untouched);
+// ticket B, queued behind it, runs 10 ms and is the first observation,
+// so the EWMA reads B's alone: its own run, not (60 + 10) / 2. A 4-row
+// ticket on a fresh replica observes its run / 4.
+func TestObservedServiceIsEngineTime(t *testing.T) {
+	// What the replica's clock may add to the engine double's own, per
+	// run: the call around it and a descheduled goroutine under load.
+	const slack = 10 * time.Millisecond
+	d, exe := timedDeployment(t)
+	a, err := d.Submit(timedInput(d, 1, 60, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-exe.entered // A is in the engine; B queues behind it
+	b, err := d.Submit(timedInput(d, 1, 10, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Wait(); err == nil {
+		t.Fatal("ticket A did not fail")
+	}
+	if _, err := b.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	obs, ranB := d.replicas[0].Stats().Observed, exe.ran[1]
+	if obs < ranB || obs > ranB+slack {
+		t.Errorf("B observed %v; its engine run took %v (A's %v)", obs, ranB, exe.ran[0])
+	}
+
+	d, exe = timedDeployment(t)
+	c, err := d.Submit(timedInput(d, 4, 40, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	obs, per := d.replicas[0].Stats().Observed, exe.ran[0]/4
+	if obs < per || obs > (exe.ran[0]+slack)/4 {
+		t.Errorf("4-row ticket observed %v per row; its run took %v, %v per row", obs, exe.ran[0], per)
+	}
+}
+
+// TestEnginePanicRecovers: a panicking engine run fails its own ticket
+// with an error and counts as the replica's failure; the EWMA stays
+// where it was, the accounting invariant holds and the replica serves
+// the next ticket.
+func TestEnginePanicRecovers(t *testing.T) {
+	d, _ := timedDeployment(t)
+	if _, err := d.Infer(timedInput(d, 1, 1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	before := d.replicas[0].Stats().Observed
+	if _, err := d.Infer(timedInput(d, 1, 1, 2)); err == nil || isShed(err) {
+		t.Fatalf("panicking run resolved with %v, want an engine error", err)
+	}
+	if after := d.replicas[0].Stats().Observed; after != before {
+		t.Errorf("the panicking run moved the EWMA %v -> %v", before, after)
+	}
+	if _, err := d.Infer(timedInput(d, 1, 1, 0)); err != nil {
+		t.Fatalf("replica did not serve after a panic: %v", err)
+	}
+	st := d.Stats()
+	rs := st.Replicas[0]
+	if rs.Failed != 1 || rs.Served != 2 {
+		t.Errorf("served %d failed %d, want 2 1", rs.Served, rs.Failed)
+	}
+	if st.Submitted != st.Completed+st.Rejected {
+		t.Errorf("submitted %d != completed %d + rejected %d", st.Submitted, st.Completed, st.Rejected)
 	}
 }
 

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"time"
@@ -48,25 +47,8 @@ func (tr Trace) Duration() time.Duration {
 type SimReplica struct {
 	Name    string
 	Service time.Duration
-	// PerItem is the marginal cost of each extra sample in a coalesced
-	// batch: a batch of n serves in Service + (n-1)*PerItem. Zero means
-	// the replica gains nothing from batching (a batch of n costs
-	// n*Service), which is the right model for an engine that would
-	// just loop.
-	PerItem time.Duration
 	IdleW   float64
 	MaxW    float64
-}
-
-// batchService is the virtual-time cost of serving n coalesced samples.
-func (f SimReplica) batchService(n int) time.Duration {
-	if n <= 1 {
-		return f.Service
-	}
-	if f.PerItem > 0 {
-		return f.Service + time.Duration(n-1)*f.PerItem
-	}
-	return time.Duration(n) * f.Service
 }
 
 // SimFleet derives the simulation view of a live deployment: each
@@ -191,255 +173,4 @@ func Summarize(lats []time.Duration) LatencySummary {
 		P999:  pick(0.999),
 		Max:   sorted[len(sorted)-1],
 	}
-}
-
-// ClosedLoopConfig shapes a closed-loop simulation: a population of
-// clients that each wait for a response (or a shed) before thinking and
-// issuing the next request. Closed loops self-throttle — offered load
-// adapts to fleet latency — which is the regime real user populations
-// live in and the one where adaptive batching pays.
-type ClosedLoopConfig struct {
-	// Clients is the simulated population size.
-	Clients int
-	// RequestsPerClient is how many requests each client issues.
-	RequestsPerClient int
-	// Think is the mean think time between a client's response and its
-	// next request (exponential, seeded).
-	Think time.Duration
-	// SLO is the per-request latency objective; responses above it (and
-	// every shed request) count as violations. Zero disables the check
-	// for completed requests; sheds always violate.
-	SLO time.Duration
-	// MaxBatch bounds how many queued requests a freed replica coalesces
-	// into one batch. Values below 1 mean no coalescing (batch of 1).
-	MaxBatch int
-	// QueueCap bounds the shared waiting queue; arrivals beyond it are
-	// shed. Zero means unbounded (no shedding).
-	QueueCap int
-	// Seed drives the think-time and stagger draws.
-	Seed int64
-}
-
-// ClosedLoopResult is the outcome of one closed-loop simulation.
-type ClosedLoopResult struct {
-	Requests  int
-	Completed int
-	// Shed counts arrivals dropped at the full waiting queue.
-	Shed       int
-	Makespan   time.Duration
-	Throughput float64
-	// Latency summarizes completed requests only (sheds fail fast).
-	Latency LatencySummary
-	// SLOViolations counts completed requests over the SLO plus every
-	// shed request.
-	SLOViolations    int
-	SLOViolationRate float64
-	// Batches and MeanBatch describe coalescing: dispatched batches and
-	// the mean samples per batch.
-	Batches   int
-	MeanBatch float64
-}
-
-// cloopEvent is one pending event in the closed-loop virtual clock:
-// a client issuing a request (client >= 0) or a replica completing a
-// batch (replica >= 0).
-type cloopEvent struct {
-	at      time.Duration
-	seq     int64
-	client  int
-	replica int
-}
-
-// cloopHeap is a plain binary min-heap over (at, seq) — seq breaks
-// time ties deterministically so identical seeds replay identically.
-type cloopHeap []cloopEvent
-
-func (h *cloopHeap) push(e cloopEvent) {
-	*h = append(*h, e)
-	i := len(*h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !(*h)[i].less((*h)[p]) {
-			break
-		}
-		(*h)[i], (*h)[p] = (*h)[p], (*h)[i]
-		i = p
-	}
-}
-
-func (h *cloopHeap) pop() cloopEvent {
-	top := (*h)[0]
-	last := len(*h) - 1
-	(*h)[0] = (*h)[last]
-	*h = (*h)[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l <= last-1 && (*h)[l].less((*h)[small]) {
-			small = l
-		}
-		if r <= last-1 && (*h)[r].less((*h)[small]) {
-			small = r
-		}
-		if small == i {
-			return top
-		}
-		(*h)[i], (*h)[small] = (*h)[small], (*h)[i]
-		i = small
-	}
-}
-
-func (e cloopEvent) less(o cloopEvent) bool {
-	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
-}
-
-// cloopPending is one request waiting for a replica.
-type cloopPending struct {
-	client  int
-	arrival time.Duration
-}
-
-// SimulateClosedLoop runs a closed-loop population against the analytic
-// fleet in virtual time: free replicas serve arrivals immediately, busy
-// fleets queue them (FIFO, bounded by QueueCap), and a freed replica
-// coalesces up to MaxBatch queued requests into one batch priced by the
-// replica's Service/PerItem model. Deterministic for a given seed and
-// machine-independent, so million-client populations simulate in
-// seconds and tail-latency claims do not depend on the harness host.
-func SimulateClosedLoop(fleet []SimReplica, cfg ClosedLoopConfig) (ClosedLoopResult, error) {
-	if len(fleet) == 0 {
-		return ClosedLoopResult{}, fmt.Errorf("cluster: closed loop: empty fleet")
-	}
-	for _, f := range fleet {
-		if f.Service <= 0 {
-			return ClosedLoopResult{}, fmt.Errorf("cluster: closed loop: replica %s has no service time", f.Name)
-		}
-	}
-	if cfg.Clients <= 0 || cfg.RequestsPerClient <= 0 {
-		return ClosedLoopResult{}, fmt.Errorf("cluster: closed loop: need clients and requests per client")
-	}
-	if cfg.Think <= 0 {
-		return ClosedLoopResult{}, fmt.Errorf("cluster: closed loop: need a positive think time")
-	}
-	maxBatch := cfg.MaxBatch
-	if maxBatch < 1 {
-		maxBatch = 1
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-
-	remaining := make([]int, cfg.Clients)
-	for i := range remaining {
-		remaining[i] = cfg.RequestsPerClient
-	}
-	busy := make([]bool, len(fleet))
-	batches := make([][]cloopPending, len(fleet))
-	var queue []cloopPending
-	var qhead int
-
-	var heap cloopHeap
-	var seq int64
-	schedule := func(at time.Duration, client, replica int) {
-		heap.push(cloopEvent{at: at, seq: seq, client: client, replica: replica})
-		seq++
-	}
-	// Stagger first arrivals uniformly over one think interval so the
-	// population does not arrive as a single synchronized spike.
-	for c := 0; c < cfg.Clients; c++ {
-		schedule(time.Duration(rng.Float64()*float64(cfg.Think)), c, -1)
-	}
-
-	res := ClosedLoopResult{Requests: cfg.Clients * cfg.RequestsPerClient}
-	lats := make([]time.Duration, 0, res.Requests)
-	var batchItems int
-
-	// next schedules a client's follow-up request after a think pause.
-	next := func(c int, now time.Duration) {
-		if remaining[c] > 0 {
-			schedule(now+time.Duration(rng.ExpFloat64()*float64(cfg.Think)), c, -1)
-		}
-	}
-	// start dispatches a batch on a free replica.
-	start := func(j int, batch []cloopPending, now time.Duration) {
-		busy[j] = true
-		batches[j] = batch
-		res.Batches++
-		batchItems += len(batch)
-		schedule(now+fleet[j].batchService(len(batch)), -1, j)
-	}
-	// freeReplica routes among the idle replicas by the fleet's one rule
-	// (cheapest): an idle replica costs its service time, a busy one
-	// +Inf. It returns -1 when every replica is busy.
-	freeReplica := func() int {
-		j := cheapest(len(fleet),
-			func(j int) float64 {
-				if busy[j] {
-					return math.Inf(1)
-				}
-				return float64(fleet[j].Service)
-			},
-			func(j int) float64 { return fleet[j].MaxW })
-		if busy[j] {
-			return -1
-		}
-		return j
-	}
-
-	for len(heap) > 0 {
-		ev := heap.pop()
-		if ev.at > res.Makespan {
-			res.Makespan = ev.at
-		}
-		if ev.client >= 0 {
-			// A client issues one request.
-			remaining[ev.client]--
-			req := cloopPending{client: ev.client, arrival: ev.at}
-			if j := freeReplica(); j >= 0 {
-				start(j, []cloopPending{req}, ev.at)
-			} else if cfg.QueueCap <= 0 || len(queue)-qhead < cfg.QueueCap {
-				queue = append(queue, req)
-			} else {
-				res.Shed++
-				res.SLOViolations++
-				next(ev.client, ev.at)
-			}
-			continue
-		}
-		// A replica completes its batch.
-		j := ev.replica
-		for _, req := range batches[j] {
-			lat := ev.at - req.arrival
-			lats = append(lats, lat)
-			res.Completed++
-			if cfg.SLO > 0 && lat > cfg.SLO {
-				res.SLOViolations++
-			}
-			next(req.client, ev.at)
-		}
-		batches[j] = nil
-		busy[j] = false
-		if n := len(queue) - qhead; n > 0 {
-			if n > maxBatch {
-				n = maxBatch
-			}
-			batch := append([]cloopPending(nil), queue[qhead:qhead+n]...)
-			qhead += n
-			if qhead == len(queue) {
-				queue, qhead = queue[:0], 0
-			}
-			start(j, batch, ev.at)
-		}
-	}
-
-	res.Latency = Summarize(lats)
-	if res.Makespan > 0 {
-		res.Throughput = float64(res.Completed) / res.Makespan.Seconds()
-	}
-	if res.Requests > 0 {
-		res.SLOViolationRate = float64(res.SLOViolations) / float64(res.Requests)
-	}
-	if res.Batches > 0 {
-		res.MeanBatch = float64(batchItems) / float64(res.Batches)
-	}
-	return res, nil
 }

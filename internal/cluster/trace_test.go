@@ -125,130 +125,3 @@ func TestSummarizeTailPercentiles(t *testing.T) {
 		t.Errorf("percentiles not monotone: %+v", s)
 	}
 }
-
-func TestBatchService(t *testing.T) {
-	f := SimReplica{Service: 2 * time.Millisecond, PerItem: 100 * time.Microsecond}
-	if got := f.batchService(1); got != 2*time.Millisecond {
-		t.Errorf("batch-1 service %v, want 2ms", got)
-	}
-	if got := f.batchService(11); got != 3*time.Millisecond {
-		t.Errorf("batch-11 service %v, want 3ms", got)
-	}
-	flat := SimReplica{Service: 2 * time.Millisecond}
-	if got := flat.batchService(4); got != 8*time.Millisecond {
-		t.Errorf("no-PerItem batch-4 service %v, want 8ms (serial loop)", got)
-	}
-}
-
-// closedLoopFleet: replicas that amortize well under batching — batch-32
-// costs ~6x a single request instead of 32x.
-func closedLoopFleet(n int) []SimReplica {
-	fleet := make([]SimReplica, n)
-	for i := range fleet {
-		fleet[i] = SimReplica{
-			Name: "sim", Service: 1500 * time.Microsecond,
-			PerItem: 150 * time.Microsecond, IdleW: 5, MaxW: 25,
-		}
-	}
-	return fleet
-}
-
-func TestSimulateClosedLoopDeterministic(t *testing.T) {
-	cfg := ClosedLoopConfig{
-		Clients: 2000, RequestsPerClient: 3, Think: 300 * time.Millisecond,
-		SLO: 20 * time.Millisecond, MaxBatch: 16, QueueCap: 256, Seed: 5,
-	}
-	a, err := SimulateClosedLoop(closedLoopFleet(2), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := SimulateClosedLoop(closedLoopFleet(2), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Errorf("identical seeds diverged:\n%+v\n%+v", a, b)
-	}
-	if a.Completed+a.Shed != a.Requests {
-		t.Errorf("accounting broken: completed %d + shed %d != requests %d", a.Completed, a.Shed, a.Requests)
-	}
-	if a.Latency.Count != a.Completed {
-		t.Errorf("latency sample %d != completed %d", a.Latency.Count, a.Completed)
-	}
-}
-
-// TestSimulateClosedLoopBatchingWins pins the tentpole's core claim in
-// virtual time: under an oversaturating closed-loop population, MaxBatch
-// coalescing sustains >= 2x the throughput of batch-1 passthrough and
-// collapses the SLO-violation rate.
-func TestSimulateClosedLoopBatchingWins(t *testing.T) {
-	// Offered load ≈ clients/think ≈ 13k rps: ~5x the unbatched fleet
-	// capacity (4 × 1/1.5ms ≈ 2.7k rps) but under the batch-32 capacity
-	// (4 × 32/6.15ms ≈ 21k rps), so only the unbatched run sheds hard.
-	cfg := ClosedLoopConfig{
-		Clients: 20000, RequestsPerClient: 2, Think: 1500 * time.Millisecond,
-		SLO: 50 * time.Millisecond, QueueCap: 512, Seed: 42,
-	}
-	cfg.MaxBatch = 1
-	unbatched, err := SimulateClosedLoop(closedLoopFleet(4), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.MaxBatch = 32
-	batched, err := SimulateClosedLoop(closedLoopFleet(4), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batched.MeanBatch <= 1.5 {
-		t.Errorf("adaptive run coalesced %.2f samples/batch on an oversaturated fleet, want > 1.5", batched.MeanBatch)
-	}
-	if batched.Throughput < 2*unbatched.Throughput {
-		t.Errorf("batching throughput %.0f rps < 2x unbatched %.0f rps", batched.Throughput, unbatched.Throughput)
-	}
-	if batched.SLOViolationRate >= unbatched.SLOViolationRate {
-		t.Errorf("batching did not improve SLO violations: %.3f vs %.3f",
-			batched.SLOViolationRate, unbatched.SLOViolationRate)
-	}
-	if unbatched.Shed == 0 {
-		t.Error("oversaturated unbatched run shed nothing; load level too low to be meaningful")
-	}
-}
-
-func TestSimulateClosedLoopSheds(t *testing.T) {
-	res, err := SimulateClosedLoop(closedLoopFleet(1), ClosedLoopConfig{
-		Clients: 3000, RequestsPerClient: 2, Think: 100 * time.Millisecond,
-		SLO: 10 * time.Millisecond, MaxBatch: 1, QueueCap: 8, Seed: 9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Shed == 0 {
-		t.Error("bounded queue under overload shed nothing")
-	}
-	if res.SLOViolations < res.Shed {
-		t.Errorf("sheds must count as SLO violations: %d violations < %d sheds", res.SLOViolations, res.Shed)
-	}
-	if res.Completed+res.Shed != res.Requests {
-		t.Errorf("accounting broken: %d + %d != %d", res.Completed, res.Shed, res.Requests)
-	}
-}
-
-func TestSimulateClosedLoopErrors(t *testing.T) {
-	ok := ClosedLoopConfig{Clients: 1, RequestsPerClient: 1, Think: time.Millisecond}
-	if _, err := SimulateClosedLoop(nil, ok); err == nil {
-		t.Error("empty fleet accepted")
-	}
-	if _, err := SimulateClosedLoop([]SimReplica{{Name: "x"}}, ok); err == nil {
-		t.Error("zero service time accepted")
-	}
-	bad := ok
-	bad.Clients = 0
-	if _, err := SimulateClosedLoop(closedLoopFleet(1), bad); err == nil {
-		t.Error("zero clients accepted")
-	}
-	bad = ok
-	bad.Think = 0
-	if _, err := SimulateClosedLoop(closedLoopFleet(1), bad); err == nil {
-		t.Error("zero think accepted")
-	}
-}

@@ -78,6 +78,30 @@ func TestEngineMatchesInterpreter(t *testing.T) {
 	}
 }
 
+// TestSplitRecoversWorkerPanic: a panic on a fan-out worker goroutine
+// is raised again on the goroutine that called split, where a recover
+// can catch it, instead of ending the process. Worker 0 holds its first
+// chunk until worker 1 has panicked, so the panic is always on the other
+// goroutine.
+func TestSplitRecoversWorkerPanic(t *testing.T) {
+	rc := runCtx{workers: 2}
+	panicked := make(chan struct{})
+	got := func() (p any) {
+		defer func() { p = recover() }()
+		rc.split(64, func(worker, _, _ int) {
+			if worker != 0 {
+				close(panicked)
+				panic("worker fault")
+			}
+			<-panicked
+		})
+		return nil
+	}()
+	if got != "worker fault" {
+		t.Fatalf("split's caller recovered %v, want the worker's panic", got)
+	}
+}
+
 func TestEngineParallelMatchesSequential(t *testing.T) {
 	for _, g := range zoo() {
 		seq := mustCompile(t, g, WithWorkers(1))

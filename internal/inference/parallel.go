@@ -165,7 +165,10 @@ func (c config) lowerEach(n int, fn func(i int) error) error {
 	return nil
 }
 
-// split fans the range [0, n), n > 1, out over the worker pool.
+// split fans the range [0, n), n > 1, out over the worker pool. A
+// panic in any worker stops the hand-out and is raised again on the
+// calling goroutine once every worker has returned, so the caller's
+// recover sees it and no worker is left writing into a released run.
 func (rc *runCtx) split(n int, fn func(worker, lo, hi int)) {
 	w := min(rc.workers, n)
 	// More chunks than workers smooths imbalance; chunk count is capped
@@ -175,8 +178,18 @@ func (rc *runCtx) split(n int, fn func(worker, lo, hi int)) {
 		chunks = n
 	}
 	size := (n + chunks - 1) / chunks
-	var cursor int64
+	var (
+		cursor int64
+		once   sync.Once
+		fault  any // the first worker panic
+	)
 	work := func(worker int) {
+		defer func() {
+			if p := recover(); p != nil {
+				once.Do(func() { fault = p })
+				atomic.StoreInt64(&cursor, int64(n))
+			}
+		}()
 		for {
 			i := int(atomic.AddInt64(&cursor, 1)) - 1
 			lo := i * size
@@ -200,4 +213,7 @@ func (rc *runCtx) split(n int, fn func(worker, lo, hi int)) {
 	}
 	work(0)
 	wg.Wait()
+	if fault != nil {
+		panic(fault)
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"vedliot/internal/inference"
 	"vedliot/internal/nn"
@@ -69,7 +70,7 @@ type Server struct {
 type request struct {
 	ctx  context.Context
 	ins  map[string]*tensor.Tensor
-	done func(outs map[string]*tensor.Tensor, err error)
+	done func(outs map[string]*tensor.Tensor, service time.Duration, err error)
 }
 
 // ServeCompiled starts the dispatcher over a compiled executable. The
@@ -116,7 +117,7 @@ func (s *Server) InferMap(inputs map[string]*tensor.Tensor) (map[string]*tensor.
 		err  error
 	)
 	ready := make(chan struct{})
-	if serr := s.Submit(context.Background(), inputs, func(o map[string]*tensor.Tensor, e error) {
+	if serr := s.Submit(context.Background(), inputs, func(o map[string]*tensor.Tensor, _ time.Duration, e error) {
 		outs, err = o, e
 		close(ready)
 	}); serr != nil {
@@ -126,18 +127,19 @@ func (s *Server) InferMap(inputs map[string]*tensor.Tensor) (map[string]*tensor.
 	return outs, err
 }
 
-// Submit hands a request to the queue and returns; done is
-// called exactly once with the result, on the dispatcher goroutine, so
-// it must not block. A non-nil return (ErrClosed, else the error of a
-// dead context) means the request was not accepted and done will not be
-// called. The enqueue blocks while the queue is full — node-level
+// Submit hands a request to the queue and returns; done is called
+// exactly once with the result and the engine time it took (zero when
+// the request never reached the engine), on the dispatcher goroutine,
+// so it must not block. A non-nil return (ErrClosed, else the error of
+// a dead context) means the request was not accepted and done will not
+// be called. The enqueue blocks while the queue is full — node-level
 // backpressure for direct callers; the fleet layer sizes the queue so it
 // never does — and aborts when ctx ends. A request whose context is
 // cancelled while it is still queued completes with the context error
 // instead of being dispatched, so a disconnected client stops consuming
 // replica time; one already handed to the engine runs to completion
 // (dispatches are not preemptible).
-func (s *Server) Submit(ctx context.Context, inputs map[string]*tensor.Tensor, done func(outs map[string]*tensor.Tensor, err error)) error {
+func (s *Server) Submit(ctx context.Context, inputs map[string]*tensor.Tensor, done func(outs map[string]*tensor.Tensor, service time.Duration, err error)) error {
 	s.lifeMu.RLock()
 	defer s.lifeMu.RUnlock()
 	if s.closed {
@@ -203,7 +205,7 @@ func (s *Server) drain() {
 	for {
 		select {
 		case r := <-s.reqs:
-			r.done(nil, ErrClosed)
+			r.done(nil, 0, ErrClosed)
 		default:
 			return
 		}
@@ -213,21 +215,36 @@ func (s *Server) drain() {
 // run is the one place the server calls the executable: the request's
 // own input map goes to the engine unchanged, unless its caller vanished
 // while it was queued; then it completes with the context error and
-// never reaches the engine.
+// never reaches the engine. The engine run is timed here, so the
+// service time a caller sees excludes the wait in the queue.
 func (s *Server) run(r *request) {
 	if err := r.ctx.Err(); err != nil {
 		s.statsMu.Lock()
 		s.stats.Cancelled++
 		s.statsMu.Unlock()
-		r.done(nil, err)
+		r.done(nil, 0, err)
 		return
 	}
-	outs, err := s.exe.Run(r.ins)
+	start := time.Now()
+	outs, err := s.call(r.ins)
+	service := time.Since(start)
 	// Counted before the completion runs: a caller holding its result
 	// already sees itself in Stats.
 	s.statsMu.Lock()
 	s.stats.Requests++
 	s.stats.Batches++
 	s.statsMu.Unlock()
-	r.done(outs, err)
+	r.done(outs, service, err)
+}
+
+// call runs the executable once. A panic inside it fails this request
+// with an error instead of taking the process down; the engines re-raise
+// a fan-out worker's panic on the calling goroutine, so it lands here.
+func (s *Server) call(ins map[string]*tensor.Tensor) (outs map[string]*tensor.Tensor, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			outs, err = nil, fmt.Errorf("microserver: %s engine panicked: %v", s.backendName, p)
+		}
+	}()
+	return s.exe.Run(ins)
 }

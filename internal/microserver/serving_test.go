@@ -5,8 +5,10 @@ import (
 	"errors"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"vedliot/internal/accel"
 	"vedliot/internal/inference"
@@ -37,9 +39,10 @@ func inferSingle(s *Server, g *nn.Graph, in *tensor.Tensor) (*tensor.Tensor, err
 
 // pending is the test's handle on one accepted Submit.
 type pending struct {
-	outs  map[string]*tensor.Tensor
-	err   error
-	ready chan struct{}
+	outs    map[string]*tensor.Tensor
+	service time.Duration
+	err     error
+	ready   chan struct{}
 }
 
 // Wait blocks until the request's completion has run.
@@ -53,8 +56,8 @@ func (p *pending) Wait() (map[string]*tensor.Tensor, error) {
 func submit(t *testing.T, s *Server, ctx context.Context, ins map[string]*tensor.Tensor) *pending {
 	t.Helper()
 	p := &pending{ready: make(chan struct{})}
-	if err := s.Submit(ctx, ins, func(outs map[string]*tensor.Tensor, err error) {
-		p.outs, p.err = outs, err
+	if err := s.Submit(ctx, ins, func(outs map[string]*tensor.Tensor, service time.Duration, err error) {
+		p.outs, p.service, p.err = outs, service, err
 		close(p.ready)
 	}); err != nil {
 		t.Fatal(err)
@@ -607,7 +610,7 @@ func TestSubmitCancelledBeforeDispatch(t *testing.T) {
 	// An already-dead context is refused at submission.
 	dead, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	err := s.Submit(dead, liveIns, func(map[string]*tensor.Tensor, error) {
+	err := s.Submit(dead, liveIns, func(map[string]*tensor.Tensor, time.Duration, error) {
 		t.Error("completion ran for a request Submit refused")
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -647,5 +650,82 @@ func TestDispatchDropsCancelledQueued(t *testing.T) {
 	st := s.Stats()
 	if st.Cancelled != 3 || st.Requests != 2 || st.Batches != 2 {
 		t.Errorf("stats %+v, want 3 cancelled and 2 requests in 2 engine runs", st)
+	}
+}
+
+// TestDispatchReportsEngineTime: the service time a completion carries
+// is the engine run alone. The plug is held inside the engine, so its
+// hold is service; the request queued behind it waits as long, and none
+// of that wait is in its service.
+func TestDispatchReportsEngineTime(t *testing.T) {
+	const held = 30 * time.Millisecond
+	g := gestureGraph()
+	s, gate := gatedServer(t, g, ServeConfig{})
+	defer s.Close()
+	plug := hold(t, s, gate, gestureIns(g, 0))
+	queued := submit(t, s, context.Background(), gestureIns(g, 1))
+	time.Sleep(held)
+	gate.open()
+	for _, p := range []*pending{plug, queued} {
+		if _, err := p.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if plug.service < held {
+		t.Errorf("held run reported %v of service, held %v in the engine", plug.service, held)
+	}
+	if queued.service <= 0 || queued.service >= held {
+		t.Errorf("queued request reported %v of service after waiting %v in the queue", queued.service, held)
+	}
+}
+
+// panicExe is an executable double that panics on one poisoned input
+// tensor and runs every other request on the engine it wraps.
+type panicExe struct {
+	inference.Executable
+	poison *tensor.Tensor
+}
+
+func (e panicExe) Run(in map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
+	for _, t := range in {
+		if t == e.poison {
+			panic("kernel fault")
+		}
+	}
+	return e.Executable.Run(in)
+}
+
+// TestServeRecoversEnginePanic: a panic inside the engine fails that
+// request with an error, and the dispatcher goes on serving the next
+// one with the engine-exact result.
+func TestServeRecoversEnginePanic(t *testing.T) {
+	g := gestureGraph()
+	eng, err := inference.Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poison := gestureInput(0)
+	s, err := ServeCompiled(g, panicExe{eng, poison}, "panicky", ServeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := inferSingle(s, g, poison); err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("panicking run returned %v, want the recovered panic", err)
+	}
+	in := gestureInput(1)
+	want, err := eng.RunSingle(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := inferSingle(s, g, in)
+	if err != nil {
+		t.Fatalf("request after the panic: %v", err)
+	}
+	if d, err := tensor.MaxAbsDiff(want, got); err != nil || d != 0 {
+		t.Errorf("request after the panic differs from the engine by %v (%v)", d, err)
+	}
+	if st := s.Stats(); st.Requests != 2 {
+		t.Errorf("stats recorded %d requests, want 2", st.Requests)
 	}
 }

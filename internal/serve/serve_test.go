@@ -8,11 +8,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"vedliot/internal/artifact"
 	"vedliot/internal/cluster"
 	"vedliot/internal/inference"
 	"vedliot/internal/microserver"
@@ -154,6 +156,101 @@ func TestEndToEndParity(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Requests < 5 || st.Accepted < 1 {
 		t.Errorf("server stats missed traffic: %+v", st)
+	}
+}
+
+// poisonBackend compiles the host engine and wraps it so that a run
+// whose input holds the poison value panics, the way a kernel fault
+// would; every other run is the engine's.
+type poisonBackend struct{}
+
+const poison = 1e9
+
+func (poisonBackend) Name() string { return "poison" }
+
+func (poisonBackend) Compile(g *nn.Graph, opts ...inference.Option) (inference.Executable, error) {
+	eng, err := inference.Compile(g, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return poisonExe{eng}, nil
+}
+
+type poisonExe struct{ inference.Executable }
+
+func (e poisonExe) Run(in map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
+	for _, t := range in {
+		if slices.Contains(t.F32, poison) {
+			panic("kernel fault")
+		}
+	}
+	return e.Executable.Run(in)
+}
+
+// TestSocketRecoversReplicaPanic puts a replica whose engine panics on
+// one input behind the socket: the poisoned request is answered with
+// StatusError, the fleet counts one failure and keeps its accounting,
+// and the same connection goes on serving engine-exact replies. The
+// panicking plan reaches the replica through the registry's plan cache,
+// seeded under the key an artifact deployment on the host engine reads.
+func TestSocketRecoversReplicaPanic(t *testing.T) {
+	g := testModel()
+	m := &artifact.Model{Graph: g}
+	if _, err := m.Encode(); err != nil {
+		t.Fatal(err)
+	}
+	reg := cluster.NewRegistry()
+	if err := reg.Add(m); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := reg.Plans().Compile(m.Digest+"|"+inference.CPUBackend{}.Name(), poisonBackend{}, g); err != nil {
+		t.Fatal(err)
+	}
+	sched := cluster.NewScheduler(armFleet(t, 1), cluster.Config{Registry: reg})
+	defer sched.Close()
+	d, err := sched.DeployArtifact(g.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Listen("127.0.0.1:0", sched, Config{Batch: BatchPolicy{MaxBatch: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cl, err := Dial(srv.Addr(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	bad := testInput(0)
+	bad.F32[0] = poison
+	_, err = cl.InferCtx(context.Background(), g.Name, map[string]*tensor.Tensor{g.Inputs[0]: bad})
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("status %d", StatusError)) {
+		t.Fatalf("poisoned request returned %v, want a StatusError reply", err)
+	}
+	eng, err := inference.Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := testInput(1)
+	want, err := eng.RunSingle(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs, err := cl.InferCtx(context.Background(), g.Name, map[string]*tensor.Tensor{g.Inputs[0]: in})
+	if err != nil {
+		t.Fatalf("the connection stopped serving after the panic: %v", err)
+	}
+	if diff, _ := tensor.MaxAbsDiff(want, outs[g.Outputs[0]]); diff != 0 {
+		t.Errorf("reply after the panic diverges from the engine by %g", diff)
+	}
+	if st := srv.Stats(); st.Errors != 1 {
+		t.Errorf("server counted %d engine errors, want 1", st.Errors)
+	}
+	st := d.Stats()
+	if st.Replicas[0].Failed != 1 || st.Submitted != st.Completed+st.Rejected {
+		t.Errorf("fleet stats after the panic: %+v", st)
 	}
 }
 
