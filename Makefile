@@ -30,6 +30,9 @@ test-full:
 # engine-time observation and the recovered engine panics at the
 # replica, the fleet and the socket: they form batches and backlogs by
 # holding a gate, not by wall clock, so twenty runs in a row must agree.
+# The slow-reader isolation test rides along: a connection that owes its
+# full reply depth and never reads, beside one whose replies must all
+# arrive, with completions running on the replica's dispatcher.
 # The plan executor's pooled run state gets the same twenty: concurrent
 # runs at mixed batch sizes, a first RunAll binding its expansion beside
 # concurrent runs, a kernel error at every step and a fan-out worker's
@@ -38,7 +41,7 @@ test-full:
 # target.
 test-race:
 	$(GO) test -short -race ./internal/inference/... ./internal/accel/... ./internal/microserver/... ./internal/cluster/... ./internal/serve/... ./internal/rvbackend/... ./internal/riscv/... ./internal/soc/... ./internal/cfu/...
-	$(GO) test -race -count=20 -run 'Batch|CapacityRule|Dispatch|Gate|Admission|Saturated|BurstFollows|CloseResolves|CancelPropagation|Recovers|EngineTime' ./internal/microserver/ ./internal/serve/ ./internal/cluster/
+	$(GO) test -race -count=20 -run 'Batch|CapacityRule|Dispatch|Gate|Admission|Saturated|BurstFollows|CloseResolves|CancelPropagation|Recovers|EngineTime|SlowReader' ./internal/microserver/ ./internal/serve/ ./internal/cluster/
 	$(GO) test -race -count=20 -run 'ExecutorConcurrent|ExecutorKernelError|Recovers' ./internal/inference/
 
 # test-portable exercises the pure-Go micro-kernel fallbacks (noasm /

@@ -1,7 +1,10 @@
 package vedliot
 
 import (
+	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"vedliot/internal/artifact"
@@ -122,8 +125,8 @@ func BenchmarkClusterServing(b *testing.B) { benchExperiment(b, "cluster") }
 func BenchmarkServeFrontDoor(b *testing.B) { benchExperiment(b, "serve") }
 
 // BenchmarkClusterSubmit measures the real serving path end to end:
-// async Submit/Wait through the scheduler, its admission queue and a
-// heterogeneous fleet's batching servers.
+// SubmitCtx through the admission bound and a heterogeneous fleet's
+// replicas, each completion called on its replica's dispatcher.
 func BenchmarkClusterSubmit(b *testing.B) {
 	chassis := microserver.NewURECS()
 	for slot, name := range []string{"SMARC ARM", "Jetson Xavier NX", "Coral SoM"} {
@@ -138,7 +141,8 @@ func BenchmarkClusterSubmit(b *testing.B) {
 	sched := cluster.NewScheduler(chassis, cluster.Config{QueueDepth: 1024})
 	defer sched.Close()
 	g := nn.FaceDetectNet(32, nn.BuildOptions{Weights: true, Seed: 7})
-	if _, err := sched.Deploy(g); err != nil {
+	dep, err := sched.Deploy(g)
+	if err != nil {
 		b.Fatal(err)
 	}
 	in := tensor.New(tensor.FP32, 1, 1, 32, 32)
@@ -146,29 +150,35 @@ func BenchmarkClusterSubmit(b *testing.B) {
 		in.F32[i] = float32(i%17)/17 - 0.5
 	}
 	ins := map[string]*tensor.Tensor{g.Inputs[0]: in}
+	var (
+		wg     sync.WaitGroup
+		failed atomic.Int64
+	)
+	done := func(_ map[string]*tensor.Tensor, err error) {
+		if err != nil {
+			failed.Add(1)
+		}
+		wg.Done()
+	}
 	b.ResetTimer()
-	tickets := make([]*cluster.Ticket, 0, b.N)
 	for i := 0; i < b.N; i++ {
-		tk, err := sched.Submit(g.Name, ins)
+		wg.Add(1)
+		err := dep.SubmitCtx(context.Background(), ins, done)
 		if err != nil {
 			// Admission shed under benchmark pressure: wait out the
 			// backlog and retry once.
-			for _, t := range tickets {
-				if _, werr := t.Wait(); werr != nil {
-					b.Fatal(werr)
-				}
-			}
-			tickets = tickets[:0]
-			if tk, err = sched.Submit(g.Name, ins); err != nil {
-				b.Fatal(err)
-			}
+			wg.Done()
+			wg.Wait()
+			wg.Add(1)
+			err = dep.SubmitCtx(context.Background(), ins, done)
 		}
-		tickets = append(tickets, tk)
-	}
-	for _, tk := range tickets {
-		if _, err := tk.Wait(); err != nil {
+		if err != nil {
 			b.Fatal(err)
 		}
+	}
+	wg.Wait()
+	if n := failed.Load(); n > 0 {
+		b.Fatalf("%d requests failed", n)
 	}
 }
 

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -94,25 +95,33 @@ func ClusterStudy() (*Report, error) {
 
 	before := dep.Stats() // the estimates the burst starts on
 	burst := pick(96, 32)
-	tickets := make([]*cluster.Ticket, 0, burst)
+	// Each request is timed from submission to its completion, which
+	// runs on the replica's dispatcher and hands its result over here.
+	type completion struct {
+		outs    map[string]*tensor.Tensor
+		err     error
+		latency time.Duration
+	}
+	done := make(chan completion, burst)
 	for i := 0; i < burst; i++ {
-		tk, err := sched.Submit(g.Name, map[string]*tensor.Tensor{g.Inputs[0]: in})
-		if err != nil {
+		start := time.Now()
+		if err := dep.SubmitCtx(context.Background(), map[string]*tensor.Tensor{g.Inputs[0]: in}, func(outs map[string]*tensor.Tensor, err error) {
+			done <- completion{outs, err, time.Since(start)}
+		}); err != nil {
 			return nil, err
 		}
-		tickets = append(tickets, tk)
 	}
 	parity := 0.0
 	var lats []time.Duration
-	for _, tk := range tickets {
-		outs, err := tk.Wait()
-		if err != nil {
-			return nil, err
+	for i := 0; i < burst; i++ {
+		c := <-done
+		if c.err != nil {
+			return nil, c.err
 		}
-		if d, _ := tensor.MaxAbsDiff(want, outs[g.Outputs[0]]); d > parity {
+		if d, _ := tensor.MaxAbsDiff(want, c.outs[g.Outputs[0]]); d > parity {
 			parity = d
 		}
-		lats = append(lats, tk.Latency())
+		lats = append(lats, c.latency)
 	}
 	sum := cluster.Summarize(lats)
 
@@ -249,11 +258,11 @@ func artifactStudy(r *Report, g *nn.Graph, want, in *tensor.Tensor) error {
 	if err != nil {
 		return err
 	}
-	outs, err := dep.InferSingle(in)
+	outs, err := dep.InferCtx(context.Background(), map[string]*tensor.Tensor{g.Inputs[0]: in})
 	if err != nil {
 		return err
 	}
-	fleetParity, _ := tensor.MaxAbsDiff(want, outs)
+	fleetParity, _ := tensor.MaxAbsDiff(want, outs[g.Outputs[0]])
 	ps := reg.Plans().Stats()
 
 	r.linef("")

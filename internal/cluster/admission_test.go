@@ -17,7 +17,7 @@ import (
 // engine call records the requests it was handed, announces itself on
 // entered, then blocks until the test opens the gate, and echoes its
 // inputs. A test holds a replica's
-// dispatcher inside the engine and queues tickets behind it, so queue
+// dispatcher inside the engine and queues requests behind it, so queue
 // states form by construction and never by wall clock. modeled pins the
 // replica's service estimate (it is the executable's latency model), so
 // routing is a function of the inflight counts alone.
@@ -79,50 +79,92 @@ func gatedDeployment(t *testing.T, queueDepth int, gates ...*gateExe) *Deploymen
 	return d
 }
 
-// submitN admits n tickets, failing the test if any is refused.
-func submitN(t *testing.T, d *Deployment, n int) []*Ticket {
-	t.Helper()
-	ins := map[string]*tensor.Tensor{d.inputNames[0]: gestureInput(1)}
-	tks := make([]*Ticket, n)
-	for i := range tks {
-		tk, err := d.Submit(ins)
-		if err != nil {
-			t.Fatalf("submit %d of %d: %v", i+1, n, err)
-		}
-		tks[i] = tk
-	}
-	return tks
+// pending is one admitted request as the tests see it: the result
+// SubmitCtx's completion delivered.
+type pending struct {
+	done chan struct{}
+	outs map[string]*tensor.Tensor
+	err  error
 }
 
-func resolved(tk *Ticket) bool {
+// submit admits one request through the completion callback. It fails
+// the test if SubmitCtx both refuses the request and calls done, and a
+// second call of done panics on the closed channel.
+func submit(t testing.TB, ctx context.Context, d *Deployment, ins map[string]*tensor.Tensor) (*pending, error) {
+	p := &pending{done: make(chan struct{})}
+	err := d.SubmitCtx(ctx, ins, func(outs map[string]*tensor.Tensor, err error) {
+		p.outs, p.err = outs, err
+		close(p.done)
+	})
+	if err != nil {
+		if p.resolved() {
+			t.Errorf("SubmitCtx refused a request with %v and also completed it", err)
+		}
+		return nil, err
+	}
+	return p, nil
+}
+
+// wait blocks until the request completes.
+func (p *pending) wait() (map[string]*tensor.Tensor, error) {
+	<-p.done
+	return p.outs, p.err
+}
+
+func (p *pending) resolved() bool {
 	select {
-	case <-tk.done:
+	case <-p.done:
 		return true
 	default:
 		return false
 	}
 }
 
+// submitN admits n requests, failing the test if any is refused.
+func submitN(t *testing.T, d *Deployment, n int) []*pending {
+	t.Helper()
+	ins := map[string]*tensor.Tensor{d.inputNames[0]: gestureInput(1)}
+	ps := make([]*pending, n)
+	for i := range ps {
+		p, err := submit(t, context.Background(), d, ins)
+		if err != nil {
+			t.Fatalf("submit %d of %d: %v", i+1, n, err)
+		}
+		ps[i] = p
+	}
+	return ps
+}
+
+// single runs one request through a 1-in/1-out model and returns its
+// output.
+func single(d *Deployment, in *tensor.Tensor) (*tensor.Tensor, error) {
+	outs, err := d.InferCtx(context.Background(), map[string]*tensor.Tensor{d.inputNames[0]: in})
+	if err != nil {
+		return nil, err
+	}
+	return outs[d.outputNames[0]], nil
+}
+
 // TestAdmissionBoundIsExact holds the engine shut: exactly QueueDepth
-// tickets are admitted, the next is shed, and a slot frees the moment a
-// ticket resolves.
+// requests are admitted, the next is shed, and a slot frees the moment a
+// request completes.
 func TestAdmissionBoundIsExact(t *testing.T) {
 	const k = 5
 	gate := newGate(time.Millisecond, 5)
 	d := gatedDeployment(t, k, gate)
-	tks := submitN(t, d, k)
+	ps := submitN(t, d, k)
 	<-gate.entered // one running, k-1 queued behind it
 	ins := map[string]*tensor.Tensor{d.inputNames[0]: gestureInput(1)}
-	if _, err := d.Submit(ins); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("ticket %d of depth %d returned %v, want ErrOverloaded", k+1, k, err)
+	if _, err := submit(t, context.Background(), d, ins); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("request %d of depth %d returned %v, want ErrOverloaded", k+1, k, err)
 	}
 	if st := d.Stats(); st.Submitted != k+1 || st.Rejected != 1 || st.Completed != 0 {
 		t.Errorf("held: submitted %d rejected %d completed %d, want %d 1 0", st.Submitted, st.Rejected, st.Completed, k+1)
 	}
 	gate.open()
-	for i, tk := range tks {
-		if _, err := tk.Wait(); err != nil {
-			t.Errorf("admitted ticket %d failed: %v", i, err)
+	for i, p := range ps {
+		if _, err := p.wait(); err != nil {
+			t.Errorf("admitted request %d failed: %v", i, err)
 		}
 	}
 	st := d.Stats()
@@ -130,13 +172,13 @@ func TestAdmissionBoundIsExact(t *testing.T) {
 		t.Errorf("submitted %d != completed %d + rejected %d", st.Submitted, st.Completed, st.Rejected)
 	}
 	// Every slot is free again.
-	for _, tk := range submitN(t, d, k) {
-		tk.Wait()
+	for _, p := range submitN(t, d, k) {
+		p.wait()
 	}
 }
 
-// TestAdmissionSpawnsNoGoroutines: outstanding tickets are entries in a
-// replica's queue, not goroutines.
+// TestAdmissionSpawnsNoGoroutines: outstanding requests are entries in
+// a replica's queue, not goroutines.
 func TestAdmissionSpawnsNoGoroutines(t *testing.T) {
 	const n = 48
 	gate := newGate(time.Millisecond, 5)
@@ -144,57 +186,57 @@ func TestAdmissionSpawnsNoGoroutines(t *testing.T) {
 	plug := submitN(t, d, 1)
 	<-gate.entered
 	before := runtime.NumGoroutine()
-	tks := submitN(t, d, n)
+	ps := submitN(t, d, n)
 	if after := runtime.NumGoroutine(); after > before {
-		t.Errorf("%d outstanding tickets grew the process from %d to %d goroutines", n, before, after)
+		t.Errorf("%d outstanding requests grew the process from %d to %d goroutines", n, before, after)
 	}
 	gate.open()
-	for _, tk := range append(plug, tks...) {
-		if _, err := tk.Wait(); err != nil {
+	for _, p := range append(plug, ps...) {
+		if _, err := p.wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-// TestAdmissionBurstRunsOneTicketPerEngineRun bursts tickets of distinct
-// row counts onto one held replica: every ticket becomes one engine run
-// carrying exactly its own rows, in submission order. That one run
-// carries one ticket is what lets the replica's engine time, divided by
-// the ticket's rows, stand as its per-row service time.
+// TestAdmissionBurstRunsOneTicketPerEngineRun bursts requests of
+// distinct row counts onto one held replica: every request becomes one
+// engine run carrying exactly its own rows, in submission order. That
+// one run carries one request is what lets the replica's engine time,
+// divided by the request's rows, stand as its per-row service time.
 func TestAdmissionBurstRunsOneTicketPerEngineRun(t *testing.T) {
 	const n = 12
 	gate := newGate(time.Millisecond, 5)
 	d := gatedDeployment(t, n, gate)
 	ins := make([]*tensor.Tensor, n)
-	tks := make([]*Ticket, n)
-	for i := range tks {
+	ps := make([]*pending, n)
+	for i := range ps {
 		ins[i] = tensor.New(tensor.FP32, i+1, 1, 16, 16)
-		tk, err := d.Submit(map[string]*tensor.Tensor{d.inputNames[0]: ins[i]})
+		p, err := submit(t, context.Background(), d, map[string]*tensor.Tensor{d.inputNames[0]: ins[i]})
 		if err != nil {
 			t.Fatal(err)
 		}
-		tks[i] = tk
+		ps[i] = p
 	}
 	<-gate.entered // one running, n-1 queued behind it
 	gate.open()
-	for i, tk := range tks {
-		outs, err := tk.Wait()
+	for i, p := range ps {
+		outs, err := p.wait()
 		if err != nil {
-			t.Fatalf("ticket %d: %v", i, err)
+			t.Fatalf("request %d: %v", i, err)
 		}
 		if outs[d.inputNames[0]] != ins[i] {
-			t.Errorf("ticket %d resolved with another ticket's rows", i)
+			t.Errorf("request %d completed with another request's rows", i)
 		}
 	}
 	gate.mu.Lock()
 	seen := gate.seen
 	gate.mu.Unlock()
 	if len(seen) != n {
-		t.Fatalf("%d tickets became %d engine runs", n, len(seen))
+		t.Fatalf("%d requests became %d engine runs", n, len(seen))
 	}
 	for i, call := range seen {
 		if len(call) != 1 || call[0][d.inputNames[0]] != ins[i] {
-			t.Fatalf("engine run %d does not carry exactly ticket %d's %d rows", i, i, i+1)
+			t.Fatalf("engine run %d does not carry exactly request %d's %d rows", i, i, i+1)
 		}
 	}
 	if st := d.Stats(); st.Submitted != n || st.Completed != n || st.Rejected != 0 {
@@ -202,13 +244,14 @@ func TestAdmissionBurstRunsOneTicketPerEngineRun(t *testing.T) {
 	}
 }
 
-// TestCloseResolvesQueuedTickets closes a deployment with tickets queued
-// behind a held engine: the running one completes, the queued ones
-// resolve with ErrClosed, and every one of them names its replica.
+// TestCloseResolvesQueuedTickets closes a deployment with requests
+// queued behind a held engine: the running one completes, the queued
+// ones complete with ErrClosed, and the replica counts one served and
+// the rest shed.
 func TestCloseResolvesQueuedTickets(t *testing.T) {
 	gate := newGate(time.Millisecond, 5)
 	d := gatedDeployment(t, 8, gate)
-	tks := submitN(t, d, 4)
+	ps := submitN(t, d, 4)
 	<-gate.entered
 	closed := make(chan struct{})
 	go func() { d.close(); close(closed) }()
@@ -223,37 +266,35 @@ func TestCloseResolvesQueuedTickets(t *testing.T) {
 	}
 	gate.open()
 	<-closed
-	for i, tk := range tks {
-		if !resolved(tk) {
-			t.Fatalf("ticket %d unresolved after close returned", i)
+	for i, p := range ps {
+		if !p.resolved() {
+			t.Fatalf("request %d not completed after close returned", i)
 		}
-		_, err := tk.Wait()
+		_, err := p.wait()
 		if i == 0 && err != nil {
-			t.Errorf("running ticket failed across close: %v", err)
+			t.Errorf("running request failed across close: %v", err)
 		}
 		if i > 0 && !errors.Is(err, ErrClosed) {
-			t.Errorf("queued ticket %d resolved with %v, want ErrClosed", i, err)
-		}
-		if tk.Replica() != d.replicas[0] {
-			t.Errorf("ticket %d names replica %v", i, tk.Replica())
+			t.Errorf("queued request %d completed with %v, want ErrClosed", i, err)
 		}
 	}
-	if _, err := d.Submit(nil); !errors.Is(err, ErrClosed) {
+	if _, err := submit(t, context.Background(), d, nil); !errors.Is(err, ErrClosed) {
 		t.Errorf("submit after close returned %v, want ErrClosed", err)
 	}
 	st := d.Stats()
 	if st.Submitted != 4 || st.Completed != 4 || st.Rejected != 0 {
 		t.Errorf("submitted %d completed %d rejected %d, want 4 4 0", st.Submitted, st.Completed, st.Rejected)
 	}
-	// Drained tickets never ran: not a replica fault, not a service sample.
+	// Drained requests never ran: not a replica fault, not a service sample.
 	if rs := st.Replicas[0]; rs.Served != 1 || rs.Failed != 0 || rs.Shed != 3 || rs.Inflight != 0 {
 		t.Errorf("replica served %d failed %d shed %d inflight %d, want 1 0 3 0", rs.Served, rs.Failed, rs.Shed, rs.Inflight)
 	}
 }
 
 // TestSaturatedReplicaDoesNotBlockRouting holds one replica shut with a
-// backlog: the ticket whose cost favours the other replica is served
-// while the first is still held.
+// backlog: the request whose cost favours the other replica is served
+// while the first is still held, and each replica serves exactly the
+// requests the rule gave it.
 func TestSaturatedReplicaDoesNotBlockRouting(t *testing.T) {
 	fast := newGate(time.Millisecond, 5)
 	slow := newGate(3*time.Millisecond, 40)
@@ -263,33 +304,32 @@ func TestSaturatedReplicaDoesNotBlockRouting(t *testing.T) {
 	// (the tie goes to the lower MaxW), then 4 ms against 3.
 	backlog := submitN(t, d, 3)
 	<-fast.entered
-	tk := submitN(t, d, 1)[0]
-	if _, err := tk.Wait(); err != nil {
+	if _, err := submitN(t, d, 1)[0].wait(); err != nil {
 		t.Fatal(err)
 	}
-	if tk.Replica() != d.replicas[1] {
-		t.Errorf("fourth ticket ran on replica %d, want the idle one", tk.Replica().ID())
+	if served := d.replicas[1].Stats().Served; served != 1 {
+		t.Errorf("the idle replica served %d requests, want the fourth", served)
 	}
 	for i, b := range backlog {
-		if resolved(b) {
-			t.Errorf("backlog ticket %d resolved while its replica was held", i)
+		if b.resolved() {
+			t.Errorf("backlog request %d completed while its replica was held", i)
 		}
 	}
 	fast.open()
 	for _, b := range backlog {
-		if _, err := b.Wait(); err != nil {
+		if _, err := b.wait(); err != nil {
 			t.Fatal(err)
 		}
-		if b.Replica() != d.replicas[0] {
-			t.Errorf("backlog ticket ran on replica %d, want 0", b.Replica().ID())
-		}
+	}
+	if a, b := d.replicas[0].Stats().Served, d.replicas[1].Stats().Served; a != 3 || b != 1 {
+		t.Errorf("replicas served %d and %d, want the backlog of 3 on the held one and 1", a, b)
 	}
 }
 
 // TestBurstFollowsEstimate pins the routing property where it is
 // deterministic: with every replica held shut nothing completes, so a
 // burst is placed on the fixed estimates alone and must split exactly as
-// the greedy rule says, each ticket to the lowest (inflight+1) x
+// the greedy rule says, each request to the lowest (inflight+1) x
 // estimate. The cluster study shows the same on live replicas, where
 // completions race the burst.
 func TestBurstFollowsEstimate(t *testing.T) {
@@ -301,14 +341,14 @@ func TestBurstFollowsEstimate(t *testing.T) {
 	const burst = 96
 	d := gatedDeployment(t, burst, gates...)
 	// The expected split: the routing rule replayed over the test's own
-	// counters, one ticket at a time.
+	// counters, one request at a time.
 	want := make([]int64, len(ests))
 	for n := 0; n < burst; n++ {
 		want[cheapest(len(ests),
 			func(i int) float64 { return float64(want[i]+1) * float64(ests[i]) },
 			func(i int) float64 { return gates[i].maxW })]++
 	}
-	tks := submitN(t, d, burst)
+	ps := submitN(t, d, burst)
 	for i, r := range d.replicas {
 		if got := r.inflight.Load(); got != want[i] {
 			t.Errorf("replica %d (estimate %v) holds %d of the burst, want %d", i, ests[i], got, want[i])
@@ -320,8 +360,8 @@ func TestBurstFollowsEstimate(t *testing.T) {
 	for _, gate := range gates {
 		gate.open()
 	}
-	for _, tk := range tks {
-		if _, err := tk.Wait(); err != nil {
+	for _, p := range ps {
+		if _, err := p.wait(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -8,15 +8,16 @@
 // paper's cross-accelerator methodology.
 //
 // A Scheduler owns one admission bound per deployed model. Requests
-// enter through blocking Infer or asynchronous Submit/Wait; Submit
-// routes on the caller's goroutine, handing each request straight to
-// the replica with the lowest estimated completion cost: the backend's
-// roofline-predicted latency (or, for backends without a device model,
-// an EWMA of the engine time per row the replica itself measured)
-// scaled by the replica's current queue depth, with a power-aware
-// tie-break from the chassis module power envelope. The replica runs
-// its tickets one at a time, each as the rows it was submitted with,
-// and its dispatcher resolves them; no goroutine sits between.
+// enter through Deployment.SubmitCtx, which takes a completion callback
+// (InferCtx is SubmitCtx plus a wait). SubmitCtx routes on the caller's
+// goroutine, handing each request straight to the replica with the
+// lowest estimated completion cost: the backend's roofline-predicted
+// latency (or, for backends without a device model, an EWMA of the
+// engine time per row the replica itself measured) scaled by the
+// replica's current queue depth, with a power-aware tie-break from the
+// chassis module power envelope. The replica runs its requests one at a
+// time, each as the rows it was submitted with, and its dispatcher calls
+// each completion; no goroutine or channel sits between.
 //
 // SimulateTrace replays an open-loop Trace against an analytic fleet
 // under the same routing rule in virtual time; SimFleet reads that
@@ -51,7 +52,7 @@ type latencyModel interface {
 
 // Errors returned by the admission path.
 var (
-	// ErrOverloaded reports QueueDepth tickets already admitted and
+	// ErrOverloaded reports QueueDepth requests already admitted and
 	// unresolved: the request was shed, not queued.
 	ErrOverloaded = errors.New("cluster: admission queue full")
 	// ErrClosed reports a scheduler or deployment that has shut down.
@@ -60,8 +61,8 @@ var (
 
 // Config tunes the fleet scheduler.
 type Config struct {
-	// QueueDepth bounds, per model, the tickets admitted and not yet
-	// resolved — queued on a replica or running (default 64). Submit
+	// QueueDepth bounds, per model, the requests admitted and not yet
+	// completed — queued on a replica or running (default 64). SubmitCtx
 	// sheds the next one with ErrOverloaded.
 	QueueDepth int
 	// EmulateLatency stretches every accelerator-backed request to its
@@ -89,8 +90,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Scheduler serves model fleets on one chassis. Deploy places a model
-// on the powered compute modules; Infer/Submit route requests across
-// the resulting replicas.
+// on the powered compute modules; InferCtx and Deployment.SubmitCtx
+// route requests across the resulting replicas.
 type Scheduler struct {
 	chassis *microserver.Chassis
 	cfg     Config
@@ -323,35 +324,14 @@ func (s *Scheduler) Models() []string {
 	return names
 }
 
-// Infer routes one request for the named model and blocks for the
-// result.
-func (s *Scheduler) Infer(model string, inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
-	return s.InferCtx(context.Background(), model, inputs)
-}
-
-// InferCtx is Infer bound to a caller context: the wait aborts when the
-// context ends, and a request cancelled while still queued is dropped
-// before it reaches a replica.
+// InferCtx routes one request for the named model and waits for the
+// result; see Deployment.InferCtx.
 func (s *Scheduler) InferCtx(ctx context.Context, model string, inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
 	d, err := s.Deployment(model)
 	if err != nil {
 		return nil, err
 	}
 	return d.InferCtx(ctx, inputs)
-}
-
-// Submit asynchronously admits one request for the named model.
-func (s *Scheduler) Submit(model string, inputs map[string]*tensor.Tensor) (*Ticket, error) {
-	return s.SubmitCtx(context.Background(), model, inputs)
-}
-
-// SubmitCtx is Submit bound to a caller context; see Deployment.SubmitCtx.
-func (s *Scheduler) SubmitCtx(ctx context.Context, model string, inputs map[string]*tensor.Tensor) (*Ticket, error) {
-	d, err := s.Deployment(model)
-	if err != nil {
-		return nil, err
-	}
-	return d.SubmitCtx(ctx, inputs)
 }
 
 // PowerW snapshots the chassis power draw implied by the fleet's
@@ -406,15 +386,16 @@ type Deployment struct {
 	replicas    []*Replica
 	emulate     bool
 	// serve.QueueDepth is the admission bound and the capacity of every
-	// replica's queue, so an admitted ticket always finds room and the
+	// replica's queue, so an admitted request always finds room and the
 	// enqueue in SubmitCtx cannot block.
 	serve microserver.ServeConfig
 
-	// closed refuses admissions once close has begun. A Submit that read
-	// it just before still resolves: the replica server it reaches either
-	// queues it ahead of the drain or returns microserver.ErrClosed.
+	// closed refuses admissions once close has begun. A SubmitCtx that
+	// read it just before still ends cleanly: the replica server it
+	// reaches either queues it ahead of the drain or returns
+	// microserver.ErrClosed.
 	closed atomic.Bool
-	// inflight counts tickets admitted and not yet resolved.
+	// inflight counts requests admitted and not yet completed.
 	inflight atomic.Int64
 
 	submitted atomic.Int64
@@ -528,51 +509,49 @@ func (d *Deployment) warmup() error {
 	return nil
 }
 
-// Submit admits one request without blocking for its result; the
-// returned Ticket resolves through Wait. With QueueDepth tickets
-// already outstanding it sheds the request with ErrOverloaded.
-func (d *Deployment) Submit(inputs map[string]*tensor.Tensor) (*Ticket, error) {
-	return d.SubmitCtx(context.Background(), inputs)
-}
-
-// SubmitCtx is Submit with the caller's context attached: the request
-// is routed here, on the caller's goroutine, and handed to the chosen
-// replica's queue, which has room for every admitted ticket. If the
-// context ends while the request is still queued there it resolves with
-// the context error without consuming replica time. A request already
-// running on an engine completes normally (dispatches are not
-// preemptible); its result is simply discarded by the caller. The
-// ticket resolves on the replica's dispatcher goroutine. An input map
-// the model's signature refuses (inference.CheckInputs) is refused here,
-// before it counts as submitted.
-func (d *Deployment) SubmitCtx(ctx context.Context, inputs map[string]*tensor.Tensor) (*Ticket, error) {
+// SubmitCtx admits one request and returns without waiting for it. It
+// either returns an error and never calls done, or returns nil and calls
+// done exactly once with the result. The request is routed here, on the
+// caller's goroutine, and handed to the chosen replica's queue, which
+// has room for every admitted request; done then runs on that replica's
+// dispatcher goroutine (or on an EmulateLatency timer), so it must not
+// block. With QueueDepth requests already outstanding the request is
+// shed with ErrOverloaded. If the context ends while the request is
+// still queued it completes with the context error without consuming
+// replica time; one already running on an engine completes normally
+// (dispatches are not preemptible). An input map the model's signature
+// refuses (inference.CheckInputs) is refused before it counts as
+// submitted.
+func (d *Deployment) SubmitCtx(ctx context.Context, inputs map[string]*tensor.Tensor, done func(outs map[string]*tensor.Tensor, err error)) error {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	if d.closed.Load() {
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	rows, err := inference.CheckInputs(d.inputNames, d.inPer, inputs)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Counted shed or not: Submitted == Completed + Rejected must hold.
 	d.submitted.Add(1)
 	if d.inflight.Add(1) > int64(d.serve.QueueDepth) {
 		d.inflight.Add(-1)
 		d.rejected.Add(1)
-		return nil, ErrOverloaded
+		return ErrOverloaded
 	}
 	r := d.pick()
-	tk := &Ticket{done: make(chan struct{}), start: time.Now(), replica: r}
+	start := time.Now()
 	r.inflight.Add(1)
-	resolve := func(outs map[string]*tensor.Tensor, err error, service time.Duration) {
+	// finish is the request's accounting, done once however it ends; it
+	// returns the error the caller sees.
+	finish := func(service time.Duration, err error) error {
 		if errors.Is(err, microserver.ErrClosed) {
 			err = ErrClosed
 		}
 		r.inflight.Add(-1)
 		// The replica timed its engine run, queue wait excluded; a
-		// coalesced ticket carries `rows` samples in that one run, so the
+		// coalesced request carries `rows` samples in that one run, so the
 		// EWMA tracks per-sample service rather than congestion or batch
 		// size — congestion is already priced into the routing cost via
 		// the inflight factor, and the front door's adaptive batching
@@ -581,57 +560,49 @@ func (d *Deployment) SubmitCtx(ctx context.Context, inputs map[string]*tensor.Te
 		if err != nil && ctx.Err() != nil {
 			d.cancelled.Add(1)
 		}
-		tk.outs, tk.err = outs, err
-		tk.latency = time.Since(tk.start)
-		// The slot is free before the waiter wakes: a caller that
-		// resubmits on completion is never shed by its own ticket.
+		// The slot is free before done runs: a caller that resubmits on
+		// completion is never shed by its own request.
 		d.inflight.Add(-1)
 		d.completed.Add(1)
-		close(tk.done)
+		return err
 	}
 	err = r.server.Submit(ctx, inputs, func(outs map[string]*tensor.Tensor, service time.Duration, err error) {
-		if wait := r.modeled - time.Since(tk.start); d.emulate && err == nil && wait > 0 {
-			time.AfterFunc(wait, func() { resolve(outs, nil, service) })
+		if wait := r.modeled - time.Since(start); d.emulate && err == nil && wait > 0 {
+			time.AfterFunc(wait, func() { done(outs, finish(service, nil)) })
 			return
 		}
-		resolve(outs, err, service)
+		done(outs, finish(service, err))
 	})
 	if err != nil {
-		// The caller vanished or close landed since the checks above.
-		resolve(nil, err, 0)
+		// The caller vanished or close landed since the checks above; it
+		// counts as completed, like a queued request close drains.
+		return finish(0, err)
 	}
-	return tk, nil
+	return nil
 }
 
-// Infer admits one request and blocks until its result is ready.
-func (d *Deployment) Infer(inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
-	tk, err := d.Submit(inputs)
-	if err != nil {
-		return nil, err
-	}
-	return tk.Wait()
-}
-
-// InferCtx is Infer bound to a caller context.
+// InferCtx is SubmitCtx plus a wait: it returns the result, or the
+// context's error as soon as the context ends. A request abandoned that
+// way still completes on its replica (or is dropped from the queue),
+// and its result is discarded.
 func (d *Deployment) InferCtx(ctx context.Context, inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
-	tk, err := d.SubmitCtx(ctx, inputs)
-	if err != nil {
+	type result struct {
+		outs map[string]*tensor.Tensor
+		err  error
+	}
+	// Buffered: the completion never waits for a caller that left.
+	res := make(chan result, 1)
+	if err := d.SubmitCtx(ctx, inputs, func(outs map[string]*tensor.Tensor, err error) {
+		res <- result{outs, err}
+	}); err != nil {
 		return nil, err
 	}
-	return tk.WaitCtx(ctx)
-}
-
-// InferSingle is the single-tensor shortcut for 1-in/1-out models.
-func (d *Deployment) InferSingle(in *tensor.Tensor) (*tensor.Tensor, error) {
-	if len(d.inputNames) != 1 || len(d.outputNames) != 1 {
-		return nil, fmt.Errorf("cluster: InferSingle wants 1 input/1 output, model %q has %d/%d",
-			d.model, len(d.inputNames), len(d.outputNames))
+	select {
+	case r := <-res:
+		return r.outs, r.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
-	outs, err := d.Infer(map[string]*tensor.Tensor{d.inputNames[0]: in})
-	if err != nil {
-		return nil, err
-	}
-	return outs[d.outputNames[0]], nil
 }
 
 // pick returns the replica with the lowest estimated completion cost:
@@ -668,9 +639,9 @@ func cheapest(n int, cost, maxW func(int) float64) int {
 }
 
 // close shuts the deployment down: admissions stop, then each replica
-// server closes — its running ticket completes and its queued tickets
-// resolve with ErrClosed. Completions parked on an EmulateLatency timer
-// resolve when it fires.
+// server closes — its running request completes and its queued ones
+// complete with ErrClosed. Completions parked on an EmulateLatency timer
+// run when it fires.
 func (d *Deployment) close() {
 	d.closed.Store(true)
 	for _, r := range d.replicas {
@@ -700,7 +671,7 @@ type Stats struct {
 	Submitted int64
 	Completed int64
 	Rejected  int64
-	// Cancelled counts admitted tickets whose caller context ended
+	// Cancelled counts admitted requests whose caller context ended
 	// before a replica ran them; they are a subset of Completed, so the
 	// invariant Submitted == Completed + Rejected still holds.
 	Cancelled int64
@@ -718,49 +689,6 @@ func (s Stats) ReplicaTable() []string {
 			rs.Slot, rs.Module, rs.Backend, rs.Served, rs.Estimate.Round(time.Microsecond), rs.MaxW))
 	}
 	return lines
-}
-
-// Ticket is one admitted request; Wait blocks for its result.
-type Ticket struct {
-	outs    map[string]*tensor.Tensor
-	err     error
-	done    chan struct{}
-	start   time.Time
-	latency time.Duration
-	replica *Replica
-}
-
-// Wait blocks until the request resolves.
-func (t *Ticket) Wait() (map[string]*tensor.Tensor, error) {
-	<-t.done
-	return t.outs, t.err
-}
-
-// WaitCtx is Wait that also aborts when the given context ends. An
-// abort does not invalidate the ticket: if the request was submitted
-// with a different (still-live) context it keeps its place in the
-// replica's queue, and a later Wait can still collect the result.
-func (t *Ticket) WaitCtx(ctx context.Context) (map[string]*tensor.Tensor, error) {
-	select {
-	case <-t.done:
-		return t.outs, t.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// Latency returns the admission-to-completion latency; valid after
-// Wait.
-func (t *Ticket) Latency() time.Duration {
-	<-t.done
-	return t.latency
-}
-
-// Replica returns the fleet member the request was routed to; valid
-// after Wait.
-func (t *Ticket) Replica() *Replica {
-	<-t.done
-	return t.replica
 }
 
 // Replica is one fleet member: a backend-generic server bound to a

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -95,7 +96,7 @@ func TestDeployHeterogeneousFleetParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := dep.InferSingle(in)
+		got, err := single(dep, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,30 +124,31 @@ func TestSubmitWaitAsync(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 32
-	tickets := make([]*Ticket, 0, n)
+	ps := make([]*pending, 0, n)
 	for i := 0; i < n; i++ {
-		tk, err := sched.Submit(g.Name, map[string]*tensor.Tensor{g.Inputs[0]: in})
+		p, err := submit(t, context.Background(), dep, map[string]*tensor.Tensor{g.Inputs[0]: in})
 		if err != nil {
 			t.Fatal(err)
 		}
-		tickets = append(tickets, tk)
+		ps = append(ps, p)
 	}
-	for i, tk := range tickets {
-		outs, err := tk.Wait()
+	for i, p := range ps {
+		outs, err := p.wait()
 		if err != nil {
-			t.Fatalf("ticket %d: %v", i, err)
+			t.Fatalf("request %d: %v", i, err)
 		}
 		if d, _ := tensor.MaxAbsDiff(want, outs[g.Outputs[0]]); d != 0 {
-			t.Errorf("ticket %d diverges by %g", i, d)
-		}
-		if tk.Replica() == nil {
-			t.Errorf("ticket %d resolved without a replica", i)
-		}
-		if tk.Latency() <= 0 {
-			t.Errorf("ticket %d has no latency", i)
+			t.Errorf("request %d diverges by %g", i, d)
 		}
 	}
 	st := dep.Stats()
+	served := int64(0)
+	for _, rs := range st.Replicas {
+		served += rs.Served - 1 // the deploy warm-up served one each
+	}
+	if served != n {
+		t.Errorf("replicas served %d of the %d requests", served, n)
+	}
 	if st.Submitted != n {
 		t.Errorf("submitted %d, want %d", st.Submitted, n)
 	}
@@ -163,7 +165,8 @@ func TestAdmissionShedsWhenSaturated(t *testing.T) {
 	sched := oneReplicaScheduler(t, 1)
 	defer sched.Close()
 	g := nn.FaceDetectNet(32, nn.BuildOptions{Weights: true, Seed: 9})
-	if _, err := sched.Deploy(g); err != nil {
+	dep, err := sched.Deploy(g)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := g.InferShapes(1); err != nil {
@@ -173,13 +176,13 @@ func TestAdmissionShedsWhenSaturated(t *testing.T) {
 	ins := map[string]*tensor.Tensor{g.Inputs[0]: in}
 
 	const burst = 50
-	var tickets []*Ticket
+	var admitted []*pending
 	shed := 0
 	for i := 0; i < burst; i++ {
-		tk, err := sched.Submit(g.Name, ins)
+		p, err := submit(t, context.Background(), dep, ins)
 		switch {
 		case err == nil:
-			tickets = append(tickets, tk)
+			admitted = append(admitted, p)
 		case errors.Is(err, ErrOverloaded):
 			shed++
 		default:
@@ -189,21 +192,17 @@ func TestAdmissionShedsWhenSaturated(t *testing.T) {
 	if shed == 0 {
 		t.Error("saturated fleet shed no load; want ErrOverloaded for part of the burst")
 	}
-	for i, tk := range tickets {
-		if _, err := tk.Wait(); err != nil {
-			t.Errorf("admitted ticket %d failed: %v", i, err)
+	for i, p := range admitted {
+		if _, err := p.wait(); err != nil {
+			t.Errorf("admitted request %d failed: %v", i, err)
 		}
 	}
-	st, err := sched.Deployment(g.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := st.Stats()
+	stats := dep.Stats()
 	if got := stats.Rejected; got != int64(shed) {
 		t.Errorf("stats recorded %d rejected, want %d", got, shed)
 	}
-	if stats.Completed != int64(len(tickets)) {
-		t.Errorf("stats recorded %d completed, want %d", stats.Completed, len(tickets))
+	if stats.Completed != int64(len(admitted)) {
+		t.Errorf("stats recorded %d completed, want %d", stats.Completed, len(admitted))
 	}
 }
 
@@ -221,18 +220,18 @@ func TestStatsInvariantHoldsWhenShedding(t *testing.T) {
 	}
 	ins := map[string]*tensor.Tensor{g.Inputs[0]: gestureInput(1)}
 	const burst = 200
-	var admitted []*Ticket
+	var admitted []*pending
 	for i := 0; i < burst; i++ {
-		tk, err := dep.Submit(ins)
+		p, err := submit(t, context.Background(), dep, ins)
 		switch {
 		case err == nil:
-			admitted = append(admitted, tk)
+			admitted = append(admitted, p)
 		case !errors.Is(err, ErrOverloaded):
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
-	for _, tk := range admitted {
-		tk.Wait() // idle once every admitted ticket has resolved
+	for _, p := range admitted {
+		p.wait() // idle once every admitted request has completed
 	}
 	st := dep.Stats()
 	if st.Rejected == 0 {
@@ -247,8 +246,8 @@ func TestStatsInvariantHoldsWhenShedding(t *testing.T) {
 	}
 }
 
-// TestCloseRacingSubmit hammers Submit while Close lands mid-storm:
-// every admitted ticket must resolve (result or ErrClosed) and later
+// TestCloseRacingSubmit hammers SubmitCtx while Close lands mid-storm:
+// every admitted request must complete (result or ErrClosed) and later
 // submissions must fail fast.
 func TestCloseRacingSubmit(t *testing.T) {
 	sched := NewScheduler(urecsFleet(t), Config{QueueDepth: 256})
@@ -265,11 +264,11 @@ func TestCloseRacingSubmit(t *testing.T) {
 		wg.Add(1)
 		go func(cidx int) {
 			defer wg.Done()
-			tk, err := sched.Submit(g.Name, ins)
+			p, err := submit(t, context.Background(), dep, ins)
 			if err != nil {
 				return // refused at admission: fine
 			}
-			if outs, err := tk.Wait(); err == nil && outs == nil {
+			if outs, err := p.wait(); err == nil && outs == nil {
 				unresolved <- cidx
 			}
 		}(cidx)
@@ -278,13 +277,13 @@ func TestCloseRacingSubmit(t *testing.T) {
 	wg.Wait()
 	close(unresolved)
 	for cidx := range unresolved {
-		t.Errorf("client %d: ticket resolved with neither result nor error", cidx)
+		t.Errorf("client %d: request completed with neither result nor error", cidx)
 	}
-	if _, err := sched.Submit(g.Name, ins); err == nil {
-		t.Error("Submit succeeded after Close")
+	if _, err := sched.InferCtx(context.Background(), g.Name, ins); err == nil {
+		t.Error("InferCtx succeeded after Close")
 	}
 	sched.Close() // idempotent
-	// Tickets failed by the shutdown drain still count as completed.
+	// Requests failed by the shutdown drain still count as completed.
 	st := dep.Stats()
 	if st.Submitted != st.Completed+st.Rejected {
 		t.Errorf("stats invariant broken after Close: submitted %d != completed %d + rejected %d",
@@ -313,7 +312,7 @@ func TestRoutingPrefersFastestAtLowLoad(t *testing.T) {
 	before := fastest.Stats().Served
 	const serial = 12
 	for i := 0; i < serial; i++ {
-		if _, err := dep.InferSingle(gestureInput(i)); err != nil {
+		if _, err := single(dep, gestureInput(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -499,29 +498,29 @@ func timedInput(d *Deployment, rows int, ms, outcome float32) map[string]*tensor
 }
 
 // TestObservedServiceIsEngineTime: the EWMA is fed the time the replica
-// spent in its engine, per row, and not the ticket's time in the queue.
-// Ticket A fails after 60 ms (a failure leaves the EWMA untouched);
-// ticket B, queued behind it, runs 10 ms and is the first observation,
-// so the EWMA reads B's alone: its own run, not (60 + 10) / 2. A 4-row
-// ticket on a fresh replica observes its run / 4.
+// spent in its engine, per row, and not the request's time in the
+// queue. Request A fails after 60 ms (a failure leaves the EWMA
+// untouched); request B, queued behind it, runs 10 ms and is the first
+// observation, so the EWMA reads B's alone: its own run, not
+// (60 + 10) / 2. A 4-row request on a fresh replica observes its run / 4.
 func TestObservedServiceIsEngineTime(t *testing.T) {
 	// What the replica's clock may add to the engine double's own, per
 	// run: the call around it and a descheduled goroutine under load.
 	const slack = 10 * time.Millisecond
 	d, exe := timedDeployment(t)
-	a, err := d.Submit(timedInput(d, 1, 60, 1))
+	a, err := submit(t, context.Background(), d, timedInput(d, 1, 60, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-exe.entered // A is in the engine; B queues behind it
-	b, err := d.Submit(timedInput(d, 1, 10, 0))
+	b, err := submit(t, context.Background(), d, timedInput(d, 1, 10, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Wait(); err == nil {
-		t.Fatal("ticket A did not fail")
+	if _, err := a.wait(); err == nil {
+		t.Fatal("request A did not fail")
 	}
-	if _, err := b.Wait(); err != nil {
+	if _, err := b.wait(); err != nil {
 		t.Fatal(err)
 	}
 	obs, ranB := d.replicas[0].Stats().Observed, exe.ran[1]
@@ -530,36 +529,32 @@ func TestObservedServiceIsEngineTime(t *testing.T) {
 	}
 
 	d, exe = timedDeployment(t)
-	c, err := d.Submit(timedInput(d, 4, 40, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Wait(); err != nil {
+	if _, err := d.InferCtx(context.Background(), timedInput(d, 4, 40, 0)); err != nil {
 		t.Fatal(err)
 	}
 	obs, per := d.replicas[0].Stats().Observed, exe.ran[0]/4
 	if obs < per || obs > (exe.ran[0]+slack)/4 {
-		t.Errorf("4-row ticket observed %v per row; its run took %v, %v per row", obs, exe.ran[0], per)
+		t.Errorf("4-row request observed %v per row; its run took %v, %v per row", obs, exe.ran[0], per)
 	}
 }
 
-// TestEnginePanicRecovers: a panicking engine run fails its own ticket
+// TestEnginePanicRecovers: a panicking engine run fails its own request
 // with an error and counts as the replica's failure; the EWMA stays
 // where it was, the accounting invariant holds and the replica serves
-// the next ticket.
+// the next request.
 func TestEnginePanicRecovers(t *testing.T) {
 	d, _ := timedDeployment(t)
-	if _, err := d.Infer(timedInput(d, 1, 1, 0)); err != nil {
+	if _, err := d.InferCtx(context.Background(), timedInput(d, 1, 1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	before := d.replicas[0].Stats().Observed
-	if _, err := d.Infer(timedInput(d, 1, 1, 2)); err == nil || isShed(err) {
+	if _, err := d.InferCtx(context.Background(), timedInput(d, 1, 1, 2)); err == nil || isShed(err) {
 		t.Fatalf("panicking run resolved with %v, want an engine error", err)
 	}
 	if after := d.replicas[0].Stats().Observed; after != before {
 		t.Errorf("the panicking run moved the EWMA %v -> %v", before, after)
 	}
-	if _, err := d.Infer(timedInput(d, 1, 1, 0)); err != nil {
+	if _, err := d.InferCtx(context.Background(), timedInput(d, 1, 1, 0)); err != nil {
 		t.Fatalf("replica did not serve after a panic: %v", err)
 	}
 	st := d.Stats()
@@ -586,15 +581,15 @@ func TestBatchRows(t *testing.T) {
 		"wrong trailing": {name: tensor.New(tensor.FP32, 1, 1, 8, 8)},
 		"zero rows":      {name: tensor.New(tensor.FP32, 0, 1, 16, 16)},
 	} {
-		if _, err := d.Submit(ins); !errors.Is(err, inference.ErrBadInput) {
-			t.Errorf("%s: Submit returned %v, want inference.ErrBadInput", what, err)
+		if _, err := submit(t, context.Background(), d, ins); !errors.Is(err, inference.ErrBadInput) {
+			t.Errorf("%s: SubmitCtx returned %v, want inference.ErrBadInput", what, err)
 		}
 	}
 	if st := d.Stats(); st.Submitted != 0 || st.Replicas[0].Failed != 0 {
 		t.Errorf("refused requests counted: submitted %d, replica failed %d, want 0 0", st.Submitted, st.Replicas[0].Failed)
 	}
 	six := tensor.New(tensor.FP32, 6, 1, 16, 16)
-	outs, err := d.Infer(map[string]*tensor.Tensor{name: six})
+	outs, err := d.InferCtx(context.Background(), map[string]*tensor.Tensor{name: six})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -608,67 +603,78 @@ func TestBatchRows(t *testing.T) {
 
 // TestSubmitCtxCancelPropagation drives the context path on a replica
 // held shut (gateExe), so every queue state forms by construction: a
-// dead context is refused at admission; WaitCtx unblocks a caller whose
-// own context expires while its ticket is still inside the engine; and
-// a ticket cancelled while it is queued resolves with the context error
-// once the replica reaches it, never runs, and counts in
+// dead context is refused at admission and done never runs; InferCtx
+// returns when its caller's context ends while its request is still
+// queued; and a request cancelled while it is queued completes with the
+// context error once the replica reaches it, never runs, and counts in
 // Stats.Cancelled.
 func TestSubmitCtxCancelPropagation(t *testing.T) {
 	gate := newGate(time.Millisecond, 5)
 	d := gatedDeployment(t, 8, gate)
 	ins := map[string]*tensor.Tensor{d.inputNames[0]: gestureInput(3)}
 
-	// Dead context: refused before admission, no ticket minted.
+	// Dead context: refused before admission, done never called.
 	dead, cancelDead := context.WithCancel(context.Background())
 	cancelDead()
-	if _, err := d.SubmitCtx(dead, ins); !errors.Is(err, context.Canceled) {
+	if _, err := submit(t, dead, d, ins); !errors.Is(err, context.Canceled) {
 		t.Fatalf("dead-context submit returned %v, want context.Canceled", err)
 	}
 	if st := d.Stats(); st.Submitted != 0 {
 		t.Errorf("dead-context submit counted: submitted %d, want 0", st.Submitted)
 	}
 
-	// One live ticket inside the engine, one queued behind it whose
+	// One live request inside the engine, one queued behind it whose
 	// caller vanishes while it waits.
 	live := submitN(t, d, 1)[0]
 	<-gate.entered
 	ctx, cancel := context.WithCancel(context.Background())
-	doomed, err := d.SubmitCtx(ctx, ins)
+	doomed, err := submit(t, ctx, d, ins)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cancel()
 
-	// WaitCtx: the waiting caller's own deadline unblocks the wait; the
-	// ticket itself is still held and completes normally later.
-	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-	defer cancelExpired()
-	if _, err := live.WaitCtx(expired); !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("WaitCtx with expired context returned %v, want deadline exceeded", err)
+	// InferCtx: the caller's context ending unblocks the wait while its
+	// request is still queued behind the held one.
+	waiting, cancelWaiting := context.WithCancel(context.Background())
+	returned := make(chan error, 1)
+	go func() {
+		_, err := d.InferCtx(waiting, ins)
+		returned <- err
+	}()
+	for d.submitted.Load() < 3 {
+		runtime.Gosched()
 	}
-	if resolved(doomed) {
-		t.Error("cancelled ticket resolved while the replica was still held")
+	cancelWaiting()
+	if err := <-returned; !errors.Is(err, context.Canceled) {
+		t.Errorf("InferCtx whose context ended returned %v, want context.Canceled", err)
+	}
+	if doomed.resolved() {
+		t.Error("cancelled request completed while the replica was still held")
 	}
 
 	gate.open()
-	if _, err := doomed.Wait(); !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled ticket resolved with %v, want context.Canceled", err)
+	if _, err := doomed.wait(); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled request completed with %v, want context.Canceled", err)
 	}
-	if _, err := live.Wait(); err != nil {
-		t.Errorf("ticket abandoned by WaitCtx failed to complete: %v", err)
+	if _, err := live.wait(); err != nil {
+		t.Errorf("running request failed to complete: %v", err)
+	}
+	for d.completed.Load() < 3 { // the request InferCtx left behind
+		runtime.Gosched()
 	}
 	gate.mu.Lock()
 	calls := len(gate.seen)
 	gate.mu.Unlock()
 	if calls != 1 {
-		t.Errorf("engine ran %d times, want 1: a ticket cancelled in the queue must not run", calls)
+		t.Errorf("engine ran %d times, want 1: a request cancelled in the queue must not run", calls)
 	}
 	st := d.Stats()
-	if st.Cancelled != 1 {
-		t.Errorf("stats recorded %d cancelled, want 1", st.Cancelled)
+	if st.Cancelled != 2 {
+		t.Errorf("stats recorded %d cancelled, want 2", st.Cancelled)
 	}
-	if st.Submitted != 2 || st.Submitted != st.Completed+st.Rejected {
-		t.Errorf("stats invariant broken: submitted %d (want 2) != completed %d + rejected %d",
+	if st.Submitted != 3 || st.Submitted != st.Completed+st.Rejected {
+		t.Errorf("stats invariant broken: submitted %d (want 3) != completed %d + rejected %d",
 			st.Submitted, st.Completed, st.Rejected)
 	}
 }

@@ -65,7 +65,7 @@ func TestDeploySoCModule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := dep.InferSingle(in)
+		got, err := single(dep, in)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -59,7 +59,7 @@ type Server struct {
 	// lifeMu serializes shutdown against in-flight submissions: Submit
 	// holds a read lock across its enqueue, so Close (write lock) cannot
 	// mark the server closed while a request is between the closed-check
-	// and the queue. Dispatcher goroutines never take lifeMu.
+	// and the queue. Close never waits while holding it.
 	lifeMu sync.RWMutex
 	closed bool
 

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"vedliot/internal/cluster"
 	"vedliot/internal/inference"
 	"vedliot/internal/tensor"
 )
@@ -53,26 +52,12 @@ type batchStats struct {
 }
 
 // fleet is what a batcher asks of a deployment: whether the replica the
-// next submission would be routed to is idle, and the submission.
+// next submission would be routed to is idle, and the submission, whose
+// done runs once on whichever goroutine completes it unless SubmitCtx
+// returns an error. *cluster.Deployment is one.
 type fleet interface {
 	Idle() bool
-	SubmitCtx(ctx context.Context, ins map[string]*tensor.Tensor) (ticket, error)
-}
-
-// ticket is an admitted submission; WaitCtx blocks for its result.
-type ticket interface {
-	WaitCtx(ctx context.Context) (map[string]*tensor.Tensor, error)
-}
-
-// deployment adapts *cluster.Deployment to fleet.
-type deployment struct{ *cluster.Deployment }
-
-func (d deployment) SubmitCtx(ctx context.Context, ins map[string]*tensor.Tensor) (ticket, error) {
-	tk, err := d.Deployment.SubmitCtx(ctx, ins)
-	if err != nil {
-		return nil, err
-	}
-	return tk, nil
+	SubmitCtx(ctx context.Context, ins map[string]*tensor.Tensor, done func(map[string]*tensor.Tensor, error)) error
 }
 
 // batcher coalesces requests for one (tenant, model) pair. A request
@@ -164,8 +149,7 @@ func (b *batcher) takeLocked() []batchMember {
 }
 
 // submit stacks the members' declared inputs and routes one cluster
-// submission on the calling goroutine; a goroutine per admitted batch
-// then waits for the replica and hands each member its output rows.
+// submission on the calling goroutine; deliver is its completion.
 func (b *batcher) submit(members []batchMember) {
 	if len(members) == 0 {
 		return
@@ -182,28 +166,30 @@ func (b *batcher) submit(members []batchMember) {
 		}
 		ins = tensor.StackRows(b.names, reqs)
 	}
-	tk, err := b.dep.SubmitCtx(ctx, ins)
+	err := b.dep.SubmitCtx(ctx, ins, func(outs map[string]*tensor.Tensor, err error) {
+		// Counted once admitted, which is when done runs at all: a
+		// submission the scheduler shed never became a batch, and
+		// overload must not read as coalescing. The rows are the
+		// submitted map's, which the check holds to the members' sum.
+		b.stats.batches.Add(1)
+		b.stats.rows.Add(int64(ins[b.names[0]].Shape[0]))
+		b.deliver(members, outs, err)
+	})
 	b.submitting.Add(-1)
 	if err != nil {
 		for _, m := range members {
 			m.done(nil, err)
 		}
-		return
 	}
-	// Counted once admitted: a submission the scheduler shed never became
-	// a batch, and overload must not read as coalescing. The rows are the
-	// submitted map's, which the check holds to the members' sum.
-	b.stats.batches.Add(1)
-	b.stats.rows.Add(int64(ins[b.names[0]].Shape[0]))
-	go b.deliver(ctx, tk, members)
 }
 
-// deliver waits for one submission. Its completion is the capacity
-// signal: the batch held meanwhile goes first, then the replies. A
-// member of a merged batch gets row views of the batched outputs, which
-// are fresh per submission and only read from here on.
-func (b *batcher) deliver(ctx context.Context, tk ticket, members []batchMember) {
-	outs, err := tk.WaitCtx(ctx)
+// deliver completes one submission, on whichever goroutine completed it
+// (a replica's dispatcher in a fleet), so the members' done calls must
+// not block. The completion is the capacity signal: the batch held
+// meanwhile goes first, then the replies. A member of a merged batch
+// gets row views of the batched outputs, which are fresh per submission
+// and only read from here on.
+func (b *batcher) deliver(members []batchMember, outs map[string]*tensor.Tensor, err error) {
 	b.mu.Lock()
 	held := b.takeLocked()
 	b.mu.Unlock()

@@ -46,7 +46,7 @@ func TestOneInputCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stats batchStats
-	door := newBatcher(deployment{dep}, dep.InputNames(), dep.InputShapes(), BatchPolicy{}, &stats)
+	door := newBatcher(dep, dep.InputNames(), dep.InputShapes(), BatchPolicy{}, &stats)
 	good := map[string]*tensor.Tensor{"a": pairInput(1, 0), "b": pairInput(1, 1)}
 
 	type ins = map[string]*tensor.Tensor
@@ -99,10 +99,7 @@ func TestOneInputCheck(t *testing.T) {
 			outs = fused[1]
 		}
 		verdict("runBatch", outs, err)
-		tk, err := dep.SubmitCtx(context.Background(), c.ins)
-		if err == nil {
-			outs, err = tk.Wait()
-		}
+		outs, err = dep.InferCtx(context.Background(), c.ins)
 		verdict("SubmitCtx", outs, err)
 		done := make(chan struct{})
 		door.add(context.Background(), c.ins, func(o map[string]*tensor.Tensor, e error) {

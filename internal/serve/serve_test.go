@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -479,8 +480,8 @@ func TestBatcherRefusesIncompatibleShapes(t *testing.T) {
 
 // gateFleet is a held-shut fleet double, the two calls a batcher makes:
 // every submission is recorded and stays in flight until the test opens
-// its ticket, and Idle reports exactly that, so batches and backlogs are
-// formed by holding a gate, not by wall clock.
+// it, and Idle reports exactly that, so batches and backlogs are formed
+// by holding a gate, not by wall clock.
 type gateFleet struct {
 	mu       sync.Mutex
 	inflight int
@@ -491,10 +492,10 @@ type gateFleet struct {
 	// becomes visible to Idle: the window the batcher has to cover.
 	enter chan struct{}
 	// subs receives every submission, in order.
-	subs chan *gateTicket
+	subs chan *gateSubmission
 }
 
-func newGateFleet() *gateFleet { return &gateFleet{subs: make(chan *gateTicket, 64)} }
+func newGateFleet() *gateFleet { return &gateFleet{subs: make(chan *gateSubmission, 64)} }
 
 func (f *gateFleet) Idle() bool {
 	f.mu.Lock()
@@ -502,51 +503,41 @@ func (f *gateFleet) Idle() bool {
 	return f.inflight == 0 && !f.owned
 }
 
-func (f *gateFleet) SubmitCtx(_ context.Context, ins map[string]*tensor.Tensor) (ticket, error) {
+func (f *gateFleet) SubmitCtx(_ context.Context, ins map[string]*tensor.Tensor, done func(map[string]*tensor.Tensor, error)) error {
 	if f.enter != nil {
 		<-f.enter
 	}
 	f.mu.Lock()
 	f.inflight++
 	f.mu.Unlock()
-	tk := &gateTicket{fleet: f, ins: ins, done: make(chan struct{})}
-	f.subs <- tk
-	return tk, nil
+	f.subs <- &gateSubmission{fleet: f, ins: ins, done: done}
+	return nil
 }
 
 // submissions reports how many submissions are waiting to be read.
 func (f *gateFleet) submissions() int { return len(f.subs) }
 
-// gateTicket echoes its inputs as outputs once opened, so each member's
-// reply identifies the rows it was given.
-type gateTicket struct {
+// gateSubmission echoes its inputs as outputs once opened, so each
+// member's reply identifies the rows it was given.
+type gateSubmission struct {
 	fleet *gateFleet
 	ins   map[string]*tensor.Tensor
-	done  chan struct{}
+	done  func(map[string]*tensor.Tensor, error)
 }
 
-func (t *gateTicket) WaitCtx(ctx context.Context) (map[string]*tensor.Tensor, error) {
-	select {
-	case <-t.done:
-		return t.ins, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// open completes the submission: the replica is free before the waiter
-// wakes, as in cluster.Deployment.
-func (t *gateTicket) open() {
-	t.fleet.mu.Lock()
-	t.fleet.inflight--
-	t.fleet.mu.Unlock()
-	close(t.done)
+// open completes the submission on the calling goroutine: the replica is
+// free before done runs, as in cluster.Deployment.
+func (s *gateSubmission) open() {
+	s.fleet.mu.Lock()
+	s.fleet.inflight--
+	s.fleet.mu.Unlock()
+	s.done(s.ins, nil)
 }
 
 // marks returns the first element of every row of a submission: the
 // request ids it carries, in stacking order.
-func (t *gateTicket) marks() []int {
-	x := t.ins["x"]
+func (s *gateSubmission) marks() []int {
+	x := s.ins["x"]
 	ids := make([]int, x.Shape[0])
 	for i := range ids {
 		ids[i] = int(x.F32[i*len(x.F32)/len(ids)])
@@ -610,7 +601,7 @@ func (h *batcherHarness) held() (members int, armed bool) {
 
 // next returns the next submission, which must carry exactly these
 // request ids in this order.
-func (h *batcherHarness) next(want ...int) *gateTicket {
+func (h *batcherHarness) next(want ...int) *gateSubmission {
 	h.t.Helper()
 	tk := <-h.fleet.subs
 	if got := tk.marks(); fmt.Sprint(got) != fmt.Sprint(want) {
@@ -781,6 +772,25 @@ func TestBatcherCapacityRule(t *testing.T) {
 			t.Errorf("%d rows in %d submissions, want %d in 2", rows, batches, n)
 		}
 	})
+}
+
+// TestFrontDoorSpawnsNoGoroutines: batches in flight are completions
+// the fleet holds, not goroutines parked on them (the front door's
+// counterpart of cluster's TestAdmissionSpawnsNoGoroutines).
+func TestFrontDoorSpawnsNoGoroutines(t *testing.T) {
+	const n = 48
+	h := newBatcherHarness(t, BatchPolicy{MaxBatch: 1, MaxDelay: time.Hour})
+	before := runtime.NumGoroutine()
+	for i := 0; i < n; i++ {
+		h.add(i)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d batches in flight grew the process from %d to %d goroutines", n, before, after)
+	}
+	for i := 0; i < n; i++ {
+		h.next(i).open()
+	}
+	h.wg.Wait()
 }
 
 func TestHTTPAdapter(t *testing.T) {

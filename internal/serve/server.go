@@ -193,7 +193,7 @@ func (s *Server) batcherFor(tenant, model string) (*batcher, error) {
 	if b, ok := s.batchers[key]; ok {
 		return b, nil
 	}
-	b := newBatcher(deployment{dep}, dep.InputNames(), dep.InputShapes(), s.cfg.Batch, &s.batch)
+	b := newBatcher(dep, dep.InputNames(), dep.InputShapes(), s.cfg.Batch, &s.batch)
 	s.batchers[key] = b
 	return b, nil
 }
@@ -207,61 +207,74 @@ func (s *Server) tenantFor(key string) (string, bool) {
 	return tenant, ok
 }
 
+// replyDepth is the most replies one connection may owe: its reader
+// reserves a slot per frame before reading it and its writer frees the
+// slot once the reply is written, so a peer that stops reading stops
+// being read (TCP backpressure on that peer alone).
+const replyDepth = 256
+
+// replyWriteTimeout bounds one reply write: a peer that has not read for
+// that long is torn down, releasing its slots, context and queued work.
+const replyWriteTimeout = 10 * time.Second
+
+// writeTimeout is the bound every write takes; a test may shorten it.
+var writeTimeout = replyWriteTimeout
+
+// reply is one queued answer: a frame the reader built, or a completion
+// the writer encodes.
+type reply struct {
+	frame []byte
+	id    uint64
+	outs  map[string]*tensor.Tensor
+	err   error
+}
+
 // serveConn runs one connection: a reader goroutine (this one) decoding
-// frames and a writer goroutine draining the outbound queue, with a
+// frames and a writer goroutine encoding and writing the replies, with a
 // per-connection context cancelled the moment the peer disappears so
 // queued work stops consuming replica time.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	ctx, cancel := context.WithCancel(context.Background())
-	out := make(chan []byte, 256)
+	// owed holds one token per reply the connection owes. out has room
+	// for as many, so a completion's send never blocks, whichever
+	// goroutine it runs on.
+	owed := make(chan struct{}, replyDepth)
+	out := make(chan reply, replyDepth)
 
 	var writerWG sync.WaitGroup
 	writerWG.Add(1)
 	go func() {
 		defer writerWG.Done()
-		for {
-			select {
-			case b := <-out:
-				_, err := conn.Write(b)
-				putBuf(b)
-				if err != nil {
-					// A dead peer: cancel queued work and unblock the
-					// reader too.
+		for r := range out {
+			b := r.frame
+			if b == nil {
+				// Encoded here even for a dead peer: classify counts it.
+				b = s.encodeReply(r.id, r.outs, r.err)
+			}
+			if ctx.Err() == nil {
+				conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+				if _, err := conn.Write(b); err != nil {
+					// A dead or stalled peer: cancel queued work and
+					// unblock the reader too.
 					cancel()
 					conn.Close()
 				}
-			case <-ctx.Done():
-				for {
-					select {
-					case b := <-out:
-						putBuf(b)
-					default:
-						return
-					}
-				}
 			}
+			putBuf(b)
+			<-owed
 		}
 	}()
 
-	// send hands a finished frame to the writer, dropping it if the
-	// connection is already gone.
-	send := func(b []byte) {
-		select {
-		case out <- b:
-		case <-ctx.Done():
-			putBuf(b)
-		}
-	}
-
-	// inflight tracks outstanding request completions so cleanup can
-	// wait for their callbacks before the writer drains away.
+	// inflight tracks outstanding request completions so cleanup closes
+	// out only after the last of them has queued its reply.
 	var inflight sync.WaitGroup
 
 	defer func() {
 		cancel()
 		conn.Close()
 		inflight.Wait()
+		close(out)
 		writerWG.Wait()
 		s.mu.Lock()
 		delete(s.conns, conn)
@@ -272,6 +285,11 @@ func (s *Server) serveConn(conn net.Conn) {
 	authed := s.cfg.Keys == nil
 	fr := newFrameReader(conn, s.cfg.MaxFrame)
 	for {
+		select {
+		case owed <- struct{}{}:
+		case <-ctx.Done():
+			return
+		}
 		f, err := fr.next()
 		if err != nil {
 			return
@@ -296,40 +314,40 @@ func (s *Server) serveConn(conn net.Conn) {
 			tenant, authed = t, true
 			b := beginFrame(TypeHelloOK, f.id, 2+len(tenant))
 			b = appendString(b, tenant)
-			send(finishFrame(b))
+			out <- reply{frame: finishFrame(b)}
 		case TypeRequest:
 			if !authed {
 				s.unauthorized.Add(1)
-				send(errorReply(f.id, StatusUnauthorized, "hello required"))
+				out <- reply{frame: errorReply(f.id, StatusUnauthorized, "hello required")}
 				continue
 			}
 			s.requests.Add(1)
 			model, err := f.body.str()
 			if err != nil {
 				s.badRequest.Add(1)
-				send(errorReply(f.id, StatusBadRequest, "malformed request"))
+				out <- reply{frame: errorReply(f.id, StatusBadRequest, "malformed request")}
 				continue
 			}
 			ins, err := f.body.tensorMap()
 			if err != nil {
 				s.badRequest.Add(1)
-				send(errorReply(f.id, StatusBadRequest, err.Error()))
+				out <- reply{frame: errorReply(f.id, StatusBadRequest, err.Error())}
 				continue
 			}
 			b, err := s.batcherFor(tenant, model)
 			if err != nil {
 				s.badRequest.Add(1)
-				send(errorReply(f.id, StatusBadRequest, err.Error()))
+				out <- reply{frame: errorReply(f.id, StatusBadRequest, err.Error())}
 				continue
 			}
 			id := f.id
 			inflight.Add(1)
 			b.add(ctx, ins, func(outs map[string]*tensor.Tensor, err error) {
-				defer inflight.Done()
-				send(s.encodeReply(id, outs, err))
+				out <- reply{id: id, outs: outs, err: err}
+				inflight.Done()
 			})
 		default:
-			send(errorReply(f.id, StatusBadRequest, "unknown frame type"))
+			out <- reply{frame: errorReply(f.id, StatusBadRequest, "unknown frame type")}
 		}
 	}
 }
@@ -384,8 +402,10 @@ func (s *Server) encodeReply(id uint64, outs map[string]*tensor.Tensor, err erro
 	}
 }
 
-// writeDirect writes one frame synchronously and recycles its buffer.
+// writeDirect writes one frame synchronously, under the write bound,
+// and recycles its buffer.
 func writeDirect(conn net.Conn, b []byte) {
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	conn.Write(b)
 	putBuf(b)
 }
