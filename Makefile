@@ -32,7 +32,11 @@ test-full:
 # holding a gate, not by wall clock, so twenty runs in a row must agree.
 # The slow-reader isolation test rides along: a connection that owes its
 # full reply depth and never reads, beside one whose replies must all
-# arrive, with completions running on the replica's dispatcher.
+# arrive, with completions running on the replica's dispatcher. So do
+# the vanished-member and disconnect-burst tests (records whose caller
+# left are dropped at the replica, never run), the read-deadline test
+# (stalled peers torn down, a live one kept) and the emulated batch (no
+# record answered before its rows' modeled latency).
 # The plan executor's pooled run state gets the same twenty: concurrent
 # runs at mixed batch sizes, a first RunAll binding its expansion beside
 # concurrent runs, a kernel error at every step and a fan-out worker's
@@ -41,7 +45,7 @@ test-full:
 # target.
 test-race:
 	$(GO) test -short -race ./internal/inference/... ./internal/accel/... ./internal/microserver/... ./internal/cluster/... ./internal/serve/... ./internal/rvbackend/... ./internal/riscv/... ./internal/soc/... ./internal/cfu/...
-	$(GO) test -race -count=20 -run 'Batch|CapacityRule|Dispatch|Gate|Admission|Saturated|BurstFollows|CloseResolves|CancelPropagation|Recovers|EngineTime|SlowReader' ./internal/microserver/ ./internal/serve/ ./internal/cluster/
+	$(GO) test -race -count=20 -run 'Batch|CapacityRule|Dispatch|Gate|Admission|Saturated|BurstFollows|CloseResolves|CancelPropagation|Recovers|EngineTime|SlowReader|Vanished|DisconnectBurst|ReadDeadline|EmulatedBatch' ./internal/microserver/ ./internal/serve/ ./internal/cluster/
 	$(GO) test -race -count=20 -run 'ExecutorConcurrent|ExecutorKernelError|Recovers' ./internal/inference/
 
 # test-portable exercises the pure-Go micro-kernel fallbacks (noasm /
@@ -209,8 +213,8 @@ release-verify:
 # exported-identifier doc coverage, no exported top-level name without a
 # caller outside its own package's tests, no backticked `pkg.Name`, test
 # name or make target in DESIGN.md or README.md that the tree does not
-# declare, and the committed golden artifact. The CI docs job runs this
-# target.
+# declare, no CHANGES.md entry numbered 26 or later over 3 KB, and the committed
+# golden artifact. The CI docs job runs this target.
 docs:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi

@@ -125,8 +125,9 @@ func BenchmarkClusterServing(b *testing.B) { benchExperiment(b, "cluster") }
 func BenchmarkServeFrontDoor(b *testing.B) { benchExperiment(b, "serve") }
 
 // BenchmarkClusterSubmit measures the real serving path end to end:
-// SubmitCtx through the admission bound and a heterogeneous fleet's
-// replicas, each completion called on its replica's dispatcher.
+// one-record SubmitCtx submissions through the admission bound and a
+// heterogeneous fleet's replicas, each record completed on its replica's
+// dispatcher.
 func BenchmarkClusterSubmit(b *testing.B) {
 	chassis := microserver.NewURECS()
 	for slot, name := range []string{"SMARC ARM", "Jetson Xavier NX", "Coral SoM"} {
@@ -160,17 +161,21 @@ func BenchmarkClusterSubmit(b *testing.B) {
 		}
 		wg.Done()
 	}
+	submit := func() error {
+		q := &microserver.Request{Ctx: context.Background(), Ins: ins, Done: done}
+		return dep.SubmitCtx([]*microserver.Request{q}, nil)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		wg.Add(1)
-		err := dep.SubmitCtx(context.Background(), ins, done)
+		err := submit()
 		if err != nil {
 			// Admission shed under benchmark pressure: wait out the
 			// backlog and retry once.
 			wg.Done()
 			wg.Wait()
 			wg.Add(1)
-			err = dep.SubmitCtx(context.Background(), ins, done)
+			err = submit()
 		}
 		if err != nil {
 			b.Fatal(err)

@@ -3,10 +3,11 @@
 // exported top-level identifier — function, method, type, or a
 // const/var declaration outside a documented block — has no doc
 // comment, when an exported top-level name of a checked package has no
-// caller, or when a Markdown document names an identifier, a test or a
-// make target that does not exist. `go doc` is then guaranteed useful
-// for every public entry point of the checked packages, every such entry
-// point is used, and the prose cannot outlive the code.
+// caller, when a Markdown document names an identifier, a test or a
+// make target that does not exist, or when a CHANGES.md entry breaks its
+// size budget. `go doc` is then guaranteed useful for every public entry
+// point of the checked packages, every such entry point is used, and the
+// prose cannot outlive the code.
 //
 // Usage:
 //
@@ -20,8 +21,11 @@
 // only the type is resolved. A backticked `TestX`, `BenchmarkX` or
 // `FuzzX` must be declared in some _test.go file of the module (a
 // `/subtest` suffix is ignored), and a backticked `make target` must be
-// a target of ./Makefile. Run it from the module root: callers and test
-// names are read from every .go file of the module (see parseModule).
+// a target of ./Makefile. ./CHANGES.md is always read: an entry is a
+// line starting with its number (`- PR <n>`) and the lines after it up
+// to the next bullet, and from number 26 on none may exceed 3 KB. Run it
+// from the module root: callers and test names are read from every .go
+// file of the module (see parseModule).
 package main
 
 import (
@@ -33,6 +37,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -89,6 +94,11 @@ func check(args []string) ([]string, error) {
 		}
 		problems = append(problems, p...)
 	}
+	p, err := checkChanges("CHANGES.md")
+	if err != nil {
+		return nil, err
+	}
+	problems = append(problems, p...)
 	sort.Strings(problems)
 	return problems, nil
 }
@@ -275,6 +285,46 @@ func checkDoc(path string, decls map[string]map[string]bool, tests, targets map[
 			if !targets[m[1]] {
 				report("`make %s` names no Makefile target", m[1])
 			}
+		}
+	}
+	return problems, nil
+}
+
+// CHANGES.md budget: from entry number budgetFrom on, no entry may take
+// more than changesBudget bytes. changesEntry matches an entry's first
+// line and captures its number.
+const (
+	changesBudget = 3 << 10
+	budgetFrom    = 26
+)
+
+var changesEntry = regexp.MustCompile(`^- PR (\d+)\b`)
+
+// checkChanges reports every entry of a CHANGES.md file numbered
+// budgetFrom or later that is over changesBudget bytes. An entry runs
+// from its numbered line up to the next line that starts a bullet, or
+// the end of the file; its size counts the newlines between its lines.
+func checkChanges(path string) ([]string, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
+	var problems []string
+	for i, l := range lines {
+		m := changesEntry.FindStringSubmatch(l)
+		if m == nil {
+			continue
+		}
+		size := len(l)
+		for _, next := range lines[i+1:] {
+			if strings.HasPrefix(next, "- ") {
+				break
+			}
+			size += 1 + len(next)
+		}
+		if n, _ := strconv.Atoi(m[1]); n >= budgetFrom && size > changesBudget {
+			problems = append(problems, fmt.Sprintf("%s:%d: entry %d is %d bytes, over the %d-byte budget", path, i+1, n, size, changesBudget))
 		}
 	}
 	return problems, nil

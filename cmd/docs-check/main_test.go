@@ -70,3 +70,33 @@ func TestCheckPassesRealDocs(t *testing.T) {
 		t.Error(p)
 	}
 }
+
+// TestCheckChangesBudget plants a CHANGES.md whose entry 32 is 3,100
+// bytes beside entries the budget passes: one of exactly 3,072 bytes,
+// one whose table rows keep it under, and an older one over it, which
+// predates the budget. Only the planted one fails.
+func TestCheckChangesBudget(t *testing.T) {
+	entry := func(head string, size int) string { return head + strings.Repeat("x", size-len(head)) }
+	text := strings.Join([]string{
+		entry("PR 20: [simplicity] unbulleted, before the budget", 5000),
+		entry("- PR 25 (perf): over, but before the budget", 4000),
+		entry("- PR 30 (simplicity): exactly the budget", 3072),
+		entry("- PR 31 (simplicity): with a table", 1000),
+		"",
+		"| a | b |",
+		"|---|---|",
+		"- A follow-up: a bullet of its own, unnumbered",
+		entry("- PR 32 (simplicity): planted", 3100),
+	}, "\n") + "\n"
+	path := filepath.Join(t.TempDir(), "CHANGES.md")
+	if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	problems, err := checkChanges(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(problems) != 1 || !strings.Contains(problems[0], "CHANGES.md:9: entry 32 is 3100 bytes") {
+		t.Errorf("got %q, want the planted entry 32 on line 9 alone", problems)
+	}
+}

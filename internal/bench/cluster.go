@@ -105,9 +105,9 @@ func ClusterStudy() (*Report, error) {
 	done := make(chan completion, burst)
 	for i := 0; i < burst; i++ {
 		start := time.Now()
-		if err := dep.SubmitCtx(context.Background(), map[string]*tensor.Tensor{g.Inputs[0]: in}, func(outs map[string]*tensor.Tensor, err error) {
-			done <- completion{outs, err, time.Since(start)}
-		}); err != nil {
+		q := &microserver.Request{Ctx: context.Background(), Ins: map[string]*tensor.Tensor{g.Inputs[0]: in},
+			Done: func(outs map[string]*tensor.Tensor, err error) { done <- completion{outs, err, time.Since(start)} }}
+		if err := dep.SubmitCtx([]*microserver.Request{q}, nil); err != nil {
 			return nil, err
 		}
 	}

@@ -20,7 +20,9 @@ import (
 // dispatcher inside the engine and queues requests behind it, so queue
 // states form by construction and never by wall clock. modeled pins the
 // replica's service estimate (it is the executable's latency model), so
-// routing is a function of the inflight counts alone.
+// routing is a function of the inflight counts alone; its latency model
+// predicts modeled per row, so a submission of n rows is modeled at n
+// times that.
 type gateExe struct {
 	modeled time.Duration
 	maxW    float64
@@ -55,7 +57,9 @@ func (e *gateExe) RunBatch(b []map[string]*tensor.Tensor) ([]map[string]*tensor.
 	return b, nil
 }
 
-func (e *gateExe) PredictLatency(int) (time.Duration, error) { return e.modeled, nil }
+func (e *gateExe) PredictLatency(rows int) (time.Duration, error) {
+	return time.Duration(rows) * e.modeled, nil
+}
 
 // open releases the held call and lets every later one through.
 func (e *gateExe) open() { close(e.release) }
@@ -87,15 +91,20 @@ type pending struct {
 	err  error
 }
 
-// submit admits one request through the completion callback. It fails
-// the test if SubmitCtx both refuses the request and calls done, and a
-// second call of done panics on the closed channel.
-func submit(t testing.TB, ctx context.Context, d *Deployment, ins map[string]*tensor.Tensor) (*pending, error) {
-	p := &pending{done: make(chan struct{})}
-	err := d.SubmitCtx(ctx, ins, func(outs map[string]*tensor.Tensor, err error) {
+// record is one record whose completion resolves p.
+func (p *pending) record(ctx context.Context, ins map[string]*tensor.Tensor) *microserver.Request {
+	return &microserver.Request{Ctx: ctx, Ins: ins, Done: func(outs map[string]*tensor.Tensor, err error) {
 		p.outs, p.err = outs, err
 		close(p.done)
-	})
+	}}
+}
+
+// submit admits a one-record submission. It fails the test if SubmitCtx
+// both refuses the request and completes it, and a second completion
+// panics on the closed channel.
+func submit(t testing.TB, ctx context.Context, d *Deployment, ins map[string]*tensor.Tensor) (*pending, error) {
+	p := &pending{done: make(chan struct{})}
+	err := d.SubmitCtx([]*microserver.Request{p.record(ctx, ins)}, nil)
 	if err != nil {
 		if p.resolved() {
 			t.Errorf("SubmitCtx refused a request with %v and also completed it", err)
@@ -255,13 +264,11 @@ func TestCloseResolvesQueuedTickets(t *testing.T) {
 	<-gate.entered
 	closed := make(chan struct{})
 	go func() { d.close(); close(closed) }()
-	// close is now parked on the held dispatcher. A closed server refuses
-	// even a dead context with ErrClosed, so this probe queues nothing and
-	// turns true exactly when the drain is armed.
-	dead, cancel := context.WithCancel(context.Background())
-	cancel()
+	// close is now parked on the held dispatcher. An empty submission
+	// queues nothing, and a closed server refuses it with ErrClosed, so
+	// this probe turns true exactly when the drain is armed.
 	srv := d.replicas[0].server
-	for !errors.Is(srv.Submit(dead, nil, nil), microserver.ErrClosed) {
+	for !errors.Is(srv.Submit(nil, time.Time{}, nil), microserver.ErrClosed) {
 		runtime.Gosched()
 	}
 	gate.open()
@@ -364,5 +371,40 @@ func TestBurstFollowsEstimate(t *testing.T) {
 		if _, err := p.wait(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestEmulatedBatchWaitsForItsRows: under EmulateLatency a submission
+// completes no sooner than its backend's latency model says for all the
+// rows it carries. The model here costs 20 ms a row, and the submission
+// holds two records of one and three rows: the accounting and both
+// records complete 80 ms after it was made at the earliest, not after
+// one row's 20 ms.
+func TestEmulatedBatchWaitsForItsRows(t *testing.T) {
+	const perRow = 20 * time.Millisecond
+	gate := newGate(perRow, 5)
+	gate.open()
+	d := gatedDeployment(t, 4, gate)
+	d.emulate = true
+	name := d.inputNames[0]
+	one, three := &pending{done: make(chan struct{})}, &pending{done: make(chan struct{})}
+	var freed time.Duration
+	start := time.Now()
+	if err := d.SubmitCtx([]*microserver.Request{
+		one.record(context.Background(), map[string]*tensor.Tensor{name: tensor.New(tensor.FP32, 1, 1, 16, 16)}),
+		three.record(context.Background(), map[string]*tensor.Tensor{name: tensor.New(tensor.FP32, 3, 1, 16, 16)}),
+	}, func() { freed = time.Since(start) }); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range []*pending{one, three} {
+		if _, err := p.wait(); err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		if waited := time.Since(start); waited < 4*perRow {
+			t.Errorf("record %d answered after %v, before the 4 rows' modeled %v", i, waited, 4*perRow)
+		}
+	}
+	if freed < 4*perRow {
+		t.Errorf("the submission's slot was freed after %v, before the modeled %v", freed, 4*perRow)
 	}
 }

@@ -8,16 +8,17 @@
 // paper's cross-accelerator methodology.
 //
 // A Scheduler owns one admission bound per deployed model. Requests
-// enter through Deployment.SubmitCtx, which takes a completion callback
-// (InferCtx is SubmitCtx plus a wait). SubmitCtx routes on the caller's
-// goroutine, handing each request straight to the replica with the
-// lowest estimated completion cost: the backend's roofline-predicted
-// latency (or, for backends without a device model, an EWMA of the
-// engine time per row the replica itself measured) scaled by the
-// replica's current queue depth, with a power-aware tie-break from the
-// chassis module power envelope. The replica runs its requests one at a
-// time, each as the rows it was submitted with, and its dispatcher calls
-// each completion; no goroutine or channel sits between.
+// enter through Deployment.SubmitCtx as a submission of
+// microserver.Request records (InferCtx is one record plus a wait),
+// admitted as one and routed on the caller's goroutine straight to the
+// replica with the lowest estimated completion cost: the backend's
+// roofline-predicted latency (or, for backends without a device model,
+// an EWMA of the engine time per row the replica itself measured)
+// scaled by the replica's current queue depth, with a power-aware
+// tie-break from the chassis module power envelope. The replica runs
+// each submission as one engine call and its dispatcher runs the
+// accounting, then each record's completion; no goroutine or channel
+// sits between.
 //
 // SimulateTrace replays an open-loop Trace against an analytic fleet
 // under the same routing rule in virtual time; SimFleet reads that
@@ -55,8 +56,9 @@ var (
 	// ErrOverloaded reports QueueDepth requests already admitted and
 	// unresolved: the request was shed, not queued.
 	ErrOverloaded = errors.New("cluster: admission queue full")
-	// ErrClosed reports a scheduler or deployment that has shut down.
-	ErrClosed = errors.New("cluster: scheduler closed")
+	// ErrClosed reports a scheduler, deployment or replica that has
+	// shut down; it is the replica server's own error.
+	ErrClosed = microserver.ErrClosed
 )
 
 // Config tunes the fleet scheduler.
@@ -65,11 +67,11 @@ type Config struct {
 	// completed — queued on a replica or running (default 64). SubmitCtx
 	// sheds the next one with ErrOverloaded.
 	QueueDepth int
-	// EmulateLatency stretches every accelerator-backed request to its
-	// roofline-predicted latency (functional execution on the host is
-	// usually faster than the model), so trace replays exhibit the
-	// modeled heterogeneity. Off by default; drivers and demos turn it
-	// on, tests keep wall time.
+	// EmulateLatency stretches every accelerator-backed submission to
+	// the latency its backend predicts for the rows it carries
+	// (functional execution on the host is usually faster than the
+	// model), so trace replays exhibit the modeled heterogeneity. Off by
+	// default; the serving CLI and demos turn it on, tests keep wall time.
 	EmulateLatency bool
 	// Schema is the activation calibration artifact for native INT8
 	// serving: INT8-capable accelerator modules then execute on the
@@ -494,14 +496,10 @@ func (d *Deployment) warmup() error {
 		inputs[name] = tensor.New(tensor.FP32, append(tensor.Shape{1}, d.inPer[i]...)...)
 	}
 	for _, r := range d.replicas {
-		probed := make(chan error, 1)
-		err := r.server.Submit(context.Background(), inputs, func(_ map[string]*tensor.Tensor, service time.Duration, err error) {
-			r.observe(service, err)
-			probed <- err
+		_, err := microserver.Call(context.Background(), inputs, func(q *microserver.Request) error {
+			observe := func(service time.Duration, _ int, err error) { r.observe(service, err) }
+			return r.server.Submit([]*microserver.Request{q}, time.Time{}, observe)
 		})
-		if err == nil {
-			err = <-probed
-		}
 		if err != nil {
 			return fmt.Errorf("cluster: warmup replica %d (%s, %s): %w", r.id, r.module, r.Backend(), err)
 		}
@@ -509,29 +507,35 @@ func (d *Deployment) warmup() error {
 	return nil
 }
 
-// SubmitCtx admits one request and returns without waiting for it. It
-// either returns an error and never calls done, or returns nil and calls
-// done exactly once with the result. The request is routed here, on the
-// caller's goroutine, and handed to the chosen replica's queue, which
-// has room for every admitted request; done then runs on that replica's
-// dispatcher goroutine (or on an EmulateLatency timer), so it must not
-// block. With QueueDepth requests already outstanding the request is
-// shed with ErrOverloaded. If the context ends while the request is
-// still queued it completes with the context error without consuming
-// replica time; one already running on an engine completes normally
-// (dispatches are not preemptible). An input map the model's signature
-// refuses (inference.CheckInputs) is refused before it counts as
-// submitted.
-func (d *Deployment) SubmitCtx(ctx context.Context, inputs map[string]*tensor.Tensor, done func(outs map[string]*tensor.Tensor, err error)) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
+// SubmitCtx admits a submission of records (the slice is the fleet's
+// from then on) and returns: an error, completing nothing, or nil,
+// completing every record exactly once. It is refused before it counts
+// when inference.CheckInputs, which sets each record's Rows, refuses a
+// record's inputs or when every record's caller has gone; with
+// QueueDepth submissions outstanding it is shed with ErrOverloaded. It
+// is routed on the caller's goroutine to a replica's queue, which always
+// has room, and runs as one engine call (microserver.Server.Submit); the
+// accounting then frees the slot, done (if non-nil) runs, then each
+// record's Done, on the replica's dispatcher; under EmulateLatency not
+// before the backend's predicted latency for the rows has passed.
+func (d *Deployment) SubmitCtx(reqs []*microserver.Request, done func()) error {
 	if d.closed.Load() {
 		return ErrClosed
 	}
-	rows, err := inference.CheckInputs(d.inputNames, d.inPer, inputs)
-	if err != nil {
-		return err
+	// ended stays non-nil (nothing to run is bad input) until a live record.
+	rows, ended := 0, inference.ErrBadInput
+	for _, q := range reqs {
+		n, err := inference.CheckInputs(d.inputNames, d.inPer, q.Ins)
+		if err != nil {
+			return err
+		}
+		q.Rows, rows = n, rows+n
+		if ended != nil {
+			ended = q.Ctx.Err()
+		}
+	}
+	if ended != nil {
+		return ended
 	}
 	// Counted shed or not: Submitted == Completed + Rejected must hold.
 	d.submitted.Add(1)
@@ -541,68 +545,52 @@ func (d *Deployment) SubmitCtx(ctx context.Context, inputs map[string]*tensor.Te
 		return ErrOverloaded
 	}
 	r := d.pick()
-	start := time.Now()
 	r.inflight.Add(1)
-	// finish is the request's accounting, done once however it ends; it
-	// returns the error the caller sees.
-	finish := func(service time.Duration, err error) error {
-		if errors.Is(err, microserver.ErrClosed) {
-			err = ErrClosed
+	var due time.Time
+	if p, ok := r.server.Executable().(latencyModel); ok && d.emulate {
+		if lat, err := p.PredictLatency(rows); err == nil {
+			due = time.Now().Add(lat)
 		}
-		r.inflight.Add(-1)
-		// The replica timed its engine run, queue wait excluded; a
-		// coalesced request carries `rows` samples in that one run, so the
-		// EWMA tracks per-sample service rather than congestion or batch
-		// size — congestion is already priced into the routing cost via
-		// the inflight factor, and the front door's adaptive batching
-		// must not read as a slower replica.
-		r.observe(service/time.Duration(rows), err)
-		if err != nil && ctx.Err() != nil {
-			d.cancelled.Add(1)
-		}
-		// The slot is free before done runs: a caller that resubmits on
-		// completion is never shed by its own request.
-		d.inflight.Add(-1)
-		d.completed.Add(1)
-		return err
 	}
-	err = r.server.Submit(ctx, inputs, func(outs map[string]*tensor.Tensor, service time.Duration, err error) {
-		if wait := r.modeled - time.Since(start); d.emulate && err == nil && wait > 0 {
-			time.AfterFunc(wait, func() { done(outs, finish(service, nil)) })
-			return
+	err := r.server.Submit(reqs, due, func(service time.Duration, ran int, err error) {
+		d.finish(r, service, ran, err)
+		if done != nil {
+			done()
 		}
-		done(outs, finish(service, err))
 	})
 	if err != nil {
-		// The caller vanished or close landed since the checks above; it
-		// counts as completed, like a queued request close drains.
-		return finish(0, err)
+		// Close landed since the check above; it counts as completed,
+		// like a queued submission close drains.
+		d.finish(r, 0, 0, err)
 	}
-	return nil
+	return err
 }
 
-// InferCtx is SubmitCtx plus a wait: it returns the result, or the
-// context's error as soon as the context ends. A request abandoned that
-// way still completes on its replica (or is dropped from the queue),
-// and its result is discarded.
+// finish is a submission's accounting, once however it ends; the slot
+// is free before any completion runs, so a caller that resubmits on
+// completion is never shed by its own request. The EWMA takes engine
+// time per row that ran: coalescing must not read as a slower replica.
+func (d *Deployment) finish(r *Replica, service time.Duration, rows int, err error) {
+	r.inflight.Add(-1)
+	if err == nil {
+		service /= time.Duration(rows)
+	}
+	r.observe(service, err)
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		d.cancelled.Add(1)
+	}
+	d.inflight.Add(-1)
+	d.completed.Add(1)
+}
+
+// InferCtx is a one-record SubmitCtx plus a wait (microserver.Call): it
+// returns the result, or the context's error as soon as the context
+// ends. A request abandoned that way still completes on its replica (or
+// is dropped from the queue), and its result is discarded.
 func (d *Deployment) InferCtx(ctx context.Context, inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
-	type result struct {
-		outs map[string]*tensor.Tensor
-		err  error
-	}
-	// Buffered: the completion never waits for a caller that left.
-	res := make(chan result, 1)
-	if err := d.SubmitCtx(ctx, inputs, func(outs map[string]*tensor.Tensor, err error) {
-		res <- result{outs, err}
-	}); err != nil {
-		return nil, err
-	}
-	select {
-	case r := <-res:
-		return r.outs, r.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	return microserver.Call(ctx, inputs, func(q *microserver.Request) error {
+		return d.SubmitCtx([]*microserver.Request{q}, nil)
+	})
 }
 
 // pick returns the replica with the lowest estimated completion cost:
@@ -667,13 +655,14 @@ func (d *Deployment) Stats() Stats {
 // Stats is a deployment's cumulative routing telemetry.
 type Stats struct {
 	Model string
-	// Submitted counts every admission attempt, shed ones included.
+	// Submitted counts every admission attempt, shed ones included, one
+	// per submission however many records it carries.
 	Submitted int64
 	Completed int64
 	Rejected  int64
-	// Cancelled counts admitted requests whose caller context ended
-	// before a replica ran them; they are a subset of Completed, so the
-	// invariant Submitted == Completed + Rejected still holds.
+	// Cancelled counts admitted submissions whose every record's caller
+	// context ended before a replica ran it; they are a subset of
+	// Completed, so Submitted == Completed + Rejected still holds.
 	Cancelled int64
 	Replicas  []ReplicaStats
 }

@@ -25,23 +25,34 @@ var ErrClosed = errors.New("microserver: server closed")
 // ServeStats is a server's cumulative telemetry, the serving-side
 // counterpart of the chassis Monitoring snapshots.
 type ServeStats struct {
+	// Requests counts the records that reached the engine, Batches the
+	// engine runs: Requests / Batches is the records per run.
 	Requests int64
-	// Batches counts engine runs, one per served request.
-	Batches int64
-	// Cancelled counts requests whose context was cancelled while they
-	// were still queued: they are completed with the context error
-	// without ever reaching the engine, so a disconnected client stops
-	// consuming replica time. Cancelled requests are not counted in
-	// Requests.
+	Batches  int64
+	// Cancelled counts records dropped because their context had ended
+	// before their run, so a disconnected client stops consuming replica
+	// time; they complete with the context error and are not Requests.
 	Cancelled int64
+}
+
+// Request is one caller's rows on their way to an engine: the record
+// the front door groups, the fleet admits and the server runs, under
+// the caller's own context. Rows is the leading dimension of Ins, as
+// inference.CheckInputs reads it. Done is called exactly once, with
+// the record's own output rows or an error, and must not block.
+type Request struct {
+	Ctx  context.Context
+	Ins  map[string]*tensor.Tensor
+	Rows int
+	Done func(outs map[string]*tensor.Tensor, err error)
 }
 
 // Server is one microserver node's inference service: a single compiled
 // executable shared by all clients, fed through a queue. The dispatcher
-// is a worker, not a batcher: it runs each request as it was handed in,
-// in arrival order, so an engine run carries exactly the rows its
-// submitter stacked. Coalescing belongs to the layer that knows which
-// replica is busy (the front door's batcher in internal/serve).
+// is a worker, not a batcher: it runs each submission as it was handed
+// in, in arrival order, as one engine call. Coalescing belongs to the
+// layer that knows which replica is busy (the front door's batcher in
+// internal/serve).
 //
 // The server is backend-generic: it fronts whatever
 // inference.Backend compiled the model — the host CPU engine or any
@@ -52,7 +63,7 @@ type Server struct {
 	exe         inference.Executable
 	backendName string
 
-	reqs chan *request
+	reqs chan submission
 	quit chan struct{}
 	wg   sync.WaitGroup
 
@@ -67,10 +78,11 @@ type Server struct {
 	stats   ServeStats
 }
 
-type request struct {
-	ctx  context.Context
-	ins  map[string]*tensor.Tensor
-	done func(outs map[string]*tensor.Tensor, service time.Duration, err error)
+// submission is one queued Submit.
+type submission struct {
+	reqs []*Request
+	due  time.Time
+	done func(service time.Duration, rows int, err error)
 }
 
 // ServeCompiled starts the dispatcher over a compiled executable. The
@@ -94,7 +106,7 @@ func ServeCompiled(g *nn.Graph, exe inference.Executable, backendName string, cf
 	s := &Server{
 		exe:         exe,
 		backendName: backendName,
-		reqs:        make(chan *request, cfg.QueueDepth),
+		reqs:        make(chan submission, cfg.QueueDepth),
 		quit:        make(chan struct{}),
 	}
 	s.wg.Add(1)
@@ -112,53 +124,57 @@ func (s *Server) Backend() string { return s.backendName }
 // InferMap submits a full input map (keyed by input-node name) and
 // blocks until the full output map is ready. Safe for concurrent use.
 func (s *Server) InferMap(inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
-	var (
-		outs map[string]*tensor.Tensor
-		err  error
-	)
-	ready := make(chan struct{})
-	if serr := s.Submit(context.Background(), inputs, func(o map[string]*tensor.Tensor, _ time.Duration, e error) {
-		outs, err = o, e
-		close(ready)
-	}); serr != nil {
-		return nil, serr
-	}
-	<-ready
-	return outs, err
+	return Call(context.Background(), inputs, func(q *Request) error {
+		return s.Submit([]*Request{q}, time.Time{}, nil)
+	})
 }
 
-// Submit hands a request to the queue and returns; done is called
-// exactly once with the result and the engine time it took (zero when
-// the request never reached the engine), on the dispatcher goroutine,
-// so it must not block. A non-nil return (ErrClosed, else the error of
-// a dead context) means the request was not accepted and done will not
-// be called. The enqueue blocks while the queue is full — node-level
-// backpressure for direct callers; the fleet layer sizes the queue so it
-// never does — and aborts when ctx ends. A request whose context is
-// cancelled while it is still queued completes with the context error
-// instead of being dispatched, so a disconnected client stops consuming
-// replica time; one already handed to the engine runs to completion
-// (dispatches are not preemptible).
-func (s *Server) Submit(ctx context.Context, inputs map[string]*tensor.Tensor, done func(outs map[string]*tensor.Tensor, service time.Duration, err error)) error {
+// Call is one record and a wait: it hands ins, as a record under ctx,
+// to submit and returns the record's result, or ctx's error as soon as
+// ctx ends (the record then still completes, unobserved). A submit
+// error is returned as is.
+func Call(ctx context.Context, ins map[string]*tensor.Tensor, submit func(*Request) error) (map[string]*tensor.Tensor, error) {
+	var outs map[string]*tensor.Tensor
+	var err error
+	ready := make(chan struct{})
+	q := &Request{Ctx: ctx, Ins: ins, Done: func(o map[string]*tensor.Tensor, e error) { outs, err = o, e; close(ready) }}
+	if serr := submit(q); serr != nil {
+		return nil, serr
+	}
+	select {
+	case <-ready:
+		return outs, err
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// Submit queues one submission, which the server owns from here on,
+// and returns. Records whose context has ended when it runs are dropped,
+// each completed with its context's error; the rest run as one engine
+// call (exe.Run for one record, exe.RunBatch for several). Then done, if
+// non-nil, gets the engine time, the rows that ran and the run's error
+// (zeros and a context error if nothing ran), and each record's Done
+// its own rows or that error: on the dispatcher goroutine, so none may
+// block, and after a successful run not before due (the zero time holds
+// nothing). Once Close has begun it returns ErrClosed and queues
+// nothing, as an empty reqs does. The enqueue blocks while the queue is
+// full; the fleet sizes the queue so it never does.
+func (s *Server) Submit(reqs []*Request, due time.Time, done func(service time.Duration, rows int, err error)) error {
 	s.lifeMu.RLock()
 	defer s.lifeMu.RUnlock()
 	if s.closed {
 		return ErrClosed
 	}
-	if err := ctx.Err(); err != nil {
-		return err
+	if len(reqs) > 0 {
+		s.reqs <- submission{reqs: reqs, due: due, done: done}
 	}
-	select {
-	case s.reqs <- &request{ctx: ctx, ins: inputs, done: done}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return nil
 }
 
-// Close stops the dispatcher and waits for it: the request inside the
-// engine completes, requests still queued complete with ErrClosed, and
-// later Submit calls return it.
+// Close stops the dispatcher and waits for it: the submission inside
+// the engine completes, submissions still queued complete with
+// ErrClosed, and later Submit calls return it.
 func (s *Server) Close() {
 	s.lifeMu.Lock()
 	if s.closed {
@@ -182,8 +198,8 @@ func (s *Server) dispatch() {
 	defer s.wg.Done()
 	for {
 		// Once shutdown has begun, stop accepting new work even if the
-		// queue is non-empty: queued requests are failed by drain, which
-		// keeps Close prompt and deterministic.
+		// queue is non-empty: queued submissions are failed by drain,
+		// which keeps Close prompt and deterministic.
 		select {
 		case <-s.quit:
 			s.drain()
@@ -191,8 +207,8 @@ func (s *Server) dispatch() {
 		default:
 		}
 		select {
-		case r := <-s.reqs:
-			s.run(r)
+		case sub := <-s.reqs:
+			s.run(sub)
 		case <-s.quit:
 			s.drain()
 			return
@@ -200,51 +216,86 @@ func (s *Server) dispatch() {
 	}
 }
 
-// drain fails the requests still queued when shutdown began.
+// drain fails the submissions still queued when shutdown began.
 func (s *Server) drain() {
 	for {
 		select {
-		case r := <-s.reqs:
-			r.done(nil, 0, ErrClosed)
+		case sub := <-s.reqs:
+			complete(sub, sub.reqs, nil, 0, 0, ErrClosed)
 		default:
 			return
 		}
 	}
 }
 
-// run is the one place the server calls the executable: the request's
-// own input map goes to the engine unchanged, unless its caller vanished
-// while it was queued; then it completes with the context error and
-// never reaches the engine. The engine run is timed here, so the
-// service time a caller sees excludes the wait in the queue.
-func (s *Server) run(r *request) {
-	if err := r.ctx.Err(); err != nil {
-		s.statsMu.Lock()
-		s.stats.Cancelled++
-		s.statsMu.Unlock()
-		r.done(nil, 0, err)
+// run is the one place the server calls the executable. A record whose
+// caller left while it was queued is dropped first; the rest go down as
+// their callers' own maps, in one call, timed here so that the service
+// time a completion sees excludes the wait in the queue.
+func (s *Server) run(sub submission) {
+	live, rows := sub.reqs[:0], 0 // filtered in place: the server owns it
+	for _, q := range sub.reqs {
+		if err := q.Ctx.Err(); err != nil {
+			s.statsMu.Lock()
+			s.stats.Cancelled++
+			s.statsMu.Unlock()
+			q.Done(nil, err)
+			continue
+		}
+		live, rows = append(live, q), rows+q.Rows
+	}
+	if len(live) == 0 {
+		complete(sub, nil, nil, 0, 0, sub.reqs[0].Ctx.Err())
 		return
 	}
 	start := time.Now()
-	outs, err := s.call(r.ins)
+	outs, err := s.call(live)
 	service := time.Since(start)
-	// Counted before the completion runs: a caller holding its result
+	// Counted before the completions run: a caller holding its result
 	// already sees itself in Stats.
 	s.statsMu.Lock()
-	s.stats.Requests++
+	s.stats.Requests += int64(len(live))
 	s.stats.Batches++
 	s.statsMu.Unlock()
-	r.done(outs, service, err)
+	if wait := sub.due.Sub(start.Add(service)); err == nil && wait > 0 {
+		time.AfterFunc(wait, func() { complete(sub, live, outs, service, rows, nil) })
+		return
+	}
+	complete(sub, live, outs, service, rows, err)
 }
 
-// call runs the executable once. A panic inside it fails this request
-// with an error instead of taking the process down; the engines re-raise
-// a fan-out worker's panic on the calling goroutine, so it lands here.
-func (s *Server) call(ins map[string]*tensor.Tensor) (outs map[string]*tensor.Tensor, err error) {
+// complete runs a submission's done, then each record's Done with its
+// own outputs (outs is indexed like reqs) or err.
+func complete(sub submission, reqs []*Request, outs []map[string]*tensor.Tensor, service time.Duration, rows int, err error) {
+	if sub.done != nil {
+		sub.done(service, rows, err)
+	}
+	for i, q := range reqs {
+		var out map[string]*tensor.Tensor
+		if err == nil {
+			out = outs[i]
+		}
+		q.Done(out, err)
+	}
+}
+
+// call runs the executable once over the records' input maps. A panic
+// inside it fails the call with an error instead of taking the process
+// down; the engines re-raise a fan-out worker's panic on the calling
+// goroutine, so it lands here.
+func (s *Server) call(reqs []*Request) (outs []map[string]*tensor.Tensor, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			outs, err = nil, fmt.Errorf("microserver: %s engine panicked: %v", s.backendName, p)
 		}
 	}()
-	return s.exe.Run(ins)
+	if len(reqs) == 1 {
+		out, err := s.exe.Run(reqs[0].Ins)
+		return []map[string]*tensor.Tensor{out}, err
+	}
+	ins := make([]map[string]*tensor.Tensor, len(reqs))
+	for i, q := range reqs {
+		ins[i] = q.Ins
+	}
+	return s.exe.RunBatch(ins)
 }

@@ -37,32 +37,55 @@ func inferSingle(s *Server, g *nn.Graph, in *tensor.Tensor) (*tensor.Tensor, err
 	return outs[g.Outputs[0]], err
 }
 
-// pending is the test's handle on one accepted Submit.
+// pending is the test's handle on one submitted record: its own
+// result, and what its submission's completion saw.
 type pending struct {
 	outs    map[string]*tensor.Tensor
 	service time.Duration
+	rows    int
 	err     error
 	ready   chan struct{}
 }
 
-// Wait blocks until the request's completion has run.
+// Wait blocks until the record's completion has run.
 func (p *pending) Wait() (map[string]*tensor.Tensor, error) {
 	<-p.ready
 	return p.outs, p.err
 }
 
-// submit queues one request and returns its handle; a refused Submit
-// fails the test.
+// submit queues one one-record submission and returns its handle; a
+// refused Submit fails the test.
 func submit(t *testing.T, s *Server, ctx context.Context, ins map[string]*tensor.Tensor) *pending {
 	t.Helper()
-	p := &pending{ready: make(chan struct{})}
-	if err := s.Submit(ctx, ins, func(outs map[string]*tensor.Tensor, service time.Duration, err error) {
-		p.outs, p.service, p.err = outs, service, err
-		close(p.ready)
+	return submitMerged(t, s, []context.Context{ctx}, []map[string]*tensor.Tensor{ins})[0]
+}
+
+// submitMerged queues one submission of one single-row record per input
+// map, record i under ctxs[i], and returns a handle per record; a
+// refused Submit fails the test.
+func submitMerged(t *testing.T, s *Server, ctxs []context.Context, ins []map[string]*tensor.Tensor) []*pending {
+	t.Helper()
+	pend := make([]*pending, len(ins))
+	reqs := make([]*Request, len(ins))
+	for i := range ins {
+		p := &pending{ready: make(chan struct{})}
+		pend[i] = p
+		reqs[i] = &Request{Ctx: ctxs[i], Ins: ins[i], Rows: 1, Done: func(outs map[string]*tensor.Tensor, err error) {
+			p.outs, p.err = outs, err
+			close(p.ready)
+		}}
+	}
+	// The submission's completion runs before the Done of every record
+	// that ran, so such a record's handle sees the service and rows once
+	// it has resolved (a dropped record's Done runs first).
+	if err := s.Submit(reqs, time.Time{}, func(service time.Duration, rows int, _ error) {
+		for _, p := range pend {
+			p.service, p.rows = service, rows
+		}
 	}); err != nil {
 		t.Fatal(err)
 	}
-	return p
+	return pend
 }
 
 func gestureInput(seed int) *tensor.Tensor {
@@ -221,10 +244,10 @@ func submitAll(t *testing.T, s *Server, ins []map[string]*tensor.Tensor) []*pend
 	return pend
 }
 
-// TestDispatchRunsQueuedOneAtATimeInOrder pins the worker: requests
+// TestDispatchRunsQueuedOneAtATimeInOrder pins the worker: submissions
 // queued behind a busy engine run one per engine call, in arrival order,
-// each reaching the engine as the caller's own map (the layers above
-// find a request again by that identity) and each getting the
+// each record reaching the engine as the caller's own map (the layers
+// above find a request again by that identity) and each getting the
 // engine-exact result for its own input.
 func TestDispatchRunsQueuedOneAtATimeInOrder(t *testing.T) {
 	g := gestureGraph()
@@ -607,14 +630,68 @@ func TestSubmitCancelledBeforeDispatch(t *testing.T) {
 		t.Errorf("stats recorded %d dispatched requests, want 2 (cancelled must not count)", st.Requests)
 	}
 
-	// An already-dead context is refused at submission.
+	// A record whose context is already dead when it is submitted is
+	// dropped the same way, on an idle engine too.
 	dead, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	err := s.Submit(dead, liveIns, func(map[string]*tensor.Tensor, time.Duration, error) {
-		t.Error("completion ran for a request Submit refused")
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("submit on dead context returned %v, want context.Canceled", err)
+	if _, err := submit(t, s, dead, liveIns).Wait(); !errors.Is(err, context.Canceled) {
+		t.Errorf("dead-context record resolved with %v, want context.Canceled", err)
+	}
+	gate.wantSizes(t, 1, 1)
+	if st := s.Stats(); st.Cancelled != 2 || st.Requests != 2 {
+		t.Errorf("stats %+v, want 2 cancelled and 2 requests", st)
+	}
+}
+
+// TestDispatchDropsVanishedMember queues one submission of three
+// records behind a busy engine, and the caller of the middle one
+// vanishes: the submission reaches the engine as one RunBatch of the two
+// live records, in order, each gets the engine-exact rows for its own
+// input, the vanished one completes with its context's error, and the
+// submission's completion sees the two rows that ran.
+func TestDispatchDropsVanishedMember(t *testing.T) {
+	g := gestureGraph()
+	s, gate := gatedServer(t, g, ServeConfig{})
+	defer s.Close()
+	eng, err := inference.Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plug := hold(t, s, gate, gestureIns(g, 0))
+	gone, cancel := context.WithCancel(context.Background())
+	ins := gestureRequests(g, 3)
+	pend := submitMerged(t, s, []context.Context{context.Background(), gone, context.Background()}, ins)
+	cancel()
+	gate.open()
+	if _, err := plug.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pend[1].Wait(); !errors.Is(err, context.Canceled) {
+		t.Errorf("vanished record resolved with %v, want context.Canceled", err)
+	}
+	for _, c := range []int{0, 2} {
+		outs, err := pend[c].Wait()
+		if err != nil {
+			t.Fatalf("record %d: %v", c, err)
+		}
+		want, err := eng.RunSingle(ins[c][g.Inputs[0]])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d, _ := tensor.MaxAbsDiff(want, outs[g.Outputs[0]]); d != 0 {
+			t.Errorf("record %d: served result diverges by %g", c, d)
+		}
+		if pend[c].rows != 2 {
+			t.Errorf("record %d: the submission's completion saw %d rows, want 2", c, pend[c].rows)
+		}
+	}
+	gate.wantSizes(t, 1, 2)
+	if run := gate.batches()[1]; reflect.ValueOf(run[0]).Pointer() != reflect.ValueOf(ins[0]).Pointer() ||
+		reflect.ValueOf(run[1]).Pointer() != reflect.ValueOf(ins[2]).Pointer() {
+		t.Error("the merged run does not carry the live records' own maps in order")
+	}
+	if st := s.Stats(); st.Requests != 3 || st.Batches != 2 || st.Cancelled != 1 {
+		t.Errorf("stats %+v, want 3 requests in 2 engine runs and 1 cancelled", st)
 	}
 }
 

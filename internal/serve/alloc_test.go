@@ -7,22 +7,26 @@ import (
 	"testing"
 	"time"
 
+	"vedliot/internal/microserver"
 	"vedliot/internal/tensor"
 )
 
 // TestFrontDoorAllocations pins what the front door allocates per
 // coalesced request, the way inference.TestRunAllocations pins the
 // engine: eight one-row requests of 784 floats held behind a busy
-// replica, stacked into one submission by count and answered from its
-// echoed rows, over the held-shut gateFleet (whose own record of the
-// submission is part of the figure). What is left per request is the
-// member's reply map and its one row view (header and shape), plus an
-// eighth of the batch: the stacked tensor, the two maps around it, the
-// completion closure and the timer: 47 allocations per eight requests
-// and 3,952 bytes per request. The ticket and the goroutine that waited
-// on it made that 48 and 3,973; with a copied reply per member and a
-// shape string per request the same test read 11 per request and 7,212
-// bytes. A change that puts any of them back fails.
+// replica, grouped into one submission by count and answered with their
+// echoed inputs, over the held-shut gateFleet (whose own record of the
+// submission is part of the figure). What is left per request is its
+// microserver.Request record, plus an eighth of the batch: the pending
+// slice's four growths, the completion closure, and the MaxDelay timer
+// with its closure and the variable that closure checks: 17 allocations
+// per eight requests and 90 bytes per request. The stacked tensor, the
+// maps around it and each member's row view (reply map, header, shape)
+// moved into RunBatch at the replica, which the front door now hands
+// the records to unstacked; with them here the same test read 47 and
+// 3,952, and with a copied reply per member and a shape string per
+// request 11 per request and 7,212 bytes. A change that puts any of
+// them back fails.
 func TestFrontDoorAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -53,7 +57,7 @@ func TestFrontDoorAllocations(t *testing.T) {
 	cycle := func() {
 		wg.Add(members)
 		for i, r := range reqs {
-			b.add(context.Background(), r, dones[i])
+			b.add(&microserver.Request{Ctx: context.Background(), Ins: r, Done: dones[i]})
 		}
 		(<-fleet.subs).open()
 		wg.Wait()
@@ -68,7 +72,7 @@ func TestFrontDoorAllocations(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs / members
 	t.Logf("%.3f allocations and %.0f bytes per coalesced request", allocs, bytes)
-	if allocs > 47.0/members || bytes > 4032 {
-		t.Errorf("%.3f allocations and %.0f bytes per coalesced request, want at most %.3f and 4032", allocs, bytes, 47.0/members)
+	if allocs > 17.0/members || bytes > 128 {
+		t.Errorf("%.3f allocations and %.0f bytes per coalesced request, want at most %.3f and 128", allocs, bytes, 17.0/members)
 	}
 }

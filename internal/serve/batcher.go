@@ -1,12 +1,12 @@
 package serve
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"vedliot/internal/inference"
+	"vedliot/internal/microserver"
 	"vedliot/internal/tensor"
 )
 
@@ -14,7 +14,7 @@ import (
 // router, not the arrival rate: a request is submitted at once unless
 // the replica the routing rule would pick already has work in flight,
 // and only then is it held so that requests for the same (tenant,
-// model) stack into one cluster submission. A held batch goes when one
+// model) share one cluster submission. A held batch goes when one
 // of this batcher's own submissions completes, when its rows reach
 // MaxBatch, or after MaxDelay, whichever is first; so nothing waits
 // while capacity is free, and busy replicas still run full batches.
@@ -37,14 +37,6 @@ func (p BatchPolicy) withDefaults() BatchPolicy {
 	return p
 }
 
-// batchMember is one request riding a coalesced submission.
-type batchMember struct {
-	ctx  context.Context
-	ins  map[string]*tensor.Tensor
-	rows int
-	done func(outs map[string]*tensor.Tensor, err error)
-}
-
 // batchStats aggregates coalescing telemetry across batchers.
 type batchStats struct {
 	batches atomic.Int64
@@ -53,17 +45,16 @@ type batchStats struct {
 
 // fleet is what a batcher asks of a deployment: whether the replica the
 // next submission would be routed to is idle, and the submission, whose
-// done runs once on whichever goroutine completes it unless SubmitCtx
+// done runs once before its records' own completions unless SubmitCtx
 // returns an error. *cluster.Deployment is one.
 type fleet interface {
 	Idle() bool
-	SubmitCtx(ctx context.Context, ins map[string]*tensor.Tensor, done func(map[string]*tensor.Tensor, error)) error
+	SubmitCtx(reqs []*microserver.Request, done func()) error
 }
 
-// batcher coalesces requests for one (tenant, model) pair. A request
+// batcher coalesces requests for one (tenant, model) pair. A record
 // joins only after inference.CheckInputs has passed it against the
-// model's declared inputs, so everything pending is one shape class and
-// stacks.
+// model's declared inputs, so everything pending is one shape class.
 type batcher struct {
 	dep    fleet
 	names  []string       // the model's declared inputs
@@ -72,7 +63,7 @@ type batcher struct {
 	stats  *batchStats
 
 	mu      sync.Mutex
-	pending []batchMember
+	pending []*microserver.Request
 	rows    int
 	// timer bounds the held batch's wait at MaxDelay; nil while nothing
 	// is held.
@@ -88,29 +79,29 @@ func newBatcher(dep fleet, names []string, per []tensor.Shape, policy BatchPolic
 	return &batcher{dep: dep, names: names, per: per, policy: policy.withDefaults(), stats: stats}
 }
 
-// add enqueues one request for coalescing. done fires exactly once: with
-// the request's own output rows, or at once with an
+// add enqueues one record for coalescing. Its Done fires exactly once:
+// with the request's own output rows, or at once with an
 // inference.ErrBadInput when the model's signature refuses the inputs,
 // which leaves whatever is held untouched. When the routed replica is
 // idle the submission happens here, on the caller's goroutine.
-func (b *batcher) add(ctx context.Context, ins map[string]*tensor.Tensor, done func(map[string]*tensor.Tensor, error)) {
-	rows, err := inference.CheckInputs(b.names, b.per, ins)
+func (b *batcher) add(q *microserver.Request) {
+	rows, err := inference.CheckInputs(b.names, b.per, q.Ins)
 	if err != nil {
-		done(nil, err)
+		q.Done(nil, err)
 		return
 	}
 	b.mu.Lock()
-	b.pending = append(b.pending, batchMember{ctx: ctx, ins: ins, rows: rows, done: done})
+	b.pending = append(b.pending, q)
 	b.rows += rows
-	var batch []batchMember
+	var batch []*microserver.Request
 	switch {
 	case b.rows >= b.policy.MaxBatch, b.submitting.Load() == 0 && b.dep.Idle():
-		batch = b.takeLocked()
+		batch, rows = b.takeLocked()
 	case b.timer == nil:
 		b.holdLocked()
 	}
 	b.mu.Unlock()
-	b.submit(batch)
+	b.submit(batch, rows)
 }
 
 // holdLocked bounds the wait of the batch that starts waiting now at
@@ -119,91 +110,60 @@ func (b *batcher) holdLocked() {
 	var t *time.Timer
 	t = time.AfterFunc(b.policy.MaxDelay, func() {
 		b.mu.Lock()
-		var batch []batchMember
+		var batch []*microserver.Request
+		var rows int
 		// A timer can fire too late to be stopped; the batch it bounded
 		// has left then and b.timer is nil or a later batch's.
 		if b.timer == t {
-			batch = b.takeLocked()
+			batch, rows = b.takeLocked()
 		}
 		b.mu.Unlock()
-		b.submit(batch)
+		b.submit(batch, rows)
 	})
 	b.timer = t
 }
 
-// takeLocked removes the waiting batch for submission, counting it in
-// flight from here on and stopping its timer. Nil when nothing waits.
-// Callers hold b.mu and pass the result to submit after releasing it.
-func (b *batcher) takeLocked() []batchMember {
+// takeLocked removes the waiting batch and its rows for submission,
+// counting it in flight from here on and stopping its timer. Nil when
+// nothing waits. Callers hold b.mu and pass the result to submit after
+// releasing it.
+func (b *batcher) takeLocked() ([]*microserver.Request, int) {
 	if len(b.pending) == 0 {
-		return nil
+		return nil, 0
 	}
-	members := b.pending
+	batch, rows := b.pending, b.rows
 	b.pending, b.rows = nil, 0
 	if b.timer != nil {
 		b.timer.Stop()
 		b.timer = nil
 	}
 	b.submitting.Add(1)
-	return members
+	return batch, rows
 }
 
-// submit stacks the members' declared inputs and routes one cluster
-// submission on the calling goroutine; deliver is its completion.
-func (b *batcher) submit(members []batchMember) {
-	if len(members) == 0 {
+// submit hands the batch to the fleet as one submission, on the calling
+// goroutine; the fleet owns the slice from then on. Its done is the
+// capacity signal and runs before any record's Done, so the batch held
+// meanwhile leaves before the replies are queued.
+func (b *batcher) submit(batch []*microserver.Request, rows int) {
+	if len(batch) == 0 {
 		return
 	}
-	// A single member keeps its own context so cancellation still
-	// reaches the queue; a merged batch runs under a background one, so
-	// one member's disconnect cannot cancel the rest.
-	ctx, ins := members[0].ctx, members[0].ins
-	if len(members) > 1 {
-		ctx = context.Background()
-		reqs := make([]map[string]*tensor.Tensor, len(members))
-		for i, m := range members {
-			reqs[i] = m.ins
-		}
-		ins = tensor.StackRows(b.names, reqs)
-	}
-	err := b.dep.SubmitCtx(ctx, ins, func(outs map[string]*tensor.Tensor, err error) {
+	err := b.dep.SubmitCtx(batch, func() {
 		// Counted once admitted, which is when done runs at all: a
 		// submission the scheduler shed never became a batch, and
-		// overload must not read as coalescing. The rows are the
-		// submitted map's, which the check holds to the members' sum.
+		// overload must not read as coalescing.
 		b.stats.batches.Add(1)
-		b.stats.rows.Add(int64(ins[b.names[0]].Shape[0]))
-		b.deliver(members, outs, err)
+		b.stats.rows.Add(int64(rows))
+		b.mu.Lock()
+		held, heldRows := b.takeLocked()
+		b.mu.Unlock()
+		b.submit(held, heldRows)
 	})
 	b.submitting.Add(-1)
 	if err != nil {
-		for _, m := range members {
-			m.done(nil, err)
+		for _, q := range batch {
+			q.Done(nil, err)
 		}
-	}
-}
-
-// deliver completes one submission, on whichever goroutine completed it
-// (a replica's dispatcher in a fleet), so the members' done calls must
-// not block. The completion is the capacity signal: the batch held
-// meanwhile goes first, then the replies. A member of a merged batch
-// gets row views of the batched outputs, which are fresh per submission
-// and only read from here on.
-func (b *batcher) deliver(members []batchMember, outs map[string]*tensor.Tensor, err error) {
-	b.mu.Lock()
-	held := b.takeLocked()
-	b.mu.Unlock()
-	b.submit(held)
-
-	if err != nil || len(members) == 1 {
-		for _, m := range members {
-			m.done(outs, err)
-		}
-		return
-	}
-	row := 0
-	for _, m := range members {
-		m.done(tensor.RowViews(outs, row, row+m.rows), nil)
-		row += m.rows
 	}
 }

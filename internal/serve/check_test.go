@@ -7,6 +7,7 @@ import (
 
 	"vedliot/internal/cluster"
 	"vedliot/internal/inference"
+	"vedliot/internal/microserver"
 	"vedliot/internal/nn"
 	"vedliot/internal/tensor"
 )
@@ -102,10 +103,10 @@ func TestOneInputCheck(t *testing.T) {
 		outs, err = dep.InferCtx(context.Background(), c.ins)
 		verdict("SubmitCtx", outs, err)
 		done := make(chan struct{})
-		door.add(context.Background(), c.ins, func(o map[string]*tensor.Tensor, e error) {
+		door.add(&microserver.Request{Ctx: context.Background(), Ins: c.ins, Done: func(o map[string]*tensor.Tensor, e error) {
 			outs, err = o, e
 			close(done)
-		})
+		}})
 		<-done
 		verdict("batcher.add", outs, err)
 	}

@@ -2,8 +2,11 @@ package serve
 
 import (
 	"context"
+	"io"
 	"net"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -37,8 +40,8 @@ func wideInput(seed int) map[string]*tensor.Tensor {
 // on its own. The fleet's accounting closes and Close leaves no
 // goroutine behind.
 func TestSlowReaderIsolation(t *testing.T) {
+	defer func(d time.Duration) { writeTimeout = d }(writeTimeout)
 	writeTimeout = 500 * time.Millisecond
-	defer func() { writeTimeout = replyWriteTimeout }()
 	goroutines := runtime.NumGoroutine()
 
 	g := wideModel()
@@ -142,5 +145,295 @@ func TestSlowReaderIsolation(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines after Close, %d before the test", runtime.NumGoroutine(), goroutines)
 		}
+	}
+}
+
+// gateExe is the socket tests' engine double: once shut, every engine
+// call sends the rows it carries on calls and then waits until the test
+// opens the gate; the runs themselves are the engine's.
+type gateExe struct {
+	inference.Executable
+	shut    atomic.Bool
+	calls   chan int
+	release chan struct{}
+	once    sync.Once
+}
+
+// open lets the held call and every later one through.
+func (e *gateExe) open() { e.once.Do(func() { close(e.release) }) }
+
+// gateWrap returns the wrapBackend that puts a gateExe in front of the
+// engine, storing it in *gate.
+func gateWrap(gate **gateExe) wrapBackend {
+	return func(e inference.Executable) inference.Executable {
+		*gate = &gateExe{Executable: e, calls: make(chan int, 64), release: make(chan struct{})}
+		return *gate
+	}
+}
+
+func (e *gateExe) enter(ins ...map[string]*tensor.Tensor) {
+	if !e.shut.Load() {
+		return
+	}
+	rows := 0
+	for _, in := range ins {
+		for _, t := range in {
+			rows += t.Shape[0]
+			break
+		}
+	}
+	e.calls <- rows
+	<-e.release
+}
+
+func (e *gateExe) Run(in map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
+	e.enter(in)
+	return e.Executable.Run(in)
+}
+
+func (e *gateExe) RunBatch(b []map[string]*tensor.Tensor) ([]map[string]*tensor.Tensor, error) {
+	e.enter(b...)
+	return e.Executable.RunBatch(b)
+}
+
+// plugReplica shuts the gate and holds the replica inside its engine
+// with one request of its own connection; the returned channel yields
+// that request's result once the gate opens, at the latest when the
+// test ends.
+func plugReplica(t *testing.T, srv *Server, gate *gateExe, g *nn.Graph) (*Client, chan error) {
+	t.Helper()
+	gate.shut.Store(true)
+	t.Cleanup(gate.open)
+	plug, err := Dial(srv.Addr(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := plug.InferCtx(context.Background(), g.Name, map[string]*tensor.Tensor{g.Inputs[0]: testInput(0)})
+		done <- err
+	}()
+	if rows := <-gate.calls; rows != 1 {
+		t.Fatalf("the plug reached the engine as %d rows", rows)
+	}
+	return plug, done
+}
+
+// rawRequest is one request frame for the test model.
+func rawRequest(t *testing.T, g *nn.Graph, id int) []byte {
+	t.Helper()
+	var err error
+	b := frameBytes(TypeRequest, uint64(id), func(b []byte) []byte {
+		b, err = appendTensorMap(appendString(b, g.Name), map[string]*tensor.Tensor{g.Inputs[0]: testInput(id)})
+		return b
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// waitFor polls cond until it holds and reports whether it did within
+// 10 s.
+func waitFor(cond func() bool) bool {
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestVanishedMemberSkipsEngine: three one-row requests from three
+// connections are held behind a gate-held replica and leave as one
+// merged submission by count; one connection closes before the gate
+// opens. The batch reaches the engine as the two live rows, not three,
+// and the two live requests get the reference rows back bit for bit.
+func TestVanishedMemberSkipsEngine(t *testing.T) {
+	g := testModel()
+	var gate *gateExe
+	srv, _, dep := serveWrapped(t, g, gateWrap(&gate), Config{Batch: BatchPolicy{MaxBatch: 3, MaxDelay: time.Hour}})
+	eng, err := inference.Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plug, plugged := plugReplica(t, srv, gate, g)
+	defer plug.Close()
+
+	type result struct {
+		outs map[string]*tensor.Tensor
+		err  error
+	}
+	live := make([]chan result, 2)
+	for i := range live {
+		cl, err := Dial(srv.Addr(), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		live[i] = make(chan result, 1)
+		go func(i int) {
+			outs, err := cl.InferCtx(context.Background(), g.Name, map[string]*tensor.Tensor{g.Inputs[0]: testInput(i + 1)})
+			live[i] <- result{outs, err}
+		}(i)
+	}
+	gone, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gone.Write(rawRequest(t, g, 3)); err != nil {
+		t.Fatal(err)
+	}
+	// The third arrival fills MaxBatch: the merged submission is queued
+	// behind the plug, and then its third member's connection goes.
+	if !waitFor(func() bool { return dep.Stats().Submitted == 2 }) {
+		t.Fatal("the merged batch was never submitted")
+	}
+	gone.Close()
+	if !waitFor(func() bool { return srv.Stats().Conns == 3 }) {
+		t.Error("the vanished connection still counts as open")
+	}
+	gate.open()
+
+	if err := <-plugged; err != nil {
+		t.Fatal(err)
+	}
+	for i, ch := range live {
+		r := <-ch
+		if r.err != nil {
+			t.Fatalf("live request %d: %v", i, r.err)
+		}
+		want, err := eng.RunSingle(testInput(i + 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d, _ := tensor.MaxAbsDiff(want, r.outs[g.Outputs[0]]); d != 0 {
+			t.Errorf("live request %d diverges from the reference by %g", i, d)
+		}
+	}
+	if rows := <-gate.calls; rows != 2 {
+		t.Errorf("the merged batch reached the engine as %d rows, want the 2 live ones", rows)
+	}
+	if n := len(gate.calls); n != 0 {
+		t.Errorf("%d more engine calls after the merged batch", n)
+	}
+	if !waitFor(func() bool { return dep.Stats().Completed == 2 }) {
+		t.Error("the fleet never completed both submissions")
+	}
+	if st := dep.Replicas()[0].Server().Stats(); st.Cancelled != 1 {
+		t.Errorf("replica counted %d cancelled records, want 1", st.Cancelled)
+	}
+}
+
+// TestDisconnectBurstCancelsQueued: 32 connections each send one
+// request while a gate-held replica is busy, the 32 leave as one
+// submission, and every one of the connections closes before the gate
+// opens. The engine runs none of the vanished rows, the replica counts
+// them cancelled, the fleet's accounting closes and, once everything is
+// closed, no goroutine is left behind.
+func TestDisconnectBurstCancelsQueued(t *testing.T) {
+	const burst = 32
+	goroutines := runtime.NumGoroutine()
+	g := testModel()
+	var gate *gateExe
+	srv, sched, dep := serveWrapped(t, g, gateWrap(&gate), Config{Batch: BatchPolicy{MaxBatch: burst, MaxDelay: time.Hour}})
+	plug, plugged := plugReplica(t, srv, gate, g)
+
+	conns := make([]net.Conn, burst)
+	for i := range conns {
+		c, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.Write(rawRequest(t, g, i+1)); err != nil {
+			t.Fatal(err)
+		}
+		conns[i] = c
+	}
+	if !waitFor(func() bool { return dep.Stats().Submitted == 2 }) {
+		t.Fatal("the burst was never submitted")
+	}
+	for _, c := range conns {
+		c.Close()
+	}
+	if !waitFor(func() bool { return srv.Stats().Conns == 1 }) {
+		t.Fatal("the burst's connections still count as open")
+	}
+	gate.open()
+	if err := <-plugged; err != nil {
+		t.Fatal(err)
+	}
+	if !waitFor(func() bool { return dep.Stats().Completed == 2 }) {
+		t.Fatal("the fleet never completed both submissions")
+	}
+
+	if st := dep.Stats(); st.Submitted != st.Completed+st.Rejected || st.Cancelled != 1 {
+		t.Errorf("fleet stats %+v, want Submitted == Completed + Rejected and the burst's submission cancelled", st)
+	}
+	if n := len(gate.calls); n != 0 {
+		t.Errorf("the engine ran %d calls after the plug; the vanished rows must not run", n)
+	}
+	if st := dep.Replicas()[0].Server().Stats(); st.Cancelled != burst {
+		t.Errorf("replica counted %d cancelled records, want %d", st.Cancelled, burst)
+	}
+	plug.Close()
+	if err := srv.Close(); err != nil {
+		t.Error(err)
+	}
+	sched.Close()
+	if !waitFor(func() bool { return runtime.NumGoroutine() <= goroutines }) {
+		t.Errorf("%d goroutines after Close, %d before the test", runtime.NumGoroutine(), goroutines)
+	}
+}
+
+// TestReadDeadlineClosesStalledPeers shortens the frame read bound: a
+// peer that sends nothing and one that stalls half way through a frame
+// header are both torn down once it passes, and not before, while a
+// peer that sends a request every half bound stays open and served.
+func TestReadDeadlineClosesStalledPeers(t *testing.T) {
+	// Restored after the server's own cleanup has waited for its
+	// connection handlers, which read the bound.
+	saved := readTimeout
+	t.Cleanup(func() { readTimeout = saved })
+	readTimeout = 250 * time.Millisecond
+	srv, _, g := startServer(t, 1, cluster.Config{}, Config{})
+
+	start := time.Now()
+	var stalled []net.Conn
+	for _, prefix := range [][]byte{nil, rawRequest(t, g, 1)[:2]} {
+		c, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.Write(prefix); err != nil {
+			t.Fatal(err)
+		}
+		stalled = append(stalled, c)
+	}
+	for i, c := range stalled {
+		c.SetReadDeadline(time.Now().Add(10 * time.Second))
+		if n, err := c.Read(make([]byte, 1)); err != io.EOF {
+			t.Errorf("stalled peer %d read %d bytes and %v, want the server to close it", i, n, err)
+		}
+		if waited := time.Since(start); waited < readTimeout {
+			t.Errorf("stalled peer %d closed after %v, before the %v bound", i, waited, readTimeout)
+		}
+	}
+
+	cl, err := Dial(srv.Addr(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for i := 0; i < 5; i++ {
+		time.Sleep(readTimeout / 2)
+		if _, err := cl.InferCtx(context.Background(), g.Name, map[string]*tensor.Tensor{g.Inputs[0]: testInput(i)}); err != nil {
+			t.Fatalf("request %d of a peer that keeps sending: %v", i, err)
+		}
+	}
+	if conns := srv.Stats().Conns; conns != 1 {
+		t.Errorf("%d connections open, want the live peer's alone", conns)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"time"
 
+	"vedliot/internal/microserver"
 	"vedliot/internal/tensor"
 )
 
@@ -77,15 +78,11 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	done := make(chan clientReply, 1)
-	b.add(r.Context(), ins, func(outs map[string]*tensor.Tensor, err error) {
-		done <- clientReply{outs: outs, err: err}
-	})
-	rep := <-done
-	switch s.classify(rep.err) {
+	outs, err := microserver.Call(r.Context(), ins, func(q *microserver.Request) error { b.add(q); return nil })
+	switch s.classify(err) {
 	case StatusOK:
-		resp := HTTPInferResponse{Outputs: make(map[string]HTTPTensor, len(rep.outs))}
-		for name, t := range rep.outs {
+		resp := HTTPInferResponse{Outputs: make(map[string]HTTPTensor, len(outs))}
+		for name, t := range outs {
 			resp.Outputs[name] = HTTPTensor{Shape: t.Shape, Data: t.F32}
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -96,9 +93,9 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	case StatusShuttingDown:
 		http.Error(w, "shutting down", http.StatusServiceUnavailable)
 	case StatusBadRequest:
-		http.Error(w, rep.err.Error(), http.StatusBadRequest)
+		http.Error(w, err.Error(), http.StatusBadRequest)
 	default:
-		http.Error(w, rep.err.Error(), http.StatusInternalServerError)
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }
 

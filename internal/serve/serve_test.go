@@ -160,24 +160,57 @@ func TestEndToEndParity(t *testing.T) {
 	}
 }
 
-// poisonBackend compiles the host engine and wraps it so that a run
-// whose input holds the poison value panics, the way a kernel fault
-// would; every other run is the engine's.
-type poisonBackend struct{}
+// wrapBackend compiles the host engine and hands it to a test's
+// engine double.
+type wrapBackend func(inference.Executable) inference.Executable
 
-const poison = 1e9
+func (wrapBackend) Name() string { return "wrapped" }
 
-func (poisonBackend) Name() string { return "poison" }
-
-func (poisonBackend) Compile(g *nn.Graph, opts ...inference.Option) (inference.Executable, error) {
+func (w wrapBackend) Compile(g *nn.Graph, opts ...inference.Option) (inference.Executable, error) {
 	eng, err := inference.Compile(g, opts...)
 	if err != nil {
 		return nil, err
 	}
-	return poisonExe{eng}, nil
+	return w(eng), nil
 }
 
+// serveWrapped puts g behind a socket on one host-CPU replica whose
+// engine is wrap's double: the double reaches the replica through the
+// registry's plan cache, seeded under the key an artifact deployment on
+// the host engine reads. Listener and scheduler close when the test
+// ends, if it has not closed them.
+func serveWrapped(t *testing.T, g *nn.Graph, wrap wrapBackend, cfg Config) (*Server, *cluster.Scheduler, *cluster.Deployment) {
+	t.Helper()
+	m := &artifact.Model{Graph: g}
+	if _, err := m.Encode(); err != nil {
+		t.Fatal(err)
+	}
+	reg := cluster.NewRegistry()
+	if err := reg.Add(m); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := reg.Plans().Compile(m.Digest+"|"+inference.CPUBackend{}.Name(), wrap, g); err != nil {
+		t.Fatal(err)
+	}
+	sched := cluster.NewScheduler(armFleet(t, 1), cluster.Config{Registry: reg})
+	t.Cleanup(sched.Close)
+	d, err := sched.DeployArtifact(g.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Listen("127.0.0.1:0", sched, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return srv, sched, d
+}
+
+// poisonExe panics, the way a kernel fault would, on a run whose input
+// holds the poison value; every other run is the engine's.
 type poisonExe struct{ inference.Executable }
+
+const poison = 1e9
 
 func (e poisonExe) Run(in map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
 	for _, t := range in {
@@ -191,33 +224,11 @@ func (e poisonExe) Run(in map[string]*tensor.Tensor) (map[string]*tensor.Tensor,
 // TestSocketRecoversReplicaPanic puts a replica whose engine panics on
 // one input behind the socket: the poisoned request is answered with
 // StatusError, the fleet counts one failure and keeps its accounting,
-// and the same connection goes on serving engine-exact replies. The
-// panicking plan reaches the replica through the registry's plan cache,
-// seeded under the key an artifact deployment on the host engine reads.
+// and the same connection goes on serving engine-exact replies.
 func TestSocketRecoversReplicaPanic(t *testing.T) {
 	g := testModel()
-	m := &artifact.Model{Graph: g}
-	if _, err := m.Encode(); err != nil {
-		t.Fatal(err)
-	}
-	reg := cluster.NewRegistry()
-	if err := reg.Add(m); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := reg.Plans().Compile(m.Digest+"|"+inference.CPUBackend{}.Name(), poisonBackend{}, g); err != nil {
-		t.Fatal(err)
-	}
-	sched := cluster.NewScheduler(armFleet(t, 1), cluster.Config{Registry: reg})
-	defer sched.Close()
-	d, err := sched.DeployArtifact(g.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := Listen("127.0.0.1:0", sched, Config{Batch: BatchPolicy{MaxBatch: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv, _, d := serveWrapped(t, g, func(e inference.Executable) inference.Executable { return poisonExe{e} },
+		Config{Batch: BatchPolicy{MaxBatch: 1}})
 	cl, err := Dial(srv.Addr(), "")
 	if err != nil {
 		t.Fatal(err)
@@ -503,44 +514,47 @@ func (f *gateFleet) Idle() bool {
 	return f.inflight == 0 && !f.owned
 }
 
-func (f *gateFleet) SubmitCtx(_ context.Context, ins map[string]*tensor.Tensor, done func(map[string]*tensor.Tensor, error)) error {
+func (f *gateFleet) SubmitCtx(reqs []*microserver.Request, done func()) error {
 	if f.enter != nil {
 		<-f.enter
 	}
 	f.mu.Lock()
 	f.inflight++
 	f.mu.Unlock()
-	f.subs <- &gateSubmission{fleet: f, ins: ins, done: done}
+	f.subs <- &gateSubmission{fleet: f, reqs: reqs, done: done}
 	return nil
 }
 
 // submissions reports how many submissions are waiting to be read.
 func (f *gateFleet) submissions() int { return len(f.subs) }
 
-// gateSubmission echoes its inputs as outputs once opened, so each
-// member's reply identifies the rows it was given.
+// gateSubmission echoes each record's inputs as its outputs once
+// opened, so each reply identifies the rows it was given.
 type gateSubmission struct {
 	fleet *gateFleet
-	ins   map[string]*tensor.Tensor
-	done  func(map[string]*tensor.Tensor, error)
+	reqs  []*microserver.Request
+	done  func()
 }
 
-// open completes the submission on the calling goroutine: the replica is
-// free before done runs, as in cluster.Deployment.
+// open completes the submission on the calling goroutine in the order a
+// replica does: the replica is free, then the submission's done runs,
+// then each record's own.
 func (s *gateSubmission) open() {
 	s.fleet.mu.Lock()
 	s.fleet.inflight--
 	s.fleet.mu.Unlock()
-	s.done(s.ins, nil)
+	s.done()
+	for _, q := range s.reqs {
+		q.Done(q.Ins, nil)
+	}
 }
 
-// marks returns the first element of every row of a submission: the
-// request ids it carries, in stacking order.
+// marks returns the first element of every record of a submission: the
+// request ids it carries, in arrival order.
 func (s *gateSubmission) marks() []int {
-	x := s.ins["x"]
-	ids := make([]int, x.Shape[0])
-	for i := range ids {
-		ids[i] = int(x.F32[i*len(x.F32)/len(ids)])
+	ids := make([]int, len(s.reqs))
+	for i, q := range s.reqs {
+		ids[i] = int(q.Ins["x"].F32[0])
 	}
 	return ids
 }
@@ -572,7 +586,7 @@ func (h *batcherHarness) add(id int) {
 		in.F32[i] = float32(id)
 	}
 	h.wg.Add(1)
-	h.b.add(context.Background(), map[string]*tensor.Tensor{"x": in}, func(outs map[string]*tensor.Tensor, err error) {
+	h.b.add(&microserver.Request{Ctx: context.Background(), Ins: map[string]*tensor.Tensor{"x": in}, Done: func(outs map[string]*tensor.Tensor, err error) {
 		defer h.wg.Done()
 		if err != nil {
 			h.t.Errorf("request %d: %v", id, err)
@@ -581,7 +595,7 @@ func (h *batcherHarness) add(id int) {
 		if y := outs["x"]; y == nil || !y.Shape.Equal(tensor.Shape{1, harnessWidth}) || y.F32[0] != float32(id) {
 			h.t.Errorf("request %d got %v, want its own row back", id, y)
 		}
-	})
+	}})
 }
 
 // heldTimer snapshots what waits in the batcher: members, and the
@@ -715,8 +729,8 @@ func TestBatcherCapacityRule(t *testing.T) {
 		h.add(2)
 		_, timer := h.heldTimer()
 		var refusal error
-		h.b.add(context.Background(), map[string]*tensor.Tensor{"x": tensor.New(tensor.FP32, 1, harnessWidth+2)},
-			func(_ map[string]*tensor.Tensor, err error) { refusal = err })
+		h.b.add(&microserver.Request{Ctx: context.Background(), Ins: map[string]*tensor.Tensor{"x": tensor.New(tensor.FP32, 1, harnessWidth+2)},
+			Done: func(_ map[string]*tensor.Tensor, err error) { refusal = err }})
 		if !errors.Is(refusal, inference.ErrBadInput) {
 			t.Errorf("mis-shaped request answered %v inside add, want inference.ErrBadInput", refusal)
 		}

@@ -12,6 +12,7 @@ import (
 
 	"vedliot/internal/cluster"
 	"vedliot/internal/inference"
+	"vedliot/internal/microserver"
 	"vedliot/internal/tensor"
 )
 
@@ -179,22 +180,16 @@ func (s *Server) acceptLoop() {
 func (s *Server) batcherFor(tenant, model string) (*batcher, error) {
 	key := tenant + "\x00" + model
 	s.mu.Lock()
-	if b, ok := s.batchers[key]; ok {
-		s.mu.Unlock()
-		return b, nil
-	}
-	s.mu.Unlock()
-	dep, err := s.sched.Deployment(model)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
 	defer s.mu.Unlock()
-	if b, ok := s.batchers[key]; ok {
-		return b, nil
+	b, ok := s.batchers[key]
+	if !ok {
+		dep, err := s.sched.Deployment(model)
+		if err != nil {
+			return nil, err
+		}
+		b = newBatcher(dep, dep.InputNames(), dep.InputShapes(), s.cfg.Batch, &s.batch)
+		s.batchers[key] = b
 	}
-	b := newBatcher(dep, dep.InputNames(), dep.InputShapes(), s.cfg.Batch, &s.batch)
-	s.batchers[key] = b
 	return b, nil
 }
 
@@ -213,12 +208,15 @@ func (s *Server) tenantFor(key string) (string, bool) {
 // being read (TCP backpressure on that peer alone).
 const replyDepth = 256
 
-// replyWriteTimeout bounds one reply write: a peer that has not read for
-// that long is torn down, releasing its slots, context and queued work.
-const replyWriteTimeout = 10 * time.Second
-
-// writeTimeout is the bound every write takes; a test may shorten it.
-var writeTimeout = replyWriteTimeout
+// writeTimeout bounds one reply write, and readTimeout the wait for and
+// the read of one frame (the idle bound vedliot-serve gives its HTTP
+// listener): a peer that has not read, or not sent, for that long is
+// torn down, releasing its slots, context and queued work. Tests shorten
+// them.
+var (
+	writeTimeout = 10 * time.Second
+	readTimeout  = 2 * time.Minute
+)
 
 // reply is one queued answer: a frame the reader built, or a completion
 // the writer encodes.
@@ -273,12 +271,13 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer func() {
 		cancel()
 		conn.Close()
-		inflight.Wait()
-		close(out)
-		writerWG.Wait()
+		// No longer open, though its completions are still to come.
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
+		inflight.Wait()
+		close(out)
+		writerWG.Wait()
 	}()
 
 	tenant := DefaultTenant
@@ -290,6 +289,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		case <-ctx.Done():
 			return
 		}
+		conn.SetReadDeadline(time.Now().Add(readTimeout))
 		f, err := fr.next()
 		if err != nil {
 			return
@@ -342,10 +342,10 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			id := f.id
 			inflight.Add(1)
-			b.add(ctx, ins, func(outs map[string]*tensor.Tensor, err error) {
+			b.add(&microserver.Request{Ctx: ctx, Ins: ins, Done: func(outs map[string]*tensor.Tensor, err error) {
 				out <- reply{id: id, outs: outs, err: err}
 				inflight.Done()
-			})
+			}})
 		default:
 			out <- reply{frame: errorReply(f.id, StatusBadRequest, "unknown frame type")}
 		}
