@@ -35,8 +35,11 @@ test-full:
 # arrive, with completions running on the replica's dispatcher. So do
 # the vanished-member and disconnect-burst tests (records whose caller
 # left are dropped at the replica, never run), the read-deadline test
-# (stalled peers torn down, a live one kept) and the emulated batch (no
-# record answered before its rows' modeled latency).
+# (stalled peers torn down, a live one kept), the emulated batch (no
+# record answered before its rows' modeled latency) and the one service
+# estimate (a latency model seeds it, observed service corrects it, and
+# under emulation the observation is the modeled wait), and the deploy
+# warm-up, which probes every replica at once.
 # The plan executor's pooled run state gets the same twenty: concurrent
 # runs at mixed batch sizes, a first RunAll binding its expansion beside
 # concurrent runs, a kernel error at every step and a fan-out worker's
@@ -45,7 +48,7 @@ test-full:
 # target.
 test-race:
 	$(GO) test -short -race ./internal/inference/... ./internal/accel/... ./internal/microserver/... ./internal/cluster/... ./internal/serve/... ./internal/rvbackend/... ./internal/riscv/... ./internal/soc/... ./internal/cfu/...
-	$(GO) test -race -count=20 -run 'Batch|CapacityRule|Dispatch|Gate|Admission|Saturated|BurstFollows|CloseResolves|CancelPropagation|Recovers|EngineTime|SlowReader|Vanished|DisconnectBurst|ReadDeadline|EmulatedBatch' ./internal/microserver/ ./internal/serve/ ./internal/cluster/
+	$(GO) test -race -count=20 -run 'Batch|CapacityRule|Dispatch|Gate|Admission|Saturated|BurstFollows|EstimateFollows|Warmup|CloseResolves|CancelPropagation|Recovers|EngineTime|SlowReader|Vanished|DisconnectBurst|ReadDeadline|EmulatedBatch' ./internal/microserver/ ./internal/serve/ ./internal/cluster/
 	$(GO) test -race -count=20 -run 'ExecutorConcurrent|ExecutorKernelError|Recovers' ./internal/inference/
 
 # test-portable exercises the pure-Go micro-kernel fallbacks (noasm /

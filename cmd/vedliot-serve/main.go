@@ -2,9 +2,7 @@
 // assembles a RECS chassis, deploys a model onto every mounted compute
 // module through the cluster scheduler, replays a synthetic open-loop
 // request trace against the fleet in real time and reports latency,
-// throughput, cost-aware routing and the chassis power view. The same
-// trace is also replayed through the analytic fleet simulation for a
-// modeled-vs-measured comparison.
+// throughput, cost-aware routing and the chassis power view.
 //
 // The model is either a zoo entry built in process, or — the
 // production-shaped path — a .vedz deployment artifact packed by
@@ -301,14 +299,6 @@ func main() {
 	}
 	fmt.Printf("chassis power: %.1f W idle-fleet, %.1f W all-serving (budget %.0f W)\n",
 		chassis.PowerW(nil), chassis.PowerW(util), chassis.BudgetW)
-
-	// Modeled replay of the same trace for comparison.
-	sim, err := cluster.SimulateTrace(cluster.SimFleet(dep), trace)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("\nanalytic replay of the same trace: %.0f req/s, p95 %v, %.1f J\n",
-		sim.Throughput, sim.Latency.P95.Round(time.Microsecond), sim.EnergyJ)
 }
 
 // printAttestation challenges every replica of an artifact deployment

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"context"
-	"fmt"
 	"os"
 	"path/filepath"
 	"time"
@@ -15,18 +14,14 @@ import (
 	"vedliot/internal/tensor"
 )
 
-// ClusterStudy exercises the fleet-serving layer at all of its scales:
+// ClusterStudy exercises the fleet-serving layer on live replicas:
 //
-//  1. Replica scaling — a synthetic open-loop trace replayed (in exact
-//     virtual time, so the result is machine-independent) against 1, 2
-//     and 4 CPU-equivalent replicas, showing aggregate throughput
-//     scaling with replica count.
-//  2. Heterogeneous fleet — the real serving path on a uRECS chassis
+//  1. Heterogeneous fleet — the real serving path on a uRECS chassis
 //     mixing the host CPU engine with two distinct accelerator device
 //     models behind the one Backend interface: functional parity with
 //     the reference engine, cost-aware routing telemetry and the
 //     chassis power view.
-//  3. Artifact deployment — the model round-trips through a .vedz
+//  2. Artifact deployment — the model round-trips through a .vedz
 //     deployment artifact and replicas deploy from the registry's
 //     fleet-wide plan cache: replica cold-start becomes load + bind
 //     instead of lower + bind, measured as the cold-compile vs
@@ -35,40 +30,7 @@ import (
 func ClusterStudy() (*Report, error) {
 	r := newReport("Platform — heterogeneous fleet serving")
 
-	// --- Part 1: throughput vs. replica count -------------------------
-	// A CPU-equivalent replica: 2ms service (≈ the smart-mirror face
-	// detector on an embedded CPU), COM Express Xeon-D power envelope.
-	requests := pick(2000, 400)
-	trace := cluster.OpenLoopTrace(requests, 2000, 7)
-	cpuFleet := func(k int) []cluster.SimReplica {
-		fleet := make([]cluster.SimReplica, k)
-		for i := range fleet {
-			fleet[i] = cluster.SimReplica{
-				Name: fmt.Sprintf("cpu%d", i), Service: 2 * time.Millisecond, IdleW: 25, MaxW: 45,
-			}
-		}
-		return fleet
-	}
-	r.linef("open-loop trace: %d requests at 2000 req/s (span %v)", requests, trace.Duration().Round(time.Millisecond))
-	r.linef("%-10s %12s %12s %12s %12s", "replicas", "throughput", "p50", "p95", "energy")
-	tput := map[int]float64{}
-	for _, k := range []int{1, 2, 4} {
-		res, err := cluster.SimulateTrace(cpuFleet(k), trace)
-		if err != nil {
-			return nil, err
-		}
-		tput[k] = res.Throughput
-		r.linef("%-10d %9.0f/s %12v %12v %10.1f J", k, res.Throughput,
-			res.Latency.P50.Round(time.Microsecond), res.Latency.P95.Round(time.Microsecond), res.EnergyJ)
-		r.metric(fmt.Sprintf("throughput_%dx_cpu", k), "req/s", res.Throughput)
-		r.metric(fmt.Sprintf("p95_latency_%dx_cpu", k), "ns", float64(res.Latency.P95))
-	}
-	scaling := tput[4] / tput[1]
-	r.linef("aggregate throughput 1 -> 4 replicas: %.2fx", scaling)
-	r.metric("throughput_scaling_1_to_4", "x", scaling)
-	r.check("throughput scales >=1.5x from 1 to 4 CPU-equivalent replicas", scaling >= 1.5)
-
-	// --- Part 2: heterogeneous fleet, real serving path ---------------
+	// --- Part 1: heterogeneous fleet, real serving path ---------------
 	chassis := microserver.NewURECS()
 	if _, err := chassis.Mount("SMARC ARM", "Jetson Xavier NX", "Coral SoM"); err != nil {
 		return nil, err
@@ -135,23 +97,22 @@ func ClusterStudy() (*Report, error) {
 	cpuServed := int64(0)
 	// The router promises that load follows the service estimate. What
 	// can be checked of that on live replicas: one it rated at least twice
-	// as fast as another, both when the burst began and when it ended (the
-	// CPU replica's estimate is seeded by one cold probe and moves as the
-	// burst's own completions arrive), serves at least as many. A closer
-	// rating decides nothing here: completions race the placement in three
-	// runs of four, queues then drain at the host's speed, the same for
-	// every replica whatever its device model says, and the two
-	// accelerators (1.0 against 1.4 ms) level out to within a few
-	// requests either way. cluster.TestBurstFollowsEstimate pins the whole
-	// split on replicas held shut.
+	// as fast as another, both when the burst began and when it ended,
+	// serves at least as many. Every estimate follows what its replica
+	// observes (an accelerator's starts at its device model), and the
+	// burst's own completions move it. A closer rating decides nothing
+	// here: completions race the placement in three runs of four, and
+	// queues drain at the host's speed, the same for every replica.
+	// cluster.TestBurstFollowsEstimate pins the whole split on replicas
+	// held shut.
 	twiceAsFast := func(s cluster.Stats, i, j int) bool { return 2*s.Replicas[i].Estimate <= s.Replicas[j].Estimate }
 	followsEstimate := true
 	for i, rs := range st.Replicas {
 		r.metric("served_"+rs.Backend, "req", float64(rs.Served))
-		if rs.Modeled > 0 {
-			distinctAccel[rs.Backend] = true
-		} else {
+		if rs.Backend == (inference.CPUBackend{}).Name() {
 			cpuServed += rs.Served
+		} else {
+			distinctAccel[rs.Backend] = true
 		}
 		for j, other := range st.Replicas {
 			if twiceAsFast(before, i, j) && twiceAsFast(st, i, j) && rs.Served < other.Served {
@@ -173,7 +134,7 @@ func ClusterStudy() (*Report, error) {
 	r.check("cost-aware routing: a replica rated twice as fast before and after the burst serves at least as many",
 		followsEstimate)
 
-	// --- Part 3: artifact deployment and the plan cache ---------------
+	// --- Part 2: artifact deployment and the plan cache ---------------
 	if err := artifactStudy(r, g, want, in); err != nil {
 		return nil, err
 	}

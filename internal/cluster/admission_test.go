@@ -18,11 +18,11 @@ import (
 // entered, then blocks until the test opens the gate, and echoes its
 // inputs. A test holds a replica's
 // dispatcher inside the engine and queues requests behind it, so queue
-// states form by construction and never by wall clock. modeled pins the
-// replica's service estimate (it is the executable's latency model), so
-// routing is a function of the inflight counts alone; its latency model
-// predicts modeled per row, so a submission of n rows is modeled at n
-// times that.
+// states form by construction and never by wall clock. modeled seeds the
+// replica's service estimate (it is the executable's latency model), and
+// nothing completes while the gate is shut, so routing is a function of
+// the inflight counts alone; its latency model predicts modeled per row,
+// so a submission of n rows is modeled at n times that.
 type gateExe struct {
 	modeled time.Duration
 	maxW    float64

@@ -11,18 +11,13 @@
 // enter through Deployment.SubmitCtx as a submission of
 // microserver.Request records (InferCtx is one record plus a wait),
 // admitted as one and routed on the caller's goroutine straight to the
-// replica with the lowest estimated completion cost: the backend's
-// roofline-predicted latency (or, for backends without a device model,
-// an EWMA of the engine time per row the replica itself measured)
-// scaled by the replica's current queue depth, with a power-aware
-// tie-break from the chassis module power envelope. The replica runs
-// each submission as one engine call and its dispatcher runs the
-// accounting, then each record's completion; no goroutine or channel
-// sits between.
-//
-// SimulateTrace replays an open-loop Trace against an analytic fleet
-// under the same routing rule in virtual time; SimFleet reads that
-// fleet's service times off a live deployment.
+// replica with the lowest estimated completion cost: the replica's one
+// service estimate, an EWMA of the service per row it observed (seeded
+// by the backend's latency model where there is one), scaled by its
+// current queue depth, with a power-aware tie-break from the chassis
+// module power envelope. The replica runs each submission as one engine
+// call and its dispatcher runs the accounting, then each record's
+// completion; no goroutine or channel sits between.
 package cluster
 
 import (
@@ -46,7 +41,8 @@ import (
 
 // latencyModel is the cost-signal contract executables may implement:
 // both accel.Program (roofline model) and rvbackend.Program (measured
-// cycles) satisfy it.
+// cycles) satisfy it. It seeds a replica's service estimate and, under
+// EmulateLatency, sets how long a submission takes.
 type latencyModel interface {
 	PredictLatency(batch int) (time.Duration, error)
 }
@@ -70,8 +66,9 @@ type Config struct {
 	// EmulateLatency stretches every accelerator-backed submission to
 	// the latency its backend predicts for the rows it carries
 	// (functional execution on the host is usually faster than the
-	// model), so trace replays exhibit the modeled heterogeneity. Off by
-	// default; the serving CLI and demos turn it on, tests keep wall time.
+	// model), so trace replays exhibit the modeled heterogeneity and the
+	// service estimate observes what the caller waited. Off by default;
+	// the serving CLI and demos turn it on, tests keep wall time.
 	EmulateLatency bool
 	// Schema is the activation calibration artifact for native INT8
 	// serving: INT8-capable accelerator modules then execute on the
@@ -211,7 +208,7 @@ func (s *Scheduler) poweredSlots() []int {
 // DeployOn places the model on the given chassis slots, compiling it
 // once per slot's backend and starting one replica server per slot.
 // Every replica is probed with one warm-up inference, which verifies
-// the backend end to end and seeds the observed-latency estimate.
+// the backend end to end and is the replica's first observed service.
 func (s *Scheduler) DeployOn(g *nn.Graph, slots ...int) (*Deployment, error) {
 	return s.deploy(g, s.cfg.Schema, "", slots, func(b inference.Backend) (inference.Executable, error) {
 		return b.Compile(g)
@@ -445,7 +442,6 @@ func (d *Deployment) addReplica(g *nn.Graph, exe inference.Executable, backendNa
 		slot:   slot,
 		module: mod.Name,
 		server: srv,
-		idleW:  mod.IdleW,
 		maxW:   mod.MaxW,
 	}
 	if d.digest != "" {
@@ -455,12 +451,12 @@ func (d *Deployment) addReplica(g *nn.Graph, exe inference.Executable, backendNa
 		// attestation path (Deployment.Attest) quotes it.
 		r.enclave = tee.NewEnclave(ReplicaImage(d.digest, backendName, mod.Name))
 	}
-	// Any executable with a latency model feeds the router's cost
-	// signal: roofline predictions from accel programs, measured
-	// cycles-per-inference from SoC firmware.
+	// An executable with a latency model (roofline predictions from
+	// accel programs, measured cycles per inference from SoC firmware)
+	// seeds the service estimate; what the replica observes corrects it.
 	if p, ok := exe.(latencyModel); ok {
 		if lat, err := p.PredictLatency(1); err == nil {
-			r.modeled = lat
+			r.ewmaNS.Store(int64(lat))
 		}
 	}
 	d.replicas = append(d.replicas, r)
@@ -487,20 +483,31 @@ func (d *Deployment) OutputNames() []string { return append([]string(nil), d.out
 // InputNames order (a copy of the list; the shapes are read-only).
 func (d *Deployment) InputShapes() []tensor.Shape { return append([]tensor.Shape(nil), d.inPer...) }
 
-// warmup probes every replica with one zero-input request, verifying
-// the backend end to end and seeding the observed-latency EWMA with the
-// engine time the replica reports for it.
+// warmup probes every replica at once with one zero-input request,
+// verifying each backend end to end and folding the service it observes
+// into the replica's estimate, then waits for all of them.
 func (d *Deployment) warmup() error {
 	inputs := make(map[string]*tensor.Tensor, len(d.inputNames))
 	for i, name := range d.inputNames {
 		inputs[name] = tensor.New(tensor.FP32, append(tensor.Shape{1}, d.inPer[i]...)...)
 	}
-	for _, r := range d.replicas {
-		_, err := microserver.Call(context.Background(), inputs, func(q *microserver.Request) error {
-			observe := func(service time.Duration, _ int, err error) { r.observe(service, err) }
-			return r.server.Submit([]*microserver.Request{q}, time.Time{}, observe)
-		})
+	errs := make([]error, len(d.replicas))
+	var wg sync.WaitGroup
+	for i, r := range d.replicas {
+		i, r := i, r
+		wg.Add(1)
+		q := &microserver.Request{Ctx: context.Background(), Ins: inputs, Rows: 1,
+			Done: func(_ map[string]*tensor.Tensor, err error) { errs[i] = err; wg.Done() }}
+		observe := func(service time.Duration, _ int, err error) { r.observe(service, err) }
+		if err := d.submit(r, []*microserver.Request{q}, 1, observe); err != nil {
+			errs[i] = err
+			wg.Done()
+		}
+	}
+	wg.Wait()
+	for i, err := range errs {
 		if err != nil {
+			r := d.replicas[i]
 			return fmt.Errorf("cluster: warmup replica %d (%s, %s): %w", r.id, r.module, r.Backend(), err)
 		}
 	}
@@ -546,13 +553,7 @@ func (d *Deployment) SubmitCtx(reqs []*microserver.Request, done func()) error {
 	}
 	r := d.pick()
 	r.inflight.Add(1)
-	var due time.Time
-	if p, ok := r.server.Executable().(latencyModel); ok && d.emulate {
-		if lat, err := p.PredictLatency(rows); err == nil {
-			due = time.Now().Add(lat)
-		}
-	}
-	err := r.server.Submit(reqs, due, func(service time.Duration, ran int, err error) {
+	err := d.submit(r, reqs, rows, func(service time.Duration, ran int, err error) {
 		d.finish(r, service, ran, err)
 		if done != nil {
 			done()
@@ -568,8 +569,8 @@ func (d *Deployment) SubmitCtx(reqs []*microserver.Request, done func()) error {
 
 // finish is a submission's accounting, once however it ends; the slot
 // is free before any completion runs, so a caller that resubmits on
-// completion is never shed by its own request. The EWMA takes engine
-// time per row that ran: coalescing must not read as a slower replica.
+// completion is never shed by its own request. The EWMA takes service
+// per row that ran: coalescing must not read as a slower replica.
 func (d *Deployment) finish(r *Replica, service time.Duration, rows int, err error) {
 	r.inflight.Add(-1)
 	if err == nil {
@@ -581,6 +582,26 @@ func (d *Deployment) finish(r *Replica, service time.Duration, rows int, err err
 	}
 	d.inflight.Add(-1)
 	d.completed.Add(1)
+}
+
+// submit hands a submission of the given rows to a replica's server,
+// whose completion reports the service to observe: the engine run, or
+// under EmulateLatency, for a backend with a latency model, the larger
+// of it and the latency predicted for the rows, which is also what the
+// completion waits for and so what the caller waited.
+func (d *Deployment) submit(r *Replica, reqs []*microserver.Request, rows int, done func(service time.Duration, ran int, err error)) error {
+	var lat time.Duration
+	if p, ok := r.server.Executable().(latencyModel); ok && d.emulate {
+		if l, err := p.PredictLatency(rows); err == nil {
+			lat = l
+		}
+	}
+	if lat <= 0 {
+		return r.server.Submit(reqs, time.Time{}, done)
+	}
+	return r.server.Submit(reqs, time.Now().Add(lat), func(service time.Duration, ran int, err error) {
+		done(max(service, lat), ran, err)
+	})
 }
 
 // InferCtx is a one-record SubmitCtx plus a wait (microserver.Call): it
@@ -614,7 +635,7 @@ func (d *Deployment) Idle() bool { return d.pick().inflight.Load() == 0 }
 // cheapest is the routing rule: the index in [0, n) with the lowest
 // cost, where costs within 2% of the running best are tied and resolve
 // toward the lower worst-case module power — the chassis power model's
-// tie-break. Deployment.pick and SimulateTrace both route through it.
+// tie-break.
 func cheapest(n int, cost, maxW func(int) float64) int {
 	best, bestCost := 0, cost(0)
 	for i := 1; i < n; i++ {
@@ -687,11 +708,7 @@ type Replica struct {
 	slot   int
 	module string
 	server *microserver.Server
-	// modeled is the backend's roofline-predicted batch-1 latency, zero
-	// when the backend has no device model (host CPU engine).
-	modeled time.Duration
-	idleW   float64
-	maxW    float64
+	maxW   float64
 	// enclave is the replica's modeled trusted execution context, set
 	// only on artifact deployments (its measurement binds the artifact
 	// digest); nil for in-process Deploy graphs.
@@ -701,10 +718,11 @@ type Replica struct {
 	served   atomic.Int64
 	failed   atomic.Int64
 	shed     atomic.Int64
-	// ewmaNS is the EWMA, in nanoseconds, of the engine time per row the
-	// replica's server measured around each run. Only served requests
-	// feed it: shed, cancelled and failed ones never measured a
-	// completed run and would skew routing for the wrong reason.
+	// ewmaNS is the service estimate: the EWMA, in nanoseconds, of the
+	// service per row each run observed, seeded by the backend's latency
+	// model where it has one. Only served requests feed it: shed,
+	// cancelled and failed ones never measured a completed run and would
+	// skew routing for the wrong reason.
 	ewmaNS atomic.Int64
 }
 
@@ -728,13 +746,9 @@ func (r *Replica) Server() *microserver.Server { return r.server }
 func (r *Replica) Enclave() *tee.Enclave { return r.enclave }
 
 // ServiceEstimate is the per-request service time the router weighs:
-// the roofline prediction when the backend has a device model,
-// otherwise the EWMA of measured engine time per row (seeded by the
-// deploy warm-up), otherwise 1 ms.
+// the EWMA of observed service per row, or 1 ms before anything seeded
+// it.
 func (r *Replica) ServiceEstimate() time.Duration {
-	if r.modeled > 0 {
-		return r.modeled
-	}
 	if ewma := r.ewmaNS.Load(); ewma > 0 {
 		return time.Duration(ewma)
 	}
@@ -752,11 +766,11 @@ func isShed(err error) bool {
 		errors.Is(err, context.DeadlineExceeded)
 }
 
-// observe folds one completed request, and the engine time per row it
-// took, into the replica's telemetry. Only served requests update the
-// EWMA: a shed or cancelled request never ran, and folding it in would
-// skew the routing estimate (the admission-accounting bug this guards
-// against).
+// observe folds one completed request, and the service per row it
+// observed, into the replica's telemetry. Only served requests update
+// the EWMA: a shed or cancelled request never ran, and folding it in
+// would skew the routing estimate (the admission-accounting bug this
+// guards against).
 func (r *Replica) observe(service time.Duration, err error) {
 	switch {
 	case err == nil:
@@ -791,8 +805,6 @@ func (r *Replica) Stats() ReplicaStats {
 		Failed:   r.failed.Load(),
 		Shed:     r.shed.Load(),
 		Inflight: r.inflight.Load(),
-		Modeled:  r.modeled,
-		Observed: time.Duration(r.ewmaNS.Load()),
 		Estimate: r.ServiceEstimate(),
 		MaxW:     r.maxW,
 	}
@@ -810,12 +822,7 @@ type ReplicaStats struct {
 	// cancelled before running; excluded from Failed and from the EWMA.
 	Shed     int64
 	Inflight int64
-	// Modeled is the roofline-predicted batch-1 latency (zero without a
-	// device model); Observed is the EWMA of measured engine time per
-	// row; Estimate is Replica.ServiceEstimate, the one of the two the
-	// router weighs.
-	Modeled  time.Duration
-	Observed time.Duration
+	// Estimate is Replica.ServiceEstimate, what the router weighs.
 	Estimate time.Duration
 	MaxW     float64
 }

@@ -3,7 +3,9 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -291,12 +293,53 @@ func TestCloseRacingSubmit(t *testing.T) {
 	}
 }
 
+// faultExe is an engine double whose every run fails.
+type faultExe struct{}
+
+func (faultExe) Run(map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
+	return nil, errors.New("engine fault")
+}
+
+func (faultExe) RunBatch([]map[string]*tensor.Tensor) ([]map[string]*tensor.Tensor, error) {
+	return nil, errors.New("engine fault")
+}
+
+// TestWarmupNamesFailingReplica: the warm-up probes every replica at
+// once, each probe's observation lands on its own replica, and a failed
+// probe is reported by its replica's id.
+func TestWarmupNamesFailingReplica(t *testing.T) {
+	g := gestureModel()
+	d, err := newDeployment(g, "", Config{QueueDepth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.close)
+	ok := newGate(0, 5)
+	ok.open()
+	for i, exe := range []inference.Executable{ok, faultExe{}, ok} {
+		if err := d.addReplica(g, exe, "probe", i, &microserver.Module{Name: fmt.Sprintf("m%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.warmup(); err == nil || !strings.Contains(err.Error(), "replica 1 (m1,") {
+		t.Errorf("warmup returned %v, want replica 1's failure", err)
+	}
+	for i, want := range []int64{1, 0, 1} {
+		if rs := d.replicas[i].Stats(); rs.Served != want || rs.Failed != 1-want {
+			t.Errorf("replica %d served %d failed %d, want %d served", i, rs.Served, rs.Failed, want)
+		}
+	}
+}
+
 // TestRoutingPrefersFastestAtLowLoad runs strictly sequential requests
 // (queue depth always zero at routing time), where the cost model
 // reduces to the pure service estimate: every request must land on the
-// replica with the lowest estimate.
+// replica with the lowest estimate. It runs under EmulateLatency, where
+// an accelerator replica observes its device model's latency: without
+// it every replica observes the host, and "fastest" is no property of
+// the device.
 func TestRoutingPrefersFastestAtLowLoad(t *testing.T) {
-	sched := NewScheduler(urecsFleet(t), Config{})
+	sched := NewScheduler(urecsFleet(t), Config{EmulateLatency: true})
 	defer sched.Close()
 	g := gestureModel()
 	dep, err := sched.Deploy(g)
@@ -322,7 +365,7 @@ func TestRoutingPrefersFastestAtLowLoad(t *testing.T) {
 }
 
 // TestPickPowerTieBreak drives the one routing rule from one table,
-// directly and through both of its callers: costs within 2% of the
+// directly and through Deployment.pick: costs within 2% of the
 // running best tie and resolve toward the lower worst-case module
 // power; outside the band the cheaper replica wins whatever it draws.
 func TestPickPowerTieBreak(t *testing.T) {
@@ -358,24 +401,14 @@ func TestPickPowerTieBreak(t *testing.T) {
 		}
 
 		d := &Deployment{}
-		var sim []SimReplica
 		for i, m := range c.fleet {
-			r := &Replica{id: i, modeled: m.service, maxW: m.maxW}
+			r := &Replica{id: i, maxW: m.maxW}
+			r.ewmaNS.Store(int64(m.service))
 			r.inflight.Store(m.inflight)
 			d.replicas = append(d.replicas, r)
-			sim = append(sim, SimReplica{Service: cost(i), MaxW: m.maxW})
 		}
 		if got := d.pick().id; got != c.want {
 			t.Errorf("%s: pick chose replica %d, want %d", c.name, got, c.want)
-		}
-		// One arrival into an idle simulated fleet: completion time is
-		// the service time, so the same costs meet the same rule.
-		res, err := SimulateTrace(sim, Trace{Arrivals: []time.Duration{0}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := res.PerReplica[c.want].Served; got != 1 {
-			t.Errorf("%s: SimulateTrace served %d of 1 on replica %d: %+v", c.name, got, c.want, res.PerReplica)
 		}
 	}
 }
@@ -523,7 +556,7 @@ func TestObservedServiceIsEngineTime(t *testing.T) {
 	if _, err := b.wait(); err != nil {
 		t.Fatal(err)
 	}
-	obs, ranB := d.replicas[0].Stats().Observed, exe.ran[1]
+	obs, ranB := d.replicas[0].ServiceEstimate(), exe.ran[1]
 	if obs < ranB || obs > ranB+slack {
 		t.Errorf("B observed %v; its engine run took %v (A's %v)", obs, ranB, exe.ran[0])
 	}
@@ -532,9 +565,60 @@ func TestObservedServiceIsEngineTime(t *testing.T) {
 	if _, err := d.InferCtx(context.Background(), timedInput(d, 4, 40, 0)); err != nil {
 		t.Fatal(err)
 	}
-	obs, per := d.replicas[0].Stats().Observed, exe.ran[0]/4
+	obs, per := d.replicas[0].ServiceEstimate(), exe.ran[0]/4
 	if obs < per || obs > (exe.ran[0]+slack)/4 {
 		t.Errorf("4-row request observed %v per row; its run took %v, %v per row", obs, exe.ran[0], per)
+	}
+}
+
+// modeledExe is a timedExe with a latency model of perRow a row.
+type modeledExe struct {
+	*timedExe
+	perRow time.Duration
+}
+
+func (e modeledExe) PredictLatency(rows int) (time.Duration, error) {
+	return time.Duration(rows) * e.perRow, nil
+}
+
+// TestEstimateFollowsObservedService: a replica has one service
+// estimate. Its backend's latency model, 20 ms a row here, seeds it, and
+// what the replica observes corrects it. The engine runs about 1 ms, so
+// without EmulateLatency ten requests bring the estimate below 5 ms.
+// Under EmulateLatency each caller waits the model's 20 ms, and that is
+// what the estimate observes.
+func TestEstimateFollowsObservedService(t *testing.T) {
+	const perRow = 20 * time.Millisecond
+	const slack = 10 * time.Millisecond // as in TestObservedServiceIsEngineTime
+	for _, emulate := range []bool{false, true} {
+		t.Run(fmt.Sprintf("emulate=%v", emulate), func(t *testing.T) {
+			g := gestureModel()
+			d, err := newDeployment(g, "", Config{QueueDepth: 8, EmulateLatency: emulate})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(d.close)
+			exe := modeledExe{&timedExe{entered: make(chan struct{}, 16)}, perRow}
+			if err := d.addReplica(g, exe, "modeled", 0, &microserver.Module{Name: "modeled", MaxW: 5}); err != nil {
+				t.Fatal(err)
+			}
+			r := d.replicas[0]
+			if got := r.ServiceEstimate(); got != perRow {
+				t.Fatalf("estimate seeded at %v, want the model's %v", got, perRow)
+			}
+			for i := 0; i < 10; i++ {
+				if _, err := d.InferCtx(context.Background(), timedInput(d, 1, 1, 0)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := r.ServiceEstimate()
+			if !emulate && got >= 5*time.Millisecond {
+				t.Errorf("estimate %v after ten ~1 ms runs, want below 5ms (runs took %v)", got, exe.ran)
+			}
+			if emulate && (got < perRow || got > perRow+slack) {
+				t.Errorf("emulated estimate %v, want the model's %v (runs took %v)", got, perRow, exe.ran)
+			}
+		})
 	}
 }
 
@@ -547,11 +631,11 @@ func TestEnginePanicRecovers(t *testing.T) {
 	if _, err := d.InferCtx(context.Background(), timedInput(d, 1, 1, 0)); err != nil {
 		t.Fatal(err)
 	}
-	before := d.replicas[0].Stats().Observed
+	before := d.replicas[0].ServiceEstimate()
 	if _, err := d.InferCtx(context.Background(), timedInput(d, 1, 1, 2)); err == nil || isShed(err) {
 		t.Fatalf("panicking run resolved with %v, want an engine error", err)
 	}
-	if after := d.replicas[0].Stats().Observed; after != before {
+	if after := d.replicas[0].ServiceEstimate(); after != before {
 		t.Errorf("the panicking run moved the EWMA %v -> %v", before, after)
 	}
 	if _, err := d.InferCtx(context.Background(), timedInput(d, 1, 1, 0)); err != nil {

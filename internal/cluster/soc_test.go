@@ -11,9 +11,9 @@ import (
 )
 
 // TestDeploySoCModule places a replica on the emulated RISC-V+CFU SoC
-// module: the fleet must serve it through the firmware backend, feed
-// the router with the measured cycles-per-inference latency model, and
-// return outputs bit-exact with the native INT8 engine.
+// module: the fleet must serve it through the firmware backend, seed
+// the router's estimate with the measured cycles-per-inference latency
+// model, and return outputs bit-exact with the native INT8 engine.
 func TestDeploySoCModule(t *testing.T) {
 	g := gestureModel()
 	samples, err := nn.SyntheticCalibration(g, 3)
@@ -51,8 +51,12 @@ func TestDeploySoCModule(t *testing.T) {
 	if r.Backend() != "riscv-soc-cfu" {
 		t.Fatalf("replica backend %q, want riscv-soc-cfu", r.Backend())
 	}
-	if r.modeled <= 0 {
+	p, ok := r.Server().Executable().(latencyModel)
+	if !ok {
 		t.Fatal("SoC replica has no measured-cycles latency model")
+	}
+	if lat, err := p.PredictLatency(1); err != nil || lat <= 0 {
+		t.Fatalf("SoC latency model predicts %v, %v", lat, err)
 	}
 
 	q, err := inference.CompileQuantized(g, schema, inference.WithWorkers(1))

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"time"
@@ -40,107 +39,6 @@ func (tr Trace) Duration() time.Duration {
 		return 0
 	}
 	return tr.Arrivals[len(tr.Arrivals)-1]
-}
-
-// SimReplica is one fleet member in the analytic trace simulation: a
-// fixed per-request service time plus the module power envelope.
-type SimReplica struct {
-	Name    string
-	Service time.Duration
-	IdleW   float64
-	MaxW    float64
-}
-
-// SimFleet derives the simulation view of a live deployment: each
-// replica's current service estimate (roofline prediction or observed
-// EWMA) and its module power envelope.
-func SimFleet(d *Deployment) []SimReplica {
-	fleet := make([]SimReplica, 0, len(d.replicas))
-	for _, r := range d.replicas {
-		fleet = append(fleet, SimReplica{
-			Name:    fmt.Sprintf("%d:%s", r.slot, r.module),
-			Service: r.ServiceEstimate(),
-			IdleW:   r.idleW,
-			MaxW:    r.maxW,
-		})
-	}
-	return fleet
-}
-
-// SimReplicaResult is one replica's share of a simulated replay.
-type SimReplicaResult struct {
-	Name   string
-	Served int
-	// Busy is the fraction of the makespan the replica spent serving.
-	Busy float64
-}
-
-// SimResult is the outcome of one simulated trace replay.
-type SimResult struct {
-	Requests int
-	// Makespan spans the first arrival to the last completion.
-	Makespan time.Duration
-	// Throughput is completed requests per second of makespan.
-	Throughput float64
-	Latency    LatencySummary
-	// EnergyJ integrates the fleet power model over the makespan:
-	// idle power throughout plus the dynamic span while serving.
-	EnergyJ    float64
-	PerReplica []SimReplicaResult
-}
-
-// SimulateTrace replays the trace against an analytic fleet model with
-// the scheduler's routing rule (earliest estimated completion, power
-// tie-break) in virtual time. The simulation is exact for fixed service
-// times, machine-independent and instantaneous, so throughput-scaling
-// claims do not depend on the host the harness happens to run on.
-func SimulateTrace(fleet []SimReplica, tr Trace) (SimResult, error) {
-	if len(fleet) == 0 {
-		return SimResult{}, fmt.Errorf("cluster: simulate: empty fleet")
-	}
-	for _, f := range fleet {
-		if f.Service <= 0 {
-			return SimResult{}, fmt.Errorf("cluster: simulate: replica %s has no service time", f.Name)
-		}
-	}
-	freeAt := make([]time.Duration, len(fleet))
-	busy := make([]time.Duration, len(fleet))
-	served := make([]int, len(fleet))
-	lats := make([]time.Duration, 0, len(tr.Arrivals))
-	var makespan time.Duration
-	for _, t := range tr.Arrivals {
-		// Cost is the completion time on each replica: the later of the
-		// arrival and the replica coming free, plus one service time.
-		comp := func(j int) time.Duration { return max(t, freeAt[j]) + fleet[j].Service }
-		best := cheapest(len(fleet),
-			func(j int) float64 { return float64(comp(j)) },
-			func(j int) float64 { return fleet[j].MaxW })
-		bestComp := comp(best)
-		freeAt[best] = bestComp
-		busy[best] += fleet[best].Service
-		served[best]++
-		lats = append(lats, bestComp-t)
-		if bestComp > makespan {
-			makespan = bestComp
-		}
-	}
-	res := SimResult{
-		Requests: len(tr.Arrivals),
-		Makespan: makespan,
-		Latency:  Summarize(lats),
-	}
-	if makespan > 0 {
-		res.Throughput = float64(len(tr.Arrivals)) / makespan.Seconds()
-	}
-	for j, f := range fleet {
-		frac := 0.0
-		if makespan > 0 {
-			frac = float64(busy[j]) / float64(makespan)
-		}
-		res.PerReplica = append(res.PerReplica, SimReplicaResult{Name: f.Name, Served: served[j], Busy: frac})
-		res.EnergyJ += f.IdleW*makespan.Seconds() + (f.MaxW-f.IdleW)*busy[j].Seconds()
-	}
-	return res, nil
 }
 
 // LatencySummary condenses a latency sample.

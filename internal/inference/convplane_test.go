@@ -177,6 +177,24 @@ func TestConvPlaneFormMatchesInterpreter(t *testing.T) {
 			checkConvF32(t, c, g, in)
 		}
 	}
+	for _, c := range denseShapedCases {
+		for _, specials := range [][]float32{nil, f32Specials} {
+			g, in := c.graph(specials)
+			checkConvF32(t, c, g, in)
+		}
+	}
+}
+
+// denseShapedCases pins the squeeze-excite shape, a 1x1 kernel over a
+// 1x1 plane with one group, which both binders run on their dense core:
+// one to sixteen channels deep, a stride that changes nothing, one and
+// two workers. denseConvNet covers it without a bias and with fused
+// tails.
+var denseShapedCases = []convCase{
+	{inH: 1, inW: 1, kh: 1, kw: 1, sh: 1, sw: 1, groups: 1, icPerG: 1, batch: 3, workers: 1, seed: 31},
+	{inH: 1, inW: 1, kh: 1, kw: 1, sh: 1, sw: 1, groups: 1, icPerG: 3, batch: 1, workers: 1, seed: 32},
+	{inH: 1, inW: 1, kh: 1, kw: 1, sh: 1, sw: 1, groups: 1, icPerG: 16, batch: 8, workers: 2, seed: 33},
+	{inH: 1, inW: 1, kh: 1, kw: 1, sh: 2, sw: 2, groups: 1, icPerG: 8, batch: 3, workers: 2, seed: 34},
 }
 
 // narrowPlaneCases pins the plane-form geometries where a row is not a
@@ -363,6 +381,58 @@ func checkConvI8(t testing.TB, c convCase) {
 // padded plane form and the GEMM form against the clipped reference.
 func TestQConvPlaneFormMatchesClipped(t *testing.T) {
 	sweepConvCases(t, 72, func(_ int, c convCase) { checkConvI8(t, c) })
+	for _, c := range denseShapedCases {
+		checkConvI8(t, c)
+	}
+}
+
+// TestQuantDenseShapedConvIsExact binds every dense-shaped conv of
+// denseConvNet's INT8 plan (with and without a bias, with a fused
+// activation and with a fused batch norm, each carried as its PlanConv's
+// Req and Post) and demands of the dense core the codes the conv plane
+// form computes from the same PlanConv.
+func TestQuantDenseShapedConvIsExact(t *testing.T) {
+	g := denseConvNet()
+	samples, err := nn.SyntheticCalibration(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema, err := calibrateVia(g, samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := BuildQuantPlan(g, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(41))
+	const batch = 5
+	dense := 0
+	for _, st := range p.Steps {
+		if st.Conv == nil || !newQConv(st.Conv).g.dense() {
+			continue
+		}
+		dense++
+		pg := st.Conv.Geom
+		xv := make([]int8, batch*pg.InC)
+		for i := range xv {
+			xv[i] = int8(rng.Intn(256) - 128)
+		}
+		want := make([]int8, batch*pg.OutC)
+		got := make([]int8, len(want))
+		kern, spec := bindQuantConvPlane(newQConv(st.Conv))
+		runBoundQ(t, kern, spec, batch, want, [][]int8{xv})
+		kern, spec = bindQuantConv(st.Conv)
+		runBoundQ(t, kern, spec, batch, got, [][]int8{xv})
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s (post %v): code %d = %d, the plane form's %d", st.Name, st.Conv.Post != nil, i, got[i], want[i])
+			}
+		}
+	}
+	if dense < 4 {
+		t.Errorf("plan has %d dense-shaped convs, want denseConvNet's 4", dense)
+	}
 }
 
 // FuzzQConvPlane lets the fuzzer pick the geometry and seed of the

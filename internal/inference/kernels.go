@@ -566,6 +566,13 @@ func bindConv(n *nn.Node, in, out tensor.Shape, ep *epilogue) (kernelFunc[float3
 	if bt := n.Weight(nn.BiasKey); bt != nil {
 		bias = bt.Float32s()
 	}
+	// A dense-shaped conv (squeeze-excite's) is a dense layer: the same
+	// [out, in] weights, bias seed and k order, on the dense core instead
+	// of a one-pixel GEMM tile.
+	if g.dense() {
+		kern, spec := bindDenseCore(weightValues(w), bias, g.inC, g.outC, ep)
+		return kern, spec, nil
+	}
 	// Convolutions with a real channel reduction lower onto the packed
 	// GEMM micro-kernels (gemmconv.go): register-blocked tiles with the
 	// im2col gather fused into the per-tile B pack. Shallow reductions
@@ -625,6 +632,13 @@ func bindConv(n *nn.Node, in, out tensor.Shape, ep *epilogue) (kernelFunc[float3
 		})
 		return nil
 	}, spec, nil
+}
+
+// dense reports a 1x1 kernel over an unpadded 1x1 plane with one
+// group: each output channel is a dot product of all the input channels,
+// a dense layer from inC to outC features.
+func (g *convGeom) dense() bool {
+	return g.kh == 1 && g.kw == 1 && g.inH == 1 && g.inW == 1 && g.ph == 0 && g.pw == 0 && g.icPerG == g.inC
 }
 
 // pointwise reports the 1x1/stride-1/no-pad geometry, whose input and
@@ -841,6 +855,13 @@ func bindDense(n *nn.Node, in, out tensor.Shape, ep *epilogue) (kernelFunc[float
 	if bt := n.Weight(nn.BiasKey); bt != nil {
 		bias = bt.Float32s()
 	}
+	kern, spec := bindDenseCore(weightValues(w), bias, inF, outF, ep)
+	return kern, spec, nil
+}
+
+// bindDenseCore binds the dense kernel over a row-major [outF, inF]
+// weight matrix, shared by bindDense and the dense-shaped conv.
+func bindDenseCore(w, bias []float32, inF, outF int, ep *epilogue) (kernelFunc[float32], scratchSpec) {
 	// GEMM lowering with the vector lanes along the output features:
 	// M = samples, N = out features, K = in features. The weights are
 	// the B operand, packed once at bind time into NR-wide tiles; the
@@ -860,7 +881,7 @@ func bindDense(n *nn.Node, in, out tensor.Shape, ep *epilogue) (kernelFunc[float
 	nt := (outF + nr - 1) / nr
 	lda := inF + 1
 	tile := lda * nr
-	bpack := packDenseTiles(weightValues(w), bias, inF, outF, nr)
+	bpack := packDenseTiles(w, bias, inF, outF, nr)
 	seed := make([]float32, mr)
 	for i := range seed {
 		seed[i] = float32(math.Copysign(0, -1))
@@ -914,7 +935,7 @@ func bindDense(n *nn.Node, in, out tensor.Shape, ep *epilogue) (kernelFunc[float
 			}
 		})
 		return nil
-	}, scratchSpec{f32PerWorker: scratch}, nil
+	}, scratchSpec{f32PerWorker: scratch}
 }
 
 // weightValues is a weight tensor's values for a bind-time reader that

@@ -136,11 +136,25 @@ func exoticChainNet() *nn.Graph {
 	return b.Graph(x)
 }
 
+// denseConvNet gives the dense-shaped conv, a 1x1 kernel over the 1x1
+// plane a global pool leaves (squeeze-excite's convs), every form it
+// takes: with a bias and a fused activation (squeeze-excite's reduce),
+// without a bias and with a fused batch norm and hard sigmoid, and bare
+// with and without a bias as pooled heads.
+func denseConvNet() *nn.Graph {
+	b := nn.NewBuilder("dense-conv", nn.BuildOptions{Weights: true, Seed: 23})
+	x := b.Input("input", 3, 8, 8)
+	x = b.GlobalAvgPool(b.ConvBNAct(x, 3, 12, 3, 1, 1, nn.OpReLU))
+	s := b.Act(b.Conv(x, 12, 8, 1, 1, 0), nn.OpReLU)
+	s = b.Act(b.BN(b.ConvNB(s, 8, 12, 1, 1, 0), 12), nn.OpHSigmoid)
+	return b.Graph(s, b.Conv(x, 12, 5, 1, 1, 0), b.ConvNB(x, 12, 3, 1, 1, 0))
+}
+
 // TestEngineParityOnExampleGraphs compiles every example topology at
 // FP32, FP16 and INT8 weight precision and checks Engine.Run against
 // the legacy interpreter within parityTol.
 func TestEngineParityOnExampleGraphs(t *testing.T) {
-	for _, base := range append(exampleGraphs(), multiHeadNet(), islandNet(), exoticChainNet()) {
+	for _, base := range append(exampleGraphs(), multiHeadNet(), islandNet(), exoticChainNet(), denseConvNet()) {
 		for _, dt := range []tensor.DType{tensor.FP32, tensor.FP16, tensor.INT8} {
 			t.Run(fmt.Sprintf("%s/%s", base.Name, dt), func(t *testing.T) {
 				g := withPrecision(base, dt)

@@ -211,7 +211,8 @@ func widenCodes(codes []int8) []int16 {
 	return w16
 }
 
-func bindQuantConv(pc *PlanConv) (kernelFunc[int8], scratchSpec) {
+// newQConv is the bind-time form of an integer convolution.
+func newQConv(pc *PlanConv) *qconv {
 	pg := pc.Geom
 	g := convGeom{
 		inC: pg.InC, inH: pg.InH, inW: pg.InW,
@@ -219,7 +220,20 @@ func bindQuantConv(pc *PlanConv) (kernelFunc[int8], scratchSpec) {
 		kh: pg.KH, kw: pg.KW, sh: pg.SH, sw: pg.SW, ph: pg.PH, pw: pg.PW,
 		icPerG: pg.ICPerG, ocPerG: pg.OCPerG,
 	}
-	p := &qconv{g: g, w16: widenCodes(pc.W), bias32: pc.Bias, req: pc.Req, zpIn: pc.ZPIn, zpOut: pc.ZPOut, post: pc.Post}
+	return &qconv{g: g, w16: widenCodes(pc.W), bias32: pc.Bias, req: pc.Req, zpIn: pc.ZPIn, zpOut: pc.ZPOut, post: pc.Post}
+}
+
+func bindQuantConv(pc *PlanConv) (kernelFunc[int8], scratchSpec) {
+	p := newQConv(pc)
+	g := p.g
+	// A dense-shaped conv runs on the dense core, as in the FP32 binder,
+	// when its input zero point is a code the dense row staging shifts
+	// by: integer accumulation and the same Req and Post per output make
+	// it exact.
+	if g.dense() && pc.ZPIn >= -128 && pc.ZPIn <= 127 {
+		return bindQuantDense(&PlanDense{InF: g.inC, OutF: g.outC, W: pc.W, Bias: pc.Bias,
+			Req: pc.Req, ZPIn: pc.ZPIn, ZPOut: pc.ZPOut, Post: pc.Post})
+	}
 	// Routing mirrors the FP32 binder: convolutions with a real channel
 	// reduction (stems and pointwise projections) run the int16 GEMM
 	// micro-kernels with the zero-point shift fused into the per-tile B

@@ -192,7 +192,7 @@ func (c *Client) InferCtx(ctx context.Context, model string, ins map[string]*ten
 	c.pending[id] = ch
 	c.mu.Unlock()
 
-	b := beginFrame(TypeRequest, id, 64)
+	b := beginFrame(TypeRequest, id, 2+len(model)+tensorMapSize(ins))
 	b = appendString(b, model)
 	b, err := appendTensorMap(b, ins)
 	if err != nil {

@@ -106,6 +106,18 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
+// tensorMapSize is the encoded size of a tensor map, the payload hint
+// that lets beginFrame lease a buffer the map fits in.
+func tensorMapSize(m map[string]*tensor.Tensor) int {
+	n := 2
+	for name, t := range m {
+		if t != nil {
+			n += 2 + len(name) + 2 + 4*len(t.Shape) + 4*len(t.F32)
+		}
+	}
+	return n
+}
+
 // appendTensorMap encodes a named FP32 tensor map: u16 count, then per
 // tensor (in ascending name order, the one encoding the decoder accepts)
 // a u16-length-prefixed name, dtype byte, rank byte, u32 LE dims and the
@@ -238,13 +250,27 @@ func (d *decoder) tensorMap() (map[string]*tensor.Tensor, error) {
 			return nil, io.ErrUnexpectedEOF
 		}
 		t := &tensor.Tensor{Shape: shape, DType: tensor.FP32, F32: make([]float32, elems)}
-		for j := range t.F32 {
-			t.F32[j] = math.Float32frombits(binary.LittleEndian.Uint32(d.b[d.off+4*j:]))
-		}
+		getFloats(t.F32, d.b[d.off:d.off+4*elems])
 		d.off += 4 * elems
 		m[name] = t
 	}
 	return m, nil
+}
+
+// getFloats decodes the LE float payload p into dst, four floats a
+// step: the slices are locals and their lengths checked once a step, so
+// no float reloads the decoder's fields or pays its own bounds check.
+func getFloats(dst []float32, p []byte) {
+	for len(dst) >= 4 && len(p) >= 16 {
+		dst[0] = math.Float32frombits(binary.LittleEndian.Uint32(p[0:4]))
+		dst[1] = math.Float32frombits(binary.LittleEndian.Uint32(p[4:8]))
+		dst[2] = math.Float32frombits(binary.LittleEndian.Uint32(p[8:12]))
+		dst[3] = math.Float32frombits(binary.LittleEndian.Uint32(p[12:16]))
+		dst, p = dst[4:], p[16:]
+	}
+	for j := range dst {
+		dst[j] = math.Float32frombits(binary.LittleEndian.Uint32(p[4*j:]))
+	}
 }
 
 // frame is one decoded frame header plus its body.

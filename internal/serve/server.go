@@ -381,7 +381,7 @@ func (s *Server) classify(err error) byte {
 func (s *Server) encodeReply(id uint64, outs map[string]*tensor.Tensor, err error) []byte {
 	switch status := s.classify(err); status {
 	case StatusOK:
-		b := beginFrame(TypeReply, id, 64)
+		b := beginFrame(TypeReply, id, 1+tensorMapSize(outs))
 		b = append(b, StatusOK)
 		b, encErr := appendTensorMap(b, outs)
 		if encErr != nil {
