@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet loc test test-full test-race test-portable fuzz-smoke bench bench-kernels bench-json bench-gate bench-front serve-demo load-smoke docs pack-demo release-demo release-verify ci
+.PHONY: all build vet loc examples test test-full test-race test-portable fuzz-smoke bench bench-kernels bench-json bench-gate bench-front serve-demo load-smoke docs pack-demo release-demo release-verify ci
 
 all: ci
 
@@ -14,6 +14,12 @@ vet:
 # and the assembly total: the one command a PR's LoC delta is read from.
 loc:
 	@./scripts/loc.sh
+
+# examples runs every end-to-end use-case program under examples/ (each
+# prints its report and exits 0; about 2 s together). The CI docs job
+# runs it after make docs has built them.
+examples:
+	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d || exit 1; done
 
 # test runs the suite at reduced experiment fidelity (CI default).
 test:

@@ -277,7 +277,7 @@ func main() {
 	fmt.Printf("replaying %d requests at %.0f req/s (span %v)...\n",
 		*requests, *rate, trace.Duration().Round(time.Millisecond))
 	ins := fleetInput(g, inShape)
-	res, err := serve.ReplayOpenLoop(serve.SchedulerTransport{Sched: sched}, trace, serve.LoadConfig{
+	res, err := serve.ReplayOpenLoop(sched, trace, serve.LoadConfig{
 		Model:  g.Name,
 		SLO:    *slo,
 		Inputs: func(int) map[string]*tensor.Tensor { return ins },

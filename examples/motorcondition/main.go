@@ -9,6 +9,7 @@ import (
 
 	"vedliot/internal/accel"
 	"vedliot/internal/dataset"
+	"vedliot/internal/inference"
 	"vedliot/internal/kenning"
 	"vedliot/internal/nn"
 	"vedliot/internal/optimize"
@@ -27,7 +28,7 @@ func main() {
 	if _, err := train.SGD(g, trainSet, train.Config{Epochs: 20, LR: 0.05, BatchSize: 16, Seed: 4}); err != nil {
 		log.Fatal(err)
 	}
-	ev, err := kenning.Evaluate(g, &kenning.CPUTarget{}, testSet, int(dataset.NumMotorStates))
+	ev, err := kenning.Evaluate(g, inference.CPUBackend{}, testSet, int(dataset.NumMotorStates))
 	if err != nil {
 		log.Fatal(err)
 	}

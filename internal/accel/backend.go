@@ -1,7 +1,6 @@
 package accel
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -20,11 +19,11 @@ import (
 // heterogeneous targets.
 //
 // When the backend runs at INT8 and a calibration schema is attached,
-// functional execution goes through the native quantized engine
-// (inference.CompileQuantized) instead of the FP32 engine — the
-// INT8-only device models (EdgeTPU class) then produce genuinely
-// quantized outputs, making their roofline predictions honest about
-// the arithmetic the modeled silicon performs.
+// functional execution compiles through inference.QuantizedBackend: the
+// native quantized engine, or the FP32 engine when the schema does not
+// cover the graph. The INT8-only device models (EdgeTPU class) then
+// produce genuinely quantized outputs, making their roofline
+// predictions honest about the arithmetic the modeled silicon performs.
 type Backend struct {
 	Device *Device
 	// Precision is the precision the device runs the model at. The
@@ -64,33 +63,20 @@ func (b *Backend) Compile(g *nn.Graph, opts ...inference.Option) (inference.Exec
 	if !b.Device.Supports(b.Precision) {
 		return nil, fmt.Errorf("accel: %s does not support %s", b.Device.Name, b.Precision)
 	}
-	var exec inference.Executable
-	quantized := false
+	var host inference.Backend = inference.CPUBackend{}
 	if b.Precision == tensor.INT8 && b.Schema != nil {
-		q, err := inference.CompileQuantized(g, b.Schema, opts...)
-		switch {
-		case err == nil:
-			exec, quantized = q, true
-		case errors.Is(err, inference.ErrNotQuantizable):
-			// Schema does not cover this graph: degrade to the FP32
-			// functional path rather than failing the deploy.
-		default:
-			return nil, err
-		}
+		host = inference.QuantizedBackend{Schema: b.Schema}
 	}
-	if exec == nil {
-		eng, err := inference.Compile(g, opts...)
-		if err != nil {
-			return nil, err
-		}
-		exec = eng
+	exec, err := host.Compile(g, opts...)
+	if err != nil {
+		return nil, err
 	}
 	stats, err := g.StatsAt(1)
 	if err != nil {
 		return nil, err
 	}
 	w := workloadFromStats(g.Name, stats, b.Precision)
-	return &Program{exec: exec, device: b.Device, workload: w, precision: b.Precision, quantized: quantized}, nil
+	return &Program{exec: exec, device: b.Device, workload: w, precision: b.Precision}, nil
 }
 
 var _ inference.Backend = (*Backend)(nil)
@@ -105,7 +91,6 @@ type Program struct {
 	device    *Device
 	workload  Workload
 	precision tensor.DType
-	quantized bool
 }
 
 var _ inference.Executable = (*Program)(nil)
@@ -120,16 +105,6 @@ func (p *Program) RunBatch(batches []map[string]*tensor.Tensor) ([]map[string]*t
 	return p.exec.RunBatch(batches)
 }
 
-// singleRunner is the RunSingle convenience both host engines provide.
-type singleRunner interface {
-	RunSingle(*tensor.Tensor) (*tensor.Tensor, error)
-}
-
-// RunSingle is the single-tensor shortcut for 1-in/1-out graphs.
-func (p *Program) RunSingle(in *tensor.Tensor) (*tensor.Tensor, error) {
-	return p.exec.(singleRunner).RunSingle(in)
-}
-
 // Device returns the modeled device.
 func (p *Program) Device() *Device { return p.device }
 
@@ -139,7 +114,10 @@ func (p *Program) Executable() inference.Executable { return p.exec }
 
 // Quantized reports whether functional execution runs on the native
 // INT8 engine.
-func (p *Program) Quantized() bool { return p.quantized }
+func (p *Program) Quantized() bool {
+	_, ok := p.exec.(*inference.QuantEngine)
+	return ok
+}
 
 // Precision returns the precision the device model is evaluated at.
 func (p *Program) Precision() tensor.DType { return p.precision }

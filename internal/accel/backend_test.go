@@ -1,12 +1,15 @@
 package accel
 
 import (
+	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
 
 	"vedliot/internal/inference"
 	"vedliot/internal/nn"
+	"vedliot/internal/optimize"
 	"vedliot/internal/tensor"
 )
 
@@ -131,6 +134,80 @@ func TestCompileSharedGraphConcurrently(t *testing.T) {
 	for _, n := range g.Nodes {
 		if n.OutShape != nil {
 			t.Fatalf("Compile left OutShape %v on node %q of a shared graph", n.OutShape, n.Name)
+		}
+	}
+}
+
+// TestBackendINT8FollowsSchemaCoverage pins the INT8 rule accel takes
+// from inference.QuantizedBackend: with a schema covering the graph the
+// program runs the native quantized engine, bit for bit what
+// inference.CompileQuantized computes; with a schema that leaves a gap
+// it runs the FP32 engine, bit for bit what inference.Compile computes.
+func TestBackendINT8FollowsSchemaCoverage(t *testing.T) {
+	dev, err := FindDevice("EdgeTPU SoM") // INT8-only ASIC
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := nn.GestureNet(32, 4, nn.BuildOptions{Weights: true, Seed: 42})
+	calib, err := nn.SyntheticCalibration(g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	covering, err := optimize.Calibrate(g, calib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	partial := covering.Clone()
+	delete(partial.Activations, g.Inputs[0])
+	if _, err := inference.CompileQuantized(g, partial); !errors.Is(err, inference.ErrNotQuantizable) {
+		t.Fatalf("partial schema compiles quantized (%v): the test needs a gap", err)
+	}
+	q, err := inference.CompileQuantized(g, covering)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp32, err := inference.Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := nn.SyntheticInput(g, 3, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		schema    *nn.QuantSchema
+		quantized bool
+		ref       inference.Executable
+	}{
+		{"covering", covering, true, q},
+		{"partial", partial, false, fp32},
+	} {
+		exe, err := NewQuantizedBackend(dev, c.schema).Compile(g)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := exe.(*Program).Quantized(); got != c.quantized {
+			t.Errorf("%s schema: Quantized() = %v, want %v", c.name, got, c.quantized)
+		}
+		want, err := c.ref.Run(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := exe.Run(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, w := range want {
+			o := got[name]
+			if o == nil || !w.Shape.Equal(o.Shape) || len(o.F32) != len(w.F32) {
+				t.Fatalf("%s schema: output %q missing or mis-shaped, want %v", c.name, name, w.Shape)
+			}
+			for i := range w.F32 {
+				if math.Float32bits(o.F32[i]) != math.Float32bits(w.F32[i]) {
+					t.Fatalf("%s schema: output %q[%d] = %v, reference %v", c.name, name, i, o.F32[i], w.F32[i])
+				}
+			}
 		}
 	}
 }

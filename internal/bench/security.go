@@ -69,29 +69,10 @@ func Twine() (*Report, error) {
 		tries = 3 // min-of-3 wall times, robust to scheduler noise
 	)
 
-	minWall := func(run func() (time.Duration, time.Duration, error)) (time.Duration, time.Duration, error) {
-		best, bestOver := time.Duration(1<<62), time.Duration(0)
-		for i := 0; i < tries; i++ {
-			w, over, err := run()
-			if err != nil {
-				return 0, 0, err
-			}
-			if w < best {
-				best, bestOver = w, over
-			}
-		}
-		return best, bestOver, nil
-	}
-
-	// Native.
-	nativeWall, _, err := minWall(func() (time.Duration, time.Duration, error) {
-		return twineWorkload(minisql.NewDB(nil), nil, n)
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// WASM.
+	// (1) native; (2) WASM; (3) WASM + enclave: the engine is resident
+	// in the enclave and each SQL statement is one ecall. The transition
+	// overhead is accounted deterministically, so only the wall component
+	// carries noise.
 	var wasmStore *minisql.WasmStore
 	factory := func(schema minisql.Schema) (minisql.RowStore, error) {
 		s, err := minisql.NewWasmStore(schema)
@@ -101,24 +82,29 @@ func Twine() (*Report, error) {
 		wasmStore = s
 		return s, nil
 	}
-	wasmWall, _, err := minWall(func() (time.Duration, time.Duration, error) {
-		return twineWorkload(minisql.NewDB(factory), nil, n)
-	})
-	if err != nil {
-		return nil, err
+	enclave := tee.NewEnclave([]byte("minisql-wasm-v1"))
+	configs := []struct {
+		store   minisql.StoreFactory
+		enclave *tee.Enclave
+	}{{nil, nil}, {factory, nil}, {minisql.WasmFactory, enclave}}
+	// Each round runs every configuration once, so a burst of load from
+	// elsewhere on the host lands on all of them rather than on whichever
+	// one ran during it; each keeps its fastest round.
+	best := []time.Duration{1 << 62, 1 << 62, 1 << 62}
+	for i := 0; i < tries; i++ {
+		for k, c := range configs {
+			w, _, err := twineWorkload(minisql.NewDB(c.store), c.enclave, n)
+			if err != nil {
+				return nil, err
+			}
+			if w < best[k] {
+				best[k] = w
+			}
+		}
 	}
+	nativeWall, wasmWall, encWall := best[0], best[1], best[2]
 	wasmInstr := wasmStore.VM().Executed
 
-	// WASM + enclave: the engine is resident in the enclave; each SQL
-	// statement is one ecall. The transition overhead is accounted
-	// deterministically, so only the wall component carries noise.
-	enclave := tee.NewEnclave([]byte("minisql-wasm-v1"))
-	encWall, _, err := minWall(func() (time.Duration, time.Duration, error) {
-		return twineWorkload(minisql.NewDB(minisql.WasmFactory), enclave, n)
-	})
-	if err != nil {
-		return nil, err
-	}
 	encOverhead := time.Duration(enclave.OverheadNS()) / tries
 	encTotal := encWall + encOverhead
 

@@ -5,6 +5,7 @@ import (
 
 	"vedliot/internal/accel"
 	"vedliot/internal/dataset"
+	"vedliot/internal/inference"
 	"vedliot/internal/kenning"
 	"vedliot/internal/nn"
 	"vedliot/internal/optimize"
@@ -161,30 +162,27 @@ func KenningPipeline() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	targets := []kenning.Target{
-		&kenning.CPUTarget{},
-		&kenning.SimTarget{Device: dev, Precision: tensor.FP16},
+	backends := []inference.Backend{
+		inference.CPUBackend{},
+		&accel.Backend{Device: dev, Precision: tensor.FP16},
 	}
-	var accs []float64
-	for _, target := range targets {
-		ev, err := kenning.Evaluate(g, target, testSet, 4)
+	var evs []kenning.Evaluation
+	for _, backend := range backends {
+		ev, err := kenning.Evaluate(g, backend, testSet, 4)
 		if err != nil {
 			return nil, err
 		}
-		accs = append(accs, ev.Confusion.Accuracy())
+		evs = append(evs, ev)
 		r.linef("target %-18s accuracy %.3f  latency mean %v p95 %v",
 			ev.Target, ev.Confusion.Accuracy(), ev.Latency.Mean, ev.Latency.P95)
 	}
-	r.linef("confusion matrix (cpu-reference):")
-	cpuEval, err := kenning.Evaluate(g, &kenning.CPUTarget{}, testSet, 4)
-	if err != nil {
-		return nil, err
-	}
-	for _, line := range splitLines(cpuEval.Confusion.String()) {
+	r.linef("confusion matrix (%s):", evs[0].Target)
+	for _, line := range splitLines(evs[0].Confusion.String()) {
 		r.linef("  %s", line)
 	}
-	r.check("classifier accuracy >= 0.85", accs[0] >= 0.85)
-	r.check("quality identical across runtimes", math.Abs(accs[0]-accs[1]) < 1e-9)
+	cpuAcc, simAcc := evs[0].Confusion.Accuracy(), evs[1].Confusion.Accuracy()
+	r.check("classifier accuracy >= 0.85", cpuAcc >= 0.85)
+	r.check("quality identical across runtimes", math.Abs(cpuAcc-simAcc) < 1e-9)
 
 	// Detector PR curve on the arc-detection task using an energy
 	// feature score.

@@ -4,6 +4,7 @@ import (
 	"vedliot/internal/accel"
 	"vedliot/internal/core"
 	"vedliot/internal/dataset"
+	"vedliot/internal/inference"
 	"vedliot/internal/kenning"
 	"vedliot/internal/microserver"
 	"vedliot/internal/nn"
@@ -78,12 +79,11 @@ func SafetyMonitors() (*Report, error) {
 }
 
 func runModel(g *nn.Graph, in *tensor.Tensor) (*tensor.Tensor, error) {
-	target := &kenning.CPUTarget{}
-	if err := target.Deploy(g); err != nil {
+	eng, err := inference.Compile(g)
+	if err != nil {
 		return nil, err
 	}
-	out, _, err := target.Infer(in)
-	return out, err
+	return eng.RunSingle(in)
 }
 
 // PAEB reproduces the §V-A offload study: the braking-distance deadline
@@ -155,7 +155,7 @@ func MotorCondition() (*Report, error) {
 	if _, err := train.SGD(g, trainSet, train.Config{Epochs: 20, LR: 0.05, BatchSize: 16, Seed: 32}); err != nil {
 		return nil, err
 	}
-	ev, err := kenning.Evaluate(g, &kenning.CPUTarget{}, testSet, int(dataset.NumMotorStates))
+	ev, err := kenning.Evaluate(g, inference.CPUBackend{}, testSet, int(dataset.NumMotorStates))
 	if err != nil {
 		return nil, err
 	}

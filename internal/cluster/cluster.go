@@ -39,14 +39,6 @@ import (
 	"vedliot/internal/tensor"
 )
 
-// latencyModel is the cost-signal contract executables may implement:
-// both accel.Program (roofline model) and rvbackend.Program (measured
-// cycles) satisfy it. It seeds a replica's service estimate and, under
-// EmulateLatency, sets how long a submission takes.
-type latencyModel interface {
-	PredictLatency(batch int) (time.Duration, error)
-}
-
 // Errors returned by the admission path.
 var (
 	// ErrOverloaded reports QueueDepth requests already admitted and
@@ -454,7 +446,7 @@ func (d *Deployment) addReplica(g *nn.Graph, exe inference.Executable, backendNa
 	// An executable with a latency model (roofline predictions from
 	// accel programs, measured cycles per inference from SoC firmware)
 	// seeds the service estimate; what the replica observes corrects it.
-	if p, ok := exe.(latencyModel); ok {
+	if p, ok := exe.(inference.LatencyModel); ok {
 		if lat, err := p.PredictLatency(1); err == nil {
 			r.ewmaNS.Store(int64(lat))
 		}
@@ -591,7 +583,7 @@ func (d *Deployment) finish(r *Replica, service time.Duration, rows int, err err
 // completion waits for and so what the caller waited.
 func (d *Deployment) submit(r *Replica, reqs []*microserver.Request, rows int, done func(service time.Duration, ran int, err error)) error {
 	var lat time.Duration
-	if p, ok := r.server.Executable().(latencyModel); ok && d.emulate {
+	if p, ok := r.server.Executable().(inference.LatencyModel); ok && d.emulate {
 		if l, err := p.PredictLatency(rows); err == nil {
 			lat = l
 		}

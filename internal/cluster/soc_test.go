@@ -51,7 +51,7 @@ func TestDeploySoCModule(t *testing.T) {
 	if r.Backend() != "riscv-soc-cfu" {
 		t.Fatalf("replica backend %q, want riscv-soc-cfu", r.Backend())
 	}
-	p, ok := r.Server().Executable().(latencyModel)
+	p, ok := r.Server().Executable().(inference.LatencyModel)
 	if !ok {
 		t.Fatal("SoC replica has no measured-cycles latency model")
 	}

@@ -3,6 +3,7 @@ package inference
 import (
 	"runtime"
 	"sync"
+	"time"
 
 	"vedliot/internal/inference/ir"
 	"vedliot/internal/nn"
@@ -11,7 +12,7 @@ import (
 
 // Executable is a compiled model ready to run. Both the host CPU Engine
 // and the simulated-accelerator programs (internal/accel) satisfy it, so
-// the layers above (kenning targets, the microserver batch server, the
+// the layers above (kenning evaluation, the microserver batch server, the
 // bench harness) schedule work against one interface regardless of the
 // execution target — the same role the paper's common toolchain plays
 // across heterogeneous accelerators.
@@ -22,6 +23,15 @@ type Executable interface {
 	// RunBatch executes several independent requests in one dispatch,
 	// amortizing per-call overhead; result i corresponds to request i.
 	RunBatch(batches []map[string]*tensor.Tensor) ([]map[string]*tensor.Tensor, error)
+}
+
+// LatencyModel is the cost-signal contract an Executable may implement:
+// accel.Program (roofline model) and rvbackend.Program (measured cycles)
+// satisfy it. The cluster seeds a replica's service estimate from it
+// and, under EmulateLatency, waits it out; kenning reports it as a
+// sample's latency in place of the host's wall time.
+type LatencyModel interface {
+	PredictLatency(batch int) (time.Duration, error)
 }
 
 // Backend compiles graphs into executables for one execution target.

@@ -1,7 +1,8 @@
 // Package kenning is the deployment-and-benchmarking framework of the
 // toolchain — the reproduction of Antmicro's Kenning (§III, [10]): it
 // chains the deployment steps (load → optimize → compile → deploy →
-// measure) over interchangeable runtime targets, measures inference
+// measure) over any inference.Backend (host CPU, simulated accelerator,
+// RISC-V SoC) as its interchangeable runtime targets, measures inference
 // duration and resource usage, and "can automatically benchmark the
 // processing quality of a given neural network and generate a confusion
 // matrix for classification models and recall/precision graphs for
@@ -12,7 +13,6 @@ import (
 	"fmt"
 	"time"
 
-	"vedliot/internal/accel"
 	"vedliot/internal/cluster"
 	"vedliot/internal/dataset"
 	"vedliot/internal/inference"
@@ -20,124 +20,6 @@ import (
 	"vedliot/internal/optimize"
 	"vedliot/internal/tensor"
 )
-
-// Target is a runtime a model can be deployed to.
-type Target interface {
-	// Name identifies the target in reports.
-	Name() string
-	// Deploy installs a compiled model.
-	Deploy(g *nn.Graph) error
-	// Infer runs one input and returns the output plus the inference
-	// latency attributed to the target (wall time for real targets,
-	// modeled time for simulated accelerators).
-	Infer(in *tensor.Tensor) (*tensor.Tensor, time.Duration, error)
-}
-
-// CPUTarget executes on the host through the compiled execution-plan
-// engine — Kenning's "native runtime" role. Deploy is the compile step;
-// Infer measures real wall time per inference. With a calibration
-// Schema attached, Deploy compiles the native INT8 plan instead
-// (falling back to FP32 when the graph cannot be lowered), so the
-// measured latencies reflect genuinely quantized execution.
-type CPUTarget struct {
-	// Options configure engine compilation (worker pool size etc.).
-	Options []inference.Option
-	// Schema enables the native quantized runtime.
-	Schema *nn.QuantSchema
-
-	exe singleRunner
-}
-
-// singleRunner is the RunSingle surface shared by the FP32 and
-// quantized engines.
-type singleRunner interface {
-	RunSingle(*tensor.Tensor) (*tensor.Tensor, error)
-}
-
-// Name implements Target. Before Deploy it names the intent; after
-// Deploy it names the runtime actually compiled, so a quantized deploy
-// that fell back to FP32 (schema not covering the graph) is not
-// mislabeled in measurement reports.
-func (c *CPUTarget) Name() string {
-	if _, quantized := c.exe.(*inference.QuantEngine); quantized || (c.exe == nil && c.Schema != nil) {
-		return "cpu-int8"
-	}
-	return "cpu-reference"
-}
-
-// Deploy implements Target.
-func (c *CPUTarget) Deploy(g *nn.Graph) error {
-	if c.Schema != nil {
-		exe, err := inference.QuantizedBackend{Schema: c.Schema}.Compile(g, c.Options...)
-		if err != nil {
-			return err
-		}
-		c.exe = exe.(singleRunner)
-		return nil
-	}
-	eng, err := inference.Compile(g, c.Options...)
-	if err != nil {
-		return err
-	}
-	c.exe = eng
-	return nil
-}
-
-// Infer implements Target.
-func (c *CPUTarget) Infer(in *tensor.Tensor) (*tensor.Tensor, time.Duration, error) {
-	if c.exe == nil {
-		return nil, 0, fmt.Errorf("kenning: target not deployed")
-	}
-	start := time.Now()
-	out, err := c.exe.RunSingle(in)
-	return out, time.Since(start), err
-}
-
-// SimTarget deploys through a Device-backed accel.Backend: execution is
-// functionally accurate on the host (bit-exact FP32, or the native
-// quantized engine for INT8 deployments with a Schema) while the
-// reported latency comes from the accelerator's roofline model — the
-// "deploy to target hardware and measure" role when the hardware is
-// simulated.
-type SimTarget struct {
-	Device    *accel.Device
-	Precision tensor.DType
-	// Schema enables native INT8 functional execution on INT8
-	// deployments.
-	Schema *nn.QuantSchema
-
-	program *accel.Program
-	latency time.Duration
-}
-
-// Name implements Target.
-func (s *SimTarget) Name() string { return "sim:" + s.Device.Name }
-
-// Deploy implements Target.
-func (s *SimTarget) Deploy(g *nn.Graph) error {
-	backend := &accel.Backend{Device: s.Device, Precision: s.Precision, Schema: s.Schema}
-	exe, err := backend.Compile(g)
-	if err != nil {
-		return err
-	}
-	prog := exe.(*accel.Program)
-	lat, err := prog.PredictLatency(1)
-	if err != nil {
-		return err
-	}
-	s.program = prog
-	s.latency = lat
-	return nil
-}
-
-// Infer implements Target.
-func (s *SimTarget) Infer(in *tensor.Tensor) (*tensor.Tensor, time.Duration, error) {
-	if s.program == nil {
-		return nil, 0, fmt.Errorf("kenning: target not deployed")
-	}
-	out, err := s.program.RunSingle(in)
-	return out, s.latency, err
-}
 
 // PipelineConfig selects optimization steps (§III deployment steps 4-6)
 // beyond the graph surgery of optimize.StandardPasses, which always runs.
@@ -203,39 +85,50 @@ func RunPipeline(g *nn.Graph, cfg PipelineConfig) (PipelineReport, error) {
 	return rep, nil
 }
 
-// Evaluation is the measurement report for one target and dataset.
+// Evaluation is the measurement report for one backend and dataset.
 type Evaluation struct {
+	// Target names the backend the model ran on.
 	Target    string
 	Latency   cluster.LatencySummary
 	Confusion *ConfusionMatrix
 }
 
-// Evaluate deploys the model to the target and runs the labelled
-// samples, producing latency statistics and a confusion matrix.
-// Sample feature vectors are reshaped to the model input.
-func Evaluate(g *nn.Graph, target Target, samples []dataset.Sample, numClasses int) (Evaluation, error) {
-	ev := Evaluation{Target: target.Name()}
-	if err := target.Deploy(g); err != nil {
+// Evaluate compiles the model once on the backend and runs the
+// labelled samples through it, producing latency statistics and a
+// confusion matrix. Each sample's feature vector is one row of the
+// model's declared input (its Attrs.Shape); the graph is only read. A
+// sample's latency is the executable's PredictLatency(1) when it has a
+// latency model (a simulated accelerator, the RISC-V SoC), else the
+// timed run on the host.
+func Evaluate(g *nn.Graph, backend inference.Backend, samples []dataset.Sample, numClasses int) (Evaluation, error) {
+	ev := Evaluation{Target: backend.Name()}
+	exe, err := backend.Compile(g)
+	if err != nil {
 		return ev, err
 	}
-	if err := g.InferShapes(1); err != nil {
-		return ev, err
-	}
-	inShape := g.Node(g.Inputs[0]).OutShape
+	model, _ := exe.(inference.LatencyModel)
+	input := g.Inputs[0]
+	shape := append([]int{1}, g.Node(input).Attrs.Shape...)
 	cm := NewConfusionMatrix(numClasses)
-	var lats []time.Duration
+	lats := make([]time.Duration, 0, len(samples))
 	for _, s := range samples {
-		in := tensor.New(tensor.FP32, inShape...)
-		if len(s.X) != in.NumElements() {
-			return ev, fmt.Errorf("kenning: sample dim %d != input %d", len(s.X), in.NumElements())
+		in, err := tensor.FromSlice(s.X, shape...)
+		if err != nil {
+			return ev, fmt.Errorf("kenning: sample: %w", err)
 		}
-		copy(in.F32, s.X)
-		out, lat, err := target.Infer(in)
+		start := time.Now()
+		outs, err := exe.Run(map[string]*tensor.Tensor{input: in})
+		lat := time.Since(start)
 		if err != nil {
 			return ev, err
 		}
+		if model != nil {
+			if lat, err = model.PredictLatency(1); err != nil {
+				return ev, err
+			}
+		}
 		lats = append(lats, lat)
-		if err := cm.Add(s.Label, tensor.ArgMax(out)); err != nil {
+		if err := cm.Add(s.Label, tensor.ArgMax(outs[g.Outputs[0]])); err != nil {
 			return ev, err
 		}
 	}

@@ -6,27 +6,35 @@ import (
 
 	"vedliot/internal/accel"
 	"vedliot/internal/dataset"
+	"vedliot/internal/inference"
 	"vedliot/internal/nn"
+	"vedliot/internal/optimize"
+	"vedliot/internal/rvbackend"
 	"vedliot/internal/tensor"
 	"vedliot/internal/train"
 )
 
-func trainedClassifier(t *testing.T) (*nn.Graph, []dataset.Sample) {
+func trainedClassifier(t *testing.T) (g *nn.Graph, trainSet, testSet []dataset.Sample) {
 	t.Helper()
 	samples := dataset.Blobs(400, 12, 3, 0.25, 17)
-	trainSet, testSet := dataset.Split(samples, 0.25)
-	g := nn.MLP("clf", []int{12, 24, 3}, nn.BuildOptions{Weights: true, Seed: 18})
+	trainSet, testSet = dataset.Split(samples, 0.25)
+	g = nn.MLP("clf", []int{12, 24, 3}, nn.BuildOptions{Weights: true, Seed: 18})
 	if _, err := train.SGD(g, trainSet, train.Config{Epochs: 15, LR: 0.1, BatchSize: 16, Seed: 19}); err != nil {
 		t.Fatal(err)
 	}
-	return g, testSet
+	return g, trainSet, testSet
 }
 
+// TestEvaluateOnCPUTarget evaluates the trained classifier on the host
+// engine, the FP32 reference the other runtime targets are held to.
 func TestEvaluateOnCPUTarget(t *testing.T) {
-	g, testSet := trainedClassifier(t)
-	ev, err := Evaluate(g, &CPUTarget{}, testSet, 3)
+	g, _, testSet := trainedClassifier(t)
+	ev, err := Evaluate(g, inference.CPUBackend{}, testSet, 3)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ev.Target != (inference.CPUBackend{}).Name() {
+		t.Errorf("target %q, want the backend's name", ev.Target)
 	}
 	if ev.Confusion.Accuracy() < 0.85 {
 		t.Errorf("accuracy = %.2f", ev.Confusion.Accuracy())
@@ -39,32 +47,68 @@ func TestEvaluateOnCPUTarget(t *testing.T) {
 	}
 }
 
+// TestEvaluateOnSimTarget evaluates the same classifier, unchanged, on a
+// simulated accelerator at FP16 and at INT8 and on the RISC-V SoC: FP16
+// scores exactly the host engine's accuracy, the INT8 runtimes stay
+// close, and a roofline-modeled backend reports one latency for every
+// sample. The SoC reports each sample's measured cycles, which move a
+// little with the data, so its latency is only checked to be there.
 func TestEvaluateOnSimTarget(t *testing.T) {
-	g, testSet := trainedClassifier(t)
+	g, trainSet, testSet := trainedClassifier(t)
+	var calib []map[string]*tensor.Tensor
+	for _, s := range trainSet[:64] {
+		calib = append(calib, map[string]*tensor.Tensor{g.Inputs[0]: tensor.MustFromSlice(s.X, 1, len(s.X))})
+	}
+	schema, err := optimize.Calibrate(g, calib)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dev, err := accel.FindDevice("Xavier NX")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := Evaluate(g, &SimTarget{Device: dev, Precision: tensor.FP16}, testSet, 3)
+	cpu, err := Evaluate(g, inference.CPUBackend{}, testSet, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Quality identical to CPU (same arithmetic), latency from model.
-	cpu, err := Evaluate(g, &CPUTarget{}, testSet, 3)
-	if err != nil {
-		t.Fatal(err)
+	fp32 := cpu.Confusion.Accuracy()
+	cases := []struct {
+		backend       inference.Backend
+		int8, modeled bool
+	}{
+		{&accel.Backend{Device: dev, Precision: tensor.FP16}, false, true},
+		{accel.NewQuantizedBackend(dev, schema), true, true},
+		{rvbackend.Backend{Schema: schema}, true, false},
 	}
-	if ev.Confusion.Accuracy() != cpu.Confusion.Accuracy() {
-		t.Error("sim target changed accuracy")
-	}
-	if ev.Latency.P50 != ev.Latency.Max {
-		t.Error("modeled latency should be constant per model")
+	for _, c := range cases {
+		ev, err := Evaluate(g, c.backend, testSet, 3)
+		if err != nil {
+			t.Fatalf("%s: %v", c.backend.Name(), err)
+		}
+		acc := ev.Confusion.Accuracy()
+		t.Logf("%-20s accuracy %.3f  latency p50 %v max %v", ev.Target, acc, ev.Latency.P50, ev.Latency.Max)
+		if ev.Target != c.backend.Name() {
+			t.Errorf("target %q, want the backend's name %q", ev.Target, c.backend.Name())
+		}
+		if ev.Latency.Count != len(testSet) || ev.Latency.Mean <= 0 {
+			t.Errorf("%s: latency stats = %+v", ev.Target, ev.Latency)
+		}
+		if c.int8 {
+			if math.Abs(acc-fp32) > 0.05 {
+				t.Errorf("%s: INT8 accuracy %.3f, FP32 %.3f", ev.Target, acc, fp32)
+			}
+		} else if acc != fp32 {
+			t.Errorf("%s: accuracy %.3f, host engine %.3f", ev.Target, acc, fp32)
+		}
+		if c.modeled && ev.Latency.P50 != ev.Latency.Max {
+			t.Errorf("%s: modeled latency varies: p50 %v, max %v", ev.Target, ev.Latency.P50, ev.Latency.Max)
+		}
 	}
 }
 
 func TestRunPipelineQuantizeAndPrune(t *testing.T) {
-	g, testSet := trainedClassifier(t)
-	before, err := Evaluate(g.Clone(), &CPUTarget{}, testSet, 3)
+	g, _, testSet := trainedClassifier(t)
+	before, err := Evaluate(g.Clone(), inference.CPUBackend{}, testSet, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +122,7 @@ func TestRunPipelineQuantizeAndPrune(t *testing.T) {
 	if math.Abs(rep.PruneReport.Sparsity()-0.5) > 0.05 {
 		t.Errorf("sparsity = %.2f", rep.PruneReport.Sparsity())
 	}
-	after, err := Evaluate(g, &CPUTarget{}, testSet, 3)
+	after, err := Evaluate(g, inference.CPUBackend{}, testSet, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,16 +202,5 @@ func TestPRCurve(t *testing.T) {
 	}
 	if _, err := PRCurve(nil, nil); err == nil {
 		t.Error("empty input accepted")
-	}
-}
-
-func TestTargetsRequireDeploy(t *testing.T) {
-	in := tensor.New(tensor.FP32, 1, 4)
-	if _, _, err := (&CPUTarget{}).Infer(in); err == nil {
-		t.Error("undeployed CPU target ran")
-	}
-	dev, _ := accel.FindDevice("Xavier NX")
-	if _, _, err := (&SimTarget{Device: dev, Precision: tensor.FP16}).Infer(in); err == nil {
-		t.Error("undeployed sim target ran")
 	}
 }

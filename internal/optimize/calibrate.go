@@ -21,6 +21,17 @@ func Calibrate(g *nn.Graph, samples []map[string]*tensor.Tensor) (*nn.QuantSchem
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("optimize: calibration needs at least one sample")
 	}
+	ranges, err := activationRanges(g, samples)
+	if err != nil {
+		return nil, err
+	}
+	return SchemaFromRanges(g.Name, ranges), nil
+}
+
+// activationRanges is the one calibration loop: it compiles g once on
+// the FP32 engine, runs every sample through RunAll and widens the
+// accumulated (min, max) of each value with what the sample produced.
+func activationRanges(g *nn.Graph, samples []map[string]*tensor.Tensor) (map[string][2]float32, error) {
 	eng, err := inference.Compile(g)
 	if err != nil {
 		return nil, fmt.Errorf("optimize: calibrate %q: %w", g.Name, err)
@@ -31,29 +42,23 @@ func Calibrate(g *nn.Graph, samples []map[string]*tensor.Tensor) (*nn.QuantSchem
 		if err != nil {
 			return nil, fmt.Errorf("optimize: calibration: %w", err)
 		}
-		foldRanges(ranges, acts)
+		for name, t := range acts {
+			lo, hi := t.MinMax()
+			r, ok := ranges[name]
+			if !ok {
+				ranges[name] = [2]float32{lo, hi}
+				continue
+			}
+			if lo < r[0] {
+				r[0] = lo
+			}
+			if hi > r[1] {
+				r[1] = hi
+			}
+			ranges[name] = r
+		}
 	}
-	return SchemaFromRanges(g.Name, ranges), nil
-}
-
-// foldRanges widens the accumulated (min, max) per value with one
-// sample's activations.
-func foldRanges(ranges map[string][2]float32, acts map[string]*tensor.Tensor) {
-	for name, t := range acts {
-		lo, hi := t.MinMax()
-		r, ok := ranges[name]
-		if !ok {
-			ranges[name] = [2]float32{lo, hi}
-			continue
-		}
-		if lo < r[0] {
-			r[0] = lo
-		}
-		if hi > r[1] {
-			r[1] = hi
-		}
-		ranges[name] = r
-	}
+	return ranges, nil
 }
 
 // SchemaFromRanges converts calibrated per-value (min, max) ranges into

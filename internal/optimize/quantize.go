@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"vedliot/internal/inference"
 	"vedliot/internal/nn"
 	"vedliot/internal/tensor"
 )
@@ -132,18 +131,12 @@ func QuantizeWeights(g *nn.Graph, cfg QuantConfig) (QuantReport, error) {
 	// were quantized above, the ranges — and the schema derived from
 	// them — reflect the deployed (quantized-weight) network.
 	if len(cfg.CalibrationSamples) > 0 {
-		eng, err := inference.Compile(g)
+		ranges, err := activationRanges(g, cfg.CalibrationSamples)
 		if err != nil {
 			return rep, err
 		}
-		for _, sample := range cfg.CalibrationSamples {
-			acts, err := eng.RunAll(sample)
-			if err != nil {
-				return rep, fmt.Errorf("optimize: calibration: %w", err)
-			}
-			foldRanges(rep.ActivationRanges, acts)
-		}
-		rep.Schema = SchemaFromRanges(g.Name, rep.ActivationRanges)
+		rep.ActivationRanges = ranges
+		rep.Schema = SchemaFromRanges(g.Name, ranges)
 	}
 	return rep, nil
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"io"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -231,6 +233,52 @@ func rawRequest(t *testing.T, g *nn.Graph, id int) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// TestMalformedRequestIsNotARequest sends one request frame whose
+// tensor map does not decode and one HTTP body that is not JSON: each is
+// answered as a bad request and counted in BadRequest, and neither
+// counts in Requests, which counts decoded inference requests.
+func TestMalformedRequestIsNotARequest(t *testing.T) {
+	srv, _, g := startServer(t, 1, cluster.Config{QueueDepth: 8}, Config{})
+	before := srv.Stats()
+
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	truncated := frameBytes(TypeRequest, 1, func(b []byte) []byte {
+		return append(appendString(b, g.Name), 0xff) // a tensor count cut short
+	})
+	if _, err := conn.Write(truncated); err != nil {
+		t.Fatal(err)
+	}
+	f, err := newFrameReader(conn, 0).next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status, err := f.body.u8(); err != nil || status != StatusBadRequest {
+		t.Fatalf("malformed frame answered with status %d (%v), want %d", status, err, StatusBadRequest)
+	}
+
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	req, _ := newJSONRequest(ts.URL+"/v1/infer", []byte(`{"model": `), "")
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("malformed body answered %d, want 400", resp.StatusCode)
+	}
+
+	st := srv.Stats()
+	if st.Requests != before.Requests || st.BadRequest != before.BadRequest+2 {
+		t.Errorf("Requests %d -> %d and BadRequest %d -> %d, want Requests unmoved and BadRequest +2",
+			before.Requests, st.Requests, before.BadRequest, st.BadRequest)
+	}
 }
 
 // waitFor polls cond until it holds and reports whether it did within

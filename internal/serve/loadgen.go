@@ -12,22 +12,11 @@ import (
 )
 
 // Transport is anything the load generator can drive: a framed Client,
-// a connection Pool, or the in-process SchedulerTransport.
+// a connection Pool, or an in-process *cluster.Scheduler, the baseline
+// that isolates network and framing overhead in comparisons.
 type Transport interface {
 	// InferCtx routes one request and blocks for its result.
 	InferCtx(ctx context.Context, model string, ins map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error)
-}
-
-// SchedulerTransport drives a scheduler directly, bypassing sockets —
-// the baseline that isolates network + framing overhead in comparisons.
-type SchedulerTransport struct {
-	// Sched is the in-process fleet.
-	Sched *cluster.Scheduler
-}
-
-// InferCtx implements Transport.
-func (t SchedulerTransport) InferCtx(ctx context.Context, model string, ins map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
-	return t.Sched.InferCtx(ctx, model, ins)
 }
 
 // LoadConfig shapes a closed-loop load run.

@@ -321,7 +321,6 @@ func (s *Server) serveConn(conn net.Conn) {
 				out <- reply{frame: errorReply(f.id, StatusUnauthorized, "hello required")}
 				continue
 			}
-			s.requests.Add(1)
 			model, err := f.body.str()
 			if err != nil {
 				s.badRequest.Add(1)
@@ -334,6 +333,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				out <- reply{frame: errorReply(f.id, StatusBadRequest, err.Error())}
 				continue
 			}
+			s.requests.Add(1)
 			b, err := s.batcherFor(tenant, model)
 			if err != nil {
 				s.badRequest.Add(1)
