@@ -63,8 +63,9 @@ test-race:
 # override is read at package init, where the test cache cannot see it,
 # so a cached row would repeat the previous tier's result. Every row runs
 # the kernel definition tests of internal/tensor (TestConvTapsF32,
-# TestPadRowsF32, TestEpilogueTileF32 and their INT8 twins), so the
-# portable body and each assembly body are held to the same bits.
+# TestPadRowsF32, TestEpilogueTileF32, TestConvPlanesInt8 and
+# TestRequantTileInt8 among them), so the portable body and each
+# assembly body are held to the same bits.
 test-portable:
 	$(GO) test -tags noasm ./internal/tensor/... ./internal/inference/...
 	$(GO) test -tags purego ./internal/tensor/... ./internal/inference/...
@@ -77,10 +78,12 @@ test-portable:
 # fuzz-smoke runs every fuzz target briefly — the CI smoke job that
 # keeps the targets compiling and the seed corpora passing. The two GEMM
 # parity targets fuzz a live-row count too, so every tier's row body is
-# checked against its own full tile; the tile epilogue, multi-tap and
-# byte-table targets hold the dispatched INT8 kernels to their scalar
-# definitions, and the FP32 multi-tap and tile-epilogue targets do the
-# same for the FP32 plane kernels, bit for bit. FuzzBuildCodeTable holds
+# checked against its own full tile; the tile epilogue and byte-table
+# targets hold the dispatched INT8 kernels to their scalar definitions,
+# FuzzConvPlanesInt8 the one-pass INT8 plane kernel (fuzzed geometry,
+# zero points, requantizers and code tables) to its portable body, and
+# the FP32 multi-tap and tile-epilogue targets do the same for the FP32
+# plane kernels, bit for bit. FuzzBuildCodeTable holds
 # the INT8 code-table builders to the scalar quantizer, and
 # FuzzArtifactVerify is the first untrusted decoder under fuzz: .vedz
 # bytes, raw and with their section CRCs re-sealed, must never panic or
@@ -109,7 +112,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzGemmI16Parity -fuzztime 5s ./internal/tensor/
 	$(GO) test -fuzz FuzzRequantInt8 -fuzztime 5s ./internal/tensor/
 	$(GO) test -fuzz FuzzRequantTileInt8 -fuzztime 5s ./internal/tensor/
-	$(GO) test -fuzz FuzzConvTapsInt16 -fuzztime 5s ./internal/tensor/
+	$(GO) test -fuzz FuzzConvPlanesInt8 -fuzztime 5s ./internal/tensor/
 	$(GO) test -fuzz FuzzLUT8 -fuzztime 5s ./internal/tensor/
 	$(GO) test -fuzz FuzzConvTapsF32 -fuzztime 5s ./internal/tensor/
 	$(GO) test -fuzz FuzzEpilogueTileF32 -fuzztime 5s ./internal/tensor/

@@ -295,16 +295,16 @@ func fuzzConvCase(inH, inW, kh, kw, sh, sw, ph, pw, misc uint8, seed int64) conv
 
 // qconvRef is the clipped reference of the integer direct convolution:
 // per output pixel, the folded bias plus every in-bounds tap of the
-// zero-point-shifted input, requantized. Out-of-bounds taps are
+// zero-point-shifted input, requantized, then recoded through the
+// channel's fused table when the conv has one. Out-of-bounds taps are
 // skipped, which in integers is exactly what the zero border adds.
-func qconvRef(dst, xv []int8, p *qconv, batch int) {
-	g := &p.g
+func qconvRef(dst, xv []int8, g *convGeom, pc *PlanConv, batch int) {
 	for b := 0; b < batch; b++ {
 		for oc := 0; oc < g.outC; oc++ {
 			icBase := oc / g.ocPerG * g.icPerG
 			for oy := 0; oy < g.outH; oy++ {
 				for ox := 0; ox < g.outW; ox++ {
-					acc := p.bias32[oc]
+					acc := pc.Bias[oc]
 					for ic := 0; ic < g.icPerG; ic++ {
 						for ky := 0; ky < g.kh; ky++ {
 							iy := oy*g.sh - g.ph + ky
@@ -316,12 +316,15 @@ func qconvRef(dst, xv []int8, p *qconv, batch int) {
 								if ix < 0 || ix >= g.inW {
 									continue
 								}
-								x := int32(xv[((b*g.inC+icBase+ic)*g.inH+iy)*g.inW+ix]) - p.zpIn
-								acc += int32(p.w16[((oc*g.icPerG+ic)*g.kh+ky)*g.kw+kx]) * x
+								x := int32(xv[((b*g.inC+icBase+ic)*g.inH+iy)*g.inW+ix]) - pc.ZPIn
+								acc += int32(pc.W[((oc*g.icPerG+ic)*g.kh+ky)*g.kw+kx]) * x
 							}
 						}
 					}
-					code := tensor.ClampInt8(p.zpOut + p.req[oc].Apply(acc))
+					code := tensor.ClampInt8(pc.ZPOut + pc.Req[oc].Apply(acc))
+					if pc.Post != nil {
+						code = pc.Post[oc][int(code)+128]
+					}
 					dst[((b*g.outC+oc)*g.outH+oy)*g.outW+ox] = code
 				}
 			}
@@ -329,10 +332,12 @@ func qconvRef(dst, xv []int8, p *qconv, batch int) {
 	}
 }
 
-// checkConvI8 binds the case's convolution as an integer kernel, runs
-// it on random int8 codes with planned scratch, and demands the exact
-// codes of qconvRef. A GEMM-eligible case also runs its twin, the plane
-// form of the same geometry, which must produce the same codes.
+// checkConvI8 lowers the case's convolution, draws its zero points over
+// the whole int8 range (both ends included) and, in three cases of four,
+// a fused per-channel code table, binds it as an integer kernel, runs it
+// on random int8 codes with planned scratch, and demands the exact codes
+// of qconvRef. A GEMM-eligible case also runs its twin, the plane form
+// of the same conv, which must produce the same codes.
 func checkConvI8(t testing.TB, c convCase) {
 	t.Helper()
 	g, _ := c.graph(nil)
@@ -341,21 +346,31 @@ func checkConvI8(t testing.TB, c convCase) {
 	in := tensor.Shape{inC, c.inH, c.inW}
 	out := tensor.Shape{n.Attrs.OutC, (c.inH+2*c.ph-c.kh)/c.sh + 1, (c.inW+2*c.pw-c.kw)/c.sw + 1}
 	rng := rand.New(rand.NewSource(c.seed))
-	inQ := tensor.QuantParams{Scale: 0.02, Zero: int32(rng.Intn(41) - 20)}
-	outQ := tensor.QuantParams{Scale: 0.05, Zero: int32(rng.Intn(41) - 20)}
-	st, kern, spec := lowerAndBind(t, n, []tensor.Shape{in}, out, []tensor.QuantParams{inQ}, outQ)
+	zp := func() int32 { return []int32{-128, 127, int32(rng.Intn(256) - 128)}[rng.Intn(3)] }
+	inQ := tensor.QuantParams{Scale: 0.02, Zero: zp()}
+	outQ := tensor.QuantParams{Scale: 0.05, Zero: zp()}
+	st, _, _ := lowerAndBind(t, n, []tensor.Shape{in}, out, []tensor.QuantParams{inQ}, outQ)
 	geom, _, err := convGeometry(n, in, out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := &qconv{g: geom, w16: widenCodes(st.Conv.W), bias32: st.Conv.Bias, req: st.Conv.Req, zpIn: inQ.Zero, zpOut: outQ.Zero}
+	pc := *st.Conv
+	if rng.Intn(4) != 0 {
+		pc.Post = make([]*[256]int8, geom.outC)
+		for oc := range pc.Post {
+			pc.Post[oc] = new([256]int8)
+			for i := range pc.Post[oc] {
+				pc.Post[oc][i] = int8(rng.Intn(256) - 128)
+			}
+		}
+	}
 
 	xv := make([]int8, c.batch*in.NumElements())
 	for i := range xv {
 		xv[i] = int8(rng.Intn(256) - 128)
 	}
 	want := make([]int8, c.batch*out.NumElements())
-	qconvRef(want, xv, ref, c.batch)
+	qconvRef(want, xv, &geom, &pc, c.batch)
 	run := func(form string, kern kernelFunc[int8], spec scratchSpec) {
 		got := make([]int8, len(want))
 		var sb scratchBufs
@@ -366,14 +381,14 @@ func checkConvI8(t testing.TB, c convCase) {
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("%v: %s code %d = %d, want %d", c, form, i, got[i], want[i])
+				t.Fatalf("%v zp %d/%d post %v: %s code %d = %d, want %d", c, pc.ZPIn, pc.ZPOut, pc.Post != nil, form, i, got[i], want[i])
 			}
 		}
 	}
+	kern, spec := bindQuantConv(&pc)
 	run("routed", kern, spec)
 	if c.gemm() {
-		kern, spec = bindQuantConvPlane(ref)
-		run("plane twin", kern, spec)
+		run("plane twin", bindQuantConvPlane(&pc, geom), scratchSpec{})
 	}
 }
 
@@ -409,7 +424,11 @@ func TestQuantDenseShapedConvIsExact(t *testing.T) {
 	const batch = 5
 	dense := 0
 	for _, st := range p.Steps {
-		if st.Conv == nil || !newQConv(st.Conv).g.dense() {
+		if st.Conv == nil {
+			continue
+		}
+		g := planConvGeom(st.Conv.Geom)
+		if !g.dense() {
 			continue
 		}
 		dense++
@@ -420,9 +439,8 @@ func TestQuantDenseShapedConvIsExact(t *testing.T) {
 		}
 		want := make([]int8, batch*pg.OutC)
 		got := make([]int8, len(want))
-		kern, spec := bindQuantConvPlane(newQConv(st.Conv))
-		runBoundQ(t, kern, spec, batch, want, [][]int8{xv})
-		kern, spec = bindQuantConv(st.Conv)
+		runBoundQ(t, bindQuantConvPlane(st.Conv, g), scratchSpec{}, batch, want, [][]int8{xv})
+		kern, spec := bindQuantConv(st.Conv)
 		runBoundQ(t, kern, spec, batch, got, [][]int8{xv})
 		for i := range want {
 			if got[i] != want[i] {

@@ -246,8 +246,8 @@ func bindConvGemm(g convGeom, w *tensor.Tensor, bias []float32, ep *epilogue) (k
 // bindQuantConvGemm lowers one integer convolution onto the int16
 // PMADDWD-shaped micro-kernels: widened weight codes pack per group at
 // bind time, B tiles pack per item with the zero-point shift fused, and
-// every C tile requantizes in one tensor.RequantTileInt8 while it is
-// L1-hot. The B pack replays the FP32 pack's segment plans on int8 codes
+// the C tiles of every panel under one B tile requantize in one
+// tensor.RequantTileInt8 while they are cache-hot. The B pack replays the FP32 pack's segment plans on int8 codes
 // into a staging tile (runs of the input plane move as byte copies and
 // stride-2 byte gathers), padding with the zero-point code, which the
 // shift turns into exactly 0; one tensor.PackPairShiftInt8 then widens,
@@ -269,13 +269,14 @@ func bindQuantConvGemm(p *qconv) (kfn kernelFunc[int8], spec scratchSpec, ok boo
 	pointwise := g.pointwise()
 	ktaps := g.kh * g.kw
 	var plans [][]convSeg
-	spec = scratchSpec{i16PerWorker: kp * 2 * nr, i32PerWorker: mr * nr}
+	groups := g.inC / g.icPerG
+	panels := (g.ocPerG + mr - 1) / mr
+	// The C tiles of every panel under one B tile, requantized in one call.
+	spec = scratchSpec{i16PerWorker: kp * 2 * nr, i32PerWorker: panels * mr * nr}
 	if !pointwise {
 		plans = buildConvPlans(&g, nr, nt, px)
 		spec.i8PerWorker = taps * nr
 	}
-	groups := g.inC / g.icPerG
-	panels := (g.ocPerG + mr - 1) / mr
 	apg := kern.PackedASize(g.ocPerG, taps)
 	bpg := panels * mr
 	apack := make([]int16, groups*apg)
@@ -307,12 +308,11 @@ func bindQuantConvGemm(p *qconv) (kfn kernelFunc[int8], spec scratchSpec, ok boo
 					tensor.PackPairShiftInt8(bpack, 2*nr, stage, nr, taps, nr, int16(p.zpIn))
 				}
 				for pi := 0; pi < panels; pi++ {
-					oc0 := grp*g.ocPerG + pi*mr
-					mh := min(g.ocPerG-pi*mr, mr)
 					kern.Run(apack[grp*apg+pi*mr*2*kp:grp*apg+(pi+1)*mr*2*kp], bpack, 2*nr, kp,
-						biasAll[grp*bpg+pi*mr:grp*bpg+(pi+1)*mr], ctile, nr)
-					tensor.RequantTileInt8(dst[(b*g.outC+oc0)*px+j0:], px, ctile, nr, mh, jw, p.req[oc0:], p.zpOut, p.postRows(oc0, mh))
+						biasAll[grp*bpg+pi*mr:grp*bpg+(pi+1)*mr], ctile[pi*mr*nr:], nr)
 				}
+				oc0 := grp * g.ocPerG
+				tensor.RequantTileInt8(dst[(b*g.outC+oc0)*px+j0:], px, ctile, nr, g.ocPerG, jw, p.req[oc0:], p.zpOut, p.postRows(oc0, g.ocPerG))
 			}
 		})
 		return nil

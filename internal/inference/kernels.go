@@ -647,12 +647,12 @@ func (g *convGeom) pointwise() bool {
 	return g.kh == 1 && g.kw == 1 && g.sh == 1 && g.sw == 1 && g.ph == 0 && g.pw == 0
 }
 
-// convPad is the bind-time layout of the plane forms shared by the FP32
-// and INT8 direct convolutions, in the int32 offsets their kernels
-// take. The input plane is copied once into scratch with a zero border,
-// split into sh*sw phase planes (phase (py, px) holds the padded rows
-// r = py mod sh and columns c = px mod sw, so a strided conv reads every
-// phase at unit stride), all with row stride sp. The accumulator plane
+// convPad is the bind-time layout of the FP32 plane forms, in the int32
+// offsets their kernels take. The input plane is copied once into
+// scratch with a zero border, split into sh*sw phase planes (phase
+// (py, px) holds the padded rows r = py mod sh and columns c = px mod
+// sw, so a strided conv reads every phase at unit stride), all with row
+// stride sp. The accumulator plane
 // uses the same row stride, which makes tap (ky, kx) one flat window of
 // accLen elements: accumulator index a = oy*sp+ox reads phase (ky%sh,
 // kx%sw) at a + tapOff. The sp-outW columns between accumulator rows
@@ -722,8 +722,8 @@ func pointwiseConvPad(g *convGeom) *convPad {
 // scatterPadRow spreads one input row over the column phases of a
 // conv of stride above 2 (1 and 2 have copy-in kernels of their own):
 // phase c takes every sw-th column from its ix0. xp starts at the row's
-// rowOff. Shared by both executors (the INT8 one widens the row first).
-func scatterPadRow[T any](pd *convPad, xp, row []T, sw int) {
+// rowOff.
+func scatterPadRow(pd *convPad, xp, row []float32, sw int) {
 	for _, c := range pd.cols {
 		d := xp[c.off:][:c.n]
 		ix := c.ix0
@@ -756,8 +756,7 @@ func convPadExact(wv, bias []float32) bool {
 }
 
 // convPlanePadded computes one (batch, output-channel) plane in the
-// padded plane form, three kernel calls as in qconvPlanePadded: per
-// input channel, one copy-in of the plane into the phase planes of xp
+// padded plane form, three kernel calls: per input channel, one copy-in of the plane into the phase planes of xp
 // (whose border is already zero; a stride above 2 scatters row by row)
 // and one tensor.ConvTapsF32 over all its taps into acc, seeded with
 // the bias on the first channel and from the plane after it; then one

@@ -45,11 +45,14 @@ const (
 	costTapOp     = 1
 	// The integer kernels state their own units, fitted to the inline
 	// column of TestFanOutProfileBatch8 (int8 rows) so that each step's
-	// estimated ops per ns lands in the band above. A direct plane: three
-	// kernel calls and the compaction (about 100 ns); widen, requantize and
-	// recode per output element; the PMADDWD pairs per tap and element.
-	costQPlaneCall = 3200
-	costQPlaneElem = 14
+	// estimated ops per ns lands in the band above. A direct plane: its
+	// share of the one kernel call and its setup (about 20 ns); the
+	// requantize, recode and store per output element; a tap per output
+	// element, twice that at stride 2, whose windows hold sixteen lanes to
+	// stride 1's 32. The seven mobilenetedge depthwise steps then read 36
+	// to 46 estimated ops per ns inline at batch 8.
+	costQPlaneCall = 768
+	costQPlaneElem = 10
 	costQTapOp     = 2
 	// A GEMM-conv item (one B tile under every A panel): fixed costs per
 	// item and per panel, the pack per B element (a staged pack replays
@@ -67,7 +70,6 @@ const (
 	costPoolPlane  = 128
 	costLUTElem    = 2
 	costQuantize   = 20 // the entry quantizer
-	costWidenElem  = 1
 )
 
 // convPlaneCost is the estimated cost of one output plane of a direct
@@ -81,7 +83,8 @@ func convPlaneCost(g *convGeom) int64 {
 
 // qconvPlaneCost is the same for a direct integer convolution.
 func qconvPlaneCost(g *convGeom) int64 {
-	return costQPlaneCall + int64(g.outH*g.outW)*(costQPlaneElem+int64(g.icPerG*g.kh*g.kw)*costQTapOp)
+	taps := int64(min(g.sw, 2) * g.icPerG * g.kh * g.kw)
+	return costQPlaneCall + int64(g.outH*g.outW)*(costQPlaneElem+taps*costQTapOp)
 }
 
 // qconvTileCost is the estimated cost of one GEMM-conv item of an integer

@@ -101,19 +101,89 @@ func buildLUT(inQ, outQ tensor.QuantParams, f func(float32) float32) *[256]int8 
 // buildAffineLUTs is buildLUT for the per-channel affine
 // y = scale[ch]*x + shift[ch] (an inference-mode batch norm): one table
 // per channel in one slab, the input codes dequantized once for all of
-// them.
+// them. With a positive finite output scale the quantizer is monotone,
+// so each code has a least input that reaches it (codeBounds, found
+// once): a table is then quantized in the reciprocal form
+// (tensor.QuantizeSlice, no division) and every entry checked against
+// its code's bounds; one outside them, on a half-code boundary where
+// the two forms differ, or a NaN, takes the scalar quantizer.
 func buildAffineLUTs(inQ, outQ tensor.QuantParams, scale, shift []float32) [][256]int8 {
 	x := dequantCodes(inQ)
 	slab := make([][256]int8, len(scale))
+	var bounds *[255]float32
+	if outQ.Scale > 0 && !math.IsInf(float64(outQ.Scale), 0) && len(scale) >= codeBoundsMinTables {
+		bounds = codeBounds(outQ)
+	}
 	var y [256]float32
 	for ch := range slab {
 		s, sh := scale[ch], shift[ch]
 		for i, v := range x {
 			y[i] = v*s + sh
 		}
-		outQ.QuantizeTo(slab[ch][:], y[:])
+		tbl := slab[ch][:]
+		if bounds == nil {
+			outQ.QuantizeTo(tbl, y[:])
+			continue
+		}
+		tensor.QuantizeSlice(tbl, y[:], outQ)
+		for i, v := range y {
+			k := int(tbl[i]) + 127 // the code's bound; the next code's is one on
+			if (k < 0 || bounds[k] <= v) && (k == len(bounds)-1 || v < bounds[k+1]) {
+				continue
+			}
+			tbl[i] = outQ.Quantize(v)
+		}
 	}
 	return slab
+}
+
+// codeBoundsMinTables is the table count from which finding the bounds
+// (a few quantizations each) costs less than quantizing every entry.
+const codeBoundsMinTables = 8
+
+// codeBounds returns, at c+127 for each code c above -128, the least
+// float32 that q.Quantize takes to c or above, q's scale positive and
+// finite: then q.Quantize(y) is c exactly when y lies from c's bound up
+// to, not including, c+1's (below -127's for -128, from 127's on for
+// 127), for every y but NaN. Each bound is a bisection over the float32
+// order, from a bracket of a few values around (c-zero-1/2)*scale.
+func codeBounds(q tensor.QuantParams) *[255]float32 {
+	var b [255]float32
+	lowest, highest := floatKey(float32(math.Inf(-1))), floatKey(float32(math.Inf(1)))
+	for c := int32(-127); c <= 127; c++ {
+		reaches := func(k int32) bool { return int32(q.Quantize(keyFloat(k))) >= c }
+		mid := floatKey(float32((float64(c) - float64(q.Zero) - 0.5) * float64(q.Scale)))
+		lo, hi := max(mid-2, lowest), min(mid+2, highest)
+		if reaches(lo) || !reaches(hi) {
+			lo, hi = lowest, highest // -Inf reaches only -128, +Inf 127
+		}
+		for hi-lo > 1 {
+			if m := lo + (hi-lo)/2; reaches(m) {
+				hi = m
+			} else {
+				lo = m
+			}
+		}
+		b[c+127] = keyFloat(hi)
+	}
+	return &b
+}
+
+// floatKey maps a float32 to an int32 in the same order (-0 just below
+// +0, the infinities at the ends, NaNs past them); keyFloat inverts it.
+func floatKey(f float32) int32 {
+	k := int32(math.Float32bits(f))
+	if k < 0 {
+		k ^= 0x7fffffff
+	}
+	return k
+}
+
+func keyFloat(k int32) float32 {
+	if k < 0 {
+		k ^= 0x7fffffff
+	}
+	return math.Float32frombits(uint32(k))
 }
 
 // composeLUT rewrites tbl in place to the table of next after tbl.
@@ -177,11 +247,10 @@ func foldBias(bias *tensor.Tensor, wScales []float64, inQ, outQ tensor.QuantPara
 	return b32, req
 }
 
-// qconv is the bound state of one integer convolution. Weight codes are
-// kept widened to int16: the input side is zero-point-shifted to int16
-// as well (so padding contributes exactly 0), and the multiply-
-// accumulate runs through the SIMD integer kernels (the multi-tap plane
-// kernel tensor.ConvTapsInt16 and the int16 GEMM).
+// qconv is the bound state of one integer convolution on the GEMM form.
+// Weight codes are kept widened to int16: the B pack shifts the input
+// side by the zero point into int16 as well (so padding contributes
+// exactly 0), and the multiply-accumulate runs through the int16 GEMM.
 type qconv struct {
 	g      convGeom
 	w16    []int16
@@ -213,19 +282,21 @@ func widenCodes(codes []int8) []int16 {
 
 // newQConv is the bind-time form of an integer convolution.
 func newQConv(pc *PlanConv) *qconv {
-	pg := pc.Geom
-	g := convGeom{
+	return &qconv{g: planConvGeom(pc.Geom), w16: widenCodes(pc.W), bias32: pc.Bias, req: pc.Req, zpIn: pc.ZPIn, zpOut: pc.ZPOut, post: pc.Post}
+}
+
+// planConvGeom is the binders' form of a plan's conv geometry.
+func planConvGeom(pg ConvGeom) convGeom {
+	return convGeom{
 		inC: pg.InC, inH: pg.InH, inW: pg.InW,
 		outC: pg.OutC, outH: pg.OutH, outW: pg.OutW,
 		kh: pg.KH, kw: pg.KW, sh: pg.SH, sw: pg.SW, ph: pg.PH, pw: pg.PW,
 		icPerG: pg.ICPerG, ocPerG: pg.OCPerG,
 	}
-	return &qconv{g: g, w16: widenCodes(pc.W), bias32: pc.Bias, req: pc.Req, zpIn: pc.ZPIn, zpOut: pc.ZPOut, post: pc.Post}
 }
 
 func bindQuantConv(pc *PlanConv) (kernelFunc[int8], scratchSpec) {
-	p := newQConv(pc)
-	g := p.g
+	g := planConvGeom(pc.Geom)
 	// A dense-shaped conv runs on the dense core, as in the FP32 binder,
 	// when its input zero point is a code the dense row staging shifts
 	// by: integer accumulation and the same Req and Post per output make
@@ -237,110 +308,32 @@ func bindQuantConv(pc *PlanConv) (kernelFunc[int8], scratchSpec) {
 	// Routing mirrors the FP32 binder: convolutions with a real channel
 	// reduction (stems and pointwise projections) run the int16 GEMM
 	// micro-kernels with the zero-point shift fused into the per-tile B
-	// pack. Depthwise and other shallow reductions accumulate int32
-	// planes through the multi-tap plane kernel instead
-	// (qconvPlanePadded), and so does a conv whose zero point the B pack
-	// cannot stage (see bindQuantConvGemm).
+	// pack. Depthwise and other shallow reductions run the one-pass plane
+	// kernel instead (bindQuantConvPlane), and so does a conv whose zero
+	// point the B pack cannot stage (see bindQuantConvGemm).
 	if convGemmEligible(g) {
-		if kern, spec, ok := bindQuantConvGemm(p); ok {
+		if kern, spec, ok := bindQuantConvGemm(newQConv(pc)); ok {
 			return kern, spec
 		}
 	}
-	return bindQuantConvPlane(p)
+	return bindQuantConvPlane(pc, g), scratchSpec{}
 }
 
-// bindQuantConvPlane binds the plane forms of an integer convolution,
-// which cover every geometry and zero point.
-func bindQuantConvPlane(p *qconv) (kernelFunc[int8], scratchSpec) {
-	g := p.g
+// bindQuantConvPlane binds the plane form of an integer convolution,
+// which covers every geometry and zero point: one tensor.ConvPlanesInt8
+// call per chunk of (batch, output-channel) planes reads the int8 codes
+// where they lie and writes each output code once, requantized and
+// recoded through the channel's fused table.
+func bindQuantConvPlane(pc *PlanConv, g convGeom) kernelFunc[int8] {
+	k := tensor.NewConvPlanesInt8(pc.Geom, pc.W, pc.Bias, pc.Req, pc.ZPIn, pc.ZPOut, pc.Post)
 	planeCost := qconvPlaneCost(&g)
-	px := g.outH * g.outW
-	if g.pointwise() {
-		pd := pointwiseConvPad(&g)
-		return func(rc *runCtx, dst []int8, srcs [][]int8) error {
-			xv := srcs[0]
-			// Shift the whole input by the zero point once; every output
-			// channel of a group then reads the same int16 planes.
-			x16 := rc.i16Sample(g.inC * px)
-			zp := int16(p.zpIn)
-			rc.parallelFor(len(x16), costWidenElem, func(lo, hi int) {
-				tensor.WidenShiftInt8(x16[lo:hi], xv[lo:hi], zp)
-			})
-			rc.parallelForWorker(rc.batch*g.outC, planeCost, func(worker, lo, hi int) {
-				acc := rc.i32Worker(worker, px)
-				for pi := lo; pi < hi; pi++ {
-					qconvPlanePointwise(dst, x16, p, pd, acc, pi/g.outC, pi%g.outC)
-				}
-			})
-			return nil
-		}, scratchSpec{i16PerSample: g.inC * px, i32PerWorker: px}
-	}
-	pd := newConvPad(&g)
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
 		xv := srcs[0]
-		rc.parallelForWorker(rc.batch*g.outC, planeCost, func(worker, lo, hi int) {
-			ws := rc.i16Worker(worker, pd.inLen+g.inW)
-			xp, row16 := ws[:pd.inLen], ws[pd.inLen:] // row16 stages one widened row of a stride above 2
-			acc := rc.i32Worker(worker, pd.accLen)
-			clear(xp) // the border and slack stay zero across this chunk's planes
-			for pi := lo; pi < hi; pi++ {
-				qconvPlanePadded(dst, xv, p, pd, xp, row16, acc, pi/g.outC, pi%g.outC)
-			}
+		rc.parallelFor(rc.batch*g.outC, planeCost, func(lo, hi int) {
+			k.Run(dst, xv, lo, hi)
 		})
 		return nil
-	}, scratchSpec{i16PerWorker: pd.inLen + g.inW, i32PerWorker: pd.accLen}
-}
-
-// qconvPlanePadded computes one (batch, output-channel) plane of a
-// shallow reduction in the padded plane form, mirroring the FP32
-// convPlanePadded (see convPad): per input channel the int8 plane is
-// zero-point-shifted to int16 into the phase planes in one call (a
-// stride-2 conv splits the column phases as it widens; a larger stride
-// widens each row into row16 and scatters it), whose zero border is then
-// exactly the padding's contribution; all taps of the channel are one
-// tensor.ConvTapsInt16 over the int32 accumulator plane, seeded with the
-// folded bias on the first channel and from the plane after it. The
-// plane is compacted to its valid columns and requantized as a one-row
-// tile at the end.
-func qconvPlanePadded(dst []int8, xv []int8, p *qconv, pd *convPad, xp, row16 []int16, acc []int32, b, oc int) {
-	g := &p.g
-	icBase := oc / g.ocPerG * g.icPerG
-	zp := int16(p.zpIn)
-	hw, taps := g.inH*g.inW, g.kh*g.kw
-	for ic := 0; ic < g.icPerG; ic++ {
-		plane := xv[(b*g.inC+icBase+ic)*hw:][:hw]
-		switch g.sw {
-		case 1:
-			tensor.WidenShiftRowsInt8(xp[pd.offE:], pd.rowOff, plane, g.inW, zp)
-		case 2:
-			tensor.WidenShiftSplit2RowsInt8(xp, pd.rowOff, pd.offE, pd.offO, plane, g.inW, zp)
-		default:
-			for iy, off := range pd.rowOff {
-				tensor.WidenShiftInt8(row16, plane[iy*g.inW:(iy+1)*g.inW], zp)
-				scatterPadRow(pd, xp[off:], row16, g.sw)
-			}
-		}
-		wBase := (oc*g.icPerG + ic) * taps
-		tensor.ConvTapsInt16(acc, xp, pd.tapOff, p.w16[wBase:wBase+taps], p.bias32[oc], ic > 0)
 	}
-	px := g.outH * g.outW
-	for oy := 1; oy < g.outH; oy++ {
-		copy(acc[oy*g.outW:(oy+1)*g.outW], acc[oy*pd.sp:])
-	}
-	tensor.RequantTileInt8(dst[(b*g.outC+oc)*px:], px, acc, px, 1, px, p.req[oc:], p.zpOut, p.postRows(oc, 1))
-}
-
-// qconvPlanePointwise is the 1x1/stride-1/no-pad fast path of the
-// shallow form: input and output planes are contiguous and need no
-// border, so the group's input channels are the taps of one
-// tensor.ConvTapsInt16 straight over the zero-point-shifted input.
-func qconvPlanePointwise(dst []int8, x16 []int16, p *qconv, pd *convPad, acc []int32, b, oc int) {
-	g := &p.g
-	icBase := oc / g.ocPerG * g.icPerG
-	hw := g.inH * g.inW
-	x := x16[(b*g.inC+icBase)*hw:][:g.icPerG*hw]
-	tensor.ConvTapsInt16(acc[:hw], x, pd.tapOff, p.w16[oc*g.icPerG:(oc+1)*g.icPerG], p.bias32[oc], false)
-	tensor.RequantTileInt8(dst[(b*g.outC+oc)*hw:], hw, acc, hw, 1, hw, p.req[oc:], p.zpOut, p.postRows(oc, 1))
 }
 
 func bindQuantDense(d *PlanDense) (kernelFunc[int8], scratchSpec) {

@@ -93,15 +93,8 @@ type QuantStep struct {
 type IslandFunc func(batch int, dst []int8, srcs [][]int8) error
 
 // ConvGeom is the exported compile-time geometry of one convolution
-// (mirrors the internal convGeom).
-type ConvGeom struct {
-	InC, InH, InW    int
-	OutC, OutH, OutW int
-	KH, KW           int
-	SH, SW           int
-	PH, PW           int
-	ICPerG, OCPerG   int
-}
+// (mirrors the internal convGeom); the plane kernel takes it as it is.
+type ConvGeom = tensor.ConvGeom
 
 // PlanConv is an integer convolution: for each output position and
 // channel oc,

@@ -278,7 +278,9 @@ func TestQuantizeFilterMatchesQuantize(t *testing.T) {
 }
 
 // FuzzBuildCodeTable holds the table builders to the scalar definition
-// on arbitrary mappings, affines and activations.
+// on arbitrary mappings, affines and activations. The affine slab has
+// enough channels for buildAffineLUTs to walk the code bounds, and
+// mirrors, flattens and recodes the fuzzed affine across them.
 func FuzzBuildCodeTable(f *testing.F) {
 	f.Add(float32(0.05), int32(0), float32(0.02), int32(-3), float32(1.5), float32(0.1), uint8(0))
 	f.Add(float32(3.0/512), int32(-7), float32(3.0/256), int32(3), float32(1), float32(0), uint8(1))
@@ -298,10 +300,15 @@ func FuzzBuildCodeTable(f *testing.F) {
 		}
 		diffLUT(t, "activation", buildLUT(inQ, outQ, act), scalarLUT(inQ, outQ, act))
 
-		slab := buildAffineLUTs(inQ, outQ, []float32{s, 1}, []float32{sh, 0})
+		scale, shift := []float32{s, 1, -s, 0}, []float32{sh, 0, sh, sh}
+		for len(scale) < codeBoundsMinTables {
+			scale, shift = append(scale, scale[len(scale)-4]/2), append(shift, -shift[len(shift)-4])
+		}
+		slab := buildAffineLUTs(inQ, outQ, scale, shift)
+		for ch := range slab {
+			diffLUT(t, fmt.Sprintf("affine %g %g", scale[ch], shift[ch]), &slab[ch], scalarLUT(inQ, outQ, affine(scale[ch], shift[ch])))
+		}
 		want := scalarLUT(inQ, outQ, affine(s, sh))
-		diffLUT(t, "affine", &slab[0], want)
-		diffLUT(t, "recode", &slab[1], scalarLUT(inQ, outQ, affine(1, 0)))
 
 		next := scalarLUT(outQ, inQ, act)
 		composeLUT(&slab[0], &next)

@@ -22,7 +22,6 @@ type scratchSpec struct {
 	f32PerSample int
 	f32PerWorker int
 	i8PerWorker  int
-	i16PerSample int
 	i16PerWorker int
 	i32PerWorker int
 }
@@ -33,7 +32,6 @@ func (s *scratchSpec) grow(o scratchSpec) {
 	s.f32PerSample = max(s.f32PerSample, o.f32PerSample)
 	s.f32PerWorker = max(s.f32PerWorker, o.f32PerWorker)
 	s.i8PerWorker = max(s.i8PerWorker, o.i8PerWorker)
-	s.i16PerSample = max(s.i16PerSample, o.i16PerSample)
 	s.i16PerWorker = max(s.i16PerWorker, o.i16PerWorker)
 	s.i32PerWorker = max(s.i32PerWorker, o.i32PerWorker)
 }
@@ -52,7 +50,7 @@ type scratchBufs struct {
 func (b *scratchBufs) ensure(spec scratchSpec, batch, workers int) {
 	b.f32 = grow(b.f32, spec.f32PerSample*batch+spec.f32PerWorker*workers)
 	b.i8 = grow(b.i8, spec.i8PerWorker*workers)
-	b.i16 = grow(b.i16, spec.i16PerSample*batch+spec.i16PerWorker*workers)
+	b.i16 = grow(b.i16, spec.i16PerWorker*workers)
 	b.i32 = grow(b.i32, spec.i32PerWorker*workers)
 }
 
@@ -74,15 +72,9 @@ func (rc *runCtx) i8Worker(w, n int) []int8 {
 	return rc.scratch.i8[off : off+n]
 }
 
-// i16Sample returns the batch-scaled int16 region, n elements per
-// sample.
-func (rc *runCtx) i16Sample(n int) []int16 {
-	return rc.scratch.i16[:n*rc.batch]
-}
-
 // i16Worker returns worker w's private int16 region of n elements.
 func (rc *runCtx) i16Worker(w, n int) []int16 {
-	off := rc.spec.i16PerSample*rc.batch + w*rc.spec.i16PerWorker
+	off := w * rc.spec.i16PerWorker
 	return rc.scratch.i16[off : off+n]
 }
 

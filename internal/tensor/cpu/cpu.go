@@ -116,6 +116,10 @@ type Features struct {
 	// lookup (with OS ZMM state). It is a detected fact, not a tier: the
 	// AVX-512 tier runs the 256-bit byte table where it is missing.
 	AVX512VBMI bool
+	// AVX512VNNI reports VPDPBUSD and VPDPWSSD, the fused byte and word
+	// dot-product accumulates (with OS ZMM state). A detected fact like
+	// AVX512VBMI; no kernel uses it yet.
+	AVX512VNNI bool
 	// NEON reports the arm64 Advanced SIMD baseline.
 	NEON bool
 }
@@ -189,6 +193,7 @@ func Summary() string {
 	add(f.AVX512BW, "avx512bw")
 	add(f.AVX512VL, "avx512vl")
 	add(f.AVX512VBMI, "avx512vbmi")
+	add(f.AVX512VNNI, "avx512vnni")
 	add(f.NEON, "neon")
 	if len(caps) == 0 {
 		caps = append(caps, "portable")

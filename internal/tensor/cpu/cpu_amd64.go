@@ -29,6 +29,7 @@ const (
 	bitAVX512VL = 1 << 31
 	// CPUID.7.0:ECX bits.
 	bitAVX512VBMI = 1 << 1
+	bitAVX512VNNI = 1 << 11
 	// XCR0 bits: SSE+YMM state for AVX, plus opmask/ZMM hi for AVX-512.
 	xcr0AVX    = 0x6
 	xcr0AVX512 = 0xe6
@@ -65,6 +66,7 @@ func detect() Features {
 		f.AVX512VL = zmmOK && ebx7&bitAVX512VL != 0
 		f.AVX512 = f.AVX512F && f.AVX512BW && f.AVX512VL
 		f.AVX512VBMI = f.AVX512 && ecx7&bitAVX512VBMI != 0
+		f.AVX512VNNI = f.AVX512 && ecx7&bitAVX512VNNI != 0
 	}
 	return f
 }

@@ -126,4 +126,13 @@ func TestSummary(t *testing.T) {
 			}
 		}
 	}
+	// The detected-fact bits appear exactly when Features has them.
+	for _, c := range []struct {
+		name string
+		has  bool
+	}{{"avx512vbmi", Detect().AVX512VBMI}, {"avx512vnni", Detect().AVX512VNNI}} {
+		if strings.Contains(s, c.name) != c.has {
+			t.Errorf("Summary() = %q: lists %s = %v, Features has it = %v", s, c.name, !c.has, c.has)
+		}
+	}
 }

@@ -2,8 +2,8 @@ package tensor
 
 // FP32 kernels of the inference engine's non-GEMM hot loops: the three
 // calls of the direct convolution's plane form (copy-in, multi-tap
-// accumulation, tile epilogue; the twins of WidenShiftRowsInt8,
-// ConvTapsInt16 and RequantTileInt8) and the stride-2 im2col gather.
+// accumulation, tile epilogue; the INT8 plane form is the one call of
+// ConvPlanesInt8) and the stride-2 im2col gather.
 // Every kernel has one portable Go body, which is its definition, and
 // on amd64 one AVX2 body. Like the GEMM micro-kernels they follow the
 // strict-parity contract: one rounding for a multiply and one for an

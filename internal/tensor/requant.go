@@ -8,20 +8,25 @@ package tensor
 //
 // with one Requant per row, and then recodes row i through post[i] when
 // post is non-nil (a nil entry leaves its row alone) — the fused
-// activation table of the producer. A depthwise plane is a one-row tile.
-// The vector bodies reproduce Apply and ClampInt8 bit for bit; they need
-// every row's mantissa in 32 bits and its shift below 64 (true for every
-// real layer-scale ratio; NewRequant's robustness paths can exceed
-// them), and a tile with a row outside that takes the scalar loop whole.
+// activation table of the producer. The vector bodies reproduce Apply
+// and ClampInt8 bit for bit; they need every row's mantissa in 32 bits
+// and its shift below 64 (true for every real layer-scale ratio;
+// NewRequant's robustness paths can exceed them), and a tile with a row
+// outside that takes the scalar loop whole. The AVX-512 body applies the
+// tables in the same pass on a VBMI host; elsewhere they are one
+// lut8Rows pass over the tile.
 func RequantTileInt8(dst []int8, ldd int, c []int32, ldc, rows, cols int, req []Requant, zp int32, post []*[256]int8) {
 	if rows == 0 || cols == 0 {
 		return
 	}
 	req = req[:rows]
 	_, _ = dst[(rows-1)*ldd+cols-1], c[(rows-1)*ldc+cols-1]
-	done := 0
+	if post != nil {
+		post = post[:rows]
+	}
+	done, recoded := 0, false
 	if requantVectorOK(req) {
-		done = requantTileInt8Accel(dst, ldd, c, ldc, rows, cols, req, zp)
+		done, recoded = requantTileInt8Accel(dst, ldd, c, ldc, rows, cols, req, zp, post)
 	}
 	if done < cols {
 		for i, r := range req {
@@ -32,7 +37,13 @@ func RequantTileInt8(dst []int8, ldd int, c []int32, ldc, rows, cols int, req []
 		}
 	}
 	if post != nil {
-		lut8Rows(dst, dst, ldd, rows, cols, post)
+		from := 0
+		if recoded {
+			from = done // the vector body recoded its columns
+		}
+		if from < cols {
+			lut8Rows(dst[from:], dst[from:], ldd, rows, cols-from, post)
+		}
 	}
 }
 

@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// func requantTileInt8AVX512(dst *int8, ldd int, c *int32, ldc int, rows, cols int, req *Requant, zp int32)
+// func requantTileInt8AVX512(dst *int8, ldd int, c *int32, ldc int, rows, cols int, req *Requant, zp int32, tabs **[256]int8)
 //
 // 512-bit form of Requant.Apply + ClampInt8 over a rows x cols tile, one
 // Requant (mult, shift, round: three qwords) per row, sixteen
@@ -16,8 +16,12 @@
 // 32-bit shift, of the odd ones; VPSRAQ is the 64-bit arithmetic shift;
 // the odd results merge back between the even ones with a masked dword
 // move under K1 = 0xAAAA, which matches the scalar int32 truncation; and
-// VPMOVSDB saturates sixteen int32 lanes straight to int8 in order.
-TEXT ·requantTileInt8AVX512(SB), NOSPLIT, $0-60
+// VPMOVSDB saturates sixteen int32 lanes straight to int8 in order. When
+// tabs is non-nil (a VBMI host), row i's codes then recode through
+// tabs[i] in the same step (a nil entry leaves its row alone), as
+// lut8RowsVBMI does: the table sits in Z16..Z19 and R14 says a row has
+// one.
+TEXT ·requantTileInt8AVX512(SB), NOSPLIT, $0-72
 	MOVQ dst+0(FP), DI
 	MOVQ ldd+8(FP), R8
 	MOVQ c+16(FP), SI
@@ -28,6 +32,7 @@ TEXT ·requantTileInt8AVX512(SB), NOSPLIT, $0-60
 	MOVQ req+48(FP), R12
 	MOVL zp+56(FP), AX
 	VPBROADCASTD AX, Z13
+	MOVQ tabs+64(FP), R15
 	MOVL $0xAAAA, AX
 	KMOVW AX, K1 // odd dword lanes
 	MOVQ R11, CX
@@ -44,6 +49,20 @@ rtrow:
 	VPBROADCASTQ 0(R12), Z8  // mult
 	VMOVQ 8(R12), X10        // shift count for VPSRAQ
 	VPBROADCASTQ 16(R12), Z9 // round
+	XORQ R14, R14
+	TESTQ R15, R15
+	JZ   rtloaded
+	MOVQ (R15), AX
+	ADDQ $8, R15
+	TESTQ AX, AX
+	JZ   rtloaded
+	VMOVDQU64 (AX), Z16
+	VMOVDQU64 64(AX), Z17
+	VMOVDQU64 128(AX), Z18
+	VMOVDQU64 192(AX), Z19
+	INCQ R14
+
+rtloaded:
 	MOVQ SI, AX
 	MOVQ DI, DX
 	MOVQ R11, R13
@@ -63,6 +82,17 @@ rtstep:
 	VMOVDQU32 Z3, K1, Z2 // odd results into the odd dword lanes
 	VPADDD  Z13, Z2, Z2
 	VPMOVSDB Z2, X2
+	TESTQ R14, R14
+	JZ   rtput
+	VMOVDQA64 Z2, Z4
+	VMOVDQA64 Z2, Z5
+	VPERMI2B Z17, Z16, Z4 // entries 0..127: the negative codes
+	VPERMI2B Z19, Z18, Z5 // entries 128..255
+	VPMOVB2M Z2, K3
+	VMOVDQU8 Z4, K3, Z5
+	VMOVDQA64 Z5, Z2
+
+rtput:
 	VMOVDQU X2, (DX)
 	ADDQ $64, AX
 	ADDQ $16, DX
@@ -84,6 +114,17 @@ rttail:
 	VMOVDQU32 Z3, K1, Z2
 	VPADDD  Z13, Z2, Z2
 	VPMOVSDB Z2, X2
+	TESTQ R14, R14
+	JZ   rttailput
+	VMOVDQA64 Z2, Z4
+	VMOVDQA64 Z2, Z5
+	VPERMI2B Z17, Z16, Z4
+	VPERMI2B Z19, Z18, Z5
+	VPMOVB2M Z2, K3
+	VMOVDQU8 Z4, K3, Z5
+	VMOVDQA64 Z5, Z2
+
+rttailput:
 	VMOVDQU8 X2, K2, (DX)
 
 rtnext:

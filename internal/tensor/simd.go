@@ -11,103 +11,15 @@ package tensor
 // covers a prefix of its range (or all of it) and reports how far it
 // got; the portable body finishes the rest.
 
-// ConvTapsInt16 is the multi-tap plane kernel of the shallow and
-// depthwise convolutions. For every i < len(acc)
-//
-//	acc[i] = seed + sum_t int32(w[t]) * int32(x[offs[t]+i])
-//
-// where seed is bias, or acc[i] itself when fromAcc is set (the second
-// and later input channels of a plane). offs and w have one entry per
-// tap; x must hold offs[t]+len(acc) elements for every tap. The sum is
-// exact in int32 for any tap count the engine binds: one tap is at most
-// 255*127 in magnitude.
-func ConvTapsInt16(acc []int32, x []int16, offs []int32, w []int16, bias int32, fromAcc bool) {
-	w = w[:len(offs)]
-	if len(acc) == 0 {
-		return
-	}
-	for _, off := range offs {
-		_ = x[int(off)+len(acc)-1] // every tap window lies inside x
-	}
-	n := convTapsInt16Accel(acc, x, offs, w, bias, fromAcc)
-	convTapsInt16Generic(acc[n:], x[n:], offs, w, bias, fromAcc)
-}
-
-func convTapsInt16Generic(acc []int32, x []int16, offs []int32, w []int16, bias int32, fromAcc bool) {
-	for i := range acc {
-		s := bias
-		if fromAcc {
-			s = acc[i]
-		}
-		for t, off := range offs {
-			s += int32(w[t]) * int32(x[int(off)+i])
-		}
-		acc[i] = s
-	}
-}
-
 // WidenShiftInt8 computes dst[i] = int16(src[i]) - zp over
 // min(len(dst), len(src)) elements — the zero-point shift that turns
 // stored int8 activation codes into the int16 operand form of the
 // integer kernels.
 func WidenShiftInt8(dst []int16, src []int8, zp int16) {
 	n := min(len(dst), len(src))
-	WidenShiftRowsInt8(dst[:n], widenOneRow[:], src[:n], n, zp)
-}
-
-var widenOneRow = [1]int32{0}
-
-// WidenShiftRowsInt8 widens a row-major int8 plane into a plane with
-// its own row placement: row r (cols codes from src[r*cols]) lands at
-// dst[rowOff[r]:], dst[rowOff[r]+i] = int16(src[r*cols+i]) - zp. The
-// padded plane form uses it to fill a phase plane whose rows are a
-// border apart; with one row it is WidenShiftInt8.
-func WidenShiftRowsInt8(dst []int16, rowOff []int32, src []int8, cols int, zp int16) {
-	src = src[:len(rowOff)*cols]
-	for _, off := range rowOff {
-		_ = dst[int(off) : int(off)+cols]
-	}
-	if cols == 0 {
-		return
-	}
-	if widenShiftRowsInt8Accel(dst, rowOff, src, cols, zp) {
-		return
-	}
-	for r, off := range rowOff {
-		d := dst[int(off):][:cols]
-		for i, v := range src[r*cols:][:cols] {
-			d[i] = int16(v) - zp
-		}
-	}
-}
-
-// WidenShiftSplit2RowsInt8 is the stride-2 form of WidenShiftRowsInt8:
-// row r's even columns land at dst[rowOff[r]+offE:] and its odd columns
-// at dst[rowOff[r]+offO:], each widened and shifted, so a stride-2
-// convolution reads both column phases at unit stride.
-func WidenShiftSplit2RowsInt8(dst []int16, rowOff []int32, offE, offO int, src []int8, cols int, zp int16) {
-	src = src[:len(rowOff)*cols]
-	ne, no := (cols+1)/2, cols/2
-	for _, off := range rowOff {
-		_ = dst[int(off)+offE : int(off)+offE+ne]
-		_ = dst[int(off)+offO : int(off)+offO+no]
-	}
-	if cols == 0 {
-		return
-	}
-	if widenShiftSplit2RowsInt8Accel(dst, rowOff, offE, offO, src, cols, zp) {
-		return
-	}
-	for r, off := range rowOff {
-		row := src[r*cols:][:cols]
-		de, do := dst[int(off)+offE:][:ne], dst[int(off)+offO:][:no]
-		for i := range do {
-			de[i] = int16(row[2*i]) - zp
-			do[i] = int16(row[2*i+1]) - zp
-		}
-		if ne > no {
-			de[no] = int16(row[2*no]) - zp
-		}
+	dst, src = dst[:n], src[:n]
+	for i := widenShiftInt8Accel(dst, src, zp); i < n; i++ {
+		dst[i] = int16(src[i]) - zp
 	}
 }
 

@@ -6,9 +6,10 @@ import "vedliot/internal/tensor/cpu"
 
 // amd64 dispatch of the integer kernels in simd.go, requant.go and
 // int8.go: one assembly body per tier and kernel (simd_sse2_amd64.s,
-// simd_avx2_amd64.s, simd_avx512_amd64.s), chosen by the tier cpu.Best
-// reports, so the VEDLIOT_CPU clamp narrows these kernels exactly as it
-// narrows the GEMM micro-kernels. The tier is resolved once: Best is
+// simd_avx2_amd64.s, simd_avx512_amd64.s; the plane kernel's are
+// qplane_*_amd64.s, dispatched from qplane_amd64.go), chosen by the
+// tier cpu.Best reports, so the VEDLIOT_CPU clamp narrows these kernels
+// exactly as it narrows the GEMM micro-kernels. The tier is resolved once: Best is
 // immutable after its first call, and these kernels run on spans as
 // short as one image row, where a per-call sync.Once load is measurable.
 //
@@ -21,7 +22,9 @@ import "vedliot/internal/tensor/cpu"
 // up. The byte table is the one kernel whose body follows a feature bit
 // instead of the tier alone: VPERMI2B where the AVX-512 tier also has
 // VBMI, PSHUFB nibble select on the AVX2 tier (and on an AVX-512 tier
-// without VBMI), and the portable loop below AVX2.
+// without VBMI), and the portable loop below AVX2; the AVX-512 tile
+// epilogue and plane bodies apply it in their own pass where VBMI is
+// there.
 //
 // What the integer path buys on a host whose FP32 vectors are as wide as
 // its integer ones is a quarter of the activation bytes and PMADDWD's
@@ -39,62 +42,25 @@ var (
 	lut8VBMI = int8Tier >= cpu.TierAVX512 && cpu.Detect().AVX512VBMI
 )
 
-func convTapsInt16Accel(acc []int32, x []int16, offs []int32, w []int16, bias int32, fromAcc bool) int {
-	if len(offs) == 0 {
-		return 0
-	}
+func widenShiftInt8Accel(dst []int16, src []int8, zp int16) int {
+	n := len(src)
 	switch {
+	case n == 0:
 	case int8Tier >= cpu.TierAVX512:
-		convTapsInt16AVX512(&acc[0], len(acc), &x[0], &offs[0], &w[0], len(offs), bias, fromAcc)
-		return len(acc)
+		widenShiftInt8AVX512(&dst[0], &src[0], n, zp)
+		return n
 	case int8Tier >= cpu.TierAVX2:
-		if n := len(acc) &^ 15; n > 0 {
-			convTapsInt16AVX2(&acc[0], n, &x[0], &offs[0], &w[0], len(offs), bias, fromAcc)
+		if n &^= 15; n > 0 {
+			widenShiftInt8AVX2(&dst[0], &src[0], n, zp)
 			return n
 		}
 	case int8Tier >= cpu.TierSSE2:
-		if n := len(acc) &^ 7; n > 0 {
-			convTapsInt16SSE2(&acc[0], n, &x[0], &offs[0], &w[0], len(offs), bias, fromAcc)
+		if n &^= 7; n > 0 {
+			widenShiftInt8SSE2(&dst[0], &src[0], n, zp)
 			return n
 		}
 	}
 	return 0
-}
-
-func widenShiftRowsInt8Accel(dst []int16, rowOff []int32, src []int8, cols int, zp int16) bool {
-	if len(rowOff) == 0 {
-		return true
-	}
-	switch {
-	case int8Tier >= cpu.TierAVX512:
-		widenShiftRowsInt8AVX512(&dst[0], &rowOff[0], len(rowOff), &src[0], cols, zp)
-		return true
-	case int8Tier >= cpu.TierAVX2:
-		widenShiftRowsInt8AVX2(&dst[0], &rowOff[0], len(rowOff), &src[0], cols, zp)
-		return true
-	case int8Tier >= cpu.TierSSE2:
-		widenShiftRowsInt8SSE2(&dst[0], &rowOff[0], len(rowOff), &src[0], cols, zp)
-		return true
-	}
-	return false
-}
-
-func widenShiftSplit2RowsInt8Accel(dst []int16, rowOff []int32, offE, offO int, src []int8, cols int, zp int16) bool {
-	if len(rowOff) == 0 {
-		return true
-	}
-	switch {
-	case int8Tier >= cpu.TierAVX512:
-		widenShiftSplit2RowsInt8AVX512(&dst[0], &rowOff[0], len(rowOff), offE, offO, &src[0], cols, zp)
-		return true
-	case int8Tier >= cpu.TierAVX2:
-		widenShiftSplit2RowsInt8AVX2(&dst[0], &rowOff[0], len(rowOff), offE, offO, &src[0], cols, zp)
-		return true
-	case int8Tier >= cpu.TierSSE2:
-		widenShiftSplit2RowsInt8SSE2(&dst[0], &rowOff[0], len(rowOff), offE, offO, &src[0], cols, zp)
-		return true
-	}
-	return false
 }
 
 func packPairShiftInt8Accel(out []int16, ldo int, src []int8, lds, taps, n int, zp int16) bool {
@@ -183,23 +149,30 @@ func narrowSatInt8Accel(dst []int8, acc []int32) int {
 	return 0
 }
 
-func requantTileInt8Accel(dst []int8, ldd int, c []int32, ldc, rows, cols int, req []Requant, zp int32) int {
+// requantTileInt8Accel reports the columns it covered and whether it
+// also recoded them through post: the AVX-512 body does where VPERMI2B
+// is there.
+func requantTileInt8Accel(dst []int8, ldd int, c []int32, ldc, rows, cols int, req []Requant, zp int32, post []*[256]int8) (int, bool) {
 	switch {
 	case int8Tier >= cpu.TierAVX512:
-		requantTileInt8AVX512(&dst[0], ldd, &c[0], ldc, rows, cols, &req[0], zp)
-		return cols
+		var tabs **[256]int8
+		if post != nil && lut8VBMI {
+			tabs = &post[0]
+		}
+		requantTileInt8AVX512(&dst[0], ldd, &c[0], ldc, rows, cols, &req[0], zp, tabs)
+		return cols, tabs != nil
 	case int8Tier >= cpu.TierAVX2:
 		if cols &^= 15; cols > 0 {
 			requantTileInt8AVX2(&dst[0], ldd, &c[0], ldc, rows, cols, &req[0], zp)
-			return cols
+			return cols, false
 		}
 	case int8Tier >= cpu.TierSSE2:
 		if cols &^= 15; cols > 0 {
 			requantTileInt8SSE2(&dst[0], ldd, &c[0], ldc, rows, cols, &req[0], zp)
-			return cols
+			return cols, false
 		}
 	}
-	return 0
+	return 0, false
 }
 
 func quantizeSliceAccel(dst []int8, src []float32, inv, zero float64) int {
@@ -222,13 +195,7 @@ func quantizeSliceAccel(dst []int8, src []float32, inv, zero float64) int {
 }
 
 //go:noescape
-func convTapsInt16AVX512(acc *int32, n int, x *int16, offs *int32, w *int16, taps int, bias int32, fromAcc bool)
-
-//go:noescape
-func widenShiftRowsInt8AVX512(dst *int16, rowOff *int32, rows int, src *int8, cols int, zp int16)
-
-//go:noescape
-func widenShiftSplit2RowsInt8AVX512(dst *int16, rowOff *int32, rows int, offE, offO int, src *int8, cols int, zp int16)
+func widenShiftInt8AVX512(dst *int16, src *int8, n int, zp int16)
 
 //go:noescape
 func packPairShiftInt8AVX512(out *int16, ldo int, src *int8, lds int, taps, n int, zp int16)
@@ -252,19 +219,13 @@ func accumLUT32AVX512(acc *int32, src *int8, n int, lut *[256]int32, seed int32,
 func narrowSatInt8AVX512(dst *int8, acc *int32, n int)
 
 //go:noescape
-func requantTileInt8AVX512(dst *int8, ldd int, c *int32, ldc int, rows, cols int, req *Requant, zp int32)
+func requantTileInt8AVX512(dst *int8, ldd int, c *int32, ldc int, rows, cols int, req *Requant, zp int32, tabs **[256]int8)
 
 //go:noescape
 func quantizeSliceAVX512(dst *int8, src *float32, n int, inv, zero float64)
 
 //go:noescape
-func convTapsInt16AVX2(acc *int32, n int, x *int16, offs *int32, w *int16, taps int, bias int32, fromAcc bool)
-
-//go:noescape
-func widenShiftRowsInt8AVX2(dst *int16, rowOff *int32, rows int, src *int8, cols int, zp int16)
-
-//go:noescape
-func widenShiftSplit2RowsInt8AVX2(dst *int16, rowOff *int32, rows int, offE, offO int, src *int8, cols int, zp int16)
+func widenShiftInt8AVX2(dst *int16, src *int8, n int, zp int16)
 
 //go:noescape
 func packPairShiftInt8AVX2(out *int16, ldo int, src *int8, lds int, taps, n int, zp int16)
@@ -285,13 +246,7 @@ func requantTileInt8AVX2(dst *int8, ldd int, c *int32, ldc int, rows, cols int, 
 func quantizeSliceAVX2(dst *int8, src *float32, n int, inv, zero float64)
 
 //go:noescape
-func convTapsInt16SSE2(acc *int32, n int, x *int16, offs *int32, w *int16, taps int, bias int32, fromAcc bool)
-
-//go:noescape
-func widenShiftRowsInt8SSE2(dst *int16, rowOff *int32, rows int, src *int8, cols int, zp int16)
-
-//go:noescape
-func widenShiftSplit2RowsInt8SSE2(dst *int16, rowOff *int32, rows int, offE, offO int, src *int8, cols int, zp int16)
+func widenShiftInt8SSE2(dst *int16, src *int8, n int, zp int16)
 
 //go:noescape
 func packPairShiftInt8SSE2(out *int16, ldo int, src *int8, lds int, taps, n int, zp int16)

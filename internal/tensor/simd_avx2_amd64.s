@@ -9,208 +9,28 @@
 // included, is VEX-encoded: a legacy SSE write to an XMM register while
 // the YMM uppers are dirty costs a state transition per instruction.
 
-// func convTapsInt16AVX2(acc *int32, n int, x *int16, offs *int32, w *int16, taps int, bias int32, fromAcc bool)
+// func widenShiftInt8AVX2(dst *int16, src *int8, n int, zp int16)
 //
-// Sixteen outputs per chunk (n is a multiple of 16): Y0/Y1 accumulate
-// the low/high unpack halves across all taps, tap pairs through VPMADDWD
-// as in the 512-bit body, an odd last tap under the weight pair (w, 0).
-// VPERM2I128 restores linear order before the seed is added.
-TEXT ·convTapsInt16AVX2(SB), NOSPLIT, $0-53
-	MOVQ acc+0(FP), DI
-	MOVQ n+8(FP), R14
-	MOVQ x+16(FP), SI
-	MOVQ offs+24(FP), R8
-	MOVQ w+32(FP), R9
-	MOVQ taps+40(FP), R10
-	MOVL bias+48(FP), AX
-	VMOVD AX, X15
-	VPBROADCASTD X15, Y15
-	MOVBLZX fromAcc+52(FP), R13
-	MOVQ R10, R11
-	ANDQ $-2, R11 // taps in whole pairs
-
-ct2chunk:
-	CMPQ R14, $16
-	JLT  ct2done
-	VPXOR Y0, Y0, Y0
-	VPXOR Y1, Y1, Y1
-	XORQ R12, R12
-
-ct2pair:
-	CMPQ R12, R11
-	JGE  ct2odd
-	MOVLQSX (R8)(R12*4), AX
-	MOVLQSX 4(R8)(R12*4), DX
-	VMOVDQU (SI)(AX*2), Y2
-	VMOVDQU (SI)(DX*2), Y3
-	VPBROADCASTD (R9)(R12*2), Y4
-	VPUNPCKLWD Y3, Y2, Y5
-	VPUNPCKHWD Y3, Y2, Y6
-	VPMADDWD Y4, Y5, Y5
-	VPMADDWD Y4, Y6, Y6
-	VPADDD Y5, Y0, Y0
-	VPADDD Y6, Y1, Y1
-	ADDQ $2, R12
-	JMP  ct2pair
-
-ct2odd:
-	CMPQ R12, R10
-	JGE  ct2store
-	MOVLQSX (R8)(R12*4), AX
-	VMOVDQU (SI)(AX*2), Y2
-	MOVWLZX (R9)(R12*2), AX
-	VMOVD AX, X4
-	VPBROADCASTD X4, Y4 // (w, 0)
-	VPUNPCKLWD Y2, Y2, Y5
-	VPUNPCKHWD Y2, Y2, Y6
-	VPMADDWD Y4, Y5, Y5
-	VPMADDWD Y4, Y6, Y6
-	VPADDD Y5, Y0, Y0
-	VPADDD Y6, Y1, Y1
-
-ct2store:
-	VPERM2I128 $0x20, Y1, Y0, Y7 // outputs 0..7
-	VPERM2I128 $0x31, Y1, Y0, Y8 // outputs 8..15
-	TESTQ R13, R13
-	JNZ  ct2fromacc
-	VPADDD Y15, Y7, Y7
-	VPADDD Y15, Y8, Y8
-	JMP  ct2write
-
-ct2fromacc:
-	VPADDD (DI), Y7, Y7
-	VPADDD 32(DI), Y8, Y8
-
-ct2write:
-	VMOVDQU Y7, (DI)
-	VMOVDQU Y8, 32(DI)
-	ADDQ $32, SI
-	ADDQ $64, DI
-	SUBQ $16, R14
-	JMP  ct2chunk
-
-ct2done:
-	VZEROUPPER
-	RET
-
-// func widenShiftRowsInt8AVX2(dst *int16, rowOff *int32, rows int, src *int8, cols int, zp int16)
-//
-// Row r: dst[rowOff[r]+i] = int16(src[r*cols+i]) - zp, sixteen codes per
-// step (VPMOVSXBW, VPSUBW) and a scalar loop for the row's ragged end.
-TEXT ·widenShiftRowsInt8AVX2(SB), NOSPLIT, $0-42
+// dst[i] = int16(src[i]) - zp, sixteen codes per step (VPMOVSXBW,
+// VPSUBW), n a multiple of 16.
+TEXT ·widenShiftInt8AVX2(SB), NOSPLIT, $0-26
 	MOVQ dst+0(FP), DI
-	MOVQ rowOff+8(FP), R8
-	MOVQ rows+16(FP), R10
-	MOVQ src+24(FP), SI
-	MOVQ cols+32(FP), R11
-	MOVWLSX zp+40(FP), R9
-	VMOVD R9, X7
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVWLSX zp+24(FP), AX
+	VMOVD AX, X7
 	VPBROADCASTW X7, Y7
-
-wr2row:
-	TESTQ R10, R10
-	JLE  wr2done
-	MOVLQSX (R8), AX
-	LEAQ (DI)(AX*2), DX
-	MOVQ R11, CX
-
-wr2step:
-	CMPQ CX, $16
-	JLT  wr2tail
-	VPMOVSXBW (SI), Y1
-	VPSUBW Y7, Y1, Y1
-	VMOVDQU Y1, (DX)
-	ADDQ $16, SI
-	ADDQ $32, DX
-	SUBQ $16, CX
-	JMP  wr2step
-
-wr2tail:
-	TESTQ CX, CX
-	JLE  wr2next
-	MOVBLSX (SI), BX
-	SUBL R9, BX
-	MOVW BX, (DX)
-	INCQ SI
-	ADDQ $2, DX
-	DECQ CX
-	JMP  wr2tail
-
-wr2next:
-	ADDQ $4, R8
-	DECQ R10
-	JMP  wr2row
-
-wr2done:
-	VZEROUPPER
-	RET
-
-// func widenShiftSplit2RowsInt8AVX2(dst *int16, rowOff *int32, rows int, offE, offO int, src *int8, cols int, zp int16)
-//
-// Even columns to dst[rowOff[r]+offE+i], odd ones to dst[rowOff[r]+offO+i]:
-// thirty-two codes read as sixteen (odd<<8 | even) words, shifted apart
-// as in the 512-bit body; a scalar loop takes the row's ragged end.
-TEXT ·widenShiftSplit2RowsInt8AVX2(SB), NOSPLIT, $0-58
-	MOVQ dst+0(FP), DI
-	MOVQ rowOff+8(FP), R8
-	MOVQ rows+16(FP), R10
-	MOVQ offE+24(FP), R14
-	MOVQ offO+32(FP), R15
-	MOVQ src+40(FP), SI
-	MOVQ cols+48(FP), R11
-	MOVWLSX zp+56(FP), R9
-	VMOVD R9, X7
-	VPBROADCASTW X7, Y7
-
-ws2row:
-	TESTQ R10, R10
-	JLE  ws2done
-	MOVLQSX (R8), AX
-	LEAQ (AX)(R14*1), DX
-	LEAQ (DI)(DX*2), DX // even destination
-	LEAQ (AX)(R15*1), BX
-	LEAQ (DI)(BX*2), BX // odd destination
-	MOVQ R11, CX
 
 ws2step:
-	CMPQ CX, $32
-	JLT  ws2tail
-	VMOVDQU (SI), Y1
-	VPSLLW $8, Y1, Y2
-	VPSRAW $8, Y2, Y2
-	VPSRAW $8, Y1, Y3
-	VPSUBW Y7, Y2, Y2
-	VPSUBW Y7, Y3, Y3
-	VMOVDQU Y2, (DX)
-	VMOVDQU Y3, (BX)
-	ADDQ $32, SI
-	ADDQ $32, DX
-	ADDQ $32, BX
-	SUBQ $32, CX
-	JMP  ws2step
-
-ws2tail:
 	TESTQ CX, CX
-	JLE  ws2next
-	MOVBLSX (SI), AX
-	SUBL R9, AX
-	MOVW AX, (DX)
-	INCQ SI
-	ADDQ $2, DX
-	DECQ CX
-	JZ   ws2next
-	MOVBLSX (SI), AX
-	SUBL R9, AX
-	MOVW AX, (BX)
-	INCQ SI
-	ADDQ $2, BX
-	DECQ CX
-	JMP  ws2tail
-
-ws2next:
-	ADDQ $4, R8
-	DECQ R10
-	JMP  ws2row
+	JLE  ws2done
+	VPMOVSXBW (SI), Y1
+	VPSUBW Y7, Y1, Y1
+	VMOVDQU Y1, (DI)
+	ADDQ $16, SI
+	ADDQ $32, DI
+	SUBQ $16, CX
+	JMP  ws2step
 
 ws2done:
 	VZEROUPPER

@@ -30,249 +30,36 @@ DATA unpackHi<>+48(SB)/8, $14
 DATA unpackHi<>+56(SB)/8, $15
 GLOBL unpackHi<>(SB), RODATA|NOPTR, $64
 
-// func convTapsInt16AVX512(acc *int32, n int, x *int16, offs *int32, w *int16, taps int, bias int32, fromAcc bool)
+// func widenShiftInt8AVX512(dst *int16, src *int8, n int, zp int16)
 //
-// Thirty-two outputs per chunk: Z0/Z1 accumulate the low/high unpack
-// halves across all taps. A tap pair loads its two windows, interleaves
-// them into (x0, x1) word pairs and VPMADDWDs them with the broadcast
-// (w0, w1) pair; an odd last tap pairs its window with itself under the
-// weight pair (w, 0). One permute restores linear order, the seed (the
-// bias, or the plane itself) is added and the chunk is stored once.
-TEXT ·convTapsInt16AVX512(SB), NOSPLIT, $0-53
-	MOVQ acc+0(FP), DI
-	MOVQ n+8(FP), R14
-	MOVQ x+16(FP), SI
-	MOVQ offs+24(FP), R8
-	MOVQ w+32(FP), R9
-	MOVQ taps+40(FP), R10
-	MOVL bias+48(FP), AX
-	VPBROADCASTD AX, Z30
-	MOVBLZX fromAcc+52(FP), R13
-	VMOVDQU64 unpackLo<>(SB), Z28
-	VMOVDQU64 unpackHi<>(SB), Z29
-	MOVQ R10, R11
-	ANDQ $-2, R11 // taps in whole pairs
-	KXNORD K1, K1, K1 // 32 words
-	KXNORW K2, K2, K2 // dwords 0..15
-	KXNORW K3, K3, K3 // dwords 16..31
-
-ctchunk:
-	CMPQ R14, $32
-	JGE  ctbody
-	TESTQ R14, R14
-	JLE  ctdone
-	MOVQ R14, CX
-	MOVQ $1, BX
-	SHLQ CX, BX
-	DECQ BX
-	KMOVD BX, K1
-	KMOVW BX, K2
-	SHRQ $16, BX
-	KMOVW BX, K3
-
-ctbody:
-	VPXORD Z0, Z0, Z0
-	VPXORD Z1, Z1, Z1
-	XORQ R12, R12
-
-ctpair:
-	CMPQ R12, R11
-	JGE  ctodd
-	MOVLQSX (R8)(R12*4), AX
-	MOVLQSX 4(R8)(R12*4), DX
-	VMOVDQU16.Z (SI)(AX*2), K1, Z2
-	VMOVDQU16.Z (SI)(DX*2), K1, Z3
-	VPBROADCASTD (R9)(R12*2), Z4
-	VPUNPCKLWD Z3, Z2, Z5
-	VPUNPCKHWD Z3, Z2, Z6
-	VPMADDWD Z4, Z5, Z5
-	VPMADDWD Z4, Z6, Z6
-	VPADDD Z5, Z0, Z0
-	VPADDD Z6, Z1, Z1
-	ADDQ $2, R12
-	JMP  ctpair
-
-ctodd:
-	CMPQ R12, R10
-	JGE  ctstore
-	MOVLQSX (R8)(R12*4), AX
-	VMOVDQU16.Z (SI)(AX*2), K1, Z2
-	MOVWLZX (R9)(R12*2), AX
-	VPBROADCASTD AX, Z4 // (w, 0)
-	VPUNPCKLWD Z2, Z2, Z5
-	VPUNPCKHWD Z2, Z2, Z6
-	VPMADDWD Z4, Z5, Z5
-	VPMADDWD Z4, Z6, Z6
-	VPADDD Z5, Z0, Z0
-	VPADDD Z6, Z1, Z1
-
-ctstore:
-	VMOVDQA64 Z0, Z7
-	VPERMT2Q Z1, Z28, Z7 // outputs 0..15
-	VPERMT2Q Z1, Z29, Z0 // outputs 16..31
-	TESTQ R13, R13
-	JNZ  ctfromacc
-	VPADDD Z30, Z7, Z7
-	VPADDD Z30, Z0, Z0
-	JMP  ctwrite
-
-ctfromacc:
-	VPADDD (DI), Z7, K2, Z7
-	VPADDD 64(DI), Z0, K3, Z0
-
-ctwrite:
-	VMOVDQU32 Z7, K2, (DI)
-	VMOVDQU32 Z0, K3, 64(DI)
-	ADDQ $64, SI
-	ADDQ $128, DI
-	SUBQ $32, R14
-	JMP  ctchunk
-
-ctdone:
-	VZEROUPPER
-	RET
-
-// func widenShiftRowsInt8AVX512(dst *int16, rowOff *int32, rows int, src *int8, cols int, zp int16)
-//
-// Row r: dst[rowOff[r]+i] = int16(src[r*cols+i]) - zp, thirty-two codes
-// per step (VPMOVSXBW, VPSUBW), the row's ragged end under K2.
-TEXT ·widenShiftRowsInt8AVX512(SB), NOSPLIT, $0-42
+// dst[i] = int16(src[i]) - zp, thirty-two codes per step (VPMOVSXBW,
+// VPSUBW), the ragged end under K2.
+TEXT ·widenShiftInt8AVX512(SB), NOSPLIT, $0-26
 	MOVQ dst+0(FP), DI
-	MOVQ rowOff+8(FP), R8
-	MOVQ rows+16(FP), R10
-	MOVQ src+24(FP), SI
-	MOVQ cols+32(FP), R11
-	MOVWLZX zp+40(FP), AX
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVWLZX zp+24(FP), AX
 	VPBROADCASTW AX, Z7
-	MOVQ R11, CX
-	ANDQ $31, CX
-	MOVQ $1, BX
-	SHLQ CX, BX
-	DECQ BX
-	KMOVD BX, K2 // the row's last cols%32 codes
-	MOVQ R11, R12
-	SHRQ $5, R12 // full steps per row
-
-wrrow:
-	TESTQ R10, R10
-	JLE  wrdone
-	MOVLQSX (R8), AX
-	LEAQ (DI)(AX*2), DX
-	MOVQ R12, R13
-
-wrstep:
-	TESTQ R13, R13
-	JLE  wrtail
-	VPMOVSXBW (SI), Z1
-	VPSUBW Z7, Z1, Z1
-	VMOVDQU16 Z1, (DX)
-	ADDQ $32, SI
-	ADDQ $64, DX
-	DECQ R13
-	JMP  wrstep
-
-wrtail:
-	TESTQ CX, CX
-	JZ   wrnext
-	VPMOVSXBW.Z (SI), K2, Z1
-	VPSUBW Z7, Z1, Z1
-	VMOVDQU16 Z1, K2, (DX)
-	ADDQ CX, SI
-
-wrnext:
-	ADDQ $4, R8
-	DECQ R10
-	JMP  wrrow
-
-wrdone:
-	VZEROUPPER
-	RET
-
-// func widenShiftSplit2RowsInt8AVX512(dst *int16, rowOff *int32, rows int, offE, offO int, src *int8, cols int, zp int16)
-//
-// Row r's even columns go to dst[rowOff[r]+offE+i], its odd ones to
-// dst[rowOff[r]+offO+i], widened and shifted. Read as words, sixty-four
-// codes are thirty-two (odd<<8 | even) pairs: an arithmetic shift right
-// by eight is the sign-extended odd code, and the same after a shift
-// left by eight the even one, both already in place.
-TEXT ·widenShiftSplit2RowsInt8AVX512(SB), NOSPLIT, $0-58
-	MOVQ dst+0(FP), DI
-	MOVQ rowOff+8(FP), R8
-	MOVQ rows+16(FP), R10
-	MOVQ offE+24(FP), R14
-	MOVQ offO+32(FP), R15
-	MOVQ src+40(FP), SI
-	MOVQ cols+48(FP), R11
-	MOVWLZX zp+56(FP), AX
-	VPBROADCASTW AX, Z7
-	MOVQ R11, CX
-	ANDQ $63, CX // m: codes in the row's last step
-	MOVQ $1, BX
-	SHLQ CX, BX
-	DECQ BX
-	KMOVQ BX, K2 // m bytes
-	MOVQ CX, R9 // keep m
-	INCQ CX
-	SHRQ $1, CX // (m+1)/2 even codes
-	MOVQ $1, BX
-	SHLQ CX, BX
-	DECQ BX
-	KMOVD BX, K3
-	MOVQ R9, CX
-	SHRQ $1, CX // m/2 odd codes
-	MOVQ $1, BX
-	SHLQ CX, BX
-	DECQ BX
-	KMOVD BX, K4
-	MOVQ R11, R12
-	SHRQ $6, R12 // full steps per row
-
-wsrow:
-	TESTQ R10, R10
-	JLE  wsdone
-	MOVLQSX (R8), AX
-	LEAQ (AX)(R14*1), DX
-	LEAQ (DI)(DX*2), DX // even destination
-	LEAQ (AX)(R15*1), BX
-	LEAQ (DI)(BX*2), BX // odd destination
-	MOVQ R12, R13
 
 wsstep:
-	TESTQ R13, R13
-	JLE  wstail
-	VMOVDQU8 (SI), Z1
-	VPSLLW $8, Z1, Z2
-	VPSRAW $8, Z2, Z2
-	VPSRAW $8, Z1, Z3
-	VPSUBW Z7, Z2, Z2
-	VPSUBW Z7, Z3, Z3
-	VMOVDQU16 Z2, (DX)
-	VMOVDQU16 Z3, (BX)
-	ADDQ $64, SI
-	ADDQ $64, DX
-	ADDQ $64, BX
-	DECQ R13
+	CMPQ CX, $32
+	JLT  wstail
+	VPMOVSXBW (SI), Z1
+	VPSUBW Z7, Z1, Z1
+	VMOVDQU16 Z1, (DI)
+	ADDQ $32, SI
+	ADDQ $64, DI
+	SUBQ $32, CX
 	JMP  wsstep
 
 wstail:
-	TESTQ R9, R9
-	JZ   wsnext
-	VMOVDQU8.Z (SI), K2, Z1
-	VPSLLW $8, Z1, Z2
-	VPSRAW $8, Z2, Z2
-	VPSRAW $8, Z1, Z3
-	VPSUBW Z7, Z2, Z2
-	VPSUBW Z7, Z3, Z3
-	VMOVDQU16 Z2, K3, (DX)
-	VMOVDQU16 Z3, K4, (BX)
-	ADDQ R9, SI
-
-wsnext:
-	ADDQ $4, R8
-	DECQ R10
-	JMP  wsrow
-
-wsdone:
+	MOVQ $1, BX
+	SHLQ CX, BX
+	DECQ BX
+	KMOVD BX, K2 // the last n%32 codes
+	VPMOVSXBW.Z (SI), K2, Z1
+	VPSUBW Z7, Z1, Z1
+	VMOVDQU16 Z1, K2, (DI)
 	VZEROUPPER
 	RET
 

@@ -10,17 +10,7 @@ package tensor
 // portable bodies are correct but not faster than scalar float code.
 const FastInt8 = false
 
-func convTapsInt16Accel(acc []int32, x []int16, offs []int32, w []int16, bias int32, fromAcc bool) int {
-	return 0
-}
-
-func widenShiftRowsInt8Accel(dst []int16, rowOff []int32, src []int8, cols int, zp int16) bool {
-	return false
-}
-
-func widenShiftSplit2RowsInt8Accel(dst []int16, rowOff []int32, offE, offO int, src []int8, cols int, zp int16) bool {
-	return false
-}
+func widenShiftInt8Accel(dst []int16, src []int8, zp int16) int { return 0 }
 
 func packPairShiftInt8Accel(out []int16, ldo int, src []int8, lds, taps, n int, zp int16) bool {
 	return false
@@ -39,8 +29,13 @@ func accumLUT32Accel(acc []int32, src []int8, lut *[256]int32, seed int32, fromA
 
 func narrowSatInt8Accel(dst []int8, acc []int32) int { return 0 }
 
-func requantTileInt8Accel(dst []int8, ldd int, c []int32, ldc, rows, cols int, req []Requant, zp int32) int {
-	return 0
+func requantTileInt8Accel(dst []int8, ldd int, c []int32, ldc, rows, cols int, req []Requant, zp int32, post []*[256]int8) (int, bool) {
+	return 0, false
 }
 
 func quantizeSliceAccel(dst []int8, src []float32, inv, zero float64) int { return 0 }
+
+type convPlanesLayout struct{}
+
+func newConvPlanesLayout(k *ConvPlanesInt8) *convPlanesLayout          { return nil }
+func convPlanesInt8Accel(k *ConvPlanesInt8, dst, x []int8, lo, hi int) {}

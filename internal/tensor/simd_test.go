@@ -5,9 +5,12 @@ import (
 	"testing"
 )
 
+// TestWidenShiftInt8 covers every length up to four 32-lane vectors and
+// past (whole vectors, ragged ends and the portable tail of each tier)
+// at both ends of the zero-point range.
 func TestWidenShiftInt8(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17, 100} {
+	for n := 0; n <= 140; n++ {
 		for _, zp := range []int16{0, -128, 127, 11} {
 			src := make([]int8, n)
 			for i := range src {
@@ -92,155 +95,6 @@ func randCodes(rng *rand.Rand, n int) []int8 {
 		x[i] = int8(rng.Intn(256) - 128)
 	}
 	return x
-}
-
-func refConvTaps(acc []int32, x []int16, offs []int32, w []int16, bias int32, fromAcc bool) {
-	for i := range acc {
-		s := bias
-		if fromAcc {
-			s = acc[i]
-		}
-		for t, off := range offs {
-			s += int32(w[t]) * int32(x[int(off)+i])
-		}
-		acc[i] = s
-	}
-}
-
-func checkConvTaps(t *testing.T, name string, n int, x []int16, offs []int32, w []int16, bias int32) {
-	t.Helper()
-	for _, fromAcc := range []bool{false, true} {
-		got := make([]int32, n+3)
-		for i := range got {
-			got[i] = int32(i*7919 - 1000)
-		}
-		want := append([]int32(nil), got...)
-		ConvTapsInt16(got[:n], x, offs, w, bias, fromAcc)
-		refConvTaps(want[:n], x, offs, w, bias, fromAcc)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%s n=%d taps=%d fromAcc=%v: acc[%d] = %d, want %d", name, n, len(offs), fromAcc, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestConvTapsInt16 covers lengths from 0 to three 32-lane vectors with
-// every tail, 1 to 25 taps (odd counts included), zero weights, and all
-// 25 taps at the operand extremes: +-255 x +-127 sums to 25*255*127 =
-// 809 625 in magnitude, far inside int32.
-func TestConvTapsInt16(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	const maxOff = 70
-	for n := 0; n <= 100; n++ {
-		for _, taps := range []int{1, 2, 3, 4, 5, 9, 24, 25} {
-			x := make([]int16, n+maxOff)
-			for i := range x {
-				x[i] = int16(rng.Intn(511) - 255)
-			}
-			offs := make([]int32, taps)
-			w := make([]int16, taps)
-			for k := range offs {
-				offs[k] = int32(rng.Intn(maxOff))
-				w[k] = int16(rng.Intn(255) - 127)
-				if rng.Intn(4) == 0 {
-					w[k] = 0
-				}
-			}
-			checkConvTaps(t, "random", n, x, offs, w, int32(rng.Intn(1<<20)-1<<19))
-		}
-	}
-	for _, xs := range []int16{255, -255} {
-		for _, ws := range []int16{127, -127} {
-			const n, taps = 67, 25
-			x := make([]int16, n+taps)
-			for i := range x {
-				x[i] = xs
-			}
-			offs := make([]int32, taps)
-			w := make([]int16, taps)
-			for k := range offs {
-				offs[k] = int32(k)
-				w[k] = ws
-			}
-			checkConvTaps(t, "extremes", n, x, offs, w, 0)
-		}
-	}
-	ConvTapsInt16(nil, nil, nil, nil, 3, false)
-	acc := []int32{5, 6}
-	ConvTapsInt16(acc, []int16{1, 2}, nil, nil, 9, false) // no taps: the seed alone
-	if acc[0] != 9 || acc[1] != 9 {
-		t.Fatalf("no taps: acc = %v, want [9 9]", acc)
-	}
-}
-
-func TestWidenShiftRowsInt8(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for _, rows := range []int{1, 2, 5} {
-		for cols := 0; cols <= 140; cols++ {
-			for _, zp := range []int16{0, -128, 127, 11} {
-				src := randCodes(rng, rows*cols)
-				stride := cols + 1 + rng.Intn(5)
-				rowOff := make([]int32, rows)
-				for r := range rowOff {
-					rowOff[r] = int32((rows-1-r)*stride + 2) // descending: placement is the table's, not the order's
-				}
-				got := make([]int16, rows*stride+4)
-				for i := range got {
-					got[i] = 777
-				}
-				want := append([]int16(nil), got...)
-				WidenShiftRowsInt8(got, rowOff, src, cols, zp)
-				for r, off := range rowOff {
-					for i := 0; i < cols; i++ {
-						want[int(off)+i] = int16(src[r*cols+i]) - zp
-					}
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("rows=%d cols=%d zp=%d: dst[%d] = %d, want %d", rows, cols, zp, i, got[i], want[i])
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestWidenShiftSplit2RowsInt8(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	for _, rows := range []int{1, 3} {
-		for cols := 0; cols <= 200; cols++ {
-			for _, zp := range []int16{0, -128, 127, -9} {
-				src := randCodes(rng, rows*cols)
-				ne, no := (cols+1)/2, cols/2
-				stride := ne + 3
-				offE, offO := 1, rows*stride+5
-				rowOff := make([]int32, rows)
-				for r := range rowOff {
-					rowOff[r] = int32(r * stride)
-				}
-				got := make([]int16, 2*rows*stride+10)
-				for i := range got {
-					got[i] = 777
-				}
-				want := append([]int16(nil), got...)
-				WidenShiftSplit2RowsInt8(got, rowOff, offE, offO, src, cols, zp)
-				for r, off := range rowOff {
-					for i := 0; i < ne; i++ {
-						want[int(off)+offE+i] = int16(src[r*cols+2*i]) - zp
-					}
-					for i := 0; i < no; i++ {
-						want[int(off)+offO+i] = int16(src[r*cols+2*i+1]) - zp
-					}
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("rows=%d cols=%d zp=%d: dst[%d] = %d, want %d", rows, cols, zp, i, got[i], want[i])
-					}
-				}
-			}
-		}
-	}
 }
 
 func TestGatherStride2Int8(t *testing.T) {
@@ -407,46 +261,6 @@ func TestAccumLUT32AndNarrow(t *testing.T) {
 			}
 		}
 	}
-}
-
-// FuzzConvTapsInt16 cross-checks the dispatched multi-tap kernel with its
-// scalar definition on arbitrary windows, tap counts, weights and seeds.
-func FuzzConvTapsInt16(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20}, uint8(3), uint8(9), int32(7), false)
-	f.Add(make([]byte, 300), uint8(25), uint8(67), int32(-1<<20), true)
-	f.Add([]byte{255, 127, 1, 128, 0, 0, 255, 255}, uint8(1), uint8(2), int32(0), true)
-	f.Fuzz(func(t *testing.T, raw []byte, taps8, n8 uint8, bias int32, fromAcc bool) {
-		taps, n := int(taps8)%26, int(n8)%100
-		if len(raw) < 2*taps+2 {
-			return
-		}
-		// One byte of offset and one of weight per tap, then the window:
-		// int16 operands in the kernels' +-255 range.
-		const maxOff = 40
-		offs := make([]int32, taps)
-		w := make([]int16, taps)
-		for k := range offs {
-			offs[k] = int32(raw[2*k]) % maxOff
-			w[k] = int16(int8(raw[2*k+1]))
-		}
-		x := make([]int16, n+maxOff)
-		for i := range x {
-			b := raw[(2*taps+i)%len(raw)]
-			x[i] = int16(b) - int16(raw[(i+1)%len(raw)])
-		}
-		got := make([]int32, n)
-		for i := range got {
-			got[i] = int32(i)*bias + 3
-		}
-		want := append([]int32(nil), got...)
-		ConvTapsInt16(got, x, offs, w, bias, fromAcc)
-		refConvTaps(want, x, offs, w, bias, fromAcc)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d taps=%d fromAcc=%v: acc[%d] = %d, want %d", n, taps, fromAcc, i, got[i], want[i])
-			}
-		}
-	})
 }
 
 // FuzzLUT8 cross-checks the dispatched byte table with the scalar lookup
