@@ -48,8 +48,8 @@ test-full:
 # warm-up, which probes every replica at once.
 # The plan executor's pooled run state gets the same twenty: concurrent
 # runs at mixed batch sizes, a first RunAll binding its expansion beside
-# concurrent runs, a kernel error at every step and a fan-out worker's
-# panic. internal/accel rides in the first row for Backend.Compile on a
+# concurrent runs, a kernel error at every step and a panic on a
+# goroutine of a cold compile's per-op spread. internal/accel rides in the first row for Backend.Compile on a
 # registry-shared graph from two goroutines. The CI race job runs this
 # target.
 test-race:
@@ -130,7 +130,7 @@ fuzz-smoke:
 # steps of the two served zoo models in absolute terms: Verify (MB/s),
 # Encode, then BenchmarkCompile and BenchmarkCompileQuantized, the
 # evidence for a cold compile's time and bytes (with -benchmem: each
-# op's weights packed once, the ops spread over the workers).
+# op's weights packed once, the ops spread over GOMAXPROCS goroutines).
 bench:
 	$(GO) test -bench 'BenchmarkEngine|BenchmarkQuantized|BenchmarkVerify|BenchmarkEncode|BenchmarkCompile' -run '^$$' -benchmem .
 
@@ -139,11 +139,10 @@ bench:
 # behind the gemm_roofline_attainment_<tier> artifact lines — then the
 # layers a batch-1 reply waits for (the seven mobilenetedge depthwise
 # shapes at batch 1 and 8 and dense 784->300 at batch 1, 2, 3, 4 and 8,
-# FP32 and INT8, one worker) and the inline-vs-split ladder the fan-out
-# threshold is read from.
+# FP32 and INT8).
 bench-kernels:
 	$(GO) test -bench BenchmarkGemmTiers -run '^$$' -benchmem ./internal/tensor/
-	$(GO) test -bench 'BenchmarkBatch1Kernels|BenchmarkFanOutCrossover' -run '^$$' -benchmem ./internal/inference/
+	$(GO) test -bench BenchmarkBatch1Kernels -run '^$$' -benchmem ./internal/inference/
 
 # bench-json regenerates the gated perf artifacts (BENCH_<id>.json),
 # exactly what the CI bench-gate job runs.
@@ -225,7 +224,8 @@ release-verify:
 # exported-identifier doc coverage, no exported top-level name without a
 # caller outside its own package's tests, no backticked `pkg.Name`, test
 # name or make target in DESIGN.md or README.md that the tree does not
-# declare, no CHANGES.md entry numbered 26 or later over 3 KB, and the committed
+# declare, no CHANGES.md entry numbered 26 or later over 3 KB, no
+# DESIGN.md longer than docs-check's designCeiling, and the committed
 # golden artifact. The CI docs job runs this target.
 docs:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

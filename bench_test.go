@@ -296,11 +296,11 @@ func BenchmarkQuantized(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fp, err := inference.Compile(g, inference.WithWorkers(1))
+	fp, err := inference.Compile(g)
 	if err != nil {
 		b.Fatal(err)
 	}
-	q, err := inference.CompileQuantized(g, schema, inference.WithWorkers(1))
+	q, err := inference.CompileQuantized(g, schema)
 	if err != nil {
 		b.Fatal(err)
 	}

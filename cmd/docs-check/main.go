@@ -4,8 +4,8 @@
 // const/var declaration outside a documented block — has no doc
 // comment, when an exported top-level name of a checked package has no
 // caller, when a Markdown document names an identifier, a test or a
-// make target that does not exist, or when a CHANGES.md entry breaks its
-// size budget. `go doc` is then guaranteed useful for every public entry
+// make target that does not exist, when DESIGN.md grows past its line
+// ceiling, or when a CHANGES.md entry breaks its size budget. `go doc` is then guaranteed useful for every public entry
 // point of the checked packages, every such entry point is used, and the
 // prose cannot outlive the code.
 //
@@ -21,7 +21,8 @@
 // only the type is resolved. A backticked `TestX`, `BenchmarkX` or
 // `FuzzX` must be declared in some _test.go file of the module (a
 // `/subtest` suffix is ignored), and a backticked `make target` must be
-// a target of ./Makefile. ./CHANGES.md is always read: an entry is a
+// a target of ./Makefile. A .md argument named DESIGN.md may hold at
+// most designCeiling lines. ./CHANGES.md is always read: an entry is a
 // line starting with its number (`- PR <n>`) and the lines after it up
 // to the next bullet, and from number 26 on none may exceed 3 KB. Run it
 // from the module root: callers and test names are read from every .go
@@ -93,6 +94,13 @@ func check(args []string) ([]string, error) {
 			return nil, err
 		}
 		problems = append(problems, p...)
+		if filepath.Base(doc) == "DESIGN.md" {
+			p, err := checkCeiling(doc, designCeiling)
+			if err != nil {
+				return nil, err
+			}
+			problems = append(problems, p...)
+		}
 	}
 	p, err := checkChanges("CHANGES.md")
 	if err != nil {
@@ -288,6 +296,23 @@ func checkDoc(path string, decls map[string]map[string]bool, tests, targets map[
 		}
 	}
 	return problems, nil
+}
+
+// designCeiling is the most lines DESIGN.md may hold: a change that
+// adds lines there deletes as many elsewhere in it or raises this
+// constant, in plain sight.
+const designCeiling = 1547
+
+// checkCeiling reports a Markdown file of more than ceiling lines.
+func checkCeiling(path string, ceiling int) ([]string, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if n := strings.Count(string(data), "\n"); n > ceiling {
+		return []string{fmt.Sprintf("%s: %d lines, over the %d-line ceiling", path, n, ceiling)}, nil
+	}
+	return nil, nil
 }
 
 // CHANGES.md budget: from entry number budgetFrom on, no entry may take

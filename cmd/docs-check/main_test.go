@@ -100,3 +100,22 @@ func TestCheckChangesBudget(t *testing.T) {
 		t.Errorf("got %q, want the planted entry 32 on line 9 alone", problems)
 	}
 }
+
+// TestCheckDesignCeiling plants a DESIGN.md at the ceiling, which
+// passes, and one a line over it, which fails.
+func TestCheckDesignCeiling(t *testing.T) {
+	inModuleRoot(t)
+	path := filepath.Join(t.TempDir(), "DESIGN.md")
+	for _, extra := range []int{0, 1} {
+		if err := os.WriteFile(path, []byte(strings.Repeat("line\n", designCeiling+extra)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		problems, err := check([]string{path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fail := len(problems) == 1 && strings.Contains(problems[0], "over the"); fail != (extra == 1) || len(problems) > extra {
+			t.Errorf("%d lines: problems %q", designCeiling+extra, problems)
+		}
+	}
+}

@@ -194,11 +194,11 @@ func calibrationSamples(g *nn.Graph, n int) []map[string]*tensor.Tensor {
 // prints the single-core latency comparison — the CLI view of the
 // `quantized` bench experiment.
 func compareRuntimes(g *nn.Graph, schema *nn.QuantSchema) error {
-	fp, err := inference.Compile(g, inference.WithWorkers(1))
+	fp, err := inference.Compile(g)
 	if err != nil {
 		return err
 	}
-	q, err := inference.CompileQuantized(g, schema, inference.WithWorkers(1))
+	q, err := inference.CompileQuantized(g, schema)
 	if err != nil {
 		return err
 	}

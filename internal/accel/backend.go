@@ -56,7 +56,7 @@ func (b *Backend) Name() string { return "accel:" + b.Device.Name }
 // workload once, so every later latency prediction is a closed-form
 // roofline evaluation. The graph is only read (on the artifact path it
 // is the registry's, shared by every scheduler compiling it).
-func (b *Backend) Compile(g *nn.Graph, opts ...inference.Option) (inference.Executable, error) {
+func (b *Backend) Compile(g *nn.Graph) (inference.Executable, error) {
 	if b.Device == nil {
 		return nil, fmt.Errorf("accel: backend has no device")
 	}
@@ -67,7 +67,7 @@ func (b *Backend) Compile(g *nn.Graph, opts ...inference.Option) (inference.Exec
 	if b.Precision == tensor.INT8 && b.Schema != nil {
 		host = inference.QuantizedBackend{Schema: b.Schema}
 	}
-	exec, err := host.Compile(g, opts...)
+	exec, err := host.Compile(g)
 	if err != nil {
 		return nil, err
 	}

@@ -225,7 +225,7 @@ func (tm rowTiming) record(r *Report, metric string) {
 
 // servedModelRows reports the absolute FP32 engine time per row of the
 // two zoo models the front door serves, at batch 1 (the shape a reply
-// waits for) and batch 8, on the default worker pool.
+// waits for) and batch 8.
 func servedModelRows(r *Report) error {
 	reps := pick(7, 5)
 	r.linef("%-16s %16s %16s", "served model", "us/row batch 1", "us/row batch 8")

@@ -48,11 +48,11 @@ func QuantizedStudy() (*Report, error) {
 	r.linef("model %s (%dx%d), calibrated %d values from %d batches",
 		g.Name, size, size, len(schema.Activations), len(samples))
 
-	fp, err := inference.Compile(g, inference.WithWorkers(1))
+	fp, err := inference.Compile(g)
 	if err != nil {
 		return nil, err
 	}
-	q, err := inference.CompileQuantized(g, schema, inference.WithWorkers(1))
+	q, err := inference.CompileQuantized(g, schema)
 	if err != nil {
 		return nil, err
 	}

@@ -27,7 +27,7 @@ func RISCVBench() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	q, err := inference.CompileQuantized(g, schema, inference.WithWorkers(1))
+	q, err := inference.CompileQuantized(g, schema)
 	if err != nil {
 		return nil, err
 	}

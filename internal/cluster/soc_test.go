@@ -59,7 +59,7 @@ func TestDeploySoCModule(t *testing.T) {
 		t.Fatalf("SoC latency model predicts %v, %v", lat, err)
 	}
 
-	q, err := inference.CompileQuantized(g, schema, inference.WithWorkers(1))
+	q, err := inference.CompileQuantized(g, schema)
 	if err != nil {
 		t.Fatal(err)
 	}

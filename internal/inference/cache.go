@@ -51,7 +51,7 @@ func NewPlanCache() *PlanCache {
 // the first request. The second return reports a cache hit: true means
 // the plan was reused (or another goroutine's in-flight compile was
 // joined), false means this call performed the compile.
-func (c *PlanCache) Compile(key string, b Backend, g *nn.Graph, opts ...Option) (Executable, bool, error) {
+func (c *PlanCache) Compile(key string, b Backend, g *nn.Graph) (Executable, bool, error) {
 	if key == "" {
 		return nil, false, fmt.Errorf("inference: empty plan-cache key")
 	}
@@ -67,7 +67,7 @@ func (c *PlanCache) Compile(key string, b Backend, g *nn.Graph, opts ...Option) 
 	} else {
 		c.misses.Add(1)
 	}
-	e.once.Do(func() { e.exe, e.err = b.Compile(g, opts...) })
+	e.once.Do(func() { e.exe, e.err = b.Compile(g) })
 	return e.exe, hit, e.err
 }
 

@@ -18,9 +18,9 @@ type countingBackend struct {
 
 func (b *countingBackend) Name() string { return b.inner.Name() }
 
-func (b *countingBackend) Compile(g *nn.Graph, opts ...Option) (Executable, error) {
+func (b *countingBackend) Compile(g *nn.Graph) (Executable, error) {
 	b.compiles.Add(1)
-	return b.inner.Compile(g, opts...)
+	return b.inner.Compile(g)
 }
 
 func TestPlanCacheHitSharesOnePlan(t *testing.T) {
@@ -128,7 +128,7 @@ type failingBackend struct{ compiles atomic.Int64 }
 
 func (b *failingBackend) Name() string { return "failing" }
 
-func (b *failingBackend) Compile(*nn.Graph, ...Option) (Executable, error) {
+func (b *failingBackend) Compile(*nn.Graph) (Executable, error) {
 	b.compiles.Add(1)
 	return nil, errors.New("boom")
 }

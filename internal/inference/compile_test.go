@@ -74,7 +74,7 @@ func TestCompileBindsOnce(t *testing.T) {
 func TestExecutorConcurrentFirstRunAll(t *testing.T) {
 	g := execGraph()
 	in := execInput(t, g, 3, 5)
-	fresh := mustCompile(t, g, WithWorkers(2), withParallelThreshold(1))
+	fresh := mustCompile(t, g)
 	wantRun, err := fresh.Run(in)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestExecutorConcurrentFirstRunAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := mustCompile(t, g, WithWorkers(2), withParallelThreshold(1))
+	eng := mustCompile(t, g)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -162,14 +162,19 @@ func dataOnly(steps []QuantStep) []QuantStep {
 	return steps
 }
 
-// TestLoweringDeterministic: the per-op fan-out of a cold compile builds
-// the same plan at any worker count. The lowered INT8 steps of
-// mobilenetedge are equal on one worker and on four, BuildQuantPlan's
-// data (LeNet: mobilenetedge's Mul is not describable) is equal under
-// GOMAXPROCS 1 and 4, and Compile's and CompileQuantized's engines for
-// the served zoo models answer Run at batch 1, 3 and 8, RunAll and
-// RunBatch with the same bits serially and across workers.
+// TestLoweringDeterministic: the per-op spread of a cold compile builds
+// the same plan whatever the host's core count. Under GOMAXPROCS 1 and
+// 4, the lowered INT8 steps of mobilenetedge are equal, BuildQuantPlan's
+// data (LeNet: mobilenetedge's Mul is not describable) is equal, and
+// Compile's and CompileQuantized's engines for the served zoo models
+// answer Run at batch 1, 3 and 8, RunAll and RunBatch with the same
+// bits.
 func TestLoweringDeterministic(t *testing.T) {
+	procs := []int{1, 4}
+	under := func(n int, f func()) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+		f()
+	}
 	mobile := zooGraph(t, "mobilenetedge")
 	m, err := lowerQuantized(mobile, calibrate(t, mobile))
 	if err != nil {
@@ -177,27 +182,25 @@ func TestLoweringDeterministic(t *testing.T) {
 	}
 	sc := buildScaffold(m)
 	var steps [][]QuantStep
-	for _, workers := range []int{1, 4} {
-		st, err := lowerQuantSteps(m, &sc, config{workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		steps = append(steps, dataOnly(st))
-	}
-	if !reflect.DeepEqual(steps[0], steps[1]) {
-		t.Error("mobilenetedge: lowered INT8 steps differ between one worker and four")
-	}
 	lenet := nn.LeNet(28, 10, nn.BuildOptions{Weights: true, Seed: 5})
 	var plans []*QuantPlan
-	for _, procs := range []int{1, 4} {
-		prev := runtime.GOMAXPROCS(procs)
-		p, err := BuildQuantPlan(lenet, calibrate(t, lenet))
-		runtime.GOMAXPROCS(prev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Steps = dataOnly(p.Steps)
-		plans = append(plans, p)
+	for _, n := range procs {
+		under(n, func() {
+			st, err := lowerQuantSteps(m, &sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			steps = append(steps, dataOnly(st))
+			p, err := BuildQuantPlan(lenet, calibrate(t, lenet))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Steps = dataOnly(p.Steps)
+			plans = append(plans, p)
+		})
+	}
+	if !reflect.DeepEqual(steps[0], steps[1]) {
+		t.Error("mobilenetedge: lowered INT8 steps differ between GOMAXPROCS 1 and 4")
 	}
 	if !reflect.DeepEqual(plans[0], plans[1]) {
 		t.Error("lenet: BuildQuantPlan differs between GOMAXPROCS 1 and 4")
@@ -206,12 +209,16 @@ func TestLoweringDeterministic(t *testing.T) {
 		g := zooGraph(t, name)
 		schema := calibrate(t, g)
 		ins := []map[string]*tensor.Tensor{execInput(t, g, 1, 1), execInput(t, g, 3, 2), execInput(t, g, 8, 3)}
-		hash := func(opts ...Option) uint64 {
-			eng := mustCompile(t, g, opts...)
-			q, err := CompileQuantized(g, schema, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
+		var hashes []uint64
+		for _, n := range procs {
+			var eng *Engine
+			var q *QuantEngine
+			under(n, func() {
+				eng = mustCompile(t, g)
+				if q, err = CompileQuantized(g, schema); err != nil {
+					t.Fatal(err)
+				}
+			})
 			var outs []map[string]*tensor.Tensor
 			for _, run := range []func(map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error){eng.Run, eng.RunAll, q.Run} {
 				for _, in := range ins {
@@ -229,13 +236,10 @@ func TestLoweringDeterministic(t *testing.T) {
 				}
 				outs = append(outs, batched...)
 			}
-			return hashOutputs(outs...)
+			hashes = append(hashes, hashOutputs(outs...))
 		}
-		serial := hash(WithWorkers(1))
-		for _, opts := range [][]Option{nil, {WithWorkers(4)}} {
-			if got := hash(opts...); got != serial {
-				t.Errorf("%s: outputs hash to %x under %d options, %x on one worker", name, got, len(opts), serial)
-			}
+		if hashes[0] != hashes[1] {
+			t.Errorf("%s: outputs hash to %x compiled under GOMAXPROCS 1, %x under 4", name, hashes[0], hashes[1])
 		}
 	}
 }

@@ -14,13 +14,13 @@ import (
 // tests.
 type convCase struct {
 	inH, inW, kh, kw, sh, sw, ph, pw int
-	groups, icPerG, batch, workers   int
+	groups, icPerG, batch            int
 	seed                             int64
 }
 
 func (c convCase) String() string {
-	return fmt.Sprintf("in%dx%d k%dx%d s%dx%d p%dx%d g%d ic%d b%d w%d seed%d",
-		c.inH, c.inW, c.kh, c.kw, c.sh, c.sw, c.ph, c.pw, c.groups, c.icPerG, c.batch, c.workers, c.seed)
+	return fmt.Sprintf("in%dx%d k%dx%d s%dx%d p%dx%d g%d ic%d b%d seed%d",
+		c.inH, c.inW, c.kh, c.kw, c.sh, c.sw, c.ph, c.pw, c.groups, c.icPerG, c.batch, c.seed)
 }
 
 // valid reports whether the case has a non-empty output.
@@ -46,8 +46,8 @@ func randomConvCase(rng *rand.Rand) convCase {
 		kh: ks[rng.Intn(4)], kw: ks[rng.Intn(4)],
 		sh: 1 + rng.Intn(4), sw: 1 + rng.Intn(4),
 		groups: 1 + rng.Intn(4), icPerG: []int{1, 3, 8, 16}[rng.Intn(4)],
-		batch: []int{1, 3, 8}[rng.Intn(3)], workers: 1 + rng.Intn(2),
-		seed: rng.Int63(),
+		batch: []int{1, 3, 8}[rng.Intn(3)],
+		seed:  rng.Int63(),
 	}
 	if rng.Intn(4) > 0 {
 		c.sw = c.sh // square strides are the common case
@@ -113,11 +113,10 @@ func (c convCase) graph(specials []float32) (*nn.Graph, map[string]*tensor.Tenso
 }
 
 // checkConvF32 runs the case through the engine and the interpreter
-// and demands bitwise equal outputs. The zero threshold makes a second
-// worker really split the planes.
+// and demands bitwise equal outputs.
 func checkConvF32(t testing.TB, c convCase, g *nn.Graph, in map[string]*tensor.Tensor) {
 	t.Helper()
-	eng, err := Compile(g, WithWorkers(c.workers), withParallelThreshold(0))
+	eng, err := Compile(g)
 	if err != nil {
 		t.Fatalf("%v: compile: %v", c, err)
 	}
@@ -187,14 +186,14 @@ func TestConvPlaneFormMatchesInterpreter(t *testing.T) {
 
 // denseShapedCases pins the squeeze-excite shape, a 1x1 kernel over a
 // 1x1 plane with one group, which both binders run on their dense core:
-// one to sixteen channels deep, a stride that changes nothing, one and
-// two workers. denseConvNet covers it without a bias and with fused
+// one to sixteen channels deep, a stride that changes nothing.
+// denseConvNet covers it without a bias and with fused
 // tails.
 var denseShapedCases = []convCase{
-	{inH: 1, inW: 1, kh: 1, kw: 1, sh: 1, sw: 1, groups: 1, icPerG: 1, batch: 3, workers: 1, seed: 31},
-	{inH: 1, inW: 1, kh: 1, kw: 1, sh: 1, sw: 1, groups: 1, icPerG: 3, batch: 1, workers: 1, seed: 32},
-	{inH: 1, inW: 1, kh: 1, kw: 1, sh: 1, sw: 1, groups: 1, icPerG: 16, batch: 8, workers: 2, seed: 33},
-	{inH: 1, inW: 1, kh: 1, kw: 1, sh: 2, sw: 2, groups: 1, icPerG: 8, batch: 3, workers: 2, seed: 34},
+	{inH: 1, inW: 1, kh: 1, kw: 1, sh: 1, sw: 1, groups: 1, icPerG: 1, batch: 3, seed: 31},
+	{inH: 1, inW: 1, kh: 1, kw: 1, sh: 1, sw: 1, groups: 1, icPerG: 3, batch: 1, seed: 32},
+	{inH: 1, inW: 1, kh: 1, kw: 1, sh: 1, sw: 1, groups: 1, icPerG: 16, batch: 8, seed: 33},
+	{inH: 1, inW: 1, kh: 1, kw: 1, sh: 2, sw: 2, groups: 1, icPerG: 8, batch: 3, seed: 34},
 }
 
 // narrowPlaneCases pins the plane-form geometries where a row is not a
@@ -205,16 +204,16 @@ var denseShapedCases = []convCase{
 // four-wide and single-value steps), and pointwise planes of 16 and 9
 // pixels. All depthwise or 3 deep, so all on the plane form.
 var narrowPlaneCases = []convCase{
-	{inH: 33, inW: 31, kh: 3, kw: 3, sh: 2, sw: 2, ph: 1, pw: 1, groups: 4, icPerG: 1, batch: 3, workers: 2, seed: 11},
-	{inH: 17, inW: 15, kh: 5, kw: 5, sh: 2, sw: 2, ph: 2, pw: 2, groups: 3, icPerG: 1, batch: 1, workers: 1, seed: 12},
-	{inH: 9, inW: 7, kh: 3, kw: 3, sh: 2, sw: 2, ph: 1, pw: 1, groups: 2, icPerG: 1, batch: 3, workers: 2, seed: 13},
-	{inH: 6, inW: 19, kh: 3, kw: 5, sh: 1, sw: 2, ph: 1, pw: 0, groups: 4, icPerG: 1, batch: 8, workers: 2, seed: 14},
-	{inH: 4, inW: 4, kh: 3, kw: 3, sh: 1, sw: 1, ph: 1, pw: 1, groups: 4, icPerG: 1, batch: 3, workers: 2, seed: 15},
-	{inH: 3, inW: 3, kh: 3, kw: 3, sh: 1, sw: 1, ph: 1, pw: 1, groups: 4, icPerG: 1, batch: 3, workers: 1, seed: 16},
-	{inH: 8, inW: 8, kh: 3, kw: 3, sh: 2, sw: 2, ph: 1, pw: 1, groups: 4, icPerG: 1, batch: 1, workers: 1, seed: 17},
-	{inH: 5, inW: 5, kh: 5, kw: 5, sh: 2, sw: 2, ph: 2, pw: 2, groups: 3, icPerG: 1, batch: 3, workers: 2, seed: 18},
-	{inH: 4, inW: 4, kh: 1, kw: 1, sh: 1, sw: 1, groups: 2, icPerG: 3, batch: 3, workers: 2, seed: 19},
-	{inH: 3, inW: 3, kh: 1, kw: 1, sh: 1, sw: 1, groups: 2, icPerG: 3, batch: 1, workers: 1, seed: 20},
+	{inH: 33, inW: 31, kh: 3, kw: 3, sh: 2, sw: 2, ph: 1, pw: 1, groups: 4, icPerG: 1, batch: 3, seed: 11},
+	{inH: 17, inW: 15, kh: 5, kw: 5, sh: 2, sw: 2, ph: 2, pw: 2, groups: 3, icPerG: 1, batch: 1, seed: 12},
+	{inH: 9, inW: 7, kh: 3, kw: 3, sh: 2, sw: 2, ph: 1, pw: 1, groups: 2, icPerG: 1, batch: 3, seed: 13},
+	{inH: 6, inW: 19, kh: 3, kw: 5, sh: 1, sw: 2, ph: 1, pw: 0, groups: 4, icPerG: 1, batch: 8, seed: 14},
+	{inH: 4, inW: 4, kh: 3, kw: 3, sh: 1, sw: 1, ph: 1, pw: 1, groups: 4, icPerG: 1, batch: 3, seed: 15},
+	{inH: 3, inW: 3, kh: 3, kw: 3, sh: 1, sw: 1, ph: 1, pw: 1, groups: 4, icPerG: 1, batch: 3, seed: 16},
+	{inH: 8, inW: 8, kh: 3, kw: 3, sh: 2, sw: 2, ph: 1, pw: 1, groups: 4, icPerG: 1, batch: 1, seed: 17},
+	{inH: 5, inW: 5, kh: 5, kw: 5, sh: 2, sw: 2, ph: 2, pw: 2, groups: 3, icPerG: 1, batch: 3, seed: 18},
+	{inH: 4, inW: 4, kh: 1, kw: 1, sh: 1, sw: 1, groups: 2, icPerG: 3, batch: 3, seed: 19},
+	{inH: 3, inW: 3, kh: 1, kw: 1, sh: 1, sw: 1, groups: 2, icPerG: 3, batch: 1, seed: 20},
 }
 
 // pickCases trims the randomized sweeps under -short.
@@ -227,11 +226,11 @@ func pickCases(full, short int) int {
 
 // TestConvPlanePredicateSides pins both sides of convPadExact on one
 // padded geometry: ordinary weights bind the padded form (it declares
-// worker scratch), while a -0 bias, an Inf tap or a NaN tap bind the
+// scratch), while a -0 bias, an Inf tap or a NaN tap bind the
 // clipped loop (no scratch) — and every variant still matches the
 // interpreter bit for bit, NaN and Inf inputs included.
 func TestConvPlanePredicateSides(t *testing.T) {
-	base := convCase{inH: 9, inW: 7, kh: 3, kw: 5, sh: 2, sw: 2, ph: 1, pw: 2, groups: 3, icPerG: 1, batch: 3, workers: 2, seed: 5}
+	base := convCase{inH: 9, inW: 7, kh: 3, kw: 5, sh: 2, sw: 2, ph: 1, pw: 2, groups: 3, icPerG: 1, batch: 3, seed: 5}
 	for _, v := range []struct {
 		name   string
 		mutate func(w, bias *tensor.Tensor)
@@ -253,7 +252,7 @@ func TestConvPlanePredicateSides(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := spec.f32PerWorker > 0; got != v.padded {
+			if got := spec.f32 > 0; got != v.padded {
 				t.Errorf("padded form bound = %v, want %v", got, v.padded)
 			}
 			checkConvF32(t, base, g, in)
@@ -286,8 +285,8 @@ func fuzzConvCase(inH, inW, kh, kw, sh, sw, ph, pw, misc uint8, seed int64) conv
 		kh: 1 + 2*(int(kh)%4), kw: 1 + 2*(int(kw)%4),
 		sh: 1 + int(sh)%4, sw: 1 + int(sw)%4,
 		groups: 1 + int(misc)%4, icPerG: []int{1, 3, 8, 16}[int(misc>>2)%4],
-		batch: []int{1, 3, 8}[int(misc>>4)%3], workers: 1 + int(misc>>6)%2,
-		seed: seed,
+		batch: []int{1, 3, 8}[int(misc>>4)%3],
+		seed:  seed,
 	}
 	c.ph, c.pw = int(ph)%c.kh, int(pw)%c.kw
 	return c
@@ -374,8 +373,8 @@ func checkConvI8(t testing.TB, c convCase) {
 	run := func(form string, kern kernelFunc[int8], spec scratchSpec) {
 		got := make([]int8, len(want))
 		var sb scratchBufs
-		sb.ensure(spec, c.batch, c.workers)
-		rc := runCtx{batch: c.batch, workers: c.workers, spec: spec, scratch: &sb}
+		sb.ensure(spec, c.batch)
+		rc := runCtx{batch: c.batch, spec: spec, scratch: &sb}
 		if err := kern(&rc, got, [][]int8{xv}); err != nil {
 			t.Fatalf("%v: %s run: %v", c, form, err)
 		}
@@ -388,7 +387,7 @@ func checkConvI8(t testing.TB, c convCase) {
 	kern, spec := bindQuantConv(&pc)
 	run("routed", kern, spec)
 	if c.gemm() {
-		run("plane twin", bindQuantConvPlane(&pc, geom), scratchSpec{})
+		run("plane twin", bindQuantConvPlane(&pc), scratchSpec{})
 	}
 }
 
@@ -439,7 +438,7 @@ func TestQuantDenseShapedConvIsExact(t *testing.T) {
 		}
 		want := make([]int8, batch*pg.OutC)
 		got := make([]int8, len(want))
-		runBoundQ(t, bindQuantConvPlane(st.Conv, g), scratchSpec{}, batch, want, [][]int8{xv})
+		runBoundQ(t, bindQuantConvPlane(st.Conv), scratchSpec{}, batch, want, [][]int8{xv})
 		kern, spec := bindQuantConv(st.Conv)
 		runBoundQ(t, kern, spec, batch, got, [][]int8{xv})
 		for i := range want {

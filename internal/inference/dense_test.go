@@ -13,9 +13,8 @@ import (
 // GEMM with lanes along the output features — bitwise against the
 // interpreter at batch sizes on both sides of every tile height and
 // for feature counts that are not multiples of any tile width, with a
-// fused tail, with FP32- and FP16-stored weights. Two workers at a zero
-// threshold split the (panel, tile) units. The portable matrix runs it
-// on every kernel tier.
+// fused tail, with FP32- and FP16-stored weights. The portable matrix
+// runs it on every kernel tier.
 func TestDenseMatchesInterpreterAtEveryBatch(t *testing.T) {
 	const inF = 37
 	for _, outF := range []int{10, 100, 300} {
@@ -35,7 +34,7 @@ func TestDenseMatchesInterpreterAtEveryBatch(t *testing.T) {
 				if fp16 {
 					g = withPrecision(g, tensor.FP16)
 				}
-				eng := mustCompile(t, g, WithWorkers(2), withParallelThreshold(0))
+				eng := mustCompile(t, g)
 				it := mustInterp(t, g)
 				for _, batch := range []int{1, 2, 3, 4, 5, 8, 9, 33} {
 					in := tensor.New(tensor.FP32, batch, inF)
@@ -80,7 +79,7 @@ func TestQuantDenseBatchInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q, err := CompileQuantized(g, schema, WithWorkers(2), withParallelThreshold(0))
+		q, err := CompileQuantized(g, schema)
 		if err != nil {
 			t.Fatal(err)
 		}

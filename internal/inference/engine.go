@@ -1,7 +1,6 @@
 package inference
 
 import (
-	"runtime"
 	"sync"
 	"time"
 
@@ -39,7 +38,7 @@ type Backend interface {
 	// Name identifies the backend in reports.
 	Name() string
 	// Compile lowers the graph for this target.
-	Compile(g *nn.Graph, opts ...Option) (Executable, error)
+	Compile(g *nn.Graph) (Executable, error)
 }
 
 // CPUBackend is the host-CPU backend: Compile produces an *Engine.
@@ -49,51 +48,12 @@ type CPUBackend struct{}
 func (CPUBackend) Name() string { return "cpu-engine" }
 
 // Compile implements Backend.
-func (CPUBackend) Compile(g *nn.Graph, opts ...Option) (Executable, error) {
-	return Compile(g, opts...)
+func (CPUBackend) Compile(g *nn.Graph) (Executable, error) {
+	return Compile(g)
 }
 
 var _ Backend = CPUBackend{}
 var _ Executable = (*Engine)(nil)
-
-// Option configures compilation.
-type Option func(*config)
-
-type config struct {
-	workers   int
-	threshold int64
-}
-
-// WithWorkers bounds the kernel worker pool. The default is
-// runtime.GOMAXPROCS(0); 1 disables parallel execution.
-func WithWorkers(n int) Option {
-	return func(c *config) { c.workers = n }
-}
-
-// withParallelThreshold sets the minimum estimated per-kernel op count
-// before work is split across the pool; smaller kernels run inline to
-// avoid dispatch overhead.
-func withParallelThreshold(ops int64) Option {
-	return func(c *config) { c.threshold = ops }
-}
-
-// defaultParallelThreshold is the estimated cost below which a kernel
-// runs inline, in the calibrated units of parallel.go (32 to 48 of them
-// per ns of inline work on the AVX-512 host with 2 vCPUs all of this
-// was measured on), so it stands for about 200 us. Three measurements
-// set it. BenchmarkFanOutCrossover, one vector kernel inline against
-// split over two workers, loses split up to 50-90 us of inline work and
-// wins from 160-175 us: below that a split pays a goroutine spawn and
-// the wake of a parked P for nothing. TestFanOutProfileBatch8 shows the
-// same per step of the zoo models at batch 8: split loses below 1<<22
-// (GEMM convolutions 1.05-1.25x, element-wise and table-driven steps
-// 1.2-2x), comes out even between 1<<22 and 1<<23, and wins above
-// (0.52-0.85x); a dense layer first gains at batch 32, where it states
-// 1<<23. A whole-Run ladder over thresholds 1<<21 to 1<<25 at batch 1
-// to 16, both models and both executors, puts 1<<23 within 4-7% of the
-// best rung at every batch and makes it the best at batch 1, where the
-// largest step states 1<<22.1 and 1<<22 already costs mobilenetedge 7%.
-const defaultParallelThreshold = 1 << 23
 
 // locKind says where a value's buffer lives during Run.
 type locKind uint8
@@ -163,37 +123,22 @@ func (e *Engine) ArenaFloatsPerSample() int { return e.arenaPerSample }
 // is bound to FP32 kernels with weights dequantized at compile time,
 // then arena-planned by liveness. The batch dimension stays dynamic:
 // Run accepts any batch size. Compile never mutates the source graph.
-func Compile(g *nn.Graph, opts ...Option) (*Engine, error) {
+func Compile(g *nn.Graph) (*Engine, error) {
 	m, _, err := Lower(g, nil, false)
 	if err != nil {
 		return nil, err
 	}
-	return newEngine(m, newConfig(opts))
-}
-
-// newConfig resolves compile options against the defaults.
-func newConfig(opts []Option) config {
-	cfg := config{workers: runtime.GOMAXPROCS(0), threshold: defaultParallelThreshold}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.workers < 1 {
-		cfg.workers = 1
-	}
-	if cfg.threshold < 0 {
-		cfg.threshold = 0
-	}
-	return cfg
+	return newEngine(m)
 }
 
 // newEngine binds a lowered FP32 module to kernels, the ops spread over
-// the compile's workers, and plans its arena.
-func newEngine(m *ir.Module, cfg config) (*Engine, error) {
-	e := &Engine{plan: plan[float32]{scaffold: buildScaffold(m), cfg: cfg, enter: enterF32}, m: m}
+// the host's cores (lowerEach), and plans its arena.
+func newEngine(m *ir.Module) (*Engine, error) {
+	e := &Engine{plan: plan[float32]{scaffold: buildScaffold(m), enter: enterF32}, m: m}
 	ops := stepOps(m)
 	e.steps = make([]step[float32], len(ops))
 	specs := make([]scratchSpec, len(ops))
-	err := cfg.lowerEach(len(ops), func(i int) error {
+	err := lowerEach(len(ops), func(i int) error {
 		op := ops[i]
 		ins, inPer := opOperands(&e.scaffold, op)
 		out := e.valOf[op.Out]
@@ -225,7 +170,7 @@ func newEngine(m *ir.Module, cfg config) (*Engine, error) {
 // the fused step collapses. Its scratch covers Run's steps and its own.
 func (e *Engine) expansion() (*plan[float32], error) {
 	e.fullOnce.Do(func() {
-		full := &plan[float32]{scaffold: e.scaffold, cfg: e.cfg, scratch: e.scratch}
+		full := &plan[float32]{scaffold: e.scaffold, scratch: e.scratch}
 		bind := func(n *nn.Node, ins []int, inPer []tensor.Shape, out int) error {
 			kern, spec, err := bindKernel(n, inPer, e.vals[out].per, nil)
 			full.scratch.grow(spec)

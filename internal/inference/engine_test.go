@@ -3,6 +3,7 @@ package inference
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -16,9 +17,9 @@ func fillInput(t *tensor.Tensor, seed int) {
 	}
 }
 
-func mustCompile(t *testing.T, g *nn.Graph, opts ...Option) *Engine {
+func mustCompile(t *testing.T, g *nn.Graph) *Engine {
 	t.Helper()
-	e, err := Compile(g, opts...)
+	e, err := Compile(g)
 	if err != nil {
 		t.Fatalf("compile %s: %v", g.Name, err)
 	}
@@ -78,52 +79,27 @@ func TestEngineMatchesInterpreter(t *testing.T) {
 	}
 }
 
-// TestSplitRecoversWorkerPanic: a panic on a fan-out worker goroutine
-// is raised again on the goroutine that called split, where a recover
-// can catch it, instead of ending the process. Worker 0 holds its first
-// chunk until worker 1 has panicked, so the panic is always on the other
-// goroutine.
+// TestSplitRecoversWorkerPanic: a panic while lowering an op on one of
+// the compile spread's goroutines is raised again on the goroutine that
+// called Compile (newEngine, newQuantEngine and BuildQuantPlan lower
+// through lowerEach), where a recover can catch it, instead of ending
+// the process. Each of the two ops holds its goroutine until the other
+// has started, so the goroutine lowerEach started panics too.
 func TestSplitRecoversWorkerPanic(t *testing.T) {
-	rc := runCtx{workers: 2}
-	panicked := make(chan struct{})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	var started sync.WaitGroup
+	started.Add(2)
 	got := func() (p any) {
 		defer func() { p = recover() }()
-		rc.split(64, func(worker, _, _ int) {
-			if worker != 0 {
-				close(panicked)
-				panic("worker fault")
-			}
-			<-panicked
+		lowerEach(2, func(int) error {
+			started.Done()
+			started.Wait()
+			panic("lowering fault")
 		})
 		return nil
 	}()
-	if got != "worker fault" {
-		t.Fatalf("split's caller recovered %v, want the worker's panic", got)
-	}
-}
-
-func TestEngineParallelMatchesSequential(t *testing.T) {
-	for _, g := range zoo() {
-		seq := mustCompile(t, g, WithWorkers(1))
-		par := mustCompile(t, g, WithWorkers(4), withParallelThreshold(0))
-		inNode := g.Node(g.Inputs[0])
-		in := tensor.New(tensor.FP32, append(tensor.Shape{2}, inNode.Attrs.Shape...)...)
-		fillInput(in, 9)
-		inputs := map[string]*tensor.Tensor{g.Inputs[0]: in}
-		want, err := seq.Run(inputs)
-		if err != nil {
-			t.Fatalf("%s: sequential: %v", g.Name, err)
-		}
-		got, err := par.Run(inputs)
-		if err != nil {
-			t.Fatalf("%s: parallel: %v", g.Name, err)
-		}
-		for name, w := range want {
-			d, _ := tensor.MaxAbsDiff(w, got[name])
-			if d != 0 {
-				t.Errorf("%s/%s: parallel kernels diverge by %g", g.Name, name, d)
-			}
-		}
+	if got != "lowering fault" {
+		t.Fatalf("Compile's caller recovered %v, want the lowering's panic", got)
 	}
 }
 

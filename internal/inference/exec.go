@@ -38,7 +38,6 @@ type step[T float32 | int8] struct {
 type plan[T float32 | int8] struct {
 	scaffold
 	steps []step[T]
-	cfg   config
 
 	// Arena plan, in per-sample elements (a batch-N call scales by N):
 	// the liveness-planned slabs' count and total size.
@@ -99,7 +98,7 @@ func (p *plan[T]) acquire() *runState[T] {
 		outs:  make([]*tensor.Tensor, len(p.outputNames)),
 		bufs:  make([][]T, len(p.vals)),
 	}
-	rs.rc = runCtx{workers: p.cfg.workers, threshold: p.cfg.threshold, spec: p.scratch, scratch: &rs.sb}
+	rs.rc = runCtx{spec: p.scratch, scratch: &rs.sb}
 	return rs
 }
 
@@ -117,8 +116,8 @@ func (p *plan[T]) release(rs *runState[T]) {
 // slab-resident value's buffer at its planned offset.
 func (rs *runState[T]) size(p *plan[T], batch int) {
 	rs.slab = grow(rs.slab, p.slabPerSample*batch)
-	rs.sb.ensure(p.scratch, batch, p.cfg.workers)
-	rs.rc.batch, rs.rc.estOps = batch, 0
+	rs.sb.ensure(p.scratch, batch)
+	rs.rc.batch = batch
 	for v, off := range p.off {
 		if off >= 0 {
 			rs.bufs[v] = rs.slab[off*batch : (off+p.vals[v].elems)*batch]
@@ -205,8 +204,8 @@ func (p *plan[T]) RunSingle(in *tensor.Tensor) (*tensor.Tensor, error) {
 // RunBatch fuses several independent requests into one dispatch: inputs
 // are stacked along the batch dimension, the plan runs once, and the
 // outputs are split back per request. Serving layers use this to
-// amortize dispatch overhead and to give the parallel kernels larger
-// work items.
+// amortize dispatch overhead and to give the kernels larger work
+// items.
 func (p *plan[T]) RunBatch(batches []map[string]*tensor.Tensor) ([]map[string]*tensor.Tensor, error) {
 	return p.runBatch(p.Run, batches)
 }

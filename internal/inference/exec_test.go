@@ -75,7 +75,7 @@ func erasePlan[T float32 | int8](name string, p *plan[T]) execPlan {
 }
 
 // compileExecPlans compiles g as each plan kind the executor runs.
-func compileExecPlans(t *testing.T, g *nn.Graph, opts ...Option) []execPlan {
+func compileExecPlans(t *testing.T, g *nn.Graph) []execPlan {
 	t.Helper()
 	samples, err := nn.SyntheticCalibration(g, 3)
 	if err != nil {
@@ -85,12 +85,12 @@ func compileExecPlans(t *testing.T, g *nn.Graph, opts ...Option) []execPlan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := CompileQuantized(g, schema, opts...)
+	q, err := CompileQuantized(g, schema)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return []execPlan{
-		erasePlan("fp32", &mustCompile(t, g, opts...).plan),
+		erasePlan("fp32", &mustCompile(t, g).plan),
 		erasePlan("int8", &q.plan),
 	}
 }
@@ -247,8 +247,8 @@ func TestExecutorRunAllMatchesRun(t *testing.T) {
 // declared outputs outlive the call, pooled memory does not.
 func TestExecutorConcurrentMixedBatches(t *testing.T) {
 	g := execGraph()
-	fresh := compileExecPlans(t, g, WithWorkers(2), withParallelThreshold(1))
-	for pi, p := range compileExecPlans(t, g, WithWorkers(2), withParallelThreshold(1)) {
+	fresh := compileExecPlans(t, g)
+	for pi, p := range compileExecPlans(t, g) {
 		ins := map[int]map[string]*tensor.Tensor{1: execInput(t, g, 1, 3), 8: execInput(t, g, 8, 5)}
 		want := map[int]map[string]*tensor.Tensor{}
 		for batch, in := range ins {
@@ -304,9 +304,9 @@ func TestPlannerNeverAliasesStepOperands(t *testing.T) {
 }
 
 // TestRunAllocations pins the per-run bookkeeping of the served mlp at
-// batch 1: what is left is the result map, the output tensor and the
-// closures the kernels hand the worker pool. A change that puts a
-// per-run allocation back (a table, a slab, a pool header) fails here.
+// batch 1: what is left is the result map and the output tensor. A
+// change that puts a per-run allocation back (a table, a slab, a pool
+// header, a kernel closure that escapes) fails here.
 func TestRunAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -329,7 +329,7 @@ func TestRunAllocations(t *testing.T) {
 		name string
 		run  func(map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error)
 		want float64
-	}{{"fp32", mustCompile(t, g).Run, 9}, {"int8", q.Run, 12}} {
+	}{{"fp32", mustCompile(t, g).Run, 5}, {"int8", q.Run, 6}} {
 		got := testing.AllocsPerRun(200, func() {
 			if _, err := c.run(in); err != nil {
 				t.Fatal(err)

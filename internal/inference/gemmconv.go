@@ -10,17 +10,16 @@ import (
 // N = output pixels and K = taps: A is the weight matrix packed once at
 // bind time into register-panel layout, and B is built one NR-wide tile
 // at a time with the im2col gather fused into the pack — no full patch
-// matrix ever materializes, so the working set per worker is one B tile
-// plus one C tile regardless of layer size. Pointwise convolutions skip
+// matrix ever materializes, so the working set is one B tile plus one
+// C tile regardless of layer size. Pointwise convolutions skip
 // the pack entirely on full tiles: their natural NCHW layout already is
 // the B matrix (row stride = the pixel count), which the micro-kernel
 // consumes directly through its ldb argument.
 //
-// Work splits over (sample, group, N-tile) items so one sample still
-// fans out across the worker pool; each item packs its B tile once and
-// sweeps all A panels over it while the tile is cache-hot. Per-worker
-// pack and C-tile scratch comes from the engine's planned scratch
-// allocation (scratch.go), claimed by worker ordinal without locking.
+// The kernel walks (sample, group, N-tile) items; each item packs its B
+// tile once and sweeps all A panels over it while the tile is
+// cache-hot. Pack and C-tile scratch comes from the engine's planned
+// scratch allocation (scratch.go).
 //
 // FP32 results stay bitwise identical to the interpreter: the kernels
 // initialize accumulators with the bias and add one separate-rounded
@@ -163,7 +162,7 @@ func packConvTile[T float32 | int8](rows, xv []T, g *convGeom, nr, b, grp int, p
 
 // bindConvGemm lowers one FP32 convolution onto the packed GEMM
 // micro-kernels. Weights and bias are packed per group at bind time;
-// the returned kernel streams B tiles through planned worker scratch.
+// the returned kernel streams B tiles through planned scratch.
 func bindConvGemm(g convGeom, w *tensor.Tensor, bias []float32, ep *epilogue) (kernelFunc[float32], scratchSpec) {
 	taps := g.icPerG * g.kh * g.kw
 	px := g.outH * g.outW
@@ -191,56 +190,53 @@ func bindConvGemm(g convGeom, w *tensor.Tensor, bias []float32, ep *epilogue) (k
 	ktaps := g.kh * g.kw
 	plans := buildConvPlans(&g, nr, nt, px)
 	scratch := taps*nr + mr*nr
-	itemCost := int64(taps) * int64(nr) * int64(2*g.ocPerG+1)
 	kfn := func(rc *runCtx, dst []float32, srcs [][]float32) error {
 		xv := srcs[0]
-		rc.parallelForWorker(rc.batch*groups*nt, itemCost, func(worker, lo, hi int) {
-			ws := rc.f32Worker(worker, scratch)
-			bpack := ws[:taps*nr]
-			ctile := ws[taps*nr:]
-			for it := lo; it < hi; it++ {
-				b := it / (groups * nt)
-				rem := it % (groups * nt)
-				t := rem % nt
-				grp := rem / nt
-				j0 := t * nr
-				jw := px - j0
-				if jw > nr {
-					jw = nr
+		ws := rc.f32Scratch(scratch)
+		bpack := ws[:taps*nr]
+		ctile := ws[taps*nr:]
+		for it := 0; it < rc.batch*groups*nt; it++ {
+			b := it / (groups * nt)
+			rem := it % (groups * nt)
+			t := rem % nt
+			grp := rem / nt
+			j0 := t * nr
+			jw := px - j0
+			if jw > nr {
+				jw = nr
+			}
+			bt, ldb := bpack, nr
+			if pointwise && jw == nr {
+				// The input planes of this group are the B matrix already.
+				bt, ldb = xv[(b*g.inC+grp*g.icPerG)*px+j0:], px
+			} else {
+				packConvTile(bpack, xv, &g, nr, b, grp, plans[t*ktaps:(t+1)*ktaps], 0, tensor.GatherStride2F32)
+			}
+			for p := 0; p < panels; p++ {
+				oc0 := grp*g.ocPerG + p*mr
+				mh := g.ocPerG - p*mr
+				if mh > mr {
+					mh = mr
 				}
-				bt, ldb := bpack, nr
-				if pointwise && jw == nr {
-					// The input planes of this group are the B matrix already.
-					bt, ldb = xv[(b*g.inC+grp*g.icPerG)*px+j0:], px
+				ap := apack[grp*apg+p*mr*taps : grp*apg+(p+1)*mr*taps]
+				bp := biasAll[grp*bpg+p*mr : grp*bpg+(p+1)*mr]
+				// A full tile lands in dst and takes its epilogue in
+				// place; a ragged one leaves the C tile through it.
+				out := dst[(b*g.outC+oc0)*px+j0:]
+				if mh == mr && jw == nr {
+					kern.Run(ap, bt, ldb, taps, bp, out, px)
+					if ep != nil {
+						ep.tile(out, px, out, px, mh, jw, oc0, true)
+					}
 				} else {
-					packConvTile(bpack, xv, &g, nr, b, grp, plans[t*ktaps:(t+1)*ktaps], 0, tensor.GatherStride2F32)
-				}
-				for p := 0; p < panels; p++ {
-					oc0 := grp*g.ocPerG + p*mr
-					mh := g.ocPerG - p*mr
-					if mh > mr {
-						mh = mr
-					}
-					ap := apack[grp*apg+p*mr*taps : grp*apg+(p+1)*mr*taps]
-					bp := biasAll[grp*bpg+p*mr : grp*bpg+(p+1)*mr]
-					// A full tile lands in dst and takes its epilogue in
-					// place; a ragged one leaves the C tile through it.
-					out := dst[(b*g.outC+oc0)*px+j0:]
-					if mh == mr && jw == nr {
-						kern.Run(ap, bt, ldb, taps, bp, out, px)
-						if ep != nil {
-							ep.tile(out, px, out, px, mh, jw, oc0, true)
-						}
-					} else {
-						kern.Run(ap, bt, ldb, taps, bp, ctile, nr)
-						ep.tile(out, px, ctile, nr, mh, jw, oc0, true)
-					}
+					kern.Run(ap, bt, ldb, taps, bp, ctile, nr)
+					ep.tile(out, px, ctile, nr, mh, jw, oc0, true)
 				}
 			}
-		})
+		}
 		return nil
 	}
-	return kfn, scratchSpec{f32PerWorker: scratch}
+	return kfn, scratchSpec{f32: scratch}
 }
 
 // bindQuantConvGemm lowers one integer convolution onto the int16
@@ -272,10 +268,10 @@ func bindQuantConvGemm(p *qconv) (kfn kernelFunc[int8], spec scratchSpec, ok boo
 	groups := g.inC / g.icPerG
 	panels := (g.ocPerG + mr - 1) / mr
 	// The C tiles of every panel under one B tile, requantized in one call.
-	spec = scratchSpec{i16PerWorker: kp * 2 * nr, i32PerWorker: panels * mr * nr}
+	spec = scratchSpec{i16: kp * 2 * nr, i32: panels * mr * nr}
 	if !pointwise {
 		plans = buildConvPlans(&g, nr, nt, px)
-		spec.i8PerWorker = taps * nr
+		spec.i8 = taps * nr
 	}
 	apg := kern.PackedASize(g.ocPerG, taps)
 	bpg := panels * mr
@@ -285,36 +281,33 @@ func bindQuantConvGemm(p *qconv) (kfn kernelFunc[int8], spec scratchSpec, ok boo
 		kern.PackA(apack[grp*apg:(grp+1)*apg], p.w16[grp*g.ocPerG*taps:], taps, g.ocPerG, taps)
 		copy(biasAll[grp*bpg:], p.bias32[grp*g.ocPerG:(grp+1)*g.ocPerG])
 	}
-	itemCost := qconvTileCost(taps, mr, nr, panels, !pointwise)
 	kfn = func(rc *runCtx, dst []int8, srcs [][]int8) error {
 		xv := srcs[0]
-		rc.parallelForWorker(rc.batch*groups*nt, itemCost, func(worker, lo, hi int) {
-			bpack := rc.i16Worker(worker, spec.i16PerWorker)
-			ctile := rc.i32Worker(worker, spec.i32PerWorker)
-			stage := rc.i8Worker(worker, spec.i8PerWorker)
-			for it := lo; it < hi; it++ {
-				b := it / (groups * nt)
-				rem := it % (groups * nt)
-				grp := rem / nt
-				t := rem % nt
-				j0 := t * nr
-				jw := min(px-j0, nr)
-				if pointwise {
-					// Tap k's values are the contiguous pixels j0..j0+jw-1 of
-					// input plane k: the planes are the rows to pack as they lie.
-					tensor.PackPairShiftInt8(bpack, 2*nr, xv[(b*g.inC+grp*g.icPerG)*px+j0:], px, taps, jw, int16(p.zpIn))
-				} else {
-					packConvTile(stage, xv, &g, nr, b, grp, plans[t*ktaps:(t+1)*ktaps], int8(p.zpIn), tensor.GatherStride2Int8)
-					tensor.PackPairShiftInt8(bpack, 2*nr, stage, nr, taps, nr, int16(p.zpIn))
-				}
-				for pi := 0; pi < panels; pi++ {
-					kern.Run(apack[grp*apg+pi*mr*2*kp:grp*apg+(pi+1)*mr*2*kp], bpack, 2*nr, kp,
-						biasAll[grp*bpg+pi*mr:grp*bpg+(pi+1)*mr], ctile[pi*mr*nr:], nr)
-				}
-				oc0 := grp * g.ocPerG
-				tensor.RequantTileInt8(dst[(b*g.outC+oc0)*px+j0:], px, ctile, nr, g.ocPerG, jw, p.req[oc0:], p.zpOut, p.postRows(oc0, g.ocPerG))
+		bpack := rc.i16Scratch(spec.i16)
+		ctile := rc.i32Scratch(spec.i32)
+		stage := rc.i8Scratch(spec.i8)
+		for it := 0; it < rc.batch*groups*nt; it++ {
+			b := it / (groups * nt)
+			rem := it % (groups * nt)
+			grp := rem / nt
+			t := rem % nt
+			j0 := t * nr
+			jw := min(px-j0, nr)
+			if pointwise {
+				// Tap k's values are the contiguous pixels j0..j0+jw-1 of
+				// input plane k: the planes are the rows to pack as they lie.
+				tensor.PackPairShiftInt8(bpack, 2*nr, xv[(b*g.inC+grp*g.icPerG)*px+j0:], px, taps, jw, int16(p.zpIn))
+			} else {
+				packConvTile(stage, xv, &g, nr, b, grp, plans[t*ktaps:(t+1)*ktaps], int8(p.zpIn), tensor.GatherStride2Int8)
+				tensor.PackPairShiftInt8(bpack, 2*nr, stage, nr, taps, nr, int16(p.zpIn))
 			}
-		})
+			for pi := 0; pi < panels; pi++ {
+				kern.Run(apack[grp*apg+pi*mr*2*kp:grp*apg+(pi+1)*mr*2*kp], bpack, 2*nr, kp,
+					biasAll[grp*bpg+pi*mr:grp*bpg+(pi+1)*mr], ctile[pi*mr*nr:], nr)
+			}
+			oc0 := grp * g.ocPerG
+			tensor.RequantTileInt8(dst[(b*g.outC+oc0)*px+j0:], px, ctile, nr, g.ocPerG, jw, p.req[oc0:], p.zpOut, p.postRows(oc0, g.ocPerG))
+		}
 		return nil
 	}
 	return kfn, spec, true

@@ -14,8 +14,8 @@
 //     reference semantics and the baseline in engine benchmarks.
 //   - Engine (see Compile) is the compiled execution-plan runtime:
 //     kernels are bound and weights dequantized once at compile time,
-//     activations live in a liveness-planned arena, and the hot kernels
-//     run on a bounded worker pool. See DESIGN.md.
+//     activations live in a liveness-planned arena, and every kernel
+//     runs to completion on the calling goroutine. See DESIGN.md.
 //
 // Compile (FP32) and CompileQuantized (native INT8, see
 // quant.go) are thin drivers over one shared lowering pipeline — the

@@ -365,11 +365,10 @@ func softmaxRows(x *tensor.Tensor) (*tensor.Tensor, error) {
 // compile time (resolving attributes, checking shapes and dequantizing
 // FP16/INT8 weights to FP32), and the returned closures operate on raw
 // float32 buffers whose per-sample geometry is fixed — only the batch
-// dimension varies per call. The hot kernels (conv2d, dense, pool) split
-// their outermost loops across the bounded worker pool in parallel.go.
-// Every kernel keeps the per-element accumulation order of the
+// dimension varies per call. Every kernel runs its whole range on the
+// calling goroutine and keeps the per-element accumulation order of the
 // interpreter above, so engine results are bitwise identical to the
-// reference semantics at any worker count.
+// reference semantics.
 // ---------------------------------------------------------------------------
 
 // epilogue is a producer's fused element-wise tail: an optional leading
@@ -583,7 +582,6 @@ func bindConv(n *nn.Node, in, out tensor.Shape, ep *epilogue) (kernelFunc[float3
 		return kern, spec, nil
 	}
 	wv := w.Float32s() // dequantized once, at compile time
-	planeCost := convPlaneCost(&g)
 	px := g.outH * g.outW
 	// Three plane forms. A 1x1 stride-1 unpadded conv has no border: its
 	// input planes are the tap windows as they lie. Otherwise the padded
@@ -598,38 +596,36 @@ func bindConv(n *nn.Node, in, out tensor.Shape, ep *epilogue) (kernelFunc[float3
 		pd = pointwiseConvPad(&g)
 	case convPadExact(wv, bias):
 		pd = newConvPad(&g)
-		spec.f32PerWorker = pd.inLen + pd.accLen
+		spec.f32 = pd.inLen + pd.accLen
 	}
 	return func(rc *runCtx, dst []float32, srcs [][]float32) error {
 		xv := srcs[0]
-		rc.parallelForWorker(rc.batch*g.outC, planeCost, func(worker, lo, hi int) {
-			var xp, acc []float32
-			if spec.f32PerWorker > 0 {
-				ws := rc.f32Worker(worker, spec.f32PerWorker)
-				xp, acc = ws[:pd.inLen], ws[pd.inLen:]
-				clear(xp) // the border and slack stay zero across this chunk's planes
+		var xp, acc []float32
+		if spec.f32 > 0 {
+			ws := rc.f32Scratch(spec.f32)
+			xp, acc = ws[:pd.inLen], ws[pd.inLen:]
+			clear(xp) // the border and slack stay zero across this call's planes
+		}
+		for p := 0; p < rc.batch*g.outC; p++ {
+			b, oc := p/g.outC, p%g.outC
+			var b0 float32
+			if bias != nil {
+				b0 = bias[oc]
 			}
-			for p := lo; p < hi; p++ {
-				b, oc := p/g.outC, p%g.outC
-				var b0 float32
-				if bias != nil {
-					b0 = bias[oc]
-				}
-				out := dst[p*px : (p+1)*px]
-				switch {
-				case pointwise:
-					convPlanePointwise(out, xv, wv, b0, &g, pd, b, oc)
-				case pd != nil:
-					convPlanePadded(out, xv, wv, b0, ep, &g, pd, xp, acc, b, oc)
-					continue // the plane left its accumulator through the epilogue
-				default:
-					convPlaneClipped(out, xv, wv, b0, &g, b, oc)
-				}
-				if ep != nil {
-					ep.tile(out, px, out, px, 1, px, oc, false)
-				}
+			out := dst[p*px : (p+1)*px]
+			switch {
+			case pointwise:
+				convPlanePointwise(out, xv, wv, b0, &g, pd, b, oc)
+			case pd != nil:
+				convPlanePadded(out, xv, wv, b0, ep, &g, pd, xp, acc, b, oc)
+				continue // the plane left its accumulator through the epilogue
+			default:
+				convPlaneClipped(out, xv, wv, b0, &g, b, oc)
 			}
-		})
+			if ep != nil {
+				ep.tile(out, px, out, px, 1, px, oc, false)
+			}
+		}
 		return nil
 	}, spec, nil
 }
@@ -896,28 +892,17 @@ func bindDenseCore(w, bias []float32, inF, outF int, ep *epilogue) (kernelFunc[f
 		}
 	}
 	scratch := mr*lda + mr*nr
-	// One live row of one tile. The weight tiles are packed at bind time,
-	// so a dense tile retires its 2 ops per MAC at about twice the rate of
-	// a convolution tile that packs its B operand per call.
-	rowCost := int64(inF) * int64(nr)
 	return func(rc *runCtx, dst []float32, srcs [][]float32) error {
 		xv := srcs[0]
-		panels := (rc.batch + mr - 1) / mr
-		rc.parallelForWorker(panels*nt, rowCost*int64(min(rc.batch, mr)), func(worker, lo, hi int) {
-			ws := rc.f32Worker(worker, scratch)
-			arows, ctile := ws[:mr*lda], ws[mr*lda:]
-			staged := -1
-			for u := lo; u < hi; u++ {
-				p, t := u/nt, u%nt
-				i0 := p * mr
-				mh := min(rc.batch-i0, mr)
-				if p != staged {
-					for i := 0; i < mh; i++ {
-						arows[i*lda] = 1
-						copy(arows[i*lda+1:(i+1)*lda], xv[(i0+i)*inF:])
-					}
-					staged = p
-				}
+		ws := rc.f32Scratch(scratch)
+		arows, ctile := ws[:mr*lda], ws[mr*lda:]
+		for i0 := 0; i0 < rc.batch; i0 += mr {
+			mh := min(rc.batch-i0, mr)
+			for i := 0; i < mh; i++ {
+				arows[i*lda] = 1
+				copy(arows[i*lda+1:(i+1)*lda], xv[(i0+i)*inF:])
+			}
+			for t := 0; t < nt; t++ {
 				o0 := t * nr
 				jw := min(outF-o0, nr)
 				kern.RunRows(arows, lda, mh, bpack[t*tile:(t+1)*tile], nr, lda, seed, ctile, nr)
@@ -932,9 +917,9 @@ func bindDenseCore(w, bias []float32, inF, outF int, ep *epilogue) (kernelFunc[f
 					}
 				}
 			}
-		})
+		}
 		return nil
-	}, scratchSpec{f32PerWorker: scratch}
+	}, scratchSpec{f32: scratch}
 }
 
 // weightValues is a weight tensor's values for a bind-time reader that
@@ -1016,44 +1001,40 @@ func bindBatchNorm(n *nn.Node, in tensor.Shape, ep *epilogue) (kernelFunc[float3
 	hw := in[1] * in[2]
 	return func(rc *runCtx, dst []float32, srcs [][]float32) error {
 		xv := srcs[0]
-		rc.parallelFor(rc.batch*c, int64(hw)*costElem, func(lo, hi int) {
-			for p := lo; p < hi; p++ {
-				base := p * hw
-				s, sh := scale[p%c], shift[p%c]
-				x := xv[base : base+hw]
-				out := dst[base : base+hw]
-				out = out[:len(x)]
-				switch {
-				case reluTail:
-					for i, v := range x {
-						v = v*s + sh
-						if v < 0 {
-							v = 0
-						}
-						out[i] = v
+		for p := 0; p < rc.batch*c; p++ {
+			base := p * hw
+			s, sh := scale[p%c], shift[p%c]
+			x := xv[base : base+hw]
+			out := dst[base : base+hw]
+			out = out[:len(x)]
+			switch {
+			case reluTail:
+				for i, v := range x {
+					v = v*s + sh
+					if v < 0 {
+						v = 0
 					}
-				case fs != nil:
-					f := fs[p%c]
-					for i, v := range x {
-						out[i] = f(v*s + sh)
-					}
-				default:
-					for i, v := range x {
-						out[i] = v*s + sh
-					}
+					out[i] = v
+				}
+			case fs != nil:
+				f := fs[p%c]
+				for i, v := range x {
+					out[i] = f(v*s + sh)
+				}
+			default:
+				for i, v := range x {
+					out[i] = v*s + sh
 				}
 			}
-		})
+		}
 		return nil
 	}, nil
 }
 
-// activationFn resolves an activation node to its scalar function and
-// its estimated per-element cost, shared by the FP32 binder and the
-// quantized LUT builder.
-func activationFn(n *nn.Node) (func(float32) float32, int64, error) {
+// activationFn resolves an activation node to its scalar function,
+// shared by the FP32 binder and the quantized LUT builder.
+func activationFn(n *nn.Node) (func(float32) float32, error) {
 	var f func(float32) float32
-	var unitCost int64 = costElem
 	switch n.Op {
 	case nn.OpReLU:
 		f = func(v float32) float32 {
@@ -1076,22 +1057,22 @@ func activationFn(n *nn.Node) (func(float32) float32, int64, error) {
 			return v
 		}
 	case nn.OpSigmoid:
-		f, unitCost = sigmoid, costExp
+		f = sigmoid
 	case nn.OpTanh:
-		f, unitCost = func(v float32) float32 { return float32(math.Tanh(float64(v))) }, costExp
+		f = func(v float32) float32 { return float32(math.Tanh(float64(v))) }
 	case nn.OpHSwish:
 		f = func(v float32) float32 { return v * relu6(v+3) / 6 }
 	case nn.OpHSigmoid:
 		f = func(v float32) float32 { return relu6(v+3) / 6 }
 	case nn.OpMish:
-		f, unitCost = func(v float32) float32 {
+		f = func(v float32) float32 {
 			sp := math.Log1p(math.Exp(float64(v))) // softplus
 			return float32(float64(v) * math.Tanh(sp))
-		}, 2*costExp
+		}
 	default:
-		return nil, 0, fmt.Errorf("unsupported activation %s", n.Op)
+		return nil, fmt.Errorf("unsupported activation %s", n.Op)
 	}
-	return f, unitCost, nil
+	return f, nil
 }
 
 // vecAct returns the tensor.Act of an activation whose tile epilogue
@@ -1110,28 +1091,21 @@ func vecAct(op nn.OpType) tensor.Act {
 }
 
 func bindActivation(n *nn.Node) (kernelFunc[float32], error) {
-	f, unitCost, err := activationFn(n)
+	f, err := activationFn(n)
 	if err != nil {
 		return nil, err
 	}
 	act := vecAct(n.Op)
-	if act != tensor.ActNone {
-		unitCost = costSpan
-	}
 	return func(rc *runCtx, dst []float32, srcs [][]float32) error {
-		xv := srcs[0]
-		rc.parallelFor(len(dst), unitCost, func(lo, hi int) {
-			x := xv[lo:hi]
-			out := dst[lo:hi]
-			out = out[:len(x)]
-			if act != tensor.ActNone {
-				tensor.EpilogueTileF32(out, len(x), x, len(x), 1, len(x), nil, nil, act)
-				return
-			}
-			for i, v := range x {
-				out[i] = f(v)
-			}
-		})
+		x := srcs[0][:len(dst)]
+		out := dst[:len(x)]
+		if act != tensor.ActNone {
+			tensor.EpilogueTileF32(out, len(x), x, len(x), 1, len(x), nil, nil, act)
+			return nil
+		}
+		for i, v := range x {
+			out[i] = f(v)
+		}
 		return nil
 	}, nil
 }
@@ -1143,62 +1117,59 @@ func bindPool(n *nn.Node, in, out tensor.Shape, isMax bool) (kernelFunc[float32]
 	a := n.Attrs
 	c, inH, inW := in[0], in[1], in[2]
 	outH, outW := out[1], out[2]
-	planeCost := int64(outH*outW) * int64(a.KernelH*a.KernelW) * 2 * costElem
 	return func(rc *runCtx, dst []float32, srcs [][]float32) error {
 		xv := srcs[0]
-		rc.parallelFor(rc.batch*c, planeCost, func(lo, hi int) {
-			for p := lo; p < hi; p++ {
-				base := p * inH * inW
-				outBase := p * outH * outW
-				for oy := 0; oy < outH; oy++ {
-					iy0 := oy*a.StrideH - a.PadH
-					kyLo := 0
-					if iy0 < 0 {
-						kyLo = -iy0
+		for p := 0; p < rc.batch*c; p++ {
+			base := p * inH * inW
+			outBase := p * outH * outW
+			for oy := 0; oy < outH; oy++ {
+				iy0 := oy*a.StrideH - a.PadH
+				kyLo := 0
+				if iy0 < 0 {
+					kyLo = -iy0
+				}
+				kyHi := a.KernelH
+				if iy0+a.KernelH > inH {
+					kyHi = inH - iy0
+				}
+				for ox := 0; ox < outW; ox++ {
+					ix0 := ox*a.StrideW - a.PadW
+					kxLo := 0
+					if ix0 < 0 {
+						kxLo = -ix0
 					}
-					kyHi := a.KernelH
-					if iy0+a.KernelH > inH {
-						kyHi = inH - iy0
+					kxHi := a.KernelW
+					if ix0+a.KernelW > inW {
+						kxHi = inW - ix0
 					}
-					for ox := 0; ox < outW; ox++ {
-						ix0 := ox*a.StrideW - a.PadW
-						kxLo := 0
-						if ix0 < 0 {
-							kxLo = -ix0
-						}
-						kxHi := a.KernelW
-						if ix0+a.KernelW > inW {
-							kxHi = inW - ix0
-						}
-						var acc float32
-						if isMax {
-							first := true
-							for ky := kyLo; ky < kyHi; ky++ {
-								row := base + (iy0+ky)*inW + ix0
-								for kx := kxLo; kx < kxHi; kx++ {
-									v := xv[row+kx]
-									if first || v > acc {
-										acc = v
-										first = false
-									}
+					var acc float32
+					if isMax {
+						first := true
+						for ky := kyLo; ky < kyHi; ky++ {
+							row := base + (iy0+ky)*inW + ix0
+							for kx := kxLo; kx < kxHi; kx++ {
+								v := xv[row+kx]
+								if first || v > acc {
+									acc = v
+									first = false
 								}
 							}
-						} else {
-							for ky := kyLo; ky < kyHi; ky++ {
-								row := base + (iy0+ky)*inW + ix0
-								for kx := kxLo; kx < kxHi; kx++ {
-									acc += xv[row+kx]
-								}
-							}
-							if count := (kyHi - kyLo) * (kxHi - kxLo); count > 0 {
-								acc /= float32(count)
+						}
+					} else {
+						for ky := kyLo; ky < kyHi; ky++ {
+							row := base + (iy0+ky)*inW + ix0
+							for kx := kxLo; kx < kxHi; kx++ {
+								acc += xv[row+kx]
 							}
 						}
-						dst[outBase+oy*outW+ox] = acc
+						if count := (kyHi - kyLo) * (kxHi - kxLo); count > 0 {
+							acc /= float32(count)
+						}
 					}
+					dst[outBase+oy*outW+ox] = acc
 				}
 			}
-		})
+		}
 		return nil
 	}, nil
 }
@@ -1210,16 +1181,14 @@ func bindGlobalAvgPool(in tensor.Shape) (kernelFunc[float32], error) {
 	c, hw := in[0], in[1]*in[2]
 	return func(rc *runCtx, dst []float32, srcs [][]float32) error {
 		xv := srcs[0]
-		rc.parallelFor(rc.batch*c, int64(hw)*costElem, func(lo, hi int) {
-			for p := lo; p < hi; p++ {
-				x := xv[p*hw : (p+1)*hw]
-				var sum float64
-				for _, v := range x {
-					sum += float64(v)
-				}
-				dst[p] = float32(sum / float64(hw))
+		for p := 0; p < rc.batch*c; p++ {
+			x := xv[p*hw : (p+1)*hw]
+			var sum float64
+			for _, v := range x {
+				sum += float64(v)
 			}
-		})
+			dst[p] = float32(sum / float64(hw))
+		}
 		return nil
 	}, nil
 }
@@ -1249,37 +1218,32 @@ func bindAccumulate(n *nn.Node, ins []tensor.Shape, out tensor.Shape) (kernelFun
 		for i := 1; i < len(srcs); i++ {
 			yv := srcs[i]
 			if !broadcast[i] {
-				rc.parallelFor(len(dst), costElem/2, func(lo, hi int) {
-					y := yv[lo:hi]
-					out := dst[lo:hi]
-					out = out[:len(y)]
-					if mul {
-						for j, v := range y {
-							out[j] *= v
-						}
-					} else {
-						for j, v := range y {
-							out[j] += v
-						}
+				y := yv[:len(dst)]
+				out := dst[:len(y)]
+				if mul {
+					for j, v := range y {
+						out[j] *= v
 					}
-				})
-				continue
-			}
-			rc.parallelFor(rc.batch*c, int64(hw)*costElem/2, func(lo, hi int) {
-				for p := lo; p < hi; p++ {
-					f := yv[p]
-					out := dst[p*hw : (p+1)*hw]
-					if mul {
-						for j := range out {
-							out[j] *= f
-						}
-					} else {
-						for j := range out {
-							out[j] += f
-						}
+				} else {
+					for j, v := range y {
+						out[j] += v
 					}
 				}
-			})
+				continue
+			}
+			for p := 0; p < rc.batch*c; p++ {
+				f := yv[p]
+				out := dst[p*hw : (p+1)*hw]
+				if mul {
+					for j := range out {
+						out[j] *= f
+					}
+				} else {
+					for j := range out {
+						out[j] += f
+					}
+				}
+			}
 		}
 		return nil
 	}, nil
@@ -1323,20 +1287,18 @@ func bindUpsample(n *nn.Node, in, out tensor.Shape) (kernelFunc[float32], error)
 	oh, ow := out[1], out[2]
 	return func(rc *runCtx, dst []float32, srcs [][]float32) error {
 		xv := srcs[0]
-		rc.parallelFor(rc.batch*c, int64(oh*ow)*4*costElem, func(lo, hi int) {
-			for p := lo; p < hi; p++ {
-				inBase := p * h * w
-				outBase := p * oh * ow
-				for oy := 0; oy < oh; oy++ {
-					iy := oy / scale
-					inRow := inBase + iy*w
-					outRow := outBase + oy*ow
-					for ox := 0; ox < ow; ox++ {
-						dst[outRow+ox] = xv[inRow+ox/scale]
-					}
+		for p := 0; p < rc.batch*c; p++ {
+			inBase := p * h * w
+			outBase := p * oh * ow
+			for oy := 0; oy < oh; oy++ {
+				iy := oy / scale
+				inRow := inBase + iy*w
+				outRow := outBase + oy*ow
+				for ox := 0; ox < ow; ox++ {
+					dst[outRow+ox] = xv[inRow+ox/scale]
 				}
 			}
-		})
+		}
 		return nil
 	}, nil
 }
@@ -1348,31 +1310,29 @@ func bindSoftmax(in tensor.Shape) (kernelFunc[float32], error) {
 	f := in[0]
 	return func(rc *runCtx, dst []float32, srcs [][]float32) error {
 		xv := srcs[0]
-		rc.parallelFor(rc.batch, int64(f)*costExp, func(lo, hi int) {
-			for b := lo; b < hi; b++ {
-				row := xv[b*f : (b+1)*f]
-				out := dst[b*f : (b+1)*f]
-				out = out[:len(row)]
-				// Mirrors tensor.Softmax exactly (including its
-				// intermediate float32 rounding) for bit parity with the
-				// interpreter.
-				maxV := row[0]
-				for _, v := range row[1:] {
-					if v > maxV {
-						maxV = v
-					}
-				}
-				var sum float64
-				for i, v := range row {
-					e := math.Exp(float64(v - maxV))
-					out[i] = float32(e)
-					sum += e
-				}
-				for i := range out {
-					out[i] = float32(float64(out[i]) / sum)
+		for b := 0; b < rc.batch; b++ {
+			row := xv[b*f : (b+1)*f]
+			out := dst[b*f : (b+1)*f]
+			out = out[:len(row)]
+			// Mirrors tensor.Softmax exactly (including its
+			// intermediate float32 rounding) for bit parity with the
+			// interpreter.
+			maxV := row[0]
+			for _, v := range row[1:] {
+				if v > maxV {
+					maxV = v
 				}
 			}
-		})
+			var sum float64
+			for i, v := range row {
+				e := math.Exp(float64(v - maxV))
+				out[i] = float32(e)
+				sum += e
+			}
+			for i := range out {
+				out[i] = float32(float64(out[i]) / sum)
+			}
+		}
 		return nil
 	}, nil
 }

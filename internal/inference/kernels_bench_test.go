@@ -9,7 +9,7 @@ import (
 )
 
 // benchStep times bound step si of g under both executors at the given
-// batch sizes on one worker: the kernel closure alone on planned scratch,
+// batch sizes: the kernel closure alone on planned scratch,
 // without Run's input checks, entry quantization or output allocation,
 // so single-layer figures compare like the per-step profile. Operands
 // are synthetic values of the operand's size, not the values earlier
@@ -23,11 +23,11 @@ func benchStep(b *testing.B, name string, g *nn.Graph, si int, batches ...int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fp, err := Compile(g, WithWorkers(1))
+	fp, err := Compile(g)
 	if err != nil {
 		b.Fatal(err)
 	}
-	q, err := CompileQuantized(g, schema, WithWorkers(1))
+	q, err := CompileQuantized(g, schema)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -46,8 +46,8 @@ func benchStep(b *testing.B, name string, g *nn.Graph, si int, batches ...int) {
 		outElems := fp.vals[fst.out].elems * batch
 		b.Run(fmt.Sprintf("%s/fp32/batch%d", name, batch), func(b *testing.B) {
 			var sb scratchBufs
-			sb.ensure(fp.scratch, batch, 1)
-			rc := runCtx{batch: batch, workers: 1, spec: fp.scratch, scratch: &sb}
+			sb.ensure(fp.scratch, batch)
+			rc := runCtx{batch: batch, spec: fp.scratch, scratch: &sb}
 			dst := make([]float32, outElems)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -58,8 +58,8 @@ func benchStep(b *testing.B, name string, g *nn.Graph, si int, batches ...int) {
 		})
 		b.Run(fmt.Sprintf("%s/int8/batch%d", name, batch), func(b *testing.B) {
 			var sb scratchBufs
-			sb.ensure(q.scratch, batch, 1)
-			rc := runCtx{batch: batch, workers: 1, spec: q.scratch, scratch: &sb}
+			sb.ensure(q.scratch, batch)
+			rc := runCtx{batch: batch, spec: q.scratch, scratch: &sb}
 			dst := make([]int8, outElems)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -73,7 +73,7 @@ func benchStep(b *testing.B, name string, g *nn.Graph, si int, batches ...int) {
 
 // BenchmarkBatch1Kernels sweeps the layers a batch-1 reply waits for:
 // the seven depthwise shapes of mobilenetedge at 64x64 and the first
-// dense layer of the mlp, FP32 and INT8, one worker, the depthwise
+// dense layer of the mlp, FP32 and INT8, the depthwise
 // shapes at batch 1 and 8 and the dense layer at every short batch the
 // row body serves; then the shapes the INT8 row's profile names beside
 // their FP32 twins — the stride-2 stem, a pointwise expansion, a 1x1 on
@@ -130,34 +130,4 @@ func BenchmarkBatch1Kernels(b *testing.B) {
 			tensor.QuantizeSlice(codes, x, tensor.QuantParams{Scale: 0.02, Zero: 3})
 		}
 	})
-}
-
-// BenchmarkFanOutCrossover runs one kernel inline and split across two
-// workers over a ladder of work sizes: n cache-resident 256-element
-// one-tap tensor.ConvTapsF32 calls (acc += 0.5*x). The inline time
-// at which split first beats inline is the crossover in time; the
-// per-step profile (TestFanOutProfileBatch8) gives it in estimated cost,
-// and defaultParallelThreshold is chosen from the two.
-func BenchmarkFanOutCrossover(b *testing.B) {
-	const unit = 256
-	bufs := [2][2][]float32{{make([]float32, unit), make([]float32, unit)}, {make([]float32, unit), make([]float32, unit)}}
-	offs, w := []int32{0}, []float32{0.5}
-	for shift := 15; shift <= 24; shift++ {
-		n := (1 << shift) / (2 * unit)
-		for _, c := range []struct {
-			name      string
-			threshold int64
-		}{{"inline", 1 << 62}, {"split", 0}} {
-			rc := runCtx{batch: 1, workers: 2, threshold: c.threshold}
-			b.Run(fmt.Sprintf("axpys=%d/%s", n, c.name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					rc.parallelForWorker(n, 2*unit, func(worker, lo, hi int) {
-						for u := lo; u < hi; u++ {
-							tensor.ConvTapsF32(bufs[worker][0], bufs[worker][1], offs, w, 0, true)
-						}
-					})
-				}
-			})
-		}
-	}
 }

@@ -2,6 +2,9 @@ package inference
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"vedliot/internal/inference/ir"
 	"vedliot/internal/nn"
@@ -24,6 +27,53 @@ func Lower(g *nn.Graph, schema *nn.QuantSchema, captureDumps bool) (*ir.Module, 
 		cfg.IntLowering = hasIntLowering
 	}
 	return ir.Lower(g, cfg, captureDumps)
+}
+
+// lowerEach runs fn(i) for every op i in [0, n), the per-op half of a
+// cold compile (weight packing, filter quantization, code tables),
+// spread over runtime.GOMAXPROCS(0) goroutines that claim ops one at a
+// time; the calling goroutine is one of them. Each call writes only its
+// own slots, and the first error in op order is returned once all have
+// run, so what a compile builds does not depend on the spread. A panic
+// in any call stops the hand-out and is raised again on the caller once
+// every goroutine has returned, so the caller's recover sees it.
+func lowerEach(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var (
+		next  atomic.Int64
+		once  sync.Once
+		fault any // the first panic
+		wg    sync.WaitGroup
+	)
+	work := func() {
+		defer func() {
+			if p := recover(); p != nil {
+				once.Do(func() { fault = p })
+				next.Store(int64(n))
+			}
+		}()
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			errs[i] = fn(i)
+		}
+	}
+	for w := 1; w < min(runtime.GOMAXPROCS(0), n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	if fault != nil {
+		panic(fault)
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // scaffold is the executable-plan skeleton every plan shares: the
@@ -138,7 +188,7 @@ func buildEpilogue(op *ir.Op, channels int) (*epilogue, error) {
 			stages[i] = stage{kind: f.Kind, scale: scale, shift: shift}
 			continue
 		}
-		fn, _, err := activationFn(nodeFromFused(f))
+		fn, err := activationFn(nodeFromFused(f))
 		if err != nil {
 			return nil, err
 		}
@@ -220,7 +270,7 @@ func buildEpilogueLUTs(m *ir.Module, op *ir.Op, channels int) ([]*[256]int8, err
 			}
 			stage = buildAffineLUTs(prevQ, outQ, scale, shift)
 		} else {
-			fn, _, err := activationFn(nodeFromFused(f))
+			fn, err := activationFn(nodeFromFused(f))
 			if err != nil {
 				return nil, err
 			}

@@ -20,14 +20,12 @@ func lowerAndBind(t testing.TB, n *nn.Node, ins []tensor.Shape, out tensor.Shape
 	return st, kern, spec
 }
 
-// runBoundQ runs one bound quantized kernel on planned scratch, split
-// across two workers at every range so the per-worker regions are in
-// play.
+// runBoundQ runs one bound quantized kernel on planned scratch.
 func runBoundQ(t *testing.T, kern kernelFunc[int8], spec scratchSpec, batch int, dst []int8, srcs [][]int8) {
 	t.Helper()
 	var sb scratchBufs
-	sb.ensure(spec, batch, 2)
-	rc := runCtx{batch: batch, workers: 2, threshold: 1, spec: spec, scratch: &sb}
+	sb.ensure(spec, batch)
+	rc := runCtx{batch: batch, spec: spec, scratch: &sb}
 	if err := kern(&rc, dst, srcs); err != nil {
 		t.Fatal(err)
 	}

@@ -18,9 +18,7 @@ import (
 // and builds 256-entry lookup tables for element-wise ops. The binders
 // here turn a lowered step's data into a closure that operates on raw
 // int8 code buffers under the calibration schema's affine mappings — no
-// float arithmetic on the conv/dense hot path. Integer accumulation is
-// associative, so the same parallelFor split as the FP32 engine yields
-// bitwise-identical results at any worker count.
+// float arithmetic on the conv/dense hot path.
 //
 // The int32 accumulator bounds the supported reduction depth: one tap
 // contributes at most 127*255 after zero-point correction, so
@@ -316,22 +314,19 @@ func bindQuantConv(pc *PlanConv) (kernelFunc[int8], scratchSpec) {
 			return kern, spec
 		}
 	}
-	return bindQuantConvPlane(pc, g), scratchSpec{}
+	return bindQuantConvPlane(pc), scratchSpec{}
 }
 
 // bindQuantConvPlane binds the plane form of an integer convolution,
 // which covers every geometry and zero point: one tensor.ConvPlanesInt8
-// call per chunk of (batch, output-channel) planes reads the int8 codes
+// call over every (batch, output-channel) plane reads the int8 codes
 // where they lie and writes each output code once, requantized and
 // recoded through the channel's fused table.
-func bindQuantConvPlane(pc *PlanConv, g convGeom) kernelFunc[int8] {
+func bindQuantConvPlane(pc *PlanConv) kernelFunc[int8] {
 	k := tensor.NewConvPlanesInt8(pc.Geom, pc.W, pc.Bias, pc.Req, pc.ZPIn, pc.ZPOut, pc.Post)
-	planeCost := qconvPlaneCost(&g)
+	outC := pc.Geom.OutC
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
-		xv := srcs[0]
-		rc.parallelFor(rc.batch*g.outC, planeCost, func(lo, hi int) {
-			k.Run(dst, xv, lo, hi)
-		})
+		k.Run(dst, srcs[0], 0, rc.batch*outC)
 		return nil
 	}
 }
@@ -366,30 +361,19 @@ func bindQuantDense(d *PlanDense) (kernelFunc[int8], scratchSpec) {
 		}
 	}
 	zeroBias := make([]int32, mr)
-	// One live row of one tile. The weight tiles are packed at bind time,
-	// so a dense tile retires its 2 ops per MAC at about twice the rate of
-	// a convolution tile that packs its B operand per call.
-	rowCost := int64(inF) * int64(nr)
-	spec := scratchSpec{i16PerWorker: mr * lda, i32PerWorker: mr * nr}
+	spec := scratchSpec{i16: mr * lda, i32: mr * nr}
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
 		xv := srcs[0]
-		panels := (rc.batch + mr - 1) / mr
-		rc.parallelForWorker(panels*nt, rowCost*int64(min(rc.batch, mr)), func(worker, lo, hi int) {
-			arows := rc.i16Worker(worker, mr*lda)
-			ctile := rc.i32Worker(worker, mr*nr)
-			staged := -1
-			for u := lo; u < hi; u++ {
-				p, t := u/nt, u%nt
-				i0 := p * mr
-				mh := min(rc.batch-i0, mr)
-				if p != staged {
-					for i := 0; i < mh; i++ {
-						row := arows[i*lda : (i+1)*lda]
-						tensor.WidenShiftInt8(row[:inF], xv[(i0+i)*inF:], int16(zpIn))
-						clear(row[inF:]) // the odd-K tail
-					}
-					staged = p
-				}
+		arows := rc.i16Scratch(mr * lda)
+		ctile := rc.i32Scratch(mr * nr)
+		for i0 := 0; i0 < rc.batch; i0 += mr {
+			mh := min(rc.batch-i0, mr)
+			for i := 0; i < mh; i++ {
+				row := arows[i*lda : (i+1)*lda]
+				tensor.WidenShiftInt8(row[:inF], xv[(i0+i)*inF:], int16(zpIn))
+				clear(row[inF:]) // the odd-K tail
+			}
+			for t := 0; t < nt; t++ {
 				o0 := t * nr
 				jw := min(outF-o0, nr)
 				kern.RunRows(arows, lda, mh, bpack[t*nr*2*kp:(t+1)*nr*2*kp], 2*nr, kp, zeroBias, ctile, nr)
@@ -405,7 +389,7 @@ func bindQuantDense(d *PlanDense) (kernelFunc[int8], scratchSpec) {
 					}
 				}
 			}
-		})
+		}
 		return nil
 	}, spec
 }
@@ -416,11 +400,9 @@ func bindQuantLUTPerChannel(pc *PlanLUTPerChannel) kernelFunc[int8] {
 	c, hw, luts := pc.C, pc.HW, pc.Tables
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
 		xv := srcs[0]
-		rc.parallelFor(rc.batch*c, int64(hw)*costLUTElem, func(lo, hi int) {
-			for p := lo; p < hi; p++ {
-				tensor.LUT8(dst[p*hw:(p+1)*hw], xv[p*hw:(p+1)*hw], luts[p%c])
-			}
-		})
+		for p := 0; p < rc.batch*c; p++ {
+			tensor.LUT8(dst[p*hw:(p+1)*hw], xv[p*hw:(p+1)*hw], luts[p%c])
+		}
 		return nil
 	}
 }
@@ -437,10 +419,7 @@ func bindQuantLUT(l *PlanLUT) kernelFunc[int8] {
 		}
 	}
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
-		xv := srcs[0]
-		rc.parallelFor(len(dst), costLUTElem, func(lo, hi int) {
-			tensor.LUT8(dst[lo:hi], xv[lo:hi], lut)
-		})
+		tensor.LUT8(dst, srcs[0][:len(dst)], lut)
 		return nil
 	}
 }
@@ -449,52 +428,49 @@ func bindQuantMaxPool(pool *PlanMaxPool) kernelFunc[int8] {
 	mp := *pool // the kernel reads the geometry from its own copy
 	c, inH, inW, outH, outW := mp.C, mp.InH, mp.InW, mp.OutH, mp.OutW
 	empty, recode := mp.Empty, mp.Recode
-	planeCost := int64(outH*outW) * int64(mp.KH*mp.KW) * 2 * costElem
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
 		xv := srcs[0]
-		rc.parallelFor(rc.batch*c, planeCost, func(lo, hi int) {
-			for p := lo; p < hi; p++ {
-				base := p * inH * inW
-				outBase := p * outH * outW
-				for oy := 0; oy < outH; oy++ {
-					iy0 := oy*mp.SH - mp.PH
-					kyLo := 0
-					if iy0 < 0 {
-						kyLo = -iy0
+		for p := 0; p < rc.batch*c; p++ {
+			base := p * inH * inW
+			outBase := p * outH * outW
+			for oy := 0; oy < outH; oy++ {
+				iy0 := oy*mp.SH - mp.PH
+				kyLo := 0
+				if iy0 < 0 {
+					kyLo = -iy0
+				}
+				kyHi := mp.KH
+				if iy0+mp.KH > inH {
+					kyHi = inH - iy0
+				}
+				for ox := 0; ox < outW; ox++ {
+					ix0 := ox*mp.SW - mp.PW
+					kxLo := 0
+					if ix0 < 0 {
+						kxLo = -ix0
 					}
-					kyHi := mp.KH
-					if iy0+mp.KH > inH {
-						kyHi = inH - iy0
+					kxHi := mp.KW
+					if ix0+mp.KW > inW {
+						kxHi = inW - ix0
 					}
-					for ox := 0; ox < outW; ox++ {
-						ix0 := ox*mp.SW - mp.PW
-						kxLo := 0
-						if ix0 < 0 {
-							kxLo = -ix0
-						}
-						kxHi := mp.KW
-						if ix0+mp.KW > inW {
-							kxHi = inW - ix0
-						}
-						acc := empty
-						first := true
-						for ky := kyLo; ky < kyHi; ky++ {
-							row := base + (iy0+ky)*inW + ix0
-							for kx := kxLo; kx < kxHi; kx++ {
-								if v := xv[row+kx]; first || v > acc {
-									acc = v
-									first = false
-								}
+					acc := empty
+					first := true
+					for ky := kyLo; ky < kyHi; ky++ {
+						row := base + (iy0+ky)*inW + ix0
+						for kx := kxLo; kx < kxHi; kx++ {
+							if v := xv[row+kx]; first || v > acc {
+								acc = v
+								first = false
 							}
 						}
-						if recode != nil {
-							acc = recode[int(acc)+128]
-						}
-						dst[outBase+oy*outW+ox] = acc
 					}
+					if recode != nil {
+						acc = recode[int(acc)+128]
+					}
+					dst[outBase+oy*outW+ox] = acc
 				}
 			}
-		})
+		}
 		return nil
 	}
 }
@@ -516,49 +492,46 @@ func bindQuantAvgPool(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantPa
 		reqByCount[cnt] = tensor.NewRequant(sIn / (sOut * float64(cnt)))
 	}
 	zpIn, zpOut := inQ.Zero, outQ.Zero
-	planeCost := int64(outH*outW) * int64(maxCount) * 2 * costElem
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
 		xv := srcs[0]
-		rc.parallelFor(rc.batch*c, planeCost, func(lo, hi int) {
-			for p := lo; p < hi; p++ {
-				base := p * inH * inW
-				outBase := p * outH * outW
-				for oy := 0; oy < outH; oy++ {
-					iy0 := oy*a.StrideH - a.PadH
-					kyLo := 0
-					if iy0 < 0 {
-						kyLo = -iy0
+		for p := 0; p < rc.batch*c; p++ {
+			base := p * inH * inW
+			outBase := p * outH * outW
+			for oy := 0; oy < outH; oy++ {
+				iy0 := oy*a.StrideH - a.PadH
+				kyLo := 0
+				if iy0 < 0 {
+					kyLo = -iy0
+				}
+				kyHi := a.KernelH
+				if iy0+a.KernelH > inH {
+					kyHi = inH - iy0
+				}
+				for ox := 0; ox < outW; ox++ {
+					ix0 := ox*a.StrideW - a.PadW
+					kxLo := 0
+					if ix0 < 0 {
+						kxLo = -ix0
 					}
-					kyHi := a.KernelH
-					if iy0+a.KernelH > inH {
-						kyHi = inH - iy0
+					kxHi := a.KernelW
+					if ix0+a.KernelW > inW {
+						kxHi = inW - ix0
 					}
-					for ox := 0; ox < outW; ox++ {
-						ix0 := ox*a.StrideW - a.PadW
-						kxLo := 0
-						if ix0 < 0 {
-							kxLo = -ix0
+					var sum int32
+					for ky := kyLo; ky < kyHi; ky++ {
+						row := base + (iy0+ky)*inW + ix0
+						for kx := kxLo; kx < kxHi; kx++ {
+							sum += int32(xv[row+kx])
 						}
-						kxHi := a.KernelW
-						if ix0+a.KernelW > inW {
-							kxHi = inW - ix0
-						}
-						var sum int32
-						for ky := kyLo; ky < kyHi; ky++ {
-							row := base + (iy0+ky)*inW + ix0
-							for kx := kxLo; kx < kxHi; kx++ {
-								sum += int32(xv[row+kx])
-							}
-						}
-						var q int32
-						if count := (kyHi - kyLo) * (kxHi - kxLo); count > 0 {
-							q = reqByCount[count].Apply(sum - int32(count)*zpIn)
-						}
-						dst[outBase+oy*outW+ox] = tensor.ClampInt8(zpOut + q)
 					}
+					var q int32
+					if count := (kyHi - kyLo) * (kxHi - kxLo); count > 0 {
+						q = reqByCount[count].Apply(sum - int32(count)*zpIn)
+					}
+					dst[outBase+oy*outW+ox] = tensor.ClampInt8(zpOut + q)
 				}
 			}
-		})
+		}
 		return nil
 	}, nil
 }
@@ -567,16 +540,14 @@ func bindQuantGlobalAvgPool(gp *PlanGlobalAvgPool) kernelFunc[int8] {
 	c, hw, req, zpIn, zpOut := gp.C, gp.HW, gp.Req, gp.ZPIn, gp.ZPOut
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
 		xv := srcs[0]
-		rc.parallelFor(rc.batch*c, int64(hw)*costPoolElem+costPoolPlane, func(lo, hi int) {
-			var sums [256]int32 // planes summed per kernel call
-			for p0 := lo; p0 < hi; p0 += len(sums) {
-				n := min(len(sums), hi-p0)
-				tensor.SumRowsInt8(sums[:n], xv[p0*hw:], hw)
-				for i, sum := range sums[:n] {
-					dst[p0+i] = tensor.ClampInt8(zpOut + req.Apply(sum-int32(hw)*zpIn))
-				}
+		var sums [256]int32 // planes summed per kernel call
+		for p0 := 0; p0 < rc.batch*c; p0 += len(sums) {
+			n := min(len(sums), rc.batch*c-p0)
+			tensor.SumRowsInt8(sums[:n], xv[p0*hw:], hw)
+			for i, sum := range sums[:n] {
+				dst[p0+i] = tensor.ClampInt8(zpOut + req.Apply(sum-int32(hw)*zpIn))
 			}
-		})
+		}
 		return nil
 	}
 }
@@ -599,8 +570,8 @@ func classifyBroadcast(ins []tensor.Shape, out tensor.Shape) ([]bool, error) {
 	return broadcast, nil
 }
 
-// planeChunk bounds the elements of scratch an element-wise pass holds per
-// worker: longer planes go through in pieces.
+// planeChunk bounds the elements of scratch an element-wise pass holds:
+// longer planes go through in pieces.
 const planeChunk = 4096
 
 // bindQuantAdd binds element-wise addition over c planes of hw elements
@@ -613,30 +584,27 @@ func bindQuantAdd(add *PlanAdd, broadcast []bool, c, hw int) (kernelFunc[int8], 
 	luts := add.Tables
 	chunk := min(hw, planeChunk)
 	zpOut := add.ZPOut
-	unit := int64(len(luts)) * costAddOperand
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
-		rc.parallelForWorker(rc.batch*c, int64(hw)*unit, func(worker, lo, hi int) {
-			acc := rc.i32Worker(worker, chunk)
-			for p := lo; p < hi; p++ {
-				seed := zpOut
-				for op := 1; op < len(srcs); op++ {
-					if broadcast[op] {
-						seed += luts[op][int(srcs[op][p])+128]
-					}
-				}
-				for j := p * hw; j < (p+1)*hw; j += chunk {
-					n := min(chunk, (p+1)*hw-j)
-					for op, src := range srcs {
-						if !broadcast[op] {
-							tensor.AccumLUT32(acc[:n], src[j:j+n], luts[op], seed, op > 0)
-						}
-					}
-					tensor.NarrowSatInt8(dst[j:j+n], acc[:n])
+		acc := rc.i32Scratch(chunk)
+		for p := 0; p < rc.batch*c; p++ {
+			seed := zpOut
+			for op := 1; op < len(srcs); op++ {
+				if broadcast[op] {
+					seed += luts[op][int(srcs[op][p])+128]
 				}
 			}
-		})
+			for j := p * hw; j < (p+1)*hw; j += chunk {
+				n := min(chunk, (p+1)*hw-j)
+				for op, src := range srcs {
+					if !broadcast[op] {
+						tensor.AccumLUT32(acc[:n], src[j:j+n], luts[op], seed, op > 0)
+					}
+				}
+				tensor.NarrowSatInt8(dst[j:j+n], acc[:n])
+			}
+		}
 		return nil
-	}, scratchSpec{i32PerWorker: chunk}
+	}, scratchSpec{i32: chunk}
 }
 
 // bindQuantMul lowers two-operand multiplication (the squeeze-excite
@@ -666,30 +634,28 @@ func bindQuantMul(ins []tensor.Shape, out tensor.Shape, inQ []tensor.QuantParams
 	}
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
 		av, bv := srcs[0], srcs[1]
-		rc.parallelForWorker(rc.batch*c, int64(hw)*costMulElem+costMulPlane, func(worker, lo, hi int) {
-			ws := rc.i16Worker(worker, 2*perBlock*chunk)
-			a16, b16 := ws[:perBlock*chunk], ws[perBlock*chunk:] // b16: the other operand, or one factor per plane
-			acc := rc.i32Worker(worker, perBlock*chunk)
-			for p := lo; p < hi; p += perBlock {
-				g := min(perBlock, hi-p)
-				for j := 0; j < hw; j += chunk {
-					n, base := min(chunk, hw-j), p*hw+j
-					tensor.WidenShiftInt8(a16[:g*n], av[base:], zpA)
-					if broadcast[1] {
-						tensor.WidenShiftInt8(b16[:g], bv[p:], zpB)
-						tensor.ScaleRowsInt16(acc, a16, b16[:g], n)
-					} else {
-						tensor.WidenShiftInt8(b16[:g*n], bv[base:], zpB)
-						for i, a := range a16[:g*n] {
-							acc[i] = int32(a) * int32(b16[i])
-						}
+		ws := rc.i16Scratch(2 * perBlock * chunk)
+		a16, b16 := ws[:perBlock*chunk], ws[perBlock*chunk:] // b16: the other operand, or one factor per plane
+		acc := rc.i32Scratch(perBlock * chunk)
+		for p := 0; p < rc.batch*c; p += perBlock {
+			g := min(perBlock, rc.batch*c-p)
+			for j := 0; j < hw; j += chunk {
+				n, base := min(chunk, hw-j), p*hw+j
+				tensor.WidenShiftInt8(a16[:g*n], av[base:], zpA)
+				if broadcast[1] {
+					tensor.WidenShiftInt8(b16[:g], bv[p:], zpB)
+					tensor.ScaleRowsInt16(acc, a16, b16[:g], n)
+				} else {
+					tensor.WidenShiftInt8(b16[:g*n], bv[base:], zpB)
+					for i, a := range a16[:g*n] {
+						acc[i] = int32(a) * int32(b16[i])
 					}
-					tensor.RequantTileInt8(dst[base:], n, acc, n, g, n, reqs, zpOut, nil)
 				}
+				tensor.RequantTileInt8(dst[base:], n, acc, n, g, n, reqs, zpOut, nil)
 			}
-		})
+		}
 		return nil
-	}, scratchSpec{i16PerWorker: 2 * perBlock * chunk, i32PerWorker: perBlock * chunk}, nil
+	}, scratchSpec{i16: 2 * perBlock * chunk, i32: perBlock * chunk}, nil
 }
 
 // bindQuantConcat copies each branch into its channel range of the
@@ -738,24 +704,22 @@ func bindQuantUpsample(n *nn.Node, in, out tensor.Shape, recode *[256]int8) (ker
 	oh, ow := out[1], out[2]
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
 		xv := srcs[0]
-		rc.parallelFor(rc.batch*c, int64(oh*ow)*4*costElem, func(lo, hi int) {
-			for p := lo; p < hi; p++ {
-				inBase := p * h * w
-				outBase := p * oh * ow
-				for oy := 0; oy < oh; oy++ {
-					iy := oy / scale
-					inRow := inBase + iy*w
-					outRow := outBase + oy*ow
-					for ox := 0; ox < ow; ox++ {
-						v := xv[inRow+ox/scale]
-						if recode != nil {
-							v = recode[int(v)+128]
-						}
-						dst[outRow+ox] = v
+		for p := 0; p < rc.batch*c; p++ {
+			inBase := p * h * w
+			outBase := p * oh * ow
+			for oy := 0; oy < oh; oy++ {
+				iy := oy / scale
+				inRow := inBase + iy*w
+				outRow := outBase + oy*ow
+				for ox := 0; ox < ow; ox++ {
+					v := xv[inRow+ox/scale]
+					if recode != nil {
+						v = recode[int(v)+128]
 					}
+					dst[outRow+ox] = v
 				}
 			}
-		})
+		}
 		return nil
 	}, nil
 }

@@ -207,7 +207,7 @@ func BuildQuantPlan(g *nn.Graph, schema *nn.QuantSchema) (*QuantPlan, error) {
 	for i, v := range sc.vals {
 		p.Values[i] = QuantValue{Name: v.name, Shape: v.per, Elems: v.elems, QP: v.qp}
 	}
-	if p.Steps, err = lowerQuantSteps(m, &sc, newConfig(nil)); err != nil {
+	if p.Steps, err = lowerQuantSteps(m, &sc); err != nil {
 		return nil, err
 	}
 	for i := range p.Steps {
@@ -234,12 +234,12 @@ type quantOp struct {
 }
 
 // lowerQuantSteps lowers every op of an INT8 module to its QuantStep,
-// in step order, with the ops spread over cfg's workers: the
-// data-level plan's steps.
-func lowerQuantSteps(m *ir.Module, sc *scaffold, cfg config) ([]QuantStep, error) {
+// in step order, with the ops spread over the host's cores (lowerEach):
+// the data-level plan's steps.
+func lowerQuantSteps(m *ir.Module, sc *scaffold) ([]QuantStep, error) {
 	ops := stepOps(m)
 	steps := make([]QuantStep, len(ops))
-	err := cfg.lowerEach(len(ops), func(i int) error {
+	err := lowerEach(len(ops), func(i int) error {
 		return lowerQuantStep(&steps[i], m, sc, ops[i])
 	})
 	if err != nil {
@@ -381,7 +381,7 @@ func lowerQuantOp(st *QuantStep, q *quantOp) (err error) {
 		st.LUTPerChannel = &PlanLUTPerChannel{C: c, HW: inPer[0][1] * inPer[0][2], Tables: luts}
 	case nn.OpReLU, nn.OpReLU6, nn.OpLeakyReLU, nn.OpSigmoid, nn.OpTanh,
 		nn.OpHSwish, nn.OpHSigmoid, nn.OpMish:
-		f, _, err := activationFn(n)
+		f, err := activationFn(n)
 		if err != nil {
 			return err
 		}
@@ -459,10 +459,9 @@ func lowerQuantOp(st *QuantStep, q *quantOp) (err error) {
 // lowerIsland lowers an op without an integer lowering as an FP32
 // island: its FP32 kernel inside the dequantize/requantize wrapper, for
 // the host engine as the step's kernel and for other backends as an
-// IslandFunc with a private single-worker context, so execution is
-// deterministic and independent of any engine instance. Bitwise parity
-// with QuantEngine holds because the engine's kernels are
-// bitwise-identical at any worker count.
+// IslandFunc with a private context and scratch, so execution is
+// independent of any engine instance. Bitwise parity with QuantEngine
+// holds because both run the same kernel closure.
 func lowerIsland(st *QuantStep, q *quantOp) error {
 	fk, spec, err := bindKernel(q.node, q.inPer, q.outPer, nil)
 	if err != nil {
@@ -473,8 +472,8 @@ func lowerIsland(st *QuantStep, q *quantOp) error {
 	st.host, st.spec = kern, spec
 	st.Island = func(batch int, dst []int8, srcs [][]int8) error {
 		var sb scratchBufs
-		sb.ensure(spec, batch, 1)
-		rc := runCtx{batch: batch, workers: 1, threshold: 1 << 62, spec: spec, scratch: &sb}
+		sb.ensure(spec, batch)
+		rc := runCtx{batch: batch, spec: spec, scratch: &sb}
 		return kern(&rc, dst, srcs)
 	}
 	return nil

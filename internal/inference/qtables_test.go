@@ -108,7 +108,7 @@ func scalarChain(t *testing.T, m *ir.Module, op *ir.Op, ch, channels int) [256]i
 			fn = affine(scale[ch], shift[ch])
 		} else {
 			var err error
-			if fn, _, err = activationFn(nodeFromFused(f)); err != nil {
+			if fn, err = activationFn(nodeFromFused(f)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -165,8 +165,8 @@ var adversarialAffine = [][2]float32{
 // the set is sharp: on some entry the reciprocal form (QuantizeSlice's)
 // must disagree with the division form, or a swap of the two would pass.
 func TestCodeTablesAdversarial(t *testing.T) {
-	relu, _, _ := activationFn(&nn.Node{Op: nn.OpReLU})
-	hswish, _, _ := activationFn(&nn.Node{Op: nn.OpHSwish})
+	relu, _ := activationFn(&nn.Node{Op: nn.OpReLU})
+	hswish, _ := activationFn(&nn.Node{Op: nn.OpHSwish})
 	identity := func(v float32) float32 { return v }
 	ties, reciprocalDiffers := 0, 0
 	for _, inQ := range adversarialQuant {
@@ -294,7 +294,7 @@ func FuzzBuildCodeTable(f *testing.F) {
 	f.Fuzz(func(t *testing.T, inScale float32, inZero int32, outScale float32, outZero int32, s, sh float32, kind uint8) {
 		inQ := tensor.QuantParams{Scale: inScale, Zero: inZero}
 		outQ := tensor.QuantParams{Scale: outScale, Zero: outZero}
-		act, _, err := activationFn(&nn.Node{Op: acts[int(kind)%len(acts)]})
+		act, err := activationFn(&nn.Node{Op: acts[int(kind)%len(acts)]})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,7 +16,7 @@ import (
 var ErrNotQuantizable = errors.New("inference: graph not quantizable")
 
 // QuantEngine is the native INT8 execution plan: the same topo-sorted
-// step list, liveness-planned arena, bounded worker pool and step loop
+// step list, liveness-planned arena, pooled run state and step loop
 // as the FP32 Engine (the shared plan executor, exec.go), but every
 // activation is stored as an int8 code under the calibration schema's
 // affine mapping. Inputs are quantized once at graph entry, conv/dense
@@ -53,13 +53,13 @@ type QuantizedBackend struct {
 func (QuantizedBackend) Name() string { return "cpu-engine-int8" }
 
 // Compile implements Backend.
-func (b QuantizedBackend) Compile(g *nn.Graph, opts ...Option) (Executable, error) {
-	q, err := CompileQuantized(g, b.Schema, opts...)
+func (b QuantizedBackend) Compile(g *nn.Graph) (Executable, error) {
+	q, err := CompileQuantized(g, b.Schema)
 	if err == nil {
 		return q, nil
 	}
 	if errors.Is(err, ErrNotQuantizable) {
-		return Compile(g, opts...)
+		return Compile(g)
 	}
 	return nil, err
 }
@@ -93,12 +93,12 @@ func (e *QuantEngine) FallbackSteps() int { return e.fallbacks }
 // not cover every lowered value, or when the model has no materialized
 // weights; callers that want transparent degradation use
 // QuantizedBackend, which falls back to the FP32 engine.
-func CompileQuantized(g *nn.Graph, schema *nn.QuantSchema, opts ...Option) (*QuantEngine, error) {
+func CompileQuantized(g *nn.Graph, schema *nn.QuantSchema) (*QuantEngine, error) {
 	m, err := lowerQuantized(g, schema)
 	if err != nil {
 		return nil, err
 	}
-	return newQuantEngine(m, newConfig(opts))
+	return newQuantEngine(m)
 }
 
 // lowerQuantized runs the shared pipeline under a calibration schema —
@@ -115,17 +115,17 @@ func lowerQuantized(g *nn.Graph, schema *nn.QuantSchema) (*ir.Module, error) {
 }
 
 // newQuantEngine lowers each op of an INT8 module once and binds its
-// step to an integer kernel, the ops spread over the compile's workers,
-// then plans the (one byte per element) arena. Each step is dropped
+// step to an integer kernel, the ops spread over the host's cores
+// (lowerEach), then plans the (one byte per element) arena. Each step is dropped
 // after binding: the engine keeps the packed operands its kernels made,
 // not the plan's int8 weight codes.
-func newQuantEngine(m *ir.Module, cfg config) (*QuantEngine, error) {
-	e := &QuantEngine{plan: plan[int8]{scaffold: buildScaffold(m), cfg: cfg, enter: quantizeInputs, exit: dequantizeOutputs}}
+func newQuantEngine(m *ir.Module) (*QuantEngine, error) {
+	e := &QuantEngine{plan: plan[int8]{scaffold: buildScaffold(m), enter: quantizeInputs, exit: dequantizeOutputs}}
 	ops := stepOps(m)
 	e.steps = make([]step[int8], len(ops))
 	specs := make([]scratchSpec, len(ops))
 	islands := make([]bool, len(ops))
-	err := cfg.lowerEach(len(ops), func(i int) error {
+	err := lowerEach(len(ops), func(i int) error {
 		var st QuantStep
 		if err := lowerQuantStep(&st, m, &e.scaffold, ops[i]); err != nil {
 			return err
@@ -160,10 +160,7 @@ func newQuantEngine(m *ir.Module, cfg config) (*QuantEngine, error) {
 // quantized once, from the caller's FP32 view into its slab region.
 func quantizeInputs(p *plan[int8], rs *runState[int8]) {
 	for i, v := range p.inputVals {
-		buf, src, q := rs.bufs[v], rs.views[i], p.vals[v].qp
-		rs.rc.parallelFor(len(buf), costQuantize, func(lo, hi int) {
-			tensor.QuantizeSlice(buf[lo:hi], src[lo:hi], q)
-		})
+		tensor.QuantizeSlice(rs.bufs[v], rs.views[i], p.vals[v].qp)
 	}
 }
 
@@ -175,9 +172,6 @@ func dequantizeOutputs(p *plan[int8], rs *runState[int8]) {
 		if t == nil {
 			continue
 		}
-		codes, q := rs.bufs[v], p.vals[v].qp
-		rs.rc.parallelFor(len(codes), costElem, func(lo, hi int) {
-			tensor.DequantizeSlice(t.F32[lo:hi], codes[lo:hi], q)
-		})
+		tensor.DequantizeSlice(t.F32, rs.bufs[v], p.vals[v].qp)
 	}
 }

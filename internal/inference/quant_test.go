@@ -124,39 +124,26 @@ func TestQuantEngineParity(t *testing.T) {
 }
 
 // TestQuantEngineDeterministic checks that results are bitwise
-// identical across repeated runs and across worker counts — integer
-// accumulation is associative, so the parallel split cannot change
-// results.
+// identical across repeated runs, pooled run state reused between them.
 func TestQuantEngineDeterministic(t *testing.T) {
 	g := nn.MobileNetEdge(32, 10, nn.BuildOptions{Weights: true, Seed: 3})
 	schema := calibrate(t, g)
-	q1, err := inference.CompileQuantized(g, schema, inference.WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	qN, err := inference.CompileQuantized(g, schema, inference.WithWorkers(8), inference.WithParallelThreshold(0))
+	q, err := inference.CompileQuantized(g, schema)
 	if err != nil {
 		t.Fatal(err)
 	}
 	in := calibInput(t, g, 3, 21)
-	a, err := q1.Run(in)
+	a, err := q.Run(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := q1.Run(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := qN.Run(in)
+	b, err := q.Run(in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, out := range g.Outputs {
 		if d, _ := tensor.MaxAbsDiff(a[out], b[out]); d != 0 {
 			t.Errorf("repeated run diverged by %g", d)
-		}
-		if d, _ := tensor.MaxAbsDiff(a[out], c[out]); d != 0 {
-			t.Errorf("worker count changed results by %g", d)
 		}
 	}
 }

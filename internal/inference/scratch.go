@@ -8,32 +8,39 @@ package inference
 // binder now declares its transient needs as a scratchSpec; the engine
 // takes the element-wise maximum over all bound steps at compile time
 // and the pooled run state (exec.go) carries one allocation, sized for
-// the call's batch and the compiled worker bound. Per-worker regions
-// are disjoint per goroutine ordinal (parallelForWorker), so kernels
-// share scratch without synchronization.
+// the call's batch. A kernel runs its whole range on the calling
+// goroutine, so each kind of scratch is one region the step in flight
+// owns outright.
+
+// runCtx carries the per-call execution state kernels need: the dynamic
+// batch size and the planned scratch allocation for this call.
+type runCtx struct {
+	batch   int
+	spec    scratchSpec
+	scratch *scratchBufs
+}
 
 // scratchSpec declares one bound kernel's transient buffer needs in
-// elements. PerSample fields scale with the call's batch size
-// (whole-input staging); PerWorker fields are private to one pool
-// worker (pack tiles, accumulator tiles, the int8 staging rows of a
-// B-tile pack, the direct convolutions' padded planes) and scale with
-// the worker bound.
+// elements. f32PerSample scales with the call's batch size (whole-input
+// staging); the other fields are fixed regions (pack tiles, accumulator
+// tiles, the int8 staging rows of a B-tile pack, the direct
+// convolutions' padded planes).
 type scratchSpec struct {
 	f32PerSample int
-	f32PerWorker int
-	i8PerWorker  int
-	i16PerWorker int
-	i32PerWorker int
+	f32          int
+	i8           int
+	i16          int
+	i32          int
 }
 
 // grow raises s to the element-wise maximum of s and o — the engine's
 // fold over its steps.
 func (s *scratchSpec) grow(o scratchSpec) {
 	s.f32PerSample = max(s.f32PerSample, o.f32PerSample)
-	s.f32PerWorker = max(s.f32PerWorker, o.f32PerWorker)
-	s.i8PerWorker = max(s.i8PerWorker, o.i8PerWorker)
-	s.i16PerWorker = max(s.i16PerWorker, o.i16PerWorker)
-	s.i32PerWorker = max(s.i32PerWorker, o.i32PerWorker)
+	s.f32 = max(s.f32, o.f32)
+	s.i8 = max(s.i8, o.i8)
+	s.i16 = max(s.i16, o.i16)
+	s.i32 = max(s.i32, o.i32)
 }
 
 // scratchBufs is the scratch regions of one run state.
@@ -45,13 +52,13 @@ type scratchBufs struct {
 }
 
 // ensure grows the regions to the spec's requirement for this call's
-// batch and worker bound. Contents are never assumed zero — kernels
-// fully overwrite what they read.
-func (b *scratchBufs) ensure(spec scratchSpec, batch, workers int) {
-	b.f32 = grow(b.f32, spec.f32PerSample*batch+spec.f32PerWorker*workers)
-	b.i8 = grow(b.i8, spec.i8PerWorker*workers)
-	b.i16 = grow(b.i16, spec.i16PerWorker*workers)
-	b.i32 = grow(b.i32, spec.i32PerWorker*workers)
+// batch. Contents are never assumed zero — kernels fully overwrite what
+// they read.
+func (b *scratchBufs) ensure(spec scratchSpec, batch int) {
+	b.f32 = grow(b.f32, spec.f32PerSample*batch+spec.f32)
+	b.i8 = grow(b.i8, spec.i8)
+	b.i16 = grow(b.i16, spec.i16)
+	b.i32 = grow(b.i32, spec.i32)
 }
 
 // f32Sample returns the batch-scaled float32 region, n elements per
@@ -60,26 +67,17 @@ func (rc *runCtx) f32Sample(n int) []float32 {
 	return rc.scratch.f32[:n*rc.batch]
 }
 
-// f32Worker returns worker w's private float32 region of n elements.
-func (rc *runCtx) f32Worker(w, n int) []float32 {
-	off := rc.spec.f32PerSample*rc.batch + w*rc.spec.f32PerWorker
+// f32Scratch returns the fixed float32 region's first n elements.
+func (rc *runCtx) f32Scratch(n int) []float32 {
+	off := rc.spec.f32PerSample * rc.batch
 	return rc.scratch.f32[off : off+n]
 }
 
-// i8Worker returns worker w's private int8 region of n elements.
-func (rc *runCtx) i8Worker(w, n int) []int8 {
-	off := w * rc.spec.i8PerWorker
-	return rc.scratch.i8[off : off+n]
-}
+// i8Scratch returns the int8 region's first n elements.
+func (rc *runCtx) i8Scratch(n int) []int8 { return rc.scratch.i8[:n] }
 
-// i16Worker returns worker w's private int16 region of n elements.
-func (rc *runCtx) i16Worker(w, n int) []int16 {
-	off := w * rc.spec.i16PerWorker
-	return rc.scratch.i16[off : off+n]
-}
+// i16Scratch returns the int16 region's first n elements.
+func (rc *runCtx) i16Scratch(n int) []int16 { return rc.scratch.i16[:n] }
 
-// i32Worker returns worker w's private int32 region of n elements.
-func (rc *runCtx) i32Worker(w, n int) []int32 {
-	off := w * rc.spec.i32PerWorker
-	return rc.scratch.i32[off : off+n]
-}
+// i32Scratch returns the int32 region's first n elements.
+func (rc *runCtx) i32Scratch(n int) []int32 { return rc.scratch.i32[:n] }

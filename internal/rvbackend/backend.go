@@ -48,7 +48,7 @@ func (b Backend) Name() string {
 // Compile lowers the graph through the shared quantized plan, assembles
 // firmware, stages constants in SoC RAM and runs one warmup inference
 // so cycle-based latency predictions are available immediately.
-func (b Backend) Compile(g *nn.Graph, opts ...inference.Option) (inference.Executable, error) {
+func (b Backend) Compile(g *nn.Graph) (inference.Executable, error) {
 	plan, err := inference.BuildQuantPlan(g, b.Schema)
 	if err != nil {
 		return nil, err

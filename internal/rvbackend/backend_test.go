@@ -60,7 +60,7 @@ func TestFirmwareParityWithNativeEngine(t *testing.T) {
 	for name, g := range models {
 		t.Run(name, func(t *testing.T) {
 			schema := calibrate(t, g)
-			q, err := inference.CompileQuantized(g, schema, inference.WithWorkers(1))
+			q, err := inference.CompileQuantized(g, schema)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -160,7 +160,7 @@ func check(g *nn.Graph, batch int, inputSeed int) error {
 	if err != nil {
 		return fmt.Errorf("input: %w", err)
 	}
-	native, err := inference.CompileQuantized(g, schema, inference.WithWorkers(1))
+	native, err := inference.CompileQuantized(g, schema)
 	if err != nil {
 		return fmt.Errorf("native compile: %w", err)
 	}

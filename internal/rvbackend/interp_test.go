@@ -202,7 +202,7 @@ func TestFirmwareStepwiseAgainstPlanInterpretation(t *testing.T) {
 
 			// The interpretation must match the native engine at the
 			// declared outputs.
-			q, err := inference.CompileQuantized(g, schema, inference.WithWorkers(1))
+			q, err := inference.CompileQuantized(g, schema)
 			if err != nil {
 				t.Fatal(err)
 			}

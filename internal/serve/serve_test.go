@@ -166,8 +166,8 @@ type wrapBackend func(inference.Executable) inference.Executable
 
 func (wrapBackend) Name() string { return "wrapped" }
 
-func (w wrapBackend) Compile(g *nn.Graph, opts ...inference.Option) (inference.Executable, error) {
-	eng, err := inference.Compile(g, opts...)
+func (w wrapBackend) Compile(g *nn.Graph) (inference.Executable, error) {
+	eng, err := inference.Compile(g)
 	if err != nil {
 		return nil, err
 	}
