@@ -77,9 +77,10 @@ test-portable:
 
 # fuzz-smoke runs every fuzz target briefly — the CI smoke job that
 # keeps the targets compiling and the seed corpora passing. The two GEMM
-# parity targets fuzz a live-row count too, so every tier's row body is
-# checked against its own full tile; the tile epilogue and byte-table
-# targets hold the dispatched INT8 kernels to their scalar definitions,
+# parity targets fuzz a live-row count too, so every tier's kernel body
+# is checked against the scalar reference at short and full panels; the
+# tile epilogue and byte-table targets hold the dispatched INT8 kernels
+# to their scalar definitions,
 # FuzzConvPlanesInt8 the one-pass INT8 plane kernel (fuzzed geometry,
 # zero points, requantizers and code tables) to its portable body, and
 # the FP32 multi-tap and tile-epilogue targets do the same for the FP32

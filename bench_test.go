@@ -243,7 +243,7 @@ func BenchmarkEngine(b *testing.B) {
 	})
 	// The two zoo models the front door serves, in absolute ns per
 	// inference at batch 1, the shape a reply waits for, and the mlp at
-	// the short batches a busy replica is handed (the dense row body).
+	// the short batches a busy replica is handed (short dense panels).
 	for _, m := range []struct {
 		name    string
 		batches []int

@@ -259,13 +259,12 @@ func servedModelRows(r *Report) error {
 }
 
 // gemmRoofline times the selected FP32 micro-kernel at two operating
-// points: a hot MRxNR tile whose packed operands stay cache-resident
+// points: a hot full MRxNR tile whose operands stay cache-resident
 // (the practical peak of the register-blocked inner loop) and a
-// convolution-shaped full GEMM through the packed Compute path. The
-// ratio of the two rates — roofline attainment — measures how much of
-// the inner loop's peak survives B packing, partial tiles and memory
-// traffic at a real layer shape, which is the number the micro-kernel
-// refactor is supposed to move.
+// convolution-shaped full GEMM through Compute. The ratio of the two
+// rates — roofline attainment — measures how much of the inner loop's
+// peak survives B packing, partial tiles and memory traffic at a real
+// layer shape.
 func gemmRoofline(kern tensor.GemmKernelF32, iters int) (peakGF, convGF float64) {
 	mr, nr := kern.MR, kern.NR
 	const kHot = 256
@@ -284,7 +283,7 @@ func gemmRoofline(kern tensor.GemmKernelF32, iters int) (peakGF, convGF float64)
 	for it := 0; it <= iters; it++ { // iteration 0 is warm-up
 		start := time.Now()
 		for c := 0; c < hotCalls; c++ {
-			kern.Run(apanel, bpack, nr, kHot, bias, ctile, nr)
+			kern.Run(apanel, kHot, mr, bpack, nr, kHot, bias, ctile, nr)
 		}
 		if d := time.Since(start); it > 0 && (bestHot == 0 || d < bestHot) {
 			bestHot = d

@@ -117,6 +117,71 @@ func TestExecutorConcurrentFirstRunAll(t *testing.T) {
 	wg.Wait()
 }
 
+// TestEngineIsSnapshotOfGraph: an engine is a snapshot of the graph at
+// Compile. Overwriting every conv and dense weight tensor of the source
+// graph in place afterwards changes no bit of Engine.Run or
+// QuantEngine.Run, while a fresh Compile of the overwritten graph does
+// see the new weights.
+func TestEngineIsSnapshotOfGraph(t *testing.T) {
+	for _, name := range []string{"mobilenetedge", "lenet"} {
+		g := zooGraph(t, name)
+		in, err := nn.SyntheticInput(g, 2, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := Compile(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := CompileQuantized(g, calibrate(t, g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(exe interface {
+			Run(map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error)
+		}) uint64 {
+			out, err := exe.Run(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return hashOutputs(out)
+		}
+		wantF, wantQ := run(eng), run(q)
+
+		overwritten := 0
+		for _, n := range g.Nodes {
+			if n.Op != nn.OpConv && n.Op != nn.OpDepthwiseConv && n.Op != nn.OpDense {
+				continue
+			}
+			for key, w := range n.Weights {
+				if len(w.F32) == 0 {
+					t.Fatalf("%s: %s weight %q holds no FP32 values to overwrite", name, n.Name, key)
+				}
+				for i, v := range w.F32 {
+					w.F32[i] = 0.25 - 3*v
+				}
+				overwritten++
+			}
+		}
+		if overwritten == 0 {
+			t.Fatalf("%s: no conv or dense weights", name)
+		}
+		if got := run(eng); got != wantF {
+			t.Errorf("%s: Engine.Run changed after %d weight tensors of the graph were overwritten", name, overwritten)
+		}
+		if got := run(q); got != wantQ {
+			t.Errorf("%s: QuantEngine.Run changed after %d weight tensors of the graph were overwritten", name, overwritten)
+		}
+		fresh, err := Compile(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run(fresh) == wantF {
+			t.Errorf("%s: a fresh Compile does not see the overwritten weights", name)
+		}
+	}
+}
+
 // calibrate derives g's schema from two synthetic samples.
 func calibrate(t *testing.T, g *nn.Graph) *nn.QuantSchema {
 	t.Helper()

@@ -1,25 +1,29 @@
 package inference
 
 import (
+	"slices"
+
 	"vedliot/internal/tensor"
 )
 
 // GEMM lowering of convolution and dense layers.
 //
 // Channel-heavy convolutions become C = A·B with M = output channels,
-// N = output pixels and K = taps: A is the weight matrix packed once at
-// bind time into register-panel layout, and B is built one NR-wide tile
-// at a time with the im2col gather fused into the pack — no full patch
-// matrix ever materializes, so the working set is one B tile plus one
-// C tile regardless of layer size. Pointwise convolutions skip
-// the pack entirely on full tiles: their natural NCHW layout already is
-// the B matrix (row stride = the pixel count), which the micro-kernel
-// consumes directly through its ldb argument.
+// N = output pixels and K = taps: A is the [outC, taps] weight matrix,
+// copied at bind time and read row-major by the micro-kernel (INT8: the
+// widened codes, each row's K padded to a pair), and B is built one
+// NR-wide tile at a time with the im2col gather fused into the pack —
+// no full patch matrix ever materializes, so the working set is one B
+// tile plus one C tile regardless of layer size. Pointwise
+// convolutions skip the pack entirely on full tiles: their natural
+// NCHW layout already is the B matrix (row stride = the pixel count),
+// which the micro-kernel consumes directly through its ldb argument.
 //
 // The kernel walks (sample, group, N-tile) items; each item packs its B
-// tile once and sweeps all A panels over it while the tile is
-// cache-hot. Pack and C-tile scratch comes from the engine's planned
-// scratch allocation (scratch.go).
+// tile once and sweeps the group's MR-row panels of A over it while the
+// tile is cache-hot, the last panel at its own row count. Pack and
+// C-tile scratch comes from the engine's planned scratch allocation
+// (scratch.go).
 //
 // FP32 results stay bitwise identical to the interpreter: the kernels
 // initialize accumulators with the bias and add one separate-rounded
@@ -160,9 +164,10 @@ func packConvTile[T float32 | int8](rows, xv []T, g *convGeom, nr, b, grp int, p
 	}
 }
 
-// bindConvGemm lowers one FP32 convolution onto the packed GEMM
-// micro-kernels. Weights and bias are packed per group at bind time;
-// the returned kernel streams B tiles through planned scratch.
+// bindConvGemm lowers one FP32 convolution onto the GEMM
+// micro-kernels. A is a bind-time copy of the [outC, taps] weight
+// matrix, which the kernel reads row-major; the returned kernel streams
+// B tiles through planned scratch.
 func bindConvGemm(g convGeom, w *tensor.Tensor, bias []float32, ep *epilogue) (kernelFunc[float32], scratchSpec) {
 	taps := g.icPerG * g.kh * g.kw
 	px := g.outH * g.outW
@@ -171,20 +176,13 @@ func bindConvGemm(g convGeom, w *tensor.Tensor, bias []float32, ep *epilogue) (k
 	kern := tensor.PickGemmF32MaxWidth(px)
 	mr, nr := kern.MR, kern.NR
 	groups := g.inC / g.icPerG
-	panels := (g.ocPerG + mr - 1) / mr
-	apg := kern.PackedASize(g.ocPerG, taps) // packed-A elements per group
-	bpg := panels * mr                      // padded bias entries per group
-	wv := weightValues(w)
-	apack := make([]float32, groups*apg)
-	for grp := 0; grp < groups; grp++ {
-		kern.PackA(apack[grp*apg:(grp+1)*apg], wv[grp*g.ocPerG*taps:], taps, g.ocPerG, taps)
-	}
-	biasAll := make([]float32, groups*bpg)
-	if bias != nil {
-		for grp := 0; grp < groups; grp++ {
-			copy(biasAll[grp*bpg:], bias[grp*g.ocPerG:(grp+1)*g.ocPerG])
-		}
-	}
+	// A copy, not the graph's own weights: the engine is a snapshot of
+	// the graph at Compile.
+	a := slices.Clone(weightValues(w)[:g.outC*taps])
+	// The kernel seeds all MR rows from the bias, so a short panel reads
+	// past its group's entries (the last one into the zero tail).
+	biasAll := make([]float32, g.outC+mr)
+	copy(biasAll, bias)
 	pointwise := g.pointwise()
 	nt := (px + nr - 1) / nr
 	ktaps := g.kh * g.kw
@@ -201,10 +199,7 @@ func bindConvGemm(g convGeom, w *tensor.Tensor, bias []float32, ep *epilogue) (k
 			t := rem % nt
 			grp := rem / nt
 			j0 := t * nr
-			jw := px - j0
-			if jw > nr {
-				jw = nr
-			}
+			jw := min(px-j0, nr)
 			bt, ldb := bpack, nr
 			if pointwise && jw == nr {
 				// The input planes of this group are the B matrix already.
@@ -212,24 +207,19 @@ func bindConvGemm(g convGeom, w *tensor.Tensor, bias []float32, ep *epilogue) (k
 			} else {
 				packConvTile(bpack, xv, &g, nr, b, grp, plans[t*ktaps:(t+1)*ktaps], 0, tensor.GatherStride2F32)
 			}
-			for p := 0; p < panels; p++ {
-				oc0 := grp*g.ocPerG + p*mr
-				mh := g.ocPerG - p*mr
-				if mh > mr {
-					mh = mr
-				}
-				ap := apack[grp*apg+p*mr*taps : grp*apg+(p+1)*mr*taps]
-				bp := biasAll[grp*bpg+p*mr : grp*bpg+(p+1)*mr]
-				// A full tile lands in dst and takes its epilogue in
-				// place; a ragged one leaves the C tile through it.
+			for p0 := 0; p0 < g.ocPerG; p0 += mr {
+				oc0 := grp*g.ocPerG + p0
+				mh := min(g.ocPerG-p0, mr)
+				// A full-width tile lands in dst and takes its epilogue
+				// in place; a ragged one leaves the C tile through it.
 				out := dst[(b*g.outC+oc0)*px+j0:]
-				if mh == mr && jw == nr {
-					kern.Run(ap, bt, ldb, taps, bp, out, px)
+				if jw == nr {
+					kern.Run(a[oc0*taps:], taps, mh, bt, ldb, taps, biasAll[oc0:], out, px)
 					if ep != nil {
 						ep.tile(out, px, out, px, mh, jw, oc0, true)
 					}
 				} else {
-					kern.Run(ap, bt, ldb, taps, bp, ctile, nr)
+					kern.Run(a[oc0*taps:], taps, mh, bt, ldb, taps, biasAll[oc0:], ctile, nr)
 					ep.tile(out, px, ctile, nr, mh, jw, oc0, true)
 				}
 			}
@@ -240,10 +230,11 @@ func bindConvGemm(g convGeom, w *tensor.Tensor, bias []float32, ep *epilogue) (k
 }
 
 // bindQuantConvGemm lowers one integer convolution onto the int16
-// PMADDWD-shaped micro-kernels: widened weight codes pack per group at
-// bind time, B tiles pack per item with the zero-point shift fused, and
-// the C tiles of every panel under one B tile requantize in one
-// tensor.RequantTileInt8 while they are cache-hot. The B pack replays the FP32 pack's segment plans on int8 codes
+// PMADDWD-shaped micro-kernels: A is the widened weight codes, each
+// row's K padded to a pair, B tiles pack per item with the zero-point
+// shift fused, and the C tiles of every panel under one B tile
+// requantize in one tensor.RequantTileInt8 while they are cache-hot.
+// The B pack replays the FP32 pack's segment plans on int8 codes
 // into a staging tile (runs of the input plane move as byte copies and
 // stride-2 byte gathers), padding with the zero-point code, which the
 // shift turns into exactly 0; one tensor.PackPairShiftInt8 then widens,
@@ -257,6 +248,7 @@ func bindQuantConvGemm(p *qconv) (kfn kernelFunc[int8], spec scratchSpec, ok boo
 	}
 	taps := g.icPerG * g.kh * g.kw
 	kp := tensor.KPairs(taps)
+	lda := 2 * kp
 	px := g.outH * g.outW
 	// Same narrow-N tile cap as bindConvGemm.
 	kern := tensor.PickGemmI16MaxWidth(px)
@@ -266,21 +258,18 @@ func bindQuantConvGemm(p *qconv) (kfn kernelFunc[int8], spec scratchSpec, ok boo
 	ktaps := g.kh * g.kw
 	var plans [][]convSeg
 	groups := g.inC / g.icPerG
-	panels := (g.ocPerG + mr - 1) / mr
 	// The C tiles of every panel under one B tile, requantized in one call.
-	spec = scratchSpec{i16: kp * 2 * nr, i32: panels * mr * nr}
+	spec = scratchSpec{i16: kp * 2 * nr, i32: g.ocPerG * nr}
 	if !pointwise {
 		plans = buildConvPlans(&g, nr, nt, px)
 		spec.i8 = taps * nr
 	}
-	apg := kern.PackedASize(g.ocPerG, taps)
-	bpg := panels * mr
-	apack := make([]int16, groups*apg)
-	biasAll := make([]int32, groups*bpg)
-	for grp := 0; grp < groups; grp++ {
-		kern.PackA(apack[grp*apg:(grp+1)*apg], p.w16[grp*g.ocPerG*taps:], taps, g.ocPerG, taps)
-		copy(biasAll[grp*bpg:], p.bias32[grp*g.ocPerG:(grp+1)*g.ocPerG])
+	a := make([]int16, g.outC*lda)
+	for oc := 0; oc < g.outC; oc++ {
+		tensor.WidenShiftInt8(a[oc*lda:oc*lda+taps], p.w[oc*taps:], 0)
 	}
+	biasAll := make([]int32, g.outC+mr) // as in bindConvGemm
+	copy(biasAll, p.bias32)
 	kfn = func(rc *runCtx, dst []int8, srcs [][]int8) error {
 		xv := srcs[0]
 		bpack := rc.i16Scratch(spec.i16)
@@ -301,11 +290,10 @@ func bindQuantConvGemm(p *qconv) (kfn kernelFunc[int8], spec scratchSpec, ok boo
 				packConvTile(stage, xv, &g, nr, b, grp, plans[t*ktaps:(t+1)*ktaps], int8(p.zpIn), tensor.GatherStride2Int8)
 				tensor.PackPairShiftInt8(bpack, 2*nr, stage, nr, taps, nr, int16(p.zpIn))
 			}
-			for pi := 0; pi < panels; pi++ {
-				kern.Run(apack[grp*apg+pi*mr*2*kp:grp*apg+(pi+1)*mr*2*kp], bpack, 2*nr, kp,
-					biasAll[grp*bpg+pi*mr:grp*bpg+(pi+1)*mr], ctile[pi*mr*nr:], nr)
-			}
 			oc0 := grp * g.ocPerG
+			for p0 := 0; p0 < g.ocPerG; p0 += mr {
+				kern.Run(a[(oc0+p0)*lda:], lda, min(g.ocPerG-p0, mr), bpack, 2*nr, kp, biasAll[oc0+p0:], ctile[p0*nr:], nr)
+			}
 			tensor.RequantTileInt8(dst[(b*g.outC+oc0)*px+j0:], px, ctile, nr, g.ocPerG, jw, p.req[oc0:], p.zpOut, p.postRows(oc0, g.ocPerG))
 		}
 		return nil

@@ -861,8 +861,8 @@ func bindDenseCore(w, bias []float32, inF, outF int, ep *epilogue) (kernelFunc[f
 	// M = samples, N = out features, K = in features. The weights are
 	// the B operand, packed once at bind time into NR-wide tiles; the
 	// activation rows are the A operand, staged row-major per call and
-	// run through the kernel's row body, which multiplies only the rows a
-	// panel has. Every lane is live at any batch size and a short batch
+	// run through the kernel, which multiplies only the rows a panel
+	// has. Every lane is live at any batch size and a short batch
 	// costs its own rows, batch 1 included, and C comes out sample-major,
 	// which is dst's layout. The kernels seed a tile from a per-row bias,
 	// and here the bias runs along N, so it enters as one extra leading K
@@ -905,7 +905,7 @@ func bindDenseCore(w, bias []float32, inF, outF int, ep *epilogue) (kernelFunc[f
 			for t := 0; t < nt; t++ {
 				o0 := t * nr
 				jw := min(outF-o0, nr)
-				kern.RunRows(arows, lda, mh, bpack[t*tile:(t+1)*tile], nr, lda, seed, ctile, nr)
+				kern.Run(arows, lda, mh, bpack[t*tile:(t+1)*tile], nr, lda, seed, ctile, nr)
 				if fs == nil {
 					ep.tile(dst[i0*outF+o0:], outF, ctile, nr, mh, jw, 0, false)
 					continue

@@ -74,8 +74,8 @@ func benchStep(b *testing.B, name string, g *nn.Graph, si int, batches ...int) {
 // BenchmarkBatch1Kernels sweeps the layers a batch-1 reply waits for:
 // the seven depthwise shapes of mobilenetedge at 64x64 and the first
 // dense layer of the mlp, FP32 and INT8, the depthwise
-// shapes at batch 1 and 8 and the dense layer at every short batch the
-// row body serves; then the shapes the INT8 row's profile names beside
+// shapes at batch 1 and 8 and the dense layer at every short batch a
+// short panel serves; then the shapes the INT8 row's profile names beside
 // their FP32 twins — the stride-2 stem, a pointwise expansion, a 1x1 on
 // 4x4 and on 3x3 planes (one 16-column tile, and one narrower than any
 // vector), a pointwise expansion with batch-norm and h-swish fused, a

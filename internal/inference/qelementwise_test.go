@@ -145,7 +145,7 @@ func TestQuantConvGemmFallsBackWithoutPlan(t *testing.T) {
 		if !convGemmEligible(g) {
 			t.Fatalf("%s: geometry should be GEMM-eligible", c.name)
 		}
-		p := &qconv{g: g, w16: make([]int16, 8*8*9), bias32: make([]int32, 8), req: make([]tensor.Requant, 8), zpIn: c.zp}
+		p := &qconv{g: g, w: make([]int8, 8*8*9), bias32: make([]int32, 8), req: make([]tensor.Requant, 8), zpIn: c.zp}
 		if _, _, ok := bindQuantConvGemm(p); ok != c.gemm {
 			t.Errorf("%s: bindQuantConvGemm ok = %v, want %v", c.name, ok, c.gemm)
 		}

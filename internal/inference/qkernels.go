@@ -246,12 +246,13 @@ func foldBias(bias *tensor.Tensor, wScales []float64, inQ, outQ tensor.QuantPara
 }
 
 // qconv is the bound state of one integer convolution on the GEMM form.
-// Weight codes are kept widened to int16: the B pack shifts the input
-// side by the zero point into int16 as well (so padding contributes
-// exactly 0), and the multiply-accumulate runs through the int16 GEMM.
+// The GEMM binder widens the weight codes to int16: the B pack shifts
+// the input side by the zero point into int16 as well (so padding
+// contributes exactly 0), and the multiply-accumulate runs through the
+// int16 GEMM.
 type qconv struct {
 	g      convGeom
-	w16    []int16
+	w      []int8
 	bias32 []int32
 	req    []tensor.Requant
 	zpIn   int32
@@ -268,19 +269,9 @@ func (p *qconv) postRows(oc, n int) []*[256]int8 {
 	return p.post[oc : oc+n]
 }
 
-// widenCodes converts int8 weight codes to the int16 operand form of
-// the SIMD kernels.
-func widenCodes(codes []int8) []int16 {
-	w16 := make([]int16, len(codes))
-	for i, c := range codes {
-		w16[i] = int16(c)
-	}
-	return w16
-}
-
 // newQConv is the bind-time form of an integer convolution.
 func newQConv(pc *PlanConv) *qconv {
-	return &qconv{g: planConvGeom(pc.Geom), w16: widenCodes(pc.W), bias32: pc.Bias, req: pc.Req, zpIn: pc.ZPIn, zpOut: pc.ZPOut, post: pc.Post}
+	return &qconv{g: planConvGeom(pc.Geom), w: pc.W, bias32: pc.Bias, req: pc.Req, zpIn: pc.ZPIn, zpOut: pc.ZPOut, post: pc.Post}
 }
 
 // planConvGeom is the binders' form of a plan's conv geometry.
@@ -338,7 +329,7 @@ func bindQuantDense(d *PlanDense) (kernelFunc[int8], scratchSpec) {
 	// features, so every lane is live at batch 1. The widened weight
 	// codes are the bind-time packed B tiles, each call widens the
 	// activation rows row-major with the zero-point shift fused (a row's
-	// adjacent codes are the kernel's K pairs as they lie), the row body
+	// adjacent codes are the kernel's K pairs as they lie), the kernel
 	// multiplies only the rows a panel has, and the int32 C tile
 	// requantizes straight into the sample-major output. Integer
 	// accumulation is associative, so the folded bias joins at
@@ -376,7 +367,7 @@ func bindQuantDense(d *PlanDense) (kernelFunc[int8], scratchSpec) {
 			for t := 0; t < nt; t++ {
 				o0 := t * nr
 				jw := min(outF-o0, nr)
-				kern.RunRows(arows, lda, mh, bpack[t*nr*2*kp:(t+1)*nr*2*kp], 2*nr, kp, zeroBias, ctile, nr)
+				kern.Run(arows, lda, mh, bpack[t*nr*2*kp:(t+1)*nr*2*kp], 2*nr, kp, zeroBias, ctile, nr)
 				for i := 0; i < mh; i++ {
 					row := dst[(i0+i)*outF+o0:][:jw]
 					for j := range row {

@@ -56,12 +56,15 @@ type Client struct {
 }
 
 // Dial connects and performs the Hello handshake with the given API key
-// (empty for open-mode servers).
+// (empty for open-mode servers). The connect and the handshake are
+// bounded by writeTimeout, so a peer that accepts and then stays silent
+// fails the dial instead of holding it.
 func Dial(addr, key string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
+	conn, err := net.DialTimeout("tcp", addr, writeTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("serve: dial %s: %w", addr, err)
 	}
+	conn.SetDeadline(time.Now().Add(writeTimeout))
 	c := &Client{conn: conn, pending: make(map[uint64]chan clientReply)}
 	b := beginFrame(TypeHello, 0, 2+len(key))
 	b = appendString(b, key)
@@ -85,6 +88,7 @@ func Dial(addr, key string) (*Client, error) {
 			return nil, fmt.Errorf("serve: hello reply: %w", err)
 		}
 		c.tenant = tenant
+		conn.SetDeadline(time.Time{})
 	case TypeReply:
 		status, _ := f.body.u8()
 		conn.Close()
@@ -180,6 +184,9 @@ func (c *Client) fail(err error) {
 }
 
 // InferCtx sends one request and blocks for its reply or the context.
+// The write is bounded by writeTimeout: a write that misses it closes
+// the connection, which fails every pending call, since a half-written
+// frame cannot be resumed.
 func (c *Client) InferCtx(ctx context.Context, model string, ins map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
 	id := c.nextID.Add(1)
 	ch := make(chan clientReply, 1)
@@ -202,7 +209,11 @@ func (c *Client) InferCtx(ctx context.Context, model string, ins map[string]*ten
 	}
 	b = finishFrame(b)
 	c.wmu.Lock()
+	c.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	_, err = c.conn.Write(b)
+	if err != nil {
+		c.conn.Close()
+	}
 	c.wmu.Unlock()
 	putBuf(b)
 	if err != nil {

@@ -485,3 +485,103 @@ func TestReadDeadlineClosesStalledPeers(t *testing.T) {
 		t.Errorf("%d connections open, want the live peer's alone", conns)
 	}
 }
+
+// TestDialBoundsSilentPeer: a peer that accepts the connection and
+// never answers the hello fails Dial within the write bound instead of
+// holding it for as long as the peer stays silent.
+func TestDialBoundsSilentPeer(t *testing.T) {
+	saved := writeTimeout
+	t.Cleanup(func() { writeTimeout = saved })
+	writeTimeout = 200 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if conn, err := ln.Accept(); err == nil {
+			accepted <- conn
+		}
+	}()
+	defer func() {
+		select {
+		case conn := <-accepted:
+			conn.Close()
+		default:
+		}
+	}()
+	done := make(chan error, 1)
+	go func() {
+		c, err := Dial(ln.Addr().String(), "")
+		if c != nil {
+			c.Close()
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("Dial to a silent peer succeeded")
+		}
+	case <-time.After(20 * writeTimeout):
+		t.Fatalf("Dial to a silent peer still blocked after %v", 20*writeTimeout)
+	}
+}
+
+// TestRequestWriteBound: a server that completes the hello and then
+// never reads stalls a large request's write once the socket buffers
+// fill. The write bound fails that call and closes the connection,
+// which fails the call already waiting on it for a reply too.
+func TestRequestWriteBound(t *testing.T) {
+	saved := writeTimeout
+	t.Cleanup(func() { writeTimeout = saved })
+	writeTimeout = 300 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	peer := make(chan net.Conn, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		conn.(*net.TCPConn).SetReadBuffer(4096)
+		if _, err := newFrameReader(conn, DefaultMaxFrame).next(); err == nil {
+			b := beginFrame(TypeHelloOK, 0, 3)
+			conn.Write(finishFrame(appendString(b, "t")))
+		}
+		peer <- conn // and never read again
+	}()
+	c, err := Dial(ln.Addr().String(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	defer func() { (<-peer).Close() }()
+	c.conn.(*net.TCPConn).SetWriteBuffer(4096)
+
+	results := make(chan error, 2)
+	go func() { // small: written whole, then waits for a reply
+		_, err := c.InferCtx(context.Background(), "m", wideInput(0))
+		results <- err
+	}()
+	time.Sleep(20 * time.Millisecond)
+	big := tensor.New(tensor.FP32, 1, 1<<20)
+	go func() {
+		_, err := c.InferCtx(context.Background(), "m", map[string]*tensor.Tensor{"x": big})
+		results <- err
+	}()
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-results:
+			if err == nil {
+				t.Fatal("a call on a stalled connection succeeded")
+			}
+		case <-time.After(20 * writeTimeout):
+			t.Fatalf("%d of 2 calls on a stalled connection still blocked after %v", 2-i, 20*writeTimeout)
+		}
+	}
+}

@@ -211,8 +211,9 @@ const replyDepth = 256
 // writeTimeout bounds one reply write, and readTimeout the wait for and
 // the read of one frame (the idle bound vedliot-serve gives its HTTP
 // listener): a peer that has not read, or not sent, for that long is
-// torn down, releasing its slots, context and queued work. Tests shorten
-// them.
+// torn down, releasing its slots, context and queued work. A Client's
+// connect, hello exchange and each request write take writeTimeout too.
+// Tests shorten them.
 var (
 	writeTimeout = 10 * time.Second
 	readTimeout  = 2 * time.Minute

@@ -1,18 +1,16 @@
 package tensor
 
-// Register-blocked packed GEMM micro-kernels.
+// Register-blocked GEMM micro-kernels, one body per tier and dtype.
 //
-// Both inference compilers lower conv and dense layers onto C = A·B
-// with M = output channels, N = output pixels (or batch), K = taps:
-// that orientation makes each C tile row a contiguous run of one NCHW
-// output plane, so full tiles store straight into the destination.
-//
-// A (the weights) is packed once at kernel-bind time into column-major
-// panels of MR rows; B (the activations) is packed per N-tile at run
-// time — for convolutions the im2col gather is fused into that pack,
-// so no full patch matrix ever materializes. The micro-kernel computes
-// one MR x NR tile with an independent accumulator chain per output
-// element.
+// Both inference compilers lower conv and dense layers onto C = A·B.
+// A is row-major (row i at a[i*lda]) and a kernel computes the first
+// rows (1..MR) rows of one MR x NR tile of C from an NR-wide window of
+// B, with an independent accumulator chain per output element, so a
+// short panel costs its own rows only. Convolutions take M = output
+// channels, N = output pixels, K = taps (A is the weight matrix, B a
+// tile built per call with the im2col gather fused in, or the input
+// planes themselves); dense layers take M = samples, N = out features
+// (A is the staged activation rows, B the bind-time packed weights).
 //
 // Parity contract (FP32): each accumulator is initialized with the
 // row's bias and then adds one mul per K step, in K order, exactly like
@@ -25,56 +23,42 @@ package tensor
 // Parity contract (INT8): operands are int16, accumulation is int32
 // and therefore associative, so all variants agree exactly; K is
 // processed in sign-extended adjacent pairs to match PMADDWD shape,
-// with odd K zero-padded during packing.
+// with each A row's odd K zero-padded to a pair.
 
 import "vedliot/internal/tensor/cpu"
 
 // GemmKernelF32 is one FP32 micro-kernel variant plus the tile
-// geometry its packed operands must follow.
+// geometry its operands must follow.
 type GemmKernelF32 struct {
 	// MR and NR are the tile height (rows of A/C) and width (columns
 	// of B/C) the kernel computes per call.
 	MR, NR int
 	// Tier identifies the ISA level the kernel requires.
 	Tier cpu.Tier
-	// Run computes one MR x NR tile: c[i*ldc+j] = bias[i] +
-	// sum_k apanel[k*MR+i] * b[k*ldb+j]. apanel is an A panel packed by
-	// PackA; b is either a packed tile (ldb = NR) or, for layers whose
-	// natural layout already matches, a row-major window with ldb set
-	// to the row stride. bias must hold MR entries and c MR rows of NR
-	// values at stride ldc.
-	Run func(apanel []float32, b []float32, ldb, k int, bias []float32, c []float32, ldc int)
-	// RunRows is the row body, for callers whose M is short of a panel
-	// (dense layers, where M is the batch): the first rows (1..MR) rows
-	// of the tile Run computes, with A read row-major at row stride lda
-	// instead of from a packed panel, c[i*ldc+j] = bias[i] + sum_k
-	// a[i*lda+kk] * b[kk*ldb+j] for i < rows. Each element's chain is
-	// Run's, so the live rows are bitwise what Run stores for a panel
-	// whose other rows are zero, at the cost of the live rows only; rows
-	// of c at and past rows are not written. bias still holds MR entries.
-	RunRows func(a []float32, lda, rows int, b []float32, ldb, k int, bias []float32, c []float32, ldc int)
+	// Run computes the first rows (1..MR) rows of one MR x NR tile:
+	// c[i*ldc+j] = bias[i] + sum_kk a[i*lda+kk] * b[kk*ldb+j] for
+	// i < rows. b is either a packed tile (ldb = NR) or a row-major
+	// window with ldb set to the row stride. bias holds MR entries; rows
+	// of c at and past rows are not written.
+	Run func(a []float32, lda, rows int, b []float32, ldb, k int, bias []float32, c []float32, ldc int)
 }
 
 // GemmKernelI16 is one quantized micro-kernel variant. Operands are
 // int16 (sign-extended int8 codes and zero-point-shifted activations);
 // accumulation is int32. K is consumed in adjacent pairs (PMADDWD
-// shape), so packed panels interleave two K values per element.
+// shape).
 type GemmKernelI16 struct {
 	// MR and NR are the tile height and width in output elements.
 	MR, NR int
 	// Tier identifies the ISA level the kernel requires.
 	Tier cpu.Tier
-	// Run computes one MR x NR tile over kPairs K-pairs:
-	// c[i*ldc+j] = bias[i] + sum_kp (a0*b0 + a1*b1) where the pair
-	// operands come from apanel (PackA layout: kp-major, MR pairs per
-	// step) and b (kp-major, NR pairs per step, row stride ldb int16
-	// elements; packed tiles use ldb = 2*NR).
-	Run func(apanel []int16, b []int16, ldb, kPairs int, bias []int32, c []int32, ldc int)
-	// RunRows is the row body (see GemmKernelF32.RunRows): the first
-	// rows rows of the tile with A read row-major, row i holding its
-	// kPairs adjacent K pairs from a[i*lda] (an odd K zero-padded by the
-	// caller); rows of c at and past rows are not written.
-	RunRows func(a []int16, lda, rows int, b []int16, ldb, kPairs int, bias []int32, c []int32, ldc int)
+	// Run computes the first rows rows of one tile over kPairs K pairs:
+	// c[i*ldc+j] = bias[i] + sum_kp (a0*b0 + a1*b1), row i of A holding
+	// its adjacent K pairs from a[i*lda] (an odd K zero-padded) and b
+	// holding NR pairs per K-pair step at row stride ldb int16 elements
+	// (packed tiles use ldb = 2*NR). bias holds MR entries; rows of c at
+	// and past rows are not written.
+	Run func(a []int16, lda, rows int, b []int16, ldb, kPairs int, bias []int32, c []int32, ldc int)
 }
 
 // kernel variant registries: the generic kernels are always present;
@@ -167,29 +151,16 @@ func PickGemmI16MaxWidth(maxNR int) GemmKernelI16 {
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
-// PackedASize returns the length of the packed-A buffer for an m x k
-// weight matrix: rows round up to a multiple of MR, zero-padded.
-func (g GemmKernelF32) PackedASize(m, k int) int {
-	return ceilDiv(m, g.MR) * g.MR * k
-}
+// PackedASize returns the length of the A buffer PackA fills for an
+// m x k weight matrix.
+func (g GemmKernelF32) PackedASize(m, k int) int { return m * k }
 
-// PackA packs row-major a (m rows, k columns, row stride lda) into MR
-// panels: dst[p*MR*k + kk*MR + i] = a[(p*MR+i)*lda + kk], with rows
-// beyond m zero-filled. dst must have PackedASize(m, k) capacity.
+// PackA copies row-major a (m rows, k columns, row stride lda) into dst
+// at row stride k, the layout Compute reads. dst must have
+// PackedASize(m, k) capacity.
 func (g GemmKernelF32) PackA(dst []float32, a []float32, lda, m, k int) {
-	mr := g.MR
-	for p := 0; p < ceilDiv(m, mr); p++ {
-		panel := dst[p*mr*k:]
-		for kk := 0; kk < k; kk++ {
-			for i := 0; i < mr; i++ {
-				r := p*mr + i
-				if r < m {
-					panel[kk*mr+i] = a[r*lda+kk]
-				} else {
-					panel[kk*mr+i] = 0
-				}
-			}
-		}
+	for i := 0; i < m; i++ {
+		copy(dst[i*k:(i+1)*k], a[i*lda:])
 	}
 }
 
@@ -221,10 +192,10 @@ func (g GemmKernelF32) PackBTile(dst []float32, b []float32, ldb, k, n, j0 int) 
 }
 
 // Compute runs the full GEMM c[i*ldc+j] = bias[i] + sum_k a[i][k] *
-// b[k*ldb+j] for i < m, j < n, with apack a PackA-packed weight matrix
-// and bias already padded (PackBias). bpack (k*NR) and ctile (MR*NR)
-// are scratch; nil means allocate. Partial tiles compute into ctile
-// and copy only the valid region, so c is never written out of range.
+// b[k*ldb+j] for i < m, j < n, with apack filled by PackA and bias
+// padded by PackBias. bpack (k*NR) and ctile (MR*NR) are scratch; nil
+// means allocate. A tile whose N is short computes into ctile and
+// copies only the valid region, so c is never written out of range.
 func (g GemmKernelF32) Compute(m, n, k int, apack, bias []float32, b []float32, ldb int, c []float32, ldc int, bpack, ctile []float32) {
 	if k == 0 {
 		for i := 0; i < m; i++ {
@@ -244,30 +215,21 @@ func (g GemmKernelF32) Compute(m, n, k int, apack, bias []float32, b []float32, 
 		ctile = make([]float32, mr*nr)
 	}
 	for j0 := 0; j0 < n; j0 += nr {
-		jw := n - j0
-		var bt []float32
-		bldb := ldb
+		jw := min(n-j0, nr)
+		bt, bldb := b[j0:], ldb
 		if jw < nr {
 			g.PackBTile(bpack, b, ldb, k, n, j0)
 			bt, bldb = bpack, nr
-		} else {
-			jw = nr
-			bt = b[j0:]
 		}
-		for p := 0; p*mr < m; p++ {
-			ap := apack[p*mr*k : (p+1)*mr*k]
-			bp := bias[p*mr : (p+1)*mr]
-			ih := m - p*mr
-			if ih >= mr && jw == nr {
-				g.Run(ap, bt, bldb, k, bp, c[p*mr*ldc+j0:], ldc)
+		for i0 := 0; i0 < m; i0 += mr {
+			rows := min(m-i0, mr)
+			if jw == nr {
+				g.Run(apack[i0*k:], k, rows, bt, bldb, k, bias[i0:], c[i0*ldc+j0:], ldc)
 				continue
 			}
-			g.Run(ap, bt, bldb, k, bp, ctile, nr)
-			if ih > mr {
-				ih = mr
-			}
-			for i := 0; i < ih; i++ {
-				copy(c[(p*mr+i)*ldc+j0:(p*mr+i)*ldc+j0+jw], ctile[i*nr:i*nr+jw])
+			g.Run(apack[i0*k:], k, rows, bt, bldb, k, bias[i0:], ctile, nr)
+			for i := 0; i < rows; i++ {
+				copy(c[(i0+i)*ldc+j0:(i0+i)*ldc+j0+jw], ctile[i*nr:i*nr+jw])
 			}
 		}
 	}
@@ -277,35 +239,19 @@ func (g GemmKernelF32) Compute(m, n, k int, apack, bias []float32, b []float32, 
 // for a K-deep reduction (odd K is zero-padded during packing).
 func KPairs(k int) int { return (k + 1) / 2 }
 
-// PackedASize returns the length of the packed-A buffer for an m x k
-// int16 weight matrix: rows round up to MR, K rounds up to a pair.
-func (g GemmKernelI16) PackedASize(m, k int) int {
-	return ceilDiv(m, g.MR) * g.MR * 2 * KPairs(k)
-}
+// PackedASize returns the length of the A buffer PackA fills for an
+// m x k int16 weight matrix: each row's K rounds up to a pair.
+func (g GemmKernelI16) PackedASize(m, k int) int { return m * 2 * KPairs(k) }
 
-// PackA packs row-major a (m rows, k columns, row stride lda) into MR
-// panels with adjacent K values interleaved per row:
-// dst[p*MR*2*kp + kp*MR*2 + i*2 + s] = a[(p*MR+i)*lda + 2*kp+s], with
-// rows beyond m and the odd-K tail zero-filled.
+// PackA copies row-major a (m rows, k columns, row stride lda) into dst
+// at row stride 2*KPairs(k), zero-filling each row's odd-K tail: row
+// i's adjacent K pairs, the layout Run reads.
 func (g GemmKernelI16) PackA(dst []int16, a []int16, lda, m, k int) {
-	mr := g.MR
-	kp := KPairs(k)
-	for p := 0; p < ceilDiv(m, mr); p++ {
-		panel := dst[p*mr*2*kp:]
-		for pair := 0; pair < kp; pair++ {
-			for i := 0; i < mr; i++ {
-				r := p*mr + i
-				var v0, v1 int16
-				if r < m {
-					v0 = a[r*lda+2*pair]
-					if 2*pair+1 < k {
-						v1 = a[r*lda+2*pair+1]
-					}
-				}
-				panel[pair*mr*2+i*2] = v0
-				panel[pair*mr*2+i*2+1] = v1
-			}
-		}
+	ld := 2 * KPairs(k)
+	for i := 0; i < m; i++ {
+		row := dst[i*ld : (i+1)*ld]
+		copy(row, a[i*lda:i*lda+k])
+		clear(row[k:])
 	}
 }
 
@@ -351,12 +297,13 @@ func (g GemmKernelI16) PackBTile(dst []int16, b []int16, ldb, k, n, j0 int) {
 }
 
 // Compute runs the full quantized GEMM c[i*ldc+j] = bias[i] +
-// sum_k a[i][k]*b[k*ldb+j] with apack a PackA-packed weight matrix and
-// bias padded (PackBias). bpack (KPairs(k)*NR*2) and ctile (MR*NR) are
-// scratch; nil means allocate.
+// sum_k a[i][k]*b[k*ldb+j] with apack filled by PackA and bias padded
+// by PackBias. bpack (KPairs(k)*NR*2) and ctile (MR*NR) are scratch;
+// nil means allocate.
 func (g GemmKernelI16) Compute(m, n, k int, apack []int16, bias []int32, b []int16, ldb int, c []int32, ldc int, bpack []int16, ctile []int32) {
 	mr, nr := g.MR, g.NR
 	kp := KPairs(k)
+	lda := 2 * kp
 	if bpack == nil {
 		bpack = make([]int16, kp*nr*2)
 	}
@@ -364,25 +311,17 @@ func (g GemmKernelI16) Compute(m, n, k int, apack []int16, bias []int32, b []int
 		ctile = make([]int32, mr*nr)
 	}
 	for j0 := 0; j0 < n; j0 += nr {
-		jw := n - j0
-		if jw > nr {
-			jw = nr
-		}
+		jw := min(n-j0, nr)
 		g.PackBTile(bpack, b, ldb, k, n, j0)
-		for p := 0; p*mr < m; p++ {
-			ap := apack[p*mr*2*kp : (p+1)*mr*2*kp]
-			bp := bias[p*mr : (p+1)*mr]
-			ih := m - p*mr
-			if ih >= mr && jw == nr {
-				g.Run(ap, bpack, 2*nr, kp, bp, c[p*mr*ldc+j0:], ldc)
+		for i0 := 0; i0 < m; i0 += mr {
+			rows := min(m-i0, mr)
+			if jw == nr {
+				g.Run(apack[i0*lda:], lda, rows, bpack, 2*nr, kp, bias[i0:], c[i0*ldc+j0:], ldc)
 				continue
 			}
-			g.Run(ap, bpack, 2*nr, kp, bp, ctile, nr)
-			if ih > mr {
-				ih = mr
-			}
-			for i := 0; i < ih; i++ {
-				copy(c[(p*mr+i)*ldc+j0:(p*mr+i)*ldc+j0+jw], ctile[i*nr:i*nr+jw])
+			g.Run(apack[i0*lda:], lda, rows, bpack, 2*nr, kp, bias[i0:], ctile, nr)
+			for i := 0; i < rows; i++ {
+				copy(c[(i0+i)*ldc+j0:(i0+i)*ldc+j0+jw], ctile[i*nr:i*nr+jw])
 			}
 		}
 	}

@@ -1,8 +1,7 @@
 package tensor
 
 // Portable micro-kernels, compiled on every GOARCH. They share the
-// AVX2 tile shapes (6x16 FP32, 4x16 INT16) so the generic tier packs
-// operands identically to the widest SIMD tier.
+// AVX2 tile shapes (6x16 FP32, 4x16 INT16).
 //
 // The FP32 inner statement is written `acc += a*b` — the same shape as
 // the scalar interpreter loop — so on architectures where the Go
@@ -11,37 +10,12 @@ package tensor
 
 import "vedliot/internal/tensor/cpu"
 
-var genericGemmF32 = GemmKernelF32{MR: 6, NR: 16, Tier: cpu.TierGeneric, Run: gemmF32Generic, RunRows: gemmF32GenericRows}
-var genericGemmI16 = GemmKernelI16{MR: 4, NR: 16, Tier: cpu.TierGeneric, Run: gemmI16Generic, RunRows: gemmI16GenericRows}
+var genericGemmF32 = GemmKernelF32{MR: 6, NR: 16, Tier: cpu.TierGeneric, Run: gemmF32Generic}
+var genericGemmI16 = GemmKernelI16{MR: 4, NR: 16, Tier: cpu.TierGeneric, Run: gemmI16Generic}
 
-func gemmF32Generic(a []float32, b []float32, ldb, k int, bias []float32, c []float32, ldc int) {
-	var acc [6][16]float32
-	for i := 0; i < 6; i++ {
-		bi := bias[i]
-		for j := 0; j < 16; j++ {
-			acc[i][j] = bi
-		}
-	}
-	for kk := 0; kk < k; kk++ {
-		ap := a[kk*6 : kk*6+6 : kk*6+6]
-		bp := b[kk*ldb : kk*ldb+16 : kk*ldb+16]
-		for i := 0; i < 6; i++ {
-			av := ap[i]
-			ai := &acc[i]
-			for j := 0; j < 16; j++ {
-				ai[j] += av * bp[j]
-			}
-		}
-	}
-	for i := 0; i < 6; i++ {
-		copy(c[i*ldc:i*ldc+16], acc[i][:])
-	}
-}
-
-// gemmF32GenericRows is the row body: the same chain per element over
-// the first rows tile rows, A read row-major. Its loops are bounded by
-// rows, where the full-tile body keeps constant bounds for the compiler.
-func gemmF32GenericRows(a []float32, lda, rows int, b []float32, ldb, k int, bias []float32, c []float32, ldc int) {
+// gemmF32Generic computes the first rows rows of a 6x16 tile, A read
+// row-major.
+func gemmF32Generic(a []float32, lda, rows int, b []float32, ldb, k int, bias []float32, c []float32, ldc int) {
 	var acc [6][16]float32
 	for i := 0; i < rows; i++ {
 		bi := bias[i]
@@ -64,34 +38,9 @@ func gemmF32GenericRows(a []float32, lda, rows int, b []float32, ldb, k int, bia
 	}
 }
 
-func gemmI16Generic(a []int16, b []int16, ldb, kPairs int, bias []int32, c []int32, ldc int) {
-	var acc [4][16]int32
-	for i := 0; i < 4; i++ {
-		bi := bias[i]
-		for j := 0; j < 16; j++ {
-			acc[i][j] = bi
-		}
-	}
-	for kp := 0; kp < kPairs; kp++ {
-		ap := a[kp*8 : kp*8+8 : kp*8+8]
-		bp := b[kp*ldb : kp*ldb+32 : kp*ldb+32]
-		for i := 0; i < 4; i++ {
-			a0 := int32(ap[i*2])
-			a1 := int32(ap[i*2+1])
-			ai := &acc[i]
-			for j := 0; j < 16; j++ {
-				ai[j] += a0*int32(bp[j*2]) + a1*int32(bp[j*2+1])
-			}
-		}
-	}
-	for i := 0; i < 4; i++ {
-		copy(c[i*ldc:i*ldc+16], acc[i][:])
-	}
-}
-
-// gemmI16GenericRows is the quantized row body: row i's K pairs lie
-// adjacent from a[i*lda].
-func gemmI16GenericRows(a []int16, lda, rows int, b []int16, ldb, kPairs int, bias []int32, c []int32, ldc int) {
+// gemmI16Generic is the quantized body: row i's K pairs lie adjacent
+// from a[i*lda].
+func gemmI16Generic(a []int16, lda, rows int, b []int16, ldb, kPairs int, bias []int32, c []int32, ldc int) {
 	var acc [4][16]int32
 	for i := 0; i < rows; i++ {
 		bi := bias[i]

@@ -97,10 +97,10 @@ func runVariantI16(t *testing.T, g GemmKernelI16, m, n, k int, rng *rand.Rand) {
 	}
 }
 
-// runRowsF32 checks the row body at one live-row count: bitwise what
-// Run stores for a panel whose other rows are zero, read from a
-// row-major A (stride lda > k) and a strided C, with every element of C
-// outside the live rows left as it was.
+// runRowsF32 checks one kernel body at one live-row count: bitwise
+// the scalar reference, read from a row-major A (stride lda > k) and a
+// strided C, with every element of C outside the live rows left as it
+// was.
 func runRowsF32(t *testing.T, g GemmKernelF32, rows, k int, rng *rand.Rand) {
 	t.Helper()
 	mr, nr := g.MR, g.NR
@@ -108,17 +108,15 @@ func runRowsF32(t *testing.T, g GemmKernelF32, rows, k int, rng *rand.Rand) {
 	a := randF32(rng, mr*lda)
 	b := randF32(rng, k*nr)
 	bias := randF32(rng, mr)
-	apack := make([]float32, g.PackedASize(rows, k))
-	g.PackA(apack, a, lda, rows, k)
 	want := make([]float32, mr*nr)
-	g.Run(apack, b, nr, k, bias, want, nr)
+	refGemmF32(rows, nr, k, a, lda, b, nr, bias, want, nr)
 
 	const sentinel = 0x7fc0beef
 	got := make([]float32, mr*ldc)
 	for i := range got {
 		got[i] = math.Float32frombits(sentinel)
 	}
-	g.RunRows(a, lda, rows, b, nr, k, bias, got, ldc)
+	g.Run(a, lda, rows, b, nr, k, bias, got, ldc)
 	for i := 0; i < mr; i++ {
 		for j := 0; j < ldc; j++ {
 			w := uint32(sentinel)
@@ -133,7 +131,8 @@ func runRowsF32(t *testing.T, g GemmKernelF32, rows, k int, rng *rand.Rand) {
 }
 
 // runRowsI16 is the quantized analogue of runRowsF32 (k in elements,
-// odd k zero-padded in the row-major rows as the caller contract asks).
+// odd k zero-padded in the row-major rows as the caller contract asks;
+// B is a packed tile of adjacent-K pairs).
 func runRowsI16(t *testing.T, g GemmKernelI16, rows, k int, rng *rand.Rand) {
 	t.Helper()
 	mr, nr := g.MR, g.NR
@@ -145,22 +144,22 @@ func runRowsI16(t *testing.T, g GemmKernelI16, rows, k int, rng *rand.Rand) {
 			a[i*lda+k] = 0
 		}
 	}
-	b := randI16(rng, kp*2*nr, 255)
+	b := randI16(rng, k*nr, 255)
+	bpack := make([]int16, kp*2*nr)
+	g.PackBTile(bpack, b, nr, k, nr, 0)
 	bias := make([]int32, mr)
 	for i := range bias {
 		bias[i] = rng.Int31n(20001) - 10000
 	}
-	apack := make([]int16, g.PackedASize(rows, k))
-	g.PackA(apack, a, lda, rows, k)
 	want := make([]int32, mr*nr)
-	g.Run(apack, b, 2*nr, kp, bias, want, nr)
+	refGemmI16(rows, nr, k, a, lda, b, nr, bias, want, nr)
 
 	const sentinel = -0x5eadbeef
 	got := make([]int32, mr*ldc)
 	for i := range got {
 		got[i] = sentinel
 	}
-	g.RunRows(a, lda, rows, b, 2*nr, kp, bias, got, ldc)
+	g.Run(a, lda, rows, bpack, 2*nr, kp, bias, got, ldc)
 	for i := 0; i < mr; i++ {
 		for j := 0; j < ldc; j++ {
 			w := int32(sentinel)
@@ -177,8 +176,8 @@ func runRowsI16(t *testing.T, g GemmKernelI16, rows, k int, rng *rand.Rand) {
 // TestGemmF32Variants sweeps every compiled-in kernel variant over all
 // tile remainder sizes (m in 1..2*MR+1, n covering 1..NR-1 plus full
 // tiles, k including 0, 1, odd and even) and demands bitwise equality
-// with the scalar reference; then the row body at every live-row count
-// 1..MR against Run.
+// with the scalar reference; then the kernel body alone at every
+// live-row count 1..MR.
 func TestGemmF32Variants(t *testing.T) {
 	for _, g := range GemmF32Variants() {
 		g := g
@@ -202,7 +201,7 @@ func TestGemmF32Variants(t *testing.T) {
 
 // TestGemmI16Variants is the quantized analogue: exact int32
 // accumulator equality across every variant and remainder size, and
-// the row body at every live-row count.
+// the kernel body alone at every live-row count.
 func TestGemmI16Variants(t *testing.T) {
 	for _, g := range gemmI16Kernels {
 		g := g
@@ -235,24 +234,26 @@ func remainders(nr int) []int {
 }
 
 // TestGemmF32StridedB exercises the direct strided-B path (ldb larger
-// than the tile, as pointwise convolutions use) against the packed
-// path on the selected kernel.
+// than the tile, as pointwise convolutions use) on the selected kernel:
+// full panels and a short last one over full N tiles, stored straight
+// into C.
 func TestGemmF32StridedB(t *testing.T) {
 	g := PickGemmF32()
 	rng := rand.New(rand.NewSource(3))
 	k, n := 24, 3*g.NR // full tiles only: direct stores at ldb = n
-	m := g.MR
+	m := 2*g.MR - 1
 	a := randF32(rng, m*k)
 	b := randF32(rng, k*n)
 	bias := randF32(rng, m)
 	want := make([]float32, m*n)
 	refGemmF32(m, n, k, a, k, b, n, bias, want, n)
 
-	apack := make([]float32, g.PackedASize(m, k))
-	g.PackA(apack, a, k, m, k)
+	pbias := g.PackBias(bias, m)
 	got := make([]float32, m*n)
-	for j0 := 0; j0 < n; j0 += g.NR {
-		g.Run(apack, b[j0:], n, k, bias, got[j0:], n)
+	for i0 := 0; i0 < m; i0 += g.MR {
+		for j0 := 0; j0 < n; j0 += g.NR {
+			g.Run(a[i0*k:], k, min(m-i0, g.MR), b[j0:], n, k, pbias[i0:], got[i0*n+j0:], n)
+		}
 	}
 	for i := range want {
 		if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
@@ -313,12 +314,15 @@ func BenchmarkGemmTiers(b *testing.B) {
 }
 
 // FuzzGemmF32Parity fuzzes shapes, a live-row count and a data seed,
-// checking all variants stay bitwise-equal to the scalar reference and
-// every row body to its own Run.
+// checking all variants stay bitwise-equal to the scalar reference
+// through Compute and each kernel body alone at the live-row count
+// rows8%MR+1. The last seed makes that MR on every tier (23 is 5 mod 6
+// and 7 mod 8) at an odd K, so each full-panel path is fuzzed.
 func FuzzGemmF32Parity(f *testing.F) {
 	f.Add(int16(5), int16(17), int16(9), uint8(0), int64(1))
 	f.Add(int16(6), int16(16), int16(32), uint8(2), int64(2))
 	f.Add(int16(1), int16(1), int16(1), uint8(7), int64(3))
+	f.Add(int16(16), int16(48), int16(37), uint8(23), int64(4))
 	f.Fuzz(func(t *testing.T, m16, n16, k16 int16, rows8 uint8, seed int64) {
 		m := int(m16)%32 + 1
 		if m < 1 {
@@ -340,11 +344,14 @@ func FuzzGemmF32Parity(f *testing.F) {
 	})
 }
 
-// FuzzGemmI16Parity is the quantized analogue of FuzzGemmF32Parity.
+// FuzzGemmI16Parity is the quantized analogue of FuzzGemmF32Parity;
+// its last seed is a full panel on every tier (7 is 3 mod 4 and 7 mod
+// 8) at an odd K.
 func FuzzGemmI16Parity(f *testing.F) {
 	f.Add(int16(4), int16(9), int16(7), uint8(0), int64(1))
 	f.Add(int16(4), int16(16), int16(18), uint8(3), int64(2))
 	f.Add(int16(8), int16(32), int16(37), uint8(6), int64(3))
+	f.Add(int16(16), int16(32), int16(29), uint8(7), int64(4))
 	f.Fuzz(func(t *testing.T, m16, n16, k16 int16, rows8 uint8, seed int64) {
 		m := int(m16)%32 + 1
 		if m < 1 {
