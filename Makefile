@@ -76,9 +76,10 @@ test-portable:
 	$(GO) test -tags noasm ./internal/rvbackend/... ./internal/riscv/... ./internal/soc/... ./internal/cfu/...
 
 # fuzz-smoke runs every fuzz target briefly — the CI smoke job that
-# keeps the targets compiling and the seed corpora passing. The two GEMM
+# keeps the targets compiling and the seed corpora passing. The GEMM
 # parity targets fuzz a live-row count too, so every tier's kernel body
-# is checked against the scalar reference at short and full panels; the
+# (and the u8×s8 body on a VNNI host) is checked against the scalar
+# reference at short and full panels; the
 # tile epilogue and byte-table targets hold the dispatched INT8 kernels
 # to their scalar definitions,
 # FuzzConvPlanesInt8 the one-pass INT8 plane kernel (fuzzed geometry,
@@ -111,6 +112,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzSatALU -fuzztime 5s ./internal/cfu/
 	$(GO) test -fuzz FuzzGemmF32Parity -fuzztime 5s ./internal/tensor/
 	$(GO) test -fuzz FuzzGemmI16Parity -fuzztime 5s ./internal/tensor/
+	$(GO) test -fuzz FuzzGemmU8Parity -fuzztime 5s ./internal/tensor/
 	$(GO) test -fuzz FuzzRequantInt8 -fuzztime 5s ./internal/tensor/
 	$(GO) test -fuzz FuzzRequantTileInt8 -fuzztime 5s ./internal/tensor/
 	$(GO) test -fuzz FuzzConvPlanesInt8 -fuzztime 5s ./internal/tensor/

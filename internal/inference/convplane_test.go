@@ -335,8 +335,11 @@ func qconvRef(dst, xv []int8, g *convGeom, pc *PlanConv, batch int) {
 // the whole int8 range (both ends included) and, in three cases of four,
 // a fused per-channel code table, binds it as an integer kernel, runs it
 // on random int8 codes with planned scratch, and demands the exact codes
-// of qconvRef. A GEMM-eligible case also runs its twin, the plane form
-// of the same conv, which must produce the same codes.
+// of qconvRef. A GEMM-eligible case also runs its twins, which must
+// produce the same codes: the plane form of the same conv and, on a host
+// with the u8×s8 body, the int16 GEMM form a host without VNNI binds
+// (haveQuantConvU8 forced off for the bind, as TestTablesWithoutVBMI
+// forces VBMI off).
 func checkConvI8(t testing.TB, c convCase) {
 	t.Helper()
 	g, _ := c.graph(nil)
@@ -388,6 +391,12 @@ func checkConvI8(t testing.TB, c convCase) {
 	run("routed", kern, spec)
 	if c.gemm() {
 		run("plane twin", bindQuantConvPlane(&pc), scratchSpec{})
+		if haveQuantConvU8 {
+			haveQuantConvU8 = false
+			kern, spec := bindQuantConv(&pc)
+			haveQuantConvU8 = true
+			run("int16 twin", kern, spec)
+		}
 	}
 }
 

@@ -11,7 +11,8 @@ import (
 // Channel-heavy convolutions become C = A·B with M = output channels,
 // N = output pixels and K = taps: A is the [outC, taps] weight matrix,
 // copied at bind time and read row-major by the micro-kernel (INT8: the
-// widened codes, each row's K padded to a pair), and B is built one
+// codes, each row's K padded to a quad, on a VNNI host, the widened codes
+// padded to a pair elsewhere; bindQuantConvGemm), and B is built one
 // NR-wide tile at a time with the im2col gather fused into the pack —
 // no full patch matrix ever materializes, so the working set is one B
 // tile plus one C tile regardless of layer size. Pointwise
@@ -29,7 +30,7 @@ import (
 // initialize accumulators with the bias and add one separate-rounded
 // product per tap in (ic, ky, kx) order (see tensor/gemm.go). The
 // quantized path accumulates in int32, which is associative, so it is
-// exact regardless of variant.
+// exact regardless of variant, the u8×s8 body's folded bias included.
 //
 // Dense layers use the same micro-kernels the other way round — M =
 // samples, N = out features, the weights as bind-time packed B tiles —
@@ -229,50 +230,102 @@ func bindConvGemm(g convGeom, w *tensor.Tensor, bias []float32, ep *epilogue) (k
 	return kfn, scratchSpec{f32: scratch}
 }
 
-// bindQuantConvGemm lowers one integer convolution onto the int16
-// PMADDWD-shaped micro-kernels: A is the widened weight codes, each
-// row's K padded to a pair, B tiles pack per item with the zero-point
-// shift fused, and the C tiles of every panel under one B tile
-// requantize in one tensor.RequantTileInt8 while they are cache-hot.
-// The B pack replays the FP32 pack's segment plans on int8 codes
-// into a staging tile (runs of the input plane move as byte copies and
-// stride-2 byte gathers), padding with the zero-point code, which the
-// shift turns into exactly 0; one tensor.PackPairShiftInt8 then widens,
-// shifts and interleaves the rows pair by pair. It therefore needs the
-// zero point to be an int8 code; ok is false otherwise and the caller
-// keeps the plane form, which has no such limit.
+// quantConvU8 is the u8×s8 body the integer GEMM convolutions bind on
+// where haveQuantConvU8 says the host has one (VNNI at the AVX-512
+// tier); elsewhere they bind on the int16 bodies.
+var quantConvU8, haveQuantConvU8 = tensor.PickGemmU8()
+
+// bindQuantConvGemm lowers one integer convolution onto the GEMM
+// micro-kernels. B tiles pack per item, and the C tiles of every panel
+// under one B tile requantize in one tensor.RequantTileInt8 while they
+// are cache-hot. The B pack replays the FP32 pack's segment plans on
+// int8 codes into a staging tile (runs of the input plane move as byte
+// copies and stride-2 byte gathers), padding with the zero-point code;
+// a pointwise conv's input planes are the rows as they lie. One pack
+// call then lays the rows out for the body:
+//   - on the u8×s8 body (quantConvU8) A is the weight codes, each row's
+//     K padded to a quad, tensor.PackQuadXorInt8 flips each code's top
+//     bit (x+128 as a u8), and each channel's bias is bias32 -
+//     (zpIn+128)·Σw, so the sum is bias32 + Σ w·(x-zpIn) exactly;
+//   - on the int16 bodies A is the widened codes, each row's K padded to
+//     a pair, and tensor.PackPairShiftInt8 widens, shifts by the zero
+//     point and interleaves the rows pair by pair.
+//
+// Either way the zero-point padding adds exactly 0. The staging needs
+// the zero point to be an int8 code; ok is false otherwise and the
+// caller keeps the plane form, which has no such limit.
 func bindQuantConvGemm(p *qconv) (kfn kernelFunc[int8], spec scratchSpec, ok bool) {
 	g := p.g
 	if p.zpIn < -128 || p.zpIn > 127 {
 		return nil, scratchSpec{}, false
 	}
 	taps := g.icPerG * g.kh * g.kw
-	kp := tensor.KPairs(taps)
-	lda := 2 * kp
 	px := g.outH * g.outW
-	// Same narrow-N tile cap as bindConvGemm.
-	kern := tensor.PickGemmI16MaxWidth(px)
-	mr, nr := kern.MR, kern.NR
+	// panels packs one B tile from rows (taps rows of n codes at stride
+	// lds) and runs the group's MR-row panels from channel oc0 over it
+	// into ctile. Both forms seed a whole panel from the bias, so a short
+	// panel reads past its group's entries (the last one into the zero
+	// tail), as in bindConvGemm.
+	var nr int
+	var panels func(rc *runCtx, rows []int8, lds, n, oc0 int, ctile []int32)
+	if haveQuantConvU8 {
+		kern := quantConvU8
+		nr = kern.NR
+		kq := tensor.KQuads(taps)
+		lda := 4 * kq
+		a := make([]int8, g.outC*lda)
+		bias := make([]int32, g.outC+kern.MR)
+		for oc := 0; oc < g.outC; oc++ {
+			w := p.w[oc*taps:][:taps]
+			var sum int32
+			for _, v := range w {
+				sum += int32(v)
+			}
+			copy(a[oc*lda:], w)
+			bias[oc] = p.bias32[oc] - (p.zpIn+128)*sum
+		}
+		spec.u8 = kq * 4 * nr
+		panels = func(rc *runCtx, rows []int8, lds, n, oc0 int, ctile []int32) {
+			bpack := rc.u8Scratch(spec.u8)
+			tensor.PackQuadXorInt8(bpack, 4*nr, rows, lds, taps, n)
+			kern.Run(a[oc0*lda:], lda, g.ocPerG, bpack, 4*nr, kq, bias[oc0:], ctile, nr)
+		}
+	} else {
+		// Same narrow-N tile cap as bindConvGemm.
+		kern := tensor.PickGemmI16MaxWidth(px)
+		mr := kern.MR
+		nr = kern.NR
+		kp := tensor.KPairs(taps)
+		lda := 2 * kp
+		a := make([]int16, g.outC*lda)
+		for oc := 0; oc < g.outC; oc++ {
+			tensor.WidenShiftInt8(a[oc*lda:oc*lda+taps], p.w[oc*taps:], 0)
+		}
+		bias := make([]int32, g.outC+mr)
+		copy(bias, p.bias32)
+		spec.i16 = kp * 2 * nr
+		panels = func(rc *runCtx, rows []int8, lds, n, oc0 int, ctile []int32) {
+			bpack := rc.i16Scratch(spec.i16)
+			tensor.PackPairShiftInt8(bpack, 2*nr, rows, lds, taps, n, int16(p.zpIn))
+			for p0 := 0; p0 < g.ocPerG; p0 += mr {
+				kern.Run(a[(oc0+p0)*lda:], lda, min(g.ocPerG-p0, mr), bpack, 2*nr, kp, bias[oc0+p0:], ctile[p0*nr:], nr)
+			}
+		}
+	}
 	nt := (px + nr - 1) / nr
 	pointwise := g.pointwise()
 	ktaps := g.kh * g.kw
 	var plans [][]convSeg
 	groups := g.inC / g.icPerG
 	// The C tiles of every panel under one B tile, requantized in one call.
-	spec = scratchSpec{i16: kp * 2 * nr, i32: g.ocPerG * nr}
+	spec.i32 = g.ocPerG * nr
 	if !pointwise {
 		plans = buildConvPlans(&g, nr, nt, px)
 		spec.i8 = taps * nr
 	}
-	a := make([]int16, g.outC*lda)
-	for oc := 0; oc < g.outC; oc++ {
-		tensor.WidenShiftInt8(a[oc*lda:oc*lda+taps], p.w[oc*taps:], 0)
-	}
-	biasAll := make([]int32, g.outC+mr) // as in bindConvGemm
-	copy(biasAll, p.bias32)
+	req := tensor.NewRequantRows(p.req)
 	kfn = func(rc *runCtx, dst []int8, srcs [][]int8) error {
 		xv := srcs[0]
-		bpack := rc.i16Scratch(spec.i16)
 		ctile := rc.i32Scratch(spec.i32)
 		stage := rc.i8Scratch(spec.i8)
 		for it := 0; it < rc.batch*groups*nt; it++ {
@@ -282,19 +335,16 @@ func bindQuantConvGemm(p *qconv) (kfn kernelFunc[int8], spec scratchSpec, ok boo
 			t := rem % nt
 			j0 := t * nr
 			jw := min(px-j0, nr)
+			oc0 := grp * g.ocPerG
 			if pointwise {
 				// Tap k's values are the contiguous pixels j0..j0+jw-1 of
 				// input plane k: the planes are the rows to pack as they lie.
-				tensor.PackPairShiftInt8(bpack, 2*nr, xv[(b*g.inC+grp*g.icPerG)*px+j0:], px, taps, jw, int16(p.zpIn))
+				panels(rc, xv[(b*g.inC+grp*g.icPerG)*px+j0:], px, jw, oc0, ctile)
 			} else {
 				packConvTile(stage, xv, &g, nr, b, grp, plans[t*ktaps:(t+1)*ktaps], int8(p.zpIn), tensor.GatherStride2Int8)
-				tensor.PackPairShiftInt8(bpack, 2*nr, stage, nr, taps, nr, int16(p.zpIn))
+				panels(rc, stage, nr, nr, oc0, ctile)
 			}
-			oc0 := grp * g.ocPerG
-			for p0 := 0; p0 < g.ocPerG; p0 += mr {
-				kern.Run(a[(oc0+p0)*lda:], lda, min(g.ocPerG-p0, mr), bpack, 2*nr, kp, biasAll[oc0+p0:], ctile[p0*nr:], nr)
-			}
-			tensor.RequantTileInt8(dst[(b*g.outC+oc0)*px+j0:], px, ctile, nr, g.ocPerG, jw, p.req[oc0:], p.zpOut, p.postRows(oc0, g.ocPerG))
+			tensor.RequantTileInt8(dst[(b*g.outC+oc0)*px+j0:], px, ctile, nr, g.ocPerG, jw, req.Slice(oc0, oc0+g.ocPerG), p.zpOut, p.postRows(oc0, g.ocPerG))
 		}
 		return nil
 	}

@@ -295,11 +295,12 @@ func bindQuantConv(pc *PlanConv) (kernelFunc[int8], scratchSpec) {
 			Req: pc.Req, ZPIn: pc.ZPIn, ZPOut: pc.ZPOut, Post: pc.Post})
 	}
 	// Routing mirrors the FP32 binder: convolutions with a real channel
-	// reduction (stems and pointwise projections) run the int16 GEMM
-	// micro-kernels with the zero-point shift fused into the per-tile B
-	// pack. Depthwise and other shallow reductions run the one-pass plane
-	// kernel instead (bindQuantConvPlane), and so does a conv whose zero
-	// point the B pack cannot stage (see bindQuantConvGemm).
+	// reduction (stems and pointwise projections) run the GEMM
+	// micro-kernels (the u8×s8 body on a VNNI host, the int16 ones
+	// elsewhere) from a per-tile B pack. Depthwise and other shallow
+	// reductions run the one-pass plane kernel instead
+	// (bindQuantConvPlane), and so does a conv whose zero point the B
+	// pack cannot stage (see bindQuantConvGemm).
 	if convGemmEligible(g) {
 		if kern, spec, ok := bindQuantConvGemm(newQConv(pc)); ok {
 			return kern, spec
@@ -623,6 +624,7 @@ func bindQuantMul(ins []tensor.Shape, out tensor.Shape, inQ []tensor.QuantParams
 	for i := range reqs {
 		reqs[i] = req
 	}
+	rows := tensor.NewRequantRows(reqs)
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
 		av, bv := srcs[0], srcs[1]
 		ws := rc.i16Scratch(2 * perBlock * chunk)
@@ -642,7 +644,7 @@ func bindQuantMul(ins []tensor.Shape, out tensor.Shape, inQ []tensor.QuantParams
 						acc[i] = int32(a) * int32(b16[i])
 					}
 				}
-				tensor.RequantTileInt8(dst[base:], n, acc, n, g, n, reqs, zpOut, nil)
+				tensor.RequantTileInt8(dst[base:], n, acc, n, g, n, rows, zpOut, nil)
 			}
 		}
 		return nil

@@ -29,6 +29,7 @@ type scratchSpec struct {
 	f32PerSample int
 	f32          int
 	i8           int
+	u8           int
 	i16          int
 	i32          int
 }
@@ -39,6 +40,7 @@ func (s *scratchSpec) grow(o scratchSpec) {
 	s.f32PerSample = max(s.f32PerSample, o.f32PerSample)
 	s.f32 = max(s.f32, o.f32)
 	s.i8 = max(s.i8, o.i8)
+	s.u8 = max(s.u8, o.u8)
 	s.i16 = max(s.i16, o.i16)
 	s.i32 = max(s.i32, o.i32)
 }
@@ -47,6 +49,7 @@ func (s *scratchSpec) grow(o scratchSpec) {
 type scratchBufs struct {
 	f32 []float32
 	i8  []int8
+	u8  []uint8
 	i16 []int16
 	i32 []int32
 }
@@ -57,6 +60,7 @@ type scratchBufs struct {
 func (b *scratchBufs) ensure(spec scratchSpec, batch int) {
 	b.f32 = grow(b.f32, spec.f32PerSample*batch+spec.f32)
 	b.i8 = grow(b.i8, spec.i8)
+	b.u8 = grow(b.u8, spec.u8)
 	b.i16 = grow(b.i16, spec.i16)
 	b.i32 = grow(b.i32, spec.i32)
 }
@@ -75,6 +79,9 @@ func (rc *runCtx) f32Scratch(n int) []float32 {
 
 // i8Scratch returns the int8 region's first n elements.
 func (rc *runCtx) i8Scratch(n int) []int8 { return rc.scratch.i8[:n] }
+
+// u8Scratch returns the uint8 region's first n elements.
+func (rc *runCtx) u8Scratch(n int) []uint8 { return rc.scratch.u8[:n] }
 
 // i16Scratch returns the int16 region's first n elements.
 func (rc *runCtx) i16Scratch(n int) []int16 { return rc.scratch.i16[:n] }

@@ -118,7 +118,9 @@ type Features struct {
 	AVX512VBMI bool
 	// AVX512VNNI reports VPDPBUSD and VPDPWSSD, the fused byte and word
 	// dot-product accumulates (with OS ZMM state). A detected fact like
-	// AVX512VBMI; no kernel uses it yet.
+	// AVX512VBMI, not a tier: the INT8 GEMM convolutions run the u8×s8
+	// VPDPBUSD body where it is set and the tier is AVX-512, so a clamp
+	// below AVX-512 turns it off with the rest of AVX-512.
 	AVX512VNNI bool
 	// NEON reports the arm64 Advanced SIMD baseline.
 	NEON bool

@@ -1,6 +1,7 @@
 package tensor
 
-// Register-blocked GEMM micro-kernels, one body per tier and dtype.
+// Register-blocked GEMM micro-kernels, one body per tier and dtype, and
+// one u8×s8 body on hosts that report VNNI.
 //
 // Both inference compilers lower conv and dense layers onto C = A·B.
 // A is row-major (row i at a[i*lda]) and a kernel computes the first
@@ -20,10 +21,16 @@ package tensor
 // variant — generic, SSE2, AVX2, AVX-512 — produces bitwise-identical
 // results.
 //
-// Parity contract (INT8): operands are int16, accumulation is int32
-// and therefore associative, so all variants agree exactly; K is
-// processed in sign-extended adjacent pairs to match PMADDWD shape,
-// with each A row's odd K zero-padded to a pair.
+// Parity contract (INT8): accumulation is int32 and therefore
+// associative, so all variants agree exactly. The int16 kernels take K
+// in sign-extended adjacent pairs (PMADDWD shape), each A row's odd K
+// zero-padded to a pair, and B the zero-point-shifted codes x - zp. The
+// u8×s8 kernel (VPDPBUSD shape, VNNI hosts) takes K in quads, each A
+// row zero-padded to a quad, and B the codes with their top bit flipped,
+// x XOR 0x80 = x + 128 as a u8; its caller folds the shift into the
+// bias, bias - (zp+128)·Σw, so it sums bias + Σ w·(x+128) - (zp+128)·Σw
+// = bias + Σ w·(x - zp), the int16 kernels' sum, bit for bit (every
+// product is at most 128·255 in magnitude, the same bound as theirs).
 
 import "vedliot/internal/tensor/cpu"
 
@@ -61,12 +68,39 @@ type GemmKernelI16 struct {
 	Run func(a []int16, lda, rows int, b []int16, ldb, kPairs int, bias []int32, c []int32, ldc int)
 }
 
+// GemmKernelU8 is the u8×s8 quantized micro-kernel. A holds int8
+// weight codes, B unsigned bytes (PackQuadXorInt8), accumulation is
+// int32, K is consumed in quads (VPDPBUSD shape).
+type GemmKernelU8 struct {
+	// MR and NR are the tile height and width in output elements.
+	MR, NR int
+	// Run computes rows rows (rows >= 1, as MR-row panels, the last one
+	// short) of one NR-wide column window over kQuads K quads:
+	// c[i*ldc+j] = bias[i] + sum_k a[i*lda+k] * int32(b[k/4*ldb+4*j+k%4]),
+	// row i of A holding its K from a[i*lda] (zero-padded to a quad) and
+	// b holding NR quads per K-quad step at row stride ldb bytes (packed
+	// tiles use ldb = 4*NR). Every panel seeds MR rows, so bias holds
+	// rows rounded up to MR entries; rows of c at and past rows are not
+	// written.
+	Run func(a []int8, lda, rows int, b []uint8, ldb, kQuads int, bias []int32, c []int32, ldc int)
+}
+
 // kernel variant registries: the generic kernels are always present;
 // per-arch init functions append the SIMD variants the host supports.
 var (
 	gemmF32Kernels = []GemmKernelF32{genericGemmF32}
 	gemmI16Kernels = []GemmKernelI16{genericGemmI16}
+	// gemmU8 is the u8×s8 body where the host has one (VNNI).
+	gemmU8 GemmKernelU8
 )
+
+// PickGemmU8 returns the u8×s8 micro-kernel and true where the host
+// reports AVX512VNNI and the selected tier is AVX-512 (a VEDLIOT_CPU
+// clamp below it turns VNNI off with the rest of AVX-512). Elsewhere ok
+// is false and INT8 convolutions run the int16 kernels.
+func PickGemmU8() (GemmKernelU8, bool) {
+	return gemmU8, gemmU8.Run != nil && cpu.Best() >= cpu.TierAVX512
+}
 
 // GemmF32Variants returns every FP32 micro-kernel variant compiled
 // into this binary that the host can execute, narrowest first. Parity
@@ -238,6 +272,10 @@ func (g GemmKernelF32) Compute(m, n, k int, apack, bias []float32, b []float32, 
 // KPairs returns the number of K pairs the quantized kernels consume
 // for a K-deep reduction (odd K is zero-padded during packing).
 func KPairs(k int) int { return (k + 1) / 2 }
+
+// KQuads returns the number of K quads the u8×s8 kernel consumes for a
+// K-deep reduction (K is zero-padded to a quad).
+func KQuads(k int) int { return (k + 3) / 4 }
 
 // PackedASize returns the length of the A buffer PackA fills for an
 // m x k int16 weight matrix: each row's K rounds up to a pair.

@@ -3,7 +3,8 @@
 #include "textflag.h"
 
 // AVX-512 register-blocked GEMM micro-kernels (TierAVX512, gated on
-// F+BW+VL plus OS ZMM state), one body per dtype. Same contract as the
+// F+BW+VL plus OS ZMM state), one body per dtype, and the u8×s8 body
+// where the host also reports VNNI. Same contract as the
 // narrower tiers (gemm_amd64.s): the first `rows` rows of one tile, A
 // read row-major, a full panel on its own K loop, one independent
 // accumulator chain per output element, K consumed in order, separate
@@ -289,5 +290,148 @@ i16avx512_store:
 	I16STORE512(Z14, Z15)
 
 i16avx512_done:
+	VZEROUPPER
+	RET
+
+#define U8ROW512(a, c0, c1) \
+	VPBROADCASTD a, Z18; \
+	VPDPBUSD     Z18, Z16, c0; \
+	VPDPBUSD     Z18, Z17, c1
+
+// func gemmU8VNNI(a []int8, lda, rows int, b []uint8, ldb, kQuads int, bias []int32, c []int32, ldc int)
+//
+// The u8×s8 body (AVX512VNNI): A row i holds its K quads adjacent
+// (a+i*lda, four int8 weights per quad), so one 32-bit broadcast per row
+// and quad step feeds the non-saturating VPDPBUSD, which adds four
+// unsigned-byte × signed-byte products into each int32 lane. The rows
+// run as 8-row panels over the one B window, each seeded from its eight
+// bias entries and stored as the int16 body stores its tile; the last
+// panel takes the rows left. AX holds the panel's first A row, R14 the
+// rows left and R15 the panel's bias.
+TEXT ·gemmU8VNNI(SB), NOSPLIT, $0-136
+	MOVQ a_base+0(FP), AX
+	MOVQ lda+24(FP), R11
+	MOVQ rows+32(FP), R14
+	MOVQ ldb+64(FP), R8
+	MOVQ bias_base+80(FP), R15
+	MOVQ c_base+104(FP), R9
+	MOVQ ldc+128(FP), R10
+	SHLQ $2, R10
+	LEAQ (R11)(R11*2), R12
+	LEAQ (R11)(R11*4), R13
+
+u8vnni_panel:
+	MOVQ AX, SI
+	MOVQ b_base+40(FP), DI
+	MOVQ kQuads+72(FP), CX
+	MOVQ R14, BX
+	CMPQ BX, $8
+	JLE  u8vnni_seed
+	MOVQ $8, BX
+
+u8vnni_seed:
+	MOVQ R15, DX
+	I16SEED512(0, Z0, Z1)
+	I16SEED512(4, Z2, Z3)
+	I16SEED512(8, Z4, Z5)
+	I16SEED512(12, Z6, Z7)
+	I16SEED512(16, Z8, Z9)
+	I16SEED512(20, Z10, Z11)
+	I16SEED512(24, Z12, Z13)
+	I16SEED512(28, Z14, Z15)
+	LEAQ (R12)(R11*4), DX
+
+	CMPQ BX, $8
+	JNE  u8vnni_loop
+	TESTQ CX, CX
+	JZ    u8vnni_store
+
+u8vnni_full:
+	VMOVDQU32 0(DI), Z16
+	VMOVDQU32 64(DI), Z17
+	PREFETCHT0 (DI)(R8*1)
+	PREFETCHT0 64(DI)(R8*1)
+
+	U8ROW512((SI), Z0, Z1)
+	U8ROW512((SI)(R11*1), Z2, Z3)
+	U8ROW512((SI)(R11*2), Z4, Z5)
+	U8ROW512((SI)(R12*1), Z6, Z7)
+	U8ROW512((SI)(R11*4), Z8, Z9)
+	U8ROW512((SI)(R13*1), Z10, Z11)
+	U8ROW512((SI)(R12*2), Z12, Z13)
+	U8ROW512((SI)(DX*1), Z14, Z15)
+	ADDQ $4, SI
+	ADDQ R8, DI
+	DECQ CX
+	JNZ  u8vnni_full
+	JMP  u8vnni_store
+
+u8vnni_loop:
+	TESTQ CX, CX
+	JZ    u8vnni_store
+	VMOVDQU32 0(DI), Z16
+	VMOVDQU32 64(DI), Z17
+	PREFETCHT0 (DI)(R8*1)
+	PREFETCHT0 64(DI)(R8*1)
+
+	U8ROW512((SI), Z0, Z1)
+	CMPQ BX, $1
+	JE   u8vnni_next
+	U8ROW512((SI)(R11*1), Z2, Z3)
+	CMPQ BX, $2
+	JE   u8vnni_next
+	U8ROW512((SI)(R11*2), Z4, Z5)
+	CMPQ BX, $3
+	JE   u8vnni_next
+	U8ROW512((SI)(R12*1), Z6, Z7)
+	CMPQ BX, $4
+	JE   u8vnni_next
+	U8ROW512((SI)(R11*4), Z8, Z9)
+	CMPQ BX, $5
+	JE   u8vnni_next
+	U8ROW512((SI)(R13*1), Z10, Z11)
+	CMPQ BX, $6
+	JE   u8vnni_next
+	U8ROW512((SI)(R12*2), Z12, Z13)
+	CMPQ BX, $7
+	JE   u8vnni_next
+	U8ROW512((SI)(DX*1), Z14, Z15)
+
+u8vnni_next:
+	ADDQ $4, SI
+	ADDQ R8, DI
+	DECQ CX
+	JMP  u8vnni_loop
+
+u8vnni_store:
+	I16STORE512(Z0, Z1)
+	CMPQ BX, $1
+	JE   u8vnni_done
+	I16STORE512(Z2, Z3)
+	CMPQ BX, $2
+	JE   u8vnni_done
+	I16STORE512(Z4, Z5)
+	CMPQ BX, $3
+	JE   u8vnni_done
+	I16STORE512(Z6, Z7)
+	CMPQ BX, $4
+	JE   u8vnni_done
+	I16STORE512(Z8, Z9)
+	CMPQ BX, $5
+	JE   u8vnni_done
+	I16STORE512(Z10, Z11)
+	CMPQ BX, $6
+	JE   u8vnni_done
+	I16STORE512(Z12, Z13)
+	CMPQ BX, $7
+	JE   u8vnni_done
+	I16STORE512(Z14, Z15)
+	SUBQ $8, R14
+	JLE  u8vnni_done
+	LEAQ (AX)(R11*8), AX
+	ADDQ $32, R15
+	JMP  u8vnni_panel
+
+u8vnni_done:
 	VZEROUPPER
 	RET

@@ -372,3 +372,93 @@ func FuzzGemmI16Parity(f *testing.F) {
 		}
 	})
 }
+
+// refGemmU8 is the u8×s8 kernel's definition: row i of A at a[i*lda]
+// (int8), B in K quads of NR columns at row stride ldb bytes.
+func refGemmU8(rows, nr, k int, a []int8, lda int, b []uint8, ldb int, bias []int32, c []int32, ldc int) {
+	for i := 0; i < rows; i++ {
+		for j := 0; j < nr; j++ {
+			acc := bias[i]
+			for kk := 0; kk < k; kk++ {
+				acc += int32(a[i*lda+kk]) * int32(b[kk/4*ldb+4*j+kk%4])
+			}
+			c[i*ldc+j] = acc
+		}
+	}
+}
+
+// FuzzGemmU8Parity holds the u8×s8 body to its scalar definition at a
+// live-row count rows8%(3*MR)+1 (a short panel alone, full panels, and
+// full ones followed by a short one) and a K that need not be a multiple
+// of 4 (the A rows zero-padded to a quad, as the caller contract asks),
+// with codes at both ends of int8 and u8 and sums that wrap int32. B is
+// packed from int8 codes by PackQuadXorInt8 over a ragged column count,
+// so the pack's zero fill reaches the body too; the seeds cover one full
+// panel at K = 1 and 3, a short one, and two full panels and a short one
+// at a deep K. It skips where the host has no u8 body.
+func FuzzGemmU8Parity(f *testing.F) {
+	f.Add(uint8(7), int16(1), uint8(32), int64(1))
+	f.Add(uint8(7), int16(3), uint8(17), int64(2))
+	f.Add(uint8(2), int16(37), uint8(5), int64(3))
+	f.Add(uint8(20), int16(1155), uint8(31), int64(4))
+	f.Fuzz(func(t *testing.T, rows8 uint8, k16 int16, n8 uint8, seed int64) {
+		g, ok := PickGemmU8()
+		if !ok {
+			t.Skip("no u8×s8 body on this host")
+		}
+		mr, nr := g.MR, g.NR
+		maxRows := 3 * mr
+		rows := int(rows8)%maxRows + 1
+		k := int(k16)%1200 + 1
+		if k < 1 {
+			k += 1200
+		}
+		n := int(n8)%nr + 1
+		rng := rand.New(rand.NewSource(seed))
+		kq := KQuads(k)
+		lda, ldc := 4*kq+4, nr+5
+		a := randCodes(rng, maxRows*lda)
+		src := randCodes(rng, k*n)
+		for i := 0; i < maxRows; i++ {
+			clear(a[i*lda+k : i*lda+4*kq])
+			a[i*lda] = -128
+			a[i*lda+k-1] = 127
+		}
+		src[0], src[len(src)-1] = -128, 127
+		b := make([]uint8, kq*4*nr)
+		PackQuadXorInt8(b, 4*nr, src, n, k, n)
+		// Biases at both ends of int32 make the sums wrap, as the int16
+		// kernels' do: a saturating accumulate would differ.
+		bias := make([]int32, maxRows)
+		for i := range bias {
+			switch i % 3 {
+			case 0:
+				bias[i] = math.MaxInt32 - rng.Int31n(1<<16)
+			case 1:
+				bias[i] = math.MinInt32 + rng.Int31n(1<<16)
+			default:
+				bias[i] = rng.Int31() - 1<<30
+			}
+		}
+		want := make([]int32, maxRows*nr)
+		refGemmU8(rows, nr, k, a, lda, b, 4*nr, bias, want, nr)
+
+		const sentinel = -0x5eadbeef
+		got := make([]int32, maxRows*ldc)
+		for i := range got {
+			got[i] = sentinel
+		}
+		g.Run(a, lda, rows, b, 4*nr, kq, bias, got, ldc)
+		for i := 0; i < maxRows; i++ {
+			for j := 0; j < ldc; j++ {
+				w := int32(sentinel)
+				if i < rows && j < nr {
+					w = want[i*nr+j]
+				}
+				if got[i*ldc+j] != w {
+					t.Fatalf("rows=%d k=%d n=%d: c[%d][%d] = %d, want %d", rows, k, n, i, j, got[i*ldc+j], w)
+				}
+			}
+		}
+	})
+}

@@ -258,7 +258,9 @@ func convPlanesInt8Acc(k *ConvPlanesInt8, dst, x []int8, lo, hi int) {
 		if k.post != nil {
 			post = k.post[oc : oc+1]
 		}
-		RequantTileInt8(dst[p*l.outHW:], l.outHW, acc, l.outHW, 1, l.outHW, k.req[oc:oc+1], k.zpOut, post)
+		// The layout exists only where every row is in the vector range.
+		req := RequantRows{req: k.req[oc : oc+1], vec: true}
+		RequantTileInt8(dst[p*l.outHW:], l.outHW, acc, l.outHW, 1, l.outHW, req, k.zpOut, post)
 	}
 }
 

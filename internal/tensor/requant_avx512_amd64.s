@@ -2,25 +2,71 @@
 
 #include "textflag.h"
 
+// RQ16 requantizes the sixteen accumulators in a into sixteen int32
+// codes in t, before saturation (a is clobbered).
+#define RQ16(a, t) \
+	VPMULDQ   Z8, a, t; \
+	VPSRLQ    $32, a, a; \
+	VPMULDQ   Z8, a, a; \
+	VPADDQ    Z9, t, t; \
+	VPADDQ    Z9, a, a; \
+	VPSRAVQ   Z10, t, t; \
+	VPSRAVQ   Z10, a, a; \
+	VPSLLQ    $32, a, a; \
+	VMOVDQU32 a, K1, t; \
+	VPADDD    Z13, t, t
+
+// RQLUT recodes the codes in Z2 through the row's table in Z16..Z19.
+#define RQLUT \
+	VPMOVB2M  Z2, K3; \
+	VMOVDQA64 Z2, Z4; \
+	VPERMI2B  Z17, Z16, Z4; \
+	VPERMI2B  Z19, Z18, Z2; \
+	VMOVDQU8  Z4, K3, Z2
+
+// rtPairOrder gathers the dwords of a thirty-two-code step after
+// VPACKSSDW and VPACKSSWB, which leave lane l holding codes 4l..4l+3 and
+// 16+4l..16+4l+3, into code order.
+DATA rtPairOrder<>+0(SB)/4, $0
+DATA rtPairOrder<>+4(SB)/4, $4
+DATA rtPairOrder<>+8(SB)/4, $8
+DATA rtPairOrder<>+12(SB)/4, $12
+DATA rtPairOrder<>+16(SB)/4, $1
+DATA rtPairOrder<>+20(SB)/4, $5
+DATA rtPairOrder<>+24(SB)/4, $9
+DATA rtPairOrder<>+28(SB)/4, $13
+DATA rtPairOrder<>+32(SB)/4, $2
+DATA rtPairOrder<>+36(SB)/4, $6
+DATA rtPairOrder<>+40(SB)/4, $10
+DATA rtPairOrder<>+44(SB)/4, $14
+DATA rtPairOrder<>+48(SB)/4, $3
+DATA rtPairOrder<>+52(SB)/4, $7
+DATA rtPairOrder<>+56(SB)/4, $11
+DATA rtPairOrder<>+60(SB)/4, $15
+GLOBL rtPairOrder<>(SB), RODATA|NOPTR, $64
+
 // func requantTileInt8AVX512(dst *int8, ldd int, c *int32, ldc int, rows, cols int, req *Requant, zp int32, tabs **[256]int8)
 //
 // 512-bit form of Requant.Apply + ClampInt8 over a rows x cols tile, one
-// Requant (mult, shift, round: three qwords) per row, sixteen
-// accumulators per step and the row's ragged end under K2, bit-identical
-// to the scalar loop:
+// Requant (mult, shift, round: three qwords) per row, thirty-two
+// accumulators per step, then sixteen, and the row's ragged end under
+// K2, bit-identical to the scalar loop:
 //
 //	dst[i*ldd+j] = sat8(zp + int32((int64(c[i*ldc+j])*mult + round) >> shift))
 //
 // VPMULDQ gives the exact signed 32x32->64 products of the even dwords
 // (mult is a 31-bit mantissa, so it fits the low dword) and, after a
-// 32-bit shift, of the odd ones; VPSRAQ is the 64-bit arithmetic shift;
+// 32-bit shift, of the odd ones; VPSRAVQ is the 64-bit arithmetic shift
+// (by a broadcast count: one uop, where VPSRAQ by an XMM count is two);
 // the odd results merge back between the even ones with a masked dword
-// move under K1 = 0xAAAA, which matches the scalar int32 truncation; and
-// VPMOVSDB saturates sixteen int32 lanes straight to int8 in order. When
+// move under K1 = 0xAAAA, which matches the scalar int32 truncation.
+// VPMOVSDB saturates sixteen int32 lanes straight to int8 in order; a
+// thirty-two-code step saturates through VPACKSSDW and VPACKSSWB (int16
+// then int8, the same clamp) and VPERMD puts its codes in order. When
 // tabs is non-nil (a VBMI host), row i's codes then recode through
 // tabs[i] in the same step (a nil entry leaves its row alone), as
 // lut8RowsVBMI does: the table sits in Z16..Z19 and R14 says a row has
-// one.
+// one, and one lookup recodes a step's thirty-two codes.
 TEXT ·requantTileInt8AVX512(SB), NOSPLIT, $0-72
 	MOVQ dst+0(FP), DI
 	MOVQ ldd+8(FP), R8
@@ -41,13 +87,14 @@ TEXT ·requantTileInt8AVX512(SB), NOSPLIT, $0-72
 	SHLQ CX, BX
 	DECQ BX
 	KMOVW BX, K2 // the row's last cols%16 accumulators
-	SHRQ $4, R11 // full steps per row
+	SHRQ $4, R11 // full sixteen-accumulator steps per row
+	VMOVDQU32 rtPairOrder<>(SB), Z20
 
 rtrow:
 	TESTQ R10, R10
 	JLE  rtdone
 	VPBROADCASTQ 0(R12), Z8  // mult
-	VMOVQ 8(R12), X10        // shift count for VPSRAQ
+	VPBROADCASTQ 8(R12), Z10 // shift
 	VPBROADCASTQ 16(R12), Z9 // round
 	XORQ R14, R14
 	TESTQ R15, R15
@@ -67,62 +114,51 @@ rtloaded:
 	MOVQ DI, DX
 	MOVQ R11, R13
 
+rtpair:
+	CMPQ R13, $2
+	JLT  rtstep
+	VMOVDQU32 (AX), Z0
+	VMOVDQU32 64(AX), Z1
+	RQ16(Z0, Z2)
+	RQ16(Z1, Z6)
+	VPACKSSDW Z6, Z2, Z2
+	VPACKSSWB Z2, Z2, Z2
+	VPERMD    Z2, Z20, Z2 // the 32 codes in order
+	TESTQ R14, R14
+	JZ   rtpairput
+	RQLUT
+
+rtpairput:
+	VMOVDQU Y2, (DX)
+	ADDQ $128, AX
+	ADDQ $32, DX
+	SUBQ $2, R13
+	JMP  rtpair
+
 rtstep:
 	TESTQ R13, R13
 	JLE  rttail
 	VMOVDQU32 (AX), Z0
-	VPMULDQ Z8, Z0, Z2 // products of even dwords
-	VPSRLQ  $32, Z0, Z3
-	VPMULDQ Z8, Z3, Z3 // products of odd dwords
-	VPADDQ  Z9, Z2, Z2
-	VPADDQ  Z9, Z3, Z3
-	VPSRAQ  X10, Z2, Z2
-	VPSRAQ  X10, Z3, Z3
-	VPSLLQ  $32, Z3, Z3
-	VMOVDQU32 Z3, K1, Z2 // odd results into the odd dword lanes
-	VPADDD  Z13, Z2, Z2
+	RQ16(Z0, Z2)
 	VPMOVSDB Z2, X2
 	TESTQ R14, R14
 	JZ   rtput
-	VMOVDQA64 Z2, Z4
-	VMOVDQA64 Z2, Z5
-	VPERMI2B Z17, Z16, Z4 // entries 0..127: the negative codes
-	VPERMI2B Z19, Z18, Z5 // entries 128..255
-	VPMOVB2M Z2, K3
-	VMOVDQU8 Z4, K3, Z5
-	VMOVDQA64 Z5, Z2
+	RQLUT
 
 rtput:
 	VMOVDQU X2, (DX)
 	ADDQ $64, AX
 	ADDQ $16, DX
-	DECQ R13
-	JMP  rtstep
 
 rttail:
 	TESTQ CX, CX
 	JZ   rtnext
 	VMOVDQU32.Z (AX), K2, Z0
-	VPMULDQ Z8, Z0, Z2
-	VPSRLQ  $32, Z0, Z3
-	VPMULDQ Z8, Z3, Z3
-	VPADDQ  Z9, Z2, Z2
-	VPADDQ  Z9, Z3, Z3
-	VPSRAQ  X10, Z2, Z2
-	VPSRAQ  X10, Z3, Z3
-	VPSLLQ  $32, Z3, Z3
-	VMOVDQU32 Z3, K1, Z2
-	VPADDD  Z13, Z2, Z2
+	RQ16(Z0, Z2)
 	VPMOVSDB Z2, X2
 	TESTQ R14, R14
 	JZ   rttailput
-	VMOVDQA64 Z2, Z4
-	VMOVDQA64 Z2, Z5
-	VPERMI2B Z17, Z16, Z4
-	VPERMI2B Z19, Z18, Z5
-	VPMOVB2M Z2, K3
-	VMOVDQU8 Z4, K3, Z5
-	VMOVDQA64 Z5, Z2
+	RQLUT
 
 rttailput:
 	VMOVDQU8 X2, K2, (DX)

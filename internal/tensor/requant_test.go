@@ -10,7 +10,7 @@ import (
 // out[i] = ClampInt8(zp + r.Apply(acc[i])), a one-row RequantTileInt8.
 func requantInt8(out []int8, acc []int32, r Requant, zp int32) {
 	req := [1]Requant{r}
-	RequantTileInt8(out, len(acc), acc, len(acc), 1, len(acc), req[:], zp, nil)
+	RequantTileInt8(out, len(acc), acc, len(acc), 1, len(acc), NewRequantRows(req[:]), zp, nil)
 }
 
 // refRequantInt8 is the scalar definition the accelerated path must
@@ -103,11 +103,13 @@ func refRequantTile(dst []int8, ldd int, c []int32, ldc, rows, cols int, req []R
 }
 
 // TestRequantTileInt8 drives the tile epilogue over every tile shape a
-// micro-kernel produces (1..8 rows, 1..33 columns, so columns under one
-// vector, ragged ends and whole vectors), with per-row multipliers that
-// include the ones outside the vector bodies' range (mult >= 1<<31,
-// shift > 63, the zero requant), without a recode table, with a
-// different table per row, with one shared table and with nil rows.
+// micro-kernel produces (1..8 rows, 1..49 columns, so columns under one
+// vector, ragged ends, whole vectors and the AVX-512 body's
+// thirty-two-column steps followed by a sixteen-column one), with
+// per-row multipliers that include the ones outside the vector bodies'
+// range (mult >= 1<<31, shift > 63, the zero requant), without a recode
+// table, with a different table per row, with one shared table and with
+// nil rows.
 func TestRequantTileInt8(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	mults := []float64{1, 0.5, 1.7e-3, 3.33e-2, 0.9999, 2.5, 1024, 7.8e-9,
@@ -120,7 +122,7 @@ func TestRequantTileInt8(t *testing.T) {
 		}
 	}
 	for rows := 1; rows <= 8; rows++ {
-		for cols := 1; cols <= 33; cols++ {
+		for cols := 1; cols <= 49; cols++ {
 			for _, ordinary := range []bool{true, false} {
 				ldc, ldd := cols+rng.Intn(4), cols+rng.Intn(70)
 				req := make([]Requant, rows)
@@ -154,7 +156,7 @@ func TestRequantTileInt8(t *testing.T) {
 						got[i] = 99
 					}
 					want := append([]int8(nil), got...)
-					RequantTileInt8(got, ldd, c, ldc, rows, cols, req, zp, post)
+					RequantTileInt8(got, ldd, c, ldc, rows, cols, NewRequantRows(req), zp, post)
 					refRequantTile(want, ldd, c, ldc, rows, cols, req, zp, post)
 					for i := range got {
 						if got[i] != want[i] {
@@ -165,7 +167,7 @@ func TestRequantTileInt8(t *testing.T) {
 			}
 		}
 	}
-	RequantTileInt8(nil, 0, nil, 0, 0, 0, nil, 0, nil)
+	RequantTileInt8(nil, 0, nil, 0, 0, 0, RequantRows{}, 0, nil)
 }
 
 // FuzzRequantTileInt8 cross-checks the dispatched tile epilogue with the
@@ -205,7 +207,7 @@ func FuzzRequantTileInt8(f *testing.F) {
 		ldd := cols + rows
 		got := make([]int8, rows*ldd)
 		want := make([]int8, rows*ldd)
-		RequantTileInt8(got, ldd, c, cols, rows, cols, req, zp, post)
+		RequantTileInt8(got, ldd, c, cols, rows, cols, NewRequantRows(req), zp, post)
 		refRequantTile(want, ldd, c, cols, rows, cols, req, zp, post)
 		for i := range got {
 			if got[i] != want[i] {

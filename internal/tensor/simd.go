@@ -66,6 +66,38 @@ func PackPairShiftInt8(out []int16, ldo int, src []int8, lds, taps, n int, zp in
 	}
 }
 
+// PackQuadXorInt8 packs the rows of a row-major int8 matrix (taps rows
+// of n codes at row stride lds) into the quad layout of the u8×s8
+// micro-kernel (GemmKernelU8), each code's top bit flipped: quad q <
+// KQuads(taps) takes rows 4q..4q+3,
+//
+//	out[q*ldo+4i+s] = uint8(src[(4q+s)*lds+i]) ^ 0x80
+//
+// for i < n and s < 4, with code 0 (0x80) in place of the rows past
+// taps and from 4n up to the quad's ldo bytes (the columns a ragged tile
+// does not have). ldo is at least 4n.
+func PackQuadXorInt8(out []uint8, ldo int, src []int8, lds, taps, n int) {
+	if taps == 0 {
+		return
+	}
+	kq := KQuads(taps)
+	_, _, _ = out[:kq*ldo], src[:(taps-1)*lds+n], out[:ldo-4*n]
+	if n > 0 && packQuadXorInt8Accel(out, ldo, src, lds, taps, n) {
+		return
+	}
+	for q := 0; q < kq; q++ {
+		o := out[q*ldo : (q+1)*ldo]
+		for i := range o {
+			o[i] = 0x80
+		}
+		for s := 0; s < 4 && 4*q+s < taps; s++ {
+			for i, v := range src[(4*q+s)*lds:][:n] {
+				o[4*i+s] = uint8(v) ^ 0x80
+			}
+		}
+	}
+}
+
 // GatherStride2Int8 copies dst[i] = src[2*i] — the stride-2 im2col row
 // gather on int8 codes. src must hold at least 2*len(dst)-1 elements.
 func GatherStride2Int8(dst, src []int8) {

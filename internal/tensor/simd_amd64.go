@@ -19,7 +19,8 @@ import "vedliot/internal/tensor/cpu"
 // portable loop costs the INT8 row no more than 2% (DESIGN.md, "What
 // each assembly body buys"): the stride-2 gather, row sums and row
 // scaling run assembly on AVX-512 only, the narrowing store on AVX2 and
-// up. The byte table is the one kernel whose body follows a feature bit
+// up. The quad pack has an AVX-512 body only: it feeds the u8×s8 GEMM
+// body, which runs on VNNI hosts alone. The byte table is the one kernel whose body follows a feature bit
 // instead of the tier alone: VPERMI2B where the AVX-512 tier also has
 // VBMI, PSHUFB nibble select on the AVX2 tier (and on an AVX-512 tier
 // without VBMI), and the portable loop below AVX2; the AVX-512 tile
@@ -28,7 +29,8 @@ import "vedliot/internal/tensor/cpu"
 //
 // What the integer path buys on a host whose FP32 vectors are as wide as
 // its integer ones is a quarter of the activation bytes and PMADDWD's
-// two multiply-accumulates per 32-bit lane; whether that makes a
+// two multiply-accumulates per 32-bit lane (VPDPBUSD's four in the GEMM
+// convolutions of a VNNI host); whether that makes a
 // quantized run faster than the FP32 one is measured (the quantized
 // study, TestStepProfileBatch1), not assumed.
 
@@ -74,6 +76,14 @@ func packPairShiftInt8Accel(out []int16, ldo int, src []int8, lds, taps, n int, 
 	default:
 		return false
 	}
+	return true
+}
+
+func packQuadXorInt8Accel(out []uint8, ldo int, src []int8, lds, taps, n int) bool {
+	if int8Tier < cpu.TierAVX512 {
+		return false
+	}
+	packQuadXorInt8AVX512(&out[0], ldo, &src[0], lds, taps, n)
 	return true
 }
 
@@ -199,6 +209,9 @@ func widenShiftInt8AVX512(dst *int16, src *int8, n int, zp int16)
 
 //go:noescape
 func packPairShiftInt8AVX512(out *int16, ldo int, src *int8, lds int, taps, n int, zp int16)
+
+//go:noescape
+func packQuadXorInt8AVX512(out *uint8, ldo int, src *int8, lds int, taps, n int)
 
 //go:noescape
 func gatherStride2Int8AVX512(dst, src *int8, n int)

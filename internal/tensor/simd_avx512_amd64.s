@@ -190,6 +190,125 @@ ppdone:
 	VZEROUPPER
 	RET
 
+// QXMASK sets k to the low CX bits of a 32-bit mask: none when CX <= 0,
+// all when CX >= 32 (R10 holds 0 and R11 all ones).
+#define QXMASK(k) \
+	MOVQ    $1, BX; \
+	SHLQ    CX, BX; \
+	DECQ    BX; \
+	CMPQ    CX, $0; \
+	CMOVQLE R10, BX; \
+	CMPQ    CX, $32; \
+	CMOVQGE R11, BX; \
+	KMOVD   BX, k
+
+// QXTAIL stores the part of y that lies below the quad's ldo bytes
+// (R15 of them left from DX).
+#define QXTAIL(off, y) \
+	MOVQ     R15, CX; \
+	SUBQ     $off, CX; \
+	QXMASK(K1); \
+	VMOVDQU8 y, K1, off(DX)
+
+// func packQuadXorInt8AVX512(out *uint8, ldo int, src *int8, lds int, taps, n int)
+//
+// Quad q of the tile takes rows 4q..4q+3 of src (row stride lds, n codes
+// each): out[q*ldo+4i+s] = row 4q+s [i] XOR 0x80, and 0x80 from 4n to
+// ldo. Thirty-two columns (one packed conv tile) per step: four row
+// loads under the column mask (K6; a row past taps loads under an
+// all-zero mask, K3-K5, so its lanes are 0 before the flip), the flip,
+// two rounds of byte and word unpacks, which leave each 128-bit lane
+// holding the quads of its own sixteen columns, and VPERM2I128 to put
+// the lanes in column order. Needs AVX512BW and VL only, not VBMI.
+TEXT ·packQuadXorInt8AVX512(SB), NOSPLIT, $0-48
+	MOVQ out+0(FP), DI
+	MOVQ src+16(FP), SI
+	MOVQ lds+24(FP), R9
+	LEAQ (R9)(R9*2), R12
+	MOVL $0x80808080, AX
+	VPBROADCASTD AX, Y15
+	XORQ R10, R10
+	MOVQ $-1, R11
+	XORQ R14, R14 // 4q
+
+qxquad:
+	CMPQ R14, taps+32(FP)
+	JGE  qxdone
+	MOVQ taps+32(FP), CX
+	SUBQ R14, CX // rows left in this quad
+	MOVQ R11, BX
+	CMPQ CX, $1
+	CMOVQLE R10, BX
+	KMOVD BX, K3
+	MOVQ R11, BX
+	CMPQ CX, $2
+	CMOVQLE R10, BX
+	KMOVD BX, K4
+	MOVQ R11, BX
+	CMPQ CX, $3
+	CMOVQLE R10, BX
+	KMOVD BX, K5
+	MOVQ SI, AX
+	MOVQ DI, DX
+	MOVQ n+40(FP), R13 // columns left
+	MOVQ ldo+8(FP), R15 // output bytes left
+
+qxstep:
+	TESTQ R15, R15
+	JLE   qxnext
+	MOVQ  R13, CX
+	QXMASK(K6)
+	VMOVDQU8.Z (AX), K6, Y1
+	KANDD      K6, K3, K1
+	VMOVDQU8.Z (AX)(R9*1), K1, Y2
+	KANDD      K6, K4, K1
+	VMOVDQU8.Z (AX)(R9*2), K1, Y3
+	KANDD      K6, K5, K1
+	VMOVDQU8.Z (AX)(R12*1), K1, Y4
+	VPXOR      Y15, Y1, Y1
+	VPXOR      Y15, Y2, Y2
+	VPXOR      Y15, Y3, Y3
+	VPXOR      Y15, Y4, Y4
+	VPUNPCKLBW Y2, Y1, Y5
+	VPUNPCKHBW Y2, Y1, Y6
+	VPUNPCKLBW Y4, Y3, Y7
+	VPUNPCKHBW Y4, Y3, Y8
+	VPUNPCKLWD Y7, Y5, Y9  // lane l: columns 16l+0..3
+	VPUNPCKHWD Y7, Y5, Y10 // 16l+4..7
+	VPUNPCKLWD Y8, Y6, Y11 // 16l+8..11
+	VPUNPCKHWD Y8, Y6, Y12 // 16l+12..15
+	VPERM2I128 $0x20, Y10, Y9, Y1  // columns 0..7
+	VPERM2I128 $0x20, Y12, Y11, Y2 // 8..15
+	VPERM2I128 $0x31, Y10, Y9, Y3  // 16..23
+	VPERM2I128 $0x31, Y12, Y11, Y4 // 24..31
+	CMPQ R15, $128
+	JLT  qxtail
+	VMOVDQU Y1, (DX)
+	VMOVDQU Y2, 32(DX)
+	VMOVDQU Y3, 64(DX)
+	VMOVDQU Y4, 96(DX)
+	ADDQ $32, AX
+	ADDQ $128, DX
+	SUBQ $32, R13
+	SUBQ $128, R15
+	JMP  qxstep
+
+qxtail:
+	QXTAIL(0, Y1)
+	QXTAIL(32, Y2)
+	QXTAIL(64, Y3)
+	QXTAIL(96, Y4)
+
+qxnext:
+	LEAQ (SI)(R9*4), SI
+	ADDQ ldo+8(FP), DI
+	ADDQ $4, R14
+	JMP  qxquad
+
+qxdone:
+	VZEROUPPER
+	RET
+
 // func gatherStride2Int8AVX512(dst, src *int8, n int)
 //
 // dst[i] = src[2i] for i < n: VPMOVWB keeps the low byte of every word.

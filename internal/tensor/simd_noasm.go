@@ -16,6 +16,8 @@ func packPairShiftInt8Accel(out []int16, ldo int, src []int8, lds, taps, n int, 
 	return false
 }
 
+func packQuadXorInt8Accel(out []uint8, ldo int, src []int8, lds, taps, n int) bool { return false }
+
 func gatherStride2Int8Accel(dst, src []int8) int { return 0 }
 
 func sumRowsInt8Accel(sums []int32, x []int8, cols int) bool               { return false }

@@ -84,6 +84,43 @@ func TestPackPairShiftInt8(t *testing.T) {
 	PackPairShiftInt8(nil, 0, nil, 0, 0, 0, 3)
 }
 
+func TestPackQuadXorInt8(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for _, taps := range []int{1, 2, 3, 4, 5, 7, 8, 9, 18} {
+		for n := 0; n <= 140; n++ {
+			lds := n + rng.Intn(3)
+			ldo := 4*n + rng.Intn(300)
+			src := randCodes(rng, taps*lds+n)
+			if n > 0 {
+				src[0], src[(taps-1)*lds+n-1] = -128, 127
+			}
+			kq := KQuads(taps)
+			got := make([]uint8, kq*ldo+4)
+			for i := range got {
+				got[i] = 77
+			}
+			want := append([]uint8(nil), got...)
+			PackQuadXorInt8(got, ldo, src, lds, taps, n)
+			for q := 0; q < kq; q++ {
+				for i := 0; i < ldo; i++ {
+					want[q*ldo+i] = 0x80
+				}
+				for s := 0; s < 4 && 4*q+s < taps; s++ {
+					for i := 0; i < n; i++ {
+						want[q*ldo+4*i+s] = uint8(src[(4*q+s)*lds+i]) ^ 0x80
+					}
+				}
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("taps=%d n=%d lds=%d ldo=%d: out[%d] = %d, want %d", taps, n, lds, ldo, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	PackQuadXorInt8(nil, 0, nil, 0, 0, 0)
+}
+
 // The tests below compare each dispatched integer kernel with its
 // definition written out as a scalar loop. `make test-portable` runs
 // them under every VEDLIOT_CPU clamp and under the noasm/purego tags, so
