@@ -57,8 +57,8 @@ test-race:
 	$(GO) test -race -count=20 -run 'Batch|CapacityRule|Dispatch|Gate|Admission|Saturated|BurstFollows|EstimateFollows|Warmup|CloseResolves|CancelPropagation|Recovers|EngineTime|SlowReader|Vanished|DisconnectBurst|ReadDeadline|EmulatedBatch' ./internal/microserver/ ./internal/serve/ ./internal/cluster/
 	$(GO) test -race -count=20 -run 'ExecutorConcurrent|ExecutorKernelError|Recovers' ./internal/inference/
 
-# test-portable exercises the pure-Go micro-kernel fallbacks (noasm /
-# purego build tags) and the narrowed runtime dispatch tiers — the same
+# test-portable exercises the pure-Go micro-kernel fallbacks (purego
+# build tag) and the narrowed runtime dispatch tiers — the same
 # matrix as the CI portable job. The tier rows run with -count=1: the
 # override is read at package init, where the test cache cannot see it,
 # so a cached row would repeat the previous tier's result. Every row runs
@@ -67,13 +67,12 @@ test-race:
 # TestRequantTileInt8 among them), so the portable body and each
 # assembly body are held to the same bits.
 test-portable:
-	$(GO) test -tags noasm ./internal/tensor/... ./internal/inference/...
 	$(GO) test -tags purego ./internal/tensor/... ./internal/inference/...
 	VEDLIOT_CPU=sse2 $(GO) test -count=1 ./internal/tensor/... ./internal/inference/...
 	VEDLIOT_CPU=generic $(GO) test -count=1 ./internal/tensor/... ./internal/inference/...
 	VEDLIOT_CPU=avx2 $(GO) test -count=1 ./internal/tensor/... ./internal/inference/...
 	VEDLIOT_CPU=avx512 $(GO) test -count=1 ./internal/tensor/... ./internal/inference/...
-	$(GO) test -tags noasm ./internal/rvbackend/... ./internal/riscv/... ./internal/soc/... ./internal/cfu/...
+	$(GO) test -tags purego ./internal/rvbackend/... ./internal/riscv/... ./internal/soc/... ./internal/cfu/...
 
 # fuzz-smoke runs every fuzz target briefly — the CI smoke job that
 # keeps the targets compiling and the seed corpora passing. The GEMM

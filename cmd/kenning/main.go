@@ -95,10 +95,7 @@ func main() {
 		}
 	}
 
-	if err := g.InferShapes(1); err != nil {
-		fatal(err)
-	}
-	gs, err := g.Stats()
+	gs, err := g.Stats(1)
 	if err != nil {
 		fatal(err)
 	}

@@ -243,9 +243,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// Input shape from the input node's declared Attrs.Shape — the
-	// artifact graph is registry-shared and read-only, so no
-	// InferShapes (which would write OutShape on every node).
 	inShape := append(tensor.Shape{1}, g.Node(g.Inputs[0]).Attrs.Shape...)
 	fmt.Printf("\ndeployed %s (%s) on %d replicas, input %v\n",
 		g.Name, about, len(dep.Replicas()), inShape)
@@ -417,10 +414,7 @@ func runLoad(addr, model, key string, conns int, cfg serve.LoadConfig) error {
 		return err
 	}
 	g := entry.Build()
-	if err := g.InferShapes(1); err != nil {
-		return err
-	}
-	ins := fleetInput(g, g.Node(g.Inputs[0]).OutShape)
+	ins := fleetInput(g, append(tensor.Shape{1}, g.Node(g.Inputs[0]).Attrs.Shape...))
 	cfg.Model = g.Name
 	cfg.Inputs = func(int) map[string]*tensor.Tensor { return ins }
 	pool, err := serve.DialPool(addr, key, conns)

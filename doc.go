@@ -24,8 +24,8 @@
 // tiles are packed fused with the im2col gather, and the widest
 // micro-kernel variant the host supports — portable Go, SSE2, or AVX2
 // (6x16 FP32 / 4x16 INT8 PMADDWD tiles) — is selected at runtime by
-// internal/tensor/cpu (VEDLIOT_CPU narrows, noasm/purego build tags
-// force the portable path). All variants are exact: FP32 results are
+// internal/tensor/cpu (VEDLIOT_CPU narrows, the purego build tag
+// forces the portable path). All variants are exact: FP32 results are
 // bitwise identical to the reference interpreter, INT8 accumulation is
 // associative int32.
 //

@@ -44,9 +44,6 @@ func main() {
 
 	// Latency budget on the FPGA DPU module.
 	g := nn.ArcNet(cfg.Window, nn.BuildOptions{})
-	if err := g.InferShapes(1); err != nil {
-		log.Fatal(err)
-	}
 	dev, _ := accel.FindDevice("ZU3 B2304")
 	w, err := accel.WorkloadFromGraph(g, tensor.INT8)
 	if err != nil {

@@ -36,9 +36,6 @@ func main() {
 	fmt.Println(ev.Confusion)
 
 	// Compress for the battery box: prune + retrain + quantize.
-	if err := g.InferShapes(1); err != nil {
-		log.Fatal(err)
-	}
 	before := g.WeightBytes()
 	if _, err := optimize.MagnitudePrune(g, 0.8); err != nil {
 		log.Fatal(err)

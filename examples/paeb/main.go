@@ -50,9 +50,6 @@ func main() {
 
 	// Offload decision sweep.
 	g := nn.YoloV4(416, 80, nn.BuildOptions{})
-	if err := g.InferShapes(1); err != nil {
-		log.Fatal(err)
-	}
 	w, err := accel.WorkloadFromGraph(g, tensor.INT8)
 	if err != nil {
 		log.Fatal(err)

@@ -37,9 +37,6 @@ func main() {
 	fmt.Println("per-stage budget on", dev.Name)
 	var load float64
 	for _, st := range stages {
-		if err := st.g.InferShapes(1); err != nil {
-			log.Fatal(err)
-		}
 		w, err := accel.WorkloadFromGraph(st.g, tensor.INT8)
 		if err != nil {
 			log.Fatal(err)

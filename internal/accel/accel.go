@@ -110,11 +110,11 @@ type Workload struct {
 	ActivationBytes int64
 }
 
-// WorkloadFromGraph derives a Workload from a shape-inferred graph.
+// WorkloadFromGraph derives a Workload from g's batch-1 statistics.
 // Weight and activation footprints are scaled to the precision's element
 // size.
 func WorkloadFromGraph(g *nn.Graph, precision tensor.DType) (Workload, error) {
-	stats, err := g.Stats()
+	stats, err := g.Stats(1)
 	if err != nil {
 		return Workload{}, err
 	}

@@ -12,9 +12,6 @@ import (
 func yoloWorkload(t *testing.T) Workload {
 	t.Helper()
 	g := nn.YoloV4(608, 80, nn.BuildOptions{})
-	if err := g.InferShapes(1); err != nil {
-		t.Fatal(err)
-	}
 	w, err := WorkloadFromGraph(g, tensor.INT8)
 	if err != nil {
 		t.Fatal(err)
@@ -205,9 +202,6 @@ func TestSparsityAwareEvaluate(t *testing.T) {
 
 func TestWorkloadFromGraphScalesWithPrecision(t *testing.T) {
 	g := nn.ResNet50(224, nn.BuildOptions{})
-	if err := g.InferShapes(1); err != nil {
-		t.Fatal(err)
-	}
 	w32, err := WorkloadFromGraph(g, tensor.FP32)
 	if err != nil {
 		t.Fatal(err)
@@ -297,9 +291,6 @@ func TestReconfigurableSwitching(t *testing.T) {
 
 func TestCoDesignMeetsConstraints(t *testing.T) {
 	g := nn.MobileNetV3(224, nn.BuildOptions{})
-	if err := g.InferShapes(1); err != nil {
-		t.Fatal(err)
-	}
 	w, err := WorkloadFromGraph(g, tensor.INT8)
 	if err != nil {
 		t.Fatal(err)

@@ -71,7 +71,7 @@ func (b *Backend) Compile(g *nn.Graph) (inference.Executable, error) {
 	if err != nil {
 		return nil, err
 	}
-	stats, err := g.StatsAt(1)
+	stats, err := g.Stats(1)
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,7 @@ import (
 	"vedliot/internal/nn"
 	"vedliot/internal/optimize"
 	"vedliot/internal/tensor"
+	"vedliot/internal/zoo"
 )
 
 func TestBackendCompileAndRun(t *testing.T) {
@@ -131,9 +132,46 @@ func TestCompileSharedGraphConcurrently(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	for _, n := range g.Nodes {
-		if n.OutShape != nil {
-			t.Fatalf("Compile left OutShape %v on node %q of a shared graph", n.OutShape, n.Name)
+}
+
+// TestSharedGraphReadersConcurrently runs the three reads a deployment
+// makes of one zoo graph — a synthetic probe, the workload model and a
+// backend compile — from several goroutines at once. The graph is
+// shared and read-only, so none of them may write to it; the race
+// detector sees a write.
+func TestSharedGraphReadersConcurrently(t *testing.T) {
+	entry, err := zoo.Find("mobilenetedge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := entry.Build()
+	dev, err := FindDevice("Xavier NX")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBackend(dev)
+	ws := make([]Workload, 3)
+	var wg sync.WaitGroup
+	for i := range ws {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := nn.SyntheticInput(g, 1, i); err != nil {
+				t.Error(err)
+			}
+			var err error
+			if ws[i], err = WorkloadFromGraph(g, tensor.INT8); err != nil {
+				t.Error(err)
+			}
+			if _, err := b.Compile(g); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i, w := range ws {
+		if w.OpsPerInference == 0 || w != ws[0] {
+			t.Errorf("goroutine %d derived workload %+v, goroutine 0 %+v", i, w, ws[0])
 		}
 	}
 }

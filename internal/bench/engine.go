@@ -322,10 +322,10 @@ func gemmRoofline(kern tensor.GemmKernelF32, iters int) (peakGF, convGF float64)
 // unplannedFloats sums all intermediate activation sizes for batch 1 —
 // what a naive per-node allocator would hold live.
 func unplannedFloats(g *nn.Graph) int {
-	if err := g.InferShapes(1); err != nil {
+	stats, err := g.Stats(1)
+	if err != nil {
 		return 0
 	}
-	total := 0
 	isIO := make(map[string]bool)
 	for _, name := range g.Inputs {
 		isIO[name] = true
@@ -333,11 +333,11 @@ func unplannedFloats(g *nn.Graph) int {
 	for _, name := range g.Outputs {
 		isIO[name] = true
 	}
-	for _, n := range g.Nodes {
-		if isIO[n.Name] {
-			continue
+	var total int64
+	for _, ns := range stats.Nodes {
+		if !isIO[ns.Name] {
+			total += ns.ActivationBytes
 		}
-		total += n.OutShape.NumElements()
 	}
-	return total
+	return int(total / 4)
 }

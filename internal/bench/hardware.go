@@ -103,9 +103,6 @@ func TOPSW() (*Report, error) {
 // fig4Sweep evaluates one model over the paper's platform x precision x
 // batch grid, appending rows and returning the measurements.
 func fig4Sweep(r *Report, g *nn.Graph, batches []int) ([]accel.Measurement, error) {
-	if err := g.InferShapes(1); err != nil {
-		return nil, err
-	}
 	var all []accel.Measurement
 	r.linef("%-18s %-5s %3s %12s %9s %8s %9s", "platform", "prec", "B", "GOPS", "power W", "ms", "bound")
 	for _, dev := range accel.EvaluationPlatforms() {
@@ -295,9 +292,6 @@ func Reconfiguration() (*Report, error) {
 		return nil, err
 	}
 	g := nn.MobileNetV3(224, nn.BuildOptions{})
-	if err := g.InferShapes(1); err != nil {
-		return nil, err
-	}
 	w, err := accel.WorkloadFromGraph(g, tensor.INT8)
 	if err != nil {
 		return nil, err
@@ -340,9 +334,6 @@ func Reconfiguration() (*Report, error) {
 func AblationRoofline() (*Report, error) {
 	r := newReport("Ablation — roofline vs peak-only performance model")
 	g := nn.YoloV4(608, 80, nn.BuildOptions{})
-	if err := g.InferShapes(1); err != nil {
-		return nil, err
-	}
 	r.linef("%-18s %12s %12s %8s", "platform", "peak GOPS", "roofline", "ratio")
 	allBelow := true
 	for _, dev := range accel.EvaluationPlatforms() {

@@ -40,9 +40,6 @@ func DeepCompression49() (*Report, error) {
 
 	// Deep Compression stage 1: prune, then retrain the surviving
 	// connections (Han et al.'s prune-retrain loop).
-	if err := g.InferShapes(1); err != nil {
-		return nil, err
-	}
 	pruneRep, err := optimize.MagnitudePrune(g, 0.92)
 	if err != nil {
 		return nil, err
@@ -90,22 +87,13 @@ func DeepCompression49() (*Report, error) {
 func TheoryVsHardware() (*Report, error) {
 	r := newReport("§III — theoretical speed-ups vs hardware reality")
 	g := nn.ResNet50(224, nn.BuildOptions{Weights: true, Seed: 7})
-	if err := g.InferShapes(1); err != nil {
-		return nil, err
-	}
 
 	unstructured := g.Clone()
-	if err := unstructured.InferShapes(1); err != nil {
-		return nil, err
-	}
 	uRep, err := optimize.MagnitudePrune(unstructured, 0.8)
 	if err != nil {
 		return nil, err
 	}
 	structured := g.Clone()
-	if err := structured.InferShapes(1); err != nil {
-		return nil, err
-	}
 	sRep, err := optimize.ChannelPrune(structured, 0.5)
 	if err != nil {
 		return nil, err
@@ -280,9 +268,6 @@ func AblationQuantGranularity() (*Report, error) {
 func AblationPruning() (*Report, error) {
 	r := newReport("Ablation — pruning structure at matched theoretical FLOPs")
 	base := nn.MobileNetV3(224, nn.BuildOptions{Weights: true, Seed: 71})
-	if err := base.InferShapes(1); err != nil {
-		return nil, err
-	}
 	dev, err := accel.FindDevice("ZU3 B2304")
 	if err != nil {
 		return nil, err

@@ -92,9 +92,6 @@ func runModel(g *nn.Graph, in *tensor.Tensor) (*tensor.Tensor, error) {
 func PAEB() (*Report, error) {
 	r := newReport("§V-A — Pedestrian Automatic Emergency Braking offload study")
 	g := nn.YoloV4(416, 80, nn.BuildOptions{})
-	if err := g.InferShapes(1); err != nil {
-		return nil, err
-	}
 	w, err := accel.WorkloadFromGraph(g, tensor.INT8)
 	if err != nil {
 		return nil, err
@@ -167,9 +164,6 @@ func MotorCondition() (*Report, error) {
 	r.check("bearing-fault recall >= 0.8", ev.Confusion.Recall(int(dataset.MotorBearingFault)) >= 0.8)
 
 	// Energy budget on the MCU NPU: one inference per second.
-	if err := g.InferShapes(1); err != nil {
-		return nil, err
-	}
 	npu, err := accel.FindDevice("MAX78000 NPU")
 	if err != nil {
 		return nil, err
@@ -228,9 +222,6 @@ func ArcDetection() (*Report, error) {
 
 	// Latency budget: sensing window fill + inference on the FPGA DPU.
 	g := nn.ArcNet(cfg.Window, nn.BuildOptions{})
-	if err := g.InferShapes(1); err != nil {
-		return nil, err
-	}
 	dev, err := accel.FindDevice("ZU3 B2304")
 	if err != nil {
 		return nil, err
@@ -279,9 +270,6 @@ func SmartMirror() (*Report, error) {
 	var totalLoad float64
 	ok := true
 	for _, st := range stages {
-		if err := st.g.InferShapes(1); err != nil {
-			return nil, err
-		}
 		w, err := accel.WorkloadFromGraph(st.g, tensor.INT8)
 		if err != nil {
 			return nil, err

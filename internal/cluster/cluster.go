@@ -395,11 +395,7 @@ type Deployment struct {
 	cancelled atomic.Int64
 }
 
-// newDeployment reads the model's declared interface. Input shapes come
-// from the input nodes' declared Attrs.Shape, never via InferShapes,
-// which would write OutShape on every node of a graph that, on the
-// DeployArtifact path, is registry-shared across schedulers (and
-// read-only by the artifact contract).
+// newDeployment reads the model's declared interface.
 func newDeployment(g *nn.Graph, digest string, cfg Config) (*Deployment, error) {
 	d := &Deployment{
 		model:       g.Name,

@@ -171,10 +171,7 @@ func TestAdmissionShedsWhenSaturated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.InferShapes(1); err != nil {
-		t.Fatal(err)
-	}
-	in := tensor.New(tensor.FP32, g.Node(g.Inputs[0]).OutShape...)
+	in := tensor.New(tensor.FP32, append(tensor.Shape{1}, g.Node(g.Inputs[0]).Attrs.Shape...)...)
 	ins := map[string]*tensor.Tensor{g.Inputs[0]: in}
 
 	const burst = 50

@@ -92,9 +92,6 @@ func PlanDeployment(uc UseCase) (Deployment, error) {
 	}
 	dep.Pipeline = prep
 
-	if err := uc.Model.InferShapes(1); err != nil {
-		return dep, err
-	}
 	w, err := accel.WorkloadFromGraph(uc.Model, req.Precision)
 	if err != nil {
 		return dep, err

@@ -99,9 +99,6 @@ func TestPlanOffloadCrossover(t *testing.T) {
 	// The PAEB decision: over LTE the car should run locally; over a
 	// good 5G link offloading to a faster edge saves on-car energy.
 	g := nn.YoloV4(416, 80, nn.BuildOptions{})
-	if err := g.InferShapes(1); err != nil {
-		t.Fatal(err)
-	}
 	w, err := accel.WorkloadFromGraph(g, tensor.INT8)
 	if err != nil {
 		t.Fatal(err)

@@ -224,39 +224,49 @@ func pickCases(full, short int) int {
 	return full
 }
 
-// TestConvPlanePredicateSides pins both sides of convPadExact on one
-// padded geometry: ordinary weights bind the padded form (it declares
-// scratch), while a -0 bias, an Inf tap or a NaN tap bind the
-// clipped loop (no scratch) — and every variant still matches the
-// interpreter bit for bit, NaN and Inf inputs included.
+// TestConvPlanePredicateSides pins both sides of convPadExact on two
+// padded geometries, one per route: ordinary weights bind the form that
+// reads a zero border (the padded plane form, or the GEMM tile on the
+// GEMM-eligible geometry; both declare scratch), while a -0 bias or an
+// Inf or NaN tap on a border position bind the clipped loop (no
+// scratch) — and every variant still matches the interpreter bit for
+// bit, NaN and Inf inputs included.
 func TestConvPlanePredicateSides(t *testing.T) {
-	base := convCase{inH: 9, inW: 7, kh: 3, kw: 5, sh: 2, sw: 2, ph: 1, pw: 2, groups: 3, icPerG: 1, batch: 3, seed: 5}
-	for _, v := range []struct {
-		name   string
-		mutate func(w, bias *tensor.Tensor)
-		padded bool
+	for _, base := range []struct {
+		prefix string
+		c      convCase
 	}{
-		{"ordinary", func(w, bias *tensor.Tensor) {}, true},
-		{"zero bias", func(w, bias *tensor.Tensor) { bias.F32[1] = 0 }, true},
-		{"negative-zero bias", func(w, bias *tensor.Tensor) { bias.F32[1] = float32(math.Copysign(0, -1)) }, false},
-		{"inf tap", func(w, bias *tensor.Tensor) { w.F32[4] = float32(math.Inf(-1)) }, false},
-		{"nan tap", func(w, bias *tensor.Tensor) { w.F32[7] = f32Specials[0] }, false},
+		{"", convCase{inH: 9, inW: 7, kh: 3, kw: 5, sh: 2, sw: 2, ph: 1, pw: 2, groups: 3, icPerG: 1, batch: 3, seed: 5}},
+		{"gemm ", convCase{inH: 9, inW: 7, kh: 3, kw: 3, sh: 1, sw: 1, ph: 1, pw: 1, groups: 1, icPerG: 8, batch: 2, seed: 5}},
 	} {
-		t.Run(v.name, func(t *testing.T) {
-			g, in := base.graph(f32Specials)
-			n := g.Node("conv")
-			v.mutate(n.Weight(nn.WeightKey), n.Weight(nn.BiasKey))
-			outH := (base.inH+2*base.ph-base.kh)/base.sh + 1
-			outW := (base.inW+2*base.pw-base.kw)/base.sw + 1
-			_, spec, err := bindConv(n, tensor.Shape{3, base.inH, base.inW}, tensor.Shape{n.Attrs.OutC, outH, outW}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := spec.f32 > 0; got != v.padded {
-				t.Errorf("padded form bound = %v, want %v", got, v.padded)
-			}
-			checkConvF32(t, base, g, in)
-		})
+		c := base.c
+		for _, v := range []struct {
+			name   string
+			mutate func(w, bias *tensor.Tensor)
+			padded bool
+		}{
+			{"ordinary", func(w, bias *tensor.Tensor) {}, true},
+			{"zero bias", func(w, bias *tensor.Tensor) { bias.F32[0] = 0 }, true},
+			{"negative-zero bias", func(w, bias *tensor.Tensor) { bias.F32[0] = float32(math.Copysign(0, -1)) }, false},
+			{"inf tap", func(w, bias *tensor.Tensor) { w.F32[0] = float32(math.Inf(-1)) }, false},
+			{"nan tap", func(w, bias *tensor.Tensor) { w.F32[len(w.F32)-1] = f32Specials[0] }, false},
+		} {
+			t.Run(base.prefix+v.name, func(t *testing.T) {
+				g, in := c.graph(f32Specials)
+				n := g.Node("conv")
+				v.mutate(n.Weight(nn.WeightKey), n.Weight(nn.BiasKey))
+				outH := (c.inH+2*c.ph-c.kh)/c.sh + 1
+				outW := (c.inW+2*c.pw-c.kw)/c.sw + 1
+				_, spec, err := bindConv(n, tensor.Shape{c.groups * c.icPerG, c.inH, c.inW}, tensor.Shape{n.Attrs.OutC, outH, outW}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := spec.f32 > 0; got != v.padded {
+					t.Errorf("zero-border form bound = %v, want %v", got, v.padded)
+				}
+				checkConvF32(t, c, g, in)
+			})
+		}
 	}
 }
 

@@ -325,16 +325,3 @@ func TestCPUBackendInterface(t *testing.T) {
 		t.Errorf("softmax output sums to %v", sum)
 	}
 }
-
-func TestCompileRestoresOutShapes(t *testing.T) {
-	// Compile must not clobber shapes a caller inferred for a different
-	// batch size (see TestEndToEndMobileNetBlockShapes).
-	g := nn.GestureNet(32, 4, nn.BuildOptions{Weights: true, Seed: 20})
-	if err := g.InferShapes(2); err != nil {
-		t.Fatal(err)
-	}
-	mustCompile(t, g)
-	if got := g.Node(g.Outputs[0]).OutShape[0]; got != 2 {
-		t.Errorf("Compile clobbered OutShape batch: got %d, want 2", got)
-	}
-}

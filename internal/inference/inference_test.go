@@ -331,11 +331,8 @@ func TestEndToEndLeNet(t *testing.T) {
 
 func TestEndToEndMobileNetBlockShapes(t *testing.T) {
 	// A small but complete CNN with SE block runs end to end and matches
-	// inferred shapes.
+	// the interpreter's shapes and the graph's statistics.
 	g := nn.GestureNet(32, 4, nn.BuildOptions{Weights: true, Seed: 5})
-	if err := g.InferShapes(2); err != nil {
-		t.Fatal(err)
-	}
 	r, err := Compile(g)
 	if err != nil {
 		t.Fatal(err)
@@ -345,15 +342,36 @@ func TestEndToEndMobileNetBlockShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantShape := g.Node(g.Outputs[0]).OutShape
-	if !out.Shape.Equal(wantShape) {
-		t.Errorf("runtime shape %v != inferred %v", out.Shape, wantShape)
+	ref, err := mustInterp(t, g).RunSingle(in)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if !out.Shape.Equal(ref.Shape) {
+		t.Errorf("runtime shape %v != interpreter %v", out.Shape, ref.Shape)
+	}
+	if want := statsFloats(t, g, 2)[g.Outputs[0]]; int64(out.NumElements()) != want {
+		t.Errorf("runtime output holds %d floats, Stats(2) counts %d", out.NumElements(), want)
+	}
+}
+
+// statsFloats maps each node of g to its output's element count in
+// g.Stats(batch).
+func statsFloats(t *testing.T, g *nn.Graph, batch int) map[string]int64 {
+	t.Helper()
+	st, err := g.Stats(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	floats := make(map[string]int64, len(st.Nodes))
+	for _, ns := range st.Nodes {
+		floats[ns.Name] = ns.ActivationBytes / 4
+	}
+	return floats
 }
 
 func TestRuntimeShapesMatchInference(t *testing.T) {
 	// Property: for every model in the small zoo, executing the graph
-	// yields exactly the shapes the static inference predicted.
+	// yields the interpreter's shapes and the sizes its statistics count.
 	models := []*nn.Graph{
 		nn.LeNet(28, 10, nn.BuildOptions{Weights: true}),
 		nn.MotorNet(128, 5, nn.BuildOptions{Weights: true}),
@@ -361,26 +379,30 @@ func TestRuntimeShapesMatchInference(t *testing.T) {
 		nn.FaceEmbedNet(32, 16, nn.BuildOptions{Weights: true}),
 	}
 	for _, g := range models {
-		if err := g.InferShapes(1); err != nil {
-			t.Fatalf("%s: %v", g.Name, err)
-		}
 		r, err := Compile(g)
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
 		}
-		inNode := g.Node(g.Inputs[0])
-		in := tensor.New(tensor.FP32, inNode.OutShape...)
+		in := tensor.New(tensor.FP32, append(tensor.Shape{1}, g.Node(g.Inputs[0]).Attrs.Shape...)...)
 		for i := range in.F32 {
 			in.F32[i] = float32(i%13)/13 - 0.5
 		}
-		outs, err := r.Run(map[string]*tensor.Tensor{g.Inputs[0]: in})
+		ins := map[string]*tensor.Tensor{g.Inputs[0]: in}
+		outs, err := r.Run(ins)
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
 		}
+		refs, err := mustInterp(t, g).Run(ins)
+		if err != nil {
+			t.Fatalf("%s: %v", g.Name, err)
+		}
+		floats := statsFloats(t, g, 1)
 		for name, out := range outs {
-			want := g.Node(name).OutShape
-			if !out.Shape.Equal(want) {
-				t.Errorf("%s/%s: runtime %v != inferred %v", g.Name, name, out.Shape, want)
+			if want := refs[name].Shape; !out.Shape.Equal(want) {
+				t.Errorf("%s/%s: runtime %v != interpreter %v", g.Name, name, out.Shape, want)
+			}
+			if int64(out.NumElements()) != floats[name] {
+				t.Errorf("%s/%s: runtime holds %d floats, Stats(1) counts %d", g.Name, name, out.NumElements(), floats[name])
 			}
 		}
 	}

@@ -129,9 +129,7 @@ func Lower(g *nn.Graph, cfg Config, captureDumps bool) (*Module, []PassRecord, e
 // ---------------------------------------------------------------------------
 
 // ShapeInference computes every value's static per-sample shape via the
-// shared nn.InferShape rule. Unlike the historical compilers it never
-// touches the source graph's OutShape fields, so no snapshot/restore
-// dance is needed.
+// shared nn.InferShape rule.
 type ShapeInference struct{}
 
 // Name implements Pass.

@@ -576,8 +576,10 @@ func bindConv(n *nn.Node, in, out tensor.Shape, ep *epilogue) (kernelFunc[float3
 	// GEMM micro-kernels (gemmconv.go): register-blocked tiles with the
 	// im2col gather fused into the per-tile B pack. Shallow reductions
 	// (depthwise above all) take the direct plane form below, which
-	// streams the input exactly once.
-	if convGemmEligible(g) {
+	// streams the input exactly once. A padded tile holds zeros for the
+	// border taps, so a padded conv takes it only where that is exact
+	// (convPadExact) and otherwise the clipped loop.
+	if convGemmEligible(g) && (g.ph == 0 && g.pw == 0 || convPadExact(weightValues(w), bias)) {
 		kern, spec := bindConvGemm(g, w, bias, ep)
 		return kern, spec, nil
 	}
@@ -587,7 +589,8 @@ func bindConv(n *nn.Node, in, out tensor.Shape, ep *epilogue) (kernelFunc[float3
 	// input planes are the tap windows as they lie. Otherwise the padded
 	// plane form (convPad) applies when a zero border is bitwise
 	// invisible for these weights; a non-finite tap or a -0 bias keeps
-	// the clipped loop.
+	// the clipped loop, which also takes the padded GEMM convs the check
+	// above refuses.
 	pointwise := g.pointwise()
 	var pd *convPad
 	var spec scratchSpec

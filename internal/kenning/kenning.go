@@ -54,9 +54,6 @@ func RunPipeline(g *nn.Graph, cfg PipelineConfig) (PipelineReport, error) {
 		return rep, err
 	}
 	rep.AppliedPasses = applied
-	if err := g.InferShapes(1); err != nil {
-		return rep, err
-	}
 	if cfg.Prune > 0 {
 		pr, err := optimize.MagnitudePrune(g, cfg.Prune)
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"vedliot/internal/inference"
@@ -74,8 +75,9 @@ type Server struct {
 	lifeMu sync.RWMutex
 	closed bool
 
-	statsMu sync.Mutex
-	stats   ServeStats
+	requests  atomic.Int64
+	batches   atomic.Int64
+	cancelled atomic.Int64
 }
 
 // submission is one queued Submit.
@@ -189,9 +191,7 @@ func (s *Server) Close() {
 
 // Stats returns cumulative serving telemetry.
 func (s *Server) Stats() ServeStats {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	return s.stats
+	return ServeStats{Requests: s.requests.Load(), Batches: s.batches.Load(), Cancelled: s.cancelled.Load()}
 }
 
 func (s *Server) dispatch() {
@@ -236,9 +236,7 @@ func (s *Server) run(sub submission) {
 	live, rows := sub.reqs[:0], 0 // filtered in place: the server owns it
 	for _, q := range sub.reqs {
 		if err := q.Ctx.Err(); err != nil {
-			s.statsMu.Lock()
-			s.stats.Cancelled++
-			s.statsMu.Unlock()
+			s.cancelled.Add(1)
 			q.Done(nil, err)
 			continue
 		}
@@ -253,10 +251,8 @@ func (s *Server) run(sub submission) {
 	service := time.Since(start)
 	// Counted before the completions run: a caller holding its result
 	// already sees itself in Stats.
-	s.statsMu.Lock()
-	s.stats.Requests += int64(len(live))
-	s.stats.Batches++
-	s.statsMu.Unlock()
+	s.requests.Add(int64(len(live)))
+	s.batches.Add(1)
 	if wait := sub.due.Sub(start.Add(service)); err == nil && wait > 0 {
 		time.AfterFunc(wait, func() { complete(sub, live, outs, service, rows, nil) })
 		return

@@ -125,10 +125,6 @@ type Node struct {
 	Inputs  []string
 	Attrs   Attrs
 	Weights map[string]*tensor.Tensor
-
-	// OutShape is the inferred output shape including the batch
-	// dimension; populated by Graph.InferShapes.
-	OutShape tensor.Shape
 }
 
 // Weight returns the named weight tensor or nil.
@@ -361,11 +357,10 @@ func (g *Graph) Clone() *Graph {
 	c.Outputs = append([]string(nil), g.Outputs...)
 	for _, n := range g.Nodes {
 		cn := &Node{
-			Name:     n.Name,
-			Op:       n.Op,
-			Inputs:   append([]string(nil), n.Inputs...),
-			Attrs:    n.Attrs,
-			OutShape: n.OutShape.Clone(),
+			Name:   n.Name,
+			Op:     n.Op,
+			Inputs: append([]string(nil), n.Inputs...),
+			Attrs:  n.Attrs,
 		}
 		cn.Attrs.Shape = append([]int(nil), n.Attrs.Shape...)
 		if n.Weights != nil {

@@ -146,13 +146,21 @@ func TestShapeInferenceConv(t *testing.T) {
 	in := b.Input("in", 3, 224, 224)
 	c := b.ConvNB(in, 3, 64, 7, 2, 3)
 	g := b.Graph(c)
-	if err := g.InferShapes(2); err != nil {
+	shapes := shapesOf(t, g, 2)
+	want := tensor.Shape{2, 64, 112, 112}
+	if got := shapes[g.Node(c)]; !got.Equal(want) {
+		t.Errorf("conv shape = %v, want %v", got, want)
+	}
+}
+
+// shapesOf is g.shapesAt's shape table, failing t on an error.
+func shapesOf(t *testing.T, g *Graph, batch int) map[*Node]tensor.Shape {
+	t.Helper()
+	_, shapes, err := g.shapesAt(batch)
+	if err != nil {
 		t.Fatal(err)
 	}
-	want := tensor.Shape{2, 64, 112, 112}
-	if !g.Node(c).OutShape.Equal(want) {
-		t.Errorf("conv shape = %v, want %v", g.Node(c).OutShape, want)
-	}
+	return shapes
 }
 
 func TestShapeInferencePoolFlattenDense(t *testing.T) {
@@ -163,17 +171,15 @@ func TestShapeInferencePoolFlattenDense(t *testing.T) {
 	d := b.Dense(f, 8*8*8, 10)
 	s := b.Softmax(d)
 	g := b.Graph(s)
-	if err := g.InferShapes(1); err != nil {
-		t.Fatal(err)
+	shapes := shapesOf(t, g, 1)
+	if got := shapes[g.Node(p)]; !got.Equal(tensor.Shape{1, 8, 8, 8}) {
+		t.Errorf("pool shape = %v", got)
 	}
-	if !g.Node(p).OutShape.Equal(tensor.Shape{1, 8, 8, 8}) {
-		t.Errorf("pool shape = %v", g.Node(p).OutShape)
+	if got := shapes[g.Node(f)]; !got.Equal(tensor.Shape{1, 512}) {
+		t.Errorf("flatten shape = %v", got)
 	}
-	if !g.Node(f).OutShape.Equal(tensor.Shape{1, 512}) {
-		t.Errorf("flatten shape = %v", g.Node(f).OutShape)
-	}
-	if !g.Node(s).OutShape.Equal(tensor.Shape{1, 10}) {
-		t.Errorf("softmax shape = %v", g.Node(s).OutShape)
+	if got := shapes[g.Node(s)]; !got.Equal(tensor.Shape{1, 10}) {
+		t.Errorf("softmax shape = %v", got)
 	}
 }
 
@@ -182,11 +188,8 @@ func TestShapeInferenceConcatUpsample(t *testing.T) {
 	in := b.Input("in", 4, 8, 8)
 	u := b.Upsample(in, 2)
 	g := b.Graph(u)
-	if err := g.InferShapes(1); err != nil {
-		t.Fatal(err)
-	}
-	if !g.Node(u).OutShape.Equal(tensor.Shape{1, 4, 16, 16}) {
-		t.Errorf("upsample shape = %v", g.Node(u).OutShape)
+	if got := shapesOf(t, g, 1)[g.Node(u)]; !got.Equal(tensor.Shape{1, 4, 16, 16}) {
+		t.Errorf("upsample shape = %v", got)
 	}
 
 	b2 := NewBuilder("t2", BuildOptions{})
@@ -195,18 +198,15 @@ func TestShapeInferenceConcatUpsample(t *testing.T) {
 	c2 := b2.ConvNB(in2, 4, 10, 3, 1, 1)
 	cat := b2.Concat(c1, c2)
 	g2 := b2.Graph(cat)
-	if err := g2.InferShapes(1); err != nil {
-		t.Fatal(err)
-	}
-	if !g2.Node(cat).OutShape.Equal(tensor.Shape{1, 16, 8, 8}) {
-		t.Errorf("concat shape = %v", g2.Node(cat).OutShape)
+	if got := shapesOf(t, g2, 1)[g2.Node(cat)]; !got.Equal(tensor.Shape{1, 16, 8, 8}) {
+		t.Errorf("concat shape = %v", got)
 	}
 }
 
 func TestShapeInferenceErrors(t *testing.T) {
 	// Batch must be positive.
 	g := LeNet(28, 10, BuildOptions{})
-	if err := g.InferShapes(0); err == nil {
+	if _, _, err := g.shapesAt(0); err == nil {
 		t.Error("accepted batch 0")
 	}
 
@@ -215,7 +215,7 @@ func TestShapeInferenceErrors(t *testing.T) {
 	in := b.Input("in", 3, 4, 4)
 	c := b.ConvNB(in, 3, 8, 7, 1, 0) // 7x7 kernel on 4x4 input, no pad
 	bg := b.Graph(c)
-	if err := bg.InferShapes(1); err == nil {
+	if _, _, err := bg.shapesAt(1); err == nil {
 		t.Error("accepted collapsing conv")
 	}
 
@@ -224,7 +224,7 @@ func TestShapeInferenceErrors(t *testing.T) {
 	in2 := b2.Input("in", 3, 4, 4)
 	d := b2.Dense(in2, 48, 10)
 	bg2 := b2.Graph(d)
-	if err := bg2.InferShapes(1); err == nil {
+	if _, _, err := bg2.shapesAt(1); err == nil {
 		t.Error("dense accepted rank-4 input")
 	}
 
@@ -234,7 +234,7 @@ func TestShapeInferenceErrors(t *testing.T) {
 	y := b3.Input("y", 5, 4, 4)
 	a := b3.Add(x, y)
 	bg3 := b3.Graph(a)
-	if err := bg3.InferShapes(1); err == nil {
+	if _, _, err := bg3.shapesAt(1); err == nil {
 		t.Error("add accepted mismatched channels")
 	}
 }
@@ -245,11 +245,8 @@ func TestSEBroadcastShape(t *testing.T) {
 	s := b.GlobalAvgPool(in)
 	m := b.Mul(in, s)
 	g := b.Graph(m)
-	if err := g.InferShapes(1); err != nil {
-		t.Fatalf("SE-style broadcast rejected: %v", err)
-	}
-	if !g.Node(m).OutShape.Equal(tensor.Shape{1, 8, 6, 6}) {
-		t.Errorf("mul shape = %v", g.Node(m).OutShape)
+	if got := shapesOf(t, g, 1)[g.Node(m)]; !got.Equal(tensor.Shape{1, 8, 6, 6}) {
+		t.Errorf("mul shape = %v", got)
 	}
 }
 
@@ -259,10 +256,7 @@ func TestStatsHandComputed(t *testing.T) {
 	in := b.Input("in", 2, 8, 8)
 	c := b.ConvNB(in, 2, 4, 3, 1, 1)
 	g := b.Graph(c)
-	if err := g.InferShapes(1); err != nil {
-		t.Fatal(err)
-	}
-	s, err := g.Stats()
+	s, err := g.Stats(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,10 +277,7 @@ func TestStatsDenseWithBias(t *testing.T) {
 	in := b.Input("in", 10)
 	d := b.Dense(in, 10, 5)
 	g := b.Graph(d)
-	if err := g.InferShapes(3); err != nil {
-		t.Fatal(err)
-	}
-	s, err := g.Stats()
+	s, err := g.Stats(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,15 +315,12 @@ func TestPhantomParamsMatchMaterialized(t *testing.T) {
 			if err := g.Validate(); err != nil {
 				t.Fatalf("%s: %v", m.name, err)
 			}
-			if err := g.InferShapes(1); err != nil {
-				t.Fatalf("%s: %v", m.name, err)
-			}
 		}
-		ps, err := phantom.Stats()
+		ps, err := phantom.Stats(1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := real.Stats()
+		rs, err := real.Stats(1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -367,10 +355,7 @@ func TestModelZooKnownCounts(t *testing.T) {
 		if err := c.g.Validate(); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if err := c.g.InferShapes(1); err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		s, err := c.g.Stats()
+		s, err := c.g.Stats(1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -410,20 +395,10 @@ func TestWeightBytesAndSummary(t *testing.T) {
 	if g.WeightBytes() != g.NumParams()*4 {
 		t.Errorf("WeightBytes = %d, want %d", g.WeightBytes(), g.NumParams()*4)
 	}
-	if err := g.InferShapes(1); err != nil {
-		t.Fatal(err)
-	}
-	s, _ := g.Stats()
+	s, _ := g.Stats(1)
 	sum := s.Summary(5)
 	if !strings.Contains(sum, "TOTAL") || !strings.Contains(sum, "more rows") {
 		t.Errorf("Summary missing sections:\n%s", sum)
-	}
-}
-
-func TestStatsRequiresShapes(t *testing.T) {
-	g := LeNet(28, 10, BuildOptions{})
-	if _, err := g.Stats(); err == nil {
-		t.Error("Stats succeeded without InferShapes")
 	}
 }
 

@@ -110,11 +110,11 @@ func SyntheticInput(g *Graph, batch, seed int) (map[string]*tensor.Tensor, error
 	if len(g.Inputs) != 1 {
 		return nil, fmt.Errorf("nn: synthetic input wants 1 declared input, graph %q has %d", g.Name, len(g.Inputs))
 	}
-	if err := g.InferShapes(1); err != nil {
-		return nil, err
+	shape := append(tensor.Shape{batch}, g.Node(g.Inputs[0]).Attrs.Shape...)
+	if len(shape) == 1 || !shape.Valid() {
+		return nil, fmt.Errorf("nn: synthetic input of graph %q: invalid shape %v", g.Name, shape)
 	}
-	per := g.Node(g.Inputs[0]).OutShape[1:]
-	in := tensor.New(tensor.FP32, append(tensor.Shape{batch}, per...)...)
+	in := tensor.New(tensor.FP32, shape...)
 	for i := range in.F32 {
 		in.F32[i] = float32((i*7+seed*13)%23)/23 - 0.5
 	}

@@ -6,21 +6,9 @@ import (
 	"vedliot/internal/tensor"
 )
 
-// InferShapes computes OutShape for every node given a batch size.
-// Activation layout is NCHW; dense layers produce [N, features].
-func (g *Graph) InferShapes(batch int) error {
-	order, shapes, err := g.shapesAt(batch)
-	if err != nil {
-		return err
-	}
-	for _, n := range order {
-		n.OutShape = shapes[n]
-	}
-	return nil
-}
-
 // shapesAt computes every node's output shape at a batch size without
 // writing to the graph: the topological order and a shape per node.
+// Activation layout is NCHW; dense layers produce [N, features].
 func (g *Graph) shapesAt(batch int) ([]*Node, map[*Node]tensor.Shape, error) {
 	if batch <= 0 {
 		return nil, nil, fmt.Errorf("nn: batch must be positive, got %d", batch)
@@ -65,26 +53,6 @@ func (g *Graph) inferNode(n *Node, batch int, shapes map[*Node]tensor.Shape) (te
 	return InferShape(n.Op, n.Attrs, n.Weights, ins)
 }
 
-// shapeFunc reads a node's inferred output shape: Node.OutShape after
-// InferShapes, or a table computed apart from the graph.
-type shapeFunc func(*Node) tensor.Shape
-
-// inShape returns the inferred shape of node input i (stats accounting
-// reads input geometry).
-func (g *Graph) inShape(n *Node, i int, shapeOf shapeFunc) (tensor.Shape, error) {
-	if i >= len(n.Inputs) {
-		return nil, fmt.Errorf("missing input %d", i)
-	}
-	in := g.byName[n.Inputs[i]]
-	if in == nil {
-		return nil, fmt.Errorf("unknown input %q", n.Inputs[i])
-	}
-	if len(shapeOf(in)) == 0 {
-		return nil, fmt.Errorf("input %q has no inferred shape", in.Name)
-	}
-	return shapeOf(in), nil
-}
-
 func convOut(in, k, pad, stride int) int {
 	return (in+2*pad-k)/stride + 1
 }
@@ -92,8 +60,7 @@ func convOut(in, k, pad, stride int) int {
 // InferShape computes the output shape of one operator application from
 // its input shapes (batch dimension included) and attributes, validating
 // weight shapes when weights are materialized. It is the single shape
-// rule shared by Graph.InferShapes and the lowering IR's shape-inference
-// pass, which runs it over per-sample shapes without mutating any graph.
+// rule shared by Graph.Stats and the lowering IR's shape-inference pass.
 // OpInput has no input shapes and is handled by the callers.
 func InferShape(op OpType, a Attrs, weights map[string]*tensor.Tensor, ins []tensor.Shape) (tensor.Shape, error) {
 	in0 := func() (tensor.Shape, error) {

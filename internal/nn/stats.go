@@ -42,40 +42,17 @@ func (s GraphStats) GMACs() float64 { return float64(s.MACs) / 1e9 }
 // (operations, counting multiply and add separately).
 func (s GraphStats) GOPs() float64 { return float64(s.Ops) / 1e9 }
 
-// Stats computes per-node and aggregate statistics. InferShapes must have
-// been called first (the same batch size is implied by the shapes).
-func (g *Graph) Stats() (GraphStats, error) {
-	order, err := g.TopoSort()
-	if err != nil {
-		return GraphStats{}, err
-	}
-	return g.stats(order, func(n *Node) tensor.Shape { return n.OutShape })
-}
-
-// StatsAt is Stats at the given batch size over shapes it infers apart
-// from the graph: it neither needs InferShapes nor writes an OutShape,
-// so it is safe on a graph other goroutines are reading.
-func (g *Graph) StatsAt(batch int) (GraphStats, error) {
+// Stats computes per-node and aggregate statistics at a batch size over
+// shapes it infers per call: it writes nothing to the graph, so it is
+// safe on a graph other goroutines are reading.
+func (g *Graph) Stats(batch int) (GraphStats, error) {
 	order, shapes, err := g.shapesAt(batch)
 	if err != nil {
 		return GraphStats{}, err
 	}
-	return g.stats(order, func(n *Node) tensor.Shape { return shapes[n] })
-}
-
-func (g *Graph) stats(order []*Node, shapeOf shapeFunc) (GraphStats, error) {
-	var gs GraphStats
-	if len(order) > 0 && len(shapeOf(order[0])) > 0 {
-		gs.Batch = shapeOf(order[0])[0]
-	}
+	gs := GraphStats{Batch: batch}
 	for _, n := range order {
-		if len(shapeOf(n)) == 0 {
-			return GraphStats{}, fmt.Errorf("nn: node %q has no inferred shape; call InferShapes first", n.Name)
-		}
-		ns, err := g.nodeStats(n, shapeOf)
-		if err != nil {
-			return GraphStats{}, err
-		}
+		ns := g.nodeStats(n, shapes)
 		gs.Nodes = append(gs.Nodes, ns)
 		gs.MACs += ns.MACs
 		gs.Ops += ns.Ops
@@ -89,9 +66,14 @@ func (g *Graph) stats(order []*Node, shapeOf shapeFunc) (GraphStats, error) {
 	return gs, nil
 }
 
-func (g *Graph) nodeStats(n *Node, shapeOf shapeFunc) (NodeStats, error) {
-	out := shapeOf(n)
-	outEl := int64(out.NumElements())
+// nodeStats reads n's output shape and its first input's from shapes,
+// which shapesAt has filled and checked for every node.
+func (g *Graph) nodeStats(n *Node, shapes map[*Node]tensor.Shape) NodeStats {
+	outEl := int64(shapes[n].NumElements())
+	var in tensor.Shape
+	if len(n.Inputs) > 0 {
+		in = shapes[g.byName[n.Inputs[0]]]
+	}
 	ns := NodeStats{
 		Name:            n.Name,
 		Op:              n.Op,
@@ -105,16 +87,12 @@ func (g *Graph) nodeStats(n *Node, shapeOf shapeFunc) (NodeStats, error) {
 	} else {
 		// Weights not materialized: derive the count from attributes
 		// (FP32 storage assumed).
-		ns.Params = g.phantomParams(n, shapeOf)
+		ns.Params = phantomParams(n, in)
 		ns.WeightBytes = ns.Params * 4
 	}
 	a := n.Attrs
 	switch n.Op {
 	case OpConv, OpDepthwiseConv:
-		in, err := g.inShape(n, 0, shapeOf)
-		if err != nil {
-			return ns, err
-		}
 		groups := int64(a.Groups)
 		if groups <= 0 {
 			groups = 1
@@ -129,10 +107,6 @@ func (g *Graph) nodeStats(n *Node, shapeOf shapeFunc) (NodeStats, error) {
 			ns.Ops += outEl
 		}
 	case OpDense:
-		in, err := g.inShape(n, 0, shapeOf)
-		if err != nil {
-			return ns, err
-		}
 		ns.MACs = outEl * int64(in[1])
 		ns.Ops = 2 * ns.MACs
 		if n.Weight(BiasKey) != nil {
@@ -145,10 +119,6 @@ func (g *Graph) nodeStats(n *Node, shapeOf shapeFunc) (NodeStats, error) {
 	case OpMaxPool, OpAvgPool:
 		ns.Ops = outEl * int64(a.KernelH) * int64(a.KernelW)
 	case OpGlobalAvgPool:
-		in, err := g.inShape(n, 0, shapeOf)
-		if err != nil {
-			return ns, err
-		}
 		ns.Ops = int64(in.NumElements())
 	case OpAdd, OpMul:
 		ns.Ops = outEl * int64(len(n.Inputs)-1)
@@ -162,19 +132,16 @@ func (g *Graph) nodeStats(n *Node, shapeOf shapeFunc) (NodeStats, error) {
 		const opsPerElement = 4
 		ns.Ops = opsPerElement * outEl
 	}
-	return ns, nil
+	return ns
 }
 
 // phantomParams derives the parameter count of a weight-less node from
-// its attributes, matching what materialization would allocate.
-func (g *Graph) phantomParams(n *Node, shapeOf shapeFunc) int64 {
+// its attributes and input shape, matching what materialization would
+// allocate.
+func phantomParams(n *Node, in tensor.Shape) int64 {
 	a := n.Attrs
 	switch n.Op {
 	case OpConv, OpDepthwiseConv:
-		in, err := g.inShape(n, 0, shapeOf)
-		if err != nil {
-			return 0
-		}
 		groups := int64(a.Groups)
 		if groups <= 0 {
 			groups = 1
@@ -192,20 +159,12 @@ func (g *Graph) phantomParams(n *Node, shapeOf shapeFunc) int64 {
 		}
 		return p
 	case OpDense:
-		in, err := g.inShape(n, 0, shapeOf)
-		if err != nil {
-			return 0
-		}
 		p := int64(a.OutC) * int64(in[1])
 		if a.Bias {
 			p += int64(a.OutC)
 		}
 		return p
 	case OpBatchNorm:
-		in, err := g.inShape(n, 0, shapeOf)
-		if err != nil {
-			return 0
-		}
 		return 4 * int64(in[1]) // gamma, beta, mean, var
 	}
 	return 0

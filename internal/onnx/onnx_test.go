@@ -59,9 +59,18 @@ func TestRoundTripPreservesStructure(t *testing.T) {
 			}
 		}
 	}
-	// Outputs and behaviour: identical shapes after inference.
-	if err := back.InferShapes(1); err != nil {
+	// Outputs and behaviour: identical statistics.
+	want, err := g.Stats(1)
+	if err != nil {
 		t.Fatal(err)
+	}
+	got, err := back.Stats(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.MACs != want.MACs || got.Params != want.Params || got.TotalActivationBytes != want.TotalActivationBytes {
+		t.Errorf("decoded stats %d MACs / %d params / %d activation bytes, want %d / %d / %d",
+			got.MACs, got.Params, got.TotalActivationBytes, want.MACs, want.Params, want.TotalActivationBytes)
 	}
 }
 
@@ -138,9 +147,6 @@ func TestRoundTripExecutableEquivalence(t *testing.T) {
 
 	runOn := func(m *nn.Graph) []float32 {
 		t.Helper()
-		if err := m.InferShapes(1); err != nil {
-			t.Fatal(err)
-		}
 		r, err := inference.Compile(m)
 		if err != nil {
 			t.Fatal(err)

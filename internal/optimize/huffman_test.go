@@ -162,9 +162,6 @@ func TestDeepCompressEndToEnd(t *testing.T) {
 	// LeNet-300-100 (the Deep Compression headline subject): pruning to
 	// 90% + 6-bit clustering + Huffman should yield a ~25-50x ratio.
 	g := nn.MLP("lenet-300-100", []int{784, 300, 100, 10}, nn.BuildOptions{Weights: true, Seed: 21})
-	if err := g.InferShapes(1); err != nil {
-		t.Fatal(err)
-	}
 	rep, err := DeepCompress(g, DeepCompressConfig{Sparsity: 0.92, ClusterBits: 6})
 	if err != nil {
 		t.Fatal(err)
@@ -188,12 +185,6 @@ func TestDeepCompressEndToEnd(t *testing.T) {
 func TestSparseEncodedBytesShrinksWithSparsity(t *testing.T) {
 	g1 := nn.LeNet(28, 10, nn.BuildOptions{Weights: true, Seed: 3})
 	g2 := g1.Clone()
-	if err := g1.InferShapes(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := g2.InferShapes(1); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := MagnitudePrune(g1, 0.5); err != nil {
 		t.Fatal(err)
 	}

@@ -167,9 +167,6 @@ func TestPipelineConverges(t *testing.T) {
 
 func TestMagnitudePruneReachesTarget(t *testing.T) {
 	g := nn.LeNet(28, 10, nn.BuildOptions{Weights: true, Seed: 4})
-	if err := g.InferShapes(1); err != nil {
-		t.Fatal(err)
-	}
 	rep, err := MagnitudePrune(g, 0.9)
 	if err != nil {
 		t.Fatal(err)
@@ -186,9 +183,6 @@ func TestMagnitudePruneReachesTarget(t *testing.T) {
 
 func TestMagnitudePruneValidation(t *testing.T) {
 	g := nn.LeNet(28, 10, nn.BuildOptions{Weights: true})
-	if err := g.InferShapes(1); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := MagnitudePrune(g, 1.0); err == nil {
 		t.Error("accepted sparsity 1.0")
 	}
@@ -207,9 +201,6 @@ func TestMagnitudePruneValidation(t *testing.T) {
 
 func TestChannelPrune(t *testing.T) {
 	g := nn.LeNet(28, 10, nn.BuildOptions{Weights: true, Seed: 8})
-	if err := g.InferShapes(1); err != nil {
-		t.Fatal(err)
-	}
 	rep, err := ChannelPrune(g, 0.5)
 	if err != nil {
 		t.Fatal(err)
@@ -350,9 +341,6 @@ func TestClusterWeights(t *testing.T) {
 
 func TestClusterPreservesZeros(t *testing.T) {
 	g := nn.LeNet(28, 10, nn.BuildOptions{Weights: true, Seed: 7})
-	if err := g.InferShapes(1); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := MagnitudePrune(g, 0.8); err != nil {
 		t.Fatal(err)
 	}

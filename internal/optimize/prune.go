@@ -80,7 +80,7 @@ func MagnitudePrune(g *nn.Graph, sparsity float64) (PruneReport, error) {
 		threshold = kthMagnitude(g, k)
 	}
 
-	stats, err := g.Stats()
+	stats, err := g.Stats(1)
 	if err != nil {
 		return rep, err
 	}
@@ -175,7 +175,7 @@ func ChannelPrune(g *nn.Graph, channelSparsity float64) (PruneReport, error) {
 		return PruneReport{}, fmt.Errorf("optimize: channel sparsity %v outside [0,1)", channelSparsity)
 	}
 	rep := PruneReport{PerLayer: make(map[string]float64)}
-	stats, err := g.Stats()
+	stats, err := g.Stats(1)
 	if err != nil {
 		return rep, err
 	}

@@ -103,11 +103,7 @@ func TestSNRGranularityOrdering(t *testing.T) {
 func TestQuantSchemaRoundTrip(t *testing.T) {
 	g := nn.GestureNet(16, 4, nn.BuildOptions{Weights: true, Seed: 17})
 	sample := func(seed int) map[string]*tensor.Tensor {
-		if err := g.InferShapes(1); err != nil {
-			t.Fatal(err)
-		}
-		per := g.Node(g.Inputs[0]).OutShape[1:]
-		in := tensor.New(tensor.FP32, append(tensor.Shape{2}, per...)...)
+		in := tensor.New(tensor.FP32, append(tensor.Shape{2}, g.Node(g.Inputs[0]).Attrs.Shape...)...)
 		for i := range in.F32 {
 			in.F32[i] = float32((i*5+seed*11)%19)/19 - 0.5
 		}
@@ -173,10 +169,7 @@ func TestQuantizeWeightsEmitsSchema(t *testing.T) {
 	if rep.Schema != nil {
 		t.Error("schema present without calibration samples")
 	}
-	if err := g.InferShapes(1); err != nil {
-		t.Fatal(err)
-	}
-	in := tensor.New(tensor.FP32, g.Node(g.Inputs[0]).OutShape...)
+	in := tensor.New(tensor.FP32, append(tensor.Shape{1}, g.Node(g.Inputs[0]).Attrs.Shape...)...)
 	for i := range in.F32 {
 		in.F32[i] = float32(i%17)/17 - 0.5
 	}

@@ -11,10 +11,7 @@ import (
 )
 
 func probeInputs(g *nn.Graph, n int) []map[string]*tensor.Tensor {
-	if err := g.InferShapes(1); err != nil {
-		panic(err)
-	}
-	shape := g.Node(g.Inputs[0]).OutShape
+	shape := append(tensor.Shape{1}, g.Node(g.Inputs[0]).Attrs.Shape...)
 	var probes []map[string]*tensor.Tensor
 	for p := 0; p < n; p++ {
 		in := tensor.New(tensor.FP32, shape...)

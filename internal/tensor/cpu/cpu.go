@@ -4,7 +4,7 @@
 // On amd64 the detector executes CPUID (and XGETBV, to confirm the OS
 // actually saves the wider register state) and reports SSE2, AVX2/FMA
 // and the AVX-512 subsets the kernels require (F, BW, VL); every
-// other GOARCH — and amd64 built with the purego or noasm tag — takes
+// other GOARCH — and amd64 built with the purego tag — takes
 // the portable fallback, which reports no SIMD and pins execution to
 // the generic tier. NEON on arm64 is detected (it is part of the
 // architectural baseline) but currently has no kernels behind it: the
@@ -31,7 +31,7 @@ type Tier int
 
 const (
 	// TierGeneric is the portable pure-Go kernel set, correct on every
-	// GOARCH and under the purego/noasm build tags.
+	// GOARCH and under the purego build tag.
 	TierGeneric Tier = iota
 	// TierSSE2 is the amd64 baseline 128-bit kernel set (SSE2 is
 	// architecturally guaranteed on amd64).
@@ -68,7 +68,7 @@ func (t Tier) String() string {
 // Tier.
 func ParseTier(s string) (Tier, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "generic", "purego", "noasm":
+	case "generic", "purego":
 		return TierGeneric, nil
 	case "sse2":
 		return TierSSE2, nil

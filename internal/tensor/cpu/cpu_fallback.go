@@ -1,11 +1,11 @@
-//go:build !amd64 || purego || noasm
+//go:build !amd64 || purego
 
 package cpu
 
 import "runtime"
 
 // Portable detection: without the CPUID probe (non-amd64, or amd64
-// built with purego/noasm) no amd64 SIMD kernels can run, so only the
+// built with purego) no amd64 SIMD kernels can run, so only the
 // architectural baselines that need no runtime check are reported.
 // NEON is baseline on arm64 and is reported even though no kernels sit
 // behind it yet — Summary then names the host correctly and the tier

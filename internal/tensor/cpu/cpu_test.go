@@ -29,7 +29,6 @@ func TestParseTier(t *testing.T) {
 	}{
 		{"generic", TierGeneric},
 		{"purego", TierGeneric},
-		{"noasm", TierGeneric},
 		{"sse2", TierSSE2},
 		{"AVX2", TierAVX2},
 		{" avx2 ", TierAVX2},

@@ -10,8 +10,8 @@ import (
 // The tests below compare each dispatched FP32 kernel with its
 // definition written out as a scalar loop, bit for bit. `make
 // test-portable` runs them under every VEDLIOT_CPU clamp and under the
-// noasm/purego tags, so the portable body and the AVX2 body are held to
-// the same bits.
+// purego tag, so the portable body and the AVX2 body are held to the
+// same bits.
 
 // oneNaN is the NaN every operand set uses: the one Inf-Inf and 0*Inf
 // produce. Which of two different NaN operands an add or a multiply

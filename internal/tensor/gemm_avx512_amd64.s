@@ -1,4 +1,4 @@
-//go:build amd64 && !purego && !noasm
+//go:build amd64 && !purego
 
 #include "textflag.h"
 

@@ -123,8 +123,8 @@ func TestPackQuadXorInt8(t *testing.T) {
 
 // The tests below compare each dispatched integer kernel with its
 // definition written out as a scalar loop. `make test-portable` runs
-// them under every VEDLIOT_CPU clamp and under the noasm/purego tags, so
-// every body of every tier is held to the same bits.
+// them under every VEDLIOT_CPU clamp and under the purego tag, so every
+// body of every tier is held to the same bits.
 
 func randCodes(rng *rand.Rand, n int) []int8 {
 	x := make([]int8, n)

@@ -275,10 +275,7 @@ func Accuracy(g *nn.Graph, samples []dataset.Sample) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := g.InferShapes(1); err != nil {
-		return 0, err
-	}
-	inShape := g.Node(g.Inputs[0]).OutShape
+	inShape := append(tensor.Shape{1}, g.Node(g.Inputs[0]).Attrs.Shape...)
 	correct := 0
 	for _, s := range samples {
 		in := tensor.New(tensor.FP32, inShape...)

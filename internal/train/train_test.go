@@ -64,9 +64,6 @@ func TestFreezeZerosKeepsSparsity(t *testing.T) {
 	if _, err := SGD(g, samples, Config{Epochs: 5, LR: 0.1, BatchSize: 16, Seed: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.InferShapes(1); err != nil {
-		t.Fatal(err)
-	}
 	rep, err := optimize.MagnitudePrune(g, 0.7)
 	if err != nil {
 		t.Fatal(err)
@@ -104,9 +101,6 @@ func TestPruneRetrainRecoversAccuracy(t *testing.T) {
 		t.Fatal(err)
 	}
 	accTrained, _ := Accuracy(g, testSet)
-	if err := g.InferShapes(1); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := optimize.MagnitudePrune(g, 0.9); err != nil {
 		t.Fatal(err)
 	}
