@@ -145,7 +145,7 @@ func main() {
 // calibration schema the INT8 pipeline (precision assignment, islands)
 // is shown; without one, the FP32 pipeline.
 func dumpLowering(g *nn.Graph, schema *nn.QuantSchema) error {
-	_, records, err := inference.Lower(g, schema, true)
+	_, records, err := ir.Lower(g, schema, true)
 	if err != nil {
 		return err
 	}

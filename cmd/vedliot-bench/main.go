@@ -21,7 +21,6 @@ import (
 	"path/filepath"
 
 	"vedliot/internal/bench"
-	"vedliot/internal/inference"
 	"vedliot/internal/inference/ir"
 	"vedliot/internal/nn"
 	"vedliot/internal/optimize"
@@ -115,7 +114,7 @@ func writeArtifact(dir, id string, rep *bench.Report) error {
 // tests pin.
 func dumpToolchainIR() error {
 	dump := func(g *nn.Graph, schema *nn.QuantSchema) error {
-		_, records, err := inference.Lower(g, schema, true)
+		_, records, err := ir.Lower(g, schema, true)
 		if err != nil {
 			return err
 		}
@@ -127,9 +126,7 @@ func dumpToolchainIR() error {
 		return err
 	}
 	g := nn.MobileNetEdge(64, 10, nn.BuildOptions{Weights: true, Seed: 3})
-	if _, err := optimize.Pipeline(g); err != nil {
-		return err
-	}
+	optimize.Pipeline(g)
 	samples, err := nn.SyntheticCalibration(g, 3)
 	if err != nil {
 		return err

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"vedliot/internal/inference"
+	"vedliot/internal/inference/ir"
 	"vedliot/internal/nn"
 	"vedliot/internal/tensor"
 	"vedliot/internal/zoo"
@@ -30,7 +31,7 @@ func EngineStudy() (*Report, error) {
 	// Lowering trace: the shared pass pipeline both compilers drive.
 	// Pass timings make compile-time regressions visible in the same
 	// artifact that gates run-time.
-	module, records, err := inference.Lower(g, nil, false)
+	module, records, err := ir.Lower(g, nil, false)
 	if err != nil {
 		return nil, err
 	}

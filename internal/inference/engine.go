@@ -116,15 +116,15 @@ type Engine struct {
 func (e *Engine) ArenaFloatsPerSample() int { return e.arenaPerSample }
 
 // Compile lowers a graph into an execution plan through the shared
-// lowering pipeline (see Lower and the ir package): the graph becomes a
-// typed IR, the pass pipeline rewrites it — folding constants, dropping
-// identity/dead nodes, merging common subexpressions and fusing
-// conv/dense/batch-norm with their activations — and the lowered module
+// lowering (ir.Lower): the graph becomes a typed IR, the lowering steps
+// rewrite it — folding constants, dropping identity/dead nodes, merging
+// common subexpressions and fusing conv/dense/batch-norm with their
+// activations — and the lowered module
 // is bound to FP32 kernels with weights dequantized at compile time,
 // then arena-planned by liveness. The batch dimension stays dynamic:
 // Run accepts any batch size. Compile never mutates the source graph.
 func Compile(g *nn.Graph) (*Engine, error) {
-	m, _, err := Lower(g, nil, false)
+	m, _, err := ir.Lower(g, nil, false)
 	if err != nil {
 		return nil, err
 	}

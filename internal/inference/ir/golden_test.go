@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"vedliot/internal/inference"
 	"vedliot/internal/inference/ir"
 	"vedliot/internal/nn"
 	"vedliot/internal/optimize"
@@ -28,7 +27,7 @@ var update = flag.Bool("update", false, "rewrite the golden IR dumps in testdata
 // deliberately excluded — the trace must be byte-stable.
 func pipelineDump(t *testing.T, g *nn.Graph, schema *nn.QuantSchema) string {
 	t.Helper()
-	_, recs, err := inference.Lower(g, schema, true)
+	_, recs, err := ir.Lower(g, schema, true)
 	if err != nil {
 		t.Fatalf("lower %s: %v", g.Name, err)
 	}

@@ -1,10 +1,11 @@
 // Package ir is the shared lowering intermediate representation of the
 // inference compilers: a typed, SSA-ish program built from an nn.Graph
-// plus an ordered pass pipeline that rewrites it before kernel binding.
+// plus one fixed list of steps (Lower) that rewrites it before kernel
+// binding.
 //
 // Both inference.Compile (FP32) and inference.CompileQuantized (native
-// INT8) drive the same pipeline — shape inference, constant folding,
-// identity and dead-node elimination, common-subexpression elimination,
+// INT8) call the same Lower — shape inference, identity and dead-node
+// elimination, common-subexpression elimination, constant folding,
 // producer+activation fusion and precision assignment — so every graph
 // rewrite lands once and retargets every backend, the role the paper's
 // common toolchain plays across heterogeneous accelerators. The module

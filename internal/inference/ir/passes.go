@@ -24,119 +24,78 @@ const (
 	FoldShiftKey = "fold.shift"
 )
 
-// Pass is one module-to-module rewrite of the lowering pipeline. Passes
-// must be deterministic: the same module always rewrites the same way.
-type Pass interface {
-	// Name identifies the pass in records and dumps.
-	Name() string
-	// Run rewrites m in place, reporting whether anything changed.
-	Run(m *Module) (changed bool, err error)
+// steps is the lowering in its one order. cse runs before
+// fold-constants on purpose: cseKey compares weight tensors by
+// identity, and folding materializes fresh per-op derived tensors that
+// would make otherwise-identical batch-norms never merge. A step
+// rewrites the module in place, reporting whether anything changed; it
+// must be deterministic. Only assign-precision reads the schema.
+var steps = [...]struct {
+	name string
+	run  func(m *Module, schema *nn.QuantSchema) (changed bool, err error)
+}{
+	{"shape-inference", inferShapes},
+	{"eliminate-identity", eliminateIdentity},
+	{"eliminate-dead", eliminateDead},
+	{"cse", eliminateCommon},
+	{"fold-constants", foldConstants},
+	{"fuse-epilogue", fuseEpilogue},
+	{"assign-precision", assignPrecision},
 }
 
-// Config parameterizes the standard pipeline.
-type Config struct {
-	// Schema enables INT8 precision assignment; nil lowers a pure FP32
-	// module.
-	Schema *nn.QuantSchema
-	// IntLowering reports whether the executing backend has a native
-	// integer kernel for (op, arity); ops without one become FP32
-	// islands. Nil marks no islands.
-	IntLowering func(op nn.OpType, arity int) bool
-}
-
-// StandardPasses returns the shared pipeline in its canonical order.
-// CSE runs before FoldConstants on purpose: cseKey compares weight
-// tensors by identity, and folding materializes fresh per-op derived
-// tensors that would make otherwise-identical batch-norms never merge.
-func StandardPasses(cfg Config) []Pass {
-	return []Pass{
-		ShapeInference{},
-		EliminateIdentity{},
-		EliminateDead{},
-		CSE{},
-		FoldConstants{},
-		FuseEpilogue{},
-		AssignPrecision{Schema: cfg.Schema, IntLowering: cfg.IntLowering},
-	}
-}
-
-// PassRecord is the outcome of one pass execution.
+// PassRecord is the outcome of one lowering step.
 type PassRecord struct {
 	Pass      string
 	Changed   bool
 	Duration  time.Duration
 	OpsBefore int
 	OpsAfter  int
-	// Dump is the module's textual form after the pass, captured only
-	// when the manager's CaptureDumps is set.
+	// Dump is the module's textual form after the step, captured only
+	// when Lower is asked for dumps.
 	Dump string
 }
 
-// PassManager runs an ordered pass list over a module, recording per-
-// pass timing, op counts and (optionally) dumps.
-type PassManager struct {
-	Passes       []Pass
-	CaptureDumps bool
-	Records      []PassRecord
-}
-
-// NewPassManager wraps a pass list.
-func NewPassManager(passes ...Pass) *PassManager {
-	return &PassManager{Passes: passes}
-}
-
-// Run executes the pipeline in order, stopping at the first error.
-func (pm *PassManager) Run(m *Module) error {
-	for _, p := range pm.Passes {
+// Lower builds the module from g and runs the lowering steps in order,
+// stopping at the first error, returning the module and one record per
+// step run. A nil schema lowers a pure FP32 module; a schema assigns
+// INT8 precision and marks FP32 islands. captureDumps also records the
+// textual IR after each step (the -dump-ir surface of the CLIs and the
+// golden pipeline tests).
+func Lower(g *nn.Graph, schema *nn.QuantSchema, captureDumps bool) (*Module, []PassRecord, error) {
+	m, err := FromGraph(g)
+	if err != nil {
+		return nil, nil, err
+	}
+	records := make([]PassRecord, 0, len(steps))
+	for _, s := range steps {
 		before := len(m.Ops)
 		start := time.Now()
-		changed, err := p.Run(m)
+		changed, err := s.run(m, schema)
 		rec := PassRecord{
-			Pass:      p.Name(),
+			Pass:      s.name,
 			Changed:   changed,
 			Duration:  time.Since(start),
 			OpsBefore: before,
 			OpsAfter:  len(m.Ops),
 		}
-		if pm.CaptureDumps {
+		if captureDumps {
 			rec.Dump = m.Dump()
 		}
-		pm.Records = append(pm.Records, rec)
+		records = append(records, rec)
 		if err != nil {
-			return fmt.Errorf("ir: pass %s: %w", p.Name(), err)
+			return nil, records, fmt.Errorf("ir: pass %s: %w", s.name, err)
 		}
 	}
-	return nil
-}
-
-// Lower is the one-call form: build the module from g and run the
-// standard pipeline, returning the module and the pass records.
-func Lower(g *nn.Graph, cfg Config, captureDumps bool) (*Module, []PassRecord, error) {
-	m, err := FromGraph(g)
-	if err != nil {
-		return nil, nil, err
-	}
-	pm := NewPassManager(StandardPasses(cfg)...)
-	pm.CaptureDumps = captureDumps
-	if err := pm.Run(m); err != nil {
-		return nil, pm.Records, err
-	}
-	return m, pm.Records, nil
+	return m, records, nil
 }
 
 // ---------------------------------------------------------------------------
 // shape-inference
 // ---------------------------------------------------------------------------
 
-// ShapeInference computes every value's static per-sample shape via the
+// inferShapes computes every value's static per-sample shape via the
 // shared nn.InferShape rule.
-type ShapeInference struct{}
-
-// Name implements Pass.
-func (ShapeInference) Name() string { return "shape-inference" }
-
-// Run implements Pass.
-func (ShapeInference) Run(m *Module) (bool, error) {
+func inferShapes(m *Module, _ *nn.QuantSchema) (bool, error) {
 	changed := false
 	for _, op := range m.Ops {
 		var per tensor.Shape
@@ -178,19 +137,13 @@ func (ShapeInference) Run(m *Module) (bool, error) {
 // fold-constants
 // ---------------------------------------------------------------------------
 
-// FoldConstants evaluates weight-only subexpressions at lowering time.
+// foldConstants evaluates weight-only subexpressions at lowering time.
 // Today that is batch normalization: the four statistic tensors fold to
 // one per-channel affine (scale, shift) stored as derived weights, so
 // kernel binders consume two tensors instead of recomputing the fold —
 // bitwise identical because nn.FoldBatchNormStats is the single source
 // of the arithmetic.
-type FoldConstants struct{}
-
-// Name implements Pass.
-func (FoldConstants) Name() string { return "fold-constants" }
-
-// Run implements Pass.
-func (FoldConstants) Run(m *Module) (bool, error) {
+func foldConstants(m *Module, _ *nn.QuantSchema) (bool, error) {
 	changed := false
 	for _, op := range m.Ops {
 		if op.Kind != nn.OpBatchNorm || op.Weight(FoldScaleKey) != nil {
@@ -223,17 +176,11 @@ func (FoldConstants) Run(m *Module) (bool, error) {
 // eliminate-identity
 // ---------------------------------------------------------------------------
 
-// EliminateIdentity drops Identity ops by rewiring their consumers to
+// eliminateIdentity drops Identity ops by rewiring their consumers to
 // the identity's input, recording a name alias for debug executions.
 // Identities that are declared outputs are kept (they define the
-// output's buffer), mirroring optimize.RemoveIdentity.
-type EliminateIdentity struct{}
-
-// Name implements Pass.
-func (EliminateIdentity) Name() string { return "eliminate-identity" }
-
-// Run implements Pass.
-func (EliminateIdentity) Run(m *Module) (bool, error) {
+// output's buffer), as the toolchain's remove-identity keeps them.
+func eliminateIdentity(m *Module, _ *nn.QuantSchema) (bool, error) {
 	drop := make(map[*Op]bool)
 	for _, op := range m.Ops {
 		if op.Kind != nn.OpIdentity || m.isOutputValue(op.Out) {
@@ -252,16 +199,10 @@ func (EliminateIdentity) Run(m *Module) (bool, error) {
 // eliminate-dead
 // ---------------------------------------------------------------------------
 
-// EliminateDead removes ops whose results cannot reach any declared
+// eliminateDead removes ops whose results cannot reach any declared
 // output. The historical compilers executed dead nodes for interpreter
 // parity; the lowered plan drops them, which also shrinks the arena.
-type EliminateDead struct{}
-
-// Name implements Pass.
-func (EliminateDead) Name() string { return "eliminate-dead" }
-
-// Run implements Pass.
-func (EliminateDead) Run(m *Module) (bool, error) {
+func eliminateDead(m *Module, _ *nn.QuantSchema) (bool, error) {
 	producer := make(map[int]*Op, len(m.Ops))
 	for _, op := range m.Ops {
 		producer[op.Out] = op
@@ -297,17 +238,11 @@ func (EliminateDead) Run(m *Module) (bool, error) {
 // cse
 // ---------------------------------------------------------------------------
 
-// CSE merges ops that compute the same value: same kind, same operands,
-// same attributes and the same weight tensors (by identity). The later
-// op's value aliases the first's. Kernels are pure, so merged results
-// are bitwise identical to computing both.
-type CSE struct{}
-
-// Name implements Pass.
-func (CSE) Name() string { return "cse" }
-
-// Run implements Pass.
-func (CSE) Run(m *Module) (bool, error) {
+// eliminateCommon merges ops that compute the same value: same kind,
+// same operands, same attributes and the same weight tensors (by
+// identity). The later op's value aliases the first's. Kernels are
+// pure, so merged results are bitwise identical to computing both.
+func eliminateCommon(m *Module, _ *nn.QuantSchema) (bool, error) {
 	seen := make(map[string]*Op, len(m.Ops))
 	drop := make(map[*Op]bool)
 	for _, op := range m.Ops {
@@ -348,10 +283,10 @@ func cseKey(op *Op) string {
 }
 
 // ---------------------------------------------------------------------------
-// fuse-activation
+// fuse-epilogue
 // ---------------------------------------------------------------------------
 
-// FuseEpilogue absorbs a producer's element-wise tail — the ubiquitous
+// fuseEpilogue absorbs a producer's element-wise tail — the ubiquitous
 // batch-norm → activation chain of conv blocks, a bare activation after
 // dense, etc. — into the producing kernel. Each absorbed stage is
 // applied per element at the output write (FP32) or composed into
@@ -362,13 +297,7 @@ func cseKey(op *Op) string {
 // output. Applied stagewise to the same float32 (or int8 code) the
 // unfused steps would read, the epilogue yields bitwise-identical
 // results.
-type FuseEpilogue struct{}
-
-// Name implements Pass.
-func (FuseEpilogue) Name() string { return "fuse-epilogue" }
-
-// Run implements Pass.
-func (FuseEpilogue) Run(m *Module) (bool, error) {
+func fuseEpilogue(m *Module, _ *nn.QuantSchema) (bool, error) {
 	cons := m.consumers()
 	drop := make(map[*Op]bool)
 	for _, op := range m.Ops {
@@ -400,23 +329,14 @@ func (FuseEpilogue) Run(m *Module) (bool, error) {
 // assign-precision
 // ---------------------------------------------------------------------------
 
-// AssignPrecision stamps each value's storage precision. With a schema,
+// assignPrecision stamps each value's storage precision. With a schema,
 // every live value (including fused pre-values, whose mapping feeds the
 // fused lookup tables) gets its INT8 affine mapping and ops without a
-// native integer lowering are marked as FP32 islands; a value without a
-// usable mapping aborts lowering with ErrSchemaGap. Without a schema
-// the module stays FP32 and the pass is a no-op.
-type AssignPrecision struct {
-	Schema      *nn.QuantSchema
-	IntLowering func(op nn.OpType, arity int) bool
-}
-
-// Name implements Pass.
-func (AssignPrecision) Name() string { return "assign-precision" }
-
-// Run implements Pass.
-func (p AssignPrecision) Run(m *Module) (bool, error) {
-	if p.Schema == nil {
+// native integer lowering (HasIntLowering) are marked as FP32 islands;
+// a value without a usable mapping aborts lowering with ErrSchemaGap.
+// Without a schema the module stays FP32 and the step is a no-op.
+func assignPrecision(m *Module, schema *nn.QuantSchema) (bool, error) {
+	if schema == nil {
 		return false, nil
 	}
 	m.Quantized = true
@@ -428,7 +348,7 @@ func (p AssignPrecision) Run(m *Module) (bool, error) {
 	sort.Ints(ids)
 	for _, id := range ids {
 		v := m.Values[id]
-		qp, ok := p.Schema.Params(v.Name)
+		qp, ok := schema.Params(v.Name)
 		if !ok {
 			return true, fmt.Errorf("%w: no range for value %q", ErrSchemaGap, v.Name)
 		}
@@ -440,13 +360,25 @@ func (p AssignPrecision) Run(m *Module) (bool, error) {
 	}
 	m.Islands = 0
 	for _, op := range m.Ops {
-		if op.Kind == nn.OpInput {
-			continue
-		}
-		if p.IntLowering != nil && !p.IntLowering(op.Kind, len(op.Ins)) {
+		if op.Kind != nn.OpInput && !HasIntLowering(op.Kind, len(op.Ins)) {
 			op.Island = true
 			m.Islands++
 		}
 	}
 	return true, nil
+}
+
+// HasIntLowering reports whether the INT8 executor has a native integer
+// lowering for (op, arity); assign-precision marks every other op of a
+// quantized module as an FP32 island. The executor's lowering
+// (inference's lowerQuantOp) is the ground truth, and
+// TestIntLoweringPredicateMatchesLowering holds the two to each other.
+func HasIntLowering(op nn.OpType, arity int) bool {
+	switch op {
+	case nn.OpSoftmax:
+		return false
+	case nn.OpMul:
+		return arity == 2
+	}
+	return true
 }

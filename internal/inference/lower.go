@@ -11,24 +11,6 @@ import (
 	"vedliot/internal/tensor"
 )
 
-// Lower runs the shared lowering pipeline over g: the typed IR is built
-// once and rewritten by the standard pass list (shape inference,
-// constant folding, identity/dead elimination, CSE, activation fusion,
-// precision assignment). Both Compile and CompileQuantized are thin
-// drivers over this one pipeline; a nil schema lowers the pure FP32
-// module, a non-nil schema assigns INT8 precision and marks FP32
-// islands. captureDumps additionally records the textual IR after each
-// pass (the -dump-ir surface of the CLIs and the golden pipeline
-// tests).
-func Lower(g *nn.Graph, schema *nn.QuantSchema, captureDumps bool) (*ir.Module, []ir.PassRecord, error) {
-	cfg := ir.Config{}
-	if schema != nil {
-		cfg.Schema = schema
-		cfg.IntLowering = hasIntLowering
-	}
-	return ir.Lower(g, cfg, captureDumps)
-}
-
 // lowerEach runs fn(i) for every op i in [0, n), the per-op half of a
 // cold compile (weight packing, filter quantization, code tables),
 // spread over runtime.GOMAXPROCS(0) goroutines that claim ops one at a

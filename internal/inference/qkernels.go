@@ -27,24 +27,10 @@ import (
 
 // errNoQuantKernel reports an op without a native integer lowering; the
 // compiler wraps the FP32 kernel in a dequantize/requantize island.
-// ir's precision-assignment pass predicts this set via hasIntLowering
+// ir's assign-precision step predicts this set via ir.HasIntLowering
 // and marks such ops as islands up front; the error remains as the
 // lowering's ground truth.
 var errNoQuantKernel = errors.New("no quantized kernel")
-
-// hasIntLowering reports whether lowerQuantOp has an integer lowering
-// for (op, arity) — the predicate the lowering pipeline's
-// precision-assignment pass uses to mark FP32 islands.
-// TestIntLoweringPredicateMatchesLowering holds the two to each other.
-func hasIntLowering(op nn.OpType, arity int) bool {
-	switch op {
-	case nn.OpSoftmax:
-		return false
-	case nn.OpMul:
-		return arity == 2
-	}
-	return true
-}
 
 // bindQuantStep binds a lowered step to its host kernel: a closure over
 // the step's data for the kinds the plan states, the kernel the lowering

@@ -302,7 +302,7 @@ func lowerQuantStep(st *QuantStep, m *ir.Module, sc *scaffold, op *ir.Op) error 
 // (conv/dense) or composed into the per-channel tables (batch-norm) —
 // exactly the table the standalone activation step would apply, so
 // fusion is bitwise invisible. Returns errNoQuantKernel for an op
-// without an integer lowering (hasIntLowering predicts the set).
+// without an integer lowering (ir.HasIntLowering predicts the set).
 func lowerQuantOp(st *QuantStep, q *quantOp) (err error) {
 	n, inPer, outPer, inQ, outQ, post := q.node, q.inPer, q.outPer, q.inQ, q.outQ, q.post
 	if post != nil && !ir.IsFusableProducer(n.Op) {

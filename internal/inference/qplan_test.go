@@ -6,13 +6,14 @@ import (
 	"strings"
 	"testing"
 
+	"vedliot/internal/inference/ir"
 	"vedliot/internal/nn"
 	"vedliot/internal/tensor"
 )
 
 // TestIntLoweringPredicateMatchesLowering pins the island predicate of
 // precision assignment to the integer lowering: over every operator
-// kind and arity, hasIntLowering is true exactly when lowerQuantOp does
+// kind and arity, ir.HasIntLowering is true exactly when lowerQuantOp does
 // not turn the op down with errNoQuantKernel (a bare node may fail for
 // other reasons, such as missing weights; that still is a lowering).
 func TestIntLoweringPredicateMatchesLowering(t *testing.T) {
@@ -28,8 +29,8 @@ func TestIntLoweringPredicateMatchesLowering(t *testing.T) {
 				q.inQ = append(q.inQ, qp)
 			}
 			err := lowerQuantOp(&QuantStep{}, &q)
-			if lowered := !errors.Is(err, errNoQuantKernel); lowered != hasIntLowering(op, arity) {
-				t.Errorf("%s/%d: hasIntLowering = %v, lowerQuantOp: %v", op, arity, !lowered, err)
+			if lowered := !errors.Is(err, errNoQuantKernel); lowered != ir.HasIntLowering(op, arity) {
+				t.Errorf("%s/%d: HasIntLowering = %v, lowerQuantOp: %v", op, arity, !lowered, err)
 			}
 		}
 	}

@@ -107,7 +107,7 @@ func lowerQuantized(g *nn.Graph, schema *nn.QuantSchema) (*ir.Module, error) {
 	if schema == nil {
 		return nil, fmt.Errorf("%w: nil quant schema", ErrNotQuantizable)
 	}
-	m, _, err := Lower(g, schema, false)
+	m, _, err := ir.Lower(g, schema, false)
 	if errors.Is(err, ir.ErrSchemaGap) {
 		return nil, fmt.Errorf("%w: %v", ErrNotQuantizable, err)
 	}

@@ -22,7 +22,7 @@ import (
 )
 
 // PipelineConfig selects optimization steps (§III deployment steps 4-6)
-// beyond the graph surgery of optimize.StandardPasses, which always runs.
+// beyond the graph surgery of optimize.Pipeline, which always runs.
 type PipelineConfig struct {
 	// Quantize enables post-training INT8 weight quantization.
 	Quantize    bool
@@ -48,12 +48,7 @@ type PipelineReport struct {
 
 // RunPipeline optimizes g in place for deployment.
 func RunPipeline(g *nn.Graph, cfg PipelineConfig) (PipelineReport, error) {
-	var rep PipelineReport
-	applied, err := optimize.Pipeline(g)
-	if err != nil {
-		return rep, err
-	}
-	rep.AppliedPasses = applied
+	rep := PipelineReport{AppliedPasses: optimize.Pipeline(g)}
 	if cfg.Prune > 0 {
 		pr, err := optimize.MagnitudePrune(g, cfg.Prune)
 		if err != nil {

@@ -10,59 +10,52 @@
 package optimize
 
 import (
-	"fmt"
-	"math"
-
 	"vedliot/internal/nn"
 	"vedliot/internal/tensor"
 )
 
-// Pass is one graph-to-graph rewrite.
-type Pass interface {
-	// Name identifies the pass in pipeline reports.
-	Name() string
-	// Apply rewrites g in place, reporting whether anything changed.
-	Apply(g *nn.Graph) (changed bool, err error)
+// passes is the graph surgery in its one order: identity removal,
+// batch-norm folding and dead-node elimination. A pass rewrites g in
+// place, reporting whether anything changed.
+var passes = [...]struct {
+	name  string
+	apply func(g *nn.Graph) (changed bool)
+}{
+	{"remove-identity", removeIdentity},
+	{"fold-batchnorm", foldBatchNorm},
+	{"dead-node-elimination", eliminateDead},
 }
 
 // maxSweeps bounds Pipeline's sweeps over the passes.
 const maxSweeps = 8
 
-// Pipeline applies StandardPasses in order until none reports a change
-// (at most maxSweeps sweeps), returning the applied-pass log.
-func Pipeline(g *nn.Graph) ([]string, error) {
+// Pipeline applies the passes in order until none reports a change (at
+// most maxSweeps sweeps), returning the applied-pass log.
+func Pipeline(g *nn.Graph) []string {
 	var log []string
 	for iter := 0; iter < maxSweeps; iter++ {
 		any := false
-		for _, p := range StandardPasses() {
-			changed, err := p.Apply(g)
-			if err != nil {
-				return log, fmt.Errorf("optimize: pass %s: %w", p.Name(), err)
-			}
-			if changed {
-				log = append(log, p.Name())
+		for _, p := range passes {
+			if p.apply(g) {
+				log = append(log, p.name)
 				any = true
 			}
 		}
 		if !any {
-			return log, nil
+			return log
 		}
 	}
-	return log, nil
+	return log
 }
 
-// FoldBatchNorm fuses inference-mode batch normalization into the
+// foldBatchNorm fuses inference-mode batch normalization into the
 // preceding convolution's weights and bias: the classic deployment
-// optimization ("operator fusion" in the paper's step 4).
-type FoldBatchNorm struct{}
-
-// Name implements Pass.
-func (FoldBatchNorm) Name() string { return "fold-batchnorm" }
-
-// Apply implements Pass.
-func (FoldBatchNorm) Apply(g *nn.Graph) (bool, error) {
+// optimization ("operator fusion" in the paper's step 4). The
+// statistics fold to one per-channel affine through
+// nn.FoldBatchNormStats, the arithmetic the compilers' fold-constants
+// step uses: w·scale and bias·scale+shift.
+func foldBatchNorm(g *nn.Graph) bool {
 	consumers := g.Consumers()
-	changed := false
 	var remove []string
 	for _, bn := range g.Nodes {
 		if bn.Op != nn.OpBatchNorm {
@@ -83,33 +76,25 @@ func (FoldBatchNorm) Apply(g *nn.Graph) (bool, error) {
 		if w == nil || gamma == nil || beta == nil || mean == nil || variance == nil {
 			continue // structure-only graph: nothing to fold numerically
 		}
-		eps := bn.Attrs.Eps
-		if eps == 0 {
-			eps = 1e-5
-		}
+		scale, shift := nn.FoldBatchNormStats(
+			gamma.Float32s(), beta.Float32s(), mean.Float32s(), variance.Float32s(), bn.Attrs.Eps)
 		outC := w.Shape[0]
-		perOut := w.NumElements() / outC
-
 		wv := w.Float32s()
-		gv, bv := gamma.Float32s(), beta.Float32s()
-		mv, vv := mean.Float32s(), variance.Float32s()
-
-		bias := conv.Weight(nn.BiasKey)
-		var biasV []float32
-		if bias != nil {
-			biasV = bias.Float32s()
-		} else {
-			biasV = make([]float32, outC)
+		perOut := len(wv) / outC
+		bias := make([]float32, outC)
+		if b := conv.Weight(nn.BiasKey); b != nil {
+			bias = b.Float32s()
 		}
 
 		newW := tensor.New(tensor.FP32, w.Shape...)
 		newB := tensor.New(tensor.FP32, outC)
 		for oc := 0; oc < outC; oc++ {
-			scale := gv[oc] / float32(math.Sqrt(float64(vv[oc])+float64(eps)))
-			for i := 0; i < perOut; i++ {
-				newW.F32[oc*perOut+i] = wv[oc*perOut+i] * scale
+			for i := oc * perOut; i < (oc+1)*perOut; i++ {
+				newW.F32[i] = wv[i] * scale[oc]
 			}
-			newB.F32[oc] = (biasV[oc]-mv[oc])*scale + bv[oc]
+			// The conversion rounds the product, so no target fuses it
+			// into the add.
+			newB.F32[oc] = float32(bias[oc]*scale[oc]) + shift[oc]
 		}
 		conv.SetWeight(nn.WeightKey, newW)
 		conv.SetWeight(nn.BiasKey, newB)
@@ -118,50 +103,30 @@ func (FoldBatchNorm) Apply(g *nn.Graph) (bool, error) {
 		// Rewire BN consumers to the conv and drop the BN node.
 		rewire(g, bn.Name, conv.Name)
 		remove = append(remove, bn.Name)
-		changed = true
 	}
-	if len(remove) > 0 {
-		g.Remove(remove...)
-	}
-	return changed, nil
+	g.Remove(remove...)
+	return len(remove) > 0
 }
 
-// RemoveIdentity drops Identity nodes, rewiring their consumers.
-type RemoveIdentity struct{}
-
-// Name implements Pass.
-func (RemoveIdentity) Name() string { return "remove-identity" }
-
-// Apply implements Pass.
-func (RemoveIdentity) Apply(g *nn.Graph) (bool, error) {
-	changed := false
+// removeIdentity drops Identity nodes, rewiring their consumers.
+// Identities that are declared outputs stay.
+func removeIdentity(g *nn.Graph) bool {
 	var remove []string
 	for _, n := range g.Nodes {
-		if n.Op != nn.OpIdentity {
-			continue
-		}
-		if isOutput(g, n.Name) {
+		if n.Op != nn.OpIdentity || isOutput(g, n.Name) {
 			continue
 		}
 		rewire(g, n.Name, n.Inputs[0])
 		remove = append(remove, n.Name)
-		changed = true
 	}
-	if len(remove) > 0 {
-		g.Remove(remove...)
-	}
-	return changed, nil
+	g.Remove(remove...)
+	return len(remove) > 0
 }
 
-// DeadNodeElimination removes nodes not reachable from any declared
-// output.
-type DeadNodeElimination struct{}
-
-// Name implements Pass.
-func (DeadNodeElimination) Name() string { return "dead-node-elimination" }
-
-// Apply implements Pass.
-func (DeadNodeElimination) Apply(g *nn.Graph) (bool, error) {
+// eliminateDead removes nodes not reachable from any declared output.
+// Input nodes always stay: a packed model keeps its declared signature,
+// used or not, as the compiled engine does.
+func eliminateDead(g *nn.Graph) bool {
 	live := make(map[string]bool, len(g.Nodes))
 	var mark func(name string)
 	mark = func(name string) {
@@ -180,15 +145,12 @@ func (DeadNodeElimination) Apply(g *nn.Graph) (bool, error) {
 	}
 	var remove []string
 	for _, n := range g.Nodes {
-		if !live[n.Name] {
+		if !live[n.Name] && n.Op != nn.OpInput {
 			remove = append(remove, n.Name)
 		}
 	}
-	if len(remove) == 0 {
-		return false, nil
-	}
 	g.Remove(remove...)
-	return true, nil
+	return len(remove) > 0
 }
 
 // rewire makes every consumer of `from` consume `to` instead, and fixes
@@ -215,10 +177,4 @@ func isOutput(g *nn.Graph, name string) bool {
 		}
 	}
 	return false
-}
-
-// StandardPasses returns the default deployment pipeline: identity
-// removal, batch-norm folding and dead-node elimination.
-func StandardPasses() []Pass {
-	return []Pass{RemoveIdentity{}, FoldBatchNorm{}, DeadNodeElimination{}}
 }

@@ -2,6 +2,7 @@ package optimize
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"vedliot/internal/inference"
@@ -68,12 +69,8 @@ func TestFoldBatchNormPreservesFunction(t *testing.T) {
 
 	before := run(g)
 	folded := g.Clone()
-	changed, err := (FoldBatchNorm{}).Apply(folded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !changed {
-		t.Fatal("FoldBatchNorm reported no change on conv+BN graph")
+	if !foldBatchNorm(folded) {
+		t.Fatal("foldBatchNorm reported no change on conv+BN graph")
 	}
 	for _, n := range folded.Nodes {
 		if n.Op == nn.OpBatchNorm {
@@ -99,12 +96,8 @@ func TestFoldBatchNormSkipsSharedConv(t *testing.T) {
 	relu := b.Act(c, nn.OpReLU) // second consumer of conv
 	sum := b.Add(bn, relu)
 	g := b.Graph(sum)
-	changed, err := (FoldBatchNorm{}).Apply(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if changed {
-		t.Error("FoldBatchNorm folded a shared conv")
+	if foldBatchNorm(g) {
+		t.Error("foldBatchNorm folded a shared conv")
 	}
 }
 
@@ -115,11 +108,7 @@ func TestDeadNodeElimination(t *testing.T) {
 	b.ConvNB(x, 1, 8, 3, 1, 1) // dead branch
 	g := b.Graph(live)
 	n := len(g.Nodes)
-	changed, err := (DeadNodeElimination{}).Apply(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !changed || len(g.Nodes) != n-1 {
+	if !eliminateDead(g) || len(g.Nodes) != n-1 {
 		t.Errorf("dead node not removed: %d -> %d nodes", n, len(g.Nodes))
 	}
 	if err := g.Validate(); err != nil {
@@ -133,11 +122,7 @@ func TestRemoveIdentity(t *testing.T) {
 	g.MustAdd(&nn.Node{Name: "id", Op: nn.OpIdentity, Inputs: []string{"in"}})
 	g.MustAdd(&nn.Node{Name: "sm", Op: nn.OpSoftmax, Inputs: []string{"id"}})
 	g.Outputs = []string{"sm"}
-	changed, err := (RemoveIdentity{}).Apply(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !changed || g.Node("id") != nil {
+	if !removeIdentity(g) || g.Node("id") != nil {
 		t.Error("identity not removed")
 	}
 	if g.Node("sm").Inputs[0] != "in" {
@@ -145,23 +130,105 @@ func TestRemoveIdentity(t *testing.T) {
 	}
 }
 
+// TestPipelineConverges pins the applied-pass log (what
+// kenning.PipelineReport.AppliedPasses reports) on a graph with an
+// identity, a conv→BN pair and a dead node: one sweep applies all three
+// passes in their order, and a second run applies none.
 func TestPipelineConverges(t *testing.T) {
-	g := nn.LeNet(28, 10, nn.BuildOptions{Weights: true, Seed: 2})
-	log, err := Pipeline(g)
-	if err != nil {
-		t.Fatal(err)
+	b := nn.NewBuilder("t", nn.BuildOptions{Weights: true, Seed: 2})
+	x := b.Input("input", 1, 8, 8)
+	x = b.ConvBNAct(x, 1, 4, 3, 1, 1, nn.OpReLU)
+	b.ConvNB(x, 4, 2, 1, 1, 0) // dead branch
+	x = b.GlobalAvgPool(x)
+	x = b.Flatten(x)
+	g := b.Graph(x)
+	g.MustAdd(&nn.Node{Name: "id", Op: nn.OpIdentity, Inputs: []string{x}})
+	g.MustAdd(&nn.Node{Name: "sm", Op: nn.OpSoftmax, Inputs: []string{"id"}})
+	g.Outputs = []string{"sm"}
+
+	log := Pipeline(g)
+	want := []string{"remove-identity", "fold-batchnorm", "dead-node-elimination"}
+	if !slices.Equal(log, want) {
+		t.Errorf("applied passes = %v, want %v", log, want)
 	}
-	_ = log
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	for _, n := range g.Nodes {
+		if n.Op == nn.OpIdentity || n.Op == nn.OpBatchNorm {
+			t.Errorf("%s %q survived the pipeline", n.Op, n.Name)
+		}
+	}
 	// A second run must be a no-op.
-	log2, err := Pipeline(g)
+	if log2 := Pipeline(g); len(log2) != 0 {
+		t.Errorf("pipeline not idempotent: %v", log2)
+	}
+}
+
+// TestPipelineKeepsUnusedInputs checks that graph surgery leaves a
+// model's declared signature alone: an input the outputs never read is
+// still declared, and a run without it is still refused.
+func TestPipelineKeepsUnusedInputs(t *testing.T) {
+	g := nn.NewGraph("t")
+	g.MustAdd(&nn.Node{Name: "a", Op: nn.OpInput, Attrs: nn.Attrs{Shape: []int{4}}})
+	g.MustAdd(&nn.Node{Name: "b", Op: nn.OpInput, Attrs: nn.Attrs{Shape: []int{4}}})
+	g.MustAdd(&nn.Node{Name: "sm", Op: nn.OpSoftmax, Inputs: []string{"a"}})
+	g.Inputs = []string{"a", "b"}
+	g.Outputs = []string{"sm"}
+
+	Pipeline(g)
+	if !slices.Equal(g.Inputs, []string{"a", "b"}) || g.Node("b") == nil {
+		t.Fatalf("inputs after Pipeline = %v, want [a b]", g.Inputs)
+	}
+	eng, err := inference.Compile(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(log2) != 0 {
-		t.Errorf("pipeline not idempotent: %v", log2)
+	a := tensor.New(tensor.FP32, 1, 4)
+	if _, err := eng.Run(map[string]*tensor.Tensor{"a": a}); err == nil {
+		t.Error("a run without declared input \"b\" was accepted")
+	}
+}
+
+// TestFoldBatchNormUsesFoldedStats pins the fold's arithmetic to
+// nn.FoldBatchNormStats, the one the compilers' fold-constants step
+// uses: folded weights are w·scale and the folded bias is
+// bias·scale+shift, bit for bit.
+func TestFoldBatchNormUsesFoldedStats(t *testing.T) {
+	b := nn.NewBuilder("t", nn.BuildOptions{Weights: true, Seed: 5})
+	x := b.Input("input", 3, 6, 6)
+	conv := b.Conv(x, 3, 4, 3, 1, 1)
+	bn := b.BN(conv, 4)
+	g := b.Graph(bn)
+	c, n := g.Node(conv), g.Node(bn)
+	bias := c.Weight(nn.BiasKey).F32
+	gamma, beta := n.Weight(nn.GammaKey).F32, n.Weight(nn.BetaKey).F32
+	mean, variance := n.Weight(nn.MeanKey).F32, n.Weight(nn.VarKey).F32
+	for i := range gamma {
+		bias[i] = 0.3 - 0.17*float32(i)
+		gamma[i] = 1.5 - 0.2*float32(i)
+		beta[i] = 0.05 * float32(i+1)
+		mean[i] = 0.1*float32(i) - 0.12
+		variance[i] = 0.5 + 0.33*float32(i)
+	}
+	w := c.Weight(nn.WeightKey).Clone()
+	wantBias := append([]float32(nil), bias...)
+	scale, shift := nn.FoldBatchNormStats(gamma, beta, mean, variance, n.Attrs.Eps)
+
+	if !foldBatchNorm(g) {
+		t.Fatal("foldBatchNorm reported no change on conv+BN graph")
+	}
+	perOut := w.NumElements() / len(scale)
+	for i, v := range c.Weight(nn.WeightKey).F32 {
+		if want := w.F32[i] * scale[i/perOut]; math.Float32bits(v) != math.Float32bits(want) {
+			t.Fatalf("weight %d = %v, want %v", i, v, want)
+		}
+	}
+	for oc, v := range c.Weight(nn.BiasKey).F32 {
+		want := float32(wantBias[oc]*scale[oc]) + shift[oc]
+		if math.Float32bits(v) != math.Float32bits(want) {
+			t.Errorf("bias %d = %v, want %v", oc, v, want)
+		}
 	}
 }
 

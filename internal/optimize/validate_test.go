@@ -98,11 +98,7 @@ func validatePasses(g *nn.Graph, probes []map[string]*tensor.Tensor) (*nn.Graph,
 		return nil, rep, fmt.Errorf("optimize: validation needs at least one probe input")
 	}
 	rewritten := g.Clone()
-	applied, err := Pipeline(rewritten)
-	if err != nil {
-		return nil, rep, err
-	}
-	rep.Applied = applied
+	rep.Applied = Pipeline(rewritten)
 
 	ref, err := inference.Compile(g)
 	if err != nil {
