@@ -99,10 +99,7 @@ test-portable:
 # what decodes re-encodes to itself. FuzzWitnessState runs witness state
 # files and tree hashes through their decoders: no panic, an accepted
 # hash re-marshals to its own bytes (one spelling), and an accepted state
-# re-saves and reloads to the same heads. FuzzONNXDecode holds the VNNX
-# interchange decoder to no panic, allocation that follows the bytes
-# present (no tensor holds more elements than the input has bytes), and
-# what decodes re-encodes and decodes to the same graph.
+# re-saves and reloads to the same heads.
 fuzz-smoke:
 	$(GO) test -fuzz FuzzEncodeExecute -fuzztime 5s ./internal/riscv/
 	$(GO) test -fuzz FuzzLoadStoreRoundTrip -fuzztime 5s ./internal/riscv/
@@ -126,7 +123,6 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzHTTPInfer -fuzztime 5s -fuzzminimizetime 5s ./internal/serve/
 	$(GO) test -fuzz FuzzReleaseBundle -fuzztime 5s ./internal/release/
 	$(GO) test -fuzz FuzzWitnessState -fuzztime 5s ./internal/release/
-	$(GO) test -fuzz FuzzONNXDecode -fuzztime 5s -fuzzminimizetime 5s ./internal/onnx/
 
 # bench tracks the inference-runtime perf trajectory, and the cold-start
 # steps of the two served zoo models in absolute terms: Verify (MB/s),

@@ -1,6 +1,6 @@
 // Command kenning is the model-toolchain CLI: it builds a zoo model,
 // runs the optimization pipeline, reports statistics, round-trips the
-// model through the VNNX interchange format, and evaluates it on a
+// model through the .vedz artifact format, and evaluates it on a
 // simulated accelerator — the §III deployment flow end to end.
 //
 // Usage:
@@ -10,7 +10,6 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -22,7 +21,6 @@ import (
 	"vedliot/internal/inference/ir"
 	"vedliot/internal/kenning"
 	"vedliot/internal/nn"
-	"vedliot/internal/onnx"
 	"vedliot/internal/optimize"
 	"vedliot/internal/tensor"
 )
@@ -106,16 +104,17 @@ func main() {
 			gs.GMACs(), float64(gs.Params)/1e6, float64(g.WeightBytes())/(1<<20))
 	}
 
-	// Interchange round trip (the ONNX role).
+	// Interchange round trip: Verify checks the CRCs, graph validity and
+	// that the bytes re-encode to themselves.
 	if weights {
-		var buf bytes.Buffer
-		if err := onnx.Encode(&buf, g); err != nil {
+		data, err := (&artifact.Model{Graph: g}).Encode()
+		if err != nil {
 			fatal(err)
 		}
-		if _, err := onnx.Decode(bytes.NewReader(buf.Bytes())); err != nil {
+		if _, err := artifact.Verify(data); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("vnnx round trip: %d bytes ok\n", buf.Len())
+		fmt.Printf(".vedz round trip: %d bytes ok\n", len(data))
 	}
 
 	// Accelerator evaluation.

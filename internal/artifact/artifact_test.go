@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -84,39 +85,8 @@ func TestRoundTripDeterministic(t *testing.T) {
 
 func TestRoundTripPreservesModel(t *testing.T) {
 	m := testModel(t)
-	data, err := m.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Graph.Name != m.Graph.Name || len(loaded.Graph.Nodes) != len(m.Graph.Nodes) {
-		t.Fatalf("graph shape drifted: %s/%d vs %s/%d",
-			loaded.Graph.Name, len(loaded.Graph.Nodes), m.Graph.Name, len(m.Graph.Nodes))
-	}
-	for i, n := range m.Graph.Nodes {
-		ln := loaded.Graph.Nodes[i]
-		if ln.Name != n.Name || ln.Op != n.Op {
-			t.Fatalf("node %d drifted: %s/%s vs %s/%s", i, ln.Name, ln.Op, n.Name, n.Op)
-		}
-		for _, key := range n.WeightKeys() {
-			w, lw := n.Weight(key), ln.Weight(key)
-			if lw == nil {
-				t.Fatalf("node %s lost weight %s", n.Name, key)
-			}
-			if !lw.Shape.Equal(w.Shape) || lw.DType != w.DType {
-				t.Fatalf("node %s weight %s shape/dtype drifted", n.Name, key)
-			}
-			// Bitwise-identical payloads.
-			for j := range w.F32 {
-				if lw.F32[j] != w.F32[j] {
-					t.Fatalf("node %s weight %s element %d drifted", n.Name, key, j)
-				}
-			}
-		}
-	}
+	loaded := reloaded(t, m)
+	sameGraph(t, m.Graph, loaded.Graph)
 	if len(loaded.Schema.Activations) != len(m.Schema.Activations) {
 		t.Fatalf("schema drifted: %d vs %d values", len(loaded.Schema.Activations), len(m.Schema.Activations))
 	}
@@ -127,6 +97,90 @@ func TestRoundTripPreservesModel(t *testing.T) {
 	}
 	if loaded.Prov.Tool != "test" || len(loaded.Prov.Passes) != 1 {
 		t.Fatalf("provenance drifted: %+v", loaded.Prov)
+	}
+
+	// An INT8 weight keeps its quantization parameters and an FP16
+	// weight its half-precision codes, bit for bit.
+	g := nn.NewGraph("mixed")
+	g.MustAdd(&nn.Node{Name: "in", Op: nn.OpInput, Attrs: nn.Attrs{Shape: []int{4}}})
+	q := &nn.Node{Name: "q", Op: nn.OpDense, Inputs: []string{"in"}, Attrs: nn.Attrs{OutC: 2, Bias: true}}
+	w8 := tensor.New(tensor.INT8, 2, 4)
+	w8.Quant = tensor.QuantParams{Scale: 0.05, Zero: 3}
+	for i := range w8.I8 {
+		w8.I8[i] = int8(i*7 - 20)
+	}
+	q.SetWeight(nn.WeightKey, w8)
+	q.SetWeight(nn.BiasKey, tensor.New(tensor.FP32, 2))
+	g.MustAdd(q)
+	h := &nn.Node{Name: "h", Op: nn.OpDense, Inputs: []string{"q"}, Attrs: nn.Attrs{OutC: 3}}
+	w16 := tensor.New(tensor.FP16, 3, 2)
+	for i := range w16.F16 {
+		w16.F16[i] = uint16(0x3c00 + 257*i)
+	}
+	h.SetWeight(nn.WeightKey, w16)
+	g.MustAdd(h)
+	g.Outputs = []string{"h"}
+	sameGraph(t, g, reloaded(t, &Model{Graph: g}).Graph)
+}
+
+// reloaded is m encoded and decoded again.
+func reloaded(t *testing.T, m *Model) *Model {
+	t.Helper()
+	data, err := m.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return loaded
+}
+
+// sameGraph fails unless got is want node for node: names, ops, inputs,
+// attributes, every weight's dtype, shape, quantization and payload
+// bits, and the statistics computed from them.
+func sameGraph(t *testing.T, want, got *nn.Graph) {
+	t.Helper()
+	if got.Name != want.Name || len(got.Nodes) != len(want.Nodes) {
+		t.Fatalf("graph shape drifted: %s/%d vs %s/%d", got.Name, len(got.Nodes), want.Name, len(want.Nodes))
+	}
+	for i, n := range want.Nodes {
+		ln := got.Nodes[i]
+		if ln.Name != n.Name || ln.Op != n.Op {
+			t.Fatalf("node %d drifted: %s/%s vs %s/%s", i, ln.Name, ln.Op, n.Name, n.Op)
+		}
+		if !reflect.DeepEqual(ln.Inputs, n.Inputs) {
+			t.Fatalf("node %s inputs drifted: %v vs %v", n.Name, ln.Inputs, n.Inputs)
+		}
+		if !reflect.DeepEqual(ln.Attrs, n.Attrs) {
+			t.Fatalf("node %s attrs drifted: %+v vs %+v", n.Name, ln.Attrs, n.Attrs)
+		}
+		if !reflect.DeepEqual(ln.WeightKeys(), n.WeightKeys()) {
+			t.Fatalf("node %s weight keys drifted: %v vs %v", n.Name, ln.WeightKeys(), n.WeightKeys())
+		}
+		for _, key := range n.WeightKeys() {
+			w, lw := n.Weight(key), ln.Weight(key)
+			if !lw.Shape.Equal(w.Shape) || lw.DType != w.DType || lw.Quant != w.Quant {
+				t.Fatalf("node %s weight %s drifted: %v %v %+v vs %v %v %+v",
+					n.Name, key, lw.DType, lw.Shape, lw.Quant, w.DType, w.Shape, w.Quant)
+			}
+			if !bytes.Equal(payloadView(lw), payloadView(w)) {
+				t.Fatalf("node %s weight %s payload drifted", n.Name, key)
+			}
+		}
+	}
+	ws, err := want.Stats(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs, err := got.Stats(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gs.MACs != ws.MACs || gs.Params != ws.Params || gs.TotalActivationBytes != ws.TotalActivationBytes {
+		t.Fatalf("decoded stats %d MACs / %d params / %d activation bytes, want %d / %d / %d",
+			gs.MACs, gs.Params, gs.TotalActivationBytes, ws.MACs, ws.Params, ws.TotalActivationBytes)
 	}
 }
 

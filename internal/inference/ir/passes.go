@@ -154,8 +154,14 @@ func foldConstants(m *Module, _ *nn.QuantSchema) (bool, error) {
 		if gamma == nil || beta == nil || mean == nil || variance == nil {
 			continue // structure-only graph: binding will report it
 		}
-		scale, shift := nn.FoldBatchNormStats(
+		// Shape inference admits batch norm on NCHW only: the per-sample
+		// input shape leads with the channel count.
+		channels := m.Values[op.Ins[0]].Shape[0]
+		scale, shift, err := nn.FoldBatchNormStats(channels,
 			gamma.Float32s(), beta.Float32s(), mean.Float32s(), variance.Float32s(), op.Attrs.Eps)
+		if err != nil {
+			return changed, fmt.Errorf("op %q: %w", op.Name, err)
+		}
 		st := tensor.New(tensor.FP32, len(scale))
 		copy(st.F32, scale)
 		sh := tensor.New(tensor.FP32, len(shift))

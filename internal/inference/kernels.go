@@ -956,13 +956,18 @@ func packDenseTiles(w, bias []float32, inF, outF, nr int) []float32 {
 	return tiles
 }
 
-// bnScaleShift resolves a batch-norm node's per-channel affine. The
-// lowering pipeline's constant-folding pass materializes it as derived
-// weights (ir.FoldScaleKey/FoldShiftKey); nodes bound outside the
-// pipeline fold on the spot through the same nn.FoldBatchNormStats
-// arithmetic, so both routes are bitwise identical.
+// bnScaleShift resolves a batch-norm node's per-channel affine over c
+// channels. The lowering pipeline's constant-folding pass materializes
+// it as derived weights (ir.FoldScaleKey/FoldShiftKey); nodes bound
+// outside the pipeline fold on the spot through the same
+// nn.FoldBatchNormStats arithmetic, so both routes are bitwise
+// identical. Either way both slices hold exactly c elements: a loaded
+// graph's node may carry derived weights of its own.
 func bnScaleShift(n *nn.Node, c int) (scale, shift []float32, err error) {
 	if st, sh := n.Weight(ir.FoldScaleKey), n.Weight(ir.FoldShiftKey); st != nil && sh != nil {
+		if st.NumElements() != c || sh.NumElements() != c {
+			return nil, nil, fmt.Errorf("batchnorm has %d folded scales and %d shifts for %d channels", st.NumElements(), sh.NumElements(), c)
+		}
 		return st.Float32s(), sh.Float32s(), nil
 	}
 	gamma, beta := n.Weight(nn.GammaKey), n.Weight(nn.BetaKey)
@@ -970,12 +975,8 @@ func bnScaleShift(n *nn.Node, c int) (scale, shift []float32, err error) {
 	if gamma == nil || beta == nil || mean == nil || variance == nil {
 		return nil, nil, fmt.Errorf("batchnorm missing statistics")
 	}
-	if gamma.NumElements() != c {
-		return nil, nil, fmt.Errorf("batchnorm gamma has %d elements for %d channels", gamma.NumElements(), c)
-	}
-	scale, shift = nn.FoldBatchNormStats(
+	return nn.FoldBatchNormStats(c,
 		gamma.Float32s(), beta.Float32s(), mean.Float32s(), variance.Float32s(), n.Attrs.Eps)
-	return scale, shift, nil
 }
 
 func bindBatchNorm(n *nn.Node, in tensor.Shape, ep *epilogue) (kernelFunc[float32], error) {
@@ -986,9 +987,6 @@ func bindBatchNorm(n *nn.Node, in tensor.Shape, ep *epilogue) (kernelFunc[float3
 	scale, shift, err := bnScaleShift(n, c)
 	if err != nil {
 		return nil, err
-	}
-	if len(scale) != c {
-		return nil, fmt.Errorf("batchnorm has %d folded channels for %d channels", len(scale), c)
 	}
 	// The producer's own affine and any fused tail collapse into the
 	// same per-channel fast paths the conv epilogue uses: the common

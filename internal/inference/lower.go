@@ -164,9 +164,6 @@ func buildEpilogue(op *ir.Op, channels int) (*epilogue, error) {
 			if err != nil {
 				return nil, err
 			}
-			if len(scale) != channels {
-				return nil, fmt.Errorf("fused batchnorm %q has %d channels, want %d", f.Name, len(scale), channels)
-			}
 			stages[i] = stage{kind: f.Kind, scale: scale, shift: shift}
 			continue
 		}
@@ -246,9 +243,6 @@ func buildEpilogueLUTs(m *ir.Module, op *ir.Op, channels int) ([]*[256]int8, err
 			scale, shift, err := bnScaleShift(nodeFromFused(f), channels)
 			if err != nil {
 				return nil, err
-			}
-			if len(scale) != channels {
-				return nil, fmt.Errorf("fused batchnorm %q has %d channels, want %d", f.Name, len(scale), channels)
 			}
 			stage = buildAffineLUTs(prevQ, outQ, scale, shift)
 		} else {

@@ -367,9 +367,6 @@ func lowerQuantOp(st *QuantStep, q *quantOp) (err error) {
 		if err != nil {
 			return err
 		}
-		if len(scale) != c {
-			return fmt.Errorf("batchnorm has %d folded channels for %d channels", len(scale), c)
-		}
 		slab := buildAffineLUTs(inQ[0], outQ, scale, shift)
 		luts := make([]*[256]int8, c)
 		for ch := range luts {

@@ -44,8 +44,7 @@ var _ Executable = (*QuantEngine)(nil)
 // falling back to the FP32 engine when the graph cannot be lowered
 // (ErrNotQuantizable), so callers always get a runnable executable.
 type QuantizedBackend struct {
-	// Schema is the calibration artifact (optimize.Calibrate or the
-	// QuantizeWeights calibration pass).
+	// Schema is the calibration artifact (optimize.Calibrate).
 	Schema *nn.QuantSchema
 }
 

@@ -57,16 +57,15 @@ func RunPipeline(g *nn.Graph, cfg PipelineConfig) (PipelineReport, error) {
 		rep.PruneReport = &pr
 	}
 	if cfg.Quantize {
-		qr, err := optimize.QuantizeWeights(g, optimize.QuantConfig{
-			Granularity:        cfg.Granularity,
-			CalibrationSamples: cfg.CalibrationSamples,
-		})
+		qr, err := optimize.QuantizeWeights(g, optimize.QuantConfig{Granularity: cfg.Granularity})
 		if err != nil {
 			return rep, err
 		}
 		rep.QuantReport = &qr
-		rep.Schema = qr.Schema
-	} else if len(cfg.CalibrationSamples) > 0 {
+	}
+	// Calibrating after quantization makes the schema reflect the
+	// deployed (quantized-weight) network.
+	if len(cfg.CalibrationSamples) > 0 {
 		schema, err := optimize.Calibrate(g, cfg.CalibrationSamples)
 		if err != nil {
 			return rep, err

@@ -76,9 +76,12 @@ func foldBatchNorm(g *nn.Graph) bool {
 		if w == nil || gamma == nil || beta == nil || mean == nil || variance == nil {
 			continue // structure-only graph: nothing to fold numerically
 		}
-		scale, shift := nn.FoldBatchNormStats(
-			gamma.Float32s(), beta.Float32s(), mean.Float32s(), variance.Float32s(), bn.Attrs.Eps)
 		outC := w.Shape[0]
+		scale, shift, err := nn.FoldBatchNormStats(outC,
+			gamma.Float32s(), beta.Float32s(), mean.Float32s(), variance.Float32s(), bn.Attrs.Eps)
+		if err != nil {
+			continue // statistics of the wrong length: compiling reports it
+		}
 		wv := w.Float32s()
 		perOut := len(wv) / outC
 		bias := make([]float32, outC)

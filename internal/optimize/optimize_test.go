@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"vedliot/internal/inference"
+	"vedliot/internal/inference/ir"
 	"vedliot/internal/nn"
 	"vedliot/internal/tensor"
 )
@@ -213,7 +214,10 @@ func TestFoldBatchNormUsesFoldedStats(t *testing.T) {
 	}
 	w := c.Weight(nn.WeightKey).Clone()
 	wantBias := append([]float32(nil), bias...)
-	scale, shift := nn.FoldBatchNormStats(gamma, beta, mean, variance, n.Attrs.Eps)
+	scale, shift, err := nn.FoldBatchNormStats(len(gamma), gamma, beta, mean, variance, n.Attrs.Eps)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if !foldBatchNorm(g) {
 		t.Fatal("foldBatchNorm reported no change on conv+BN graph")
@@ -229,6 +233,55 @@ func TestFoldBatchNormUsesFoldedStats(t *testing.T) {
 		if math.Float32bits(v) != math.Float32bits(want) {
 			t.Errorf("bias %d = %v, want %v", oc, v, want)
 		}
+	}
+}
+
+// TestBatchNormShortStatsRefused: a batch norm over 4 channels whose
+// statistics, or derived fold weights a loaded graph may carry, hold
+// another number of elements passes Validate, so every consumer must
+// refuse it with an error rather than index past the short slice: the
+// compiler, the reference interpreter, and the toolchain pipeline
+// followed by the compiler.
+func TestBatchNormShortStatsRefused(t *testing.T) {
+	for _, lengths := range []map[string]int{
+		{nn.GammaKey: 2}, {nn.BetaKey: 2}, {nn.MeanKey: 2}, {nn.VarKey: 2},
+		{nn.GammaKey: 2, nn.BetaKey: 2, nn.MeanKey: 2, nn.VarKey: 2},
+		// Derived weights take precedence over the statistics; a short
+		// gamma keeps Pipeline from folding the node away.
+		{ir.FoldScaleKey: 4, ir.FoldShiftKey: 2, nn.GammaKey: 2},
+	} {
+		build := func() *nn.Graph {
+			b := nn.NewBuilder("t", nn.BuildOptions{Weights: true, Seed: 5})
+			bn := b.BN(b.Conv(b.Input("input", 3, 6, 6), 3, 4, 3, 1, 1), 4)
+			g := b.Graph(bn)
+			for key, n := range lengths {
+				g.Node(bn).SetWeight(key, tensor.New(tensor.FP32, n))
+			}
+			return g
+		}
+		refused := func(path string, run func(g *nn.Graph) error) {
+			t.Helper()
+			if err := run(build()); err == nil {
+				t.Errorf("%v: %s accepted the graph", lengths, path)
+			}
+		}
+		refused("Compile", func(g *nn.Graph) error {
+			_, err := inference.Compile(g)
+			return err
+		})
+		refused("Interpreter.Run", func(g *nn.Graph) error {
+			r, err := inference.NewInterpreter(g)
+			if err != nil {
+				return err
+			}
+			_, err = r.Run(map[string]*tensor.Tensor{"input": tensor.New(tensor.FP32, 1, 3, 6, 6)})
+			return err
+		})
+		refused("Pipeline+Compile", func(g *nn.Graph) error {
+			Pipeline(g)
+			_, err := inference.Compile(g)
+			return err
+		})
 	}
 }
 
@@ -358,19 +411,16 @@ func TestCalibrationRanges(t *testing.T) {
 	for i := range sample["input"].F32 {
 		sample["input"].F32[i] = float32(i%11) / 11
 	}
-	rep, err := QuantizeWeights(g, QuantConfig{
-		Granularity:        PerTensor,
-		CalibrationSamples: []map[string]*tensor.Tensor{sample},
-	})
+	schema, err := Calibrate(g, []map[string]*tensor.Tensor{sample})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.ActivationRanges) == 0 {
+	if len(schema.Activations) == 0 {
 		t.Fatal("no activation ranges recorded")
 	}
-	for name, r := range rep.ActivationRanges {
-		if r[0] > r[1] {
-			t.Errorf("%s: min %v > max %v", name, r[0], r[1])
+	for name, q := range schema.Activations {
+		if !(q.Scale > 0) {
+			t.Errorf("%s: calibrated scale %v, want > 0", name, q.Scale)
 		}
 	}
 }

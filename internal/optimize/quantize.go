@@ -30,9 +30,6 @@ func (q QuantGranularity) String() string {
 // QuantConfig controls post-training quantization.
 type QuantConfig struct {
 	Granularity QuantGranularity
-	// CalibrationSamples are inputs (keyed like Engine.Run inputs) used to
-	// observe activation ranges. May be empty when only weights matter.
-	CalibrationSamples []map[string]*tensor.Tensor
 }
 
 // QuantReport records the outcome of quantization.
@@ -40,12 +37,6 @@ type QuantReport struct {
 	Granularity QuantGranularity
 	// WeightMSE is the mean squared quantization error over all weights.
 	WeightMSE float64
-	// ActivationRanges maps node name to the calibrated (min,max).
-	ActivationRanges map[string][2]float32
-	// Schema is the activation quantization schema derived from the
-	// calibrated ranges (nil without calibration samples) — the artifact
-	// inference.CompileQuantized consumes for native INT8 execution.
-	Schema *nn.QuantSchema
 	// BytesBefore and BytesAfter give the weight storage footprints.
 	BytesBefore int64
 	BytesAfter  int64
@@ -62,10 +53,7 @@ type QuantReport struct {
 // accounting — mirroring "fake quantization" as used by TFLite's PTQ
 // evaluation flow.
 func QuantizeWeights(g *nn.Graph, cfg QuantConfig) (QuantReport, error) {
-	rep := QuantReport{
-		Granularity:      cfg.Granularity,
-		ActivationRanges: make(map[string][2]float32),
-	}
+	rep := QuantReport{Granularity: cfg.Granularity}
 	var sumSq float64
 	var count int64
 	for _, n := range g.Nodes {
@@ -124,19 +112,6 @@ func QuantizeWeights(g *nn.Graph, cfg QuantConfig) (QuantReport, error) {
 	}
 	if count > 0 {
 		rep.WeightMSE = sumSq / float64(count)
-	}
-
-	// Calibrate activation ranges if samples were provided: the graph is
-	// compiled once and the engine runs every sample. Because weights
-	// were quantized above, the ranges — and the schema derived from
-	// them — reflect the deployed (quantized-weight) network.
-	if len(cfg.CalibrationSamples) > 0 {
-		ranges, err := activationRanges(g, cfg.CalibrationSamples)
-		if err != nil {
-			return rep, err
-		}
-		rep.ActivationRanges = ranges
-		rep.Schema = SchemaFromRanges(g.Name, ranges)
 	}
 	return rep, nil
 }

@@ -158,32 +158,23 @@ func TestQuantSchemaRoundTrip(t *testing.T) {
 	}
 }
 
-// TestQuantizeWeightsEmitsSchema checks that the PTQ pass attaches the
-// calibrated schema when samples are provided and omits it otherwise.
+// TestQuantizeWeightsEmitsSchema checks that a graph the PTQ pass
+// quantized calibrates to a schema covering every value — the order
+// kenning.RunPipeline runs them in.
 func TestQuantizeWeightsEmitsSchema(t *testing.T) {
 	g := nn.LeNet(28, 10, nn.BuildOptions{Weights: true, Seed: 31})
-	rep, err := QuantizeWeights(g.Clone(), QuantConfig{Granularity: PerTensor})
-	if err != nil {
+	if _, err := QuantizeWeights(g, QuantConfig{Granularity: PerTensor}); err != nil {
 		t.Fatal(err)
-	}
-	if rep.Schema != nil {
-		t.Error("schema present without calibration samples")
 	}
 	in := tensor.New(tensor.FP32, append(tensor.Shape{1}, g.Node(g.Inputs[0]).Attrs.Shape...)...)
 	for i := range in.F32 {
 		in.F32[i] = float32(i%17)/17 - 0.5
 	}
-	rep, err = QuantizeWeights(g, QuantConfig{
-		Granularity:        PerTensor,
-		CalibrationSamples: []map[string]*tensor.Tensor{{g.Inputs[0]: in}},
-	})
+	schema, err := Calibrate(g, []map[string]*tensor.Tensor{{g.Inputs[0]: in}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Schema == nil {
-		t.Fatal("no schema despite calibration samples")
-	}
-	if err := rep.Schema.Covers(g); err != nil {
+	if err := schema.Covers(g); err != nil {
 		t.Fatalf("PTQ schema does not cover the graph: %v", err)
 	}
 }
