@@ -15,11 +15,13 @@ vet:
 loc:
 	@./scripts/loc.sh
 
-# examples runs every end-to-end use-case program under examples/ (each
-# prints its report and exits 0; about 2 s together). The CI docs job
-# runs it after make docs has built them.
+# examples runs every program under examples/, then the four §V use-case
+# studies (PAEB, motor condition, arc detection, smart mirror) through
+# vedliot-bench, which exits non-zero on any [FAIL] check. The CI docs
+# job runs it after make docs has built the examples.
 examples:
 	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d || exit 1; done
+	@for id in paeb motor arc mirror; do $(GO) run ./cmd/vedliot-bench -run $$id || exit 1; done
 
 # test runs the suite at reduced experiment fidelity (CI default).
 test:
@@ -228,7 +230,7 @@ release-verify:
 docs:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
-	$(GO) build ./examples/...
+	$(GO) build -o /dev/null ./examples/...
 	$(GO) run ./cmd/docs-check . ./internal/* ./internal/inference/ir ./internal/rvbackend/difftest ./internal/tensor/cpu DESIGN.md README.md
 	$(GO) run ./cmd/vedliot-pack verify internal/artifact/testdata/golden.vedz
 

@@ -23,10 +23,11 @@ import (
 	"vedliot/internal/nn"
 	"vedliot/internal/optimize"
 	"vedliot/internal/tensor"
+	"vedliot/internal/zoo"
 )
 
 func main() {
-	model := flag.String("model", "lenet", "model: lenet, mlp, motornet, arcnet, mobilenetedge, mobilenetv3, resnet50, yolov4, yolov4tiny")
+	model := flag.String("model", "lenet", "model: a weighted zoo model (lenet, mlp, motor, arc, mobilenetedge, ...; vedliot-serve -list-models lists them) or a weightless paper-scale graph (mobilenetv3, resnet50, yolov4, yolov4tiny)")
 	quantize := flag.Bool("quantize", false, "post-training INT8 quantization")
 	int8Runtime := flag.Bool("int8-runtime", false, "calibrate activations and compare the native INT8 engine against the FP32 engine (implies -quantize)")
 	calib := flag.Int("calib", 4, "calibration batches for -int8-runtime")
@@ -47,7 +48,7 @@ func main() {
 	cfg := kenning.PipelineConfig{Prune: *prune}
 	if *quantize || *int8Runtime {
 		if !weights {
-			fatal(fmt.Errorf("-quantize needs a weighted model (lenet, mlp, motornet, arcnet, mobilenetedge)"))
+			fatal(fmt.Errorf("-quantize needs a weighted zoo model"))
 		}
 		cfg.Quantize = true
 		cfg.Granularity = optimize.PerChannel
@@ -232,18 +233,10 @@ func compareRuntimes(g *nn.Graph, schema *nn.QuantSchema) error {
 	return nil
 }
 
+// buildModel resolves a weighted model through the zoo; only the
+// weightless paper-scale graphs are built here.
 func buildModel(name string) (*nn.Graph, bool, error) {
 	switch name {
-	case "mobilenetedge":
-		return nn.MobileNetEdge(64, 10, nn.BuildOptions{Weights: true, Seed: 3}), true, nil
-	case "lenet":
-		return nn.LeNet(28, 10, nn.BuildOptions{Weights: true, Seed: 1}), true, nil
-	case "mlp":
-		return nn.MLP("lenet-300-100", []int{784, 300, 100, 10}, nn.BuildOptions{Weights: true, Seed: 1}), true, nil
-	case "motornet":
-		return nn.MotorNet(256, 5, nn.BuildOptions{Weights: true, Seed: 1}), true, nil
-	case "arcnet":
-		return nn.ArcNet(512, nn.BuildOptions{Weights: true, Seed: 1}), true, nil
 	case "mobilenetv3":
 		return nn.MobileNetV3(224, nn.BuildOptions{}), false, nil
 	case "resnet50":
@@ -253,7 +246,11 @@ func buildModel(name string) (*nn.Graph, bool, error) {
 	case "yolov4tiny":
 		return nn.YoloV4Tiny(416, 80, nn.BuildOptions{}), false, nil
 	}
-	return nil, false, fmt.Errorf("unknown model %q", name)
+	e, err := zoo.Find(name)
+	if err != nil {
+		return nil, false, fmt.Errorf("%w; weightless: mobilenetv3, resnet50, yolov4, yolov4tiny", err)
+	}
+	return e.Build(), true, nil
 }
 
 func fatal(err error) {

@@ -1,13 +1,17 @@
 package bench
 
 import (
+	"math"
+
 	"vedliot/internal/accel"
+	"vedliot/internal/attest"
 	"vedliot/internal/core"
 	"vedliot/internal/dataset"
 	"vedliot/internal/inference"
 	"vedliot/internal/kenning"
 	"vedliot/internal/microserver"
 	"vedliot/internal/nn"
+	"vedliot/internal/optimize"
 	"vedliot/internal/safety"
 	"vedliot/internal/tensor"
 	"vedliot/internal/track"
@@ -86,11 +90,29 @@ func runModel(g *nn.Graph, in *tensor.Tensor) (*tensor.Tensor, error) {
 	return eng.RunSingle(in)
 }
 
-// PAEB reproduces the §V-A offload study: the braking-distance deadline
-// shrinks with speed, and the offload decision flips with network
-// quality.
+// PAEB reproduces the §V-A offload study: the edge station is attested
+// before any raw sensor data leaves the car, the braking-distance
+// deadline shrinks with speed, and the offload decision flips with
+// network quality.
 func PAEB() (*Report, error) {
 	r := newReport("§V-A — Pedestrian Automatic Emergency Braking offload study")
+	root, err := attest.NewRootOfTrust()
+	if err != nil {
+		return nil, err
+	}
+	station, err := attest.NewDevice("edge-station-7", root, []attest.BootStage{
+		{Name: "bootloader", Image: []byte("edge-bl-1.0")},
+		{Name: "os", Image: []byte("edge-os-5.15")},
+		{Name: "paeb-service", Image: []byte("paeb-detector-3.1")},
+	})
+	if err != nil {
+		return nil, err
+	}
+	nonce := []byte("paeb-session")
+	err = attest.NewVerifier(root.Public(), station.Measurement()).Verify(station.Respond(nonce), nonce)
+	r.linef("edge station %q evidence verified before the sweep: %v", station.Name, err == nil)
+	r.check("edge station attested before the sweep", err == nil)
+
 	g := nn.YoloV4(416, 80, nn.BuildOptions{})
 	w, err := accel.WorkloadFromGraph(g, tensor.INT8)
 	if err != nil {
@@ -109,9 +131,9 @@ func PAEB() (*Report, error) {
 		resultBytes = 2_000
 		radioTxW    = 2.5
 	)
-	r.linef("%-14s %-12s %9s %9s %9s %8s %9s", "speed km/h", "network", "deadline", "local ms", "edge ms", "offload", "ok")
-	offloadOn5G, localOnLTE := false, false
-	for _, speed := range []float64{30, 50, 80} {
+	r.linef("%-14s %-12s %9s %9s %9s %8s %9s %6s", "speed km/h", "network", "deadline", "local ms", "edge ms", "offload", "car mJ", "ok")
+	offloadOn5G, localOnLTE, allMeet := false, false, true
+	for _, speed := range []float64{30, 50, 80, 120} {
 		// Perception deadline: allow ~10% of the time-to-stop from
 		// 25 m at this speed (v in m/s; crude but monotone in speed).
 		v := speed / 3.6
@@ -121,8 +143,13 @@ func PAEB() (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			r.linef("%-14.0f %-12s %9.0f %9.1f %9.1f %8v %9v",
-				speed, link.Name, deadline, plan.LocalMS, plan.EdgeMS, plan.Offload, plan.MeetsDeadline)
+			carMJ := plan.CarEnergyLocalMJ
+			if plan.Offload {
+				carMJ = plan.CarEnergyOffloadMJ
+			}
+			r.linef("%-14.0f %-12s %9.0f %9.1f %9.1f %8v %9.0f %6v",
+				speed, link.Name, deadline, plan.LocalMS, plan.EdgeMS, plan.Offload, carMJ, plan.MeetsDeadline)
+			allMeet = allMeet && plan.MeetsDeadline
 			if speed == 50 && link.Name == core.NR5GmmWave.Name && plan.Offload {
 				offloadOn5G = true
 			}
@@ -133,6 +160,7 @@ func PAEB() (*Report, error) {
 	}
 	r.check("LTE keeps inference on-car", localOnLTE)
 	r.check("5G mmWave enables offloading", offloadOn5G)
+	r.check("every chosen plan meets its deadline", allMeet)
 	return r, nil
 }
 
@@ -163,6 +191,31 @@ func MotorCondition() (*Report, error) {
 	r.check("accuracy >= 0.8", ev.Confusion.Accuracy() >= 0.8)
 	r.check("bearing-fault recall >= 0.8", ev.Confusion.Recall(int(dataset.MotorBearingFault)) >= 0.8)
 
+	// Compress for the battery box: prune, retrain with the pruned
+	// weights held at zero, quantize per channel.
+	denseBytes := g.WeightBytes()
+	pr, err := optimize.MagnitudePrune(g, 0.8)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := train.SGD(g, trainSet, train.Config{Epochs: 8, LR: 0.02, BatchSize: 16, Seed: 33, FreezeZeros: true}); err != nil {
+		return nil, err
+	}
+	qr, err := optimize.QuantizeWeights(g, optimize.QuantConfig{Granularity: optimize.PerChannel})
+	if err != nil {
+		return nil, err
+	}
+	compressedAcc, err := train.Accuracy(g, testSet)
+	if err != nil {
+		return nil, err
+	}
+	r.linef("compressed: sparsity %.3f, weights %d -> %d bytes, accuracy %.3f",
+		pr.Sparsity(), denseBytes, qr.BytesAfter, compressedAcc)
+	// The pass zeroes floor(0.8 x weights): 0.8 to one weight.
+	r.check("sparsity 0.8", pr.Zeroed >= int64(0.8*float64(pr.TotalWeights)))
+	r.check("compressed accuracy >= 0.8, within 5 points of dense",
+		compressedAcc >= 0.8 && compressedAcc >= ev.Confusion.Accuracy()-0.05)
+
 	// Energy budget on the MCU NPU: one inference per second.
 	npu, err := accel.FindDevice("MAX78000 NPU")
 	if err != nil {
@@ -182,26 +235,37 @@ func MotorCondition() (*Report, error) {
 	idleMJPerS := npu.IdleW * 1000
 	perSecondMJ := perInferenceMJ + idleMJPerS
 	days := batteryMJ / perSecondMJ / 86400
-	r.linef("NPU inference: %.2f ms, %.3f mJ; 1 Hz duty -> battery life %.0f days", m.LatencyMS, perInferenceMJ, days)
+	r.linef("NPU inference: %.2f ms, %.2f µJ; idle is %.2f%% of the 1 Hz draw -> battery life %.0f days",
+		m.LatencyMS, perInferenceMJ*1000, idleMJPerS/perSecondMJ*100, days)
 	r.check("inference under 50 ms", m.LatencyMS < 50)
 	r.check("battery life > 30 days at 1 Hz", days > 30)
 	return r, nil
 }
 
 // ArcDetection reproduces the §V-B arc-detection study: end-to-end
-// latency from spark to decision and the false-negative/threshold
-// trade-off.
+// latency from spark to decision, the false-negative/threshold
+// trade-off, and the detector supervised by the architectural-
+// hybridization safety pattern.
 func ArcDetection() (*Report, error) {
 	r := newReport("§V-B — DC arc detection (latency + FNR)")
 	cfg := dataset.DefaultArcConfig()
+	// The operating point below is the first PR point with recall
+	// >= 0.995, which tolerates one missed arc only from 200 arc windows
+	// up. With fewer (140 or 188 arcs at 300 or 400 windows) it must
+	// catch every arc and falls to threshold 0.990 at precision 0.565,
+	// under the precision check; 600 windows hold 275 arcs.
 	arcs := dataset.ArcCurrent(600, cfg)
 
 	// Detector: windowed noise-power score with threshold sweep.
 	scores := make([]float64, len(arcs))
 	truth := make([]bool, len(arcs))
+	nArcs := 0
 	for i, a := range arcs {
 		scores[i] = waveformNoiseScore(a.X)
 		truth[i] = a.Arc
+		if a.Arc {
+			nArcs++
+		}
 	}
 	curve, err := kenning.PRCurve(scores, truth)
 	if err != nil {
@@ -215,10 +279,46 @@ func ArcDetection() (*Report, error) {
 			break
 		}
 	}
-	r.linef("detector operating point: threshold %.3f, recall %.3f (FNR %.3f), precision %.3f",
-		opPoint.Threshold, opPoint.Recall, 1-opPoint.Recall, opPoint.Precision)
+	r.linef("detector operating point over %d arc windows: threshold %.3f, recall %.3f (FNR %.3f), precision %.3f",
+		nArcs, opPoint.Threshold, opPoint.Recall, 1-opPoint.Recall, opPoint.Precision)
 	r.check("FNR <= 1%", 1-opPoint.Recall <= 0.01)
 	r.check("precision at that point >= 0.7", opPoint.Precision >= 0.7)
+
+	// Hybrid supervision over the first 100 windows: the payload is the
+	// detector, the check is the input-quality gate (a window whose
+	// monitor alarms exceed a quarter of its samples reads as a
+	// compromised sensor), and the safe action de-energizes.
+	type decision struct{ arc, compromised bool }
+	monitorCfg := safety.DefaultSeriesMonitorConfig()
+	var window []float32
+	hybrid := &safety.Hybrid[decision]{
+		Payload: func() (decision, error) {
+			return decision{
+				arc:         waveformNoiseScore(window) > opPoint.Threshold,
+				compromised: len(safety.MonitorSeries(window, monitorCfg)) > len(window)/4,
+			}, nil
+		},
+		Check:      func(d decision) bool { return !d.compromised },
+		SafeAction: func() decision { return decision{arc: true, compromised: true} },
+	}
+	missed, falseArcs, cleanTrips := 0, 0, 0
+	for _, a := range arcs[:100] {
+		window = a.X
+		d := hybrid.Invoke()
+		switch {
+		case a.Arc && !d.arc:
+			missed++
+		case !a.Arc && d.compromised:
+			cleanTrips++
+		case !a.Arc && d.arc:
+			falseArcs++
+		}
+	}
+	used, trips := hybrid.Stats()
+	r.linef("hybrid over 100 windows: %d payload decisions, %d safe-action trips (%d on clean windows), %d arcs missed, %d false arc decisions",
+		used, trips, cleanTrips, missed, falseArcs)
+	r.check("hybrid misses no arc window", missed == 0)
+	r.check("safe action fires on no clean window", cleanTrips == 0)
 
 	// Latency budget: sensing window fill + inference on the FPGA DPU.
 	g := nn.ArcNet(cfg.Window, nn.BuildOptions{})
@@ -289,16 +389,35 @@ func SmartMirror() (*Report, error) {
 	r.check("every stage meets its frame budget", ok)
 	r.check("aggregate load under 100%", totalLoad < 100)
 
-	// Tracking + fusion on two people crossing the mirror's view.
+	// Tracking + fusion: two people cross the mirror's view at walking
+	// pace while a third stands in front of it.
+	const pace = 8 // px/frame
 	tracker := track.NewTracker(track.DefaultKalmanConfig(), 60, 3)
 	for i := 0; i < 30; i++ {
 		tracker.Step([]track.Detection{
-			{P: track.Point{X: 100 + float64(i)*8, Y: 200}, Label: "alice"},
-			{P: track.Point{X: 500 - float64(i)*8, Y: 220}, Label: "bob"},
+			{P: track.Point{X: 100 + float64(i)*pace, Y: 200}, Label: "alice"},
+			{P: track.Point{X: 500 - float64(i)*pace, Y: 220}, Label: "bob"},
+			{P: track.Point{X: 300 + 3*math.Sin(float64(i)), Y: 120}, Label: "carol"},
 		})
 	}
 	r.linef("tracker holds %d identities after 30 frames of crossing paths", len(tracker.Tracks()))
-	r.check("both identities tracked through crossing", len(tracker.Tracks()) == 2)
+	r.check("all three identities tracked through crossing", len(tracker.Tracks()) == 3)
+	walkersOK, decisionsOK := true, true
+	for _, tr := range tracker.Tracks() {
+		vx := tr.Filter.Velocity().X
+		lingering := math.Abs(vx) < pace/2
+		decision := "passing by -> idle display"
+		if lingering {
+			decision = "lingering -> show personal dashboard"
+		}
+		r.linef("  %-6s vx %6.2f px/frame: %s", tr.Label, vx, decision)
+		if tr.Label != "carol" {
+			walkersOK = walkersOK && math.Abs(math.Abs(vx)-pace) <= 0.5
+		}
+		decisionsOK = decisionsOK && lingering == (tr.Label == "carol")
+	}
+	r.check("walkers' filtered vx within 0.5 px/frame of ±8", walkersOK)
+	r.check("walkers pass by, the standing person lingers", decisionsOK)
 
 	// Power envelope: Jetson NX module in uRECS at the aggregate load.
 	chassis := microserver.NewURECS()

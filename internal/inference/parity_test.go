@@ -14,11 +14,11 @@ import (
 // engine preserves per-element accumulation order.
 const parityTol = 1e-5
 
-// exampleGraphs builds every topology the examples/ programs
-// instantiate (quickstart, smartmirror, arcdetect, motorcondition,
-// paeb), with materialized weights and — where an example uses a
+// exampleGraphs builds every topology examples/quickstart and the §V
+// use-case studies of internal/bench (mirror, arc, motor, paeb)
+// instantiate, with materialized weights and — where a study uses a
 // survey-scale configuration — reduced input sizes so the test stays
-// fast. The paeb example models offload of a YoloV4-class detector; its
+// fast. The paeb study models offload of a YoloV4-class detector; its
 // stand-in here is a miniature CSP/PANet-style detector exercising the
 // same operator patterns (Mish/LeakyReLU, SPP max-pool stack, concat,
 // upsample, multi-scale heads) at test scale.
@@ -26,16 +26,16 @@ func exampleGraphs() []*nn.Graph {
 	return []*nn.Graph{
 		// examples/quickstart
 		nn.GestureNet(64, 8, nn.BuildOptions{Weights: true, Seed: 1}),
-		// examples/smartmirror (Fig. 5 pipeline stages)
+		// mirror study (Fig. 5 pipeline stages)
 		nn.FaceDetectNet(96, nn.BuildOptions{Weights: true, Seed: 2}),
 		nn.FaceEmbedNet(64, 128, nn.BuildOptions{Weights: true, Seed: 3}),
 		nn.SpeechNet(100, 26, 29, nn.BuildOptions{Weights: true, Seed: 4}),
-		// examples/arcdetect
+		// arc study
 		nn.ArcNet(256, nn.BuildOptions{Weights: true, Seed: 5}),
-		// examples/motorcondition
+		// motor study
 		nn.MotorNet(128, 5, nn.BuildOptions{Weights: true, Seed: 6}),
 		nn.MLP("motor-clf", []int{128, 64, 5}, nn.BuildOptions{Weights: true, Seed: 7}),
-		// examples/paeb (YoloV4-class topology at test scale)
+		// paeb study (YoloV4-class topology at test scale)
 		miniYolo(64, 4),
 	}
 }
