@@ -308,3 +308,44 @@ func TestLoweringDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestExampleGraphOutputsPinned pins the bits of Engine.Run,
+// Engine.RunAll and QuantEngine.Run on the example topologies and the
+// island net, at batch 3. mini-yolo's INT8 run is the one that reaches
+// the code-domain max pool, concat and upsample with their recodes; the
+// values hold under every VEDLIOT_CPU tier and purego.
+func TestExampleGraphOutputsPinned(t *testing.T) {
+	want := map[string][3]uint64{
+		"gesture":    {0x4c8e49f9a4b5ef3c, 0x2f9636c73e388362, 0x0f8efd737966a2de},
+		"facedetect": {0x4a85a0182cfdb0fa, 0x67a960e94d4f54f3, 0x50293c5147892eaf},
+		"faceembed":  {0xe86262c567b28c59, 0x557edf1351dd8ed7, 0x90ee98926847586e},
+		"speechnet":  {0xed8b1d74fd0d0624, 0x70d7ada4da5a1a16, 0x44fcb217bed699b0},
+		"arcnet":     {0xe21827910b16e5ad, 0x8d0a0990577fc3f0, 0x0cb45aa4176fbee6},
+		"motornet":   {0xe598289fcd1239fc, 0x178ea63d01b70c75, 0x30543404829837ef},
+		"motor-clf":  {0x1dff7d5196dec39a, 0x864ba668a6ff3294, 0x8e9c42e71349be14},
+		"mini-yolo":  {0x92263940e84a6761, 0x2f6e0789cdbd6871, 0xc2e194c9ef789a8e},
+		"island":     {0xcc1e4b82e28bc03f, 0xd0bd14c47f60e6db, 0xefa972b45149f25d},
+	}
+	for _, g := range append(exampleGraphs(), islandNet()) {
+		in, err := nn.SyntheticInput(g, 3, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := mustCompile(t, g)
+		q, err := CompileQuantized(g, calibrate(t, g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got [3]uint64
+		for i, run := range []func(map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error){eng.Run, eng.RunAll, q.Run} {
+			out, err := run(in)
+			if err != nil {
+				t.Fatalf("%s: %v", g.Name, err)
+			}
+			got[i] = hashOutputs(out)
+		}
+		if got != want[g.Name] {
+			t.Errorf("%s: Run, RunAll, QuantEngine.Run hash to %016x, want %016x", g.Name, got, want[g.Name])
+		}
+	}
+}
