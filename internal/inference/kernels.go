@@ -368,7 +368,9 @@ func softmaxRows(x *tensor.Tensor) (*tensor.Tensor, error) {
 // dimension varies per call. Every kernel runs its whole range on the
 // calling goroutine and keeps the per-element accumulation order of the
 // interpreter above, so engine results are bitwise identical to the
-// reference semantics.
+// reference semantics. The ops that only move values (max pool, concat,
+// upsample, copy) have one body, generic over the element type, that
+// the INT8 executor binds over its codes too.
 // ---------------------------------------------------------------------------
 
 // epilogue is a producer's fused element-wise tail: an optional leading
@@ -475,21 +477,24 @@ func bindKernel(n *nn.Node, ins []tensor.Shape, out tensor.Shape, ep *epilogue) 
 		nn.OpHSwish, nn.OpHSigmoid, nn.OpMish:
 		kern, err = bindActivation(n)
 	case nn.OpMaxPool:
-		kern, err = bindPool(n, ins[0], out, true)
+		var mp PlanMaxPool
+		if mp, err = poolGeom(n, ins[0], out); err == nil {
+			kern = bindMaxPool(&mp, float32(0))
+		}
 	case nn.OpAvgPool:
-		kern, err = bindPool(n, ins[0], out, false)
+		kern, err = bindAvgPool(n, ins[0], out)
 	case nn.OpGlobalAvgPool:
 		kern, err = bindGlobalAvgPool(ins[0])
 	case nn.OpAdd, nn.OpMul:
 		kern, err = bindAccumulate(n, ins, out)
 	case nn.OpConcat:
-		kern, err = bindConcat(ins, out)
+		kern, err = bindConcat[float32](ins, out)
 	case nn.OpUpsample:
-		kern, err = bindUpsample(n, ins[0], out)
+		kern, err = bindUpsample[float32](n, ins[0], out)
 	case nn.OpSoftmax:
 		kern, err = bindSoftmax(ins[0])
 	case nn.OpFlatten, nn.OpIdentity:
-		kern = bindCopy()
+		kern = bindCopy[float32]()
 	default:
 		err = fmt.Errorf("unsupported op %s", n.Op)
 	}
@@ -979,6 +984,9 @@ func bnScaleShift(n *nn.Node, c int) (scale, shift []float32, err error) {
 		gamma.Float32s(), beta.Float32s(), mean.Float32s(), variance.Float32s(), n.Attrs.Eps)
 }
 
+// bindBatchNorm runs its affine and the fused tail as one tile
+// epilogue per plane. A tail that holds a second affine composes into
+// per-channel closures.
 func bindBatchNorm(n *nn.Node, in tensor.Shape, ep *epilogue) (kernelFunc[float32], error) {
 	if len(in) != 3 {
 		return nil, fmt.Errorf("batchnorm wants NCHW, got per-sample %v", in)
@@ -988,45 +996,21 @@ func bindBatchNorm(n *nn.Node, in tensor.Shape, ep *epilogue) (kernelFunc[float3
 	if err != nil {
 		return nil, err
 	}
-	// The producer's own affine and any fused tail collapse into the
-	// same per-channel fast paths the conv epilogue uses: the common
-	// batch-norm + ReLU pair runs branch-lean and call-free.
-	reluTail := ep != nil && ep.act == tensor.ActReLU && ep.scale == nil
-	var fs []func(float32) float32
-	if ep != nil && !reluTail {
-		fs = make([]func(float32) float32, c)
-		for ch := range fs {
-			fs[ch] = ep.scalar(ch)
+	bn := &epilogue{scale: scale, shift: shift}
+	switch {
+	case ep != nil && ep.scale != nil:
+		bn.fnCh = make([]func(float32) float32, c)
+		for ch := range bn.fnCh {
+			bn.fnCh[ch] = ep.scalar(ch)
 		}
+	case ep != nil:
+		bn.act, bn.fn, bn.fnCh = ep.act, ep.fn, ep.fnCh
 	}
 	hw := in[1] * in[2]
 	return func(rc *runCtx, dst []float32, srcs [][]float32) error {
 		xv := srcs[0]
 		for p := 0; p < rc.batch*c; p++ {
-			base := p * hw
-			s, sh := scale[p%c], shift[p%c]
-			x := xv[base : base+hw]
-			out := dst[base : base+hw]
-			out = out[:len(x)]
-			switch {
-			case reluTail:
-				for i, v := range x {
-					v = v*s + sh
-					if v < 0 {
-						v = 0
-					}
-					out[i] = v
-				}
-			case fs != nil:
-				f := fs[p%c]
-				for i, v := range x {
-					out[i] = f(v*s + sh)
-				}
-			default:
-				for i, v := range x {
-					out[i] = v*s + sh
-				}
-			}
+			bn.tile(dst[p*hw:], hw, xv[p*hw:], hw, 1, hw, p%c, false)
 		}
 		return nil
 	}, nil
@@ -1111,63 +1095,86 @@ func bindActivation(n *nn.Node) (kernelFunc[float32], error) {
 	}, nil
 }
 
-func bindPool(n *nn.Node, in, out tensor.Shape, isMax bool) (kernelFunc[float32], error) {
+// poolGeom is a pooling node's window geometry in PlanMaxPool's fields
+// (Empty and Recode unset), for the pool binders of both executors.
+func poolGeom(n *nn.Node, in, out tensor.Shape) (PlanMaxPool, error) {
 	if len(in) != 3 {
-		return nil, fmt.Errorf("pool wants NCHW, got per-sample %v", in)
+		return PlanMaxPool{}, fmt.Errorf("pool wants NCHW, got per-sample %v", in)
 	}
 	a := n.Attrs
-	c, inH, inW := in[0], in[1], in[2]
-	outH, outW := out[1], out[2]
+	return PlanMaxPool{
+		C: in[0], InH: in[1], InW: in[2], OutH: out[1], OutW: out[2],
+		KH: a.KernelH, KW: a.KernelW, SH: a.StrideH, SW: a.StrideW, PH: a.PadH, PW: a.PadW,
+	}, nil
+}
+
+// poolWindow clips output position o's window along one axis of n
+// inputs: the window starts at input i0 and its in-bounds taps are
+// lo..hi-1 (none when hi == lo).
+func poolWindow(o, stride, pad, k, n int) (i0, lo, hi int) {
+	i0 = o*stride - pad
+	lo = max(-i0, 0)
+	return i0, lo, max(min(k, n-i0), lo)
+}
+
+// bindMaxPool binds the window max over every plane, for float32 values
+// and int8 codes alike (the affine map is monotone, so the max of codes
+// is the code of the max): a window with no in-bounds tap yields empty.
+func bindMaxPool[T float32 | int8](geom *PlanMaxPool, empty T) kernelFunc[T] {
+	mp := *geom // the kernel reads the geometry from its own copy
+	return func(rc *runCtx, dst []T, srcs [][]T) error {
+		xv := srcs[0]
+		for p := 0; p < rc.batch*mp.C; p++ {
+			base := p * mp.InH * mp.InW
+			outBase := p * mp.OutH * mp.OutW
+			for oy := 0; oy < mp.OutH; oy++ {
+				iy0, kyLo, kyHi := poolWindow(oy, mp.SH, mp.PH, mp.KH, mp.InH)
+				for ox := 0; ox < mp.OutW; ox++ {
+					ix0, kxLo, kxHi := poolWindow(ox, mp.SW, mp.PW, mp.KW, mp.InW)
+					acc, first := empty, true
+					for ky := kyLo; ky < kyHi; ky++ {
+						row := base + (iy0+ky)*mp.InW + ix0
+						for kx := kxLo; kx < kxHi; kx++ {
+							if v := xv[row+kx]; first || v > acc {
+								acc, first = v, false
+							}
+						}
+					}
+					dst[outBase+oy*mp.OutW+ox] = acc
+				}
+			}
+		}
+		return nil
+	}
+}
+
+// bindAvgPool averages each window's in-bounds taps (count_include_pad
+// = false).
+func bindAvgPool(n *nn.Node, in, out tensor.Shape) (kernelFunc[float32], error) {
+	mp, err := poolGeom(n, in, out)
+	if err != nil {
+		return nil, err
+	}
 	return func(rc *runCtx, dst []float32, srcs [][]float32) error {
 		xv := srcs[0]
-		for p := 0; p < rc.batch*c; p++ {
-			base := p * inH * inW
-			outBase := p * outH * outW
-			for oy := 0; oy < outH; oy++ {
-				iy0 := oy*a.StrideH - a.PadH
-				kyLo := 0
-				if iy0 < 0 {
-					kyLo = -iy0
-				}
-				kyHi := a.KernelH
-				if iy0+a.KernelH > inH {
-					kyHi = inH - iy0
-				}
-				for ox := 0; ox < outW; ox++ {
-					ix0 := ox*a.StrideW - a.PadW
-					kxLo := 0
-					if ix0 < 0 {
-						kxLo = -ix0
-					}
-					kxHi := a.KernelW
-					if ix0+a.KernelW > inW {
-						kxHi = inW - ix0
-					}
+		for p := 0; p < rc.batch*mp.C; p++ {
+			base := p * mp.InH * mp.InW
+			outBase := p * mp.OutH * mp.OutW
+			for oy := 0; oy < mp.OutH; oy++ {
+				iy0, kyLo, kyHi := poolWindow(oy, mp.SH, mp.PH, mp.KH, mp.InH)
+				for ox := 0; ox < mp.OutW; ox++ {
+					ix0, kxLo, kxHi := poolWindow(ox, mp.SW, mp.PW, mp.KW, mp.InW)
 					var acc float32
-					if isMax {
-						first := true
-						for ky := kyLo; ky < kyHi; ky++ {
-							row := base + (iy0+ky)*inW + ix0
-							for kx := kxLo; kx < kxHi; kx++ {
-								v := xv[row+kx]
-								if first || v > acc {
-									acc = v
-									first = false
-								}
-							}
-						}
-					} else {
-						for ky := kyLo; ky < kyHi; ky++ {
-							row := base + (iy0+ky)*inW + ix0
-							for kx := kxLo; kx < kxHi; kx++ {
-								acc += xv[row+kx]
-							}
-						}
-						if count := (kyHi - kyLo) * (kxHi - kxLo); count > 0 {
-							acc /= float32(count)
+					for ky := kyLo; ky < kyHi; ky++ {
+						row := base + (iy0+ky)*mp.InW + ix0
+						for kx := kxLo; kx < kxHi; kx++ {
+							acc += xv[row+kx]
 						}
 					}
-					dst[outBase+oy*outW+ox] = acc
+					if count := (kyHi - kyLo) * (kxHi - kxLo); count > 0 {
+						acc /= float32(count)
+					}
+					dst[outBase+oy*mp.OutW+ox] = acc
 				}
 			}
 		}
@@ -1250,12 +1257,13 @@ func bindAccumulate(n *nn.Node, ins []tensor.Shape, out tensor.Shape) (kernelFun
 	}, nil
 }
 
-func bindConcat(ins []tensor.Shape, out tensor.Shape) (kernelFunc[float32], error) {
+// bindConcat copies each input into its channel range of the output.
+func bindConcat[T float32 | int8](ins []tensor.Shape, out tensor.Shape) (kernelFunc[T], error) {
 	if len(out) != 3 {
 		return nil, fmt.Errorf("concat wants NCHW, got per-sample %v", out)
 	}
 	hw := out[1] * out[2]
-	sizes := make([]int, len(ins)) // per-sample float counts
+	sizes := make([]int, len(ins)) // per-sample element counts
 	for i, s := range ins {
 		if len(s) != 3 || s[1] != out[1] || s[2] != out[2] {
 			return nil, fmt.Errorf("%w: concat input %v vs %v", tensor.ErrShape, s, out)
@@ -1263,7 +1271,7 @@ func bindConcat(ins []tensor.Shape, out tensor.Shape) (kernelFunc[float32], erro
 		sizes[i] = s[0] * hw
 	}
 	totalPer := out.NumElements()
-	return func(rc *runCtx, dst []float32, srcs [][]float32) error {
+	return func(rc *runCtx, dst []T, srcs [][]T) error {
 		for b := 0; b < rc.batch; b++ {
 			off := b * totalPer
 			for i, src := range srcs {
@@ -1276,7 +1284,9 @@ func bindConcat(ins []tensor.Shape, out tensor.Shape) (kernelFunc[float32], erro
 	}, nil
 }
 
-func bindUpsample(n *nn.Node, in, out tensor.Shape) (kernelFunc[float32], error) {
+// bindUpsample repeats each element over a scale x scale block (nearest
+// neighbour).
+func bindUpsample[T float32 | int8](n *nn.Node, in, out tensor.Shape) (kernelFunc[T], error) {
 	if len(in) != 3 {
 		return nil, fmt.Errorf("upsample wants NCHW, got per-sample %v", in)
 	}
@@ -1286,7 +1296,7 @@ func bindUpsample(n *nn.Node, in, out tensor.Shape) (kernelFunc[float32], error)
 	}
 	c, h, w := in[0], in[1], in[2]
 	oh, ow := out[1], out[2]
-	return func(rc *runCtx, dst []float32, srcs [][]float32) error {
+	return func(rc *runCtx, dst []T, srcs [][]T) error {
 		xv := srcs[0]
 		for p := 0; p < rc.batch*c; p++ {
 			inBase := p * h * w
@@ -1338,8 +1348,8 @@ func bindSoftmax(in tensor.Shape) (kernelFunc[float32], error) {
 	}, nil
 }
 
-func bindCopy() kernelFunc[float32] {
-	return func(rc *runCtx, dst []float32, srcs [][]float32) error {
+func bindCopy[T float32 | int8]() kernelFunc[T] {
+	return func(rc *runCtx, dst []T, srcs [][]T) error {
 		copy(dst, srcs[0])
 		return nil
 	}

@@ -197,6 +197,52 @@ func TestEngineParityOnExampleGraphs(t *testing.T) {
 	}
 }
 
+// TestStandaloneBatchNormTails runs a batch-norm producer that no conv
+// absorbs (its input is an Add) with a second batch norm in its fused
+// tail: behind a ReLU (the per-channel closures) and directly (a tail
+// with an affine of its own). Run tracks the interpreter within
+// parityTol and reads RunAll's unfused value of the same node bit for
+// bit.
+func TestStandaloneBatchNormTails(t *testing.T) {
+	tails := map[string]func(b *nn.Builder, x string) string{
+		"relu-bn": func(b *nn.Builder, x string) string { return b.BN(b.Act(x, nn.OpReLU), 4) },
+		"bn":      func(b *nn.Builder, x string) string { return b.BN(x, 4) },
+	}
+	for name, tail := range tails {
+		t.Run(name, func(t *testing.T) {
+			b := nn.NewBuilder("bn-"+name, nn.BuildOptions{Weights: true, Seed: 31})
+			x := b.Input("input", 4, 5, 7)
+			g := b.Graph(tail(b, b.BN(b.Add(x, b.Conv(x, 4, 4, 3, 1, 1)), 4)))
+			eng := mustCompile(t, g)
+			if last := eng.steps[len(eng.steps)-1]; last.op != nn.OpBatchNorm || len(eng.steps) != 3 {
+				t.Fatalf("plan ends in %s after %d steps, want the batch norm third with its tail fused", last.op, len(eng.steps))
+			}
+			in := execInput(t, g, 3, 4)
+			got, err := eng.Run(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := mustInterp(t, g).Run(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all, err := eng.RunAll(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := g.Outputs[0]
+			if d, err := tensor.MaxAbsDiff(want[out], got[out]); err != nil || d > parityTol {
+				t.Errorf("Run diverges from the interpreter by %g (tol %g, err %v)", d, parityTol, err)
+			}
+			for i, v := range all[out].F32 {
+				if math.Float32bits(got[out].F32[i]) != math.Float32bits(v) {
+					t.Fatalf("Run[%d] = %g, RunAll = %g", i, got[out].F32[i], v)
+				}
+			}
+		})
+	}
+}
+
 // TestFP16StorageBitwise pins what FP16 storage means to the FP32
 // plan: binary16 weights are dequantized once at bind time, so a graph
 // with FP16-stored weights runs bit for bit like the same graph with

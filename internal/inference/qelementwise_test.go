@@ -151,3 +151,40 @@ func TestQuantConvGemmFallsBackWithoutPlan(t *testing.T) {
 		}
 	}
 }
+
+// TestAvgPoolWindowInPadding: a pad at least the kernel's leaves
+// windows wholly in the padding. They count no tap, as in the
+// interpreter's pool: FP32 reads 0 and INT8 the output zero point.
+func TestAvgPoolWindowInPadding(t *testing.T) {
+	n := &nn.Node{Op: nn.OpAvgPool, Attrs: nn.Attrs{KernelH: 1, KernelW: 1, StrideH: 1, StrideW: 1, PadH: 3, PadW: 3}}
+	in, out := tensor.Shape{1, 2, 2}, tensor.Shape{1, 8, 8}
+	x := tensor.MustFromSlice([]float32{1, 2, 3, 4}, 1, 1, 2, 2)
+	want, err := pool(n, x, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kern, err := bindAvgPool(n, in, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]float32, out.NumElements())
+	rc := runCtx{batch: 1}
+	if err := kern(&rc, got, [][]float32{x.F32}); err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range want.F32 {
+		if got[i] != w {
+			t.Fatalf("FP32 [%d] = %g, want %g", i, got[i], w)
+		}
+	}
+	inQ, outQ := tensor.QuantParams{Scale: 0.5, Zero: 5}, tensor.QuantParams{Scale: 0.25, Zero: -3}
+	_, qkern, spec := lowerAndBind(t, n, []tensor.Shape{in}, out, []tensor.QuantParams{inQ}, outQ)
+	codes := []int8{7, 9, 11, 13} // reals 1, 2, 3, 4
+	qgot := make([]int8, out.NumElements())
+	runBoundQ(t, qkern, spec, 1, qgot, [][]int8{codes})
+	for i, w := range want.F32 {
+		if qw := outQ.Quantize(w); qgot[i] != qw {
+			t.Fatalf("INT8 [%d] = %d, want %d", i, qgot[i], qw)
+		}
+	}
+}

@@ -46,7 +46,7 @@ func bindQuantStep(st *QuantStep, outElems int) (kernelFunc[int8], scratchSpec) 
 	case st.LUTPerChannel != nil:
 		return bindQuantLUTPerChannel(st.LUTPerChannel), scratchSpec{}
 	case st.MaxPool != nil:
-		return bindQuantMaxPool(st.MaxPool), scratchSpec{}
+		return recodeAfter(bindMaxPool(st.MaxPool, st.MaxPool.Empty), st.MaxPool.Recode), scratchSpec{}
 	case st.GlobalAvgPool != nil:
 		return bindQuantGlobalAvgPool(st.GlobalAvgPool), scratchSpec{}
 	case st.Add != nil:
@@ -391,10 +391,7 @@ func bindQuantLUTPerChannel(pc *PlanLUTPerChannel) kernelFunc[int8] {
 func bindQuantLUT(l *PlanLUT) kernelFunc[int8] {
 	lut := l.Table
 	if lut == nil {
-		return func(rc *runCtx, dst []int8, srcs [][]int8) error {
-			copy(dst, srcs[0])
-			return nil
-		}
+		return bindCopy[int8]()
 	}
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
 		tensor.LUT8(dst, srcs[0][:len(dst)], lut)
@@ -402,69 +399,32 @@ func bindQuantLUT(l *PlanLUT) kernelFunc[int8] {
 	}
 }
 
-func bindQuantMaxPool(pool *PlanMaxPool) kernelFunc[int8] {
-	mp := *pool // the kernel reads the geometry from its own copy
-	c, inH, inW, outH, outW := mp.C, mp.InH, mp.InW, mp.OutH, mp.OutW
-	empty, recode := mp.Empty, mp.Recode
+// recodeAfter runs a code-moving kernel and then recodes its whole
+// output in place through recode, onto the output mapping; a nil recode
+// leaves the kernel as it is.
+func recodeAfter(kern kernelFunc[int8], recode *[256]int8) kernelFunc[int8] {
+	if recode == nil {
+		return kern
+	}
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
-		xv := srcs[0]
-		for p := 0; p < rc.batch*c; p++ {
-			base := p * inH * inW
-			outBase := p * outH * outW
-			for oy := 0; oy < outH; oy++ {
-				iy0 := oy*mp.SH - mp.PH
-				kyLo := 0
-				if iy0 < 0 {
-					kyLo = -iy0
-				}
-				kyHi := mp.KH
-				if iy0+mp.KH > inH {
-					kyHi = inH - iy0
-				}
-				for ox := 0; ox < outW; ox++ {
-					ix0 := ox*mp.SW - mp.PW
-					kxLo := 0
-					if ix0 < 0 {
-						kxLo = -ix0
-					}
-					kxHi := mp.KW
-					if ix0+mp.KW > inW {
-						kxHi = inW - ix0
-					}
-					acc := empty
-					first := true
-					for ky := kyLo; ky < kyHi; ky++ {
-						row := base + (iy0+ky)*inW + ix0
-						for kx := kxLo; kx < kxHi; kx++ {
-							if v := xv[row+kx]; first || v > acc {
-								acc = v
-								first = false
-							}
-						}
-					}
-					if recode != nil {
-						acc = recode[int(acc)+128]
-					}
-					dst[outBase+oy*outW+ox] = acc
-				}
-			}
+		if err := kern(rc, dst, srcs); err != nil {
+			return err
 		}
+		tensor.LUT8(dst, dst, recode)
 		return nil
 	}
 }
 
 func bindQuantAvgPool(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantParams) (kernelFunc[int8], error) {
-	if len(in) != 3 {
-		return nil, fmt.Errorf("pool wants NCHW, got per-sample %v", in)
+	mp, err := poolGeom(n, in, out)
+	if err != nil {
+		return nil, err
 	}
-	a := n.Attrs
-	c, inH, inW := in[0], in[1], in[2]
-	outH, outW := out[1], out[2]
 	// Averages divide by the in-bounds tap count (count_include_pad =
 	// false), which varies at the edges: one requantizer per possible
 	// count folds the division into the fixed-point multiplier.
 	sIn, sOut := float64(inQ.Scale), float64(outQ.Scale)
-	maxCount := a.KernelH * a.KernelW
+	maxCount := mp.KH * mp.KW
 	reqByCount := make([]tensor.Requant, maxCount+1)
 	for cnt := 1; cnt <= maxCount; cnt++ {
 		reqByCount[cnt] = tensor.NewRequant(sIn / (sOut * float64(cnt)))
@@ -472,32 +432,16 @@ func bindQuantAvgPool(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantPa
 	zpIn, zpOut := inQ.Zero, outQ.Zero
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
 		xv := srcs[0]
-		for p := 0; p < rc.batch*c; p++ {
-			base := p * inH * inW
-			outBase := p * outH * outW
-			for oy := 0; oy < outH; oy++ {
-				iy0 := oy*a.StrideH - a.PadH
-				kyLo := 0
-				if iy0 < 0 {
-					kyLo = -iy0
-				}
-				kyHi := a.KernelH
-				if iy0+a.KernelH > inH {
-					kyHi = inH - iy0
-				}
-				for ox := 0; ox < outW; ox++ {
-					ix0 := ox*a.StrideW - a.PadW
-					kxLo := 0
-					if ix0 < 0 {
-						kxLo = -ix0
-					}
-					kxHi := a.KernelW
-					if ix0+a.KernelW > inW {
-						kxHi = inW - ix0
-					}
+		for p := 0; p < rc.batch*mp.C; p++ {
+			base := p * mp.InH * mp.InW
+			outBase := p * mp.OutH * mp.OutW
+			for oy := 0; oy < mp.OutH; oy++ {
+				iy0, kyLo, kyHi := poolWindow(oy, mp.SH, mp.PH, mp.KH, mp.InH)
+				for ox := 0; ox < mp.OutW; ox++ {
+					ix0, kxLo, kxHi := poolWindow(ox, mp.SW, mp.PW, mp.KW, mp.InW)
 					var sum int32
 					for ky := kyLo; ky < kyHi; ky++ {
-						row := base + (iy0+ky)*inW + ix0
+						row := base + (iy0+ky)*mp.InW + ix0
 						for kx := kxLo; kx < kxHi; kx++ {
 							sum += int32(xv[row+kx])
 						}
@@ -506,7 +450,7 @@ func bindQuantAvgPool(n *nn.Node, in, out tensor.Shape, inQ, outQ tensor.QuantPa
 					if count := (kyHi - kyLo) * (kxHi - kxLo); count > 0 {
 						q = reqByCount[count].Apply(sum - int32(count)*zpIn)
 					}
-					dst[outBase+oy*outW+ox] = tensor.ClampInt8(zpOut + q)
+					dst[outBase+oy*mp.OutW+ox] = tensor.ClampInt8(zpOut + q)
 				}
 			}
 		}
@@ -638,65 +582,26 @@ func bindQuantMul(ins []tensor.Shape, out tensor.Shape, inQ []tensor.QuantParams
 }
 
 // bindQuantConcat copies each branch into its channel range of the
-// output, through luts[i] where branch i's mapping differs from the
-// output's (nil: a plain copy).
+// output, then recodes the range in place through luts[i] where branch
+// i's mapping differs from the output's (nil: no recode).
 func bindQuantConcat(ins []tensor.Shape, out tensor.Shape, luts []*[256]int8) (kernelFunc[int8], error) {
-	if len(out) != 3 {
-		return nil, fmt.Errorf("concat wants NCHW, got per-sample %v", out)
-	}
-	hw := out[1] * out[2]
-	sizes := make([]int, len(ins)) // per-sample element counts
-	for i, s := range ins {
-		if len(s) != 3 || s[1] != out[1] || s[2] != out[2] {
-			return nil, fmt.Errorf("%w: concat input %v vs %v", tensor.ErrShape, s, out)
-		}
-		sizes[i] = s[0] * hw
+	move, err := bindConcat[int8](ins, out)
+	if err != nil {
+		return nil, err
 	}
 	totalPer := out.NumElements()
 	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
+		if err := move(rc, dst, srcs); err != nil {
+			return err
+		}
 		for b := 0; b < rc.batch; b++ {
 			off := b * totalPer
-			for i, src := range srcs {
-				sz := sizes[i]
-				part := src[b*sz : (b+1)*sz]
-				if lut := luts[i]; lut != nil {
-					tensor.LUT8(dst[off:off+sz], part, lut)
-				} else {
-					copy(dst[off:off+sz], part)
+			for i, s := range ins {
+				part := dst[off:][:s.NumElements()]
+				if luts[i] != nil {
+					tensor.LUT8(part, part, luts[i])
 				}
-				off += sz
-			}
-		}
-		return nil
-	}, nil
-}
-
-func bindQuantUpsample(n *nn.Node, in, out tensor.Shape, recode *[256]int8) (kernelFunc[int8], error) {
-	if len(in) != 3 {
-		return nil, fmt.Errorf("upsample wants NCHW, got per-sample %v", in)
-	}
-	scale := n.Attrs.Scale
-	if scale <= 0 {
-		return nil, fmt.Errorf("upsample scale %d", scale)
-	}
-	c, h, w := in[0], in[1], in[2]
-	oh, ow := out[1], out[2]
-	return func(rc *runCtx, dst []int8, srcs [][]int8) error {
-		xv := srcs[0]
-		for p := 0; p < rc.batch*c; p++ {
-			inBase := p * h * w
-			outBase := p * oh * ow
-			for oy := 0; oy < oh; oy++ {
-				iy := oy / scale
-				inRow := inBase + iy*w
-				outRow := outBase + oy*ow
-				for ox := 0; ox < ow; ox++ {
-					v := xv[inRow+ox/scale]
-					if recode != nil {
-						v = recode[int(v)+128]
-					}
-					dst[outRow+ox] = v
-				}
+				off += len(part)
 			}
 		}
 		return nil

@@ -386,21 +386,16 @@ func lowerQuantOp(st *QuantStep, q *quantOp) (err error) {
 	case nn.OpFlatten, nn.OpIdentity:
 		st.LUT = &PlanLUT{Table: recode(inQ[0])}
 	case nn.OpMaxPool:
-		if len(inPer[0]) != 3 {
-			return fmt.Errorf("pool wants NCHW, got per-sample %v", inPer[0])
-		}
 		// Max over codes equals max over reals (the affine map is
 		// monotone), so the window max is taken in the code domain and
 		// recoded only when the calibrated output range differs from the
 		// input's. Windows with no in-bounds taps read real 0.
-		a := n.Attrs
-		st.MaxPool = &PlanMaxPool{
-			C: inPer[0][0], InH: inPer[0][1], InW: inPer[0][2],
-			OutH: outPer[1], OutW: outPer[2],
-			KH: a.KernelH, KW: a.KernelW, SH: a.StrideH, SW: a.StrideW,
-			PH: a.PadH, PW: a.PadW,
-			Empty: inQ[0].Quantize(0), Recode: recode(inQ[0]),
+		mp, err := poolGeom(n, inPer[0], outPer)
+		if err != nil {
+			return err
 		}
+		mp.Empty, mp.Recode = inQ[0].Quantize(0), recode(inQ[0])
+		st.MaxPool = &mp
 	case nn.OpGlobalAvgPool:
 		if len(inPer[0]) != 3 {
 			return fmt.Errorf("global pool wants NCHW, got per-sample %v", inPer[0])
@@ -446,7 +441,11 @@ func lowerQuantOp(st *QuantStep, q *quantOp) (err error) {
 		}
 		st.host, err = bindQuantConcat(inPer, outPer, luts)
 	case nn.OpUpsample:
-		st.host, err = bindQuantUpsample(n, inPer[0], outPer, recode(inQ[0]))
+		move, err := bindUpsample[int8](n, inPer[0], outPer)
+		if err != nil {
+			return err
+		}
+		st.host = recodeAfter(move, recode(inQ[0]))
 	default:
 		err = errNoQuantKernel
 	}
