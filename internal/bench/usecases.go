@@ -211,8 +211,7 @@ func MotorCondition() (*Report, error) {
 	}
 	r.linef("compressed: sparsity %.3f, weights %d -> %d bytes, accuracy %.3f",
 		pr.Sparsity(), denseBytes, qr.BytesAfter, compressedAcc)
-	// The pass zeroes floor(0.8 x weights): 0.8 to one weight.
-	r.check("sparsity 0.8", pr.Zeroed >= int64(0.8*float64(pr.TotalWeights)))
+	r.check("sparsity 0.8", pr.Sparsity() >= 0.8)
 	r.check("compressed accuracy >= 0.8, within 5 points of dense",
 		compressedAcc >= 0.8 && compressedAcc >= ev.Confusion.Accuracy()-0.05)
 

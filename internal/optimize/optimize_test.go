@@ -301,6 +301,22 @@ func TestMagnitudePruneReachesTarget(t *testing.T) {
 	runLeNet(t, g)
 }
 
+// TestMagnitudePruneReachesTargetExactly: the pass zeroes the fewest
+// weights whose share is at least the target, also where the target
+// times the weight count is not whole (8,512 weights at 0.8 is 6,809.6).
+func TestMagnitudePruneReachesTargetExactly(t *testing.T) {
+	for _, s := range []float64{0.3, 0.8, 0.95} {
+		g := nn.MLP("motor-clf", []int{128, 64, 5}, nn.BuildOptions{Weights: true, Seed: 7})
+		rep, err := MagnitudePrune(g, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rep.Sparsity(); got < s || float64(rep.Zeroed-1)/float64(rep.TotalWeights) >= s {
+			t.Errorf("sparsity %v: zeroed %d of %d (%v), want the fewest reaching it", s, rep.Zeroed, rep.TotalWeights, got)
+		}
+	}
+}
+
 func TestMagnitudePruneValidation(t *testing.T) {
 	g := nn.LeNet(28, 10, nn.BuildOptions{Weights: true})
 	if _, err := MagnitudePrune(g, 1.0); err == nil {

@@ -74,7 +74,12 @@ func MagnitudePrune(g *nn.Graph, sparsity float64) (PruneReport, error) {
 	if total == 0 {
 		return rep, nil
 	}
+	// k is the fewest weights whose share reaches the target: the
+	// truncated product falls short whenever it is not whole.
 	k := int(sparsity * float64(total))
+	if float64(k)/float64(total) < sparsity {
+		k++
+	}
 	var threshold float32
 	if k > 0 {
 		threshold = kthMagnitude(g, k)
