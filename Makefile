@@ -52,10 +52,11 @@ test-full:
 # runs at mixed batch sizes, a first RunAll binding its expansion beside
 # concurrent runs, a kernel error at every step and a panic on a
 # goroutine of a cold compile's per-op spread. internal/accel rides in the first row for Backend.Compile on a
-# registry-shared graph from two goroutines. The CI race job runs this
-# target.
+# registry-shared graph from two goroutines, internal/safety for one
+# supervisor and one robustness service shared by goroutines. The CI
+# race job runs this target.
 test-race:
-	$(GO) test -short -race ./internal/inference/... ./internal/accel/... ./internal/microserver/... ./internal/cluster/... ./internal/serve/... ./internal/rvbackend/... ./internal/riscv/... ./internal/soc/... ./internal/cfu/...
+	$(GO) test -short -race ./internal/inference/... ./internal/accel/... ./internal/microserver/... ./internal/cluster/... ./internal/serve/... ./internal/rvbackend/... ./internal/riscv/... ./internal/soc/... ./internal/cfu/... ./internal/safety/...
 	$(GO) test -race -count=20 -run 'Batch|CapacityRule|Dispatch|Gate|Admission|Saturated|BurstFollows|EstimateFollows|Warmup|CloseResolves|CancelPropagation|Recovers|EngineTime|SlowReader|Vanished|DisconnectBurst|ReadDeadline|EmulatedBatch' ./internal/microserver/ ./internal/serve/ ./internal/cluster/
 	$(GO) test -race -count=20 -run 'ExecutorConcurrent|ExecutorKernelError|Recovers' ./internal/inference/
 

@@ -289,9 +289,8 @@ func ArcDetection() (*Report, error) {
 	// compromised sensor), and the safe action de-energizes.
 	type decision struct{ arc, compromised bool }
 	monitorCfg := safety.DefaultSeriesMonitorConfig()
-	var window []float32
-	hybrid := &safety.Hybrid[decision]{
-		Payload: func() (decision, error) {
+	hybrid := &safety.Hybrid[[]float32, decision]{
+		Payload: func(window []float32) (decision, error) {
 			return decision{
 				arc:         waveformNoiseScore(window) > opPoint.Threshold,
 				compromised: len(safety.MonitorSeries(window, monitorCfg)) > len(window)/4,
@@ -302,8 +301,7 @@ func ArcDetection() (*Report, error) {
 	}
 	missed, falseArcs, cleanTrips := 0, 0, 0
 	for _, a := range arcs[:100] {
-		window = a.X
-		d := hybrid.Invoke()
+		d := hybrid.Invoke(a.X)
 		switch {
 		case a.Arc && !d.arc:
 			missed++

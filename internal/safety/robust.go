@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 
 	"vedliot/internal/inference"
 	"vedliot/internal/nn"
@@ -14,15 +15,14 @@ import (
 // copy of the DL model and can verify the correctness of the output
 // data" that devices periodically submit. Divergence indicates
 // systematic faults injected at run time (hardware faults, attacks) on
-// the monitored device.
+// the monitored device. It is safe for concurrent use.
 type RobustnessService struct {
 	reference *inference.Engine
 	// Tolerance is the maximum acceptable max-abs divergence between
 	// submitted and reference outputs.
 	Tolerance float64
 
-	checks    int64
-	anomalies int64
+	checks, anomalies atomic.Int64
 }
 
 // NewRobustnessService wraps a trusted reference copy of the model.
@@ -42,7 +42,7 @@ type Verdict struct {
 
 // Check recomputes the inference on the reference model and compares.
 func (s *RobustnessService) Check(input, claimed *tensor.Tensor) (Verdict, error) {
-	s.checks++
+	s.checks.Add(1)
 	want, err := s.reference.RunSingle(input)
 	if err != nil {
 		return Verdict{}, err
@@ -53,13 +53,13 @@ func (s *RobustnessService) Check(input, claimed *tensor.Tensor) (Verdict, error
 	}
 	v := Verdict{OK: d <= s.Tolerance, Divergence: d}
 	if !v.OK {
-		s.anomalies++
+		s.anomalies.Add(1)
 	}
 	return v, nil
 }
 
 // Stats returns (checks, anomalies).
-func (s *RobustnessService) Stats() (int64, int64) { return s.checks, s.anomalies }
+func (s *RobustnessService) Stats() (int64, int64) { return s.checks.Load(), s.anomalies.Load() }
 
 // InjectWeightFaults flips `flips` random bits in the model's weight
 // tensors, simulating the run-time hardware faults / attacks of §IV-B.
@@ -101,33 +101,33 @@ func InjectWeightFaults(g *nn.Graph, flips int, seed int64) int {
 
 // Hybrid is the architectural-hybridization pattern [16]: a small,
 // verified safety kernel supervises an unreliable payload. The payload
-// result is used only while the kernel's checks pass; otherwise the
-// system falls back to the kernel's safe action.
-type Hybrid[T any] struct {
+// result for an input is used only while the kernel's checks pass;
+// otherwise the system falls back to the kernel's safe action. One
+// Hybrid may supervise concurrent invocations when its functions allow.
+type Hybrid[I, T any] struct {
 	// Payload computes the full-function result (the DL pipeline).
-	Payload func() (T, error)
+	Payload func(I) (T, error)
 	// Check validates a payload result (e.g. the robustness service).
 	Check func(T) bool
 	// SafeAction is the fallback (e.g. brake, de-energize, reject).
 	SafeAction func() T
 
-	payloadUses int64
-	fallbacks   int64
+	payloadUses, fallbacks atomic.Int64
 }
 
-// Invoke runs the payload under supervision.
-func (h *Hybrid[T]) Invoke() T {
-	out, err := h.Payload()
+// Invoke runs the payload on in under supervision.
+func (h *Hybrid[I, T]) Invoke(in I) T {
+	out, err := h.Payload(in)
 	if err == nil && h.Check(out) {
-		h.payloadUses++
+		h.payloadUses.Add(1)
 		return out
 	}
-	h.fallbacks++
+	h.fallbacks.Add(1)
 	return h.SafeAction()
 }
 
 // Stats returns (payload uses, fallbacks).
-func (h *Hybrid[T]) Stats() (int64, int64) { return h.payloadUses, h.fallbacks }
+func (h *Hybrid[I, T]) Stats() (int64, int64) { return h.payloadUses.Load(), h.fallbacks.Load() }
 
 // String summarizes a detection report for logs.
 func (r DetectionReport) String() string {

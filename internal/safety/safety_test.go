@@ -1,6 +1,7 @@
 package safety
 
 import (
+	"sync"
 	"testing"
 
 	"vedliot/internal/dataset"
@@ -127,11 +128,9 @@ func TestInjectWeightFaultsKeepsFinite(t *testing.T) {
 }
 
 func TestHybridFallsBack(t *testing.T) {
-	calls := 0
-	h := &Hybrid[int]{
-		Payload: func() (int, error) {
-			calls++
-			if calls%2 == 0 {
+	h := &Hybrid[int, int]{
+		Payload: func(in int) (int, error) {
+			if in%2 == 0 {
 				return -1, nil // bad result
 			}
 			return 42, nil
@@ -139,13 +138,60 @@ func TestHybridFallsBack(t *testing.T) {
 		Check:      func(v int) bool { return v >= 0 },
 		SafeAction: func() int { return 0 },
 	}
-	a := h.Invoke() // good
-	b := h.Invoke() // bad -> fallback
+	a := h.Invoke(1) // good
+	b := h.Invoke(2) // bad -> fallback
 	if a != 42 || b != 0 {
 		t.Errorf("invokes = %d, %d", a, b)
 	}
 	uses, falls := h.Stats()
 	if uses != 1 || falls != 1 {
 		t.Errorf("stats = %d/%d", uses, falls)
+	}
+}
+
+// TestSharedSupervisorsCount: goroutines share one Hybrid and one
+// RobustnessService, and their counters add up to every call made.
+func TestSharedSupervisorsCount(t *testing.T) {
+	reference := nn.LeNet(16, 4, nn.BuildOptions{Weights: true, Seed: 10})
+	svc, err := NewRobustnessService(reference, 1e-4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := tensor.New(tensor.FP32, 1, 1, 16, 16)
+	want, err := svc.reference.RunSingle(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrong := want.Clone()
+	wrong.F32[0]++
+	h := &Hybrid[*tensor.Tensor, bool]{
+		Payload: func(claimed *tensor.Tensor) (bool, error) {
+			v, err := svc.Check(in, claimed)
+			return v.OK, err
+		},
+		Check:      func(ok bool) bool { return ok },
+		SafeAction: func() bool { return false },
+	}
+	const workers, calls = 4, 25
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				claimed := want
+				if i%5 == 0 {
+					claimed = wrong
+				}
+				h.Invoke(claimed)
+			}
+		}()
+	}
+	wg.Wait()
+	uses, falls := h.Stats()
+	checks, anomalies := svc.Stats()
+	if uses != workers*calls*4/5 || falls != workers*calls/5 || checks != workers*calls || anomalies != falls {
+		t.Errorf("hybrid %d uses / %d fallbacks, service %d checks / %d anomalies after %d calls, a fifth of them wrong",
+			uses, falls, checks, anomalies, workers*calls)
 	}
 }
