@@ -113,7 +113,6 @@ func main() {
 			RequestsPerClient: *perClient,
 			Think:             *think,
 			SLO:               *slo,
-			Retry:             true,
 			Seed:              *seed,
 		}); err != nil {
 			fatal(err)
@@ -457,7 +456,6 @@ func runSmoke(sched *cluster.Scheduler, g *nn.Graph, inShape tensor.Shape, polic
 		RequestsPerClient: perClient,
 		Think:             think,
 		SLO:               slo,
-		Retry:             true,
 		Inputs:            func(int) map[string]*tensor.Tensor { return ins },
 		Seed:              seed,
 	})

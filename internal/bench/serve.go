@@ -76,7 +76,6 @@ func ServeStudy() (*Report, error) {
 			RequestsPerClient: 2,
 			Think:             25 * time.Millisecond,
 			SLO:               time.Second,
-			Retry:             true,
 			Inputs:            func(int) map[string]*tensor.Tensor { return ins },
 			Seed:              23,
 		})

@@ -19,7 +19,9 @@ type Transport interface {
 	InferCtx(ctx context.Context, model string, ins map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error)
 }
 
-// LoadConfig shapes a closed-loop load run.
+// LoadConfig shapes a closed-loop load run. A closed-loop client honors
+// a retry-after hint by waiting it out and retrying, up to maxRetries
+// times a request.
 type LoadConfig struct {
 	// Model names the target deployment.
 	Model string
@@ -33,12 +35,6 @@ type LoadConfig struct {
 	// SLO is the per-request latency objective; slower responses and
 	// all sheds count as violations. Zero disables the latency check.
 	SLO time.Duration
-	// Retry makes clients honor retry-after hints instead of counting
-	// the request as lost, up to MaxRetries attempts.
-	Retry bool
-	// MaxRetries bounds retries per request when Retry is set.
-	// Default 3.
-	MaxRetries int
 	// Inputs supplies the request tensors for client i. Required.
 	Inputs func(i int) map[string]*tensor.Tensor
 	// Seed drives think-time draws.
@@ -48,7 +44,7 @@ type LoadConfig struct {
 // LoadResult is the outcome of one load run.
 type LoadResult struct {
 	// Requests counts completed request attempts (excluding retried
-	// sheds when Retry is set).
+	// sheds).
 	Requests int
 	// Completed counts successful responses.
 	Completed int
@@ -112,6 +108,9 @@ func (ta *tally) result(requests int, elapsed time.Duration) LoadResult {
 	return res
 }
 
+// maxRetries bounds the retries of one closed-loop request.
+const maxRetries = 3
+
 // RunClosedLoop drives a closed-loop client population over the
 // transport: each client waits for its response (or terminal shed),
 // thinks, then issues its next request. Real goroutines, real sockets
@@ -127,11 +126,6 @@ func RunClosedLoop(tr Transport, cfg LoadConfig) (LoadResult, error) {
 	if cfg.Inputs == nil {
 		return LoadResult{}, errors.New("serve: load: need an input generator")
 	}
-	maxRetries := cfg.MaxRetries
-	if maxRetries <= 0 {
-		maxRetries = 3
-	}
-
 	tallies := make([]tally, cfg.Clients)
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -153,7 +147,7 @@ func RunClosedLoop(tr Transport, cfg LoadConfig) (LoadResult, error) {
 				for attempt := 0; ; attempt++ {
 					_, err = tr.InferCtx(context.Background(), cfg.Model, ins)
 					var ra *RetryAfterError
-					if cfg.Retry && errors.As(err, &ra) && attempt < maxRetries {
+					if errors.As(err, &ra) && attempt < maxRetries {
 						ta.res.Retries++
 						time.Sleep(ra.After)
 						continue
