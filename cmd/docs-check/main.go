@@ -301,7 +301,7 @@ func checkDoc(path string, decls map[string]map[string]bool, tests, targets map[
 // designCeiling is the most lines DESIGN.md may hold: a change that
 // adds lines there deletes as many elsewhere in it or raises this
 // constant, in plain sight.
-const designCeiling = 1534
+const designCeiling = 1533
 
 // checkCeiling reports a Markdown file of more than ceiling lines.
 func checkCeiling(path string, ceiling int) ([]string, error) {
