@@ -105,22 +105,12 @@ func (p *Program) RunBatch(batches []map[string]*tensor.Tensor) ([]map[string]*t
 	return p.exec.RunBatch(batches)
 }
 
-// Device returns the modeled device.
-func (p *Program) Device() *Device { return p.device }
-
-// Executable returns the host executable providing functional
-// execution.
-func (p *Program) Executable() inference.Executable { return p.exec }
-
 // Quantized reports whether functional execution runs on the native
 // INT8 engine.
 func (p *Program) Quantized() bool {
 	_, ok := p.exec.(*inference.QuantEngine)
 	return ok
 }
-
-// Precision returns the precision the device model is evaluated at.
-func (p *Program) Precision() tensor.DType { return p.precision }
 
 // Predict evaluates the device's roofline model for a batch of the
 // compiled workload.

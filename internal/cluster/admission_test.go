@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"vedliot/internal/microserver"
+	"vedliot/internal/nn"
 	"vedliot/internal/tensor"
 )
 
@@ -144,14 +145,14 @@ func submitN(t *testing.T, d *Deployment, n int) []*pending {
 	return ps
 }
 
-// single runs one request through a 1-in/1-out model and returns its
-// output.
-func single(d *Deployment, in *tensor.Tensor) (*tensor.Tensor, error) {
+// single runs one request through d, which serves the 1-in/1-out model
+// g, and returns its output.
+func single(d *Deployment, g *nn.Graph, in *tensor.Tensor) (*tensor.Tensor, error) {
 	outs, err := d.InferCtx(context.Background(), map[string]*tensor.Tensor{d.inputNames[0]: in})
 	if err != nil {
 		return nil, err
 	}
-	return outs[d.outputNames[0]], nil
+	return outs[g.Outputs[0]], nil
 }
 
 // TestAdmissionBoundIsExact holds the engine shut: exactly QueueDepth

@@ -98,9 +98,6 @@ func NewScheduler(c *microserver.Chassis, cfg Config) *Scheduler {
 	return &Scheduler{chassis: c, cfg: cfg.withDefaults(), deployments: make(map[string]*Deployment)}
 }
 
-// Chassis returns the underlying platform.
-func (s *Scheduler) Chassis() *microserver.Chassis { return s.chassis }
-
 // BackendForModule resolves the inference backend a module serves with:
 // the host CPU engine for plain compute modules, a Device-backed
 // accelerator backend when the module names an accel device model, and
@@ -371,11 +368,10 @@ type Deployment struct {
 	digest string
 	// inputNames and inPer are the model's declared inputs and their
 	// per-sample shapes, what inference.CheckInputs judges a request by.
-	inputNames  []string
-	inPer       []tensor.Shape
-	outputNames []string
-	replicas    []*Replica
-	emulate     bool
+	inputNames []string
+	inPer      []tensor.Shape
+	replicas   []*Replica
+	emulate    bool
 	// serve.QueueDepth is the admission bound and the capacity of every
 	// replica's queue, so an admitted request always finds room and the
 	// enqueue in SubmitCtx cannot block.
@@ -398,12 +394,11 @@ type Deployment struct {
 // newDeployment reads the model's declared interface.
 func newDeployment(g *nn.Graph, digest string, cfg Config) (*Deployment, error) {
 	d := &Deployment{
-		model:       g.Name,
-		digest:      digest,
-		inputNames:  append([]string(nil), g.Inputs...),
-		outputNames: append([]string(nil), g.Outputs...),
-		emulate:     cfg.EmulateLatency,
-		serve:       microserver.ServeConfig{QueueDepth: cfg.QueueDepth},
+		model:      g.Name,
+		digest:     digest,
+		inputNames: append([]string(nil), g.Inputs...),
+		emulate:    cfg.EmulateLatency,
+		serve:      microserver.ServeConfig{QueueDepth: cfg.QueueDepth},
 	}
 	for _, name := range d.inputNames {
 		n := g.Node(name)
@@ -451,9 +446,6 @@ func (d *Deployment) addReplica(g *nn.Graph, exe inference.Executable, backendNa
 	return nil
 }
 
-// Model returns the deployed model's name.
-func (d *Deployment) Model() string { return d.model }
-
 // ArtifactDigest returns the content digest of the artifact the fleet
 // runs, empty for in-process Deploy graphs.
 func (d *Deployment) ArtifactDigest() string { return d.digest }
@@ -463,9 +455,6 @@ func (d *Deployment) Replicas() []*Replica { return d.replicas }
 
 // InputNames returns the model's input-node names (a copy).
 func (d *Deployment) InputNames() []string { return append([]string(nil), d.inputNames...) }
-
-// OutputNames returns the model's output-node names (a copy).
-func (d *Deployment) OutputNames() []string { return append([]string(nil), d.outputNames...) }
 
 // InputShapes returns the per-sample shape of each declared input, in
 // InputNames order (a copy of the list; the shapes are read-only).
@@ -713,15 +702,6 @@ type Replica struct {
 	// skew routing for the wrong reason.
 	ewmaNS atomic.Int64
 }
-
-// ID returns the replica's index within its deployment.
-func (r *Replica) ID() int { return r.id }
-
-// Slot returns the chassis slot the replica is bound to.
-func (r *Replica) Slot() int { return r.slot }
-
-// Module names the compute module hosting the replica.
-func (r *Replica) Module() string { return r.module }
 
 // Backend names the inference backend the replica serves with.
 func (r *Replica) Backend() string { return r.server.Backend() }

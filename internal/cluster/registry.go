@@ -52,13 +52,6 @@ func (r *Registry) SetPolicy(p *release.Policy) {
 	r.policy = p
 }
 
-// Policy returns the registry's release policy (nil when ungated).
-func (r *Registry) Policy() *release.Policy {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.policy
-}
-
 // Add registers a loaded artifact under its model name. The model must
 // carry a digest (i.e. come from artifact.Load/Decode or a Save) —
 // the digest is the plan-cache identity. A registry with a non-empty

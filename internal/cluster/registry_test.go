@@ -103,11 +103,11 @@ func TestDeployArtifactParity(t *testing.T) {
 
 	for seed := 0; seed < 8; seed++ {
 		in := gestureInput(seed)
-		want, err := single(inprocDep, in)
+		want, err := single(inprocDep, g, in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := single(dep, in)
+		got, err := single(dep, g, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +255,7 @@ func TestDeployArtifactConcurrentSchedulers(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if _, err := single(dep, gestureInput(1)); err != nil {
+			if _, err := single(dep, g, gestureInput(1)); err != nil {
 				t.Error(err)
 			}
 		}()

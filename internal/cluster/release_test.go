@@ -189,7 +189,7 @@ func TestGatedDeployAndAttest(t *testing.T) {
 	if dep.ArtifactDigest() != m.Digest {
 		t.Fatalf("deployment digest %s, want %s", dep.ArtifactDigest(), m.Digest)
 	}
-	if _, err := single(dep, gestureInput(1)); err != nil {
+	if _, err := single(dep, m.Graph, gestureInput(1)); err != nil {
 		t.Fatal(err)
 	}
 

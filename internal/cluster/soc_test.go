@@ -69,7 +69,7 @@ func TestDeploySoCModule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := single(dep, in)
+		got, err := single(dep, g, in)
 		if err != nil {
 			t.Fatal(err)
 		}

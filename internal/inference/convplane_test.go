@@ -31,7 +31,7 @@ func (c convCase) valid() bool {
 // gemm reports the side of convGemmEligible the case falls on: the
 // packed GEMM route (true) or the direct plane form.
 func (c convCase) gemm() bool {
-	return convGemmEligible(convGeom{inC: c.groups * c.icPerG, icPerG: c.icPerG, kh: c.kh, kw: c.kw})
+	return convGemmEligible(&ConvGeom{InC: c.groups * c.icPerG, ICPerG: c.icPerG, KH: c.kh, KW: c.kw})
 }
 
 // randomConvCase draws a geometry from the ranges both conv routes must
@@ -307,26 +307,27 @@ func fuzzConvCase(inH, inW, kh, kw, sh, sw, ph, pw, misc uint8, seed int64) conv
 // zero-point-shifted input, requantized, then recoded through the
 // channel's fused table when the conv has one. Out-of-bounds taps are
 // skipped, which in integers is exactly what the zero border adds.
-func qconvRef(dst, xv []int8, g *convGeom, pc *PlanConv, batch int) {
+func qconvRef(dst, xv []int8, pc *PlanConv, batch int) {
+	g := &pc.Geom
 	for b := 0; b < batch; b++ {
-		for oc := 0; oc < g.outC; oc++ {
-			icBase := oc / g.ocPerG * g.icPerG
-			for oy := 0; oy < g.outH; oy++ {
-				for ox := 0; ox < g.outW; ox++ {
+		for oc := 0; oc < g.OutC; oc++ {
+			icBase := oc / g.OCPerG * g.ICPerG
+			for oy := 0; oy < g.OutH; oy++ {
+				for ox := 0; ox < g.OutW; ox++ {
 					acc := pc.Bias[oc]
-					for ic := 0; ic < g.icPerG; ic++ {
-						for ky := 0; ky < g.kh; ky++ {
-							iy := oy*g.sh - g.ph + ky
-							if iy < 0 || iy >= g.inH {
+					for ic := 0; ic < g.ICPerG; ic++ {
+						for ky := 0; ky < g.KH; ky++ {
+							iy := oy*g.SH - g.PH + ky
+							if iy < 0 || iy >= g.InH {
 								continue
 							}
-							for kx := 0; kx < g.kw; kx++ {
-								ix := ox*g.sw - g.pw + kx
-								if ix < 0 || ix >= g.inW {
+							for kx := 0; kx < g.KW; kx++ {
+								ix := ox*g.SW - g.PW + kx
+								if ix < 0 || ix >= g.InW {
 									continue
 								}
-								x := int32(xv[((b*g.inC+icBase+ic)*g.inH+iy)*g.inW+ix]) - pc.ZPIn
-								acc += int32(pc.W[((oc*g.icPerG+ic)*g.kh+ky)*g.kw+kx]) * x
+								x := int32(xv[((b*g.InC+icBase+ic)*g.InH+iy)*g.InW+ix]) - pc.ZPIn
+								acc += int32(pc.W[((oc*g.ICPerG+ic)*g.KH+ky)*g.KW+kx]) * x
 							}
 						}
 					}
@@ -334,7 +335,7 @@ func qconvRef(dst, xv []int8, g *convGeom, pc *PlanConv, batch int) {
 					if pc.Post != nil {
 						code = pc.Post[oc][int(code)+128]
 					}
-					dst[((b*g.outC+oc)*g.outH+oy)*g.outW+ox] = code
+					dst[((b*g.OutC+oc)*g.OutH+oy)*g.OutW+ox] = code
 				}
 			}
 		}
@@ -362,13 +363,9 @@ func checkConvI8(t testing.TB, c convCase) {
 	inQ := tensor.QuantParams{Scale: 0.02, Zero: zp()}
 	outQ := tensor.QuantParams{Scale: 0.05, Zero: zp()}
 	st, _, _ := lowerAndBind(t, n, []tensor.Shape{in}, out, []tensor.QuantParams{inQ}, outQ)
-	geom, _, err := convGeometry(n, in, out)
-	if err != nil {
-		t.Fatal(err)
-	}
 	pc := *st.Conv
 	if rng.Intn(4) != 0 {
-		pc.Post = make([]*[256]int8, geom.outC)
+		pc.Post = make([]*[256]int8, pc.Geom.OutC)
 		for oc := range pc.Post {
 			pc.Post[oc] = new([256]int8)
 			for i := range pc.Post[oc] {
@@ -382,7 +379,7 @@ func checkConvI8(t testing.TB, c convCase) {
 		xv[i] = int8(rng.Intn(256) - 128)
 	}
 	want := make([]int8, c.batch*out.NumElements())
-	qconvRef(want, xv, &geom, &pc, c.batch)
+	qconvRef(want, xv, &pc, c.batch)
 	run := func(form string, kern kernelFunc[int8], spec scratchSpec) {
 		got := make([]int8, len(want))
 		var sb scratchBufs
@@ -445,12 +442,11 @@ func TestQuantDenseShapedConvIsExact(t *testing.T) {
 		if st.Conv == nil {
 			continue
 		}
-		g := planConvGeom(st.Conv.Geom)
-		if !g.dense() {
+		pg := st.Conv.Geom
+		if !convDense(&pg) {
 			continue
 		}
 		dense++
-		pg := st.Conv.Geom
 		xv := make([]int8, batch*pg.InC)
 		for i := range xv {
 			xv[i] = int8(rng.Intn(256) - 128)

@@ -50,11 +50,11 @@ const gemmMinTaps = 16
 // several groups) stay on the direct path: per-group GEMMs of M = 1
 // cannot use the register tiles. Shared by the FP32 and quantized
 // binders so both engines make the same routing decision.
-func convGemmEligible(g convGeom) bool {
-	if g.inC == 1 && g.kh*g.kw > 1 {
+func convGemmEligible(g *ConvGeom) bool {
+	if g.InC == 1 && g.KH*g.KW > 1 {
 		return true
 	}
-	return g.icPerG > 1 && g.icPerG*g.kh*g.kw >= gemmMinTaps
+	return g.ICPerG > 1 && g.ICPerG*g.KH*g.KW >= gemmMinTaps
 }
 
 // convSeg is one segment of a precomputed im2col row plan: n elements
@@ -72,7 +72,7 @@ type convSeg struct {
 // buildRowPlan returns the segment plan for one (ky, kx) tap row of
 // the B tile covering output pixels j0..j0+jw-1 (nr-wide row, columns
 // past jw padded).
-func buildRowPlan(g *convGeom, ky, kx, j0, jw, nr int) []convSeg {
+func buildRowPlan(g *ConvGeom, ky, kx, j0, jw, nr int) []convSeg {
 	var segs []convSeg
 	emit := func(step, dst, src, n int) {
 		if n <= 0 {
@@ -88,25 +88,25 @@ func buildRowPlan(g *convGeom, ky, kx, j0, jw, nr int) []convSeg {
 	}
 	for j := 0; j < jw; {
 		p := j0 + j
-		oy, ox0 := p/g.outW, p%g.outW
-		run := min(g.outW-ox0, jw-j)
+		oy, ox0 := p/g.OutW, p%g.OutW
+		run := min(g.OutW-ox0, jw-j)
 		// Output columns lo..hi-1 of the run have their tap in bounds.
 		lo, hi, src := run, run, 0
-		if iy := oy*g.sh - g.ph + ky; iy >= 0 && iy < g.inH {
-			ix0 := ox0*g.sw - g.pw + kx
+		if iy := oy*g.SH - g.PH + ky; iy >= 0 && iy < g.InH {
+			ix0 := ox0*g.SW - g.PW + kx
 			lo = 0
 			if ix0 < 0 {
-				lo = min((-ix0+g.sw-1)/g.sw, run)
+				lo = min((-ix0+g.SW-1)/g.SW, run)
 			}
-			if ix0 >= g.inW {
+			if ix0 >= g.InW {
 				hi = lo
-			} else if last := (g.inW - 1 - ix0) / g.sw; last+1 < hi {
+			} else if last := (g.InW - 1 - ix0) / g.SW; last+1 < hi {
 				hi = max(last+1, lo)
 			}
-			src = iy*g.inW + ix0 + g.sw*lo
+			src = iy*g.InW + ix0 + g.SW*lo
 		}
 		emit(0, j, 0, lo)
-		emit(g.sw, j+lo, src, hi-lo)
+		emit(g.SW, j+lo, src, hi-lo)
 		emit(0, j+hi, 0, run-hi)
 		j += run
 	}
@@ -116,13 +116,13 @@ func buildRowPlan(g *convGeom, ky, kx, j0, jw, nr int) []convSeg {
 
 // buildConvPlans precomputes the B-tile row plans for every (tile,
 // tap) of a convolution.
-func buildConvPlans(g *convGeom, nr, nt, px int) [][]convSeg {
-	plans := make([][]convSeg, 0, nt*g.kh*g.kw)
+func buildConvPlans(g *ConvGeom, nr, nt, px int) [][]convSeg {
+	plans := make([][]convSeg, 0, nt*g.KH*g.KW)
 	for t := 0; t < nt; t++ {
 		j0 := t * nr
 		jw := min(px-j0, nr)
-		for ky := 0; ky < g.kh; ky++ {
-			for kx := 0; kx < g.kw; kx++ {
+		for ky := 0; ky < g.KH; ky++ {
+			for kx := 0; kx < g.KW; kx++ {
 				plans = append(plans, buildRowPlan(g, ky, kx, j0, jw, nr))
 			}
 		}
@@ -136,11 +136,11 @@ func buildConvPlans(g *convGeom, nr, nt, px int) [][]convSeg {
 // interpreter's (ic, ky, kx) order. Padding takes pad (0 for FP32, the
 // zero-point code for INT8) and gather2 is the element type's stride-2
 // vector gather.
-func packConvTile[T float32 | int8](rows, xv []T, g *convGeom, nr, b, grp int, plans [][]convSeg, pad T, gather2 func(dst, src []T)) {
-	planeSize := g.inH * g.inW
+func packConvTile[T float32 | int8](rows, xv []T, g *ConvGeom, nr, b, grp int, plans [][]convSeg, pad T, gather2 func(dst, src []T)) {
+	planeSize := g.InH * g.InW
 	kk := 0
-	for ic := 0; ic < g.icPerG; ic++ {
-		plane := xv[(b*g.inC+grp*g.icPerG+ic)*planeSize:][:planeSize]
+	for ic := 0; ic < g.ICPerG; ic++ {
+		plane := xv[(b*g.InC+grp*g.ICPerG+ic)*planeSize:][:planeSize]
 		for _, plan := range plans {
 			row := rows[kk*nr : (kk+1)*nr]
 			for _, s := range plan {
@@ -169,24 +169,24 @@ func packConvTile[T float32 | int8](rows, xv []T, g *convGeom, nr, b, grp int, p
 // micro-kernels. A is a bind-time copy of the [outC, taps] weight
 // matrix, which the kernel reads row-major; the returned kernel streams
 // B tiles through planned scratch.
-func bindConvGemm(g convGeom, w *tensor.Tensor, bias []float32, ep *epilogue) (kernelFunc[float32], scratchSpec) {
-	taps := g.icPerG * g.kh * g.kw
-	px := g.outH * g.outW
+func bindConvGemm(g ConvGeom, w *tensor.Tensor, bias []float32, ep *epilogue) (kernelFunc[float32], scratchSpec) {
+	taps := g.ICPerG * g.KH * g.KW
+	px := g.OutH * g.OutW
 	// N is the per-image pixel count: deep layers shrink to 4x4 = 16
 	// pixels, where a 48-wide ZMM tile would pack 2/3 zero padding.
 	kern := tensor.PickGemmF32MaxWidth(px)
 	mr, nr := kern.MR, kern.NR
-	groups := g.inC / g.icPerG
+	groups := g.InC / g.ICPerG
 	// A copy, not the graph's own weights: the engine is a snapshot of
 	// the graph at Compile.
-	a := slices.Clone(weightValues(w)[:g.outC*taps])
+	a := slices.Clone(weightValues(w)[:g.OutC*taps])
 	// The kernel seeds all MR rows from the bias, so a short panel reads
 	// past its group's entries (the last one into the zero tail).
-	biasAll := make([]float32, g.outC+mr)
+	biasAll := make([]float32, g.OutC+mr)
 	copy(biasAll, bias)
-	pointwise := g.pointwise()
+	pointwise := convPointwise(&g)
 	nt := (px + nr - 1) / nr
-	ktaps := g.kh * g.kw
+	ktaps := g.KH * g.KW
 	plans := buildConvPlans(&g, nr, nt, px)
 	scratch := taps*nr + mr*nr
 	kfn := func(rc *runCtx, dst []float32, srcs [][]float32) error {
@@ -204,16 +204,16 @@ func bindConvGemm(g convGeom, w *tensor.Tensor, bias []float32, ep *epilogue) (k
 			bt, ldb := bpack, nr
 			if pointwise && jw == nr {
 				// The input planes of this group are the B matrix already.
-				bt, ldb = xv[(b*g.inC+grp*g.icPerG)*px+j0:], px
+				bt, ldb = xv[(b*g.InC+grp*g.ICPerG)*px+j0:], px
 			} else {
 				packConvTile(bpack, xv, &g, nr, b, grp, plans[t*ktaps:(t+1)*ktaps], 0, tensor.GatherStride2F32)
 			}
-			for p0 := 0; p0 < g.ocPerG; p0 += mr {
-				oc0 := grp*g.ocPerG + p0
-				mh := min(g.ocPerG-p0, mr)
+			for p0 := 0; p0 < g.OCPerG; p0 += mr {
+				oc0 := grp*g.OCPerG + p0
+				mh := min(g.OCPerG-p0, mr)
 				// A full-width tile lands in dst and takes its epilogue
 				// in place; a ragged one leaves the C tile through it.
-				out := dst[(b*g.outC+oc0)*px+j0:]
+				out := dst[(b*g.OutC+oc0)*px+j0:]
 				if jw == nr {
 					kern.Run(a[oc0*taps:], taps, mh, bt, ldb, taps, biasAll[oc0:], out, px)
 					if ep != nil {
@@ -245,8 +245,8 @@ var quantConvU8, haveQuantConvU8 = tensor.PickGemmU8()
 // call then lays the rows out for the body:
 //   - on the u8×s8 body (quantConvU8) A is the weight codes, each row's
 //     K padded to a quad, tensor.PackQuadXorInt8 flips each code's top
-//     bit (x+128 as a u8), and each channel's bias is bias32 -
-//     (zpIn+128)·Σw, so the sum is bias32 + Σ w·(x-zpIn) exactly;
+//     bit (x+128 as a u8), and each channel's bias is Bias -
+//     (ZPIn+128)·Σw, so the sum is Bias + Σ w·(x-ZPIn) exactly;
 //   - on the int16 bodies A is the widened codes, each row's K padded to
 //     a pair, and tensor.PackPairShiftInt8 widens, shifts by the zero
 //     point and interleaves the rows pair by pair.
@@ -254,13 +254,15 @@ var quantConvU8, haveQuantConvU8 = tensor.PickGemmU8()
 // Either way the zero-point padding adds exactly 0. The staging needs
 // the zero point to be an int8 code; ok is false otherwise and the
 // caller keeps the plane form, which has no such limit.
-func bindQuantConvGemm(p *qconv) (kfn kernelFunc[int8], spec scratchSpec, ok bool) {
-	g := p.g
-	if p.zpIn < -128 || p.zpIn > 127 {
+func bindQuantConvGemm(pc *PlanConv) (kfn kernelFunc[int8], spec scratchSpec, ok bool) {
+	// The kernel keeps these, not pc: A and the bias are copies, so the
+	// step's weight codes can go once it is bound.
+	g, zpIn, zpOut, post := pc.Geom, pc.ZPIn, pc.ZPOut, pc.Post
+	if zpIn < -128 || zpIn > 127 {
 		return nil, scratchSpec{}, false
 	}
-	taps := g.icPerG * g.kh * g.kw
-	px := g.outH * g.outW
+	taps := g.ICPerG * g.KH * g.KW
+	px := g.OutH * g.OutW
 	// panels packs one B tile from rows (taps rows of n codes at stride
 	// lds) and runs the group's MR-row panels from channel oc0 over it
 	// into ctile. Both forms seed a whole panel from the bias, so a short
@@ -273,22 +275,22 @@ func bindQuantConvGemm(p *qconv) (kfn kernelFunc[int8], spec scratchSpec, ok boo
 		nr = kern.NR
 		kq := tensor.KQuads(taps)
 		lda := 4 * kq
-		a := make([]int8, g.outC*lda)
-		bias := make([]int32, g.outC+kern.MR)
-		for oc := 0; oc < g.outC; oc++ {
-			w := p.w[oc*taps:][:taps]
+		a := make([]int8, g.OutC*lda)
+		bias := make([]int32, g.OutC+kern.MR)
+		for oc := 0; oc < g.OutC; oc++ {
+			w := pc.W[oc*taps:][:taps]
 			var sum int32
 			for _, v := range w {
 				sum += int32(v)
 			}
 			copy(a[oc*lda:], w)
-			bias[oc] = p.bias32[oc] - (p.zpIn+128)*sum
+			bias[oc] = pc.Bias[oc] - (zpIn+128)*sum
 		}
 		spec.u8 = kq * 4 * nr
 		panels = func(rc *runCtx, rows []int8, lds, n, oc0 int, ctile []int32) {
 			bpack := rc.u8Scratch(spec.u8)
 			tensor.PackQuadXorInt8(bpack, 4*nr, rows, lds, taps, n)
-			kern.Run(a[oc0*lda:], lda, g.ocPerG, bpack, 4*nr, kq, bias[oc0:], ctile, nr)
+			kern.Run(a[oc0*lda:], lda, g.OCPerG, bpack, 4*nr, kq, bias[oc0:], ctile, nr)
 		}
 	} else {
 		// Same narrow-N tile cap as bindConvGemm.
@@ -297,33 +299,33 @@ func bindQuantConvGemm(p *qconv) (kfn kernelFunc[int8], spec scratchSpec, ok boo
 		nr = kern.NR
 		kp := tensor.KPairs(taps)
 		lda := 2 * kp
-		a := make([]int16, g.outC*lda)
-		for oc := 0; oc < g.outC; oc++ {
-			tensor.WidenShiftInt8(a[oc*lda:oc*lda+taps], p.w[oc*taps:], 0)
+		a := make([]int16, g.OutC*lda)
+		for oc := 0; oc < g.OutC; oc++ {
+			tensor.WidenShiftInt8(a[oc*lda:oc*lda+taps], pc.W[oc*taps:], 0)
 		}
-		bias := make([]int32, g.outC+mr)
-		copy(bias, p.bias32)
+		bias := make([]int32, g.OutC+mr)
+		copy(bias, pc.Bias)
 		spec.i16 = kp * 2 * nr
 		panels = func(rc *runCtx, rows []int8, lds, n, oc0 int, ctile []int32) {
 			bpack := rc.i16Scratch(spec.i16)
-			tensor.PackPairShiftInt8(bpack, 2*nr, rows, lds, taps, n, int16(p.zpIn))
-			for p0 := 0; p0 < g.ocPerG; p0 += mr {
-				kern.Run(a[(oc0+p0)*lda:], lda, min(g.ocPerG-p0, mr), bpack, 2*nr, kp, bias[oc0+p0:], ctile[p0*nr:], nr)
+			tensor.PackPairShiftInt8(bpack, 2*nr, rows, lds, taps, n, int16(zpIn))
+			for p0 := 0; p0 < g.OCPerG; p0 += mr {
+				kern.Run(a[(oc0+p0)*lda:], lda, min(g.OCPerG-p0, mr), bpack, 2*nr, kp, bias[oc0+p0:], ctile[p0*nr:], nr)
 			}
 		}
 	}
 	nt := (px + nr - 1) / nr
-	pointwise := g.pointwise()
-	ktaps := g.kh * g.kw
+	pointwise := convPointwise(&g)
+	ktaps := g.KH * g.KW
 	var plans [][]convSeg
-	groups := g.inC / g.icPerG
+	groups := g.InC / g.ICPerG
 	// The C tiles of every panel under one B tile, requantized in one call.
-	spec.i32 = g.ocPerG * nr
+	spec.i32 = g.OCPerG * nr
 	if !pointwise {
 		plans = buildConvPlans(&g, nr, nt, px)
 		spec.i8 = taps * nr
 	}
-	req := tensor.NewRequantRows(p.req)
+	req := tensor.NewRequantRows(pc.Req)
 	kfn = func(rc *runCtx, dst []int8, srcs [][]int8) error {
 		xv := srcs[0]
 		ctile := rc.i32Scratch(spec.i32)
@@ -335,18 +337,27 @@ func bindQuantConvGemm(p *qconv) (kfn kernelFunc[int8], spec scratchSpec, ok boo
 			t := rem % nt
 			j0 := t * nr
 			jw := min(px-j0, nr)
-			oc0 := grp * g.ocPerG
+			oc0 := grp * g.OCPerG
 			if pointwise {
 				// Tap k's values are the contiguous pixels j0..j0+jw-1 of
 				// input plane k: the planes are the rows to pack as they lie.
-				panels(rc, xv[(b*g.inC+grp*g.icPerG)*px+j0:], px, jw, oc0, ctile)
+				panels(rc, xv[(b*g.InC+grp*g.ICPerG)*px+j0:], px, jw, oc0, ctile)
 			} else {
-				packConvTile(stage, xv, &g, nr, b, grp, plans[t*ktaps:(t+1)*ktaps], int8(p.zpIn), tensor.GatherStride2Int8)
+				packConvTile(stage, xv, &g, nr, b, grp, plans[t*ktaps:(t+1)*ktaps], int8(zpIn), tensor.GatherStride2Int8)
 				panels(rc, stage, nr, nr, oc0, ctile)
 			}
-			tensor.RequantTileInt8(dst[(b*g.outC+oc0)*px+j0:], px, ctile, nr, g.ocPerG, jw, req.Slice(oc0, oc0+g.ocPerG), p.zpOut, p.postRows(oc0, g.ocPerG))
+			tensor.RequantTileInt8(dst[(b*g.OutC+oc0)*px+j0:], px, ctile, nr, g.OCPerG, jw, req.Slice(oc0, oc0+g.OCPerG), zpOut, postRows(post, oc0, g.OCPerG))
 		}
 		return nil
 	}
 	return kfn, spec, true
+}
+
+// postRows returns the fused-epilogue recode tables of output channels
+// oc..oc+n-1, or nil when the conv is unfused.
+func postRows(post []*[256]int8, oc, n int) []*[256]int8 {
+	if post == nil {
+		return nil
+	}
+	return post[oc : oc+n]
 }

@@ -179,9 +179,6 @@ func FromGraph(g *nn.Graph) (*Module, error) {
 	return m, nil
 }
 
-// Value returns the value with the given id.
-func (m *Module) Value(id int) *Value { return m.Values[id] }
-
 // consumers returns, per value id, the ops reading it (fused
 // pre-values are not reads).
 func (m *Module) consumers() map[int][]*Op {

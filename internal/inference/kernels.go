@@ -511,25 +511,15 @@ func fusesActivation(op nn.OpType) bool {
 	return false
 }
 
-// convGeom is the compile-time geometry of one convolution.
-type convGeom struct {
-	inC, inH, inW    int
-	outC, outH, outW int
-	kh, kw           int
-	sh, sw           int
-	ph, pw           int
-	icPerG, ocPerG   int
-}
-
 // convGeometry derives the compile-time geometry of a conv node and
 // validates its weight tensor, shared by the FP32 and quantized binders.
-func convGeometry(n *nn.Node, in, out tensor.Shape) (convGeom, *tensor.Tensor, error) {
+func convGeometry(n *nn.Node, in, out tensor.Shape) (ConvGeom, *tensor.Tensor, error) {
 	if len(in) != 3 {
-		return convGeom{}, nil, fmt.Errorf("conv wants NCHW, got per-sample %v", in)
+		return ConvGeom{}, nil, fmt.Errorf("conv wants NCHW, got per-sample %v", in)
 	}
 	w := n.Weight(nn.WeightKey)
 	if w == nil {
-		return convGeom{}, nil, fmt.Errorf("conv has no weights (built with Weights: false?)")
+		return ConvGeom{}, nil, fmt.Errorf("conv has no weights (built with Weights: false?)")
 	}
 	a := n.Attrs
 	inC, inH, inW := in[0], in[1], in[2]
@@ -545,20 +535,36 @@ func convGeometry(n *nn.Node, in, out tensor.Shape) (convGeom, *tensor.Tensor, e
 		}
 	}
 	if inC%groups != 0 || outC%groups != 0 {
-		return convGeom{}, nil, fmt.Errorf("channels %d/outC %d not divisible by groups %d", inC, outC, groups)
+		return ConvGeom{}, nil, fmt.Errorf("channels %d/outC %d not divisible by groups %d", inC, outC, groups)
 	}
 	wantW := tensor.Shape{outC, inC / groups, a.KernelH, a.KernelW}
 	if !w.Shape.Equal(wantW) {
-		return convGeom{}, nil, fmt.Errorf("weight shape %v, want %v", w.Shape, wantW)
+		return ConvGeom{}, nil, fmt.Errorf("weight shape %v, want %v", w.Shape, wantW)
 	}
-	return convGeom{
-		inC: inC, inH: inH, inW: inW,
-		outC: outC, outH: out[1], outW: out[2],
-		kh: a.KernelH, kw: a.KernelW,
-		sh: a.StrideH, sw: a.StrideW,
-		ph: a.PadH, pw: a.PadW,
-		icPerG: inC / groups, ocPerG: outC / groups,
+	return ConvGeom{
+		InC: inC, InH: inH, InW: inW,
+		OutC: outC, OutH: out[1], OutW: out[2],
+		KH: a.KernelH, KW: a.KernelW,
+		SH: a.StrideH, SW: a.StrideW,
+		PH: a.PadH, PW: a.PadW,
+		ICPerG: inC / groups, OCPerG: outC / groups,
 	}, w, nil
+}
+
+// denseGeometry validates a dense node's per-sample shapes and its
+// [outF, inF] weight tensor, shared by the FP32 and quantized binders.
+func denseGeometry(n *nn.Node, in, out tensor.Shape) (inF, outF int, w *tensor.Tensor, err error) {
+	if len(in) != 1 {
+		return 0, 0, nil, fmt.Errorf("dense wants [N,features], got per-sample %v", in)
+	}
+	if w = n.Weight(nn.WeightKey); w == nil {
+		return 0, 0, nil, fmt.Errorf("dense has no weights")
+	}
+	inF, outF = in[0], out[0]
+	if want := (tensor.Shape{outF, inF}); !w.Shape.Equal(want) {
+		return 0, 0, nil, fmt.Errorf("weight shape %v, want %v", w.Shape, want)
+	}
+	return inF, outF, w, nil
 }
 
 func bindConv(n *nn.Node, in, out tensor.Shape, ep *epilogue) (kernelFunc[float32], scratchSpec, error) {
@@ -573,8 +579,8 @@ func bindConv(n *nn.Node, in, out tensor.Shape, ep *epilogue) (kernelFunc[float3
 	// A dense-shaped conv (squeeze-excite's) is a dense layer: the same
 	// [out, in] weights, bias seed and k order, on the dense core instead
 	// of a one-pixel GEMM tile.
-	if g.dense() {
-		kern, spec := bindDenseCore(weightValues(w), bias, g.inC, g.outC, ep)
+	if convDense(&g) {
+		kern, spec := bindDenseCore(weightValues(w), bias, g.InC, g.OutC, ep)
 		return kern, spec, nil
 	}
 	// Convolutions with a real channel reduction lower onto the packed
@@ -584,19 +590,19 @@ func bindConv(n *nn.Node, in, out tensor.Shape, ep *epilogue) (kernelFunc[float3
 	// streams the input exactly once. A padded tile holds zeros for the
 	// border taps, so a padded conv takes it only where that is exact
 	// (convPadExact) and otherwise the clipped loop.
-	if convGemmEligible(g) && (g.ph == 0 && g.pw == 0 || convPadExact(weightValues(w), bias)) {
+	if convGemmEligible(&g) && (g.PH == 0 && g.PW == 0 || convPadExact(weightValues(w), bias)) {
 		kern, spec := bindConvGemm(g, w, bias, ep)
 		return kern, spec, nil
 	}
 	wv := w.Float32s() // dequantized once, at compile time
-	px := g.outH * g.outW
+	px := g.OutH * g.OutW
 	// Three plane forms. A 1x1 stride-1 unpadded conv has no border: its
 	// input planes are the tap windows as they lie. Otherwise the padded
 	// plane form (convPad) applies when a zero border is bitwise
 	// invisible for these weights; a non-finite tap or a -0 bias keeps
 	// the clipped loop, which also takes the padded GEMM convs the check
 	// above refuses.
-	pointwise := g.pointwise()
+	pointwise := convPointwise(&g)
 	var pd *convPad
 	var spec scratchSpec
 	switch {
@@ -614,8 +620,8 @@ func bindConv(n *nn.Node, in, out tensor.Shape, ep *epilogue) (kernelFunc[float3
 			xp, acc = ws[:pd.inLen], ws[pd.inLen:]
 			clear(xp) // the border and slack stay zero across this call's planes
 		}
-		for p := 0; p < rc.batch*g.outC; p++ {
-			b, oc := p/g.outC, p%g.outC
+		for p := 0; p < rc.batch*g.OutC; p++ {
+			b, oc := p/g.OutC, p%g.OutC
 			var b0 float32
 			if bias != nil {
 				b0 = bias[oc]
@@ -638,17 +644,17 @@ func bindConv(n *nn.Node, in, out tensor.Shape, ep *epilogue) (kernelFunc[float3
 	}, spec, nil
 }
 
-// dense reports a 1x1 kernel over an unpadded 1x1 plane with one
+// convDense reports a 1x1 kernel over an unpadded 1x1 plane with one
 // group: each output channel is a dot product of all the input channels,
-// a dense layer from inC to outC features.
-func (g *convGeom) dense() bool {
-	return g.kh == 1 && g.kw == 1 && g.inH == 1 && g.inW == 1 && g.ph == 0 && g.pw == 0 && g.icPerG == g.inC
+// a dense layer from InC to OutC features.
+func convDense(g *ConvGeom) bool {
+	return g.KH == 1 && g.KW == 1 && g.InH == 1 && g.InW == 1 && g.PH == 0 && g.PW == 0 && g.ICPerG == g.InC
 }
 
-// pointwise reports the 1x1/stride-1/no-pad geometry, whose input and
-// output planes are contiguous and need no border.
-func (g *convGeom) pointwise() bool {
-	return g.kh == 1 && g.kw == 1 && g.sh == 1 && g.sw == 1 && g.ph == 0 && g.pw == 0
+// convPointwise reports the 1x1/stride-1/no-pad geometry, whose input
+// and output planes are contiguous and need no border.
+func convPointwise(g *ConvGeom) bool {
+	return g.KH == 1 && g.KW == 1 && g.SH == 1 && g.SW == 1 && g.PH == 0 && g.PW == 0
 }
 
 // convPad is the bind-time layout of the FP32 plane forms, in the int32
@@ -678,33 +684,33 @@ type convPad struct {
 // input row, every sw-th one from ix0, land off past the row's rowOff.
 type convPadCols struct{ off, ix0, n int }
 
-func newConvPad(g *convGeom) *convPad {
-	sp := (g.inW + 2*g.pw + g.sw - 1) / g.sw
-	rows := (g.inH + 2*g.ph + g.sh - 1) / g.sh
-	accLen := ((g.outH-1)*sp + g.outW + 15) &^ 15
+func newConvPad(g *ConvGeom) *convPad {
+	sp := (g.InW + 2*g.PW + g.SW - 1) / g.SW
+	rows := (g.InH + 2*g.PH + g.SH - 1) / g.SH
+	accLen := ((g.OutH-1)*sp + g.OutW + 15) &^ 15
 	// The deepest tap window starts (kh-1)/sh rows and (kw-1)/sw columns
 	// in; the slack keeps its rounded-up tail inside the plane.
-	plane := max(rows*sp, accLen+(g.kh-1)/g.sh*sp+(g.kw-1)/g.sw)
+	plane := max(rows*sp, accLen+(g.KH-1)/g.SH*sp+(g.KW-1)/g.SW)
 	pd := &convPad{
-		sp: sp, inLen: g.sh * g.sw * plane, accLen: accLen,
-		tapOff: make([]int32, g.kh*g.kw), rowOff: make([]int32, g.inH), cols: make([]convPadCols, g.sw),
+		sp: sp, inLen: g.SH * g.SW * plane, accLen: accLen,
+		tapOff: make([]int32, g.KH*g.KW), rowOff: make([]int32, g.InH), cols: make([]convPadCols, g.SW),
 	}
-	for ky := 0; ky < g.kh; ky++ {
-		for kx := 0; kx < g.kw; kx++ {
-			pd.tapOff[ky*g.kw+kx] = int32((ky%g.sh*g.sw+kx%g.sw)*plane + ky/g.sh*sp + kx/g.sw)
+	for ky := 0; ky < g.KH; ky++ {
+		for kx := 0; kx < g.KW; kx++ {
+			pd.tapOff[ky*g.KW+kx] = int32((ky%g.SH*g.SW+kx%g.SW)*plane + ky/g.SH*sp + kx/g.SW)
 		}
 	}
 	for iy := range pd.rowOff {
-		r := iy + g.ph
-		pd.rowOff[iy] = int32(r%g.sh*g.sw*plane + r/g.sh*sp)
+		r := iy + g.PH
+		pd.rowOff[iy] = int32(r%g.SH*g.SW*plane + r/g.SH*sp)
 	}
 	for px := range pd.cols {
-		ix0 := ((px-g.pw)%g.sw + g.sw) % g.sw
+		ix0 := ((px-g.PW)%g.SW + g.SW) % g.SW
 		// n is 0 when the plane is too narrow to hold a column of this phase.
-		pd.cols[px] = convPadCols{off: px*plane + (g.pw+ix0)/g.sw, ix0: ix0, n: max(g.inW-ix0+g.sw-1, 0) / g.sw}
+		pd.cols[px] = convPadCols{off: px*plane + (g.PW+ix0)/g.SW, ix0: ix0, n: max(g.InW-ix0+g.SW-1, 0) / g.SW}
 	}
 	pd.offE = pd.cols[0].off
-	if g.sw == 2 {
+	if g.SW == 2 {
 		if pd.offO = pd.cols[1].off; pd.cols[0].ix0 != 0 {
 			pd.offE, pd.offO = pd.offO, pd.offE
 		}
@@ -715,10 +721,10 @@ func newConvPad(g *convGeom) *convPad {
 // pointwiseConvPad is the layout of the pointwise plane form: the
 // group's input planes are the taps, one per input channel, read where
 // they lie.
-func pointwiseConvPad(g *convGeom) *convPad {
-	pd := &convPad{tapOff: make([]int32, g.icPerG)}
+func pointwiseConvPad(g *ConvGeom) *convPad {
+	pd := &convPad{tapOff: make([]int32, g.ICPerG)}
 	for ic := range pd.tapOff {
-		pd.tapOff[ic] = int32(ic * g.inH * g.inW)
+		pd.tapOff[ic] = int32(ic * g.InH * g.InW)
 	}
 	return pd
 }
@@ -767,24 +773,24 @@ func convPadExact(wv, bias []float32) bool {
 // tile epilogue that compacts the valid columns into out. Every output
 // element receives its taps in (ic, ky, kx) order, the interpreter's
 // order, plus w*0 for the taps the interpreter skips.
-func convPlanePadded(out, xv, wv []float32, b0 float32, ep *epilogue, g *convGeom, pd *convPad, xp, acc []float32, b, oc int) {
-	icBase := oc / g.ocPerG * g.icPerG
-	hw, taps := g.inH*g.inW, g.kh*g.kw
-	for ic := 0; ic < g.icPerG; ic++ {
-		plane := xv[(b*g.inC+icBase+ic)*hw:][:hw]
-		switch g.sw {
+func convPlanePadded(out, xv, wv []float32, b0 float32, ep *epilogue, g *ConvGeom, pd *convPad, xp, acc []float32, b, oc int) {
+	icBase := oc / g.OCPerG * g.ICPerG
+	hw, taps := g.InH*g.InW, g.KH*g.KW
+	for ic := 0; ic < g.ICPerG; ic++ {
+		plane := xv[(b*g.InC+icBase+ic)*hw:][:hw]
+		switch g.SW {
 		case 1:
-			tensor.PadRowsF32(xp[pd.offE:], pd.rowOff, plane, g.inW)
+			tensor.PadRowsF32(xp[pd.offE:], pd.rowOff, plane, g.InW)
 		case 2:
-			tensor.PadSplit2RowsF32(xp, pd.rowOff, pd.offE, pd.offO, plane, g.inW)
+			tensor.PadSplit2RowsF32(xp, pd.rowOff, pd.offE, pd.offO, plane, g.InW)
 		default:
 			for iy, off := range pd.rowOff {
-				scatterPadRow(pd, xp[off:], plane[iy*g.inW:(iy+1)*g.inW], g.sw)
+				scatterPadRow(pd, xp[off:], plane[iy*g.InW:(iy+1)*g.InW], g.SW)
 			}
 		}
-		tensor.ConvTapsF32(acc, xp, pd.tapOff, wv[(oc*g.icPerG+ic)*taps:][:taps], b0, ic > 0)
+		tensor.ConvTapsF32(acc, xp, pd.tapOff, wv[(oc*g.ICPerG+ic)*taps:][:taps], b0, ic > 0)
 	}
-	ep.tile(out, g.outW, acc, pd.sp, g.outH, g.outW, oc, false)
+	ep.tile(out, g.OutW, acc, pd.sp, g.OutH, g.OutW, oc, false)
 }
 
 // convPlaneClipped computes one (batch, output-channel) plane for the
@@ -792,38 +798,38 @@ func convPlanePadded(out, xv, wv []float32, b0 float32, ep *epilogue, g *convGeo
 // bias, then every kernel tap (ic, ky, kx) accumulates into the output
 // columns and rows whose source stays in bounds, skipping padding like
 // the interpreter does.
-func convPlaneClipped(plane, xv, wv []float32, b0 float32, g *convGeom, b, oc int) {
-	icBase := oc / g.ocPerG * g.icPerG
+func convPlaneClipped(plane, xv, wv []float32, b0 float32, g *ConvGeom, b, oc int) {
+	icBase := oc / g.OCPerG * g.ICPerG
 	for i := range plane {
 		plane[i] = b0
 	}
-	for ic := 0; ic < g.icPerG; ic++ {
-		xBase := (b*g.inC + icBase + ic) * g.inH * g.inW
-		wBase := (oc*g.icPerG + ic) * g.kh * g.kw
-		for ky := 0; ky < g.kh; ky++ {
-			for kx := 0; kx < g.kw; kx++ {
-				w := wv[wBase+ky*g.kw+kx]
+	for ic := 0; ic < g.ICPerG; ic++ {
+		xBase := (b*g.InC + icBase + ic) * g.InH * g.InW
+		wBase := (oc*g.ICPerG + ic) * g.KH * g.KW
+		for ky := 0; ky < g.KH; ky++ {
+			for kx := 0; kx < g.KW; kx++ {
+				w := wv[wBase+ky*g.KW+kx]
 				// Output columns whose input column ox*sw-pw+kx stays in
 				// bounds; clipping hoisted out of the row loops.
 				oxLo := 0
-				if g.pw > kx {
-					oxLo = (g.pw - kx + g.sw - 1) / g.sw
+				if g.PW > kx {
+					oxLo = (g.PW - kx + g.SW - 1) / g.SW
 				}
 				oxHi := 0
-				if maxIx := g.inW - 1 + g.pw - kx; maxIx >= 0 {
-					oxHi = min(maxIx/g.sw+1, g.outW)
+				if maxIx := g.InW - 1 + g.PW - kx; maxIx >= 0 {
+					oxHi = min(maxIx/g.SW+1, g.OutW)
 				}
-				for oy := 0; oy < g.outH; oy++ {
-					iy := oy*g.sh - g.ph + ky
-					if iy < 0 || iy >= g.inH {
+				for oy := 0; oy < g.OutH; oy++ {
+					iy := oy*g.SH - g.PH + ky
+					if iy < 0 || iy >= g.InH {
 						continue
 					}
-					xRow := xv[xBase+iy*g.inW : xBase+(iy+1)*g.inW]
-					oRow := plane[oy*g.outW : (oy+1)*g.outW]
-					ix := oxLo*g.sw - g.pw + kx
+					xRow := xv[xBase+iy*g.InW : xBase+(iy+1)*g.InW]
+					oRow := plane[oy*g.OutW : (oy+1)*g.OutW]
+					ix := oxLo*g.SW - g.PW + kx
 					for ox := oxLo; ox < oxHi; ox++ {
 						oRow[ox] += w * xRow[ix]
-						ix += g.sw
+						ix += g.SW
 					}
 				}
 			}
@@ -835,24 +841,16 @@ func convPlaneClipped(plane, xv, wv []float32, b0 float32, g *convGeom, b, oc in
 // output planes are contiguous and need no border, so the group's input
 // channels are the taps of one tensor.ConvTapsF32 straight over the
 // input, in ascending channel order as in the general path.
-func convPlanePointwise(out, xv, wv []float32, b0 float32, g *convGeom, pd *convPad, b, oc int) {
-	hw := g.inH * g.inW
-	x := xv[(b*g.inC+oc/g.ocPerG*g.icPerG)*hw:][:g.icPerG*hw]
-	tensor.ConvTapsF32(out, x, pd.tapOff, wv[oc*g.icPerG:(oc+1)*g.icPerG], b0, false)
+func convPlanePointwise(out, xv, wv []float32, b0 float32, g *ConvGeom, pd *convPad, b, oc int) {
+	hw := g.InH * g.InW
+	x := xv[(b*g.InC+oc/g.OCPerG*g.ICPerG)*hw:][:g.ICPerG*hw]
+	tensor.ConvTapsF32(out, x, pd.tapOff, wv[oc*g.ICPerG:(oc+1)*g.ICPerG], b0, false)
 }
 
 func bindDense(n *nn.Node, in, out tensor.Shape, ep *epilogue) (kernelFunc[float32], scratchSpec, error) {
-	if len(in) != 1 {
-		return nil, scratchSpec{}, fmt.Errorf("dense wants [N,features], got per-sample %v", in)
-	}
-	w := n.Weight(nn.WeightKey)
-	if w == nil {
-		return nil, scratchSpec{}, fmt.Errorf("dense has no weights")
-	}
-	inF, outF := in[0], out[0]
-	want := tensor.Shape{outF, inF}
-	if !w.Shape.Equal(want) {
-		return nil, scratchSpec{}, fmt.Errorf("weight shape %v, want %v", w.Shape, want)
+	inF, outF, w, err := denseGeometry(n, in, out)
+	if err != nil {
+		return nil, scratchSpec{}, err
 	}
 	var bias []float32
 	if bt := n.Weight(nn.BiasKey); bt != nil {
@@ -1201,10 +1199,11 @@ func bindGlobalAvgPool(in tensor.Shape) (kernelFunc[float32], error) {
 	}, nil
 }
 
-func bindAccumulate(n *nn.Node, ins []tensor.Shape, out tensor.Shape) (kernelFunc[float32], error) {
-	mul := n.Op == nn.OpMul
-	// Classify every extra operand at compile time: full elementwise or
-	// the [N,C,1,1] channel broadcast used by squeeze-excite blocks.
+// classifyBroadcast classifies every operand after the first of an
+// element-wise op at compile time, for both executors: full
+// element-wise (false) or the [C,1,1] channel broadcast of
+// squeeze-excite blocks (true).
+func classifyBroadcast(ins []tensor.Shape, out tensor.Shape) ([]bool, error) {
 	broadcast := make([]bool, len(ins))
 	for i := 1; i < len(ins); i++ {
 		s := ins[i]
@@ -1216,6 +1215,15 @@ func bindAccumulate(n *nn.Node, ins []tensor.Shape, out tensor.Shape) (kernelFun
 		default:
 			return nil, fmt.Errorf("%w: %v vs %v", tensor.ErrShape, out, s)
 		}
+	}
+	return broadcast, nil
+}
+
+func bindAccumulate(n *nn.Node, ins []tensor.Shape, out tensor.Shape) (kernelFunc[float32], error) {
+	mul := n.Op == nn.OpMul
+	broadcast, err := classifyBroadcast(ins, out)
+	if err != nil {
+		return nil, err
 	}
 	var c, hw int
 	if len(out) == 3 {

@@ -140,13 +140,13 @@ func TestQuantConvGemmFallsBackWithoutPlan(t *testing.T) {
 		zp     int32
 		gemm   bool
 	}{{"ordinary", 1, 3, true}, {"wide zero point", 1, 300, false}, {"stride 3", 3, 3, true}} {
-		g := convGeom{inC: 8, inH: 9, inW: 9, outC: 8, outH: (9-3)/c.stride + 1, outW: (9-3)/c.stride + 1,
-			kh: 3, kw: 3, sh: c.stride, sw: c.stride, icPerG: 8, ocPerG: 8}
-		if !convGemmEligible(g) {
+		g := ConvGeom{InC: 8, InH: 9, InW: 9, OutC: 8, OutH: (9-3)/c.stride + 1, OutW: (9-3)/c.stride + 1,
+			KH: 3, KW: 3, SH: c.stride, SW: c.stride, ICPerG: 8, OCPerG: 8}
+		if !convGemmEligible(&g) {
 			t.Fatalf("%s: geometry should be GEMM-eligible", c.name)
 		}
-		p := &qconv{g: g, w: make([]int8, 8*8*9), bias32: make([]int32, 8), req: make([]tensor.Requant, 8), zpIn: c.zp}
-		if _, _, ok := bindQuantConvGemm(p); ok != c.gemm {
+		pc := &PlanConv{Geom: g, W: make([]int8, 8*8*9), Bias: make([]int32, 8), Req: make([]tensor.Requant, 8), ZPIn: c.zp}
+		if _, _, ok := bindQuantConvGemm(pc); ok != c.gemm {
 			t.Errorf("%s: bindQuantConvGemm ok = %v, want %v", c.name, ok, c.gemm)
 		}
 	}

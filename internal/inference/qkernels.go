@@ -2,7 +2,6 @@ package inference
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"vedliot/internal/nn"
@@ -231,53 +230,14 @@ func foldBias(bias *tensor.Tensor, wScales []float64, inQ, outQ tensor.QuantPara
 	return b32, req
 }
 
-// qconv is the bound state of one integer convolution on the GEMM form.
-// The GEMM binder widens the weight codes to int16: the B pack shifts
-// the input side by the zero point into int16 as well (so padding
-// contributes exactly 0), and the multiply-accumulate runs through the
-// int16 GEMM.
-type qconv struct {
-	g      convGeom
-	w      []int8
-	bias32 []int32
-	req    []tensor.Requant
-	zpIn   int32
-	zpOut  int32
-	post   []*[256]int8 // per-channel fused-epilogue recode, nil when unfused
-}
-
-// postRows returns the fused-epilogue recode tables of output channels
-// oc..oc+n-1, or nil when unfused.
-func (p *qconv) postRows(oc, n int) []*[256]int8 {
-	if p.post == nil {
-		return nil
-	}
-	return p.post[oc : oc+n]
-}
-
-// newQConv is the bind-time form of an integer convolution.
-func newQConv(pc *PlanConv) *qconv {
-	return &qconv{g: planConvGeom(pc.Geom), w: pc.W, bias32: pc.Bias, req: pc.Req, zpIn: pc.ZPIn, zpOut: pc.ZPOut, post: pc.Post}
-}
-
-// planConvGeom is the binders' form of a plan's conv geometry.
-func planConvGeom(pg ConvGeom) convGeom {
-	return convGeom{
-		inC: pg.InC, inH: pg.InH, inW: pg.InW,
-		outC: pg.OutC, outH: pg.OutH, outW: pg.OutW,
-		kh: pg.KH, kw: pg.KW, sh: pg.SH, sw: pg.SW, ph: pg.PH, pw: pg.PW,
-		icPerG: pg.ICPerG, ocPerG: pg.OCPerG,
-	}
-}
-
 func bindQuantConv(pc *PlanConv) (kernelFunc[int8], scratchSpec) {
-	g := planConvGeom(pc.Geom)
+	g := &pc.Geom
 	// A dense-shaped conv runs on the dense core, as in the FP32 binder,
 	// when its input zero point is a code the dense row staging shifts
 	// by: integer accumulation and the same Req and Post per output make
 	// it exact.
-	if g.dense() && pc.ZPIn >= -128 && pc.ZPIn <= 127 {
-		return bindQuantDense(&PlanDense{InF: g.inC, OutF: g.outC, W: pc.W, Bias: pc.Bias,
+	if convDense(g) && pc.ZPIn >= -128 && pc.ZPIn <= 127 {
+		return bindQuantDense(&PlanDense{InF: g.InC, OutF: g.OutC, W: pc.W, Bias: pc.Bias,
 			Req: pc.Req, ZPIn: pc.ZPIn, ZPOut: pc.ZPOut, Post: pc.Post})
 	}
 	// Routing mirrors the FP32 binder: convolutions with a real channel
@@ -288,7 +248,7 @@ func bindQuantConv(pc *PlanConv) (kernelFunc[int8], scratchSpec) {
 	// (bindQuantConvPlane), and so does a conv whose zero point the B
 	// pack cannot stage (see bindQuantConvGemm).
 	if convGemmEligible(g) {
-		if kern, spec, ok := bindQuantConvGemm(newQConv(pc)); ok {
+		if kern, spec, ok := bindQuantConvGemm(pc); ok {
 			return kern, spec
 		}
 	}
@@ -472,24 +432,6 @@ func bindQuantGlobalAvgPool(gp *PlanGlobalAvgPool) kernelFunc[int8] {
 		}
 		return nil
 	}
-}
-
-// classifyBroadcast mirrors bindAccumulate's compile-time operand
-// classification: full element-wise, or the [C,1,1] channel broadcast.
-func classifyBroadcast(ins []tensor.Shape, out tensor.Shape) ([]bool, error) {
-	broadcast := make([]bool, len(ins))
-	for i := 1; i < len(ins); i++ {
-		s := ins[i]
-		switch {
-		case s.Equal(out):
-			broadcast[i] = false
-		case len(out) == 3 && len(s) == 3 && s[0] == out[0] && s[1] == 1 && s[2] == 1:
-			broadcast[i] = true
-		default:
-			return nil, fmt.Errorf("%w: %v vs %v", tensor.ErrShape, out, s)
-		}
-	}
-	return broadcast, nil
 }
 
 // planeChunk bounds the elements of scratch an element-wise pass holds:

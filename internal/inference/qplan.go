@@ -92,8 +92,8 @@ type QuantStep struct {
 // buffers, exactly as the native engine's wrapped fallback kernel does.
 type IslandFunc func(batch int, dst []int8, srcs [][]int8) error
 
-// ConvGeom is the exported compile-time geometry of one convolution
-// (mirrors the internal convGeom); the plane kernel takes it as it is.
+// ConvGeom is the compile-time geometry of one convolution: the one
+// record lowering, both executors' binders and the plane kernel read.
 type ConvGeom = tensor.ConvGeom
 
 // PlanConv is an integer convolution: for each output position and
@@ -322,30 +322,16 @@ func lowerQuantOp(st *QuantStep, q *quantOp) (err error) {
 		if err != nil {
 			return err
 		}
-		codes, wScales := quantizeFilter(w, g.outC)
+		codes, wScales := quantizeFilter(w, g.OutC)
 		bias32, req := foldBias(n.Weight(nn.BiasKey), wScales, inQ[0], outQ)
 		st.Conv = &PlanConv{
-			Geom: ConvGeom{
-				InC: g.inC, InH: g.inH, InW: g.inW,
-				OutC: g.outC, OutH: g.outH, OutW: g.outW,
-				KH: g.kh, KW: g.kw, SH: g.sh, SW: g.sw, PH: g.ph, PW: g.pw,
-				ICPerG: g.icPerG, OCPerG: g.ocPerG,
-			},
-			W: codes, Bias: bias32, Req: req,
+			Geom: g, W: codes, Bias: bias32, Req: req,
 			ZPIn: inQ[0].Zero, ZPOut: outQ.Zero, Post: post,
 		}
 	case nn.OpDense:
-		if len(inPer[0]) != 1 {
-			return fmt.Errorf("dense wants [N,features], got per-sample %v", inPer[0])
-		}
-		w := n.Weight(nn.WeightKey)
-		if w == nil {
-			return fmt.Errorf("dense has no weights")
-		}
-		inF, outF := inPer[0][0], outPer[0]
-		want := tensor.Shape{outF, inF}
-		if !w.Shape.Equal(want) {
-			return fmt.Errorf("weight shape %v, want %v", w.Shape, want)
+		inF, outF, w, err := denseGeometry(n, inPer[0], outPer)
+		if err != nil {
+			return err
 		}
 		codes, wScales := quantizeFilter(w, outF)
 		bias32, req := foldBias(n.Weight(nn.BiasKey), wScales, inQ[0], outQ)

@@ -33,8 +33,6 @@ type Backend struct {
 	// NoCFU drops the vector-MAC unit and emits scalar MUL/ADD inner
 	// loops — the control arm of the CFU speedup measurement.
 	NoCFU bool
-	// ClockHz overrides DefaultClockHz for latency predictions.
-	ClockHz float64
 }
 
 // Name implements inference.Backend.
@@ -69,11 +67,7 @@ func (b Backend) Compile(g *nn.Graph) (inference.Executable, error) {
 	if err := m.RAM.LoadWords(img.textOff-soc.RAMBase, img.text); err != nil {
 		return nil, err
 	}
-	clock := b.ClockHz
-	if clock <= 0 {
-		clock = DefaultClockHz
-	}
-	p := &Program{name: b.Name(), plan: plan, img: img, m: m, clockHz: clock}
+	p := &Program{name: b.Name(), plan: plan, img: img, m: m}
 	if err := p.warmup(); err != nil {
 		return nil, fmt.Errorf("rvbackend: warmup inference: %w", err)
 	}
@@ -87,11 +81,10 @@ var _ inference.Backend = Backend{}
 // machine (one hart, one accelerator port — concurrency is the
 // cluster's job, not the chassis module's).
 type Program struct {
-	name    string
-	plan    *inference.QuantPlan
-	img     *image
-	m       *soc.Machine
-	clockHz float64
+	name string
+	plan *inference.QuantPlan
+	img  *image
+	m    *soc.Machine
 
 	mu     sync.Mutex
 	cycles uint64 // measured cycles per inference, last Run average
@@ -247,7 +240,7 @@ func (p *Program) PredictLatency(batch int) (time.Duration, error) {
 	if cyc == 0 {
 		return 0, fmt.Errorf("rvbackend: no measured cycles yet")
 	}
-	sec := float64(cyc) * float64(batch) / p.clockHz
+	sec := float64(cyc) * float64(batch) / DefaultClockHz
 	return time.Duration(sec * float64(time.Second)), nil
 }
 

@@ -16,7 +16,7 @@ import (
 
 // fuzzMaxFrame is the frame bound FuzzFrameDecode reads under: small, so
 // the one allocation a bare length prefix can claim (the frame buffer,
-// bounded by MaxFrame before the body is read) stays inside decodeSlack.
+// bounded by maxFrame before the body is read) stays inside decodeSlack.
 const fuzzMaxFrame = 4 << 10
 
 // decodeSlack is what decoding may allocate on top of a multiple of the
@@ -138,7 +138,10 @@ func FuzzHTTPInfer(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	srv, err := Listen("127.0.0.1:0", sched, Config{Keys: map[string]string{"sk-f": "web"}, MaxFrame: fuzzMaxFrame})
+	saved := maxFrame
+	f.Cleanup(func() { maxFrame = saved })
+	maxFrame = fuzzMaxFrame
+	srv, err := Listen("127.0.0.1:0", sched, Config{Keys: map[string]string{"sk-f": "web"}})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -59,8 +59,8 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown api key", http.StatusUnauthorized)
 		return
 	}
-	// The framed path's bound: a body past MaxFrame is refused, not read.
-	model, ins, err := decodeInfer(http.MaxBytesReader(w, r.Body, int64(s.cfg.MaxFrame)))
+	// The framed path's bound: a body past maxFrame is refused, not read.
+	model, ins, err := decodeInfer(http.MaxBytesReader(w, r.Body, int64(maxFrame)))
 	if err != nil {
 		s.badRequest.Add(1)
 		status := http.StatusBadRequest

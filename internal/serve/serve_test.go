@@ -808,9 +808,11 @@ func TestFrontDoorSpawnsNoGoroutines(t *testing.T) {
 }
 
 func TestHTTPAdapter(t *testing.T) {
-	const maxFrame = 1 << 16
+	saved := maxFrame
+	t.Cleanup(func() { maxFrame = saved })
+	maxFrame = 1 << 16
 	srv, _, g := startServer(t, 1, cluster.Config{QueueDepth: 64},
-		Config{Keys: map[string]string{"sk-h": "web"}, MaxFrame: maxFrame})
+		Config{Keys: map[string]string{"sk-h": "web"}})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -905,7 +907,7 @@ func TestHTTPAdapter(t *testing.T) {
 		}
 	}
 
-	// A body past MaxFrame: 413, counted as a bad request, never decoded
+	// A body past maxFrame: 413, counted as a bad request, never decoded
 	// to the end.
 	big, _ := json.Marshal(HTTPInferRequest{
 		Model:  g.Name,

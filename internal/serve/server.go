@@ -30,15 +30,10 @@ type Config struct {
 	Keys map[string]string
 	// Batch is the socket-boundary coalescing policy.
 	Batch BatchPolicy
-	// MaxFrame bounds a frame body in bytes. Default 16MB.
-	MaxFrame int
 }
 
 func (c Config) withDefaults() Config {
 	c.Batch = c.Batch.withDefaults()
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = DefaultMaxFrame
-	}
 	return c
 }
 
@@ -213,10 +208,12 @@ const replyDepth = 256
 // listener): a peer that has not read, or not sent, for that long is
 // torn down, releasing its slots, context and queued work. A Client's
 // connect, hello exchange and each request write take writeTimeout too.
-// Tests shorten them.
+// maxFrame bounds the body of a frame or an HTTP request the server
+// reads. Tests shorten them.
 var (
 	writeTimeout = 10 * time.Second
 	readTimeout  = 2 * time.Minute
+	maxFrame     = DefaultMaxFrame
 )
 
 // reply is one queued answer: a frame the reader built, or a completion
@@ -283,7 +280,7 @@ func (s *Server) serveConn(conn net.Conn) {
 
 	tenant := DefaultTenant
 	authed := s.cfg.Keys == nil
-	fr := newFrameReader(conn, s.cfg.MaxFrame)
+	fr := newFrameReader(conn, maxFrame)
 	for {
 		select {
 		case owed <- struct{}{}:

@@ -7,9 +7,8 @@
 // other GOARCH — and amd64 built with the purego tag — takes
 // the portable fallback, which reports no SIMD and pins execution to
 // the generic tier. NEON on arm64 is detected (it is part of the
-// architectural baseline) but currently has no kernels behind it: the
-// Tier enum reserves a slot so an arm64 micro-kernel set can slide into
-// the dispatch table without touching callers.
+// architectural baseline) but has no kernels behind it, so arm64 runs
+// the generic tier.
 //
 // Selection policy: Best returns the widest tier that both the host
 // supports and the binary has kernels for. The VEDLIOT_CPU environment
@@ -42,9 +41,6 @@ const (
 	// and VL subsets plus OS opmask/ZMM state (XCR0), the baseline every
 	// AVX-512 server core since Skylake-SP provides.
 	TierAVX512
-	// TierNEON is reserved for an arm64 128-bit kernel set; no kernels
-	// are implemented behind it yet, so Best never returns it.
-	TierNEON
 )
 
 // String returns the tier's canonical lowercase name.
@@ -58,8 +54,6 @@ func (t Tier) String() string {
 		return "avx2"
 	case TierAVX512:
 		return "avx512"
-	case TierNEON:
-		return "neon"
 	}
 	return fmt.Sprintf("tier(%d)", int(t))
 }
@@ -76,8 +70,6 @@ func ParseTier(s string) (Tier, error) {
 		return TierAVX2, nil
 	case "avx512":
 		return TierAVX512, nil
-	case "neon":
-		return TierNEON, nil
 	}
 	return TierGeneric, fmt.Errorf("cpu: unknown kernel tier %q", s)
 }

@@ -8,8 +8,8 @@ import "runtime"
 // built with purego) no amd64 SIMD kernels can run, so only the
 // architectural baselines that need no runtime check are reported.
 // NEON is baseline on arm64 and is reported even though no kernels sit
-// behind it yet — Summary then names the host correctly and the tier
-// stays generic until TierNEON gains an implementation.
+// behind it, so Summary names the host correctly; the tier stays
+// generic.
 func detect() Features {
 	return Features{NEON: runtime.GOARCH == "arm64"}
 }

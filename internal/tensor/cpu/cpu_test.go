@@ -12,7 +12,6 @@ func TestTierString(t *testing.T) {
 		TierSSE2:    "sse2",
 		TierAVX2:    "avx2",
 		TierAVX512:  "avx512",
-		TierNEON:    "neon",
 		Tier(99):    "tier(99)",
 	}
 	for tier, want := range cases {
@@ -34,7 +33,6 @@ func TestParseTier(t *testing.T) {
 		{" avx2 ", TierAVX2},
 		{"avx512", TierAVX512},
 		{"AVX512", TierAVX512},
-		{"neon", TierNEON},
 	} {
 		got, err := ParseTier(tc.in)
 		if err != nil || got != tc.want {
@@ -50,7 +48,7 @@ func TestParseTier(t *testing.T) {
 // dispatchable tier, so bench artifacts and the VEDLIOT_CPU override
 // always agree on names.
 func TestTierRoundTrip(t *testing.T) {
-	for _, tier := range []Tier{TierGeneric, TierSSE2, TierAVX2, TierAVX512, TierNEON} {
+	for _, tier := range []Tier{TierGeneric, TierSSE2, TierAVX2, TierAVX512} {
 		got, err := ParseTier(tier.String())
 		if err != nil || got != tier {
 			t.Errorf("ParseTier(%q) = %v, %v; want %v, nil", tier.String(), got, err, tier)

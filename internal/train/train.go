@@ -31,8 +31,6 @@ type Config struct {
 	// FreezeZeros keeps exactly-zero weights at zero, implementing the
 	// masked retraining step of Deep Compression's prune-retrain loop.
 	FreezeZeros bool
-	// L2 is the weight-decay coefficient.
-	L2 float32
 }
 
 // History records per-epoch training loss.
@@ -232,7 +230,7 @@ func SGD(g *nn.Graph, samples []dataset.Sample, cfg Config) (History, error) {
 					if cfg.FreezeZeros && masks[li][i] {
 						continue
 					}
-					l.w.F32[i] -= scale*gw[li][i] + cfg.LR*cfg.L2*l.w.F32[i]
+					l.w.F32[i] -= scale * gw[li][i]
 				}
 				for i := range l.b.F32 {
 					l.b.F32[i] -= scale * gb[li][i]
