@@ -43,11 +43,15 @@ test-full:
 # arrive, with completions running on the replica's dispatcher. So do
 # the vanished-member and disconnect-burst tests (records whose caller
 # left are dropped at the replica, never run), the read-deadline test
-# (stalled peers torn down, a live one kept), the emulated batch (no
-# record answered before its rows' modeled latency) and the one service
-# estimate (a latency model seeds it, observed service corrects it, and
-# under emulation the observation is the modeled wait), and the deploy
-# warm-up, which probes every replica at once.
+# (stalled peers torn down, a live one kept), the front door's graceful
+# drain (the held request answered, the queued ones shutting down), the
+# emulated batch (no record answered before its rows' modeled latency),
+# the emulated replica (a modeled device is serial: its dispatcher holds
+# each modeled latency), close under emulation (every record completed
+# when close returns) and the one service estimate (a latency model
+# seeds it, observed service corrects it, and under emulation the
+# observation is the modeled wait), and the deploy warm-up, which probes
+# every replica at once.
 # The plan executor's pooled run state gets the same twenty: concurrent
 # runs at mixed batch sizes, a first RunAll binding its expansion beside
 # concurrent runs, a kernel error at every step and a panic on a
@@ -57,7 +61,7 @@ test-full:
 # race job runs this target.
 test-race:
 	$(GO) test -short -race ./internal/inference/... ./internal/accel/... ./internal/microserver/... ./internal/cluster/... ./internal/serve/... ./internal/rvbackend/... ./internal/riscv/... ./internal/soc/... ./internal/cfu/... ./internal/safety/...
-	$(GO) test -race -count=20 -run 'Batch|CapacityRule|Dispatch|Gate|Admission|Saturated|BurstFollows|EstimateFollows|Warmup|CloseResolves|CancelPropagation|Recovers|EngineTime|SlowReader|Vanished|DisconnectBurst|ReadDeadline|EmulatedBatch' ./internal/microserver/ ./internal/serve/ ./internal/cluster/
+	$(GO) test -race -count=20 -run 'Batch|CapacityRule|Dispatch|Gate|Admission|Saturated|BurstFollows|EstimateFollows|Warmup|CloseResolves|CancelPropagation|Recovers|EngineTime|SlowReader|Vanished|DisconnectBurst|ReadDeadline|EmulatedBatch|EmulatedReplicaIsSerial|CloseCompletesEmulated|GracefulDrain' ./internal/microserver/ ./internal/serve/ ./internal/cluster/
 	$(GO) test -race -count=20 -run 'ExecutorConcurrent|ExecutorKernelError|Recovers' ./internal/inference/
 
 # test-portable exercises the pure-Go micro-kernel fallbacks (purego
@@ -165,7 +169,10 @@ bench-front:
 	$(GO) run ./benchmark -seed 7
 
 # serve-demo smoke-checks the fleet-serving path: the smart-mirror face
-# detector on a 2-device heterogeneous uRECS fleet (CPU + Xavier NX).
+# detector on a 2-device heterogeneous uRECS fleet (CPU + Xavier NX),
+# replayed with the modeled device latency on; it fails on a hard
+# failure or a request neither completed nor shed. The CI load-smoke job
+# runs it.
 serve-demo:
 	$(GO) run ./cmd/vedliot-serve -chassis urecs \
 		-modules "SMARC ARM,Jetson Xavier NX" \

@@ -2,7 +2,8 @@
 // assembles a RECS chassis, deploys a model onto every mounted compute
 // module through the cluster scheduler, replays a synthetic open-loop
 // request trace against the fleet in real time and reports latency,
-// throughput, cost-aware routing and the chassis power view.
+// throughput, cost-aware routing and the chassis power view; it exits
+// non-zero on a hard failure or a request neither completed nor shed.
 //
 // The model is either a zoo entry built in process, or — the
 // production-shaped path — a .vedz deployment artifact packed by
@@ -295,6 +296,9 @@ func main() {
 	}
 	fmt.Printf("chassis power: %.1f W idle-fleet, %.1f W all-serving (budget %.0f W)\n",
 		chassis.PowerW(nil), chassis.PowerW(util), chassis.BudgetW)
+	if err := accounted("replay", res); err != nil {
+		fatal(err)
+	}
 }
 
 // printAttestation challenges every replica of an artifact deployment
@@ -466,16 +470,23 @@ func runSmoke(sched *cluster.Scheduler, g *nn.Graph, inShape tensor.Shape, polic
 	st := srv.Stats()
 	fmt.Printf("coalescing: %d rows over %d submissions (%.1f rows/batch)\n",
 		st.BatchedRows, st.Batches, st.MeanBatch)
-	if res.Failed > 0 {
-		return fmt.Errorf("load-smoke: %d hard failures", res.Failed)
-	}
-	if got := res.Completed + res.Shed; got != res.Requests {
-		return fmt.Errorf("load-smoke: %d of %d requests unaccounted for", res.Requests-got, res.Requests)
+	if err := accounted("load-smoke", res); err != nil {
+		return err
 	}
 	if st.MeanBatch <= 1 {
 		return fmt.Errorf("load-smoke: no coalescing (%.2f rows/batch)", st.MeanBatch)
 	}
 	fmt.Println("load-smoke ok")
+	return nil
+}
+
+// accounted fails a load run with a hard failure or with a request
+// neither completed nor shed.
+func accounted(what string, res serve.LoadResult) error {
+	if got := res.Completed + res.Shed; res.Failed > 0 || got != res.Requests {
+		return fmt.Errorf("%s: %d hard failures, %d of %d requests unaccounted for",
+			what, res.Failed, res.Requests-got, res.Requests)
+	}
 	return nil
 }
 

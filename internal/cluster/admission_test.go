@@ -269,7 +269,7 @@ func TestCloseResolvesQueuedTickets(t *testing.T) {
 	// queues nothing, and a closed server refuses it with ErrClosed, so
 	// this probe turns true exactly when the drain is armed.
 	srv := d.replicas[0].server
-	for !errors.Is(srv.Submit(nil, time.Time{}, nil), microserver.ErrClosed) {
+	for !errors.Is(srv.Submit(nil, nil), microserver.ErrClosed) {
 		runtime.Gosched()
 	}
 	gate.open()
@@ -407,5 +407,54 @@ func TestEmulatedBatchWaitsForItsRows(t *testing.T) {
 	}
 	if freed < 4*perRow {
 		t.Errorf("the submission's slot was freed after %v, before the modeled %v", freed, 4*perRow)
+	}
+}
+
+// TestEmulatedReplicaIsSerial: under EmulateLatency a replica is one
+// modeled device, which runs one submission after another. Four one-row
+// submissions made at once to a replica modeled at 20 ms a row complete
+// no sooner than 20, 40, 60 and 80 ms after they were made.
+func TestEmulatedReplicaIsSerial(t *testing.T) {
+	const perRow = 20 * time.Millisecond
+	gate := newGate(perRow, 5)
+	gate.open()
+	d := gatedDeployment(t, 4, gate)
+	d.emulate = true
+	start := time.Now()
+	for i, p := range submitN(t, d, 4) {
+		if _, err := p.wait(); err != nil {
+			t.Fatalf("submission %d: %v", i, err)
+		}
+		if waited, want := time.Since(start), time.Duration(i+1)*perRow; waited < want {
+			t.Errorf("submission %d answered after %v, before the modeled device could reach it (%v)", i, waited, want)
+		}
+	}
+}
+
+// TestCloseCompletesEmulated: under EmulateLatency the modeled wait is
+// part of the replica's run, so close, which waits for the run, returns
+// only after the running submission's records have completed, and the
+// queued ones have completed with ErrClosed. The accounting then closes
+// with nothing in flight.
+func TestCloseCompletesEmulated(t *testing.T) {
+	gate := newGate(50*time.Millisecond, 5)
+	gate.open()
+	d := gatedDeployment(t, 4, gate)
+	d.emulate = true
+	ps := submitN(t, d, 3)
+	<-gate.entered // the first is in its run; close lands within its modeled wait
+	d.close()
+	for i, p := range ps {
+		if !p.resolved() {
+			t.Fatalf("request %d not completed after close returned", i)
+		}
+		if _, err := p.wait(); (i == 0 && err != nil) || (err != nil && !errors.Is(err, ErrClosed)) {
+			t.Errorf("request %d completed with %v", i, err)
+		}
+	}
+	st := d.Stats()
+	if st.Submitted != 3 || st.Submitted != st.Completed+st.Rejected || st.Replicas[0].Inflight != 0 {
+		t.Errorf("submitted %d completed %d rejected %d inflight %d after close, want 3 3 0 0",
+			st.Submitted, st.Completed, st.Rejected, st.Replicas[0].Inflight)
 	}
 }

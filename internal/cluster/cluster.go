@@ -17,7 +17,8 @@
 // current queue depth, with a power-aware tie-break from the chassis
 // module power envelope. The replica runs each submission as one engine
 // call and its dispatcher runs the accounting, then each record's
-// completion; no goroutine or channel sits between.
+// completion (under EmulateLatency once it has held the modeled device
+// time); no goroutine, channel or timer sits between.
 package cluster
 
 import (
@@ -55,10 +56,10 @@ type Config struct {
 	// completed — queued on a replica or running (default 64). SubmitCtx
 	// sheds the next one with ErrOverloaded.
 	QueueDepth int
-	// EmulateLatency stretches every accelerator-backed submission to
-	// the latency its backend predicts for the rows it carries
-	// (functional execution on the host is usually faster than the
-	// model), so trace replays exhibit the modeled heterogeneity and the
+	// EmulateLatency holds each accelerator-backed submission on its
+	// replica's dispatcher until its backend's predicted latency for the
+	// rows that ran has passed since the run began, so a modeled device
+	// is serial, trace replays exhibit the modeled heterogeneity and the
 	// service estimate observes what the caller waited. Off by default;
 	// the serving CLI and demos turn it on, tests keep wall time.
 	EmulateLatency bool
@@ -476,7 +477,7 @@ func (d *Deployment) warmup() error {
 		q := &microserver.Request{Ctx: context.Background(), Ins: inputs, Rows: 1,
 			Done: func(_ map[string]*tensor.Tensor, err error) { errs[i] = err; wg.Done() }}
 		observe := func(service time.Duration, _ int, err error) { r.observe(service, err) }
-		if err := d.submit(r, []*microserver.Request{q}, 1, observe); err != nil {
+		if err := r.server.Submit([]*microserver.Request{q}, d.hold(r, observe)); err != nil {
 			errs[i] = err
 			wg.Done()
 		}
@@ -501,19 +502,19 @@ func (d *Deployment) warmup() error {
 // has room, and runs as one engine call (microserver.Server.Submit); the
 // accounting then frees the slot, done (if non-nil) runs, then each
 // record's Done, on the replica's dispatcher; under EmulateLatency not
-// before the backend's predicted latency for the rows has passed.
+// before the modeled latency of the rows that ran has passed.
 func (d *Deployment) SubmitCtx(reqs []*microserver.Request, done func()) error {
 	if d.closed.Load() {
 		return ErrClosed
 	}
 	// ended stays non-nil (nothing to run is bad input) until a live record.
-	rows, ended := 0, inference.ErrBadInput
+	ended := inference.ErrBadInput
 	for _, q := range reqs {
 		n, err := inference.CheckInputs(d.inputNames, d.inPer, q.Ins)
 		if err != nil {
 			return err
 		}
-		q.Rows, rows = n, rows+n
+		q.Rows = n
 		if ended != nil {
 			ended = q.Ctx.Err()
 		}
@@ -530,12 +531,12 @@ func (d *Deployment) SubmitCtx(reqs []*microserver.Request, done func()) error {
 	}
 	r := d.pick()
 	r.inflight.Add(1)
-	err := d.submit(r, reqs, rows, func(service time.Duration, ran int, err error) {
+	err := r.server.Submit(reqs, d.hold(r, func(service time.Duration, ran int, err error) {
 		d.finish(r, service, ran, err)
 		if done != nil {
 			done()
 		}
-	})
+	}))
 	if err != nil {
 		// Close landed since the check above; it counts as completed,
 		// like a queued submission close drains.
@@ -561,24 +562,23 @@ func (d *Deployment) finish(r *Replica, service time.Duration, rows int, err err
 	d.completed.Add(1)
 }
 
-// submit hands a submission of the given rows to a replica's server,
-// whose completion reports the service to observe: the engine run, or
-// under EmulateLatency, for a backend with a latency model, the larger
-// of it and the latency predicted for the rows, which is also what the
-// completion waits for and so what the caller waited.
-func (d *Deployment) submit(r *Replica, reqs []*microserver.Request, rows int, done func(service time.Duration, ran int, err error)) error {
-	var lat time.Duration
-	if p, ok := r.server.Executable().(inference.LatencyModel); ok && d.emulate {
-		if l, err := p.PredictLatency(rows); err == nil {
-			lat = l
+// hold is the completion a replica's server runs for a submission: done
+// itself, or under EmulateLatency, for a backend with a latency model,
+// done once the dispatcher has held until the latency predicted for the
+// rows that ran has passed since the run began, reporting that latency
+// as the service when the run was shorter, since the caller waited it.
+func (d *Deployment) hold(r *Replica, done func(service time.Duration, ran int, err error)) func(time.Duration, int, error) {
+	p, ok := r.server.Executable().(inference.LatencyModel)
+	if !ok || !d.emulate {
+		return done
+	}
+	return func(service time.Duration, ran int, err error) {
+		if lat, perr := p.PredictLatency(ran); err == nil && perr == nil && lat > service {
+			time.Sleep(lat - service)
+			service = lat
 		}
+		done(service, ran, err)
 	}
-	if lat <= 0 {
-		return r.server.Submit(reqs, time.Time{}, done)
-	}
-	return r.server.Submit(reqs, time.Now().Add(lat), func(service time.Duration, ran int, err error) {
-		done(max(service, lat), ran, err)
-	})
 }
 
 // InferCtx is a one-record SubmitCtx plus a wait (microserver.Call): it
@@ -625,9 +625,9 @@ func cheapest(n int, cost, maxW func(int) float64) int {
 }
 
 // close shuts the deployment down: admissions stop, then each replica
-// server closes — its running request completes and its queued ones
-// complete with ErrClosed. Completions parked on an EmulateLatency timer
-// run when it fires.
+// server closes — its running request completes, under EmulateLatency
+// after its modeled latency, and its queued ones complete with
+// ErrClosed. When close returns every admitted request has completed.
 func (d *Deployment) close() {
 	d.closed.Store(true)
 	for _, r := range d.replicas {
@@ -714,14 +714,9 @@ func (r *Replica) Server() *microserver.Server { return r.server }
 func (r *Replica) Enclave() *tee.Enclave { return r.enclave }
 
 // ServiceEstimate is the per-request service time the router weighs:
-// the EWMA of observed service per row, or 1 ms before anything seeded
-// it.
-func (r *Replica) ServiceEstimate() time.Duration {
-	if ewma := r.ewmaNS.Load(); ewma > 0 {
-		return time.Duration(ewma)
-	}
-	return time.Millisecond
-}
+// the EWMA of observed service per row. A backend's latency model or
+// the deploy warm-up seeds it before the replica takes traffic.
+func (r *Replica) ServiceEstimate() time.Duration { return time.Duration(r.ewmaNS.Load()) }
 
 // isShed reports whether an error is load shedding, shutdown or caller
 // disappearance rather than a replica fault: such requests never ran,

@@ -83,7 +83,6 @@ type Server struct {
 // submission is one queued Submit.
 type submission struct {
 	reqs []*Request
-	due  time.Time
 	done func(service time.Duration, rows int, err error)
 }
 
@@ -127,7 +126,7 @@ func (s *Server) Backend() string { return s.backendName }
 // blocks until the full output map is ready. Safe for concurrent use.
 func (s *Server) InferMap(inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
 	return Call(context.Background(), inputs, func(q *Request) error {
-		return s.Submit([]*Request{q}, time.Time{}, nil)
+		return s.Submit([]*Request{q}, nil)
 	})
 }
 
@@ -157,26 +156,26 @@ func Call(ctx context.Context, ins map[string]*tensor.Tensor, submit func(*Reque
 // call (exe.Run for one record, exe.RunBatch for several). Then done, if
 // non-nil, gets the engine time, the rows that ran and the run's error
 // (zeros and a context error if nothing ran), and each record's Done
-// its own rows or that error: on the dispatcher goroutine, so none may
-// block, and after a successful run not before due (the zero time holds
-// nothing). Once Close has begun it returns ErrClosed and queues
+// its own rows or that error, all on the dispatcher goroutine: done may
+// block it (the fleet holds emulated device latency there), a record's
+// Done may not. Once Close has begun it returns ErrClosed and queues
 // nothing, as an empty reqs does. The enqueue blocks while the queue is
 // full; the fleet sizes the queue so it never does.
-func (s *Server) Submit(reqs []*Request, due time.Time, done func(service time.Duration, rows int, err error)) error {
+func (s *Server) Submit(reqs []*Request, done func(service time.Duration, rows int, err error)) error {
 	s.lifeMu.RLock()
 	defer s.lifeMu.RUnlock()
 	if s.closed {
 		return ErrClosed
 	}
 	if len(reqs) > 0 {
-		s.reqs <- submission{reqs: reqs, due: due, done: done}
+		s.reqs <- submission{reqs: reqs, done: done}
 	}
 	return nil
 }
 
 // Close stops the dispatcher and waits for it: the submission inside
-// the engine completes, submissions still queued complete with
-// ErrClosed, and later Submit calls return it.
+// the engine completes, its completions included, submissions still
+// queued complete with ErrClosed, and later Submit calls return it.
 func (s *Server) Close() {
 	s.lifeMu.Lock()
 	if s.closed {
@@ -253,10 +252,6 @@ func (s *Server) run(sub submission) {
 	// already sees itself in Stats.
 	s.requests.Add(int64(len(live)))
 	s.batches.Add(1)
-	if wait := sub.due.Sub(start.Add(service)); err == nil && wait > 0 {
-		time.AfterFunc(wait, func() { complete(sub, live, outs, service, rows, nil) })
-		return
-	}
 	complete(sub, live, outs, service, rows, err)
 }
 

@@ -78,7 +78,7 @@ func submitMerged(t *testing.T, s *Server, ctxs []context.Context, ins []map[str
 	// The submission's completion runs before the Done of every record
 	// that ran, so such a record's handle sees the service and rows once
 	// it has resolved (a dropped record's Done runs first).
-	if err := s.Submit(reqs, time.Time{}, func(service time.Duration, rows int, _ error) {
+	if err := s.Submit(reqs, func(service time.Duration, rows int, _ error) {
 		for _, p := range pend {
 			p.service, p.rows = service, rows
 		}

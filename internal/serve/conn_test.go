@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 
 	"vedliot/internal/cluster"
 	"vedliot/internal/inference"
+	"vedliot/internal/microserver"
 	"vedliot/internal/nn"
 	"vedliot/internal/tensor"
 )
@@ -432,6 +434,90 @@ func TestDisconnectBurstCancelsQueued(t *testing.T) {
 	sched.Close()
 	if !waitFor(func() bool { return runtime.NumGoroutine() <= goroutines }) {
 		t.Errorf("%d goroutines after Close, %d before the test", runtime.NumGoroutine(), goroutines)
+	}
+}
+
+// TestGracefulDrain closes the fleet behind a live front door. One
+// request is held inside a gate-held replica's engine and three more
+// queue behind it, one submission each (MaxBatch 1), when the scheduler
+// closes; the gate opens only once the close has armed the replica's
+// drain. The held request is answered bit for bit as its lone engine
+// run, each queued one with StatusShuttingDown, which the client reads
+// as ErrShuttingDown, none of them reaches the engine, the fleet's
+// accounting closes when Close returns and no reply counts as an engine
+// error.
+func TestGracefulDrain(t *testing.T) {
+	g := testModel()
+	var gate *gateExe
+	srv, sched, dep := serveWrapped(t, g, gateWrap(&gate), Config{Batch: BatchPolicy{MaxBatch: 1}})
+	eng, err := inference.Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate.shut.Store(true)
+	t.Cleanup(gate.open)
+
+	type result struct {
+		outs map[string]*tensor.Tensor
+		err  error
+	}
+	results := make([]chan result, 4)
+	for i := range results {
+		cl, err := Dial(srv.Addr(), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		results[i] = make(chan result, 1)
+		go func(i int) {
+			outs, err := cl.InferCtx(context.Background(), g.Name, map[string]*tensor.Tensor{g.Inputs[0]: testInput(i)})
+			results[i] <- result{outs, err}
+		}(i)
+		if i == 0 {
+			if rows := <-gate.calls; rows != 1 {
+				t.Fatalf("the held request reached the engine as %d rows", rows)
+			}
+		}
+	}
+	if !waitFor(func() bool { return dep.Stats().Submitted == 4 }) {
+		t.Fatal("the three queued requests were never submitted")
+	}
+
+	closed := make(chan struct{})
+	go func() { sched.Close(); close(closed) }()
+	// An empty submission queues nothing and a closed replica refuses it,
+	// so this probe turns true exactly when the drain is armed.
+	replica := dep.Replicas()[0].Server()
+	for !errors.Is(replica.Submit(nil, nil), microserver.ErrClosed) {
+		runtime.Gosched()
+	}
+	gate.open()
+	<-closed
+	if st := dep.Stats(); st.Submitted != 4 || st.Submitted != st.Completed+st.Rejected {
+		t.Errorf("after Close: submitted %d completed %d rejected %d, want 4 4 0", st.Submitted, st.Completed, st.Rejected)
+	}
+
+	held := <-results[0]
+	if held.err != nil {
+		t.Fatalf("the held request failed across the close: %v", held.err)
+	}
+	want, err := eng.RunSingle(testInput(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, _ := tensor.MaxAbsDiff(want, held.outs[g.Outputs[0]]); d != 0 {
+		t.Errorf("the held request diverges from its lone run by %g", d)
+	}
+	for i, ch := range results[1:] {
+		if r := <-ch; !errors.Is(r.err, ErrShuttingDown) {
+			t.Errorf("queued request %d answered %v, want ErrShuttingDown", i+1, r.err)
+		}
+	}
+	if n := len(gate.calls); n != 0 {
+		t.Errorf("%d queued requests reached the engine after the close", n)
+	}
+	if st := srv.Stats(); st.Errors != 0 {
+		t.Errorf("ServerStats.Errors %d, want 0", st.Errors)
 	}
 }
 
