@@ -1,7 +1,10 @@
 // Command kenning is the model-toolchain CLI: it builds a zoo model,
 // runs the optimization pipeline, reports statistics, round-trips the
 // model through the .vedz artifact format, and evaluates it on a
-// simulated accelerator — the §III deployment flow end to end.
+// simulated accelerator — the §III deployment flow end to end. It packs
+// nothing: vedliot-pack pack runs the same pipeline and writes the
+// artifact (kenning -model M -int8-runtime is vedliot-pack pack -model M
+// -quantize -int8).
 //
 // Usage:
 //
@@ -35,7 +38,6 @@ func main() {
 	target := flag.String("target", "", "accelerator to evaluate on (see internal/accel)")
 	stats := flag.Bool("stats", false, "print the per-layer statistics table")
 	dumpIR := flag.Bool("dump-ir", false, "print the deterministic pass-by-pass lowering IR (INT8 pipeline with -int8-runtime)")
-	export := flag.String("export", "", "write the optimized model to a .vedz deployment artifact at this path")
 	flag.Parse()
 
 	g, weights, err := buildModel(*model)
@@ -82,14 +84,6 @@ func main() {
 	}
 	if *dumpIR {
 		if err := dumpLowering(g, rep.Schema); err != nil {
-			fatal(err)
-		}
-	}
-	if *export != "" {
-		if !weights {
-			fatal(fmt.Errorf("-export needs a weighted model"))
-		}
-		if err := exportArtifact(g, rep, *export, *prune); err != nil {
 			fatal(err)
 		}
 	}
@@ -151,30 +145,6 @@ func dumpLowering(g *nn.Graph, schema *nn.QuantSchema) error {
 	}
 	fmt.Print(ir.FormatRecords(records, true))
 	return nil
-}
-
-// exportArtifact packages the optimized model (with its calibration
-// schema, when one was derived) as a .vedz deployment artifact — the
-// pipeline's "deploy" output a fleet loads via the cluster registry.
-func exportArtifact(g *nn.Graph, rep kenning.PipelineReport, path string, prune float64) error {
-	prov := artifact.Provenance{Tool: "kenning", Passes: rep.AppliedPasses, PrunedSparsity: prune}
-	if rep.QuantReport != nil {
-		prov.Quantized = rep.QuantReport.Granularity.String()
-	}
-	m := &artifact.Model{Graph: g, Schema: rep.Schema, Prov: prov}
-	if err := artifact.Save(path, m); err != nil {
-		return err
-	}
-	fmt.Printf("exported %s (%d weight bytes, schema values %d)\n  %s\n",
-		path, g.WeightBytes(), schemaValues(rep.Schema), m.Digest)
-	return nil
-}
-
-func schemaValues(s *nn.QuantSchema) int {
-	if s == nil {
-		return 0
-	}
-	return len(s.Activations)
 }
 
 // calibrationSamples builds deterministic pseudo-random batches shaped

@@ -5,17 +5,18 @@
 // throughput, cost-aware routing and the chassis power view; it exits
 // non-zero on a hard failure or a request neither completed nor shed.
 //
-// The model is either a zoo entry built in process, or — the
-// production-shaped path — a .vedz deployment artifact packed by
-// vedliot-pack/kenning: the file is loaded into the cluster model
-// registry and replicas deploy through the fleet-wide compiled-plan
-// cache (replica cold-start is load + bind, not calibrate + lower),
-// with the artifact's embedded calibration schema driving INT8-capable
-// modules. With -policy the registry becomes a gated release channel:
-// the artifact deploys only with a bundle proving a trusted signature,
-// transparency-log inclusion and a witnessed checkpoint, and every
-// replica then proves via enclave attestation that it runs exactly the
-// authorized digest.
+// Every model deploys as a .vedz deployment artifact: a file packed by
+// vedliot-pack, or a zoo entry built in process and packed in memory.
+// The artifact is registered in the cluster model registry and
+// replicas deploy through the fleet-wide compiled-plan cache (replica
+// cold-start is load + bind, not calibrate + lower), with the
+// artifact's embedded calibration schema — the only one a fleet runs —
+// driving INT8-capable modules; -int8 calibrates a model without one
+// and packs the schema in, which changes its digest. With -policy the
+// registry becomes a gated release channel: the artifact deploys only
+// with a bundle proving a trusted signature, transparency-log inclusion
+// and a witnessed checkpoint, and every replica then proves via enclave
+// attestation that it runs exactly the authorized digest.
 //
 // Beyond the trace replay, the command is also the network front door:
 // -listen exposes the deployed fleet over the framed-TCP protocol
@@ -121,10 +122,9 @@ func main() {
 		return
 	}
 
-	// Resolve the model: a .vedz deployment artifact, or a zoo entry
-	// built in process.
+	// Resolve the model as a deployment artifact: a .vedz file, or a
+	// zoo entry built in process and packed in memory below.
 	var art *artifact.Model
-	var build func() *nn.Graph
 	about := ""
 	if strings.HasSuffix(*model, ".vedz") {
 		m, err := artifact.Load(*model)
@@ -132,13 +132,16 @@ func main() {
 			fatal(err)
 		}
 		art = m
-		about = fmt.Sprintf("artifact %s, %s", *model, m.Digest)
+		about = "artifact " + *model
 	} else {
+		if *policyDir != "" {
+			fatal(fmt.Errorf("-policy applies to .vedz artifact deployments only"))
+		}
 		entry, err := zoo.Find(*model)
 		if err != nil {
 			fatal(err)
 		}
-		build = entry.Build
+		art = &artifact.Model{Graph: entry.Build(), Prov: artifact.Provenance{Tool: "vedliot-serve"}}
 		about = entry.About
 	}
 
@@ -157,38 +160,43 @@ func main() {
 	fmt.Printf("%s (%s tier), %d slots, baseboard %.1f W\n",
 		chassis.Name, chassis.Tier, len(chassis.Slots), chassis.BaseboardW)
 
-	// Resolve the model graph and calibration schema first: INT8
-	// serving calibrates (or reuses the artifact's embedded schema)
-	// before the fleet compiles per-module executables.
-	var g *nn.Graph
-	var schema *nn.QuantSchema
-	if art != nil {
-		g, schema = art.Graph, art.Schema
-		if schema != nil {
-			fmt.Printf("artifact embeds %d calibrated activation ranges\n", len(schema.Activations))
+	// Resolve the calibration schema before the fleet compiles
+	// per-module executables: the artifact's own, or with -int8 one
+	// calibrated here and packed into the artifact, which changes its
+	// digest.
+	g := art.Graph
+	if art.Schema != nil {
+		fmt.Printf("artifact embeds %d calibrated activation ranges\n", len(art.Schema.Activations))
+	} else if *int8Serve {
+		if *policyDir != "" {
+			fatal(fmt.Errorf("-int8 re-packs %s with a calibrated schema, which changes the digest its release bundle signs; "+
+				"pack the schema with `vedliot-pack pack -int8` and sign that artifact", *model))
 		}
-	} else {
-		g = build()
-	}
-	if *int8Serve && schema == nil {
-		var err error
-		if schema, err = calibrate(g); err != nil {
+		schema, err := calibrate(g)
+		if err != nil {
 			fatal(err)
 		}
+		art.Schema, art.Digest = schema, ""
 		fmt.Printf("calibrated %d activation ranges: INT8 accelerator replicas use the native quantized engine\n",
 			len(schema.Activations))
 	}
+	if art.Digest == "" {
+		if _, err := art.Encode(); err != nil {
+			fatal(err)
+		}
+	}
+	about += ", " + art.Digest
 
 	names := strings.Split(*modules, ",")
 	if *socTier {
-		if schema == nil {
+		if art.Schema == nil {
 			fatal(fmt.Errorf("-soc-tier serves INT8 firmware only: pass -int8 or deploy an artifact with an embedded schema"))
 		}
 		names = append(names, "RISC-V CFU SoM")
 	}
 	mods, err := chassis.Mount(names...)
 	for slot, m := range mods {
-		backend, err := cluster.BackendForModule(m, schema)
+		backend, err := cluster.BackendForModule(m, art.Schema)
 		if err != nil {
 			fatal(err)
 		}
@@ -199,60 +207,48 @@ func main() {
 		fatal(err)
 	}
 
-	// Deploy the fleet: artifacts go through the model registry and
-	// the fleet-wide compiled-plan cache, zoo builds compile per slot.
-	ccfg := cluster.Config{QueueDepth: *queue, EmulateLatency: *emulate, Schema: schema}
-	if art != nil {
-		ccfg.Registry = cluster.NewRegistry()
-		if *policyDir != "" {
-			// Policy-gated release channel: the registry refuses the
-			// artifact unless the bundle proves signature, transparency-log
-			// inclusion and the witness quorum; DeployArtifact re-verifies.
-			if *bundlePath == "" {
-				fatal(fmt.Errorf("-policy requires -bundle"))
-			}
-			pol, err := release.LoadPolicyDir(*policyDir, *minWitnesses)
-			if err != nil {
-				fatal(err)
-			}
-			ccfg.Registry.SetPolicy(pol)
-			b, err := release.LoadBundle(*bundlePath)
-			if err != nil {
-				fatal(err)
-			}
-			if err := ccfg.Registry.AddRelease(art, b); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("release gate: signer %s, log %s leaf %d of %d, %d witness countersignature(s) (quorum %d)\n",
-				b.Envelope.SignerID, b.Checkpoint.Origin, b.LeafIndex, b.Checkpoint.Size,
-				len(b.Checkpoint.Witness), *minWitnesses)
-		} else if err := ccfg.Registry.Add(art); err != nil {
+	// Deploy the fleet through the model registry and the fleet-wide
+	// compiled-plan cache.
+	ccfg := cluster.Config{QueueDepth: *queue, EmulateLatency: *emulate, Registry: cluster.NewRegistry()}
+	if *policyDir != "" {
+		// Policy-gated release channel: the registry refuses the
+		// artifact unless the bundle proves signature, transparency-log
+		// inclusion and the witness quorum; DeployArtifact re-verifies.
+		if *bundlePath == "" {
+			fatal(fmt.Errorf("-policy requires -bundle"))
+		}
+		pol, err := release.LoadPolicyDir(*policyDir, *minWitnesses)
+		if err != nil {
 			fatal(err)
 		}
-	} else if *policyDir != "" {
-		fatal(fmt.Errorf("-policy applies to .vedz artifact deployments only"))
+		ccfg.Registry.SetPolicy(pol)
+		b, err := release.LoadBundle(*bundlePath)
+		if err != nil {
+			fatal(err)
+		}
+		if err := ccfg.Registry.AddRelease(art, b); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("release gate: signer %s, log %s leaf %d of %d, %d witness countersignature(s) (quorum %d)\n",
+			b.Envelope.SignerID, b.Checkpoint.Origin, b.LeafIndex, b.Checkpoint.Size,
+			len(b.Checkpoint.Witness), *minWitnesses)
+	} else if err := ccfg.Registry.Add(art); err != nil {
+		fatal(err)
 	}
 	sched := cluster.NewScheduler(chassis, ccfg)
 	defer sched.Close()
-	var dep *cluster.Deployment
-	if art != nil {
-		dep, err = sched.DeployArtifact(g.Name)
-	} else {
-		dep, err = sched.Deploy(g)
-	}
+	dep, err := sched.DeployArtifact(g.Name)
 	if err != nil {
 		fatal(err)
 	}
 	inShape := append(tensor.Shape{1}, g.Node(g.Inputs[0]).Attrs.Shape...)
 	fmt.Printf("\ndeployed %s (%s) on %d replicas, input %v\n",
 		g.Name, about, len(dep.Replicas()), inShape)
-	if art != nil {
-		ps := ccfg.Registry.Plans().Stats()
-		fmt.Printf("plan cache: %d plan(s) compiled for %d replicas (%d cache hit(s))\n",
-			ps.Entries, len(dep.Replicas()), ps.Hits)
-		if err := printAttestation(dep); err != nil {
-			fatal(err)
-		}
+	ps := ccfg.Registry.Plans().Stats()
+	fmt.Printf("plan cache: %d plan(s) compiled for %d replicas (%d cache hit(s))\n",
+		ps.Entries, len(dep.Replicas()), ps.Hits)
+	if err := printAttestation(dep); err != nil {
+		fatal(err)
 	}
 
 	policy := serve.BatchPolicy{MaxBatch: *maxBatch, MaxDelay: *maxDelay}

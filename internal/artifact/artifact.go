@@ -116,22 +116,6 @@ func DigestBytes(data []byte) string {
 	return fmt.Sprintf("sha256:%x", sum)
 }
 
-// SchemaDigest computes the content digest of a calibration schema's
-// canonical JSON, or "" for nil — the schema component of plan-cache
-// keys built outside an artifact. A schema that does not encode (a NaN
-// or infinite scale) is an error: it must not share a key with "no
-// schema".
-func SchemaDigest(s *nn.QuantSchema) (string, error) {
-	if s == nil {
-		return "", nil
-	}
-	data, err := s.Encode()
-	if err != nil {
-		return "", fmt.Errorf("artifact: schema digest: %w", err)
-	}
-	return DigestBytes(data), nil
-}
-
 // Encode serializes the model to the deterministic .vedz byte form and
 // returns it together with its content digest. The model's Digest
 // field is updated.

@@ -3,6 +3,7 @@ package artifact
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -381,6 +382,9 @@ func TestInspect(t *testing.T) {
 	}
 }
 
+// TestEncodeRejectsInvalidGraph: Encode refuses an invalid or nil
+// graph, and a schema that has no canonical form (a NaN scale), which
+// would otherwise pack a model no fleet could serve as calibrated.
 func TestEncodeRejectsInvalidGraph(t *testing.T) {
 	g := nn.NewGraph("broken")
 	m := &Model{Graph: g}
@@ -389,5 +393,14 @@ func TestEncodeRejectsInvalidGraph(t *testing.T) {
 	}
 	if _, err := (&Model{}).Encode(); err == nil {
 		t.Fatal("Encode accepted a nil graph")
+	}
+	m = testModel(t)
+	for name, q := range m.Schema.Activations {
+		q.Scale = float32(math.NaN())
+		m.Schema.Activations[name] = q
+		break
+	}
+	if _, err := m.Encode(); err == nil {
+		t.Fatal("Encode accepted a schema with a NaN scale")
 	}
 }

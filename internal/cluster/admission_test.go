@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -428,6 +429,41 @@ func TestEmulatedReplicaIsSerial(t *testing.T) {
 		if waited, want := time.Since(start), time.Duration(i+1)*perRow; waited < want {
 			t.Errorf("submission %d answered after %v, before the modeled device could reach it (%v)", i, waited, want)
 		}
+	}
+}
+
+// TestEmulatedReplicaKeepsModeledRate: under EmulateLatency a replica
+// serves at its modeled rate, not at the rate its wake-ups allow. Fifty
+// one-row submissions made at once to a replica modeled at 400 µs a row
+// complete no sooner than (i+1)×400 µs after they were made, and all of
+// them within the modeled 20 ms plus 15 ms: a wake-up that overshoots
+// its modeled time shortens the next submission's hold instead of
+// adding up (a millisecond of overshoot per sleep makes that ~55 ms).
+// The upper bound reads wall time, which a loaded host stretches, so it
+// holds for the best of up to ten attempts on fresh replicas; the test
+// stays out of the race stress.
+func TestEmulatedReplicaKeepsModeledRate(t *testing.T) {
+	const perRow, n, slack, attempts = 400 * time.Microsecond, 50, 15 * time.Millisecond, 10
+	bound := n*perRow + slack
+	best := time.Duration(math.MaxInt64)
+	for a := 0; a < attempts && best > bound; a++ {
+		gate := newGate(perRow, 5)
+		gate.open()
+		d := gatedDeployment(t, n, gate)
+		d.emulate = true
+		start := time.Now()
+		for i, p := range submitN(t, d, n) {
+			if _, err := p.wait(); err != nil {
+				t.Fatalf("submission %d: %v", i, err)
+			}
+			if waited, want := time.Since(start), time.Duration(i+1)*perRow; waited < want {
+				t.Errorf("submission %d answered after %v, before the modeled device could reach it (%v)", i, waited, want)
+			}
+		}
+		best = min(best, time.Since(start))
+	}
+	if best > bound {
+		t.Errorf("%d submissions took %v at best of %d attempts, want at most %v (%v modeled)", n, best, attempts, bound, n*perRow)
 	}
 }
 

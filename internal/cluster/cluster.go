@@ -5,7 +5,8 @@
 // compute modules, a Device-backed accel.Backend for modules that name
 // an accelerator — so the whole fleet is driven through the single
 // inference.Backend/Executable pair, the cluster-level extension of the
-// paper's cross-accelerator methodology.
+// paper's cross-accelerator methodology. A fleet runs INT8 only under
+// the schema its artifact embeds; an in-process graph serves FP32.
 //
 // A Scheduler owns one admission bound per deployed model. Requests
 // enter through Deployment.SubmitCtx as a submission of
@@ -31,7 +32,6 @@ import (
 	"time"
 
 	"vedliot/internal/accel"
-	"vedliot/internal/artifact"
 	"vedliot/internal/inference"
 	"vedliot/internal/microserver"
 	"vedliot/internal/nn"
@@ -57,17 +57,11 @@ type Config struct {
 	// sheds the next one with ErrOverloaded.
 	QueueDepth int
 	// EmulateLatency holds each accelerator-backed submission on its
-	// replica's dispatcher until its backend's predicted latency for the
-	// rows that ran has passed since the run began, so a modeled device
-	// is serial, trace replays exhibit the modeled heterogeneity and the
-	// service estimate observes what the caller waited. Off by default;
-	// the serving CLI and demos turn it on, tests keep wall time.
+	// replica's dispatcher until its modeled device completes it, so a
+	// modeled device is serial at its modeled rate, trace replays exhibit
+	// the modeled heterogeneity and the service estimate observes what the
+	// caller waited. Off by default; vedliot-serve turns it on.
 	EmulateLatency bool
-	// Schema is the activation calibration artifact for native INT8
-	// serving: INT8-capable accelerator modules then execute on the
-	// quantized engine instead of the FP32 one. Nil keeps every replica
-	// on the FP32 functional path (bit-exact across the fleet).
-	Schema *nn.QuantSchema
 	// Registry supplies deployment artifacts and the fleet-wide
 	// compiled-plan cache for DeployArtifact. Nil schedulers can still
 	// Deploy in-process graphs; artifact deployment requires one.
@@ -111,7 +105,7 @@ func NewScheduler(c *microserver.Chassis, cfg Config) *Scheduler {
 func BackendForModule(m *microserver.Module, schema *nn.QuantSchema) (inference.Backend, error) {
 	if m.SoC != "" {
 		if schema == nil {
-			return nil, fmt.Errorf("cluster: module %s: SoC %q serves INT8 firmware only; deploy with a calibration schema",
+			return nil, fmt.Errorf("cluster: module %s: SoC %q serves INT8 firmware only; deploy an artifact with an embedded calibration schema",
 				m.Name, m.SoC)
 		}
 		switch m.SoC {
@@ -145,10 +139,10 @@ func (s *Scheduler) Deploy(g *nn.Graph) (*Deployment, error) {
 // DeployArtifact places a registered deployment artifact on every
 // powered slot of the chassis. Unlike Deploy, replicas share compiled
 // plans through the registry's fleet-wide cache keyed by the
-// artifact's content digest: each distinct (digest, backend, schema)
-// lowers once, every further replica binds the cached plan. The
-// artifact's embedded calibration schema drives INT8-capable modules;
-// Config.Schema is the fallback for artifacts without one.
+// artifact's content digest: each distinct (digest, backend) lowers
+// once, every further replica binds the cached plan. The artifact's
+// embedded calibration schema drives INT8-capable modules; without one
+// every replica serves FP32.
 func (s *Scheduler) DeployArtifact(name string) (*Deployment, error) {
 	return s.DeployArtifactOn(name, s.poweredSlots()...)
 }
@@ -170,16 +164,8 @@ func (s *Scheduler) DeployArtifactOn(name string, slots ...int) (*Deployment, er
 	if err := reg.Authorize(m.Digest); err != nil {
 		return nil, fmt.Errorf("cluster: deploy artifact %q: %w", name, err)
 	}
-	schema := m.Schema
-	if schema == nil {
-		schema = s.cfg.Schema
-	}
-	schemaDigest, err := artifact.SchemaDigest(schema)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: deploy artifact %q: %w", name, err)
-	}
-	return s.deploy(m.Graph, schema, m.Digest, slots, func(b inference.Backend) (inference.Executable, error) {
-		exe, _, err := reg.Plans().Compile(planKey(m.Digest, b, schemaDigest), b, m.Graph)
+	return s.deploy(m.Graph, m.Schema, m.Digest, slots, func(b inference.Backend) (inference.Executable, error) {
+		exe, _, err := reg.Plans().Compile(planKey(m.Digest, b), b, m.Graph)
 		return exe, err
 	})
 }
@@ -199,8 +185,9 @@ func (s *Scheduler) poweredSlots() []int {
 // once per slot's backend and starting one replica server per slot.
 // Every replica is probed with one warm-up inference, which verifies
 // the backend end to end and is the replica's first observed service.
+// The graph carries no schema: it serves FP32, and a SoC module refuses it.
 func (s *Scheduler) DeployOn(g *nn.Graph, slots ...int) (*Deployment, error) {
-	return s.deploy(g, s.cfg.Schema, "", slots, func(b inference.Backend) (inference.Executable, error) {
+	return s.deploy(g, nil, "", slots, func(b inference.Backend) (inference.Executable, error) {
 		return b.Compile(g)
 	})
 }
@@ -502,7 +489,7 @@ func (d *Deployment) warmup() error {
 // has room, and runs as one engine call (microserver.Server.Submit); the
 // accounting then frees the slot, done (if non-nil) runs, then each
 // record's Done, on the replica's dispatcher; under EmulateLatency not
-// before the modeled latency of the rows that ran has passed.
+// before the modeled device has completed the rows that ran.
 func (d *Deployment) SubmitCtx(reqs []*microserver.Request, done func()) error {
 	if d.closed.Load() {
 		return ErrClosed
@@ -564,18 +551,30 @@ func (d *Deployment) finish(r *Replica, service time.Duration, rows int, err err
 
 // hold is the completion a replica's server runs for a submission: done
 // itself, or under EmulateLatency, for a backend with a latency model,
-// done once the dispatcher has held until the latency predicted for the
-// rows that ran has passed since the run began, reporting that latency
-// as the service when the run was shorter, since the caller waited it.
+// done once the dispatcher has held until the modeled device completes
+// it, PredictLatency(ran) after max(free, submitted); a late wake-up
+// shortens the next hold, not the rate. The service reported is the
+// larger of the run and the predicted latency, since the caller waited it.
 func (d *Deployment) hold(r *Replica, done func(service time.Duration, ran int, err error)) func(time.Duration, int, error) {
 	p, ok := r.server.Executable().(inference.LatencyModel)
 	if !ok || !d.emulate {
 		return done
 	}
+	submitted := time.Now()
 	return func(service time.Duration, ran int, err error) {
-		if lat, perr := p.PredictLatency(ran); err == nil && perr == nil && lat > service {
-			time.Sleep(lat - service)
-			service = lat
+		if lat, perr := p.PredictLatency(ran); err == nil && perr == nil {
+			due := r.free
+			if due.Before(submitted) {
+				due = submitted
+			}
+			due = due.Add(lat)
+			now := time.Now()
+			r.free = now
+			if due.After(now) {
+				time.Sleep(due.Sub(now))
+				r.free = due
+			}
+			service = max(service, lat)
 		}
 		done(service, ran, err)
 	}
@@ -690,6 +689,9 @@ type Replica struct {
 	// only on artifact deployments (its measurement binds the artifact
 	// digest); nil for in-process Deploy graphs.
 	enclave *tee.Enclave
+	// free is the modeled device's next-free time under EmulateLatency;
+	// only the replica's dispatcher reads and writes it (Deployment.hold).
+	free time.Time
 
 	inflight atomic.Int64
 	served   atomic.Int64

@@ -15,9 +15,9 @@ import (
 // (.vedz models) by name, plus the fleet-wide compiled-plan cache they
 // share. A scheduler with a registry deploys replicas from artifacts —
 // cold-start per replica is load + bind instead of calibrate + lower,
-// because every (artifact digest, backend, schema) triple lowers at
-// most once no matter how many replicas, chassis or schedulers point
-// at the registry.
+// because every (artifact digest, backend) pair lowers at most once no
+// matter how many replicas, chassis or schedulers point at the
+// registry.
 //
 // A registry with a non-empty release.Policy is a gated release
 // channel: models enter only through AddRelease with a bundle the
@@ -155,20 +155,15 @@ func (r *Registry) Plans() *inference.PlanCache {
 
 // planKey builds the compiled-plan identity for deploying one artifact
 // on one backend: the artifact content digest (which covers graph,
-// weights and embedded schema), the backend name, the backend's
-// precision when it is an accelerator (one device model can in
-// principle run at several precisions), and the digest of the
-// activation schema actually used (which can differ from the embedded
-// one when the scheduler's Config overrides it). Everything that
-// changes the lowered plan is in the key — the cache-invalidation
-// invariant DESIGN.md documents.
-func planKey(digest string, b inference.Backend, schemaDigest string) string {
+// weights and the embedded schema, the only one a fleet runs), the
+// backend name, and the backend's precision when it is an accelerator
+// (one device model can in principle run at several precisions).
+// Everything that changes the lowered plan is in the key — the
+// cache-invalidation invariant DESIGN.md documents.
+func planKey(digest string, b inference.Backend) string {
 	key := digest + "|" + b.Name()
 	if ab, ok := b.(*accel.Backend); ok {
 		key += "|" + ab.Precision.String()
-	}
-	if schemaDigest != "" {
-		key += "|" + schemaDigest
 	}
 	return key
 }

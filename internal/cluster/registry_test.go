@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"math"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -190,38 +189,6 @@ func TestDeployArtifactHeterogeneousKeys(t *testing.T) {
 	st = reg.Plans().Stats()
 	if st.Entries != 3 || st.Hits != 3 {
 		t.Fatalf("after second fleet: %+v, want every plan reused", st)
-	}
-}
-
-// TestDeployArtifactRejectsUnencodableSchema: the schema is part of the
-// plan-cache key through its digest, and a schema override that does
-// not encode (a NaN scale) has none. It must fail the deploy, not share
-// the "no schema" key with an artifact served in FP32.
-func TestDeployArtifactRejectsUnencodableSchema(t *testing.T) {
-	path, g, _ := exportGesture(t, false)
-	reg := NewRegistry()
-	if _, err := reg.LoadFile(path); err != nil {
-		t.Fatal(err)
-	}
-	_, _, schema := exportGesture(t, true)
-	for name, q := range schema.Activations {
-		q.Scale = float32(math.NaN())
-		schema.Activations[name] = q
-		break
-	}
-	if d, err := artifact.SchemaDigest(schema); err == nil {
-		t.Fatalf("SchemaDigest of a NaN-scale schema = %q, want an error", d)
-	}
-	if d, err := artifact.SchemaDigest(nil); err != nil || d != "" {
-		t.Fatalf("SchemaDigest(nil) = %q, %v; want the empty digest", d, err)
-	}
-	sched := NewScheduler(urecsFleet(t), Config{Registry: reg, Schema: schema})
-	defer sched.Close()
-	if _, err := sched.DeployArtifact(g.Name); err == nil {
-		t.Fatal("DeployArtifact accepted a schema override that has no digest")
-	}
-	if st := reg.Plans().Stats(); st.Entries != 0 {
-		t.Fatalf("a refused deploy left %d plans in the cache", st.Entries)
 	}
 }
 

@@ -1,30 +1,23 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 
 	"vedliot/internal/inference"
 	"vedliot/internal/microserver"
-	"vedliot/internal/nn"
-	"vedliot/internal/optimize"
 	"vedliot/internal/tensor"
 )
 
 // TestDeploySoCModule places a replica on the emulated RISC-V+CFU SoC
-// module: the fleet must serve it through the firmware backend, seed
-// the router's estimate with the measured cycles-per-inference latency
-// model, and return outputs bit-exact with the native INT8 engine.
+// module from an artifact that embeds its calibration schema: the fleet
+// must serve it through the firmware backend, seed the router's
+// estimate with the measured cycles-per-inference latency model, and
+// return outputs bit-exact with the native INT8 engine. An in-process
+// graph carries no schema, so its deploy onto the SoC module is refused
+// with an error that points at such an artifact.
 func TestDeploySoCModule(t *testing.T) {
-	g := gestureModel()
-	samples, err := nn.SyntheticCalibration(g, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	schema, err := optimize.Calibrate(g, samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	path, g, schema := exportGesture(t, true)
 	m, err := microserver.FindModule("RISC-V CFU SoM")
 	if err != nil {
 		t.Fatal(err)
@@ -38,9 +31,16 @@ func TestDeploySoCModule(t *testing.T) {
 	if err := c.Insert(2, m); err != nil { // slot 2 accepts the CM4 form factor
 		t.Fatal(err)
 	}
-	sched := NewScheduler(c, Config{Schema: schema})
+	reg := NewRegistry()
+	if _, err := reg.LoadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	sched := NewScheduler(c, Config{Registry: reg})
 	defer sched.Close()
-	dep, err := sched.Deploy(g)
+	if _, err := sched.Deploy(gestureModel()); err == nil || !strings.Contains(err.Error(), "artifact with an embedded calibration schema") {
+		t.Fatalf("in-process Deploy onto the SoC module returned %v, want a refusal naming an artifact with an embedded schema", err)
+	}
+	dep, err := sched.DeployArtifact(g.Name)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,14 +10,15 @@ import (
 
 // PlanCache is the fleet-wide compiled-plan cache: executables keyed by
 // an identity string the caller derives from (artifact content digest,
-// backend, schema digest). Deploying N replicas of the same artifact on
+// backend). Deploying N replicas of the same artifact on
 // the same backend then lowers and binds the plan once — cold-start for
 // every later replica is load + bind instead of calibrate + lower,
 // which is what makes artifact-driven fleet deployment scale.
 //
 // Keys must capture everything that changes the compiled plan: the
 // model bytes (the artifact digest), the backend identity (name plus
-// precision for accelerator backends) and the activation schema. The
+// precision for accelerator backends) and the activation schema, which
+// an artifact's digest covers when the artifact embeds it. The
 // cluster registry builds such keys via its deploy path; other callers
 // are responsible for their own key discipline — two different models
 // under one key is silent corruption, one model under two keys is only

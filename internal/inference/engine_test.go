@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"vedliot/internal/inference/ir"
 	"vedliot/internal/nn"
 	"vedliot/internal/tensor"
 )
@@ -220,6 +221,58 @@ func TestEngineRunAllMatchesInterpreter(t *testing.T) {
 		if d != 0 {
 			t.Errorf("%s: RunAll diverges by %g", name, d)
 		}
+	}
+}
+
+// TestLoweringDropsIdentitiesAndDeadNodes holds the graph cleanup the
+// lowering does on every compile: an identity feeding a softmax is
+// dropped and the softmax reads the identity's input, RunAll still
+// reports the identity's activation through its alias, an identity that
+// is a declared output stays, and a branch no output reads is absent
+// from the lowered module.
+func TestLoweringDropsIdentitiesAndDeadNodes(t *testing.T) {
+	g := nn.NewGraph("cleanup")
+	g.MustAdd(&nn.Node{Name: "in", Op: nn.OpInput, Attrs: nn.Attrs{Shape: []int{4}}})
+	g.MustAdd(&nn.Node{Name: "id", Op: nn.OpIdentity, Inputs: []string{"in"}})
+	g.MustAdd(&nn.Node{Name: "sm", Op: nn.OpSoftmax, Inputs: []string{"id"}})
+	g.MustAdd(&nn.Node{Name: "out", Op: nn.OpIdentity, Inputs: []string{"sm"}})
+	g.MustAdd(&nn.Node{Name: "dead", Op: nn.OpReLU, Inputs: []string{"in"}})
+	g.Inputs = []string{"in"}
+	g.Outputs = []string{"out"}
+
+	m, _, err := ir.Lower(g, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := make(map[string]*ir.Op, len(m.Ops))
+	for _, op := range m.Ops {
+		ops[op.Name] = op
+	}
+	if ops["id"] != nil {
+		t.Error("the identity feeding the softmax survived the lowering")
+	}
+	if sm := ops["sm"]; sm == nil || m.Values[sm.Ins[0]].Name != "in" {
+		t.Error("the softmax does not read the dropped identity's input")
+	}
+	if out := ops["out"]; out == nil || out.Kind != nn.OpIdentity {
+		t.Error("the identity that is a declared output was dropped")
+	}
+	if ops["dead"] != nil {
+		t.Error("the branch no output reads survived the lowering")
+	}
+
+	eng := mustCompile(t, g)
+	in := tensor.New(tensor.FP32, 2, 4)
+	fillInput(in, 1)
+	acts, err := eng.RunAll(map[string]*tensor.Tensor{"in": in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, err := tensor.MaxAbsDiff(in, acts["id"]); d != 0 || err != nil {
+		t.Errorf("RunAll reports the dropped identity %v off its input (%v)", d, err)
+	}
+	if d, err := tensor.MaxAbsDiff(acts["sm"], acts["out"]); d != 0 || err != nil {
+		t.Errorf("the output identity reads %v off the softmax (%v)", d, err)
 	}
 }
 

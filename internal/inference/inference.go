@@ -43,6 +43,9 @@ import (
 type Interpreter struct {
 	graph *nn.Graph
 	order []*nn.Node
+	// inPer is each declared input's per-sample shape, what CheckInputs
+	// judges a run's inputs by.
+	inPer []tensor.Shape
 }
 
 // NewInterpreter prepares an interpreter; the graph must validate.
@@ -54,37 +57,23 @@ func NewInterpreter(g *nn.Graph) (*Interpreter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Interpreter{graph: g, order: order}, nil
+	r := &Interpreter{graph: g, order: order}
+	for _, name := range g.Inputs {
+		n := g.Node(name)
+		if n == nil {
+			return nil, fmt.Errorf("inference: graph %q missing input node %q", g.Name, name)
+		}
+		r.inPer = append(r.inPer, tensor.Shape(n.Attrs.Shape))
+	}
+	return r, nil
 }
 
 // Run executes the graph on the given inputs (keyed by input-node name)
 // and returns the declared outputs. All tensors are FP32.
 func (r *Interpreter) Run(inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
-	acts := make(map[string]*tensor.Tensor, len(r.order))
-	for _, name := range r.graph.Inputs {
-		in, ok := inputs[name]
-		if !ok {
-			return nil, fmt.Errorf("inference: missing input %q", name)
-		}
-		acts[name] = in
-	}
-	for _, n := range r.order {
-		if n.Op == nn.OpInput {
-			in := acts[n.Name]
-			if in == nil {
-				return nil, fmt.Errorf("inference: missing input %q", n.Name)
-			}
-			want := append([]int{in.Shape[0]}, n.Attrs.Shape...)
-			if !in.Shape.Equal(tensor.Shape(want)) {
-				return nil, fmt.Errorf("inference: input %q has shape %v, want %v", n.Name, in.Shape, want)
-			}
-			continue
-		}
-		out, err := r.exec(n, acts)
-		if err != nil {
-			return nil, fmt.Errorf("inference: node %q (%s): %w", n.Name, n.Op, err)
-		}
-		acts[n.Name] = out
+	acts, err := r.RunAll(inputs)
+	if err != nil {
+		return nil, err
 	}
 	outs := make(map[string]*tensor.Tensor, len(r.graph.Outputs))
 	for _, name := range r.graph.Outputs {
@@ -98,15 +87,15 @@ func (r *Interpreter) Run(inputs map[string]*tensor.Tensor) (map[string]*tensor.
 }
 
 // RunAll executes the graph and returns every node's activation, keyed by
-// node name.
+// node name. The inputs must pass CheckInputs against the declared
+// inputs, as for every executor.
 func (r *Interpreter) RunAll(inputs map[string]*tensor.Tensor) (map[string]*tensor.Tensor, error) {
+	if _, err := CheckInputs(r.graph.Inputs, r.inPer, inputs); err != nil {
+		return nil, err
+	}
 	acts := make(map[string]*tensor.Tensor, len(r.order))
 	for _, name := range r.graph.Inputs {
-		in, ok := inputs[name]
-		if !ok {
-			return nil, fmt.Errorf("inference: missing input %q", name)
-		}
-		acts[name] = in
+		acts[name] = inputs[name]
 	}
 	for _, n := range r.order {
 		if n.Op == nn.OpInput {

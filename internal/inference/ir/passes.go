@@ -185,7 +185,8 @@ func foldConstants(m *Module, _ *nn.QuantSchema) (bool, error) {
 // eliminateIdentity drops Identity ops by rewiring their consumers to
 // the identity's input, recording a name alias for debug executions.
 // Identities that are declared outputs are kept (they define the
-// output's buffer), as the toolchain's remove-identity keeps them.
+// output's buffer). This and eliminate-dead are the one graph cleanup:
+// the toolchain packs graphs with their identities and dead nodes.
 func eliminateIdentity(m *Module, _ *nn.QuantSchema) (bool, error) {
 	drop := make(map[*Op]bool)
 	for _, op := range m.Ops {

@@ -1,8 +1,8 @@
 // Package optimize implements the model-optimization passes of the
 // VEDLIoT toolchain (paper Section III): graph surgery (batch-norm
-// folding, dead-node elimination), pruning, post-training quantization,
-// weight clustering and Huffman coding — the Deep Compression pipeline
-// of Han et al. [7], whose "up to 49x" size reduction the paper cites.
+// folding), pruning, post-training quantization, weight clustering and
+// Huffman coding — the Deep Compression pipeline of Han et al. [7],
+// whose "up to 49x" size reduction the paper cites.
 //
 // Passes operate on nn.Graph values and are validated against the
 // reference interpreter: every structural pass must leave the network's
@@ -14,16 +14,16 @@ import (
 	"vedliot/internal/tensor"
 )
 
-// passes is the graph surgery in its one order: identity removal,
-// batch-norm folding and dead-node elimination. A pass rewrites g in
-// place, reporting whether anything changed.
+// passes is the graph surgery that changes weight bits: batch-norm
+// folding. Identity and dead-node elimination are the lowering's
+// (inference/ir's eliminate-identity and eliminate-dead run on every
+// compile), so a packed graph keeps them. A pass rewrites g in place,
+// reporting whether anything changed.
 var passes = [...]struct {
 	name  string
 	apply func(g *nn.Graph) (changed bool)
 }{
-	{"remove-identity", removeIdentity},
 	{"fold-batchnorm", foldBatchNorm},
-	{"dead-node-elimination", eliminateDead},
 }
 
 // maxSweeps bounds Pipeline's sweeps over the passes.
@@ -111,51 +111,6 @@ func foldBatchNorm(g *nn.Graph) bool {
 	return len(remove) > 0
 }
 
-// removeIdentity drops Identity nodes, rewiring their consumers.
-// Identities that are declared outputs stay.
-func removeIdentity(g *nn.Graph) bool {
-	var remove []string
-	for _, n := range g.Nodes {
-		if n.Op != nn.OpIdentity || isOutput(g, n.Name) {
-			continue
-		}
-		rewire(g, n.Name, n.Inputs[0])
-		remove = append(remove, n.Name)
-	}
-	g.Remove(remove...)
-	return len(remove) > 0
-}
-
-// eliminateDead removes nodes not reachable from any declared output.
-// Input nodes always stay: a packed model keeps its declared signature,
-// used or not, as the compiled engine does.
-func eliminateDead(g *nn.Graph) bool {
-	live := make(map[string]bool, len(g.Nodes))
-	var mark func(name string)
-	mark = func(name string) {
-		if live[name] {
-			return
-		}
-		live[name] = true
-		if n := g.Node(name); n != nil {
-			for _, in := range n.Inputs {
-				mark(in)
-			}
-		}
-	}
-	for _, out := range g.Outputs {
-		mark(out)
-	}
-	var remove []string
-	for _, n := range g.Nodes {
-		if !live[n.Name] && n.Op != nn.OpInput {
-			remove = append(remove, n.Name)
-		}
-	}
-	g.Remove(remove...)
-	return len(remove) > 0
-}
-
 // rewire makes every consumer of `from` consume `to` instead, and fixes
 // declared outputs.
 func rewire(g *nn.Graph, from, to string) {
@@ -171,13 +126,4 @@ func rewire(g *nn.Graph, from, to string) {
 			g.Outputs[i] = to
 		}
 	}
-}
-
-func isOutput(g *nn.Graph, name string) bool {
-	for _, out := range g.Outputs {
-		if out == name {
-			return true
-		}
-	}
-	return false
 }

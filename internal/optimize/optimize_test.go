@@ -102,39 +102,11 @@ func TestFoldBatchNormSkipsSharedConv(t *testing.T) {
 	}
 }
 
-func TestDeadNodeElimination(t *testing.T) {
-	b := nn.NewBuilder("t", nn.BuildOptions{Weights: true})
-	x := b.Input("input", 1, 4, 4)
-	live := b.ConvNB(x, 1, 2, 3, 1, 1)
-	b.ConvNB(x, 1, 8, 3, 1, 1) // dead branch
-	g := b.Graph(live)
-	n := len(g.Nodes)
-	if !eliminateDead(g) || len(g.Nodes) != n-1 {
-		t.Errorf("dead node not removed: %d -> %d nodes", n, len(g.Nodes))
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRemoveIdentity(t *testing.T) {
-	g := nn.NewGraph("t")
-	g.MustAdd(&nn.Node{Name: "in", Op: nn.OpInput, Attrs: nn.Attrs{Shape: []int{4}}})
-	g.MustAdd(&nn.Node{Name: "id", Op: nn.OpIdentity, Inputs: []string{"in"}})
-	g.MustAdd(&nn.Node{Name: "sm", Op: nn.OpSoftmax, Inputs: []string{"id"}})
-	g.Outputs = []string{"sm"}
-	if !removeIdentity(g) || g.Node("id") != nil {
-		t.Error("identity not removed")
-	}
-	if g.Node("sm").Inputs[0] != "in" {
-		t.Error("consumer not rewired")
-	}
-}
-
 // TestPipelineConverges pins the applied-pass log (what
 // kenning.PipelineReport.AppliedPasses reports) on a graph with an
-// identity, a conv→BN pair and a dead node: one sweep applies all three
-// passes in their order, and a second run applies none.
+// identity, a conv→BN pair and a dead node: one sweep folds the
+// batch-norm, the identity and the dead node stay for the lowering to
+// drop, and a second run applies nothing.
 func TestPipelineConverges(t *testing.T) {
 	b := nn.NewBuilder("t", nn.BuildOptions{Weights: true, Seed: 2})
 	x := b.Input("input", 1, 8, 8)
@@ -148,7 +120,7 @@ func TestPipelineConverges(t *testing.T) {
 	g.Outputs = []string{"sm"}
 
 	log := Pipeline(g)
-	want := []string{"remove-identity", "fold-batchnorm", "dead-node-elimination"}
+	want := []string{"fold-batchnorm"}
 	if !slices.Equal(log, want) {
 		t.Errorf("applied passes = %v, want %v", log, want)
 	}
@@ -156,9 +128,12 @@ func TestPipelineConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range g.Nodes {
-		if n.Op == nn.OpIdentity || n.Op == nn.OpBatchNorm {
+		if n.Op == nn.OpBatchNorm {
 			t.Errorf("%s %q survived the pipeline", n.Op, n.Name)
 		}
+	}
+	if g.Node("id") == nil {
+		t.Error("the pipeline removed the identity, which is the lowering's to drop")
 	}
 	// A second run must be a no-op.
 	if log2 := Pipeline(g); len(log2) != 0 {

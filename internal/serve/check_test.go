@@ -27,16 +27,20 @@ func pairInput(rows int, seed float32) *tensor.Tensor {
 }
 
 // TestOneInputCheck holds inference.CheckInputs to every refusal the
-// four sites it replaced made between them, and the four callers to it:
-// the engine's resolve (Run), its runBatch (RunBatch), the fleet's
-// SubmitCtx and the front door's batcher.add each refuse exactly the
-// rows the check refuses, with inference.ErrBadInput, and serve the rest
-// to the bit. FP16 inputs are in the served half: the old door refused
+// four sites it replaced made between them, and its callers to it: the
+// engine's resolve (Run), its runBatch (RunBatch), the reference
+// interpreter's Run and RunAll, the fleet's SubmitCtx and the front
+// door's batcher.add each refuse exactly the rows the check refuses,
+// with inference.ErrBadInput, and serve the rest to the bit. FP16 inputs are in the served half: the old door refused
 // them only because its stacker could not convert, and the one stacker
 // can.
 func TestOneInputCheck(t *testing.T) {
 	g := pairModel()
 	eng, err := inference.Compile(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	interp, err := inference.NewInterpreter(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,6 +104,10 @@ func TestOneInputCheck(t *testing.T) {
 			outs = fused[1]
 		}
 		verdict("runBatch", outs, err)
+		outs, err = interp.Run(c.ins)
+		verdict("Interpreter.Run", outs, err)
+		outs, err = interp.RunAll(c.ins)
+		verdict("Interpreter.RunAll", outs, err)
 		outs, err = dep.InferCtx(context.Background(), c.ins)
 		verdict("SubmitCtx", outs, err)
 		done := make(chan struct{})
