@@ -136,8 +136,10 @@ fuzz-smoke:
 # Encode, then BenchmarkCompile and BenchmarkCompileQuantized, the
 # evidence for a cold compile's time and bytes (with -benchmem: each
 # op's weights packed once, the ops spread over GOMAXPROCS goroutines).
+# BenchmarkClusterSubmit times one-record Deployment.SubmitCtx calls on
+# a heterogeneous fleet deployed through DeployArtifact.
 bench:
-	$(GO) test -bench 'BenchmarkEngine|BenchmarkQuantized|BenchmarkVerify|BenchmarkEncode|BenchmarkCompile' -run '^$$' -benchmem .
+	$(GO) test -bench 'BenchmarkEngine|BenchmarkQuantized|BenchmarkVerify|BenchmarkEncode|BenchmarkCompile|BenchmarkClusterSubmit' -run '^$$' -benchmem .
 
 # bench-kernels sweeps every compiled-in GEMM micro-kernel tier the
 # host can run (generic / sse2 / avx2 / avx512) — the per-tier view

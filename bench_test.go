@@ -130,19 +130,21 @@ func BenchmarkServeFrontDoor(b *testing.B) { benchExperiment(b, "serve") }
 // dispatcher.
 func BenchmarkClusterSubmit(b *testing.B) {
 	chassis := microserver.NewURECS()
-	for slot, name := range []string{"SMARC ARM", "Jetson Xavier NX", "Coral SoM"} {
-		m, err := microserver.FindModule(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := chassis.Insert(slot, m); err != nil {
-			b.Fatal(err)
-		}
+	if _, err := chassis.Mount("SMARC ARM", "Jetson Xavier NX", "Coral SoM"); err != nil {
+		b.Fatal(err)
 	}
-	sched := cluster.NewScheduler(chassis, cluster.Config{QueueDepth: 1024})
-	defer sched.Close()
 	g := nn.FaceDetectNet(32, nn.BuildOptions{Weights: true, Seed: 7})
-	dep, err := sched.Deploy(g)
+	m := &artifact.Model{Graph: g}
+	if _, err := m.Encode(); err != nil {
+		b.Fatal(err)
+	}
+	reg := cluster.NewRegistry()
+	if err := reg.Add(m); err != nil {
+		b.Fatal(err)
+	}
+	sched := cluster.NewScheduler(chassis, cluster.Config{QueueDepth: 1024, Registry: reg})
+	defer sched.Close()
+	dep, err := sched.DeployArtifact(g.Name)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -194,16 +194,7 @@ func main() {
 		}
 		names = append(names, "RISC-V CFU SoM")
 	}
-	mods, err := chassis.Mount(names...)
-	for slot, m := range mods {
-		backend, err := cluster.BackendForModule(m, art.Schema)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("slot %d <- %-18s (%s, %.1f-%.1f W) backend %s\n",
-			slot, m.Name, m.Arch, m.IdleW, m.MaxW, backend.Name())
-	}
-	if err != nil {
+	if _, err := chassis.Mount(names...); err != nil {
 		fatal(err)
 	}
 
@@ -240,6 +231,11 @@ func main() {
 	dep, err := sched.DeployArtifact(g.Name)
 	if err != nil {
 		fatal(err)
+	}
+	for _, rs := range dep.Stats().Replicas {
+		m := chassis.Slots[rs.Slot].Module()
+		fmt.Printf("slot %d <- %-18s (%s, %.1f-%.1f W) backend %s\n",
+			rs.Slot, m.Name, m.Arch, m.IdleW, m.MaxW, rs.Backend)
 	}
 	inShape := append(tensor.Shape{1}, g.Node(g.Inputs[0]).Attrs.Shape...)
 	fmt.Printf("\ndeployed %s (%s) on %d replicas, input %v\n",

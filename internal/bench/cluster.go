@@ -25,8 +25,8 @@ import (
 //     deployment artifact and replicas deploy from the registry's
 //     fleet-wide plan cache: replica cold-start becomes load + bind
 //     instead of lower + bind, measured as the cold-compile vs
-//     cache-hit speedup, with bitwise parity against the in-process
-//     path.
+//     cache-hit speedup, with bitwise parity against the reference
+//     engine.
 func ClusterStudy() (*Report, error) {
 	r := newReport("Platform — heterogeneous fleet serving")
 
@@ -35,13 +35,12 @@ func ClusterStudy() (*Report, error) {
 	if _, err := chassis.Mount("SMARC ARM", "Jetson Xavier NX", "Coral SoM"); err != nil {
 		return nil, err
 	}
-	sched := cluster.NewScheduler(chassis, cluster.Config{QueueDepth: 256})
-	defer sched.Close()
 	g := nn.FaceDetectNet(32, nn.BuildOptions{Weights: true, Seed: 91})
-	dep, err := sched.Deploy(g)
+	sched, dep, err := deployPacked(chassis, cluster.Config{QueueDepth: 256}, g)
 	if err != nil {
 		return nil, err
 	}
+	defer sched.Close()
 	eng, err := inference.Compile(g)
 	if err != nil {
 		return nil, err
@@ -139,6 +138,27 @@ func ClusterStudy() (*Report, error) {
 		return nil, err
 	}
 	return r, nil
+}
+
+// deployPacked packs g in memory, registers it and deploys it on every
+// module of the chassis: the one way a model reaches a fleet, as
+// vedliot-serve deploys a zoo entry.
+func deployPacked(chassis *microserver.Chassis, cfg cluster.Config, g *nn.Graph) (*cluster.Scheduler, *cluster.Deployment, error) {
+	m := &artifact.Model{Graph: g}
+	if _, err := m.Encode(); err != nil {
+		return nil, nil, err
+	}
+	cfg.Registry = cluster.NewRegistry()
+	if err := cfg.Registry.Add(m); err != nil {
+		return nil, nil, err
+	}
+	sched := cluster.NewScheduler(chassis, cfg)
+	dep, err := sched.DeployArtifact(g.Name)
+	if err != nil {
+		sched.Close()
+		return nil, nil, err
+	}
+	return sched, dep, nil
 }
 
 // artifactStudy measures the deployment-artifact path: .vedz

@@ -49,11 +49,11 @@ func ServeStudy() (*Report, error) {
 		if _, err := chassis.Mount("SMARC ARM", "SMARC ARM"); err != nil {
 			return serve.LoadResult{}, serve.ServerStats{}, 0, err
 		}
-		sched := cluster.NewScheduler(chassis, cluster.Config{QueueDepth: 512})
-		defer sched.Close()
-		if _, err := sched.Deploy(g); err != nil {
+		sched, _, err := deployPacked(chassis, cluster.Config{QueueDepth: 512}, g)
+		if err != nil {
 			return serve.LoadResult{}, serve.ServerStats{}, 0, err
 		}
+		defer sched.Close()
 		srv, err := serve.Listen("127.0.0.1:0", sched, serve.Config{Batch: policy})
 		if err != nil {
 			return serve.LoadResult{}, serve.ServerStats{}, 0, err

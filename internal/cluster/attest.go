@@ -8,21 +8,14 @@ import (
 	"vedliot/internal/tee"
 )
 
-// ReplicaImage builds the deterministic enclave code/data image for a
+// replicaImage builds the deterministic enclave code/data image for a
 // replica: the artifact content digest, the backend it was lowered
 // for, and the module hosting it. Hashing this image (the tee package
-// does) yields the replica measurement, so the attested identity
-// covers exactly what the release policy authorized — swap any of the
-// three and the quote stops matching.
-func ReplicaImage(digest, backend, module string) []byte {
+// does; a verifier does independently) yields the replica measurement,
+// so the attested identity covers exactly what the release policy
+// authorized — swap any of the three and the quote stops matching.
+func replicaImage(digest, backend, module string) []byte {
 	return []byte("vedliot-replica/v1\n" + digest + "\n" + backend + "\n" + module + "\n")
-}
-
-// ReplicaMeasurement is the expected enclave measurement for a replica
-// running the given artifact on the given backend and module — what a
-// verifier computes independently and compares quotes against.
-func ReplicaMeasurement(digest, backend, module string) [32]byte {
-	return sha256.Sum256(ReplicaImage(digest, backend, module))
 }
 
 // ReplicaAttestation is one replica's signed identity statement: a
@@ -53,17 +46,9 @@ type ReplicaAttestation struct {
 // artifact digest as report data. Quote generation itself runs as an
 // ecall — entering the enclave is what makes the measurement
 // trustworthy, and the transition cost is accounted like any other.
-// Only artifact deployments attest; in-process Deploy fleets have no
-// enclave and return an error.
 func (d *Deployment) Attest(nonce []byte, platformKey ed25519.PrivateKey) ([]ReplicaAttestation, error) {
-	if d.digest == "" {
-		return nil, fmt.Errorf("cluster: deployment %q was not deployed from an artifact; nothing to attest", d.model)
-	}
 	out := make([]ReplicaAttestation, 0, len(d.replicas))
 	for _, r := range d.replicas {
-		if r.enclave == nil {
-			return nil, fmt.Errorf("cluster: replica %d of %q has no enclave", r.id, d.model)
-		}
 		var q tee.Quote
 		report := []byte(d.digest)
 		err := r.enclave.Ecall(int64(len(nonce)+len(report)), func() error {
@@ -87,8 +72,8 @@ func (d *Deployment) Attest(nonce []byte, platformKey ed25519.PrivateKey) ([]Rep
 }
 
 // VerifyReplicaAttestation checks one replica's quote: the measurement
-// must equal the independently recomputed ReplicaMeasurement for the
-// expected digest on the claimed backend and module, the report data
+// must equal the hash of the independently rebuilt replica image for
+// the expected digest on the claimed backend and module, the report data
 // must carry that digest, and the signature must verify against the
 // platform key under the challenge nonce. Passing means the replica is
 // provably running the artifact the release policy authorized.
@@ -99,7 +84,7 @@ func VerifyReplicaAttestation(a ReplicaAttestation, platformPub ed25519.PublicKe
 	if string(a.Quote.ReportData) != wantDigest {
 		return fmt.Errorf("cluster: replica %d quote report data does not carry the artifact digest", a.Replica)
 	}
-	expected := ReplicaMeasurement(wantDigest, a.Backend, a.Module)
+	expected := sha256.Sum256(replicaImage(wantDigest, a.Backend, a.Module))
 	if err := tee.VerifyQuote(a.Quote, platformPub, expected, nonce); err != nil {
 		return fmt.Errorf("cluster: replica %d: %w", a.Replica, err)
 	}

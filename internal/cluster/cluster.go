@@ -5,8 +5,10 @@
 // compute modules, a Device-backed accel.Backend for modules that name
 // an accelerator — so the whole fleet is driven through the single
 // inference.Backend/Executable pair, the cluster-level extension of the
-// paper's cross-accelerator methodology. A fleet runs INT8 only under
-// the schema its artifact embeds; an in-process graph serves FP32.
+// paper's cross-accelerator methodology. A model reaches a fleet one
+// way, Scheduler.DeployArtifact from the fleet's registry; the fleet runs
+// INT8 only under the schema its artifact embeds, and every replica runs
+// in a modeled enclave that attests the artifact digest.
 //
 // A Scheduler owns one admission bound per deployed model. Requests
 // enter through Deployment.SubmitCtx as a submission of
@@ -32,6 +34,7 @@ import (
 	"time"
 
 	"vedliot/internal/accel"
+	"vedliot/internal/artifact"
 	"vedliot/internal/inference"
 	"vedliot/internal/microserver"
 	"vedliot/internal/nn"
@@ -62,9 +65,9 @@ type Config struct {
 	// the modeled heterogeneity and the service estimate observes what the
 	// caller waited. Off by default; vedliot-serve turns it on.
 	EmulateLatency bool
-	// Registry supplies deployment artifacts and the fleet-wide
-	// compiled-plan cache for DeployArtifact. Nil schedulers can still
-	// Deploy in-process graphs; artifact deployment requires one.
+	// Registry supplies the deployment artifacts and the fleet-wide
+	// compiled-plan cache DeployArtifact reads; a scheduler without one
+	// deploys nothing.
 	Registry *Registry
 }
 
@@ -75,9 +78,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Scheduler serves model fleets on one chassis. Deploy places a model
-// on the powered compute modules; InferCtx and Deployment.SubmitCtx
-// route requests across the resulting replicas.
+// Scheduler serves model fleets on one chassis. DeployArtifact places a
+// model on the mounted compute modules; InferCtx and
+// Deployment.SubmitCtx route requests across the resulting replicas.
 type Scheduler struct {
 	chassis *microserver.Chassis
 	cfg     Config
@@ -93,7 +96,7 @@ func NewScheduler(c *microserver.Chassis, cfg Config) *Scheduler {
 	return &Scheduler{chassis: c, cfg: cfg.withDefaults(), deployments: make(map[string]*Deployment)}
 }
 
-// BackendForModule resolves the inference backend a module serves with:
+// backendForModule resolves the inference backend a module serves with:
 // the host CPU engine for plain compute modules, a Device-backed
 // accelerator backend when the module names an accel device model, and
 // the cycle-accurate RISC-V SoC backend when the module names an
@@ -102,7 +105,7 @@ func NewScheduler(c *microserver.Chassis, cfg Config) *Scheduler {
 // devices in particular), mirroring how a real fleet deploys the
 // calibrated model; SoC modules execute INT8 firmware only and refuse
 // to deploy without one.
-func BackendForModule(m *microserver.Module, schema *nn.QuantSchema) (inference.Backend, error) {
+func backendForModule(m *microserver.Module, schema *nn.QuantSchema) (inference.Backend, error) {
 	if m.SoC != "" {
 		if schema == nil {
 			return nil, fmt.Errorf("cluster: module %s: SoC %q serves INT8 firmware only; deploy an artifact with an embedded calibration schema",
@@ -131,28 +134,21 @@ func BackendForModule(m *microserver.Module, schema *nn.QuantSchema) (inference.
 	return b, nil
 }
 
-// Deploy places the model on every powered slot of the chassis.
-func (s *Scheduler) Deploy(g *nn.Graph) (*Deployment, error) {
-	return s.DeployOn(g, s.poweredSlots()...)
-}
-
 // DeployArtifact places a registered deployment artifact on every
-// powered slot of the chassis. Unlike Deploy, replicas share compiled
-// plans through the registry's fleet-wide cache keyed by the
-// artifact's content digest: each distinct (digest, backend) lowers
-// once, every further replica binds the cached plan. The artifact's
-// embedded calibration schema drives INT8-capable modules; without one
-// every replica serves FP32.
+// chassis slot that holds a module, one replica per slot in slot order,
+// and is the one way a model reaches a fleet. When the registry carries
+// a non-empty release policy the artifact's release bundle is
+// re-verified here, at deploy time: a policy installed or tightened
+// after registration still keeps an unsigned, unlogged or unwitnessed
+// artifact off every replica. Replicas share compiled plans through the
+// registry's fleet-wide cache keyed by the artifact's content digest:
+// each distinct (digest, backend) lowers once, every further replica
+// binds the cached plan. The artifact's embedded calibration schema
+// drives INT8-capable modules; without one every replica serves FP32
+// and a SoC module refuses it. Every replica is probed with one warm-up
+// inference, which verifies the backend end to end and is the replica's
+// first observed service; a refused deploy registers nothing.
 func (s *Scheduler) DeployArtifact(name string) (*Deployment, error) {
-	return s.DeployArtifactOn(name, s.poweredSlots()...)
-}
-
-// DeployArtifactOn is DeployArtifact restricted to the given chassis
-// slots. When the registry carries a non-empty release policy the
-// artifact's release bundle is re-verified here, at deploy time — a
-// policy installed or tightened after registration still keeps an
-// unsigned, unlogged or unwitnessed artifact off every replica.
-func (s *Scheduler) DeployArtifactOn(name string, slots ...int) (*Deployment, error) {
 	reg := s.cfg.Registry
 	if reg == nil {
 		return nil, fmt.Errorf("cluster: deploy artifact %q: scheduler has no registry", name)
@@ -164,45 +160,7 @@ func (s *Scheduler) DeployArtifactOn(name string, slots ...int) (*Deployment, er
 	if err := reg.Authorize(m.Digest); err != nil {
 		return nil, fmt.Errorf("cluster: deploy artifact %q: %w", name, err)
 	}
-	return s.deploy(m.Graph, m.Schema, m.Digest, slots, func(b inference.Backend) (inference.Executable, error) {
-		exe, _, err := reg.Plans().Compile(planKey(m.Digest, b), b, m.Graph)
-		return exe, err
-	})
-}
-
-// poweredSlots lists the chassis slots currently powered on.
-func (s *Scheduler) poweredSlots() []int {
-	var slots []int
-	for _, slot := range s.chassis.Slots {
-		if slot.Powered() {
-			slots = append(slots, slot.Index)
-		}
-	}
-	return slots
-}
-
-// DeployOn places the model on the given chassis slots, compiling it
-// once per slot's backend and starting one replica server per slot.
-// Every replica is probed with one warm-up inference, which verifies
-// the backend end to end and is the replica's first observed service.
-// The graph carries no schema: it serves FP32, and a SoC module refuses it.
-func (s *Scheduler) DeployOn(g *nn.Graph, slots ...int) (*Deployment, error) {
-	return s.deploy(g, nil, "", slots, func(b inference.Backend) (inference.Executable, error) {
-		return b.Compile(g)
-	})
-}
-
-// compileFunc produces the executable a replica serves on one backend.
-type compileFunc func(inference.Backend) (inference.Executable, error)
-
-// deploy is the shared placement path: one replica server per slot over
-// what compile returns for the slot's backend — a fresh plan for
-// in-process graphs, the fleet-wide cached one for an artifact (digest
-// set).
-func (s *Scheduler) deploy(g *nn.Graph, schema *nn.QuantSchema, digest string, slots []int, compile compileFunc) (*Deployment, error) {
-	if len(slots) == 0 {
-		return nil, fmt.Errorf("cluster: deploy %q: no slots", g.Name)
-	}
+	g := m.Graph
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -214,15 +172,20 @@ func (s *Scheduler) deploy(g *nn.Graph, schema *nn.QuantSchema, digest string, s
 	}
 	s.mu.Unlock()
 
-	d, err := newDeployment(g, digest, s.cfg)
+	d, err := newDeployment(g, m.Digest, s.cfg)
 	if err != nil {
 		return nil, err
 	}
-	for _, idx := range slots {
-		if err := s.place(d, g, schema, idx, compile); err != nil {
-			d.close()
-			return nil, err
+	for _, slot := range s.chassis.Slots {
+		if mod := slot.Module(); mod != nil {
+			if err := s.place(d, m, slot.Index, mod); err != nil {
+				d.close()
+				return nil, err
+			}
 		}
+	}
+	if len(d.replicas) == 0 {
+		return nil, fmt.Errorf("cluster: deploy %q: %s holds no module", g.Name, s.chassis.Name)
 	}
 	if err := d.warmup(); err != nil {
 		d.close()
@@ -243,24 +206,17 @@ func (s *Scheduler) deploy(g *nn.Graph, schema *nn.QuantSchema, digest string, s
 	return d, nil
 }
 
-// place compiles the model for the module in one chassis slot and adds
+// place compiles the artifact, once per (digest, backend) through the
+// registry's plan cache, for the module in one chassis slot and adds
 // the replica serving it.
-func (s *Scheduler) place(d *Deployment, g *nn.Graph, schema *nn.QuantSchema, idx int, compile compileFunc) error {
-	if idx < 0 || idx >= len(s.chassis.Slots) {
-		return fmt.Errorf("cluster: %s has no slot %d", s.chassis.Name, idx)
-	}
-	slot := s.chassis.Slots[idx]
-	mod := slot.Module()
-	if mod == nil || !slot.Powered() {
-		return fmt.Errorf("cluster: slot %d has no powered module", idx)
-	}
-	backend, err := BackendForModule(mod, schema)
+func (s *Scheduler) place(d *Deployment, m *artifact.Model, idx int, mod *microserver.Module) error {
+	backend, err := backendForModule(mod, m.Schema)
 	if err != nil {
 		return err
 	}
-	exe, err := compile(backend)
+	exe, _, err := s.cfg.Registry.Plans().Compile(planKey(m.Digest, backend), backend, m.Graph)
 	if err == nil {
-		err = d.addReplica(g, exe, backend.Name(), idx, mod)
+		err = d.addReplica(m.Graph, exe, backend.Name(), idx, mod)
 	}
 	if err != nil {
 		return fmt.Errorf("cluster: slot %d (%s): %w", idx, mod.Name, err)
@@ -350,9 +306,8 @@ func (s *Scheduler) Close() {
 // routing rule.
 type Deployment struct {
 	model string
-	// digest is the content digest of the artifact the fleet runs, empty
-	// for in-process Deploy graphs. It is the identity replica
-	// attestation binds to the enclave measurement.
+	// digest is the content digest of the artifact the fleet runs: the
+	// identity replica attestation binds to the enclave measurement.
 	digest string
 	// inputNames and inPer are the model's declared inputs and their
 	// per-sample shapes, what inference.CheckInputs judges a request by.
@@ -408,19 +363,16 @@ func (d *Deployment) addReplica(g *nn.Graph, exe inference.Executable, backendNa
 	if err != nil {
 		return err
 	}
+	// The replica runs inside a modeled enclave whose measurement binds
+	// its identity to the exact plan it executes: artifact digest,
+	// backend, hosting module. Deployment.Attest quotes it.
 	r := &Replica{
-		id:     len(d.replicas),
-		slot:   slot,
-		module: mod.Name,
-		server: srv,
-		maxW:   mod.MaxW,
-	}
-	if d.digest != "" {
-		// Artifact deployments run inside a modeled enclave whose
-		// measurement binds the replica's identity to the exact plan
-		// it executes: artifact digest, backend, hosting module. The
-		// attestation path (Deployment.Attest) quotes it.
-		r.enclave = tee.NewEnclave(ReplicaImage(d.digest, backendName, mod.Name))
+		id:      len(d.replicas),
+		slot:    slot,
+		module:  mod.Name,
+		server:  srv,
+		maxW:    mod.MaxW,
+		enclave: tee.NewEnclave(replicaImage(d.digest, backendName, mod.Name)),
 	}
 	// An executable with a latency model (roofline predictions from
 	// accel programs, measured cycles per inference from SoC firmware)
@@ -435,7 +387,7 @@ func (d *Deployment) addReplica(g *nn.Graph, exe inference.Executable, backendNa
 }
 
 // ArtifactDigest returns the content digest of the artifact the fleet
-// runs, empty for in-process Deploy graphs.
+// runs.
 func (d *Deployment) ArtifactDigest() string { return d.digest }
 
 // Replicas returns the fleet members in slot order.
@@ -685,9 +637,8 @@ type Replica struct {
 	module string
 	server *microserver.Server
 	maxW   float64
-	// enclave is the replica's modeled trusted execution context, set
-	// only on artifact deployments (its measurement binds the artifact
-	// digest); nil for in-process Deploy graphs.
+	// enclave is the replica's modeled trusted execution context; its
+	// measurement binds the artifact digest.
 	enclave *tee.Enclave
 	// free is the modeled device's next-free time under EmulateLatency;
 	// only the replica's dispatcher reads and writes it (Deployment.hold).
@@ -710,10 +661,6 @@ func (r *Replica) Backend() string { return r.server.Backend() }
 
 // Server exposes the replica's node server.
 func (r *Replica) Server() *microserver.Server { return r.server }
-
-// Enclave exposes the replica's modeled trusted execution context, nil
-// for in-process Deploy graphs (only artifact deployments attest).
-func (r *Replica) Enclave() *tee.Enclave { return r.enclave }
 
 // ServiceEstimate is the per-request service time the router weighs:
 // the EWMA of observed service per row. A backend's latency model or

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"vedliot/internal/artifact"
 	"vedliot/internal/inference"
 	"vedliot/internal/microserver"
 	"vedliot/internal/nn"
@@ -34,20 +36,45 @@ func urecsFleet(t *testing.T) *microserver.Chassis {
 	return c
 }
 
-// oneReplicaScheduler builds a scheduler over a single host-CPU module
-// whose replica runs one request at a time, so a burst backs up behind
-// it to the given admission depth.
-func oneReplicaScheduler(t *testing.T, queueDepth int) *Scheduler {
+// oneModuleChassis builds a uRECS with a single host-CPU module, whose
+// replica runs one request at a time, so a burst backs up behind it to
+// the admission depth.
+func oneModuleChassis(t *testing.T) *microserver.Chassis {
 	t.Helper()
 	c := microserver.NewURECS()
-	m, err := microserver.FindModule("SMARC ARM")
+	if _, err := c.Mount("SMARC ARM"); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// packed registers g, packed in memory with no schema, in a fresh
+// registry, the way vedliot-serve registers a zoo model.
+func packed(t testing.TB, g *nn.Graph) *Registry {
+	t.Helper()
+	m := &artifact.Model{Graph: g}
+	if _, err := m.Encode(); err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry()
+	if err := reg.Add(m); err != nil {
+		t.Fatal(err)
+	}
+	return reg
+}
+
+// deployGraph deploys g, packed in memory, through DeployArtifact on
+// every module of the chassis; the scheduler closes when the test ends.
+func deployGraph(t testing.TB, c *microserver.Chassis, cfg Config, g *nn.Graph) (*Scheduler, *Deployment) {
+	t.Helper()
+	cfg.Registry = packed(t, g)
+	sched := NewScheduler(c, cfg)
+	t.Cleanup(sched.Close)
+	dep, err := sched.DeployArtifact(g.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Insert(0, m); err != nil {
-		t.Fatal(err)
-	}
-	return NewScheduler(c, Config{QueueDepth: queueDepth})
+	return sched, dep
 }
 
 func gestureModel() *nn.Graph {
@@ -63,13 +90,8 @@ func gestureInput(seed int) *tensor.Tensor {
 }
 
 func TestDeployHeterogeneousFleetParity(t *testing.T) {
-	sched := NewScheduler(urecsFleet(t), Config{})
-	defer sched.Close()
 	g := gestureModel()
-	dep, err := sched.Deploy(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, dep := deployGraph(t, urecsFleet(t), Config{}, g)
 	if len(dep.Replicas()) != 3 {
 		t.Fatalf("deployed %d replicas, want 3", len(dep.Replicas()))
 	}
@@ -109,13 +131,8 @@ func TestDeployHeterogeneousFleetParity(t *testing.T) {
 }
 
 func TestSubmitWaitAsync(t *testing.T) {
-	sched := NewScheduler(urecsFleet(t), Config{QueueDepth: 128})
-	defer sched.Close()
 	g := gestureModel()
-	dep, err := sched.Deploy(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, dep := deployGraph(t, urecsFleet(t), Config{QueueDepth: 128}, g)
 	eng, err := inference.Compile(g)
 	if err != nil {
 		t.Fatal(err)
@@ -164,13 +181,8 @@ func TestSubmitWaitAsync(t *testing.T) {
 // burst must shed some requests with ErrOverloaded while every admitted
 // request still resolves.
 func TestAdmissionShedsWhenSaturated(t *testing.T) {
-	sched := oneReplicaScheduler(t, 1)
-	defer sched.Close()
 	g := nn.FaceDetectNet(32, nn.BuildOptions{Weights: true, Seed: 9})
-	dep, err := sched.Deploy(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, dep := deployGraph(t, oneModuleChassis(t), Config{QueueDepth: 1}, g)
 	in := tensor.New(tensor.FP32, append(tensor.Shape{1}, g.Node(g.Inputs[0]).Attrs.Shape...)...)
 	ins := map[string]*tensor.Tensor{g.Inputs[0]: in}
 
@@ -210,13 +222,8 @@ func TestAdmissionShedsWhenSaturated(t *testing.T) {
 // admission attempt is in Submitted, and each one ended up in Completed
 // or Rejected.
 func TestStatsInvariantHoldsWhenShedding(t *testing.T) {
-	sched := oneReplicaScheduler(t, 1)
-	defer sched.Close()
 	g := gestureModel()
-	dep, err := sched.Deploy(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, dep := deployGraph(t, oneModuleChassis(t), Config{QueueDepth: 1}, g)
 	ins := map[string]*tensor.Tensor{g.Inputs[0]: gestureInput(1)}
 	const burst = 200
 	var admitted []*pending
@@ -249,12 +256,8 @@ func TestStatsInvariantHoldsWhenShedding(t *testing.T) {
 // every admitted request must complete (result or ErrClosed) and later
 // submissions must fail fast.
 func TestCloseRacingSubmit(t *testing.T) {
-	sched := NewScheduler(urecsFleet(t), Config{QueueDepth: 256})
 	g := gestureModel()
-	dep, err := sched.Deploy(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sched, dep := deployGraph(t, urecsFleet(t), Config{QueueDepth: 256}, g)
 	ins := map[string]*tensor.Tensor{g.Inputs[0]: gestureInput(1)}
 	const clients = 24
 	var wg sync.WaitGroup
@@ -336,13 +339,8 @@ func TestWarmupNamesFailingReplica(t *testing.T) {
 // it every replica observes the host, and "fastest" is no property of
 // the device.
 func TestRoutingPrefersFastestAtLowLoad(t *testing.T) {
-	sched := NewScheduler(urecsFleet(t), Config{EmulateLatency: true})
-	defer sched.Close()
 	g := gestureModel()
-	dep, err := sched.Deploy(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, dep := deployGraph(t, urecsFleet(t), Config{EmulateLatency: true}, g)
 	var fastest *Replica
 	for _, r := range dep.Replicas() {
 		if fastest == nil || r.ServiceEstimate() < fastest.ServiceEstimate() {
@@ -411,22 +409,68 @@ func TestPickPowerTieBreak(t *testing.T) {
 }
 
 func TestDeployErrors(t *testing.T) {
-	sched := NewScheduler(microserver.NewURECS(), Config{})
-	defer sched.Close()
-	if _, err := sched.Deploy(gestureModel()); err == nil {
-		t.Error("Deploy succeeded on an empty chassis")
-	}
-	c := urecsFleet(t)
-	sched2 := NewScheduler(c, Config{})
-	defer sched2.Close()
-	if _, err := sched2.Deploy(gestureModel()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sched2.Deploy(gestureModel()); err == nil {
+	g := gestureModel()
+	sched, _ := deployGraph(t, urecsFleet(t), Config{}, g)
+	if _, err := sched.DeployArtifact(g.Name); err == nil {
 		t.Error("duplicate model deployment succeeded")
 	}
-	if _, err := sched2.Deployment("nope"); err == nil {
+	if _, err := sched.Deployment("nope"); err == nil {
 		t.Error("Deployment resolved an unknown model")
+	}
+	sched.Close()
+	if _, err := sched.DeployArtifact(g.Name); !errors.Is(err, ErrClosed) {
+		t.Errorf("DeployArtifact after Close returned %v, want ErrClosed", err)
+	}
+}
+
+// TestDeployArtifactPlacesModuleSlots: a deploy places one replica on
+// each slot that holds a module, in slot order, skipping empty slots; a
+// chassis with no module is refused and registers nothing, and the same
+// scheduler deploys once a module is inserted.
+func TestDeployArtifactPlacesModuleSlots(t *testing.T) {
+	g := gestureModel()
+	slots := func(dep *Deployment) []int {
+		var got []int
+		for _, rs := range dep.Stats().Replicas {
+			got = append(got, rs.Slot)
+		}
+		return got
+	}
+	insert := func(c *microserver.Chassis, idx int, name string) {
+		m, err := microserver.FindModule(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Insert(idx, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	urecs := microserver.NewURECS()
+	insert(urecs, 1, "SMARC ARM")
+	if _, dep := deployGraph(t, urecs, Config{}, g); !slices.Equal(slots(dep), []int{1}) {
+		t.Errorf("uRECS with a module in slot 1 placed replicas on slots %v, want [1]", slots(dep))
+	}
+
+	trecs := microserver.NewTRECS(3)
+	insert(trecs, 0, "COM-HPC Server x86")
+	insert(trecs, 2, "COM-HPC Server x86")
+	if _, dep := deployGraph(t, trecs, Config{}, g); !slices.Equal(slots(dep), []int{0, 2}) {
+		t.Errorf("t.RECS with modules in slots 0 and 2 placed replicas on slots %v, want [0 2]", slots(dep))
+	}
+
+	empty := microserver.NewURECS()
+	sched := NewScheduler(empty, Config{Registry: packed(t, g)})
+	defer sched.Close()
+	if _, err := sched.DeployArtifact(g.Name); err == nil {
+		t.Error("DeployArtifact succeeded on an empty chassis")
+	}
+	if models := sched.Models(); len(models) != 0 {
+		t.Errorf("refused deploy registered %v", models)
+	}
+	insert(empty, 0, "SMARC ARM")
+	if _, err := sched.DeployArtifact(g.Name); err != nil {
+		t.Errorf("DeployArtifact after inserting a module: %v", err)
 	}
 }
 

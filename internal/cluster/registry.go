@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"vedliot/internal/accel"
@@ -13,11 +12,11 @@ import (
 
 // Registry is the fleet's model registry: deployment artifacts
 // (.vedz models) by name, plus the fleet-wide compiled-plan cache they
-// share. A scheduler with a registry deploys replicas from artifacts —
-// cold-start per replica is load + bind instead of calibrate + lower,
-// because every (artifact digest, backend) pair lowers at most once no
-// matter how many replicas, chassis or schedulers point at the
-// registry.
+// share. A scheduler deploys replicas only from its registry's
+// artifacts — cold-start per replica is load + bind instead of
+// calibrate + lower, because every (artifact digest, backend) pair
+// lowers at most once no matter how many replicas, chassis or
+// schedulers point at the registry.
 //
 // A registry with a non-empty release.Policy is a gated release
 // channel: models enter only through AddRelease with a bundle the
@@ -89,14 +88,6 @@ func (r *Registry) AddRelease(m *artifact.Model, b *release.Bundle) error {
 	return nil
 }
 
-// Bundle returns the release bundle registered for an artifact digest,
-// nil when none was provided.
-func (r *Registry) Bundle(digest string) *release.Bundle {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.bundles[digest]
-}
-
 // Authorize re-verifies the release policy for a registered digest —
 // the deploy-time gate. It exists separately from AddRelease so a
 // policy installed (or tightened) after registration still bites
@@ -133,18 +124,6 @@ func (r *Registry) Get(name string) (*artifact.Model, error) {
 		return nil, fmt.Errorf("cluster: registry: model %q not registered", name)
 	}
 	return m, nil
-}
-
-// Names lists the registered model names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.models))
-	for n := range r.models {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Plans exposes the registry's fleet-wide plan cache (telemetry,

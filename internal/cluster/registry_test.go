@@ -56,8 +56,17 @@ func TestRegistryAddGetNames(t *testing.T) {
 	if got != m {
 		t.Fatal("Get returned a different model")
 	}
-	if names := reg.Names(); len(names) != 1 || names[0] != g.Name {
-		t.Fatalf("Names = %v", names)
+	mlp := &artifact.Model{Graph: nn.MLP("tiny", []int{4, 3}, nn.BuildOptions{Weights: true, Seed: 1})}
+	if _, err := mlp.Encode(); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Add(mlp); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []*artifact.Model{m, mlp} {
+		if got, err := reg.Get(want.Graph.Name); err != nil || got != want {
+			t.Fatalf("Get(%q) = %v, %v; want the registered model", want.Graph.Name, got, err)
+		}
 	}
 	if err := reg.Add(m); err == nil {
 		t.Fatal("duplicate Add accepted")
@@ -73,23 +82,18 @@ func TestRegistryAddGetNames(t *testing.T) {
 // TestDeployArtifactParity is the acceptance contract: a model
 // exported to .vedz (FP32, no schema — the whole fleet stays on the
 // bit-exact functional path) reloads and serves through the cluster
-// with bitwise-identical outputs to the in-process deployment path.
+// with bitwise-identical outputs to the reference engine.
 func TestDeployArtifactParity(t *testing.T) {
 	path, g, _ := exportGesture(t, false)
 	reg := NewRegistry()
 	if _, err := reg.LoadFile(path); err != nil {
 		t.Fatal(err)
 	}
-
-	// In-process fleet.
-	inproc := NewScheduler(urecsFleet(t), Config{})
-	defer inproc.Close()
-	inprocDep, err := inproc.Deploy(g)
+	eng, err := inference.Compile(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Artifact-driven fleet on an identical chassis.
 	fromArt := NewScheduler(urecsFleet(t), Config{Registry: reg})
 	defer fromArt.Close()
 	dep, err := fromArt.DeployArtifact(g.Name)
@@ -102,7 +106,7 @@ func TestDeployArtifactParity(t *testing.T) {
 
 	for seed := 0; seed < 8; seed++ {
 		in := gestureInput(seed)
-		want, err := single(inprocDep, g, in)
+		want, err := eng.RunSingle(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +115,7 @@ func TestDeployArtifactParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		if d, _ := tensor.MaxAbsDiff(want, got); d != 0 {
-			t.Fatalf("seed %d: artifact-served output differs from in-process path by %g", seed, d)
+			t.Fatalf("seed %d: artifact-served output differs from the reference engine by %g", seed, d)
 		}
 	}
 }

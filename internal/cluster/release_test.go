@@ -172,13 +172,23 @@ func TestGatedDeployAndAttest(t *testing.T) {
 	ch := newReleaseChannel(t)
 	m, b := exportAndPublish(t, ch)
 
+	// An ungated registry retains the bundle AddRelease hands it, and a
+	// policy set later authorizes the deploy by it; an artifact Added
+	// with no bundle is refused.
 	reg := NewRegistry()
-	reg.SetPolicy(ch.policy)
 	if err := reg.AddRelease(m, b); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Bundle(m.Digest); got != b {
-		t.Fatal("registered bundle not retrievable by digest")
+	reg.SetPolicy(ch.policy)
+	bare := NewRegistry()
+	if err := bare.Add(m); err != nil {
+		t.Fatal(err)
+	}
+	bare.SetPolicy(ch.policy)
+	unbundled := NewScheduler(urecsFleet(t), Config{Registry: bare})
+	defer unbundled.Close()
+	if _, err := unbundled.DeployArtifact(m.Graph.Name); err == nil {
+		t.Fatal("scheduler deployed an artifact registered without a release bundle")
 	}
 	sched := NewScheduler(urecsFleet(t), Config{Registry: reg})
 	defer sched.Close()
@@ -235,28 +245,5 @@ func TestGatedDeployAndAttest(t *testing.T) {
 	swapped.Module = "some-other-module"
 	if err := VerifyReplicaAttestation(swapped, platformPub, m.Digest, nonce); err == nil {
 		t.Fatal("attestation verified after a module swap")
-	}
-}
-
-// TestInProcessDeployDoesNotAttest pins the boundary: only artifact
-// deployments carry enclaves and attest.
-func TestInProcessDeployDoesNotAttest(t *testing.T) {
-	g := gestureModel()
-	sched := NewScheduler(urecsFleet(t), Config{})
-	defer sched.Close()
-	dep, err := sched.Deploy(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dep.ArtifactDigest() != "" {
-		t.Fatal("in-process deployment claims an artifact digest")
-	}
-	for _, r := range dep.Replicas() {
-		if r.Enclave() != nil {
-			t.Fatal("in-process replica carries an enclave")
-		}
-	}
-	if _, err := dep.Attest([]byte("n"), nil); err == nil {
-		t.Fatal("in-process deployment attested")
 	}
 }

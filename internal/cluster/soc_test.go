@@ -13,33 +13,33 @@ import (
 // module from an artifact that embeds its calibration schema: the fleet
 // must serve it through the firmware backend, seed the router's
 // estimate with the measured cycles-per-inference latency model, and
-// return outputs bit-exact with the native INT8 engine. An in-process
-// graph carries no schema, so its deploy onto the SoC module is refused
-// with an error that points at such an artifact.
+// return outputs bit-exact with the native INT8 engine. A schema-less
+// artifact's deploy onto the SoC module is refused with an error that
+// points at an artifact with an embedded schema.
 func TestDeploySoCModule(t *testing.T) {
 	path, g, schema := exportGesture(t, true)
 	m, err := microserver.FindModule("RISC-V CFU SoM")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// SoC modules run INT8 firmware only: no schema, no backend.
-	if _, err := BackendForModule(m, nil); err == nil {
-		t.Fatal("BackendForModule accepted a SoC module without a schema")
-	}
-
 	c := microserver.NewURECS()
 	if err := c.Insert(2, m); err != nil { // slot 2 accepts the CM4 form factor
 		t.Fatal(err)
 	}
+
+	// SoC modules run INT8 firmware only: no schema, no replica.
+	fp32 := NewScheduler(c, Config{Registry: packed(t, gestureModel())})
+	defer fp32.Close()
+	if _, err := fp32.DeployArtifact(g.Name); err == nil || !strings.Contains(err.Error(), "artifact with an embedded calibration schema") {
+		t.Fatalf("schema-less artifact onto the SoC module returned %v, want a refusal naming an artifact with an embedded schema", err)
+	}
+
 	reg := NewRegistry()
 	if _, err := reg.LoadFile(path); err != nil {
 		t.Fatal(err)
 	}
 	sched := NewScheduler(c, Config{Registry: reg})
 	defer sched.Close()
-	if _, err := sched.Deploy(gestureModel()); err == nil || !strings.Contains(err.Error(), "artifact with an embedded calibration schema") {
-		t.Fatalf("in-process Deploy onto the SoC module returned %v, want a refusal naming an artifact with an embedded schema", err)
-	}
 	dep, err := sched.DeployArtifact(g.Name)
 	if err != nil {
 		t.Fatal(err)

@@ -44,12 +44,7 @@ func TestOneInputCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := cluster.NewScheduler(armFleet(t, 1), cluster.Config{})
-	defer sched.Close()
-	dep, err := sched.Deploy(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, dep := deployGraph(t, armFleet(t, 1), cluster.Config{}, g)
 	var stats batchStats
 	door := newBatcher(dep, dep.InputNames(), dep.InputShapes(), BatchPolicy{}, &stats)
 	good := map[string]*tensor.Tensor{"a": pairInput(1, 0), "b": pairInput(1, 1)}

@@ -53,12 +53,7 @@ func TestSlowReaderIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := cluster.NewScheduler(armFleet(t, 1), cluster.Config{})
-	defer sched.Close()
-	dep, err := sched.Deploy(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sched, dep := deployGraph(t, armFleet(t, 1), cluster.Config{}, g)
 	srv, err := Listen("127.0.0.1:0", sched, Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -132,12 +132,7 @@ func backedElems(s tensor.Shape) (n int, ok bool) {
 // undeclared input whose dimensions wrap to its four floats, negative
 // dimensions, a scalar, null data, zero rows and bytes after the request.
 func FuzzHTTPInfer(f *testing.F) {
-	sched := cluster.NewScheduler(armFleet(f, 1), cluster.Config{QueueDepth: 64})
-	f.Cleanup(sched.Close)
-	dep, err := sched.Deploy(pairModel())
-	if err != nil {
-		f.Fatal(err)
-	}
+	sched, dep := deployGraph(f, armFleet(f, 1), cluster.Config{QueueDepth: 64}, pairModel())
 	saved := maxFrame
 	f.Cleanup(func() { maxFrame = saved })
 	maxFrame = fuzzMaxFrame

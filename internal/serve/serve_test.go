@@ -51,25 +51,46 @@ func testInput(seed int) *tensor.Tensor {
 	return in
 }
 
+// packed registers g, packed in memory with no schema, in a fresh
+// registry, the way vedliot-serve registers a zoo model.
+func packed(t testing.TB, g *nn.Graph) *cluster.Registry {
+	t.Helper()
+	m := &artifact.Model{Graph: g}
+	if _, err := m.Encode(); err != nil {
+		t.Fatal(err)
+	}
+	reg := cluster.NewRegistry()
+	if err := reg.Add(m); err != nil {
+		t.Fatal(err)
+	}
+	return reg
+}
+
+// deployGraph deploys g, packed in memory, through DeployArtifact on
+// every module of the chassis; the scheduler closes when the test ends.
+func deployGraph(t testing.TB, c *microserver.Chassis, cfg cluster.Config, g *nn.Graph) (*cluster.Scheduler, *cluster.Deployment) {
+	t.Helper()
+	cfg.Registry = packed(t, g)
+	sched := cluster.NewScheduler(c, cfg)
+	t.Cleanup(sched.Close)
+	dep, err := sched.DeployArtifact(g.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sched, dep
+}
+
 // startServer deploys the test model on n replicas and listens on a
 // loopback socket.
 func startServer(t *testing.T, n int, clCfg cluster.Config, cfg Config) (*Server, *cluster.Scheduler, *nn.Graph) {
 	t.Helper()
-	sched := cluster.NewScheduler(armFleet(t, n), clCfg)
 	g := testModel()
-	if _, err := sched.Deploy(g); err != nil {
-		sched.Close()
-		t.Fatal(err)
-	}
+	sched, _ := deployGraph(t, armFleet(t, n), clCfg, g)
 	srv, err := Listen("127.0.0.1:0", sched, cfg)
 	if err != nil {
-		sched.Close()
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		srv.Close()
-		sched.Close()
-	})
+	t.Cleanup(func() { srv.Close() })
 	return srv, sched, g
 }
 
@@ -181,12 +202,9 @@ func (w wrapBackend) Compile(g *nn.Graph) (inference.Executable, error) {
 // ends, if it has not closed them.
 func serveWrapped(t *testing.T, g *nn.Graph, wrap wrapBackend, cfg Config) (*Server, *cluster.Scheduler, *cluster.Deployment) {
 	t.Helper()
-	m := &artifact.Model{Graph: g}
-	if _, err := m.Encode(); err != nil {
-		t.Fatal(err)
-	}
-	reg := cluster.NewRegistry()
-	if err := reg.Add(m); err != nil {
+	reg := packed(t, g)
+	m, err := reg.Get(g.Name)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := reg.Plans().Compile(m.Digest+"|"+inference.CPUBackend{}.Name(), wrap, g); err != nil {
@@ -350,21 +368,15 @@ func TestOverloadRetryAfter(t *testing.T) {
 // against bounded queues sheds without deadlock even when the server
 // and scheduler close mid-burst, and every request resolves.
 func TestBurstShedCloseMidBurst(t *testing.T) {
-	sched := cluster.NewScheduler(armFleet(t, 1), cluster.Config{QueueDepth: 2})
 	g := testModel()
-	if _, err := sched.Deploy(g); err != nil {
-		sched.Close()
-		t.Fatal(err)
-	}
+	sched, _ := deployGraph(t, armFleet(t, 1), cluster.Config{QueueDepth: 2}, g)
 	srv, err := Listen("127.0.0.1:0", sched, Config{Batch: BatchPolicy{MaxBatch: 1}})
 	if err != nil {
-		sched.Close()
 		t.Fatal(err)
 	}
 	pool, err := DialPool(srv.Addr(), "", 4)
 	if err != nil {
 		srv.Close()
-		sched.Close()
 		t.Fatal(err)
 	}
 	ins := map[string]*tensor.Tensor{g.Inputs[0]: testInput(0)}
@@ -452,6 +464,38 @@ func TestBatcherCoalescesWithParity(t *testing.T) {
 	}
 	if st.MeanBatch <= 1.2 {
 		t.Errorf("mean batch %.2f under concurrent flood, want > 1.2", st.MeanBatch)
+	}
+}
+
+// TestBatcherPerDeployment: the front door keeps one batcher per
+// (tenant, deployment), so the empty name of a single-model fleet and
+// the model's own name share one batcher, its coalescing and its
+// in-flight guard, while another tenant gets its own.
+func TestBatcherPerDeployment(t *testing.T) {
+	srv, _, g := startServer(t, 1, cluster.Config{}, Config{})
+	resolve := func(tenant, model string) *batcher {
+		t.Helper()
+		b, err := srv.batcherFor(tenant, model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	named := resolve(DefaultTenant, g.Name)
+	for _, model := range []string{"", g.Name, ""} {
+		if resolve(DefaultTenant, model) != named {
+			t.Errorf("model %q resolved another batcher than the model's name did", model)
+		}
+	}
+	other := resolve("tenant-b", "")
+	if other == named {
+		t.Error("two tenants share one batcher")
+	}
+	if resolve("tenant-b", g.Name) != other {
+		t.Error(`another tenant's empty name and model name got two batchers`)
+	}
+	if _, err := srv.batcherFor(DefaultTenant, "nope"); err == nil {
+		t.Error("an unknown model resolved a batcher")
 	}
 }
 

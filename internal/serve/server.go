@@ -67,8 +67,12 @@ type Server struct {
 	sched *cluster.Scheduler
 	cfg   Config
 
-	mu       sync.Mutex
-	batchers map[string]*batcher
+	mu sync.Mutex
+	// batchers holds one batcher per (tenant, deployment); byName caches
+	// each (tenant, model name as sent) the front door has resolved, the
+	// empty name of a single-model fleet included, as an alias of it.
+	batchers map[batcherKey]*batcher
+	byName   map[string]*batcher
 	conns    map[net.Conn]struct{}
 	closed   bool
 
@@ -94,7 +98,8 @@ func Listen(addr string, sched *cluster.Scheduler, cfg Config) (*Server, error) 
 		ln:       ln,
 		sched:    sched,
 		cfg:      cfg.withDefaults(),
-		batchers: make(map[string]*batcher),
+		batchers: make(map[batcherKey]*batcher),
+		byName:   make(map[string]*batcher),
 		conns:    make(map[net.Conn]struct{}),
 	}
 	s.wg.Add(1)
@@ -170,21 +175,33 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// batcherFor resolves the (tenant, model) batcher, creating it on first
-// use.
+// batcherKey names one front-door batcher: a tenant's traffic to one
+// deployment.
+type batcherKey struct {
+	tenant string
+	dep    *cluster.Deployment
+}
+
+// batcherFor resolves the (tenant, model) batcher: one per (tenant,
+// deployment) however the model is named, created on first use.
 func (s *Server) batcherFor(tenant, model string) (*batcher, error) {
-	key := tenant + "\x00" + model
+	name := tenant + "\x00" + model
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if b, ok := s.byName[name]; ok {
+		return b, nil
+	}
+	dep, err := s.sched.Deployment(model)
+	if err != nil {
+		return nil, err
+	}
+	key := batcherKey{tenant, dep}
 	b, ok := s.batchers[key]
 	if !ok {
-		dep, err := s.sched.Deployment(model)
-		if err != nil {
-			return nil, err
-		}
 		b = newBatcher(dep, dep.InputNames(), dep.InputShapes(), s.cfg.Batch, &s.batch)
 		s.batchers[key] = b
 	}
+	s.byName[name] = b
 	return b, nil
 }
 
